@@ -14,9 +14,13 @@
 #                  region kill/resume, torn delta frames, graceful departure
 #                  with mid-run shard rebalancing, quorum degradation, and the
 #                  randomized-schedule parity property
+#   make fuzz-smoke - ten seconds of each native fuzz target of the wire
+#                  codec (internal/deploy: FuzzReadMessage, FuzzMessageEncode);
+#                  go test -fuzz takes one target per run
 #   make bench   - refresh the machine-readable NN perf baseline
 #                  (BENCH_nn.json) plus the engine's serial-vs-parallel
-#                  slot-stepping benchmark
+#                  slot-stepping benchmark, the shard fan-out benchmark and
+#                  the wire-codec encode/decode benchmarks
 #   make bench-diff - rerun the nnbench suite and fail when any benchmark's
 #                  ns/op regressed >25% against the committed BENCH_nn.json
 #   make check   - vet + lint + race + full tests: the pre-commit gate
@@ -24,7 +28,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos chaos-region bench bench-diff check sim
+.PHONY: build test vet lint race chaos chaos-region fuzz-smoke bench bench-diff check sim
 
 build:
 	$(GO) build ./...
@@ -48,9 +52,15 @@ chaos:
 chaos-region:
 	$(GO) test -race -count=1 -run 'TestRegionChaos|TestRegional|TestShardDeltaReplay' ./internal/deploy/
 
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/deploy
+	$(GO) test -run='^$$' -fuzz=FuzzMessageEncode -fuzztime=10s ./internal/deploy
+
 bench:
 	$(GO) run ./cmd/nnbench -out BENCH_nn.json
 	$(GO) test ./internal/sim/ -run XX -bench 'BenchmarkSlotStepParallel|BenchmarkEngineSharded' -benchtime 3x
+	$(GO) test ./internal/engine/ -run XX -bench BenchmarkShardStepWorkers -benchtime 100x
+	$(GO) test ./internal/deploy/ -run XX -bench BenchmarkWireCodec -benchmem
 
 bench-diff:
 	$(GO) run ./cmd/nnbench -diff BENCH_nn.json

@@ -5,10 +5,11 @@
 // wire boundary unclassified silently becomes fatal and dodges the retry
 // budget. The analyzer finds every errors.New and every fmt.Errorf that
 // does not wrap with %w, and flags those constructed in wire-covered
-// functions: functions that reach ReadMessage/WriteMessage/Transient
-// through same-package static calls (being one of the wire functions counts
-// too). Pre-wire validation helpers that never touch the wire stay exempt,
-// so constructors can keep returning plain config errors.
+// functions: functions that reach ReadMessage (or a connection's
+// wireConn.readMessage), WriteMessage or Transient through same-package
+// static calls (being one of the wire functions counts too). Pre-wire
+// validation helpers that never touch the wire stay exempt, so constructors
+// can keep returning plain config errors.
 package errtaxonomy
 
 import (
@@ -32,8 +33,9 @@ var Analyzer = &analysis.Analyzer{
 	Select: selectCovered,
 }
 
-// wireNames are the function names that anchor wire coverage.
-var wireNames = [...]string{"ReadMessage", "WriteMessage", "Transient"}
+// wireNames are the functions that anchor wire coverage, as they are keyed
+// within their package: ReadMessage's per-connection form is a method.
+var wireNames = [...]string{"ReadMessage", "wireConn.readMessage", "WriteMessage", "Transient"}
 
 // selectCovered computes, over the merged program graph, the set of
 // functions that reach a wire function through same-package static calls,

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
@@ -159,5 +160,70 @@ func TestNNRuntimeInt8Serving(t *testing.T) {
 	late.Int8 = true
 	if _, err := late.RunSlot(0, 0); err == nil {
 		t.Fatal("RunSlot served a float-loaded model in Int8 mode")
+	}
+}
+
+// BenchmarkWireCodec prices the wire codec on one real frame of each hot
+// message type, at the region-fleet workload's 1 000-edge shard size: encode
+// is WriteMessage into a discarding writer, decode is a connection's frame
+// reader taking the same frame again and again into its recycled targets.
+func BenchmarkWireCodec(b *testing.B) {
+	hot := hotFrames(1000)
+	for _, name := range hotFrameNames {
+		msg := hot[name]
+		frame := frameOf(b, msg)
+		b.Run(name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for i := 0; i < b.N; i++ {
+				if err := WriteMessage(io.Discard, msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/decode", func(b *testing.B) {
+			src := bytes.NewReader(frame)
+			fr := &frameReader{r: src}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for i := 0; i < b.N; i++ {
+				src.Reset(frame)
+				if _, err := fr.next(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestWireCodecSteadyStateAllocs pins the codec's steady state in the regular
+// test run: once a frame buffer and a connection's decode targets have grown
+// to the frame, encoding an Assign or a Report and reading one into the reused
+// Message allocate nothing. The encoder is measured on a buffer the test
+// holds, as WriteMessage holds a pooled one: sync.Pool drops buffers at random
+// under the race detector, which is the pool's business, not the codec's.
+func TestWireCodecSteadyStateAllocs(t *testing.T) {
+	hot := hotFrames(1)
+	for _, name := range []string{"Assign", "Report"} {
+		msg := hot[name]
+		frame := frameOf(t, msg)
+		buf := make([]byte, 0, len(frame))
+		if allocs := testing.AllocsPerRun(100, func() {
+			if out, err := appendFrame(buf[:0], msg); err != nil || !bytes.Equal(out, frame) {
+				t.Fatalf("appendFrame: %q, %v", out, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: encoding allocates %v times per frame, want 0", name, allocs)
+		}
+		src := bytes.NewReader(frame)
+		fr := &frameReader{r: src}
+		if allocs := testing.AllocsPerRun(100, func() {
+			src.Reset(frame)
+			if _, err := fr.next(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: reading into the reused Message allocates %v times per frame, want 0", name, allocs)
+		}
 	}
 }

@@ -15,6 +15,8 @@ type Runtime interface {
 	// Welcome delivers the cloud's model metadata before the first slot.
 	Welcome(models []ModelMeta) error
 	// LoadModel installs the checkpoint for modelID (called on switches).
+	// checkpoint is the connection's recycled decode buffer: it is valid only
+	// until LoadModel returns, so an implementation copies what it keeps.
 	LoadModel(modelID int, checkpoint []byte) error
 	// RunSlot serves the slot's local traffic with the given model and
 	// returns the observation the cloud needs.
@@ -58,7 +60,8 @@ type EdgeSession struct {
 	welcomed  bool
 	token     string
 	doneSlots int      // completed slots (reports produced, possibly unacked)
-	last      *Message // cached report of slot doneSlots-1
+	last      *Message // cached report of slot doneSlots-1; nil or &report
+	report    Message  // storage of last, rewritten once per served slot
 }
 
 // NewEdgeSession builds a fresh session for one run.
@@ -77,12 +80,15 @@ func NewEdgeSession(edgeID int, rt Runtime) (*EdgeSession, error) {
 // a fatal local/protocol failure. done == false means the connection itself
 // failed (err is the transient cause) and the caller may redial and call Run
 // again to resume the session.
-func (s *EdgeSession) Run(conn net.Conn) (done bool, err error) {
+func (s *EdgeSession) Run(raw net.Conn) (done bool, err error) {
+	// One frame reader for the connection's whole life: an Assign that
+	// arrived in the Welcome's segment is already in its buffer.
+	conn := newWireConn(raw)
 	if err := s.handshake(conn); err != nil {
 		return !Transient(err), err
 	}
 	for {
-		m, err := ReadMessage(conn)
+		m, err := conn.readMessage()
 		if err != nil {
 			return !Transient(err), fmt.Errorf("deploy: read: %w", err)
 		}
@@ -112,7 +118,9 @@ func (s *EdgeSession) Run(conn net.Conn) (done bool, err error) {
 				_ = WriteMessage(conn, &Message{Type: MsgError, Reason: err.Error()})
 				return true, fmt.Errorf("deploy: run slot %d: %w", m.Slot, err)
 			}
-			out := &Message{
+			// Cache before writing: if the write dies mid-frame the slot is
+			// still completed, and the resumed connection resends it.
+			s.report = Message{
 				Type:        MsgReport,
 				Slot:        m.Slot,
 				EdgeID:      s.edgeID,
@@ -123,11 +131,9 @@ func (s *EdgeSession) Run(conn net.Conn) (done bool, err error) {
 				EnergyKWh:   rep.EnergyKWh,
 				CompSeconds: rep.CompSeconds,
 			}
-			// Cache before writing: if the write dies mid-frame the slot is
-			// still completed, and the resumed connection resends it.
-			s.last = out
+			s.last = &s.report
 			s.doneSlots++
-			if err := WriteMessage(conn, out); err != nil {
+			if err := WriteMessage(conn, s.last); err != nil {
 				return !Transient(err), fmt.Errorf("deploy: report: %w", err)
 			}
 		default:
@@ -137,7 +143,7 @@ func (s *EdgeSession) Run(conn net.Conn) (done bool, err error) {
 }
 
 // handshake performs the initial or resume Hello/Welcome exchange.
-func (s *EdgeSession) handshake(conn net.Conn) error {
+func (s *EdgeSession) handshake(conn *wireConn) error {
 	hello := &Message{Type: MsgHello, EdgeID: s.edgeID}
 	if s.welcomed {
 		hello.Resume = true
@@ -147,7 +153,7 @@ func (s *EdgeSession) handshake(conn net.Conn) error {
 	if err := WriteMessage(conn, hello); err != nil {
 		return fmt.Errorf("deploy: hello: %w", err)
 	}
-	welcome, err := ReadMessage(conn)
+	welcome, err := conn.readMessage()
 	if err != nil {
 		return fmt.Errorf("deploy: welcome: %w", err)
 	}

@@ -111,7 +111,7 @@ func buildLinks(offset, count int, seed int64, claimed bool) []*edgeLink {
 		links[i] = &edgeLink{
 			id:       offset + i,
 			token:    fmt.Sprintf("%016x-%02d", tokenRNG.Uint64(), i),
-			incoming: make(chan net.Conn, 1),
+			incoming: make(chan *wireConn, 1),
 			claimed:  claimed,
 		}
 	}
@@ -175,7 +175,7 @@ func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint) ([]*tcpStepper, error) {
 type edgeLink struct {
 	id       int // global edge id
 	token    string
-	incoming chan net.Conn
+	incoming chan *wireConn
 
 	mu      sync.Mutex
 	claimed bool // initial connection admitted (true from birth on adopted links)
@@ -184,7 +184,7 @@ type edgeLink struct {
 
 // deliver hands a fresh connection to the stepper, replacing any stale one
 // that was never consumed (latest connection wins).
-func (l *edgeLink) deliver(conn net.Conn) {
+func (l *edgeLink) deliver(conn *wireConn) {
 	for {
 		select {
 		case l.incoming <- conn:
@@ -286,8 +286,11 @@ func (f *edgeFleet) acceptLoop(ln net.Listener) {
 // admit performs one connection's handshake under the handshake deadline and
 // delivers the connection to its edge's link. Bad clients are rejected and
 // closed without disturbing the fleet. Edge ids on the wire are global; the
-// fleet serves its ranges' ids (initial plus any adopted mid-run).
-func (f *edgeFleet) admit(conn net.Conn) {
+// fleet serves its ranges' ids (initial plus any adopted mid-run). The
+// connection is wrapped here, once: the frame reader that took the Hello is
+// the one the edge's stepper reads reports through.
+func (f *edgeFleet) admit(raw net.Conn) {
+	conn := newWireConn(raw)
 	admitted := false
 	defer func() {
 		if !admitted {
@@ -304,7 +307,7 @@ func (f *edgeFleet) admit(conn net.Conn) {
 			return
 		}
 	}
-	m, err := ReadMessage(conn)
+	m, err := conn.readMessage()
 	if err != nil {
 		return
 	}
@@ -379,8 +382,11 @@ func (f *edgeFleet) admit(conn net.Conn) {
 	if timeout > 0 {
 		conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
+	// m lives in the connection's recycled decode target: once the link is
+	// delivered, the edge's stepper owns the reader and m with it.
+	edgeID := m.EdgeID
 	link.deliver(conn)
-	f.initial <- m.EdgeID
+	f.initial <- edgeID
 	admitted = true
 }
 
@@ -472,7 +478,10 @@ type tcpStepper struct {
 	link  *edgeLink
 	id    int        // global edge id
 	rng   *rand.Rand // deterministic backoff jitter stream
-	conn  net.Conn   // current connection; nil while the edge is down
+	conn  *wireConn  // current connection; nil while the edge is down
+	// assign is the outgoing Assign, rewritten every slot: one edge-slot
+	// allocates no envelope.
+	assign Message
 }
 
 // Step implements engine.EdgeStepper.
@@ -513,7 +522,7 @@ func (s *tcpStepper) Step(slot, arm int, download bool) (engine.Observation, err
 }
 
 // await waits up to d for the acceptor to deliver a (re)connection.
-func (s *tcpStepper) await(d time.Duration) net.Conn {
+func (s *tcpStepper) await(d time.Duration) *wireConn {
 	select {
 	case conn := <-s.link.incoming:
 		return conn
@@ -532,7 +541,7 @@ func (s *tcpStepper) await(d time.Duration) net.Conn {
 // liveConn returns the stepper's current connection, consuming a freshly
 // resumed one if the acceptor delivered it after the last step. Callers
 // must not race Step (the engine has returned, or never started).
-func (s *tcpStepper) liveConn() net.Conn {
+func (s *tcpStepper) liveConn() *wireConn {
 	select {
 	case conn := <-s.link.incoming:
 		if s.conn != nil {
@@ -545,7 +554,7 @@ func (s *tcpStepper) liveConn() net.Conn {
 }
 
 // exchange runs one assign/report round trip on conn.
-func (s *tcpStepper) exchange(conn net.Conn, slot, arm int, download bool) (engine.Observation, error) {
+func (s *tcpStepper) exchange(conn *wireConn, slot, arm int, download bool) (engine.Observation, error) {
 	f, i := s.fleet, s.id
 	if _, slotTimeout := f.fcfg.timeouts(); slotTimeout > 0 {
 		//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
@@ -554,7 +563,8 @@ func (s *tcpStepper) exchange(conn net.Conn, slot, arm int, download bool) (engi
 		}
 		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
-	assign := &Message{
+	assign := &s.assign
+	*assign = Message{
 		Type:    MsgAssign,
 		Slot:    slot,
 		ModelID: arm,
@@ -570,7 +580,7 @@ func (s *tcpStepper) exchange(conn net.Conn, slot, arm int, download bool) (engi
 	if err := WriteMessage(conn, assign); err != nil {
 		return engine.Observation{}, fmt.Errorf("edge %d assign: %w", i, err)
 	}
-	rep, err := ReadMessage(conn)
+	rep, err := conn.readMessage()
 	if err != nil {
 		return engine.Observation{}, fmt.Errorf("edge %d report: %w", i, err)
 	}

@@ -9,9 +9,23 @@
 // observed after inference, and the cloud sees nothing about an edge's data.
 //
 // The wire protocol is length-prefixed JSON: every frame is a 4-byte
-// big-endian length followed by a JSON-encoded Message. JSON keeps frames
-// inspectable; the dominant payload (model weights) is []byte, which
-// encoding/json base64-encodes.
+// big-endian length followed by a Message's JSON object, {"type":N,...},
+// exactly as encoding/json marshals it (model weights, the dominant payload,
+// are a base64 string). A frame is built — header and body — in one pooled
+// buffer and sent with a single Write; a connection's owner reads it through
+// a wireConn, whose frameReader takes a small frame in one Read into a
+// grow-only buffer and decodes it into reused targets.
+//
+// Two codecs produce and accept those same bytes. The per-slot messages
+// (Assign, Report, ShardAssign, ShardDelta) and the bare control frames go
+// through the reflection-free codec in codec.go; everything outside the shape
+// that codec covers (the rule is stated once, at the top of codec.go) goes
+// through encoding/json, which remains the authority for what a frame means
+// and for every decode error. The body stays JSON on purpose: the slot-cost
+// benchmark's frame tee keys on the {"type":N prefix, and byte-identical
+// frames are what make its byte and digest metrics exact before/after checks
+// of a codec change. A raw-float64 binary layout has to wait for a benchmark
+// change that relaxes that.
 package deploy
 
 import (
@@ -20,6 +34,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"sync"
 
 	"github.com/carbonedge/carbonedge/internal/engine"
 )
@@ -146,53 +162,183 @@ type ModelMeta struct {
 	SizeBytes int64   `json:"sizeBytes"`
 }
 
-// WriteMessage frames and writes one message.
+// headerLen is the size of a frame's big-endian length prefix.
+const headerLen = 4
+
+// framePool recycles frame buffers: WriteMessage builds header and body in
+// one, the stateless ReadMessage reads a body into one.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteMessage frames m and sends it with a single Write.
 func WriteMessage(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	frame, err := appendFrame((*bp)[:0], m)
 	if err != nil {
-		return fmt.Errorf("deploy: marshal: %w", err)
+		return err
 	}
-	if len(body) > maxFrame {
-		return protocolErrorf("frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("deploy: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("deploy: write body: %w", err)
+	*bp = frame[:0]
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("deploy: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadMessage reads one framed message. Failures follow the error taxonomy
-// in errors.go: truncated reads are transient I/O errors (the connection
-// died, possibly mid-frame — a resume can heal it), while an impossible
-// frame length, undecodable JSON, or an unknown message type is a fatal
-// *ProtocolError (the peer is broken; retrying cannot help).
-func ReadMessage(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("deploy: read header: %w", err)
+// appendFrame appends m's frame to dst. The body comes from the fast codec
+// when m has the shape it covers (see codec.go) and from encoding/json
+// otherwise; the bytes are the same either way.
+func appendFrame(dst []byte, m *Message) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	frame, ok := appendMessage(dst, m)
+	if !ok {
+		body, err := json.Marshal(m)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: marshal: %w", err)
+		}
+		frame = append(dst, body...)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := len(frame) - start - headerLen
 	if n > maxFrame {
 		return nil, protocolErrorf("frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	binary.BigEndian.PutUint32(frame[start:], uint32(n))
+	return frame, nil
+}
+
+// ReadMessage reads one framed message and never reads past it. Failures
+// follow the error taxonomy in errors.go: truncated reads are transient I/O
+// errors (the connection died, possibly mid-frame — a resume can heal it),
+// while an impossible frame length, undecodable JSON, or an unknown message
+// type is a fatal *ProtocolError (the peer is broken; retrying cannot help).
+//
+// It is the stateless form, for a caller that reads one frame off a stream
+// it does not own. A connection's owner reads through a wireConn instead.
+func ReadMessage(r io.Reader) (*Message, error) {
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	fr := &frameReader{r: r, exact: true, buf: (*bp)[:cap(*bp)]}
+	m, err := fr.next()
+	*bp = fr.buf[:0]
+	return m, err
+}
+
+// Frame-buffer growth: a reader's buffer starts at minFrameBuf and grows by
+// at most growStep beyond the bytes that have actually arrived, so a hostile
+// length prefix cannot make the reader allocate maxFrame up front.
+const (
+	minFrameBuf = 512
+	growStep    = 1 << 20
+)
+
+// frameReader reads frames off one stream into a grow-only buffer and
+// decodes them into its reusable targets: a message it returns is valid
+// until its next call. Unless exact is set it reads ahead — whatever a Read
+// returns, so a small frame takes one Read — which is why a connection has
+// exactly one, used for every read on it.
+type frameReader struct {
+	r io.Reader
+	// exact limits every Read to the frame in progress (ReadMessage's
+	// contract).
+	exact bool
+	// buf[lo:hi] holds the bytes read but not yet consumed.
+	buf    []byte
+	lo, hi int
+	t      decodeTargets
+}
+
+// next reads and decodes one frame.
+func (fr *frameReader) next() (*Message, error) {
+	if err := fr.fill(headerLen); err != nil {
+		return nil, fmt.Errorf("deploy: read header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(fr.buf[fr.lo:])
+	if n > maxFrame {
+		return nil, protocolErrorf("frame of %d bytes exceeds limit", n)
+	}
+	end := headerLen + int(n)
+	if err := fr.fill(end); err != nil {
 		return nil, fmt.Errorf("deploy: read body: %w", err)
 	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, protocolErrorf("unmarshal: %v", err)
+	body := fr.buf[fr.lo+headerLen : fr.lo+end]
+	if fr.lo += end; fr.lo == fr.hi {
+		fr.lo, fr.hi = 0, 0
+	}
+	return fr.t.decode(body)
+}
+
+// fill reads until need unconsumed bytes are buffered. A stream that ends
+// first yields io.EOF on a frame boundary and io.ErrUnexpectedEOF inside a
+// frame, as io.ReadFull would.
+func (fr *frameReader) fill(need int) error {
+	for fr.hi-fr.lo < need {
+		have := fr.hi - fr.lo
+		if fr.lo > 0 && fr.lo+need > len(fr.buf) {
+			// Bytes read ahead sit too far in for the frame to fit behind
+			// them: move them to the front.
+			copy(fr.buf, fr.buf[fr.lo:fr.hi])
+			fr.lo, fr.hi = 0, have
+		}
+		if fr.hi == len(fr.buf) {
+			// Full (so lo is 0): grow towards the frame, but never by more
+			// than growStep beyond what has arrived.
+			grown := make([]byte, max(min(need, have+growStep), 2*len(fr.buf), minFrameBuf))
+			copy(grown, fr.buf[:fr.hi])
+			fr.buf = grown
+		}
+		limit := len(fr.buf)
+		if fr.exact {
+			limit = min(limit, fr.lo+need)
+		}
+		n, err := fr.r.Read(fr.buf[fr.hi:limit])
+		fr.hi += n
+		if err != nil && fr.hi-fr.lo < need {
+			if err == io.EOF && fr.hi > fr.lo {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// decode turns a frame body into a Message: the fast codec for a
+// canonical-form body of a covered shape, encoding/json — into a fresh
+// Message, so nothing it returns aliases a recycled target — for everything
+// else, including every malformed body, whose error is therefore json's.
+func (t *decodeTargets) decode(body []byte) (*Message, error) {
+	m := &t.msg
+	if !t.decodeFast(body) {
+		m = new(Message)
+		if err := json.Unmarshal(body, m); err != nil {
+			return nil, protocolErrorf("unmarshal: %v", err)
+		}
 	}
 	if m.Type < MsgHello || m.Type > MsgShardAdopt {
 		return nil, protocolErrorf("unknown message type %d", m.Type)
 	}
-	return &m, nil
+	return m, nil
 }
+
+// wireConn is a connection together with the one frameReader that owns its
+// read side. Whoever accepts or dials a connection wraps it once and hands
+// the wrapper on, so bytes the reader took ahead of one frame are never lost
+// between a handshake and the session that follows it. Writes go through
+// WriteMessage on the embedded connection.
+type wireConn struct {
+	net.Conn
+	rd frameReader
+}
+
+func newWireConn(conn net.Conn) *wireConn {
+	w := &wireConn{Conn: conn}
+	w.rd.r = conn
+	return w
+}
+
+// readMessage reads the connection's next frame. The message is valid until
+// the next readMessage on this connection.
+func (w *wireConn) readMessage() (*Message, error) { return w.rd.next() }
 
 // ValidateReport defensively checks a MsgReport before its numbers reach
 // the engine's accounting: non-finite or negative losses, energies, and

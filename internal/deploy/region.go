@@ -387,7 +387,8 @@ func (r *Root) acceptLoop(ln net.Listener) {
 // admitRegion performs one coordinator's handshake under the handshake
 // deadline and delivers the connection to its region link. Bad dialers are
 // rejected and closed without disturbing the run.
-func (r *Root) admitRegion(conn net.Conn) {
+func (r *Root) admitRegion(raw net.Conn) {
+	conn := newWireConn(raw)
 	ok := false
 	defer func() {
 		if !ok {
@@ -404,7 +405,7 @@ func (r *Root) admitRegion(conn net.Conn) {
 			return
 		}
 	}
-	m, err := ReadMessage(conn)
+	m, err := conn.readMessage()
 	if err != nil {
 		return
 	}
@@ -477,9 +478,12 @@ func (r *Root) admitRegion(conn net.Conn) {
 	if timeout > 0 {
 		conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
+	// m lives in the connection's recycled decode target: once the link is
+	// delivered, the shard steppers own the reader and m with it.
+	regionID := m.RegionID
 	l.deliver(conn)
-	if m.RegionID < len(r.ranges) {
-		r.initial <- m.RegionID
+	if regionID < len(r.ranges) {
+		r.initial <- regionID
 	}
 	ok = true
 }
@@ -523,7 +527,7 @@ func (r *Root) electTarget(shard int) *regionLink {
 type regionLink struct {
 	id       int
 	token    string
-	incoming chan net.Conn
+	incoming chan *wireConn
 
 	// xmu serializes assign/delta round trips on the link: after an
 	// adoption, several shards may share one coordinator, and each exchange
@@ -531,7 +535,7 @@ type regionLink struct {
 	xmu sync.Mutex
 
 	mu      sync.Mutex
-	conn    net.Conn
+	conn    *wireConn
 	claimed bool
 	dead    bool
 	seed    int64
@@ -539,12 +543,12 @@ type regionLink struct {
 }
 
 func newRegionLink(id int, token string) *regionLink {
-	return &regionLink{id: id, token: token, incoming: make(chan net.Conn, 1)}
+	return &regionLink{id: id, token: token, incoming: make(chan *wireConn, 1)}
 }
 
 // deliver hands a fresh connection to the link, replacing any stale one that
 // was never consumed (latest connection wins).
-func (l *regionLink) deliver(conn net.Conn) {
+func (l *regionLink) deliver(conn *wireConn) {
 	for {
 		select {
 		case l.incoming <- conn:
@@ -620,7 +624,7 @@ func (l *regionLink) fleetSeed() int64 {
 // an exchange fails on it (exactly the edge fleet's discipline) — switching
 // to a fresher delivery eagerly would make the retry accounting depend on
 // how quickly the coordinator redialed. Called with xmu held.
-func (l *regionLink) acquire(wait time.Duration) net.Conn {
+func (l *regionLink) acquire(wait time.Duration) *wireConn {
 	if conn := l.current(); conn != nil {
 		return conn
 	}
@@ -641,7 +645,7 @@ func (l *regionLink) acquire(wait time.Duration) net.Conn {
 	}
 }
 
-func (l *regionLink) replace(conn net.Conn) {
+func (l *regionLink) replace(conn *wireConn) {
 	l.mu.Lock()
 	if l.dead {
 		l.mu.Unlock()
@@ -655,7 +659,7 @@ func (l *regionLink) replace(conn net.Conn) {
 	l.mu.Unlock()
 }
 
-func (l *regionLink) current() net.Conn {
+func (l *regionLink) current() *wireConn {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.conn
@@ -857,7 +861,7 @@ func (rs *regionStepper) exchange(slot int, arms []int, downloads []bool, wait t
 }
 
 // exchangeOn runs the round trip on one connection.
-func (rs *regionStepper) exchangeOn(conn net.Conn, slot int, arms []int, downloads []bool) (engine.SlotDelta, error) {
+func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downloads []bool) (engine.SlotDelta, error) {
 	if t := rs.root.cfg.SlotTimeout; t > 0 {
 		//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
 		if err := conn.SetDeadline(time.Now().Add(t)); err != nil {
@@ -877,7 +881,7 @@ func (rs *regionStepper) exchangeOn(conn net.Conn, slot int, arms []int, downloa
 		return engine.SlotDelta{}, fmt.Errorf("deploy: shard %d assign: %w", rs.index, err)
 	}
 	for {
-		m, err := ReadMessage(conn)
+		m, err := conn.readMessage()
 		if err != nil {
 			return engine.SlotDelta{}, fmt.Errorf("deploy: shard %d delta: %w", rs.index, err)
 		}
@@ -898,7 +902,11 @@ func (rs *regionStepper) exchangeOn(conn net.Conn, slot int, arms []int, downloa
 				return engine.SlotDelta{}, fmt.Errorf("deploy: shard %d: %w", rs.index, err)
 			}
 			rs.dedup.Admit(slot)
-			return *m.Delta, nil
+			// Copy out of the link reader's recycled target: shards sharing
+			// the link after an adoption read their deltas through the same
+			// reader, and each delta must outlive the slot's merge.
+			rs.buf = append(rs.buf[:0], m.Delta.Edges...)
+			return engine.SlotDelta{Start: m.Delta.Start, Edges: rs.buf}, nil
 		default:
 			return engine.SlotDelta{}, protocolErrorf("unexpected message type %d from region %d", m.Type, rs.link.id)
 		}
@@ -1039,7 +1047,11 @@ type regionShard struct {
 	shard        *engine.Shard
 	tcp          []*tcpStepper
 	done         int      // fold watermark: slots completed (cache holds done-1)
-	last         *Message // cached ShardDelta of slot done-1
+	last         *Message // cached ShardDelta of slot done-1; nil or &cache
+	// cache and cacheDelta are last's storage, rewritten once per stepped
+	// slot.
+	cache      Message
+	cacheDelta engine.SlotDelta
 }
 
 // RegionSession is the resumable coordinator-side state of one root run: the
@@ -1094,7 +1106,8 @@ const (
 // false means the upstream connection itself failed (err is the transient
 // cause) and the caller may redial and call Run again to resume the session
 // — the edge fleet stays connected across the gap.
-func (s *RegionSession) Run(upstream net.Conn) (done bool, err error) {
+func (s *RegionSession) Run(raw net.Conn) (done bool, err error) {
+	upstream := newWireConn(raw)
 	if err := s.handshake(upstream); err != nil {
 		if Transient(err) {
 			return false, err
@@ -1103,7 +1116,7 @@ func (s *RegionSession) Run(upstream net.Conn) (done bool, err error) {
 		return true, err
 	}
 	for {
-		m, err := ReadMessage(upstream)
+		m, err := upstream.readMessage()
 		if err != nil {
 			err = fmt.Errorf("deploy: region %d upstream: %w", s.cfg.RegionID, err)
 			if Transient(err) {
@@ -1121,7 +1134,7 @@ func (s *RegionSession) Run(upstream net.Conn) (done bool, err error) {
 				// Hold the edges until the root closes the link: by then the
 				// adopter has the shard, so the edges redial into a fleet
 				// that knows them.
-				_, _ = ReadMessage(upstream)
+				_, _ = upstream.readMessage()
 				s.release()
 				return true, nil
 			case assignConnLost:
@@ -1159,7 +1172,7 @@ func (s *RegionSession) Run(upstream net.Conn) (done bool, err error) {
 // exchange. The initial exchange builds the edge fleet and the initial
 // shard; a resume exchange re-binds the existing session to the new
 // connection.
-func (s *RegionSession) handshake(upstream net.Conn) error {
+func (s *RegionSession) handshake(upstream *wireConn) error {
 	hello := &Message{Type: MsgRegionHello, RegionID: s.cfg.RegionID, Seed: s.cfg.Seed}
 	if s.welcomed {
 		hello.Resume = true
@@ -1169,7 +1182,7 @@ func (s *RegionSession) handshake(upstream net.Conn) error {
 	if err := WriteMessage(upstream, hello); err != nil {
 		return fmt.Errorf("deploy: region hello: %w", err)
 	}
-	w, err := ReadMessage(upstream)
+	w, err := upstream.readMessage()
 	if err != nil {
 		return fmt.Errorf("deploy: region welcome: %w", err)
 	}
@@ -1262,7 +1275,7 @@ func (s *RegionSession) minDone() int {
 // handleAssign serves one ShardAssign: route it to its shard, answer a
 // duplicate from the delta cache, honor a scheduled departure, otherwise
 // step the shard and stream the delta back.
-func (s *RegionSession) handleAssign(upstream net.Conn, m *Message) (assignOutcome, error) {
+func (s *RegionSession) handleAssign(upstream *wireConn, m *Message) (assignOutcome, error) {
 	sh := s.shardAt(m.Start)
 	if sh == nil {
 		err := protocolErrorf("shard assign slot %d: unknown range start %d", m.Slot, m.Start)
@@ -1301,8 +1314,10 @@ func (s *RegionSession) handleAssign(upstream net.Conn, m *Message) (assignOutco
 	// Deep-copy into the cache: the shard recycles its delta buffer on the
 	// next Step, but the cache must survive until the root acks the next
 	// slot.
-	cp := engine.SlotDelta{Start: delta.Start, Edges: append([]engine.EdgeDelta(nil), delta.Edges...)}
-	sh.last = &Message{Type: MsgShardDelta, Slot: m.Slot, Delta: &cp}
+	sh.cacheDelta.Start = delta.Start
+	sh.cacheDelta.Edges = append(sh.cacheDelta.Edges[:0], delta.Edges...)
+	sh.cache = Message{Type: MsgShardDelta, Slot: m.Slot, Delta: &sh.cacheDelta}
+	sh.last = &sh.cache
 	sh.done = m.Slot + 1
 	if err := WriteMessage(upstream, sh.last); err != nil {
 		return assignConnLost, fmt.Errorf("deploy: region %d delta: %w", s.cfg.RegionID, err)

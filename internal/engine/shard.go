@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ShardStepper steps one contiguous edge range for one slot and returns its
@@ -134,26 +135,36 @@ func (s *Shard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) 
 			s.obs[j], s.errs[j] = safeStep(e, slot, arms[j], downloads[j])
 		}
 	} else {
+		// Workers claim chunks of edge indices from a shared cursor — one
+		// atomic add per chunk, no rendezvous per edge — and skip down edges
+		// themselves. Every edge writes only its own obs/errs slot, so which
+		// worker serves which chunk never shows in the delta. With one worker
+		// per edge (a TCP fleet, whose steps block on round trips) the chunk
+		// is a single edge and every exchange is in flight at once.
+		n := len(s.edges)
+		chunk := (n + 4*s.workers - 1) / (4 * s.workers)
+		var cursor atomic.Int64
 		var wg sync.WaitGroup
-		jobs := make(chan int) //lint:allow hotalloc worker fan-out setup runs only when workers>1; the 100k-edge single-core config steps alloc-free
+		wg.Add(s.workers)
 		for w := 0; w < s.workers; w++ {
-			wg.Add(1)
-			go func() { //lint:allow hotalloc one closure per worker per step, amortized over the shard's edges
-
+			go func() { //lint:allow hotalloc one closure per worker per step, amortized over the worker's chunks of edges; the workers==1 path the 100k-edge budget is set on spawns none
 				defer wg.Done()
-				for j := range jobs {
-					s.obs[j], s.errs[j] = safeStep(s.edges[j], slot, arms[j], downloads[j])
+				for {
+					hi := int(cursor.Add(int64(chunk)))
+					lo := hi - chunk
+					if lo >= n {
+						return
+					}
+					for j := lo; j < min(hi, n); j++ {
+						if s.down[j] {
+							s.obs[j], s.errs[j] = Observation{}, nil
+							continue
+						}
+						s.obs[j], s.errs[j] = safeStep(s.edges[j], slot, arms[j], downloads[j])
+					}
 				}
 			}()
 		}
-		for j := range s.edges {
-			if s.down[j] {
-				s.obs[j], s.errs[j] = Observation{}, nil
-				continue
-			}
-			jobs <- j
-		}
-		close(jobs)
 		wg.Wait()
 	}
 

@@ -9,11 +9,11 @@
 // sleeping is delegated to an injectable Sleep function.
 //
 // The wrapper understands just enough of the deploy framing to aim faults:
-// deploy.WriteMessage emits each frame as two Write calls (a 4-byte length
-// header, then the body), so Conn tracks header/body parity and lands
-// Corrupt and Truncate faults on frame bodies, which surface at the peer as
-// fatal protocol errors (bad JSON) and transient mid-frame connection
-// losses respectively.
+// deploy.WriteMessage sends each frame — a 4-byte length header, then the
+// body — with one Write, so Conn treats every Write as one frame and lands
+// Corrupt and Truncate faults behind the header, on the frame body, where
+// they surface at the peer as fatal protocol errors (bad JSON) and transient
+// mid-frame connection losses respectively; the length prefix stays honest.
 //
 // Slot indexing is cooperative: the harness driving the connection calls
 // SetSlot when a slot begins (an edge agent knows it from the Assign frame),
@@ -42,10 +42,11 @@ const (
 	// CutRead closes the underlying connection instead of performing the
 	// next read: anything the peer sends next is lost.
 	CutRead
-	// Truncate writes a random strict prefix of the next frame body, then
-	// closes the connection: the peer observes a mid-frame EOF.
+	// Truncate writes the next frame's header and a random strict, non-empty
+	// prefix of its body, then closes the connection: the peer observes a
+	// mid-frame EOF.
 	Truncate
-	// Corrupt flips one random byte of the next frame body: the peer
+	// Corrupt flips one random byte of the next frame's body: the peer
 	// observes a fatal protocol (JSON) error.
 	Corrupt
 )
@@ -84,9 +85,9 @@ type Schedule []Event
 // between slots and the peer's next frame is lost in flight.
 func KillAt(slot int) Schedule { return Schedule{{Slot: slot, Kind: CutRead}} }
 
-// TruncateAt is the canonical torn-frame schedule: the first frame body
-// written at or after slot is cut mid-frame, so the peer observes a
-// mid-frame EOF on a frame whose sender believes it failed.
+// TruncateAt is the canonical torn-frame schedule: the first frame written
+// at or after slot is cut mid-body, so the peer observes a mid-frame EOF on
+// a frame whose sender believes it failed.
 func TruncateAt(slot int) Schedule { return Schedule{{Slot: slot, Kind: Truncate}} }
 
 // ErrInjected is returned by Conn for I/O the injector suppressed; it
@@ -116,11 +117,11 @@ type Conn struct {
 	pending []Event // sorted by slot; consumed front-first once armed
 	slot    int
 	cut     bool
-	// wroteHeader tracks frame parity: deploy.WriteMessage issues a 4-byte
-	// header write, then a body write. Body-targeted faults (Truncate,
-	// Corrupt) fire only on body writes so the frame length stays honest.
-	wroteHeader bool
 }
+
+// headerLen is the deploy framing's length prefix: body-targeted faults
+// (Truncate, Corrupt) land behind it.
+const headerLen = 4
 
 var _ net.Conn = (*Conn)(nil)
 
@@ -204,15 +205,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		c.mu.Unlock()
 		return 0, &ErrInjected{Event{Slot: c.slot, Kind: CutWrite}}
 	}
-	body := c.wroteHeader
-	c.wroteHeader = !c.wroteHeader
 	ev, ok := c.next(false)
-	if ok && (ev.Kind == Truncate || ev.Kind == Corrupt) && !body {
-		// Body-targeted fault armed on a header write: push it back for the
-		// body write that immediately follows.
-		c.pending = append(Schedule{ev}, c.pending...)
-		ok = false
-	}
 	if !ok {
 		c.mu.Unlock()
 		return c.inner.Write(b)
@@ -231,8 +224,8 @@ func (c *Conn) Write(b []byte) (int, error) {
 	case Truncate:
 		c.cut = true
 		n := 0
-		if len(b) > 1 {
-			n = 1 + c.rng.Intn(len(b)-1) // strict, non-empty prefix
+		if body := len(b) - headerLen; body > 1 {
+			n = headerLen + 1 + c.rng.Intn(body-1) // header plus a strict, non-empty body prefix
 		}
 		c.mu.Unlock()
 		if n > 0 {
@@ -243,8 +236,8 @@ func (c *Conn) Write(b []byte) (int, error) {
 	case Corrupt:
 		mangled := make([]byte, len(b))
 		copy(mangled, b)
-		if len(mangled) > 0 {
-			mangled[c.rng.Intn(len(mangled))] ^= 0xff
+		if body := len(mangled) - headerLen; body > 0 {
+			mangled[headerLen+c.rng.Intn(body)] ^= 0xff
 		}
 		c.mu.Unlock()
 		n, err := c.inner.Write(mangled)

@@ -136,72 +136,97 @@ func TestLatencyDelegatesToSleeper(t *testing.T) {
 	}
 }
 
+// frame builds one deploy-style frame: the 4-byte length prefix and the body,
+// as deploy.WriteMessage hands them to a single Write.
+func frame(body []byte) []byte {
+	return append([]byte{0, 0, 0, byte(len(body))}, body...)
+}
+
 func TestTruncateWritesStrictPrefixOfBody(t *testing.T) {
-	// Frame discipline: a 4-byte header write, then the body write. The
-	// truncation must skip the header and cut the body mid-frame.
+	// Frame discipline: one Write carries header and body. The truncation
+	// must deliver the whole header and stop strictly inside the body.
+	body := bytes.Repeat([]byte("b"), 16)
 	runOnce := func() []byte {
 		fc, peer, _ := newPair(t, Schedule{{Slot: 0, Kind: Truncate}}, "faults-trunc")
 		fc.SetSlot(0)
-		header := []byte{0, 0, 0, 16}
-		body := bytes.Repeat([]byte("b"), 16)
 		received := make(chan []byte, 1)
 		go func() {
 			var buf bytes.Buffer
 			io.Copy(&buf, peer) //nolint:errcheck // drained until the cut
 			received <- buf.Bytes()
 		}()
-		if _, err := fc.Write(header); err != nil {
-			t.Fatalf("header write: %v", err)
-		}
-		n, err := fc.Write(body)
+		n, err := fc.Write(frame(body))
 		var inj *ErrInjected
 		if !errors.As(err, &inj) || inj.Event.Kind != Truncate {
 			t.Fatalf("err = %v, want injected truncate", err)
 		}
-		if n <= 0 || n >= len(body) {
-			t.Fatalf("wrote %d of %d bytes, want a strict non-empty prefix", n, len(body))
+		if n <= headerLen || n >= headerLen+len(body) {
+			t.Fatalf("wrote %d of %d bytes, want the header plus a strict non-empty body prefix", n, headerLen+len(body))
 		}
-		return <-received
+		got := <-received
+		if len(got) != n || !bytes.Equal(got, frame(body)[:n]) {
+			t.Fatalf("peer got %d bytes %q, want the frame's first %d", len(got), got, n)
+		}
+		if _, err := fc.Write(frame(body)); err == nil {
+			t.Fatal("writes after a truncation must keep failing")
+		}
+		return got
 	}
 	first := runOnce()
-	if len(first) <= len([]byte{0, 0, 0, 16}) {
-		t.Fatalf("peer got %d bytes, want header plus partial body", len(first))
-	}
 	// Identical (seed, schedule) must replay the identical truncation point.
 	if second := runOnce(); !bytes.Equal(first, second) {
 		t.Errorf("truncation not deterministic: %d vs %d bytes", len(first), len(second))
 	}
+	// Every draw of the cut point stays inside the body.
+	for trial := 0; trial < 64; trial++ {
+		a, b := net.Pipe()
+		fc, err := New(a, Schedule{{Slot: 0, Kind: Truncate}}, numeric.SplitRNG(int64(trial), "faults-trunc-sweep"), noSleep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc.SetSlot(0)
+		go io.Copy(io.Discard, b) //nolint:errcheck // drained until the cut
+		if n, _ := fc.Write(frame(body[:2])); n != headerLen+1 {
+			t.Fatalf("trial %d: a 2-byte body was cut at %d, want %d", trial, n, headerLen+1)
+		}
+		a.Close()
+		b.Close()
+	}
 }
 
 func TestCorruptFlipsExactlyOneBodyByte(t *testing.T) {
-	fc, peer, _ := newPair(t, Schedule{{Slot: 0, Kind: Corrupt}}, "faults-corrupt")
-	fc.SetSlot(0)
-	header := []byte{0, 0, 0, 8}
 	body := []byte("12345678")
-	gotHeader := readN(peer, len(header))
-	if _, err := fc.Write(header); err != nil {
-		t.Fatalf("header write: %v", err)
-	}
-	if b := <-gotHeader; !bytes.Equal(b, header) {
-		t.Fatalf("header corrupted: %v", b)
-	}
-	gotBody := readN(peer, len(body))
-	if _, err := fc.Write(body); err != nil {
-		t.Fatalf("body write: %v", err)
-	}
-	recv := <-gotBody
-	diff := 0
-	for i := range body {
-		if recv[i] != body[i] {
-			diff++
+	for trial := 0; trial < 64; trial++ {
+		a, peer := net.Pipe()
+		fc, err := New(a, Schedule{{Slot: 0, Kind: Corrupt}}, numeric.SplitRNG(int64(trial), "faults-corrupt"), noSleep)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if diff != 1 {
-		t.Fatalf("%d bytes differ, want exactly 1 (got %q)", diff, recv)
-	}
-	// The caller's buffer must be untouched.
-	if !bytes.Equal(body, []byte("12345678")) {
-		t.Error("corrupt mutated the caller's buffer")
+		fc.SetSlot(0)
+		sent := frame(body)
+		got := readN(peer, len(sent))
+		if _, err := fc.Write(sent); err != nil {
+			t.Fatalf("frame write: %v", err)
+		}
+		recv := <-got
+		if !bytes.Equal(recv[:headerLen], sent[:headerLen]) {
+			t.Fatalf("trial %d: header corrupted: %v", trial, recv[:headerLen])
+		}
+		diff := 0
+		for i := range sent {
+			if recv[i] != sent[i] {
+				diff++
+			}
+		}
+		if diff != 1 {
+			t.Fatalf("trial %d: %d bytes differ, want exactly 1 (got %q)", trial, diff, recv)
+		}
+		// The caller's buffer must be untouched.
+		if !bytes.Equal(sent, frame(body)) {
+			t.Error("corrupt mutated the caller's buffer")
+		}
+		a.Close()
+		peer.Close()
 	}
 }
 
@@ -236,5 +261,4 @@ func TestErrInjectedTaxonomy(t *testing.T) {
 			t.Errorf("kind %d has empty name", int(k))
 		}
 	}
-	_ = noSleep
 }
