@@ -14,13 +14,17 @@
 #                  region kill/resume, torn delta frames, graceful departure
 #                  with mid-run shard rebalancing, quorum degradation, and the
 #                  randomized-schedule parity property
-#   make fuzz-smoke - ten seconds of each native fuzz target of the wire
-#                  codec (internal/deploy: FuzzReadMessage, FuzzMessageEncode);
+#   make fuzz-smoke - ten seconds of each native fuzz target: the wire codec
+#                  (internal/deploy: FuzzReadMessage, FuzzMessageEncode), the
+#                  random streams against math/rand (internal/numeric:
+#                  FuzzSplitRNGStream) and the checkpoint reader against its
+#                  value-by-value oracle (internal/nn: FuzzReadWeights);
 #                  go test -fuzz takes one target per run
 #   make bench   - refresh the machine-readable NN perf baseline
 #                  (BENCH_nn.json) plus the engine's serial-vs-parallel
-#                  slot-stepping benchmark, the shard fan-out benchmark and
-#                  the wire-codec encode/decode benchmarks
+#                  slot-stepping benchmark, the shard fan-out benchmark,
+#                  the wire-codec encode/decode benchmarks and the per-edge
+#                  random-stream and block-start benchmarks
 #   make bench-diff - rerun the nnbench suite and fail when any benchmark's
 #                  ns/op regressed >25% against the committed BENCH_nn.json
 #   make check   - vet + lint + race + full tests: the pre-commit gate
@@ -55,12 +59,16 @@ chaos-region:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/deploy
 	$(GO) test -run='^$$' -fuzz=FuzzMessageEncode -fuzztime=10s ./internal/deploy
+	$(GO) test -run='^$$' -fuzz=FuzzSplitRNGStream -fuzztime=10s ./internal/numeric
+	$(GO) test -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s ./internal/nn
 
 bench:
 	$(GO) run ./cmd/nnbench -out BENCH_nn.json
 	$(GO) test ./internal/sim/ -run XX -bench 'BenchmarkSlotStepParallel|BenchmarkEngineSharded' -benchtime 3x
 	$(GO) test ./internal/engine/ -run XX -bench BenchmarkShardStepWorkers -benchtime 100x
 	$(GO) test ./internal/deploy/ -run XX -bench BenchmarkWireCodec -benchmem
+	$(GO) test ./internal/numeric/ -run XX -bench 'BenchmarkSplitRNGFleetSweep|BenchmarkSplitRNGSeed'
+	$(GO) test ./internal/bandit/ -run XX -bench BenchmarkBlockStart
 
 bench-diff:
 	$(GO) run ./cmd/nnbench -diff BENCH_nn.json

@@ -132,12 +132,11 @@ func (b *BlockedTsallisINF) startBlock() {
 		//lint:allow panicpolicy solver failure on by-construction-finite inputs is a programmer error; Policy has no error channel
 		panic(fmt.Sprintf("bandit: tsallis step failed: %v", err))
 	}
-	sampler, err := numeric.NewWeightedSampler(b.probs)
+	arm, err := numeric.SampleWeighted(b.rng, b.probs)
 	if err != nil {
 		//lint:allow panicpolicy solver failure on by-construction-finite inputs is a programmer error; Policy has no error channel
 		panic(fmt.Sprintf("bandit: sampler: %v", err))
 	}
-	arm := sampler.Sample(b.rng)
 	if arm != b.currentArm && b.currentArm >= 0 {
 		b.switches++
 	} else if b.currentArm < 0 {

@@ -79,12 +79,11 @@ func (e *EXP3) SelectArm() int {
 	for i, w := range e.weights {
 		e.probs[i] = (1-e.gamma)*w/total + e.gamma/float64(e.n)
 	}
-	sampler, err := numeric.NewWeightedSampler(e.probs)
+	arm, err := numeric.SampleWeighted(e.rng, e.probs)
 	if err != nil {
 		//lint:allow panicpolicy solver failure on by-construction-finite inputs is a programmer error; Policy has no error channel
 		panic(fmt.Sprintf("bandit: exp3 sampler: %v", err))
 	}
-	arm := sampler.Sample(e.rng)
 	e.currentArm = arm
 	e.currentP = e.probs[arm]
 	e.awaitingUpdate = true

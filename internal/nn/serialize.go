@@ -35,26 +35,55 @@ func WriteWeights(w io.Writer, net *Network) error {
 	for _, l := range net.Layers {
 		params = append(params, l.Params()...)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(wireMagic)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(wireVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(params))); err != nil {
-		return err
-	}
-	for _, p := range params {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(p.Len())); err != nil {
+	for _, v := range []uint32{wireMagic, wireVersion, uint32(len(params))} {
+		if err := writeUint32(bw, v); err != nil {
 			return err
 		}
-		for _, v := range p.Data {
-			if err := binary.Write(bw, binary.LittleEndian, float32(v)); err != nil {
+	}
+	for _, p := range params {
+		if err := writeUint32(bw, uint32(p.Len())); err != nil {
+			return err
+		}
+		// Encode straight into the writer's free space, as many values as
+		// fit, and let Write flush when it fills.
+		for data := p.Data; len(data) > 0; {
+			if bw.Available() < 4 {
+				if err := bw.Flush(); err != nil {
+					return err
+				}
+			}
+			chunk := bw.AvailableBuffer()
+			k := min(len(data), bw.Available()/4)
+			for _, v := range data[:k] {
+				chunk = binary.LittleEndian.AppendUint32(chunk, math.Float32bits(float32(v)))
+			}
+			if _, err := bw.Write(chunk); err != nil {
 				return err
 			}
+			data = data[k:]
 		}
 	}
 	return bw.Flush()
+}
+
+func writeUint32(bw *bufio.Writer, v uint32) error {
+	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), v))
+	return err
+}
+
+// readUint32 reads one little-endian word, with binary.Read's errors: io.EOF
+// when nothing is left, io.ErrUnexpectedEOF inside the word.
+func readUint32(br *bufio.Reader) (uint32, error) {
+	b, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	v := binary.LittleEndian.Uint32(b)
+	_, _ = br.Discard(4) // cannot fail: the four bytes are buffered
+	return v, nil
 }
 
 // ReadWeights deserializes parameters into an already-constructed network
@@ -62,20 +91,22 @@ func WriteWeights(w io.Writer, net *Network) error {
 // length against the receiving network.
 func ReadWeights(r io.Reader, net *Network) error {
 	br := bufio.NewReader(r)
-	var magic, version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
+	magic, err := readUint32(br)
+	if err != nil {
 		return fmt.Errorf("nn: read magic: %w", err)
 	}
 	if magic != wireMagic {
 		return fmt.Errorf("nn: bad magic 0x%08x", magic)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	version, err := readUint32(br)
+	if err != nil {
 		return fmt.Errorf("nn: read version: %w", err)
 	}
 	if version != wireVersion {
 		return fmt.Errorf("nn: unsupported version %d", version)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	count, err := readUint32(br)
+	if err != nil {
 		return fmt.Errorf("nn: read count: %w", err)
 	}
 	if count > maxWireCnt {
@@ -89,8 +120,8 @@ func ReadWeights(r io.Reader, net *Network) error {
 		return fmt.Errorf("nn: payload has %d tensors, network %q has %d", count, net.Name, len(params))
 	}
 	for i, p := range params {
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+		n, err := readUint32(br)
+		if err != nil {
 			return fmt.Errorf("nn: read tensor %d length: %w", i, err)
 		}
 		if n > maxWireLen {
@@ -99,15 +130,28 @@ func ReadWeights(r io.Reader, net *Network) error {
 		if int(n) != p.Len() {
 			return fmt.Errorf("nn: tensor %d has %d values, network expects %d", i, n, p.Len())
 		}
-		for j := 0; j < int(n); j++ {
-			var v float32
-			if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
+		// Decode in place from the reader's buffer, a bufferful at a time.
+		// A short Peek still hands over what arrived, so the values before a
+		// truncation are validated (and stored) before it is reported, at
+		// the index a value-by-value reader would have stopped at.
+		for j := 0; j < int(n); {
+			b, err := br.Peek(4 * min(int(n)-j, br.Size()/4))
+			whole := len(b) / 4
+			for k := 0; k < whole; k++ {
+				v := math.Float32frombits(binary.LittleEndian.Uint32(b[4*k:]))
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					return fmt.Errorf("nn: non-finite weight in tensor %d", i)
+				}
+				p.Data[j+k] = float64(v)
+			}
+			j += whole
+			if err != nil {
+				if err == io.EOF && len(b)%4 != 0 {
+					err = io.ErrUnexpectedEOF
+				}
 				return fmt.Errorf("nn: read tensor %d value %d: %w", i, j, err)
 			}
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return fmt.Errorf("nn: non-finite weight in tensor %d", i)
-			}
-			p.Data[j] = float64(v)
+			_, _ = br.Discard(4 * whole) // cannot fail: the bytes are buffered
 		}
 	}
 	return nil

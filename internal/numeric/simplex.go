@@ -77,53 +77,33 @@ func ProjectSimplex(v []float64, out []float64) []float64 {
 	return out
 }
 
-// WeightedSampler draws indices proportionally to a weight vector using a
-// precomputed prefix-sum table and binary search, matching the paper's
-// O(N + log N) sampling step.
-type WeightedSampler struct {
-	prefix []float64
-}
-
-// NewWeightedSampler builds a sampler over the given non-negative weights.
-// It returns an error when the weights are empty, contain negatives/NaNs, or
-// sum to zero.
-func NewWeightedSampler(weights []float64) (*WeightedSampler, error) {
+// SampleWeighted draws one index proportionally to a non-negative weight
+// vector: one pass validates and totals the weights, one uniform draw picks a
+// point in [0, total), and a second pass returns the first index whose prefix
+// sum exceeds it. Nothing is stored, so the paper's O(N) sampling step costs
+// a block start no allocation. It returns an error, before drawing, when the
+// weights are empty, contain negatives/NaNs, or sum to zero.
+func SampleWeighted(rng *rand.Rand, weights []float64) (int, error) {
 	if len(weights) == 0 {
-		return nil, fmt.Errorf("numeric: empty weight vector")
+		return 0, fmt.Errorf("numeric: empty weight vector")
 	}
-	prefix := make([]float64, len(weights))
-	sum := 0.0
+	total := 0.0
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("numeric: invalid weight %g at index %d", w, i)
+			return 0, fmt.Errorf("numeric: invalid weight %g at index %d", w, i)
 		}
-		sum += w
-		prefix[i] = sum
+		total += w
 	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("numeric: weights sum to zero")
+	if total <= 0 {
+		return 0, fmt.Errorf("numeric: weights sum to zero")
 	}
-	return &WeightedSampler{prefix: prefix}, nil
-}
-
-// Sample draws one index using the provided RNG.
-func (s *WeightedSampler) Sample(rng *rand.Rand) int {
-	total := s.prefix[len(s.prefix)-1]
 	u := rng.Float64() * total
-	// First index whose prefix exceeds u.
-	i := sort.Search(len(s.prefix), func(i int) bool { return s.prefix[i] > u })
-	if i >= len(s.prefix) {
-		i = len(s.prefix) - 1
+	prefix := 0.0
+	for i, w := range weights {
+		prefix += w
+		if prefix > u {
+			return i, nil
+		}
 	}
-	return i
-}
-
-// SampleIndex is a convenience that builds a throwaway sampler; prefer the
-// reusable WeightedSampler inside loops.
-func SampleIndex(rng *rand.Rand, weights []float64) (int, error) {
-	s, err := NewWeightedSampler(weights)
-	if err != nil {
-		return 0, err
-	}
-	return s.Sample(rng), nil
+	return len(weights) - 1, nil
 }

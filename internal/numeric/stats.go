@@ -96,7 +96,12 @@ func (r *RunningMean) Count() int { return r.n }
 //  3. the SplitMix64 finalizer (Steele et al., "Fast Splittable
 //     Pseudorandom Number Generators") for avalanche, so labels differing
 //     in one bit yield uncorrelated child seeds;
-//  4. rand.NewSource over the mixed value.
+//  4. the mixed value seeds the stream math/rand's rand.NewSource would
+//     produce for it, draw for draw — the seed-0 and negative-seed mappings,
+//     Seed and Read included. The recurrence is run by this package's own
+//     source (rng.go), which keeps a slot's draws next to the handle
+//     instead of spread over a 4.9 KB register; the stdlib source is the
+//     oracle of the stream-equivalence tests and nothing else.
 //
 // The mapping from (seed, label) to the child stream is therefore part of
 // the repository's compatibility surface — golden results and pinned test
@@ -121,7 +126,7 @@ func SplitRNG(seed int64, stream string) *rand.Rand {
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	return rand.New(rand.NewSource(int64(h)))
+	return newSplitRand(int64(h))
 }
 
 // ApproxEqual reports whether a and b agree to within tol, measured

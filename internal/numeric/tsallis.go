@@ -21,7 +21,10 @@ import (
 // O(log(1/eps) + N) complexity for this step.
 //
 // out may be nil or a reusable slice of len(C); the resulting probability
-// vector is returned.
+// vector is returned. out doubles as the solver's only scratch (it holds the
+// shifted losses until the last loop turns them into probabilities), so a
+// call with a reused out allocates nothing; when an error is returned its
+// contents are unspecified.
 func TsallisWeights(c []float64, eta float64, out []float64) ([]float64, error) {
 	n := len(c)
 	if n == 0 {
@@ -50,27 +53,9 @@ func TsallisWeights(c []float64, eta float64, out []float64) ([]float64, error) 
 			minC = v
 		}
 	}
-	d := make([]float64, n)
+	d := out
 	for i, v := range c {
 		d[i] = v - minC
-	}
-
-	sum := func(t float64) float64 {
-		s := 0.0
-		for _, di := range d {
-			x := eta * (di + t)
-			s += 4 / (x * x)
-		}
-		return s
-	}
-	f := func(t float64) float64 { return sum(t) - 1 }
-	df := func(t float64) float64 {
-		s := 0.0
-		for _, di := range d {
-			x := di + t
-			s += -8 / (eta * eta * x * x * x)
-		}
-		return s
 	}
 
 	// Bracket: at t = 2/eta the d=0 term alone contributes exactly 1, so
@@ -80,10 +65,10 @@ func TsallisWeights(c []float64, eta float64, out []float64) ([]float64, error) 
 	// decreases to -1).
 	lo := 2 / eta
 	hi := 2 * math.Sqrt(float64(n)) / eta
-	for i := 0; f(hi) > 0 && i < 64; i++ {
+	for i := 0; tsallisExcess(d, eta, hi) > 0 && i < 64; i++ {
 		hi *= 1 + math.Ldexp(1, i-30) // 1+2^-30, 1+2^-29, ... then doubling
 	}
-	t, err := NewtonBisect(f, df, lo, hi, 1e-13*lo)
+	t, err := tsallisRoot(d, eta, lo, hi, 1e-13*lo)
 	if err != nil {
 		return nil, fmt.Errorf("tsallis normalization: %w", err)
 	}
@@ -100,6 +85,67 @@ func TsallisWeights(c []float64, eta float64, out []float64) ([]float64, error) 
 		out[i] /= total
 	}
 	return out, nil
+}
+
+// tsallisExcess is f(t) = sum_n p_n(t) - 1, whose root normalizes p.
+func tsallisExcess(d []float64, eta, t float64) float64 {
+	s := 0.0
+	for _, di := range d {
+		x := eta * (di + t)
+		s += 4 / (x * x)
+	}
+	return s - 1
+}
+
+// tsallisSlope is f'(t).
+func tsallisSlope(d []float64, eta, t float64) float64 {
+	s := 0.0
+	for _, di := range d {
+		x := di + t
+		s += -8 / (eta * eta * x * x * x)
+	}
+	return s
+}
+
+// tsallisRoot is NewtonBisect over tsallisExcess and tsallisSlope: the same
+// steps at the same iterates, with the two functions called directly instead
+// of through closures that would be allocated once per block of every edge.
+func tsallisRoot(d []float64, eta, lo, hi, tol float64) (float64, error) {
+	if tol <= 0 {
+		tol = defaultTol
+	}
+	flo, fhi := tsallisExcess(d, eta, lo), tsallisExcess(d, eta, hi)
+	if flo == 0 {
+		return lo, nil
+	}
+	if fhi == 0 {
+		return hi, nil
+	}
+	if (flo > 0) == (fhi > 0) {
+		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, lo, flo, hi, fhi)
+	}
+	x := (lo + hi) / 2
+	for i := 0; i < maxRootIters; i++ {
+		fx := tsallisExcess(d, eta, x)
+		if fx == 0 || hi-lo <= tol {
+			return x, nil
+		}
+		if (fx > 0) == (fhi > 0) {
+			hi, fhi = x, fx
+		} else {
+			lo = x
+		}
+		dfx := tsallisSlope(d, eta, x)
+		next := x - fx/dfx
+		if dfx == 0 || math.IsNaN(next) || next <= lo || next >= hi {
+			next = (lo + hi) / 2
+		}
+		if math.Abs(next-x) <= tol {
+			return next, nil
+		}
+		x = next
+	}
+	return x, fmt.Errorf("%w: NewtonBisect after %d iterations", ErrNoConverge, maxRootIters)
 }
 
 // TsallisObjective evaluates the OMD objective <p, C> - sum(4*sqrt(p)-2p)/eta

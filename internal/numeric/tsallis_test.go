@@ -165,3 +165,113 @@ func BenchmarkTsallisWeights(b *testing.B) {
 		}
 	}
 }
+
+// tsallisWeightsClosures is TsallisWeights as it stood while the solver ran
+// through NewtonBisect over closures and a fresh scratch slice. It is the
+// oracle for the plain-loop version: every iterate, and so every returned
+// bit, must match.
+func tsallisWeightsClosures(c []float64, eta float64) ([]float64, error) {
+	n := len(c)
+	out := make([]float64, n)
+	if n == 1 {
+		out[0] = 1
+		return out, nil
+	}
+	minC := c[0]
+	for _, v := range c[1:] {
+		if v < minC {
+			minC = v
+		}
+	}
+	d := make([]float64, n)
+	for i, v := range c {
+		d[i] = v - minC
+	}
+	sum := func(t float64) float64 {
+		s := 0.0
+		for _, di := range d {
+			x := eta * (di + t)
+			s += 4 / (x * x)
+		}
+		return s
+	}
+	f := func(t float64) float64 { return sum(t) - 1 }
+	df := func(t float64) float64 {
+		s := 0.0
+		for _, di := range d {
+			x := di + t
+			s += -8 / (eta * eta * x * x * x)
+		}
+		return s
+	}
+	lo := 2 / eta
+	hi := 2 * math.Sqrt(float64(n)) / eta
+	for i := 0; f(hi) > 0 && i < 64; i++ {
+		hi *= 1 + math.Ldexp(1, i-30)
+	}
+	t, err := NewtonBisect(f, df, lo, hi, 1e-13*lo)
+	if err != nil {
+		return nil, err
+	}
+	total := 0.0
+	for i, di := range d {
+		x := eta * (di + t)
+		out[i] = 4 / (x * x)
+		total += out[i]
+	}
+	for i := range out {
+		out[i] /= total
+	}
+	return out, nil
+}
+
+func TestTsallisWeightsMatchesClosureSolver(t *testing.T) {
+	rng := SplitRNG(11, "tsallis-bits")
+	for trial := 0; trial < 20000; trial++ {
+		n := []int{1, 2, 6, 64}[trial%4]
+		c := make([]float64, n)
+		for i := range c {
+			switch trial / 4 % 4 {
+			case 0: // losses as a young block sees them
+				c[i] = rng.Float64() * 100
+			case 1: // importance-weighted estimates late in a run: huge gaps
+				c[i] = math.Ldexp(rng.Float64(), rng.Intn(80))
+			case 2: // ties and near-ties
+				c[i] = float64(rng.Intn(3)) + rng.Float64()*1e-12
+			case 3: // negative and shifted
+				c[i] = rng.NormFloat64()*1e6 - 1e9
+			}
+		}
+		eta := math.Ldexp(0.5+rng.Float64(), rng.Intn(60)-50) // 2^-51 .. 2^10
+		want, wantErr := tsallisWeightsClosures(c, eta)
+		out := make([]float64, n)
+		got, err := TsallisWeights(c, eta, out)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("c=%v eta=%g: error %v, closure solver %v", c, eta, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if &got[0] != &out[0] {
+			t.Fatal("result is not the caller's out")
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("c=%v eta=%g: p[%d] = %x, closure solver %x", c, eta, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+func TestTsallisWeightsReusedOutAllocatesNothing(t *testing.T) {
+	c := []float64{3, 1, 4, 1, 5, 9}
+	out := make([]float64, len(c))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := TsallisWeights(c, 0.3, out); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("TsallisWeights with a reused out: %v allocs per call, want 0", n)
+	}
+}
