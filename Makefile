@@ -8,12 +8,13 @@
 #   make race    - race-detector pass over the internal packages (the shared
 #                  engine's parallel edge stepping must stay data-race free)
 #   make chaos   - fault-tolerance suite under the race detector: deterministic
-#                  fault injection, kill/resume, degradation (see DESIGN.md
-#                  "Failure model")
+#                  fault injection, kill/resume, degradation, and the edge
+#                  session's replay cache (see DESIGN.md "Failure model")
 #   make chaos-region - elastic-regional-tier suite under the race detector:
 #                  region kill/resume, torn delta frames, graceful departure
-#                  with mid-run shard rebalancing, quorum degradation, and the
-#                  randomized-schedule parity property
+#                  with mid-run shard rebalancing, quorum degradation, the
+#                  randomized-schedule parity property, and the coordinator
+#                  session's replay cache
 #   make fuzz-smoke - ten seconds of each native fuzz target: the wire codec
 #                  (internal/deploy: FuzzReadMessage, FuzzMessageEncode), the
 #                  random streams against math/rand (internal/numeric:
@@ -50,11 +51,11 @@ race:
 	$(GO) test -race ./internal/...
 
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestCloud' ./internal/deploy/
+	$(GO) test -race -count=1 -run 'TestChaos|TestCloud|TestEdgeSession' ./internal/deploy/
 	$(GO) test -race -count=1 ./internal/faults/
 
 chaos-region:
-	$(GO) test -race -count=1 -run 'TestRegionChaos|TestRegional|TestShardDeltaReplay' ./internal/deploy/
+	$(GO) test -race -count=1 -run 'TestRegionChaos|TestRegional|TestShardDeltaReplay|TestRegionSession' ./internal/deploy/
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/deploy

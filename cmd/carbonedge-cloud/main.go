@@ -333,4 +333,20 @@ func printSummary(stdout io.Writer, summary *deploy.Summary) {
 			}
 		}
 	}
+	// The root's elasticity counters (all nil on a fault-free run): what
+	// -region-retries and -quorum did.
+	if summary.RegionResumes != nil || summary.RegionRetries != nil || summary.Rebalances != nil {
+		sum := func(xs []int) (n int) {
+			for _, x := range xs {
+				n += x
+			}
+			return n
+		}
+		resumes := 0
+		for _, n := range summary.RegionResumes {
+			resumes += n
+		}
+		fmt.Fprintf(stdout, "regions: resumes=%d retries=%d rebalances=%d\n",
+			resumes, sum(summary.RegionRetries), sum(summary.Rebalances))
+	}
 }

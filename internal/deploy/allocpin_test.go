@@ -1,0 +1,162 @@
+package deploy
+
+import (
+	"io"
+	"net"
+	"testing"
+
+	"github.com/carbonedge/carbonedge/internal/engine"
+	"github.com/carbonedge/carbonedge/internal/market"
+	"github.com/carbonedge/carbonedge/internal/numeric"
+)
+
+// The per-exchange allocation pin. Both tiers' steady-state slot exchanges
+// run through one retry loop that is handed the tier's round trip per slot;
+// if that hand-off (or anything else on the exchange path) starts to
+// heap-allocate, these counts move and go test fails — the slot-cost
+// benchmark's 10 % alloc bound would only notice sixteen bytes per edge-slot.
+// The values are the ones measured before the tiers were collapsed onto the
+// shared link, acceptor and retry loop: 0 for an edge exchange, 1 for a shard
+// exchange (its ShardAssign envelope).
+
+// constRuntime serves every slot with the same report and allocates nothing.
+type constRuntime struct{}
+
+func (constRuntime) Welcome([]ModelMeta) error   { return nil }
+func (constRuntime) LoadModel(int, []byte) error { return nil }
+func (constRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
+	return SlotReport{AvgLoss: 0.5, Correct: 3, Samples: 4, EnergyKWh: 1e-6, CompSeconds: 0.02}, nil
+}
+
+// TestExchangeAllocsPinned drives one tcpStepper over a net.Pipe edge (the
+// surrogate source: no download ships) and one regionStepper over a net.Pipe
+// coordinator that answers from fixed storage, past their first slots, and
+// holds every further slot to the pinned allocation count.
+func TestExchangeAllocsPinned(t *testing.T) {
+	// sync.Pool drops WriteMessage's frame buffers at random under the race
+	// detector (one Put in four): the counts only mean something where the
+	// pool holds, which 64 single-run probes tell apart with certainty.
+	probe := &Message{Type: MsgDone}
+	for i := 0; i < 64; i++ {
+		if testing.AllocsPerRun(1, func() { _ = WriteMessage(io.Discard, probe) }) != 0 {
+			t.Skip("WriteMessage's buffer pool does not hold in this build (race detector)")
+		}
+	}
+	const horizon = 4096
+	w := newParityWorld(7)
+	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(7, "pin-prices"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("edge", func(t *testing.T) {
+		cloud, err := NewCloud(CloudConfig{
+			Edges: 1, Horizon: horizon, DownloadCosts: []float64{0.5},
+			InitialCap: 0.01, EmissionRate: 500, Prices: prices, Seed: 7,
+		}, &paritySource{w: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := newChanListener(1)
+		defer ln.Close()
+		cloudSide, edgeSide := net.Pipe()
+		ln.conns <- cloudSide
+		edgeDone := make(chan error, 1)
+		go func() { edgeDone <- RunEdge(edgeSide, 0, constRuntime{}) }()
+		defer cloud.acc.start(ln)()
+		if err := cloud.acc.awaitInitial(); err != nil {
+			t.Fatal(err)
+		}
+		tcp := cloud.rangeSteppers(cloud.initial)
+		slot := 0
+		step := func() {
+			if _, err := tcp[0].Step(slot, slot%4, false); err != nil {
+				t.Fatal(err)
+			}
+			slot++
+		}
+		for i := 0; i < 8; i++ {
+			step()
+		}
+		if got := testing.AllocsPerRun(200, step); got != 0 {
+			t.Errorf("tcpStepper.Step allocates %v times per steady-state slot, want 0", got)
+		}
+		if err := finish(cloud.links(), "edge"); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-edgeDone; err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("region", func(t *testing.T) {
+		const edges = 3
+		root, err := NewRoot(RootConfig{
+			Edges: edges, Regions: 1, Horizon: horizon, DownloadCosts: []float64{0.5, 0.5, 0.5},
+			InitialCap: 0.01, EmissionRate: 500, Prices: prices, Seed: 7, NumModels: len(w.metas),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := newChanListener(1)
+		defer ln.Close()
+		rootSide, regionSide := net.Pipe()
+		ln.conns <- rootSide
+		peerDone := make(chan error, 1)
+		go func() {
+			peerDone <- func() error {
+				conn := newWireConn(regionSide)
+				if err := WriteMessage(conn, &Message{Type: MsgRegionHello, RegionID: 0, Seed: 7}); err != nil {
+					return err
+				}
+				if _, err := conn.readMessage(); err != nil {
+					return err
+				}
+				delta := engine.SlotDelta{Edges: make([]engine.EdgeDelta, edges)}
+				for j := range delta.Edges {
+					delta.Edges[j] = engine.EdgeDelta{Loss: 0.52, InferLoss: 0.5, Compute: 0.02, Correct: 3, Samples: 4, InferKWh: 1e-6, Served: true}
+				}
+				reply := Message{Type: MsgShardDelta, Delta: &delta}
+				for {
+					m, err := conn.readMessage()
+					if err != nil {
+						return err
+					}
+					if m.Type != MsgShardAssign {
+						return nil
+					}
+					reply.Slot = m.Slot
+					if err := WriteMessage(conn, &reply); err != nil {
+						return err
+					}
+				}
+			}()
+		}()
+		defer root.acc.start(ln)()
+		if err := root.acc.awaitInitial(); err != nil {
+			t.Fatal(err)
+		}
+		rs := root.stepper(0)
+		arms := []int{0, 1, 2}
+		downloads := []bool{false, false, false}
+		slot := 0
+		step := func() {
+			if _, err := rs.Step(slot, arms, downloads); err != nil {
+				t.Fatal(err)
+			}
+			slot++
+		}
+		for i := 0; i < 8; i++ {
+			step()
+		}
+		if got := testing.AllocsPerRun(200, step); got != 1 {
+			t.Errorf("regionStepper.Step allocates %v times per steady-state slot, want 1 (the ShardAssign envelope)", got)
+		}
+		if err := finish(root.sortedLinks(), "region"); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-peerDone; err != nil {
+			t.Fatal(err)
+		}
+	})
+}

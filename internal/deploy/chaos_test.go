@@ -49,8 +49,9 @@ func (r *chaosRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
 
 // chaosCloud builds a parity-world cloud with the given fault-tolerance
 // configuration and a no-op backoff sleeper (delays stay in the schedule;
-// the test does not pay them in wall time).
-func chaosCloud(t *testing.T, w *parityWorld, edges, horizon int, seed int64, retry RetryConfig, policy engine.ErrorPolicy) (*Cloud, *market.Prices) {
+// the test does not pay them in wall time). Each adjust edits the
+// configuration before the cloud is built.
+func chaosCloud(t *testing.T, w *parityWorld, edges, horizon int, seed int64, retry RetryConfig, policy engine.ErrorPolicy, adjust ...func(*CloudConfig)) (*Cloud, *market.Prices) {
 	t.Helper()
 	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(seed, "chaos-prices"))
 	if err != nil {
@@ -60,7 +61,7 @@ func chaosCloud(t *testing.T, w *parityWorld, edges, horizon int, seed int64, re
 	for i := range downloadCosts {
 		downloadCosts[i] = 0.4 + 0.2*float64(i)
 	}
-	cloud, err := NewCloud(CloudConfig{
+	cfg := CloudConfig{
 		Edges:         edges,
 		Horizon:       horizon,
 		DownloadCosts: downloadCosts,
@@ -71,11 +72,15 @@ func chaosCloud(t *testing.T, w *parityWorld, edges, horizon int, seed int64, re
 		Seed:          seed,
 		Retry:         retry,
 		Policy:        policy,
-	}, &paritySource{w: w})
+	}
+	for _, f := range adjust {
+		f(&cfg)
+	}
+	cloud, err := NewCloud(cfg, &paritySource{w: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloud.sleep = func(time.Duration) {} // deterministic: no wall-clock backoff
+	cloud.retry.sleep = func(time.Duration) {} // deterministic: no wall-clock backoff
 	return cloud, prices
 }
 
@@ -506,8 +511,8 @@ func TestCloudHandshakeTimeoutRejectsSilentClient(t *testing.T) {
 		seed    = int64(9)
 	)
 	w := newParityWorld(seed)
-	cloud, _ := chaosCloud(t, w, edges, horizon, seed, RetryConfig{}, engine.FailFast)
-	cloud.cfg.HandshakeTimeout = 150 * time.Millisecond
+	cloud, _ := chaosCloud(t, w, edges, horizon, seed, RetryConfig{}, engine.FailFast,
+		func(c *CloudConfig) { c.HandshakeTimeout = 150 * time.Millisecond })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -602,6 +607,11 @@ func TestCloudRejectsBadHandshakes(t *testing.T) {
 	expectRejected(&Message{Type: MsgHello, EdgeID: 7}, "bad edge id")
 	expectRejected(&Message{Type: MsgHello, EdgeID: 0, Resume: true, ResumeToken: "forged"}, "bad resume token")
 	expectRejected(&Message{Type: MsgDone}, "expected Hello")
+	// Resume tokens are deterministic from the seed: an edge process left over
+	// from an earlier run of the same seed holds a valid one. It has no
+	// session here to resume, and taking its connection for edge 0's would
+	// leave Serve waiting for an initial admission that never comes.
+	expectRejected(&Message{Type: MsgHello, EdgeID: 0, Resume: true, ResumeToken: cloud.linkFor(0).token}, "edge id 0 never joined")
 
 	// The real edge parks in its last slot until released, so the duplicate
 	// probe below is guaranteed to race an in-progress run, not a finished

@@ -132,9 +132,7 @@ func summaryFromResult(res *engine.Result, resumes []int) *Summary {
 // machinery (admission, resume, retries, the per-slot exchange) lives in the
 // embedded edgeFleet, which the regional-aggregator tier reuses verbatim.
 type Cloud struct {
-	cfg    CloudConfig
-	source ModelSource
-	ctrl   *core.Controller
+	*controller
 	*edgeFleet
 }
 
@@ -143,6 +141,23 @@ func NewCloud(cfg CloudConfig, source ModelSource) (*Cloud, error) {
 	if source == nil {
 		return nil, fmt.Errorf("deploy: nil model source")
 	}
+	ctrl, err := newController(cfg, source.NumModels())
+	if err != nil {
+		return nil, err
+	}
+	return &Cloud{controller: ctrl, edgeFleet: newEdgeFleet(cfg, 0, source)}, nil
+}
+
+// controller is the cloud side of a run, as Cloud and Root both hold it: the
+// online controller and the engine configuration it is stepped under.
+type controller struct {
+	ctrl *core.Controller
+	ecfg engine.Config
+}
+
+// newController validates cfg and builds the controller of a run over
+// numModels models; the Root translates its configuration into cfg.
+func newController(cfg CloudConfig, numModels int) (*controller, error) {
 	if cfg.Edges <= 0 {
 		return nil, fmt.Errorf("deploy: need at least one edge, got %d", cfg.Edges)
 	}
@@ -152,17 +167,14 @@ func NewCloud(cfg CloudConfig, source ModelSource) (*Cloud, error) {
 	if cfg.Prices == nil || cfg.Prices.Horizon() < cfg.Horizon {
 		return nil, fmt.Errorf("deploy: price series shorter than horizon")
 	}
-	if cfg.Retry.Attempts < 0 {
-		return nil, fmt.Errorf("deploy: negative retry budget %d", cfg.Retry.Attempts)
-	}
-	if cfg.Retry.BaseDelay < 0 || cfg.Retry.MaxDelay < 0 || cfg.Retry.ResumeWait < 0 {
-		return nil, fmt.Errorf("deploy: negative retry delays")
+	if err := cfg.Retry.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Policy != engine.FailFast && cfg.Policy != engine.Degrade {
 		return nil, fmt.Errorf("deploy: unknown error policy %d", cfg.Policy)
 	}
 	ctrl, err := core.New(core.Config{
-		NumModels:     source.NumModels(),
+		NumModels:     numModels,
 		DownloadCosts: cfg.DownloadCosts,
 		Horizon:       cfg.Horizon,
 		InitialCap:    cfg.InitialCap,
@@ -178,18 +190,16 @@ func NewCloud(cfg CloudConfig, source ModelSource) (*Cloud, error) {
 	if _, err := energy.NewMeter(cfg.EmissionRate); err != nil {
 		return nil, err
 	}
-	c := &Cloud{cfg: cfg, source: source, ctrl: ctrl}
-	c.edgeFleet = newEdgeFleet(fleetConfig{
-		count:   cfg.Edges,
-		offset:  0,
-		horizon: cfg.Horizon,
-		seed:    cfg.Seed,
-		timeouts: func() (time.Duration, time.Duration) {
-			return c.cfg.HandshakeTimeout, c.cfg.SlotTimeout
-		},
-		retry: cfg.Retry,
-	}, source)
-	return c, nil
+	return &controller{ctrl: ctrl, ecfg: engine.Config{
+		Name:         "deploy",
+		Horizon:      cfg.Horizon,
+		NumModels:    numModels,
+		InitialCap:   cfg.InitialCap,
+		EmissionRate: cfg.EmissionRate,
+		Prices:       cfg.Prices,
+		SwitchCosts:  cfg.DownloadCosts,
+		Policy:       cfg.Policy,
+	}}, nil
 }
 
 // avgBuyPrice is the mean buy quote over the horizon: the price scale the
@@ -211,42 +221,31 @@ func avgBuyPrice(p *market.Prices, horizon int) float64 {
 // caller owns it), but Serve unblocks its own acceptor on return when the
 // listener supports deadlines (as TCP listeners do).
 func (c *Cloud) Serve(ln net.Listener) (*Summary, error) {
-	stop, err := c.awaitFleet(ln)
-	if err != nil {
+	stop := c.acc.start(ln)
+	defer stop()
+	if err := c.acc.awaitInitial(); err != nil {
 		return nil, err
 	}
-	defer stop()
-	return c.run()
-}
 
-// run drives all slots through the shared engine: the TCP exchange with
-// each edge is one EdgeStepper, so the distributed deployment executes the
-// exact protocol the in-process simulator does. One worker per edge keeps
-// every edge's assign/report exchange in flight concurrently, as before;
-// the retry layer and the error policy decide what a failed exchange means.
-func (c *Cloud) run() (*Summary, error) {
-	tcp := c.steppers()
+	// All slots go through the shared engine: the TCP exchange with each
+	// edge is one EdgeStepper, so the distributed deployment executes the
+	// exact protocol the in-process simulator does. One worker per edge keeps
+	// every edge's assign/report exchange in flight concurrently, as before;
+	// the retry layer and the error policy decide what a failed exchange means.
+	tcp := c.rangeSteppers(c.initial)
 	steppers := make([]engine.EdgeStepper, len(tcp))
 	for i, s := range tcp {
 		steppers[i] = s
 	}
-	defer c.closeAll(tcp)
-	res, err := engine.Run(engine.Config{
-		Name:         "deploy",
-		Horizon:      c.cfg.Horizon,
-		NumModels:    c.source.NumModels(),
-		InitialCap:   c.cfg.InitialCap,
-		EmissionRate: c.cfg.EmissionRate,
-		Prices:       c.cfg.Prices,
-		SwitchCosts:  c.cfg.DownloadCosts,
-		Workers:      len(tcp),
-		Policy:       c.cfg.Policy,
-	}, c.ctrl, steppers)
+	defer c.closeAll()
+	ecfg := c.ecfg
+	ecfg.Workers = len(tcp)
+	res, err := engine.Run(ecfg, c.ctrl, steppers)
 	if err != nil {
-		return nil, c.abort(tcp, err)
+		return nil, abort(c.links(), err)
 	}
 
-	if err := c.finish(tcp); err != nil && c.cfg.Policy == engine.FailFast {
+	if err := finish(c.links(), "edge"); err != nil && ecfg.Policy == engine.FailFast {
 		return nil, err
 	}
 	return summaryFromResult(res, c.resumes()), nil

@@ -18,8 +18,9 @@ import (
 
 // buildDistributedWorld constructs a trained zoo, a cloud, and edge
 // runtimes that share only the dataset specification — the cloud never
-// sees edge data, edges never see the training pool.
-func buildDistributedWorld(t *testing.T, edges, horizon int) (*Cloud, []*NNRuntime) {
+// sees edge data, edges never see the training pool. Each adjust edits the
+// cloud's configuration before it is built.
+func buildDistributedWorld(t *testing.T, edges, horizon int, adjust ...func(*CloudConfig)) (*Cloud, []*NNRuntime) {
 	t.Helper()
 	spec := dataset.MNISTLike
 	// The cloud and all edges share the distribution D but sample it
@@ -49,7 +50,7 @@ func buildDistributedWorld(t *testing.T, edges, horizon int) (*Cloud, []*NNRunti
 	for i := range downloadCosts {
 		downloadCosts[i] = 0.5 + 0.2*float64(i)
 	}
-	cloud, err := NewCloud(CloudConfig{
+	cfg := CloudConfig{
 		Edges:         edges,
 		Horizon:       horizon,
 		DownloadCosts: downloadCosts,
@@ -58,7 +59,11 @@ func buildDistributedWorld(t *testing.T, edges, horizon int) (*Cloud, []*NNRunti
 		Prices:        prices,
 		EmissionScale: 1e-4,
 		Seed:          1,
-	}, source)
+	}
+	for _, f := range adjust {
+		f(&cfg)
+	}
+	cloud, err := NewCloud(cfg, source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +195,7 @@ func TestCloudSlotTimeoutAbortsOnHungEdge(t *testing.T) {
 	// A cloud with a short slot timeout and an "edge" that completes the
 	// handshake but never answers an Assign must fail fast instead of
 	// hanging forever.
-	cloud, _ := buildDistributedWorld(t, 1, 5)
-	cloud.cfg.SlotTimeout = 200 * time.Millisecond
+	cloud, _ := buildDistributedWorld(t, 1, 5, func(c *CloudConfig) { c.SlotTimeout = 200 * time.Millisecond })
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -272,6 +276,22 @@ func TestNewCloudErrors(t *testing.T) {
 	if _, err := NewCloud(bad, source); err == nil {
 		t.Error("expected error for short price series")
 	}
+	for name, retry := range badRetryConfigs {
+		bad = valid
+		bad.Retry = retry
+		if _, err := NewCloud(bad, source); err == nil {
+			t.Errorf("expected error for %s", name)
+		}
+	}
+}
+
+// badRetryConfigs are the RetryConfigs every constructor that takes one must
+// reject: NewCloud, NewRoot and NewRegionSession share one validation.
+var badRetryConfigs = map[string]RetryConfig{
+	"negative retry budget": {Attempts: -1},
+	"negative base delay":   {Attempts: 1, BaseDelay: -time.Millisecond},
+	"negative max delay":    {Attempts: 1, MaxDelay: -time.Millisecond},
+	"negative resume wait":  {Attempts: 1, ResumeWait: -time.Millisecond},
 }
 
 func TestRunEdgeErrors(t *testing.T) {

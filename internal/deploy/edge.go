@@ -54,14 +54,10 @@ func RunEdge(conn net.Conn, edgeID int, rt Runtime) error {
 // stochastic serving stream is never double-drawn and the cloud never
 // double-counts a slot whose report was lost in flight.
 type EdgeSession struct {
+	session
 	edgeID int
 	rt     Runtime
-
-	welcomed  bool
-	token     string
-	doneSlots int      // completed slots (reports produced, possibly unacked)
-	last      *Message // cached report of slot doneSlots-1; nil or &report
-	report    Message  // storage of last, rewritten once per served slot
+	cache  replaySlot // the last completed report
 }
 
 // NewEdgeSession builds a fresh session for one run.
@@ -72,7 +68,7 @@ func NewEdgeSession(edgeID int, rt Runtime) (*EdgeSession, error) {
 	if edgeID < 0 {
 		return nil, fmt.Errorf("deploy: negative edge id %d", edgeID)
 	}
-	return &EdgeSession{edgeID: edgeID, rt: rt}, nil
+	return &EdgeSession{session: session{peer: "cloud", want: MsgWelcome}, edgeID: edgeID, rt: rt}, nil
 }
 
 // Run serves the session over one connection until it ends. done reports
@@ -98,11 +94,11 @@ func (s *EdgeSession) Run(raw net.Conn) (done bool, err error) {
 		case MsgError:
 			return true, fmt.Errorf("deploy: cloud aborted: %s", m.Reason) //lint:allow errtaxonomy abort reason is forwarded verbatim and the session is already terminal
 		case MsgAssign:
-			if s.last != nil && m.Slot == s.last.Slot {
+			if rep := s.cache.cached(m.Slot); rep != nil {
 				// Duplicate assign: the cloud never saw our report for this
 				// slot. Answer from the cache — re-serving would double-draw
 				// the edge's stochastic stream and double-count the slot.
-				if err := WriteMessage(conn, s.last); err != nil {
+				if err := WriteMessage(conn, rep); err != nil {
 					return !Transient(err), fmt.Errorf("deploy: report (resend): %w", err)
 				}
 				continue
@@ -120,7 +116,7 @@ func (s *EdgeSession) Run(raw net.Conn) (done bool, err error) {
 			}
 			// Cache before writing: if the write dies mid-frame the slot is
 			// still completed, and the resumed connection resends it.
-			s.report = Message{
+			s.cache.msg = Message{
 				Type:        MsgReport,
 				Slot:        m.Slot,
 				EdgeID:      s.edgeID,
@@ -131,9 +127,8 @@ func (s *EdgeSession) Run(raw net.Conn) (done bool, err error) {
 				EnergyKWh:   rep.EnergyKWh,
 				CompSeconds: rep.CompSeconds,
 			}
-			s.last = &s.report
-			s.doneSlots++
-			if err := WriteMessage(conn, s.last); err != nil {
+			s.cache.last, s.cache.done = &s.cache.msg, m.Slot+1
+			if err := WriteMessage(conn, s.cache.last); err != nil {
 				return !Transient(err), fmt.Errorf("deploy: report: %w", err)
 			}
 		default:
@@ -144,24 +139,9 @@ func (s *EdgeSession) Run(raw net.Conn) (done bool, err error) {
 
 // handshake performs the initial or resume Hello/Welcome exchange.
 func (s *EdgeSession) handshake(conn *wireConn) error {
-	hello := &Message{Type: MsgHello, EdgeID: s.edgeID}
-	if s.welcomed {
-		hello.Resume = true
-		hello.ResumeToken = s.token
-		hello.DoneSlots = s.doneSlots
-	}
-	if err := WriteMessage(conn, hello); err != nil {
-		return fmt.Errorf("deploy: hello: %w", err)
-	}
-	welcome, err := conn.readMessage()
+	welcome, err := s.session.handshake(conn, &Message{Type: MsgHello, EdgeID: s.edgeID}, s.cache.done)
 	if err != nil {
-		return fmt.Errorf("deploy: welcome: %w", err)
-	}
-	if welcome.Type == MsgError {
-		return protocolErrorf("cloud rejected handshake: %s", welcome.Reason)
-	}
-	if welcome.Type != MsgWelcome {
-		return protocolErrorf("expected Welcome, got type %d", welcome.Type)
+		return err
 	}
 	if s.welcomed {
 		return nil // resume Welcome carries no zoo metadata
@@ -169,8 +149,7 @@ func (s *EdgeSession) handshake(conn *wireConn) error {
 	if err := s.rt.Welcome(welcome.Models); err != nil {
 		return fmt.Errorf("deploy: runtime welcome: %w", err)
 	}
-	s.token = welcome.ResumeToken
-	s.welcomed = true
+	s.token, s.welcomed = welcome.ResumeToken, true
 	return nil
 }
 
@@ -180,28 +159,85 @@ func (s *EdgeSession) handshake(conn *wireConn) error {
 // off internally; RunEdgeResumable itself never waits, so deterministic
 // harnesses stay in control of time.
 func RunEdgeResumable(dial func() (net.Conn, error), edgeID int, rt Runtime, maxResumes int) error {
-	if dial == nil {
-		return fmt.Errorf("deploy: nil dialer") //lint:allow errtaxonomy argument validation before any wire traffic
-	}
 	s, err := NewEdgeSession(edgeID, rt)
 	if err != nil {
 		return err
 	}
+	return redial(dial, maxResumes, fmt.Sprintf("edge %d", edgeID), s.Run)
+}
+
+// session is the dial-side handshake state of a resumable session.
+type session struct {
+	// prefix and peer word the handshake's errors ("", "cloud" for an edge;
+	// "region ", "root" for a coordinator); want is the peer's Welcome type.
+	prefix, peer string
+	want         MsgType
+
+	welcomed bool
+	token    string
+}
+
+// handshake performs the Hello/Welcome exchange on a fresh connection and
+// returns the Welcome. Once the session has been welcomed the Hello goes out
+// as a resume, with the session's token and done, the number of slots it has
+// completed replies for.
+func (s *session) handshake(conn *wireConn, hello *Message, done int) (*Message, error) {
+	if s.welcomed {
+		hello.Resume = true
+		hello.ResumeToken = s.token
+		hello.DoneSlots = done
+	}
+	if err := WriteMessage(conn, hello); err != nil {
+		return nil, fmt.Errorf("deploy: %shello: %w", s.prefix, err)
+	}
+	w, err := conn.readMessage()
+	if err != nil {
+		return nil, fmt.Errorf("deploy: %swelcome: %w", s.prefix, err)
+	}
+	if w.Type == MsgError {
+		return nil, protocolErrorf("%s rejected %shandshake: %s", s.peer, s.prefix, w.Reason)
+	}
+	if w.Type != s.want {
+		return nil, protocolErrorf("expected %swelcome, got type %d", s.prefix, w.Type)
+	}
+	return w, nil
+}
+
+// replaySlot holds a session's reply to the last slot it served, cached
+// before it is sent: a peer that never saw it assigns the slot again over the
+// resumed connection, and the answer must come from here.
+type replaySlot struct {
+	done int      // slots completed (replies produced, possibly unacked)
+	last *Message // cached reply of slot done-1; nil or &msg
+	msg  Message  // storage of last, rewritten once per served slot
+}
+
+// cached returns the stored reply if it answers slot (a duplicate assign).
+func (c *replaySlot) cached(slot int) *Message {
+	if c.last != nil && c.last.Slot == slot {
+		return c.last
+	}
+	return nil
+}
+
+// redial is the reconnect loop behind RunEdgeResumable and RunRegionResumable.
+func redial(dial func() (net.Conn, error), maxResumes int, who string, run func(net.Conn) (done bool, err error)) error {
+	if dial == nil {
+		return fmt.Errorf("deploy: nil dialer")
+	}
 	resumes := 0
-	var lastErr error
 	for {
 		conn, err := dial()
 		if err == nil {
 			var done bool
-			done, err = s.Run(conn)
+			done, err = run(conn)
 			conn.Close()
 			if done {
 				return err
 			}
 		}
-		lastErr = err
 		if resumes >= maxResumes {
-			return fmt.Errorf("deploy: edge %d: resume budget exhausted after %d resumes: %w", edgeID, resumes, lastErr)
+			return fmt.Errorf("deploy: %s: resume budget exhausted after %d resumes: %w", who, resumes, err)
 		}
 		resumes++
 	}

@@ -95,7 +95,7 @@ func runElasticScale(t *testing.T, edges, regions, horizon int, seed int64, kill
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.sleep = func(time.Duration) {}
+	root.retry.sleep = func(time.Duration) {}
 
 	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

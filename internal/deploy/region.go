@@ -9,8 +9,9 @@
 //
 // The tier is elastic: the root's listener stays open for the whole run, so
 // a dropped coordinator can redial and resume its session from the root's
-// per-shard fold watermark (mirroring the edge Hello{Resume} machinery, with
-// replayed ShardDeltas deduped idempotently), a departing coordinator's
+// per-shard fold watermark (on the link, acceptor, retry loop and session
+// core the edge tier runs on — link.go, retry.go, edge.go — with replayed
+// ShardDeltas deduped idempotently), a departing coordinator's
 // shard is handed to a surviving or newly joined one via a serialized
 // ShardCheckpoint (the shard decomposition itself never changes, so the fold
 // still replays canonical edge-index order), and below a configurable region
@@ -27,11 +28,8 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/carbonedge/carbonedge/internal/core"
-	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
@@ -107,91 +105,61 @@ type RootConfig struct {
 
 // Root is the root cloud: the controller plus one regionStepper per shard,
 // multiplexed over a membership of region links that can shrink and grow
-// mid-run.
+// mid-run. It is the acceptor's tier for RegionHello/RegionWelcome.
 type Root struct {
-	cfg    RootConfig
-	ctrl   *core.Controller
+	cfg RootConfig
+	*controller
 	ranges []engine.Range
-
-	// sleep performs retry backoff; injectable so chaos tests replay with
-	// zero wall time. Defaults to time.Sleep.
-	sleep func(time.Duration)
+	acc    *acceptor
+	retry  *retrier
 
 	// mu guards links and tokenRNG: admission mutates membership
 	// concurrently with stepper-side elections.
 	mu       sync.Mutex
-	links    map[int]*regionLink
+	links    map[int]*link
 	tokenRNG *rand.Rand
-
-	// initial and acceptErr carry initial-admission progress from the
-	// acceptor to awaitRegions.
-	initial   chan int
-	acceptErr chan error
-
-	// done flips once the run is over: the acceptor stops admitting.
-	done atomic.Bool
 }
 
 // NewRoot validates the configuration and builds the controller.
 func NewRoot(cfg RootConfig) (*Root, error) {
-	if cfg.Edges <= 0 {
-		return nil, fmt.Errorf("deploy: need at least one edge, got %d", cfg.Edges)
-	}
 	if cfg.Regions <= 0 || cfg.Regions > cfg.Edges {
 		return nil, fmt.Errorf("deploy: %d regions for %d edges", cfg.Regions, cfg.Edges)
-	}
-	if len(cfg.DownloadCosts) != cfg.Edges {
-		return nil, fmt.Errorf("deploy: %d download costs for %d edges", len(cfg.DownloadCosts), cfg.Edges)
-	}
-	if cfg.Prices == nil || cfg.Prices.Horizon() < cfg.Horizon {
-		return nil, fmt.Errorf("deploy: price series shorter than horizon")
 	}
 	if cfg.NumModels <= 0 {
 		return nil, fmt.Errorf("deploy: NumModels must be positive, got %d", cfg.NumModels)
 	}
-	if cfg.Policy != engine.FailFast && cfg.Policy != engine.Degrade {
-		return nil, fmt.Errorf("deploy: unknown error policy %d", cfg.Policy)
-	}
-	if cfg.Retry.Attempts < 0 {
-		return nil, fmt.Errorf("deploy: negative retry budget %d", cfg.Retry.Attempts)
-	}
-	if cfg.Retry.BaseDelay < 0 || cfg.Retry.MaxDelay < 0 || cfg.Retry.ResumeWait < 0 {
-		return nil, fmt.Errorf("deploy: negative retry delays")
-	}
 	if cfg.RegionQuorum < 0 {
 		return nil, fmt.Errorf("deploy: negative region quorum %d", cfg.RegionQuorum)
 	}
-	ctrl, err := core.New(core.Config{
-		NumModels:     cfg.NumModels,
-		DownloadCosts: cfg.DownloadCosts,
+	ctrl, err := newController(CloudConfig{
+		Edges:         cfg.Edges,
 		Horizon:       cfg.Horizon,
+		DownloadCosts: cfg.DownloadCosts,
 		InitialCap:    cfg.InitialCap,
+		EmissionRate:  cfg.EmissionRate,
+		Prices:        cfg.Prices,
 		EmissionScale: cfg.EmissionScale,
-		PriceScale:    avgBuyPrice(cfg.Prices, cfg.Horizon),
 		Seed:          cfg.Seed,
-	})
+		Retry:         cfg.Retry,
+		Policy:        cfg.Policy,
+	}, cfg.NumModels)
 	if err != nil {
-		return nil, fmt.Errorf("deploy: controller: %w", err)
-	}
-	if _, err := energy.NewMeter(cfg.EmissionRate); err != nil {
 		return nil, err
 	}
 	r := &Root{
-		cfg:       cfg,
-		ctrl:      ctrl,
-		ranges:    engine.PartitionEdges(cfg.Edges, cfg.Regions),
-		tokenRNG:  numeric.SplitRNG(cfg.Seed, "deploy-region-token"),
-		links:     make(map[int]*regionLink, cfg.Regions),
-		initial:   make(chan int, cfg.Regions+1),
-		acceptErr: make(chan error, 1),
+		cfg:        cfg,
+		controller: ctrl,
+		ranges:     engine.PartitionEdges(cfg.Edges, cfg.Regions),
+		retry:      newRetrier(cfg.Retry),
+		tokenRNG:   numeric.SplitRNG(cfg.Seed, "deploy-region-token"),
+		links:      make(map[int]*link, cfg.Regions),
 	}
-	//lint:allow nodeterm retry backoff is real wall-clock waiting; chaos tests inject a zero-time sleep
-	r.sleep = time.Sleep
+	r.acc = newAcceptor(r, MsgRegionHello, "RegionHello", "region", cfg.Horizon, cfg.Regions, cfg.HandshakeTimeout)
 	// Initial links (and their resume tokens) are built in id order so the
 	// token stream is deterministic; spares joining mid-run draw later
 	// positions in arrival order (tokens never reach Results).
 	for id := 0; id < cfg.Regions; id++ {
-		r.links[id] = newRegionLink(id, fmt.Sprintf("%016x-%02d", r.tokenRNG.Uint64(), id))
+		r.links[id] = newLink(id, r.tokenRNG, id)
 	}
 	return r, nil
 }
@@ -204,75 +172,28 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 // it is not closed (the caller owns it), but Serve unblocks its own acceptor
 // on return when the listener supports deadlines (as TCP listeners do).
 func (r *Root) Serve(ln net.Listener) (*Summary, error) {
-	go r.acceptLoop(ln)
+	stop := r.acc.start(ln)
 	defer func() {
-		r.done.Store(true)
-		// Unblock a blocked Accept without closing the caller's listener: a
-		// deadline in the distant past forces an immediate timeout.
-		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-			d.SetDeadline(time.Unix(1, 0)) //nolint:errcheck // best-effort unblock
-		}
+		stop()
 		for _, l := range r.sortedLinks() {
 			l.retire()
 		}
 	}()
-	if err := r.awaitRegions(); err != nil {
+	if err := r.acc.awaitInitial(); err != nil {
 		return nil, err
 	}
 
 	steppers := make([]*regionStepper, len(r.ranges))
 	shards := make([]engine.ShardStepper, len(r.ranges))
-	for k, rg := range r.ranges {
-		r.mu.Lock()
-		l := r.links[k]
-		r.mu.Unlock()
-		steppers[k] = &regionStepper{
-			root:      r,
-			index:     k,
-			rng:       rg,
-			link:      l,
-			fleetSeed: l.fleetSeed(),
-			jitter:    numeric.SplitRNG(r.cfg.Seed, fmt.Sprintf("deploy-region-retry-%d", k)),
-			down:      make([]bool, rg.Count),
-			downErrs:  make([]string, rg.Count),
-			draws:     make([]int, rg.Count),
-			buf:       make([]engine.EdgeDelta, 0, rg.Count),
-		}
+	for k := range r.ranges {
+		steppers[k] = r.stepper(k)
 		shards[k] = steppers[k]
 	}
-	res, err := engine.RunSharded(engine.Config{
-		Name:         "deploy",
-		Horizon:      r.cfg.Horizon,
-		NumModels:    r.cfg.NumModels,
-		InitialCap:   r.cfg.InitialCap,
-		EmissionRate: r.cfg.EmissionRate,
-		Prices:       r.cfg.Prices,
-		SwitchCosts:  r.cfg.DownloadCosts,
-		Policy:       r.cfg.Policy,
-	}, r.ctrl, shards)
+	res, err := engine.RunSharded(r.ecfg, r.ctrl, shards)
 	if err != nil {
-		msg := &Message{Type: MsgError, Reason: err.Error()}
-		for _, l := range r.sortedLinks() {
-			if conn := l.current(); conn != nil {
-				_ = WriteMessage(conn, msg) // best effort; we are already failing
-			}
-		}
-		return nil, err
+		return nil, abort(r.sortedLinks(), err)
 	}
-	var finishErrs []error
-	for _, l := range r.sortedLinks() {
-		if l.isDead() {
-			continue // departed mid-run; nobody to notify
-		}
-		conn := l.current()
-		if conn == nil {
-			continue
-		}
-		if werr := WriteMessage(conn, &Message{Type: MsgDone}); werr != nil {
-			finishErrs = append(finishErrs, fmt.Errorf("deploy: send done to region %d: %w", l.id, werr))
-		}
-	}
-	if err := errors.Join(finishErrs...); err != nil && r.cfg.Policy == engine.FailFast {
+	if err := finish(r.sortedLinks(), "region"); err != nil && r.cfg.Policy == engine.FailFast {
 		return nil, err
 	}
 	// Edge resumes are region-local; the root does not observe them.
@@ -281,35 +202,29 @@ func (r *Root) Serve(ln net.Listener) (*Summary, error) {
 	return sum, nil
 }
 
-// awaitRegions blocks until the cfg.Regions initial coordinators are
-// admitted.
-func (r *Root) awaitRegions() error {
-	connected := 0
-	for connected < len(r.ranges) {
-		select {
-		case <-r.initial:
-			connected++
-		case err := <-r.acceptErr:
-			for {
-				select {
-				case <-r.initial:
-					connected++
-					continue
-				default:
-				}
-				break
-			}
-			if connected < len(r.ranges) {
-				return fmt.Errorf("deploy: accept: %w", err)
-			}
-		}
+// stepper builds shard k's regionStepper on its claiming coordinator's link.
+func (r *Root) stepper(k int) *regionStepper {
+	r.mu.Lock()
+	l := r.links[k]
+	r.mu.Unlock()
+	rg := r.ranges[k]
+	return &regionStepper{
+		root:      r,
+		index:     k,
+		rng:       rg,
+		link:      l,
+		fleetSeed: l.state().seed,
+		jitter:    numeric.SplitRNG(r.cfg.Seed, fmt.Sprintf("deploy-region-retry-%d", k)),
+		down:      make([]bool, rg.Count),
+		downErrs:  make([]string, rg.Count),
+		draws:     make([]int, rg.Count),
+		buf:       make([]engine.EdgeDelta, 0, rg.Count),
 	}
-	return nil
 }
 
 // sortedLinks snapshots the membership in ascending id order, so every
 // iteration over the link map is deterministic.
-func (r *Root) sortedLinks() []*regionLink {
+func (r *Root) sortedLinks() []*link {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ids := make([]int, 0, len(r.links))
@@ -317,7 +232,7 @@ func (r *Root) sortedLinks() []*regionLink {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	out := make([]*regionLink, len(ids))
+	out := make([]*link, len(ids))
 	for k, id := range ids {
 		out[k] = r.links[id]
 	}
@@ -330,7 +245,7 @@ func (r *Root) sortedLinks() []*regionLink {
 func (r *Root) fillElasticity(sum *Summary, steppers []*regionStepper) {
 	resumes := make(map[int]int)
 	for _, l := range r.sortedLinks() {
-		if n := l.resumeCount(); n > 0 {
+		if n := l.state().resumes; n > 0 {
 			resumes[l.id] = n
 		}
 	}
@@ -354,150 +269,60 @@ func (r *Root) fillElasticity(sum *Summary, steppers []*regionStepper) {
 	}
 }
 
-// acceptLoop admits coordinator connections for the whole run: initial
-// handshakes first, session resumes and standby joins once the run is
-// underway. Admissions run concurrently so one slow (or silent) dialer
-// cannot wedge the tier.
-func (r *Root) acceptLoop(ln net.Listener) {
-	var wg sync.WaitGroup
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			wg.Wait() // let in-flight admissions finish before reporting
-			if !r.done.Load() {
-				select {
-				case r.acceptErr <- err:
-				default:
-				}
-			}
-			return
-		}
-		if r.done.Load() {
-			conn.Close()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.admitRegion(conn)
-		}()
+// resolve implements tier: a resume must name a known link; any other id
+// joins, as an initial coordinator or as standby capacity.
+func (r *Root) resolve(hello *Message) (*link, string) {
+	id := hello.RegionID
+	if id < 0 {
+		return nil, fmt.Sprintf("bad region id %d", id)
 	}
-}
-
-// admitRegion performs one coordinator's handshake under the handshake
-// deadline and delivers the connection to its region link. Bad dialers are
-// rejected and closed without disturbing the run.
-func (r *Root) admitRegion(raw net.Conn) {
-	conn := newWireConn(raw)
-	ok := false
-	defer func() {
-		if !ok {
-			conn.Close()
-		}
-	}()
-	timeout := r.cfg.HandshakeTimeout
-	if timeout == 0 {
-		timeout = DefaultHandshakeTimeout
-	}
-	if timeout > 0 {
-		//lint:allow nodeterm real I/O deadline on a live connection; wall time is the only clock the kernel honors
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return
-		}
-	}
-	m, err := conn.readMessage()
-	if err != nil {
-		return
-	}
-	if m.Type != MsgRegionHello {
-		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: "expected RegionHello"})
-		return
-	}
-	if m.RegionID < 0 {
-		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: fmt.Sprintf("bad region id %d", m.RegionID)})
-		return
-	}
-
-	if m.Resume {
-		r.mu.Lock()
-		l := r.links[m.RegionID]
-		r.mu.Unlock()
-		if l == nil {
-			_ = WriteMessage(conn, &Message{Type: MsgError, Reason: fmt.Sprintf("unknown region id %d", m.RegionID)})
-			return
-		}
-		reject := l.resumeReject(m.ResumeToken)
-		if reject == "" && (m.DoneSlots < 0 || m.DoneSlots > r.cfg.Horizon) {
-			reject = fmt.Sprintf("implausible resume position %d", m.DoneSlots)
-		}
-		if reject != "" {
-			_ = WriteMessage(conn, &Message{Type: MsgError, Reason: reject})
-			return
-		}
-		if err := WriteMessage(conn, &Message{Type: MsgRegionWelcome, RegionID: m.RegionID, Resume: true}); err != nil {
-			return
-		}
-		if timeout > 0 {
-			conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-		}
-		l.markResumed()
-		l.deliver(conn)
-		ok = true
-		return
-	}
-
 	r.mu.Lock()
-	l := r.links[m.RegionID]
+	defer r.mu.Unlock()
+	l := r.links[id]
 	if l == nil {
+		if hello.Resume {
+			return nil, fmt.Sprintf("unknown region id %d", id)
+		}
 		// A standby coordinator joining mid-run: it gets an empty shard and
 		// serves only what rebalancing adopts into it.
-		l = newRegionLink(m.RegionID, fmt.Sprintf("%016x-%02d", r.tokenRNG.Uint64(), m.RegionID))
-		r.links[m.RegionID] = l
+		l = newLink(id, r.tokenRNG, id)
+		r.links[id] = l
 	}
-	r.mu.Unlock()
-	if !l.claim(m.Seed) {
-		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: fmt.Sprintf("duplicate region id %d", m.RegionID)})
-		return
+	return l, ""
+}
+
+// welcome implements tier. Only the cfg.Regions initial coordinators get a
+// shard, and only they are awaited before the run starts.
+func (r *Root) welcome(hello *Message, l *link) (*Message, bool) {
+	if hello.Resume {
+		return &Message{Type: MsgRegionWelcome, RegionID: l.id, Resume: true}, false
 	}
 	welcome := &Message{
 		Type:        MsgRegionWelcome,
-		RegionID:    m.RegionID,
+		RegionID:    l.id,
 		Horizon:     r.cfg.Horizon,
 		NumModels:   r.cfg.NumModels,
 		Degrade:     r.cfg.Policy == engine.Degrade,
 		ResumeToken: l.token,
 	}
-	if m.RegionID < len(r.ranges) {
-		rg := r.ranges[m.RegionID]
+	initial := l.id < len(r.ranges)
+	if initial {
+		rg := r.ranges[l.id]
 		welcome.Start, welcome.Count = rg.Start, rg.Count
 	}
-	if err := WriteMessage(conn, welcome); err != nil {
-		l.unclaim()
-		return
-	}
-	if timeout > 0 {
-		conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
-	// m lives in the connection's recycled decode target: once the link is
-	// delivered, the shard steppers own the reader and m with it.
-	regionID := m.RegionID
-	l.deliver(conn)
-	if regionID < len(r.ranges) {
-		r.initial <- regionID
-	}
-	ok = true
+	return welcome, initial
 }
 
 // electTarget picks the adopter for an orphaned shard: the lowest live link
 // id (or RebalanceTarget's validated choice), or nil when the live
 // membership is below the region quorum — the caller then degrades the
 // shard instead of rebalancing it.
-func (r *Root) electTarget(shard int) *regionLink {
+func (r *Root) electTarget(shard int) *link {
 	links := r.sortedLinks()
 	live := make([]int, 0, len(links))
-	byID := make(map[int]*regionLink, len(links))
+	byID := make(map[int]*link, len(links))
 	for _, l := range links {
-		if l.isLive() {
+		if st := l.state(); st.claimed && !st.dead {
 			live = append(live, l.id)
 			byID[l.id] = l
 		}
@@ -519,205 +344,6 @@ func (r *Root) electTarget(shard int) *regionLink {
 	return byID[pick]
 }
 
-// regionLink is the root-side connection slot of one coordinator: the
-// acceptor delivers handshaken connections (initial and resumed) into
-// incoming, and the shards routed over the link consume them. A dropped
-// coordinator leaves its link empty until a resume arrives; a departed one
-// is marked dead and its shards move elsewhere.
-type regionLink struct {
-	id       int
-	token    string
-	incoming chan *wireConn
-
-	// xmu serializes assign/delta round trips on the link: after an
-	// adoption, several shards may share one coordinator, and each exchange
-	// must own the connection for its full write+read.
-	xmu sync.Mutex
-
-	mu      sync.Mutex
-	conn    *wireConn
-	claimed bool
-	dead    bool
-	seed    int64
-	resumes int
-}
-
-func newRegionLink(id int, token string) *regionLink {
-	return &regionLink{id: id, token: token, incoming: make(chan *wireConn, 1)}
-}
-
-// deliver hands a fresh connection to the link, replacing any stale one that
-// was never consumed (latest connection wins).
-func (l *regionLink) deliver(conn *wireConn) {
-	for {
-		select {
-		case l.incoming <- conn:
-			return
-		default:
-			select {
-			case stale := <-l.incoming:
-				stale.Close()
-			default:
-			}
-		}
-	}
-}
-
-// claim marks the link's initial admission and records the coordinator's
-// announced fleet seed (what a future ShardCheckpoint derives the shard's
-// edge tokens from). It reports false when the link was already claimed.
-func (l *regionLink) claim(seed int64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.claimed {
-		return false
-	}
-	l.claimed = true
-	l.seed = seed
-	return true
-}
-
-// unclaim rolls a failed admission back.
-func (l *regionLink) unclaim() {
-	l.mu.Lock()
-	l.claimed = false
-	l.mu.Unlock()
-}
-
-// resumeReject validates a resume attempt, returning the rejection reason
-// ("" to accept).
-func (l *regionLink) resumeReject(token string) string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch {
-	case !l.claimed:
-		return fmt.Sprintf("region id %d never joined", l.id)
-	case l.dead:
-		return fmt.Sprintf("region id %d retired", l.id)
-	case token != l.token:
-		return "bad resume token"
-	}
-	return ""
-}
-
-func (l *regionLink) markResumed() {
-	l.mu.Lock()
-	l.resumes++
-	l.mu.Unlock()
-}
-
-func (l *regionLink) resumeCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.resumes
-}
-
-func (l *regionLink) fleetSeed() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seed
-}
-
-// acquire returns the link's live connection: the current one while it
-// lasts, otherwise the next delivered resume, waiting up to wait for the
-// coordinator to redial. The current connection is deliberately used until
-// an exchange fails on it (exactly the edge fleet's discipline) — switching
-// to a fresher delivery eagerly would make the retry accounting depend on
-// how quickly the coordinator redialed. Called with xmu held.
-func (l *regionLink) acquire(wait time.Duration) *wireConn {
-	if conn := l.current(); conn != nil {
-		return conn
-	}
-	select {
-	case conn := <-l.incoming:
-		l.replace(conn)
-		return l.current()
-	default:
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case conn := <-l.incoming:
-		l.replace(conn)
-		return l.current()
-	case <-t.C:
-		return nil
-	}
-}
-
-func (l *regionLink) replace(conn *wireConn) {
-	l.mu.Lock()
-	if l.dead {
-		l.mu.Unlock()
-		conn.Close()
-		return
-	}
-	if l.conn != nil {
-		l.conn.Close()
-	}
-	l.conn = conn
-	l.mu.Unlock()
-}
-
-func (l *regionLink) current() *wireConn {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn
-}
-
-// drop discards a connection whose exchange failed; the next acquire waits
-// for a resumed one.
-func (l *regionLink) drop() {
-	l.mu.Lock()
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-	}
-	l.mu.Unlock()
-}
-
-// markDead takes the link out of the rebalancing election without closing
-// its connection: a departing coordinator releases its edges only once the
-// root closes the link (see retire), so the edges cannot redial the adopter
-// before the adopt frame installs their range.
-func (l *regionLink) markDead() {
-	l.mu.Lock()
-	l.dead = true
-	l.mu.Unlock()
-}
-
-// retire marks the link dead and closes everything it holds. Safe to call
-// repeatedly.
-func (l *regionLink) retire() {
-	l.mu.Lock()
-	l.dead = true
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-	}
-	l.mu.Unlock()
-	for {
-		select {
-		case c := <-l.incoming:
-			c.Close()
-		default:
-			return
-		}
-	}
-}
-
-func (l *regionLink) isDead() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dead
-}
-
-func (l *regionLink) isLive() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.claimed && !l.dead
-}
-
 // regionStepper is the root-side engine.ShardStepper of one shard: Step is
 // one ShardAssign/ShardDelta round trip on the shard's current region link,
 // with transient failures retried across session resumes, lost links
@@ -729,7 +355,7 @@ type regionStepper struct {
 	rng       engine.Range
 	fleetSeed int64
 	jitter    *rand.Rand // deterministic backoff jitter stream
-	link      *regionLink
+	link      *link
 
 	// dedup is the shard's fold watermark: a resumed link's replayed deltas
 	// are admitted at most once per slot.
@@ -767,8 +393,9 @@ func (rs *regionStepper) Step(slot int, arms []int, downloads []bool) (engine.Sl
 		return rs.degradeDelta(slot), nil
 	}
 	for {
-		d, lost, err := rs.attemptSlot(slot, arms, downloads)
+		lost, err := rs.attemptSlot(slot, arms, downloads)
 		if err == nil {
+			d := engine.SlotDelta{Start: rs.rng.Start, Edges: rs.buf}
 			rs.observe(&d)
 			return d, nil
 		}
@@ -807,65 +434,60 @@ func (rs *regionStepper) Step(slot int, arms []int, downloads []bool) (engine.Sl
 // spending the full retry budget on transient failures. lost reports that
 // the link itself is gone (departure, or budget exhausted) — the caller
 // rebalances or degrades; a false lost with a non-nil error is fatal.
-func (rs *regionStepper) attemptSlot(slot int, arms []int, downloads []bool) (d engine.SlotDelta, lost bool, err error) {
-	retry := rs.root.cfg.Retry.withDefaults()
-	attempts := 0
-	var lastErr error
-	for {
-		d, err := rs.exchange(slot, arms, downloads, retry.ResumeWait)
-		if err == nil {
-			return d, false, nil
-		}
-		if errors.Is(err, errRegionLeft) {
-			return engine.SlotDelta{}, true, err
-		}
-		if !Transient(err) {
-			return engine.SlotDelta{}, false, err
-		}
-		lastErr = err
-		if attempts >= rs.root.cfg.Retry.Attempts {
-			return engine.SlotDelta{}, true,
-				fmt.Errorf("deploy: shard %d region link %d slot %d: retry budget exhausted after %d retries: %w",
-					rs.index, rs.link.id, slot, attempts, lastErr)
-		}
-		attempts++
-		rs.retries++
-		rs.root.sleep(backoffDelay(retry, attempts, rs.jitter))
+func (rs *regionStepper) attemptSlot(slot int, arms []int, downloads []bool) (lost bool, err error) {
+	retries, exhausted, err := rs.root.retry.run(rs.jitter, func(wait time.Duration) error {
+		return rs.exchange(slot, arms, downloads, wait)
+	})
+	rs.retries += retries
+	if exhausted {
+		err = fmt.Errorf("deploy: shard %d region link %d slot %d: retry budget exhausted after %d retries: %w",
+			rs.index, rs.link.id, slot, retries, err)
 	}
+	return exhausted || errors.Is(err, errRegionLeft), err
 }
 
 // exchange runs one assign/delta round trip on the shard's link, owning the
 // link for the duration (shards sharing a link after an adoption serialize
-// here).
-func (rs *regionStepper) exchange(slot int, arms []int, downloads []bool, wait time.Duration) (engine.SlotDelta, error) {
+// here). The slot's per-edge deltas are left in rs.buf.
+func (rs *regionStepper) exchange(slot int, arms []int, downloads []bool, wait time.Duration) error {
 	l := rs.link
 	l.xmu.Lock()
 	defer l.xmu.Unlock()
-	if l.isDead() {
-		// A sibling shard already saw the departure; don't burn budget
-		// re-discovering it.
-		return engine.SlotDelta{}, fmt.Errorf("deploy: region link %d: %w", l.id, errRegionLeft)
+	conn, err := regionConn(l, wait)
+	if err != nil {
+		return err
 	}
-	conn := l.acquire(wait)
-	if conn == nil {
-		return engine.SlotDelta{}, Transientf("region link %d: no live connection within %v", l.id, wait)
-	}
-	d, err := rs.exchangeOn(conn, slot, arms, downloads)
+	err = rs.exchangeOn(conn, slot, arms, downloads)
 	if err != nil && !errors.Is(err, errRegionLeft) {
 		// Keep a departed link's connection open: closing it (retire, once the
 		// shard has a new home) is what releases the coordinator's edges, so
 		// they never redial the adopter before the adopt frame installs them.
 		l.drop()
 	}
-	return d, err
+	return err
+}
+
+// regionConn returns a region link's connection for one frame or round trip.
+// Called with l.xmu held.
+func regionConn(l *link, wait time.Duration) (*wireConn, error) {
+	if l.state().dead {
+		// A sibling shard already saw the departure; don't burn budget
+		// re-discovering it.
+		return nil, fmt.Errorf("deploy: region link %d: %w", l.id, errRegionLeft)
+	}
+	conn := l.acquire(wait)
+	if conn == nil {
+		return nil, Transientf("region link %d: no live connection within %v", l.id, wait)
+	}
+	return conn, nil
 }
 
 // exchangeOn runs the round trip on one connection.
-func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downloads []bool) (engine.SlotDelta, error) {
+func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downloads []bool) error {
 	if t := rs.root.cfg.SlotTimeout; t > 0 {
 		//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
 		if err := conn.SetDeadline(time.Now().Add(t)); err != nil {
-			return engine.SlotDelta{}, fmt.Errorf("deploy: region link %d deadline: %w", rs.link.id, err)
+			return fmt.Errorf("deploy: region link %d deadline: %w", rs.link.id, err)
 		}
 		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
@@ -878,12 +500,12 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 		Downloads: downloads,
 	}
 	if err := WriteMessage(conn, assign); err != nil {
-		return engine.SlotDelta{}, fmt.Errorf("deploy: shard %d assign: %w", rs.index, err)
+		return fmt.Errorf("deploy: shard %d assign: %w", rs.index, err)
 	}
 	for {
 		m, err := conn.readMessage()
 		if err != nil {
-			return engine.SlotDelta{}, fmt.Errorf("deploy: shard %d delta: %w", rs.index, err)
+			return fmt.Errorf("deploy: shard %d delta: %w", rs.index, err)
 		}
 		switch m.Type {
 		case MsgError:
@@ -891,24 +513,24 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 			// engine's FailFast "engine: edge %d slot %d: ..." wrapping), so
 			// the root run fails with the same error string a monolithic run
 			// would report.
-			return engine.SlotDelta{}, errors.New(m.Reason) //lint:allow errtaxonomy the shard error string must round-trip verbatim so distributed and monolithic runs fail identically
+			return errors.New(m.Reason) //lint:allow errtaxonomy the shard error string must round-trip verbatim so distributed and monolithic runs fail identically
 		case MsgRegionLeave:
-			return engine.SlotDelta{}, fmt.Errorf("deploy: region link %d departed at slot %d: %w", rs.link.id, slot, errRegionLeft)
+			return fmt.Errorf("deploy: region link %d departed at slot %d: %w", rs.link.id, slot, errRegionLeft)
 		case MsgShardDelta:
 			if m.Slot != slot && rs.dedup.Seen(m.Slot) {
 				continue // replayed duplicate of an already-folded slot
 			}
 			if err := ValidateDelta(m, rs.rng.Start, rs.rng.Count, slot); err != nil {
-				return engine.SlotDelta{}, fmt.Errorf("deploy: shard %d: %w", rs.index, err)
+				return fmt.Errorf("deploy: shard %d: %w", rs.index, err)
 			}
 			rs.dedup.Admit(slot)
 			// Copy out of the link reader's recycled target: shards sharing
 			// the link after an adoption read their deltas through the same
 			// reader, and each delta must outlive the slot's merge.
 			rs.buf = append(rs.buf[:0], m.Delta.Edges...)
-			return engine.SlotDelta{Start: m.Delta.Start, Edges: rs.buf}, nil
+			return nil
 		default:
-			return engine.SlotDelta{}, protocolErrorf("unexpected message type %d from region %d", m.Type, rs.link.id)
+			return protocolErrorf("unexpected message type %d from region %d", m.Type, rs.link.id)
 		}
 	}
 }
@@ -916,16 +538,12 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 // adoptInto hands the shard to target: one ShardAdopt frame carrying the
 // checkpoint. No ack is read — the connection's ordering guarantees the
 // adopt frame is processed before the shard's next assign on the same link.
-func (rs *regionStepper) adoptInto(target *regionLink, slot int) error {
+func (rs *regionStepper) adoptInto(target *link, slot int) error {
 	target.xmu.Lock()
 	defer target.xmu.Unlock()
-	if target.isDead() {
-		return fmt.Errorf("deploy: region link %d: %w", target.id, errRegionLeft)
-	}
-	wait := rs.root.cfg.Retry.withDefaults().ResumeWait
-	conn := target.acquire(wait)
-	if conn == nil {
-		return Transientf("region link %d: no live connection within %v", target.id, wait)
+	conn, err := regionConn(target, rs.root.retry.cfg.ResumeWait)
+	if err != nil {
+		return err
 	}
 	msg := &Message{Type: MsgShardAdopt, Slot: slot, Checkpoint: rs.checkpoint()}
 	if err := WriteMessage(conn, msg); err != nil {
@@ -1031,8 +649,8 @@ func validateRegionConfig(cfg RegionConfig) error {
 	if cfg.RegionID < 0 {
 		return fmt.Errorf("deploy: negative region id %d", cfg.RegionID)
 	}
-	if cfg.Retry.Attempts < 0 {
-		return fmt.Errorf("deploy: negative retry budget %d", cfg.Retry.Attempts)
+	if err := cfg.Retry.validate(); err != nil {
+		return err
 	}
 	if cfg.LeaveBeforeSlot < 0 {
 		return fmt.Errorf("deploy: negative leave slot %d", cfg.LeaveBeforeSlot)
@@ -1045,13 +663,10 @@ func validateRegionConfig(cfg RegionConfig) error {
 type regionShard struct {
 	start, count int
 	shard        *engine.Shard
-	tcp          []*tcpStepper
-	done         int      // fold watermark: slots completed (cache holds done-1)
-	last         *Message // cached ShardDelta of slot done-1; nil or &cache
-	// cache and cacheDelta are last's storage, rewritten once per stepped
-	// slot.
-	cache      Message
-	cacheDelta engine.SlotDelta
+	// replaySlot is the shard's fold watermark and the cached ShardDelta of
+	// its last stepped slot; delta is that message's payload storage.
+	replaySlot
+	delta engine.SlotDelta
 }
 
 // RegionSession is the resumable coordinator-side state of one root run: the
@@ -1063,14 +678,11 @@ type regionShard struct {
 // edges' serving streams are never double-drawn and the root never
 // double-folds a slot whose delta was lost in flight.
 type RegionSession struct {
+	session
 	cfg RegionConfig
 	ln  net.Listener
 
-	welcomed  bool
-	token     string
-	horizon   int
-	numModels int
-	policy    engine.ErrorPolicy
+	policy engine.ErrorPolicy
 
 	fleet  *edgeFleet
 	stop   func()
@@ -1084,7 +696,11 @@ func NewRegionSession(ln net.Listener, cfg RegionConfig) (*RegionSession, error)
 	if err := validateRegionConfig(cfg); err != nil {
 		return nil, err
 	}
-	return &RegionSession{cfg: cfg, ln: ln}, nil
+	return &RegionSession{
+		session: session{prefix: "region ", peer: "root", want: MsgRegionWelcome},
+		cfg:     cfg,
+		ln:      ln,
+	}, nil
 }
 
 // assignOutcome classifies one handled ShardAssign. The explicit enum keeps
@@ -1150,7 +766,10 @@ func (s *RegionSession) Run(raw net.Conn) (done bool, err error) {
 				return true, aerr
 			}
 		case MsgDone:
-			ferr := s.finishAll()
+			// Notify every still-connected edge that the run is over, then
+			// release the fleet.
+			ferr := finish(s.fleet.links(), "edge")
+			s.release()
 			if ferr != nil && s.policy == engine.FailFast {
 				return true, ferr
 			}
@@ -1174,23 +793,9 @@ func (s *RegionSession) Run(raw net.Conn) (done bool, err error) {
 // connection.
 func (s *RegionSession) handshake(upstream *wireConn) error {
 	hello := &Message{Type: MsgRegionHello, RegionID: s.cfg.RegionID, Seed: s.cfg.Seed}
-	if s.welcomed {
-		hello.Resume = true
-		hello.ResumeToken = s.token
-		hello.DoneSlots = s.minDone()
-	}
-	if err := WriteMessage(upstream, hello); err != nil {
-		return fmt.Errorf("deploy: region hello: %w", err)
-	}
-	w, err := upstream.readMessage()
+	w, err := s.session.handshake(upstream, hello, s.minDone())
 	if err != nil {
-		return fmt.Errorf("deploy: region welcome: %w", err)
-	}
-	if w.Type == MsgError {
-		return fmt.Errorf("deploy: root rejected region %d: %s", s.cfg.RegionID, w.Reason) //lint:allow errtaxonomy rejection reason is forwarded verbatim and the handshake is already terminal
-	}
-	if w.Type != MsgRegionWelcome {
-		return protocolErrorf("expected RegionWelcome, got type %d", w.Type)
+		return err
 	}
 	if s.welcomed {
 		return nil // resume Welcome carries no shard geometry
@@ -1205,35 +810,29 @@ func (s *RegionSession) handshake(upstream *wireConn) error {
 	if w.Degrade {
 		s.policy = engine.Degrade
 	}
-	s.horizon = w.Horizon
-	s.numModels = w.NumModels
-	s.token = w.ResumeToken
 
 	// Count == 0 is a standby welcome: the fleet starts empty and gains its
 	// ranges only through mid-run shard adoption.
-	s.fleet = newEdgeFleet(fleetConfig{
-		count:   w.Count,
-		offset:  w.Start,
-		horizon: w.Horizon,
-		seed:    s.cfg.Seed,
-		timeouts: func() (time.Duration, time.Duration) {
-			return s.cfg.HandshakeTimeout, s.cfg.SlotTimeout
-		},
-		retry: s.cfg.Retry,
-	}, s.cfg.Source)
-	s.stop = s.fleet.start(s.ln)
-	if err := s.fleet.awaitInitial(); err != nil {
+	s.fleet = newEdgeFleet(CloudConfig{
+		Edges:            w.Count,
+		Horizon:          w.Horizon,
+		Seed:             s.cfg.Seed,
+		SlotTimeout:      s.cfg.SlotTimeout,
+		HandshakeTimeout: s.cfg.HandshakeTimeout,
+		Retry:            s.cfg.Retry,
+	}, w.Start, s.cfg.Source)
+	s.stop = s.fleet.acc.start(s.ln)
+	if err := s.fleet.acc.awaitInitial(); err != nil {
 		return err
 	}
 	if w.Count > 0 {
-		tcp := s.fleet.steppers()
-		shard, err := s.buildShard(w.Start, tcp)
+		shard, err := s.buildShard(w.Start, s.fleet.rangeSteppers(s.fleet.initial))
 		if err != nil {
 			return err
 		}
-		s.shards = append(s.shards, &regionShard{start: w.Start, count: w.Count, shard: shard, tcp: tcp})
+		s.shards = append(s.shards, &regionShard{start: w.Start, count: w.Count, shard: shard})
 	}
-	s.welcomed = true
+	s.token, s.welcomed = w.ResumeToken, true
 	return nil
 }
 
@@ -1291,11 +890,11 @@ func (s *RegionSession) handleAssign(upstream *wireConn, m *Message) (assignOutc
 	if s.cfg.OnSlot != nil {
 		s.cfg.OnSlot(m.Slot)
 	}
-	if sh.last != nil && m.Slot == sh.last.Slot {
+	if delta := sh.cached(m.Slot); delta != nil {
 		// Duplicate assign: the root never saw our delta for this slot.
 		// Answer from the cache — re-stepping would double-draw the edges'
 		// serving streams and double-fold the slot.
-		if err := WriteMessage(upstream, sh.last); err != nil {
+		if err := WriteMessage(upstream, delta); err != nil {
 			return assignConnLost, fmt.Errorf("deploy: region %d delta (resend): %w", s.cfg.RegionID, err)
 		}
 		return assignOK, nil
@@ -1314,11 +913,10 @@ func (s *RegionSession) handleAssign(upstream *wireConn, m *Message) (assignOutc
 	// Deep-copy into the cache: the shard recycles its delta buffer on the
 	// next Step, but the cache must survive until the root acks the next
 	// slot.
-	sh.cacheDelta.Start = delta.Start
-	sh.cacheDelta.Edges = append(sh.cacheDelta.Edges[:0], delta.Edges...)
-	sh.cache = Message{Type: MsgShardDelta, Slot: m.Slot, Delta: &sh.cacheDelta}
-	sh.last = &sh.cache
-	sh.done = m.Slot + 1
+	sh.delta.Start = delta.Start
+	sh.delta.Edges = append(sh.delta.Edges[:0], delta.Edges...)
+	sh.msg = Message{Type: MsgShardDelta, Slot: m.Slot, Delta: &sh.delta}
+	sh.last, sh.done = &sh.msg, m.Slot+1
 	if err := WriteMessage(upstream, sh.last); err != nil {
 		return assignConnLost, fmt.Errorf("deploy: region %d delta: %w", s.cfg.RegionID, err)
 	}
@@ -1346,11 +944,10 @@ func (s *RegionSession) handleAdopt(m *Message) error {
 		return err
 	}
 	s.shards = append(s.shards, &regionShard{
-		start: ck.Start,
-		count: ck.Count,
-		shard: shard,
-		tcp:   tcp,
-		done:  ck.DoneSlots,
+		start:      ck.Start,
+		count:      ck.Count,
+		shard:      shard,
+		replaySlot: replaySlot{done: ck.DoneSlots},
 	})
 	return nil
 }
@@ -1358,38 +955,17 @@ func (s *RegionSession) handleAdopt(m *Message) error {
 // release stops the acceptor and silently closes every edge connection: the
 // edges see a transient drop and can redial whoever serves them next.
 func (s *RegionSession) release() {
-	if s.stop != nil {
+	if s.fleet != nil {
 		s.stop()
-		s.stop = nil
+		s.fleet.closeAll()
 	}
-	if s.fleet == nil {
-		return
-	}
-	for _, sh := range s.shards {
-		s.fleet.closeAll(sh.tcp)
-	}
-}
-
-// finishAll notifies every still-connected edge that the run is over, then
-// releases the fleet.
-func (s *RegionSession) finishAll() error {
-	var errs []error
-	for _, sh := range s.shards {
-		if err := s.fleet.finish(sh.tcp); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	s.release()
-	return errors.Join(errs...)
 }
 
 // abortAll tells every still-connected edge the run failed, then releases
 // the fleet.
 func (s *RegionSession) abortAll(err error) {
 	if s.fleet != nil {
-		for _, sh := range s.shards {
-			_ = s.fleet.abort(sh.tcp, err)
-		}
+		_ = abort(s.fleet.links(), err)
 	}
 	s.release()
 }
@@ -1419,33 +995,14 @@ func RunRegion(upstream net.Conn, ln net.Listener, cfg RegionConfig) error {
 // dialer may sleep or back off internally; RunRegionResumable itself never
 // waits, so deterministic harnesses stay in control of time.
 func RunRegionResumable(dial func() (net.Conn, error), ln net.Listener, cfg RegionConfig, maxResumes int) error {
-	if dial == nil {
-		return fmt.Errorf("deploy: nil dialer") //lint:allow errtaxonomy argument validation before any wire traffic
-	}
 	s, err := NewRegionSession(ln, cfg)
 	if err != nil {
 		return err
 	}
-	resumes := 0
-	var lastErr error
-	for {
-		conn, err := dial()
-		if err == nil {
-			var done bool
-			done, err = s.Run(conn)
-			conn.Close()
-			if done {
-				return err
-			}
-		}
-		lastErr = err
-		if resumes >= maxResumes {
-			// Release (don't abort) the edges: the root may already have
-			// rebalanced this session's shards, and the edges can still
-			// migrate to the adopter.
-			s.release()
-			return fmt.Errorf("deploy: region %d: resume budget exhausted after %d resumes: %w", s.cfg.RegionID, resumes, lastErr)
-		}
-		resumes++
-	}
+	// When the resume budget runs out, release (don't abort) the edges: the
+	// root may already have rebalanced this session's shards, and the edges
+	// can still migrate to the adopter. A session that ended any other way
+	// has released them already.
+	defer s.release()
+	return redial(dial, maxResumes, fmt.Sprintf("region %d", cfg.RegionID), s.Run)
 }

@@ -50,6 +50,9 @@ type regionChaosSpec struct {
 	// redial (the expected adopter). Absent means nobody adopts the shard —
 	// its edges are expected to fail.
 	adoptTo map[int]int
+	// onSlot, when non-nil, runs in every coordinator's OnSlot hook, before
+	// the slot is served: a schedule's way to order events across regions.
+	onSlot func(root *Root, region, slot int)
 }
 
 // regionChaosRun is everything one harness run observed.
@@ -108,7 +111,7 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.sleep = func(time.Duration) {} // backoff replays with zero wall clock
+	root.retry.sleep = func(time.Duration) {} // backoff replays with zero wall clock
 
 	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -183,6 +186,9 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 						fc.SetSlot(slot)
 					}
 					fcMu.Unlock()
+					if spec.onSlot != nil {
+						spec.onSlot(root, id, slot)
+					}
 				},
 			}, 5)
 			// Stop accepting edges before announcing the coordinator gone: a
@@ -321,6 +327,53 @@ func TestRegionChaosTruncatedDelta(t *testing.T) {
 	if !reflect.DeepEqual(stripElasticity(chaos.sum), clean.sum) {
 		t.Errorf("recovered Summary diverged from fault-free run:\n chaos: %+v\n clean: %+v",
 			stripElasticity(chaos.sum), clean.sum)
+	}
+}
+
+// TestRegionChaosCutBeforeDone cuts a coordinator's upstream link behind the
+// last slot's delta, before the root's Done: the root has folded the whole
+// run, the coordinator has redialed and resumed, and the Done must reach it
+// on the connection it now listens on — not the dead one — so that it and its
+// edges finish cleanly. The other coordinator holds its last delta back until
+// the resume has been admitted, which makes the order certain.
+func TestRegionChaosCutBeforeDone(t *testing.T) {
+	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 45, policy: engine.Degrade}
+	clean := runRegionChaos(t, base)
+	requireQuiet(t, clean)
+
+	last := base.horizon - 1
+	spec := base
+	spec.cutUpstream = map[int]faults.Schedule{1: faults.KillAt(last)}
+	spec.onSlot = func(root *Root, region, slot int) {
+		if region != 0 || slot != last {
+			return
+		}
+		root.mu.Lock()
+		l := root.links[1]
+		root.mu.Unlock()
+		for deadline := time.Now().Add(10 * time.Second); len(l.incoming) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("region 1 never resumed behind its last delta")
+				return
+			}
+		}
+	}
+	chaos := runRegionChaos(t, spec)
+	requireQuiet(t, chaos)
+	if got, want := chaos.sum.RegionResumes, map[int]int{1: 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("RegionResumes = %v, want %v", got, want)
+	}
+	chaos.sum.RegionResumes = nil
+	cleanJSON, err := json.Marshal(clean.sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaosJSON, err := json.Marshal(chaos.sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(chaosJSON, cleanJSON) {
+		t.Errorf("summary differs from the fault-free run beyond RegionResumes:\n chaos: %s\n clean: %s", chaosJSON, cleanJSON)
 	}
 }
 

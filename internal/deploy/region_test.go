@@ -202,10 +202,42 @@ func TestRootValidation(t *testing.T) {
 		"bad policy":     func(c *RootConfig) { c.Policy = engine.ErrorPolicy(7) },
 		"bad rate":       func(c *RootConfig) { c.EmissionRate = -1 },
 		"short prices":   func(c *RootConfig) { c.Horizon = 99 },
+		"bad quorum":     func(c *RootConfig) { c.RegionQuorum = -1 },
 	} {
 		cfg := base
 		mutate(&cfg)
 		if _, err := NewRoot(cfg); err == nil {
+			t.Errorf("%s: expected error", name)
+		}
+	}
+	for name, retry := range badRetryConfigs {
+		cfg := base
+		cfg.Retry = retry
+		if _, err := NewRoot(cfg); err == nil {
+			t.Errorf("%s: expected error", name)
+		}
+	}
+}
+
+// TestRegionSessionValidation covers the coordinator's configuration checks.
+func TestRegionSessionValidation(t *testing.T) {
+	base := RegionConfig{RegionID: 1, Source: &paritySource{w: newParityWorld(1)}, Seed: 1}
+	if _, err := NewRegionSession(nil, base); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	bad := map[string]func(*RegionConfig){
+		"nil source":     func(c *RegionConfig) { c.Source = nil },
+		"negative id":    func(c *RegionConfig) { c.RegionID = -1 },
+		"negative leave": func(c *RegionConfig) { c.LeaveBeforeSlot = -1 },
+	}
+	for name, retry := range badRetryConfigs {
+		retry := retry
+		bad[name] = func(c *RegionConfig) { c.Retry = retry }
+	}
+	for name, mutate := range bad {
+		cfg := base
+		mutate(&cfg)
+		if _, err := NewRegionSession(nil, cfg); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 )
@@ -32,6 +33,18 @@ const (
 	DefaultResumeWait = time.Second
 )
 
+// validate rejects a negative budget or delay. It never reaches the wire, so
+// its plain errors stay outside the wire error taxonomy.
+func (r RetryConfig) validate() error {
+	if r.Attempts < 0 {
+		return fmt.Errorf("deploy: negative retry budget %d", r.Attempts)
+	}
+	if r.BaseDelay < 0 || r.MaxDelay < 0 || r.ResumeWait < 0 {
+		return fmt.Errorf("deploy: negative retry delays")
+	}
+	return nil
+}
+
 // withDefaults fills zero fields.
 func (r RetryConfig) withDefaults() RetryConfig {
 	if r.BaseDelay <= 0 {
@@ -49,7 +62,7 @@ func (r RetryConfig) withDefaults() RetryConfig {
 // backoffDelay returns the jittered backoff before 1-based retry attempt k:
 // half the capped exponential delay plus a uniformly random half, drawn from
 // the caller's SplitRNG stream so the sleep sequence replays bit-for-bit.
-// The sleep itself is performed through the cloud's injectable sleeper, so
+// The sleep itself is performed through the retrier's injectable sleeper, so
 // tests compress chaos runs to zero wall time without touching the delays.
 func backoffDelay(cfg RetryConfig, attempt int, rng *rand.Rand) time.Duration {
 	d := cfg.BaseDelay
@@ -64,4 +77,37 @@ func backoffDelay(cfg RetryConfig, attempt int, rng *rand.Rand) time.Duration {
 		return d
 	}
 	return half + time.Duration(rng.Int63n(int64(half)+1))
+}
+
+// retrier is the per-slot retry loop of both tiers.
+type retrier struct {
+	cfg RetryConfig // defaults applied
+	// sleep performs retry backoff; injectable so chaos tests replay with
+	// zero wall time. Defaults to time.Sleep.
+	sleep func(time.Duration)
+}
+
+func newRetrier(cfg RetryConfig) *retrier {
+	//lint:allow nodeterm retry backoff is real wall-clock waiting; chaos tests inject a zero-time sleep
+	return &retrier{cfg: cfg.withDefaults(), sleep: time.Sleep}
+}
+
+// run tries one slot's exchange until it succeeds, fails fatally, or has
+// spent the budget on transient failures, backing off on jitter (the
+// caller's stream, one draw per retry) in between. try gets the time it may
+// wait for the unit's link to come back. run returns the retries burned and
+// try's last error; exhausted marks it as the transient failure the budget
+// ran out on (callers word that per tier).
+func (r *retrier) run(jitter *rand.Rand, try func(wait time.Duration) error) (retries int, exhausted bool, err error) {
+	for {
+		err = try(r.cfg.ResumeWait)
+		if err == nil || !Transient(err) {
+			return retries, false, err
+		}
+		if retries >= r.cfg.Attempts {
+			return retries, true, err
+		}
+		retries++
+		r.sleep(backoffDelay(r.cfg, retries, jitter))
+	}
 }
