@@ -29,11 +29,15 @@
 #   make bench-diff - rerun the nnbench suite and fail when any benchmark's
 #                  ns/op regressed >25% against the committed BENCH_nn.json
 #   make check   - vet + lint + race + full tests: the pre-commit gate
+#   make loc     - line counts per package: non-test .go and .s files, raw and
+#                  code (neither blank nor a // comment line); benchmark/ and
+#                  testdata/ are excluded. The one rule behind every line
+#                  count ROADMAP.md and a simplicity change quote
 #   make sim     - run the default 10-edge scenario comparison
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos chaos-region fuzz-smoke bench bench-diff check sim
+.PHONY: build test vet lint race chaos chaos-region fuzz-smoke bench bench-diff check loc sim
 
 build:
 	$(GO) build ./...
@@ -75,6 +79,19 @@ bench-diff:
 	$(GO) run ./cmd/nnbench -diff BENCH_nn.json
 
 check: vet lint race test
+
+loc:
+	@find . -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' \
+		! -path './benchmark/*' ! -path '*/testdata/*' | sort | xargs awk ' \
+		FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/^\.\//, "", pkg); \
+			lang = FILENAME ~ /\.s$$/ ? "asm" : "go"; \
+			if (!(pkg in seen)) { seen[pkg] = 1; order[++n] = pkg } } \
+		{ raw[pkg, lang]++; raw["total", lang]++ } \
+		!/^[ \t]*($$|\/\/)/ { code[pkg, lang]++; code["total", lang]++ } \
+		END { order[++n] = "total"; \
+			printf "%-32s %8s %8s %8s %8s\n", "package", "go raw", "go code", "asm raw", "asm code"; \
+			for (i = 1; i <= n; i++) { p = order[i]; \
+				printf "%-32s %8d %8d %8d %8d\n", p, raw[p, "go"], code[p, "go"], raw[p, "asm"], code[p, "asm"] } }'
 
 sim:
 	$(GO) run ./cmd/carbonsim

@@ -12,6 +12,7 @@ import (
 	"github.com/carbonedge/carbonedge/internal/dataset"
 	"github.com/carbonedge/carbonedge/internal/figures"
 	"github.com/carbonedge/carbonedge/internal/models"
+	"github.com/carbonedge/carbonedge/internal/nn"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/sim"
 	"github.com/carbonedge/carbonedge/internal/trading"
@@ -193,7 +194,8 @@ func BenchmarkFullScenarioRun(b *testing.B) {
 }
 
 // BenchmarkNNForward measures one forward pass of the largest MNIST-family
-// network, the unit of inference work behind the per-sample energy numbers.
+// network (the batched path at batch 1), the unit of inference work behind
+// the per-sample energy numbers.
 func BenchmarkNNForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ds, err := dataset.Generate(dataset.MNISTLike, 2, 2, rng)
@@ -208,9 +210,13 @@ func BenchmarkNNForward(b *testing.B) {
 	}
 	net := zoo.Network(1) // cnn-l
 	x := ds.Test[0].X
+	in := &nn.Tensor{Shape: append([]int{1}, x.Shape...), Data: x.Data}
+	arena := nn.NewArena()
+	net.ForwardBatch(in, arena) // warm the arena: steady state is 0 allocs
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x)
+		arena.Reset()
+		net.ForwardBatch(in, arena)
 	}
 }

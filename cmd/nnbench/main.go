@@ -262,18 +262,22 @@ func benchGEMM(b *testing.B) {
 }
 
 // benchConvForward mirrors internal/nn's BenchmarkConvForward: the im2col
-// conv layer at the CNN family's mid-layer shape.
+// conv layer at the CNN family's mid-layer shape, through the batched path
+// every binary runs (batch 1).
 func benchConvForward(b *testing.B) {
 	rng := numeric.SplitRNG(4, "nnbench-conv")
 	conv := nn.NewConv2D(6, 16, 5, rng)
-	in := nn.NewTensor(6, 14, 14)
+	in := nn.NewTensor(1, 6, 14, 14)
 	for i := range in.Data {
 		in.Data[i] = rng.NormFloat64()
 	}
+	arena := nn.NewArena()
+	conv.ForwardBatch(in, arena) // warm the arena: steady state is 0 allocs
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.Forward(in)
+		arena.Reset()
+		conv.ForwardBatch(in, arena)
 	}
 }
 

@@ -323,10 +323,25 @@ func TestNNRuntimeErrors(t *testing.T) {
 	if err := rt.LoadModel(5, nil); err == nil {
 		t.Error("expected error for out-of-range model")
 	}
-	if err := rt.LoadModel(0, nil); err == nil {
+	if err := rt.LoadModel(0, []byte{1}); err == nil {
 		t.Error("expected error from failing builder")
 	}
 	if _, err := rt.RunSlot(0, 0); err == nil {
 		t.Error("expected error for never-downloaded model")
+	}
+	// A switch that ships no weights is only valid for a cached model: model
+	// 0 is installed, model 1 never was, and its architecture's fresh
+	// initialisation must not be installed in its place.
+	for _, int8Mode := range []bool{false, true} {
+		rt := benchRuntime(t, int8Mode)
+		if err := rt.LoadModel(0, nil); err != nil {
+			t.Errorf("int8=%v: empty checkpoint over a cached copy: %v", int8Mode, err)
+		}
+		if err := rt.LoadModel(1, nil); err == nil || !strings.Contains(err.Error(), "model 1") {
+			t.Errorf("int8=%v: err = %v, want an error naming model 1", int8Mode, err)
+		}
+		if _, err := rt.RunSlot(0, 1); err == nil {
+			t.Errorf("int8=%v: the failed load installed model 1", int8Mode)
+		}
 	}
 }

@@ -321,7 +321,8 @@ func (r *NNRuntime) Welcome(models []ModelMeta) error {
 }
 
 // LoadModel implements Runtime: rebuild the architecture and install the
-// shipped weights.
+// shipped weights. An empty checkpoint is valid only for a model the runtime
+// already holds a copy of.
 func (r *NNRuntime) LoadModel(modelID int, checkpoint []byte) error {
 	if modelID < 0 || modelID >= len(r.metas) {
 		return fmt.Errorf("deploy: model id %d out of range", modelID)
@@ -329,14 +330,17 @@ func (r *NNRuntime) LoadModel(modelID int, checkpoint []byte) error {
 	if _, ok := r.loaded[modelID]; ok && len(checkpoint) == 0 && (!r.Int8 || r.qloaded[modelID] != nil) {
 		return nil // cached copy, nothing shipped
 	}
+	if len(checkpoint) == 0 {
+		// Installing BuildNet's fresh initialisation would serve random
+		// weights and report their loss as the model's.
+		return fmt.Errorf("deploy: model %d switched in without weights and no cached copy", modelID)
+	}
 	net, err := r.BuildNet(modelID)
 	if err != nil {
 		return err
 	}
-	if len(checkpoint) > 0 {
-		if err := nn.ReadWeights(bytes.NewReader(checkpoint), net); err != nil {
-			return err
-		}
+	if err := nn.ReadWeights(bytes.NewReader(checkpoint), net); err != nil {
+		return err
 	}
 	if r.Int8 {
 		// Quantize the shipped float weights at install time and compile the

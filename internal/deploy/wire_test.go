@@ -217,6 +217,25 @@ func TestEdgeSessionSeesAbortBehindAssign(t *testing.T) {
 	}
 }
 
+// TestEdgeSessionSwitchWithoutWeights: an Assign switches the edge to a model
+// it holds no copy of and carries no weights. The real runtime has nothing to
+// install, so the edge must answer with an Error frame — never a Report
+// scored on an uninitialised network.
+func TestEdgeSessionSwitchWithoutWeights(t *testing.T) {
+	conn := &scriptConn{segments: [][]byte{
+		frameOf(t, &Message{Type: MsgWelcome, EdgeID: 0, NumModels: 2, Models: []ModelMeta{{Name: "a"}, {Name: "b"}}, ResumeToken: "tok"}),
+		frameOf(t, &Message{Type: MsgAssign, Slot: 0, ModelID: 1, Switch: true}),
+	}}
+	err := RunEdge(conn, 0, benchRuntime(t, false)) // holds model 0 only
+	if err == nil || !strings.Contains(err.Error(), "load model 1") {
+		t.Fatalf("RunEdge: err = %v, want the failed load of model 1", err)
+	}
+	sent := conn.sent(t)
+	if len(sent) != 2 || sent[0].Type != MsgHello || sent[1].Type != MsgError || !strings.Contains(sent[1].Reason, "model 1") {
+		t.Fatalf("edge sent %+v, want Hello then an Error naming model 1", sent)
+	}
+}
+
 // TestEdgeSessionResumeReplaysCachedReport: a report write dies mid-frame,
 // the edge redials, and the cloud re-assigns the slot. The answer must be the
 // cached report — the slot is not served twice — and it must be intact: the

@@ -104,7 +104,7 @@ func quantizedFromBase(cfg TrainedZooConfig, base *TrainedZoo, rng *rand.Rand) (
 		z.qweights[n+i] = qw
 		z.infos = append(z.infos, Info{
 			Name:           q.Name,
-			SizeBytes:      nn.QuantizedWireSize(q),
+			SizeBytes:      qw.WireSize(),
 			PhiKWh:         base.infos[i].PhiKWh * quantEnergyFactor,
 			BaseLatencySec: base.infos[i].BaseLatencySec * quantLatencyFactor,
 		})

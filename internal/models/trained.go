@@ -161,10 +161,9 @@ func NewTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, error) {
 	// per-epoch sample shuffles, so every shuffle's swap sequence is
 	// pre-recorded here in the serial loop's exact draw order and replayed
 	// inside the workers. Each model's arithmetic is otherwise independent
-	// (family nets share no state; dropout masks, where present, come from
-	// layer-owned RNGs), so the trained weights, the score caches, and the
-	// RNG state handed back to the caller all match the serial build bit for
-	// bit regardless of scheduling.
+	// (family nets share no state), so the trained weights, the score caches,
+	// and the RNG state handed back to the caller all match the serial build
+	// bit for bit regardless of scheduling.
 	swaps := make([][][][2]int, len(nets)) // [model][epoch][]{i, j}
 	for n := range nets {
 		swaps[n] = make([][][2]int, cfg.Epochs)

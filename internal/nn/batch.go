@@ -30,49 +30,12 @@ func (n *Network) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 
 // ForwardBatchTrain runs all layers on a batch in training mode, recording
 // per-layer backward state in the arena (valid until its next Reset).
-// Dropout masks are pre-drawn sample-major across the network's dropout
-// layers before any layer runs, so the RNG consumes draws in the per-sample
-// loop's exact (sample, layer) order and batched training stays
-// bit-identical to it even with several dropout layers.
 func (n *Network) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
-	n.predrawDropoutMasks(in, a)
 	out := in
 	for _, l := range n.Layers {
 		out = l.ForwardBatchTrain(out, a)
 	}
 	return out
-}
-
-// predrawDropoutMasks fills every active dropout layer's batch mask in
-// sample-major order. The common no-dropout case is one type check per layer
-// and no allocation.
-func (n *Network) predrawDropoutMasks(in *Tensor, a *Arena) {
-	var drops []*Dropout
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dropout); ok && d.active() {
-			drops = append(drops, d)
-		}
-	}
-	if len(drops) == 0 {
-		return
-	}
-	batch := in.Shape[0]
-	shape := in.Shape[1:]
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dropout); ok && d.active() {
-			feat := 1
-			for _, dim := range shape {
-				feat *= dim
-			}
-			d.allocBatchMask(batch, feat, a)
-		}
-		shape = l.OutShape(shape)
-	}
-	for s := 0; s < batch; s++ {
-		for _, d := range drops {
-			d.drawMaskRow(s)
-		}
-	}
 }
 
 // BackwardBatch propagates a [B, classes] logits-gradient through all layers

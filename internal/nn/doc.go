@@ -7,7 +7,12 @@
 // the model-zoo package derives the paper's model size W_n, per-sample
 // inference energy, and computation latency.
 //
-// The implementation favors clarity and determinism over raw speed: all
-// weight initialization flows from an explicit RNG so that a simulation seed
-// fully reproduces the trained models.
+// Every layer has one reference implementation (per-sample Forward/Backward)
+// and one shipped implementation (the batched ForwardBatch/ForwardBatchTrain/
+// BackwardBatch on the GEMM and SIMD kernels); the equivalence tests pin the
+// two bit for bit, and trainNaive/Train are the same pair one level up.
+//
+// Determinism comes first: every kernel preserves the reference float
+// summation order, and all weight initialization flows from an explicit RNG
+// so that a simulation seed fully reproduces the trained models.
 package nn

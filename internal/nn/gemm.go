@@ -11,8 +11,8 @@ package nn
 // output element accumulates its K products strictly in index order, one
 // accumulator per element, which makes the float summation sequence — and
 // therefore every result file derived from it — bit-for-bit identical to
-// the naive loops these kernels replaced (batch_equiv_test.go pins this
-// against the retained naive references).
+// the reference loops in Dense.Forward and Conv2D.Forward
+// (batch_equiv_test.go pins the batched path against them).
 
 // GemmNTBiasJ computes out[i*n+j] = bias[j] + sum_k a[i*k+p]*b[j*k+p] for
 // an m-by-k matrix a and an n-by-k matrix b, both row-major. It is the
@@ -131,23 +131,18 @@ func GemmNTBiasI(out, a, b, bias []float64, m, n, k int) {
 	}
 }
 
-// GemmNNBiasI computes out[i*n+j] = bias[i] + sum_c a[i*k+c]*bt[c*n+j] for
-// an m-by-k row-major matrix a and a k-by-n row-major matrix bt. It is
-// GemmNTBiasI with the patch matrix pre-transposed (bt = b transposed, see
-// im2colT): every output element still starts from the bias and accumulates
-// its K products strictly in index order, so results are bit-identical to
-// GemmNTBiasI — but adjacent output columns now read adjacent bt elements,
-// so eight columns accumulate side by side in SIMD registers (nnDot8SIMD)
-// without any sum being split or reordered. bias must have length m.
-func GemmNNBiasI(out, a, bt, bias []float64, m, n, k int) {
-	GemmNNBiasILd(out, a, bt, bias, m, n, k, n)
-}
-
-// GemmNNBiasILd is GemmNNBiasI over a column sub-view of a wider bt matrix:
-// bt rows are read at stride ld (>= n), so a batch can pack every sample's
-// im2colT columns side by side and convolve each sample's slice straight
-// into its own output rows. Groups of four output rows go through the 4x8
-// register tile (gemmNNQuadI); the remainder runs row by row.
+// GemmNNBiasILd computes out[i*n+j] = bias[i] + sum_c a[i*k+c]*bt[c*ld+j]
+// for an m-by-k row-major matrix a and a k-row matrix bt read at row stride
+// ld (>= n). It is GemmNTBiasI with the patch matrix pre-transposed (bt = b
+// transposed, see im2colT): every output element still starts from the bias
+// and accumulates its K products strictly in index order, so results are
+// bit-identical to GemmNTBiasI — but adjacent output columns now read
+// adjacent bt elements, so eight columns accumulate side by side in SIMD
+// registers (nnDot8SIMD) without any sum being split or reordered. The
+// stride lets a batch pack every sample's im2colT columns side by side and
+// convolve each sample's slice straight into its own output rows. Groups of
+// four output rows go through the 4x8 register tile (gemmNNQuadI); the
+// remainder runs row by row. bias must have length m.
 func GemmNNBiasILd(out, a, bt, bias []float64, m, n, k, ld int) {
 	i := gemmNNQuadI(out, a, bt, bias, m, n, k, ld)
 	for ; i < m; i++ {
@@ -169,7 +164,7 @@ func GemmNNAccI(out, a, bt []float64, m, n, k, ld int) {
 }
 
 // GemmNNBiasJ computes out[i*n+j] = bias[j] + sum_c a[i*k+c]*bt[c*n+j]: the
-// Dense orientation of GemmNNBiasI, consuming the weight matrix transposed
+// Dense orientation of GemmNNBiasILd, consuming the weight matrix transposed
 // (bt[c*n+j] = w[j*k+c]) so adjacent output units read adjacent elements.
 // Each output's accumulation starts at its bias and walks c strictly
 // ascending — the exact dot sequence of GemmNTBiasJ, so results are
@@ -182,7 +177,7 @@ func GemmNNBiasJ(out, a, bt, bias []float64, m, n, k int) {
 }
 
 // im2colT writes one CHW sample into the transposed patch matrix consumed by
-// GemmNNBiasI: dst[c*ld + off + p] = the c-th element of output pixel p's
+// GemmNNBiasILd: dst[c*ld + off + p] = the c-th element of output pixel p's
 // receptive field, with c in (ic, ky, kx) order and p walking output pixels
 // row-major — the same (p, c) values as im2col, laid out c-major so the GEMM
 // inner loop streams contiguous rows. ld is the row stride (>= off + oh*ow),

@@ -9,12 +9,19 @@ import (
 // Layer is one differentiable stage of a network. Forward consumes an input
 // tensor and produces an output tensor; Backward consumes the gradient of
 // the loss w.r.t. the output and returns the gradient w.r.t. the input,
-// accumulating parameter gradients internally. The per-sample pair
-// (Forward/Backward) and the batched pair (ForwardBatchTrain/BackwardBatch)
-// are bit-for-bit interchangeable: training a minibatch through either path
-// produces identical parameter gradients (train_equiv_test.go pins this).
+// accumulating parameter gradients internally.
+//
+// Every layer has exactly two implementations. The per-sample pair
+// (Forward/Backward) is the reference: one sample at a time, Forward in
+// plain loops. The batched trio (ForwardBatch/ForwardBatchTrain/
+// BackwardBatch) is what the shipped code runs: GEMM and SIMD kernels over
+// arena scratch. The two are bit-for-bit interchangeable — batched
+// inference equals a Forward loop (batch_equiv_test.go) and training a
+// minibatch through either produces identical parameter gradients
+// (train_equiv_test.go).
 type Layer interface {
-	// Forward runs the layer on one sample.
+	// Forward runs the reference implementation on one sample, recording
+	// what Backward needs.
 	Forward(in *Tensor) *Tensor
 	// ForwardBatch runs the layer on a batch laid out [B, d...], one sample
 	// per contiguous row, writing output to arena scratch. It is
@@ -23,7 +30,7 @@ type Layer interface {
 	// inference agree bit for bit at every batch size.
 	ForwardBatch(in *Tensor, a *Arena) *Tensor
 	// ForwardBatchTrain is ForwardBatch recording the per-sample state
-	// BackwardBatch needs (inputs, pooling argmaxes, masks). The recorded
+	// BackwardBatch needs (inputs, pooling argmaxes). The recorded
 	// state lives in the arena or points into it, so it is only valid until
 	// the arena's next Reset — forward, loss, and backward of one minibatch
 	// must share one Reset window.
@@ -79,22 +86,15 @@ func NewDense(inDim, outDim int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward implements Layer.
+// Forward implements Layer: the reference dot-product loops, each output
+// starting from its bias and adding its products in index order — the float
+// summation sequence the equivalence tests pin ForwardBatch's kernels to.
 func (d *Dense) Forward(in *Tensor) *Tensor {
 	if in.Len() != d.InDim {
-		//lint:allow panicpolicy Layer.Forward hot path: a shape mismatch is a programmer error and the interface has no error channel
+		//lint:allow panicpolicy Layer.Forward: a shape mismatch is a programmer error and the interface has no error channel
 		panic(fmt.Sprintf("nn: Dense expected %d inputs, got %d", d.InDim, in.Len()))
 	}
 	d.lastIn = in
-	out := NewTensor(d.OutDim)
-	GemmNTBiasJ(out.Data, in.Data, d.w.Data, d.b.Data, 1, d.OutDim, d.InDim)
-	return out
-}
-
-// forwardNaive is the pre-GEMM reference implementation, retained so the
-// equivalence tests can pin the kernel's float summation sequence to it bit
-// for bit.
-func (d *Dense) forwardNaive(in *Tensor) *Tensor {
 	out := NewTensor(d.OutDim)
 	for o := 0; o < d.OutDim; o++ {
 		row := d.w.Data[o*d.InDim : (o+1)*d.InDim]
@@ -222,13 +222,6 @@ type Conv2D struct {
 	w, b   *Tensor // w: [OutC, InC, K, K]
 	gw, gb *Tensor
 	lastIn *Tensor
-	// fwd is the layer-owned arena backing single-sample Forward's im2col
-	// scratch AND its output tensor (training shares a network per caller,
-	// never across goroutines); grow-only, so steady-state forwards perform
-	// zero heap allocations. The returned output is therefore only valid
-	// until the layer's next Forward call — every in-repo consumer (the next
-	// layer's Forward, loss helpers) reads it immediately.
-	fwd Arena
 	// lastColBatch is the im2col batch recorded by ForwardBatchTrain for the
 	// weight-gradient accumulation in BackwardBatch; it points into the
 	// caller's arena and is valid until that arena's next Reset.
@@ -256,43 +249,16 @@ func NewConv2D(inC, outC, k int, rng *rand.Rand) *Conv2D {
 	return c
 }
 
-func (c *Conv2D) wAt(oc, ic, ky, kx int) float64 {
-	return c.w.Data[((oc*c.InC+ic)*c.K+ky)*c.K+kx]
-}
-
-func (c *Conv2D) gwAdd(oc, ic, ky, kx int, v float64) {
-	c.gw.Data[((oc*c.InC+ic)*c.K+ky)*c.K+kx] += v
-}
-
-// Forward implements Layer: transposed im2col then one NN-form GEMM. The
-// patch order matches the naive loop's (ic, ky, kx) accumulation order and
-// the GEMM never splits the K dimension, so the output is bit-for-bit
-// identical to forwardNaive (pinned by the equivalence tests). Output and
-// scratch live in the layer-owned arena: the returned tensor is valid until
-// the next Forward call on this layer, and steady-state calls do not
-// allocate.
+// Forward implements Layer: the reference convolution loops. Each output
+// pixel starts from its channel's bias and adds its receptive field in
+// (ic, ky, kx) order — the float summation sequence the equivalence tests
+// pin ForwardBatch's im2col+GEMM to.
 func (c *Conv2D) Forward(in *Tensor) *Tensor {
 	if len(in.Shape) != 3 || in.Shape[0] != c.InC {
-		//lint:allow panicpolicy Layer.Forward hot path: a shape mismatch is a programmer error and the interface has no error channel
+		//lint:allow panicpolicy Layer.Forward: a shape mismatch is a programmer error and the interface has no error channel
 		panic(fmt.Sprintf("nn: Conv2D expected [%d,H,W], got %v", c.InC, in.Shape))
 	}
 	c.lastIn = in
-	h, w := in.Shape[1], in.Shape[2]
-	oh, ow := h-c.K+1, w-c.K+1
-	kk := c.InC * c.K * c.K
-	np := oh * ow
-	c.fwd.Reset()
-	out := c.fwd.Tensor(c.OutC, oh, ow)
-	colT := c.fwd.Floats(np * kk)
-	im2colT(colT, 0, np, in.Data, c.InC, h, w, c.K, oh, ow)
-	GemmNNBiasI(out.Data, c.w.Data, colT, c.b.Data, c.OutC, np, kk)
-	return out
-}
-
-// forwardNaive is the pre-im2col reference implementation, retained so the
-// equivalence tests can pin the kernel's float summation sequence to it bit
-// for bit.
-func (c *Conv2D) forwardNaive(in *Tensor) *Tensor {
 	h, w := in.Shape[1], in.Shape[2]
 	oh, ow := h-c.K+1, w-c.K+1
 	out := NewTensor(c.OutC, oh, ow)
@@ -321,8 +287,9 @@ func (c *Conv2D) forwardNaive(in *Tensor) *Tensor {
 // are packed side by side into one wide matrix, and each sample's column
 // slice is convolved straight into its own [OutC, oh, ow] output rows with
 // the strided NN-form GEMM (GemmNNBiasILd) — no intermediate scratch or
-// permutation pass. Each output element's accumulation sequence is unchanged
-// from the per-sample GEMM, so outputs stay bit-identical.
+// permutation pass. The patch order is Forward's (ic, ky, kx) accumulation
+// order and the GEMM never splits the K dimension, so outputs are bit-for-bit
+// Forward's.
 func (c *Conv2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	if len(in.Shape) != 4 || in.Shape[1] != c.InC {
 		//lint:allow panicpolicy Layer.ForwardBatch hot path: a shape mismatch is a programmer error and the interface has no error channel

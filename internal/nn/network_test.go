@@ -170,7 +170,7 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
-func TestTrainWithSquaredLossConverges(t *testing.T) {
+func TestTrainSquaredLossConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	net := NewNetwork("sq", []int{2},
 		NewDense(2, 8, rng),

@@ -143,8 +143,8 @@ func clampRoundInt8(v float64) int8 {
 // static activation scale per layer boundary (maxAbs/127, zero->one
 // fallback). Weight scales come from qw; biases are read from net's float
 // tensors in accumulator units. Supported layers are the inference set
-// (Conv2D, Dense, ReLU, MaxPool2D, Flatten, inference-identity Dropout)
-// and the final layer must be Dense — every zoo architecture qualifies.
+// (Conv2D, Dense, ReLU, MaxPool2D, Flatten) and the final layer must be
+// Dense — every zoo architecture qualifies.
 func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*QuantizedNetwork, error) {
 	inShape := net.InShape()
 	if len(calib.Shape) != len(inShape)+1 || calib.Shape[0] < 1 {
@@ -268,9 +268,6 @@ func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*Qu
 			op.oh, op.ow = outShape[1], outShape[2]
 		case *Flatten:
 			shape = outShape // activations are already flat CHW rows
-			continue
-		case *Dropout:
-			shape = outShape // identity at inference
 			continue
 		default:
 			return nil, fmt.Errorf("nn: layer %d of %q (%T) has no INT8 lowering", li, net.Name, l)

@@ -132,17 +132,6 @@ func ReadQuantized(r io.Reader, net *Network) error {
 	return nil
 }
 
-// QuantizedWireSize returns the quantized checkpoint size in bytes.
-func QuantizedWireSize(net *Network) int64 {
-	size := int64(12) // magic + version + count
-	for _, l := range net.Layers {
-		for _, p := range l.Params() {
-			size += 4 + 4 + int64(p.Len()) // scale + len + int8 data
-		}
-	}
-	return size
-}
-
 // QuantizeInPlace replaces the network's weights with their int8
 // dequantized values, measuring the quality impact of serving the
 // quantized model directly. It is QuantizeWeights followed by ApplyTo —

@@ -45,13 +45,28 @@ func TestQuantizedSizeIsQuarter(t *testing.T) {
 	if err := WriteQuantized(&qbuf, net); err != nil {
 		t.Fatal(err)
 	}
-	if int64(qbuf.Len()) != QuantizedWireSize(net) {
-		t.Errorf("payload %d != QuantizedWireSize %d", qbuf.Len(), QuantizedWireSize(net))
+	if want := QuantizeWeights(net).WireSize(); int64(qbuf.Len()) != want {
+		t.Errorf("payload %d != WireSize %d", qbuf.Len(), want)
 	}
 	ratio := float64(qbuf.Len()) / float64(fbuf.Len())
 	if ratio > 0.30 {
 		t.Errorf("quantized/float32 size ratio = %v, want ~0.25", ratio)
 	}
+}
+
+// separableData builds a small linearly separable binary problem.
+func separableData(rng *rand.Rand, n int) []Sample {
+	samples := make([]Sample, 0, n)
+	for i := 0; i < n; i++ {
+		label := i % 2
+		off := float64(label*2 - 1)
+		x, err := FromSlice([]float64{off + rng.NormFloat64()*0.3, off + rng.NormFloat64()*0.3}, 2)
+		if err != nil {
+			panic(err)
+		}
+		samples = append(samples, Sample{X: x, Label: label})
+	}
+	return samples
 }
 
 func TestQuantizeInPlacePreservesBehavior(t *testing.T) {

@@ -112,7 +112,7 @@ func (qw *QuantizedWeights) ParamBytes() int64 {
 }
 
 // WireSize returns the serialized size of the CEQ8 wire format for these
-// tensors — identical to QuantizedWireSize of the source network.
+// tensors: the byte count WriteQuantized emits for the source network.
 func (qw *QuantizedWeights) WireSize() int64 {
 	size := int64(12) // magic + version + count
 	for _, t := range qw.Tensors {

@@ -128,7 +128,7 @@ func TestGemmNNMatchesGemmNT(t *testing.T) {
 		wantI := make([]float64, m*n)
 		gotI := make([]float64, m*n)
 		GemmNTBiasI(wantI, a, b, biasI, m, n, k)
-		GemmNNBiasI(gotI, a, bt, biasI, m, n, k)
+		GemmNNBiasILd(gotI, a, bt, biasI, m, n, k, n)
 		wantJ := make([]float64, m*n)
 		gotJ := make([]float64, m*n)
 		GemmNTBiasJ(wantJ, a, b, biasJ, m, n, k)

@@ -40,9 +40,9 @@ type TrainConfig struct {
 //
 // Whole minibatches flow through the batched GEMM path
 // (ForwardBatchTrain/BackwardBatch on one arena); the result is bit-for-bit
-// identical to the retained per-sample reference loop (trainNaive) — same
-// shuffle draws, same dropout mask draws, same gradient and loss bits
-// (train_equiv_test.go pins the serialized trained weights byte-identical).
+// identical to the per-sample reference loop (trainNaive) — same shuffle
+// draws, same gradient and loss bits (train_equiv_test.go pins the
+// serialized trained weights byte-identical).
 func Train(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand) (float64, error) {
 	return TrainShuffled(net, samples, cfg, rng.Shuffle)
 }
@@ -53,6 +53,14 @@ func Train(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand) (flo
 // from one shared stream so the models can then train in parallel — replay
 // the recorded draw sequence here; the result is bit-identical to Train with
 // the rng the shuffles were drawn from.
+//
+// Per batch it assembles the shuffled samples into one [B, sampleShape...]
+// arena tensor, runs ForwardBatchTrain, computes per-row losses and logit
+// gradients, back-propagates the whole batch, and applies one SGD step.
+// Bit-identity to the per-sample loop is preserved by construction: the
+// shuffle is the caller's, the epoch loss accumulates row by row in shuffled
+// sample order (never via batch partial sums), and every layer's
+// BackwardBatch replays the per-sample gradient add sequence.
 func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func(n int, swap func(i, j int))) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: no training samples")
@@ -66,28 +74,6 @@ func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func
 	if cfg.LRDecay == 0 {
 		cfg.LRDecay = 1
 	}
-	lr := cfg.LR
-	return trainBatched(net, samples, cfg, shuffle,
-		func(batch float64) { net.Step(lr, batch) },
-		func() { lr *= cfg.LRDecay })
-}
-
-// trainBatched is the shared minibatch engine behind Train and TrainWith.
-// Per batch it assembles the shuffled samples into one [B, sampleShape...]
-// arena tensor, runs ForwardBatchTrain, computes per-row losses and logit
-// gradients, back-propagates the whole batch, and hands the minibatch size
-// to step (which applies the update and clears gradients).
-//
-// Bit-identity to the per-sample loop is preserved by construction: the
-// shuffle is the caller's, dropout masks pre-draw in (sample, layer) order,
-// the epoch loss accumulates row by row in shuffled sample order (never via
-// batch partial sums), and every layer's BackwardBatch replays the
-// per-sample gradient add sequence.
-func trainBatched(net *Network, samples []Sample, cfg TrainConfig,
-	shuffle func(n int, swap func(i, j int)),
-	step func(batch float64),
-	afterEpoch func(),
-) (float64, error) {
 	sampleLen := samples[0].X.Len()
 	for i := range samples {
 		if samples[i].X.Len() != sampleLen {
@@ -100,9 +86,8 @@ func trainBatched(net *Network, samples []Sample, cfg TrainConfig,
 	for i := range idx {
 		idx[i] = i
 	}
-	net.SetTraining(true)
-	defer net.SetTraining(false)
 	a := NewArena()
+	lr := cfg.LR
 	lastAvg := 0.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -132,22 +117,20 @@ func trainBatched(net *Network, samples []Sample, cfg TrainConfig,
 				}
 			}
 			net.BackwardBatch(grad, a)
-			step(float64(b))
+			net.Step(lr, float64(b))
 		}
 		lastAvg = totalLoss / float64(len(idx))
 		if cfg.OnEpoch != nil {
 			cfg.OnEpoch(epoch, lastAvg)
 		}
-		if afterEpoch != nil {
-			afterEpoch()
-		}
+		lr *= cfg.LRDecay
 	}
 	return lastAvg, nil
 }
 
-// trainNaive is the original one-sample-at-a-time SGD loop, retained
-// verbatim as the reference implementation the equivalence tests pin the
-// batched path against (serialized trained weights must match byte for
+// trainNaive is the one-sample-at-a-time SGD loop over the layers'
+// reference Forward/Backward: the reference implementation the equivalence
+// tests pin Train against (serialized trained weights must match byte for
 // byte).
 func trainNaive(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand) (float64, error) {
 	if len(samples) == 0 {
@@ -167,8 +150,6 @@ func trainNaive(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand)
 	for i := range idx {
 		idx[i] = i
 	}
-	net.SetTraining(true)
-	defer net.SetTraining(false)
 	lr := cfg.LR
 	lastAvg := 0.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {

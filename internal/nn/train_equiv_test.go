@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// Training equivalence suite: batched minibatch SGD (Train/TrainWith over
+// Training equivalence suite: batched minibatch SGD (Train over
 // ForwardBatchTrain/BackwardBatch) must produce bit-identical trained
-// weights to the retained per-sample reference loop (trainNaive) — same
-// float64 parameter bits AND byte-identical serialized checkpoints — for
-// every family architecture, both loss kinds, and dropout-bearing nets.
+// weights to the per-sample reference loop (trainNaive) — same float64
+// parameter bits AND byte-identical serialized checkpoints — for every
+// family architecture and both loss kinds.
 
 // trainCase pairs an architecture builder with a deterministic init seed.
 // Builders cover every constructor buildFamily (internal/models) uses, both
@@ -33,19 +33,6 @@ func trainFamily() []trainCase {
 		{"mlp-l", func(rng *rand.Rand) *Network { return BuildMLP("mlp-l", in, 256, 128, k, rng) }},
 		{"mobile-s", func(rng *rand.Rand) *Network { return BuildMobileCNN("mobile-s", in, 4, 8, k, rng) }},
 		{"mobile-l", func(rng *rand.Rand) *Network { return BuildMobileCNN("mobile-l", in, 16, 32, k, rng) }},
-		{"mlp-layernorm", func(rng *rand.Rand) *Network {
-			ln, err := NewLayerNorm(64)
-			if err != nil {
-				panic(err)
-			}
-			return NewNetwork("mlp-layernorm", in,
-				NewFlatten(),
-				NewDense(400, 64, rng),
-				ln,
-				NewReLU(),
-				NewDense(64, k, rng),
-			)
-		}},
 	}
 }
 
@@ -114,98 +101,6 @@ func lossName(l LossKind) string {
 	return "xent"
 }
 
-// TestTrainDropoutBatchedMatchesNaive covers the RNG-ordering contract:
-// dropout masks must be drawn in the per-sample loop's (sample, layer)
-// order, including when two dropout layers share one RNG stream.
-func TestTrainDropoutBatchedMatchesNaive(t *testing.T) {
-	in := []int{1, 12, 12}
-	builders := []struct {
-		name  string
-		build func(initRng, dropRng *rand.Rand) *Network
-	}{
-		{"dense-two-dropouts", func(initRng, dropRng *rand.Rand) *Network {
-			d1, err := NewDropout(0.3, dropRng)
-			if err != nil {
-				panic(err)
-			}
-			d2, err := NewDropout(0.5, dropRng)
-			if err != nil {
-				panic(err)
-			}
-			return NewNetwork("dense-two-dropouts", in,
-				NewFlatten(),
-				NewDense(144, 48, initRng),
-				NewReLU(),
-				d1,
-				NewDense(48, 24, initRng),
-				NewReLU(),
-				d2,
-				NewDense(24, 10, initRng),
-			)
-		}},
-		{"conv-dropout", func(initRng, dropRng *rand.Rand) *Network {
-			d1, err := NewDropout(0.25, dropRng)
-			if err != nil {
-				panic(err)
-			}
-			conv := NewConv2D(1, 6, 3, initRng)
-			front := []Layer{conv, NewReLU(), NewMaxPool2D(), NewFlatten()}
-			flat := flattenDim(in, front...)
-			layers := append(front, d1, NewDense(flat, 10, initRng))
-			return NewNetwork("conv-dropout", in, layers...)
-		}},
-	}
-	for _, b := range builders {
-		for _, loss := range []LossKind{LossCrossEntropy, LossSquared} {
-			samples := randSamples(rand.New(rand.NewSource(71)), 19, in, 10)
-			cfg := TrainConfig{Epochs: 2, BatchSize: 5, LR: 0.1, Loss: loss}
-
-			naiveNet := b.build(rand.New(rand.NewSource(72)), rand.New(rand.NewSource(73)))
-			batchNet := b.build(rand.New(rand.NewSource(72)), rand.New(rand.NewSource(73)))
-			naiveAvg, err := trainNaive(naiveNet, samples, cfg, rand.New(rand.NewSource(74)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchAvg, err := Train(batchNet, samples, cfg, rand.New(rand.NewSource(74)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := b.name + "/" + lossName(loss)
-			if math.Float64bits(naiveAvg) != math.Float64bits(batchAvg) {
-				t.Fatalf("%s: final avg loss %v (batched) != %v (naive)", name, batchAvg, naiveAvg)
-			}
-			paramsBitsEqual(t, name, batchNet, naiveNet)
-		}
-	}
-}
-
-// TestTrainWithBatchedMatchesNaive pins TrainWith's rewired engine: with a
-// plain SGD optimizer it must reproduce trainNaive (constant LR) exactly.
-func TestTrainWithBatchedMatchesNaive(t *testing.T) {
-	in := []int{1, 20, 20}
-	samples := randSamples(rand.New(rand.NewSource(81)), 26, in, 10)
-	cfg := TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.05, Loss: LossCrossEntropy}
-
-	naiveNet := BuildCNN("cnn", in, 4, 8, 16, 10, rand.New(rand.NewSource(82)))
-	batchNet := BuildCNN("cnn", in, 4, 8, 16, 10, rand.New(rand.NewSource(82)))
-	naiveAvg, err := trainNaive(naiveNet, samples, cfg, rand.New(rand.NewSource(83)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := NewSGD(cfg.LR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchAvg, err := TrainWith(batchNet, samples, cfg, opt, rand.New(rand.NewSource(83)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(naiveAvg) != math.Float64bits(batchAvg) {
-		t.Fatalf("final avg loss %v (TrainWith) != %v (naive)", batchAvg, naiveAvg)
-	}
-	paramsBitsEqual(t, "trainwith-sgd", batchNet, naiveNet)
-}
-
 // evaluateNaive is the historical per-sample Evaluate loop, retained as the
 // reference the batched Evaluate is pinned against.
 func evaluateNaive(net *Network, samples []Sample) (accuracy, meanSquaredLoss float64) {
@@ -239,20 +134,6 @@ func TestEvaluateMatchesNaiveBitForBit(t *testing.T) {
 	}
 	if acc, loss := Evaluate(zooForTest(rng)[0], nil); acc != 0 || loss != 0 {
 		t.Fatalf("empty evaluation = (%v, %v), want (0, 0)", acc, loss)
-	}
-}
-
-// TestConvForwardZeroAllocsSteadyState pins the satellite win: after the
-// warm-up call, Conv2D.Forward serves output and im2col scratch from the
-// layer-owned arena with zero heap allocations.
-func TestConvForwardZeroAllocsSteadyState(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	conv := NewConv2D(6, 16, 5, rng)
-	in := randTensor(rng, 6, 14, 14)
-	conv.Forward(in)
-	allocs := testing.AllocsPerRun(100, func() { conv.Forward(in) })
-	if allocs > 0 {
-		t.Fatalf("steady-state Conv2D.Forward allocates %.1f/op, want 0", allocs)
 	}
 }
 
