@@ -82,3 +82,35 @@ func TestFiguresMatchCommittedGolden(t *testing.T) {
 			"`go run ./cmd/benchgen -runs 3 -out results/figures.txt`.")
 	}
 }
+
+// TestAblationsMatchCommittedGolden regenerates every ablation at the
+// committed options (benchgen -ablation all -runs 3, the invocation that
+// produced results/ablations.txt) and requires the rendered tables to be
+// byte-identical to the committed file. AblSubstrate trains a small zoo, so
+// this is also the one results/ golden that crosses internal/nn's training
+// kernels.
+func TestAblationsMatchCommittedGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerating the ablations runs four simulation sweeps and trains a zoo")
+	}
+	golden, err := os.ReadFile("../../results/ablations.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Runs: 3, Seed: 1, Edges: 10, Horizon: 160}
+	gens := Ablations()
+	var b strings.Builder
+	for _, name := range AblationNames() {
+		fig, err := gens[name](opts)
+		if err != nil {
+			t.Fatalf("ablation %s: %v", name, err)
+		}
+		b.WriteString(Render(fig))
+		b.WriteString("\n")
+	}
+	if got := b.String(); got != string(golden) {
+		t.Fatalf("regenerated ablations diverged from the committed results/ablations.txt;\n"+
+			"if the change is intentional, regenerate with "+
+			"`go run ./cmd/benchgen -ablation all -runs 3 -out results/ablations.txt`.\nregenerated:\n%s", got)
+	}
+}
