@@ -87,7 +87,7 @@ func run(args []string, stdout io.Writer) error {
 		{"Fig12Regen", benchFig12},
 	}
 	// One micro-benchmark per INT8 kernel tier available on this host
-	// (generic reference, then sse2/avx2/vnni on amd64 or neon on arm64).
+	// (generic reference, then avx2/vnni on amd64 or neon on arm64).
 	// Dispatch always runs the fastest tier, which would hide a regression in
 	// any slower one; benching every tier keeps each kernel's own trajectory
 	// visible in BENCH_nn.json. The entry set is host-dependent by design —

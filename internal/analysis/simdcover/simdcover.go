@@ -2,10 +2,14 @@
 // assembly-declared kernel (a bodyless func declaration, e.g. in
 // simd_amd64.go) must be covered twice:
 //
-//   - a generic fallback with an identical signature must exist in a
-//     build-tag-excluded file of the same package (simd_generic.go), so
-//     non-amd64 builds keep the kernel semantics — names may differ, since
-//     kernels dispatch through wrappers (axpyAVX2 falls back to axpySIMD);
+//   - a generic fallback — a bodied function with an identical signature —
+//     must exist in the same package, either in a file built on every
+//     architecture (no build constraint, no GOOS/GOARCH file-name suffix:
+//     simd_portable.go's axpyGo covers axpyAVX2; the stronger guarantee,
+//     since every build then compiles the very same loop) or in a
+//     build-tag-excluded file (simd_generic.go), so other builds keep the
+//     kernel semantics — names may differ, since kernels dispatch through
+//     wrappers;
 //   - some simd*_test.go in the package must reference the kernel by name,
 //     pinning it against the scalar reference bit for bit.
 //
@@ -13,9 +17,10 @@
 // current build excludes (an arm64 NEON tier analyzed from an amd64 host,
 // and vice versa) are raw-parsed from disk and held to the same two rules,
 // so adding a tier for another architecture cannot silently skip the
-// contract. An excluded kernel's fallback must live in a different file
-// than the kernel's own declaration file — a dispatch wrapper beside the
-// declaration is part of the same excluded build, not a fallback.
+// contract. An excluded kernel's build-tagged fallback must live in a
+// different file than the kernel's own declaration file — a dispatch wrapper
+// beside the declaration is part of the same excluded build, not a fallback
+// (a file built everywhere is never the kernel's own).
 //
 // The analyzer reads the excluded files and test files straight from disk
 // (they are, by construction, outside the loaded build), compares
@@ -30,6 +35,8 @@ package simdcover
 import (
 	"bytes"
 	"go/ast"
+	"go/build"
+	"go/build/constraint"
 	"go/parser"
 	"go/printer"
 	"go/token"
@@ -43,15 +50,19 @@ import (
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "simdcover",
-	Doc: "every asm-declared kernel needs a build-tagged generic fallback with " +
-		"an identical signature and a simd*_test.go reference pinning bit-for-bit " +
-		"equivalence with the scalar semantics",
+	Doc: "every asm-declared kernel needs a generic fallback with an identical " +
+		"signature (in a file built on every architecture, or a build-tagged " +
+		"one) and a simd*_test.go reference pinning bit-for-bit equivalence " +
+		"with the scalar semantics",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
 	var kernels []*ast.FuncDecl
 	loaded := make(map[string]bool)
+	// portable holds the signatures of the bodied functions declared in
+	// loaded files that every architecture builds.
+	portable := make(map[string]bool)
 	dir := ""
 	for _, f := range pass.Files {
 		name := pass.Fset.Position(f.Pos()).Filename
@@ -59,9 +70,16 @@ func run(pass *analysis.Pass) (any, error) {
 		if dir == "" {
 			dir = filepath.Dir(name)
 		}
+		everywhere := builtEverywhere(name, f)
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body == nil {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fd.Body == nil {
 				kernels = append(kernels, fd)
+			} else if everywhere && fd.Recv == nil {
+				portable[renderFuncType(fd.Type)] = true
 			}
 		}
 	}
@@ -78,9 +96,9 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	for _, fd := range kernels {
 		sig := renderFuncType(fd.Type)
-		if len(scan.fallbacks[sig]) == 0 {
+		if !portable[sig] && len(scan.fallbacks[sig]) == 0 {
 			pass.Reportf(fd.Pos(),
-				"asm-declared %s has no build-tagged generic fallback with signature %s; non-amd64 builds lose the kernel semantics",
+				"asm-declared %s has no generic fallback with signature %s, neither in a file built on every architecture nor in a build-tagged one; other builds lose the kernel semantics",
 				fd.Name.Name, sig)
 		}
 		if !scan.testIdents[fd.Name.Name] {
@@ -91,9 +109,9 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	for _, k := range scan.kernels {
 		sig := renderFuncType(k.decl.Type)
-		if !fallbackOutside(scan.fallbacks[sig], k.file) {
+		if !portable[sig] && !fallbackOutside(scan.fallbacks[sig], k.file) {
 			pass.Reportf(k.decl.Pos(),
-				"asm-declared %s (excluded from this build) has no build-tagged generic fallback with signature %s outside its own file; other-architecture builds lose the kernel semantics",
+				"asm-declared %s (excluded from this build) has no generic fallback with signature %s outside its own file, neither in a file built on every architecture nor in a build-tagged one; other-architecture builds lose the kernel semantics",
 				k.decl.Name.Name, sig)
 		}
 		if !scan.testIdents[k.decl.Name.Name] {
@@ -103,6 +121,33 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	return nil, nil
+}
+
+// builtEverywhere reports whether a loaded file is part of the package on
+// every GOOS/GOARCH: it carries no build constraint line, and its name
+// carries no implicit one. The name test needs no table of known platforms —
+// a _GOOS/_GOARCH suffix matches at most one GOOS and one GOARCH, so a name
+// that go/build accepts under two targets sharing neither has none.
+func builtEverywhere(path string, f *ast.File) bool {
+	for _, cg := range f.Comments {
+		if cg.Pos() >= f.Package {
+			break
+		}
+		for _, c := range cg.List {
+			if constraint.IsGoBuild(c.Text) || constraint.IsPlusBuild(c.Text) {
+				return false
+			}
+		}
+	}
+	dir, name := filepath.Split(path)
+	for _, target := range [][2]string{{"linux", "amd64"}, {"plan9", "riscv64"}} {
+		ctx := build.Default
+		ctx.GOOS, ctx.GOARCH = target[0], target[1]
+		if ok, err := ctx.MatchFile(dir, name); err != nil || !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // fallbackOutside reports whether sig's fallback set contains a file other

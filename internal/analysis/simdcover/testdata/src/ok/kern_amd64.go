@@ -9,3 +9,15 @@ package ok
 func addAVX2(x, y []float64)
 
 func addSIMD(x, y []float64) { addAVX2(x, y) }
+
+// scaleAVX2 falls back to scaleGo in kern_portable.go, a file built on every
+// architecture; amd64 below its floor calls that same function.
+func scaleAVX2(x []float64, s float64)
+
+func scaleSIMD(x []float64, s float64) {
+	if len(x) >= 8 {
+		scaleAVX2(x, s)
+		return
+	}
+	scaleGo(x, s)
+}

@@ -12,3 +12,7 @@ func qdotInt8NEON(out []int32, a, b []int8, n, k int)
 // cpuProbeARM64 mirrors the feature-probe exemption: no scalar twin exists,
 // and the directive must be honored by the excluded-file scan itself.
 func cpuProbeARM64() (a, b uint64) //lint:allow simdcover CPU feature probe, no scalar semantics to mirror
+
+// scaleNEON has no fallback in any excluded file: kern_portable.go's
+// scaleGo, loaded in every build, covers it.
+func scaleNEON(x []float64, s float64)

@@ -11,3 +11,8 @@ func TestQdotInt8NEONPinned(t *testing.T) {
 	qdotInt8NEON(nil, nil, nil, 0, 0)
 	_ = t
 }
+
+func TestScaleNEONPinned(t *testing.T) {
+	scaleNEON(nil, 2)
+	_ = t
+}

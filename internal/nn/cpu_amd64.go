@@ -2,12 +2,15 @@
 
 package nn
 
-// Runtime CPU feature detection for the wider SIMD kernels. AVX2 is not part
-// of the amd64 baseline, so the AVX2 paths dispatch behind this flag; the
-// SSE2 paths need no check. Dispatch cannot affect results: every kernel
-// variant performs the identical per-element IEEE operations in the identical
-// order (see simd_amd64.go), so a run on a pre-AVX2 host is bit-for-bit the
-// same as a run here — only slower.
+// Runtime CPU feature detection. The support floor on amd64 is AVX2
+// (x86-64-v3), but AVX2 is not part of the GOAMD64=v1 baseline a default
+// build targets, so the vector kernels dispatch behind these flags and a
+// host below the floor runs the portable Go kernels instead
+// (simd_portable.go, qdotRowRef). Dispatch cannot affect results: every
+// kernel performs the identical per-element IEEE operations in the identical
+// order as the portable loop (see simd_amd64.go), so a run on a pre-AVX2
+// host is bit-for-bit the same as a run here — only slower. Tests may force
+// a flag off, never on.
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32) //lint:allow simdcover CPU feature probe, not a data kernel; there is no scalar semantics to mirror
 

@@ -20,8 +20,9 @@ import "math"
 // with int32 wraparound accumulation. a has k values; b holds n rows of k.
 // The convolution uses a = one output channel's int8 weights and b = the
 // im2colQ patch matrix; Dense uses a = the input activations and b = the
-// weight rows. qdotRowSIMD dispatches to the SSE2/AVX2 kernels on amd64 and
-// to this loop elsewhere; simd_int8_test.go pins all tiers to these bits.
+// weight rows. qdotRowSIMD dispatches to the AVX2 kernel on amd64 and the
+// NEON kernel on arm64, and to this loop everywhere else (amd64 hosts below
+// the AVX2 floor included); simd_int8_test.go pins all tiers to these bits.
 func qdotRowRef(out []int32, a, b []int8, n, k int) {
 	for j := 0; j < n; j++ {
 		br := b[j*k : j*k+k]

@@ -2,7 +2,8 @@ package nn
 
 // The INT8 kernel tier registry: an enumerable view of every dual-row
 // dot-product implementation compiled into this binary and usable on this
-// host. nnbench drives it to emit one micro-benchmark per tier (so a perf
+// host: the generic reference, then avx2 and vnni on amd64 or neon on arm64
+// (nothing more elsewhere, or on an amd64 host below the AVX2 floor). nnbench drives it to emit one micro-benchmark per tier (so a perf
 // regression in a single tier is visible even when dispatch would hide it
 // behind a faster one), and the dispatch-override tests walk it to prove
 // tier selection can never change results.

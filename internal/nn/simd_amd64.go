@@ -2,18 +2,25 @@
 
 package nn
 
-// SIMD kernels for the element-parallel hot loops. Bit-identity with the
-// scalar references is structural, not approximate: every output element is
-// produced by exactly the same IEEE-754 operations in the same order as the
-// scalar loop — SIMD only computes independent elements side by side, never
-// splits or reorders a single element's accumulation, and never uses FMA
-// (whose single rounding would differ from the scalar mul-then-add). SSE2 is
-// part of the amd64 baseline; the wider AVX2 variants dispatch behind
-// hasAVX2 (cpu_amd64.go) and perform the identical per-element operations,
-// so results do not depend on which variant ran. simd_generic.go carries the
-// scalar fallback for other architectures; simd_test.go pins every variant
-// against the scalar references bit for bit, including -0, NaN, and Inf
-// lanes and every tail length.
+// SIMD kernels for the element-parallel hot loops. The support floor on
+// amd64 is AVX2 (x86-64-v3), probed at run time (cpu_amd64.go) so a default
+// GOAMD64=v1 build reaches it: every dispatcher below is "AVX2 when the host
+// has it and the slice is long enough, otherwise the portable Go loop"
+// (simd_portable.go) — the same function every non-amd64 build runs. Three
+// kernels have no AVX2 form and run undispatched on SSE2, which is part of
+// the amd64 baseline: pool2x2, conv3x3Bwd, transpose2x2 (their Go bodies for
+// other architectures live in simd_generic.go).
+//
+// Bit-identity with the portable loops is structural, not approximate: every
+// output element is produced by exactly the same IEEE-754 operations in the
+// same order as the scalar loop — SIMD only computes independent elements
+// side by side, never splits or reorders a single element's accumulation,
+// and never uses FMA (whose single rounding would differ from the scalar
+// mul-then-add). Results therefore do not depend on which side of the floor
+// a host is; simd_test.go pins every dispatcher against the scalar
+// references bit for bit, including -0, NaN, and Inf lanes and every tail
+// length, and TestDispatchFeatureOverrideBitIdentical replays whole forward
+// and training passes with the floor forced off.
 //
 // One deliberate carve-out: NaN payload bits. When both operands of an add
 // or multiply are NaN, hardware propagates the first operand's payload, and
@@ -24,31 +31,19 @@ package nn
 // data paths bit for bit.
 
 //go:noescape
-func axpySSE2(alpha float64, x, y []float64)
-
-//go:noescape
 func axpyAVX2(alpha float64, x, y []float64)
-
-//go:noescape
-func reluFwdSSE2(dst, src []float64)
 
 //go:noescape
 func reluFwdAVX2(dst, src []float64)
 
 //go:noescape
-func reluBwdSSE2(dst, grad, in []float64)
-
-//go:noescape
 func reluBwdAVX2(dst, grad, in []float64)
-
-//go:noescape
-func nnDot8SSE2(out, init, a, bt []float64, n int)
 
 //go:noescape
 func nnDot16AVX2(out, init, a, bt []float64, n int)
 
 //go:noescape
-func nnDot4x8AVX2(out []float64, on int, init, a []float64, k int, bt []float64, ld int) //lint:allow simdcover register-tiled quad kernel with no scalar twin; on !amd64 the quad drivers hand every row to the row path, and simd_test.go pins the drivers
+func nnDot4x8AVX2(out []float64, on int, init, a []float64, k int, bt []float64, ld int) //lint:allow simdcover register-tiled quad kernel with no scalar twin; below the floor and on !amd64 the quad drivers hand every row to the row path, and simd_test.go pins the drivers
 
 //go:noescape
 func pool2x2SSE2(dst, row0, row1 []float64)
@@ -60,9 +55,6 @@ func conv3x3BwdSSE2(gv float64, wr, cr, gw, gi []float64, w, hw, inC int)
 func transpose2x2SSE2(dst, src []float64, rows, cols int)
 
 //go:noescape
-func stepSSE2(lr, scale float64, g, p []float64)
-
-//go:noescape
 func stepAVX2(lr, scale float64, g, p []float64)
 
 // axpySIMD computes y[i] += alpha * x[i] over len(y) elements.
@@ -72,7 +64,7 @@ func axpySIMD(alpha float64, x, y []float64) {
 		axpyAVX2(alpha, x, y)
 		return
 	}
-	axpySSE2(alpha, x, y)
+	axpyGo(alpha, x, y)
 }
 
 // reluFwdSIMD computes dst[i] = max(src[i], 0): src[i] if src[i] > 0,
@@ -83,7 +75,7 @@ func reluFwdSIMD(dst, src []float64) {
 		reluFwdAVX2(dst, src)
 		return
 	}
-	reluFwdSSE2(dst, src)
+	reluFwdGo(dst, src)
 }
 
 // stepSIMD applies the SGD update p[i] -= lr*g[i]/scale: per element one
@@ -95,7 +87,7 @@ func stepSIMD(lr, scale float64, g, p []float64) {
 		stepAVX2(lr, scale, g, p)
 		return
 	}
-	stepSSE2(lr, scale, g, p)
+	stepGo(lr, scale, g, p)
 }
 
 // pool2x2SIMD computes one output row of a 2x2/stride-2 max pool:
@@ -147,87 +139,22 @@ func reluBwdSIMD(dst, grad, in []float64) {
 		reluBwdAVX2(dst, grad, in)
 		return
 	}
-	reluBwdSSE2(dst, grad, in)
+	reluBwdGo(dst, grad, in)
 }
 
-// nnDot8SIMD accumulates eight adjacent output columns of an NN-form GEMM
-// entirely in registers: out[l] = init[l] + sum_c a[c]*bt[c*n+l] for
-// l in [0, 8), with c strictly ascending per column (the reference dot
-// order — lanes are independent columns, no sum is ever split). out and
-// init must have at least 8 elements; bt at least (len(a)-1)*n+8.
-func nnDot8SIMD(out, init, a, bt []float64, n int) {
-	nnDot8SSE2(out, init, a, bt, n)
-}
-
-// gemmNNRowI computes one output row of an NN-form GEMM with a per-row bias:
-// orow[j] = bi + sum_c ar[c]*bt[c*ld+j] for j < n. Sixteen columns per pass
-// under AVX2, eight under SSE2, scalar for the tail — all the same
-// per-column dot order. ld is the bt row stride (>= n for sub-views).
-func gemmNNRowI(orow []float64, bi float64, ar, bt []float64, n, ld int) {
-	var init [16]float64
-	for l := range init {
-		init[l] = bi
+// gemmNNAccRowWide runs the sixteen-column AVX2 dot kernel over as many
+// leading column blocks of one accumulating output row as fit and returns
+// the number of columns consumed (gemmNNAccRow finishes the rest). The
+// kernel takes its init vector from orow itself, loaded before any store.
+func gemmNNAccRowWide(orow, ar, bt []float64, n, ld int) int {
+	if !hasAVX2 {
+		return 0
 	}
 	j := 0
-	if hasAVX2 {
-		for ; j+16 <= n; j += 16 {
-			nnDot16AVX2(orow[j:j+16], init[:], ar, bt[j:], ld)
-		}
+	for ; j+16 <= n; j += 16 {
+		nnDot16AVX2(orow[j:j+16], orow[j:j+16], ar, bt[j:], ld)
 	}
-	for ; j+8 <= n; j += 8 {
-		nnDot8SSE2(orow[j:j+8], init[:8], ar, bt[j:], ld)
-	}
-	for ; j < n; j++ {
-		s := bi
-		for c, av := range ar {
-			s += av * bt[c*ld+j]
-		}
-		orow[j] = s
-	}
-}
-
-// gemmNNRowJ is gemmNNRowI with a per-column bias: orow[j] = bias[j] + ...,
-// the Dense orientation. bias must have length n.
-func gemmNNRowJ(orow, bias, ar, bt []float64, n, ld int) {
-	j := 0
-	if hasAVX2 {
-		for ; j+16 <= n; j += 16 {
-			nnDot16AVX2(orow[j:j+16], bias[j:j+16], ar, bt[j:], ld)
-		}
-	}
-	for ; j+8 <= n; j += 8 {
-		nnDot8SSE2(orow[j:j+8], bias[j:j+8], ar, bt[j:], ld)
-	}
-	for ; j < n; j++ {
-		s := bias[j]
-		for c, av := range ar {
-			s += av * bt[c*ld+j]
-		}
-		orow[j] = s
-	}
-}
-
-// gemmNNAccRow accumulates one NN-form GEMM row in place:
-// orow[j] += sum_c ar[c]*bt[c*ld+j]. The dot kernels take their init vector
-// from orow itself (loaded before any store), so each element continues its
-// own running sum with c ascending.
-func gemmNNAccRow(orow, ar, bt []float64, n, ld int) {
-	j := 0
-	if hasAVX2 {
-		for ; j+16 <= n; j += 16 {
-			nnDot16AVX2(orow[j:j+16], orow[j:j+16], ar, bt[j:], ld)
-		}
-	}
-	for ; j+8 <= n; j += 8 {
-		nnDot8SSE2(orow[j:j+8], orow[j:j+8], ar, bt[j:], ld)
-	}
-	for ; j < n; j++ {
-		s := orow[j]
-		for c, av := range ar {
-			s += av * bt[c*ld+j]
-		}
-		orow[j] = s
-	}
+	return j
 }
 
 // gemmNNQuadI runs the 4x8 register-tiled kernel over as many groups of

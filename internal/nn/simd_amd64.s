@@ -1,66 +1,15 @@
-// SSE2 and AVX2 element-parallel kernels. See simd_amd64.go for the
-// bit-identity contract: lanes are independent output elements; per-element
-// operation order matches the scalar references exactly (multiply then add —
-// no FMA). The AVX2 bodies use only VEX-encoded instructions and end with
+// AVX2 element-parallel kernels, plus the three SSE2 kernels that have no
+// wider twin (pool2x2, conv3x3Bwd, transpose2x2: SSE2 is the amd64 baseline,
+// so they run undispatched). See simd_amd64.go for the bit-identity contract:
+// lanes are independent output elements; per-element operation order matches
+// the portable Go loops (simd_portable.go) exactly (multiply then add — no
+// FMA). The AVX2 bodies use only VEX-encoded instructions and end with
 // VZEROUPPER, so they never pay SSE/AVX transition penalties.
 
 #include "textflag.h"
 
-// func axpySSE2(alpha float64, x, y []float64)
-// y[i] += alpha * x[i] for i < len(y).
-TEXT ·axpySSE2(SB), NOSPLIT, $0-56
-	MOVSD alpha+0(FP), X0
-	UNPCKLPD X0, X0 // broadcast alpha into both lanes
-	MOVQ x_base+8(FP), SI
-	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-
-loop8:
-	CMPQ CX, $8
-	JL   loop1
-	MOVUPD 0(SI), X1
-	MOVUPD 16(SI), X2
-	MOVUPD 32(SI), X3
-	MOVUPD 48(SI), X4
-	MULPD X0, X1
-	MULPD X0, X2
-	MULPD X0, X3
-	MULPD X0, X4
-	MOVUPD 0(DI), X5
-	MOVUPD 16(DI), X6
-	MOVUPD 32(DI), X7
-	MOVUPD 48(DI), X8
-	ADDPD X1, X5
-	ADDPD X2, X6
-	ADDPD X3, X7
-	ADDPD X4, X8
-	MOVUPD X5, 0(DI)
-	MOVUPD X6, 16(DI)
-	MOVUPD X7, 32(DI)
-	MOVUPD X8, 48(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	SUBQ $8, CX
-	JMP  loop8
-
-loop1:
-	CMPQ CX, $0
-	JE   done
-	MOVSD (SI), X1
-	MULSD X0, X1
-	MOVSD (DI), X2
-	ADDSD X1, X2
-	MOVSD X2, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  loop1
-
-done:
-	RET
-
 // func axpyAVX2(alpha float64, x, y []float64)
-// Same per-element semantics as axpySSE2, four lanes per vector.
+// y[i] += alpha * x[i] for i < len(y), four lanes per vector.
 TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
 	VBROADCASTSD alpha+0(FP), Y0
 	MOVQ x_base+8(FP), SI
@@ -115,53 +64,11 @@ vdone:
 	VZEROUPPER
 	RET
 
-// func reluFwdSSE2(dst, src []float64)
-// dst[i] = src[i] if src[i] > 0 else +0, for i < len(dst).
-// MAXPD/MAXSD with the zero operand as SRC return +0 for NaN and for
-// both-zero compares, matching the scalar `if v > 0` branch exactly.
-TEXT ·reluFwdSSE2(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	XORPS X0, X0
-
-rloop8:
-	CMPQ CX, $8
-	JL   rloop1
-	MOVUPD 0(SI), X1
-	MOVUPD 16(SI), X2
-	MOVUPD 32(SI), X3
-	MOVUPD 48(SI), X4
-	MAXPD X0, X1
-	MAXPD X0, X2
-	MAXPD X0, X3
-	MAXPD X0, X4
-	MOVUPD X1, 0(DI)
-	MOVUPD X2, 16(DI)
-	MOVUPD X3, 32(DI)
-	MOVUPD X4, 48(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	SUBQ $8, CX
-	JMP  rloop8
-
-rloop1:
-	CMPQ CX, $0
-	JE   rdone
-	MOVSD (SI), X1
-	MAXSD X0, X1
-	MOVSD X1, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  rloop1
-
-rdone:
-	RET
-
 // func reluFwdAVX2(dst, src []float64)
+// dst[i] = src[i] if src[i] > 0 else +0, for i < len(dst).
 // VMAXPD with the zero vector as the second source returns +0 for NaN and
-// for both-zero compares — the scalar branch's outcomes, four lanes wide.
+// for both-zero compares — the scalar `if v > 0` branch's outcomes, four
+// lanes wide.
 TEXT ·reluFwdAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -214,59 +121,11 @@ vrdone:
 	VZEROUPPER
 	RET
 
-// func reluBwdSSE2(dst, grad, in []float64)
-// dst[i] = grad[i] if in[i] > 0 else +0, for i < len(dst).
-// CMPPD predicate 1 (LT) builds the 0 < in mask (false for NaN), which is
-// ANDed over grad: all-ones lanes pass grad bits verbatim, zero lanes
-// produce +0 — the scalar branch's two outcomes.
-TEXT ·reluBwdSSE2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ grad_base+24(FP), SI
-	MOVQ in_base+48(FP), BX
-	XORPS X0, X0
-
-bloop2:
-	CMPQ CX, $2
-	JL   bloop1
-	MOVUPD (BX), X1
-	MOVAPD X0, X2
-	CMPPD  X1, X2, $1
-	MOVUPD (SI), X3
-	ANDPD  X2, X3
-	MOVUPD X3, (DI)
-	ADDQ $16, SI
-	ADDQ $16, DI
-	ADDQ $16, BX
-	SUBQ $2, CX
-	JMP  bloop2
-
-bloop1:
-	CMPQ CX, $0
-	JE   bdone
-	MOVSD   (BX), X1
-	UCOMISD X0, X1
-	JA      bcopy
-	MOVSD X0, (DI)
-	JMP   bnext
-
-bcopy:
-	MOVSD (SI), X3
-	MOVSD X3, (DI)
-
-bnext:
-	ADDQ $8, SI
-	ADDQ $8, DI
-	ADDQ $8, BX
-	DECQ CX
-	JMP  bloop1
-
-bdone:
-	RET
-
 // func reluBwdAVX2(dst, grad, in []float64)
-// VCMPPD predicate 1 builds the 0 < in mask (false for NaN) four lanes at a
-// time; VANDPD passes grad bits verbatim where true, +0 where false.
+// dst[i] = grad[i] if in[i] > 0 else +0, for i < len(dst).
+// VCMPPD predicate 1 (LT) builds the 0 < in mask (false for NaN) four lanes
+// at a time; VANDPD passes grad bits verbatim where true, +0 where false —
+// the scalar branch's two outcomes.
 TEXT ·reluBwdAVX2(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -328,57 +187,11 @@ vbdone:
 	VZEROUPPER
 	RET
 
-// func nnDot8SSE2(out, init, a, bt []float64, n int)
-// Eight adjacent output columns accumulate in X4-X7 across the whole K
-// loop; each k step broadcasts a[c] and does MULPD+ADDPD per lane pair —
-// per column that is exactly init + a[0]*bt[0][l] + a[1]*bt[1][l] + ... in
-// ascending c order, the reference dot sequence.
-TEXT ·nnDot8SSE2(SB), NOSPLIT, $0-104
-	MOVQ out_base+0(FP), DI
-	MOVQ init_base+24(FP), DX
-	MOVQ a_base+48(FP), SI
-	MOVQ a_len+56(FP), CX
-	MOVQ bt_base+72(FP), BX
-	MOVQ n+96(FP), R8
-	SHLQ $3, R8 // row stride in bytes
-	MOVUPD 0(DX), X4
-	MOVUPD 16(DX), X5
-	MOVUPD 32(DX), X6
-	MOVUPD 48(DX), X7
-
-dloop:
-	CMPQ CX, $0
-	JE   ddone
-	MOVSD (SI), X0
-	UNPCKLPD X0, X0 // broadcast a[c]
-	MOVUPD 0(BX), X1
-	MOVUPD 16(BX), X2
-	MULPD X0, X1
-	MULPD X0, X2
-	ADDPD X1, X4
-	ADDPD X2, X5
-	MOVUPD 32(BX), X1
-	MOVUPD 48(BX), X2
-	MULPD X0, X1
-	MULPD X0, X2
-	ADDPD X1, X6
-	ADDPD X2, X7
-	ADDQ $8, SI
-	ADDQ R8, BX
-	DECQ CX
-	JMP  dloop
-
-ddone:
-	MOVUPD X4, 0(DI)
-	MOVUPD X5, 16(DI)
-	MOVUPD X6, 32(DI)
-	MOVUPD X7, 48(DI)
-	RET
-
 // func nnDot16AVX2(out, init, a, bt []float64, n int)
 // Sixteen adjacent output columns accumulate in Y4-Y7 across the whole K
-// loop — the same per-column init + a[c]*bt[c][l] sequence as nnDot8SSE2,
-// four lanes per register. bt must have at least (len(a)-1)*n+16 elements;
+// loop: per column exactly init + a[0]*bt[0][l] + a[1]*bt[1][l] + ... in
+// ascending c order, the reference dot sequence (nnDot8Go's, at twice the
+// width), four lanes per register. bt must have at least (len(a)-1)*n+16 elements;
 // out and init at least 16.
 TEXT ·nnDot16AVX2(SB), NOSPLIT, $0-104
 	MOVQ out_base+0(FP), DI
@@ -418,58 +231,11 @@ vddone:
 	VZEROUPPER
 	RET
 
-// func stepSSE2(lr, scale float64, g, p []float64)
-// p[i] -= lr*g[i]/scale: multiply, divide, subtract — the scalar update's
-// exact operation sequence per element (division order is fixed; the
-// multiply's operand order only matters for NaN payloads, see the contract).
-TEXT ·stepSSE2(SB), NOSPLIT, $0-64
-	MOVSD lr+0(FP), X0
-	UNPCKLPD X0, X0
-	MOVSD scale+8(FP), X1
-	UNPCKLPD X1, X1
-	MOVQ g_base+16(FP), SI
-	MOVQ p_base+40(FP), DI
-	MOVQ p_len+48(FP), CX
-
-ploop4:
-	CMPQ CX, $4
-	JL   ploop1
-	MOVUPD 0(SI), X2
-	MOVUPD 16(SI), X3
-	MULPD X0, X2
-	MULPD X0, X3
-	DIVPD X1, X2
-	DIVPD X1, X3
-	MOVUPD 0(DI), X4
-	MOVUPD 16(DI), X5
-	SUBPD X2, X4
-	SUBPD X3, X5
-	MOVUPD X4, 0(DI)
-	MOVUPD X5, 16(DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-	JMP  ploop4
-
-ploop1:
-	CMPQ CX, $0
-	JE   pdone
-	MOVSD (SI), X2
-	MULSD X0, X2
-	DIVSD X1, X2
-	MOVSD (DI), X4
-	SUBSD X2, X4
-	MOVSD X4, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  ploop1
-
-pdone:
-	RET
-
 // func stepAVX2(lr, scale float64, g, p []float64)
-// Same per-element multiply/divide/subtract sequence, four lanes wide.
+// p[i] -= lr*g[i]/scale: multiply, divide, subtract — the scalar update's
+// exact operation sequence per element, four lanes wide (division order is
+// fixed; the multiply's operand order only matters for NaN payloads, see the
+// contract).
 TEXT ·stepAVX2(SB), NOSPLIT, $0-64
 	VBROADCASTSD lr+0(FP), Y0
 	VBROADCASTSD scale+8(FP), Y1

@@ -10,11 +10,43 @@ import (
 
 // The dispatch wrappers pick one variant per length, so on any given host
 // half the bodies would go untested through them. Pin every variant
-// directly: SSE2 always, AVX2 when the host has it.
+// directly: the portable Go loop always, AVX2 when the host has it.
+
+// eachDispatchFloor calls fn once per support floor this host can stand on,
+// native first, by force-disabling the CPUID feature flags cumulatively:
+// VNNI off, then AVX-512 off, then AVX2 off — at which point the dispatchers
+// run the portable Go kernels, exactly as on a host below the amd64 floor.
+// Flags are only ever force-DISABLED (forcing one on would execute
+// instructions the host may lack) and are restored on return.
+func eachDispatchFloor(fn func(floor string)) {
+	saveAVX2, saveVNNI, saveAVX512 := hasAVX2, hasVNNI, hasAVX512
+	defer func() { hasAVX2, hasVNNI, hasAVX512 = saveAVX2, saveVNNI, saveAVX512 }()
+	fn("native")
+	hasVNNI = false
+	fn("no-vnni")
+	hasAVX512 = false
+	fn("no-avx512")
+	hasAVX2 = false
+	fn("no-avx2")
+}
+
+// BenchmarkDispatchFloors times the float forward, INT8 forward and training
+// benchmarks at every floor: the measured cost of each tier the support
+// policy keeps, and of standing below the floor (DESIGN.md §9 "Supported
+// platforms" quotes this table).
+func BenchmarkDispatchFloors(b *testing.B) {
+	eachDispatchFloor(func(floor string) {
+		b.Run(floor, func(b *testing.B) {
+			b.Run("NetworkForwardBatch", BenchmarkNetworkForwardBatch)
+			b.Run("QuantNetworkForwardBatch", BenchmarkQuantNetworkForwardBatch)
+			b.Run("TrainEpoch", BenchmarkTrainEpoch)
+		})
+	})
+}
 
 func TestAxpyVariantsMatchScalarBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	variants := map[string]func(float64, []float64, []float64){"sse2": axpySSE2}
+	variants := map[string]func(float64, []float64, []float64){"go": axpyGo}
 	if hasAVX2 {
 		variants["avx2"] = axpyAVX2
 	} else {
@@ -43,8 +75,8 @@ func TestAxpyVariantsMatchScalarBitForBit(t *testing.T) {
 
 func TestReluVariantsMatchScalarBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
-	fwd := map[string]func([]float64, []float64){"sse2": reluFwdSSE2}
-	bwd := map[string]func([]float64, []float64, []float64){"sse2": reluBwdSSE2}
+	fwd := map[string]func([]float64, []float64){"go": reluFwdGo}
+	bwd := map[string]func([]float64, []float64, []float64){"go": reluBwdGo}
 	if hasAVX2 {
 		fwd["avx2"] = reluFwdAVX2
 		bwd["avx2"] = reluBwdAVX2
@@ -88,7 +120,7 @@ func TestReluVariantsMatchScalarBitForBit(t *testing.T) {
 
 func TestStepVariantsMatchScalarBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
-	variants := map[string]func(float64, float64, []float64, []float64){"sse2": stepSSE2}
+	variants := map[string]func(float64, float64, []float64, []float64){"go": stepGo}
 	if hasAVX2 {
 		variants["avx2"] = stepAVX2
 	}
@@ -129,32 +161,6 @@ func TestNNDot16AVX2MatchesScalarBitForBit(t *testing.T) {
 			got := simdCases(rng, 16)
 			nnDot16AVX2(got, init, a, bt, n)
 			for l := 0; l < 16; l++ {
-				s := init[l]
-				for c := 0; c < k; c++ {
-					s += a[c] * bt[c*n+l]
-				}
-				if !sameBits(got[l], s) {
-					t.Fatalf("k=%d n=%d l=%d: got %x want %x", k, n, l,
-						math.Float64bits(got[l]), math.Float64bits(s))
-				}
-			}
-		}
-	}
-}
-
-func TestNNDot8SSE2MatchesScalarBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(85))
-	for _, k := range []int{0, 1, 2, 3, 7, 9, 25, 72} {
-		for _, n := range []int{8, 9, 16, 23} {
-			a := simdCases(rng, k)
-			var bt []float64
-			if k > 0 {
-				bt = simdCases(rng, (k-1)*n+8)
-			}
-			init := simdCases(rng, 8)
-			got := simdCases(rng, 8)
-			nnDot8SSE2(got, init, a, bt, n)
-			for l := 0; l < 8; l++ {
 				s := init[l]
 				for c := 0; c < k; c++ {
 					s += a[c] * bt[c*n+l]

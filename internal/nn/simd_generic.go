@@ -2,42 +2,20 @@
 
 package nn
 
-// Scalar fallbacks for the SIMD kernels (see simd_amd64.go). These are the
-// reference semantics the assembly reproduces bit for bit; simd_test.go runs
-// on every architecture, pinning whichever implementation is active against
-// the same scalar loops.
+// The float kernels off amd64: there is no vector tier, so the dispatchers
+// are the portable Go loops of simd_portable.go — the same functions amd64
+// runs below its AVX2 floor. The three kernels amd64 keeps on baseline SSE2
+// without a portable twin (transpose, conv3x3Bwd, pool2x2) have their Go
+// bodies here; simd_test.go runs on every architecture, pinning whichever
+// implementation is active against the same scalar loops.
 
-func axpySIMD(alpha float64, x, y []float64) {
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
-}
+func axpySIMD(alpha float64, x, y []float64) { axpyGo(alpha, x, y) }
 
-func reluFwdSIMD(dst, src []float64) {
-	for i := range dst {
-		if v := src[i]; v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
-		}
-	}
-}
+func reluFwdSIMD(dst, src []float64) { reluFwdGo(dst, src) }
 
-func reluBwdSIMD(dst, grad, in []float64) {
-	for i := range dst {
-		if in[i] > 0 {
-			dst[i] = grad[i]
-		} else {
-			dst[i] = 0
-		}
-	}
-}
+func reluBwdSIMD(dst, grad, in []float64) { reluBwdGo(dst, grad, in) }
 
-func stepSIMD(lr, scale float64, g, p []float64) {
-	for j := range p {
-		p[j] -= lr * g[j] / scale
-	}
-}
+func stepSIMD(lr, scale float64, g, p []float64) { stepGo(lr, scale, g, p) }
 
 func transposeSIMD(dst, src []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {
@@ -80,74 +58,13 @@ func pool2x2SIMD(dst, row0, row1 []float64) {
 	}
 }
 
-func gemmNNRowI(orow []float64, bi float64, ar, bt []float64, n, ld int) {
-	var init [8]float64
-	for l := range init {
-		init[l] = bi
-	}
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		nnDot8SIMD(orow[j:j+8], init[:], ar, bt[j:], ld)
-	}
-	for ; j < n; j++ {
-		s := bi
-		for c, av := range ar {
-			s += av * bt[c*ld+j]
-		}
-		orow[j] = s
-	}
-}
-
-func gemmNNRowJ(orow, bias, ar, bt []float64, n, ld int) {
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		nnDot8SIMD(orow[j:j+8], bias[j:j+8], ar, bt[j:], ld)
-	}
-	for ; j < n; j++ {
-		s := bias[j]
-		for c, av := range ar {
-			s += av * bt[c*ld+j]
-		}
-		orow[j] = s
-	}
-}
-
-func gemmNNAccRow(orow, ar, bt []float64, n, ld int) {
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		nnDot8SIMD(orow[j:j+8], orow[j:j+8], ar, bt[j:], ld)
-	}
-	for ; j < n; j++ {
-		s := orow[j]
-		for c, av := range ar {
-			s += av * bt[c*ld+j]
-		}
-		orow[j] = s
-	}
-}
-
-// The 4x8 register tile is an amd64-only specialization; other
-// architectures fall through to the row drivers.
+// The 4x8 register tile and the sixteen-column row kernel are amd64 AVX2
+// specializations; other architectures consume nothing and fall through to
+// the portable row driver.
 func gemmNNQuadI(out, a, bt, bias []float64, m, n, k, ld int) int { return 0 }
 
 func gemmNNQuadJ(out, a, bt, bias []float64, m, n, k, ld int) int { return 0 }
 
 func gemmNNQuadAcc(out, a, bt []float64, m, n, k, ld int) int { return 0 }
 
-func nnDot8SIMD(out, init, a, bt []float64, n int) {
-	s0, s1, s2, s3 := init[0], init[1], init[2], init[3]
-	s4, s5, s6, s7 := init[4], init[5], init[6], init[7]
-	for c, av := range a {
-		row := bt[c*n : c*n+8]
-		s0 += av * row[0]
-		s1 += av * row[1]
-		s2 += av * row[2]
-		s3 += av * row[3]
-		s4 += av * row[4]
-		s5 += av * row[5]
-		s6 += av * row[6]
-		s7 += av * row[7]
-	}
-	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-	out[4], out[5], out[6], out[7] = s4, s5, s6, s7
-}
+func gemmNNAccRowWide(orow, ar, bt []float64, n, ld int) int { return 0 }

