@@ -2,6 +2,8 @@
 #
 #   make build   - compile everything
 #   make test    - tier-1 gate: full test suite
+#   make fmt     - fail when gofmt -l names any tracked .go file outside the
+#                  analyzers' testdata/ golden inputs
 #   make vet     - go vet across all packages
 #   make lint    - carbonlint: the repo's custom determinism/numeric
 #                  invariant analyzers (see DESIGN.md "Static invariants")
@@ -24,11 +26,12 @@
 #   make bench   - refresh the machine-readable NN perf baseline
 #                  (BENCH_nn.json) plus the engine's serial-vs-parallel
 #                  slot-stepping benchmark, the shard fan-out benchmark,
-#                  the wire-codec encode/decode benchmarks and the per-edge
-#                  random-stream and block-start benchmarks
+#                  the wire-codec encode/decode benchmarks, the checkpoint
+#                  install benchmark (float/INT8 x first/repeat x arm) and the
+#                  per-edge random-stream and block-start benchmarks
 #   make bench-diff - rerun the nnbench suite and fail when any benchmark's
 #                  ns/op regressed >25% against the committed BENCH_nn.json
-#   make check   - vet + lint + race + full tests: the pre-commit gate
+#   make check   - fmt + vet + lint + race + full tests: the pre-commit gate
 #   make loc     - line counts per package: non-test .go and .s files, raw and
 #                  code (neither blank nor a // comment line); benchmark/ and
 #                  testdata/ are excluded. The one rule behind every line
@@ -37,13 +40,17 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race chaos chaos-region fuzz-smoke bench bench-diff check loc sim
+.PHONY: build test fmt vet lint race chaos chaos-region fuzz-smoke bench bench-diff check loc sim
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+fmt:
+	@dirty=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l) || exit 1; \
+		if [ -n "$$dirty" ]; then echo "gofmt -l is not clean:"; echo "$$dirty"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -72,13 +79,14 @@ bench:
 	$(GO) test ./internal/sim/ -run XX -bench 'BenchmarkSlotStepParallel|BenchmarkEngineSharded' -benchtime 3x
 	$(GO) test ./internal/engine/ -run XX -bench BenchmarkShardStepWorkers -benchtime 100x
 	$(GO) test ./internal/deploy/ -run XX -bench BenchmarkWireCodec -benchmem
+	$(GO) test ./internal/deploy/ -run XX -bench BenchmarkNNRuntimeLoadModel
 	$(GO) test ./internal/numeric/ -run XX -bench 'BenchmarkSplitRNGFleetSweep|BenchmarkSplitRNGSeed'
 	$(GO) test ./internal/bandit/ -run XX -bench BenchmarkBlockStart
 
 bench-diff:
 	$(GO) run ./cmd/nnbench -diff BENCH_nn.json
 
-check: vet lint race test
+check: fmt vet lint race test
 
 loc:
 	@find . -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' \

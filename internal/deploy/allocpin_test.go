@@ -3,6 +3,7 @@ package deploy
 import (
 	"io"
 	"net"
+	"runtime"
 	"testing"
 
 	"github.com/carbonedge/carbonedge/internal/engine"
@@ -159,4 +160,37 @@ func TestExchangeAllocsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestRepeatInstallAllocsPinned holds a checkpoint install over a resident
+// model to what the shipped bytes need: the reader's buffer and a few
+// headers, not a rebuilt architecture, fresh int8 buffers or a calibration
+// arena. A runtime that goes back to building per install allocates the
+// architecture (0.25-3.8 MB by arm) and fails every arm.
+func TestRepeatInstallAllocsPinned(t *testing.T) {
+	const runs = 8
+	for _, mode := range []struct {
+		name  string
+		int8  bool
+		limit uint64
+	}{{"float", false, 16 << 10}, {"int8", true, 512 << 10}} {
+		rt := benchRuntime(t, mode.int8)
+		for arm := 0; arm < len(rt.metas); arm++ {
+			ckpt := benchCheckpoint(t, arm, "bench-ckpt")
+			if err := rt.LoadModel(arm, ckpt); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if err := rt.LoadModel(arm, ckpt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > mode.limit {
+				t.Errorf("%s arm %d: a repeat LoadModel allocates %d B, want <= %d", mode.name, arm, perCall, mode.limit)
+			}
+		}
+	}
 }

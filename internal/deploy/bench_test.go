@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -11,23 +12,38 @@ import (
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
+// benchBuild is the architecture constructor the bench runtimes install into.
+func benchBuild(modelID int) (*nn.Network, error) {
+	return models.NewFamilyNetwork(dataset.MNISTLike, modelID, numeric.SplitRNG(9, "bench-arch"))
+}
+
+// benchCheckpoint serializes model modelID at the initialisation the named
+// stream draws: distinct streams ship distinct weights for one architecture.
+func benchCheckpoint(b testing.TB, modelID int, stream string) []byte {
+	b.Helper()
+	net, err := models.NewFamilyNetwork(dataset.MNISTLike, modelID, numeric.SplitRNG(9, stream))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := nn.WriteWeights(&buf, net); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // benchRuntime builds an NNRuntime with one loaded model, ready to serve
 // slots. int8 opts the runtime into the true-INT8 engine before any load.
 func benchRuntime(b testing.TB, int8Mode bool) *NNRuntime {
 	b.Helper()
-	spec := dataset.MNISTLike
 	rng := numeric.SplitRNG(7, "bench-runtime")
-	dist, err := dataset.NewDistribution(spec, rng)
+	dist, err := dataset.NewDistribution(dataset.MNISTLike, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := dist.Pool(64, rng)
-	build := func(modelID int) (*nn.Network, error) {
-		return models.NewFamilyNetwork(spec, modelID, numeric.SplitRNG(9, "bench-arch"))
-	}
 	rt, err := NewNNRuntime(
-		build,
-		pool,
+		benchBuild,
+		dist.Pool(64, rng),
 		func(int) int { return 20 },
 		func(int) float64 { return 0.03 },
 		rng,
@@ -43,18 +59,43 @@ func benchRuntime(b testing.TB, int8Mode bool) *NNRuntime {
 	if err := rt.Welcome(metas); err != nil {
 		b.Fatal(err)
 	}
-	net, err := build(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := nn.WriteWeights(&buf, net); err != nil {
-		b.Fatal(err)
-	}
-	if err := rt.LoadModel(0, buf.Bytes()); err != nil {
+	if err := rt.LoadModel(0, benchCheckpoint(b, 0, "bench-arch")); err != nil {
 		b.Fatal(err)
 	}
 	return rt
+}
+
+// BenchmarkNNRuntimeLoadModel prices one checkpoint install per engine and
+// arm on a warm arena: "first" evicts the model before every install, so the
+// architecture, int8 buffers and engine are built again; "repeat" installs
+// over the resident copy, which is what every switch back to a model costs.
+func BenchmarkNNRuntimeLoadModel(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		int8 bool
+	}{{"float", false}, {"int8", true}} {
+		for arm := 0; arm < models.FamilySize(); arm++ {
+			ckpt := benchCheckpoint(b, arm, "bench-ckpt")
+			for _, install := range []string{"first", "repeat"} {
+				b.Run(fmt.Sprintf("%s/%s/arm%d", mode.name, install, arm), func(b *testing.B) {
+					rt := benchRuntime(b, mode.int8)
+					if err := rt.LoadModel(arm, ckpt); err != nil { // warm the arena
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if install == "first" {
+							delete(rt.loaded, arm)
+						}
+						if err := rt.LoadModel(arm, ckpt); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkNNRuntimeSlot gates the zero-alloc claim: after one warm-up

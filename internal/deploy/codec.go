@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"bytes"
 	"encoding/base64"
 	"math"
 	"strconv"
@@ -494,17 +495,16 @@ func (s *scanner) base64(dst []byte) []byte {
 	if s.bad {
 		return dst
 	}
-	end := s.i
-	for end < len(s.b) && s.b[end] != '"' {
-		// Escapes, and the CR/LF the base64 decoder would skip, are not
-		// canonical.
-		if c := s.b[end]; c == '\\' || c < ' ' {
-			s.bad = true
-			return dst
-		}
-		end++
+	// The closing quote is the first one: an escaped quote leaves a backslash
+	// in the body, and the decoder refuses it with every other byte outside
+	// the alphabet. The CR and LF it would skip instead are not canonical.
+	n := bytes.IndexByte(s.b[s.i:], '"')
+	if n <= 0 {
+		s.bad = true
+		return dst
 	}
-	if end == s.i || end == len(s.b) {
+	end := s.i + n
+	if body := s.b[s.i:end]; bytes.IndexByte(body, '\r') >= 0 || bytes.IndexByte(body, '\n') >= 0 {
 		s.bad = true
 		return dst
 	}

@@ -1,7 +1,10 @@
 package deploy
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -342,6 +345,112 @@ func TestNNRuntimeErrors(t *testing.T) {
 		}
 		if _, err := rt.RunSlot(0, 1); err == nil {
 			t.Errorf("int8=%v: the failed load installed model 1", int8Mode)
+		}
+	}
+	t.Run("FailedInstallEvicts", testFailedInstallEvicts)
+}
+
+// testFailedInstallEvicts pins failure atomicity for the in-place
+// install: a checkpoint the reader rejects has already overwritten part of
+// the resident network, so the model must stop being servable (in float and
+// Int8 mode) until a good checkpoint arrives, which then serves exactly what
+// a fresh runtime serves from the same bytes.
+func testFailedInstallEvicts(t *testing.T) {
+	good := benchCheckpoint(t, 0, "bench-arch")
+	truncated := good[:len(good)/2]
+	nan := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(nan[len(nan)-4:], math.Float32bits(float32(math.NaN())))
+	bad := []struct {
+		name string
+		ckpt []byte
+	}{
+		{"truncated", truncated},
+		{"wrong architecture", benchCheckpoint(t, 1, "bench-arch")},
+		{"NaN in the last tensor", nan},
+	}
+	reinstall := benchCheckpoint(t, 0, "bench-reinstall")
+	for _, int8Mode := range []bool{false, true} {
+		for _, tc := range bad {
+			rt := benchRuntime(t, int8Mode)
+			scratch, err := benchBuild(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := nn.ReadWeights(bytes.NewReader(tc.ckpt), scratch)
+			if want == nil {
+				t.Fatalf("%s: the reader accepts the checkpoint", tc.name)
+			}
+			if err := rt.LoadModel(0, tc.ckpt); err == nil || err.Error() != want.Error() {
+				t.Errorf("int8=%v %s: LoadModel err = %v, want the reader's %v", int8Mode, tc.name, err, want)
+			}
+			if _, err := rt.RunSlot(0, 0); err == nil || !strings.Contains(err.Error(), "never downloaded") {
+				t.Errorf("int8=%v %s: RunSlot after the failed install: err = %v, want never downloaded", int8Mode, tc.name, err)
+			}
+			if err := rt.LoadModel(0, nil); err == nil {
+				t.Errorf("int8=%v %s: an empty checkpoint revived the evicted model", int8Mode, tc.name)
+			}
+			if err := rt.LoadModel(0, reinstall); err != nil {
+				t.Fatalf("int8=%v %s: reinstall: %v", int8Mode, tc.name, err)
+			}
+			fresh := benchRuntime(t, int8Mode)
+			delete(fresh.loaded, 0)
+			if err := fresh.LoadModel(0, reinstall); err != nil {
+				t.Fatal(err)
+			}
+			got, err := rt.RunSlot(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref, err := fresh.RunSlot(0, 0); err != nil || got != ref {
+				t.Errorf("int8=%v %s: reinstalled model reports %+v, a fresh runtime %+v (err %v)", int8Mode, tc.name, got, ref, err)
+			}
+		}
+	}
+}
+
+// TestNNRuntimeInPlaceInstallMatchesFresh installs A, B, then different
+// weights for A into one runtime and compares each slot it serves with a
+// fresh runtime that installed only that checkpoint: overwriting the resident
+// network, int8 buffers and engine in place must leave no trace of what they
+// held before.
+func TestNNRuntimeInPlaceInstallMatchesFresh(t *testing.T) {
+	const armA, armB = 3, 5
+	installs := []struct {
+		arm  int
+		ckpt []byte
+	}{
+		{armA, benchCheckpoint(t, armA, "first-a")},
+		{armB, benchCheckpoint(t, armB, "only-b")},
+		{armA, benchCheckpoint(t, armA, "second-a")},
+	}
+	for _, int8Mode := range []bool{false, true} {
+		rt := benchRuntime(t, int8Mode)
+		var reports []SlotReport
+		for slot, in := range installs {
+			fresh := benchRuntime(t, int8Mode)
+			// Both draw slot's samples from the same stream position.
+			rt.rng, fresh.rng = numeric.SplitRNG(5, "slot"), numeric.SplitRNG(5, "slot")
+			if err := rt.LoadModel(in.arm, in.ckpt); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.LoadModel(in.arm, in.ckpt); err != nil {
+				t.Fatal(err)
+			}
+			got, err := rt.RunSlot(slot, in.arm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.RunSlot(slot, in.arm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("int8=%v install %d (arm %d): report %+v, a fresh runtime's %+v", int8Mode, slot, in.arm, got, want)
+			}
+			reports = append(reports, got)
+		}
+		if reports[0] == reports[2] {
+			t.Errorf("int8=%v: both checkpoints of arm %d serve %+v: the test ships nothing to overwrite", int8Mode, armA, reports[0])
 		}
 	}
 }

@@ -250,10 +250,11 @@ func redial(dial func() (net.Conn, error), maxResumes int, who string, run func(
 const slotChunk = 64
 
 // NNRuntime is a full-fidelity edge runtime: it holds the edge's local
-// labeled data pool, rebuilds each model's architecture locally, installs
-// checkpoints shipped by the cloud via nn.ReadWeights, and runs genuine
-// forward passes. The cloud never sees the data; the edge never sees the
-// training pipeline — exactly the paper's split.
+// labeled data pool, builds each model's architecture locally the first time
+// the model arrives, installs every checkpoint the cloud ships into that
+// resident network via nn.ReadWeights, and runs genuine forward passes. The
+// cloud never sees the data; the edge never sees the training pipeline —
+// exactly the paper's split.
 type NNRuntime struct {
 	// BuildNet constructs the (untrained) architecture for a model id;
 	// weights arrive from the cloud.
@@ -273,19 +274,30 @@ type NNRuntime struct {
 	// before the first LoadModel; it is not a per-model switch.
 	Int8 bool
 
-	rng     *rand.Rand
-	metas   []ModelMeta
-	loaded  map[int]*nn.Network
-	qloaded map[int]*nn.QuantizedNetwork
-	calib   *nn.Tensor // INT8 calibration batch, built once from the pool head
+	rng    *rand.Rand
+	metas  []ModelMeta
+	loaded map[int]*residentModel
+	ckpt   bytes.Reader // over the checkpoint being installed; reused
+	calib  *nn.Tensor   // INT8 calibration batch, built once from the pool head
 
 	// Batched-inference scratch, owned by this runtime (one runtime per
 	// edge, never shared across goroutines). All three are grow-only, so a
 	// steady-state RunSlot performs zero heap allocations
-	// (BenchmarkNNRuntimeSlot's ReportAllocs gate).
+	// (BenchmarkNNRuntimeSlot's ReportAllocs gate). An INT8 install borrows
+	// the arena for its calibration pass: LoadModel and RunSlot never
+	// overlap, and each Resets the arena before it draws from it.
 	arena      *nn.Arena
 	idx        []int
 	batchShape []int
+}
+
+// residentModel is one model id's storage on the edge, built on the model's
+// first install and overwritten in place by every later one. qw and qn are
+// set by installs made in Int8 mode.
+type residentModel struct {
+	net *nn.Network
+	qw  *nn.QuantizedWeights
+	qn  *nn.QuantizedNetwork
 }
 
 var _ Runtime = (*NNRuntime)(nil)
@@ -305,8 +317,7 @@ func NewNNRuntime(build func(int) (*nn.Network, error), pool []nn.Sample,
 		SamplesPerSlot:       samplesPerSlot,
 		CompSecondsPerSample: compSeconds,
 		rng:                  rng,
-		loaded:               make(map[int]*nn.Network),
-		qloaded:              make(map[int]*nn.QuantizedNetwork),
+		loaded:               make(map[int]*residentModel),
 		arena:                nn.NewArena(),
 	}, nil
 }
@@ -320,44 +331,67 @@ func (r *NNRuntime) Welcome(models []ModelMeta) error {
 	return nil
 }
 
-// LoadModel implements Runtime: rebuild the architecture and install the
-// shipped weights. An empty checkpoint is valid only for a model the runtime
-// already holds a copy of.
+// LoadModel implements Runtime: install the shipped weights into the model's
+// resident network, building its architecture first if the edge has never
+// held it. An empty checkpoint is valid only for a model the runtime already
+// holds a copy of. Every non-empty checkpoint is read, validated and (in Int8
+// mode) quantized and calibrated in full; one that fails part-way has already
+// overwritten some of the resident storage, so the model is evicted and
+// cannot be served until a good checkpoint reinstalls it.
 func (r *NNRuntime) LoadModel(modelID int, checkpoint []byte) error {
 	if modelID < 0 || modelID >= len(r.metas) {
 		return fmt.Errorf("deploy: model id %d out of range", modelID)
 	}
-	if _, ok := r.loaded[modelID]; ok && len(checkpoint) == 0 && (!r.Int8 || r.qloaded[modelID] != nil) {
-		return nil // cached copy, nothing shipped
-	}
+	m := r.loaded[modelID]
 	if len(checkpoint) == 0 {
+		if m != nil && (!r.Int8 || m.qn != nil) {
+			return nil // cached copy, nothing shipped
+		}
 		// Installing BuildNet's fresh initialisation would serve random
 		// weights and report their loss as the model's.
 		return fmt.Errorf("deploy: model %d switched in without weights and no cached copy", modelID)
 	}
-	net, err := r.BuildNet(modelID)
+	if m == nil {
+		net, err := r.BuildNet(modelID)
+		if err != nil {
+			return err
+		}
+		m = &residentModel{net: net}
+	}
+	if err := r.install(m, modelID, checkpoint); err != nil {
+		delete(r.loaded, modelID)
+		return err
+	}
+	r.loaded[modelID] = m
+	return nil
+}
+
+// install overwrites m with the checkpoint. On error m is part old weights,
+// part new, and must not be served.
+func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) error {
+	r.ckpt.Reset(checkpoint)
+	err := nn.ReadWeights(&r.ckpt, m.net)
+	r.ckpt.Reset(nil) // checkpoint is the connection's buffer: do not retain it
 	if err != nil {
 		return err
 	}
-	if err := nn.ReadWeights(bytes.NewReader(checkpoint), net); err != nil {
-		return err
+	if !r.Int8 {
+		return nil
 	}
-	if r.Int8 {
-		// Quantize the shipped float weights at install time and compile the
-		// INT8 engine, exactly the zoo's quantization path: fake-quant the
-		// float net (the accuracy oracle), then bind the integer kernels to
-		// the same int8 buffers.
-		qw := nn.QuantizeWeights(net)
-		if err := qw.ApplyTo(net); err != nil {
-			return fmt.Errorf("deploy: quantize model %d: %w", modelID, err)
-		}
-		qn, err := nn.NewQuantizedNetwork(net, qw, r.calibInput())
-		if err != nil {
-			return fmt.Errorf("deploy: compile INT8 model %d: %w", modelID, err)
-		}
-		r.qloaded[modelID] = qn
+	// Quantize the shipped float weights at install time and compile the
+	// INT8 engine, exactly the zoo's quantization path: fake-quant the
+	// float net (the accuracy oracle), then bind the integer kernels to
+	// the same int8 buffers.
+	if m.qw == nil {
+		m.qw, m.qn = &nn.QuantizedWeights{}, &nn.QuantizedNetwork{}
 	}
-	r.loaded[modelID] = net
+	m.qw.Requantize(m.net)
+	if err := m.qw.ApplyTo(m.net); err != nil {
+		return fmt.Errorf("deploy: quantize model %d: %w", modelID, err)
+	}
+	if err := m.qn.Recompile(m.net, m.qw, r.calibInput(), r.arena); err != nil {
+		return fmt.Errorf("deploy: compile INT8 model %d: %w", modelID, err)
+	}
 	return nil
 }
 
@@ -385,13 +419,14 @@ func (r *NNRuntime) calibInput() *nn.Tensor {
 //
 //lint:hotroot steady-state slot serving must report 0 allocs/op (bench_test.go pins it)
 func (r *NNRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
-	net, ok := r.loaded[modelID]
+	loaded, ok := r.loaded[modelID]
 	if !ok {
 		return SlotReport{}, fmt.Errorf("deploy: model %d assigned but never downloaded", modelID)
 	}
+	net := loaded.net
 	var qn *nn.QuantizedNetwork
 	if r.Int8 {
-		if qn = r.qloaded[modelID]; qn == nil {
+		if qn = loaded.qn; qn == nil {
 			return SlotReport{}, fmt.Errorf("deploy: model %d loaded before Int8 mode was enabled", modelID)
 		}
 	}

@@ -354,6 +354,8 @@ func TestWireCodecCanonicalCorners(t *testing.T) {
 		`{"type":4,"avgLoss":Infinity}`, `{"type":4,"avgLoss":"0.5"}`, `{"type":4,"avgLoss":0.1000000000000000055511151231257827021181583404541015625}`,
 		`{"type":3,"weights":""}`, `{"type":3,"weights":"AQID"}`, `{"type":3,"weights":"AQI="}`, `{"type":3,"weights":"AQI"}`,
 		`{"type":3,"weights":"AQ\nID"}`, `{"type":3,"weights":"AQID"}`, `{"type":3,"weights":"A*ID"}`, `{"type":3,"weights":"AR=="}`,
+		`{"type":3,"weights":"AQ\"ID"}`, `{"type":3,"weights":"AQ\u0049D"}`, `{"type":3,"weights":"AQID`, `{"type":3,"weights":"AQID\"}`,
+		"{\"type\":3,\"weights\":\"AQ\rID\"}", "{\"type\":3,\"weights\":\"AQ\nID\"}", "{\"type\":3,\"weights\":\"AQ\tID\"}", "{\"type\":3,\"weights\":\"AQID\r\n\"}",
 		`{"type":9,"arms":[]}`, `{"type":9,"arms":[1,]}`, `{"type":9,"arms":[1 ,2]}`, `{"type":9,"arms":[1,2],"downloads":[true,false]}`,
 		`{"type":9,"arms":null}`, `{"type":9,"downloads":[1]}`, `{"type":9,"arms":[1.5]}`,
 		`{"type":10,"delta":{"start":0,"edges":[]}}`, `{"type":10,"delta":{"start":0,"edges":null}}`, `{"type":10,"delta":null}`,

@@ -3,10 +3,12 @@ package models
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
 	"github.com/carbonedge/carbonedge/internal/energy"
+	"github.com/carbonedge/carbonedge/internal/nn"
 )
 
 // smallZooConfig keeps trained-zoo tests fast.
@@ -234,5 +236,45 @@ func TestSurrogateBatchLossSmallAndLargeBatches(t *testing.T) {
 	}
 	if avg, c := z.BatchLoss(0, nil, rng); avg != 0 || c != 0 {
 		t.Error("empty batch should be zero")
+	}
+}
+
+// TestNewFamilyNetworkMatchesZooMember holds the one-member constructor to
+// the network family construction puts at the same index — layer types,
+// parameter shapes, name and checkpoint size — so a checkpoint the zoo ships
+// for model n installs into what an edge builds for n. Only the initial
+// weights may differ: the edge overwrites them.
+func TestNewFamilyNetworkMatchesZooMember(t *testing.T) {
+	for _, spec := range []dataset.Spec{dataset.MNISTLike, dataset.CIFARLike} {
+		family := buildFamily(spec, rand.New(rand.NewSource(1)))
+		if len(family) != FamilySize() {
+			t.Fatalf("%s: family of %d, FamilySize says %d", spec.Name, len(family), FamilySize())
+		}
+		for n, want := range family {
+			got, err := NewFamilyNetwork(spec, n, rand.New(rand.NewSource(2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Name != want.Name || nn.WireSize(got) != nn.WireSize(want) || len(got.Layers) != len(want.Layers) {
+				t.Fatalf("%s model %d: built %s (%d B, %d layers), zoo holds %s (%d B, %d layers)", spec.Name, n,
+					got.Name, nn.WireSize(got), len(got.Layers), want.Name, nn.WireSize(want), len(want.Layers))
+			}
+			for i, l := range want.Layers {
+				if reflect.TypeOf(got.Layers[i]) != reflect.TypeOf(l) {
+					t.Errorf("%s model %d layer %d: %T, zoo holds %T", spec.Name, n, i, got.Layers[i], l)
+					continue
+				}
+				for j, p := range l.Params() {
+					if gp := got.Layers[i].Params()[j]; !reflect.DeepEqual(gp.Shape, p.Shape) {
+						t.Errorf("%s model %d layer %d param %d: shape %v, zoo holds %v", spec.Name, n, i, j, gp.Shape, p.Shape)
+					}
+				}
+			}
+		}
+		for _, n := range []int{-1, FamilySize()} {
+			if _, err := NewFamilyNetwork(spec, n, rand.New(rand.NewSource(2))); err == nil {
+				t.Errorf("%s: model index %d accepted", spec.Name, n)
+			}
+		}
 	}
 }

@@ -77,7 +77,7 @@ func TestQuantizedZooSharesInt8Storage(t *testing.T) {
 		if z.nets[n+i] != nil {
 			t.Fatalf("%s retains a resident float64 network", z.Info(n+i).Name)
 		}
-		fp, q8 := z.ResidentParamBytes(i), z.ResidentParamBytes(n + i)
+		fp, q8 := z.ResidentParamBytes(i), z.ResidentParamBytes(n+i)
 		if q8*4 > fp {
 			t.Errorf("%s resident %d B is not < 1/4 of fp %d B", z.Info(n+i).Name, q8, fp)
 		}
@@ -139,6 +139,47 @@ func TestQuantizedZooBatchLossConsistent(t *testing.T) {
 		avg, _ := z.BatchLoss(n, all, nil)
 		if diff := avg - z.MeanLoss(n); diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("model %d: cache inconsistent", n)
+		}
+	}
+}
+
+// TestArenaCalibrationMatchesFreshCompile compiles every member of both
+// families twice — nn.NewQuantizedNetwork on its own arena, and Recompile of
+// one long-lived engine on one long-lived arena, as an edge runtime installs
+// them — and holds the two to identical logits on the calibration batch.
+func TestArenaCalibrationMatchesFreshCompile(t *testing.T) {
+	arena := nn.NewArena()
+	resident := &nn.QuantizedNetwork{}
+	for _, spec := range []dataset.Spec{dataset.MNISTLike, dataset.CIFARLike} {
+		rng := rand.New(rand.NewSource(23))
+		ds, err := dataset.Generate(spec, 1, 40, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calib, err := calibBatch(ds.Test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, net := range buildFamily(spec, rng) {
+			qw := nn.QuantizeWeights(net)
+			if err := qw.ApplyTo(net); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := nn.NewQuantizedNetwork(net, qw, calib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resident.Recompile(net, qw, calib, arena); err != nil {
+				t.Fatal(err)
+			}
+			want := fresh.ForwardBatch(calib, nn.NewArena())
+			arena.Reset()
+			got := resident.ForwardBatch(calib, arena)
+			for i, v := range want.Data {
+				if got.Data[i] != v {
+					t.Fatalf("%s model %d: logit %d = %v on the shared arena, %v on a fresh one", spec.Name, n, i, got.Data[i], v)
+				}
+			}
 		}
 	}
 }

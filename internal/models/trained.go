@@ -74,52 +74,66 @@ func DefaultTrainedZooConfig(spec dataset.Spec) TrainedZooConfig {
 	}
 }
 
-// buildFamily enumerates the paper's six models for a dataset family: two
-// sizes each of three architectures. Channel counts are scaled down from
-// the paper's (32/64 and 64/128) so pure-Go training stays tractable; the
-// capacity ordering — which is what differentiates model quality, energy,
-// and size — is preserved.
+// familySize is the number of models in every family zoo: two sizes each of
+// three architectures.
+const familySize = 6
+
+// familyMembers is the paper's model family as constructors over an input
+// shape: the four members both dataset families share, then the MNIST-like
+// family's last two (MLPs), then the CIFAR-like family's last two
+// (MobileNet-style). Channel counts are scaled down from the paper's (32/64
+// and 64/128) so pure-Go training stays tractable; the capacity ordering —
+// which is what differentiates model quality, energy, and size — is
+// preserved. The small MobileNet variant is deliberately slim: it anchors the
+// cheap end of the zoo's energy-accuracy trade-off (the model Greedy locks
+// onto).
+var familyMembers = [...]func(shape []int, k int, r *rand.Rand) *nn.Network{
+	func(s []int, k int, r *rand.Rand) *nn.Network { return nn.BuildCNN("cnn-s", s, 8, 16, 32, k, r) },
+	func(s []int, k int, r *rand.Rand) *nn.Network { return nn.BuildCNN("cnn-l", s, 16, 32, 64, k, r) },
+	func(s []int, k int, r *rand.Rand) *nn.Network { return nn.BuildLeNet5("lenet-s", s, 1, k, r) },
+	func(s []int, k int, r *rand.Rand) *nn.Network { return nn.BuildLeNet5("lenet-l", s, 2, k, r) },
+	func(s []int, k int, r *rand.Rand) *nn.Network { return nn.BuildMLP("mlp-s", s, 64, 32, k, r) },
+	func(s []int, k int, r *rand.Rand) *nn.Network { return nn.BuildMLP("mlp-l", s, 256, 128, k, r) },
+	func(s []int, k int, r *rand.Rand) *nn.Network { return nn.BuildMobileCNN("mobile-s", s, 4, 8, k, r) },
+	func(s []int, k int, r *rand.Rand) *nn.Network { return nn.BuildMobileCNN("mobile-l", s, 16, 32, k, r) },
+}
+
+// buildMember constructs model n (0 <= n < familySize) of spec's family with
+// a fresh initialisation drawn from rng.
+func buildMember(spec dataset.Spec, n int, rng *rand.Rand) *nn.Network {
+	const own = len(familyMembers) - familySize // each family's last members are its own
+	if n >= familySize-own && spec.Channels != 1 {
+		n += own // skip the MNIST-like family's
+	}
+	return familyMembers[n]([]int{spec.Channels, spec.Height, spec.Width}, spec.Classes, rng)
+}
+
+// buildFamily constructs all six models in zoo order, drawing every
+// initialisation from the one rng.
 func buildFamily(spec dataset.Spec, rng *rand.Rand) []*nn.Network {
-	in := []int{spec.Channels, spec.Height, spec.Width}
-	k := spec.Classes
-	if spec.Channels == 1 {
-		// MNIST-like family: CNN x2, LeNet-5 x2, MLP x2.
-		return []*nn.Network{
-			nn.BuildCNN("cnn-s", in, 8, 16, 32, k, rng),
-			nn.BuildCNN("cnn-l", in, 16, 32, 64, k, rng),
-			nn.BuildLeNet5("lenet-s", in, 1, k, rng),
-			nn.BuildLeNet5("lenet-l", in, 2, k, rng),
-			nn.BuildMLP("mlp-s", in, 64, 32, k, rng),
-			nn.BuildMLP("mlp-l", in, 256, 128, k, rng),
-		}
+	nets := make([]*nn.Network, familySize)
+	for n := range nets {
+		nets[n] = buildMember(spec, n, rng)
 	}
-	// CIFAR-like family: CNN x2, LeNet-5 x2, MobileNet-style x2. The small
-	// MobileNet variant is deliberately slim: it anchors the cheap end of
-	// the zoo's energy-accuracy trade-off (the model Greedy locks onto).
-	return []*nn.Network{
-		nn.BuildCNN("cnn-s", in, 8, 16, 32, k, rng),
-		nn.BuildCNN("cnn-l", in, 16, 32, 64, k, rng),
-		nn.BuildLeNet5("lenet-s", in, 1, k, rng),
-		nn.BuildLeNet5("lenet-l", in, 2, k, rng),
-		nn.BuildMobileCNN("mobile-s", in, 4, 8, k, rng),
-		nn.BuildMobileCNN("mobile-l", in, 16, 32, k, rng),
-	}
+	return nets
 }
 
 // NewFamilyNetwork builds the untrained architecture of model n for the
 // given dataset family — what an edge agent reconstructs locally before
 // installing a checkpoint shipped by the cloud. Model indices match the
-// zoo's ordering.
+// zoo's ordering. The returned weights are an initialisation the caller
+// overwrites (nn.ReadWeights, QuantizedWeights.ApplyTo): only model n is
+// constructed, so they are not the values family construction would draw for
+// it after its predecessors.
 func NewFamilyNetwork(spec dataset.Spec, n int, rng *rand.Rand) (*nn.Network, error) {
-	family := buildFamily(spec, rng)
-	if n < 0 || n >= len(family) {
-		return nil, fmt.Errorf("models: family model index %d out of range [0, %d)", n, len(family))
+	if n < 0 || n >= familySize {
+		return nil, fmt.Errorf("models: family model index %d out of range [0, %d)", n, familySize)
 	}
-	return family[n], nil
+	return buildMember(spec, n, rng), nil
 }
 
 // FamilySize returns the number of models in every family zoo.
-func FamilySize() int { return 6 }
+func FamilySize() int { return familySize }
 
 // NewTrainedZoo generates the dataset, trains all six models, and
 // precomputes the streaming caches. Deterministic given rng.

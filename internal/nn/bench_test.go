@@ -93,7 +93,9 @@ func BenchmarkQuantConvForward(b *testing.B) {
 	const inC, outC, kh, h, w = 6, 16, 5, 14, 14
 	const oh, ow = h - kh + 1, w - kh + 1
 	const kk, np = inC * kh * kh, oh * ow
-	wq, kkPad := padWeightRows(randInt8(rng, outC*kk), outC, kk)
+	var op qOp
+	padWeightRows(&op, randInt8(rng, outC*kk), outC, kk)
+	wq, kkPad := op.wq, op.kPad
 	src := randInt8(rng, inC*h*w)
 	col := make([]int8, np*kkPad)
 	acc := make([]int32, outC*np)

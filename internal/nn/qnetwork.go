@@ -39,6 +39,8 @@ type QuantizedNetwork struct {
 	maxAct int // widest activation boundary
 	maxCol int // widest im2col patch matrix / padded activation row
 	maxAcc int // widest accumulator row block
+
+	actMax []float64 // calibration scratch, kept so a Recompile reuses it
 }
 
 type qOpKind uint8
@@ -64,6 +66,7 @@ type qOp struct {
 	// whatever garbage sits in the matching patch/activation pad, and
 	// adding zeros to an int32 wraparound sum is exact.
 	wq    []int8
+	wpad  []int8 // the op's own padded copy, when wq is one; kept for reuse
 	kPad  int
 	biasQ []int32 // bias in accumulator units: round(b/(sx*sw)), |.| <= 2^30
 	m     int32   // fixed-point requant multiplier (quantMultiplier)
@@ -81,10 +84,10 @@ type qOp struct {
 	biasF []float64
 
 	// geometry
-	inC, outC, k   int // conv; pool reuses inC/h/w
-	h, w, oh, ow   int
-	inDim, outDim  int // dense/head
-	inLen, outLen  int // per-sample activation lengths
+	inC, outC, k  int // conv; pool reuses inC/h/w
+	h, w, oh, ow  int
+	inDim, outDim int // dense/head
+	inLen, outLen int // per-sample activation lengths
 }
 
 // actScale maps a calibrated activation maxAbs to a quantization scale,
@@ -136,6 +139,48 @@ func clampRoundInt8(v float64) int8 {
 	return int8(q)
 }
 
+// calibChunk bounds how many calibration samples go through one float pass,
+// so the arena's high-water mark is one chunk's activations rather than the
+// whole batch's at every layer. Chunking does not move a scale: samples are
+// independent in ForwardBatch (batch_equiv_test.go) and max is exact, so the
+// maximum over chunk maxima is the whole batch's maximum.
+const calibChunk = 8
+
+// resized returns s at length n, reusing its storage when the capacity
+// suffices. Contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// calibrate runs the float network over calib, layer by layer, and records
+// each boundary's maxAbs into actMax (resized to len(Layers)+1): actMax[i] is
+// the input to layer i; actMax[len(Layers)] the logits (unused: the head
+// dequantizes, it does not requantize). All scratch comes from a, which is
+// Reset before every chunk.
+func calibrate(actMax []float64, net *Network, calib *Tensor, a *Arena) []float64 {
+	actMax = resized(actMax, len(net.Layers)+1)
+	clear(actMax)
+	n := calib.Shape[0]
+	sampleLen := calib.Len() / n
+	var shapeBuf [8]int
+	shape := append(shapeBuf[:0], calib.Shape...)
+	for start := 0; start < n; start += calibChunk {
+		end := min(start+calibChunk, n)
+		a.Reset()
+		shape[0] = end - start
+		cur := a.View(calib.Data[start*sampleLen:end*sampleLen], shape...)
+		actMax[0] = max(actMax[0], maxAbsOf(cur.Data))
+		for i, l := range net.Layers {
+			cur = l.ForwardBatch(cur, a)
+			actMax[i+1] = max(actMax[i+1], maxAbsOf(cur.Data))
+		}
+	}
+	return actMax
+}
+
 // NewQuantizedNetwork compiles net — a fake-quant network whose parameters
 // are the dequantized values of qw (QuantizedWeights.ApplyTo) — into the
 // INT8 engine. calib is a [B, inShape...] batch of representative samples;
@@ -146,35 +191,44 @@ func clampRoundInt8(v float64) int8 {
 // (Conv2D, Dense, ReLU, MaxPool2D, Flatten) and the final layer must be
 // Dense — every zoo architecture qualifies.
 func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*QuantizedNetwork, error) {
+	q := &QuantizedNetwork{}
+	if err := q.Recompile(net, qw, calib, NewArena()); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// Recompile is NewQuantizedNetwork into an engine that already exists: q
+// becomes the compiled form of (net, qw, calib), exactly the engine a fresh
+// compile returns, reusing its op table and per-op buffers where they fit.
+// The calibration pass takes all its scratch from a, the caller's arena,
+// which it Resets. After an error q is partly overwritten and must not serve.
+func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *Tensor, a *Arena) error {
 	inShape := net.InShape()
 	if len(calib.Shape) != len(inShape)+1 || calib.Shape[0] < 1 {
-		return nil, fmt.Errorf("nn: calibration batch shape %v does not cover input shape %v", calib.Shape, inShape)
+		return fmt.Errorf("nn: calibration batch shape %v does not cover input shape %v", calib.Shape, inShape)
 	}
 	for i, d := range inShape {
 		if calib.Shape[i+1] != d {
-			return nil, fmt.Errorf("nn: calibration batch shape %v does not cover input shape %v", calib.Shape, inShape)
+			return fmt.Errorf("nn: calibration batch shape %v does not cover input shape %v", calib.Shape, inShape)
 		}
 	}
 	if len(net.Layers) == 0 {
-		return nil, fmt.Errorf("nn: network %q has no layers", net.Name)
+		return fmt.Errorf("nn: network %q has no layers", net.Name)
 	}
 	if _, ok := net.Layers[len(net.Layers)-1].(*Dense); !ok {
-		return nil, fmt.Errorf("nn: network %q does not end in a Dense head; the INT8 engine needs float logits", net.Name)
+		return fmt.Errorf("nn: network %q does not end in a Dense head; the INT8 engine needs float logits", net.Name)
 	}
 
-	// Calibrate: one float pass over the batch, recording each boundary's
-	// maxAbs. actMax[i] is the input to layer i; actMax[len(Layers)] the
-	// logits (unused: the head dequantizes, it does not requantize).
-	arena := NewArena()
-	cur := calib
-	actMax := make([]float64, 0, len(net.Layers)+1)
-	actMax = append(actMax, maxAbsOf(cur.Data))
-	for _, l := range net.Layers {
-		cur = l.ForwardBatch(cur, arena)
-		actMax = append(actMax, maxAbsOf(cur.Data))
-	}
+	q.actMax = calibrate(q.actMax, net, calib, a)
+	actMax := q.actMax
 
-	q := &QuantizedNetwork{Name: net.Name, inShape: inShape}
+	// The previous compile's ops donate their buffers to the op that lands at
+	// the same index; old shares q.ops' storage, and entry i is read before
+	// the append that overwrites it.
+	old := q.ops
+	q.Name, q.inShape, q.ops = net.Name, inShape, q.ops[:0]
+	q.outDim, q.maxCol, q.maxAcc = 0, 0, 0
 	q.inScale = actScale(actMax[0])
 	s := q.inScale // running activation scale
 	shape := inShape
@@ -192,10 +246,13 @@ func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*Qu
 		}
 		isHead := li == len(net.Layers)-1
 		op := qOp{inLen: inLen, outLen: outLen}
+		if i := len(q.ops); i < len(old) {
+			op.wpad, op.biasQ, op.biasAtSy = old[i].wpad[:0], old[i].biasQ[:0], old[i].biasAtSy[:0]
+		}
 		switch t := l.(type) {
 		case *Conv2D:
 			if ti+2 > len(qw.Tensors) {
-				return nil, fmt.Errorf("nn: quantized weights exhausted at layer %d of %q", li, net.Name)
+				return fmt.Errorf("nn: quantized weights exhausted at layer %d of %q", li, net.Name)
 			}
 			wt := qw.Tensors[ti]
 			bias := l.Params()[1]
@@ -217,7 +274,7 @@ func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*Qu
 			s = sy
 		case *Dense:
 			if ti+2 > len(qw.Tensors) {
-				return nil, fmt.Errorf("nn: quantized weights exhausted at layer %d of %q", li, net.Name)
+				return fmt.Errorf("nn: quantized weights exhausted at layer %d of %q", li, net.Name)
 			}
 			wt := qw.Tensors[ti]
 			bias := l.Params()[1]
@@ -228,7 +285,7 @@ func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*Qu
 			}
 			if isHead {
 				op.kind = qHead
-				op.wq, op.kPad = padWeightRows(wt.Data, t.OutDim, t.InDim)
+				padWeightRows(&op, wt.Data, t.OutDim, t.InDim)
 				op.sxw = s * wt.Scale
 				op.biasF = bias.Data
 				q.outDim = op.outDim
@@ -270,7 +327,7 @@ func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*Qu
 			shape = outShape // activations are already flat CHW rows
 			continue
 		default:
-			return nil, fmt.Errorf("nn: layer %d of %q (%T) has no INT8 lowering", li, net.Name, l)
+			return fmt.Errorf("nn: layer %d of %q (%T) has no INT8 lowering", li, net.Name, l)
 		}
 		if outLen > q.maxAct {
 			q.maxAct = outLen
@@ -280,24 +337,28 @@ func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*Qu
 		inLen = outLen
 	}
 	if ti != len(qw.Tensors) {
-		return nil, fmt.Errorf("nn: network %q consumed %d of %d quantized tensors", net.Name, ti, len(qw.Tensors))
+		return fmt.Errorf("nn: network %q consumed %d of %d quantized tensors", net.Name, ti, len(qw.Tensors))
 	}
-	return q, nil
+	return nil
 }
 
-// padWeightRows lays rows of rowLen int8s out at stride padTo16(rowLen),
-// zero-filling the pad. When rowLen is already a vector-width multiple the
-// QuantizedWeights storage is aliased as is — no copy.
-func padWeightRows(data []int8, rows, rowLen int) ([]int8, int) {
+// padWeightRows sets op.wq to rows of rowLen int8s at stride op.kPad =
+// padTo16(rowLen), zero-filling the pad. When rowLen is already a
+// vector-width multiple the QuantizedWeights storage is aliased as is — no
+// copy; otherwise the copy lands in op.wpad.
+func padWeightRows(op *qOp, data []int8, rows, rowLen int) {
 	lp := padTo16(rowLen)
+	op.kPad = lp
 	if lp == rowLen {
-		return data, lp
+		op.wq = data
+		return
 	}
-	out := make([]int8, rows*lp)
+	op.wpad = resized(op.wpad, rows*lp)
 	for r := 0; r < rows; r++ {
-		copy(out[r*lp:r*lp+rowLen], data[r*rowLen:(r+1)*rowLen])
+		row := op.wpad[r*lp : (r+1)*lp]
+		clear(row[copy(row, data[r*rowLen:(r+1)*rowLen]):])
 	}
-	return out, lp
+	op.wq = op.wpad
 }
 
 // compileRequantOp fills the requantizing conv/dense fields: the padded int8
@@ -305,10 +366,10 @@ func padWeightRows(data []int8, rows, rowLen int) ([]int8, int) {
 // int32 accumulator units — or, for an all-zero weight tensor, the bias
 // quantized directly at the output scale.
 func compileRequantOp(op *qOp, wt QuantizedTensor, bias []float64, sx, sy float64, rows, rowLen int) {
-	op.wq, op.kPad = padWeightRows(wt.Data, rows, rowLen)
+	padWeightRows(op, wt.Data, rows, rowLen)
 	if wt.Scale == 0 {
 		op.zeroScale = true
-		op.biasAtSy = make([]int8, len(bias))
+		op.biasAtSy = resized(op.biasAtSy, len(bias))
 		for o, b := range bias {
 			op.biasAtSy[o] = clampRoundInt8(b / sy)
 		}
@@ -316,7 +377,7 @@ func compileRequantOp(op *qOp, wt QuantizedTensor, bias []float64, sx, sy float6
 	}
 	sxw := sx * wt.Scale
 	op.m, op.shift = quantMultiplier(sxw / sy)
-	op.biasQ = make([]int32, len(bias))
+	op.biasQ = resized(op.biasQ, len(bias))
 	for o, b := range bias {
 		op.biasQ[o] = clampBiasQ(b / sxw)
 	}

@@ -225,3 +225,75 @@ func TestQuantizedNetworkRejectsUnsupported(t *testing.T) {
 // unloweredLayer is a working Layer of a type the INT8 compiler has no case
 // for: the float calibration pass runs it, the lowering switch rejects it.
 type unloweredLayer struct{ *ReLU }
+
+// TestCalibrationChunkingIsExact pins the sub-batched calibration pass against
+// the whole-batch pass it replaced: every boundary's maxAbs must be the same
+// bits, for a batch that is not a chunk multiple, out of an arena left dirty
+// by another architecture.
+func TestCalibrationChunkingIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	arena := NewArena()
+	var actMax []float64
+	for _, net := range buildQuantArchs(rng) {
+		calib := randBatch(rng, 2*calibChunk+3, net.InShape())
+		want := []float64{maxAbsOf(calib.Data)}
+		whole := NewArena()
+		cur := calib
+		for _, l := range net.Layers {
+			cur = l.ForwardBatch(cur, whole)
+			want = append(want, maxAbsOf(cur.Data))
+		}
+		actMax = calibrate(actMax, net, calib, arena)
+		if len(actMax) != len(want) {
+			t.Fatalf("%s: %d boundaries, want %d", net.Name, len(actMax), len(want))
+		}
+		for i := range want {
+			if actMax[i] != want[i] {
+				t.Errorf("%s: boundary %d maxAbs %v, whole-batch pass says %v", net.Name, i, actMax[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRecompileMatchesFreshCompile drives one resident engine, one resident
+// QuantizedWeights and one arena through every architecture twice over (so
+// each recompile inherits another architecture's op table and buffers) and
+// holds every result to the logits of a fresh QuantizeWeights +
+// NewQuantizedNetwork of the same network.
+func TestRecompileMatchesFreshCompile(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	arena := NewArena()
+	qw, qn := &QuantizedWeights{}, &QuantizedNetwork{}
+	for round := 0; round < 2; round++ {
+		for _, net := range buildQuantArchs(rng) {
+			if round == 1 { // a zero-scale tensor over a recycled op
+				for _, l := range net.Layers {
+					if p := l.Params(); len(p) > 0 {
+						zeroFloats(p[0].Data)
+						break
+					}
+				}
+			}
+			calib := randBatch(rng, 24, net.InShape())
+			in := randBatch(rng, 9, net.InShape())
+			qw.Requantize(net)
+			_, fresh := quantizeForTest(t, net, calib) // fake-quantizes net, as the install path's ApplyTo does
+			if err := qn.Recompile(net, qw, calib, arena); err != nil {
+				t.Fatal(err)
+			}
+			fa := NewArena()
+			want := fresh.ForwardBatch(in, fa)
+			arena.Reset()
+			got := qn.ForwardBatch(in, arena)
+			if qn.Name != fresh.Name || qn.OutDim() != fresh.OutDim() || qn.ParamBytes() != fresh.ParamBytes() {
+				t.Fatalf("%s round %d: recompiled engine (%s, %d, %d) differs from fresh (%s, %d, %d)", net.Name, round,
+					qn.Name, qn.OutDim(), qn.ParamBytes(), fresh.Name, fresh.OutDim(), fresh.ParamBytes())
+			}
+			for i, v := range want.Data {
+				if got.Data[i] != v {
+					t.Fatalf("%s round %d: logit %d = %v, fresh compile says %v", net.Name, round, i, got.Data[i], v)
+				}
+			}
+		}
+	}
+}

@@ -61,14 +61,28 @@ func quantizeSlice(dst []int8, src []float64) (scale float64) {
 // modifying the network.
 func QuantizeWeights(net *Network) *QuantizedWeights {
 	qw := &QuantizedWeights{}
+	qw.Requantize(net)
+	return qw
+}
+
+// Requantize recaptures net's parameters into qw, reusing the int8 buffers
+// of a previous capture wherever their capacity suffices — the same values
+// QuantizeWeights(net) would hold, without its allocations when an edge
+// re-installs an architecture it already holds.
+func (qw *QuantizedWeights) Requantize(net *Network) {
+	i := 0
 	for _, l := range net.Layers {
 		for _, p := range l.Params() {
-			qt := QuantizedTensor{Data: make([]int8, p.Len())}
+			if i == len(qw.Tensors) {
+				qw.Tensors = append(qw.Tensors, QuantizedTensor{})
+			}
+			qt := &qw.Tensors[i]
+			qt.Data = resized(qt.Data, p.Len())
 			qt.Scale = quantizeSlice(qt.Data, p.Data)
-			qw.Tensors = append(qw.Tensors, qt)
+			i++
 		}
 	}
-	return qw
+	qw.Tensors = qw.Tensors[:i]
 }
 
 // ApplyTo writes the dequantized values q*Scale into an identically shaped

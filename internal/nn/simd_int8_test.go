@@ -48,16 +48,16 @@ func TestRequantizeGolden(t *testing.T) {
 	mHalf, sHalf := quantMultiplier(0.5) // (2^30, 31)
 	mOne, sOne := quantMultiplier(1)     // (2^30, 30)
 	cases := []struct {
-		name      string
-		acc, m    int32
-		shift     int
-		want      int8
+		name   string
+		acc, m int32
+		shift  int
+		want   int8
 	}{
 		{"exact", 2, mHalf, sHalf, 1},
-		{"tie-positive-rounds-up", 1, mHalf, sHalf, 1},    // +0.5 -> 1
-		{"tie-negative-rounds-up", -1, mHalf, sHalf, 0},   // -0.5 -> 0
-		{"tie-positive-odd", 3, mHalf, sHalf, 2},          // +1.5 -> 2
-		{"tie-negative-odd", -3, mHalf, sHalf, -1},        // -1.5 -> -1
+		{"tie-positive-rounds-up", 1, mHalf, sHalf, 1},  // +0.5 -> 1
+		{"tie-negative-rounds-up", -1, mHalf, sHalf, 0}, // -0.5 -> 0
+		{"tie-positive-odd", 3, mHalf, sHalf, 2},        // +1.5 -> 2
+		{"tie-negative-odd", -3, mHalf, sHalf, -1},      // -1.5 -> -1
 		{"identity", 100, mOne, sOne, 100},
 		{"saturate-positive", 1000, mOne, sOne, 127},
 		{"saturate-negative", -1000, mOne, sOne, -127},
@@ -387,8 +387,8 @@ func TestQgemmNTFuzzOracle(t *testing.T) {
 		}
 	}
 	for iter := 0; iter < 250; iter++ {
-		m := rng.Intn(10)  // includes the empty batch
-		n := rng.Intn(12)  // includes zero output columns
+		m := rng.Intn(10) // includes the empty batch
+		n := rng.Intn(12) // includes zero output columns
 		var k, kk int
 		if iter%2 == 0 {
 			// Engine-shaped: kk real columns zero-padded to the next
