@@ -20,9 +20,11 @@
 #   make fuzz-smoke - ten seconds of each native fuzz target: the wire codec
 #                  (internal/deploy: FuzzReadMessage, FuzzMessageEncode), the
 #                  random streams against math/rand (internal/numeric:
-#                  FuzzSplitRNGStream) and the checkpoint reader against its
-#                  value-by-value oracle (internal/nn: FuzzReadWeights);
-#                  go test -fuzz takes one target per run
+#                  FuzzSplitRNGStream), the checkpoint reader against its
+#                  value-by-value oracle (internal/nn: FuzzReadWeights) and
+#                  the trace CSV readers against their accept contract and a
+#                  write/read round trip (internal/trace: FuzzReadPrices,
+#                  FuzzReadWorkload); go test -fuzz takes one target per run
 #   make bench   - refresh the machine-readable NN perf baseline
 #                  (BENCH_nn.json) plus the engine's serial-vs-parallel
 #                  slot-stepping benchmark, the shard fan-out benchmark,
@@ -56,7 +58,7 @@ vet:
 	$(GO) vet ./...
 
 lint:
-	$(GO) run ./cmd/carbonlint -cache .lintcache ./...
+	$(GO) run ./cmd/carbonlint ./...
 
 race:
 	$(GO) test -race ./internal/...
@@ -73,6 +75,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMessageEncode -fuzztime=10s ./internal/deploy
 	$(GO) test -run='^$$' -fuzz=FuzzSplitRNGStream -fuzztime=10s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s ./internal/nn
+	$(GO) test -run='^$$' -fuzz=FuzzReadPrices -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzReadWorkload -fuzztime=10s ./internal/trace
 
 bench:
 	$(GO) run ./cmd/nnbench -out BENCH_nn.json

@@ -198,10 +198,11 @@ func BenchmarkFullScenarioRun(b *testing.B) {
 // the per-sample energy numbers.
 func BenchmarkNNForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	ds, err := dataset.Generate(dataset.MNISTLike, 2, 2, rng)
+	dist, err := dataset.NewDistribution(dataset.MNISTLike, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
+	x := dist.Sample(rng).X
 	zooCfg := models.DefaultTrainedZooConfig(dataset.MNISTLike)
 	zooCfg.TrainN, zooCfg.TestN, zooCfg.Epochs = 50, 50, 1
 	zoo, err := models.NewTrainedZoo(zooCfg, rng)
@@ -209,7 +210,6 @@ func BenchmarkNNForward(b *testing.B) {
 		b.Fatal(err)
 	}
 	net := zoo.Network(1) // cnn-l
-	x := ds.Test[0].X
 	in := &nn.Tensor{Shape: append([]int{1}, x.Shape...), Data: x.Data}
 	arena := nn.NewArena()
 	net.ForwardBatch(in, arena) // warm the arena: steady state is 0 allocs

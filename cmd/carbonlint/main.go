@@ -16,8 +16,6 @@
 //
 //	-l             list the analyzers and exit
 //	-json          emit findings as a JSON array on stdout (CI consumes this)
-//	-cache DIR     reuse per-package summaries cached under DIR, keyed on
-//	               export-data identity (see internal/analysis/cache.go)
 package main
 
 import (
@@ -63,7 +61,6 @@ type jsonFinding struct {
 func main() {
 	list := flag.Bool("l", false, "list the analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	cacheDir := flag.String("cache", "", "directory for per-package summary caching (empty disables)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: carbonlint [flags] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the repository's determinism and numeric invariant analyzers.\n")
@@ -81,19 +78,9 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	var findings []analysis.Finding
-	var err error
-	if *cacheDir != "" {
-		var stats analysis.CacheStats
-		findings, stats, err = analysis.LintCached(".", *cacheDir, All, patterns...)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "carbonlint: cache %d hit(s), %d miss(es)\n", stats.Hits, stats.Misses)
-		}
-	} else {
-		var pkgs []*analysis.Package
-		pkgs, err = analysis.Load(".", patterns...)
-		if err == nil {
-			findings, err = analysis.RunAnalyzers(pkgs, All)
-		}
+	pkgs, err := analysis.Load(".", patterns...)
+	if err == nil {
+		findings, err = analysis.RunAnalyzers(pkgs, All)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -11,9 +11,8 @@ import (
 // Call-graph layer: a whole-program, type-aware static call graph over the
 // loaded packages, built once per carbonlint run and consumed by the
 // program-wide analyzers (hotalloc's hot-path reachability). Each package
-// contributes a serializable []*GraphFunc summary (so the lint cache can
-// replay unchanged packages without re-type-checking them); MergeGraph
-// stitches the summaries into one Graph.
+// contributes a []*GraphFunc summary; MergeGraph stitches the summaries into
+// one Graph.
 //
 // Resolution is deliberately conservative:
 //
@@ -47,8 +46,8 @@ const HotrootPrefix = "lint:hotroot"
 const ColdPrefix = "lint:cold"
 
 // A GraphFunc is one analyzed function's contribution to the program call
-// graph. All fields are plain data so package summaries round-trip through
-// the lint cache as JSON.
+// graph. All fields are plain data: callees are named by key, not by pointer,
+// so a package is summarized without seeing any other.
 type GraphFunc struct {
 	// Key is the canonical function key ("pkg.Name" or "pkg.Recv.Name").
 	Key string

@@ -27,12 +27,6 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	// ExportFile is the build-cache path of the package's compiled export
-	// data, as reported by `go list -export`. The path embeds the build
-	// action ID — a hash of the package's sources and the export data of
-	// everything it imports — which is what the lint cache keys on.
-	// Empty for testdata packages.
-	ExportFile string
 }
 
 // listedPackage is the subset of `go list -json` output the loader reads.
@@ -170,7 +164,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.ExportFile = lp.Export
 		pkgs = append(pkgs, pkg)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })

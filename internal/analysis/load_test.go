@@ -96,48 +96,3 @@ func TestFindingString(t *testing.T) {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
-
-// TestLintCachedSoundness pins the cache contract end to end: a cold run
-// over real packages misses and populates the cache, a warm run over the
-// same tree hits every entry, and both runs report byte-identical findings
-// (the probe fires on every file, so the comparison is not vacuous).
-func TestLintCachedSoundness(t *testing.T) {
-	probe := &Analyzer{
-		Name: "probe",
-		Doc:  "reports every file's package clause once",
-		Run: func(p *Pass) (any, error) {
-			for _, f := range p.Files {
-				p.Reportf(f.Package, "package clause")
-			}
-			return nil, nil
-		},
-	}
-	cacheDir := t.TempDir()
-
-	cold, coldStats, err := LintCached("../..", cacheDir, []*Analyzer{probe}, "./internal/numeric", "./internal/market")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cold) == 0 {
-		t.Fatal("cold run reported nothing")
-	}
-	if coldStats.Misses == 0 || coldStats.Hits != 0 {
-		t.Errorf("cold run stats = %+v, want only misses", coldStats)
-	}
-
-	warm, warmStats, err := LintCached("../..", cacheDir, []*Analyzer{probe}, "./internal/numeric", "./internal/market")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.Hits == 0 || warmStats.Misses != 0 {
-		t.Errorf("warm run stats = %+v, want only hits", warmStats)
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("warm run reported %d findings, cold %d", len(warm), len(cold))
-	}
-	for i := range warm {
-		if warm[i].String() != cold[i].String() {
-			t.Errorf("finding %d drifted across cache: cold %s, warm %s", i, cold[i], warm[i])
-		}
-	}
-}

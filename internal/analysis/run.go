@@ -153,9 +153,8 @@ type AllowDir struct {
 
 // A PkgSummary is the complete result of analyzing one package in
 // isolation: resolved local findings, the package's call-graph
-// contribution, and the global analyzers' pending candidates. It is plain
-// data — exactly what the lint cache serializes (see cache.go) — so merging
-// cached and freshly-computed summaries is indistinguishable.
+// contribution, and the global analyzers' pending candidates, as plain data
+// that refers to nothing outside the package.
 type PkgSummary struct {
 	PkgPath    string
 	Findings   []Finding
@@ -225,8 +224,8 @@ func Summarize(pkg *Package, analyzers []*Analyzer) (*PkgSummary, error) {
 		}
 	}
 
-	// Deterministic directive order: the summary round-trips through the
-	// lint cache, so its bytes must not depend on map iteration.
+	// Deterministic directive order: findings must not depend on map
+	// iteration.
 	var ordered []*allowDirective
 	for _, lines := range dirs {
 		for _, d := range lines {

@@ -373,19 +373,11 @@ func TestSkipContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp3, err := NewEXP3(3, 0.1, 1, rng(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ucb2, err := NewUCB2(3, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps, err := NewEpsilonGreedy(3, 0.1, rng(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []Policy{blocked, exp3, ucb2, eps} {
+	for _, p := range []Policy{blocked, ucb2} {
 		s, ok := p.(Skipper)
 		if !ok {
 			t.Fatalf("%s does not implement Skipper", p.Name())

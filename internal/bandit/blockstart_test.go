@@ -19,11 +19,7 @@ func TestSelectUpdateCycleAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp3, err := NewEXP3(6, 0.1, 5, numeric.SplitRNG(1, "exp3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []Policy{unblocked, blocked, exp3} {
+	for _, p := range []Policy{unblocked, blocked} {
 		cycle := func() { p.Update(float64(p.SelectArm()) * 0.7) }
 		for i := 0; i < 50; i++ {
 			cycle()

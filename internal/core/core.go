@@ -207,9 +207,6 @@ func NewWithComponents(cfg Config, policies []bandit.Policy, trader trading.Trad
 // NumEdges returns the number of edges I.
 func (c *Controller) NumEdges() int { return len(c.policies) }
 
-// Slot returns the current 0-indexed slot.
-func (c *Controller) Slot() int { return c.slot }
-
 // SelectModels starts a slot and returns the model index for every edge.
 // The returned slice is owned by the caller.
 func (c *Controller) SelectModels() ([]int, error) {

@@ -59,8 +59,8 @@ func TestProtocolHappyPath(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for slot := 0; slot < 160; slot++ {
-		if c.Slot() != slot {
-			t.Fatalf("Slot = %d, want %d", c.Slot(), slot)
+		if c.slot != slot {
+			t.Fatalf("slot = %d, want %d", c.slot, slot)
 		}
 		arms, err := c.SelectModels()
 		if err != nil {
@@ -162,8 +162,8 @@ func TestProtocolOrderingEnforced(t *testing.T) {
 	if err := c.CompleteSlot([]float64{0, 0, 0}, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if c.Slot() != 1 {
-		t.Errorf("Slot = %d after one complete cycle", c.Slot())
+	if c.slot != 1 {
+		t.Errorf("slot = %d after one complete cycle", c.slot)
 	}
 }
 

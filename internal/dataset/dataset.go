@@ -110,35 +110,20 @@ type Dataset struct {
 	Spec  Spec
 	Train []nn.Sample
 	Test  []nn.Sample
-
-	dist *Distribution
-}
-
-// Generate builds a dataset with the requested pool sizes. Everything is
-// deterministic given the RNG.
-func Generate(spec Spec, trainN, testN int, rng *rand.Rand) (*Dataset, error) {
-	dist, err := NewDistribution(spec, rng)
-	if err != nil {
-		return nil, err
-	}
-	return GenerateFrom(dist, trainN, testN, rng)
 }
 
 // GenerateFrom builds train/test pools over an existing distribution, so
 // several parties (the cloud's trainer, each edge) can share D while
-// sampling independently.
+// sampling independently. Everything is deterministic given the RNG.
 func GenerateFrom(dist *Distribution, trainN, testN int, rng *rand.Rand) (*Dataset, error) {
 	if trainN <= 0 || testN <= 0 {
 		return nil, fmt.Errorf("dataset: pool sizes must be positive, got train=%d test=%d", trainN, testN)
 	}
-	d := &Dataset{Spec: dist.Spec, dist: dist}
+	d := &Dataset{Spec: dist.Spec}
 	d.Train = dist.Pool(trainN, rng)
 	d.Test = dist.Pool(testN, rng)
 	return d, nil
 }
-
-// Distribution returns the dataset's underlying D.
-func (d *Dataset) Distribution() *Distribution { return d.dist }
 
 // Sample draws one labeled example from the distribution.
 func (d *Distribution) Sample(rng *rand.Rand) nn.Sample {
@@ -203,35 +188,4 @@ func makeTemplate(spec Spec, rng *rand.Rand) *nn.Tensor {
 		}
 	}
 	return t
-}
-
-// Stream draws IID sample indices from the test pool, modeling the paper's
-// per-edge stochastic data stream. Each edge holds its own Stream so streams
-// are independent across edges while sharing the distribution D.
-type Stream struct {
-	pool int
-	rng  *rand.Rand
-}
-
-// NewStream creates a stream over a test pool of the given size.
-func NewStream(poolSize int, rng *rand.Rand) (*Stream, error) {
-	if poolSize <= 0 {
-		return nil, fmt.Errorf("dataset: stream over empty pool")
-	}
-	return &Stream{pool: poolSize, rng: rng}, nil
-}
-
-// Next returns the next sample index.
-func (s *Stream) Next() int { return s.rng.Intn(s.pool) }
-
-// NextBatch fills out with the next n sample indices and returns it.
-func (s *Stream) NextBatch(n int, out []int) []int {
-	if cap(out) < n {
-		out = make([]int, n)
-	}
-	out = out[:n]
-	for i := range out {
-		out[i] = s.rng.Intn(s.pool)
-	}
-	return out
 }

@@ -10,14 +10,26 @@ import (
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
+// generate fixes D from rng and draws train/test pools over it with the same
+// stream, the way the trained zoo does.
+func generate(t *testing.T, spec Spec, trainN, testN int, rng *rand.Rand) *Dataset {
+	t.Helper()
+	dist, err := NewDistribution(spec, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := GenerateFrom(dist, trainN, testN, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestGenerateShapesAndLabels(t *testing.T) {
 	for _, spec := range []Spec{MNISTLike, CIFARLike} {
 		t.Run(spec.Name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
-			d, err := Generate(spec, 50, 30, rng)
-			if err != nil {
-				t.Fatalf("Generate: %v", err)
-			}
+			d := generate(t, spec, 50, 30, rng)
 			if len(d.Train) != 50 || len(d.Test) != 30 {
 				t.Fatalf("pool sizes = %d/%d", len(d.Train), len(d.Test))
 			}
@@ -40,28 +52,26 @@ func TestGenerateShapesAndLabels(t *testing.T) {
 
 func TestGenerateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	if _, err := Generate(MNISTLike, 0, 10, rng); err == nil {
+	dist, err := NewDistribution(MNISTLike, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GenerateFrom(dist, 0, 10, rng); err == nil {
 		t.Error("expected error for zero train pool")
 	}
-	if _, err := Generate(MNISTLike, 10, 0, rng); err == nil {
+	if _, err := GenerateFrom(dist, 10, 0, rng); err == nil {
 		t.Error("expected error for zero test pool")
 	}
 	bad := MNISTLike
 	bad.Classes = 1
-	if _, err := Generate(bad, 10, 10, rng); err == nil {
+	if _, err := NewDistribution(bad, rng); err == nil {
 		t.Error("expected error for single class")
 	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	d1, err := Generate(MNISTLike, 20, 20, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Generate(MNISTLike, 20, 20, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d1 := generate(t, MNISTLike, 20, 20, rand.New(rand.NewSource(7)))
+	d2 := generate(t, MNISTLike, 20, 20, rand.New(rand.NewSource(7)))
 	for i := range d1.Train {
 		if d1.Train[i].Label != d2.Train[i].Label {
 			t.Fatal("labels differ across identical seeds")
@@ -78,10 +88,7 @@ func TestClassesAreSeparable(t *testing.T) {
 	// A small MLP must learn MNIST-like far above chance — otherwise the
 	// dataset carries no signal and model-quality differences vanish.
 	rng := rand.New(rand.NewSource(3))
-	d, err := Generate(MNISTLike, 600, 300, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := generate(t, MNISTLike, 600, 300, rng)
 	net := nn.BuildMLP("probe", []int{1, 28, 28}, 32, 16, MNISTLike.Classes, rng)
 	if _, err := nn.Train(net, d.Train, nn.TrainConfig{Epochs: 4, BatchSize: 16, LR: 0.05}, rng); err != nil {
 		t.Fatal(err)
@@ -97,10 +104,7 @@ func TestCIFARLikeHarderThanMNISTLike(t *testing.T) {
 	// gap between Figs. 12 and 13 depends on this.
 	train := func(spec Spec, seed int64) float64 {
 		rng := rand.New(rand.NewSource(seed))
-		d, err := Generate(spec, 500, 300, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := generate(t, spec, 500, 300, rng)
 		in := []int{spec.Channels, spec.Height, spec.Width}
 		net := nn.BuildMLP("probe", in, 32, 16, spec.Classes, rng)
 		if _, err := nn.Train(net, d.Train, nn.TrainConfig{Epochs: 3, BatchSize: 16, LR: 0.05}, rng); err != nil {
@@ -116,59 +120,15 @@ func TestCIFARLikeHarderThanMNISTLike(t *testing.T) {
 	}
 }
 
-func TestStreamUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s, err := NewStream(10, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 10)
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		idx := s.Next()
-		if idx < 0 || idx >= 10 {
-			t.Fatalf("index %d out of range", idx)
-		}
-		counts[idx]++
-	}
-	for i, c := range counts {
-		got := float64(c) / draws
-		if math.Abs(got-0.1) > 0.01 {
-			t.Errorf("empirical p[%d] = %v", i, got)
-		}
-	}
-}
-
-func TestStreamErrorsAndBatch(t *testing.T) {
-	if _, err := NewStream(0, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("expected error for empty pool")
-	}
-	s, err := NewStream(5, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := s.NextBatch(7, nil)
-	if len(out) != 7 {
-		t.Fatalf("batch len = %d", len(out))
-	}
-	// Reuse a larger buffer.
-	buf := make([]int, 10)
-	out2 := s.NextBatch(3, buf)
-	if len(out2) != 3 || &out2[0] != &buf[0] {
-		t.Error("NextBatch did not reuse buffer")
-	}
-}
-
 // Property: every generated sample has label matching a template index and
 // bounded pixel magnitudes (template peak 1 + noise tails).
 func TestSamplePixelBoundsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	d, err := Generate(MNISTLike, 5, 5, rng)
+	dist, err := NewDistribution(MNISTLike, rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prop := func(seed int64) bool {
-		s := d.Distribution().Sample(numeric.SplitRNG(seed, "prop"))
+		s := dist.Sample(numeric.SplitRNG(seed, "prop"))
 		if s.Label < 0 || s.Label >= MNISTLike.Classes {
 			return false
 		}

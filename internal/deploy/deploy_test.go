@@ -309,11 +309,11 @@ func TestNNRuntimeErrors(t *testing.T) {
 	if _, err := NewNNRuntime(nil, nil, nil, nil, nil); err == nil {
 		t.Error("expected error for nil deps")
 	}
-	ds, err := dataset.Generate(dataset.MNISTLike, 2, 5, rng)
+	dist, err := dataset.NewDistribution(dataset.MNISTLike, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewNNRuntime(build, ds.Test, func(int) int { return 1 }, func(int) float64 { return 0.1 }, rng)
+	rt, err := NewNNRuntime(build, dist.Pool(5, rng), func(int) int { return 1 }, func(int) float64 { return 0.1 }, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -389,30 +389,13 @@ func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) er
 	if err := m.qw.ApplyTo(m.net); err != nil {
 		return fmt.Errorf("deploy: quantize model %d: %w", modelID, err)
 	}
-	if err := m.qn.Recompile(m.net, m.qw, r.calibInput(), r.arena); err != nil {
+	if r.calib == nil {
+		r.calib = nn.StackSamples(r.Pool, slotChunk)
+	}
+	if err := m.qn.Recompile(m.net, m.qw, r.calib, r.arena); err != nil {
 		return fmt.Errorf("deploy: compile INT8 model %d: %w", modelID, err)
 	}
 	return nil
-}
-
-// calibInput assembles the INT8 engines' calibration batch from the head of
-// the edge's local pool — deterministic, representative of the stream the
-// activation scales will see, and built once per runtime.
-func (r *NNRuntime) calibInput() *nn.Tensor {
-	if r.calib != nil {
-		return r.calib
-	}
-	b := slotChunk
-	if b > len(r.Pool) {
-		b = len(r.Pool)
-	}
-	sampleLen := r.Pool[0].X.Len()
-	t := nn.NewTensor(append([]int{b}, r.Pool[0].X.Shape...)...)
-	for j := 0; j < b; j++ {
-		copy(t.Data[j*sampleLen:(j+1)*sampleLen], r.Pool[j].X.Data)
-	}
-	r.calib = t
-	return t
 }
 
 // RunSlot implements Runtime: serve M samples with the loaded model.

@@ -127,15 +127,6 @@ func (d *SlotDelta) Fold(f *SlotFold) {
 	}
 }
 
-// Workload returns the delta's total served samples.
-func (d *SlotDelta) Workload() int {
-	n := 0
-	for i := range d.Edges {
-		n += d.Edges[i].Samples
-	}
-	return n
-}
-
 // Range is a contiguous block of edges, the unit a shard owns.
 type Range struct{ Start, Count int }
 

@@ -220,8 +220,8 @@ func TestMergeRejectsNonContiguous(t *testing.T) {
 	if err := d.Merge(SlotDelta{Start: 1, Edges: []EdgeDelta{{Samples: 3}}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Edges) != 2 || d.Workload() != 5 {
-		t.Errorf("merged delta = %+v, want 2 edges / workload 5", d)
+	if len(d.Edges) != 2 || d.Edges[0].Samples != 2 || d.Edges[1].Samples != 3 {
+		t.Errorf("merged delta = %+v, want 2 edges serving 2 and 3 samples", d)
 	}
 }
 

@@ -58,11 +58,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions mirrors the paper at a quick-to-run number of repetitions.
-func DefaultOptions() Options {
-	return Options{Runs: 3, Seed: 1, Edges: 10, Horizon: 160}
-}
-
 func (o Options) normalized() Options {
 	if o.Runs <= 0 {
 		o.Runs = 3
@@ -104,16 +99,6 @@ func runCombo(s *sim.Scenario, name string) (*sim.Result, error) {
 		return nil, err
 	}
 	return sim.Run(s, combo.Name, combo.Policy, combo.Trader)
-}
-
-// avgTotalCost averages a combo's total cost over o.Runs seeds for the
-// given config mutation (a one-cell avgTotalCosts grid).
-func avgTotalCost(o Options, name string, mutate func(*sim.Config)) (float64, error) {
-	vals, err := avgTotalCosts(o, []costSpec{{name: name, mutate: mutate}})
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
 }
 
 // Render prints a figure as an aligned text table: the X column followed by

@@ -2,18 +2,8 @@ package market
 
 import "math"
 
-// Predictor forecasts the next allowance buy price from the history it has
-// observed. Implementations must be causal: Predict may only use prices
-// passed to Observe.
-type Predictor interface {
-	// Observe feeds the realized buy price of the current slot.
-	Observe(price float64)
-	// Predict forecasts the next slot's buy price. Before any observation
-	// it returns fallback.
-	Predict(fallback float64) float64
-}
-
-// ARPredictor is an online AR(1) forecaster: it models
+// ARPredictor is an online AR(1) forecaster of the next allowance buy price.
+// It is causal: Predict only uses prices passed to Observe. It models
 //
 //	c_{t+1} - mu = phi * (c_t - mu) + noise
 //
@@ -34,12 +24,10 @@ type ARPredictor struct {
 	last         float64
 }
 
-var _ Predictor = (*ARPredictor)(nil)
-
 // NewARPredictor creates an empty AR(1) forecaster.
 func NewARPredictor() *ARPredictor { return &ARPredictor{} }
 
-// Observe implements Predictor.
+// Observe feeds the realized buy price of the current slot.
 func (p *ARPredictor) Observe(price float64) {
 	p.n++
 	p.mean += (price - p.mean) / float64(p.n)
@@ -62,7 +50,8 @@ func (p *ARPredictor) Phi() float64 {
 	return math.Max(-1, math.Min(1, phi))
 }
 
-// Predict implements Predictor.
+// Predict forecasts the next slot's buy price. Before any observation it
+// returns fallback.
 func (p *ARPredictor) Predict(fallback float64) float64 {
 	if p.n == 0 {
 		return fallback
@@ -71,40 +60,4 @@ func (p *ARPredictor) Predict(fallback float64) float64 {
 		return p.last
 	}
 	return p.mean + p.Phi()*(p.last-p.mean)
-}
-
-// EWMAPredictor is a simpler exponentially weighted moving-average
-// forecaster, useful as a prediction-quality baseline in ablations.
-type EWMAPredictor struct {
-	alpha float64
-	level float64
-	seen  bool
-}
-
-var _ Predictor = (*EWMAPredictor)(nil)
-
-// NewEWMAPredictor creates an EWMA forecaster with smoothing alpha in (0,1].
-func NewEWMAPredictor(alpha float64) *EWMAPredictor {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	return &EWMAPredictor{alpha: alpha}
-}
-
-// Observe implements Predictor.
-func (p *EWMAPredictor) Observe(price float64) {
-	if !p.seen {
-		p.level = price
-		p.seen = true
-		return
-	}
-	p.level += p.alpha * (price - p.level)
-}
-
-// Predict implements Predictor.
-func (p *EWMAPredictor) Predict(fallback float64) float64 {
-	if !p.seen {
-		return fallback
-	}
-	return p.level
 }

@@ -76,30 +76,3 @@ func TestARPredictorPhiClamped(t *testing.T) {
 		t.Errorf("Phi = %v outside [-1, 1]", phi)
 	}
 }
-
-func TestEWMAPredictor(t *testing.T) {
-	p := NewEWMAPredictor(0.5)
-	if got := p.Predict(3); got != 3 {
-		t.Errorf("empty EWMA should return fallback, got %v", got)
-	}
-	p.Observe(10)
-	if got := p.Predict(0); got != 10 {
-		t.Errorf("first observation = %v, want 10", got)
-	}
-	p.Observe(20)
-	if got := p.Predict(0); got != 15 {
-		t.Errorf("after 10,20 with alpha 0.5: %v, want 15", got)
-	}
-}
-
-func TestEWMAPredictorBadAlphaDefaults(t *testing.T) {
-	for _, alpha := range []float64{-1, 0, 1.5} {
-		p := NewEWMAPredictor(alpha)
-		p.Observe(10)
-		p.Observe(20)
-		got := p.Predict(0)
-		if got <= 10 || got >= 20 {
-			t.Errorf("alpha %v: prediction %v not smoothed", alpha, got)
-		}
-	}
-}

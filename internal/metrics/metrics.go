@@ -66,17 +66,6 @@ func Normalize(series ...[]float64) [][]float64 {
 	return out
 }
 
-// Cumulative returns the running sum of the series.
-func Cumulative(series []float64) []float64 {
-	out := make([]float64, len(series))
-	sum := 0.0
-	for i, v := range series {
-		sum += v
-		out[i] = sum
-	}
-	return out
-}
-
 // Reduction returns the paper's headline metric: the fractional cost
 // reduction of ours relative to a baseline ((baseline - ours) / baseline).
 // A zero baseline yields 0.
@@ -85,21 +74,6 @@ func Reduction(ours, baseline float64) float64 {
 		return 0
 	}
 	return (baseline - ours) / baseline
-}
-
-// CompareRuns summarizes named total costs against a reference entry,
-// returning reduction fractions keyed by name (the reference maps to 0).
-// It errors when the reference is missing.
-func CompareRuns(reference string, totals map[string]float64) (map[string]float64, error) {
-	ref, ok := totals[reference]
-	if !ok {
-		return nil, fmt.Errorf("metrics: reference %q not in totals", reference)
-	}
-	out := make(map[string]float64, len(totals))
-	for name, v := range totals {
-		out[name] = Reduction(ref, v)
-	}
-	return out, nil
 }
 
 // MeanOf averages aligned series element-wise; all series must share a

@@ -64,19 +64,6 @@ func TestNormalizeBounded(t *testing.T) {
 	}
 }
 
-func TestCumulative(t *testing.T) {
-	out := Cumulative([]float64{1, -2, 3})
-	want := []float64{1, -1, 2}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("Cumulative = %v", out)
-		}
-	}
-	if len(Cumulative(nil)) != 0 {
-		t.Error("Cumulative(nil) should be empty")
-	}
-}
-
 func TestReduction(t *testing.T) {
 	if got := Reduction(50, 100); got != 0.5 {
 		t.Errorf("Reduction = %v, want 0.5", got)
@@ -89,26 +76,6 @@ func TestReduction(t *testing.T) {
 	}
 	if got := Reduction(1, 0); got != 0 {
 		t.Errorf("zero baseline = %v", got)
-	}
-}
-
-func TestCompareRuns(t *testing.T) {
-	totals := map[string]float64{"Ours": 80, "Base": 100, "Bad": 160}
-	out, err := CompareRuns("Ours", totals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["Ours"] != 0 {
-		t.Errorf("self reduction = %v", out["Ours"])
-	}
-	if math.Abs(out["Base"]-0.2) > 1e-12 {
-		t.Errorf("Base reduction = %v", out["Base"])
-	}
-	if math.Abs(out["Bad"]-0.5) > 1e-12 {
-		t.Errorf("Bad reduction = %v", out["Bad"])
-	}
-	if _, err := CompareRuns("Missing", totals); err == nil {
-		t.Error("expected error for missing reference")
 	}
 }
 

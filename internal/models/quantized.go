@@ -74,10 +74,10 @@ func quantizedFromBase(cfg TrainedZooConfig, base *TrainedZoo, rng *rand.Rand) (
 	arena := nn.NewArena()
 	var calib *nn.Tensor
 	if cfg.Int8 {
-		var err error
-		if calib, err = calibBatch(pool); err != nil {
-			return nil, err
+		if len(pool) == 0 {
+			return nil, fmt.Errorf("models: INT8 scoring requires a non-empty test pool")
 		}
+		calib = nn.StackSamples(pool, evalChunk)
 	}
 
 	for i := 0; i < n; i++ {
@@ -114,25 +114,6 @@ func quantizedFromBase(cfg TrainedZooConfig, base *TrainedZoo, rng *rand.Rand) (
 		z.correct = append(z.correct, correct)
 	}
 	return z, nil
-}
-
-// calibBatch assembles the INT8 engines' calibration batch from the head of
-// the shared test pool — deterministic, and representative of the stream the
-// activation scales will see.
-func calibBatch(pool []nn.Sample) (*nn.Tensor, error) {
-	b := evalChunk
-	if b > len(pool) {
-		b = len(pool)
-	}
-	if b == 0 {
-		return nil, fmt.Errorf("models: INT8 scoring requires a non-empty test pool")
-	}
-	t := nn.NewTensor(append([]int{b}, pool[0].X.Shape...)...)
-	sampleLen := pool[0].X.Len()
-	for j := 0; j < b; j++ {
-		copy(t.Data[j*sampleLen:(j+1)*sampleLen], pool[j].X.Data)
-	}
-	return t, nil
 }
 
 // materializeQ8 rebuilds a q8 arm's fake-quant float network on demand:

@@ -152,14 +152,11 @@ func TestArenaCalibrationMatchesFreshCompile(t *testing.T) {
 	resident := &nn.QuantizedNetwork{}
 	for _, spec := range []dataset.Spec{dataset.MNISTLike, dataset.CIFARLike} {
 		rng := rand.New(rand.NewSource(23))
-		ds, err := dataset.Generate(spec, 1, 40, rng)
+		dist, err := dataset.NewDistribution(spec, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		calib, err := calibBatch(ds.Test)
-		if err != nil {
-			t.Fatal(err)
-		}
+		calib := nn.StackSamples(dist.Pool(40, rng), evalChunk)
 		for n, net := range buildFamily(spec, rng) {
 			qw := nn.QuantizeWeights(net)
 			if err := qw.ApplyTo(net); err != nil {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,10 +97,7 @@ func TestDenseForwardKnownValues(t *testing.T) {
 	// Overwrite weights deterministically: out = 2*x0 + 3*x1 + 1.
 	l.w.Data[0], l.w.Data[1] = 2, 3
 	l.b.Data[0] = 1
-	in, err := FromSlice([]float64{4, 5}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := &Tensor{Shape: []int{2}, Data: []float64{4, 5}}
 	out := l.Forward(in)
 	if got := out.Data[0]; got != 24 {
 		t.Errorf("Dense forward = %v, want 24", got)
@@ -114,14 +112,11 @@ func TestConv2DForwardKnownValues(t *testing.T) {
 		l.w.Data[i] = 1
 	}
 	l.b.Data[0] = 0
-	in, err := FromSlice([]float64{
+	in := &Tensor{Shape: []int{1, 3, 3}, Data: []float64{
 		1, 2, 3,
 		4, 5, 6,
 		7, 8, 9,
-	}, 1, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}
 	out := l.Forward(in)
 	want := []float64{12, 16, 24, 28}
 	for i := range want {
@@ -136,15 +131,12 @@ func TestConv2DForwardKnownValues(t *testing.T) {
 
 func TestMaxPoolForwardBackward(t *testing.T) {
 	p := NewMaxPool2D()
-	in, err := FromSlice([]float64{
+	in := &Tensor{Shape: []int{1, 4, 4}, Data: []float64{
 		1, 2, 5, 6,
 		3, 4, 7, 8,
 		9, 1, 1, 1,
 		1, 1, 1, 2,
-	}, 1, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}
 	out := p.Forward(in)
 	want := []float64{4, 8, 9, 2}
 	for i := range want {
@@ -152,10 +144,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 			t.Errorf("pool out[%d] = %v, want %v", i, out.Data[i], want[i])
 		}
 	}
-	g, err := FromSlice([]float64{1, 2, 3, 4}, 1, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := &Tensor{Shape: []int{1, 2, 2}, Data: []float64{1, 2, 3, 4}}
 	gin := p.Backward(g)
 	// Gradient routes to the argmax positions only.
 	if gin.At3(0, 1, 1) != 1 || gin.At3(0, 1, 3) != 2 || gin.At3(0, 2, 0) != 3 || gin.At3(0, 3, 3) != 4 {
@@ -181,18 +170,12 @@ func TestMaxPoolDropsOddEdges(t *testing.T) {
 
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU()
-	in, err := FromSlice([]float64{-1, 0, 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := &Tensor{Shape: []int{3}, Data: []float64{-1, 0, 2}}
 	out := r.Forward(in)
 	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 2 {
 		t.Errorf("relu forward = %v", out.Data)
 	}
-	g, err := FromSlice([]float64{5, 5, 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := &Tensor{Shape: []int{3}, Data: []float64{5, 5, 5}}
 	gin := r.Backward(g)
 	if gin.Data[0] != 0 || gin.Data[1] != 0 || gin.Data[2] != 5 {
 		t.Errorf("relu backward = %v", gin.Data)
@@ -207,7 +190,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 		t.Errorf("flatten shape = %v", out.Shape)
 	}
 	back := f.Backward(out)
-	if !SameShape(back, in) {
+	if !slices.Equal(back.Shape, in.Shape) {
 		t.Errorf("backward shape = %v, want %v", back.Shape, in.Shape)
 	}
 }

@@ -37,11 +37,6 @@ func (n *Network) Forward(in *Tensor) *Tensor {
 	return out
 }
 
-// Predict returns the argmax class for one sample.
-func (n *Network) Predict(in *Tensor) int {
-	return n.Forward(in).MaxIndex()
-}
-
 // Backward propagates a logits-gradient through all layers.
 func (n *Network) Backward(gradLogits *Tensor) {
 	g := gradLogits
@@ -84,10 +79,6 @@ func (n *Network) NumParams() int64 {
 	}
 	return total
 }
-
-// SizeBytes returns the serialized model size assuming float32 storage,
-// which feeds the paper's model size W_n.
-func (n *Network) SizeBytes() int64 { return n.NumParams() * 4 }
 
 // ForwardFLOPs estimates multiply-accumulate operations of one inference.
 func (n *Network) ForwardFLOPs() int64 {

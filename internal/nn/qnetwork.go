@@ -92,7 +92,7 @@ type qOp struct {
 
 // actScale maps a calibrated activation maxAbs to a quantization scale,
 // falling back to 1 for an all-zero boundary so activation scales are
-// always positive (the wire format's WriteQuantized rule).
+// always positive.
 func actScale(maxAbs float64) float64 {
 	s := maxAbs / 127
 	if s == 0 {

@@ -28,8 +28,7 @@ type QuantizedWeights struct {
 
 // quantizeSlice quantizes one float tensor symmetrically: scale = maxAbs/127
 // (0 for an all-zero tensor), q = round(v/scale) clamped to [-127, 127],
-// with round-half-away-from-zero (math.Round) — the committed wire format's
-// exact rule (WriteQuantized).
+// with round-half-away-from-zero (math.Round).
 func quantizeSlice(dst []int8, src []float64) (scale float64) {
 	maxAbs := 0.0
 	for _, v := range src {
@@ -125,8 +124,9 @@ func (qw *QuantizedWeights) ParamBytes() int64 {
 	return size
 }
 
-// WireSize returns the serialized size of the CEQ8 wire format for these
-// tensors: the byte count WriteQuantized emits for the source network.
+// WireSize returns the size these tensors occupy as an int8 checkpoint — the
+// model size W_n the zoo reports for a "-q8" arm: a 12-byte header, then per
+// tensor a float32 scale, a uint32 length and one byte per value.
 func (qw *QuantizedWeights) WireSize() int64 {
 	size := int64(12) // magic + version + count
 	for _, t := range qw.Tensors {

@@ -25,21 +25,6 @@ func NewTensor(shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: make([]float64, n)}
 }
 
-// FromSlice wraps data in a tensor of the given shape. The data is not
-// copied; it must have exactly the product of the shape elements.
-func FromSlice(data []float64, shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("nn: shape %v needs %d elements, got %d", shape, n, len(data))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: data}, nil
-}
-
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
@@ -67,19 +52,6 @@ func (t *Tensor) At3(c, y, x int) float64 {
 func (t *Tensor) Set3(c, y, x int, v float64) {
 	_, h, w := t.Shape[0], t.Shape[1], t.Shape[2]
 	t.Data[(c*h+y)*w+x] = v
-}
-
-// SameShape reports whether two tensors share identical shapes.
-func SameShape(a, b *Tensor) bool {
-	if len(a.Shape) != len(b.Shape) {
-		return false
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxIndex returns the index of the largest element (argmax).

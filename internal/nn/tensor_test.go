@@ -25,20 +25,6 @@ func TestNewTensorPanicsOnBadShape(t *testing.T) {
 	NewTensor(2, 0)
 }
 
-func TestFromSlice(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6}
-	ts, err := FromSlice(data, 2, 3)
-	if err != nil {
-		t.Fatalf("FromSlice: %v", err)
-	}
-	if ts.Shape[0] != 2 || ts.Shape[1] != 3 {
-		t.Errorf("shape = %v", ts.Shape)
-	}
-	if _, err := FromSlice(data, 4, 2); err == nil {
-		t.Error("expected shape mismatch error")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := NewTensor(3)
 	a.Data[0] = 7
@@ -61,33 +47,15 @@ func TestAt3Set3(t *testing.T) {
 	}
 }
 
-func TestSameShape(t *testing.T) {
-	if !SameShape(NewTensor(2, 3), NewTensor(2, 3)) {
-		t.Error("identical shapes reported different")
-	}
-	if SameShape(NewTensor(2, 3), NewTensor(3, 2)) {
-		t.Error("different shapes reported same")
-	}
-	if SameShape(NewTensor(6), NewTensor(2, 3)) {
-		t.Error("different ranks reported same")
-	}
-}
-
 func TestMaxIndex(t *testing.T) {
-	ts, err := FromSlice([]float64{1, 9, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := &Tensor{Shape: []int{3}, Data: []float64{1, 9, 3}}
 	if got := ts.MaxIndex(); got != 1 {
 		t.Errorf("MaxIndex = %d", got)
 	}
 }
 
 func TestZero(t *testing.T) {
-	ts, err := FromSlice([]float64{1, 2, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := &Tensor{Shape: []int{3}, Data: []float64{1, 2, 3}}
 	ts.Zero()
 	for _, v := range ts.Data {
 		if v != 0 {

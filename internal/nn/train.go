@@ -11,6 +11,20 @@ type Sample struct {
 	Label int
 }
 
+// StackSamples copies the first min(b, len(pool)) samples into one
+// [n, shape...] batch tensor. Taken from the head of a pool it is the INT8
+// engines' calibration batch: deterministic, and representative of the stream
+// the activation scales will see. The pool must not be empty.
+func StackSamples(pool []Sample, b int) *Tensor {
+	b = min(b, len(pool))
+	sampleLen := pool[0].X.Len()
+	t := NewTensor(append([]int{b}, pool[0].X.Shape...)...)
+	for j := 0; j < b; j++ {
+		copy(t.Data[j*sampleLen:(j+1)*sampleLen], pool[j].X.Data)
+	}
+	return t
+}
+
 // LossKind selects the training objective.
 type LossKind int
 

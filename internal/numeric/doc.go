@@ -1,7 +1,7 @@
 // Package numeric provides the small numerical-optimization substrate the
-// rest of the system is built on: scalar root finding (Brent's method and a
-// safeguarded Newton iteration), probability-simplex utilities, weighted
-// sampling, deterministic RNG splitting, and summary statistics.
+// rest of the system is built on: scalar root finding (a safeguarded Newton
+// iteration), probability-simplex utilities, weighted sampling, deterministic
+// RNG splitting, and small scalar helpers.
 //
 // The paper's Algorithm 1 needs an O(log(1/eps) + N) solver for the Tsallis
 // online-mirror-descent normalization constant, and Algorithm 2 needs a small

@@ -23,79 +23,6 @@ const (
 	maxRootIters = 200
 )
 
-// Brent finds a root of f in [a, b] using Brent's method (inverse quadratic
-// interpolation with bisection safeguards). f(a) and f(b) must have opposite
-// signs. The returned x satisfies |f(x)| small or |interval| <= tol.
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = defaultTol
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	// Ensure |f(b)| <= |f(a)| so b is the best current estimate.
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b = b, a
-		fa, fb = fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-
-	for i := 0; i < maxRootIters; i++ {
-		if fb == 0 || math.Abs(b-a) <= tol {
-			return b, nil
-		}
-		var s float64
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant step.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = (a + b) / 2
-			mflag = true
-		} else {
-			mflag = false
-		}
-
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if (fa > 0) != (fs > 0) {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-	}
-	return b, fmt.Errorf("%w: Brent after %d iterations", ErrNoConverge, maxRootIters)
-}
-
 // NewtonBisect finds a root of f in [lo, hi] combining Newton steps (using
 // the derivative df) with bisection safeguards. It assumes f is monotone
 // enough on [lo, hi] that f(lo) and f(hi) bracket the root; Newton steps that
@@ -141,29 +68,4 @@ func NewtonBisect(f, df func(float64) float64, lo, hi, tol float64) (float64, er
 		x = next
 	}
 	return x, fmt.Errorf("%w: NewtonBisect after %d iterations", ErrNoConverge, maxRootIters)
-}
-
-// ExpandBracket grows the interval [lo, hi] geometrically in the direction
-// needed until f changes sign across it, up to maxExpand doublings. It
-// returns the bracketing interval. The initial hi must be > lo.
-func ExpandBracket(f func(float64) float64, lo, hi float64, maxExpand int) (float64, float64, error) {
-	if hi <= lo {
-		return 0, 0, fmt.Errorf("numeric: ExpandBracket needs hi > lo, got [%g, %g]", lo, hi)
-	}
-	flo, fhi := f(lo), f(hi)
-	width := hi - lo
-	for i := 0; i < maxExpand; i++ {
-		if (flo > 0) != (fhi > 0) || flo == 0 || fhi == 0 {
-			return lo, hi, nil
-		}
-		width *= 2
-		if math.Abs(flo) < math.Abs(fhi) {
-			lo -= width
-			flo = f(lo)
-		} else {
-			hi += width
-			fhi = f(hi)
-		}
-	}
-	return lo, hi, fmt.Errorf("%w: no sign change after %d expansions", ErrNoBracket, maxExpand)
 }

@@ -3,60 +3,8 @@ package numeric
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestBrentSimpleRoots(t *testing.T) {
-	tests := []struct {
-		name string
-		f    func(float64) float64
-		a, b float64
-		want float64
-	}{
-		{"linear", func(x float64) float64 { return 2*x - 4 }, 0, 10, 2},
-		{"quadratic", func(x float64) float64 { return x*x - 2 }, 0, 2, math.Sqrt2},
-		{"cubic", func(x float64) float64 { return x*x*x - 27 }, 0, 10, 3},
-		{"cosine", math.Cos, 0, 3, math.Pi / 2},
-		{"exp shifted", func(x float64) float64 { return math.Exp(x) - 5 }, 0, 3, math.Log(5)},
-		{"root at left endpoint", func(x float64) float64 { return x }, 0, 1, 0},
-		{"root at right endpoint", func(x float64) float64 { return x - 1 }, 0, 1, 1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := Brent(tt.f, tt.a, tt.b, 1e-12)
-			if err != nil {
-				t.Fatalf("Brent: %v", err)
-			}
-			if math.Abs(got-tt.want) > 1e-9 {
-				t.Errorf("root = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	_, err := Brent(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12)
-	if !errors.Is(err, ErrNoBracket) {
-		t.Fatalf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-func TestBrentFlatRegion(t *testing.T) {
-	// A function flat near the root still converges via bisection fallback.
-	f := func(x float64) float64 {
-		d := x - 0.7
-		return d * d * d
-	}
-	got, err := Brent(f, 0, 1, 1e-12)
-	if err != nil {
-		t.Fatalf("Brent: %v", err)
-	}
-	if math.Abs(got-0.7) > 1e-4 {
-		t.Errorf("root = %v, want 0.7", got)
-	}
-}
 
 func TestNewtonBisect(t *testing.T) {
 	f := func(x float64) float64 { return x*x*x - 8 }
@@ -89,42 +37,5 @@ func TestNewtonBisectNoBracket(t *testing.T) {
 	df := func(float64) float64 { return 1 }
 	if _, err := NewtonBisect(f, df, 0, 1, 1e-12); !errors.Is(err, ErrNoBracket) {
 		t.Fatalf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-func TestExpandBracket(t *testing.T) {
-	f := func(x float64) float64 { return x - 100 }
-	lo, hi, err := ExpandBracket(f, 0, 1, 20)
-	if err != nil {
-		t.Fatalf("ExpandBracket: %v", err)
-	}
-	if !(f(lo) <= 0 && f(hi) >= 0) {
-		t.Errorf("[%v, %v] does not bracket the root", lo, hi)
-	}
-}
-
-func TestExpandBracketFailure(t *testing.T) {
-	f := func(float64) float64 { return 1 }
-	if _, _, err := ExpandBracket(f, 0, 1, 5); err == nil {
-		t.Fatal("expected error for sign-preserving function")
-	}
-}
-
-// Property: Brent finds the root of any monotone cubic with a root placed
-// uniformly inside the bracket.
-func TestBrentPropertyMonotoneCubic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	prop := func(rootSeed uint32) bool {
-		root := float64(rootSeed%1000)/1000*8 - 4 // in [-4, 4]
-		scale := 1 + rng.Float64()*10
-		f := func(x float64) float64 {
-			d := x - root
-			return scale * (d + d*d*d)
-		}
-		got, err := Brent(f, -5, 5, 1e-12)
-		return err == nil && math.Abs(got-root) < 1e-7
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // SimplexTol is the tolerance used when validating probability vectors.
@@ -40,41 +39,6 @@ func Normalize(p []float64) {
 	for i := range p {
 		p[i] /= sum
 	}
-}
-
-// ProjectSimplex projects v onto the probability simplex in Euclidean norm
-// using the sorting algorithm of Held, Wolfe and Crowder. The result is
-// written into out (which may alias v) and returned.
-func ProjectSimplex(v []float64, out []float64) []float64 {
-	n := len(v)
-	if out == nil {
-		out = make([]float64, n)
-	}
-	sorted := make([]float64, n)
-	copy(sorted, v)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-
-	cum := 0.0
-	rho, theta := -1, 0.0
-	for i, u := range sorted {
-		cum += u
-		t := (cum - 1) / float64(i+1)
-		if u-t > 0 {
-			rho, theta = i, t
-		}
-	}
-	if rho < 0 {
-		// Degenerate input (all -inf style); fall back to uniform.
-		u := 1 / float64(n)
-		for i := range out {
-			out[i] = u
-		}
-		return out
-	}
-	for i, u := range v {
-		out[i] = math.Max(0, u-theta)
-	}
-	return out
 }
 
 // SampleWeighted draws one index proportionally to a non-negative weight

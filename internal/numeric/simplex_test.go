@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestIsDistribution(t *testing.T) {
@@ -50,68 +49,6 @@ func TestNormalizeZeroVector(t *testing.T) {
 		if math.Abs(p[i]-0.25) > 1e-12 {
 			t.Errorf("p[%d] = %v, want 0.25", i, p[i])
 		}
-	}
-}
-
-func TestProjectSimplexAlreadyOnSimplex(t *testing.T) {
-	v := []float64{0.3, 0.3, 0.4}
-	got := ProjectSimplex(v, nil)
-	for i := range v {
-		if math.Abs(got[i]-v[i]) > 1e-9 {
-			t.Errorf("projection changed a simplex point: %v -> %v", v, got)
-		}
-	}
-}
-
-func TestProjectSimplexKnownCases(t *testing.T) {
-	// Projecting a large single coordinate yields a point mass.
-	got := ProjectSimplex([]float64{10, 0, 0}, nil)
-	want := []float64{1, 0, 0}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Errorf("got %v, want %v", got, want)
-		}
-	}
-}
-
-// Property: the projection is a valid distribution and is no farther from
-// the input than any vertex of the simplex.
-func TestProjectSimplexProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	prop := func(n uint8) bool {
-		dim := int(n%6) + 2
-		v := make([]float64, dim)
-		for i := range v {
-			v[i] = rng.NormFloat64() * 3
-		}
-		p := ProjectSimplex(v, nil)
-		if !IsDistribution(p) {
-			return false
-		}
-		distP := 0.0
-		for i := range v {
-			d := v[i] - p[i]
-			distP += d * d
-		}
-		// Compare against each vertex e_j.
-		for j := 0; j < dim; j++ {
-			distV := 0.0
-			for i := range v {
-				e := 0.0
-				if i == j {
-					e = 1
-				}
-				d := v[i] - e
-				distV += d * d
-			}
-			if distP > distV+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -5,32 +5,6 @@ import (
 	"math/rand"
 )
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
 // Clamp restricts x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -50,29 +24,6 @@ func Positive(x float64) float64 {
 	}
 	return 0
 }
-
-// RunningMean tracks an online mean without storing samples.
-type RunningMean struct {
-	n   int
-	sum float64
-}
-
-// Add incorporates one observation.
-func (r *RunningMean) Add(x float64) {
-	r.n++
-	r.sum += x
-}
-
-// Mean returns the current mean, or 0 before any observation.
-func (r *RunningMean) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
-// Count returns the number of observations added so far.
-func (r *RunningMean) Count() int { return r.n }
 
 // SplitRNG derives a child RNG from a parent seed and a stream label so that
 // independent subsystems (workload, market, bandit sampling, ...) consume
@@ -151,22 +102,6 @@ func ApproxEqual(a, b, tol float64) bool {
 	}
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return math.Abs(a-b) <= tol*scale
-}
-
-// Logistic is the standard logistic sigmoid.
-func Logistic(x float64) float64 {
-	return 1 / (1 + math.Exp(-x))
-}
-
-// CumSum returns the cumulative sums of xs as a new slice.
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	sum := 0.0
-	for i, x := range xs {
-		sum += x
-		out[i] = sum
-	}
-	return out
 }
 
 // ArgMin returns the index of the smallest element (first on ties), or -1

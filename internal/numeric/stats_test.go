@@ -6,30 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanVariance(t *testing.T) {
-	tests := []struct {
-		name     string
-		xs       []float64
-		wantMean float64
-		wantVar  float64
-	}{
-		{"empty", nil, 0, 0},
-		{"single", []float64{4}, 4, 0},
-		{"pair", []float64{2, 4}, 3, 1},
-		{"run", []float64{1, 2, 3, 4, 5}, 3, 2},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Mean(tt.xs); math.Abs(got-tt.wantMean) > 1e-12 {
-				t.Errorf("Mean = %v, want %v", got, tt.wantMean)
-			}
-			if got := Variance(tt.xs); math.Abs(got-tt.wantVar) > 1e-12 {
-				t.Errorf("Variance = %v, want %v", got, tt.wantVar)
-			}
-		})
-	}
-}
-
 func TestClampPositive(t *testing.T) {
 	if got := Clamp(5, 0, 3); got != 3 {
 		t.Errorf("Clamp high = %v", got)
@@ -45,22 +21,6 @@ func TestClampPositive(t *testing.T) {
 	}
 	if got := Positive(2); got != 2 {
 		t.Errorf("Positive(2) = %v", got)
-	}
-}
-
-func TestRunningMean(t *testing.T) {
-	var r RunningMean
-	if r.Mean() != 0 || r.Count() != 0 {
-		t.Fatal("zero value should be empty")
-	}
-	for _, x := range []float64{1, 2, 3, 4} {
-		r.Add(x)
-	}
-	if got := r.Mean(); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := r.Count(); got != 4 {
-		t.Errorf("Count = %v, want 4", got)
 	}
 }
 
@@ -85,19 +45,6 @@ func TestSplitRNGDeterministic(t *testing.T) {
 		if a.Int63() != b.Int63() {
 			t.Fatal("same seed+stream must reproduce")
 		}
-	}
-}
-
-func TestCumSum(t *testing.T) {
-	got := CumSum([]float64{1, 2, 3})
-	want := []float64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("CumSum[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if out := CumSum(nil); len(out) != 0 {
-		t.Errorf("CumSum(nil) = %v", out)
 	}
 }
 
@@ -132,18 +79,6 @@ func TestClampProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLogistic(t *testing.T) {
-	if got := Logistic(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Logistic(0) = %v", got)
-	}
-	if got := Logistic(100); got < 0.999 {
-		t.Errorf("Logistic(100) = %v", got)
-	}
-	if got := Logistic(-100); got > 0.001 {
-		t.Errorf("Logistic(-100) = %v", got)
 	}
 }
 

@@ -51,28 +51,6 @@ func PolicyUCB2(s *Scenario, edge int, _ *rand.Rand) (bandit.Policy, error) {
 	return bandit.NewUCB2(s.NumModels(), 0.5, scale*1.5+1e-9)
 }
 
-// PolicyEXP3 is the classical adversarial bandit (not in the paper's
-// line-up; used by ablations).
-func PolicyEXP3(s *Scenario, edge int, rng *rand.Rand) (bandit.Policy, error) {
-	scale := 0.0
-	for n := 0; n < s.NumModels(); n++ {
-		if v := s.Zoo.MeanLoss(n) + s.CompCost[edge][n]; v > scale {
-			scale = v
-		}
-	}
-	return bandit.NewEXP3(s.NumModels(), 0.1, scale*1.5+1e-9, rng)
-}
-
-// PolicyEpsilonGreedy is the simplest stochastic baseline (ablations only).
-func PolicyEpsilonGreedy(s *Scenario, _ int, rng *rand.Rand) (bandit.Policy, error) {
-	return bandit.NewEpsilonGreedy(s.NumModels(), 0.05, rng)
-}
-
-// PolicyOffline pins each edge to its hindsight-best model.
-func PolicyOffline(s *Scenario, edge int, _ *rand.Rand) (bandit.Policy, error) {
-	return bandit.NewFixed(s.BestArm(edge), s.NumModels())
-}
-
 // primalDualConfig assembles Algorithm 2's configuration for a scenario:
 // Theorem-2 T^{-1/3} step sizes scaled by the per-slot emission magnitude
 // and the average price level, optionally multiplied by gammaMult (the
@@ -180,8 +158,8 @@ type Combo struct {
 	TraderL string // trader label
 }
 
-// Combos returns the paper's evaluated combinations. ours selects whether
-// the full "Ours" (Alg 1 + Alg 2) entry is included.
+// Combos returns the paper's evaluated combinations: "Ours" (Alg 1 + Alg 2)
+// first, then every baseline policy x baseline trader pairing.
 func Combos() []Combo {
 	type p struct {
 		label   string
@@ -224,8 +202,8 @@ func Combos() []Combo {
 	return combos
 }
 
-// ComboByName finds a combo (including "Ours" and "Offline" is excluded; use
-// Offline() for the clairvoyant scheme).
+// ComboByName finds one of Combos() by name, "Ours" included. The clairvoyant
+// scheme is not a combo; run it with Offline.
 func ComboByName(name string) (Combo, error) {
 	for _, c := range Combos() {
 		if c.Name == name {

@@ -146,35 +146,6 @@ func TestRunWithConstantPrices(t *testing.T) {
 	}
 }
 
-func TestRunExtraPoliciesIntegrate(t *testing.T) {
-	// The ablation-only policies run through the full engine.
-	zoo, err := models.DefaultSurrogateZoo(numeric.SplitRNG(4, "zoo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(2)
-	cfg.Horizon = 30
-	s, err := NewScenario(cfg, zoo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		pf   PolicyFactory
-	}{
-		{"EXP3", PolicyEXP3},
-		{"EpsilonGreedy", PolicyEpsilonGreedy},
-	} {
-		res, err := Run(s, tc.name, tc.pf, TraderOurs)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if math.IsNaN(res.Cost.Total()) {
-			t.Fatalf("%s: NaN cost", tc.name)
-		}
-	}
-}
-
 func TestRunWithZeroCapAndZeroRate(t *testing.T) {
 	// rate=0: no emissions at all; the trader has nothing to do.
 	zoo, err := models.DefaultSurrogateZoo(numeric.SplitRNG(5, "zoo"))

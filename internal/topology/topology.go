@@ -112,12 +112,3 @@ func (t *Topology) Delay(edge int) float64 {
 	d := GreatCircleKm(t.Cloud, t.Edges[edge])
 	return t.BaseDelay + t.DelayPerKm*d
 }
-
-// Delays returns u_i for all edges.
-func (t *Topology) Delays() []float64 {
-	out := make([]float64, len(t.Edges))
-	for i := range out {
-		out[i] = t.Delay(i)
-	}
-	return out
-}

@@ -70,12 +70,12 @@ func TestDelaysPositiveAndHeterogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delays := topo.Delays()
-	if len(delays) != 30 {
-		t.Fatalf("delays = %d", len(delays))
+	if len(topo.Edges) != 30 {
+		t.Fatalf("edges = %d", len(topo.Edges))
 	}
-	lo, hi := delays[0], delays[0]
-	for i, d := range delays {
+	lo, hi := topo.Delay(0), topo.Delay(0)
+	for i := range topo.Edges {
+		d := topo.Delay(i)
 		if d < topo.BaseDelay {
 			t.Fatalf("delay[%d] = %v below base %v", i, d, topo.BaseDelay)
 		}

@@ -14,6 +14,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"github.com/carbonedge/carbonedge/internal/market"
@@ -112,8 +113,9 @@ func WritePrices(w io.Writer, p *market.Prices) error {
 	return cw.Error()
 }
 
-// ReadPrices decodes a price CSV, validating that every sell price stays
-// below its buy price (the structure the offline optimum relies on).
+// ReadPrices decodes a price CSV, validating that every price is finite and
+// positive and every sell price stays below its buy price (the structure the
+// offline optimum relies on).
 func ReadPrices(r io.Reader) (*market.Prices, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -142,7 +144,9 @@ func ReadPrices(r io.Reader) (*market.Prices, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d sell: %w", rowIdx+1, err)
 		}
-		if buy <= 0 || sell <= 0 || sell >= buy {
+		// ParseFloat accepts "NaN" and "Inf"; stated positively, so a NaN on
+		// either side fails the check.
+		if !(0 < sell && sell < buy && buy < math.Inf(1)) {
 			return nil, fmt.Errorf("trace: row %d: invalid prices buy=%g sell=%g", rowIdx+1, buy, sell)
 		}
 		p.Buy = append(p.Buy, buy)

@@ -50,19 +50,19 @@ func TestWriteWorkloadErrors(t *testing.T) {
 	}
 }
 
+// badWorkloadCSVs and badPriceCSVs are the inputs the readers must reject;
+// they also seed the fuzz targets.
+var badWorkloadCSVs = []struct{ name, csv string }{
+	{"empty", ""},
+	{"header only", "slot,edge0\n"},
+	{"bad header", "time,edge0\n0,5\n"},
+	{"ragged row", "slot,edge0,edge1\n0,5\n"},
+	{"non-integer", "slot,edge0\n0,abc\n"},
+	{"negative", "slot,edge0\n0,-3\n"},
+}
+
 func TestReadWorkloadErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		csv  string
-	}{
-		{"empty", ""},
-		{"header only", "slot,edge0\n"},
-		{"bad header", "time,edge0\n0,5\n"},
-		{"ragged row", "slot,edge0,edge1\n0,5\n"},
-		{"non-integer", "slot,edge0\n0,abc\n"},
-		{"negative", "slot,edge0\n0,-3\n"},
-	}
-	for _, tt := range tests {
+	for _, tt := range badWorkloadCSVs {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := ReadWorkload(strings.NewReader(tt.csv)); err == nil {
 				t.Error("expected error")
@@ -104,20 +104,22 @@ func TestWritePricesErrors(t *testing.T) {
 	}
 }
 
+var badPriceCSVs = []struct{ name, csv string }{
+	{"empty", ""},
+	{"bad header", "t,b,s\n0,8,7\n"},
+	{"ragged", "slot,buy,sell\n0,8\n"},
+	{"bad buy", "slot,buy,sell\n0,x,7\n"},
+	{"bad sell", "slot,buy,sell\n0,8,x\n"},
+	{"sell >= buy", "slot,buy,sell\n0,8,9\n"},
+	{"zero buy", "slot,buy,sell\n0,0,0\n"},
+	{"NaN buy", "slot,buy,sell\n0,NaN,7\n"},
+	{"nan sell", "slot,buy,sell\n0,8,nan\n"},
+	{"Inf buy", "slot,buy,sell\n0,Inf,7\n"},
+	{"infinity buy", "slot,buy,sell\n0,8,7\n1,+infinity,7\n"},
+}
+
 func TestReadPricesErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		csv  string
-	}{
-		{"empty", ""},
-		{"bad header", "t,b,s\n0,8,7\n"},
-		{"ragged", "slot,buy,sell\n0,8\n"},
-		{"bad buy", "slot,buy,sell\n0,x,7\n"},
-		{"bad sell", "slot,buy,sell\n0,8,x\n"},
-		{"sell >= buy", "slot,buy,sell\n0,8,9\n"},
-		{"zero buy", "slot,buy,sell\n0,0,0\n"},
-	}
-	for _, tt := range tests {
+	for _, tt := range badPriceCSVs {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := ReadPrices(strings.NewReader(tt.csv)); err == nil {
 				t.Error("expected error")

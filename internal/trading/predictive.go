@@ -7,8 +7,8 @@ import (
 )
 
 // PricePredictor is the forecasting dependency of the predictive trader,
-// satisfied by market.ARPredictor and market.EWMAPredictor. It is declared
-// here (consumer side) so the trading package does not depend on market.
+// satisfied by market.ARPredictor. It is declared here (consumer side) so
+// the trading package does not depend on market.
 type PricePredictor interface {
 	Observe(price float64)
 	Predict(fallback float64) float64

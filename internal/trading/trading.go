@@ -77,8 +77,7 @@ func OneShotOptimum(emission, capPerSlot float64, q Quote) Decision {
 // not exploit). Among non-speculative plans the optimum buys the total
 // deficit at the cheapest buy price or sells the total surplus at the
 // dearest sell price. It returns the per-slot decisions and the optimal
-// cost. See BoxedOfflineOptimum for the exact box-constrained LP including
-// arbitrage.
+// cost.
 func OfflineOptimum(emissions []float64, buy, sell []float64, initialCap float64) ([]Decision, float64, error) {
 	if len(emissions) != len(buy) || len(buy) != len(sell) {
 		return nil, 0, fmt.Errorf("trading: series lengths differ: %d/%d/%d", len(emissions), len(buy), len(sell))

@@ -166,122 +166,6 @@ func TestOfflineOptimumIsOptimalProperty(t *testing.T) {
 	}
 }
 
-func TestBoxedOfflineOptimumBasics(t *testing.T) {
-	emissions := []float64{5, 5, 5}
-	buy := []float64{10, 7, 9}
-	sell := []float64{9, 6.3, 8.1}
-	// zMax large enough that the deficit fits the cheapest slot; no
-	// arbitrage exists (max sell 9 < ... actually 9 > 7: arbitrage exists:
-	// buy at 7, sell at 9).
-	decisions, cost, err := BoxedOfflineOptimum(emissions, buy, sell, 10, 100)
-	if err != nil {
-		t.Fatalf("BoxedOfflineOptimum: %v", err)
-	}
-	// Deficit 5 bought at price 7 = 35; plus one arbitrage pair of 100 at
-	// buy 7 is exhausted (capacity 100 minus 5 = 95 units at 7, sold at 9
-	// earning 2/unit = -190), then buy at 9 sell at... sell slot 0 capacity
-	// exhausted after 100; next sell 8.1 < buy 9: stop.
-	// So cost = 35 + 95*7 - 95*9 = 35 - 190 = -155.
-	if math.Abs(cost-(-155)) > 1e-9 {
-		t.Errorf("cost = %v, want -155", cost)
-	}
-	if fit, err := Fit(emissions, decisions, 10); err != nil || fit > 1e-9 {
-		t.Errorf("boxed optimum infeasible: fit=%v err=%v", fit, err)
-	}
-}
-
-func TestBoxedOfflineOptimumNoArbitrageWhenUnprofitable(t *testing.T) {
-	emissions := []float64{2, 2}
-	buy := []float64{10, 10}
-	sell := []float64{9, 9}
-	decisions, cost, err := BoxedOfflineOptimum(emissions, buy, sell, 10, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Surplus 6 sold at 9 = -54; no arbitrage since sell 9 < buy 10.
-	if math.Abs(cost-(-54)) > 1e-9 {
-		t.Errorf("cost = %v, want -54", cost)
-	}
-	totalBuy := 0.0
-	for _, d := range decisions {
-		totalBuy += d.Buy
-	}
-	if totalBuy != 0 {
-		t.Errorf("bought %v with no profitable arbitrage", totalBuy)
-	}
-}
-
-func TestBoxedOfflineOptimumErrors(t *testing.T) {
-	if _, _, err := BoxedOfflineOptimum(nil, nil, nil, 1, 1); err == nil {
-		t.Error("expected error for empty horizon")
-	}
-	if _, _, err := BoxedOfflineOptimum([]float64{1}, []float64{1, 2}, []float64{1}, 1, 1); err == nil {
-		t.Error("expected error for mismatched lengths")
-	}
-	if _, _, err := BoxedOfflineOptimum([]float64{1}, []float64{5}, []float64{4}, 1, 0); err == nil {
-		t.Error("expected error for zero zMax")
-	}
-	// Deficit 100 with capacity 1*2 per side.
-	if _, _, err := BoxedOfflineOptimum([]float64{50, 52}, []float64{5, 5}, []float64{4, 4}, 2, 1); err == nil {
-		t.Error("expected error for infeasible deficit")
-	}
-}
-
-// Property: the boxed LP optimum is feasible, respects the box, and is never
-// beaten by random feasible boxed plans (including arbitrage plans).
-func TestBoxedOfflineOptimumIsOptimalProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	prop := func(seed int64) bool {
-		horizon := 3 + int(seed%4+4)%4
-		zMax := 2 + rng.Float64()*5
-		emissions := make([]float64, horizon)
-		buy := make([]float64, horizon)
-		sell := make([]float64, horizon)
-		for i := range emissions {
-			emissions[i] = rng.Float64() * zMax / 2
-			buy[i] = 6 + rng.Float64()*5
-			sell[i] = buy[i] * 0.9
-		}
-		initialCap := rng.Float64() * 10
-		decisions, cost, err := BoxedOfflineOptimum(emissions, buy, sell, initialCap, zMax)
-		if err != nil {
-			return false
-		}
-		for _, d := range decisions {
-			if d.Buy < -1e-9 || d.Buy > zMax+1e-9 || d.Sell < -1e-9 || d.Sell > zMax+1e-9 {
-				return false
-			}
-		}
-		if fit, err := Fit(emissions, decisions, initialCap); err != nil || fit > 1e-9 {
-			return false
-		}
-		for trial := 0; trial < 40; trial++ {
-			plan := make([]Decision, horizon)
-			for i := range plan {
-				plan[i] = Decision{Buy: rng.Float64() * zMax, Sell: rng.Float64() * zMax}
-			}
-			fit, err := Fit(emissions, plan, initialCap)
-			if err != nil {
-				return false
-			}
-			if fit > 0 {
-				continue
-			}
-			planCost := 0.0
-			for i, d := range plan {
-				planCost += d.Cost(Quote{Buy: buy[i], Sell: sell[i]})
-			}
-			if planCost < cost-1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFit(t *testing.T) {
 	emissions := []float64{4, 4}
 	// Cap 6 => capPerSlot 3; decisions cover 1 of the 2-unit total gap.

@@ -88,13 +88,6 @@ func NewGenerator(cfg Config, rng *rand.Rand) (*Generator, error) {
 	return g, nil
 }
 
-// Scales returns a copy of the per-edge peak scales.
-func (g *Generator) Scales() []float64 {
-	out := make([]float64, len(g.scales))
-	copy(out, g.scales)
-	return out
-}
-
 // Intensity returns the deterministic diurnal intensity (fraction of peak,
 // in (0, 1]) for a slot index.
 func (g *Generator) Intensity(slot int) float64 {
