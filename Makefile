@@ -26,7 +26,9 @@
 #                  write/read round trip (internal/trace: FuzzReadPrices,
 #                  FuzzReadWorkload); go test -fuzz takes one target per run
 #   make bench   - refresh the machine-readable NN perf baseline
-#                  (BENCH_nn.json) plus the engine's serial-vs-parallel
+#                  (BENCH_nn.json) plus the per-layer float forward benchmarks
+#                  (GMAC/s for every conv and first-Dense shape of the
+#                  MNIST-like zoo), the engine's serial-vs-parallel
 #                  slot-stepping benchmark, the shard fan-out benchmark,
 #                  the wire-codec encode/decode benchmarks, the checkpoint
 #                  install benchmark (float/INT8 x first/repeat x arm) and the
@@ -80,6 +82,7 @@ fuzz-smoke:
 
 bench:
 	$(GO) run ./cmd/nnbench -out BENCH_nn.json
+	$(GO) test ./internal/nn/ -run XX -bench 'BenchmarkConvForwardBatch|BenchmarkDenseForwardBatch'
 	$(GO) test ./internal/sim/ -run XX -bench 'BenchmarkSlotStepParallel|BenchmarkEngineSharded' -benchtime 3x
 	$(GO) test ./internal/engine/ -run XX -bench BenchmarkShardStepWorkers -benchtime 100x
 	$(GO) test ./internal/deploy/ -run XX -bench BenchmarkWireCodec -benchmem

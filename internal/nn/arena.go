@@ -54,12 +54,14 @@ func (a *Arena) Floats(n int) []float64 {
 	return buf
 }
 
-// Ints returns an int scratch slice of length n. Contents are unspecified.
+// Ints returns an int scratch slice of length n — pooling argmaxes, and the
+// direct convolution's offset and segment tables. Contents are unspecified:
+// callers must fully overwrite before reading.
 func (a *Arena) Ints(n int) []int {
 	if a.nints == len(a.ints) {
-		a.ints = append(a.ints, make([]int, n))
+		a.ints = append(a.ints, make([]int, n)) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
 	} else if cap(a.ints[a.nints]) < n {
-		a.ints[a.nints] = make([]int, n)
+		a.ints[a.nints] = make([]int, n) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
 	}
 	buf := a.ints[a.nints][:n]
 	a.nints++

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Golden equivalence suite: the batched inference path (GEMM/im2col
-// kernels over an arena) must agree bit for bit with each layer's per-sample
+// Golden equivalence suite: the batched inference path (GEMM and direct
+// convolution kernels over an arena) must agree bit for bit with each layer's per-sample
 // reference Forward. Comparisons go through math.Float64bits so even
 // sign-of-zero or NaN-payload drift would fail.
 
@@ -56,7 +56,8 @@ func TestDenseGEMMMatchesNaiveBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, dims := range [][2]int{{1, 1}, {3, 4}, {7, 5}, {64, 10}, {129, 33}} {
 		d := NewDense(dims[0], dims[1], rng)
-		// Batch 1 takes the transpose-free NT kernel, batch 5 the SIMD NN form.
+		// Batch 1 takes the pack-free NT kernel, batch 5 the weight panels
+		// (widths of eight and up).
 		for _, batch := range []int{1, 5} {
 			layerBatchMatchesForward(t, "dense", d, rng, batch, dims[0])
 		}
@@ -178,5 +179,43 @@ func TestArenaReuseIsGrowOnly(t *testing.T) {
 	v := a.View(tn.Data, 3, 2)
 	if &v.Data[0] != &tn.Data[0] {
 		t.Fatal("view copied data")
+	}
+}
+
+// TestConvForwardArenaFootprint pins the working set the direct convolution
+// removed. Up to PR 18 a 64-sample ForwardBatch lowered every convolution
+// through a batch-wide transposed patch matrix of kk*batch*np floats, and the
+// float arena after one pass over 1x28x28 inputs held 29 757 440 bytes for
+// cnn-l and 29 668 480 for lenet-l; reading the input in place it holds
+// 17 361 920 and 11 205 120. The test keeps every buffer of exactly a patch
+// matrix's size out of the arena and the total at least 8 MiB under the old
+// one.
+func TestConvForwardArenaFootprint(t *testing.T) {
+	const batch = 64
+	in := []int{1, 28, 28}
+	for _, arm := range []struct {
+		net       *Network
+		wasBytes  int
+		patchMats []int // kk*batch*np of each convolution
+	}{
+		{BuildCNN("cnn-l", in, 16, 32, 64, 10, rand.New(rand.NewSource(46))), 29757440,
+			[]int{9 * batch * 26 * 26, 144 * batch * 11 * 11}},
+		{BuildLeNet5("lenet-l", in, 2, 10, rand.New(rand.NewSource(46))), 29668480,
+			[]int{25 * batch * 24 * 24, 300 * batch * 8 * 8}},
+	} {
+		arena := NewArena()
+		arm.net.ForwardBatch(randTensor(rand.New(rand.NewSource(47)), batch, 1, 28, 28), arena)
+		total := 0
+		for _, buf := range arena.floats {
+			total += 8 * cap(buf)
+			for _, n := range arm.patchMats {
+				if cap(buf) == n {
+					t.Errorf("%s: the arena holds a %d-float buffer, the size of a convolution's patch matrix", arm.net.Name, n)
+				}
+			}
+		}
+		if total > arm.wasBytes-8<<20 {
+			t.Errorf("%s: float arena holds %d bytes, want at least 8 MiB under the %d it held with im2colT", arm.net.Name, total, arm.wasBytes)
+		}
 	}
 }

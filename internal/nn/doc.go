@@ -9,8 +9,10 @@
 //
 // Every layer has one reference implementation (per-sample Forward/Backward)
 // and one shipped implementation (the batched ForwardBatch/ForwardBatchTrain/
-// BackwardBatch on the GEMM and SIMD kernels); the equivalence tests pin the
-// two bit for bit, and trainNaive/Train are the same pair one level up.
+// BackwardBatch: Dense on panel-packed GEMM kernels, Conv2D on a direct
+// kernel that reads the input planes in place, the rest on SIMD row kernels);
+// the equivalence tests pin the two bit for bit, and trainNaive/Train are the
+// same pair one level up.
 //
 // Determinism comes first: every kernel preserves the reference float
 // summation order, and all weight initialization flows from an explicit RNG

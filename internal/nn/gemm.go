@@ -1,14 +1,18 @@
 package nn
 
-// Deterministic blocked GEMM kernels. These are the single inference hot
-// path of the repository: Dense and Conv2D (via im2col) both lower to a
-// "NT" matrix product — dot products of two row-major matrices that share a
-// contiguous K dimension.
+// Deterministic matrix kernels and the index tables of the direct
+// convolution. Dense lowers to a GEMM: the "NT" product of two row-major
+// matrices sharing a contiguous K dimension (GemmNTBiasJ) for tiny problems,
+// and the same product over eight-column weight panels (GemmPanelBiasJ)
+// otherwise. Conv2D lowers to nothing: its forward kernel (convDirectSIMD)
+// reads the input planes in place through the tables convDirectTables builds,
+// and only the training pass still materializes patches (im2col), for the
+// weight-gradient accumulation. The "NN" forms (GemmNNBiasI, GemmNNAccI) are
+// Dense.BackwardBatch's.
 //
-// The kernels are blocked over the *output* coordinates only (eight columns
-// of C per pass, so each element of A is loaded once per eight outputs);
-// the K dimension is never split. That restriction is load-bearing: every
-// output element accumulates its K products strictly in index order, one
+// The kernels are blocked over the *output* coordinates only; the K
+// dimension is never split. That restriction is load-bearing: every output
+// element accumulates its K products strictly in index order, one
 // accumulator per element, which makes the float summation sequence — and
 // therefore every result file derived from it — bit-for-bit identical to
 // the reference loops in Dense.Forward and Conv2D.Forward
@@ -73,9 +77,8 @@ func GemmNTBiasJ(out, a, b, bias []float64, m, n, k int) {
 }
 
 // GemmNTBiasI is GemmNTBiasJ with the bias indexed by the row instead of
-// the column: out[i*n+j] = bias[i] + sum_k a[i*k+p]*b[j*k+p]. It is the
-// convolution kernel: a holds one output channel's weights per row, b one
-// output pixel's im2col patch per row. bias must have length m.
+// the column: out[i*n+j] = bias[i] + sum_k a[i*k+p]*b[j*k+p] — the dot-product
+// reference the tests hold GemmNNBiasI to. bias must have length m.
 func GemmNTBiasI(out, a, b, bias []float64, m, n, k int) {
 	for i := 0; i < m; i++ {
 		ar := a[i*k : i*k+k]
@@ -131,31 +134,31 @@ func GemmNTBiasI(out, a, b, bias []float64, m, n, k int) {
 	}
 }
 
-// GemmNNBiasILd computes out[i*n+j] = bias[i] + sum_c a[i*k+c]*bt[c*ld+j]
-// for an m-by-k row-major matrix a and a k-row matrix bt read at row stride
-// ld (>= n). It is GemmNTBiasI with the patch matrix pre-transposed (bt = b
-// transposed, see im2colT): every output element still starts from the bias
-// and accumulates its K products strictly in index order, so results are
-// bit-identical to GemmNTBiasI — but adjacent output columns now read
-// adjacent bt elements, so eight columns accumulate side by side in SIMD
-// registers (nnDot8SIMD) without any sum being split or reordered. The
-// stride lets a batch pack every sample's im2colT columns side by side and
-// convolve each sample's slice straight into its own output rows. Groups of
-// four output rows go through the 4x8 register tile (gemmNNQuadI); the
-// remainder runs row by row. bias must have length m.
-func GemmNNBiasILd(out, a, bt, bias []float64, m, n, k, ld int) {
-	i := gemmNNQuadI(out, a, bt, bias, m, n, k, ld)
+// GemmNNBiasI computes out[i*n+j] = bias[i] + sum_c a[i*k+c]*bt[c*n+j] for
+// an m-by-k row-major matrix a and a k-by-n row-major matrix bt. It is
+// GemmNTBiasI with the second operand pre-transposed: every output element
+// still starts from the bias and accumulates its K products strictly in index
+// order, so results are bit-identical to GemmNTBiasI — but adjacent output
+// columns now read adjacent bt elements, so eight columns accumulate side by
+// side in SIMD registers without any sum being split or reordered. It is
+// Dense.BackwardBatch's input-gradient kernel (a the output gradients, bt the
+// weights as stored, a zero bias). Groups of four output rows go through the
+// 4x8 register tile (gemmNNQuadI); the remainder runs row by row. bias must
+// have length m.
+func GemmNNBiasI(out, a, bt, bias []float64, m, n, k int) {
+	i := gemmNNQuadI(out, a, bt, bias, m, n, k)
 	for ; i < m; i++ {
-		gemmNNRowI(out[i*n:i*n+n], bias[i], a[i*k:i*k+k], bt, n, ld)
+		gemmNNRowI(out[i*n:i*n+n], bias[i], a[i*k:i*k+k], bt, n)
 	}
 }
 
 // GemmNNAccI accumulates an NN-form product in place:
 // out[i*n+j] += sum_c a[i*k+c]*bt[c*ld+j]. Each output element continues
 // its own running sum with c strictly ascending, so calling this once per
-// sample replays a per-sample accumulation loop bit for bit. It is the
-// batched weight-gradient kernel: a holds one sample's output-channel
-// gradients, bt the recorded im2col rows (c walks output pixels).
+// sample replays a per-sample accumulation loop bit for bit. It is
+// Dense.BackwardBatch's weight-gradient kernel: a holds the transposed output
+// gradients, bt the recorded input batch (c walks samples), read at row
+// stride ld.
 func GemmNNAccI(out, a, bt []float64, m, n, k, ld int) {
 	i := gemmNNQuadAcc(out, a, bt, m, n, k, ld)
 	for ; i < m; i++ {
@@ -163,49 +166,86 @@ func GemmNNAccI(out, a, bt []float64, m, n, k, ld int) {
 	}
 }
 
-// GemmNNBiasJ computes out[i*n+j] = bias[j] + sum_c a[i*k+c]*bt[c*n+j]: the
-// Dense orientation of GemmNNBiasILd, consuming the weight matrix transposed
-// (bt[c*n+j] = w[j*k+c]) so adjacent output units read adjacent elements.
-// Each output's accumulation starts at its bias and walks c strictly
-// ascending — the exact dot sequence of GemmNTBiasJ, so results are
-// bit-identical. bias must have length n.
-func GemmNNBiasJ(out, a, bt, bias []float64, m, n, k int) {
-	i := gemmNNQuadJ(out, a, bt, bias, m, n, k, n)
-	for ; i < m; i++ {
-		gemmNNRowJ(out[i*n:i*n+n], bias, a[i*k:i*k+k], bt, n, n)
-	}
-}
-
-// im2colT writes one CHW sample into the transposed patch matrix consumed by
-// GemmNNBiasILd: dst[c*ld + off + p] = the c-th element of output pixel p's
-// receptive field, with c in (ic, ky, kx) order and p walking output pixels
-// row-major — the same (p, c) values as im2col, laid out c-major so the GEMM
-// inner loop streams contiguous rows. ld is the row stride (>= off + oh*ow),
-// letting a batch pack every sample's columns side by side in one matrix.
-// Each (c, y) run is a contiguous ow-length copy from the source row.
-func im2colT(dst []float64, off, ld int, src []float64, inC, h, w, kh, oh, ow int) {
-	c := 0
-	for ic := 0; ic < inC; ic++ {
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kh; kx++ {
-				base := c*ld + off
-				for y := 0; y < oh; y++ {
-					srow := src[(ic*h+y+ky)*w+kx : (ic*h+y+ky)*w+kx+ow]
-					copy(dst[base+y*ow:base+y*ow+ow], srow)
-				}
-				c++
-			}
+// GemmPanelBiasJ computes GemmNTBiasJ's product,
+// out[i*n+j] = bias[j] + sum_c a[i*k+c]*w[j*k+c], eight output columns at a
+// time: the eight weight rows of a column block are transposed into panel
+// (panel[c*8+l] = w[(j+l)*k+c], 8*k elements of caller scratch), so the eight
+// columns accumulate side by side while the inner loop streams one contiguous
+// 64-byte row per c — reading a whole transposed weight matrix at its n-wide
+// row stride instead maps every row of a block onto the same few cache sets.
+// Each output still starts at its bias and walks c strictly ascending:
+// GemmNTBiasJ's dot sequence, bit for bit. When n is not a multiple of
+// eight the last block starts at n-8 and overlaps its neighbour, recomputing
+// identical values, so there is no column tail. n must be at least 8.
+func GemmPanelBiasJ(out, a, w, bias, panel []float64, m, n, k int) {
+	for j := 0; j < n; j += 8 {
+		if j > n-8 {
+			j = n - 8
+		}
+		transposeSIMD(panel, w[j*k:(j+8)*k], 8, k)
+		bj := bias[j : j+8]
+		i := gemmPanelQuad(out[j:], n, bj, a, panel, m, k)
+		for ; i < m; i++ {
+			nnDot8Go(out[i*n+j:i*n+j+8], bj, a[i*k:i*k+k], panel, 8)
 		}
 	}
 }
 
-// im2col lowers one CHW sample to the patch matrix the convolution GEMM
-// consumes: dst[p*kk+c] = the c-th element of output pixel p's receptive
-// field, where p walks the output pixels row-major (y, then x) and c walks
-// the patch in (ic, ky, kx) order — the exact accumulation order of the
-// naive convolution loop, so the GEMM's K-sequential dot products replay
-// the naive float summation term for term. dst must have oh*ow*inC*kh*kh
-// elements.
+// convDirectTables builds, in arena scratch, the two index tables the direct
+// convolution kernel (convDirectSIMD) walks for an inC x h x w sample under a
+// k x k kernel; every sample of a batch shares them.
+//
+// offs[c] is where the c-th element of a receptive field lies relative to
+// the field's origin, c in (ic, ky, kx) order — Conv2D.Forward's
+// accumulation order: offs[c] = (ic*h+ky)*w + kx.
+//
+// segs lists the output in row segments of sw = min(4, ow) pixels, one
+// (input origin, output position) pair per segment: y*w+x and y*ow+x, the
+// output position relative to a channel's oh*ow plane. A row's last segment
+// starts at ow-sw, overlapping its neighbour where ow is not a multiple of
+// sw (the overlap recomputes identical values), and the list is padded to an
+// even count by repeating the final segment, because the kernel consumes
+// segments two at a time.
+func convDirectTables(a *Arena, inC, h, w, k int) (offs, segs []int, sw int) {
+	oh, ow := h-k+1, w-k+1
+	offs = a.Ints(inC * k * k)
+	c := 0
+	for ic := 0; ic < inC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				offs[c] = (ic*h+ky)*w + kx
+				c++
+			}
+		}
+	}
+	sw = 4
+	if ow < sw {
+		sw = ow
+	}
+	nseg := oh * ((ow + sw - 1) / sw)
+	segs = a.Ints(2 * (nseg + nseg&1))
+	t := 0
+	for y := 0; y < oh; y++ {
+		for x := 0; x < ow; x += sw {
+			if x > ow-sw {
+				x = ow - sw
+			}
+			segs[t], segs[t+1] = y*w+x, y*ow+x
+			t += 2
+		}
+	}
+	if t < len(segs) {
+		segs[t], segs[t+1] = segs[t-2], segs[t-1]
+	}
+	return offs, segs, sw
+}
+
+// im2col lowers one CHW sample to the patch matrix Conv2D.BackwardBatch
+// accumulates weight gradients from: dst[p*kk+c] = the c-th element of output
+// pixel p's receptive field, where p walks the output pixels row-major (y,
+// then x) and c walks the patch in (ic, ky, kx) order — the order the
+// reference backward loop visits a pixel's weights in. dst must have
+// oh*ow*inC*kh*kh elements.
 func im2col(dst, src []float64, inC, h, w, kh, oh, ow int) {
 	if kh == 3 {
 		di := 0

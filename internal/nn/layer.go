@@ -107,10 +107,12 @@ func (d *Dense) Forward(in *Tensor) *Tensor {
 	return out
 }
 
-// ForwardBatch implements Layer: one GEMM over the whole batch. Batches of
-// four or more amortize transposing the weights into arena scratch, which
-// turns the GEMM into the SIMD NN form (GemmNNBiasJ, bit-identical to
-// GemmNTBiasJ); tiny batches keep the transpose-free kernel.
+// ForwardBatch implements Layer: one GEMM over the whole batch. With four or
+// more samples and at least one eight-unit panel of outputs it runs as
+// GemmPanelBiasJ, which repacks the weights eight output units at a time into
+// one panel of arena scratch (per call: nothing is cached, so nothing needs
+// invalidating when training moves the weights); smaller problems keep the
+// pack-free GemmNTBiasJ. Both are the same dot sequence per output.
 func (d *Dense) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	batch := in.Shape[0]
 	if in.Len() != batch*d.InDim {
@@ -118,13 +120,11 @@ func (d *Dense) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 		panic(fmt.Sprintf("nn: Dense expected %d inputs per sample, got shape %v", d.InDim, in.Shape))
 	}
 	out := a.Tensor(batch, d.OutDim)
-	if batch < 4 {
+	if batch < 4 || d.OutDim < 8 {
 		GemmNTBiasJ(out.Data, in.Data, d.w.Data, d.b.Data, batch, d.OutDim, d.InDim)
 		return out
 	}
-	wT := a.Floats(d.InDim * d.OutDim)
-	transposeSIMD(wT, d.w.Data, d.OutDim, d.InDim)
-	GemmNNBiasJ(out.Data, in.Data, wT, d.b.Data, batch, d.OutDim, d.InDim)
+	GemmPanelBiasJ(out.Data, in.Data, d.w.Data, d.b.Data, a.Floats(8*d.InDim), batch, d.OutDim, d.InDim)
 	return out
 }
 
@@ -164,7 +164,7 @@ func (d *Dense) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
 	// batch*InDim clear.
 	zb := a.Floats(batch)
 	zeroFloats(zb)
-	GemmNNBiasILd(gradIn.Data, gradOut.Data, d.w.Data, zb, batch, d.InDim, d.OutDim, d.InDim)
+	GemmNNBiasI(gradIn.Data, gradOut.Data, d.w.Data, zb, batch, d.InDim, d.OutDim)
 	goutT := a.Floats(d.OutDim * batch)
 	transposeSIMD(goutT, gradOut.Data, batch, d.OutDim)
 	for o := 0; o < d.OutDim; o++ {
@@ -252,7 +252,7 @@ func NewConv2D(inC, outC, k int, rng *rand.Rand) *Conv2D {
 // Forward implements Layer: the reference convolution loops. Each output
 // pixel starts from its channel's bias and adds its receptive field in
 // (ic, ky, kx) order — the float summation sequence the equivalence tests
-// pin ForwardBatch's im2col+GEMM to.
+// pin ForwardBatch's direct kernel to.
 func (c *Conv2D) Forward(in *Tensor) *Tensor {
 	if len(in.Shape) != 3 || in.Shape[0] != c.InC {
 		//lint:allow panicpolicy Layer.Forward: a shape mismatch is a programmer error and the interface has no error channel
@@ -283,49 +283,37 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 	return out
 }
 
-// ForwardBatch implements Layer: every sample's transposed im2col columns
-// are packed side by side into one wide matrix, and each sample's column
-// slice is convolved straight into its own [OutC, oh, ow] output rows with
-// the strided NN-form GEMM (GemmNNBiasILd) — no intermediate scratch or
-// permutation pass. The patch order is Forward's (ic, ky, kx) accumulation
-// order and the GEMM never splits the K dimension, so outputs are bit-for-bit
-// Forward's.
+// ForwardBatch implements Layer: a direct convolution. Nothing is lowered or
+// copied — the kernel (convDirectSIMD) reads each sample's CHW planes where
+// they lie and writes its [OutC, oh, ow] output rows in place, finding the
+// c-th term of an output pixel's receptive field through one offset table
+// shared by the whole batch (convDirectTables). The table lists the field in
+// Forward's (ic, ky, kx) order and every output element is one accumulator
+// that starts at its bias and walks the table front to back, so outputs are
+// bit-for-bit Forward's.
 func (c *Conv2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	if len(in.Shape) != 4 || in.Shape[1] != c.InC {
 		//lint:allow panicpolicy Layer.ForwardBatch hot path: a shape mismatch is a programmer error and the interface has no error channel
 		panic(fmt.Sprintf("nn: Conv2D expected [B,%d,H,W], got %v", c.InC, in.Shape))
 	}
-	return c.forwardBatchNN(in, a)
-}
-
-func (c *Conv2D) forwardBatchNN(in *Tensor, a *Arena) *Tensor {
 	batch, h, w := in.Shape[0], in.Shape[2], in.Shape[3]
 	oh, ow := h-c.K+1, w-c.K+1
-	kk := c.InC * c.K * c.K
 	np := oh * ow
-	ld := batch * np
 	out := a.Tensor(batch, c.OutC, oh, ow)
-	colT := a.Floats(kk * ld)
-	inStride := c.InC * h * w
+	offs, segs, sw := convDirectTables(a, c.InC, h, w, c.K)
+	inStride, outStride := c.InC*h*w, c.OutC*np
 	for s := 0; s < batch; s++ {
-		im2colT(colT, s*np, ld, in.Data[s*inStride:(s+1)*inStride], c.InC, h, w, c.K, oh, ow)
-	}
-	outStride := c.OutC * np
-	for s := 0; s < batch; s++ {
-		GemmNNBiasILd(out.Data[s*outStride:(s+1)*outStride], c.w.Data, colT[s*np:], c.b.Data, c.OutC, np, kk, ld)
+		convDirectSIMD(out.Data[s*outStride:(s+1)*outStride], np, c.b.Data, c.w.Data,
+			in.Data[s*inStride:(s+1)*inStride], offs, segs, sw)
 	}
 	return out
 }
 
-// ForwardBatchTrain implements Layer: the batch-wide NN-form GEMM plus a
-// p-major im2col recording of every sample (in the caller's arena) so
-// BackwardBatch can accumulate weight gradients from contiguous patch rows.
+// ForwardBatchTrain implements Layer: ForwardBatch plus a p-major im2col
+// recording of every sample (in the caller's arena) so BackwardBatch can
+// accumulate weight gradients from contiguous patch rows.
 func (c *Conv2D) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
-	if len(in.Shape) != 4 || in.Shape[1] != c.InC {
-		//lint:allow panicpolicy Layer.ForwardBatchTrain hot path: a shape mismatch is a programmer error and the interface has no error channel
-		panic(fmt.Sprintf("nn: Conv2D expected [B,%d,H,W], got %v", c.InC, in.Shape))
-	}
-	out := c.forwardBatchNN(in, a)
+	out := c.ForwardBatch(in, a)
 	batch, h, w := in.Shape[0], in.Shape[2], in.Shape[3]
 	oh, ow := h-c.K+1, w-c.K+1
 	colStride := oh * ow * c.InC * c.K * c.K

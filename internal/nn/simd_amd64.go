@@ -46,6 +46,9 @@ func nnDot16AVX2(out, init, a, bt []float64, n int)
 func nnDot4x8AVX2(out []float64, on int, init, a []float64, k int, bt []float64, ld int) //lint:allow simdcover register-tiled quad kernel with no scalar twin; below the floor and on !amd64 the quad drivers hand every row to the row path, and simd_test.go pins the drivers
 
 //go:noescape
+func convDirect4x8AVX2(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int)
+
+//go:noescape
 func pool2x2SSE2(dst, row0, row1 []float64)
 
 //go:noescape
@@ -102,7 +105,8 @@ func pool2x2SIMD(dst, row0, row1 []float64) {
 }
 
 // transposeSIMD writes dst[c*rows+r] = src[r*cols+c] — the out-of-place
-// matrix transpose behind the Dense NN-form GEMMs. The 2x2-block kernel
+// matrix transpose behind Dense's weight panels (forward) and transposed
+// output gradients (backward). The 2x2-block kernel
 // covers the even region (UNPCKLPD/UNPCKHPD, contiguous stores down two dst
 // rows); the odd row/column tails finish scalar. Pure data movement, so the
 // result is bit-exact trivially.
@@ -162,7 +166,7 @@ func gemmNNAccRowWide(orow, ar, bt []float64, n, ld int) int {
 // finish the remainder row by row). Tiling over rows loads each bt element
 // once per four rows instead of once per row; every output element still
 // owns one accumulator walking c in ascending order.
-func gemmNNQuadI(out, a, bt, bias []float64, m, n, k, ld int) int {
+func gemmNNQuadI(out, a, bt, bias []float64, m, n, k int) int {
 	if !hasAVX2 || n < 8 {
 		return 0
 	}
@@ -177,14 +181,14 @@ func gemmNNQuadI(out, a, bt, bias []float64, m, n, k, ld int) int {
 		}
 		j := 0
 		for ; j+8 <= n; j += 8 {
-			nnDot4x8AVX2(out[i*n+j:], n, init[:], a[i*k:], k, bt[j:], ld)
+			nnDot4x8AVX2(out[i*n+j:], n, init[:], a[i*k:], k, bt[j:], n)
 		}
 		for ; j < n; j++ {
 			for r := 0; r < 4; r++ {
 				s := bias[i+r]
 				ar := a[(i+r)*k : (i+r)*k+k]
 				for c, av := range ar {
-					s += av * bt[c*ld+j]
+					s += av * bt[c*n+j]
 				}
 				out[(i+r)*n+j] = s
 			}
@@ -193,36 +197,53 @@ func gemmNNQuadI(out, a, bt, bias []float64, m, n, k, ld int) int {
 	return i
 }
 
-// gemmNNQuadJ is gemmNNQuadI with the Dense per-column bias: all four rows
-// of a tile start from bias[j:j+8].
-func gemmNNQuadJ(out, a, bt, bias []float64, m, n, k, ld int) int {
-	if !hasAVX2 || n < 8 {
+// gemmPanelQuad runs the 4x8 tile down one eight-column weight panel (bt row
+// stride 8) for all m rows of a, every row of a tile starting from the same
+// eight biases, and returns the rows consumed: m, or 0 when the tile cannot
+// run (the caller then goes row by row). When m is not a multiple of four the
+// last tile starts at row m-4 and overlaps its neighbour, recomputing
+// identical values. out is pre-sliced at the panel's first column; n is its
+// row stride.
+func gemmPanelQuad(out []float64, n int, bias, a, panel []float64, m, k int) int {
+	if !hasAVX2 || m < 4 {
 		return 0
 	}
 	var init [32]float64
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		j := 0
-		for ; j+8 <= n; j += 8 {
-			b8 := bias[j : j+8]
-			copy(init[0:8], b8)
-			copy(init[8:16], b8)
-			copy(init[16:24], b8)
-			copy(init[24:32], b8)
-			nnDot4x8AVX2(out[i*n+j:], n, init[:], a[i*k:], k, bt[j:], ld)
+	copy(init[0:8], bias)
+	copy(init[8:16], bias)
+	copy(init[16:24], bias)
+	copy(init[24:32], bias)
+	for i := 0; i < m; i += 4 {
+		if i > m-4 {
+			i = m - 4
 		}
-		for ; j < n; j++ {
-			for r := 0; r < 4; r++ {
-				s := bias[j]
-				ar := a[(i+r)*k : (i+r)*k+k]
-				for c, av := range ar {
-					s += av * bt[c*ld+j]
-				}
-				out[(i+r)*n+j] = s
-			}
-		}
+		nnDot4x8AVX2(out[i*n:], n, init[:], a[i*k:], k, panel, 8)
 	}
-	return i
+	return m
+}
+
+// convDirectSIMD convolves one CHW sample with len(bias) output channels
+// directly from the tables of convDirectTables: out[oc*np + p] = bias[oc] +
+// sum_c wt[oc*kk+c] * in[origin(p) + offs[c]], c ascending, for every output
+// pixel p the segment list covers. The AVX2 kernel takes four output channels
+// and two four-pixel segments per register tile and walks the whole segment
+// list in one call; when the channel count is not a multiple of four the last
+// group starts at len(bias)-4 and overlaps its neighbour, recomputing
+// identical values. Fewer than four channels, rows narrower than a segment
+// (sw < 4) and hosts below the floor run the portable twin over the same
+// tables.
+func convDirectSIMD(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int) {
+	outC, kk := len(bias), len(offs)
+	if !hasAVX2 || sw != 4 || outC < 4 {
+		convDirectGo(out, np, bias, wt, in, offs, segs, sw)
+		return
+	}
+	for oc := 0; oc < outC; oc += 4 {
+		if oc > outC-4 {
+			oc = outC - 4
+		}
+		convDirect4x8AVX2(out[oc*np:], np, bias[oc:oc+4], wt[oc*kk:], in, offs, segs, sw)
+	}
 }
 
 // gemmNNQuadAcc is gemmNNQuadI accumulating in place: each tile's init is

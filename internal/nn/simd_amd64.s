@@ -358,6 +358,104 @@ qdone:
 	VZEROUPPER
 	RET
 
+// func convDirect4x8AVX2(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int)
+// The direct convolution of one sample for four output channels: nnDot4x8AVX2
+// with the bt += ld advance replaced by a table load. Each pass of the outer
+// loop takes two (input origin, output position) segments from segs and holds
+// a 4-channel x (4+4)-pixel tile in Y4-Y11 across the whole table walk: per c,
+// offs[c] locates the two four-pixel input runs (Y0, Y1) and each of the four
+// weight rows (stride len(offs)) contributes one broadcast. Per element the
+// sequence is bias + wt[c]*in[...] with c strictly ascending, multiply then
+// add — convDirectGo's, lanes being independent pixels and channels. The
+// dispatcher guarantees four channels and sw == 4 (the segment width this
+// body hard-codes); len(segs) is a multiple of four and len(offs) >= 1.
+TEXT ·convDirect4x8AVX2(SB), NOSPLIT, $0-160
+	MOVQ offs_base+104(FP), R8
+	MOVQ offs_len+112(FP), R12
+	MOVQ R12, R10
+	SHLQ $3, R10            // weight row stride in bytes
+	LEAQ (R10)(R10*2), R11  // three weight rows
+	MOVQ segs_base+128(FP), BX
+	MOVQ segs_len+136(FP), R13
+	LEAQ (BX)(R13*8), R13   // end of the segment list
+
+ctile:
+	CMPQ BX, R13
+	JGE  cdone
+	MOVQ in_base+80(FP), AX
+	MOVQ 0(BX), SI
+	LEAQ (AX)(SI*8), SI     // first segment's input origin
+	MOVQ 16(BX), DX
+	LEAQ (AX)(DX*8), DX     // second segment's
+	MOVQ bias_base+32(FP), AX
+	VBROADCASTSD 0(AX), Y4
+	VMOVAPD Y4, Y5
+	VBROADCASTSD 8(AX), Y6
+	VMOVAPD Y6, Y7
+	VBROADCASTSD 16(AX), Y8
+	VMOVAPD Y8, Y9
+	VBROADCASTSD 24(AX), Y10
+	VMOVAPD Y10, Y11
+	MOVQ wt_base+56(FP), R9
+	XORQ CX, CX
+
+cloop:
+	MOVQ (R8)(CX*8), AX
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DX)(AX*8), Y1
+	VBROADCASTSD (R9), Y2
+	VMULPD Y0, Y2, Y3
+	VADDPD Y3, Y4, Y4
+	VMULPD Y1, Y2, Y3
+	VADDPD Y3, Y5, Y5
+	VBROADCASTSD (R9)(R10*1), Y2
+	VMULPD Y0, Y2, Y3
+	VADDPD Y3, Y6, Y6
+	VMULPD Y1, Y2, Y3
+	VADDPD Y3, Y7, Y7
+	VBROADCASTSD (R9)(R10*2), Y2
+	VMULPD Y0, Y2, Y3
+	VADDPD Y3, Y8, Y8
+	VMULPD Y1, Y2, Y3
+	VADDPD Y3, Y9, Y9
+	VBROADCASTSD (R9)(R11*1), Y2
+	VMULPD Y0, Y2, Y3
+	VADDPD Y3, Y10, Y10
+	VMULPD Y1, Y2, Y3
+	VADDPD Y3, Y11, Y11
+	ADDQ $8, R9
+	INCQ CX
+	CMPQ CX, R12
+	JLT  cloop
+
+	MOVQ out_base+0(FP), DI
+	MOVQ np+24(FP), AX
+	SHLQ $3, AX             // channel plane stride in bytes
+	MOVQ 8(BX), CX
+	MOVQ 24(BX), R9
+	LEAQ (DI)(R9*8), R9     // second segment's output
+	LEAQ (DI)(CX*8), DI     // first segment's
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, (R9)
+	ADDQ AX, DI
+	ADDQ AX, R9
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, (R9)
+	ADDQ AX, DI
+	ADDQ AX, R9
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, (R9)
+	ADDQ AX, DI
+	ADDQ AX, R9
+	VMOVUPD Y10, (DI)
+	VMOVUPD Y11, (R9)
+	ADDQ $32, BX
+	JMP  ctile
+
+cdone:
+	VZEROUPPER
+	RET
+
 // func pool2x2SSE2(dst, row0, row1 []float64)
 // dst[x] = max of the 2x2 window (row0[2x], row0[2x+1], row1[2x], row1[2x+1])
 // in the scalar loop's candidate order: each MAXPD/MAXSD has the new

@@ -58,12 +58,16 @@ func pool2x2SIMD(dst, row0, row1 []float64) {
 	}
 }
 
+func convDirectSIMD(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int) {
+	convDirectGo(out, np, bias, wt, in, offs, segs, sw)
+}
+
 // The 4x8 register tile and the sixteen-column row kernel are amd64 AVX2
 // specializations; other architectures consume nothing and fall through to
-// the portable row driver.
-func gemmNNQuadI(out, a, bt, bias []float64, m, n, k, ld int) int { return 0 }
+// the portable row drivers.
+func gemmNNQuadI(out, a, bt, bias []float64, m, n, k int) int { return 0 }
 
-func gemmNNQuadJ(out, a, bt, bias []float64, m, n, k, ld int) int { return 0 }
+func gemmPanelQuad(out []float64, n int, bias, a, panel []float64, m, k int) int { return 0 }
 
 func gemmNNQuadAcc(out, a, bt []float64, m, n, k, ld int) int { return 0 }
 

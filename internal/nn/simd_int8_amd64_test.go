@@ -140,13 +140,16 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 		return append([]float64(nil), fwd(in, arena).Data...)
 	}
 
-	// The float half: a LeNet-5 on 16x16 inputs, whose shapes put every GEMM
-	// path on the line at batch 7. conv1's rows 4-5 of 6 leave the 4x8 quad
-	// for the row driver's 16-column kernel (144 pixels); conv2's 4 pixels
-	// are all scalar tail; the Dense layers' rows 4-6 run 7x16 + 8 columns
-	// (120 units), 5x16 + a 4-column tail (84) and 8 + 2 (10). One epoch of
-	// training on top crosses step, reluBwd, the accumulating GEMMs and —
-	// through the 5x5 conv2's 150-element weight-gradient rows — axpy.
+	// The float half: a LeNet-5 on 16x16 inputs, whose shapes put every
+	// forward path on the line at batch 7. conv1's six channels run the
+	// convolution tile as two overlapping groups of four over 12-pixel rows;
+	// conv2's 2-pixel rows are narrower than a segment and take the portable
+	// twin on every floor. The Dense layers' seven rows are two overlapping
+	// 4-row tiles per weight panel: 15 panels (120 units), 10 and an
+	// overlapping eleventh (84), two overlapping (10). One epoch of training
+	// on top crosses step, reluBwd, the NN-form and accumulating GEMMs with
+	// their 16-column, 8-column and scalar tails and — through the 5x5
+	// conv2's 150-element weight-gradient rows — axpy.
 	floatNet := func() *Network {
 		return BuildLeNet5("dispatch-lenet", []int{1, 16, 16}, 1, 10, rand.New(rand.NewSource(32)))
 	}

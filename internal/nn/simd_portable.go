@@ -94,19 +94,63 @@ func gemmNNAccRow(orow, ar, bt []float64, n, ld int) {
 }
 
 // gemmNNRowI computes one output row of an NN-form GEMM with a per-row bias:
-// orow[j] = bi + sum_c ar[c]*bt[c*ld+j] for j < n. Seeding the row with the
+// orow[j] = bi + sum_c ar[c]*bt[c*n+j] for j < n. Seeding the row with the
 // bias and accumulating in place is the same float sequence per element as
 // starting a register at bi.
-func gemmNNRowI(orow []float64, bi float64, ar, bt []float64, n, ld int) {
+func gemmNNRowI(orow []float64, bi float64, ar, bt []float64, n int) {
 	for j := range orow[:n] {
 		orow[j] = bi
 	}
-	gemmNNAccRow(orow, ar, bt, n, ld)
+	gemmNNAccRow(orow, ar, bt, n, n)
 }
 
-// gemmNNRowJ is gemmNNRowI with a per-column bias: orow[j] = bias[j] + ...,
-// the Dense orientation. bias must have length n.
-func gemmNNRowJ(orow, bias, ar, bt []float64, n, ld int) {
-	copy(orow[:n], bias)
-	gemmNNAccRow(orow, ar, bt, n, ld)
+// convDirectGo is the direct convolution of one CHW sample over the tables of
+// convDirectTables, for len(bias) output channels: every output element
+// starts at its channel's bias and adds wt[r*kk+c] * in[origin+offs[c]] with
+// c strictly ascending — Conv2D.Forward's sequence. Four-pixel segments are
+// taken two at a time, eight independent sums per pass; narrower rows
+// (sw < 4) go pixel by pixel. Every operand is reached through a
+// bounds-checked slice of the sample, and the AVX2 kernel forms exactly these
+// addresses from the same tables, so a table that passes here keeps the
+// assembly inside the sample too.
+func convDirectGo(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int) {
+	kk := len(offs)
+	for r, b := range bias {
+		wr := wt[r*kk : r*kk+kk]
+		orow := out[r*np : r*np+np]
+		if sw != 4 {
+			for t := 0; t < len(segs); t += 2 {
+				src, dst := in[segs[t]:], orow[segs[t+1]:segs[t+1]+sw]
+				for l := range dst {
+					s := b
+					for c, wv := range wr {
+						s += wv * src[offs[c]+l]
+					}
+					dst[l] = s
+				}
+			}
+			continue
+		}
+		for t := 0; t < len(segs); t += 4 {
+			src0, src1 := in[segs[t]:], in[segs[t+2]:]
+			s0, s1, s2, s3 := b, b, b, b
+			s4, s5, s6, s7 := b, b, b, b
+			for c, wv := range wr {
+				off := offs[c]
+				p, q := src0[off:off+4], src1[off:off+4]
+				s0 += wv * p[0]
+				s1 += wv * p[1]
+				s2 += wv * p[2]
+				s3 += wv * p[3]
+				s4 += wv * q[0]
+				s5 += wv * q[1]
+				s6 += wv * q[2]
+				s7 += wv * q[3]
+			}
+			d := orow[segs[t+1] : segs[t+1]+4]
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+			d = orow[segs[t+3] : segs[t+3]+4]
+			d[0], d[1], d[2], d[3] = s4, s5, s6, s7
+		}
+	}
 }

@@ -108,9 +108,9 @@ func TestNNDot8SIMDMatchesScalarBitForBit(t *testing.T) {
 	}
 }
 
-// TestGemmNNMatchesGemmNT pins the NN-form kernels (and their 16/8/scalar
-// tail blocking) against the NT references across shapes with every tail
-// length, including the special-value lanes simdCases injects.
+// TestGemmNNMatchesGemmNT pins the NN-form kernel (and its 16/8/scalar tail
+// blocking) against the NT reference across shapes with every tail length,
+// including the special-value lanes simdCases injects.
 func TestGemmNNMatchesGemmNT(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	for _, dims := range [][3]int{{1, 8, 1}, {3, 16, 9}, {2, 23, 5}, {4, 33, 7}, {8, 17, 3}, {5, 40, 12}} {
@@ -123,76 +123,147 @@ func TestGemmNNMatchesGemmNT(t *testing.T) {
 				bt[c*n+j] = b[j*k+c]
 			}
 		}
-		biasI := simdCases(rng, m)
-		biasJ := simdCases(rng, n)
-		wantI := make([]float64, m*n)
-		gotI := make([]float64, m*n)
-		GemmNTBiasI(wantI, a, b, biasI, m, n, k)
-		GemmNNBiasILd(gotI, a, bt, biasI, m, n, k, n)
-		wantJ := make([]float64, m*n)
-		gotJ := make([]float64, m*n)
-		GemmNTBiasJ(wantJ, a, b, biasJ, m, n, k)
-		GemmNNBiasJ(gotJ, a, bt, biasJ, m, n, k)
-		for i := range wantI {
-			if !sameBits(gotI[i], wantI[i]) {
+		bias := simdCases(rng, m)
+		want := make([]float64, m*n)
+		got := make([]float64, m*n)
+		GemmNTBiasI(want, a, b, bias, m, n, k)
+		GemmNNBiasI(got, a, bt, bias, m, n, k)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
 				t.Fatalf("BiasI m=%d n=%d k=%d elem %d: got %x want %x", m, n, k, i,
-					math.Float64bits(gotI[i]), math.Float64bits(wantI[i]))
-			}
-			if !sameBits(gotJ[i], wantJ[i]) {
-				t.Fatalf("BiasJ m=%d n=%d k=%d elem %d: got %x want %x", m, n, k, i,
-					math.Float64bits(gotJ[i]), math.Float64bits(wantJ[i]))
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	}
 }
 
-// TestGemmNNStridedAndAccVariants pins the column-sub-view kernel
-// (GemmNNBiasILd reading bt at a wider stride) and the in-place accumulate
-// kernel (GemmNNAccI) against scalar replays of their per-element dot
-// sequences, covering the 4x8 tile, the 16/8 blocks, and scalar tails.
+// TestDensePanelsMatchGemmNT pins the panel-packed Dense GEMM against the NT
+// reference on every dispatch floor: output widths with no, one and several
+// overlapping last panels, batch sizes below, at and off the four-row tile
+// (the overlapping last tile), special-value lanes included.
+func TestDensePanelsMatchGemmNT(t *testing.T) {
+	rng := rand.New(rand.NewSource(90))
+	eachDispatchFloor(func(floor string) {
+		for _, n := range []int{1, 7, 8, 9, 10, 84, 120, 256} {
+			for _, m := range []int{1, 3, 4, 5, 64} {
+				for _, k := range []int{1, 5, 32} {
+					d := NewDense(k, n, rng)
+					copy(d.w.Data, simdCases(rng, n*k))
+					copy(d.b.Data, simdCases(rng, n))
+					arena := NewArena()
+					in := arena.Tensor(m, k)
+					copy(in.Data, simdCases(rng, m*k))
+					want := make([]float64, m*n)
+					GemmNTBiasJ(want, in.Data, d.w.Data, d.b.Data, m, n, k)
+					check := func(what string, got []float64) {
+						for i := range want {
+							if !sameBits(got[i], want[i]) {
+								t.Fatalf("%s: %s m=%d n=%d k=%d elem %d: got %x want %x", floor, what, m, n, k, i,
+									math.Float64bits(got[i]), math.Float64bits(want[i]))
+							}
+						}
+					}
+					check("Dense.ForwardBatch", d.ForwardBatch(in, arena).Data)
+					if n >= 8 { // the layer keeps batches under four off the panels; the kernel takes them row by row
+						got := simdCases(rng, m*n)
+						GemmPanelBiasJ(got, in.Data, d.w.Data, d.b.Data, make([]float64, 8*k), m, n, k)
+						check("GemmPanelBiasJ", got)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestConvDirectMatchesForward pins the direct convolution — the AVX2 tile
+// convDirect4x8AVX2 where the floor allows, its portable twin convDirectGo
+// everywhere else — against per-sample Conv2D.Forward on every dispatch
+// floor, over kernel sizes, channel counts on and off the four-channel group
+// (1 and 3 never reach the tile; 6 overlaps its last group), and output
+// widths below one segment, at it, and at every overlap of the last one. The
+// no-avx2 floor runs convDirectGo over the tables the tile was just given, so
+// its bounds checks vouch for every address the assembly formed.
+func TestConvDirectMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	eachDispatchFloor(func(floor string) {
+		for _, k := range []int{1, 3, 5} {
+			for _, inC := range []int{1, 3, 8} {
+				for _, outC := range []int{1, 3, 4, 6, 8, 12} {
+					for _, ow := range []int{1, 2, 3, 4, 5, 7, 8, 11, 15, 26} {
+						conv := NewConv2D(inC, outC, k, rng)
+						copy(conv.w.Data, simdCases(rng, conv.w.Len()))
+						copy(conv.b.Data, simdCases(rng, outC))
+						// Non-square: the height trails the width by a
+						// different amount per case, never below the kernel.
+						h, w := k+(ow+outC)%5, ow+k-1
+						for _, batch := range []int{1, 7} {
+							arena := NewArena()
+							in := arena.Tensor(batch, inC, h, w)
+							copy(in.Data, simdCases(rng, in.Len()))
+							got := conv.ForwardBatch(in, arena)
+							inLen, outLen := inC*h*w, got.Len()/batch
+							for s := 0; s < batch; s++ {
+								smp := &Tensor{Shape: []int{inC, h, w}, Data: in.Data[s*inLen : (s+1)*inLen]}
+								want := conv.Forward(smp).Data
+								for i, wv := range want {
+									if gv := got.Data[s*outLen+i]; !sameBits(gv, wv) {
+										t.Fatalf("%s: k=%d inC=%d outC=%d in=%dx%d batch=%d sample %d elem %d: got %x want %x",
+											floor, k, inC, outC, h, w, batch, s, i, math.Float64bits(gv), math.Float64bits(wv))
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGemmNNStridedAndAccVariants pins the Dense backward kernels against
+// scalar replays of their per-element dot sequences, covering the 4x8 tile,
+// the 16/8 blocks, and scalar tails: the biased form (GemmNNBiasI) and the
+// in-place accumulate kernel (GemmNNAccI), the latter also reading bt at a
+// row stride wider than n.
 func TestGemmNNStridedAndAccVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
-	for _, dims := range [][3]int{{1, 8, 1}, {4, 9, 5}, {8, 16, 7}, {5, 23, 3}, {6, 40, 12}} {
-		m, n, k := dims[0], dims[1], dims[2]
-		ld := n + 5
-		a := simdCases(rng, m*k)
-		bt := simdCases(rng, k*ld)
-		bias := simdCases(rng, m)
+	// replay is the scalar sequence both kernels must reproduce: each element
+	// starts from init and adds its k products in ascending order.
+	replay := func(init func(i, j int) float64, a, bt []float64, m, n, k, ld int) []float64 {
 		want := make([]float64, m*n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				s := bias[i]
+				s := init(i, j)
 				for c := 0; c < k; c++ {
 					s += a[i*k+c] * bt[c*ld+j]
 				}
 				want[i*n+j] = s
 			}
 		}
-		got := make([]float64, m*n)
-		GemmNNBiasILd(got, a, bt, bias, m, n, k, ld)
+		return want
+	}
+	same := func(what string, got, want []float64, m, n, k, ld int) {
 		for i := range want {
 			if !sameBits(got[i], want[i]) {
-				t.Fatalf("BiasILd m=%d n=%d k=%d elem %d: got %x want %x", m, n, k, i,
+				t.Fatalf("%s m=%d n=%d k=%d ld=%d elem %d: got %x want %x", what, m, n, k, ld, i,
 					math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
-		acc := simdCases(rng, m*n)
-		wantAcc := make([]float64, m*n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				s := acc[i*n+j]
-				for c := 0; c < k; c++ {
-					s += a[i*k+c] * bt[c*ld+j]
-				}
-				wantAcc[i*n+j] = s
-			}
-		}
-		GemmNNAccI(acc, a, bt, m, n, k, ld)
-		for i := range wantAcc {
-			if !sameBits(acc[i], wantAcc[i]) {
-				t.Fatalf("AccI m=%d n=%d k=%d elem %d: got %x want %x", m, n, k, i,
-					math.Float64bits(acc[i]), math.Float64bits(wantAcc[i]))
-			}
+	}
+	for _, dims := range [][3]int{{1, 8, 1}, {4, 9, 5}, {8, 16, 7}, {5, 23, 3}, {6, 40, 12}} {
+		m, n, k := dims[0], dims[1], dims[2]
+		a := simdCases(rng, m*k)
+		bias := simdCases(rng, m)
+		bt := simdCases(rng, k*n)
+		got := make([]float64, m*n)
+		GemmNNBiasI(got, a, bt, bias, m, n, k)
+		same("BiasI", got, replay(func(i, _ int) float64 { return bias[i] }, a, bt, m, n, k, n), m, n, k, n)
+		for _, ld := range []int{n, n + 5} {
+			bt := simdCases(rng, k*ld)
+			acc := simdCases(rng, m*n)
+			want := replay(func(i, j int) float64 { return acc[i*n+j] }, a, bt, m, n, k, ld)
+			GemmNNAccI(acc, a, bt, m, n, k, ld)
+			same("AccI", acc, want, m, n, k, ld)
 		}
 	}
 }
