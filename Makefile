@@ -18,23 +18,20 @@
 #                  randomized-schedule parity property, and the coordinator
 #                  session's replay cache
 #   make fuzz-smoke - ten seconds of each native fuzz target: the wire codec
-#                  (internal/deploy: FuzzReadMessage, FuzzMessageEncode), the
-#                  random streams against math/rand (internal/numeric:
-#                  FuzzSplitRNGStream), the checkpoint reader against its
-#                  value-by-value oracle (internal/nn: FuzzReadWeights) and
-#                  the trace CSV readers against their accept contract and a
-#                  write/read round trip (internal/trace: FuzzReadPrices,
-#                  FuzzReadWorkload); go test -fuzz takes one target per run
-#   make bench   - refresh the machine-readable NN perf baseline
-#                  (BENCH_nn.json) plus the per-layer float forward benchmarks
-#                  (GMAC/s for every conv and first-Dense shape of the
-#                  MNIST-like zoo), the engine's serial-vs-parallel
-#                  slot-stepping benchmark, the shard fan-out benchmark,
-#                  the wire-codec encode/decode benchmarks, the checkpoint
-#                  install benchmark (float/INT8 x first/repeat x arm) and the
-#                  per-edge random-stream and block-start benchmarks
-#   make bench-diff - rerun the nnbench suite and fail when any benchmark's
-#                  ns/op regressed >25% against the committed BENCH_nn.json
+#                  and the frame validators behind it (internal/deploy:
+#                  FuzzReadMessage, FuzzMessageEncode), the shard checkpoint's
+#                  own validation and JSON round trip (internal/engine:
+#                  FuzzShardCheckpoint), the random streams against math/rand
+#                  (internal/numeric: FuzzSplitRNGStream), the weights reader
+#                  against its value-by-value oracle (internal/nn:
+#                  FuzzReadWeights) and the trace CSV readers against their
+#                  accept contract and a write/read round trip
+#                  (internal/trace: FuzzReadPrices, FuzzReadWorkload); go test
+#                  -fuzz takes one target per run
+#   make bench   - every Benchmark* in the module, once, with -benchmem: the
+#                  kernel micro-suite for reading while you work. It gates
+#                  nothing; perf is policed by the slot-cost benchmark
+#                  (go run ./benchmark, BENCHMARK.json)
 #   make check   - fmt + vet + lint + race + full tests: the pre-commit gate
 #   make loc     - line counts per package: non-test .go and .s files, raw and
 #                  code (neither blank nor a // comment line); benchmark/ and
@@ -44,7 +41,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt vet lint race chaos chaos-region fuzz-smoke bench bench-diff check loc sim
+.PHONY: build test fmt vet lint race chaos chaos-region fuzz-smoke bench check loc sim
 
 build:
 	$(GO) build ./...
@@ -75,23 +72,14 @@ chaos-region:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/deploy
 	$(GO) test -run='^$$' -fuzz=FuzzMessageEncode -fuzztime=10s ./internal/deploy
+	$(GO) test -run='^$$' -fuzz=FuzzShardCheckpoint -fuzztime=10s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzSplitRNGStream -fuzztime=10s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzReadPrices -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzReadWorkload -fuzztime=10s ./internal/trace
 
 bench:
-	$(GO) run ./cmd/nnbench -out BENCH_nn.json
-	$(GO) test ./internal/nn/ -run XX -bench 'BenchmarkConvForwardBatch|BenchmarkDenseForwardBatch'
-	$(GO) test ./internal/sim/ -run XX -bench 'BenchmarkSlotStepParallel|BenchmarkEngineSharded' -benchtime 3x
-	$(GO) test ./internal/engine/ -run XX -bench BenchmarkShardStepWorkers -benchtime 100x
-	$(GO) test ./internal/deploy/ -run XX -bench BenchmarkWireCodec -benchmem
-	$(GO) test ./internal/deploy/ -run XX -bench BenchmarkNNRuntimeLoadModel
-	$(GO) test ./internal/numeric/ -run XX -bench 'BenchmarkSplitRNGFleetSweep|BenchmarkSplitRNGSeed'
-	$(GO) test ./internal/bandit/ -run XX -bench BenchmarkBlockStart
-
-bench-diff:
-	$(GO) run ./cmd/nnbench -diff BENCH_nn.json
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 check: fmt vet lint race test
 

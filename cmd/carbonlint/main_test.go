@@ -63,7 +63,7 @@ func TestRepoIsClean(t *testing.T) {
 // delete it with its tests, or say here what a remaining test needs it for.
 var keptForTests = map[string]string{
 	"engine.runSerial":                 "oracle: the one-goroutine engine TestShardedMatchesSerialProperty holds RunSharded to",
-	"nn.trainNaive":                    "oracle: per-sample SGD (with every layer's Forward/Backward) TestTrainBatchedMatchesNaiveBitForBit holds Train to",
+	"nn.trainNaive":                    "oracle: per-sample SGD (with every layer's Forward/Backward) TestTrainBatchedMatchesNaiveBitForBit holds TrainShuffled to",
 	"nn.Evaluate":                      "instrument: accuracy and loss read by the training, quantization and dataset-separability tests",
 	"nn.GemmNTBiasI":                   "oracle: the dot-product GEMM TestGemmNNMatchesGemmNT holds the axpy kernels to",
 	"nn.Tensor.MaxIndex":               "oracle: argmax TestRowHelpersMatchPerSampleBitForBit holds ArgmaxRow to",

@@ -90,7 +90,7 @@ func TestClassesAreSeparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := generate(t, MNISTLike, 600, 300, rng)
 	net := nn.BuildMLP("probe", []int{1, 28, 28}, 32, 16, MNISTLike.Classes, rng)
-	if _, err := nn.Train(net, d.Train, nn.TrainConfig{Epochs: 4, BatchSize: 16, LR: 0.05}, rng); err != nil {
+	if _, err := nn.TrainShuffled(net, d.Train, nn.TrainConfig{Epochs: 4, BatchSize: 16, LR: 0.05}, rng.Shuffle); err != nil {
 		t.Fatal(err)
 	}
 	acc, _ := nn.Evaluate(net, d.Test)
@@ -107,7 +107,7 @@ func TestCIFARLikeHarderThanMNISTLike(t *testing.T) {
 		d := generate(t, spec, 500, 300, rng)
 		in := []int{spec.Channels, spec.Height, spec.Width}
 		net := nn.BuildMLP("probe", in, 32, 16, spec.Classes, rng)
-		if _, err := nn.Train(net, d.Train, nn.TrainConfig{Epochs: 3, BatchSize: 16, LR: 0.05}, rng); err != nil {
+		if _, err := nn.TrainShuffled(net, d.Train, nn.TrainConfig{Epochs: 3, BatchSize: 16, LR: 0.05}, rng.Shuffle); err != nil {
 			t.Fatal(err)
 		}
 		acc, _ := nn.Evaluate(net, d.Test)

@@ -125,7 +125,8 @@ func (f *edgeFleet) welcome(hello *Message, l *link) (*Message, bool) {
 // the resume path only — exactly the state they are in. It returns the
 // range's steppers, with each edge's backoff jitter stream fast-forwarded to
 // the checkpointed draw position (jitter paces wall-clock retries only; it
-// never reaches Results).
+// never reaches Results). ck has passed ValidateAdopt, which is what bounds
+// the range allocated and the draws replayed here.
 func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint) ([]*tcpStepper, error) {
 	f.mu.Lock()
 	for _, rg := range f.ranges {
@@ -140,11 +141,9 @@ func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint) ([]*tcpStepper, error) {
 	f.mu.Unlock()
 
 	tcp := f.rangeSteppers(rg)
-	if ck.JitterDraws != nil {
-		for i, s := range tcp {
-			for k := 0; k < ck.JitterDraws[i]; k++ {
-				s.rng.Int63()
-			}
+	for i, s := range tcp {
+		for k := 0; k < ck.JitterDraws[i]; k++ {
+			s.rng.Int63()
 		}
 	}
 	return tcp, nil

@@ -402,10 +402,77 @@ func hotFrames(shard int) map[string]*Message {
 // hotFrameNames fixes the iteration order over hotFrames.
 var hotFrameNames = []string{"Assign", "AssignCkpt", "Report", "ShardAssign", "ShardDelta"}
 
+// The session the adopt frames below are judged against: an 8-slot run whose
+// coordinators retry twice per slot.
+const adoptHorizon, adoptAttempts = 8, 2
+
+// hostileCheckpoints are checkpoints that claim more than their frame
+// carried or their session can have produced; each would have the adopter
+// allocate or spin on a number alone. TestRegionSessionRejectsHostileAdopt
+// puts them on a coordinator's upstream link, and they seed FuzzReadMessage
+// here and FuzzShardCheckpoint in internal/engine.
+var hostileCheckpoints = map[string]string{
+	"slice-less oversized count": `{"start":0,"count":1099511627776,"fleetSeed":7}`,
+	"overflowing start+count":    `{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[0]}`,
+	"doneSlots past the horizon": `{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[0]}`,
+	"jitterDraws of 2^62":        `{"start":0,"count":1,"doneSlots":4,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[4611686018427387904]}`,
+}
+
+// adoptFrame frames a ShardAdopt carrying the checkpoint's JSON as written.
+func adoptFrame(checkpoint string) []byte {
+	body := fmt.Sprintf(`{"type":%d,"checkpoint":%s}`, MsgShardAdopt, checkpoint)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// checkValidators runs a decoded message through its type's validator. None
+// may panic on anything the decoder lets through; a Report or ShardDelta that
+// passes holds only finite non-negative terms, and a ShardAdopt that passes
+// is no larger than the bytes that carried it and the session's bounds.
+func checkValidators(t testing.TB, m *Message, frameLen int) {
+	t.Helper()
+	ok := func(what string, vs ...float64) {
+		for _, v := range vs {
+			if !(0 <= v && v < math.Inf(1)) {
+				t.Fatalf("validated %s carries the term %v: %+v", what, v, m)
+			}
+		}
+	}
+	switch m.Type {
+	case MsgReport:
+		if ValidateReport(m) == nil {
+			ok("report", m.AvgLoss, m.EnergyKWh, m.CompSeconds, float64(m.Samples), float64(m.Correct))
+		}
+	case MsgShardDelta:
+		start, count := 0, 0
+		if m.Delta != nil {
+			start, count = m.Delta.Start, len(m.Delta.Edges)
+		}
+		if ValidateDelta(m, start, count, m.Slot) == nil {
+			for _, ed := range m.Delta.Edges {
+				ok("shard delta", ed.Loss, ed.InferLoss, ed.Compute, ed.InferKWh, ed.TransferKWh,
+					float64(ed.Samples), float64(ed.Correct), float64(ed.Retries))
+			}
+		}
+	case MsgShardAdopt:
+		if ValidateAdopt(m, adoptHorizon, adoptAttempts) == nil {
+			ck := m.Checkpoint
+			if ck.Count > frameLen || ck.DoneSlots > adoptHorizon {
+				t.Fatalf("validated a %d-byte adopt of %d edges at slot %d", frameLen, ck.Count, ck.DoneSlots)
+			}
+			for _, n := range ck.JitterDraws {
+				if n > adoptHorizon*adoptAttempts {
+					t.Fatalf("validated an adopt that replays %d jitter draws", n)
+				}
+			}
+		}
+	}
+}
+
 // FuzzReadMessage feeds arbitrary streams to ReadMessage: it never panics,
 // whatever the fast path accepts equals json's decoding, and whatever it
 // declines comes out exactly as the json path decides — the same message, or
-// the same *ProtocolError, or a transient truncated read.
+// the same *ProtocolError, or a transient truncated read. A message that
+// decodes then meets its validator (checkValidators).
 func FuzzReadMessage(f *testing.F) {
 	r := numeric.SplitRNG(3, "fuzz-read-seeds")
 	for _, name := range hotFrameNames {
@@ -421,10 +488,16 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0x3f, 0xff, 0xff, 0xff, '{', '"', 't', 'y', 'p', 'e', '"', ':', '3', '}'})
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
 	f.Add([]byte{0, 0})
+	for _, ck := range hostileCheckpoints {
+		f.Add(adoptFrame(ck))
+	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		want, wantErr := jsonRead(stream)
 		got, err := ReadMessage(bytes.NewReader(stream))
 		sameOutcome(t, "ReadMessage", got, err, want, wantErr)
+		if err == nil {
+			checkValidators(t, got, len(stream))
+		}
 		// The connection reader takes the same stream in read-ahead mode.
 		got, err = (&frameReader{r: bytes.NewReader(stream)}).next()
 		sameOutcome(t, "frameReader.next", got, err, want, wantErr)

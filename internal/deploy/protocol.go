@@ -426,15 +426,31 @@ func ValidateDelta(m *Message, start, count, slot int) error {
 // ValidateAdopt defensively checks a MsgShardAdopt before its checkpoint
 // rebuilds shard state in the adopting coordinator: a malformed checkpoint is
 // a fatal protocol error at the wire boundary, like any other bad frame.
-func ValidateAdopt(m *Message) error {
+// Everything the adopter sizes or loops by is bounded here by what the frame
+// carried (the checkpoint's per-edge slices back its Count) or by the
+// adopter's own session: the fold watermark by the run's horizon, and each
+// edge's jitter position by what doneSlots slots of the adopter's retry
+// budget (attempts per slot; coordinators of one deployment share it) can
+// have drawn.
+func ValidateAdopt(m *Message, horizon, attempts int) error {
 	if m.Type != MsgShardAdopt {
 		return protocolErrorf("expected ShardAdopt, got type %d", m.Type)
 	}
-	if m.Checkpoint == nil {
+	ck := m.Checkpoint
+	if ck == nil {
 		return protocolErrorf("shard adopt: missing checkpoint")
 	}
-	if err := m.Checkpoint.Validate(); err != nil {
+	if err := ck.Validate(); err != nil {
 		return protocolErrorf("shard adopt: %v", err)
+	}
+	if ck.DoneSlots > horizon {
+		return protocolErrorf("shard adopt: fold watermark %d beyond the %d-slot horizon", ck.DoneSlots, horizon)
+	}
+	for i, n := range ck.JitterDraws {
+		if n > ck.DoneSlots*attempts {
+			return protocolErrorf("shard adopt: edge %d at jitter position %d after %d slots of %d retries",
+				ck.Start+i, n, ck.DoneSlots, attempts)
+		}
 	}
 	return nil
 }

@@ -928,7 +928,7 @@ func (s *RegionSession) handleAssign(upstream *wireConn, m *Message) (assignOutc
 // per-edge down state, and start serving assigns for the range. The shard's
 // edges redial this coordinator's listener and resume their sessions.
 func (s *RegionSession) handleAdopt(m *Message) error {
-	if err := ValidateAdopt(m); err != nil {
+	if err := ValidateAdopt(m, s.fleet.acc.horizon, s.cfg.Retry.Attempts); err != nil {
 		return err
 	}
 	ck := m.Checkpoint

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -241,6 +242,84 @@ func TestRegionSessionValidation(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+}
+
+// TestRegionSessionRejectsHostileAdopt puts each hostile checkpoint on a
+// standby coordinator's upstream link. Every one is a fatal *ProtocolError
+// that ends the session with an Error frame upstream, before edgeFleet.adopt
+// builds a single link (a bare count of 2^40 used to size a slice, a jitter
+// position of 2^62 used to spin the retry stream); a checkpoint the root's
+// regionStepper.checkpoint would send is adopted on the same session.
+func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
+	// adopt welcomes a standby session, sends it one adopt frame and returns
+	// the session, Run's outcome, and what the root read back (nil once the
+	// frame was taken silently and the link cut).
+	adopt := func(t *testing.T, frame []byte, wantReply bool) (s *RegionSession, reply *Message, done bool, err error) {
+		w := newParityWorld(7)
+		ln := newChanListener(0)
+		defer ln.Close()
+		s, err = NewRegionSession(ln, RegionConfig{
+			RegionID: 1, Source: &paritySource{w: w}, Seed: 7, Retry: RetryConfig{Attempts: adoptAttempts},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rootSide, regionSide := net.Pipe()
+		type outcome struct {
+			done bool
+			err  error
+		}
+		res := make(chan outcome, 1)
+		go func() {
+			done, err := s.Run(regionSide)
+			regionSide.Close()
+			res <- outcome{done, err}
+		}()
+		if m, err := ReadMessage(rootSide); err != nil || m.Type != MsgRegionHello {
+			t.Fatalf("hello: %+v, %v", m, err)
+		}
+		welcome := &Message{Type: MsgRegionWelcome, Horizon: adoptHorizon, NumModels: len(w.metas), ResumeToken: "tok"}
+		if err := WriteMessage(rootSide, welcome); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rootSide.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if wantReply {
+			if reply, err = ReadMessage(rootSide); err != nil {
+				t.Fatalf("reading the coordinator's verdict: %v", err)
+			}
+		}
+		rootSide.Close()
+		o := <-res
+		return s, reply, o.done, o.err
+	}
+
+	for name, ck := range hostileCheckpoints {
+		t.Run(name, func(t *testing.T) {
+			s, reply, done, err := adopt(t, adoptFrame(ck), true)
+			var pe *ProtocolError
+			if !done || !errors.As(err, &pe) || Transient(err) {
+				t.Fatalf("Run = done %v, %v; want the session ended by a fatal *ProtocolError", done, err)
+			}
+			if reply.Type != MsgError || reply.Reason != err.Error() {
+				t.Errorf("root read %+v, want an Error frame carrying %q", reply, err)
+			}
+			if n := len(s.fleet.links()); n != 0 || len(s.shards) != 0 {
+				t.Errorf("rejected adopt left %d links and %d shards behind", n, len(s.shards))
+			}
+		})
+	}
+
+	good := `{"start":4,"count":2,"doneSlots":4,"fleetSeed":7,"down":[false,true],"downErrors":["","gone"],"jitterDraws":[0,8]}`
+	s, _, done, err := adopt(t, adoptFrame(good), false)
+	if done || !Transient(err) {
+		t.Fatalf("Run after a well-formed adopt and a cut link = done %v, %v; want a resumable failure", done, err)
+	}
+	if n := len(s.fleet.links()); n != 2 || len(s.shards) != 1 || s.shards[0].done != 4 {
+		t.Errorf("well-formed adopt installed %d links, shards %+v; want 2 links and one shard at slot 4", n, s.shards)
+	}
+	s.release()
 }
 
 // TestRunRegionRejectsZooMismatch pins the welcome validation: a region

@@ -1,6 +1,9 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ShardCheckpoint is the serializable root-visible state of one shard: what
 // a surviving (or newly joined) regional coordinator needs to adopt the
@@ -26,9 +29,13 @@ type ShardCheckpoint struct {
 	// deterministically from it, so the adopting coordinator reconstructs
 	// them locally instead of having secrets shipped.
 	FleetSeed int64 `json:"fleetSeed"`
-	// Down marks edges already down (length Count when non-nil). A restored
-	// shard keeps them down without re-announcing the transition — the root
-	// already folded their WentDown slot.
+	// Down, DownErrors and JitterDraws each hold one entry per edge: a
+	// checkpoint's Count is only as large as the per-edge state that came
+	// with it, so a receiver never sizes anything from a bare number.
+	//
+	// Down marks edges already down. A restored shard keeps them down
+	// without re-announcing the transition — the root already folded their
+	// WentDown slot.
 	Down []bool `json:"down,omitempty"`
 	// DownErrors records why each down edge went down ("" while up). The
 	// adopter does not act on them; they make the serialized state
@@ -40,21 +47,22 @@ type ShardCheckpoint struct {
 	JitterDraws []int `json:"jitterDraws,omitempty"`
 }
 
-// Validate checks the checkpoint's internal consistency.
+// Validate checks the checkpoint's internal consistency. The session-relative
+// bounds (the horizon, the retry budget) are the receiver's to add.
 func (c *ShardCheckpoint) Validate() error {
-	if c.Start < 0 || c.Count <= 0 {
-		return fmt.Errorf("engine: checkpoint covers [%d,%d), want a positive range", c.Start, c.Start+c.Count)
+	if c.Start < 0 || c.Count <= 0 || c.Count > math.MaxInt-c.Start {
+		return fmt.Errorf("engine: checkpoint covers %d edges from %d, want a positive range", c.Count, c.Start)
 	}
 	if c.DoneSlots < 0 {
 		return fmt.Errorf("engine: checkpoint with negative fold watermark %d", c.DoneSlots)
 	}
-	if c.Down != nil && len(c.Down) != c.Count {
+	if len(c.Down) != c.Count {
 		return fmt.Errorf("engine: checkpoint has %d down flags for %d edges", len(c.Down), c.Count)
 	}
-	if c.DownErrors != nil && len(c.DownErrors) != c.Count {
+	if len(c.DownErrors) != c.Count {
 		return fmt.Errorf("engine: checkpoint has %d down errors for %d edges", len(c.DownErrors), c.Count)
 	}
-	if c.JitterDraws != nil && len(c.JitterDraws) != c.Count {
+	if len(c.JitterDraws) != c.Count {
 		return fmt.Errorf("engine: checkpoint has %d jitter positions for %d edges", len(c.JitterDraws), c.Count)
 	}
 	for i, n := range c.JitterDraws {

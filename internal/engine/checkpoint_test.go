@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -76,6 +77,10 @@ func TestShardCheckpointValidate(t *testing.T) {
 	for name, mutate := range map[string]func(*ShardCheckpoint){
 		"negative start":       func(c *ShardCheckpoint) { c.Start = -1 },
 		"empty range":          func(c *ShardCheckpoint) { c.Count = 0 },
+		"range past MaxInt":    func(c *ShardCheckpoint) { c.Start = math.MaxInt - 2 },
+		"no down flags":        func(c *ShardCheckpoint) { c.Down = nil },
+		"no down errors":       func(c *ShardCheckpoint) { c.DownErrors = nil },
+		"no jitter positions":  func(c *ShardCheckpoint) { c.JitterDraws = nil },
 		"negative watermark":   func(c *ShardCheckpoint) { c.DoneSlots = -1 },
 		"down length":          func(c *ShardCheckpoint) { c.Down = []bool{true} },
 		"down errors length":   func(c *ShardCheckpoint) { c.DownErrors = []string{"x"} },
@@ -88,4 +93,37 @@ func TestShardCheckpointValidate(t *testing.T) {
 			t.Errorf("%s: expected a validation error", name)
 		}
 	}
+}
+
+// FuzzShardCheckpoint decodes arbitrary bytes as a checkpoint: Validate never
+// panics, what it accepts covers no more edges than the bytes could carry, and
+// an accepted checkpoint re-marshals to an equal accepted checkpoint. The
+// seeds are internal/deploy's hostileCheckpoints; Validate alone stops the
+// first two, the session bounds of deploy.ValidateAdopt the others.
+func FuzzShardCheckpoint(f *testing.F) {
+	f.Add([]byte(`{"start":2,"count":3,"doneSlots":5,"fleetSeed":77,"down":[false,true,false],"downErrors":["","edge lost",""],"jitterDraws":[0,4,1]}`))
+	f.Add([]byte(`{"start":0,"count":1099511627776,"fleetSeed":7}`))
+	f.Add([]byte(`{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[0]}`))
+	f.Add([]byte(`{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[0]}`))
+	f.Add([]byte(`{"start":0,"count":1,"doneSlots":4,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[4611686018427387904]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ck ShardCheckpoint
+		if json.Unmarshal(data, &ck) != nil || ck.Validate() != nil {
+			return
+		}
+		if ck.Count > len(data) || ck.Start+ck.Count < ck.Start {
+			t.Fatalf("%d bytes validated as %d edges from %d", len(data), ck.Count, ck.Start)
+		}
+		b, err := json.Marshal(&ck)
+		if err != nil {
+			t.Fatalf("accepted checkpoint %+v does not marshal: %v", ck, err)
+		}
+		var back ShardCheckpoint
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("re-marshalled checkpoint %s does not decode: %v", b, err)
+		}
+		if err := back.Validate(); err != nil || !reflect.DeepEqual(ck, back) {
+			t.Fatalf("round trip of %+v gave %+v (%v)", ck, back, err)
+		}
+	})
 }

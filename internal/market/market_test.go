@@ -148,6 +148,40 @@ func TestLedgerZeroAndInvalidTrades(t *testing.T) {
 	}
 }
 
+// TestLedgerRejectsNonFinite: a cap, quantity or price that is negative, NaN
+// or infinite is an error and leaves the ledger untouched; `x < 0` alone let
+// NaN and +Inf through and every derived figure went NaN silently.
+func TestLedgerRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range []float64{-1, nan, inf, -inf} {
+		if _, err := NewLedger(r); err == nil {
+			t.Errorf("NewLedger(%g) accepted", r)
+		}
+	}
+	l, err := NewLedger(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ qty, price float64 }{
+		{-1, 5}, {1, -5},
+		{nan, 5}, {1, nan},
+		{inf, 5}, {1, inf},
+		{-inf, 5}, {1, -inf},
+		{0, nan}, // a zero quantity does not excuse a bad price
+	} {
+		if err := l.Buy(tc.qty, tc.price); err == nil {
+			t.Errorf("Buy(%g, %g) accepted", tc.qty, tc.price)
+		}
+		if err := l.Sell(tc.qty, tc.price); err == nil {
+			t.Errorf("Sell(%g, %g) accepted", tc.qty, tc.price)
+		}
+	}
+	if l.Trades() != 0 || l.Allowances() != 10 || l.NetCost() != 0 {
+		t.Errorf("rejected trades moved the ledger: trades=%d allowances=%g net=%g",
+			l.Trades(), l.Allowances(), l.NetCost())
+	}
+}
+
 // Property: ledger invariants hold under arbitrary trade sequences.
 func TestLedgerInvariantsProperty(t *testing.T) {
 	prop := func(ops []struct {

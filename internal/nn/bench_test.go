@@ -9,8 +9,7 @@ import (
 // Kernel-level benchmarks. BenchmarkConvForward is the shipped direct
 // convolution (ForwardBatch at batch 1) and BenchmarkConvForwardNaive the
 // reference loops (Forward), so the ConvForward/ConvForwardNaive ratio is the
-// kernel speedup on this host; cmd/nnbench snapshots ConvForward into
-// BENCH_nn.json.
+// kernel speedup on this host.
 
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -117,7 +116,7 @@ func benchTrainEpoch(b *testing.B, naive bool) {
 		if naive {
 			_, err = trainNaive(net, samples, cfg, rand.New(rand.NewSource(22)))
 		} else {
-			_, err = Train(net, samples, cfg, rand.New(rand.NewSource(22)))
+			_, err = TrainShuffled(net, samples, cfg, rand.New(rand.NewSource(22)).Shuffle)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -132,8 +131,8 @@ func BenchmarkTrainEpochNaive(b *testing.B) { benchTrainEpoch(b, true) }
 // BenchmarkConvForward's exact shapes (6->16 channels, 5x5 kernel, 14x14
 // input), exactly as the engine runs it: padded-stride im2colQ, the qgemmNT
 // dual-row dot sweep over zero-padded weight rows, and the requantize sweep.
-// The QuantConvForward/ConvForward ratio is the true-int8 speedup tracked in
-// BENCH_nn.json.
+// The QuantConvForward/ConvForward ratio is the true-int8 speedup of the
+// convolution stage alone.
 func BenchmarkQuantConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const inC, outC, kh, h, w = 6, 16, 5, 14, 14
@@ -169,12 +168,11 @@ func BenchmarkQuantConvForward(b *testing.B) {
 
 // BenchmarkQuantNetworkForwardBatch is BenchmarkNetworkForwardBatch through
 // the INT8 engine: same architecture, same batch, quantized execution. The
-// pair is what BenchmarkDispatchFloors prices each floor with. It is no
-// longer the shape the int8-must-beat-float contract is held on: on this
+// pair is what BenchmarkDispatchFloors prices each floor with. On this
 // 14x14 CNN the float path overtook the INT8 engine when the float
-// convolution went direct, so cmd/nnbench's checkInt8Wins enforces
-// QuantForwardBatch < ForwardBatch on cnn-l at 1x28x28 and keeps this shape as
-// its unenforced *Small pair (DESIGN.md §9 "INT8 fast path").
+// convolution went direct (DESIGN.md §9 "INT8 fast path"); the served-arm
+// comparison is the slot-cost benchmark's nn.q8_speedup_x and its
+// edge-serving / edge-serving-int8 workload pair.
 func BenchmarkQuantNetworkForwardBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	net := BuildCNN("bench-cnn", []int{1, 14, 14}, 8, 16, 64, 10, rng)

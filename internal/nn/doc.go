@@ -11,7 +11,7 @@
 // and one shipped implementation (the batched ForwardBatch/ForwardBatchTrain/
 // BackwardBatch: Dense on panel-packed GEMM kernels, Conv2D on a direct
 // kernel that reads the input planes in place, the rest on SIMD row kernels);
-// the equivalence tests pin the two bit for bit, and trainNaive/Train are the
+// the equivalence tests pin the two bit for bit, and trainNaive/TrainShuffled are the
 // same pair one level up.
 //
 // Determinism comes first: every kernel preserves the reference float

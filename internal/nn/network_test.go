@@ -121,7 +121,7 @@ func TestNetworkTrainsXOR(t *testing.T) {
 		x := &Tensor{Shape: []int{2}, Data: []float64{c[0], c[1]}}
 		samples = append(samples, Sample{X: x, Label: int(c[2])})
 	}
-	if _, err := Train(net, samples, TrainConfig{Epochs: 400, BatchSize: 4, LR: 0.5}, rng); err != nil {
+	if _, err := TrainShuffled(net, samples, TrainConfig{Epochs: 400, BatchSize: 4, LR: 0.5}, rng.Shuffle); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	acc, _ := Evaluate(net, samples)
@@ -133,18 +133,18 @@ func TestNetworkTrainsXOR(t *testing.T) {
 func TestTrainErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	net := NewNetwork("t", []int{2}, NewDense(2, 2, rng))
-	if _, err := Train(net, nil, TrainConfig{Epochs: 1, BatchSize: 1, LR: 0.1}, rng); err == nil {
+	if _, err := TrainShuffled(net, nil, TrainConfig{Epochs: 1, BatchSize: 1, LR: 0.1}, rng.Shuffle); err == nil {
 		t.Error("expected error on empty samples")
 	}
 	x := &Tensor{Shape: []int{2}, Data: []float64{1, 2}}
 	s := []Sample{{X: x, Label: 0}}
-	if _, err := Train(net, s, TrainConfig{Epochs: 0, BatchSize: 1, LR: 0.1}, rng); err == nil {
+	if _, err := TrainShuffled(net, s, TrainConfig{Epochs: 0, BatchSize: 1, LR: 0.1}, rng.Shuffle); err == nil {
 		t.Error("expected error on zero epochs")
 	}
-	if _, err := Train(net, s, TrainConfig{Epochs: 1, BatchSize: 0, LR: 0.1}, rng); err == nil {
+	if _, err := TrainShuffled(net, s, TrainConfig{Epochs: 1, BatchSize: 0, LR: 0.1}, rng.Shuffle); err == nil {
 		t.Error("expected error on zero batch size")
 	}
-	if _, err := Train(net, s, TrainConfig{Epochs: 1, BatchSize: 1, LR: 0}, rng); err == nil {
+	if _, err := TrainShuffled(net, s, TrainConfig{Epochs: 1, BatchSize: 1, LR: 0}, rng.Shuffle); err == nil {
 		t.Error("expected error on zero LR")
 	}
 }
@@ -164,7 +164,7 @@ func TestTrainSquaredLossConverges(t *testing.T) {
 		x := &Tensor{Shape: []int{2}, Data: []float64{off + rng.NormFloat64()*0.2, off + rng.NormFloat64()*0.2}}
 		samples = append(samples, Sample{X: x, Label: label})
 	}
-	if _, err := Train(net, samples, TrainConfig{Epochs: 60, BatchSize: 8, LR: 0.5, Loss: LossSquared}, rng); err != nil {
+	if _, err := TrainShuffled(net, samples, TrainConfig{Epochs: 60, BatchSize: 8, LR: 0.5, Loss: LossSquared}, rng.Shuffle); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	acc, msl := Evaluate(net, samples)
@@ -189,11 +189,11 @@ func TestTrainDeterministicFromSeed(t *testing.T) {
 	}
 	n1, s1, r1 := build()
 	n2, s2, r2 := build()
-	l1, err := Train(n1, s1, TrainConfig{Epochs: 5, BatchSize: 4, LR: 0.1}, r1)
+	l1, err := TrainShuffled(n1, s1, TrainConfig{Epochs: 5, BatchSize: 4, LR: 0.1}, r1.Shuffle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Train(n2, s2, TrainConfig{Epochs: 5, BatchSize: 4, LR: 0.1}, r2)
+	l2, err := TrainShuffled(n2, s2, TrainConfig{Epochs: 5, BatchSize: 4, LR: 0.1}, r2.Shuffle)
 	if err != nil {
 		t.Fatal(err)
 	}

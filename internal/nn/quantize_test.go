@@ -60,7 +60,7 @@ func TestQuantizeInPlacePreservesBehavior(t *testing.T) {
 	net := NewNetwork("q", []int{2},
 		NewDense(2, 16, rng), NewReLU(), NewDense(16, 2, rng))
 	samples := separableData(rng, 100)
-	if _, err := Train(net, samples, TrainConfig{Epochs: 30, BatchSize: 8, LR: 0.3}, rng); err != nil {
+	if _, err := TrainShuffled(net, samples, TrainConfig{Epochs: 30, BatchSize: 8, LR: 0.3}, rng.Shuffle); err != nil {
 		t.Fatal(err)
 	}
 	accBefore, _ := Evaluate(net, samples)

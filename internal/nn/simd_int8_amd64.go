@@ -72,22 +72,6 @@ func requantizeRow(dst []int8, acc []int32, bias, m int32, shift int, lo int8) {
 	requantizeRowScalar(dst, acc, bias, m, shift, lo)
 }
 
-// archQdotTiers lists the amd64 asm tiers this host can execute, narrowest
-// first; both gate on the CPUID/XCR0 probes, so a host below the AVX2 floor
-// lists none. The registry exposes the raw kernels — the k >= 16 &&
-// k%16 == 0 precondition is the caller's to respect, exactly as it is the
-// dispatcher's.
-func archQdotTiers() []QdotTier {
-	var tiers []QdotTier
-	if hasAVX2 {
-		tiers = append(tiers, QdotTier{Name: "avx2", Qdot2: qgemm2AVX2})
-	}
-	if hasVNNI {
-		tiers = append(tiers, QdotTier{Name: "vnni", Qdot2: qgemm2VNNI})
-	}
-	return tiers
-}
-
 // qdotRowSIMD dispatches the integer row-dot kernel. Short K dimensions stay
 // on the reference loop: the AVX2 kernel's 16-byte minimum vector step never
 // engages below k=16 and the VZEROUPPER transition costs more than it saves.

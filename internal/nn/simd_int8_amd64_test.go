@@ -159,7 +159,7 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	}
 	trainedWeights := func() []byte {
 		fn := floatNet()
-		if _, err := Train(fn, samples, TrainConfig{Epochs: 1, BatchSize: batch, LR: 0.05}, rand.New(rand.NewSource(33))); err != nil {
+		if _, err := TrainShuffled(fn, samples, TrainConfig{Epochs: 1, BatchSize: batch, LR: 0.05}, rand.New(rand.NewSource(33)).Shuffle); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

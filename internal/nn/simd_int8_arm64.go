@@ -26,13 +26,6 @@ func qdotRowNEON(out []int32, a, b []int8, n, k int)
 //go:noescape
 func qdot2NEON(out0, out1 []int32, a0, a1, b []int8, n, k int)
 
-// archQdotTiers lists the arm64 asm tiers: NEON is part of the ARMv8
-// baseline, so it is unconditional. Same caller-respected k preconditions as
-// the dispatcher.
-func archQdotTiers() []QdotTier {
-	return []QdotTier{{Name: "neon", Qdot2: qdot2NEON}}
-}
-
 // qdotRowSIMD dispatches the integer row-dot kernel: vector-width-multiple
 // K dimensions (the engine pads every weight and im2col row to padTo16, so
 // this is the hot case) run on NEON, everything else on the scalar

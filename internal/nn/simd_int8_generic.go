@@ -10,10 +10,6 @@ package nn
 // this file is split out because arm64 has its own int8 dispatch
 // (simd_int8_arm64.go) but shares the portable float path.
 
-// archQdotTiers is empty off amd64/arm64: the generic reference tier that
-// QdotTiers always includes is the only implementation.
-func archQdotTiers() []QdotTier { return nil }
-
 // qdotRowSIMD is the generic tier of the INT8 row-dot kernel (see
 // qkernels.go).
 func qdotRowSIMD(out []int32, a, b []int8, n, k int) {

@@ -439,46 +439,6 @@ func TestQgemmNTFuzzOracle(t *testing.T) {
 	}
 }
 
-// TestQdotTierRegistryBitIdentical walks the QdotTiers registry — the same
-// enumeration nnbench uses for per-tier micro-benchmarks — and pins every
-// tier against the generic reference head entry. This is the portable
-// cross-tier gate: on amd64 it covers AVX2/VNNI, on arm64 NEON, and on
-// anything else — an amd64 host below the AVX2 floor included — it
-// degenerates to checking the reference against itself.
-func TestQdotTierRegistryBitIdentical(t *testing.T) {
-	tiers := QdotTiers()
-	if len(tiers) == 0 || tiers[0].Name != "generic" {
-		t.Fatalf("QdotTiers() = %v, want generic reference first", tiers)
-	}
-	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 60; iter++ {
-		k := 16 * (1 + rng.Intn(12)) // asm-tier domain: k >= 16, k % 16 == 0
-		n := 1 + rng.Intn(9)
-		a0 := randInt8(rng, k)
-		a1 := randInt8(rng, k)
-		b := randInt8(rng, n*k)
-		for j := 0; j < k; j++ { // saturation extremes in a1
-			if j%2 == 0 {
-				a1[j] = 127
-			} else {
-				a1[j] = -127
-			}
-		}
-		want0, want1 := make([]int32, n), make([]int32, n)
-		tiers[0].Qdot2(want0, want1, a0, a1, b, n, k)
-		for _, tier := range tiers[1:] {
-			got0, got1 := make([]int32, n), make([]int32, n)
-			tier.Qdot2(got0, got1, a0, a1, b, n, k)
-			for j := 0; j < n; j++ {
-				if got0[j] != want0[j] || got1[j] != want1[j] {
-					t.Fatalf("tier %s n=%d k=%d row %d: (%d, %d) != generic (%d, %d)",
-						tier.Name, n, k, j, got0[j], got1[j], want0[j], want1[j])
-				}
-			}
-		}
-	}
-}
-
 func randInt8(rng *rand.Rand, n int) []int8 {
 	s := make([]int8, n)
 	for i := range s {

@@ -49,24 +49,17 @@ type TrainConfig struct {
 	OnEpoch func(epoch int, avgLoss float64)
 }
 
-// Train runs minibatch SGD over samples using rng for shuffling. It returns
-// the average training loss of the final epoch.
+// TrainShuffled runs minibatch SGD over samples, shuffling each epoch with
+// the caller's shuffle (an *rand.Rand's Shuffle method, or a replay of
+// recorded draws: the zoo builder pre-records every model's per-epoch
+// shuffles from one shared stream so the models can then train in parallel).
+// It returns the average training loss of the final epoch.
 //
 // Whole minibatches flow through the batched GEMM path
 // (ForwardBatchTrain/BackwardBatch on one arena); the result is bit-for-bit
 // identical to the per-sample reference loop (trainNaive) — same shuffle
 // draws, same gradient and loss bits (train_equiv_test.go pins the
 // serialized trained weights byte-identical).
-func Train(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand) (float64, error) {
-	return TrainShuffled(net, samples, cfg, rng.Shuffle)
-}
-
-// TrainShuffled is Train with a caller-supplied epoch shuffle in place of an
-// *rand.Rand. Callers that must interleave shuffle draws across several
-// trainings — the zoo builder pre-records every model's per-epoch shuffles
-// from one shared stream so the models can then train in parallel — replay
-// the recorded draw sequence here; the result is bit-identical to Train with
-// the rng the shuffles were drawn from.
 //
 // Per batch it assembles the shuffled samples into one [B, sampleShape...]
 // arena tensor, runs ForwardBatchTrain, computes per-row losses and logit
@@ -144,8 +137,8 @@ func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func
 
 // trainNaive is the one-sample-at-a-time SGD loop over the layers'
 // reference Forward/Backward: the reference implementation the equivalence
-// tests pin Train against (serialized trained weights must match byte for
-// byte).
+// tests pin TrainShuffled against (serialized trained weights must match
+// byte for byte).
 func trainNaive(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: no training samples")

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Training equivalence suite: batched minibatch SGD (Train over
+// Training equivalence suite: batched minibatch SGD (TrainShuffled over
 // ForwardBatchTrain/BackwardBatch) must produce bit-identical trained
 // weights to the per-sample reference loop (trainNaive) — same float64
 // parameter bits AND byte-identical serialized checkpoints — for every
@@ -78,7 +78,7 @@ func TestTrainBatchedMatchesNaiveBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batchAvg, err := Train(batchNet, samples, cfg, rand.New(rand.NewSource(63)))
+			batchAvg, err := TrainShuffled(batchNet, samples, cfg, rand.New(rand.NewSource(63)).Shuffle)
 			if err != nil {
 				t.Fatal(err)
 			}

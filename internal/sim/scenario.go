@@ -79,7 +79,7 @@ type Scenario struct {
 	Workload [][]int
 	// Prices holds c^t and r^t (already scaled by PriceScale).
 	Prices *market.Prices
-	// Streams[i] samples data indices for edge i.
+	// streamRNGs[i] samples data indices for edge i.
 	streamRNGs []*rand.Rand
 
 	// streamPre/streamPos implement pre-drawn stream windows (ComboViews):
