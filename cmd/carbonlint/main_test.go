@@ -64,8 +64,7 @@ func TestRepoIsClean(t *testing.T) {
 var keptForTests = map[string]string{
 	"engine.runSerial":                 "oracle: the one-goroutine engine TestShardedMatchesSerialProperty holds RunSharded to",
 	"nn.trainNaive":                    "oracle: per-sample SGD (with every layer's Forward/Backward) TestTrainBatchedMatchesNaiveBitForBit holds TrainShuffled to",
-	"nn.Evaluate":                      "instrument: accuracy and loss read by the training, quantization and dataset-separability tests",
-	"nn.GemmNTBiasI":                   "oracle: the dot-product GEMM TestGemmNNMatchesGemmNT holds the axpy kernels to",
+	"nn.SquaredLoss":                   "oracle: the paper's per-sample squared loss TestRowHelpersMatchPerSampleBitForBit holds SquaredLossRow to",
 	"nn.Tensor.MaxIndex":               "oracle: argmax TestRowHelpersMatchPerSampleBitForBit holds ArgmaxRow to",
 	"nn.QuantizeInPlace":               "oracle: fake-quant the int8 zoo arms and QuantizedNetwork are held to (TestQuantizeWeightsRoundTripsOracle)",
 	"numeric.NewtonBisect":             "oracle: the closure solver TestTsallisWeightsMatchesClosureSolver holds the in-place root solve to",

@@ -91,11 +91,11 @@ func (cfg *Config) validate() error {
 	if cfg.Horizon <= 0 {
 		return fmt.Errorf("core: Horizon must be positive, got %d", cfg.Horizon)
 	}
-	if cfg.InitialCap < 0 {
-		return fmt.Errorf("core: negative InitialCap %g", cfg.InitialCap)
+	if !numeric.FiniteNonNeg(cfg.InitialCap) {
+		return fmt.Errorf("core: invalid InitialCap %g", cfg.InitialCap)
 	}
-	if cfg.EmissionScale < 0 || cfg.PriceScale < 0 {
-		return fmt.Errorf("core: negative scale hints")
+	if !numeric.FiniteNonNeg(cfg.EmissionScale) || !numeric.FiniteNonNeg(cfg.PriceScale) {
+		return fmt.Errorf("core: invalid scale hints emission=%g price=%g", cfg.EmissionScale, cfg.PriceScale)
 	}
 	for i, u := range cfg.DownloadCosts {
 		if u < 0 {
@@ -273,8 +273,8 @@ func (c *Controller) CompleteSlotServed(losses []float64, served []bool, emissio
 	if served != nil && len(served) != len(c.policies) {
 		return fmt.Errorf("core: got %d served flags for %d edges", len(served), len(c.policies))
 	}
-	if emission < 0 {
-		return fmt.Errorf("core: negative emission %g", emission)
+	if !numeric.FiniteNonNeg(emission) {
+		return fmt.Errorf("core: invalid emission %g", emission)
 	}
 	for i, p := range c.policies {
 		if served == nil || served[i] {

@@ -31,6 +31,9 @@ func TestNewErrors(t *testing.T) {
 		{"negative cap", func(c *Config) { c.InitialCap = -1 }},
 		{"negative scale", func(c *Config) { c.EmissionScale = -1 }},
 		{"negative download cost", func(c *Config) { c.DownloadCosts = []float64{1, -1} }},
+		{"NaN cap", func(c *Config) { c.InitialCap = math.NaN() }},
+		{"infinite cap", func(c *Config) { c.InitialCap = math.Inf(1) }},
+		{"NaN emission scale", func(c *Config) { c.EmissionScale = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -326,6 +329,11 @@ func TestCompleteSlotServedValidation(t *testing.T) {
 	}
 	if err := c.CompleteSlotServed([]float64{0.1, 0.1, 0.1}, []bool{true}, 0.01); err == nil {
 		t.Error("expected error for short served mask")
+	}
+	for _, emission := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := c.CompleteSlot([]float64{0.1, 0.1, 0.1}, emission); err == nil {
+			t.Errorf("expected error for emission %v", emission)
+		}
 	}
 	// The protocol state survives the rejected call.
 	if err := c.CompleteSlotServed([]float64{0.1, 0.1, 0.1}, nil, 0.01); err != nil {

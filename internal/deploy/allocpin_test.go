@@ -1,13 +1,17 @@
 package deploy
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"runtime"
 	"testing"
 
+	"github.com/carbonedge/carbonedge/internal/dataset"
 	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/market"
+	"github.com/carbonedge/carbonedge/internal/models"
+	"github.com/carbonedge/carbonedge/internal/nn"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
@@ -190,6 +194,53 @@ func TestRepeatInstallAllocsPinned(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > mode.limit {
 				t.Errorf("%s arm %d: a repeat LoadModel allocates %d B, want <= %d", mode.name, arm, perCall, mode.limit)
+			}
+		}
+	}
+}
+
+// TestFirstInstallAllocsPinned holds a float install of a model the edge has
+// never held to one copy of its parameters: eight bytes a weight, plus slack
+// for the layer structs, tensor headers, size-class rounding, the
+// architecture's RNG and the checkpoint reader's buffer (10-27 KB measured).
+// A layer that grows a gradient twin or an activation cache back adds another
+// eight bytes a weight and fails every arm — the smallest holds 33 KB.
+func TestFirstInstallAllocsPinned(t *testing.T) {
+	const slack = 40 << 10
+	for _, spec := range []dataset.Spec{dataset.MNISTLike, dataset.CIFARLike} {
+		rng := numeric.SplitRNG(7, "first-install")
+		dist, err := dataset.NewDistribution(spec, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func(modelID int) (*nn.Network, error) {
+			return models.NewFamilyNetwork(spec, modelID, numeric.SplitRNG(9, "first-install-arch"))
+		}
+		rt, err := NewNNRuntime(build, dist.Pool(4, rng), func(int) int { return 1 }, func(int) float64 { return 0 }, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Welcome(make([]ModelMeta, models.FamilySize())); err != nil {
+			t.Fatal(err)
+		}
+		for arm := 0; arm < models.FamilySize(); arm++ {
+			net, err := build(arm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			if err := nn.WriteWeights(&ckpt, net); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := rt.LoadModel(arm, ckpt.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*net.NumParams())+slack
+			if got > limit {
+				t.Errorf("%s arm %d: a first LoadModel allocates %d B, want <= 8 x %d params + %d", spec.Name, arm, got, net.NumParams(), slack)
 			}
 		}
 	}

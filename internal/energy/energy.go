@@ -2,14 +2,20 @@
 //
 //	E_{i,n}^t = phi_n * M_i^t        (inference energy, kWh)
 //	F_{i,n}   = vartheta_i * W_n     (model transfer energy, kWh)
-//	emission  = rho * energy         (kg CO2)
+//	emission  = rho * energy         (in rho's mass unit)
 //
 // with the paper's constants: per-sample inference energy in [6,10]e-8 kWh,
 // transfer energy 1.02e-16 kWh per byte, and a carbon emission rate of
-// 500 g/kWh (0.5 kg/kWh).
+// 500 g/kWh. Every shipped configuration, the allowance ledger and the cap
+// count grams; the meter itself only multiplies, so emissions come out in
+// whatever mass unit the rate is stated in.
 package energy
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/carbonedge/carbonedge/internal/numeric"
+)
 
 // Paper-calibrated constants.
 const (
@@ -26,16 +32,18 @@ const (
 
 // Meter accumulates energy and emissions for one simulation run.
 type Meter struct {
-	rate float64 // kg CO2 per kWh
+	rate float64 // CO2 mass per kWh (g/kWh in every shipped config)
 
 	inferKWh    float64
 	transferKWh float64
 }
 
-// NewMeter creates a meter with the given emission rate (kg CO2 per kWh).
+// NewMeter creates a meter with the given emission rate: CO2 mass per kWh,
+// g/kWh (the paper's rho = 500) in every shipped config. The rate must be
+// finite and non-negative.
 func NewMeter(rate float64) (*Meter, error) {
-	if rate < 0 {
-		return nil, fmt.Errorf("energy: negative emission rate %g", rate)
+	if !numeric.FiniteNonNeg(rate) {
+		return nil, fmt.Errorf("energy: invalid emission rate %g", rate)
 	}
 	return &Meter{rate: rate}, nil
 }
@@ -58,14 +66,14 @@ func TransferEnergy(varthetaKWhPerByte float64, sizeBytes int64) float64 {
 }
 
 // RecordInference adds inference energy to the meter and returns the
-// resulting emission in kg.
+// resulting emission, in the rate's mass unit (grams at rho = 500 g/kWh).
 func (m *Meter) RecordInference(kwh float64) float64 {
 	m.inferKWh += kwh
 	return kwh * m.rate
 }
 
 // RecordTransfer adds model-transfer energy to the meter and returns the
-// resulting emission in kg.
+// resulting emission, in the rate's mass unit.
 func (m *Meter) RecordTransfer(kwh float64) float64 {
 	m.transferKWh += kwh
 	return kwh * m.rate
@@ -86,5 +94,5 @@ func (m *Meter) InferenceKWh() float64 { return m.inferKWh }
 // TransferKWh returns cumulative transfer energy.
 func (m *Meter) TransferKWh() float64 { return m.transferKWh }
 
-// TotalEmission returns cumulative emissions in kg CO2.
+// TotalEmission returns cumulative emissions, in the rate's mass unit.
 func (m *Meter) TotalEmission() float64 { return m.TotalKWh() * m.rate }

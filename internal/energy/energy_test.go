@@ -73,6 +73,27 @@ func TestNewMeterNegativeRate(t *testing.T) {
 	}
 }
 
+// TestNewMeterRejectsNonFiniteRate: a NaN or infinite rate passes a `< 0`
+// test and then turns every emission, and with it the ledger and the fit,
+// into NaN or Inf many slots away from the bad flag.
+func TestNewMeterRejectsNonFiniteRate(t *testing.T) {
+	for _, tt := range []struct {
+		rate float64
+		ok   bool
+	}{
+		{0, true},
+		{500, true},
+		{-0.1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		if _, err := NewMeter(tt.rate); (err == nil) != tt.ok {
+			t.Errorf("NewMeter(%v): err = %v, want ok = %v", tt.rate, err, tt.ok)
+		}
+	}
+}
+
 func TestPaperConstantsSane(t *testing.T) {
 	if MinInferEnergy >= MaxInferEnergy {
 		t.Error("energy band inverted")

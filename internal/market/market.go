@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
 // Paper-calibrated defaults (EUR cents per kg CO2).
@@ -99,14 +101,9 @@ type Ledger struct {
 	trades         int
 }
 
-// finiteNonNeg reports 0 <= x < +Inf. Stated positively, so NaN fails it:
-// one NaN quantity would turn Allowances, NetCost and the run's fit into NaN
-// with no error anywhere.
-func finiteNonNeg(x float64) bool { return 0 <= x && x < math.Inf(1) }
-
 // NewLedger creates a ledger seeded with the initial allowance cap R.
 func NewLedger(initialCap float64) (*Ledger, error) {
-	if !finiteNonNeg(initialCap) {
+	if !numeric.FiniteNonNeg(initialCap) {
 		return nil, fmt.Errorf("market: invalid initial cap %g", initialCap)
 	}
 	return &Ledger{initialCap: initialCap}, nil
@@ -115,7 +112,7 @@ func NewLedger(initialCap float64) (*Ledger, error) {
 // Buy records purchasing qty allowances at unit price. Zero-quantity calls
 // are ignored so callers can pass raw algorithm output.
 func (l *Ledger) Buy(qty, price float64) error {
-	if !finiteNonNeg(qty) || !finiteNonNeg(price) {
+	if !numeric.FiniteNonNeg(qty) || !numeric.FiniteNonNeg(price) {
 		return fmt.Errorf("market: invalid buy qty=%g price=%g", qty, price)
 	}
 	if qty == 0 {
@@ -129,7 +126,7 @@ func (l *Ledger) Buy(qty, price float64) error {
 
 // Sell records selling qty allowances at unit price.
 func (l *Ledger) Sell(qty, price float64) error {
-	if !finiteNonNeg(qty) || !finiteNonNeg(price) {
+	if !numeric.FiniteNonNeg(qty) || !numeric.FiniteNonNeg(price) {
 		return fmt.Errorf("market: invalid sell qty=%g price=%g", qty, price)
 	}
 	if qty == 0 {

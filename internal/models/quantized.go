@@ -17,6 +17,10 @@ const (
 	quantLatencyFactor = 0.7
 )
 
+// calibBatch is how many samples from the head of the test pool set the INT8
+// engine's activation scales.
+const calibBatch = 64
+
 // NewQuantizedTrainedZoo builds the quantization-aware zoo of the paper's
 // future-work direction: every trained model appears twice — once at full
 // precision and once int8-quantized (suffix "-q8") with a quarter of the
@@ -68,7 +72,7 @@ func quantizedFromBase(cfg TrainedZooConfig, base *TrainedZoo, rng *rand.Rand) (
 	z.correct = append(z.correct, base.correct...)
 
 	// The quantized variants are scored on the identical test pool through
-	// the shared chunked batched scorer, so the per-sample caches stay
+	// the same chunked batched scorer, so the per-sample caches stay
 	// aligned across all 2N models.
 	pool := base.testPool
 	arena := nn.NewArena()
@@ -77,7 +81,7 @@ func quantizedFromBase(cfg TrainedZooConfig, base *TrainedZoo, rng *rand.Rand) (
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("models: INT8 scoring requires a non-empty test pool")
 		}
-		calib = nn.StackSamples(pool, evalChunk)
+		calib = nn.StackSamples(pool, calibBatch)
 	}
 
 	for i := 0; i < n; i++ {
@@ -91,15 +95,15 @@ func quantizedFromBase(cfg TrainedZooConfig, base *TrainedZoo, rng *rand.Rand) (
 		}
 		q.Name = base.infos[i].Name + "-q8"
 
-		scorer := batchScorer(q)
+		forward := q.ForwardBatch
 		if cfg.Int8 {
 			qn, err := nn.NewQuantizedNetwork(q, qw, calib)
 			if err != nil {
 				return nil, fmt.Errorf("compile INT8 %s: %w", q.Name, err)
 			}
-			scorer = qn
+			forward = qn.ForwardBatch
 		}
-		losses, correct, meanLoss, meanAcc := scorePool(scorer, pool, arena)
+		losses, correct, meanLoss, meanAcc := nn.ScorePool(forward, pool, arena)
 		z.nets = append(z.nets, nil) // no float64 clone retained; q is dropped here
 		z.qweights[n+i] = qw
 		z.infos = append(z.infos, Info{

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func TestQuantizedZooSharesInt8Storage(t *testing.T) {
 	// Materialized q8 networks reproduce the cached score stream exactly.
 	for _, i := range []int{0, n - 1} {
 		net := z.Network(n + i)
-		losses, _, meanLoss, meanAcc := scorePool(net, z.testPool, nn.NewArena())
+		losses, _, meanLoss, meanAcc := nn.ScorePool(net.ForwardBatch, z.testPool, nn.NewArena())
 		if meanLoss != z.MeanLoss(n+i) || meanAcc != z.MeanAccuracy(n+i) {
 			t.Fatalf("%s: materialized scores (%v, %v) != cached (%v, %v)",
 				net.Name, meanLoss, meanAcc, z.MeanLoss(n+i), z.MeanAccuracy(n+i))
@@ -98,29 +99,39 @@ func TestQuantizedZooSharesInt8Storage(t *testing.T) {
 	}
 }
 
-// TestQuantizedZooInt8Mode runs the opt-in INT8 engine end to end: the zoo
-// builds, the q8 arms' caches come from integer kernels, and their accuracy
-// stays close to the fake-quant oracle's (the engine's accuracy contract;
-// exact bits are pinned in nn). The fp arms are untouched by the mode.
+// TestQuantizedZooInt8Mode runs the opt-in INT8 engine end to end on both
+// families: the zoo builds, the q8 arms' caches come from integer kernels,
+// and they track the fake-quant oracle's from either side (the engine's
+// accuracy contract; exact bits are pinned in nn). Measured on these
+// 300-sample pools over all twelve q8 arms, the worst gaps are 0.0167 in
+// accuracy (lenet-s-q8, five samples) and 0.0005 in mean loss; the gate
+// allows about twice the first and four times the second. The fp arms are
+// untouched by the mode.
 func TestQuantizedZooInt8Mode(t *testing.T) {
-	cfg := smallZooConfig(dataset.MNISTLike)
-	oracle, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Int8 = true
-	z, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := z.NumModels() / 2
-	for i := 0; i < n; i++ {
-		if z.MeanLoss(i) != oracle.MeanLoss(i) || z.MeanAccuracy(i) != oracle.MeanAccuracy(i) {
-			t.Errorf("fp arm %s moved under -int8", z.Info(i).Name)
+	const maxAccGap, maxLossGap = 0.03, 0.002
+	for _, spec := range []dataset.Spec{dataset.MNISTLike, dataset.CIFARLike} {
+		cfg := smallZooConfig(spec)
+		oracle, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		fq, q := oracle.MeanAccuracy(n+i), z.MeanAccuracy(n+i)
-		if q < fq-0.10 {
-			t.Errorf("%s: INT8 accuracy %v far below fake-quant %v", z.Info(n+i).Name, q, fq)
+		cfg.Int8 = true
+		z, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := z.NumModels() / 2
+		for i := 0; i < n; i++ {
+			if z.MeanLoss(i) != oracle.MeanLoss(i) || z.MeanAccuracy(i) != oracle.MeanAccuracy(i) {
+				t.Errorf("fp arm %s moved under -int8", z.Info(i).Name)
+			}
+			name := z.Info(n + i).Name
+			if fq, q := oracle.MeanAccuracy(n+i), z.MeanAccuracy(n+i); math.Abs(q-fq) > maxAccGap {
+				t.Errorf("%s: INT8 accuracy %v is more than %v from fake-quant %v", name, q, maxAccGap, fq)
+			}
+			if fq, q := oracle.MeanLoss(n+i), z.MeanLoss(n+i); math.Abs(q-fq) > maxLossGap {
+				t.Errorf("%s: INT8 mean loss %v is more than %v from fake-quant %v", name, q, maxLossGap, fq)
+			}
 		}
 	}
 }
@@ -156,7 +167,7 @@ func TestArenaCalibrationMatchesFreshCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		calib := nn.StackSamples(dist.Pool(40, rng), evalChunk)
+		calib := nn.StackSamples(dist.Pool(40, rng), calibBatch)
 		for n, net := range buildFamily(spec, rng) {
 			qw := nn.QuantizeWeights(net)
 			if err := qw.ApplyTo(net); err != nil {

@@ -204,12 +204,11 @@ func NewTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, error) {
 				Epochs:    cfg.Epochs,
 				BatchSize: cfg.BatchSize,
 				LR:        cfg.LR,
-				Loss:      nn.LossCrossEntropy,
 			}, replay); err != nil {
 				errs[n] = fmt.Errorf("train %s: %w", nets[n].Name, err)
 				return
 			}
-			z.losses[n], z.correct[n], z.meanLoss[n], z.meanAcc[n] = scorePool(nets[n], ds.Test, nn.NewArena())
+			z.losses[n], z.correct[n], z.meanLoss[n], z.meanAcc[n] = nn.ScorePool(nets[n].ForwardBatch, ds.Test, nn.NewArena())
 		}(n)
 	}
 	wg.Wait()

@@ -54,9 +54,9 @@ func (a *Arena) Floats(n int) []float64 {
 	return buf
 }
 
-// Ints returns an int scratch slice of length n — pooling argmaxes, and the
-// direct convolution's offset and segment tables. Contents are unspecified:
-// callers must fully overwrite before reading.
+// Ints returns an int scratch slice of length n — the direct convolution's
+// offset and segment tables. Contents are unspecified: callers must fully
+// overwrite before reading.
 func (a *Arena) Ints(n int) []int {
 	if a.nints == len(a.ints) {
 		a.ints = append(a.ints, make([]int, n)) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity

@@ -16,8 +16,8 @@ import (
 // [B, sampleShape...] and returns the [B, classes] logits. All scratch is
 // drawn from a, which the caller owns and must Reset between batches
 // (ForwardBatch itself does not Reset: callers build the input batch from
-// the same arena). The batched path is inference-only — no layer records
-// backward state.
+// the same arena). Nothing is written to the network, so any number of
+// goroutines may run one Network at once, each on its own arena.
 //
 //lint:hotroot inference inner loop; all scratch comes from the arena
 func (n *Network) ForwardBatch(in *Tensor, a *Arena) *Tensor {
@@ -26,26 +26,6 @@ func (n *Network) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 		out = l.ForwardBatch(out, a)
 	}
 	return out
-}
-
-// ForwardBatchTrain runs all layers on a batch in training mode, recording
-// per-layer backward state in the arena (valid until its next Reset).
-func (n *Network) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
-	out := in
-	for _, l := range n.Layers {
-		out = l.ForwardBatchTrain(out, a)
-	}
-	return out
-}
-
-// BackwardBatch propagates a [B, classes] logits-gradient through all layers
-// in reverse, accumulating each layer's parameter gradients across the whole
-// batch exactly as a per-sample Backward loop would.
-func (n *Network) BackwardBatch(gradLogits *Tensor, a *Arena) {
-	g := gradLogits
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		g = n.Layers[i].BackwardBatch(g, a)
-	}
 }
 
 // ArgmaxRow returns the index of the largest element of one logits row,
@@ -95,34 +75,6 @@ func CrossEntropyLossRow(row []float64, label int, gradRow []float64) float64 {
 	const eps = 1e-12
 	loss := -math.Log(gradRow[label] + eps)
 	gradRow[label] -= 1
-	return loss
-}
-
-// SquaredLossRowGrad computes SquaredLoss for one logits row, writing the
-// logits gradient into gradRow and using scratch (len >= len(row)) for the
-// softmax probabilities. The diff vector is staged in gradRow and then
-// overwritten in ascending index order, replaying the per-sample op sequence
-// term for term.
-func SquaredLossRowGrad(row []float64, label int, gradRow, scratch []float64) float64 {
-	p := scratch[:len(row)]
-	SoftmaxRowInto(p, row)
-	loss := 0.0
-	for k, pk := range p {
-		y := 0.0
-		if k == label {
-			y = 1
-		}
-		d := pk - y
-		gradRow[k] = d
-		loss += d * d
-	}
-	dot := 0.0
-	for k := range p {
-		dot += 2 * gradRow[k] * p[k]
-	}
-	for j := range p {
-		gradRow[j] = p[j] * (2*gradRow[j] - dot)
-	}
 	return loss
 }
 

@@ -7,12 +7,21 @@
 // the model-zoo package derives the paper's model size W_n, per-sample
 // inference energy, and computation latency.
 //
+// A layer is its parameters and nothing else. No Layer method writes to its
+// receiver, so a Network is read-only under inference and one copy serves any
+// number of goroutines, each with its own Arena. What a backward pass needs
+// it is handed: in, the tensor that layer's forward pass consumed, and the
+// gradient accumulators to add into. Both belong to the trainer — TrainShuffled
+// keeps one Grads for the run and, for the span of a minibatch, each layer's
+// input (arena tensors, valid until the next Reset). An edge that only
+// downloads checkpoints and infers allocates neither.
+//
 // Every layer has one reference implementation (per-sample Forward/Backward)
-// and one shipped implementation (the batched ForwardBatch/ForwardBatchTrain/
-// BackwardBatch: Dense on panel-packed GEMM kernels, Conv2D on a direct
-// kernel that reads the input planes in place, the rest on SIMD row kernels);
-// the equivalence tests pin the two bit for bit, and trainNaive/TrainShuffled are the
-// same pair one level up.
+// and one shipped implementation (the batched ForwardBatch/BackwardBatch:
+// Dense on panel-packed GEMM kernels, Conv2D on a direct kernel that reads
+// the input planes in place, the rest on SIMD row kernels); the equivalence
+// tests pin the two bit for bit, and trainNaive/TrainShuffled are the same
+// pair one level up.
 //
 // Determinism comes first: every kernel preserves the reference float
 // summation order, and all weight initialization flows from an explicit RNG

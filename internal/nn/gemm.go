@@ -6,9 +6,9 @@ package nn
 // and the same product over eight-column weight panels (GemmPanelBiasJ)
 // otherwise. Conv2D lowers to nothing: its forward kernel (convDirectSIMD)
 // reads the input planes in place through the tables convDirectTables builds,
-// and only the training pass still materializes patches (im2col), for the
-// weight-gradient accumulation. The "NN" forms (GemmNNBiasI, GemmNNAccI) are
-// Dense.BackwardBatch's.
+// and only the backward pass still materializes patches (im2col, one sample
+// at a time), for the weight-gradient accumulation. The "NN" forms
+// (GemmNNBiasI, GemmNNAccI) are Dense.BackwardBatch's.
 //
 // The kernels are blocked over the *output* coordinates only; the K
 // dimension is never split. That restriction is load-bearing: every output
@@ -76,75 +76,18 @@ func GemmNTBiasJ(out, a, b, bias []float64, m, n, k int) {
 	}
 }
 
-// GemmNTBiasI is GemmNTBiasJ with the bias indexed by the row instead of
-// the column: out[i*n+j] = bias[i] + sum_k a[i*k+p]*b[j*k+p] — the dot-product
-// reference the tests hold GemmNNBiasI to. bias must have length m.
-func GemmNTBiasI(out, a, b, bias []float64, m, n, k int) {
-	for i := 0; i < m; i++ {
-		ar := a[i*k : i*k+k]
-		orow := out[i*n : i*n+n]
-		bi := bias[i]
-		j := 0
-		for ; j+8 <= n; j += 8 {
-			b0 := b[(j+0)*k : (j+0)*k+k]
-			b1 := b[(j+1)*k : (j+1)*k+k]
-			b2 := b[(j+2)*k : (j+2)*k+k]
-			b3 := b[(j+3)*k : (j+3)*k+k]
-			b4 := b[(j+4)*k : (j+4)*k+k]
-			b5 := b[(j+5)*k : (j+5)*k+k]
-			b6 := b[(j+6)*k : (j+6)*k+k]
-			b7 := b[(j+7)*k : (j+7)*k+k]
-			s0, s1, s2, s3 := bi, bi, bi, bi
-			s4, s5, s6, s7 := bi, bi, bi, bi
-			for p, av := range ar {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-				s4 += av * b4[p]
-				s5 += av * b5[p]
-				s6 += av * b6[p]
-				s7 += av * b7[p]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-			orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
-		}
-		for ; j+4 <= n; j += 4 {
-			b0 := b[(j+0)*k : (j+0)*k+k]
-			b1 := b[(j+1)*k : (j+1)*k+k]
-			b2 := b[(j+2)*k : (j+2)*k+k]
-			b3 := b[(j+3)*k : (j+3)*k+k]
-			s0, s1, s2, s3 := bi, bi, bi, bi
-			for p, av := range ar {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			br := b[j*k : j*k+k]
-			s := bi
-			for p, av := range ar {
-				s += av * br[p]
-			}
-			orow[j] = s
-		}
-	}
-}
-
 // GemmNNBiasI computes out[i*n+j] = bias[i] + sum_c a[i*k+c]*bt[c*n+j] for
 // an m-by-k row-major matrix a and a k-by-n row-major matrix bt. It is
-// GemmNTBiasI with the second operand pre-transposed: every output element
-// still starts from the bias and accumulates its K products strictly in index
-// order, so results are bit-identical to GemmNTBiasI — but adjacent output
-// columns now read adjacent bt elements, so eight columns accumulate side by
-// side in SIMD registers without any sum being split or reordered. It is
-// Dense.BackwardBatch's input-gradient kernel (a the output gradients, bt the
-// weights as stored, a zero bias). Groups of four output rows go through the
-// 4x8 register tile (gemmNNQuadI); the remainder runs row by row. bias must
-// have length m.
+// GemmNTBiasJ's dot product under a row-indexed bias with the second operand
+// pre-transposed: every output element still starts from the bias and
+// accumulates its K products strictly in index order, so results are
+// bit-identical to the dot-product form (TestGemmNNMatchesGemmNT) — but
+// adjacent output columns now read adjacent bt elements, so eight columns
+// accumulate side by side in SIMD registers without any sum being split or
+// reordered. It is Dense.BackwardBatch's input-gradient kernel (a the output
+// gradients, bt the weights as stored, a zero bias). Groups of four output
+// rows go through the 4x8 register tile (gemmNNQuadI); the remainder runs row
+// by row. bias must have length m.
 func GemmNNBiasI(out, a, bt, bias []float64, m, n, k int) {
 	i := gemmNNQuadI(out, a, bt, bias, m, n, k)
 	for ; i < m; i++ {
@@ -157,7 +100,7 @@ func GemmNNBiasI(out, a, bt, bias []float64, m, n, k int) {
 // its own running sum with c strictly ascending, so calling this once per
 // sample replays a per-sample accumulation loop bit for bit. It is
 // Dense.BackwardBatch's weight-gradient kernel: a holds the transposed output
-// gradients, bt the recorded input batch (c walks samples), read at row
+// gradients, bt the layer's input batch (c walks samples), read at row
 // stride ld.
 func GemmNNAccI(out, a, bt []float64, m, n, k, ld int) {
 	i := gemmNNQuadAcc(out, a, bt, m, n, k, ld)

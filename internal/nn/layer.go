@@ -6,50 +6,44 @@ import (
 	"math/rand"
 )
 
-// Layer is one differentiable stage of a network. Forward consumes an input
-// tensor and produces an output tensor; Backward consumes the gradient of
-// the loss w.r.t. the output and returns the gradient w.r.t. the input,
-// accumulating parameter gradients internally.
+// Layer is one differentiable stage of a network, and holds nothing but its
+// parameters: no method writes to the receiver, so one layer — and one
+// Network — serves any number of goroutines at once. The forward passes
+// record nothing; the backward passes are handed what they need: in, the
+// very tensor their forward pass consumed (same shape, same values), and
+// grads, the caller's accumulators aligned with Params(). Activations and
+// gradients belong to whoever trains (TrainShuffled keeps both for the span
+// of one minibatch); an inference caller owns neither.
 //
 // Every layer has exactly two implementations. The per-sample pair
-// (Forward/Backward) is the reference: one sample at a time, Forward in
-// plain loops. The batched trio (ForwardBatch/ForwardBatchTrain/
-// BackwardBatch) is what the shipped code runs: GEMM and SIMD kernels over
-// arena scratch. The two are bit-for-bit interchangeable — batched
-// inference equals a Forward loop (batch_equiv_test.go) and training a
-// minibatch through either produces identical parameter gradients
-// (train_equiv_test.go).
+// (Forward/Backward) is the reference: one sample at a time, in plain
+// loops. The batched pair (ForwardBatch/BackwardBatch) is what the shipped
+// code runs: GEMM and SIMD kernels over arena scratch. The two are
+// bit-for-bit interchangeable — batched inference equals a Forward loop
+// (batch_equiv_test.go) and training a minibatch through either produces
+// identical parameter gradients (train_equiv_test.go).
 type Layer interface {
-	// Forward runs the reference implementation on one sample, recording
-	// what Backward needs.
+	// Forward runs the reference implementation on one sample.
 	Forward(in *Tensor) *Tensor
 	// ForwardBatch runs the layer on a batch laid out [B, d...], one sample
-	// per contiguous row, writing output to arena scratch. It is
-	// inference-only: no state is recorded for Backward. Per sample the
+	// per contiguous row, writing output to arena scratch. Per sample the
 	// float operations replay Forward exactly, so batched and per-sample
 	// inference agree bit for bit at every batch size.
 	ForwardBatch(in *Tensor, a *Arena) *Tensor
-	// ForwardBatchTrain is ForwardBatch recording the per-sample state
-	// BackwardBatch needs (inputs, pooling argmaxes). The recorded
-	// state lives in the arena or points into it, so it is only valid until
-	// the arena's next Reset — forward, loss, and backward of one minibatch
-	// must share one Reset window.
-	ForwardBatchTrain(in *Tensor, a *Arena) *Tensor
-	// BackwardBatch back-propagates a [B, d...] output gradient from the
-	// most recent ForwardBatchTrain call and returns the [B, ...] input
-	// gradient. Parameter gradients accumulate across the batch in strictly
-	// ascending sample order, and within a sample in Backward's exact
-	// per-accumulator term order — the same "never split or reorder an
+	// Backward back-propagates the gradient of the loss w.r.t. Forward(in)
+	// and returns the gradient w.r.t. in, adding the parameter gradients
+	// into grads.
+	Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor
+	// BackwardBatch back-propagates a [B, d...] gradient w.r.t.
+	// ForwardBatch(in) and returns the [B, ...] input gradient in arena
+	// scratch. Parameter gradients accumulate into grads across the batch in
+	// strictly ascending sample order, and within a sample in Backward's
+	// exact per-accumulator term order — the same "never split or reorder an
 	// accumulation" discipline as the GEMM kernels — so the accumulated
 	// gradients equal a per-sample Forward/Backward loop bit for bit.
-	BackwardBatch(gradOut *Tensor, a *Arena) *Tensor
-	// Backward back-propagates the output gradient from the most recent
-	// Forward call and returns the input gradient.
-	Backward(gradOut *Tensor) *Tensor
+	BackwardBatch(in, gradOut *Tensor, grads []*Tensor, a *Arena) *Tensor
 	// Params returns the layer's parameter slices (possibly empty).
 	Params() []*Tensor
-	// Grads returns the gradient accumulators aligned with Params.
-	Grads() []*Tensor
 	// OutShape maps an input shape to the layer's output shape.
 	OutShape(in []int) []int
 	// FLOPs estimates multiply-accumulate operations for one forward pass
@@ -61,10 +55,7 @@ type Layer interface {
 type Dense struct {
 	InDim, OutDim int
 
-	w, b        *Tensor
-	gw, gb      *Tensor
-	lastIn      *Tensor
-	lastInBatch *Tensor
+	w, b *Tensor
 }
 
 var _ Layer = (*Dense)(nil)
@@ -76,8 +67,6 @@ func NewDense(inDim, outDim int, rng *rand.Rand) *Dense {
 		OutDim: outDim,
 		w:      NewTensor(outDim, inDim),
 		b:      NewTensor(outDim),
-		gw:     NewTensor(outDim, inDim),
-		gb:     NewTensor(outDim),
 	}
 	scale := math.Sqrt(2 / float64(inDim))
 	for i := range d.w.Data {
@@ -94,7 +83,6 @@ func (d *Dense) Forward(in *Tensor) *Tensor {
 		//lint:allow panicpolicy Layer.Forward: a shape mismatch is a programmer error and the interface has no error channel
 		panic(fmt.Sprintf("nn: Dense expected %d inputs, got %d", d.InDim, in.Len()))
 	}
-	d.lastIn = in
 	out := NewTensor(d.OutDim)
 	for o := 0; o < d.OutDim; o++ {
 		row := d.w.Data[o*d.InDim : (o+1)*d.InDim]
@@ -128,13 +116,6 @@ func (d *Dense) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	return out
 }
 
-// ForwardBatchTrain implements Layer: the inference GEMM plus recording the
-// input batch for BackwardBatch.
-func (d *Dense) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
-	d.lastInBatch = in
-	return d.ForwardBatch(in, a)
-}
-
 // BackwardBatch implements Layer. Batches of four or more run as two
 // NN-form GEMMs whose per-element add sequences equal
 // the per-sample backwardRow loop exactly: the input gradient
@@ -144,8 +125,9 @@ func (d *Dense) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
 // walks samples strictly ascending (the per-sample accumulation order).
 // gb accumulates from the same transposed gradient, samples ascending.
 // Tiny batches keep the row loop — both paths produce identical bits.
-func (d *Dense) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
+func (d *Dense) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, a *Arena) *Tensor {
 	batch := gradOut.Shape[0]
+	gw, gb := grads[0].Data, grads[1].Data
 	gradIn := a.Tensor(batch, d.InDim)
 	if batch < 4 {
 		for s := 0; s < batch; s++ {
@@ -153,8 +135,8 @@ func (d *Dense) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
 			zeroFloats(gi)
 			d.backwardRow(
 				gradOut.Data[s*d.OutDim:(s+1)*d.OutDim],
-				d.lastInBatch.Data[s*d.InDim:(s+1)*d.InDim],
-				gi,
+				in.Data[s*d.InDim:(s+1)*d.InDim],
+				gi, gw, gb,
 			)
 		}
 		return gradIn
@@ -168,20 +150,20 @@ func (d *Dense) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
 	goutT := a.Floats(d.OutDim * batch)
 	transposeSIMD(goutT, gradOut.Data, batch, d.OutDim)
 	for o := 0; o < d.OutDim; o++ {
-		s := d.gb.Data[o]
+		s := gb[o]
 		for _, g := range goutT[o*batch : (o+1)*batch] {
 			s += g
 		}
-		d.gb.Data[o] = s
+		gb[o] = s
 	}
-	GemmNNAccI(d.gw.Data, goutT, d.lastInBatch.Data, d.OutDim, d.InDim, batch, d.InDim)
+	GemmNNAccI(gw, goutT, in.Data, d.OutDim, d.InDim, batch, d.InDim)
 	return gradIn
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(gradOut *Tensor) *Tensor {
+func (d *Dense) Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor {
 	gradIn := NewTensor(d.InDim)
-	d.backwardRow(gradOut.Data, d.lastIn.Data, gradIn.Data)
+	d.backwardRow(gradOut.Data, in.Data, gradIn.Data, grads[0].Data, grads[1].Data)
 	return gradIn
 }
 
@@ -192,21 +174,18 @@ func (d *Dense) Backward(gradOut *Tensor) *Tensor {
 // loops are axpys: each gw element gets one add per sample and each gi
 // element gets its adds in strictly increasing o order, the reference
 // accumulation sequence, so the SIMD kernels preserve bits exactly.
-func (d *Dense) backwardRow(gradOut, in, gi []float64) {
+func (d *Dense) backwardRow(gradOut, in, gi, gw, gb []float64) {
 	n := d.InDim
 	for o := 0; o < d.OutDim; o++ {
 		g := gradOut[o]
-		d.gb.Data[o] += g
-		axpySIMD(g, in, d.gw.Data[o*n:(o+1)*n])
+		gb[o] += g
+		axpySIMD(g, in, gw[o*n:(o+1)*n])
 		axpySIMD(g, d.w.Data[o*n:(o+1)*n], gi)
 	}
 }
 
 // Params implements Layer.
 func (d *Dense) Params() []*Tensor { return []*Tensor{d.w, d.b} }
-
-// Grads implements Layer.
-func (d *Dense) Grads() []*Tensor { return []*Tensor{d.gw, d.gb} }
 
 // OutShape implements Layer.
 func (d *Dense) OutShape([]int) []int { return []int{d.OutDim} }
@@ -219,13 +198,7 @@ func (d *Dense) FLOPs([]int) int64 { return int64(d.InDim) * int64(d.OutDim) }
 type Conv2D struct {
 	InC, OutC, K int
 
-	w, b   *Tensor // w: [OutC, InC, K, K]
-	gw, gb *Tensor
-	lastIn *Tensor
-	// lastColBatch is the im2col batch recorded by ForwardBatchTrain for the
-	// weight-gradient accumulation in BackwardBatch; it points into the
-	// caller's arena and is valid until that arena's next Reset.
-	lastColBatch []float64
+	w, b *Tensor // w: [OutC, InC, K, K]
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -238,8 +211,6 @@ func NewConv2D(inC, outC, k int, rng *rand.Rand) *Conv2D {
 		K:    k,
 		w:    NewTensor(outC, inC, k, k),
 		b:    NewTensor(outC),
-		gw:   NewTensor(outC, inC, k, k),
-		gb:   NewTensor(outC),
 	}
 	fanIn := float64(inC * k * k)
 	scale := math.Sqrt(2 / fanIn)
@@ -258,7 +229,6 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 		//lint:allow panicpolicy Layer.Forward: a shape mismatch is a programmer error and the interface has no error channel
 		panic(fmt.Sprintf("nn: Conv2D expected [%d,H,W], got %v", c.InC, in.Shape))
 	}
-	c.lastIn = in
 	h, w := in.Shape[1], in.Shape[2]
 	oh, ow := h-c.K+1, w-c.K+1
 	out := NewTensor(c.OutC, oh, ow)
@@ -309,44 +279,28 @@ func (c *Conv2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	return out
 }
 
-// ForwardBatchTrain implements Layer: ForwardBatch plus a p-major im2col
-// recording of every sample (in the caller's arena) so BackwardBatch can
-// accumulate weight gradients from contiguous patch rows.
-func (c *Conv2D) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
-	out := c.ForwardBatch(in, a)
+// BackwardBatch implements Layer: per sample in ascending sample order, the
+// sample is lowered to its p-major im2col rows — into one sample's worth of
+// arena scratch, reused down the batch — and backwardSample accumulates the
+// weight, bias, and input gradients from those contiguous patch rows, exactly
+// Backward's per-element add order. The pooling argmax scatter and ReLU
+// masking upstream leave most gradient entries zero, so the g == 0 skip
+// (shared with Backward) prunes the bulk of the work; a dense GEMM over the
+// same rows was measured slower for exactly that reason. The input gradient
+// keeps Backward's naive scatter because a col2im-style pre-reduction over
+// output channels would reassociate sums.
+func (c *Conv2D) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, a *Arena) *Tensor {
 	batch, h, w := in.Shape[0], in.Shape[2], in.Shape[3]
 	oh, ow := h-c.K+1, w-c.K+1
-	colStride := oh * ow * c.InC * c.K * c.K
-	c.lastColBatch = a.Floats(batch * colStride)
-	inStride := c.InC * h * w
-	for s := 0; s < batch; s++ {
-		im2col(c.lastColBatch[s*colStride:(s+1)*colStride],
-			in.Data[s*inStride:(s+1)*inStride], c.InC, h, w, c.K, oh, ow)
-	}
-	return out
-}
-
-// BackwardBatch implements Layer: per sample in ascending sample order,
-// backwardSample accumulates the weight, bias, and input gradients from the
-// recorded im2col rows — exactly Backward's per-element add order. The
-// pooling argmax scatter and ReLU masking upstream leave most gradient
-// entries zero, so the g == 0 skip (shared with Backward) prunes the bulk of
-// the work; a dense GEMM over the same rows was measured slower for exactly
-// that reason. The input gradient keeps Backward's naive scatter because a
-// col2im-style pre-reduction over output channels would reassociate sums.
-func (c *Conv2D) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
-	batch, oh, ow := gradOut.Shape[0], gradOut.Shape[2], gradOut.Shape[3]
-	h, w := oh+c.K-1, ow+c.K-1
-	kk := c.InC * c.K * c.K
 	np := oh * ow
-	colStride := np * kk
-	gradIn := a.Tensor(batch, c.InC, h, w)
+	col := a.Floats(np * c.InC * c.K * c.K)
+	gradIn := a.Tensor(in.Shape...)
 	zeroFloats(gradIn.Data)
 	inStride, outStride := c.InC*h*w, c.OutC*np
 	for s := 0; s < batch; s++ {
-		g := gradOut.Data[s*outStride : (s+1)*outStride]
-		c.backwardSample(g, c.lastColBatch[s*colStride:(s+1)*colStride],
-			gradIn.Data[s*inStride:(s+1)*inStride], h, w, oh, ow)
+		im2col(col, in.Data[s*inStride:(s+1)*inStride], c.InC, h, w, c.K, oh, ow)
+		c.backwardSample(gradOut.Data[s*outStride:(s+1)*outStride], col,
+			gradIn.Data[s*inStride:(s+1)*inStride], grads[0].Data, grads[1].Data, h, w, oh, ow)
 	}
 	return gradIn
 }
@@ -358,11 +312,11 @@ func (c *Conv2D) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
 // element, gw gets one axpy over the patch's im2col row (the (ic, ky, kx)
 // order Backward walks), then gi gets the weight-row scatter, with the
 // ubiquitous 3x3 case handled by the fused conv3x3BwdSIMD kernel.
-func (c *Conv2D) backwardSample(g, col, gi []float64, h, w, oh, ow int) {
+func (c *Conv2D) backwardSample(g, col, gi, gw, gb []float64, h, w, oh, ow int) {
 	kk := c.InC * c.K * c.K
 	for oc := 0; oc < c.OutC; oc++ {
 		wAll := c.w.Data[oc*kk : (oc+1)*kk]
-		gwAll := c.gw.Data[oc*kk : (oc+1)*kk]
+		gwAll := gw[oc*kk : (oc+1)*kk]
 		for y := 0; y < oh; y++ {
 			grow := g[(oc*oh+y)*ow : (oc*oh+y)*ow+ow]
 			if c.K == 3 {
@@ -370,7 +324,7 @@ func (c *Conv2D) backwardSample(g, col, gi []float64, h, w, oh, ow int) {
 					if gv == 0 {
 						continue
 					}
-					c.gb.Data[oc] += gv
+					gb[oc] += gv
 					crow := col[(y*ow+x)*kk : (y*ow+x+1)*kk]
 					conv3x3BwdSIMD(gv, wAll, crow, gwAll, gi[y*w+x:], w, h*w, c.InC)
 				}
@@ -380,7 +334,7 @@ func (c *Conv2D) backwardSample(g, col, gi []float64, h, w, oh, ow int) {
 				if gv == 0 {
 					continue
 				}
-				c.gb.Data[oc] += gv
+				gb[oc] += gv
 				crow := col[(y*ow+x)*kk : (y*ow+x+1)*kk]
 				if kk >= 48 {
 					axpySIMD(gv, crow, gwAll)
@@ -404,8 +358,8 @@ func (c *Conv2D) backwardSample(g, col, gi []float64, h, w, oh, ow int) {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(gradOut *Tensor) *Tensor {
-	in := c.lastIn
+func (c *Conv2D) Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor {
+	gw, gb := grads[0].Data, grads[1].Data
 	h, w := in.Shape[1], in.Shape[2]
 	oh, ow := gradOut.Shape[1], gradOut.Shape[2]
 	gradIn := NewTensor(c.InC, h, w)
@@ -416,13 +370,13 @@ func (c *Conv2D) Backward(gradOut *Tensor) *Tensor {
 				if g == 0 {
 					continue
 				}
-				c.gb.Data[oc] += g
+				gb[oc] += g
 				for ic := 0; ic < c.InC; ic++ {
 					for ky := 0; ky < c.K; ky++ {
 						inRow := in.Data[(ic*h+y+ky)*w+x:]
 						giRow := gradIn.Data[(ic*h+y+ky)*w+x:]
 						wRow := c.w.Data[((oc*c.InC+ic)*c.K+ky)*c.K:]
-						gwRow := c.gw.Data[((oc*c.InC+ic)*c.K+ky)*c.K:]
+						gwRow := gw[((oc*c.InC+ic)*c.K+ky)*c.K:]
 						for kx := 0; kx < c.K; kx++ {
 							gwRow[kx] += g * inRow[kx]
 							giRow[kx] += g * wRow[kx]
@@ -438,9 +392,6 @@ func (c *Conv2D) Backward(gradOut *Tensor) *Tensor {
 // Params implements Layer.
 func (c *Conv2D) Params() []*Tensor { return []*Tensor{c.w, c.b} }
 
-// Grads implements Layer.
-func (c *Conv2D) Grads() []*Tensor { return []*Tensor{c.gw, c.gb} }
-
 // OutShape implements Layer.
 func (c *Conv2D) OutShape(in []int) []int {
 	return []int{c.OutC, in[1] - c.K + 1, in[2] - c.K + 1}
@@ -454,60 +405,43 @@ func (c *Conv2D) FLOPs(in []int) int64 {
 
 // MaxPool2D is a 2x2 max pooling layer with stride 2 over CHW tensors.
 // Odd trailing rows/columns are dropped, matching common framework defaults.
-type MaxPool2D struct {
-	argmax  []int
-	inShape []int
-	// argmaxBatch points into the training arena (valid until its Reset);
-	// batchInShape is a layer-owned grow-only copy of the last batch shape.
-	argmaxBatch  []int
-	batchInShape []int
-}
+type MaxPool2D struct{}
 
 var _ Layer = (*MaxPool2D)(nil)
 
 // NewMaxPool2D creates a 2x2/stride-2 max-pool layer.
 func NewMaxPool2D() *MaxPool2D { return &MaxPool2D{} }
 
-// Forward implements Layer.
+// Forward implements Layer: each window is scanned in (dy, dx) order and a
+// later element wins only on strict >.
 func (m *MaxPool2D) Forward(in *Tensor) *Tensor {
 	ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
 	oh, ow := h/2, w/2
 	out := NewTensor(ch, oh, ow)
-	m.inShape = in.Shape
-	if cap(m.argmax) < out.Len() {
-		m.argmax = make([]int, out.Len())
-	}
-	m.argmax = m.argmax[:out.Len()]
 	for c := 0; c < ch; c++ {
 		for y := 0; y < oh; y++ {
-			// The 2x2 window unrolls in the (dy, dx) scan order of the
-			// original loop; strict > keeps the same argmax tie-breaking.
-			base0 := (c*h + 2*y) * w
-			base1 := base0 + w
-			o := (c*oh + y) * ow
-			for x := 0; x < ow; x++ {
-				i00 := base0 + 2*x
-				best, bestIdx := in.Data[i00], i00
-				if v := in.Data[i00+1]; v > best {
-					best, bestIdx = v, i00+1
+			row0 := in.Data[(c*h+2*y)*w : (c*h+2*y)*w+w]
+			row1 := in.Data[(c*h+2*y+1)*w : (c*h+2*y+1)*w+w]
+			drow := out.Data[(c*oh+y)*ow : (c*oh+y)*ow+ow]
+			for x := range drow {
+				best := row0[2*x]
+				if v := row0[2*x+1]; v > best {
+					best = v
 				}
-				i10 := base1 + 2*x
-				if v := in.Data[i10]; v > best {
-					best, bestIdx = v, i10
+				if v := row1[2*x]; v > best {
+					best = v
 				}
-				if v := in.Data[i10+1]; v > best {
-					best, bestIdx = v, i10+1
+				if v := row1[2*x+1]; v > best {
+					best = v
 				}
-				out.Data[o+x] = best
-				m.argmax[o+x] = bestIdx
+				drow[x] = best
 			}
 		}
 	}
 	return out
 }
 
-// ForwardBatch implements Layer: the same pooling comparisons per sample,
-// no argmax recording (inference-only).
+// ForwardBatch implements Layer: the same pooling comparisons per sample.
 func (m *MaxPool2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	batch, ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	oh, ow := h/2, w/2
@@ -528,79 +462,59 @@ func (m *MaxPool2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	return out
 }
 
-// ForwardBatchTrain implements Layer: the inference comparisons plus a
-// per-sample argmax record (sample-relative indices, mirroring Forward's
-// in-sample absolute indices and its strict-> tie-breaking).
-func (m *MaxPool2D) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
-	batch, ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	oh, ow := h/2, w/2
-	out := a.Tensor(batch, ch, oh, ow)
-	m.batchInShape = append(m.batchInShape[:0], in.Shape...)
-	inStride, outStride := ch*h*w, ch*oh*ow
-	m.argmaxBatch = a.Ints(batch * outStride)
-	for s := 0; s < batch; s++ {
-		src := in.Data[s*inStride : (s+1)*inStride]
-		dst := out.Data[s*outStride : (s+1)*outStride]
-		am := m.argmaxBatch[s*outStride : (s+1)*outStride]
-		for c := 0; c < ch; c++ {
-			for y := 0; y < oh; y++ {
-				base0 := (c*h + 2*y) * w
-				base1 := base0 + w
-				o := (c*oh + y) * ow
-				for x := 0; x < ow; x++ {
-					i00 := base0 + 2*x
-					best, bestIdx := src[i00], i00
-					if v := src[i00+1]; v > best {
-						best, bestIdx = v, i00+1
-					}
-					i10 := base1 + 2*x
-					if v := src[i10]; v > best {
-						best, bestIdx = v, i10
-					}
-					if v := src[i10+1]; v > best {
-						best, bestIdx = v, i10+1
-					}
-					dst[o+x] = best
-					am[o+x] = bestIdx
-				}
-			}
-		}
-	}
-	return out
-}
-
 // BackwardBatch implements Layer: Backward's argmax scatter per sample.
-func (m *MaxPool2D) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
-	gradIn := a.Tensor(m.batchInShape...)
+func (m *MaxPool2D) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, a *Arena) *Tensor {
+	batch, ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	gradIn := a.Tensor(in.Shape...)
 	zeroFloats(gradIn.Data)
-	batch := m.batchInShape[0]
-	inStride := gradIn.Len() / batch
-	outStride := gradOut.Len() / batch
+	inStride, outStride := ch*h*w, ch*(h/2)*(w/2)
 	for s := 0; s < batch; s++ {
-		gi := gradIn.Data[s*inStride : (s+1)*inStride]
-		g := gradOut.Data[s*outStride : (s+1)*outStride]
-		am := m.argmaxBatch[s*outStride : (s+1)*outStride]
-		for o, idx := range am {
-			gi[idx] += g[o]
-		}
+		poolScatter(gradIn.Data[s*inStride:(s+1)*inStride], in.Data[s*inStride:(s+1)*inStride],
+			gradOut.Data[s*outStride:(s+1)*outStride], ch, h, w)
 	}
 	return gradIn
 }
 
 // Backward implements Layer.
-func (m *MaxPool2D) Backward(gradOut *Tensor) *Tensor {
-	gradIn := NewTensor(m.inShape...)
-	for o, idx := range m.argmax {
-		gradIn.Data[idx] += gradOut.Data[o]
-	}
+func (m *MaxPool2D) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
+	gradIn := NewTensor(in.Shape...)
+	poolScatter(gradIn.Data, in.Data, gradOut.Data, in.Shape[0], in.Shape[1], in.Shape[2])
 	return gradIn
+}
+
+// poolScatter is the shared one-sample pooling backward: it re-runs Forward's
+// scan over the [ch, h, w] input — the (dy, dx) order and the strict >, so
+// ties route to the element Forward took its maximum from — and adds each
+// output gradient into its window's winner in gi (callers pass a zeroed gi).
+// Windows do not overlap, so every gi element receives at most one add.
+func poolScatter(gi, in, g []float64, ch, h, w int) {
+	oh, ow := h/2, w/2
+	for c := 0; c < ch; c++ {
+		for y := 0; y < oh; y++ {
+			base0 := (c*h + 2*y) * w
+			base1 := base0 + w
+			grow := g[(c*oh+y)*ow : (c*oh+y)*ow+ow]
+			for x, gv := range grow {
+				i00 := base0 + 2*x
+				best, bestIdx := in[i00], i00
+				if v := in[i00+1]; v > best {
+					best, bestIdx = v, i00+1
+				}
+				i10 := base1 + 2*x
+				if v := in[i10]; v > best {
+					best, bestIdx = v, i10
+				}
+				if v := in[i10+1]; v > best {
+					bestIdx = i10 + 1
+				}
+				gi[bestIdx] += gv
+			}
+		}
+	}
 }
 
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Tensor { return nil }
-
-// Grads implements Layer.
-func (m *MaxPool2D) Grads() []*Tensor { return nil }
 
 // OutShape implements Layer.
 func (m *MaxPool2D) OutShape(in []int) []int {
@@ -613,10 +527,7 @@ func (m *MaxPool2D) FLOPs(in []int) int64 {
 }
 
 // ReLU is the rectified linear activation.
-type ReLU struct {
-	mask        []bool
-	lastInBatch *Tensor
-}
+type ReLU struct{}
 
 var _ Layer = (*ReLU)(nil)
 
@@ -626,49 +537,34 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward implements Layer.
 func (r *ReLU) Forward(in *Tensor) *Tensor {
 	out := NewTensor(in.Shape...)
-	if cap(r.mask) < in.Len() {
-		r.mask = make([]bool, in.Len())
-	}
-	r.mask = r.mask[:in.Len()]
 	for i, v := range in.Data {
 		if v > 0 {
 			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
 		}
 	}
 	return out
 }
 
-// ForwardBatch implements Layer: elementwise rectification, no mask
-// recording (inference-only).
+// ForwardBatch implements Layer: elementwise rectification.
 func (r *ReLU) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	out := a.Tensor(in.Shape...)
 	reluFwdSIMD(out.Data, in.Data)
 	return out
 }
 
-// ForwardBatchTrain implements Layer: rectification recording the input
-// batch (v > 0 is the backward mask, recomputed from it).
-func (r *ReLU) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
-	r.lastInBatch = in
-	return r.ForwardBatch(in, a)
-}
-
 // BackwardBatch implements Layer: gradient passes where the input was
 // positive, literal zero elsewhere (matching Backward's zeroed gradIn).
-func (r *ReLU) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
+func (r *ReLU) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, a *Arena) *Tensor {
 	gradIn := a.Tensor(gradOut.Shape...)
-	reluBwdSIMD(gradIn.Data, gradOut.Data, r.lastInBatch.Data)
+	reluBwdSIMD(gradIn.Data, gradOut.Data, in.Data)
 	return gradIn
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(gradOut *Tensor) *Tensor {
+func (r *ReLU) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
 	gradIn := NewTensor(gradOut.Shape...)
-	for i, on := range r.mask {
-		if on {
+	for i, v := range in.Data {
+		if v > 0 {
 			gradIn.Data[i] = gradOut.Data[i]
 		}
 	}
@@ -677,9 +573,6 @@ func (r *ReLU) Backward(gradOut *Tensor) *Tensor {
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Tensor { return nil }
-
-// Grads implements Layer.
-func (r *ReLU) Grads() []*Tensor { return nil }
 
 // OutShape implements Layer.
 func (r *ReLU) OutShape(in []int) []int { return in }
@@ -694,10 +587,7 @@ func (r *ReLU) FLOPs(in []int) int64 {
 }
 
 // Flatten reshapes any tensor to a vector.
-type Flatten struct {
-	inShape      []int
-	batchInShape []int
-}
+type Flatten struct{}
 
 var _ Layer = (*Flatten)(nil)
 
@@ -706,9 +596,7 @@ func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(in *Tensor) *Tensor {
-	f.inShape = in.Shape
-	out := &Tensor{Shape: []int{in.Len()}, Data: in.Data}
-	return out
+	return &Tensor{Shape: []int{in.Len()}, Data: in.Data}
 }
 
 // ForwardBatch implements Layer: a reshaping view [B, d...] -> [B, n].
@@ -717,28 +605,18 @@ func (f *Flatten) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	return a.View(in.Data, batch, in.Len()/batch)
 }
 
-// ForwardBatchTrain implements Layer: the reshaping view plus recording the
-// batch shape for the backward reshape.
-func (f *Flatten) ForwardBatchTrain(in *Tensor, a *Arena) *Tensor {
-	f.batchInShape = append(f.batchInShape[:0], in.Shape...)
-	return f.ForwardBatch(in, a)
-}
-
 // BackwardBatch implements Layer: a reshaping view back to the input shape.
-func (f *Flatten) BackwardBatch(gradOut *Tensor, a *Arena) *Tensor {
-	return a.View(gradOut.Data, f.batchInShape...)
+func (f *Flatten) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, a *Arena) *Tensor {
+	return a.View(gradOut.Data, in.Shape...)
 }
 
 // Backward implements Layer.
-func (f *Flatten) Backward(gradOut *Tensor) *Tensor {
-	return &Tensor{Shape: f.inShape, Data: gradOut.Data}
+func (f *Flatten) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
+	return &Tensor{Shape: in.Shape, Data: gradOut.Data}
 }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Tensor { return nil }
-
-// Grads implements Layer.
-func (f *Flatten) Grads() []*Tensor { return nil }
 
 // OutShape implements Layer.
 func (f *Flatten) OutShape(in []int) []int {

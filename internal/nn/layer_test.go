@@ -33,12 +33,10 @@ func checkLayerGradients(t *testing.T, l Layer, in *Tensor, tol float64) {
 		return s
 	}
 
-	// Analytic input gradient.
+	// Analytic input and parameter gradients.
+	grads := NewGrads(&Network{Layers: []Layer{l}})[0]
 	out := l.Forward(in)
-	for _, g := range l.Grads() {
-		g.Zero()
-	}
-	gradIn := l.Backward(out.Clone())
+	gradIn := l.Backward(in, out.Clone(), grads)
 
 	for i := range in.Data {
 		want := numericalGrad(in.Data, i, lossOf)
@@ -47,15 +45,7 @@ func checkLayerGradients(t *testing.T, l Layer, in *Tensor, tol float64) {
 		}
 	}
 
-	// Analytic parameter gradients. Re-run forward/backward after the
-	// numeric probes to restore state.
-	for _, g := range l.Grads() {
-		g.Zero()
-	}
-	out = l.Forward(in)
-	l.Backward(out.Clone())
-	params, grads := l.Params(), l.Grads()
-	for pi, p := range params {
+	for pi, p := range l.Params() {
 		for i := range p.Data {
 			want := numericalGrad(p.Data, i, lossOf)
 			if math.Abs(grads[pi].Data[i]-want) > tol {
@@ -145,7 +135,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		}
 	}
 	g := &Tensor{Shape: []int{1, 2, 2}, Data: []float64{1, 2, 3, 4}}
-	gin := p.Backward(g)
+	gin := p.Backward(in, g, nil)
 	// Gradient routes to the argmax positions only.
 	if gin.At3(0, 1, 1) != 1 || gin.At3(0, 1, 3) != 2 || gin.At3(0, 2, 0) != 3 || gin.At3(0, 3, 3) != 4 {
 		t.Errorf("pool backward misrouted: %v", gin.Data)
@@ -176,7 +166,7 @@ func TestReLUForwardBackward(t *testing.T) {
 		t.Errorf("relu forward = %v", out.Data)
 	}
 	g := &Tensor{Shape: []int{3}, Data: []float64{5, 5, 5}}
-	gin := r.Backward(g)
+	gin := r.Backward(in, g, nil)
 	if gin.Data[0] != 0 || gin.Data[1] != 0 || gin.Data[2] != 5 {
 		t.Errorf("relu backward = %v", gin.Data)
 	}
@@ -189,7 +179,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if len(out.Shape) != 1 || out.Shape[0] != 24 {
 		t.Errorf("flatten shape = %v", out.Shape)
 	}
-	back := f.Backward(out)
+	back := f.Backward(in, out, nil)
 	if !slices.Equal(back.Shape, in.Shape) {
 		t.Errorf("backward shape = %v, want %v", back.Shape, in.Shape)
 	}

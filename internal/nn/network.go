@@ -37,36 +37,34 @@ func (n *Network) Forward(in *Tensor) *Tensor {
 	return out
 }
 
-// Backward propagates a logits-gradient through all layers.
-func (n *Network) Backward(gradLogits *Tensor) {
-	g := gradLogits
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		g = n.Layers[i].Backward(g)
-	}
-}
+// Grads holds one training run's parameter-gradient accumulators:
+// Grads[i] is aligned with Layers[i].Params(). The trainer owns it; a network
+// that only infers never has one.
+type Grads [][]*Tensor
 
-// ZeroGrads clears all parameter-gradient accumulators.
-func (n *Network) ZeroGrads() {
-	for _, l := range n.Layers {
-		for _, g := range l.Grads() {
-			g.Zero()
+// NewGrads allocates zeroed accumulators shaped like net's parameters.
+func NewGrads(net *Network) Grads {
+	g := make(Grads, len(net.Layers))
+	for i, l := range net.Layers {
+		for _, p := range l.Params() {
+			g[i] = append(g[i], NewTensor(p.Shape...))
 		}
 	}
+	return g
 }
 
-// Step applies one SGD update with the given learning rate and then clears
-// the gradients. scale divides accumulated gradients (minibatch size).
-func (n *Network) Step(lr float64, scale float64) {
+// Step applies one SGD update with the given learning rate and clears the
+// gradients as it goes. scale divides accumulated gradients (minibatch size).
+func (n *Network) Step(grads Grads, lr, scale float64) {
 	if scale <= 0 {
 		scale = 1
 	}
-	for _, l := range n.Layers {
-		params, grads := l.Params(), l.Grads()
-		for i, p := range params {
-			stepSIMD(lr, scale, grads[i].Data, p.Data)
+	for i, l := range n.Layers {
+		for j, p := range l.Params() {
+			stepSIMD(lr, scale, grads[i][j].Data, p.Data)
+			grads[i][j].Zero()
 		}
 	}
-	n.ZeroGrads()
 }
 
 // NumParams returns the total number of trainable parameters.

@@ -124,7 +124,7 @@ func TestNetworkTrainsXOR(t *testing.T) {
 	if _, err := TrainShuffled(net, samples, TrainConfig{Epochs: 400, BatchSize: 4, LR: 0.5}, rng.Shuffle); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	acc, _ := Evaluate(net, samples)
+	_, _, _, acc := ScorePool(net.ForwardBatch, samples, NewArena())
 	if acc != 1 {
 		t.Errorf("XOR accuracy = %v, want 1", acc)
 	}
@@ -146,33 +146,6 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := TrainShuffled(net, s, TrainConfig{Epochs: 1, BatchSize: 1, LR: 0}, rng.Shuffle); err == nil {
 		t.Error("expected error on zero LR")
-	}
-}
-
-func TestTrainSquaredLossConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	net := NewNetwork("sq", []int{2},
-		NewDense(2, 8, rng),
-		NewReLU(),
-		NewDense(8, 2, rng),
-	)
-	// Linearly separable toy data.
-	var samples []Sample
-	for i := 0; i < 60; i++ {
-		label := i % 2
-		off := float64(label*2 - 1)
-		x := &Tensor{Shape: []int{2}, Data: []float64{off + rng.NormFloat64()*0.2, off + rng.NormFloat64()*0.2}}
-		samples = append(samples, Sample{X: x, Label: label})
-	}
-	if _, err := TrainShuffled(net, samples, TrainConfig{Epochs: 60, BatchSize: 8, LR: 0.5, Loss: LossSquared}, rng.Shuffle); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	acc, msl := Evaluate(net, samples)
-	if acc < 0.95 {
-		t.Errorf("accuracy = %v, want >= 0.95", acc)
-	}
-	if msl > 0.5 {
-		t.Errorf("mean squared loss = %v, want <= 0.5", msl)
 	}
 }
 
@@ -205,8 +178,8 @@ func TestTrainDeterministicFromSeed(t *testing.T) {
 func TestEvaluateEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	net := NewNetwork("e", []int{2}, NewDense(2, 2, rng))
-	acc, loss := Evaluate(net, nil)
+	_, _, loss, acc := ScorePool(net.ForwardBatch, nil, NewArena())
 	if acc != 0 || loss != 0 {
-		t.Errorf("Evaluate(empty) = %v, %v", acc, loss)
+		t.Errorf("ScorePool(empty) = %v, %v", acc, loss)
 	}
 }

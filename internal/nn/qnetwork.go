@@ -383,13 +383,6 @@ func compileRequantOp(op *qOp, wt QuantizedTensor, bias []float64, sx, sy float6
 	}
 }
 
-// InShape returns the expected input shape (excluding the batch dimension).
-func (q *QuantizedNetwork) InShape() []int {
-	s := make([]int, len(q.inShape))
-	copy(s, q.inShape)
-	return s
-}
-
 // OutDim returns the number of classes.
 func (q *QuantizedNetwork) OutDim() int { return q.outDim }
 

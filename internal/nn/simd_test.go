@@ -110,7 +110,10 @@ func TestNNDot8SIMDMatchesScalarBitForBit(t *testing.T) {
 
 // TestGemmNNMatchesGemmNT pins the NN-form kernel (and its 16/8/scalar tail
 // blocking) against the NT reference across shapes with every tail length,
-// including the special-value lanes simdCases injects.
+// including the special-value lanes simdCases injects. The reference is the
+// shipped GemmNTBiasJ with its operands swapped: that computes the transposed
+// product, wantT[j*m+i] = bias[i] + sum_p b[j*k+p]*a[i*k+p] — the same
+// products in the same p order, under a row-indexed bias.
 func TestGemmNNMatchesGemmNT(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	for _, dims := range [][3]int{{1, 8, 1}, {3, 16, 9}, {2, 23, 5}, {4, 33, 7}, {8, 17, 3}, {5, 40, 12}} {
@@ -124,14 +127,14 @@ func TestGemmNNMatchesGemmNT(t *testing.T) {
 			}
 		}
 		bias := simdCases(rng, m)
-		want := make([]float64, m*n)
+		wantT := make([]float64, n*m)
 		got := make([]float64, m*n)
-		GemmNTBiasI(want, a, b, bias, m, n, k)
+		GemmNTBiasJ(wantT, b, a, bias, n, m, k)
 		GemmNNBiasI(got, a, bt, bias, m, n, k)
-		for i := range want {
-			if !sameBits(got[i], want[i]) {
+		for i := range got {
+			if want := wantT[i%n*m+i/n]; !sameBits(got[i], want) {
 				t.Fatalf("BiasI m=%d n=%d k=%d elem %d: got %x want %x", m, n, k, i,
-					math.Float64bits(got[i]), math.Float64bits(want[i]))
+					math.Float64bits(got[i]), math.Float64bits(want))
 			}
 		}
 	}

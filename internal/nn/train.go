@@ -25,28 +25,11 @@ func StackSamples(pool []Sample, b int) *Tensor {
 	return t
 }
 
-// LossKind selects the training objective.
-type LossKind int
-
-// Supported training losses.
-const (
-	// LossCrossEntropy is standard softmax cross-entropy.
-	LossCrossEntropy LossKind = iota + 1
-	// LossSquared is the paper's squared loss between the softmax output
-	// and the one-hot label.
-	LossSquared
-)
-
-// TrainConfig controls SGD training.
+// TrainConfig controls SGD training (softmax cross-entropy, constant LR).
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
 	LR        float64
-	// LRDecay multiplies LR after each epoch (1 = constant).
-	LRDecay float64
-	Loss    LossKind
-	// Silent training has no progress callback; set OnEpoch to observe.
-	OnEpoch func(epoch int, avgLoss float64)
 }
 
 // TrainShuffled runs minibatch SGD over samples, shuffling each epoch with
@@ -56,14 +39,18 @@ type TrainConfig struct {
 // It returns the average training loss of the final epoch.
 //
 // Whole minibatches flow through the batched GEMM path
-// (ForwardBatchTrain/BackwardBatch on one arena); the result is bit-for-bit
+// (ForwardBatch/BackwardBatch on one arena); the result is bit-for-bit
 // identical to the per-sample reference loop (trainNaive) — same shuffle
 // draws, same gradient and loss bits (train_equiv_test.go pins the
 // serialized trained weights byte-identical).
 //
-// Per batch it assembles the shuffled samples into one [B, sampleShape...]
-// arena tensor, runs ForwardBatchTrain, computes per-row losses and logit
-// gradients, back-propagates the whole batch, and applies one SGD step.
+// The trainer owns all training state: the gradient accumulators (one Grads
+// for the run) and, per minibatch, the activation every layer consumed —
+// arena tensors, so forward, loss and backward of one minibatch share one
+// Reset window. Per batch it assembles the shuffled samples into one
+// [B, sampleShape...] arena tensor, runs each layer's ForwardBatch keeping
+// its input, computes per-row losses and logit gradients, hands each layer's
+// BackwardBatch its input back in reverse, and applies one SGD step.
 // Bit-identity to the per-sample loop is preserved by construction: the
 // shuffle is the caller's, the epoch loss accumulates row by row in shuffled
 // sample order (never via batch partial sums), and every layer's
@@ -74,12 +61,6 @@ func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func
 	}
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
 		return 0, fmt.Errorf("nn: invalid train config %+v", cfg)
-	}
-	if cfg.Loss == 0 {
-		cfg.Loss = LossCrossEntropy
-	}
-	if cfg.LRDecay == 0 {
-		cfg.LRDecay = 1
 	}
 	sampleLen := samples[0].X.Len()
 	for i := range samples {
@@ -94,7 +75,8 @@ func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func
 		idx[i] = i
 	}
 	a := NewArena()
-	lr := cfg.LR
+	grads := NewGrads(net)
+	acts := make([]*Tensor, len(net.Layers)+1) // acts[i] is layer i's input
 	lastAvg := 0.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -102,35 +84,28 @@ func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func
 		for start := 0; start < len(idx); start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, len(idx))
 			b := end - start
-			net.ZeroGrads()
 			a.Reset()
 			batchShape[0] = b
-			in := a.Tensor(batchShape...)
+			acts[0] = a.Tensor(batchShape...)
 			for bi, si := range idx[start:end] {
-				copy(in.Data[bi*sampleLen:(bi+1)*sampleLen], samples[si].X.Data)
+				copy(acts[0].Data[bi*sampleLen:(bi+1)*sampleLen], samples[si].X.Data)
 			}
-			logits := net.ForwardBatchTrain(in, a)
+			for i, l := range net.Layers {
+				acts[i+1] = l.ForwardBatch(acts[i], a)
+			}
+			logits := acts[len(net.Layers)]
 			classes := logits.Shape[1]
-			grad := a.Tensor(b, classes)
-			scratch := a.Floats(classes)
+			g := a.Tensor(b, classes)
 			for bi, si := range idx[start:end] {
-				row := logits.Data[bi*classes : (bi+1)*classes]
-				gradRow := grad.Data[bi*classes : (bi+1)*classes]
-				switch cfg.Loss {
-				case LossSquared:
-					totalLoss += SquaredLossRowGrad(row, samples[si].Label, gradRow, scratch)
-				default:
-					totalLoss += CrossEntropyLossRow(row, samples[si].Label, gradRow)
-				}
+				totalLoss += CrossEntropyLossRow(logits.Data[bi*classes:(bi+1)*classes],
+					samples[si].Label, g.Data[bi*classes:(bi+1)*classes])
 			}
-			net.BackwardBatch(grad, a)
-			net.Step(lr, float64(b))
+			for i := len(net.Layers) - 1; i >= 0; i-- {
+				g = net.Layers[i].BackwardBatch(acts[i], g, grads[i], a)
+			}
+			net.Step(grads, cfg.LR, float64(b))
 		}
 		lastAvg = totalLoss / float64(len(idx))
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, lastAvg)
-		}
-		lr *= cfg.LRDecay
 	}
 	return lastAvg, nil
 }
@@ -146,99 +121,85 @@ func trainNaive(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand)
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
 		return 0, fmt.Errorf("nn: invalid train config %+v", cfg)
 	}
-	if cfg.Loss == 0 {
-		cfg.Loss = LossCrossEntropy
-	}
-	if cfg.LRDecay == 0 {
-		cfg.LRDecay = 1
-	}
 
 	idx := make([]int, len(samples))
 	for i := range idx {
 		idx[i] = i
 	}
-	lr := cfg.LR
+	grads := NewGrads(net)
+	acts := make([]*Tensor, len(net.Layers)+1)
 	lastAvg := 0.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		totalLoss := 0.0
 		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			net.ZeroGrads()
+			end := min(start+cfg.BatchSize, len(idx))
 			for _, si := range idx[start:end] {
-				s := samples[si]
-				logits := net.Forward(s.X)
-				var loss float64
-				var grad *Tensor
-				switch cfg.Loss {
-				case LossSquared:
-					loss, grad = SquaredLoss(logits, s.Label)
-				default:
-					loss, grad = CrossEntropyLoss(logits, s.Label)
+				acts[0] = samples[si].X
+				for i, l := range net.Layers {
+					acts[i+1] = l.Forward(acts[i])
 				}
+				loss, g := CrossEntropyLoss(acts[len(net.Layers)], samples[si].Label)
 				totalLoss += loss
-				net.Backward(grad)
+				for i := len(net.Layers) - 1; i >= 0; i-- {
+					g = net.Layers[i].Backward(acts[i], g, grads[i])
+				}
 			}
-			net.Step(lr, float64(end-start))
+			net.Step(grads, cfg.LR, float64(end-start))
 		}
 		lastAvg = totalLoss / float64(len(idx))
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, lastAvg)
-		}
-		lr *= cfg.LRDecay
 	}
 	return lastAvg, nil
 }
 
-// evalChunk bounds Evaluate's batch size: big enough to amortize the GEMM
-// setup (and the Dense weight transpose, which is rebuilt per chunk), small
-// enough to keep the arena footprint modest. Chunking cannot change result
-// bits — every sample's float ops are independent of its batch neighbours.
-const evalChunk = 256
+// scoreChunk bounds ScorePool's working set: chunks of this many samples go
+// through one forward call each, so peak scratch is one chunk's activations
+// regardless of pool size. The chunk boundary does not affect results — every
+// sample's float operations are independent of its batch neighbours.
+const scoreChunk = 64
 
-// Evaluate returns classification accuracy and mean squared loss of net over
-// samples. Samples flow through the batched inference path in chunks; the
-// row helpers replay the per-sample argmax and loss ops exactly, and the
-// loss accumulates in sample order, so the result bits match the historical
-// per-sample loop.
-func Evaluate(net *Network, samples []Sample) (accuracy, meanSquaredLoss float64) {
-	if len(samples) == 0 {
-		return 0, 0
+// ScorePool evaluates a model over pool through the chunked batched inference
+// path and returns the per-sample squared loss and correctness plus their
+// means. forward is the engine's batched pass — (*Network).ForwardBatch or
+// (*QuantizedNetwork).ForwardBatch — and a its scratch. With the float engine
+// the results are bit-for-bit a per-sample Forward/SquaredLoss/MaxIndex loop's
+// (the row helpers replay the per-sample ops and the loss accumulates in
+// sample order), so the zoo's cached streams, and every figure derived from
+// them, do not depend on the chunking.
+func ScorePool(forward func(in *Tensor, a *Arena) *Tensor, pool []Sample, a *Arena) (losses []float64, correct []bool, meanLoss, meanAcc float64) {
+	if len(pool) == 0 {
+		return nil, nil, 0, 0
 	}
-	sampleLen := samples[0].X.Len()
-	batchShape := append([]int{0}, samples[0].X.Shape...)
-	a := NewArena()
-	correct := 0
-	totalLoss := 0.0
-	for start := 0; start < len(samples); start += evalChunk {
-		end := min(start+evalChunk, len(samples))
-		b := end - start
+	losses = make([]float64, len(pool))
+	correct = make([]bool, len(pool))
+	sampleLen := pool[0].X.Len()
+	batchShape := append([]int{0}, pool[0].X.Shape...)
+	sumLoss, nCorrect := 0.0, 0
+	for start := 0; start < len(pool); start += scoreChunk {
+		chunk := pool[start:min(start+scoreChunk, len(pool))]
 		a.Reset()
-		batchShape[0] = b
+		batchShape[0] = len(chunk)
 		in := a.Tensor(batchShape...)
-		for bi := 0; bi < b; bi++ {
-			x := samples[start+bi].X
-			if x.Len() != sampleLen {
-				//lint:allow panicpolicy mirrors the Forward shape guards: a ragged evaluation set is a programmer error and the historical signature has no error channel
-				panic(fmt.Sprintf("nn: eval sample %d has %d features, want %d", start+bi, x.Len(), sampleLen))
+		for j, s := range chunk {
+			if s.X.Len() != sampleLen {
+				//lint:allow panicpolicy mirrors the Forward shape guards: a ragged pool is a programmer error and the scorer has no error channel
+				panic(fmt.Sprintf("nn: pool sample %d has %d features, want %d", start+j, s.X.Len(), sampleLen))
 			}
-			copy(in.Data[bi*sampleLen:(bi+1)*sampleLen], x.Data)
+			copy(in.Data[j*sampleLen:(j+1)*sampleLen], s.X.Data)
 		}
-		logits := net.ForwardBatch(in, a)
+		logits := forward(in, a)
 		classes := logits.Shape[1]
 		scratch := a.Floats(classes)
-		for bi := 0; bi < b; bi++ {
-			row := logits.Data[bi*classes : (bi+1)*classes]
-			label := samples[start+bi].Label
-			if ArgmaxRow(row) == label {
-				correct++
+		for j, s := range chunk {
+			row := logits.Data[j*classes : (j+1)*classes]
+			losses[start+j] = SquaredLossRow(row, s.Label, scratch)
+			correct[start+j] = ArgmaxRow(row) == s.Label
+			sumLoss += losses[start+j]
+			if correct[start+j] {
+				nCorrect++
 			}
-			totalLoss += SquaredLossRow(row, label, scratch)
 		}
 	}
-	n := float64(len(samples))
-	return float64(correct) / n, totalLoss / n
+	n := float64(len(pool))
+	return losses, correct, sumLoss / n, float64(nCorrect) / n
 }

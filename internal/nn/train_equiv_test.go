@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // Training equivalence suite: batched minibatch SGD (TrainShuffled over
-// ForwardBatchTrain/BackwardBatch) must produce bit-identical trained
+// ForwardBatch/BackwardBatch) must produce bit-identical trained
 // weights to the per-sample reference loop (trainNaive) — same float64
 // parameter bits AND byte-identical serialized checkpoints — for every
-// family architecture and both loss kinds.
+// family architecture.
 
 // trainCase pairs an architecture builder with a deterministic init seed.
 // Builders cover every constructor buildFamily (internal/models) uses, both
@@ -67,64 +68,60 @@ func serialized(t *testing.T, net *Network) []byte {
 
 func TestTrainBatchedMatchesNaiveBitForBit(t *testing.T) {
 	for _, tc := range trainFamily() {
-		for _, loss := range []LossKind{LossCrossEntropy, LossSquared} {
-			sampleRng := rand.New(rand.NewSource(61))
-			samples := randSamples(sampleRng, 33, []int{1, 20, 20}, 10)
-			cfg := TrainConfig{Epochs: 2, BatchSize: 7, LR: 0.05, LRDecay: 0.9, Loss: loss}
+		sampleRng := rand.New(rand.NewSource(61))
+		samples := randSamples(sampleRng, 33, []int{1, 20, 20}, 10)
+		cfg := TrainConfig{Epochs: 2, BatchSize: 7, LR: 0.05}
 
-			naiveNet := tc.build(rand.New(rand.NewSource(62)))
-			batchNet := tc.build(rand.New(rand.NewSource(62)))
-			naiveAvg, err := trainNaive(naiveNet, samples, cfg, rand.New(rand.NewSource(63)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchAvg, err := TrainShuffled(batchNet, samples, cfg, rand.New(rand.NewSource(63)).Shuffle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := tc.name + "/" + lossName(loss)
-			if math.Float64bits(naiveAvg) != math.Float64bits(batchAvg) {
-				t.Fatalf("%s: final avg loss %v (batched) != %v (naive)", name, batchAvg, naiveAvg)
-			}
-			paramsBitsEqual(t, name, batchNet, naiveNet)
-			if !bytes.Equal(serialized(t, batchNet), serialized(t, naiveNet)) {
-				t.Fatalf("%s: serialized checkpoints differ", name)
-			}
+		naiveNet := tc.build(rand.New(rand.NewSource(62)))
+		batchNet := tc.build(rand.New(rand.NewSource(62)))
+		naiveAvg, err := trainNaive(naiveNet, samples, cfg, rand.New(rand.NewSource(63)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchAvg, err := TrainShuffled(batchNet, samples, cfg, rand.New(rand.NewSource(63)).Shuffle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(naiveAvg) != math.Float64bits(batchAvg) {
+			t.Fatalf("%s: final avg loss %v (batched) != %v (naive)", tc.name, batchAvg, naiveAvg)
+		}
+		paramsBitsEqual(t, tc.name, batchNet, naiveNet)
+		if !bytes.Equal(serialized(t, batchNet), serialized(t, naiveNet)) {
+			t.Fatalf("%s: serialized checkpoints differ", tc.name)
 		}
 	}
 }
 
-func lossName(l LossKind) string {
-	if l == LossSquared {
-		return "squared"
-	}
-	return "xent"
-}
-
-// evaluateNaive is the historical per-sample Evaluate loop, retained as the
-// reference the batched Evaluate is pinned against.
-func evaluateNaive(net *Network, samples []Sample) (accuracy, meanSquaredLoss float64) {
-	correct := 0
+// evaluateNaive is the per-sample scoring loop, retained as the reference
+// ScorePool is pinned against.
+func evaluateNaive(net *Network, samples []Sample) (losses []float64, correct []bool, meanLoss, meanAcc float64) {
+	nCorrect := 0
 	totalLoss := 0.0
 	for _, s := range samples {
 		logits := net.Forward(s.X)
-		if logits.MaxIndex() == s.Label {
-			correct++
-		}
 		l, _ := SquaredLoss(logits, s.Label)
+		ok := logits.MaxIndex() == s.Label
+		losses, correct = append(losses, l), append(correct, ok)
 		totalLoss += l
+		if ok {
+			nCorrect++
+		}
 	}
 	n := float64(len(samples))
-	return float64(correct) / n, totalLoss / n
+	return losses, correct, totalLoss / n, float64(nCorrect) / n
 }
 
 func TestEvaluateMatchesNaiveBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for _, net := range zooForTest(rng) {
-		// 71 samples spans a full evalChunk plus a ragged tail.
+		// 71 samples spans a full scoreChunk plus a ragged tail.
 		samples := randSamples(rng, 71, net.InShape(), 10)
-		wantAcc, wantLoss := evaluateNaive(net, samples)
-		gotAcc, gotLoss := Evaluate(net, samples)
+		wantLosses, wantCorrect, wantLoss, wantAcc := evaluateNaive(net, samples)
+		losses, correct, gotLoss, gotAcc := ScorePool(net.ForwardBatch, samples, NewArena())
+		bitsEqual(t, net.Name+" per-sample loss", losses, wantLosses)
+		if !slices.Equal(correct, wantCorrect) {
+			t.Fatalf("%s: per-sample correctness differs", net.Name)
+		}
 		if math.Float64bits(gotAcc) != math.Float64bits(wantAcc) {
 			t.Fatalf("%s: accuracy %v, want %v", net.Name, gotAcc, wantAcc)
 		}
@@ -132,17 +129,17 @@ func TestEvaluateMatchesNaiveBitForBit(t *testing.T) {
 			t.Fatalf("%s: mean loss %v, want %v", net.Name, gotLoss, wantLoss)
 		}
 	}
-	if acc, loss := Evaluate(zooForTest(rng)[0], nil); acc != 0 || loss != 0 {
+	if _, _, loss, acc := ScorePool(zooForTest(rng)[0].ForwardBatch, nil, NewArena()); acc != 0 || loss != 0 {
 		t.Fatalf("empty evaluation = (%v, %v), want (0, 0)", acc, loss)
 	}
 }
 
-// TestLossRowGradsMatchPerSampleBitForBit pins the row-variant loss
-// gradients (the value-only SquaredLossRow is covered in batch_equiv_test).
+// TestLossRowGradsMatchPerSampleBitForBit pins the row-variant training
+// loss and its gradient (the value-only SquaredLossRow is covered in
+// batch_equiv_test).
 func TestLossRowGradsMatchPerSampleBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	gradRow := make([]float64, 10)
-	scratch := make([]float64, 10)
 	for i := 0; i < 50; i++ {
 		logits := randTensor(rng, 10)
 		label := rng.Intn(10)
@@ -153,13 +150,6 @@ func TestLossRowGradsMatchPerSampleBitForBit(t *testing.T) {
 			t.Fatalf("xent loss %v, want %v", gotLoss, wantLoss)
 		}
 		bitsEqual(t, "xent grad", gradRow, wantGrad.Data)
-
-		wantLoss, wantGrad = SquaredLoss(logits, label)
-		gotLoss = SquaredLossRowGrad(logits.Data, label, gradRow, scratch)
-		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-			t.Fatalf("squared loss %v, want %v", gotLoss, wantLoss)
-		}
-		bitsEqual(t, "squared grad", gradRow, wantGrad.Data)
 	}
 }
 

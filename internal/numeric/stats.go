@@ -25,6 +25,13 @@ func Positive(x float64) float64 {
 	return 0
 }
 
+// FiniteNonNeg reports 0 <= x < +Inf: the test for a quantity, price, rate
+// or emission arriving from a flag, a config or the wire. Stated positively,
+// so NaN fails it — x < 0 lets NaN and +Inf through, and one such value
+// turns the ledger, the fit and every later slot into NaN with no error
+// anywhere.
+func FiniteNonNeg(x float64) bool { return 0 <= x && x < math.Inf(1) }
+
 // SplitRNG derives a child RNG from a parent seed and a stream label so that
 // independent subsystems (workload, market, bandit sampling, ...) consume
 // decorrelated streams while the whole simulation stays reproducible from a
