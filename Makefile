@@ -23,11 +23,12 @@
 #                  own validation and JSON round trip (internal/engine:
 #                  FuzzShardCheckpoint), the random streams against math/rand
 #                  (internal/numeric: FuzzSplitRNGStream), the weights reader
-#                  against its value-by-value oracle (internal/nn:
-#                  FuzzReadWeights) and the trace CSV readers against their
-#                  accept contract and a write/read round trip
-#                  (internal/trace: FuzzReadPrices, FuzzReadWorkload); go test
-#                  -fuzz takes one target per run
+#                  against its value-by-value oracle and the INT8 engine's
+#                  short-K convolution stage against the scalar reference
+#                  (internal/nn: FuzzReadWeights, FuzzQConvShortK) and the
+#                  trace CSV readers against their accept contract and a
+#                  write/read round trip (internal/trace: FuzzReadPrices,
+#                  FuzzReadWorkload); go test -fuzz takes one target per run
 #   make bench   - every Benchmark* in the module, once, with -benchmem: the
 #                  kernel micro-suite for reading while you work. It gates
 #                  nothing; perf is policed by the slot-cost benchmark
@@ -75,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzShardCheckpoint -fuzztime=10s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzSplitRNGStream -fuzztime=10s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s ./internal/nn
+	$(GO) test -run='^$$' -fuzz=FuzzQConvShortK -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzReadPrices -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzReadWorkload -fuzztime=10s ./internal/trace
 

@@ -36,6 +36,13 @@ func benchCheckpoint(b testing.TB, modelID int, stream string) []byte {
 // slots. int8 opts the runtime into the true-INT8 engine before any load.
 func benchRuntime(b testing.TB, int8Mode bool) *NNRuntime {
 	b.Helper()
+	return benchRuntimeSized(b, int8Mode, 64, 20)
+}
+
+// benchRuntimeSized is benchRuntime over a pool of the given size, serving
+// perSlot samples a slot.
+func benchRuntimeSized(b testing.TB, int8Mode bool, pool, perSlot int) *NNRuntime {
+	b.Helper()
 	rng := numeric.SplitRNG(7, "bench-runtime")
 	dist, err := dataset.NewDistribution(dataset.MNISTLike, rng)
 	if err != nil {
@@ -43,8 +50,8 @@ func benchRuntime(b testing.TB, int8Mode bool) *NNRuntime {
 	}
 	rt, err := NewNNRuntime(
 		benchBuild,
-		dist.Pool(64, rng),
-		func(int) int { return 20 },
+		dist.Pool(pool, rng),
+		func(int) int { return perSlot },
 		func(int) float64 { return 0.03 },
 		rng,
 	)
@@ -98,35 +105,36 @@ func BenchmarkNNRuntimeLoadModel(b *testing.B) {
 	}
 }
 
-// BenchmarkNNRuntimeSlot gates the zero-alloc claim: after one warm-up
-// slot, a steady-state RunSlot must report 0 allocs/op — all NN scratch
-// comes from the runtime-owned arena.
+// BenchmarkNNRuntimeSlot prices one served slot per engine and arm at the
+// slot-cost benchmark's shape — a 300-sample pool, 100 samples a slot — and
+// reports it per sample: the float-against-INT8 table by arm that
+// nn.q8_speedup_x folds into one ratio. (TestNNRuntimeSlotZeroAllocs holds
+// the 0 allocs/op this prints.)
 func BenchmarkNNRuntimeSlot(b *testing.B) {
-	rt := benchRuntime(b, false)
-	if _, err := rt.RunSlot(0, 0); err != nil { // warm the arena
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.RunSlot(i+1, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNNRuntimeSlotInt8 is the same slot-serving gate with the true-INT8
-// engine: quantized kernels plus the identical zero-alloc steady state.
-func BenchmarkNNRuntimeSlotInt8(b *testing.B) {
-	rt := benchRuntime(b, true)
-	if _, err := rt.RunSlot(0, 0); err != nil { // warm the arena
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.RunSlot(i+1, 0); err != nil {
-			b.Fatal(err)
+	const pool, perSlot = 300, 100
+	for _, mode := range []struct {
+		name string
+		int8 bool
+	}{{"float", false}, {"int8", true}} {
+		for arm := 0; arm < models.FamilySize(); arm++ {
+			ckpt := benchCheckpoint(b, arm, "bench-ckpt")
+			b.Run(fmt.Sprintf("%s/arm%d", mode.name, arm), func(b *testing.B) {
+				rt := benchRuntimeSized(b, mode.int8, pool, perSlot)
+				if err := rt.LoadModel(arm, ckpt); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rt.RunSlot(0, arm); err != nil { // warm the arena
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := rt.RunSlot(i+1, arm); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*perSlot), "us/sample")
+			})
 		}
 	}
 }

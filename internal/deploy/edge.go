@@ -293,11 +293,13 @@ type NNRuntime struct {
 
 // residentModel is one model id's storage on the edge, built on the model's
 // first install and overwritten in place by every later one. qw and qn are
-// set by installs made in Int8 mode.
+// set by installs made in Int8 mode; compiled says qn is what a completed
+// Recompile made of (net, qw) over the runtime's calibration batch.
 type residentModel struct {
-	net *nn.Network
-	qw  *nn.QuantizedWeights
-	qn  *nn.QuantizedNetwork
+	net      *nn.Network
+	qw       *nn.QuantizedWeights
+	qn       *nn.QuantizedNetwork
+	compiled bool
 }
 
 var _ Runtime = (*NNRuntime)(nil)
@@ -334,10 +336,14 @@ func (r *NNRuntime) Welcome(models []ModelMeta) error {
 // LoadModel implements Runtime: install the shipped weights into the model's
 // resident network, building its architecture first if the edge has never
 // held it. An empty checkpoint is valid only for a model the runtime already
-// holds a copy of. Every non-empty checkpoint is read, validated and (in Int8
-// mode) quantized and calibrated in full; one that fails part-way has already
-// overwritten some of the resident storage, so the model is evicted and
-// cannot be served until a good checkpoint reinstalls it.
+// holds a copy of. Every non-empty checkpoint is read and validated in full
+// and, in Int8 mode, quantized over the resident int8 buffers; the engine is
+// calibrated and compiled again only when that moved a quantized weight or a
+// scale, since a checkpoint that leaves them all where they were — the same
+// model arriving again, which is most switches — compiles to the engine
+// already resident. A checkpoint that fails part-way has already overwritten
+// some of the resident storage, so the model is evicted and cannot be served
+// until a good checkpoint reinstalls it, from scratch.
 func (r *NNRuntime) LoadModel(modelID int, checkpoint []byte) error {
 	if modelID < 0 || modelID >= len(r.metas) {
 		return fmt.Errorf("deploy: model id %d out of range", modelID)
@@ -385,16 +391,23 @@ func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) er
 	if m.qw == nil {
 		m.qw, m.qn = &nn.QuantizedWeights{}, &nn.QuantizedNetwork{}
 	}
-	m.qw.Requantize(m.net)
+	changed := m.qw.Requantize(m.net)
+	// Also when nothing changed: ReadWeights has just put the unquantized
+	// floats back, and the compiled head reads its bias from m.net.
 	if err := m.qw.ApplyTo(m.net); err != nil {
 		return fmt.Errorf("deploy: quantize model %d: %w", modelID, err)
 	}
+	if m.compiled && !changed {
+		return nil // calibration and compilation are functions of (qw, calib)
+	}
+	m.compiled = false
 	if r.calib == nil {
 		r.calib = nn.StackSamples(r.Pool, slotChunk)
 	}
 	if err := m.qn.Recompile(m.net, m.qw, r.calib, r.arena); err != nil {
 		return fmt.Errorf("deploy: compile INT8 model %d: %w", modelID, err)
 	}
+	m.compiled = true
 	return nil
 }
 

@@ -73,14 +73,17 @@ func benchLayerForwardBatch(b *testing.B, l Layer, shape ...int) {
 	b.ReportMetric(macs/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
 }
 
-// BenchmarkConvForwardBatch covers every distinct convolution shape of the
-// MNIST-like zoo: cnn-s and cnn-l (3x3 on 28x28, then on the pooled 13x13),
-// lenet-s and lenet-l (5x5 on 28x28, then on 12x12).
+// zooConvShapes is every distinct convolution shape of the MNIST-like zoo:
+// cnn-s and cnn-l (3x3 on 28x28, then on the pooled 13x13), lenet-s and
+// lenet-l (5x5 on 28x28, then on 12x12).
+var zooConvShapes = []struct{ inC, outC, k, side int }{
+	{1, 8, 3, 28}, {8, 16, 3, 13}, {1, 16, 3, 28}, {16, 32, 3, 13},
+	{1, 6, 5, 28}, {6, 16, 5, 12}, {1, 12, 5, 28}, {12, 32, 5, 12},
+}
+
+// BenchmarkConvForwardBatch covers zooConvShapes through the float layer.
 func BenchmarkConvForwardBatch(b *testing.B) {
-	for _, c := range []struct{ inC, outC, k, side int }{
-		{1, 8, 3, 28}, {8, 16, 3, 13}, {1, 16, 3, 28}, {16, 32, 3, 13},
-		{1, 6, 5, 28}, {6, 16, 5, 12}, {1, 12, 5, 28}, {12, 32, 5, 12},
-	} {
+	for _, c := range zooConvShapes {
 		b.Run(fmt.Sprintf("%dto%d_k%d_%dx%d", c.inC, c.outC, c.k, c.side, c.side), func(b *testing.B) {
 			conv := NewConv2D(c.inC, c.outC, c.k, rand.New(rand.NewSource(4)))
 			benchLayerForwardBatch(b, conv, c.inC, c.side, c.side)
@@ -127,42 +130,33 @@ func benchTrainEpoch(b *testing.B, naive bool) {
 func BenchmarkTrainEpoch(b *testing.B)      { benchTrainEpoch(b, false) }
 func BenchmarkTrainEpochNaive(b *testing.B) { benchTrainEpoch(b, true) }
 
-// BenchmarkQuantConvForward measures the INT8 convolution stage on
-// BenchmarkConvForward's exact shapes (6->16 channels, 5x5 kernel, 14x14
-// input), exactly as the engine runs it: padded-stride im2colQ, the qgemmNT
-// dual-row dot sweep over zero-padded weight rows, and the requantize sweep.
-// The QuantConvForward/ConvForward ratio is the true-int8 speedup of the
-// convolution stage alone.
+// BenchmarkQuantConvForward is BenchmarkConvForwardBatch through the INT8
+// engine's own convolution stage (runConv on a 64-sample chunk: the direct
+// tile or im2colQ + qgemmNT, whichever the engine runs the shape on, then the
+// requantize sweep and scatter), in real multiply-accumulates — the pad is
+// not counted. The first layers (inC = 1) are the short-K class, the second
+// layers the long-K one; shape by shape against BenchmarkConvForwardBatch it
+// is the INT8 speedup of the convolution stage alone.
 func BenchmarkQuantConvForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	const inC, outC, kh, h, w = 6, 16, 5, 14, 14
-	const oh, ow = h - kh + 1, w - kh + 1
-	const kk, np = inC * kh * kh, oh * ow
-	var op qOp
-	padWeightRows(&op, randInt8(rng, outC*kk), outC, kk)
-	wq, kkPad := op.wq, op.kPad
-	src := randInt8(rng, inC*h*w)
-	col := make([]int8, np*kkPad)
-	acc := make([]int32, outC*np)
-	dst := make([]int8, outC*np)
-	biasQ := make([]int32, outC)
-	for oc := range biasQ {
-		biasQ[oc] = int32(rng.Intn(2000) - 1000)
-	}
-	m, shift := quantMultiplier(0.0013)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		im2colQ(col, src, inC, h, w, kh, oh, ow, kkPad)
-		qgemmNT(acc, wq, col, outC, np, kkPad)
-		for oc := 0; oc < outC; oc++ {
-			bq := biasQ[oc]
-			arow := acc[oc*np : (oc+1)*np]
-			drow := dst[oc*np : (oc+1)*np]
-			for j, v := range arow {
-				drow[j] = requantize(v+bq, m, shift)
+	const batch = 64
+	bytes := make([]byte, 1<<12)
+	rand.New(rand.NewSource(2)).Read(bytes)
+	for _, c := range zooConvShapes {
+		b.Run(fmt.Sprintf("%dto%d_k%d_%dx%d", c.inC, c.outC, c.k, c.side, c.side), func(b *testing.B) {
+			op, cur := qconvCase(c.inC, c.k, c.side, c.side, c.outC, batch, bytes)
+			np := op.oh * op.ow
+			nxt := make([]int8, batch*op.outLen)
+			col := make([]int8, batch*np*op.kPad)
+			acc := make([]int32, batch*op.outLen)
+			var q QuantizedNetwork
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.runConv(op, batch, cur, nxt, col, acc)
 			}
-		}
+			macs := float64(batch*op.outLen*c.inC*c.k*c.k) * float64(b.N)
+			b.ReportMetric(macs/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+		})
 	}
 }
 

@@ -23,6 +23,13 @@
 // tests pin the two bit for bit, and trainNaive/TrainShuffled are the same
 // pair one level up.
 //
+// The INT8 engine (QuantizedNetwork) has the same shape in integers: one
+// scalar specification (qdotRowRef over im2colQ patches, requantize) that a
+// test-only forward pass executes sample by sample, and one shipped path —
+// im2colQ into the row-dot GEMM tiers, or for short-K convolutions on amd64 a
+// direct tile over the input planes — held to that specification's bits,
+// which int32 wraparound sums make a matter of construction.
+//
 // Determinism comes first: every kernel preserves the reference float
 // summation order, and all weight initialization flows from an explicit RNG
 // so that a simulation seed fully reproduces the trained models.

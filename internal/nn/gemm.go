@@ -5,7 +5,8 @@ package nn
 // matrices sharing a contiguous K dimension (GemmNTBiasJ) for tiny problems,
 // and the same product over eight-column weight panels (GemmPanelBiasJ)
 // otherwise. Conv2D lowers to nothing: its forward kernel (convDirectSIMD)
-// reads the input planes in place through the tables convDirectTables builds,
+// reads the input planes in place through the tables convDirectTables builds
+// (the INT8 engine's short-K convolutions walk the same tables, qnetwork.go),
 // and only the backward pass still materializes patches (im2col, one sample
 // at a time), for the weight-gradient accumulation. The "NN" forms
 // (GemmNNBiasI, GemmNNAccI) are Dense.BackwardBatch's.
@@ -134,24 +135,29 @@ func GemmPanelBiasJ(out, a, w, bias, panel []float64, m, n, k int) {
 	}
 }
 
-// convDirectTables builds, in arena scratch, the two index tables the direct
-// convolution kernel (convDirectSIMD) walks for an inC x h x w sample under a
-// k x k kernel; every sample of a batch shares them.
+// convDirectTables builds, in arena scratch, the two index tables a direct
+// convolution kernel (convDirectSIMD, qconvDirectSIMD) walks for an
+// inC x h x w sample under a k x k kernel; every sample of a batch shares
+// them, and they depend on nothing but the geometry.
 //
 // offs[c] is where the c-th element of a receptive field lies relative to
 // the field's origin, c in (ic, ky, kx) order — Conv2D.Forward's
-// accumulation order: offs[c] = (ic*h+ky)*w + kx.
+// accumulation order: offs[c] = (ic*h+ky)*w + kx. One spare element past
+// len(offs) repeats the last offset, so a kernel that takes taps two at a
+// time reslices an odd table to even length and gives the spare tap a zero
+// weight.
 //
-// segs lists the output in row segments of sw = min(4, ow) pixels, one
+// segs lists the output in row segments of sw = min(seg, ow) pixels, one
 // (input origin, output position) pair per segment: y*w+x and y*ow+x, the
 // output position relative to a channel's oh*ow plane. A row's last segment
 // starts at ow-sw, overlapping its neighbour where ow is not a multiple of
 // sw (the overlap recomputes identical values), and the list is padded to an
-// even count by repeating the final segment, because the kernel consumes
+// even count by repeating the final segment, because the kernels consume
 // segments two at a time.
-func convDirectTables(a *Arena, inC, h, w, k int) (offs, segs []int, sw int) {
+func convDirectTables(a *Arena, inC, h, w, k, seg int) (offs, segs []int, sw int) {
 	oh, ow := h-k+1, w-k+1
-	offs = a.Ints(inC * k * k)
+	kk := inC * k * k
+	offs = a.Ints(kk + 1)
 	c := 0
 	for ic := 0; ic < inC; ic++ {
 		for ky := 0; ky < k; ky++ {
@@ -161,10 +167,9 @@ func convDirectTables(a *Arena, inC, h, w, k int) (offs, segs []int, sw int) {
 			}
 		}
 	}
-	sw = 4
-	if ow < sw {
-		sw = ow
-	}
+	offs[kk] = offs[kk-1]
+	offs = offs[:kk]
+	sw = min(seg, ow)
 	nseg := oh * ((ow + sw - 1) / sw)
 	segs = a.Ints(2 * (nseg + nseg&1))
 	t := 0

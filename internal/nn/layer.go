@@ -270,7 +270,7 @@ func (c *Conv2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	oh, ow := h-c.K+1, w-c.K+1
 	np := oh * ow
 	out := a.Tensor(batch, c.OutC, oh, ow)
-	offs, segs, sw := convDirectTables(a, c.InC, h, w, c.K)
+	offs, segs, sw := convDirectTables(a, c.InC, h, w, c.K, 4)
 	inStride, outStride := c.InC*h*w, c.OutC*np
 	for s := 0; s < batch; s++ {
 		convDirectSIMD(out.Data[s*outStride:(s+1)*outStride], np, c.b.Data, c.w.Data,

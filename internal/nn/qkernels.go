@@ -7,11 +7,13 @@ import "math"
 // int32 accumulation with two's-complement wraparound, and a fixed-point
 // requantization whose rounding rule is specified to the bit. Wraparound
 // addition is associative and commutative, so the SIMD tiers
-// (simd_int8_amd64.s) may regroup lanes freely and still produce the same
-// bits as qdotRowRef on every platform — the cross-tier identity the float
-// kernels have to earn by never splitting an accumulation, the integer
-// kernels get for free. The only rounding in the whole path lives in
-// requantize and quantMultiplier below, shared scalar Go on all tiers.
+// (simd_int8_amd64.s) may regroup lanes freely — and the short-K convolution
+// tile there may regroup taps and skip the patch matrix altogether — and
+// still produce the same bits as qdotRowRef over im2colQ on every platform:
+// the cross-tier identity the float kernels have to earn by never splitting
+// an accumulation, the integer kernels get for free. The only rounding in
+// the whole path lives in requantize and quantMultiplier below, shared
+// scalar Go on all tiers.
 
 // qdotRowRef is the reference integer dot-product kernel:
 //
@@ -159,9 +161,10 @@ func padTo16(k int) int { return (k + 15) &^ 15 }
 // qgemmNT drives the integer row-dot kernels over an m-by-k int8 matrix a
 // (rows at stride k) against n rows of b: out[i*n+j] = dot(a row i, b row
 // j). Pairs of a rows go through qdot2SIMD, which shares each b load across
-// both accumulators; the odd row falls back to qdotRowSIMD. The convolution
-// calls this with a = padded weight rows and b = the im2colQ patch matrix;
-// Dense calls it with n = 1 and b = one padded activation row.
+// both accumulators; the odd row falls back to qdotRowSIMD. A convolution
+// that is not on the direct tile calls this with a = padded weight rows and
+// b = the chunk's im2colQ patch matrix; Dense with a = the chunk's padded
+// activation rows and b = the padded weight rows.
 func qgemmNT(out []int32, a, b []int8, m, n, k int) {
 	i := 0
 	for ; i+2 <= m; i += 2 {
@@ -173,7 +176,8 @@ func qgemmNT(out []int32, a, b []int8, m, n, k int) {
 }
 
 // im2colQ lowers one int8 CHW sample to the patch matrix the quantized
-// convolution consumes: dst[p*ld+c] = the c-th element of output pixel p's
+// convolution's GEMM lowering consumes — long-K layers on every host, every
+// convolution where there is no direct tile — and the scalar oracle's: dst[p*ld+c] = the c-th element of output pixel p's
 // receptive field, p walking output pixels row-major (y, then x) and c
 // walking the patch in (ic, ky, kx) order — the float im2col's exact patch
 // layout, at a caller-chosen row stride ld >= inC*kh*kh (the engine passes

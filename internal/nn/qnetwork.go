@@ -9,15 +9,16 @@ import (
 // fast path"): a compiled form of a fake-quant network that stores weights
 // as int8 rows plus one float64 scale per tensor (aliasing the zoo's
 // QuantizedWeights buffers, or a zero-padded int8 copy when a row length is
-// not a vector-width multiple — never a float64 clone), runs conv/dense
-// layers as
-// integer im2col + row-dot kernels with int32 accumulation, and carries
-// activations between layers as int8 at statically calibrated per-boundary
-// scales. ReLU and 2x2 max-pool are exact in the quantized domain
-// (max/clamp commute with a positive scale), so the only rounding beyond
-// weight/input quantization is the pinned fixed-point requantization after
-// each conv/dense. The final Dense head dequantizes its int32 accumulators
-// straight to float64 logits, so downstream softmax/loss code is unchanged.
+// not a vector-width multiple — never a float64 clone), runs dense layers
+// and long-K convolutions as integer im2col + row-dot kernels and short-K
+// convolutions as a direct tile over the input planes where the host has one
+// (qconvDirectFits), all with int32 accumulation, and carries activations
+// between layers as int8 at statically calibrated per-boundary scales. ReLU
+// and 2x2 max-pool are exact in the quantized domain (max/clamp commute with
+// a positive scale), so the only rounding beyond weight/input quantization is
+// the pinned fixed-point requantization after each conv/dense. The final
+// Dense head dequantizes its int32 accumulators straight to float64 logits,
+// so downstream softmax/loss code is unchanged.
 //
 // It is an opt-in execution mode: the fake-quant float path remains the
 // committed-results oracle, and this engine is reached only through the
@@ -41,6 +42,7 @@ type QuantizedNetwork struct {
 	maxAcc int // widest accumulator row block
 
 	actMax []float64 // calibration scratch, kept so a Recompile reuses it
+	tables Arena     // the tile convolutions' operands; Reset by each Recompile
 }
 
 type qOpKind uint8
@@ -82,6 +84,15 @@ type qOp struct {
 	// head
 	sxw   float64 // sx*sw: int32 accumulator -> float64 logits
 	biasF []float64
+
+	// Short-K convolutions the host runs on the direct tile
+	// (qconvDirectFits) also carry the tile's operands, all in the engine's
+	// tables arena: convDirectTables' offsets (resliced to an even count) and
+	// eight-pixel segments, and the weights as int16 tap pairs, one dword per
+	// channel and pair in four-channel groups: wpk[(g*pairs+p)*4+l] =
+	// (w[4g+l][2p], w[4g+l][2p+1]), zero past the field and the last channel.
+	offs, segs []int
+	wpk        []int32
 
 	// geometry
 	inC, outC, k  int // conv; pool reuses inC/h/w
@@ -227,6 +238,7 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 	// the same index; old shares q.ops' storage, and entry i is read before
 	// the append that overwrites it.
 	old := q.ops
+	q.tables.Reset()
 	q.Name, q.inShape, q.ops = net.Name, inShape, q.ops[:0]
 	q.outDim, q.maxCol, q.maxAcc = 0, 0, 0
 	q.inScale = actScale(actMax[0])
@@ -264,6 +276,7 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 			sy := actScale(actMax[li+1])
 			kk := op.inC * op.k * op.k
 			compileRequantOp(&op, wt, bias.Data, s, sy, op.outC, kk)
+			compileConvTile(&op, wt.Data, &q.tables)
 			np := op.oh * op.ow
 			if c := np * op.kPad; c > q.maxCol {
 				q.maxCol = c
@@ -383,6 +396,32 @@ func compileRequantOp(op *qOp, wt QuantizedTensor, bias []float64, sx, sy float6
 	}
 }
 
+// compileConvTile fills the direct tile's operands, from a, for a
+// convolution whose geometry and padded rows op already holds and which the
+// host runs on the tile (qconvDirectFits; an all-zero tensor runs nothing):
+// the index tables, which depend on the geometry alone, and the weight rows
+// (outC rows of inC*k*k int8s, unpadded) repacked as the tap pairs the kernel
+// broadcasts.
+func compileConvTile(op *qOp, w []int8, a *Arena) {
+	if op.zeroScale || !qconvDirectFits(op.kPad, op.ow) {
+		return
+	}
+	kk := op.inC * op.k * op.k
+	op.offs, op.segs, _ = convDirectTables(a, op.inC, op.h, op.w, op.k, 8)
+	pairs := (kk + 1) / 2
+	op.offs = op.offs[:2*pairs]
+	groups := (op.outC + 3) / 4
+	op.wpk = a.Int32s(groups * pairs * 4)
+	clear(op.wpk)
+	for oc := 0; oc < op.outC; oc++ {
+		row := w[oc*kk : (oc+1)*kk]
+		dst := op.wpk[oc/4*pairs*4+oc%4:]
+		for c, v := range row {
+			dst[c/2*4] |= int32(uint16(v)) << (c % 2 * 16)
+		}
+	}
+}
+
 // OutDim returns the number of classes.
 func (q *QuantizedNetwork) OutDim() int { return q.outDim }
 
@@ -445,13 +484,16 @@ func (q *QuantizedNetwork) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	return out // unreachable: compilation guarantees a qHead terminator
 }
 
-// runConv lowers the WHOLE chunk at once: every sample's patch rows go into
-// one shared im2col buffer (batch*np rows at the padded stride) and a single
-// qgemmNT call computes all outC x (batch*np) accumulators, so the weight
-// rows stream through the batch-tiled dual-row kernels once per chunk
-// instead of once per sample. int32 wraparound addition is associative, so
-// the batch-tiled accumulation is bit-identical to the per-sample row-dots
-// it replaced. The accumulator block is laid out [oc][s*np+j] and the
+// runConv computes the WHOLE chunk's outC x (batch*np) accumulators, then
+// requantizes them. A convolution compiled for the direct tile
+// (compileConvTile) reads every sample's input planes where they lie. Any
+// other lowers the chunk at once: every sample's patch rows go into one
+// shared im2col buffer (batch*np rows at the padded stride) and a single
+// qgemmNT call does the rest, so the weight rows stream through the
+// batch-tiled dual-row kernels once per chunk instead of once per sample.
+// int32 wraparound addition is associative, so either grouping is
+// bit-identical to per-sample row-dots over unpadded patches
+// (qoracle_test.go). The accumulator block is laid out [oc][s*np+j] and the
 // requantize pass scatters it back to the per-sample [s][oc][j] activation
 // layout.
 func (q *QuantizedNetwork) runConv(op *qOp, batch int, cur, nxt, col []int8, acc []int32) {
@@ -469,14 +511,17 @@ func (q *QuantizedNetwork) runConv(op *qOp, batch int, cur, nxt, col []int8, acc
 		}
 		return
 	}
-	// Patch rows at the padded stride; the bytes between the patch and the
-	// stride are whatever the arena held, annihilated by the zero weight pad.
-	spl := np * op.kPad // per-sample patch block
-	for s := 0; s < batch; s++ {
-		im2colQ(col[s*spl:(s+1)*spl], cur[s*op.inLen:(s+1)*op.inLen], op.inC, op.h, op.w, op.k, op.oh, op.ow, op.kPad)
-	}
 	cols := batch * np
-	qgemmNT(acc[:op.outC*cols], op.wq, col[:batch*spl], op.outC, cols, op.kPad)
+	if !qconvDirectSIMD(op, batch, cur, acc[:op.outC*cols]) {
+		// Patch rows at the padded stride; the bytes between the patch and
+		// the stride are whatever the arena held, annihilated by the zero
+		// weight pad.
+		spl := np * op.kPad // per-sample patch block
+		for s := 0; s < batch; s++ {
+			im2colQ(col[s*spl:(s+1)*spl], cur[s*op.inLen:(s+1)*op.inLen], op.inC, op.h, op.w, op.k, op.oh, op.ow, op.kPad)
+		}
+		qgemmNT(acc[:op.outC*cols], op.wq, col[:batch*spl], op.outC, cols, op.kPad)
+	}
 	lo := int8(-127)
 	if op.relu {
 		lo = 0

@@ -28,8 +28,9 @@ type QuantizedWeights struct {
 
 // quantizeSlice quantizes one float tensor symmetrically: scale = maxAbs/127
 // (0 for an all-zero tensor), q = round(v/scale) clamped to [-127, 127],
-// with round-half-away-from-zero (math.Round).
-func quantizeSlice(dst []int8, src []float64) (scale float64) {
+// with round-half-away-from-zero (math.Round). moved reports whether any
+// byte written differs from the one dst held, compared as it is overwritten.
+func quantizeSlice(dst []int8, src []float64) (scale float64, moved bool) {
 	maxAbs := 0.0
 	for _, v := range src {
 		if a := math.Abs(v); a > maxAbs {
@@ -37,11 +38,13 @@ func quantizeSlice(dst []int8, src []float64) (scale float64) {
 		}
 	}
 	scale = maxAbs / 127
+	var diff int8
 	if scale == 0 {
 		for i := range dst {
+			diff |= dst[i]
 			dst[i] = 0
 		}
-		return 0
+		return 0, diff != 0
 	}
 	for i, v := range src {
 		q := math.Round(v / scale)
@@ -51,9 +54,10 @@ func quantizeSlice(dst []int8, src []float64) (scale float64) {
 		if q < -127 {
 			q = -127
 		}
+		diff |= dst[i] ^ int8(q)
 		dst[i] = int8(q)
 	}
-	return scale
+	return scale, diff != 0
 }
 
 // QuantizeWeights captures the network's parameters in int8 form without
@@ -67,21 +71,38 @@ func QuantizeWeights(net *Network) *QuantizedWeights {
 // Requantize recaptures net's parameters into qw, reusing the int8 buffers
 // of a previous capture wherever their capacity suffices — the same values
 // QuantizeWeights(net) would hold, without its allocations when an edge
-// re-installs an architecture it already holds.
-func (qw *QuantizedWeights) Requantize(net *Network) {
+// re-installs an architecture it already holds. changed reports whether the
+// capture differs from what qw held before the call: in the number of
+// tensors, a tensor's length, a scale's bits or a single int8. qw records no
+// shapes, so the answer is about one architecture; when it is false, every
+// engine compiled from (net after ApplyTo, qw) is still the engine a fresh
+// compile would return.
+func (qw *QuantizedWeights) Requantize(net *Network) (changed bool) {
 	i := 0
 	for _, l := range net.Layers {
 		for _, p := range l.Params() {
 			if i == len(qw.Tensors) {
 				qw.Tensors = append(qw.Tensors, QuantizedTensor{})
+				changed = true
 			}
 			qt := &qw.Tensors[i]
-			qt.Data = resized(qt.Data, p.Len())
-			qt.Scale = quantizeSlice(qt.Data, p.Data)
+			if len(qt.Data) != p.Len() {
+				qt.Data = resized(qt.Data, p.Len())
+				changed = true
+			}
+			scale, moved := quantizeSlice(qt.Data, p.Data)
+			if moved || math.Float64bits(scale) != math.Float64bits(qt.Scale) {
+				changed = true
+			}
+			qt.Scale = scale
 			i++
 		}
 	}
-	qw.Tensors = qw.Tensors[:i]
+	if i != len(qw.Tensors) {
+		qw.Tensors = qw.Tensors[:i]
+		changed = true
+	}
+	return changed
 }
 
 // ApplyTo writes the dequantized values q*Scale into an identically shaped

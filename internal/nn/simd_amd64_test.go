@@ -279,7 +279,7 @@ func TestConvDirect4x8AVX2MatchesGoTwin(t *testing.T) {
 				for _, oh := range []int{1, 2, 5} {
 					h, w := oh+k-1, ow+k-1
 					kk, np := inC*k*k, oh*ow
-					offs, segs, sw := convDirectTables(NewArena(), inC, h, w, k)
+					offs, segs, sw := convDirectTables(NewArena(), inC, h, w, k, 4)
 					in := simdCases(rng, inC*h*w)
 					wt := simdCases(rng, 4*kk)
 					bias := simdCases(rng, 4)

@@ -72,3 +72,10 @@ func gemmPanelQuad(out []float64, n int, bias, a, panel []float64, m, k int) int
 func gemmNNQuadAcc(out, a, bt []float64, m, n, k, ld int) int { return 0 }
 
 func gemmNNAccRowWide(orow, ar, bt []float64, n, ld int) int { return 0 }
+
+// The short-K INT8 convolution tile is an amd64 AVX2 specialization too:
+// nothing fits it here, Recompile prepares nothing for it, and every
+// convolution lowers through im2colQ + qgemmNT.
+func qconvDirectFits(kPad, ow int) bool { return false }
+
+func qconvDirectSIMD(op *qOp, batch int, cur []int8, acc []int32) bool { return false }

@@ -50,6 +50,16 @@ func qgemm2VNNI(out0, out1 []int32, a0, a1, b []int8, n, k int)
 //go:noescape
 func requantizeRowAVX512(dst []int8, acc []int32, bias, m int32, shift int, lo int8)
 
+// qconvDirect4x16AVX2 is the short-K convolution tile: four output channels
+// by two eight-pixel row segments of int32 sums, the input read where it lies
+// through the tables of convDirectTables and the taps taken two at a time
+// through VPMADDWD (simd_int8_amd64.s has the lane layout). It computes
+// qdotRowRef's wraparound sums over the receptive field regrouped by tap
+// pair, hence the same bits.
+//
+//go:noescape
+func qconvDirect4x16AVX2(acc []int32, stride, nch int, wpk []int32, in []int8, offs, segs []int) //lint:allow simdcover register-tiled convolution with no scalar twin; its fallback on every other host is the im2colQ + qgemmNT lowering runConv keeps, and simd_int8_amd64_test.go pins the tile to qdotRowRef over im2colQ patches
+
 // requantizeRow dispatches the row requantizer: full 8-lane blocks go to the
 // AVX-512 kernel when the CPU+OS support it, the shift is in the kernel's
 // domain (shift >= 62 only arises from degenerate scale ratios; the scalar
@@ -103,4 +113,34 @@ func qdot2SIMD(out0, out1 []int32, a0, a1, b []int8, n, k int) {
 		return
 	}
 	qgemm2AVX2(out0, out1, a0, a1, b, n, k)
+}
+
+// qconvDirectFits is the one predicate that takes a convolution off the
+// im2colQ + qgemmNT lowering: rows short enough (kPad < 64) that qdot2SIMD
+// would run them on the AVX2 dot kernel, which spends them on one horizontal
+// reduction per output over a patch matrix as costly to build as the dots
+// are to run, and output rows wide enough for an eight-pixel segment. Long-K
+// layers stay on the GEMM, where im2colQ is the price of a kernel no pixel
+// tile matches.
+func qconvDirectFits(kPad, ow int) bool { return hasAVX2 && kPad < 64 && ow >= 8 }
+
+// qconvDirectSIMD runs a convolution Recompile prepared for the tile
+// (op.segs, op.offs, op.wpk) over the whole chunk — one kernel call per
+// sample per four-channel group, each walking the sample's whole segment
+// list — into the [oc][s*np+j] accumulator block runConv requantizes, and
+// reports whether it did; on false the caller lowers through im2colQ.
+func qconvDirectSIMD(op *qOp, batch int, cur []int8, acc []int32) bool {
+	if !hasAVX2 || len(op.segs) == 0 {
+		return false
+	}
+	np := op.oh * op.ow
+	cols := batch * np
+	group := 2 * len(op.offs) // four dwords per tap pair
+	for s := 0; s < batch; s++ {
+		in := cur[s*op.inLen : (s+1)*op.inLen]
+		for oc := 0; oc < op.outC; oc += 4 {
+			qconvDirect4x16AVX2(acc[oc*cols+s*np:], cols, min(4, op.outC-oc), op.wpk[oc/4*group:], in, op.offs, op.segs)
+		}
+	}
+	return true
 }

@@ -534,3 +534,122 @@ rq_loop:
 
 	VZEROUPPER
 	RET
+
+// func qconvDirect4x16AVX2(acc []int32, stride, nch int, wpk []int32, in []int8, offs, segs []int)
+//
+// The direct INT8 convolution of one sample for a group of four output
+// channels, in the shape of the float tile (convDirect4x8AVX2, simd_amd64.s):
+// each pass of the outer loop takes two (input origin, output position)
+// segments of eight pixels from segs and holds a 4-channel x (8+8)-pixel tile
+// of int32 sums in Y4-Y11 across the whole tap walk. Taps go two at a time:
+// per segment, VPMOVSXBD widens the eight input bytes under tap c and under
+// tap c+1 to dwords, and a shift and a word blend leave pixel i's dword
+// holding (x_c[i], x_c+1[i]) as two int16s; VPMADDWD against the broadcast
+// (w_c, w_c+1) pair of a channel is then x_c[i]*w_c + x_c+1[i]*w_c+1 per
+// pixel, exact (|.| <= 2*128*128), and VPADDD adds it in with int32
+// wraparound. wpk holds the group's pairs four dwords (channels) per tap
+// pair; len(offs) is even, an odd field's spare tap repeating a valid offset
+// under a zero weight. Sums start at zero — the bias is requantizeRow's — and
+// land at acc[ch*stride + position], of which only the first nch (1..4)
+// channel rows are stored. len(segs) is a multiple of four; every segment
+// is eight pixels wide (the dispatcher sends narrower rows to the GEMM).
+TEXT ·qconvDirect4x16AVX2(SB), NOSPLIT, $0-136
+	MOVQ offs_base+88(FP), R8
+	MOVQ offs_len+96(FP), R12
+	SHRQ $1, R12             // tap pairs
+	MOVQ segs_base+112(FP), BX
+	MOVQ segs_len+120(FP), R13
+	LEAQ (BX)(R13*8), R13    // end of the segment list
+	MOVQ stride+24(FP), R14
+	SHLQ $2, R14             // channel row stride in bytes
+
+qc_tile:
+	CMPQ BX, R13
+	JGE  qc_done
+	MOVQ in_base+64(FP), AX
+	MOVQ 0(BX), SI
+	ADDQ AX, SI              // first segment's input origin
+	MOVQ 16(BX), DX
+	ADDQ AX, DX              // second segment's
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	MOVQ wpk_base+40(FP), R9
+	MOVQ R8, R10
+	MOVQ R12, CX
+
+qc_pair:
+	MOVQ 0(R10), AX
+	MOVQ 8(R10), R11
+	VPMOVSXBD (SI)(AX*1), Y0
+	VPMOVSXBD (SI)(R11*1), Y3
+	VPSLLD $16, Y3, Y3
+	VPBLENDW $0xAA, Y3, Y0, Y0  // odd words: tap c+1; even words: tap c
+	VPMOVSXBD (DX)(AX*1), Y1
+	VPMOVSXBD (DX)(R11*1), Y3
+	VPSLLD $16, Y3, Y3
+	VPBLENDW $0xAA, Y3, Y1, Y1
+	VPBROADCASTD 0(R9), Y2
+	VPMADDWD Y0, Y2, Y3
+	VPADDD   Y3, Y4, Y4
+	VPMADDWD Y1, Y2, Y3
+	VPADDD   Y3, Y5, Y5
+	VPBROADCASTD 4(R9), Y2
+	VPMADDWD Y0, Y2, Y3
+	VPADDD   Y3, Y6, Y6
+	VPMADDWD Y1, Y2, Y3
+	VPADDD   Y3, Y7, Y7
+	VPBROADCASTD 8(R9), Y2
+	VPMADDWD Y0, Y2, Y3
+	VPADDD   Y3, Y8, Y8
+	VPMADDWD Y1, Y2, Y3
+	VPADDD   Y3, Y9, Y9
+	VPBROADCASTD 12(R9), Y2
+	VPMADDWD Y0, Y2, Y3
+	VPADDD   Y3, Y10, Y10
+	VPMADDWD Y1, Y2, Y3
+	VPADDD   Y3, Y11, Y11
+	ADDQ $16, R9
+	ADDQ $16, R10
+	DECQ CX
+	JNZ  qc_pair
+
+	MOVQ acc_base+0(FP), DI
+	MOVQ 8(BX), CX
+	MOVQ 24(BX), R9
+	LEAQ (DI)(R9*4), R9      // second segment's output
+	LEAQ (DI)(CX*4), DI      // first segment's
+	MOVQ nch+32(FP), CX
+	VMOVDQU Y4, (DI)
+	VMOVDQU Y5, (R9)
+	DECQ CX
+	JZ   qc_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	VMOVDQU Y6, (DI)
+	VMOVDQU Y7, (R9)
+	DECQ CX
+	JZ   qc_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	VMOVDQU Y8, (DI)
+	VMOVDQU Y9, (R9)
+	DECQ CX
+	JZ   qc_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	VMOVDQU Y10, (DI)
+	VMOVDQU Y11, (R9)
+
+qc_next:
+	ADDQ $32, BX
+	JMP  qc_tile
+
+qc_done:
+	VZEROUPPER
+	RET

@@ -294,3 +294,71 @@ func TestQdot2TiersBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestQConvDirect4x16AVX2MatchesRef calls the short-K convolution tile
+// itself, group by group and sample by sample as qconvDirectSIMD does, and
+// holds its accumulators to qdotRowRef over unpadded im2colQ patches. The
+// shapes cover odd tap counts (9, 25, 27, 45, 1: the spare tap runs under its
+// zero weight) and even ones (4, 16, 48), a last channel group of one, two
+// and three, rows of exactly one segment, of whole segments and with an
+// overlapping last one, and an odd segment count (the repeated final
+// segment); the operand patterns put ±127 and -128 in every lane of both
+// sides, where each pair sum is at its largest. A guard band after the last
+// channel row catches a store past the nch rows the call was given.
+func TestQConvDirect4x16AVX2MatchesRef(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("host below the AVX2 floor: every convolution lowers through im2colQ + qgemmNT")
+	}
+	rng := rand.New(rand.NewSource(2202))
+	patterns := map[string]func(n int) []byte{
+		"random": func(n int) []byte { b := make([]byte, n); rng.Read(b); return b },
+		"+127":   func(n int) []byte { return bytes.Repeat([]byte{0x7f}, n) },
+		"-127":   func(n int) []byte { return bytes.Repeat([]byte{0x81}, n) },
+		"-128":   func(n int) []byte { return bytes.Repeat([]byte{0x80}, n) },
+		"±127":   func(n int) []byte { return bytes.Repeat([]byte{0x7f, 0x81, 0x81}, n/3+1)[:n] },
+	}
+	const batch, guard = 2, 0x5a5a5a5a
+	for _, c := range []struct{ inC, k, h, w, outC int }{
+		{1, 3, 10, 10, 4}, {1, 5, 12, 20, 6}, {3, 3, 10, 17, 7}, {5, 3, 11, 26, 9},
+		{1, 1, 3, 8, 1}, {4, 1, 8, 9, 5}, {16, 1, 15, 15, 8}, {48, 1, 9, 24, 3},
+	} {
+		kk := c.inC * c.k * c.k
+		for wname, wfill := range patterns {
+			for xname, xfill := range patterns {
+				op, cur := qconvCase(c.inC, c.k, c.h, c.w, c.outC, batch, append(wfill(c.outC*kk), xfill(batch*c.inC*c.h*c.w)...))
+				if len(op.segs) == 0 {
+					t.Fatalf("%+v: not compiled for the tile", c)
+				}
+				np := op.oh * op.ow
+				cols := batch * np
+				acc := make([]int32, (c.outC+3)*cols)
+				for i := range acc {
+					acc[i] = guard
+				}
+				group := 2 * len(op.offs)
+				for s := 0; s < batch; s++ {
+					for oc := 0; oc < c.outC; oc += 4 {
+						qconvDirect4x16AVX2(acc[oc*cols+s*np:], cols, min(4, c.outC-oc), op.wpk[oc/4*group:], cur[s*op.inLen:(s+1)*op.inLen], op.offs, op.segs)
+					}
+				}
+				col, want := make([]int8, np*kk), make([]int32, np)
+				for s := 0; s < batch; s++ {
+					im2colQ(col, cur[s*op.inLen:(s+1)*op.inLen], c.inC, c.h, c.w, c.k, op.oh, op.ow, kk)
+					for oc := 0; oc < c.outC; oc++ {
+						qdotRowRef(want, op.wq[oc*op.kPad:oc*op.kPad+kk], col, np, kk)
+						for j, v := range want {
+							if got := acc[oc*cols+s*np+j]; got != v {
+								t.Fatalf("%+v weights %s inputs %s: sample %d channel %d pixel %d = %d, reference %d", c, wname, xname, s, oc, j, got, v)
+							}
+						}
+					}
+				}
+				for i, v := range acc[c.outC*cols:] {
+					if v != guard {
+						t.Fatalf("%+v: the tile stored past its last channel row (guard word %d)", c, i)
+					}
+				}
+			}
+		}
+	}
+}
