@@ -8,7 +8,6 @@
 //	benchgen -runs 10        # average over 10 seeds (the paper's setting)
 //	benchgen -edges 10 -horizon 160 -seed 1
 //	benchgen -out results.txt
-//	benchgen -workers 8          # parallel generation, identical output
 //	benchgen -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -40,7 +39,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		horizon  = fs.Int("horizon", 160, "number of time slots")
 		seed     = fs.Int64("seed", 1, "base random seed")
 		outPath  = fs.String("out", "", "also write output to this file")
-		workers  = fs.Int("workers", 1, "simulation workers (1 = serial; output is byte-identical for any count)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocs heap profile to this file")
 	)
@@ -56,7 +54,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	opts := figures.Options{Runs: *runs, Seed: *seed, Edges: *edges, Horizon: *horizon, Workers: *workers}
+	opts := figures.Options{Runs: *runs, Seed: *seed, Edges: *edges, Horizon: *horizon}
 
 	var rendered string
 	switch {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/carbonedge/carbonedge/internal/analysis"
@@ -36,18 +37,30 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
+// repo is the module's non-test packages, loaded once for the three tests
+// that read them.
+var repo = sync.OnceValues(func() ([]*analysis.Package, error) {
+	return analysis.Load("../..", "./...")
+})
+
+func loadRepo(t *testing.T) []*analysis.Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("shells out to go list -export")
+	}
+	pkgs, err := repo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
 // TestRepoIsClean makes the invariant gate part of the tier-1 suite: the
 // repository must lint clean, so a violation breaks `go test ./...` too,
 // not just `make lint`. Fix the finding or annotate it with
 // //lint:allow <analyzer> <reason> (see DESIGN.md "Static invariants").
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list -export")
-	}
-	pkgs, err := analysis.Load("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadRepo(t)
 	findings, err := analysis.RunAnalyzers(pkgs, All)
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +125,7 @@ var keptForTests = map[string]string{
 // internal/analysis and internal/faults are the linter and the chaos suites'
 // harness, which only tests and carbonlint itself drive.
 func TestNoTestOnlyFuncs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list -export")
-	}
-	pkgs, err := analysis.Load("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadRepo(t)
 	const internal = "github.com/carbonedge/carbonedge/internal/"
 	var lists [][]*analysis.GraphFunc
 	var roots []string
@@ -171,5 +178,118 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 			continue
 		}
 		t.Errorf("%s: %s is reached by no binary: delete it with its tests, or add it to keptForTests with the reason", f.Pos, name)
+	}
+}
+
+// keptOptions lists the exported fields of exported ...Config / Options
+// structs under internal/ that no shipped code outside the declaring package
+// writes and that stay anyway, each with the reason. Keys drop the module's
+// internal/ prefix. A field with no outside writer that is not listed here
+// fails TestNoUnsetOptions: delete it (a constant serves one value), or say
+// here why it stays.
+var keptOptions = map[string]string{
+	"deploy.RootConfig.RebalanceTarget": "chaos: the region chaos schedules steer which region adopts a departing shard",
+	"deploy.RetryConfig.BaseDelay":      "chaos: the fault-injection suites compress the backoff to milliseconds",
+	"deploy.RetryConfig.MaxDelay":       "chaos: the fault-injection suites compress the backoff cap",
+	"deploy.RetryConfig.ResumeWait":     "chaos: the kill/resume suites bound how long a session waits for its peer to come back",
+	"figures.Options.Clock":             "Fig. 14's y-axis is wall time; tests inject a fake clock to keep the harness deterministic",
+	"market.PriceConfig.Min":            "the EU-permit price band's floor: DefaultPriceConfig fills it, GeneratePrices clamps to it; market's tests vary it to check validation",
+	"market.PriceConfig.Max":            "the price band's ceiling, as Min",
+	"market.PriceConfig.SellRatio":      "the market's r/c ratio: sim.TraderPredictive reads it from the scenario's price config",
+
+	"trading.PrimalDualConfig.InitialCap": "set through DefaultPrimalDualConfig(initialCap, horizon), the one way shipped code builds the config",
+	"trading.PrimalDualConfig.Horizon":    "set through DefaultPrimalDualConfig, as InitialCap",
+	"topology.Config.Edges":               "set through DefaultConfig(edges), the one way shipped code builds the config",
+	"topology.Config.BoxKm":               "the paper's deployment geography; Generate's tests vary it. One value ships: a constant when topology is next touched",
+	"topology.Config.DelayPerKm":          "the paper's deployment geography, as BoxKm",
+	"topology.Config.BaseDelay":           "the paper's deployment geography, as BoxKm",
+}
+
+// TestNoUnsetOptions is the regrowth fence for options: every exported field
+// of an exported ...Config or Options struct under internal/ must be written
+// — as a composite-literal key or an assignment target — by non-test code
+// outside its declaring package (examples and benchmark/ are mains and
+// count), or be listed in keptOptions. A knob nothing sets is a constant
+// with a second configuration to test.
+func TestNoUnsetOptions(t *testing.T) {
+	pkgs := loadRepo(t)
+	const internal = "github.com/carbonedge/carbonedge/internal/"
+	options := map[string]string{} // "pkg.Type.Field" -> declaration position
+	for _, pkg := range pkgs {
+		name, ok := strings.CutPrefix(pkg.PkgPath, internal)
+		if !ok || strings.HasPrefix(name, "analysis") || name == "faults" {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, typeName := range scope.Names() {
+			obj, ok := scope.Lookup(typeName).(*types.TypeName)
+			if !ok || obj.IsAlias() || !obj.Exported() || typeName != "Options" && !strings.HasSuffix(typeName, "Config") {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					options[name+"."+typeName+"."+f.Name()] = pkg.Fset.Position(f.Pos()).String()
+				}
+			}
+		}
+	}
+	written := map[string]bool{}
+	for _, pkg := range pkgs {
+		// write records field of struct type typ as written when typ is
+		// declared under internal/ in another package than the writer's.
+		write := func(typ types.Type, field string) {
+			if typ == nil {
+				return
+			}
+			typ = types.Unalias(typ)
+			if p, ok := typ.(*types.Pointer); ok {
+				typ = types.Unalias(p.Elem())
+			}
+			named, ok := typ.(*types.Named)
+			if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() == pkg.PkgPath {
+				return
+			}
+			if name, ok := strings.CutPrefix(named.Obj().Pkg().Path(), internal); ok {
+				written[name+"."+named.Obj().Name()+"."+field] = true
+			}
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								write(pkg.Info.TypeOf(n), id.Name)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							write(pkg.Info.TypeOf(sel.X), sel.Sel.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name := range keptOptions {
+		switch {
+		case options[name] == "":
+			t.Errorf("keptOptions names %s, which no longer exists", name)
+		case written[name]:
+			t.Errorf("keptOptions names %s, which shipped code outside its package now sets: drop the entry", name)
+		}
+	}
+	for name, pos := range options {
+		if !written[name] && keptOptions[name] == "" {
+			t.Errorf("%s: %s is set by no shipped code outside its package: delete the option, or add it to keptOptions with the reason", pos, name)
+		}
 	}
 }

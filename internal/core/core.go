@@ -23,7 +23,6 @@ import (
 	"math"
 
 	"github.com/carbonedge/carbonedge/internal/bandit"
-	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/trading"
 )
@@ -45,13 +44,6 @@ type Config struct {
 	PriceScale    float64
 	// Seed drives all sampling.
 	Seed int64
-	// PredictivePricing enables the future-work extension: Algorithm 2's
-	// primal step is driven by an online AR(1) price forecast instead of
-	// the last observed price.
-	PredictivePricing bool
-	// SellRatio is the market's r/c ratio, needed by predictive pricing
-	// (0 defaults to 0.9).
-	SellRatio float64
 }
 
 // phase tracks the per-slot protocol position.
@@ -156,23 +148,9 @@ func New(cfg Config) (*Controller, error) {
 	tCfg.Gamma1 = 4 * inv3 * cfg.PriceScale / cfg.EmissionScale
 	tCfg.Gamma2 = 4 * inv3 * cfg.EmissionScale / cfg.PriceScale
 	tCfg.ZMax = 20 * cfg.EmissionScale
-	var trader trading.Trader
-	if cfg.PredictivePricing {
-		ratio := cfg.SellRatio
-		if ratio == 0 {
-			ratio = 0.9
-		}
-		tr, err := trading.NewPredictivePrimalDual(tCfg, market.NewARPredictor(), ratio)
-		if err != nil {
-			return nil, fmt.Errorf("predictive trader: %w", err)
-		}
-		trader = tr
-	} else {
-		tr, err := trading.NewPrimalDual(tCfg)
-		if err != nil {
-			return nil, fmt.Errorf("trader: %w", err)
-		}
-		trader = tr
+	trader, err := trading.NewPrimalDual(tCfg)
+	if err != nil {
+		return nil, fmt.Errorf("trader: %w", err)
 	}
 	return newController(cfg, policies, trader), nil
 }

@@ -200,43 +200,6 @@ func TestControllerConvergesToGoodModels(t *testing.T) {
 	}
 }
 
-func TestControllerPredictivePricing(t *testing.T) {
-	cfg := validConfig()
-	cfg.PredictivePricing = true
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New with predictive pricing: %v", err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for slot := 0; slot < 60; slot++ {
-		arms, err := c.SelectModels()
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := trading.Quote{Buy: 70 + rng.Float64()*30}
-		q.Sell = q.Buy * 0.9
-		d, err := c.DecideTrade(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Buy < 0 || d.Sell < 0 {
-			t.Fatal("negative trade")
-		}
-		losses := make([]float64, len(arms))
-		if err := c.CompleteSlot(losses, 0.02); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Lambda() < 0 {
-		t.Error("negative lambda under predictive pricing")
-	}
-	// Bad sell ratio is rejected.
-	cfg.SellRatio = 1.5
-	if _, err := New(cfg); err == nil {
-		t.Error("expected error for sell ratio >= 1")
-	}
-}
-
 func TestControllerDeterministic(t *testing.T) {
 	run := func() float64 {
 		c, err := New(validConfig())

@@ -617,9 +617,6 @@ type RegionConfig struct {
 	// It is announced to the root so a mid-run handoff can reconstruct the
 	// shard's token and jitter derivations on the adopter.
 	Seed int64
-	// Workers bounds how many of the region's edges step concurrently
-	// (0 = one per edge).
-	Workers int
 	// SlotTimeout and HandshakeTimeout bound the per-edge exchanges and the
 	// edge handshakes, exactly as CloudConfig's fields do.
 	SlotTimeout      time.Duration
@@ -836,17 +833,14 @@ func (s *RegionSession) handshake(upstream *wireConn) error {
 	return nil
 }
 
-// buildShard wraps a range's steppers into an engine Shard.
+// buildShard wraps a range's steppers into an engine Shard with one worker
+// per edge: a slot's exchanges wait on the network, not on a core.
 func (s *RegionSession) buildShard(start int, tcp []*tcpStepper) (*engine.Shard, error) {
 	steppers := make([]engine.EdgeStepper, len(tcp))
 	for i, st := range tcp {
 		steppers[i] = st
 	}
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = len(steppers)
-	}
-	return engine.NewShard(engine.ShardConfig{Start: start, Workers: workers, Policy: s.policy}, steppers)
+	return engine.NewShard(engine.ShardConfig{Start: start, Workers: len(steppers), Policy: s.policy}, steppers)
 }
 
 // shardAt resolves an assign's range start to the session's shard.

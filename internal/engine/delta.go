@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/carbonedge/carbonedge/internal/energy"
@@ -40,18 +39,6 @@ type EdgeDelta struct {
 	// DownError is the error that took it down.
 	WentDown  bool   `json:"wentDown,omitempty"`
 	DownError string `json:"downError,omitempty"`
-
-	// downErr preserves the original error object for in-process OnEdgeDown
-	// callbacks; deltas that crossed a wire reconstruct it from DownError.
-	downErr error
-}
-
-// err returns the error that took the edge down.
-func (d *EdgeDelta) err() error {
-	if d.downErr != nil {
-		return d.downErr
-	}
-	return errors.New(d.DownError)
 }
 
 // SlotDelta is the mergeable per-slot reduction unit: the deltas of one

@@ -95,9 +95,6 @@ type Config struct {
 	// value (FailFast) aborts on the first error, preserving historical
 	// sim/deploy parity semantics.
 	Policy ErrorPolicy
-	// OnEdgeDown, when non-nil and Policy is Degrade, is invoked serially in
-	// edge-index order each time an edge is marked down (once per edge).
-	OnEdgeDown func(edge, slot int, err error)
 }
 
 // ErrorPolicy selects how Run treats a failing edge stepper.
@@ -327,17 +324,9 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 		}
 		accEdges = acc.Edges[:0]
 
-		// Down-marking callbacks fire serially in edge-index order, exactly
-		// once per edge, before the slot's accounting — as the serial path
-		// interleaves them.
 		for i := range acc.Edges {
-			ed := &acc.Edges[i]
-			if !ed.WentDown {
-				continue
-			}
-			res.DownErrors[i] = ed.DownError
-			if cfg.OnEdgeDown != nil {
-				cfg.OnEdgeDown(i, t, ed.err())
+			if acc.Edges[i].WentDown {
+				res.DownErrors[i] = acc.Edges[i].DownError
 			}
 		}
 

@@ -371,8 +371,7 @@ func (r *retryStepper) Step(slot, arm int, download bool) (Observation, error) {
 // while the surviving edges and the run's determinism are untouched.
 func TestRunDegradeMarksEdgeDown(t *testing.T) {
 	const edges, horizon, failAt = 4, 30, 5
-	type downEvent struct{ edge, slot int }
-	runWith := func(workers int) (*Result, []downEvent) {
+	runWith := func(workers int) *Result {
 		steppers := make([]EdgeStepper, edges)
 		for i := range steppers {
 			f := newFakeStepper(i, 6)
@@ -386,18 +385,14 @@ func TestRunDegradeMarksEdgeDown(t *testing.T) {
 		cfg := testConfig(edges, horizon)
 		cfg.Workers = workers
 		cfg.Policy = Degrade
-		var events []downEvent
-		cfg.OnEdgeDown = func(edge, slot int, err error) {
-			events = append(events, downEvent{edge, slot})
-		}
 		res, err := Run(cfg, testController(t, edges, 4, horizon), steppers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, events
+		return res
 	}
 
-	res, events := runWith(1)
+	res := runWith(1)
 	if got, want := res.Downtime[1], horizon-failAt; got != want {
 		t.Errorf("Downtime[1] = %d, want %d", got, want)
 	}
@@ -411,9 +406,6 @@ func TestRunDegradeMarksEdgeDown(t *testing.T) {
 	// theirs: failAt slots at 2 retries each plus the failing one.
 	if got, want := res.Retries[1], (failAt+1)*2; got != want {
 		t.Errorf("Retries[1] = %d, want %d", got, want)
-	}
-	if len(events) != 1 || events[0] != (downEvent{1, failAt}) {
-		t.Errorf("OnEdgeDown events = %v, want exactly [{1 %d}]", events, failAt)
 	}
 	for i, row := range res.Selections {
 		total := 0
@@ -436,7 +428,7 @@ func TestRunDegradeMarksEdgeDown(t *testing.T) {
 
 	// The degraded result is deterministic across worker counts.
 	for _, workers := range []int{2, edges} {
-		if got, _ := runWith(workers); !reflect.DeepEqual(res, got) {
+		if got := runWith(workers); !reflect.DeepEqual(res, got) {
 			t.Errorf("workers=%d degraded run diverged from serial", workers)
 		}
 	}

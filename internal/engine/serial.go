@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/carbonedge/carbonedge/internal/core"
 	"github.com/carbonedge/carbonedge/internal/energy"
@@ -12,12 +11,13 @@ import (
 )
 
 // runSerial is the engine's historical single-loop implementation, retained
-// verbatim as the reference oracle for the sharded reduction: the property
-// test (sharded_test.go) pins RunSharded byte-identical to this path for
-// random shard partitions and worker counts, including Degrade runs with
-// injected faults. It is deliberately not exported and not used by any
-// production caller — Run partitions into Shards and goes through
-// RunSharded. Keep this in lockstep with any accounting change to
+// as the reference oracle for the sharded reduction: the property test
+// (sharded_test.go) pins RunSharded byte-identical to this path for random
+// shard partitions and worker counts, including Degrade runs with injected
+// faults. It starts no goroutine and ignores cfg.Shards and cfg.Workers, so
+// the reference has no scheduling in it. It is deliberately not exported and
+// not used by any production caller — Run partitions into Shards and goes
+// through RunSharded. Keep this in lockstep with any accounting change to
 // RunSharded's fold (and vice versa); the property test fails loudly if the
 // two drift.
 func runSerial(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result, error) {
@@ -72,14 +72,6 @@ func runSerial(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result,
 		res.Selections[i] = make([]int, cfg.NumModels)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(edges) {
-		workers = len(edges)
-	}
-
 	obs := make([]Observation, len(edges))
 	stepErrs := make([]error, len(edges))
 	losses := make([]float64, len(edges))
@@ -97,39 +89,16 @@ func runSerial(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result,
 			return nil, err
 		}
 
-		if workers == 1 {
-			for i, e := range edges {
-				if down[i] {
-					obs[i], stepErrs[i] = Observation{}, nil
-					continue
-				}
-				obs[i], stepErrs[i] = safeStep(e, t, arms[i], downloads[i])
+		for i, e := range edges {
+			if down[i] {
+				obs[i], stepErrs[i] = Observation{}, nil
+				continue
 			}
-		} else {
-			var wg sync.WaitGroup
-			jobs := make(chan int)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range jobs {
-						obs[i], stepErrs[i] = safeStep(edges[i], t, arms[i], downloads[i])
-					}
-				}()
-			}
-			for i := range edges {
-				if down[i] {
-					obs[i], stepErrs[i] = Observation{}, nil
-					continue
-				}
-				jobs <- i
-			}
-			close(jobs)
-			wg.Wait()
+			obs[i], stepErrs[i] = safeStep(e, t, arms[i], downloads[i])
 		}
-		// Failures are handled serially in edge-index order, so the outcome
-		// (the aborting error under FailFast, the down-marking order under
-		// Degrade) is deterministic regardless of step completion order.
+		// Failures are handled once every edge has stepped, in edge-index
+		// order, as a shard resolves them: the lowest-indexed failure aborts
+		// under FailFast, and Degrade marks edges down in index order.
 		for i, err := range stepErrs {
 			if err == nil {
 				continue
@@ -144,9 +113,6 @@ func runSerial(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result,
 			res.DownErrors[i] = err.Error()
 			obs[i] = Observation{Retries: obs[i].Retries}
 			stepErrs[i] = nil
-			if cfg.OnEdgeDown != nil {
-				cfg.OnEdgeDown(i, t, err)
-			}
 		}
 
 		// Cross-edge accounting is serial and in edge-index order so the

@@ -206,7 +206,6 @@ func (s *Shard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) 
 		if s.downErrs[j] != nil {
 			ed.WentDown = true
 			ed.DownError = s.downErrs[j].Error()
-			ed.downErr = s.downErrs[j]
 			s.downErrs[j] = nil
 		}
 		d.Edges = append(d.Edges, ed) //lint:allow hotalloc appends into the recycled slot buffer; capacity is grown once and reused

@@ -30,11 +30,7 @@ func stepSlots(t *testing.T, workers int, policy ErrorPolicy, edges []EdgeSteppe
 		if err != nil {
 			return out, err
 		}
-		cp := SlotDelta{Start: d.Start, Edges: append([]EdgeDelta(nil), d.Edges...)}
-		for j := range cp.Edges {
-			cp.Edges[j].downErr = nil // the error object is per-run; DownError carries its text
-		}
-		out = append(out, cp)
+		out = append(out, SlotDelta{Start: d.Start, Edges: append([]EdgeDelta(nil), d.Edges...)})
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/metrics"
 	"github.com/carbonedge/carbonedge/internal/models"
-	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/sim"
 )
 
@@ -45,50 +44,29 @@ func AblationNames() []string {
 func AblationBlocking(o Options) (*Figure, error) {
 	o = o.normalized()
 	weights := []float64{1, 2, 4, 8, 16}
-	fig := &Figure{
-		ID:     "AblBlocking",
-		Title:  "Switching cost: blocked vs unblocked Tsallis-INF",
-		XLabel: "switch weight",
-		YLabel: "cumulative switching cost",
-	}
-	entries := []struct {
-		label  string
-		policy sim.PolicyFactory
-	}{
-		{"Blocked", sim.PolicyOurs},
-		{"Unblocked", sim.PolicyTsallisINF},
-	}
-	vals := make([]float64, len(entries)*len(weights)*o.Runs)
-	err := runJobs(o.Workers, len(vals), func(idx int) error {
-		ei := idx / (len(weights) * o.Runs)
-		xi := idx / o.Runs % len(weights)
-		r := idx % o.Runs
-		s, err := surrogateScenario(runScenarioCfg(o, r, func(c *sim.Config) { c.SwitchWeight = weights[xi] }))
+	labels := []string{"Blocked", "Unblocked"}
+	policies := []sim.PolicyFactory{sim.PolicyOurs, sim.PolicyTsallisINF}
+	ys, err := sweep(o, len(labels), len(weights), func(si, xi, r int) (float64, error) {
+		s, err := runScenario(o, r, func(c *sim.Config) { c.SwitchWeight = weights[xi] })
 		if err != nil {
-			return err
+			return 0, err
 		}
-		res, err := sim.Run(s, entries[ei].label, entries[ei].policy, sim.TraderOurs)
+		res, err := sim.Run(s, labels[si], policies[si], sim.TraderOurs)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		vals[idx] = res.Cost.Switching
-		return nil
+		return res.Cost.Switching, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ei, entry := range entries {
-		ys := make([]float64, len(weights))
-		for xi := range weights {
-			var sum float64
-			for r := 0; r < o.Runs; r++ {
-				sum += vals[(ei*len(weights)+xi)*o.Runs+r]
-			}
-			ys[xi] = sum / float64(o.Runs)
-		}
-		fig.Series = append(fig.Series, Series{Label: entry.label, X: weights, Y: ys})
-	}
-	return fig, nil
+	return &Figure{
+		ID:     "AblBlocking",
+		Title:  "Switching cost: blocked vs unblocked Tsallis-INF",
+		XLabel: "switch weight",
+		YLabel: "cumulative switching cost",
+		Series: labeled(labels, weights, ys),
+	}, nil
 }
 
 // AblationStepSizes sweeps a common multiplier on Algorithm 2's step sizes
@@ -98,28 +76,18 @@ func AblationBlocking(o Options) (*Figure, error) {
 func AblationStepSizes(o Options) (*Figure, error) {
 	o = o.normalized()
 	multipliers := []float64{0.25, 0.5, 1, 2, 4}
-	results := make([]*sim.Result, len(multipliers)*o.Runs)
-	err := runJobs(o.Workers, len(results), func(idx int) error {
-		xi, r := idx/o.Runs, idx%o.Runs
-		s, err := surrogateScenario(runScenarioCfg(o, r, nil))
-		if err != nil {
-			return err
-		}
-		res, err := sim.Run(s, "Ours", sim.PolicyOurs, sim.TraderOursScaled(multipliers[xi]))
-		if err != nil {
-			return err
-		}
-		results[idx] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	costs := make([]float64, len(multipliers))
 	fits := make([]float64, len(multipliers))
-	for xi := range multipliers {
+	for xi, mult := range multipliers {
 		for r := 0; r < o.Runs; r++ {
-			res := results[xi*o.Runs+r]
+			s, err := runScenario(o, r, nil)
+			if err != nil {
+				return nil, err
+			}
+			res, err := sim.Run(s, "Ours", sim.PolicyOurs, sim.TraderOursScaled(mult))
+			if err != nil {
+				return nil, err
+			}
 			costs[xi] += res.Cost.Trading / float64(o.Runs)
 			fits[xi] += res.Fit / float64(o.Runs)
 		}
@@ -156,79 +124,50 @@ func AblationSubstrate(o Options) (*Figure, error) {
 		x[i] = float64(i)
 	}
 
-	run := func(zoo models.Zoo, seed int64) (map[string]float64, error) {
-		cfg := sim.DefaultConfig(o.Edges)
-		cfg.Horizon = o.Horizon
-		cfg.Seed = seed
-		s, err := sim.NewScenario(cfg, zoo)
-		if err != nil {
-			return nil, err
-		}
-		totals := make(map[string]float64, len(baselines)+1)
-		for _, name := range append([]string{"Ours"}, baselines...) {
-			res, err := runCombo(s, name)
+	// reductions plays Ours and then the baselines on each run's one
+	// scenario and averages Ours' reduction against each baseline.
+	all := append([]string{"Ours"}, baselines...)
+	reductions := func(scenario func(cfg sim.Config) (*sim.Scenario, error)) ([]float64, error) {
+		out := make([]float64, len(baselines))
+		for r := 0; r < o.Runs; r++ {
+			s, err := scenario(runScenarioCfg(o, r, nil))
 			if err != nil {
 				return nil, err
 			}
-			totals[name] = res.Cost.Total()
+			totals := make([]float64, len(all))
+			for i, name := range all {
+				res, err := runCombo(s, name)
+				if err != nil {
+					return nil, err
+				}
+				totals[i] = res.Cost.Total()
+			}
+			for i := range baselines {
+				out[i] += metrics.Reduction(totals[0], totals[i+1]) / float64(o.Runs)
+			}
 		}
-		return totals, nil
+		return out, nil
 	}
 
-	// Surrogate substrate: one job per run, each owning its zoo and
-	// scenario (the combos within a run stay sequential — they consume
-	// consecutive windows of the run's streams).
-	surrogateTotals := make([]map[string]float64, o.Runs)
-	err := runJobs(o.Workers, o.Runs, func(r int) error {
-		zoo, err := models.DefaultSurrogateZoo(numeric.SplitRNG(o.Seed+int64(r), "zoo"))
-		if err != nil {
-			return err
-		}
-		totals, err := run(zoo, o.Seed+int64(r))
-		if err != nil {
-			return err
-		}
-		surrogateTotals[r] = totals
-		return nil
-	})
+	surrogate, err := reductions(surrogateScenario)
 	if err != nil {
 		return nil, err
-	}
-	surrogate := make([]float64, len(baselines))
-	for r := 0; r < o.Runs; r++ {
-		for i, name := range baselines {
-			surrogate[i] += metrics.Reduction(surrogateTotals[r]["Ours"], surrogateTotals[r][name]) / float64(o.Runs)
-		}
 	}
 	fig.Series = append(fig.Series, Series{Label: "Surrogate", X: x, Y: surrogate})
 
-	// Trained-NN substrate (one zoo, kept small; workload/seeds vary). The
-	// zoo is shared across run jobs — read-only during simulation.
-	zooCfg := models.TrainedZooConfig{
+	// Trained-NN substrate: one zoo, kept small; workload and seeds vary.
+	trainedZoo, err := models.CachedTrainedZoo(models.TrainedZooConfig{
 		Dataset: dataset.MNISTLike,
 		TrainN:  500, TestN: 500, Epochs: 2, LR: 0.05, BatchSize: 16,
-	}
-	zoo, err := models.CachedTrainedZoo(zooCfg, o.Seed, "abl-zoo")
+	}, o.Seed, "abl-zoo")
 	if err != nil {
 		return nil, err
 	}
-	trainedTotals := make([]map[string]float64, o.Runs)
-	err = runJobs(o.Workers, o.Runs, func(r int) error {
-		totals, err := run(zoo, o.Seed+int64(r))
-		if err != nil {
-			return err
-		}
-		trainedTotals[r] = totals
-		return nil
+	trained, err := reductions(func(cfg sim.Config) (*sim.Scenario, error) {
+		return sim.NewScenario(cfg, trainedZoo)
 	})
 	if err != nil {
 		return nil, err
-	}
-	trained := make([]float64, len(baselines))
-	for r := 0; r < o.Runs; r++ {
-		for i, name := range baselines {
-			trained[i] += metrics.Reduction(trainedTotals[r]["Ours"], trainedTotals[r][name]) / float64(o.Runs)
-		}
 	}
 	fig.Series = append(fig.Series, Series{Label: "TrainedNN", X: x, Y: trained})
 	return fig, nil
@@ -242,55 +181,34 @@ func AblationSubstrate(o Options) (*Figure, error) {
 func AblationPricePrediction(o Options) (*Figure, error) {
 	o = o.normalized()
 	volatilities := []float64{0.35, 0.7, 1.4}
-	fig := &Figure{
-		ID:     "AblPrediction",
-		Title:  "Vanilla vs AR(1)-predictive primal-dual trading",
-		XLabel: "price volatility",
-		YLabel: "trading cost",
-	}
-	entries := []struct {
-		label  string
-		trader sim.TraderFactory
-	}{
-		{"Vanilla", sim.TraderOurs},
-		{"Predictive", sim.TraderPredictive},
-	}
-	vals := make([]float64, len(entries)*len(volatilities)*o.Runs)
-	err := runJobs(o.Workers, len(vals), func(idx int) error {
-		ei := idx / (len(volatilities) * o.Runs)
-		xi := idx / o.Runs % len(volatilities)
-		r := idx % o.Runs
-		s, err := surrogateScenario(runScenarioCfg(o, r, func(c *sim.Config) {
+	labels := []string{"Vanilla", "Predictive"}
+	traders := []sim.TraderFactory{sim.TraderOurs, sim.TraderPredictive}
+	ys, err := sweep(o, len(labels), len(volatilities), func(si, xi, r int) (float64, error) {
+		s, err := runScenario(o, r, func(c *sim.Config) {
 			c.Prices = market.DefaultPriceConfig()
 			c.Prices.Reversion = 0.25 // predictable regime
 			c.Prices.Volatility = volatilities[xi]
 			// A tight cap forces sustained buying so price timing
 			// matters.
 			c.InitialCap = 0.5
-		}))
+		})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		res, err := sim.Run(s, entries[ei].label, sim.PolicyOurs, entries[ei].trader)
+		res, err := sim.Run(s, labels[si], sim.PolicyOurs, traders[si])
 		if err != nil {
-			return err
+			return 0, err
 		}
-		vals[idx] = res.Cost.Trading
-		return nil
+		return res.Cost.Trading, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ei, entry := range entries {
-		ys := make([]float64, len(volatilities))
-		for xi := range volatilities {
-			var sum float64
-			for r := 0; r < o.Runs; r++ {
-				sum += vals[(ei*len(volatilities)+xi)*o.Runs+r]
-			}
-			ys[xi] = sum / float64(o.Runs)
-		}
-		fig.Series = append(fig.Series, Series{Label: entry.label, X: volatilities, Y: ys})
-	}
-	return fig, nil
+	return &Figure{
+		ID:     "AblPrediction",
+		Title:  "Vanilla vs AR(1)-predictive primal-dual trading",
+		XLabel: "price volatility",
+		YLabel: "trading cost",
+		Series: labeled(labels, volatilities, ys),
+	}, nil
 }

@@ -22,57 +22,34 @@ func figAccuracy(o Options, id, title string, zooCfg models.TrainedZooConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	fig := &Figure{
+	// Average per-slot accuracy over runs. The trained zoo is shared;
+	// workload and streams vary with the run's seed.
+	acc := make([][]float64, len(accuracyCombos))
+	for c := range acc {
+		acc[c] = make([]float64, o.Horizon)
+	}
+	for r := 0; r < o.Runs; r++ {
+		s, err := sim.NewScenario(runScenarioCfg(o, r, nil), zoo)
+		if err != nil {
+			return nil, err
+		}
+		for c, name := range accuracyCombos {
+			res, err := runCombo(s, name)
+			if err != nil {
+				return nil, err
+			}
+			for t, a := range res.Accuracy {
+				acc[c][t] += a / float64(o.Runs)
+			}
+		}
+	}
+	return &Figure{
 		ID:     id,
 		Title:  title,
 		XLabel: "slot",
 		YLabel: "accuracy",
-	}
-	x := slotAxis(o.Horizon)
-	// Average per-slot accuracy over runs. The zoo (trained models) is
-	// shared and read-only during runs; workload and streams vary with the
-	// seed. Each run's combos get ComboViews of that run's scenario, so
-	// the (run, combo) grid fans out over o.Workers with stream draws
-	// identical to the sequential order.
-	views := make([][]*sim.Scenario, o.Runs)
-	for r := 0; r < o.Runs; r++ {
-		cfg := sim.DefaultConfig(o.Edges)
-		cfg.Horizon = o.Horizon
-		cfg.Seed = o.Seed + int64(r)
-		s, err := sim.NewScenario(cfg, zoo)
-		if err != nil {
-			return nil, err
-		}
-		views[r] = s.ComboViews(len(accuracyCombos))
-	}
-	results := make([]*sim.Result, o.Runs*len(accuracyCombos))
-	err = runJobs(o.Workers, len(results), func(idx int) error {
-		r, c := idx/len(accuracyCombos), idx%len(accuracyCombos)
-		res, err := runCombo(views[r][c], accuracyCombos[c])
-		if err != nil {
-			return err
-		}
-		results[idx] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	acc := make(map[string][]float64, len(accuracyCombos))
-	for _, name := range accuracyCombos {
-		acc[name] = make([]float64, o.Horizon)
-	}
-	for r := 0; r < o.Runs; r++ {
-		for c, name := range accuracyCombos {
-			for t, a := range results[r*len(accuracyCombos)+c].Accuracy {
-				acc[name][t] += a / float64(o.Runs)
-			}
-		}
-	}
-	for _, name := range accuracyCombos {
-		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: acc[name]})
-	}
-	return fig, nil
+		Series: labeled(accuracyCombos, slotAxis(o.Horizon), acc),
+	}, nil
 }
 
 // Fig12AccuracyMNIST reproduces Fig. 12: per-slot inference accuracy over

@@ -11,14 +11,11 @@ import (
 // cheapest; Offline sticks to the best.
 func Fig8SelectionHistogram(o Options) (*Figure, error) {
 	o = o.normalized()
-	cfg := sim.DefaultConfig(o.Edges)
-	cfg.Horizon = o.Horizon
-	cfg.Seed = o.Seed
-	s, err := surrogateScenario(cfg)
+	s, err := runScenario(o, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	edge := newRNG(o.Seed, "fig8-edge").Intn(cfg.Edges)
+	edge := newRNG(o.Seed, "fig8-edge").Intn(o.Edges)
 
 	fig := &Figure{
 		ID:     "Fig8",
@@ -31,27 +28,14 @@ func Fig8SelectionHistogram(o Options) (*Figure, error) {
 	for n := range x {
 		x[n] = s.Zoo.MeanLoss(n)
 	}
-	// The three combos share the scenario; ComboViews hands each a
-	// pre-drawn stream window so they can run concurrently with draws
-	// identical to the sequential order.
-	names := []string{"Ours", "Greedy-LY", "Offline"}
-	views := s.ComboViews(len(names))
-	results := make([]*sim.Result, len(names))
-	err = runJobs(o.Workers, len(names), func(idx int) error {
-		res, err := runCombo(views[idx], names[idx])
+	for _, name := range []string{"Ours", "Greedy-LY", "Offline"} {
+		res, err := runCombo(s, name)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		results[idx] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ni, name := range names {
 		ys := make([]float64, s.NumModels())
 		for n := range ys {
-			ys[n] = float64(results[ni].Selections[edge][n])
+			ys[n] = float64(res.Selections[edge][n])
 		}
 		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: ys})
 	}
@@ -67,7 +51,7 @@ func Fig9TradingVolume(o Options) (*Figure, error) {
 	names := []string{"Ours", "UCB-Ran", "UCB-TH"}
 	curves, err := meanCurves(o, names, func(r *sim.Result) []float64 {
 		return r.NetBuySeries()
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +61,7 @@ func Fig9TradingVolume(o Options) (*Figure, error) {
 			out[i] = float64(w)
 		}
 		return out
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -89,11 +73,9 @@ func Fig9TradingVolume(o Options) (*Figure, error) {
 		YLabel: "normalized value",
 	}
 	x := slotAxis(o.Horizon)
-	wNorm := metrics.Normalize(workload["Ours"])
-	fig.Series = append(fig.Series, Series{Label: "Workload", X: x, Y: wNorm[0]})
-	for _, name := range names {
-		norm := metrics.Normalize(curves[name])
-		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: norm[0]})
+	fig.Series = append(fig.Series, Series{Label: "Workload", X: x, Y: metrics.Normalize(workload[0])[0]})
+	for i, name := range names {
+		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: metrics.Normalize(curves[i])[0]})
 	}
 
 	// Companion series: average unit purchase price per scheme (single X
@@ -112,28 +94,15 @@ func Fig9TradingVolume(o Options) (*Figure, error) {
 	return fig, nil
 }
 
-// avgUnitBuyPrice averages Result.AvgBuyPrice over runs, one independent
-// (fresh-scenario) job per run, reduced in run order.
+// avgUnitBuyPrice averages Result.AvgBuyPrice over the runs that bought
+// anything, each on a fresh scenario.
 func avgUnitBuyPrice(o Options, name string) (float64, error) {
-	o = o.normalized()
-	results := make([]*sim.Result, o.Runs)
-	err := runJobs(o.Workers, o.Runs, func(r int) error {
-		s, err := surrogateScenario(runScenarioCfg(o, r, nil))
-		if err != nil {
-			return err
-		}
-		res, err := runCombo(s, name)
-		if err != nil {
-			return err
-		}
-		results[r] = res
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
 	total, counted := 0.0, 0
-	for _, res := range results {
+	for r := 0; r < o.Runs; r++ {
+		res, err := playRun(o, r, name, nil)
+		if err != nil {
+			return 0, err
+		}
 		if res.AvgBuyPrice > 0 {
 			total += res.AvgBuyPrice
 			counted++

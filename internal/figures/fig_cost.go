@@ -15,27 +15,18 @@ func Fig3CumulativeCost(o Options) (*Figure, error) {
 	o = o.normalized()
 	curves, err := meanCurves(o, fig3Combos, func(r *sim.Result) []float64 {
 		return r.CumTotal
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Normalize all curves jointly, as the paper does.
-	ordered := make([][]float64, len(fig3Combos))
-	for i, name := range fig3Combos {
-		ordered[i] = curves[name]
-	}
-	norm := metrics.Normalize(ordered...)
-	fig := &Figure{
+	return &Figure{
 		ID:     "Fig3",
 		Title:  "Normalized cumulative total cost over time (10 edges)",
 		XLabel: "slot",
 		YLabel: "normalized cumulative cost",
-	}
-	x := slotAxis(o.Horizon)
-	for i, name := range fig3Combos {
-		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: norm[i]})
-	}
-	return fig, nil
+		// All curves are normalized jointly, as the paper does.
+		Series: labeled(fig3Combos, slotAxis(o.Horizon), metrics.Normalize(curves...)),
+	}, nil
 }
 
 // fig4Combos is the bar set of Fig. 4.
@@ -52,47 +43,23 @@ var fig4Combos = []string{
 // from 10 to 50, normalized by the largest value.
 func Fig4CostVsEdges(o Options) (*Figure, error) {
 	o = o.normalized()
-	edgeCounts := []int{10, 20, 30, 40, 50}
-	fig := &Figure{
+	edgeCounts := []float64{10, 20, 30, 40, 50}
+	raw, err := totalCosts(o, fig4Combos, len(edgeCounts), func(c *sim.Config, xi int) {
+		c.Edges = int(edgeCounts[xi])
+		// Cap scales with system size so the trading subproblem keeps the
+		// same character at every scale.
+		c.InitialCap = sim.DefaultConfig(10).InitialCap * edgeCounts[xi] / 10
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
 		ID:     "Fig4",
 		Title:  "Normalized total cost vs number of edges",
 		XLabel: "edges",
 		YLabel: "normalized total cost",
-	}
-	specs := make([]costSpec, 0, len(edgeCounts)*len(fig4Combos))
-	for _, edges := range edgeCounts {
-		edges := edges
-		for _, name := range fig4Combos {
-			specs = append(specs, costSpec{name: name, mutate: func(c *sim.Config) {
-				c.Edges = edges
-				// Cap scales with system size so the trading subproblem
-				// keeps the same character at every scale.
-				c.InitialCap = sim.DefaultConfig(10).InitialCap * float64(edges) / 10
-			}})
-		}
-	}
-	vals, err := avgTotalCosts(o, specs)
-	if err != nil {
-		return nil, err
-	}
-	raw := make([][]float64, len(fig4Combos))
-	for i := range raw {
-		raw[i] = make([]float64, len(edgeCounts))
-	}
-	for xi := range edgeCounts {
-		for ci := range fig4Combos {
-			raw[ci][xi] = vals[xi*len(fig4Combos)+ci]
-		}
-	}
-	norm := metrics.Normalize(raw...)
-	x := make([]float64, len(edgeCounts))
-	for i, e := range edgeCounts {
-		x[i] = float64(e)
-	}
-	for ci, name := range fig4Combos {
-		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: norm[ci]})
-	}
-	return fig, nil
+		Series: labeled(fig4Combos, edgeCounts, metrics.Normalize(raw...)),
+	}, nil
 }
 
 // fig5Combos follows the paper's Fig. 5 line-up.
@@ -104,28 +71,23 @@ var fig5Combos = []string{"Ours", "Greedy-LY", "TINF-LY", "UCB-LY", "Offline"}
 func Fig5SwitchWeight(o Options) (*Figure, error) {
 	o = o.normalized()
 	weights := []float64{1, 2, 4, 8, 16}
-	fig := &Figure{
+	ys, err := totalCosts(o, fig5Combos, len(weights), func(c *sim.Config, xi int) {
+		c.SwitchWeight = weights[xi]
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
 		ID:     "Fig5",
 		Title:  "Total cost vs switching-cost weight",
 		XLabel: "weight",
 		YLabel: "total cost",
-	}
-	specs := make([]costSpec, 0, len(fig5Combos)*len(weights))
-	for _, name := range fig5Combos {
-		for _, w := range weights {
-			weight := w
-			specs = append(specs, costSpec{name: name, mutate: func(c *sim.Config) { c.SwitchWeight = weight }})
-		}
-	}
-	vals, err := avgTotalCosts(o, specs)
-	if err != nil {
-		return nil, err
-	}
-	for ci, name := range fig5Combos {
-		fig.Series = append(fig.Series, Series{Label: name, X: weights, Y: vals[ci*len(weights) : (ci+1)*len(weights)]})
-	}
-	return fig, nil
+		Series: labeled(fig5Combos, weights, ys),
+	}, nil
 }
+
+// capRateCombos is the line-up of the emission-rate and cap sweeps.
+var capRateCombos = []string{"Ours", "UCB-Ran", "UCB-TH", "UCB-LY", "Offline"}
 
 // Fig6EmissionRate reproduces Fig. 6: total cost as the carbon emission rate
 // rho grows (multiples of the paper's 500 g/kWh). The sweep stays in the
@@ -136,28 +98,19 @@ func Fig5SwitchWeight(o Options) (*Figure, error) {
 func Fig6EmissionRate(o Options) (*Figure, error) {
 	o = o.normalized()
 	multipliers := []float64{0.5, 1, 1.5, 2, 2.5}
-	combos := []string{"Ours", "UCB-Ran", "UCB-TH", "UCB-LY", "Offline"}
-	fig := &Figure{
+	ys, err := totalCosts(o, capRateCombos, len(multipliers), func(c *sim.Config, xi int) {
+		c.EmissionRate *= multipliers[xi]
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
 		ID:     "Fig6",
 		Title:  "Total cost vs carbon emission rate (x500 g/kWh)",
 		XLabel: "rate multiplier",
 		YLabel: "total cost",
-	}
-	specs := make([]costSpec, 0, len(combos)*len(multipliers))
-	for _, name := range combos {
-		for _, m := range multipliers {
-			mult := m
-			specs = append(specs, costSpec{name: name, mutate: func(c *sim.Config) { c.EmissionRate *= mult }})
-		}
-	}
-	vals, err := avgTotalCosts(o, specs)
-	if err != nil {
-		return nil, err
-	}
-	for ci, name := range combos {
-		fig.Series = append(fig.Series, Series{Label: name, X: multipliers, Y: vals[ci*len(multipliers) : (ci+1)*len(multipliers)]})
-	}
-	return fig, nil
+		Series: labeled(capRateCombos, multipliers, ys),
+	}, nil
 }
 
 // Fig7CarbonCap reproduces Fig. 7: total cost as the initial carbon cap R
@@ -168,26 +121,17 @@ func Fig7CarbonCap(o Options) (*Figure, error) {
 	o = o.normalized()
 	base := sim.DefaultConfig(o.Edges).InitialCap
 	caps := []float64{0.2 * base, 0.6 * base, base, 1.4 * base, 1.8 * base}
-	combos := []string{"Ours", "UCB-Ran", "UCB-TH", "UCB-LY", "Offline"}
-	fig := &Figure{
+	ys, err := totalCosts(o, capRateCombos, len(caps), func(c *sim.Config, xi int) {
+		c.InitialCap = caps[xi]
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Figure{
 		ID:     "Fig7",
 		Title:  "Total cost vs initial carbon cap",
 		XLabel: "cap (g)",
 		YLabel: "total cost",
-	}
-	specs := make([]costSpec, 0, len(combos)*len(caps))
-	for _, name := range combos {
-		for _, r := range caps {
-			cap := r
-			specs = append(specs, costSpec{name: name, mutate: func(c *sim.Config) { c.InitialCap = cap }})
-		}
-	}
-	vals, err := avgTotalCosts(o, specs)
-	if err != nil {
-		return nil, err
-	}
-	for ci, name := range combos {
-		fig.Series = append(fig.Series, Series{Label: name, X: caps, Y: vals[ci*len(caps) : (ci+1)*len(caps)]})
-	}
-	return fig, nil
+		Series: labeled(capRateCombos, caps, ys),
+	}, nil
 }

@@ -6,7 +6,17 @@ import (
 
 // horizonSweep is the T axis of the regret/fit figures, centered on the
 // paper's two-day, 160-slot horizon.
-var horizonSweep = []int{40, 80, 160, 240, 320}
+var horizonSweep = []float64{40, 80, 160, 240, 320}
+
+// horizonScenario builds run r's scenario at the xi-th horizon of the sweep.
+func horizonScenario(o Options, xi, r int) (*sim.Scenario, error) {
+	return runScenario(o, r, func(c *sim.Config) {
+		c.Horizon = int(horizonSweep[xi])
+		// Scale the cap with T so the trading subproblem stays comparable
+		// across horizons.
+		c.InitialCap = c.InitialCap * horizonSweep[xi] / 160
+	})
+}
 
 // Fig10Regret reproduces Fig. 10: the regret for P0 (total cost of the
 // online scheme minus the Offline optimum on the same instance) as the
@@ -15,61 +25,31 @@ var horizonSweep = []int{40, 80, 160, 240, 320}
 func Fig10Regret(o Options) (*Figure, error) {
 	o = o.normalized()
 	combos := []string{"Ours", "TINF-LY", "UCB-LY", "Greedy-LY"}
-	fig := &Figure{
-		ID:     "Fig10",
-		Title:  "Regret for P0 vs time horizon",
-		XLabel: "horizon T",
-		YLabel: "regret",
-	}
-	x := make([]float64, len(horizonSweep))
-	for i, h := range horizonSweep {
-		x[i] = float64(h)
-	}
-	// One job per (combo, horizon, run): the job owns its scenario and
-	// runs Offline then the combo on it sequentially (the pair consumes
-	// consecutive stream windows, as in the serial loop).
-	regrets := make([]float64, len(combos)*len(horizonSweep)*o.Runs)
-	err := runJobs(o.Workers, len(regrets), func(idx int) error {
-		ni := idx / (len(horizonSweep) * o.Runs)
-		xi := idx / o.Runs % len(horizonSweep)
-		r := idx % o.Runs
-		horizon := horizonSweep[xi]
-		cfg := sim.DefaultConfig(o.Edges)
-		cfg.Horizon = horizon
-		// Scale the cap with T so the trading subproblem stays
-		// comparable across horizons.
-		cfg.InitialCap = cfg.InitialCap * float64(horizon) / 160
-		cfg.Seed = o.Seed + int64(r)
-		s, err := surrogateScenario(cfg)
+	ys, err := sweep(o, len(combos), len(horizonSweep), func(si, xi, r int) (float64, error) {
+		s, err := horizonScenario(o, xi, r)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		off, err := sim.Offline(s)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		res, err := runCombo(s, combos[ni])
+		res, err := runCombo(s, combos[si])
 		if err != nil {
-			return err
+			return 0, err
 		}
-		regrets[idx] = sim.RegretP0(res, off)
-		return nil
+		return sim.RegretP0(res, off), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ni, name := range combos {
-		ys := make([]float64, len(horizonSweep))
-		for xi := range horizonSweep {
-			var sum float64
-			for r := 0; r < o.Runs; r++ {
-				sum += regrets[(ni*len(horizonSweep)+xi)*o.Runs+r]
-			}
-			ys[xi] = sum / float64(o.Runs)
-		}
-		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: ys})
-	}
-	return fig, nil
+	return &Figure{
+		ID:     "Fig10",
+		Title:  "Regret for P0 vs time horizon",
+		XLabel: "horizon T",
+		YLabel: "regret",
+		Series: labeled(combos, horizonSweep, ys),
+	}, nil
 }
 
 // Fig11Fit reproduces Fig. 11: the long-term constraint violation (fit) as
@@ -77,50 +57,25 @@ func Fig10Regret(o Options) (*Figure, error) {
 func Fig11Fit(o Options) (*Figure, error) {
 	o = o.normalized()
 	combos := []string{"Ours", "UCB-Ran", "UCB-TH", "UCB-LY"}
-	fig := &Figure{
-		ID:     "Fig11",
-		Title:  "Fit (long-term constraint violation) vs time horizon",
-		XLabel: "horizon T",
-		YLabel: "fit",
-	}
-	x := make([]float64, len(horizonSweep))
-	for i, h := range horizonSweep {
-		x[i] = float64(h)
-	}
-	fits := make([]float64, len(combos)*len(horizonSweep)*o.Runs)
-	err := runJobs(o.Workers, len(fits), func(idx int) error {
-		ni := idx / (len(horizonSweep) * o.Runs)
-		xi := idx / o.Runs % len(horizonSweep)
-		r := idx % o.Runs
-		horizon := horizonSweep[xi]
-		cfg := sim.DefaultConfig(o.Edges)
-		cfg.Horizon = horizon
-		cfg.InitialCap = cfg.InitialCap * float64(horizon) / 160
-		cfg.Seed = o.Seed + int64(r)
-		s, err := surrogateScenario(cfg)
+	ys, err := sweep(o, len(combos), len(horizonSweep), func(si, xi, r int) (float64, error) {
+		s, err := horizonScenario(o, xi, r)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		res, err := runCombo(s, combos[ni])
+		res, err := runCombo(s, combos[si])
 		if err != nil {
-			return err
+			return 0, err
 		}
-		fits[idx] = res.Fit
-		return nil
+		return res.Fit, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ni, name := range combos {
-		ys := make([]float64, len(horizonSweep))
-		for xi := range horizonSweep {
-			var sum float64
-			for r := 0; r < o.Runs; r++ {
-				sum += fits[(ni*len(horizonSweep)+xi)*o.Runs+r]
-			}
-			ys[xi] = sum / float64(o.Runs)
-		}
-		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: ys})
-	}
-	return fig, nil
+	return &Figure{
+		ID:     "Fig11",
+		Title:  "Fit (long-term constraint violation) vs time horizon",
+		XLabel: "horizon T",
+		YLabel: "fit",
+		Series: labeled(combos, horizonSweep, ys),
+	}, nil
 }

@@ -48,14 +48,6 @@ type Options struct {
 	// the one figure whose y-axis is wall time. It defaults to the system
 	// clock; tests inject a fake to keep the figure harness deterministic.
 	Clock func() time.Time
-	// Workers bounds how many independent (scenario, run, scheme)
-	// simulation jobs run concurrently within each figure. Output is
-	// bit-for-bit identical at every worker count: jobs own their RNG
-	// streams (fresh scenarios, or pre-drawn ComboViews of shared ones)
-	// and reductions happen serially in canonical order. Defaults to 1.
-	// Fig. 14 ignores it — its y-axis is wall time, which parallel
-	// interleaving would distort.
-	Workers int
 }
 
 func (o Options) normalized() Options {
@@ -68,9 +60,6 @@ func (o Options) normalized() Options {
 	if o.Horizon <= 0 {
 		o.Horizon = 160
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
 	if o.Clock == nil {
 		// Fig. 14 measures real runtime, so the default clock is the wall
 		// clock; every other figure is seed-deterministic and never ticks it.
@@ -78,6 +67,17 @@ func (o Options) normalized() Options {
 		o.Clock = time.Now
 	}
 	return o
+}
+
+// runScenarioCfg builds the run-r config for the normalized options.
+func runScenarioCfg(o Options, r int, mutate func(*sim.Config)) sim.Config {
+	cfg := sim.DefaultConfig(o.Edges)
+	cfg.Horizon = o.Horizon
+	cfg.Seed = o.Seed + int64(r)
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return cfg
 }
 
 // surrogateScenario builds a scenario over a fresh surrogate zoo.
@@ -89,7 +89,15 @@ func surrogateScenario(cfg sim.Config) (*sim.Scenario, error) {
 	return sim.NewScenario(cfg, zoo)
 }
 
+// runScenario builds run r's surrogate scenario.
+func runScenario(o Options, r int, mutate func(*sim.Config)) (*sim.Scenario, error) {
+	return surrogateScenario(runScenarioCfg(o, r, mutate))
+}
+
 // runCombo runs a named combo ("Ours", "UCB-LY", ..., or "Offline").
+// Combos played one after another on a scenario see consecutive windows of
+// its sample streams, so the order a figure lists them in is part of its
+// output.
 func runCombo(s *sim.Scenario, name string) (*sim.Result, error) {
 	if name == "Offline" {
 		return sim.Offline(s)
@@ -99,6 +107,59 @@ func runCombo(s *sim.Scenario, name string) (*sim.Result, error) {
 		return nil, err
 	}
 	return sim.Run(s, combo.Name, combo.Policy, combo.Trader)
+}
+
+// playRun plays one named combo on a fresh run-r surrogate scenario.
+func playRun(o Options, r int, name string, mutate func(*sim.Config)) (*sim.Result, error) {
+	s, err := runScenario(o, r, mutate)
+	if err != nil {
+		return nil, err
+	}
+	return runCombo(s, name)
+}
+
+// sweep evaluates a run-averaged metric over a series x point grid, walking
+// series, then points, then runs. cell builds run r's scenario, plays it and
+// returns the metric; a grid point is the sum of its cells in run order
+// divided once by o.Runs (golden bytes depend on that order of operations).
+func sweep(o Options, series, points int, cell func(si, xi, run int) (float64, error)) ([][]float64, error) {
+	ys := make([][]float64, series)
+	for si := range ys {
+		ys[si] = make([]float64, points)
+		for xi := range ys[si] {
+			sum := 0.0
+			for r := 0; r < o.Runs; r++ {
+				v, err := cell(si, xi, r)
+				if err != nil {
+					return nil, err
+				}
+				sum += v
+			}
+			ys[si][xi] = sum / float64(o.Runs)
+		}
+	}
+	return ys, nil
+}
+
+// totalCosts sweeps the run-averaged total cost of each named combo over n
+// settings of one scenario knob (Figs. 4-7).
+func totalCosts(o Options, combos []string, n int, set func(c *sim.Config, xi int)) ([][]float64, error) {
+	return sweep(o, len(combos), n, func(si, xi, r int) (float64, error) {
+		res, err := playRun(o, r, combos[si], func(c *sim.Config) { set(c, xi) })
+		if err != nil {
+			return 0, err
+		}
+		return res.Cost.Total(), nil
+	})
+}
+
+// labeled pairs each label with its row of ys over the shared axis x.
+func labeled(labels []string, x []float64, ys [][]float64) []Series {
+	out := make([]Series, len(labels))
+	for i, label := range labels {
+		out[i] = Series{Label: label, X: x, Y: ys[i]}
+	}
+	return out
 }
 
 // Render prints a figure as an aligned text table: the X column followed by
@@ -180,47 +241,31 @@ func RenderAll(o Options) (string, error) {
 	return b.String(), nil
 }
 
-// meanCurves averages per-slot series across runs for several combos. The
-// combos of one run share a scenario — sequentially they would consume
-// consecutive windows of its stream RNGs — so each run's scenario is split
-// into per-combo ComboViews and the (run, combo) grid fans out over
-// o.Workers with draws identical to the serial order.
-func meanCurves(o Options, names []string, extract func(*sim.Result) []float64, mutate func(*sim.Config)) (map[string][]float64, error) {
-	o = o.normalized()
-	views := make([][]*sim.Scenario, o.Runs)
+// meanCurves averages per-slot series across runs for several combos,
+// played in the listed order on each run's one scenario; row i of the result
+// belongs to names[i].
+func meanCurves(o Options, names []string, extract func(*sim.Result) []float64) ([][]float64, error) {
+	curves := make([][][]float64, len(names))
 	for r := 0; r < o.Runs; r++ {
-		s, err := surrogateScenario(runScenarioCfg(o, r, mutate))
+		s, err := runScenario(o, r, nil)
 		if err != nil {
 			return nil, err
 		}
-		views[r] = s.ComboViews(len(names))
-	}
-	results := make([]*sim.Result, o.Runs*len(names))
-	err := runJobs(o.Workers, len(results), func(idx int) error {
-		r, c := idx/len(names), idx%len(names)
-		res, err := runCombo(views[r][c], names[c])
-		if err != nil {
-			return err
-		}
-		results[idx] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	curves := make(map[string][][]float64, len(names))
-	for r := 0; r < o.Runs; r++ {
-		for c, name := range names {
-			curves[name] = append(curves[name], extract(results[r*len(names)+c]))
+		for i, name := range names {
+			res, err := runCombo(s, name)
+			if err != nil {
+				return nil, err
+			}
+			curves[i] = append(curves[i], extract(res))
 		}
 	}
-	out := make(map[string][]float64, len(names))
-	for name, runs := range curves {
+	out := make([][]float64, len(names))
+	for i, runs := range curves {
 		mean, err := metrics.MeanOf(runs...)
 		if err != nil {
 			return nil, err
 		}
-		out[name] = mean
+		out[i] = mean
 	}
 	return out, nil
 }

@@ -150,53 +150,35 @@ func TraderLyapunov(s *Scenario, _ *rand.Rand) (trading.Trader, error) {
 
 // Combo names one policy x trader pairing using the paper's labels.
 type Combo struct {
-	Name    string
-	Policy  PolicyFactory
-	Trader  TraderFactory
-	IsOurs  bool
-	PolicyL string // policy label (for grouping)
-	TraderL string // trader label
+	Name   string
+	Policy PolicyFactory
+	Trader TraderFactory
 }
 
 // Combos returns the paper's evaluated combinations: "Ours" (Alg 1 + Alg 2)
 // first, then every baseline policy x baseline trader pairing.
 func Combos() []Combo {
-	type p struct {
+	policies := []struct {
 		label   string
 		factory PolicyFactory
-	}
-	type tr struct {
-		label   string
-		factory TraderFactory
-	}
-	ps := []p{
+	}{
 		{"Ran", PolicyRandom},
 		{"Greedy", PolicyGreedy},
 		{"TINF", PolicyTsallisINF},
 		{"UCB", PolicyUCB2},
 	}
-	trs := []tr{
+	traders := []struct {
+		label   string
+		factory TraderFactory
+	}{
 		{"Ran", TraderRandom},
 		{"TH", TraderThreshold},
 		{"LY", TraderLyapunov},
 	}
-	combos := []Combo{{
-		Name:    "Ours",
-		Policy:  PolicyOurs,
-		Trader:  TraderOurs,
-		IsOurs:  true,
-		PolicyL: "Ours",
-		TraderL: "Ours",
-	}}
-	for _, pp := range ps {
-		for _, tt := range trs {
-			combos = append(combos, Combo{
-				Name:    fmt.Sprintf("%s-%s", pp.label, tt.label),
-				Policy:  pp.factory,
-				Trader:  tt.factory,
-				PolicyL: pp.label,
-				TraderL: tt.label,
-			})
+	combos := []Combo{{Name: "Ours", Policy: PolicyOurs, Trader: TraderOurs}}
+	for _, p := range policies {
+		for _, tr := range traders {
+			combos = append(combos, Combo{Name: p.label + "-" + tr.label, Policy: p.factory, Trader: tr.factory})
 		}
 	}
 	return combos

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
 // TestRunWorkersDeterministic is the parallel-stepping regression test: the
@@ -15,7 +19,7 @@ func TestRunWorkersDeterministic(t *testing.T) {
 	const edges, horizon, seed = 6, 80, 11
 	runWith := func(workers int) *Result {
 		s := testScenario(t, edges, horizon, seed)
-		res, err := RunWorkers(s, "Ours", PolicyOurs, TraderOurs, workers)
+		res, err := RunSharded(s, "Ours", PolicyOurs, TraderOurs, 1, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -40,14 +44,14 @@ func TestRunWorkersDeterministic(t *testing.T) {
 			t.Errorf("workers=%d: full Result diverged from serial", workers)
 		}
 	}
-	// Run is the workers=1 engine: it must reproduce the canonical order.
+	// Run is the shards=1, workers=1 engine: it must reproduce the canonical order.
 	s := testScenario(t, edges, horizon, seed)
 	viaRun, err := Run(s, "Ours", PolicyOurs, TraderOurs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, viaRun) {
-		t.Error("Run diverged from RunWorkers(..., 1)")
+		t.Error("Run diverged from RunSharded(..., 1, 1)")
 	}
 }
 
@@ -73,15 +77,6 @@ func TestRunShardedDeterministic(t *testing.T) {
 			}
 		}
 	}
-	// RunWorkers is the shards=1 path: it must reproduce the canonical order.
-	s := testScenario(t, edges, horizon, seed)
-	viaWorkers, err := RunWorkers(s, "Ours", PolicyOurs, TraderOurs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, viaWorkers) {
-		t.Error("RunWorkers diverged from RunSharded(..., 1, 1)")
-	}
 }
 
 // TestOfflineDeterministic pins the clairvoyant scheme's determinism on the
@@ -98,4 +93,56 @@ func TestOfflineDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("Offline is not deterministic for a fixed seed")
 	}
+}
+
+// TestStreamAdvanceIsPolicyIndependent pins what playing combinations one
+// after another on a shared scenario relies on: whatever the policy picks,
+// a run advances edge i's sample stream by exactly sum_t Workload[t][i]
+// draws, so the k-th combination played sees the k-th window of every
+// stream. A policy-dependent draw sneaking into the stream would silently
+// re-deal every golden figure; here it fails.
+func TestStreamAdvanceIsPolicyIndependent(t *testing.T) {
+	const edges, horizon, seed = 4, 60, 11
+	s := testScenario(t, edges, horizon, seed)
+	pool := s.Zoo.PoolSize()
+	perRun := make([]int, edges)
+	for _, row := range s.Workload {
+		for i, m := range row {
+			perRun[i] += m
+		}
+	}
+	if perRun[0] == perRun[1] {
+		t.Fatalf("edges 0 and 1 both draw %d samples; the check needs a heterogeneous workload", perRun[0])
+	}
+	want := make([]*rand.Rand, edges)
+	for i := range want {
+		want[i] = numeric.SplitRNG(seed, fmt.Sprintf("stream-%d", i))
+	}
+	check := func(after string) {
+		t.Helper()
+		for i, rng := range want {
+			for k := 0; k < perRun[i]; k++ {
+				rng.Intn(pool)
+			}
+			// Both sides consume the probe draw, so they stay in step.
+			if got, w := s.streamRNGs[i].Intn(pool), rng.Intn(pool); got != w {
+				t.Fatalf("after %s: edge %d's stream is not %d draws further on (next index %d, want %d)",
+					after, i, perRun[i], got, w)
+			}
+		}
+	}
+	for _, name := range []string{"Ours", "Ran-Ran", "Greedy-LY"} {
+		c, err := ComboByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(s, c.Name, c.Policy, c.Trader); err != nil {
+			t.Fatal(err)
+		}
+		check(name)
+	}
+	if _, err := Offline(s); err != nil {
+		t.Fatal(err)
+	}
+	check("Offline")
 }

@@ -39,7 +39,7 @@ func BenchmarkSlotStepParallel(b *testing.B) {
 					b.StopTimer()
 					s := benchScenario(b, edges)
 					b.StartTimer()
-					if _, err := RunWorkers(s, "Ours", PolicyOurs, TraderOurs, workers); err != nil {
+					if _, err := RunSharded(s, "Ours", PolicyOurs, TraderOurs, 1, workers); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"github.com/carbonedge/carbonedge/internal/bandit"
-	"github.com/carbonedge/carbonedge/internal/core"
-	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/trading"
 )
 
@@ -29,25 +27,7 @@ func Offline(s *Scenario) (*Result, error) {
 		}
 		policies[i] = p
 	}
-	ctrl, err := core.NewWithComponents(core.Config{
-		NumModels:     s.NumModels(),
-		DownloadCosts: s.Delays,
-		Horizon:       cfg.Horizon,
-		InitialCap:    cfg.InitialCap,
-		Seed:          cfg.Seed,
-	}, policies, trading.NewNullTrader())
-	if err != nil {
-		return nil, fmt.Errorf("controller: %w", err)
-	}
-	res, err := engine.Run(engine.Config{
-		Name:         "Offline",
-		Horizon:      cfg.Horizon,
-		NumModels:    s.NumModels(),
-		InitialCap:   cfg.InitialCap,
-		EmissionRate: cfg.EmissionRate,
-		Prices:       s.Prices,
-		SwitchCosts:  s.Delays,
-	}, ctrl, s.steppers("Offline"))
+	res, err := s.play("Offline", policies, trading.NewNullTrader(), 1, 1)
 	if err != nil {
 		return nil, err
 	}

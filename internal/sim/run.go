@@ -25,37 +25,35 @@ type Result = engine.Result
 // Run plays one policy/trader combination through the scenario on the
 // shared slot engine, stepping edges in the canonical serial order.
 func Run(s *Scenario, name string, pf PolicyFactory, tf TraderFactory) (*Result, error) {
-	return RunWorkers(s, name, pf, tf, 1)
+	return RunSharded(s, name, pf, tf, 1, 1)
 }
 
-// RunWorkers is Run with edges stepping concurrently on up to workers
-// goroutines within each slot. The result is bit-for-bit identical for
-// every worker count (each edge owns its RNG streams and scratch buffers;
-// cross-edge accounting is serialized in edge order by the engine), so
-// workers is purely a throughput knob for large edge counts.
-func RunWorkers(s *Scenario, name string, pf PolicyFactory, tf TraderFactory, workers int) (*Result, error) {
-	return RunSharded(s, name, pf, tf, 1, workers)
-}
-
-// RunSharded is RunWorkers with the edges additionally split into `shards`
-// contiguous engine shards, each stepping with its own pool of up to workers
-// goroutines (see engine.Config.Shards). Like the worker count, the shard
-// count never changes a bit of the Result — it is the throughput knob the
-// 100k-edge runs use.
+// RunSharded is Run with the edges split into `shards` contiguous engine
+// shards, each stepping with its own pool of up to workers goroutines (see
+// engine.Config.Shards and Workers). Neither count changes a bit of the
+// Result — each edge owns its RNG streams and scratch buffers, and the
+// engine serializes cross-edge accounting in edge order — so both are
+// purely throughput knobs for large edge counts.
 func RunSharded(s *Scenario, name string, pf PolicyFactory, tf TraderFactory, shards, workers int) (*Result, error) {
-	cfg := s.Cfg
-	policies := make([]bandit.Policy, cfg.Edges)
+	policies := make([]bandit.Policy, s.Cfg.Edges)
 	for i := range policies {
-		p, err := pf(s, i, numeric.SplitRNG(cfg.Seed, fmt.Sprintf("policy-%s-%d", name, i)))
+		p, err := pf(s, i, numeric.SplitRNG(s.Cfg.Seed, fmt.Sprintf("policy-%s-%d", name, i)))
 		if err != nil {
 			return nil, fmt.Errorf("policy for edge %d: %w", i, err)
 		}
 		policies[i] = p
 	}
-	trader, err := tf(s, numeric.SplitRNG(cfg.Seed, "trader-"+name))
+	trader, err := tf(s, numeric.SplitRNG(s.Cfg.Seed, "trader-"+name))
 	if err != nil {
 		return nil, fmt.Errorf("trader: %w", err)
 	}
+	return s.play(name, policies, trader, shards, workers)
+}
+
+// play wraps the policies and trader in a controller and drives the
+// scenario's horizon on the shared slot engine.
+func (s *Scenario) play(name string, policies []bandit.Policy, trader trading.Trader, shards, workers int) (*Result, error) {
+	cfg := s.Cfg
 	ctrl, err := core.NewWithComponents(core.Config{
 		NumModels:     s.NumModels(),
 		DownloadCosts: s.Delays,
@@ -114,15 +112,9 @@ func (st *scenarioStepper) Step(slot, arm int, _ bool) (engine.Observation, erro
 		st.batch = make([]int, m) //lint:allow hotalloc grow-only batch buffer; steady state reuses capacity
 	}
 	st.batch = st.batch[:m]
-	if s.streamPre != nil {
-		pos := s.streamPos[i]
-		copy(st.batch, s.streamPre[i][pos:pos+m])
-		s.streamPos[i] = pos + m
-	} else {
-		pool := s.Zoo.PoolSize()
-		for j := range st.batch {
-			st.batch[j] = s.streamRNGs[i].Intn(pool)
-		}
+	pool := s.Zoo.PoolSize()
+	for j := range st.batch {
+		st.batch[j] = s.streamRNGs[i].Intn(pool)
 	}
 	avgLoss, correct := s.Zoo.BatchLoss(arm, st.batch, st.lossRNG)
 	info := s.Zoo.Info(arm)

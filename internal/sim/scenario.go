@@ -32,18 +32,15 @@ type Config struct {
 	// SwitchWeight scales the per-edge download cost u_i in both the cost
 	// accounting and the algorithms' inputs (the Fig. 5 sweep).
 	SwitchWeight float64
-	// PriceScale multiplies the generated allowance prices, converting the
-	// paper's cent/kg quotes into cost units per gram at a magnitude where
-	// the trading term is visible next to the inference terms.
-	PriceScale float64
-	// MeanPeakWorkload is the average peak samples-per-slot per edge;
-	// WorkloadSpread the busiest/quietest ratio.
+	// MeanPeakWorkload is the average peak samples-per-slot per edge.
 	MeanPeakWorkload float64
-	WorkloadSpread   float64
-	// Price and topology configuration; zero values take defaults.
+	// Prices configures the allowance price process; the zero value takes
+	// market.DefaultPriceConfig.
 	Prices market.PriceConfig
-	Topo   topology.Config
 }
+
+// workloadSpread is the busiest/quietest edge ratio of the generated workload.
+const workloadSpread = 5
 
 // DefaultConfig mirrors the paper's default setting at a laptop-friendly
 // workload scale.
@@ -55,11 +52,8 @@ func DefaultConfig(edges int) Config {
 		InitialCap:       3,
 		EmissionRate:     500,
 		SwitchWeight:     1,
-		PriceScale:       1,
 		MeanPeakWorkload: 200,
-		WorkloadSpread:   5,
 		Prices:           market.DefaultPriceConfig(),
-		Topo:             topology.DefaultConfig(edges),
 	}
 }
 
@@ -77,18 +71,12 @@ type Scenario struct {
 	CompCost [][]float64
 	// Workload[t][i] is M_i^t.
 	Workload [][]int
-	// Prices holds c^t and r^t (already scaled by PriceScale).
+	// Prices holds c^t and r^t.
 	Prices *market.Prices
-	// streamRNGs[i] samples data indices for edge i.
+	// streamRNGs[i] samples data indices for edge i. A run draws
+	// Workload[t][i] of them per slot whatever model serves, so the k-th
+	// combination played on a scenario sees the k-th window of each stream.
 	streamRNGs []*rand.Rand
-
-	// streamPre/streamPos implement pre-drawn stream windows (ComboViews):
-	// when streamPre is non-nil, edge i's stream draws come from
-	// streamPre[i] at cursor streamPos[i] instead of streamRNGs. Different
-	// edges touch disjoint cursor elements, so the per-edge parallel engine
-	// needs no extra coordination.
-	streamPre [][]int
-	streamPos []int
 }
 
 // NewScenario materializes a scenario over a prebuilt model zoo (zoos are
@@ -101,7 +89,7 @@ func NewScenario(cfg Config, zoo models.Zoo) (*Scenario, error) {
 // workload and/or price traces (e.g. loaded from CSV via internal/trace)
 // instead of the synthetic generators. A nil trace falls back to the
 // generator. Trace dimensions must match cfg (Horizon slots; Edges columns
-// for the workload); prices are used as-is, NOT rescaled by PriceScale.
+// for the workload).
 func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, priceTrace *market.Prices) (*Scenario, error) {
 	if cfg.Edges <= 0 || cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("sim: need positive edges/horizon, got %d/%d", cfg.Edges, cfg.Horizon)
@@ -112,21 +100,14 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 	if cfg.SwitchWeight < 0 {
 		return nil, fmt.Errorf("sim: negative switch weight")
 	}
-	if cfg.PriceScale <= 0 {
-		return nil, fmt.Errorf("sim: PriceScale must be positive")
-	}
 	if zoo == nil {
 		return nil, fmt.Errorf("sim: nil zoo")
 	}
 	if cfg.Prices == (market.PriceConfig{}) {
 		cfg.Prices = market.DefaultPriceConfig()
 	}
-	if cfg.Topo == (topology.Config{}) {
-		cfg.Topo = topology.DefaultConfig(cfg.Edges)
-	}
-	cfg.Topo.Edges = cfg.Edges
 
-	topo, err := topology.Generate(cfg.Topo, numeric.SplitRNG(cfg.Seed, "topology"))
+	topo, err := topology.Generate(topology.DefaultConfig(cfg.Edges), numeric.SplitRNG(cfg.Seed, "topology"))
 	if err != nil {
 		return nil, fmt.Errorf("topology: %w", err)
 	}
@@ -136,7 +117,7 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 		wl, err := workload.NewGenerator(workload.Config{
 			Edges:    cfg.Edges,
 			MeanPeak: cfg.MeanPeakWorkload,
-			Spread:   cfg.WorkloadSpread,
+			Spread:   workloadSpread,
 		}, numeric.SplitRNG(cfg.Seed, "workload"))
 		if err != nil {
 			return nil, fmt.Errorf("workload: %w", err)
@@ -158,10 +139,6 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 		prices, err = market.GeneratePrices(cfg.Prices, cfg.Horizon, numeric.SplitRNG(cfg.Seed, "market"))
 		if err != nil {
 			return nil, fmt.Errorf("market: %w", err)
-		}
-		for t := range prices.Buy {
-			prices.Buy[t] *= cfg.PriceScale
-			prices.Sell[t] *= cfg.PriceScale
 		}
 	} else if prices.Horizon() != cfg.Horizon {
 		return nil, fmt.Errorf("sim: price trace has %d slots, config wants %d", prices.Horizon(), cfg.Horizon)
@@ -189,63 +166,6 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 		s.streamRNGs[i] = numeric.SplitRNG(cfg.Seed, fmt.Sprintf("stream-%d", i))
 	}
 	return s, nil
-}
-
-// ComboViews splits the scenario into k views that can each play exactly
-// one policy/trader combination (one Run/RunWorkers or one Offline call),
-// concurrently if desired, with stream draws bit-identical to running the
-// k combos sequentially on the receiver.
-//
-// Why this is sound: every combo steps every edge in every slot, so one
-// combo consumes exactly D_i = sum_t Workload[t][i] draws from edge i's
-// stream RNG — regardless of which models the combo picks. Sequential
-// combos therefore see consecutive D_i-sized windows of the stream.
-// ComboViews pre-draws k*D_i values per edge (advancing the receiver's
-// RNGs just as k sequential combos would) and hands view j the j-th
-// window. Views share the scenario's immutable inputs (zoo, workload,
-// prices, costs); each owns only its windows and cursors.
-//
-// A view must play at most one combo: a second run on the same view would
-// read past its window and panic. The receiver's own RNGs remain usable
-// afterwards and continue where the k windows ended.
-func (s *Scenario) ComboViews(k int) []*Scenario {
-	if k <= 0 {
-		return nil
-	}
-	pool := s.Zoo.PoolSize()
-	draws := make([][]int, s.Cfg.Edges)
-	perCombo := make([]int, s.Cfg.Edges)
-	for i := 0; i < s.Cfg.Edges; i++ {
-		d := 0
-		for t := range s.Workload {
-			d += s.Workload[t][i]
-		}
-		perCombo[i] = d
-		buf := make([]int, k*d)
-		if s.streamPre != nil {
-			// Views of a view: carve the parent's remaining window.
-			pos := s.streamPos[i]
-			copy(buf, s.streamPre[i][pos:pos+k*d])
-			s.streamPos[i] = pos + k*d
-		} else {
-			for j := range buf {
-				buf[j] = s.streamRNGs[i].Intn(pool)
-			}
-		}
-		draws[i] = buf
-	}
-	views := make([]*Scenario, k)
-	for v := 0; v < k; v++ {
-		clone := *s
-		clone.streamPre = make([][]int, s.Cfg.Edges)
-		clone.streamPos = make([]int, s.Cfg.Edges)
-		for i := range clone.streamPre {
-			d := perCombo[i]
-			clone.streamPre[i] = draws[i][v*d : (v+1)*d]
-		}
-		views[v] = &clone
-	}
-	return views
 }
 
 // NumModels returns the zoo size N.

@@ -41,11 +41,6 @@ func TestNewScenarioErrors(t *testing.T) {
 		t.Error("expected error for zero horizon")
 	}
 	cfg = DefaultConfig(3)
-	cfg.PriceScale = 0
-	if _, err := NewScenario(cfg, zoo); err == nil {
-		t.Error("expected error for zero price scale")
-	}
-	cfg = DefaultConfig(3)
 	if _, err := NewScenario(cfg, nil); err == nil {
 		t.Error("expected error for nil zoo")
 	}
@@ -91,9 +86,8 @@ func TestNewScenarioWithTraces(t *testing.T) {
 	if _, err := NewScenarioWithTraces(cfg, zoo, nil, badPrices); err == nil {
 		t.Error("expected error for short price trace")
 	}
-	// A matching price trace is used verbatim (no PriceScale applied).
+	// A matching price trace is used verbatim.
 	goodPrices := &market.Prices{Buy: []float64{8, 9, 10}, Sell: []float64{7.2, 8.1, 9}}
-	cfg.PriceScale = 100
 	s, err = NewScenarioWithTraces(cfg, zoo, nil, goodPrices)
 	if err != nil {
 		t.Fatal(err)

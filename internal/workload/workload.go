@@ -58,8 +58,7 @@ type Config struct {
 	// MeanPeak is the average peak samples-per-slot across edges.
 	MeanPeak float64
 	// Spread >= 1 is the ratio between the busiest and quietest edge.
-	Spread  float64
-	Profile Profile
+	Spread float64
 }
 
 // NewGenerator builds a workload generator; per-edge scales are drawn
@@ -74,10 +73,7 @@ func NewGenerator(cfg Config, rng *rand.Rand) (*Generator, error) {
 	if cfg.Spread < 1 {
 		return nil, fmt.Errorf("workload: Spread must be >= 1, got %g", cfg.Spread)
 	}
-	if cfg.Profile == (Profile{}) {
-		cfg.Profile = DefaultProfile()
-	}
-	g := &Generator{profile: cfg.Profile, rng: rng}
+	g := &Generator{profile: DefaultProfile(), rng: rng}
 	g.scales = make([]float64, cfg.Edges)
 	logSpread := math.Log(cfg.Spread)
 	for i := range g.scales {
