@@ -93,7 +93,7 @@ func TestClassesAreSeparable(t *testing.T) {
 	if _, err := nn.TrainShuffled(net, d.Train, nn.TrainConfig{Epochs: 4, BatchSize: 16, LR: 0.05}, rng.Shuffle); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, acc := nn.ScorePool(net.ForwardBatch, d.Test, nn.NewArena())
+	_, _, _, acc := nn.ScorePool(net.ForwardBatch, d.Test)
 	if acc < 0.5 {
 		t.Errorf("probe accuracy = %v, want >= 0.5 (chance is 0.1)", acc)
 	}
@@ -110,7 +110,7 @@ func TestCIFARLikeHarderThanMNISTLike(t *testing.T) {
 		if _, err := nn.TrainShuffled(net, d.Train, nn.TrainConfig{Epochs: 3, BatchSize: 16, LR: 0.05}, rng.Shuffle); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, acc := nn.ScorePool(net.ForwardBatch, d.Test, nn.NewArena())
+		_, _, _, acc := nn.ScorePool(net.ForwardBatch, d.Test)
 		return acc
 	}
 	mnistAcc := train(MNISTLike, 4)

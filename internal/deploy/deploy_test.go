@@ -332,6 +332,24 @@ func TestNNRuntimeErrors(t *testing.T) {
 	if _, err := rt.RunSlot(0, 0); err == nil {
 		t.Error("expected error for never-downloaded model")
 	}
+	// A ragged pool would have its samples truncated or over-read as they are
+	// stacked into a batch: the constructor refuses it.
+	ragged := append(dist.Pool(3, rng), nn.Sample{X: nn.NewTensor(1, 28, 27)})
+	if _, err := NewNNRuntime(build, ragged, func(int) int { return 1 }, func(int) float64 { return 0.1 }, rng); err == nil || !strings.Contains(err.Error(), "sample 3") {
+		t.Errorf("ragged pool: err = %v, want an error naming sample 3", err)
+	}
+	// So would an architecture that takes another input shape than the pool
+	// holds, but inside a convolution in the middle of a run: the install
+	// refuses it, and the model stays unservable.
+	rt.BuildNet = func(int) (*nn.Network, error) {
+		return models.NewFamilyNetwork(dataset.CIFARLike, 2, numeric.SplitRNG(9, "bench-arch"))
+	}
+	if err := rt.LoadModel(0, []byte{1}); err == nil || !strings.Contains(err.Error(), "[3 32 32]") {
+		t.Errorf("mismatched architecture: err = %v, want an error naming its input shape", err)
+	}
+	if _, err := rt.RunSlot(0, 0); err == nil {
+		t.Error("the refused architecture was installed")
+	}
 	// A switch that ships no weights is only valid for a cached model: model
 	// 0 is installed, model 1 never was, and its architecture's fresh
 	// initialisation must not be installed in its place.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 
 	"github.com/carbonedge/carbonedge/internal/nn"
 )
@@ -243,11 +244,9 @@ func redial(dial func() (net.Conn, error), maxResumes int, who string, run func(
 	}
 }
 
-// slotChunk bounds how many of a slot's M_i^t samples go through one
-// batched forward pass, so peak activation scratch is one chunk's worth
-// regardless of slot size. Chunking does not affect results: samples are
-// independent and the loss accumulates in draw order either way.
-const slotChunk = 64
+// calibBatch is how many samples from the head of the pool calibrate an INT8
+// engine's activation scales. The scales are part of the results.
+const calibBatch = 64
 
 // NNRuntime is a full-fidelity edge runtime: it holds the edge's local
 // labeled data pool, builds each model's architecture locally the first time
@@ -280,26 +279,28 @@ type NNRuntime struct {
 	ckpt   bytes.Reader // over the checkpoint being installed; reused
 	calib  *nn.Tensor   // INT8 calibration batch, built once from the pool head
 
-	// Batched-inference scratch, owned by this runtime (one runtime per
-	// edge, never shared across goroutines). All three are grow-only, so a
-	// steady-state RunSlot performs zero heap allocations
-	// (BenchmarkNNRuntimeSlot's ReportAllocs gate). An INT8 install borrows
-	// the arena for its calibration pass: LoadModel and RunSlot never
-	// overlap, and each Resets the arena before it draws from it.
-	arena      *nn.Arena
-	idx        []int
-	batchShape []int
+	// Serving scratch, owned by this runtime (one per edge, its methods never
+	// called concurrently). The scorer serves a slot's chunks on as many lanes
+	// as the edge has cores, one arena a lane; it and idx are grow-only, so a
+	// steady-state RunSlot allocates nothing (TestNNRuntimeSlotZeroAllocs). An
+	// INT8 install borrows lane 0's arena for its calibration pass: LoadModel
+	// and RunSlot never overlap, and each Resets the arena before drawing.
+	scorer nn.Scorer
+	idx    []int
 }
 
 // residentModel is one model id's storage on the edge, built on the model's
 // first install and overwritten in place by every later one. qw and qn are
 // set by installs made in Int8 mode; compiled says qn is what a completed
-// Recompile made of (net, qw) over the runtime's calibration batch.
+// Recompile made of (net, qw) over the runtime's calibration batch. forward is
+// the serving engine's batched pass, bound here because a method value taken
+// per slot would allocate.
 type residentModel struct {
 	net      *nn.Network
 	qw       *nn.QuantizedWeights
 	qn       *nn.QuantizedNetwork
 	compiled bool
+	forward  func(in *nn.Tensor, a *nn.Arena) *nn.Tensor
 }
 
 var _ Runtime = (*NNRuntime)(nil)
@@ -313,6 +314,11 @@ func NewNNRuntime(build func(int) (*nn.Network, error), pool []nn.Sample,
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("deploy: empty data pool")
 	}
+	for i, s := range pool {
+		if !slices.Equal(s.X.Shape, pool[0].X.Shape) {
+			return nil, fmt.Errorf("deploy: pool sample %d has shape %v, sample 0 has %v", i, s.X.Shape, pool[0].X.Shape)
+		}
+	}
 	return &NNRuntime{
 		BuildNet:             build,
 		Pool:                 pool,
@@ -320,7 +326,6 @@ func NewNNRuntime(build func(int) (*nn.Network, error), pool []nn.Sample,
 		CompSecondsPerSample: compSeconds,
 		rng:                  rng,
 		loaded:               make(map[int]*residentModel),
-		arena:                nn.NewArena(),
 	}, nil
 }
 
@@ -362,7 +367,10 @@ func (r *NNRuntime) LoadModel(modelID int, checkpoint []byte) error {
 		if err != nil {
 			return err
 		}
-		m = &residentModel{net: net}
+		if !slices.Equal(net.InShape(), r.Pool[0].X.Shape) {
+			return fmt.Errorf("deploy: model %d takes %v inputs, the pool holds %v samples", modelID, net.InShape(), r.Pool[0].X.Shape)
+		}
+		m = &residentModel{net: net, forward: net.ForwardBatch}
 	}
 	if err := r.install(m, modelID, checkpoint); err != nil {
 		delete(r.loaded, modelID)
@@ -390,6 +398,7 @@ func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) er
 	// the same int8 buffers.
 	if m.qw == nil {
 		m.qw, m.qn = &nn.QuantizedWeights{}, &nn.QuantizedNetwork{}
+		m.forward = m.qn.ForwardBatch
 	}
 	changed := m.qw.Requantize(m.net)
 	// Also when nothing changed: ReadWeights has just put the unquantized
@@ -402,9 +411,9 @@ func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) er
 	}
 	m.compiled = false
 	if r.calib == nil {
-		r.calib = nn.StackSamples(r.Pool, slotChunk)
+		r.calib = nn.StackSamples(r.Pool, calibBatch)
 	}
-	if err := m.qn.Recompile(m.net, m.qw, r.calib, r.arena); err != nil {
+	if err := m.qn.Recompile(m.net, m.qw, r.calib, r.scorer.Arena()); err != nil {
 		return fmt.Errorf("deploy: compile INT8 model %d: %w", modelID, err)
 	}
 	m.compiled = true
@@ -419,23 +428,16 @@ func (r *NNRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
 	if !ok {
 		return SlotReport{}, fmt.Errorf("deploy: model %d assigned but never downloaded", modelID)
 	}
-	net := loaded.net
-	var qn *nn.QuantizedNetwork
-	if r.Int8 {
-		if qn = loaded.qn; qn == nil {
-			return SlotReport{}, fmt.Errorf("deploy: model %d loaded before Int8 mode was enabled", modelID)
-		}
+	if r.Int8 && loaded.qn == nil {
+		return SlotReport{}, fmt.Errorf("deploy: model %d loaded before Int8 mode was enabled", modelID)
 	}
 	m := r.SamplesPerSlot(slot)
 	if m < 0 {
 		return SlotReport{}, fmt.Errorf("deploy: negative sample count %d", m)
 	}
-	var rep SlotReport
-	rep.Samples = m
-	// Draw all sample indices up front — the same RNG call sequence as the
-	// old per-sample loop, so the stream each edge sees is unchanged — then
-	// serve them in fixed-size batched forward passes. All scratch comes
-	// from the runtime-owned grow-only arena: steady state is 0 allocs/op.
+	// Draw all sample indices up front — the RNG call sequence of a
+	// one-sample-at-a-time loop, so the stream each edge sees does not depend
+	// on how the slot is then served.
 	if cap(r.idx) < m {
 		r.idx = make([]int, m) //lint:allow hotalloc grow-only index buffer; steady state reuses capacity
 	}
@@ -443,42 +445,10 @@ func (r *NNRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
 	for j := range idx {
 		idx[j] = r.rng.Intn(len(r.Pool))
 	}
-	sampleLen := r.Pool[0].X.Len()
-	totalLoss := 0.0
-	for start := 0; start < m; start += slotChunk {
-		end := start + slotChunk
-		if end > m {
-			end = m
-		}
-		b := end - start
-		r.arena.Reset()
-		r.batchShape = append(r.batchShape[:0], b)                //lint:allow hotalloc appends into the recycled shape buffer; capacity is grown once and reused
-		r.batchShape = append(r.batchShape, r.Pool[0].X.Shape...) //lint:allow hotalloc appends into the recycled shape buffer; capacity is grown once and reused
-		in := r.arena.Tensor(r.batchShape...)
-		for j := 0; j < b; j++ {
-			copy(in.Data[j*sampleLen:(j+1)*sampleLen], r.Pool[idx[start+j]].X.Data)
-		}
-		var logits *nn.Tensor
-		if qn != nil {
-			logits = qn.ForwardBatch(in, r.arena)
-		} else {
-			logits = net.ForwardBatch(in, r.arena)
-		}
-		classes := logits.Shape[1]
-		scratch := r.arena.Floats(classes)
-		for j := 0; j < b; j++ {
-			row := logits.Data[j*classes : (j+1)*classes]
-			label := r.Pool[idx[start+j]].Label
-			totalLoss += nn.SquaredLossRow(row, label, scratch)
-			if nn.ArgmaxRow(row) == label {
-				rep.Correct++
-			}
-		}
-	}
+	totalLoss, correct := r.scorer.Score(loaded.forward, r.Pool, idx)
+	rep := SlotReport{Samples: m, Correct: correct, EnergyKWh: r.metas[modelID].PhiKWh * float64(m), CompSeconds: r.CompSecondsPerSample(modelID)}
 	if m > 0 {
 		rep.AvgLoss = totalLoss / float64(m)
 	}
-	rep.EnergyKWh = r.metas[modelID].PhiKWh * float64(m)
-	rep.CompSeconds = r.CompSecondsPerSample(modelID)
 	return rep, nil
 }

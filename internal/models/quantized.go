@@ -75,7 +75,6 @@ func quantizedFromBase(cfg TrainedZooConfig, base *TrainedZoo, rng *rand.Rand) (
 	// the same chunked batched scorer, so the per-sample caches stay
 	// aligned across all 2N models.
 	pool := base.testPool
-	arena := nn.NewArena()
 	var calib *nn.Tensor
 	if cfg.Int8 {
 		if len(pool) == 0 {
@@ -103,7 +102,7 @@ func quantizedFromBase(cfg TrainedZooConfig, base *TrainedZoo, rng *rand.Rand) (
 			}
 			forward = qn.ForwardBatch
 		}
-		losses, correct, meanLoss, meanAcc := nn.ScorePool(forward, pool, arena)
+		losses, correct, meanLoss, meanAcc := nn.ScorePool(forward, pool)
 		z.nets = append(z.nets, nil) // no float64 clone retained; q is dropped here
 		z.qweights[n+i] = qw
 		z.infos = append(z.infos, Info{

@@ -86,7 +86,7 @@ func TestQuantizedZooSharesInt8Storage(t *testing.T) {
 	// Materialized q8 networks reproduce the cached score stream exactly.
 	for _, i := range []int{0, n - 1} {
 		net := z.Network(n + i)
-		losses, _, meanLoss, meanAcc := nn.ScorePool(net.ForwardBatch, z.testPool, nn.NewArena())
+		losses, _, meanLoss, meanAcc := nn.ScorePool(net.ForwardBatch, z.testPool)
 		if meanLoss != z.MeanLoss(n+i) || meanAcc != z.MeanAccuracy(n+i) {
 			t.Fatalf("%s: materialized scores (%v, %v) != cached (%v, %v)",
 				net.Name, meanLoss, meanAcc, z.MeanLoss(n+i), z.MeanAccuracy(n+i))

@@ -208,7 +208,7 @@ func NewTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, error) {
 				errs[n] = fmt.Errorf("train %s: %w", nets[n].Name, err)
 				return
 			}
-			z.losses[n], z.correct[n], z.meanLoss[n], z.meanAcc[n] = nn.ScorePool(nets[n].ForwardBatch, ds.Test, nn.NewArena())
+			z.losses[n], z.correct[n], z.meanLoss[n], z.meanAcc[n] = nn.ScorePool(nets[n].ForwardBatch, ds.Test)
 		}(n)
 	}
 	wg.Wait()

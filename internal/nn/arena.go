@@ -1,17 +1,16 @@
 package nn
 
 // Arena is a grow-only scratch allocator for the batched inference path.
-// One arena belongs to exactly one owner — an edge runtime, an evaluation
-// loop — and is never shared across goroutines (no sync.Pool: pooled
-// buffers migrate between goroutines, which both breaks the engine's
-// per-edge ownership discipline and trips the race detector on the
-// determinism tests).
+// One arena belongs to exactly one goroutine at a time — a Scorer lane, a
+// training run — while many may share the network (no sync.Pool: pooled
+// buffers migrate between goroutines, which both breaks that ownership
+// discipline and trips the race detector on the determinism tests).
 //
 // Buffers are keyed by call order: a fixed layer sequence requests the same
-// buffers in the same order every batch, so after the first (warm-up) batch
-// every request is served from the cache and a steady-state slot step
-// performs zero heap allocations (pinned by BenchmarkNNRuntimeSlot's
-// ReportAllocs gate in internal/deploy).
+// buffers in the same order every batch, so once an arena has seen its
+// largest batch every request is served from the cache and a steady-state
+// slot step performs zero heap allocations (TestNNRuntimeSlotZeroAllocs in
+// internal/deploy).
 //
 // Protocol: call Reset once per batch, build the input batch from the
 // arena, run Network.ForwardBatch, consume the outputs, repeat. Reset

@@ -124,7 +124,7 @@ func TestNetworkTrainsXOR(t *testing.T) {
 	if _, err := TrainShuffled(net, samples, TrainConfig{Epochs: 400, BatchSize: 4, LR: 0.5}, rng.Shuffle); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	_, _, _, acc := ScorePool(net.ForwardBatch, samples, NewArena())
+	_, _, _, acc := ScorePool(net.ForwardBatch, samples)
 	if acc != 1 {
 		t.Errorf("XOR accuracy = %v, want 1", acc)
 	}
@@ -178,7 +178,7 @@ func TestTrainDeterministicFromSeed(t *testing.T) {
 func TestEvaluateEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	net := NewNetwork("e", []int{2}, NewDense(2, 2, rng))
-	_, _, loss, acc := ScorePool(net.ForwardBatch, nil, NewArena())
+	_, _, loss, acc := ScorePool(net.ForwardBatch, nil)
 	if acc != 0 || loss != 0 {
 		t.Errorf("ScorePool(empty) = %v, %v", acc, loss)
 	}

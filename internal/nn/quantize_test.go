@@ -63,9 +63,9 @@ func TestQuantizeInPlacePreservesBehavior(t *testing.T) {
 	if _, err := TrainShuffled(net, samples, TrainConfig{Epochs: 30, BatchSize: 8, LR: 0.3}, rng.Shuffle); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, accBefore := ScorePool(net.ForwardBatch, samples, NewArena())
+	_, _, _, accBefore := ScorePool(net.ForwardBatch, samples)
 	QuantizeInPlace(net)
-	_, _, _, accAfter := ScorePool(net.ForwardBatch, samples, NewArena())
+	_, _, _, accAfter := ScorePool(net.ForwardBatch, samples)
 	if accAfter < accBefore-0.05 {
 		t.Errorf("quantization dropped accuracy %v -> %v", accBefore, accAfter)
 	}

@@ -86,3 +86,36 @@ func TestNetworkSharedAcrossGoroutines(t *testing.T) {
 		bitsEqual(t, fmt.Sprintf("goroutine %d", g), got[g], want)
 	}
 }
+
+// TestQuantizedNetworkSharedAcrossGoroutines is the same fence for the INT8
+// engine: a compiled QuantizedNetwork's weights, scales and op table are
+// read-only under ForwardBatch — all per-call state is in the caller's arena
+// — so the scorer's lanes may share one. Eight goroutines, own arenas, every
+// one gets the serial pass's bits; under -race a write to the engine fails it.
+func TestQuantizedNetworkSharedAcrossGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(102))
+	for _, net := range buildQuantArchs(rng) { // the conv tile, the GEMM lowering, pools, dense heads
+		_, qn := quantizeForTest(t, net, randBatch(rng, 16, net.InShape()))
+		in := randBatch(rng, 5, net.InShape())
+		want := slices.Clone(qn.ForwardBatch(in, NewArena()).Data)
+
+		const workers = 8
+		got := make([][]float64, workers)
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				arena := NewArena()
+				for round := 0; round < 4; round++ {
+					arena.Reset()
+					got[g] = append(got[g][:0], qn.ForwardBatch(in, arena).Data...)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			bitsEqual(t, fmt.Sprintf("%s goroutine %d", net.Name, g), got[g], want)
+		}
+	}
+}

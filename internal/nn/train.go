@@ -152,54 +152,27 @@ func trainNaive(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand)
 	return lastAvg, nil
 }
 
-// scoreChunk bounds ScorePool's working set: chunks of this many samples go
-// through one forward call each, so peak scratch is one chunk's activations
-// regardless of pool size. The chunk boundary does not affect results — every
-// sample's float operations are independent of its batch neighbours.
-const scoreChunk = 64
-
-// ScorePool evaluates a model over pool through the chunked batched inference
-// path and returns the per-sample squared loss and correctness plus their
-// means. forward is the engine's batched pass — (*Network).ForwardBatch or
-// (*QuantizedNetwork).ForwardBatch — and a its scratch. With the float engine
-// the results are bit-for-bit a per-sample Forward/SquaredLoss/MaxIndex loop's
-// (the row helpers replay the per-sample ops and the loss accumulates in
-// sample order), so the zoo's cached streams, and every figure derived from
-// them, do not depend on the chunking.
-func ScorePool(forward func(in *Tensor, a *Arena) *Tensor, pool []Sample, a *Arena) (losses []float64, correct []bool, meanLoss, meanAcc float64) {
+// ScorePool evaluates a model over pool through the chunked Scorer and returns
+// the per-sample squared loss and correctness plus their means; forward is as
+// in Score. With the float engine the results are bit-for-bit a per-sample
+// Forward/SquaredLoss/MaxIndex loop's (the row helpers replay the per-sample
+// ops and the loss accumulates in sample order), so the zoo's cached streams,
+// and every figure derived from them, depend on neither the chunking nor the
+// host's core count.
+func ScorePool(forward func(in *Tensor, a *Arena) *Tensor, pool []Sample) (losses []float64, correct []bool, meanLoss, meanAcc float64) {
 	if len(pool) == 0 {
 		return nil, nil, 0, 0
 	}
-	losses = make([]float64, len(pool))
-	correct = make([]bool, len(pool))
-	sampleLen := pool[0].X.Len()
-	batchShape := append([]int{0}, pool[0].X.Shape...)
-	sumLoss, nCorrect := 0.0, 0
-	for start := 0; start < len(pool); start += scoreChunk {
-		chunk := pool[start:min(start+scoreChunk, len(pool))]
-		a.Reset()
-		batchShape[0] = len(chunk)
-		in := a.Tensor(batchShape...)
-		for j, s := range chunk {
-			if s.X.Len() != sampleLen {
-				//lint:allow panicpolicy mirrors the Forward shape guards: a ragged pool is a programmer error and the scorer has no error channel
-				panic(fmt.Sprintf("nn: pool sample %d has %d features, want %d", start+j, s.X.Len(), sampleLen))
-			}
-			copy(in.Data[j*sampleLen:(j+1)*sampleLen], s.X.Data)
+	idx := make([]int, len(pool))
+	for i, s := range pool {
+		if s.X.Len() != pool[0].X.Len() {
+			//lint:allow panicpolicy mirrors the Forward shape guards: a ragged pool is a programmer error and the scorer has no error channel
+			panic(fmt.Sprintf("nn: pool sample %d has %d features, want %d", i, s.X.Len(), pool[0].X.Len()))
 		}
-		logits := forward(in, a)
-		classes := logits.Shape[1]
-		scratch := a.Floats(classes)
-		for j, s := range chunk {
-			row := logits.Data[j*classes : (j+1)*classes]
-			losses[start+j] = SquaredLossRow(row, s.Label, scratch)
-			correct[start+j] = ArgmaxRow(row) == s.Label
-			sumLoss += losses[start+j]
-			if correct[start+j] {
-				nCorrect++
-			}
-		}
+		idx[i] = i
 	}
+	var sc Scorer
+	sumLoss, nCorrect := sc.Score(forward, pool, idx)
 	n := float64(len(pool))
-	return losses, correct, sumLoss / n, float64(nCorrect) / n
+	return sc.Loss, sc.Hit, sumLoss / n, float64(nCorrect) / n
 }

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -114,10 +116,10 @@ func evaluateNaive(net *Network, samples []Sample) (losses []float64, correct []
 func TestEvaluateMatchesNaiveBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for _, net := range zooForTest(rng) {
-		// 71 samples spans a full scoreChunk plus a ragged tail.
+		// 71 samples: two full chunks and a short one.
 		samples := randSamples(rng, 71, net.InShape(), 10)
 		wantLosses, wantCorrect, wantLoss, wantAcc := evaluateNaive(net, samples)
-		losses, correct, gotLoss, gotAcc := ScorePool(net.ForwardBatch, samples, NewArena())
+		losses, correct, gotLoss, gotAcc := ScorePool(net.ForwardBatch, samples)
 		bitsEqual(t, net.Name+" per-sample loss", losses, wantLosses)
 		if !slices.Equal(correct, wantCorrect) {
 			t.Fatalf("%s: per-sample correctness differs", net.Name)
@@ -129,8 +131,63 @@ func TestEvaluateMatchesNaiveBitForBit(t *testing.T) {
 			t.Fatalf("%s: mean loss %v, want %v", net.Name, gotLoss, wantLoss)
 		}
 	}
-	if _, _, loss, acc := ScorePool(zooForTest(rng)[0].ForwardBatch, nil, NewArena()); acc != 0 || loss != 0 {
+	if _, _, loss, acc := ScorePool(zooForTest(rng)[0].ForwardBatch, nil); acc != 0 || loss != 0 {
 		t.Fatalf("empty evaluation = (%v, %v), want (0, 0)", acc, loss)
+	}
+}
+
+// TestScorePoolIgnoresCoreCount: the scorer serves a pool's chunks on as many
+// lanes as GOMAXPROCS allows, and for one, two and more-lanes-than-chunks the
+// per-sample losses, hits and both means are the one-sample-at-a-time loop's
+// bit for bit, at every chunk-boundary pool size and on both engines — so
+// results/*.txt cannot depend on the host's core count.
+func TestScorePoolIgnoresCoreCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(93))
+	shape := []int{1, 20, 20}
+	net := BuildCNN("cnn", shape, 8, 16, 32, 10, rng)
+	pool := randSamples(rng, 257, shape, 10)
+	wantLosses, wantCorrect, _, _ := evaluateNaive(net, pool)
+
+	qnet := BuildCNN("cnn-q8", shape, 8, 16, 32, 10, rng)
+	_, qn := quantizeForTest(t, qnet, StackSamples(pool, 64))
+	one := NewArena()
+	var qLosses []float64
+	var qCorrect []bool
+	for _, s := range pool { // the INT8 oracle: batches of one
+		one.Reset()
+		logits := qn.ForwardBatch(&Tensor{Shape: append([]int{1}, shape...), Data: s.X.Data}, one)
+		l, _ := SquaredLoss(&Tensor{Shape: logits.Shape[1:], Data: logits.Data}, s.Label)
+		qLosses, qCorrect = append(qLosses, l), append(qCorrect, ArgmaxRow(logits.Data) == s.Label)
+	}
+
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 31, 32, 33, 100, 257} {
+			for _, eng := range []struct {
+				name    string
+				forward func(*Tensor, *Arena) *Tensor
+				losses  []float64
+				correct []bool
+			}{{"float", net.ForwardBatch, wantLosses, wantCorrect}, {"int8", qn.ForwardBatch, qLosses, qCorrect}} {
+				name := fmt.Sprintf("%s procs=%d n=%d", eng.name, procs, n)
+				losses, correct, meanLoss, meanAcc := ScorePool(eng.forward, pool[:n])
+				bitsEqual(t, name+" losses", losses, eng.losses[:n])
+				if !slices.Equal(correct, eng.correct[:n]) {
+					t.Fatalf("%s: per-sample correctness differs", name)
+				}
+				sum, hits := 0.0, 0
+				for i, l := range eng.losses[:n] {
+					sum += l
+					if eng.correct[i] {
+						hits++
+					}
+				}
+				if n > 0 && (math.Float64bits(meanLoss) != math.Float64bits(sum/float64(n)) || meanAcc != float64(hits)/float64(n)) {
+					t.Fatalf("%s: means (%v, %v), want (%v, %v)", name, meanLoss, meanAcc, sum/float64(n), float64(hits)/float64(n))
+				}
+			}
+		}
 	}
 }
 
