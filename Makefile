@@ -23,9 +23,10 @@
 #                  own validation and JSON round trip (internal/engine:
 #                  FuzzShardCheckpoint), the random streams against math/rand
 #                  (internal/numeric: FuzzSplitRNGStream), the weights reader
-#                  against its value-by-value oracle and the INT8 engine's
-#                  short-K convolution stage against the scalar reference
-#                  (internal/nn: FuzzReadWeights, FuzzQConvShortK) and the
+#                  against its value-by-value oracle, the INT8 engine's
+#                  short-K convolution stage and its input quantizer against
+#                  their scalar references (internal/nn: FuzzReadWeights,
+#                  FuzzQConvShortK, FuzzQuantizeActs) and the
 #                  trace CSV readers against their accept contract and a
 #                  write/read round trip (internal/trace: FuzzReadPrices,
 #                  FuzzReadWorkload); go test -fuzz takes one target per run
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSplitRNGStream -fuzztime=10s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzQConvShortK -fuzztime=10s ./internal/nn
+	$(GO) test -run='^$$' -fuzz=FuzzQuantizeActs -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzReadPrices -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzReadWorkload -fuzztime=10s ./internal/trace
 

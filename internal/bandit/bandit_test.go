@@ -103,32 +103,62 @@ func TestBlockedConstructorErrors(t *testing.T) {
 	}
 }
 
+// TestBlockScheduleMatchesTheorem1 holds the block schedule to Theorem 1's
+// constants, |B_k| = max(1, ceil(d_k)) and eta_k = 2/(d_k + 1) * sqrt(2/k)
+// with d_k = (3u/2) sqrt(k/N), computed by hand in 40-digit decimal
+// arithmetic rather than with the expression under test, so a typo shared by
+// both cannot pass.
 func TestBlockScheduleMatchesTheorem1(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const n = 6
-	u := 2.5
-	b, err := NewBlockedTsallisINF(n, u, rng)
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		k   int
+		len int
+		eta float64
 	}
-	for k := 1; k <= 100; k++ {
-		d := 1.5 * u * math.Sqrt(float64(k)/float64(n))
-		wantLen := int(math.Ceil(d))
-		if wantLen < 1 {
-			wantLen = 1
+	for _, c := range []struct {
+		n    int
+		u    float64
+		rows []row
+	}{
+		{6, 2.5, []row{
+			{1, 2, 1.11754410729376977578},
+			{2, 3, 0.63189885258906935154},
+			{7, 5, 0.21167266864243379765},
+			{50, 11, 0.03382573012520446032},
+			{100, 16, 0.01734240731204102506},
+		}},
+		{3, 1, []row{
+			{1, 1, 1.51574952785204799762},
+			{2, 2, 0.89897948556635619639},
+			{7, 3, 0.32481053532552483751},
+			{50, 7, 0.05615040391186789310},
+			{100, 9, 0.02927901392308863633},
+		}},
+		{10, 0.4, []row{
+			{1, 1, 2.37735561218489685732},
+			{2, 1, 1.57687897133626128541},
+			{7, 1, 0.71174953616276472139},
+			{50, 2, 0.17082039324993690892},
+			{100, 2, 0.09762061620205019899},
+		}},
+	} {
+		b, err := NewBlockedTsallisINF(c.n, c.u, rng)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := b.BlockLength(k); got != wantLen {
-			t.Fatalf("BlockLength(%d) = %d, want %d", k, got, wantLen)
+		for _, r := range c.rows {
+			if got := b.BlockLength(r.k); got != r.len {
+				t.Errorf("N=%d u=%g: BlockLength(%d) = %d, Theorem 1 says %d", c.n, c.u, r.k, got, r.len)
+			}
+			if got := b.LearningRate(r.k); math.Abs(got-r.eta) > 1e-12 {
+				t.Errorf("N=%d u=%g: LearningRate(%d) = %.17g, Theorem 1 says %.17g", c.n, c.u, r.k, got, r.eta)
+			}
 		}
-		wantEta := 2 / (d + 1) * math.Sqrt(2/float64(k))
-		if got := b.LearningRate(k); math.Abs(got-wantEta) > 1e-12 {
-			t.Fatalf("LearningRate(%d) = %v, want %v", k, got, wantEta)
-		}
-	}
-	// Learning rates are non-increasing as Theorem 1 requires.
-	for k := 2; k <= 100; k++ {
-		if b.LearningRate(k) > b.LearningRate(k-1) {
-			t.Fatalf("eta increased at k=%d", k)
+		// Learning rates are non-increasing as Theorem 1 requires.
+		for k := 2; k <= 100; k++ {
+			if b.LearningRate(k) > b.LearningRate(k-1) {
+				t.Fatalf("N=%d u=%g: eta increased at k=%d", c.n, c.u, k)
+			}
 		}
 	}
 }

@@ -137,27 +137,52 @@ func BenchmarkTrainEpochNaive(b *testing.B) { benchTrainEpoch(b, true) }
 // not counted. The first layers (inC = 1) are the short-K class, the second
 // layers the long-K one; shape by shape against BenchmarkConvForwardBatch it
 // is the INT8 speedup of the convolution stage alone.
-func BenchmarkQuantConvForward(b *testing.B) {
+func BenchmarkQuantConvForward(b *testing.B) { benchQuantConv(b, false) }
+
+// BenchmarkQuantConvPooled is the same stage with the following 2x2 max-pool
+// folded in, as every zoo convolution of these shapes runs: the accumulator
+// pool and the quarter-size requantize replace the full sweep and scatter,
+// so the ns/sample difference is what the stage's tail costs each way.
+func BenchmarkQuantConvPooled(b *testing.B) { benchQuantConv(b, true) }
+
+func benchQuantConv(b *testing.B, pool bool) {
 	const batch = 64
 	bytes := make([]byte, 1<<12)
 	rand.New(rand.NewSource(2)).Read(bytes)
 	for _, c := range zooConvShapes {
 		b.Run(fmt.Sprintf("%dto%d_k%d_%dx%d", c.inC, c.outC, c.k, c.side, c.side), func(b *testing.B) {
-			op, cur := qconvCase(c.inC, c.k, c.side, c.side, c.outC, batch, bytes)
-			np := op.oh * op.ow
-			nxt := make([]int8, batch*op.outLen)
-			col := make([]int8, batch*np*op.kPad)
-			acc := make([]int32, batch*op.outLen)
+			op, cur := qconvCase(c.inC, c.k, c.side, c.side, c.outC, batch, pool, bytes)
+			nxt, col, acc := qconvBuffers(op, batch)
 			var q QuantizedNetwork
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q.runConv(op, batch, cur, nxt, col, acc)
 			}
-			macs := float64(batch*op.outLen*c.inC*c.k*c.k) * float64(b.N)
-			b.ReportMetric(macs/float64(b.Elapsed().Nanoseconds()), "GMAC/s")
+			ns := float64(b.Elapsed().Nanoseconds())
+			macs := float64(batch*op.outC*op.oh*op.ow*c.inC*c.k*c.k) * float64(b.N)
+			b.ReportMetric(macs/ns, "GMAC/s")
+			b.ReportMetric(ns/float64(batch*b.N), "ns/sample")
 		})
 	}
+}
+
+// BenchmarkQuantizeActs is the INT8 engine's input stage: a 64-sample chunk
+// of 1x28x28 float inputs quantized at one scale, per sample.
+func BenchmarkQuantizeActs(b *testing.B) {
+	const batch, side = 64, 28
+	rng := rand.New(rand.NewSource(6))
+	src := make([]float64, batch*side*side)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+	}
+	dst := make([]int8, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quantizeActsSIMD(dst, src, 4.0/127)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(batch*b.N), "ns/sample")
 }
 
 // BenchmarkQuantNetworkForwardBatch is BenchmarkNetworkForwardBatch through

@@ -12,8 +12,11 @@ import "math"
 // still produce the same bits as qdotRowRef over im2colQ on every platform:
 // the cross-tier identity the float kernels have to earn by never splitting
 // an accumulation, the integer kernels get for free. The only rounding in
-// the whole path lives in requantize and quantMultiplier below, shared
-// scalar Go on all tiers.
+// the whole path lives in quantizeActs, requantize and quantMultiplier
+// below: the scalar loops are the spec, and the vector tiers of
+// quantizeActs and requantizeRow replay their expressions lane for lane.
+// maxPoolAcc, the max-pool a convolution runs on its accumulators before it
+// requantizes, is exact on every tier (max is).
 
 // qdotRowRef is the reference integer dot-product kernel:
 //
@@ -136,6 +139,7 @@ func requantizeRowPerCol(dst []int8, acc []int32, bias []int32, m int32, shift i
 // ±127 — int8(NaN) is unspecified in Go, so the NaN branch is explicit; the
 // output is always a well-formed int8 whatever the floats contain.
 // Activation scales are calibrated with a zero→one fallback, so scale > 0.
+// It is the spec and the portable tier of quantizeActsSIMD.
 func quantizeActs(dst []int8, src []float64, scale float64) {
 	for i, v := range src {
 		q := math.Round(v / scale)
@@ -148,6 +152,32 @@ func quantizeActs(dst []int8, src []float64, scale float64) {
 			dst[i] = -127
 		default:
 			dst[i] = int8(q)
+		}
+	}
+}
+
+// maxPoolAcc is the 2x2/stride-2 max-pool of one channel's int32
+// accumulators, plus the channel's bias: src holds imgs images of h x w back
+// to back, and image s's (h/2) x (w/2) pooled sums land at dst[s*ld:], an
+// odd last row or column dropped as MaxPool2D drops it. runConv passes
+// ld = the per-sample activation length, so every channel's call fills its
+// slots of the [s][oc][j] layout and one bias-free requantizeRow then maps
+// the whole chunk. Pooling the accumulators and requantizing the surviving
+// quarter is bit-identical to requantizing every pixel and pooling the int8s:
+// requantize is monotone non-decreasing in its accumulator (m > 0), acc +
+// bias cannot wrap (Recompile's maxDotLen bound), and max commutes with any
+// monotone map. It is the spec and the portable tier of maxPoolAccSIMD.
+func maxPoolAcc(dst, src []int32, imgs, h, w, ld int, bias int32) {
+	oh, ow := h/2, w/2
+	for s := 0; s < imgs; s++ {
+		img := src[s*h*w : (s+1)*h*w]
+		out := dst[s*ld : s*ld+oh*ow]
+		for y := 0; y < oh; y++ {
+			r0, r1 := img[2*y*w:(2*y+1)*w], img[(2*y+1)*w:(2*y+2)*w]
+			orow := out[y*ow : (y+1)*ow]
+			for x := range orow {
+				orow[x] = max(r0[2*x], r0[2*x+1], r1[2*x], r1[2*x+1]) + bias
+			}
 		}
 	}
 }

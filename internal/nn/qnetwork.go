@@ -14,11 +14,13 @@ import (
 // convolutions as a direct tile over the input planes where the host has one
 // (qconvDirectFits), all with int32 accumulation, and carries activations
 // between layers as int8 at statically calibrated per-boundary scales. ReLU
-// and 2x2 max-pool are exact in the quantized domain (max/clamp commute with
-// a positive scale), so the only rounding beyond weight/input quantization is
-// the pinned fixed-point requantization after each conv/dense. The final
-// Dense head dequantizes its int32 accumulators straight to float64 logits,
-// so downstream softmax/loss code is unchanged.
+// and 2x2 max-pool run as stages of the conv/dense op they follow: a ReLU is
+// the requantize clamp's lower bound, a max-pool runs on the convolution's
+// int32 accumulators before the requantize, and both are exact (max and clamp
+// commute with the monotone requantization), so the only rounding beyond
+// weight/input quantization is the pinned fixed-point requantization after
+// each conv/dense. The final Dense head dequantizes its int32 accumulators
+// straight to float64 logits, so downstream softmax/loss code is unchanged.
 //
 // It is an opt-in execution mode: the fake-quant float path remains the
 // committed-results oracle, and this engine is reached only through the
@@ -39,7 +41,7 @@ type QuantizedNetwork struct {
 	// is a single batch GEMM rather than per-sample row-dots.
 	maxAct int // widest activation boundary
 	maxCol int // widest im2col patch matrix / padded activation row
-	maxAcc int // widest accumulator row block
+	maxAcc int // widest accumulator block, plus a pooled conv's pooled sums
 
 	actMax []float64 // calibration scratch, kept so a Recompile reuses it
 	tables Arena     // the tile convolutions' operands; Reset by each Recompile
@@ -51,12 +53,11 @@ const (
 	qConv qOpKind = iota
 	qDense
 	qHead
-	qRelu
-	qPool
 )
 
 // qOp is one compiled stage. Conv and Dense requantize back to int8 at the
-// next boundary's scale; the head produces float64 logits.
+// next boundary's scale, through a following ReLU and (conv) 2x2 max-pool
+// folded in; the head produces float64 logits.
 type qOp struct {
 	kind qOpKind
 
@@ -74,6 +75,7 @@ type qOp struct {
 	m     int32   // fixed-point requant multiplier (quantMultiplier)
 	shift int
 	relu  bool // fused following ReLU: requantize clamps to [0, 127]
+	pool  bool // fused following MaxPool2D: runConv pools the accumulators
 
 	// zeroScale marks an all-zero weight tensor (sw == 0): the accumulator
 	// units are undefined, so the op's output is the bias alone, quantized
@@ -95,10 +97,10 @@ type qOp struct {
 	wpk        []int32
 
 	// geometry
-	inC, outC, k  int // conv; pool reuses inC/h/w
+	inC, outC, k  int // conv: oh x ow is the convolution's output, pooled or not
 	h, w, oh, ow  int
 	inDim, outDim int // dense/head
-	inLen, outLen int // per-sample activation lengths
+	inLen, outLen int // per-sample activation lengths, outLen after any pool
 }
 
 // actScale maps a calibrated activation maxAbs to a quantization scale,
@@ -124,7 +126,15 @@ func maxAbsOf(data []float64) float64 {
 	return m
 }
 
-const biasQLimit = 1 << 30 // headroom: |dot| <= kk*127*127 << 2^31 - 2^30
+// biasQLimit bounds a bias in accumulator units, and maxDotLen the int8
+// products one accumulator sums (66 572): |dot| <= K*127*127, so
+// |dot + bias| <= MaxInt32 and no accumulator, biased or not, wraps —
+// which keeps the logits meaningful and pooling the accumulators exact.
+// Recompile refuses a longer conv or dense row.
+const (
+	biasQLimit = 1 << 30
+	maxDotLen  = (math.MaxInt32 - biasQLimit) / (127 * 127)
+)
 
 func clampBiasQ(v float64) int32 {
 	q := math.Round(v)
@@ -199,8 +209,10 @@ func calibrate(actMax []float64, net *Network, calib *Tensor, a *Arena) []float6
 // static activation scale per layer boundary (maxAbs/127, zero->one
 // fallback). Weight scales come from qw; biases are read from net's float
 // tensors in accumulator units. Supported layers are the inference set
-// (Conv2D, Dense, ReLU, MaxPool2D, Flatten) and the final layer must be
-// Dense — every zoo architecture qualifies.
+// (Conv2D, Dense, ReLU, MaxPool2D, Flatten); a ReLU must directly follow a
+// Conv2D or Dense, a MaxPool2D a Conv2D (a ReLU between them allowed), no
+// conv or dense row may sum more than maxDotLen products, and the final
+// layer must be Dense — every zoo architecture qualifies.
 func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*QuantizedNetwork, error) {
 	q := &QuantizedNetwork{}
 	if err := q.Recompile(net, qw, calib, NewArena()); err != nil {
@@ -250,6 +262,7 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 	}
 	q.maxAct = inLen
 	ti := 0
+	fold := -1 // the op a following ReLU or max-pool folds into; -1 when none may
 	for li, l := range net.Layers {
 		outShape := l.OutShape(shape)
 		outLen := 1
@@ -275,6 +288,9 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 			op.oh, op.ow = outShape[1], outShape[2]
 			sy := actScale(actMax[li+1])
 			kk := op.inC * op.k * op.k
+			if kk > maxDotLen {
+				return errDotLen(li, net.Name, l, kk)
+			}
 			compileRequantOp(&op, wt, bias.Data, s, sy, op.outC, kk)
 			compileConvTile(&op, wt.Data, &q.tables)
 			np := op.oh * op.ow
@@ -292,6 +308,9 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 			wt := qw.Tensors[ti]
 			bias := l.Params()[1]
 			ti += 2
+			if t.InDim > maxDotLen {
+				return errDotLen(li, net.Name, l, t.InDim)
+			}
 			op.inDim, op.outDim = t.InDim, t.OutDim
 			if op.outDim > q.maxAcc {
 				q.maxAcc = op.outDim
@@ -312,47 +331,52 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 				q.maxCol = op.kPad // padded activation scratch (runDense/runHead)
 			}
 		case *ReLU:
-			// Peephole: a ReLU directly after a requantizing conv/dense fuses
-			// into that op's store — requantizeRow clamps to [0, 127] instead
-			// of [-127, 127], which is exactly relu ∘ clamp, so the standalone
-			// pass (and its full activation read+write) disappears. Every zoo
-			// architecture places its ReLUs this way; the standalone qRelu op
-			// remains for any network that does not.
-			if n := len(q.ops); n > 0 {
-				if prev := &q.ops[n-1]; prev.kind == qConv || prev.kind == qDense {
-					if prev.zeroScale {
-						for o, b := range prev.biasAtSy {
-							prev.biasAtSy[o] = max(b, 0)
-						}
-					} else {
-						prev.relu = true
-					}
-					shape = outShape
-					continue
-				}
+			// The op's store clamp: [0, 127] is exactly relu ∘ clamp±127.
+			if fold < 0 || q.ops[fold].relu || q.ops[fold].pool {
+				return fmt.Errorf("nn: layer %d of %q (ReLU) does not directly follow a Conv2D or Dense; the INT8 engine runs ReLU as their requantize clamp", li, net.Name)
 			}
-			op.kind = qRelu // exact: max(q, 0) at an unchanged positive scale
+			prev := &q.ops[fold]
+			prev.relu = true
+			for o, b := range prev.biasAtSy { // a zero-scale op stores its bias
+				prev.biasAtSy[o] = max(b, 0)
+			}
+			shape = outShape
+			continue
 		case *MaxPool2D:
-			op.kind = qPool // exact: int8 comparisons replay the float ones
-			op.inC, op.h, op.w = shape[0], shape[1], shape[2]
-			op.oh, op.ow = outShape[1], outShape[2]
+			// runConv pools the accumulators (maxPoolAcc has the argument).
+			if fold < 0 || q.ops[fold].kind != qConv || q.ops[fold].pool {
+				return fmt.Errorf("nn: layer %d of %q (MaxPool2D) does not follow a Conv2D; the INT8 engine pools a convolution's accumulators", li, net.Name)
+			}
+			prev := &q.ops[fold]
+			prev.pool, prev.outLen = true, outLen
+			if a := prev.outC*prev.oh*prev.ow + outLen; a > q.maxAcc {
+				q.maxAcc = a // the accumulator block, then the pooled sums
+			}
+			shape, inLen = outShape, outLen
+			continue
 		case *Flatten:
+			fold = -1
 			shape = outShape // activations are already flat CHW rows
 			continue
 		default:
 			return fmt.Errorf("nn: layer %d of %q (%T) has no INT8 lowering", li, net.Name, l)
 		}
-		if outLen > q.maxAct {
-			q.maxAct = outLen
-		}
 		q.ops = append(q.ops, op)
+		fold = len(q.ops) - 1
 		shape = outShape
 		inLen = outLen
 	}
 	if ti != len(qw.Tensors) {
 		return fmt.Errorf("nn: network %q consumed %d of %d quantized tensors", net.Name, ti, len(qw.Tensors))
 	}
+	for _, op := range q.ops {
+		q.maxAct = max(q.maxAct, op.outLen)
+	}
 	return nil
+}
+
+func errDotLen(li int, name string, l Layer, k int) error {
+	return fmt.Errorf("nn: layer %d of %q (%T) sums %d int8 products per output; past %d an int32 accumulator can wrap", li, name, l, k, maxDotLen)
 }
 
 // padWeightRows sets op.wq to rows of rowLen int8s at stride op.kPad =
@@ -458,7 +482,7 @@ func (q *QuantizedNetwork) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	col := a.Int8s(batch * q.maxCol)
 	acc := a.Int32s(batch * q.maxAcc)
 
-	quantizeActs(cur[:batch*inLen], in.Data, q.inScale)
+	quantizeActsSIMD(cur[:batch*inLen], in.Data, q.inScale)
 	for i := range q.ops {
 		op := &q.ops[i]
 		switch op.kind {
@@ -469,15 +493,6 @@ func (q *QuantizedNetwork) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 		case qHead:
 			q.runHead(op, batch, cur, col, acc, out.Data)
 			return out
-		case qRelu:
-			n := batch * op.inLen
-			for j, v := range cur[:n] {
-				// Branchless max(v, 0): v>>7 is the sign mask, so negative
-				// values clear to zero with no data-dependent branch.
-				nxt[j] = v &^ (v >> 7)
-			}
-		case qPool:
-			q.runPool(op, batch, cur, nxt)
 		}
 		cur, nxt = nxt, cur
 	}
@@ -493,17 +508,20 @@ func (q *QuantizedNetwork) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 // batch-tiled dual-row kernels once per chunk instead of once per sample.
 // int32 wraparound addition is associative, so either grouping is
 // bit-identical to per-sample row-dots over unpadded patches
-// (qoracle_test.go). The accumulator block is laid out [oc][s*np+j] and the
-// requantize pass scatters it back to the per-sample [s][oc][j] activation
-// layout.
+// (qoracle_test.go). The accumulator block is laid out [oc][s*np+j]. A
+// pooled convolution max-pools each channel's row of it, the whole chunk in
+// one maxPoolAccSIMD call, into the per-sample [s][oc][j] activation layout
+// behind the block with the channel's bias added, and one requantizeRow
+// maps those pooled sums — a quarter of the pixels, and a row long enough
+// for the AVX-512 tier — straight into the activations.
 func (q *QuantizedNetwork) runConv(op *qOp, batch int, cur, nxt, col []int8, acc []int32) {
-	np := op.oh * op.ow
+	pnp := op.outLen / op.outC // output pixels per channel, after any pool
 	if op.zeroScale {
 		for s := 0; s < batch; s++ {
 			dst := nxt[s*op.outLen : (s+1)*op.outLen]
 			for oc := 0; oc < op.outC; oc++ {
 				b := op.biasAtSy[oc]
-				row := dst[oc*np : (oc+1)*np]
+				row := dst[oc*pnp : (oc+1)*pnp]
 				for j := range row {
 					row[j] = b
 				}
@@ -511,6 +529,7 @@ func (q *QuantizedNetwork) runConv(op *qOp, batch int, cur, nxt, col []int8, acc
 		}
 		return
 	}
+	np := op.oh * op.ow
 	cols := batch * np
 	if !qconvDirectSIMD(op, batch, cur, acc[:op.outC*cols]) {
 		// Patch rows at the padded stride; the bytes between the patch and
@@ -525,6 +544,14 @@ func (q *QuantizedNetwork) runConv(op *qOp, batch int, cur, nxt, col []int8, acc
 	lo := int8(-127)
 	if op.relu {
 		lo = 0
+	}
+	if op.pool {
+		pooled := acc[op.outC*cols : op.outC*cols+batch*op.outLen]
+		for oc := 0; oc < op.outC; oc++ {
+			maxPoolAccSIMD(pooled[oc*pnp:], acc[oc*cols:(oc+1)*cols], batch, op.oh, op.ow, op.outLen, op.biasQ[oc])
+		}
+		requantizeRow(nxt[:batch*op.outLen], pooled, 0, op.m, op.shift, lo)
+		return
 	}
 	// The accumulator row for one output channel is contiguous across the
 	// whole batch and shares one bias, so it requantizes as a single long row
@@ -593,30 +620,6 @@ func (q *QuantizedNetwork) runHead(op *qOp, batch int, cur, col []int8, acc []in
 		arow := acc[s*op.outDim : (s+1)*op.outDim]
 		for o, v := range arow {
 			orow[o] = float64(v)*op.sxw + op.biasF[o]
-		}
-	}
-}
-
-// runPool is the exact int8 2x2/stride-2 max pool. Max is associative and
-// total on int8, so any comparison order reproduces the float layer's
-// result; the windows are promoted to int and reduced with the builtin max
-// so the compiler emits conditional moves instead of data-dependent
-// branches (random activations mispredict ~50% and dominated the profile).
-func (q *QuantizedNetwork) runPool(op *qOp, batch int, cur, nxt []int8) {
-	ch, h, w, oh, ow := op.inC, op.h, op.w, op.oh, op.ow
-	for s := 0; s < batch; s++ {
-		src := cur[s*op.inLen : (s+1)*op.inLen]
-		dst := nxt[s*op.outLen : (s+1)*op.outLen]
-		for c := 0; c < ch; c++ {
-			for y := 0; y < oh; y++ {
-				row0 := src[(c*h+2*y)*w : (c*h+2*y)*w+w]
-				row1 := src[(c*h+2*y+1)*w : (c*h+2*y+1)*w+w]
-				drow := dst[(c*oh+y)*ow : (c*oh+y)*ow+ow]
-				for x := range drow {
-					m := max(int(row0[2*x]), int(row0[2*x+1]), int(row1[2*x]), int(row1[2*x+1]))
-					drow[x] = int8(m)
-				}
-			}
 		}
 	}
 }

@@ -206,20 +206,36 @@ func TestQuantizedNetworkSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestQuantizedNetworkRejectsUnsupported: layers without an INT8 lowering
-// and networks without a Dense head are compile-time errors, not runtime
-// surprises.
-func TestQuantizedNetworkRejectsUnsupported(t *testing.T) {
+// TestQuantizedNetworkErrors: what the INT8 engine cannot lower is a
+// compile-time error, not a runtime surprise — a layer type it has no case
+// for, a network without a Dense head, a ReLU that follows no conv or dense
+// layer, a max-pool that follows no convolution, a row long enough for an
+// int32 accumulator to wrap — while every zoo architecture compiles.
+func TestQuantizedNetworkErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	bad := NewNetwork("unlowered", []int{16}, NewFlatten(), unloweredLayer{NewReLU()}, NewDense(16, 4, rng))
-	calib := randBatch(rng, 2, bad.InShape())
-	if _, err := NewQuantizedNetwork(bad, QuantizeWeights(bad), calib); err == nil {
-		t.Fatal("network with an unlowered layer compiled; want an unsupported-layer error")
+	for _, c := range []struct {
+		what string
+		net  *Network
+	}{
+		{"an unlowered layer", NewNetwork("unlowered", []int{16}, NewFlatten(), unloweredLayer{NewReLU()}, NewDense(16, 4, rng))},
+		{"no Dense head", NewNetwork("relu-tail", []int{16}, NewFlatten(), NewDense(16, 4, rng), NewReLU())},
+		{"a ReLU after Flatten", NewNetwork("flat-relu", []int{1, 6, 6}, NewConv2D(1, 2, 3, rng), NewFlatten(), NewReLU(), NewDense(32, 4, rng))},
+		{"a ReLU after a pool", NewNetwork("pool-relu", []int{1, 6, 6}, NewConv2D(1, 2, 3, rng), NewMaxPool2D(), NewReLU(), NewFlatten(), NewDense(8, 4, rng))},
+		{"a pool after a pool", NewNetwork("pool-pool", []int{1, 10, 10}, NewConv2D(1, 2, 3, rng), NewMaxPool2D(), NewMaxPool2D(), NewFlatten(), NewDense(8, 4, rng))},
+		{"a Dense whose int32 sums can wrap", NewNetwork("wide", []int{maxDotLen + 1}, NewDense(maxDotLen+1, 2, rng))},
+	} {
+		calib := randBatch(rng, 2, c.net.InShape())
+		if _, err := NewQuantizedNetwork(c.net, QuantizeWeights(c.net), calib); err == nil {
+			t.Errorf("network with %s compiled; want an error", c.what)
+		}
 	}
-	tailless := NewNetwork("relu-tail", []int{16}, NewFlatten(), NewDense(16, 4, rng), NewReLU())
-	if _, err := NewQuantizedNetwork(tailless, QuantizeWeights(tailless), calib); err == nil {
-		t.Fatal("network without a Dense head compiled; want an error")
+	for _, shape := range [][]int{{1, 28, 28}, {3, 32, 32}} {
+		for _, net := range familyForTest(shape, rng) {
+			quantizeForTest(t, net, randBatch(rng, 2, shape))
+		}
 	}
+	widest := NewNetwork("widest", []int{maxDotLen}, NewDense(maxDotLen, 2, rng))
+	quantizeForTest(t, widest, randBatch(rng, 2, widest.InShape()))
 }
 
 // unloweredLayer is a working Layer of a type the INT8 compiler has no case

@@ -9,12 +9,15 @@ import (
 // The absolute reference for the INT8 engine. qforwardRef executes a compiled
 // op table one sample at a time with nothing but the specification's pieces:
 // quantizeActs, an unpadded im2colQ, qdotRowRef, requantize and the literal
-// pool / ReLU rules. It shares no lowering, tile, padding or batching with
-// ForwardBatch, so a tier that regroups the arithmetic is held to bits, not
-// to another tier.
+// ReLU and int8 2x2 max-pool rules, in the float network's order — every
+// pixel requantized, then pooled. It shares no lowering, tile, padding,
+// batching or pool placement with ForwardBatch, so a tier that regroups the
+// arithmetic is held to bits, not to another tier, and the engine's pooling
+// of accumulators is checked rather than restated.
 
 // qconvRef is one sample's convolution stage: accumulators into acc
-// ([oc][pixel], outC*np values) and the requantized activations into nxt.
+// ([oc][pixel], outC*np values) and the requantized activations — pooled
+// after requantizing, when op.pool — into nxt.
 func qconvRef(op *qOp, cur, nxt []int8, acc []int32) {
 	np, kk := op.oh*op.ow, op.inC*op.k*op.k
 	col := make([]int8, np*kk)
@@ -23,8 +26,9 @@ func qconvRef(op *qOp, cur, nxt []int8, acc []int32) {
 	if op.relu {
 		lo = 0
 	}
+	full := make([]int8, op.outC*np)
 	for oc := 0; oc < op.outC; oc++ {
-		row := nxt[oc*np : (oc+1)*np]
+		row := full[oc*np : (oc+1)*np]
 		if op.zeroScale {
 			for j := range row {
 				row[j] = op.biasAtSy[oc]
@@ -35,6 +39,19 @@ func qconvRef(op *qOp, cur, nxt []int8, acc []int32) {
 		qdotRowRef(arow, op.wq[oc*op.kPad:oc*op.kPad+kk], col, np, kk)
 		for j, v := range arow {
 			row[j] = max(requantize(v+op.biasQ[oc], op.m, op.shift), lo)
+		}
+	}
+	if !op.pool {
+		copy(nxt, full)
+		return
+	}
+	ph, pw := op.oh/2, op.ow/2
+	for c := 0; c < op.outC; c++ {
+		for y := 0; y < ph; y++ {
+			for x := 0; x < pw; x++ {
+				at := func(dy, dx int) int8 { return full[(c*op.oh+2*y+dy)*op.ow+2*x+dx] }
+				nxt[(c*ph+y)*pw+x] = max(at(0, 0), at(0, 1), at(1, 0), at(1, 1))
+			}
 		}
 	}
 }
@@ -56,7 +73,7 @@ func qforwardRef(q *QuantizedNetwork, in *Tensor) []float64 {
 			}
 			switch op.kind {
 			case qConv:
-				qconvRef(op, cur, nxt, make([]int32, op.outLen))
+				qconvRef(op, cur, nxt, make([]int32, op.outC*op.oh*op.ow))
 			case qDense:
 				for o := range nxt {
 					if op.zeroScale {
@@ -70,19 +87,6 @@ func qforwardRef(q *QuantizedNetwork, in *Tensor) []float64 {
 				for o := 0; o < op.outDim; o++ {
 					qdotRowRef(dot[:], op.wq[o*op.kPad:o*op.kPad+op.inDim], cur, 1, op.inDim)
 					out[s*q.outDim+o] = float64(dot[0])*op.sxw + op.biasF[o]
-				}
-			case qRelu:
-				for j, v := range cur {
-					nxt[j] = max(v, 0)
-				}
-			case qPool:
-				for c := 0; c < op.inC; c++ {
-					for y := 0; y < op.oh; y++ {
-						for x := 0; x < op.ow; x++ {
-							at := func(dy, dx int) int8 { return cur[(c*op.h+2*y+dy)*op.w+2*x+dx] }
-							nxt[(c*op.oh+y)*op.ow+x] = max(at(0, 0), at(0, 1), at(1, 0), at(1, 1))
-						}
-					}
 				}
 			}
 			cur = nxt
@@ -143,14 +147,19 @@ func TestQuantizedNetworkMatchesScalarOracle(t *testing.T) {
 
 // qconvCase builds a convolution op over arbitrary int8 weights the way
 // Recompile does (padded rows, then the tile's operands where the host runs
-// it) with a requantization of about 1/256, and a batch of arbitrary int8
-// activations for it. bytes is cycled to fill both.
-func qconvCase(inC, k, h, w, outC, batch int, bytes []byte) (op *qOp, cur []int8) {
+// it, and a folded 2x2 max-pool when pool is set) with a requantization of
+// about 1/256, and a batch of arbitrary int8 activations for it. bytes is
+// cycled to fill both.
+func qconvCase(inC, k, h, w, outC, batch int, pool bool, bytes []byte) (op *qOp, cur []int8) {
 	kk := inC * k * k
+	oh, ow := h-k+1, w-k+1
 	op = &qOp{
-		kind: qConv, inC: inC, outC: outC, k: k, h: h, w: w, oh: h - k + 1, ow: w - k + 1,
-		m: 1<<30 + 12345, shift: 38,
-		inLen: inC * h * w, outLen: outC * (h - k + 1) * (w - k + 1),
+		kind: qConv, inC: inC, outC: outC, k: k, h: h, w: w, oh: oh, ow: ow,
+		m: 1<<30 + 12345, shift: 38, pool: pool,
+		inLen: inC * h * w, outLen: outC * oh * ow,
+	}
+	if pool {
+		op.outLen = outC * (oh / 2) * (ow / 2)
 	}
 	next := 0
 	fill := func(n int) []int8 {
@@ -171,17 +180,23 @@ func qconvCase(inC, k, h, w, outC, batch int, bytes []byte) (op *qOp, cur []int8
 	return op, fill(batch * op.inLen)
 }
 
+// qconvBuffers sizes runConv's scratch for op at batch the way
+// ForwardBatch's arena requests do: the accumulator block plus, for a pooled
+// op, the pooled sums.
+func qconvBuffers(op *qOp, batch int) (nxt, col []int8, acc []int32) {
+	np := op.oh * op.ow
+	return make([]int8, batch*op.outLen), make([]int8, batch*np*op.kPad), make([]int32, batch*(op.outC*np+op.outLen))
+}
+
 // checkQConvAgainstRef runs the engine's convolution stage over the chunk and
 // compares accumulators and activations with qconvRef, sample by sample.
 func checkQConvAgainstRef(t *testing.T, op *qOp, batch int, cur []int8) {
 	t.Helper()
-	np := op.oh * op.ow
+	np, pnp := op.oh*op.ow, op.outLen/op.outC
 	cols := batch * np
-	nxt := make([]int8, batch*op.outLen)
-	col := make([]int8, batch*np*op.kPad)
-	acc := make([]int32, op.outC*cols)
+	nxt, col, acc := qconvBuffers(op, batch)
 	(&QuantizedNetwork{}).runConv(op, batch, cur, nxt, col, acc)
-	wantNxt, wantAcc := make([]int8, op.outLen), make([]int32, op.outLen)
+	wantNxt, wantAcc := make([]int8, op.outLen), make([]int32, op.outC*np)
 	for s := 0; s < batch; s++ {
 		qconvRef(op, cur[s*op.inLen:(s+1)*op.inLen], wantNxt, wantAcc)
 		for oc := 0; oc < op.outC; oc++ {
@@ -189,8 +204,10 @@ func checkQConvAgainstRef(t *testing.T, op *qOp, batch int, cur []int8) {
 				if got, want := acc[oc*cols+s*np+j], wantAcc[oc*np+j]; got != want {
 					t.Fatalf("conv %dx%dx%d k=%d outC=%d: sample %d channel %d pixel %d: accumulator %d, reference %d", op.inC, op.h, op.w, op.k, op.outC, s, oc, j, got, want)
 				}
-				if got, want := nxt[s*op.outLen+oc*np+j], wantNxt[oc*np+j]; got != want {
-					t.Fatalf("conv %dx%dx%d k=%d outC=%d: sample %d channel %d pixel %d: activation %d, reference %d", op.inC, op.h, op.w, op.k, op.outC, s, oc, j, got, want)
+			}
+			for j := 0; j < pnp; j++ {
+				if got, want := nxt[s*op.outLen+oc*pnp+j], wantNxt[oc*pnp+j]; got != want {
+					t.Fatalf("conv %dx%dx%d k=%d outC=%d pool=%v: sample %d channel %d pixel %d: activation %d, reference %d", op.inC, op.h, op.w, op.k, op.outC, op.pool, s, oc, j, got, want)
 				}
 			}
 		}
@@ -199,15 +216,17 @@ func checkQConvAgainstRef(t *testing.T, op *qOp, batch int, cur []int8) {
 
 // FuzzQConvShortK throws arbitrary int8 weights and activations at the
 // engine's convolution stage over the short-K shapes the tile takes (and,
-// past kk = 48 or under eight-pixel rows, the GEMM beside it) and compares
-// with the scalar reference. -128 is in range: neither path may assume the
-// engine's own [-127, 127] clamp.
+// past kk = 48 or under eight-pixel rows, the GEMM beside it), with and
+// without a folded max-pool (kSel/3 odd), and compares with the scalar
+// reference. -128 is in range: neither path may assume the engine's own
+// [-127, 127] clamp.
 func FuzzQConvShortK(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint8(20), uint8(20), uint8(8), uint8(2), []byte{0x7f, 0x81, 0x80, 3, 0xfe})
 	f.Add(uint8(1), uint8(5), uint8(12), uint8(17), uint8(6), uint8(1), []byte{0x80})
 	f.Add(uint8(3), uint8(3), uint8(10), uint8(11), uint8(20), uint8(5), []byte{1, 0xff, 0x7f, 0x81})
 	f.Add(uint8(37), uint8(1), uint8(9), uint8(15), uint8(3), uint8(3), []byte("short-K"))
 	f.Add(uint8(2), uint8(5), uint8(9), uint8(11), uint8(1), uint8(4), []byte{9, 8, 7})
+	f.Add(uint8(2), uint8(4), uint8(13), uint8(17), uint8(5), uint8(2), []byte{0x80, 0x7f, 5, 0xc3}) // pooled, 9-wide rows
 	f.Fuzz(func(t *testing.T, inC, kSel, h, w, outC, batch uint8, bytes []byte) {
 		k := []int{1, 3, 5}[int(kSel)%3]
 		c := 1 + int(inC)%(63/(k*k))
@@ -216,7 +235,7 @@ func FuzzQConvShortK(f *testing.F) {
 			bytes = []byte{0}
 		}
 		n := 1 + int(batch)%5
-		op, cur := qconvCase(c, k, hh, ww, 1+int(outC)%20, n, bytes)
+		op, cur := qconvCase(c, k, hh, ww, 1+int(outC)%20, n, kSel/3%2 == 1, bytes)
 		checkQConvAgainstRef(t, op, n, cur)
 	})
 }

@@ -79,3 +79,11 @@ func gemmNNAccRowWide(orow, ar, bt []float64, n, ld int) int { return 0 }
 func qconvDirectFits(kPad, ow int) bool { return false }
 
 func qconvDirectSIMD(op *qOp, batch int, cur []int8, acc []int32) bool { return false }
+
+// So are the INT8 accumulator max-pool and input quantizer kernels (arm64's
+// NEON tier is the dot kernels alone): the scalar loops of qkernels.go run.
+func maxPoolAccSIMD(dst, src []int32, imgs, h, w, ld int, bias int32) {
+	maxPoolAcc(dst, src, imgs, h, w, ld, bias)
+}
+
+func quantizeActsSIMD(dst []int8, src []float64, scale float64) { quantizeActs(dst, src, scale) }

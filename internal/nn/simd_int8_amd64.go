@@ -7,9 +7,11 @@ package nn
 // two's-complement addition is associative, the lane regrouping the vector
 // reductions perform cannot change the resulting bits, so AVX2 == VNNI ==
 // generic on every input (pinned exhaustively by simd_int8_amd64_test.go and
-// the qgemm fuzz gate in simd_int8_test.go). The floor is AVX2: a host
-// without it runs qdotRowRef, the portable reference every other
-// architecture's fallback runs too.
+// the qgemm fuzz gate in simd_int8_test.go). The accumulator max-pool is
+// exact on every tier too, and the input quantizer and the requantizer replay
+// their scalar loops' expressions lane for lane. The floor is AVX2: a host
+// without it runs qdotRowRef, maxPoolAcc and quantizeActs, the portable
+// references every other architecture's fallback runs too.
 
 // qdotRowAVX2 is the single-row kernel: 32 int8 MACs per iteration via
 // VPMOVSXBW and VPMADDWD (pair sums max out at 2*127*127, far from the
@@ -59,6 +61,39 @@ func requantizeRowAVX512(dst []int8, acc []int32, bias, m int32, shift int, lo i
 //
 //go:noescape
 func qconvDirect4x16AVX2(acc []int32, stride, nch int, wpk []int32, in []int8, offs, segs []int) //lint:allow simdcover register-tiled convolution with no scalar twin; its fallback on every other host is the im2colQ + qgemmNT lowering runConv keeps, and simd_int8_amd64_test.go pins the tile to qdotRowRef over im2colQ patches
+
+// maxPoolAccAVX2 is maxPoolAcc eight outputs per step (VPMAXSD across the
+// row pair, then across each horizontal pair, then VPADDD the bias;
+// simd_int8_amd64.s).
+//
+//go:noescape
+func maxPoolAccAVX2(dst, src []int32, imgs, h, w, ld int, bias int32)
+
+// quantizeActsAVX2 is quantizeActs four lanes per step: the same VDIVPD
+// quotient, math.Round as truncation plus an exact half-fraction step, NaN
+// to zero, the ±127 clamp (simd_int8_amd64.s).
+//
+//go:noescape
+func quantizeActsAVX2(dst []int8, src []float64, scale float64)
+
+// maxPoolAccSIMD dispatches the accumulator max-pool.
+func maxPoolAccSIMD(dst, src []int32, imgs, h, w, ld int, bias int32) {
+	if hasAVX2 {
+		maxPoolAccAVX2(dst, src, imgs, h, w, ld, bias)
+		return
+	}
+	maxPoolAcc(dst, src, imgs, h, w, ld, bias)
+}
+
+// quantizeActsSIMD dispatches the input quantizer; a slice shorter than one
+// vector stays on the scalar loop.
+func quantizeActsSIMD(dst []int8, src []float64, scale float64) {
+	if hasAVX2 && len(src) >= 4 {
+		quantizeActsAVX2(dst, src, scale)
+		return
+	}
+	quantizeActs(dst, src, scale)
+}
 
 // requantizeRow dispatches the row requantizer: full 8-lane blocks go to the
 // AVX-512 kernel when the CPU+OS support it, the shift is in the kernel's

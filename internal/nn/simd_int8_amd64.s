@@ -2,7 +2,9 @@
 // for the dispatch layer and qkernels.go (qdotRowRef) for the reference
 // semantics. All accumulation is int32 two's-complement wraparound, which is
 // associative — the vector lane regrouping below is therefore bit-identical
-// to the scalar reference by construction, with no rounding to pin.
+// to the scalar reference by construction, with no rounding to pin. The two
+// kernels that do round, requantizeRowAVX512 and quantizeActsAVX2, replay
+// the scalar loop's expression lane for lane.
 
 #include "textflag.h"
 
@@ -651,5 +653,193 @@ qc_next:
 	JMP  qc_tile
 
 qc_done:
+	VZEROUPPER
+	RET
+
+// func maxPoolAccAVX2(dst, src []int32, imgs, h, w, ld int, bias int32)
+//
+// maxPoolAcc over one channel row of a chunk: imgs images of h x w int32
+// accumulators in, back to back; image s's (h/2) x (w/2) pooled sums plus
+// the bias out at dst + s*ld. Eight outputs per step: VPMAXSD folds the two
+// input rows' sixteen dwords into eight horizontal pairs across two ymm,
+// VSHUFPS gathers the pairs' even and odd members (in-lane, so the result
+// comes out qword-interleaved), VPMAXSD reduces each pair, VPERMQ restores
+// the order and VPADDD adds the bias (int32 wraparound, as Go's +). A
+// four-output xmm step needs no VPERMQ, and single outputs take the pair max
+// on xmm too. Every load stays inside the 2*(w/2) columns the outputs read;
+// an odd last row or column is never touched.
+TEXT ·maxPoolAccAVX2(SB), NOSPLIT, $0-84
+	MOVQ dst_base+0(FP), R14
+	MOVQ src_base+24(FP), SI
+	MOVQ imgs+48(FP), R8
+	MOVQ h+56(FP), R9
+	MOVQ w+64(FP), R10
+	MOVL bias+80(FP), AX
+	VMOVD AX, X4
+	VPBROADCASTD X4, Y4      // bias in every dword
+	MOVQ R10, R11
+	SHLQ $2, R11             // input row stride, bytes
+	MOVQ R9, R12
+	IMULQ R11, R12           // input image stride, bytes
+	SHRQ $1, R9              // output rows
+	SHRQ $1, R10             // output columns
+	TESTQ R9, R9
+	JZ    mp_done
+	TESTQ R10, R10
+	JZ    mp_done
+
+mp_img:
+	TESTQ R8, R8
+	JZ    mp_done
+	MOVQ R14, DI             // output row
+	MOVQ SI, BX              // input row pair
+	MOVQ R9, R13
+
+mp_row:
+	LEAQ (BX)(R11*1), DX     // second input row
+	XORQ CX, CX              // output column
+
+mp_blk8:
+	LEAQ 8(CX), AX
+	CMPQ AX, R10
+	JG   mp_blk4
+	VMOVDQU (BX)(CX*8), Y0
+	VMOVDQU 32(BX)(CX*8), Y1
+	VPMAXSD (DX)(CX*8), Y0, Y0
+	VPMAXSD 32(DX)(CX*8), Y1, Y1
+	VSHUFPS $0x88, Y1, Y0, Y2 // even members: o0 o1 o4 o5 | o2 o3 o6 o7
+	VSHUFPS $0xDD, Y1, Y0, Y3 // odd members, same order
+	VPMAXSD Y3, Y2, Y2
+	VPERMQ  $0xD8, Y2, Y2
+	VPADDD  Y4, Y2, Y2
+	VMOVDQU Y2, (DI)(CX*4)
+	MOVQ AX, CX
+	JMP  mp_blk8
+
+mp_blk4:
+	LEAQ 4(CX), AX
+	CMPQ AX, R10
+	JG   mp_one
+	VMOVDQU (BX)(CX*8), X0
+	VMOVDQU 16(BX)(CX*8), X1
+	VPMAXSD (DX)(CX*8), X0, X0
+	VPMAXSD 16(DX)(CX*8), X1, X1
+	VSHUFPS $0x88, X1, X0, X2
+	VSHUFPS $0xDD, X1, X0, X3
+	VPMAXSD X3, X2, X2
+	VPADDD  X4, X2, X2
+	VMOVDQU X2, (DI)(CX*4)
+	MOVQ AX, CX
+
+mp_one:
+	CMPQ CX, R10
+	JGE  mp_rowdone
+	VMOVQ   (BX)(CX*8), X0
+	VMOVQ   (DX)(CX*8), X1
+	VPMAXSD X1, X0, X0
+	VPSHUFD $1, X0, X1
+	VPMAXSD X1, X0, X0
+	VPADDD  X4, X0, X0
+	VMOVD   X0, (DI)(CX*4)
+	INCQ CX
+	JMP  mp_one
+
+mp_rowdone:
+	LEAQ (DI)(R10*4), DI     // next output row
+	LEAQ (BX)(R11*2), BX     // next input row pair
+	DECQ R13
+	JNZ  mp_row
+	ADDQ R12, SI             // next image
+	MOVQ ld+72(FP), AX
+	LEAQ (R14)(AX*4), R14
+	DECQ R8
+	JMP  mp_img
+
+mp_done:
+	VZEROUPPER
+	RET
+
+// Constants of quantizeActsAVX2, one float64 each, broadcast at entry.
+DATA qaAbs<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL qaAbs<>(SB), RODATA|NOPTR, $8
+DATA qaSign<>+0(SB)/8, $0x8000000000000000
+GLOBL qaSign<>(SB), RODATA|NOPTR, $8
+DATA qaHalf<>+0(SB)/8, $0.5
+GLOBL qaHalf<>(SB), RODATA|NOPTR, $8
+DATA qaOne<>+0(SB)/8, $1.0
+GLOBL qaOne<>(SB), RODATA|NOPTR, $8
+DATA qaMax<>+0(SB)/8, $127.0
+GLOBL qaMax<>(SB), RODATA|NOPTR, $8
+DATA qaMin<>+0(SB)/8, $-127.0
+GLOBL qaMin<>(SB), RODATA|NOPTR, $8
+
+// QROUND(X, T1, T2) maps the four float64 lanes of X to quantizeActs'
+// values, still as float64: X/scale by VDIVPD (the scalar loop's IEEE
+// division); round half away from zero as math.Round does — truncate, then
+// step one away from zero where the fraction's magnitude is at least a half
+// (the subtraction is exact, so 0.49999999999999994 stays 0 where
+// floor(x+0.5) would not); NaN to +0; clamp to [-127, 127]. ±Inf truncates
+// to itself and its fraction is NaN, so it takes no step and saturates.
+// Reads the broadcast constants in Y9-Y15; T1 and T2 are clobbered.
+#define QROUND(X, T1, T2) \
+	VDIVPD   Y15, X, X; \
+	VROUNDPD $3, X, T1; \
+	VSUBPD   T1, X, T2; \
+	VANDPD   Y14, T2, T2; \
+	VCMPPD   $0x1d, Y13, T2, T2; \
+	VANDPD   Y12, X, X; \
+	VORPD    Y11, X, X; \
+	VANDPD   T2, X, X; \
+	VADDPD   T1, X, X; \
+	VCMPPD   $7, X, X, T2; \
+	VANDPD   T2, X, X; \
+	VMAXPD   Y9, X, X; \
+	VMINPD   Y10, X, X
+
+// func quantizeActsAVX2(dst []int8, src []float64, scale float64)
+//
+// quantizeActs four lanes at a time (QROUND, then VCVTTPD2DQ — exact, the
+// values are integers in [-127, 127] — and two saturating packs that cannot
+// saturate), and the last len % 4 values one at a time: VMOVSD zeroes the
+// other three lanes, which the macro carries along as zeros.
+TEXT ·quantizeActsAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	VBROADCASTSD scale+48(FP), Y15
+	VBROADCASTSD qaAbs<>(SB), Y14
+	VBROADCASTSD qaHalf<>(SB), Y13
+	VBROADCASTSD qaSign<>(SB), Y12
+	VBROADCASTSD qaOne<>(SB), Y11
+	VBROADCASTSD qaMax<>(SB), Y10
+	VBROADCASTSD qaMin<>(SB), Y9
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	XORQ BX, BX
+
+qa_loop4:
+	CMPQ BX, DX
+	JGE  qa_tail
+	VMOVUPD (SI)(BX*8), Y0
+	QROUND(Y0, Y1, Y2)
+	VCVTTPD2DQY Y0, X0
+	VPACKSSDW X0, X0, X0
+	VPACKSSWB X0, X0, X0
+	VMOVD X0, (DI)(BX*1)
+	ADDQ $4, BX
+	JMP  qa_loop4
+
+qa_tail:
+	CMPQ BX, CX
+	JGE  qa_done
+	VMOVSD (SI)(BX*8), X0
+	QROUND(Y0, Y1, Y2)
+	VCVTTPD2DQY Y0, X0
+	VMOVD X0, AX
+	MOVB  AX, (DI)(BX*1)
+	INCQ BX
+	JMP  qa_tail
+
+qa_done:
 	VZEROUPPER
 	RET

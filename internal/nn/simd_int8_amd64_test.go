@@ -325,7 +325,7 @@ func TestQConvDirect4x16AVX2MatchesRef(t *testing.T) {
 		kk := c.inC * c.k * c.k
 		for wname, wfill := range patterns {
 			for xname, xfill := range patterns {
-				op, cur := qconvCase(c.inC, c.k, c.h, c.w, c.outC, batch, append(wfill(c.outC*kk), xfill(batch*c.inC*c.h*c.w)...))
+				op, cur := qconvCase(c.inC, c.k, c.h, c.w, c.outC, batch, false, append(wfill(c.outC*kk), xfill(batch*c.inC*c.h*c.w)...))
 				if len(op.segs) == 0 {
 					t.Fatalf("%+v: not compiled for the tile", c)
 				}
@@ -359,6 +359,80 @@ func TestQConvDirect4x16AVX2MatchesRef(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestMaxPoolAccAVX2MatchesGo calls the accumulator max-pool kernel itself
+// against maxPoolAcc on even and odd sides (the dropped last row and column),
+// output rows of every width the eight-, four- and one-output steps split
+// differently (0..17), one and several images at a gap between output
+// images, int32 extremes in every lane (the bias add wraps as Go's does), and
+// words around every output image that must survive.
+func TestMaxPoolAccAVX2MatchesGo(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("host below the AVX2 floor: maxPoolAccSIMD runs maxPoolAcc itself")
+	}
+	rng := rand.New(rand.NewSource(2601))
+	const guard = 0x5a5a5a5a
+	for h := 1; h <= 9; h++ {
+		for w := 1; w <= 35; w++ {
+			for _, imgs := range []int{1, 3} {
+				src := make([]int32, imgs*h*w)
+				for i := range src {
+					switch rng.Intn(4) {
+					case 0:
+						src[i] = math.MaxInt32
+					case 1:
+						src[i] = math.MinInt32
+					default:
+						src[i] = int32(rng.Uint32())
+					}
+				}
+				bias := int32(rng.Uint32())
+				ld := (h/2)*(w/2) + rng.Intn(3)
+				want := make([]int32, imgs*ld+8)
+				got := make([]int32, len(want))
+				for i := range want {
+					want[i], got[i] = guard, guard
+				}
+				maxPoolAcc(want, src, imgs, h, w, ld, bias)
+				maxPoolAccAVX2(got, src, imgs, h, w, ld, bias)
+				for i, v := range want {
+					if got[i] != v {
+						t.Fatalf("%d images of %dx%d at stride %d: word %d = %d, maxPoolAcc %d", imgs, h, w, ld, i, got[i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuantizeActsAVX2MatchesScalar calls the input quantizer kernel itself
+// against quantizeActs on every length across the four-lane step and the
+// one-lane tail, over the rounding and clamp edges, the specials and random
+// bit patterns, at unit and random scales.
+func TestQuantizeActsAVX2MatchesScalar(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("host below the AVX2 floor: quantizeActsSIMD runs quantizeActs itself")
+	}
+	rng := rand.New(rand.NewSource(2602))
+	edges := quantizeActsEdges()
+	for n := 0; n <= 19; n++ {
+		for iter := 0; iter < 50; iter++ {
+			src := make([]float64, n)
+			for i := range src {
+				if rng.Intn(2) == 0 {
+					src[i] = edges[rng.Intn(len(edges))]
+				} else {
+					src[i] = math.Float64frombits(rng.Uint64())
+				}
+			}
+			scale := 1.0
+			if iter%2 == 1 {
+				scale = math.Abs(math.Float64frombits(rng.Uint64()))
+			}
+			checkQuantizeActs(t, quantizeActsAVX2, src, scale)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -445,4 +446,124 @@ func randInt8(rng *rand.Rand, n int) []int8 {
 		s[i] = int8(rng.Intn(255) - 127) // [-127, 127]
 	}
 	return s
+}
+
+// quantizeActsEdges are the inputs where a rounding or clamp rule shows: the
+// ties on both sides of zero and of the clamp, the largest double below a
+// half (floor(x+0.5) rounds it to 1), ±0, ±Inf, quiet and signalling NaN
+// payloads of both signs, subnormals, and 2^52+1 (an odd integer any
+// add-and-subtract rounding trick moves).
+func quantizeActsEdges() []float64 {
+	return []float64{
+		0.5, -0.5, 1.5, -1.5, 126.5, -126.5, 127.5, -127.5, 127.49999999999999, 128,
+		0.49999999999999994, -0.49999999999999994,
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000123),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030,
+		1<<52 + 1, -(1<<52 + 1), math.MaxFloat64, -math.MaxFloat64,
+	}
+}
+
+// checkQuantizeActs holds kern to quantizeActs' bytes on src at scale.
+func checkQuantizeActs(t *testing.T, kern func(dst []int8, src []float64, scale float64), src []float64, scale float64) {
+	t.Helper()
+	want := make([]int8, len(src))
+	quantizeActs(want, src, scale)
+	got := make([]int8, len(src)+1)
+	got[len(src)] = 0x5a
+	kern(got[:len(src)], src, scale)
+	for i, v := range want {
+		if got[i] != v {
+			t.Fatalf("scale %g: value %d (%g, bits %#x) quantized to %d, quantizeActs says %d", scale, i, src[i], math.Float64bits(src[i]), got[i], v)
+		}
+	}
+	if got[len(src)] != 0x5a {
+		t.Fatalf("scale %g: %d values: stored past the last one", scale, len(src))
+	}
+}
+
+// FuzzQuantizeActs feeds arbitrary float64 bit patterns and positive scales
+// to the dispatched input quantizer on every dispatch floor and holds it to
+// the scalar quantizeActs.
+func FuzzQuantizeActs(f *testing.F) {
+	seed := func(scale float64, vals ...float64) {
+		b := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		f.Add(b, scale)
+	}
+	seed(1, quantizeActsEdges()...)
+	seed(0.5, 0.25, -0.25, 63.25, -63.75, 63.5, 0.24999999999999997)
+	seed(math.SmallestNonzeroFloat64, 1e-320, -1e-322, 0x1p-1074)
+	seed(1e300, math.MaxFloat64, 1.27e302, -1.275e302, 1e290)
+	f.Fuzz(func(t *testing.T, raw []byte, scale float64) {
+		scale = math.Abs(scale)
+		if !(scale > 0) {
+			scale = 1
+		}
+		src := make([]float64, len(raw)/8)
+		for i := range src {
+			src[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		eachDispatchFloor(func(string) { checkQuantizeActs(t, quantizeActsSIMD, src, scale) })
+	})
+}
+
+// TestPoolCommutesWithRequantize is the lemma that lets a convolution pool
+// its int32 accumulators and requantize only the quarter that survives:
+// with m > 0 and sums that cannot wrap, requantize(max(a, b)) ==
+// max(requantize(a), requantize(b)), clamped at either lower bound. It holds
+// the scalar spec, requantizeRowScalar and requantizeRow on every dispatch
+// floor (a 256-element row, so the AVX-512 tier takes it natively) to the
+// lemma, over shifts on both sides of the shift <= 0 cold path, accumulators
+// out to ±maxDotLen·127² and biases out to ±biasQLimit — and to the form
+// runConv computes, the bias added to the pooled sums by maxPoolAcc and a
+// bias-free requantize after.
+func TestPoolCommutesWithRequantize(t *testing.T) {
+	rng := rand.New(rand.NewSource(2603))
+	const n = 256
+	const lim = maxDotLen * 127 * 127
+	edges := []int32{lim, -lim, lim - 1, -lim + 1, 0, 1, -1}
+	draw := func() int32 {
+		if rng.Intn(3) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return int32(rng.Int63n(2*lim+1) - lim)
+	}
+	a, b, mx, biased := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+	ra, rb, rm, rbiased := make([]int8, n), make([]int8, n), make([]int8, n), make([]int8, n)
+	for iter := 0; iter < 120; iter++ {
+		bias := []int32{biasQLimit, -biasQLimit, int32(rng.Int63n(2*biasQLimit+1) - biasQLimit)}[iter%3]
+		m := int32(1<<30 + rng.Intn(1<<30))
+		shift := []int{-2, 0, 1 + rng.Intn(61)}[iter/3%3]
+		for j := range a {
+			a[j], b[j] = draw(), draw()
+			mx[j] = max(a[j], b[j])
+			biased[j] = mx[j] + bias
+		}
+		for _, lo := range []int8{-127, 0} {
+			spec := func(v int32) int8 { return max(requantize(v+bias, m, shift), lo) }
+			for j := range a {
+				if got, want := spec(mx[j]), max(spec(a[j]), spec(b[j])); got != want {
+					t.Fatalf("spec m=%d shift=%d bias=%d lo=%d: requantize(max(%d, %d)) = %d, max of requantized %d", m, shift, bias, lo, a[j], b[j], got, want)
+				}
+			}
+			eachDispatchFloor(func(floor string) {
+				for name, row := range map[string]func(dst []int8, acc []int32, bias, m int32, shift int, lo int8){
+					"requantizeRowScalar": requantizeRowScalar, "requantizeRow": requantizeRow,
+				} {
+					row(ra, a, bias, m, shift, lo)
+					row(rb, b, bias, m, shift, lo)
+					row(rm, mx, bias, m, shift, lo)
+					row(rbiased, biased, 0, m, shift, lo)
+					for j := range a {
+						if want := max(ra[j], rb[j]); rm[j] != want || rbiased[j] != want || ra[j] != spec(a[j]) {
+							t.Fatalf("%s at %s, m=%d shift=%d bias=%d lo=%d, element %d: pooled %d, bias after pooling %d, max of requantized %d", name, floor, m, shift, bias, lo, j, rm[j], rbiased[j], want)
+						}
+					}
+				}
+			})
+		}
+	}
 }
