@@ -107,14 +107,13 @@ var keptForTests = map[string]string{
 	"numeric.lfSource.Int63":           "rand.Source method; math/rand calls it, not the repo",
 	"trading.PrimalDual.SolveProximal": "oracle: numerical proximal step TestPrimalDualClosedFormMatchesNumericalProximal holds the closed form to",
 
-	"nn.Network.OutDim":                    "instrument: class count read by the batch-equivalence and architecture tests",
-	"nn.QuantizedNetwork.OutDim":           "instrument: logit width read by the qnetwork tests",
-	"nn.QuantizedNetwork.ParamBytes":       "instrument: resident size TestRecompileMatchesFreshCompile compares",
-	"models.TrainedZoo.ResidentParamBytes": "instrument: resident-memory check of TestQuantizedZooSharesInt8Storage",
-	"models.SurrogateZoo.MeanAccuracy":     "models.Zoo method; examples/accuracy calls TrainedZoo's",
-	"bandit.UCB2.Selections":               "instrument: pull counts read by TestUCB2SelectionsAccounting",
-	"bandit.UCB2.Switches":                 "instrument: switch count read by TestUCB2LogarithmicSwitches",
-	"trading.LyapunovTrader.Queue":         "instrument: virtual queue read by TestLyapunovQueueDynamics",
+	"nn.Network.OutDim":                "instrument: class count read by the batch-equivalence and architecture tests",
+	"nn.QuantizedNetwork.OutDim":       "instrument: logit width read by the qnetwork tests",
+	"nn.QuantizedNetwork.ParamBytes":   "instrument: resident size TestRecompileMatchesFreshCompile compares",
+	"models.SurrogateZoo.MeanAccuracy": "models.Zoo method; examples/accuracy calls TrainedZoo's",
+	"bandit.UCB2.Selections":           "instrument: pull counts read by TestUCB2SelectionsAccounting",
+	"bandit.UCB2.Switches":             "instrument: switch count read by TestUCB2LogarithmicSwitches",
+	"trading.LyapunovTrader.Queue":     "instrument: virtual queue read by TestLyapunovQueueDynamics",
 
 	"bandit.BlockedTsallisINF.Probabilities":   "telemetry accessor (ROADMAP telemetry item ii): arm distribution p",
 	"bandit.BlockedTsallisINF.Blocks":          "telemetry accessor: block index",
@@ -208,8 +207,8 @@ var keptOptions = map[string]string{
 	"deploy.RetryConfig.ResumeWait":     "chaos: the kill/resume suites bound how long a session waits for its peer to come back",
 	"figures.Options.Clock":             "Fig. 14's y-axis is wall time; tests inject a fake clock to keep the harness deterministic",
 
-	"trading.PrimalDualConfig.InitialCap": "set through DefaultPrimalDualConfig(initialCap, horizon), the one way shipped code builds the config",
-	"trading.PrimalDualConfig.Horizon":    "set through DefaultPrimalDualConfig, as InitialCap",
+	"trading.PrimalDualConfig.InitialCap": "set through DefaultPrimalDualConfig or ScaledPrimalDualConfig(initialCap, horizon, ...), the ways shipped code builds the config",
+	"trading.PrimalDualConfig.Horizon":    "set through DefaultPrimalDualConfig or ScaledPrimalDualConfig, as InitialCap",
 }
 
 // TestNoUnsetOptions is the regrowth fence for options: every exported field

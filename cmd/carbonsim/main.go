@@ -13,9 +13,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -76,14 +78,12 @@ func run(args []string, stdout io.Writer) (err error) {
 	cfg.Horizon = *horizon
 	cfg.Seed = *seed
 	cfg.SwitchWeight = *switchWeight
-	if *cap >= 0 {
-		cfg.InitialCap = *cap
-	}
-	if *rate >= 0 {
-		cfg.EmissionRate = *rate
-	}
-	if *meanWorkload >= 0 {
-		cfg.MeanPeakWorkload = *meanWorkload
+	if err := errors.Join(
+		override(&cfg.InitialCap, "cap", *cap),
+		override(&cfg.EmissionRate, "rate", *rate),
+		override(&cfg.MeanPeakWorkload, "mean-workload", *meanWorkload),
+	); err != nil {
+		return err
 	}
 
 	zoo, err := buildZoo(*zooKind, *seed, *int8M)
@@ -166,6 +166,19 @@ func run(args []string, stdout io.Writer) (err error) {
 	return tw.Flush()
 }
 
+// override sets *dst to flag -name's value v unless v is negative, the "keep
+// the default" sentinel. NaN is neither and is refused; any other value is
+// left to the scenario's own checks.
+func override(dst *float64, name string, v float64) error {
+	if math.IsNaN(v) {
+		return fmt.Errorf("-%s: NaN is not a value", name)
+	}
+	if v >= 0 {
+		*dst = v
+	}
+	return nil
+}
+
 // loadTraces reads the optional workload/price CSVs.
 func loadTraces(workloadPath, pricesPath string) ([][]int, *market.Prices, error) {
 	var workloadTrace [][]int
@@ -227,15 +240,14 @@ func buildZoo(kind string, seed int64, int8Mode bool) (models.Zoo, error) {
 	if int8Mode && kind != "mnist-q8" && kind != "cifar-q8" {
 		return nil, fmt.Errorf("-int8 requires a quantized zoo (mnist-q8 | cifar-q8), got %q", kind)
 	}
+	rng := numeric.SplitRNG(seed, "zoo")
 	switch kind {
 	case "surrogate":
-		return models.DefaultSurrogateZoo(numeric.SplitRNG(seed, "zoo"))
+		return models.DefaultSurrogateZoo(rng)
 	case "mnist":
-		return models.CachedTrainedZoo(
-			models.DefaultTrainedZooConfig(dataset.MNISTLike), seed, "zoo")
+		return models.NewTrainedZoo(models.DefaultTrainedZooConfig(dataset.MNISTLike), rng)
 	case "cifar":
-		return models.CachedTrainedZoo(
-			models.DefaultTrainedZooConfig(dataset.CIFARLike), seed, "zoo")
+		return models.NewTrainedZoo(models.DefaultTrainedZooConfig(dataset.CIFARLike), rng)
 	case "mnist-q8", "cifar-q8":
 		spec := dataset.MNISTLike
 		if kind == "cifar-q8" {
@@ -243,7 +255,7 @@ func buildZoo(kind string, seed int64, int8Mode bool) (models.Zoo, error) {
 		}
 		cfg := models.DefaultTrainedZooConfig(spec)
 		cfg.Int8 = int8Mode
-		return models.CachedQuantizedTrainedZoo(cfg, seed, "zoo")
+		return models.NewQuantizedTrainedZoo(cfg, rng)
 	default:
 		return nil, fmt.Errorf("unknown zoo %q (surrogate | mnist | cifar | mnist-q8 | cifar-q8)", kind)
 	}

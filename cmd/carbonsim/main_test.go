@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,5 +127,48 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Error("expected flag parse error")
+	}
+	// A non-finite or uncountable scalar is an error that names it, never a
+	// silent default or a NaN total.
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-cap", "NaN", "-cap"},
+		{"-rate", "NaN", "-rate"},
+		{"-mean-workload", "NaN", "-mean-workload"},
+		{"-cap", "+Inf", "cap +Inf"},
+		{"-rate", "+Inf", "emission rate +Inf"},
+		{"-switch-weight", "NaN", "switch weight NaN"},
+		{"-switch-weight", "+Inf", "switch weight +Inf"},
+		{"-mean-workload", "+Inf", "MeanPeak +Inf"},
+		{"-mean-workload", "1e300", "MeanPeak 1e+300"},
+	} {
+		err := run([]string{"-edges", "2", "-horizon", "10", "-combo", "Ran-Ran", tc.flag, tc.value}, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: error %v, want one naming %q", tc.flag, tc.value, err, tc.want)
+		}
+	}
+}
+
+// TestRunQuantizedZooPinned pins the quantized-zoo path end to end: the
+// SHA-256 of stdout for a small -zoo mnist-q8 run, scored by the fake-quant
+// oracle and by the INT8 engine. Each run trains a six-model zoo (~3 s).
+func TestRunQuantizedZooPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two zoos")
+	}
+	for _, tc := range []struct {
+		extra  []string
+		digest string
+	}{
+		{nil, "3e40e1454b2aab6a4a0fb4ee0e1ee535948d62d0cbd180feb173fe33a7ad0646"},
+		{[]string{"-int8"}, "715033da265cc67c87b6b9a33c1e1ed2d6e3a20f2deaf81a17c2868ab85f3ad6"},
+	} {
+		var out strings.Builder
+		args := append([]string{"-zoo", "mnist-q8", "-edges", "3", "-horizon", "20", "-combo", "Ours"}, tc.extra...)
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != tc.digest {
+			t.Errorf("%v: stdout digest %s, want %s:\n%s", args, got, tc.digest, out.String())
+		}
 	}
 }

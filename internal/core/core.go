@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/carbonedge/carbonedge/internal/bandit"
 	"github.com/carbonedge/carbonedge/internal/numeric"
@@ -143,12 +142,8 @@ func New(cfg Config) (*Controller, error) {
 		}
 		policies[i] = p
 	}
-	tCfg := trading.DefaultPrimalDualConfig(cfg.InitialCap, cfg.Horizon)
-	inv3 := 1.0 / math.Cbrt(float64(cfg.Horizon))
-	tCfg.Gamma1 = 4 * inv3 * cfg.PriceScale / cfg.EmissionScale
-	tCfg.Gamma2 = 4 * inv3 * cfg.EmissionScale / cfg.PriceScale
-	tCfg.ZMax = 20 * cfg.EmissionScale
-	trader, err := trading.NewPrimalDual(tCfg)
+	trader, err := trading.NewPrimalDual(trading.ScaledPrimalDualConfig(
+		cfg.InitialCap, cfg.Horizon, cfg.EmissionScale, cfg.PriceScale, 1))
 	if err != nil {
 		return nil, fmt.Errorf("trader: %w", err)
 	}

@@ -179,7 +179,7 @@ func newController(cfg CloudConfig, numModels int) (*controller, error) {
 		Horizon:       cfg.Horizon,
 		InitialCap:    cfg.InitialCap,
 		EmissionScale: cfg.EmissionScale,
-		PriceScale:    avgBuyPrice(cfg.Prices, cfg.Horizon),
+		PriceScale:    cfg.Prices.MeanBuy(cfg.Horizon),
 		Seed:          cfg.Seed,
 	})
 	if err != nil {
@@ -200,19 +200,6 @@ func newController(cfg CloudConfig, numModels int) (*controller, error) {
 		SwitchCosts:  cfg.DownloadCosts,
 		Policy:       cfg.Policy,
 	}}, nil
-}
-
-// avgBuyPrice is the mean buy quote over the horizon: the price scale the
-// cloud-side controllers (Cloud and Root) hand Algorithm 2.
-func avgBuyPrice(p *market.Prices, horizon int) float64 {
-	avg := 0.0
-	for t := 0; t < horizon; t++ {
-		avg += p.Buy[t]
-	}
-	if horizon > 0 {
-		avg /= float64(horizon)
-	}
-	return avg
 }
 
 // Serve admits cfg.Edges edge sessions from ln, runs the full horizon, and

@@ -524,7 +524,7 @@ func TestRegionChaosQuorumDegrade(t *testing.T) {
 		Horizon:       horizon,
 		InitialCap:    0.01,
 		EmissionScale: 1e-3,
-		PriceScale:    avgBuyPrice(prices, horizon),
+		PriceScale:    prices.MeanBuy(horizon),
 		Seed:          seed,
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/metrics"
 	"github.com/carbonedge/carbonedge/internal/models"
+	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/sim"
 )
 
@@ -156,10 +157,10 @@ func AblationSubstrate(o Options) (*Figure, error) {
 	fig.Series = append(fig.Series, Series{Label: "Surrogate", X: x, Y: surrogate})
 
 	// Trained-NN substrate: one zoo, kept small; workload and seeds vary.
-	trainedZoo, err := models.CachedTrainedZoo(models.TrainedZooConfig{
+	trainedZoo, err := models.NewTrainedZoo(models.TrainedZooConfig{
 		Dataset: dataset.MNISTLike,
 		TrainN:  500, TestN: 500, Epochs: 2, LR: 0.05, BatchSize: 16,
-	}, o.Seed, "abl-zoo")
+	}, numeric.SplitRNG(o.Seed, "abl-zoo"))
 	if err != nil {
 		return nil, err
 	}

@@ -3,27 +3,24 @@ package figures
 import (
 	"github.com/carbonedge/carbonedge/internal/dataset"
 	"github.com/carbonedge/carbonedge/internal/models"
+	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/sim"
 )
 
 // accuracyCombos mirrors the paper's Figs. 12-13 line-up.
 var accuracyCombos = []string{"Ours", "Greedy-Ran", "TINF-Ran", "UCB-Ran", "Offline"}
 
-// AccuracyZooConfig lets callers trade zoo fidelity for speed; the zero
-// value takes models.DefaultTrainedZooConfig.
-type AccuracyZooConfig = models.TrainedZooConfig
-
 // figAccuracy generates an accuracy-per-slot figure over a trained zoo.
 func figAccuracy(o Options, id, title string, zooCfg models.TrainedZooConfig) (*Figure, error) {
 	o = o.normalized()
-	// The "zoo-"+id stream feeds nothing but zoo construction, so serving
-	// a cache hit (identical bits, no RNG draws) is observation-free.
-	zoo, err := models.CachedTrainedZoo(zooCfg, o.Seed, "zoo-"+id)
+	// The figure trains its zoo once, from its own "zoo-"+id stream, and
+	// every run streams from it.
+	zoo, err := models.NewTrainedZoo(zooCfg, numeric.SplitRNG(o.Seed, "zoo-"+id))
 	if err != nil {
 		return nil, err
 	}
-	// Average per-slot accuracy over runs. The trained zoo is shared;
-	// workload and streams vary with the run's seed.
+	// Average per-slot accuracy over runs; workload and streams vary with
+	// the run's seed.
 	acc := make([][]float64, len(accuracyCombos))
 	for c := range acc {
 		acc[c] = make([]float64, o.Horizon)
@@ -55,13 +52,8 @@ func figAccuracy(o Options, id, title string, zooCfg models.TrainedZooConfig) (*
 // Fig12AccuracyMNIST reproduces Fig. 12: per-slot inference accuracy over
 // the MNIST-like streams.
 func Fig12AccuracyMNIST(o Options) (*Figure, error) {
-	return Fig12At(o, models.DefaultTrainedZooConfig(dataset.MNISTLike))
-}
-
-// Fig12At generates Fig. 12 with an explicit zoo configuration, so
-// benchmarks can shrink the training stage without changing the pipeline.
-func Fig12At(o Options, zooCfg AccuracyZooConfig) (*Figure, error) {
-	return figAccuracy(o, "Fig12", "Inference accuracy over MNIST-like streams", zooCfg)
+	return figAccuracy(o, "Fig12", "Inference accuracy over MNIST-like streams",
+		models.DefaultTrainedZooConfig(dataset.MNISTLike))
 }
 
 // Fig13AccuracyCIFAR reproduces Fig. 13: per-slot inference accuracy over

@@ -78,6 +78,20 @@ func GeneratePrices(cfg PriceConfig, horizon int, rng *rand.Rand) (*Prices, erro
 // Horizon returns the series length.
 func (p *Prices) Horizon() int { return len(p.Buy) }
 
+// MeanBuy returns the mean buy quote over the first horizon slots (0 for
+// none): the price scale Algorithm 2's step sizes and the Lyapunov trader are
+// sized by.
+func (p *Prices) MeanBuy(horizon int) float64 {
+	avg := 0.0
+	for _, c := range p.Buy[:horizon] {
+		avg += c
+	}
+	if horizon > 0 {
+		avg /= float64(horizon)
+	}
+	return avg
+}
+
 // Ledger records allowance trades and the resulting position.
 type Ledger struct {
 	initialCap float64

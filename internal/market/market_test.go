@@ -81,6 +81,16 @@ func TestGeneratePricesDeterministic(t *testing.T) {
 	}
 }
 
+func TestMeanBuyOverPrefix(t *testing.T) {
+	p := &Prices{Buy: []float64{6, 8, 10, 100}, Sell: []float64{5.4, 7.2, 9, 90}}
+	if got := p.MeanBuy(3); got != 8 {
+		t.Errorf("MeanBuy(3) = %v, want 8 (the slot past the horizon is not read)", got)
+	}
+	if got := p.MeanBuy(0); got != 0 {
+		t.Errorf("MeanBuy(0) = %v, want 0", got)
+	}
+}
+
 func TestLedgerAccounting(t *testing.T) {
 	l, err := NewLedger(500)
 	if err != nil {

@@ -61,39 +61,44 @@ func TestQuantizedZooAccuracyClose(t *testing.T) {
 	}
 }
 
-// TestQuantizedZooSharesInt8Storage pins the quantized zoo's memory
-// contract: q8 arms keep no resident float64 network — only the shared int8
-// buffer plus per-tensor scales, well under a quarter (in fact ~1/8) of the
-// full-precision sibling's resident parameter bytes — and Network() still
-// materializes, on demand, a fake-quant network whose scores replay the
-// cached ones bit for bit.
-func TestQuantizedZooSharesInt8Storage(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	z, err := NewQuantizedTrainedZoo(smallZooConfig(dataset.MNISTLike), rng)
+// TestQuantizedZooArmsHoldNoNetwork pins what a q8 arm keeps: no network
+// (Network returns nil, the fp sibling's is untouched) — only its Info and
+// score caches, which replay the fake-quant oracle bit for bit: the
+// checkpoints of a zoo trained from the same seed, QuantizeInPlace'd and
+// scored on its test pool.
+func TestQuantizedZooArmsHoldNoNetwork(t *testing.T) {
+	cfg := smallZooConfig(dataset.MNISTLike)
+	z, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, pool, err := trainZoo(cfg, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := z.NumModels() / 2
 	for i := 0; i < n; i++ {
-		if z.nets[n+i] != nil {
-			t.Fatalf("%s retains a resident float64 network", z.Info(n+i).Name)
+		name := z.Info(n + i).Name
+		if z.Network(n+i) != nil {
+			t.Fatalf("%s holds a network", name)
 		}
-		fp, q8 := z.ResidentParamBytes(i), z.ResidentParamBytes(n+i)
-		if q8*4 > fp {
-			t.Errorf("%s resident %d B is not < 1/4 of fp %d B", z.Info(n+i).Name, q8, fp)
+		if z.Network(i) == nil {
+			t.Fatalf("%s lost its network", z.Info(i).Name)
 		}
-	}
-	// Materialized q8 networks reproduce the cached score stream exactly.
-	for _, i := range []int{0, n - 1} {
-		net := z.Network(n + i)
-		losses, _, meanLoss, meanAcc := nn.ScorePool(net.ForwardBatch, z.testPool)
+		net, err := cloneNetwork(cfg.Dataset, i, oracle.Network(i), rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nn.QuantizeInPlace(net)
+		losses, correct, meanLoss, meanAcc := nn.ScorePool(net.ForwardBatch, pool)
 		if meanLoss != z.MeanLoss(n+i) || meanAcc != z.MeanAccuracy(n+i) {
-			t.Fatalf("%s: materialized scores (%v, %v) != cached (%v, %v)",
-				net.Name, meanLoss, meanAcc, z.MeanLoss(n+i), z.MeanAccuracy(n+i))
+			t.Fatalf("%s: oracle scores (%v, %v) != cached (%v, %v)",
+				name, meanLoss, meanAcc, z.MeanLoss(n+i), z.MeanAccuracy(n+i))
 		}
 		for s, l := range losses {
-			if l != z.losses[n+i][s] {
-				t.Fatalf("%s sample %d: materialized loss %v != cached %v", net.Name, s, l, z.losses[n+i][s])
+			if l != z.losses[n+i][s] || correct[s] != z.correct[n+i][s] {
+				t.Fatalf("%s sample %d: oracle (%v, %v) != cached (%v, %v)",
+					name, s, l, correct[s], z.losses[n+i][s], z.correct[n+i][s])
 			}
 		}
 	}

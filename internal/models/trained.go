@@ -10,8 +10,11 @@ import (
 	"github.com/carbonedge/carbonedge/internal/nn"
 )
 
-// TrainedZoo holds six genuinely trained networks over a synthetic dataset
-// and precomputed per-sample loss/correctness caches for O(1) streaming.
+// TrainedZoo is the model zoo a run trains once and then streams from: per
+// model its Info, its trained network, and per-sample loss/correctness caches
+// over the test pool, so BatchLoss is O(batch) lookups. The test pool itself
+// is dropped once the caches are filled. A quantized zoo's q8 arms hold only
+// their Info and caches; their nets entries are nil.
 type TrainedZoo struct {
 	infos    []Info
 	nets     []*nn.Network
@@ -22,19 +25,6 @@ type TrainedZoo struct {
 	// correct[n][s] records prediction correctness.
 	losses  [][]float64
 	correct [][]bool
-
-	// testPool keeps the evaluation samples so zoo extensions (e.g. the
-	// quantized variants) can score new models on the identical pool.
-	testPool []nn.Sample
-
-	// Quantized-zoo storage: q8 arms do not retain a float64 network clone.
-	// nets[i] is nil for them; qweights[i] holds the shared int8 weights
-	// (one buffer per arm, ~1/8 the float resident bytes) and Network(i)
-	// materializes a fake-quant float network on demand from the base arm
-	// plus qweights. spec and baseCount support that materialization.
-	qweights  []*nn.QuantizedWeights
-	spec      dataset.Spec
-	baseCount int
 }
 
 var _ Zoo = (*TrainedZoo)(nil)
@@ -43,9 +33,9 @@ var _ Zoo = (*TrainedZoo)(nil)
 type TrainedZooConfig struct {
 	// Dataset selects the family (dataset.MNISTLike or dataset.CIFARLike).
 	Dataset dataset.Spec
-	// Dist optionally pins the generative distribution D to share with
-	// other parties (e.g. distributed edge agents). When nil a fresh D is
-	// drawn from the zoo's RNG.
+	// Dist optionally pins the generative distribution D the zoo trains on,
+	// so the edges of a deployment can draw their streams from the same D.
+	// When nil a fresh D is drawn from the zoo's RNG.
 	Dist *dataset.Distribution
 	// TrainN and TestN are the pool sizes. TestN is the streamable pool
 	// (the paper streams 8000 samples per edge; smaller pools keep tests
@@ -138,8 +128,15 @@ func FamilySize() int { return familySize }
 // NewTrainedZoo generates the dataset, trains all six models, and
 // precomputes the streaming caches. Deterministic given rng.
 func NewTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, error) {
+	z, _, err := trainZoo(cfg, rng)
+	return z, err
+}
+
+// trainZoo is NewTrainedZoo, also handing back the test pool the caches were
+// scored on, which the zoo itself does not keep.
+func trainZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, []nn.Sample, error) {
 	if cfg.Epochs <= 0 || cfg.LR <= 0 {
-		return nil, fmt.Errorf("models: invalid training config epochs=%d lr=%g", cfg.Epochs, cfg.LR)
+		return nil, nil, fmt.Errorf("models: invalid training config epochs=%d lr=%g", cfg.Epochs, cfg.LR)
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 16
@@ -147,18 +144,16 @@ func NewTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, error) {
 	if cfg.Dist == nil {
 		dist, err := dataset.NewDistribution(cfg.Dataset, rng)
 		if err != nil {
-			return nil, fmt.Errorf("distribution: %w", err)
+			return nil, nil, fmt.Errorf("distribution: %w", err)
 		}
 		cfg.Dist = dist
 	}
 	ds, err := dataset.GenerateFrom(cfg.Dist, cfg.TrainN, cfg.TestN, rng)
 	if err != nil {
-		return nil, fmt.Errorf("generate dataset: %w", err)
+		return nil, nil, fmt.Errorf("generate dataset: %w", err)
 	}
 	nets := buildFamily(cfg.Dataset, rng)
 	z := &TrainedZoo{
-		testPool: ds.Test,
-		spec:     cfg.Dataset,
 		nets:     nets,
 		infos:    make([]Info, len(nets)),
 		meanLoss: make([]float64, len(nets)),
@@ -214,7 +209,7 @@ func NewTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -242,7 +237,7 @@ func NewTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, error) {
 				MinLatencySec, MaxLatencySec),
 		}
 	}
-	return z, nil
+	return z, ds.Test, nil
 }
 
 // NumModels implements Zoo.
@@ -285,31 +280,9 @@ func (z *TrainedZoo) BatchLoss(n int, indices []int, _ *rand.Rand) (float64, int
 	return sum / float64(len(indices)), correct
 }
 
-// Network exposes the trained network for model n (diagnostics, checkpoint
-// serialization). Full-precision arms return the resident network; q8 arms
-// hold no float64 clone, so a fake-quant network is materialized on demand
-// from the base arm and the shared int8 weights — callers should not retain
-// it if they care about the quantized zoo's memory footprint.
+// Network returns the trained network of model n, the weights its checkpoint
+// serializes. A quantized zoo's q8 arm holds no network and returns nil.
 func (z *TrainedZoo) Network(n int) *nn.Network {
 	validateIndex(n, len(z.nets))
-	if z.nets[n] != nil {
-		return z.nets[n]
-	}
-	net, err := z.materializeQ8(n)
-	if err != nil {
-		//lint:allow panicpolicy materialization replays the construction-validated clone+ApplyTo path; failure here is a programmer error
-		panic(fmt.Sprintf("models: materialize %s: %v", z.infos[n].Name, err))
-	}
-	return net
-}
-
-// ResidentParamBytes reports the parameter bytes model n keeps resident in
-// the zoo: float64 tensors for full-precision arms, the shared int8 buffer
-// plus per-tensor scales for q8 arms.
-func (z *TrainedZoo) ResidentParamBytes(n int) int64 {
-	validateIndex(n, len(z.nets))
-	if z.nets[n] != nil {
-		return int64(z.nets[n].NumParams()) * 8
-	}
-	return z.qweights[n].ParamBytes()
+	return z.nets[n]
 }

@@ -67,17 +67,6 @@ func (n *Network) Step(grads Grads, lr, scale float64) {
 	}
 }
 
-// NumParams returns the total number of trainable parameters.
-func (n *Network) NumParams() int64 {
-	total := int64(0)
-	for _, l := range n.Layers {
-		for _, p := range l.Params() {
-			total += int64(p.Len())
-		}
-	}
-	return total
-}
-
 // ForwardFLOPs estimates multiply-accumulate operations of one inference.
 func (n *Network) ForwardFLOPs() int64 {
 	shape := n.InShape()

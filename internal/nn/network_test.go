@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// NumParams returns the total number of trainable parameters: an instrument
+// the architecture and size tests read.
+func (n *Network) NumParams() int64 {
+	total := int64(0)
+	for _, l := range n.Layers {
+		for _, p := range l.Params() {
+			total += int64(p.Len())
+		}
+	}
+	return total
+}
+
 func TestSoftmaxProperties(t *testing.T) {
 	logits := &Tensor{Shape: []int{3}, Data: []float64{1, 2, 3}}
 	p := Softmax(logits)

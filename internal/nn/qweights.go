@@ -135,16 +135,6 @@ func (qw *QuantizedWeights) ApplyTo(net *Network) error {
 	return nil
 }
 
-// ParamBytes returns the resident size of the int8 representation: one byte
-// per value plus one float64 scale per tensor.
-func (qw *QuantizedWeights) ParamBytes() int64 {
-	size := int64(0)
-	for _, t := range qw.Tensors {
-		size += int64(len(t.Data)) + 8
-	}
-	return size
-}
-
 // WireSize returns the size these tensors occupy as an int8 checkpoint — the
 // model size W_n the zoo reports for a "-q8" arm: a 12-byte header, then per
 // tensor a float32 scale, a uint32 length and one byte per value.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/carbonedge/carbonedge/internal/bandit"
@@ -51,28 +50,21 @@ func PolicyUCB2(s *Scenario, edge int, _ *rand.Rand) (bandit.Policy, error) {
 	return bandit.NewUCB2(s.NumModels(), 0.5, scale*1.5+1e-9)
 }
 
+// emissionScale is the per-slot emission magnitude the traders are sized by:
+// MeanEmissionPerSlot, or 1 when that is zero.
+func emissionScale(s *Scenario) float64 {
+	if scale := s.MeanEmissionPerSlot(); scale > 0 {
+		return scale
+	}
+	return 1
+}
+
 // primalDualConfig assembles Algorithm 2's configuration for a scenario:
-// Theorem-2 T^{-1/3} step sizes scaled by the per-slot emission magnitude
-// and the average price level, optionally multiplied by gammaMult (the
-// step-size ablation knob).
+// Theorem-2 step sizes at its emission scale and mean buy price, both
+// multiplied by gammaMult (the step-size ablation knob).
 func primalDualConfig(s *Scenario, gammaMult float64) trading.PrimalDualConfig {
-	cfg := trading.DefaultPrimalDualConfig(s.Cfg.InitialCap, s.Cfg.Horizon)
-	scale := s.MeanEmissionPerSlot()
-	if scale <= 0 {
-		scale = 1
-	}
-	tCube := 1.0 / math.Cbrt(float64(s.Cfg.Horizon))
-	// Dual step converts grams of violation into price units; primal step
-	// converts price units into trade volume.
-	avgPrice := 0.0
-	for _, c := range s.Prices.Buy {
-		avgPrice += c
-	}
-	avgPrice /= float64(len(s.Prices.Buy))
-	cfg.Gamma1 = 4 * tCube * avgPrice / scale * gammaMult
-	cfg.Gamma2 = 4 * tCube * scale / avgPrice * gammaMult
-	cfg.ZMax = 20 * scale
-	return cfg
+	return trading.ScaledPrimalDualConfig(s.Cfg.InitialCap, s.Cfg.Horizon,
+		emissionScale(s), s.Prices.MeanBuy(s.Cfg.Horizon), gammaMult)
 }
 
 // TraderOurs is Algorithm 2 (PrimalDual) with Theorem-2 step sizes scaled by
@@ -100,20 +92,13 @@ func TraderPredictive(s *Scenario, _ *rand.Rand) (trading.Trader, error) {
 // warrants, which is exactly the waste the paper attributes to the "-Ran"
 // combinations.
 func TraderRandom(s *Scenario, rng *rand.Rand) (trading.Trader, error) {
-	scale := s.MeanEmissionPerSlot()
-	if scale <= 0 {
-		scale = 1
-	}
-	return trading.NewRandomTrader(4*scale, rng)
+	return trading.NewRandomTrader(4*emissionScale(s), rng)
 }
 
 // TraderThreshold buys below / sells above the band midpoints at the
 // emission scale.
 func TraderThreshold(s *Scenario, _ *rand.Rand) (trading.Trader, error) {
-	scale := s.MeanEmissionPerSlot()
-	if scale <= 0 {
-		scale = 1
-	}
+	scale := emissionScale(s)
 	lo, hi := s.Prices.Buy[0], s.Prices.Buy[0]
 	for _, c := range s.Prices.Buy {
 		if c < lo {
@@ -129,18 +114,10 @@ func TraderThreshold(s *Scenario, _ *rand.Rand) (trading.Trader, error) {
 
 // TraderLyapunov is the drift-plus-penalty baseline.
 func TraderLyapunov(s *Scenario, _ *rand.Rand) (trading.Trader, error) {
-	scale := s.MeanEmissionPerSlot()
-	if scale <= 0 {
-		scale = 1
-	}
-	avgPrice := 0.0
-	for _, c := range s.Prices.Buy {
-		avgPrice += c
-	}
-	avgPrice /= float64(len(s.Prices.Buy))
+	scale := emissionScale(s)
 	// V balances cost against queue pressure: queue is in grams, V*price
 	// must be reachable by a few slots of uncovered emissions.
-	v := scale / avgPrice * 3
+	v := scale / s.Prices.MeanBuy(s.Cfg.Horizon) * 3
 	return trading.NewLyapunovTrader(v, 2*scale, s.Cfg.InitialCap, s.Cfg.Horizon)
 }
 

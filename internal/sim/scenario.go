@@ -94,11 +94,11 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 	if cfg.Edges <= 0 || cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("sim: need positive edges/horizon, got %d/%d", cfg.Edges, cfg.Horizon)
 	}
-	if cfg.InitialCap < 0 || cfg.EmissionRate < 0 {
-		return nil, fmt.Errorf("sim: negative cap or emission rate")
+	if !numeric.FiniteNonNeg(cfg.InitialCap) || !numeric.FiniteNonNeg(cfg.EmissionRate) {
+		return nil, fmt.Errorf("sim: invalid cap %g or emission rate %g", cfg.InitialCap, cfg.EmissionRate)
 	}
-	if cfg.SwitchWeight < 0 {
-		return nil, fmt.Errorf("sim: negative switch weight")
+	if !numeric.FiniteNonNeg(cfg.SwitchWeight) {
+		return nil, fmt.Errorf("sim: invalid switch weight %g", cfg.SwitchWeight)
 	}
 	if zoo == nil {
 		return nil, fmt.Errorf("sim: nil zoo")

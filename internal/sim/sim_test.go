@@ -44,15 +44,20 @@ func TestNewScenarioErrors(t *testing.T) {
 	if _, err := NewScenario(cfg, nil); err == nil {
 		t.Error("expected error for nil zoo")
 	}
-	cfg = DefaultConfig(3)
-	cfg.InitialCap = -1
-	if _, err := NewScenario(cfg, zoo); err == nil {
-		t.Error("expected error for negative cap")
+	// Each scalar input refuses a negative or non-finite value.
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
+		for _, field := range []*float64{&cfg.InitialCap, &cfg.EmissionRate, &cfg.SwitchWeight} {
+			cfg = DefaultConfig(3)
+			*field = v
+			if _, err := NewScenario(cfg, zoo); err == nil {
+				t.Errorf("cap %v, emission rate %v, switch weight %v accepted", cfg.InitialCap, cfg.EmissionRate, cfg.SwitchWeight)
+			}
+		}
 	}
 	cfg = DefaultConfig(3)
-	cfg.SwitchWeight = -1
+	cfg.MeanPeakWorkload = math.Inf(1)
 	if _, err := NewScenario(cfg, zoo); err == nil {
-		t.Error("expected error for negative switch weight")
+		t.Error("expected error for an infinite mean workload")
 	}
 }
 

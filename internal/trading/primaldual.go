@@ -76,6 +76,23 @@ func DefaultPrimalDualConfig(initialCap float64, horizon int) PrimalDualConfig {
 	}
 }
 
+// ScaledPrimalDualConfig returns Theorem 2's T^{-1/3} step sizes scaled to a
+// run's magnitudes: emission is the expected per-slot emission and price the
+// expected allowance price, both positive. The dual step converts grams of
+// violation into price units and the primal step price units into trade
+// volume; mult multiplies both (1 is the paper's; the step-size ablation
+// sweeps it). ZMax caps one slot's trade at twenty slots' emission.
+func ScaledPrimalDualConfig(initialCap float64, horizon int, emission, price, mult float64) PrimalDualConfig {
+	tCube := 1.0 / math.Cbrt(float64(horizon))
+	return PrimalDualConfig{
+		InitialCap: initialCap,
+		Horizon:    horizon,
+		Gamma1:     4 * tCube * price / emission * mult,
+		Gamma2:     4 * tCube * emission / price * mult,
+		ZMax:       20 * emission,
+	}
+}
+
 // NewPrimalDual creates Algorithm 2.
 func NewPrimalDual(cfg PrimalDualConfig) (*PrimalDual, error) {
 	if cfg.Horizon <= 0 {

@@ -40,6 +40,24 @@ func TestNewPrimalDualErrors(t *testing.T) {
 	}
 }
 
+// TestScaledPrimalDualConfig pins the Theorem-2 sizing: at T = 1000 the steps
+// are 0.4·P/E and 0.4·E/P, mult scales both and nothing else, and ZMax is
+// twenty slots' emission.
+func TestScaledPrimalDualConfig(t *testing.T) {
+	const e, p = 2.5, 8.0
+	cfg := ScaledPrimalDualConfig(3, 1000, e, p, 1)
+	if cfg.InitialCap != 3 || cfg.Horizon != 1000 || cfg.ZMax != 20*e {
+		t.Fatalf("cap/horizon/ZMax = %v/%v/%v", cfg.InitialCap, cfg.Horizon, cfg.ZMax)
+	}
+	if math.Abs(cfg.Gamma1-0.4*p/e) > 1e-15 || math.Abs(cfg.Gamma2-0.4*e/p) > 1e-15 {
+		t.Errorf("gammas %v, %v; want %v, %v", cfg.Gamma1, cfg.Gamma2, 0.4*p/e, 0.4*e/p)
+	}
+	doubled := ScaledPrimalDualConfig(3, 1000, e, p, 2)
+	if doubled.Gamma1 != 2*cfg.Gamma1 || doubled.Gamma2 != 2*cfg.Gamma2 || doubled.ZMax != cfg.ZMax {
+		t.Errorf("mult 2 gave %+v from %+v", doubled, cfg)
+	}
+}
+
 func TestPrimalDualFirstSlotIsZero(t *testing.T) {
 	pd := newPD(t, 500, 160)
 	d := pd.Decide(0, Quote{Buy: 10, Sell: 9})

@@ -61,17 +61,26 @@ type Config struct {
 	Spread float64
 }
 
+// maxPeak bounds the busiest edge's scale, MeanPeak*sqrt(Spread). With the
+// day factor's 10 % and the Poisson draw's tail on top, every count stays
+// well inside an int32.
+const maxPeak = 1 << 30
+
 // NewGenerator builds a workload generator; per-edge scales are drawn
 // log-uniformly over [MeanPeak/sqrt(Spread), MeanPeak*sqrt(Spread)].
 func NewGenerator(cfg Config, rng *rand.Rand) (*Generator, error) {
 	if cfg.Edges <= 0 {
 		return nil, fmt.Errorf("workload: need at least one edge, got %d", cfg.Edges)
 	}
-	if cfg.MeanPeak <= 0 {
+	if !(cfg.MeanPeak > 0) {
 		return nil, fmt.Errorf("workload: MeanPeak must be positive, got %g", cfg.MeanPeak)
 	}
-	if cfg.Spread < 1 {
+	if !(cfg.Spread >= 1) {
 		return nil, fmt.Errorf("workload: Spread must be >= 1, got %g", cfg.Spread)
+	}
+	if top := cfg.MeanPeak * math.Sqrt(cfg.Spread); !(top <= maxPeak) {
+		return nil, fmt.Errorf("workload: MeanPeak %g with Spread %g puts the busiest edge at %g samples a slot, above the bound %d",
+			cfg.MeanPeak, cfg.Spread, top, maxPeak)
 	}
 	g := &Generator{profile: DefaultProfile(), rng: rng}
 	g.scales = make([]float64, cfg.Edges)

@@ -25,6 +25,11 @@ func TestNewGeneratorErrors(t *testing.T) {
 		{"zero edges", Config{Edges: 0, MeanPeak: 10, Spread: 2}},
 		{"zero peak", Config{Edges: 3, MeanPeak: 0, Spread: 2}},
 		{"spread below one", Config{Edges: 3, MeanPeak: 10, Spread: 0.5}},
+		{"NaN peak", Config{Edges: 3, MeanPeak: math.NaN(), Spread: 2}},
+		{"infinite peak", Config{Edges: 3, MeanPeak: math.Inf(1), Spread: 2}},
+		{"peak past an int count", Config{Edges: 3, MeanPeak: 1e300, Spread: 2}},
+		{"NaN spread", Config{Edges: 3, MeanPeak: 10, Spread: math.NaN()}},
+		{"spread past an int count", Config{Edges: 3, MeanPeak: 10, Spread: 1e300}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -32,6 +37,25 @@ func TestNewGeneratorErrors(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// TestPeakBound holds the busiest edge's scale to maxPeak: at the bound the
+// counts fit an int32, just past it the generator refuses.
+func TestPeakBound(t *testing.T) {
+	g, err := NewGenerator(Config{Edges: 4, MeanPeak: maxPeak / 2, Spread: 4}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < SlotsPerDay; slot++ {
+		for _, m := range g.Draw(slot) {
+			if m <= 0 || m > math.MaxInt32 {
+				t.Fatalf("slot %d: count %d outside (0, MaxInt32]", slot, m)
+			}
+		}
+	}
+	if _, err := NewGenerator(Config{Edges: 4, MeanPeak: maxPeak/2 + 1, Spread: 4}, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("a busiest edge past maxPeak was accepted")
 	}
 }
 
