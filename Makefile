@@ -25,8 +25,10 @@
 #                  (internal/numeric: FuzzSplitRNGStream), the weights reader
 #                  against its value-by-value oracle, the INT8 engine's
 #                  short-K convolution stage and its input quantizer against
-#                  their scalar references (internal/nn: FuzzReadWeights,
-#                  FuzzQConvShortK, FuzzQuantizeActs) and the
+#                  their scalar references, the float fused conv + ReLU +
+#                  pool stage against the three layers (internal/nn:
+#                  FuzzReadWeights, FuzzQConvShortK, FuzzQuantizeActs,
+#                  FuzzConvReLUPool) and the
 #                  trace CSV readers against their accept contract and a
 #                  write/read round trip (internal/trace: FuzzReadPrices,
 #                  FuzzReadWorkload); go test -fuzz takes one target per run
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzQConvShortK -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzQuantizeActs -fuzztime=10s ./internal/nn
+	$(GO) test -run='^$$' -fuzz=FuzzConvReLUPool -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzReadPrices -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzReadWorkload -fuzztime=10s ./internal/trace
 

@@ -19,13 +19,35 @@ import (
 // the same arena). Nothing is written to the network, so any number of
 // goroutines may run one Network at once, each on its own arena.
 //
+// A Conv2D followed by a ReLU and then a MaxPool2D runs as one stage
+// (Conv2D.forwardDirect with pool): the same bits as the three layers'
+// ForwardBatch in turn, without the two full-resolution planes between
+// them. Every other layer runs on its own. The trainer walks the layers
+// itself, since its backward passes need each boundary's activation.
+//
 //lint:hotroot inference inner loop; all scratch comes from the arena
 func (n *Network) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	out := in
-	for _, l := range n.Layers {
-		out = l.ForwardBatch(out, a)
+	for i := 0; i < len(n.Layers); i++ {
+		if c, ok := n.Layers[i].(*Conv2D); ok && convReLUPoolAt(n.Layers, i) {
+			out = c.forwardDirect(out, a, true)
+			i += 2
+			continue
+		}
+		out = n.Layers[i].ForwardBatch(out, a)
 	}
 	return out
+}
+
+// convReLUPoolAt reports whether layers[i+1] and layers[i+2] are a ReLU and a
+// MaxPool2D.
+func convReLUPoolAt(layers []Layer, i int) bool {
+	if i+2 >= len(layers) {
+		return false
+	}
+	_, relu := layers[i+1].(*ReLU)
+	_, pool := layers[i+2].(*MaxPool2D)
+	return relu && pool
 }
 
 // ArgmaxRow returns the index of the largest element of one logits row,

@@ -243,3 +243,27 @@ func BenchmarkNetworkForwardBatch(b *testing.B) {
 		net.ForwardBatch(in, arena)
 	}
 }
+
+// BenchmarkZooForwardChunk is Network.ForwardBatch on each MNIST-family zoo
+// arm at scoreChunk samples of 1x28x28 — the forward call NNRuntime.RunSlot
+// and ScorePool make — over a warmed arena, in ns/sample. A steady-state
+// chunk allocates nothing.
+func BenchmarkZooForwardChunk(b *testing.B) {
+	shape := []int{1, 28, 28}
+	for _, zb := range zooBuilders[:6] {
+		b.Run(zb.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			net := zb.build(shape, rng)
+			arena := NewArena()
+			in := randTensor(rng, scoreChunk, 1, 28, 28)
+			net.ForwardBatch(in, arena)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arena.Reset()
+				net.ForwardBatch(in, arena)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scoreChunk*b.N), "ns/sample")
+		})
+	}
+}

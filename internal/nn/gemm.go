@@ -154,7 +154,14 @@ func GemmPanelBiasJ(out, a, w, bias, panel []float64, m, n, k int) {
 // sw (the overlap recomputes identical values), and the list is padded to an
 // even count by repeating the final segment, because the kernels consume
 // segments two at a time.
-func convDirectTables(a *Arena, inC, h, w, k, seg int) (offs, segs []int, sw int) {
+//
+// With pool set the list instead covers the conv rows and columns a 2x2
+// max pool reads — 2*ph x 2*pw for a ph x pw pool output — in vertical
+// pairs: segments at x of conv rows 2y and 2y+1, both with output position
+// y*pw + x/2 in the pooled plane, sw = min(seg, 2*pw). x steps by sw and a
+// row's last pair starts at the even offset 2*pw-sw, so every segment
+// covers whole pool windows; the count is even by construction.
+func convDirectTables(a *Arena, inC, h, w, k, seg int, pool bool) (offs, segs []int, sw int) {
 	oh, ow := h-k+1, w-k+1
 	kk := inC * k * k
 	offs = a.Ints(kk + 1)
@@ -169,6 +176,21 @@ func convDirectTables(a *Arena, inC, h, w, k, seg int) (offs, segs []int, sw int
 	}
 	offs[kk] = offs[kk-1]
 	offs = offs[:kk]
+	if pool {
+		ph, cw := oh/2, ow&^1
+		sw = min(seg, cw)
+		segs = a.Ints(4 * ph * ((cw + sw - 1) / sw))
+		t := 0
+		for y := 0; y < ph; y++ {
+			for x := 0; x < cw; x += sw {
+				x = min(x, cw-sw)
+				o := y*(cw/2) + x/2
+				segs[t], segs[t+1], segs[t+2], segs[t+3] = 2*y*w+x, o, (2*y+1)*w+x, o
+				t += 4
+			}
+		}
+		return offs, segs, sw
+	}
 	sw = min(seg, ow)
 	nseg := oh * ((ow + sw - 1) / sw)
 	segs = a.Ints(2 * (nseg + nseg&1))

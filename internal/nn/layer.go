@@ -262,19 +262,30 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 // that starts at its bias and walks the table front to back, so outputs are
 // bit-for-bit Forward's.
 func (c *Conv2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
+	return c.forwardDirect(in, a, false)
+}
+
+// forwardDirect is ForwardBatch, or with pool the stage Conv2D → ReLU →
+// MaxPool2D in one pass: the kernel rectifies and pools each register tile
+// before storing it, so only the [OutC, oh/2, ow/2] plane is written, and the
+// conv rows and columns no pool window reads are never computed.
+func (c *Conv2D) forwardDirect(in *Tensor, a *Arena, pool bool) *Tensor {
 	if len(in.Shape) != 4 || in.Shape[1] != c.InC {
 		//lint:allow panicpolicy Layer.ForwardBatch hot path: a shape mismatch is a programmer error and the interface has no error channel
 		panic(fmt.Sprintf("nn: Conv2D expected [B,%d,H,W], got %v", c.InC, in.Shape))
 	}
 	batch, h, w := in.Shape[0], in.Shape[2], in.Shape[3]
 	oh, ow := h-c.K+1, w-c.K+1
+	if pool {
+		oh, ow = oh/2, ow/2
+	}
 	np := oh * ow
 	out := a.Tensor(batch, c.OutC, oh, ow)
-	offs, segs, sw := convDirectTables(a, c.InC, h, w, c.K, 4)
+	offs, segs, sw := convDirectTables(a, c.InC, h, w, c.K, 4, pool)
 	inStride, outStride := c.InC*h*w, c.OutC*np
 	for s := 0; s < batch; s++ {
 		convDirectSIMD(out.Data[s*outStride:(s+1)*outStride], np, c.b.Data, c.w.Data,
-			in.Data[s*inStride:(s+1)*inStride], offs, segs, sw)
+			in.Data[s*inStride:(s+1)*inStride], offs, segs, sw, pool)
 	}
 	return out
 }

@@ -431,7 +431,7 @@ func compileConvTile(op *qOp, w []int8, a *Arena) {
 		return
 	}
 	kk := op.inC * op.k * op.k
-	op.offs, op.segs, _ = convDirectTables(a, op.inC, op.h, op.w, op.k, 8)
+	op.offs, op.segs, _ = convDirectTables(a, op.inC, op.h, op.w, op.k, 8, false)
 	pairs := (kk + 1) / 2
 	op.offs = op.offs[:2*pairs]
 	groups := (op.outC + 3) / 4

@@ -46,7 +46,7 @@ func nnDot16AVX2(out, init, a, bt []float64, n int)
 func nnDot4x8AVX2(out []float64, on int, init, a []float64, k int, bt []float64, ld int) //lint:allow simdcover register-tiled quad kernel with no scalar twin; below the floor and on !amd64 the quad drivers hand every row to the row path, and simd_test.go pins the drivers
 
 //go:noescape
-func convDirect4x8AVX2(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int)
+func convDirect4x8AVX2(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int, pool bool)
 
 //go:noescape
 func pool2x2SSE2(dst, row0, row1 []float64)
@@ -225,24 +225,25 @@ func gemmPanelQuad(out []float64, n int, bias, a, panel []float64, m, k int) int
 // convDirectSIMD convolves one CHW sample with len(bias) output channels
 // directly from the tables of convDirectTables: out[oc*np + p] = bias[oc] +
 // sum_c wt[oc*kk+c] * in[origin(p) + offs[c]], c ascending, for every output
-// pixel p the segment list covers. The AVX2 kernel takes four output channels
-// and two four-pixel segments per register tile and walks the whole segment
-// list in one call; when the channel count is not a multiple of four the last
-// group starts at len(bias)-4 and overlaps its neighbour, recomputing
-// identical values. Fewer than four channels, rows narrower than a segment
-// (sw < 4) and hosts below the floor run the portable twin over the same
-// tables.
-func convDirectSIMD(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int) {
+// pixel p the segment list covers — or, with pool, the rectified 2x2 max of
+// those sums over each window of the pooled plane (convDirectGo's epilogue).
+// The AVX2 kernel takes four output channels and two four-pixel segments per
+// register tile and walks the whole segment list in one call; when the
+// channel count is not a multiple of four the last group starts at
+// len(bias)-4 and overlaps its neighbour, recomputing identical values. Fewer
+// than four channels, rows narrower than a segment (sw < 4) and hosts below
+// the floor run the portable twin over the same tables.
+func convDirectSIMD(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int, pool bool) {
 	outC, kk := len(bias), len(offs)
 	if !hasAVX2 || sw != 4 || outC < 4 {
-		convDirectGo(out, np, bias, wt, in, offs, segs, sw)
+		convDirectGo(out, np, bias, wt, in, offs, segs, sw, pool)
 		return
 	}
 	for oc := 0; oc < outC; oc += 4 {
 		if oc > outC-4 {
 			oc = outC - 4
 		}
-		convDirect4x8AVX2(out[oc*np:], np, bias[oc:oc+4], wt[oc*kk:], in, offs, segs, sw)
+		convDirect4x8AVX2(out[oc*np:], np, bias[oc:oc+4], wt[oc*kk:], in, offs, segs, sw, pool)
 	}
 }
 

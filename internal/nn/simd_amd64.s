@@ -358,7 +358,29 @@ qdone:
 	VZEROUPPER
 	RET
 
-// func convDirect4x8AVX2(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int)
+// RELUPOOL stores one channel's two pooled values at (DI) and steps DI a
+// plane: A holds conv row 2y's four sums a0..a3, B row 2y+1's b0..b3. The
+// pool scans each window in MaxPool2D.Forward's order — a0, a1, b0, b1 for
+// the first, a2, a3, b2, b3 for the second, the two windows side by side in
+// one X register — with pool2x2SSE2's operand roles: the candidate is the
+// first source and the running best the second, which VMAXPD returns on ties
+// and NaN, so a later candidate wins only on strict >. Row 2y is rectified
+// first with reluFwdAVX2's VMAXPD against zero (Y12); that is all the ReLU
+// the window needs (reluPool), since a later candidate <= 0 or NaN never
+// beats a best >= +0, exactly as its rectified +0 would not.
+#define RELUPOOL(A, B, XA, XB) \
+	VMAXPD       Y12, A, A; \
+	VPERMPD      $0xD8, A, A; \
+	VPERMPD      $0xD8, B, B; \
+	VEXTRACTF128 $1, A, X0; \
+	VMAXPD       XA, X0, X0; \
+	VMAXPD       X0, XB, X1; \
+	VEXTRACTF128 $1, B, X2; \
+	VMAXPD       X1, X2, X2; \
+	VMOVUPD      X2, (DI); \
+	ADDQ         AX, DI
+
+// func convDirect4x8AVX2(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int, pool bool)
 // The direct convolution of one sample for four output channels: nnDot4x8AVX2
 // with the bt += ld advance replaced by a table load. Each pass of the outer
 // loop takes two (input origin, output position) segments from segs and holds
@@ -369,7 +391,11 @@ qdone:
 // add — convDirectGo's, lanes being independent pixels and channels. The
 // dispatcher guarantees four channels and sw == 4 (the segment width this
 // body hard-codes); len(segs) is a multiple of four and len(offs) >= 1.
-TEXT ·convDirect4x8AVX2(SB), NOSPLIT, $0-160
+//
+// With pool the two segments are conv rows 2y and 2y+1 of the same columns,
+// and the tile leaves through RELUPOOL instead of eight stores: per channel
+// two pooled values at the first segment's output position.
+TEXT ·convDirect4x8AVX2(SB), NOSPLIT, $0-161
 	MOVQ offs_base+104(FP), R8
 	MOVQ offs_len+112(FP), R12
 	MOVQ R12, R10
@@ -378,6 +404,7 @@ TEXT ·convDirect4x8AVX2(SB), NOSPLIT, $0-160
 	MOVQ segs_base+128(FP), BX
 	MOVQ segs_len+136(FP), R13
 	LEAQ (BX)(R13*8), R13   // end of the segment list
+	VXORPD Y12, Y12, Y12    // ReLU's zero
 
 ctile:
 	CMPQ BX, R13
@@ -432,9 +459,12 @@ cloop:
 	MOVQ np+24(FP), AX
 	SHLQ $3, AX             // channel plane stride in bytes
 	MOVQ 8(BX), CX
+	LEAQ (DI)(CX*8), DI     // first segment's output
+	CMPB pool+160(FP), $0
+	JNE  cpool
 	MOVQ 24(BX), R9
-	LEAQ (DI)(R9*8), R9     // second segment's output
-	LEAQ (DI)(CX*8), DI     // first segment's
+	MOVQ out_base+0(FP), CX
+	LEAQ (CX)(R9*8), R9     // second segment's
 	VMOVUPD Y4, (DI)
 	VMOVUPD Y5, (R9)
 	ADDQ AX, DI
@@ -449,6 +479,14 @@ cloop:
 	ADDQ AX, R9
 	VMOVUPD Y10, (DI)
 	VMOVUPD Y11, (R9)
+	ADDQ $32, BX
+	JMP  ctile
+
+cpool:
+	RELUPOOL(Y4, Y5, X4, X5)
+	RELUPOOL(Y6, Y7, X6, X7)
+	RELUPOOL(Y8, Y9, X8, X9)
+	RELUPOOL(Y10, Y11, X10, X11)
 	ADDQ $32, BX
 	JMP  ctile
 

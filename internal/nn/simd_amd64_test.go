@@ -266,31 +266,37 @@ func TestConv3x3BwdSSE2MatchesScalarBitForBit(t *testing.T) {
 // portable twin the same tables and the same four channels and requires the
 // same bits in every output element, over kernel sizes, channel depths and
 // widths that put the last segment at every overlap (and, with one output
-// row, an odd segment count). Outputs start as garbage so a skipped lane
-// shows.
+// row, an odd segment count), under both epilogues: plain, and ReLU + 2x2
+// pool over odd and even conv outputs. Outputs start as garbage so a skipped
+// lane shows.
 func TestConvDirect4x8AVX2MatchesGoTwin(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("host lacks AVX2")
 	}
 	rng := rand.New(rand.NewSource(89))
-	for _, k := range []int{1, 3, 5} {
-		for _, inC := range []int{1, 3, 8} {
-			for _, ow := range []int{4, 5, 6, 7, 8, 11, 26} {
-				for _, oh := range []int{1, 2, 5} {
-					h, w := oh+k-1, ow+k-1
-					kk, np := inC*k*k, oh*ow
-					offs, segs, sw := convDirectTables(NewArena(), inC, h, w, k, 4)
-					in := simdCases(rng, inC*h*w)
-					wt := simdCases(rng, 4*kk)
-					bias := simdCases(rng, 4)
-					want := simdCases(rng, 4*np)
-					got := simdCases(rng, 4*np)
-					convDirectGo(want, np, bias, wt, in, offs, segs, sw)
-					convDirect4x8AVX2(got, np, bias, wt, in, offs, segs, sw)
-					for i := range want {
-						if !sameBits(got[i], want[i]) {
-							t.Fatalf("k=%d inC=%d out=%dx%d elem %d: got %x want %x", k, inC, oh, ow, i,
-								math.Float64bits(got[i]), math.Float64bits(want[i]))
+	for _, pool := range []bool{false, true} {
+		for _, k := range []int{1, 3, 5} {
+			for _, inC := range []int{1, 3, 8} {
+				for _, ow := range []int{4, 5, 6, 7, 8, 11, 26} {
+					for _, oh := range []int{1, 2, 5} {
+						h, w := oh+k-1, ow+k-1
+						kk, np := inC*k*k, oh*ow
+						if pool {
+							np = (oh / 2) * (ow / 2)
+						}
+						offs, segs, sw := convDirectTables(NewArena(), inC, h, w, k, 4, pool)
+						in := simdCases(rng, inC*h*w)
+						wt := simdCases(rng, 4*kk)
+						bias := simdCases(rng, 4)
+						want := simdCases(rng, 4*np)
+						got := simdCases(rng, 4*np)
+						convDirectGo(want, np, bias, wt, in, offs, segs, sw, pool)
+						convDirect4x8AVX2(got, np, bias, wt, in, offs, segs, sw, pool)
+						for i := range want {
+							if !sameBits(got[i], want[i]) {
+								t.Fatalf("pool=%v k=%d inC=%d out=%dx%d elem %d: got %x want %x", pool, k, inC, oh, ow, i,
+									math.Float64bits(got[i]), math.Float64bits(want[i]))
+							}
 						}
 					}
 				}

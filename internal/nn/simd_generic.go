@@ -58,8 +58,8 @@ func pool2x2SIMD(dst, row0, row1 []float64) {
 	}
 }
 
-func convDirectSIMD(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int) {
-	convDirectGo(out, np, bias, wt, in, offs, segs, sw)
+func convDirectSIMD(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int, pool bool) {
+	convDirectGo(out, np, bias, wt, in, offs, segs, sw, pool)
 }
 
 // The 4x8 register tile and the sixteen-column row kernel are amd64 AVX2

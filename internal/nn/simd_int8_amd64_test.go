@@ -141,10 +141,12 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	}
 
 	// The float half: a LeNet-5 on 16x16 inputs, whose shapes put every
-	// forward path on the line at batch 7. conv1's six channels run the
-	// convolution tile as two overlapping groups of four over 12-pixel rows;
-	// conv2's 2-pixel rows are narrower than a segment and take the portable
-	// twin on every floor. The Dense layers' seven rows are two overlapping
+	// forward path on the line at batch 7. Both convolutions run fused with
+	// their ReLU and pool, and every floor is also held to the native layer
+	// walk. conv1's six channels run the convolution tile as two overlapping
+	// groups of four over the 12 pooled columns of each row pair; conv2's
+	// 2x2 output is one pool window, narrower than a segment, and takes the
+	// portable twin's epilogue on every floor. The Dense layers' seven rows are two overlapping
 	// 4-row tiles per weight panel: 15 panels (120 units), 10 and an
 	// overlapping eleventh (84), two overlapping (10). One epoch of training
 	// on top crosses step, reluBwd, the NN-form and accumulating GEMMs with
@@ -187,6 +189,8 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 
 	wantOut := forwardBatch(qn.ForwardBatch, 14)
 	wantFloat := forwardBatch(floatNet().ForwardBatch, 16)
+	walkNet := floatNet()
+	wantWalk := forwardBatch(func(in *Tensor, a *Arena) *Tensor { return layerWalk(walkNet, in, a) }, 16)
 	wantTrained := trainedWeights()
 	wantDots, wantRq := kernels()
 	eachDispatchFloor(func(floor string) {
@@ -209,7 +213,9 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 			}
 		}
 		sameOutputs("quantized", forwardBatch(qn.ForwardBatch, 14), wantOut)
-		sameOutputs("float", forwardBatch(floatNet().ForwardBatch, 16), wantFloat)
+		gotFloat := forwardBatch(floatNet().ForwardBatch, 16)
+		sameOutputs("float", gotFloat, wantFloat)
+		sameOutputs("fused float vs layer walk", gotFloat, wantWalk)
 		if !bytes.Equal(trainedWeights(), wantTrained) {
 			t.Fatalf("%s: weights after one training epoch differ from the native run", floor)
 		}

@@ -113,20 +113,33 @@ func gemmNNRowI(orow []float64, bi float64, ar, bt []float64, n int) {
 // bounds-checked slice of the sample, and the AVX2 kernel forms exactly these
 // addresses from the same tables, so a table that passes here keeps the
 // assembly inside the sample too.
-func convDirectGo(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int) {
+//
+// pool selects the epilogue. Plain stores every sum; with pool (tables built
+// with pool set, np the pooled plane) the two segments of a pass are conv
+// rows 2y and 2y+1, and each 2x2 window of their sums is rectified and
+// pooled (reluPool) into one stored value — ReLU.Forward then
+// MaxPool2D.Forward, bit for bit.
+func convDirectGo(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int, pool bool) {
 	kk := len(offs)
 	for r, b := range bias {
 		wr := wt[r*kk : r*kk+kk]
 		orow := out[r*np : r*np+np]
 		if sw != 4 {
-			for t := 0; t < len(segs); t += 2 {
-				src, dst := in[segs[t]:], orow[segs[t+1]:segs[t+1]+sw]
+			step := 2
+			if pool {
+				step = 4
+			}
+			for t := 0; t < len(segs); t += step {
+				src := in[segs[t]:]
+				if pool { // sw == 2: one window, rows 2y and 2y+1
+					src1 := in[segs[t+2]:]
+					orow[segs[t+1]] = reluPool(convDot(b, wr, offs, src), convDot(b, wr, offs, src[1:]),
+						convDot(b, wr, offs, src1), convDot(b, wr, offs, src1[1:]))
+					continue
+				}
+				dst := orow[segs[t+1] : segs[t+1]+sw]
 				for l := range dst {
-					s := b
-					for c, wv := range wr {
-						s += wv * src[offs[c]+l]
-					}
-					dst[l] = s
+					dst[l] = convDot(b, wr, offs, src[l:])
 				}
 			}
 			continue
@@ -147,10 +160,48 @@ func convDirectGo(out []float64, np int, bias, wt, in []float64, offs, segs []in
 				s6 += wv * q[2]
 				s7 += wv * q[3]
 			}
+			if pool {
+				d := orow[segs[t+1] : segs[t+1]+2]
+				d[0], d[1] = reluPool(s0, s1, s4, s5), reluPool(s2, s3, s6, s7)
+				continue
+			}
 			d := orow[segs[t+1] : segs[t+1]+4]
 			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 			d = orow[segs[t+3] : segs[t+3]+4]
 			d[0], d[1], d[2], d[3] = s4, s5, s6, s7
 		}
 	}
+}
+
+// convDot is one output pixel of convDirectGo: b + sum_c wr[c]*src[offs[c]],
+// c ascending.
+func convDot(b float64, wr []float64, offs []int, src []float64) float64 {
+	s := b
+	for c, wv := range wr {
+		s += wv * src[offs[c]]
+	}
+	return s
+}
+
+// reluPool is ReLU.Forward then MaxPool2D.Forward over one 2x2 window, given
+// in the pool's scan order (row 2y at x, x+1, then row 2y+1), bit for bit:
+// the first candidate is rectified (a if a > 0, else +0) and each later one
+// wins only on strict >. The later candidates need no ReLU of their own: one
+// that is <= 0 (either zero) or NaN never beats a best >= +0, exactly as its
+// rectified +0 would not.
+func reluPool(a, b, c, d float64) float64 {
+	best := 0.0
+	if a > 0 {
+		best = a
+	}
+	if b > best {
+		best = b
+	}
+	if c > best {
+		best = c
+	}
+	if d > best {
+		best = d
+	}
+	return best
 }
