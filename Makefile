@@ -17,18 +17,19 @@
 #                  with mid-run shard rebalancing, quorum degradation, the
 #                  randomized-schedule parity property, and the coordinator
 #                  session's replay cache
-#   make fuzz-smoke - ten seconds of each native fuzz target: the wire codec
-#                  and the frame validators behind it (internal/deploy:
+#   make fuzz-smoke - ten seconds of each of the eleven native fuzz targets:
+#                  the wire codec and the frame validators behind it
+#                  (internal/deploy:
 #                  FuzzReadMessage, FuzzMessageEncode), the shard checkpoint's
 #                  own validation and JSON round trip (internal/engine:
 #                  FuzzShardCheckpoint), the random streams against math/rand
 #                  (internal/numeric: FuzzSplitRNGStream), the weights reader
 #                  against its value-by-value oracle, the INT8 engine's
-#                  short-K convolution stage and its input quantizer against
-#                  their scalar references, the float fused conv + ReLU +
-#                  pool stage against the three layers (internal/nn:
-#                  FuzzReadWeights, FuzzQConvShortK, FuzzQuantizeActs,
-#                  FuzzConvReLUPool) and the
+#                  short-K and long-K convolution stages and its input
+#                  quantizer against their scalar references, the float
+#                  fused conv + ReLU + pool stage against the three layers
+#                  (internal/nn: FuzzReadWeights, FuzzQConvShortK,
+#                  FuzzQConvLongK, FuzzQuantizeActs, FuzzConvReLUPool) and the
 #                  trace CSV readers against their accept contract and a
 #                  write/read round trip (internal/trace: FuzzReadPrices,
 #                  FuzzReadWorkload); go test -fuzz takes one target per run
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSplitRNGStream -fuzztime=10s ./internal/numeric
 	$(GO) test -run='^$$' -fuzz=FuzzReadWeights -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzQConvShortK -fuzztime=10s ./internal/nn
+	$(GO) test -run='^$$' -fuzz=FuzzQConvLongK -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzQuantizeActs -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzConvReLUPool -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzReadPrices -fuzztime=10s ./internal/trace

@@ -130,13 +130,12 @@ func benchTrainEpoch(b *testing.B, naive bool) {
 func BenchmarkTrainEpoch(b *testing.B)      { benchTrainEpoch(b, false) }
 func BenchmarkTrainEpochNaive(b *testing.B) { benchTrainEpoch(b, true) }
 
-// BenchmarkQuantConvForward is BenchmarkConvForwardBatch through the INT8
-// engine's own convolution stage (runConv on a 64-sample chunk: the direct
-// tile or im2colQ + qgemmNT, whichever the engine runs the shape on, then the
-// requantize sweep and scatter), in real multiply-accumulates — the pad is
-// not counted. The first layers (inC = 1) are the short-K class, the second
-// layers the long-K one; shape by shape against BenchmarkConvForwardBatch it
-// is the INT8 speedup of the convolution stage alone.
+// BenchmarkQuantConvForward is BenchmarkConvForwardBatch's shapes through the
+// INT8 engine's own convolution stage (runConv on the scoreChunk-sample chunk
+// nn.Scorer serves: a direct tile or im2colQ + qgemmNT, whichever the engine
+// runs the shape on, then the requantize sweep and scatter), in real
+// multiply-accumulates — the pad is not counted. The first layers (inC = 1)
+// are the short-K class, the second layers the long-K one.
 func BenchmarkQuantConvForward(b *testing.B) { benchQuantConv(b, false) }
 
 // BenchmarkQuantConvPooled is the same stage with the following 2x2 max-pool
@@ -146,7 +145,7 @@ func BenchmarkQuantConvForward(b *testing.B) { benchQuantConv(b, false) }
 func BenchmarkQuantConvPooled(b *testing.B) { benchQuantConv(b, true) }
 
 func benchQuantConv(b *testing.B, pool bool) {
-	const batch = 64
+	const batch = scoreChunk
 	bytes := make([]byte, 1<<12)
 	rand.New(rand.NewSource(2)).Read(bytes)
 	for _, c := range zooConvShapes {

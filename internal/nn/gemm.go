@@ -142,10 +142,10 @@ func GemmPanelBiasJ(out, a, w, bias, panel []float64, m, n, k int) {
 //
 // offs[c] is where the c-th element of a receptive field lies relative to
 // the field's origin, c in (ic, ky, kx) order — Conv2D.Forward's
-// accumulation order: offs[c] = (ic*h+ky)*w + kx. One spare element past
-// len(offs) repeats the last offset, so a kernel that takes taps two at a
-// time reslices an odd table to even length and gives the spare tap a zero
-// weight.
+// accumulation order: offs[c] = (ic*h+ky)*w + kx. Three spare elements past
+// len(offs) repeat the last offset, so a kernel that takes taps two or four
+// at a time reslices the table up to a multiple of its step and gives the
+// spare taps zero weights.
 //
 // segs lists the output in row segments of sw = min(seg, ow) pixels, one
 // (input origin, output position) pair per segment: y*w+x and y*ow+x, the
@@ -164,7 +164,7 @@ func GemmPanelBiasJ(out, a, w, bias, panel []float64, m, n, k int) {
 func convDirectTables(a *Arena, inC, h, w, k, seg int, pool bool) (offs, segs []int, sw int) {
 	oh, ow := h-k+1, w-k+1
 	kk := inC * k * k
-	offs = a.Ints(kk + 1)
+	offs = a.Ints(kk + 3)
 	c := 0
 	for ic := 0; ic < inC; ic++ {
 		for ky := 0; ky < k; ky++ {
@@ -174,7 +174,7 @@ func convDirectTables(a *Arena, inC, h, w, k, seg int, pool bool) (offs, segs []
 			}
 		}
 	}
-	offs[kk] = offs[kk-1]
+	offs[kk], offs[kk+1], offs[kk+2] = offs[kk-1], offs[kk-1], offs[kk-1]
 	offs = offs[:kk]
 	if pool {
 		ph, cw := oh/2, ow&^1

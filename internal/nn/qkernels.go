@@ -7,8 +7,8 @@ import "math"
 // int32 accumulation with two's-complement wraparound, and a fixed-point
 // requantization whose rounding rule is specified to the bit. Wraparound
 // addition is associative and commutative, so the SIMD tiers
-// (simd_int8_amd64.s) may regroup lanes freely — and the short-K convolution
-// tile there may regroup taps and skip the patch matrix altogether — and
+// (simd_int8_amd64.s) may regroup lanes freely — and the convolution tiles
+// there may regroup taps and skip the patch matrix altogether — and
 // still produce the same bits as qdotRowRef over im2colQ on every platform:
 // the cross-tier identity the float kernels have to earn by never splitting
 // an accumulation, the integer kernels get for free. The only rounding in
@@ -206,11 +206,11 @@ func qgemmNT(out []int32, a, b []int8, m, n, k int) {
 }
 
 // im2colQ lowers one int8 CHW sample to the patch matrix the quantized
-// convolution's GEMM lowering consumes — long-K layers on every host, every
-// convolution where there is no direct tile — and the scalar oracle's: dst[p*ld+c] = the c-th element of output pixel p's
-// receptive field, p walking output pixels row-major (y, then x) and c
-// walking the patch in (ic, ky, kx) order — the float im2col's exact patch
-// layout, at a caller-chosen row stride ld >= inC*kh*kh (the engine passes
+// convolution's GEMM lowering consumes — every convolution the host has no
+// direct tile for — and the scalar oracle's: dst[p*ld+c] = the c-th element
+// of output pixel p's receptive field, p walking output pixels row-major (y,
+// then x) and c walking the patch in (ic, ky, kx) order — the float im2col's
+// exact patch layout, at a caller-chosen row stride ld >= inC*kh*kh (the engine passes
 // the 16-padded stride; bytes between the patch and the stride are left
 // untouched, which is safe because the matching weight pad is zero). dst
 // must have oh*ow*ld elements. The ubiquitous 3x3 and 5x5 kernels get

@@ -9,18 +9,19 @@ import (
 // fast path"): a compiled form of a fake-quant network that stores weights
 // as int8 rows plus one float64 scale per tensor (aliasing the zoo's
 // QuantizedWeights buffers, or a zero-padded int8 copy when a row length is
-// not a vector-width multiple — never a float64 clone), runs dense layers
-// and long-K convolutions as integer im2col + row-dot kernels and short-K
-// convolutions as a direct tile over the input planes where the host has one
-// (qconvDirectFits), all with int32 accumulation, and carries activations
-// between layers as int8 at statically calibrated per-boundary scales. ReLU
-// and 2x2 max-pool run as stages of the conv/dense op they follow: a ReLU is
-// the requantize clamp's lower bound, a max-pool runs on the convolution's
-// int32 accumulators before the requantize, and both are exact (max and clamp
-// commute with the monotone requantization), so the only rounding beyond
-// weight/input quantization is the pinned fixed-point requantization after
-// each conv/dense. The final Dense head dequantizes its int32 accumulators
-// straight to float64 logits, so downstream softmax/loss code is unchanged.
+// not a vector-width multiple — never a float64 clone), runs dense layers as
+// integer row-dot kernels and convolutions as a direct tile over the input
+// planes where the host has one for the layer (qconvDirectFits), else as
+// integer im2col + the same row-dot kernels, all with int32 accumulation,
+// and carries activations between layers as int8 at statically calibrated
+// per-boundary scales. ReLU and 2x2 max-pool run as stages of the conv/dense
+// op they follow: a ReLU is the requantize clamp's lower bound, a max-pool
+// runs on the convolution's int32 accumulators before the requantize, and
+// both are exact (max and clamp commute with the monotone requantization),
+// so the only rounding beyond weight/input quantization is the pinned
+// fixed-point requantization after each conv/dense. The final Dense head
+// dequantizes its int32 accumulators straight to float64 logits, so
+// downstream softmax/loss code is unchanged.
 //
 // It is an opt-in execution mode: the fake-quant float path remains the
 // committed-results oracle, and this engine is reached only through the
@@ -37,10 +38,11 @@ type QuantizedNetwork struct {
 	// ForwardBatch performs the same four arena requests (zero steady-state
 	// allocations, same discipline as the float path). Each is multiplied by
 	// the batch size at request time: the engine lowers a whole chunk into
-	// one im2col buffer / one accumulator block so each conv or dense stage
-	// is a single batch GEMM rather than per-sample row-dots.
+	// one accumulator block (through one im2col buffer, for a convolution
+	// on the GEMM) so each conv or dense stage is a single batch pass rather
+	// than per-sample row-dots.
 	maxAct int // widest activation boundary
-	maxCol int // widest im2col patch matrix / padded activation row
+	maxCol int // widest col scratch an op uses (qOp.colLen)
 	maxAcc int // widest accumulator block, plus a pooled conv's pooled sums
 
 	actMax []float64 // calibration scratch, kept so a Recompile reuses it
@@ -87,12 +89,15 @@ type qOp struct {
 	sxw   float64 // sx*sw: int32 accumulator -> float64 logits
 	biasF []float64
 
-	// Short-K convolutions the host runs on the direct tile
-	// (qconvDirectFits) also carry the tile's operands, all in the engine's
-	// tables arena: convDirectTables' offsets (resliced to an even count) and
-	// eight-pixel segments, and the weights as int16 tap pairs, one dword per
-	// channel and pair in four-channel groups: wpk[(g*pairs+p)*4+l] =
-	// (w[4g+l][2p], w[4g+l][2p+1]), zero past the field and the last channel.
+	// Convolutions the host runs on a direct tile (qconvDirectFits) also
+	// carry the tile's operands, all in the engine's tables arena:
+	// convDirectTables' offsets (resliced to the tile's tap step) and
+	// eight-pixel segments, and the weights repacked for the tile, zero past
+	// the field and the last channel. Short-K (kPad < longK): int16 tap
+	// pairs, one dword per channel and pair in four-channel groups,
+	// wpk[(g*pairs+p)*4+l] = (w[4g+l][2p], w[4g+l][2p+1]). Long-K: per
+	// eight-channel group, each channel's starting sum -128*sum(w) and then
+	// int8 tap quads, wpk[g*8*(quads+1)+8*(1+q)+l] = (w[8g+l][4q..4q+3]).
 	offs, segs []int
 	wpk        []int32
 
@@ -135,6 +140,11 @@ const (
 	biasQLimit = 1 << 30
 	maxDotLen  = (math.MaxInt32 - biasQLimit) / (127 * 127)
 )
+
+// longK is the padded row length from which a convolution is long-K: the
+// VNNI dot kernel's threshold (qdot2SIMD), and so the line between the two
+// convolution tiles (qconvDirectFits), whose weight packing differs.
+const longK = 64
 
 func clampBiasQ(v float64) int32 {
 	q := math.Round(v)
@@ -293,11 +303,7 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 			}
 			compileRequantOp(&op, wt, bias.Data, s, sy, op.outC, kk)
 			compileConvTile(&op, wt.Data, &q.tables)
-			np := op.oh * op.ow
-			if c := np * op.kPad; c > q.maxCol {
-				q.maxCol = c
-			}
-			if a := op.outC * np; a > q.maxAcc {
+			if a := op.outC * op.oh * op.ow; a > q.maxAcc {
 				q.maxAcc = a
 			}
 			s = sy
@@ -326,9 +332,6 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 				sy := actScale(actMax[li+1])
 				compileRequantOp(&op, wt, bias.Data, s, sy, t.OutDim, t.InDim)
 				s = sy
-			}
-			if op.kPad != op.inDim && op.kPad > q.maxCol {
-				q.maxCol = op.kPad // padded activation scratch (runDense/runHead)
 			}
 		case *ReLU:
 			// The op's store clamp: [0, 127] is exactly relu ∘ clamp±127.
@@ -369,10 +372,31 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 	if ti != len(qw.Tensors) {
 		return fmt.Errorf("nn: network %q consumed %d of %d quantized tensors", net.Name, ti, len(qw.Tensors))
 	}
-	for _, op := range q.ops {
-		q.maxAct = max(q.maxAct, op.outLen)
+	for i := range q.ops {
+		q.maxAct = max(q.maxAct, q.ops[i].outLen)
+		q.maxCol = max(q.maxCol, q.ops[i].colLen())
 	}
 	return nil
+}
+
+// colLen is the per-sample col scratch the compiled op reads and writes: a
+// convolution's im2colQ patch rows when it lowers through the GEMM, else
+// (on a tile) the unpooled requantize row, and nothing at all for a pooled
+// tile or an all-zero tensor; a Dense op's padded activation row when its
+// input is not already at the padded stride.
+func (op *qOp) colLen() int {
+	switch {
+	case op.kind != qConv:
+		if op.kPad != op.inDim {
+			return op.kPad
+		}
+		return 0
+	case op.zeroScale || len(op.segs) > 0 && op.pool:
+		return 0
+	case len(op.segs) > 0:
+		return op.oh * op.ow
+	}
+	return op.oh * op.ow * op.kPad
 }
 
 func errDotLen(li int, name string, l Layer, k int) error {
@@ -420,18 +444,35 @@ func compileRequantOp(op *qOp, wt QuantizedTensor, bias []float64, sx, sy float6
 	}
 }
 
-// compileConvTile fills the direct tile's operands, from a, for a
-// convolution whose geometry and padded rows op already holds and which the
-// host runs on the tile (qconvDirectFits; an all-zero tensor runs nothing):
-// the index tables, which depend on the geometry alone, and the weight rows
-// (outC rows of inC*k*k int8s, unpadded) repacked as the tap pairs the kernel
-// broadcasts.
+// compileConvTile fills a direct tile's operands, from a, for a convolution
+// whose geometry and padded rows op already holds and which the host runs on
+// a tile (qconvDirectFits; an all-zero tensor runs nothing): the index
+// tables, which depend on the geometry alone, and the weight rows (outC rows
+// of inC*k*k int8s, unpadded) repacked as the tap pairs or, for a long-K
+// layer, the starting sums and tap quads the kernel broadcasts.
 func compileConvTile(op *qOp, w []int8, a *Arena) {
 	if op.zeroScale || !qconvDirectFits(op.kPad, op.ow) {
 		return
 	}
 	kk := op.inC * op.k * op.k
 	op.offs, op.segs, _ = convDirectTables(a, op.inC, op.h, op.w, op.k, 8, false)
+	if op.kPad >= longK {
+		quads := (kk + 3) / 4
+		op.offs = op.offs[:4*quads]
+		group := 8 * (quads + 1)
+		op.wpk = a.Int32s((op.outC + 7) / 8 * group)
+		clear(op.wpk)
+		for oc := 0; oc < op.outC; oc++ {
+			dst := op.wpk[oc/8*group+oc%8:]
+			var sum int32
+			for c, v := range w[oc*kk : (oc+1)*kk] {
+				dst[8+c/4*8] |= int32(uint32(uint8(v)) << (c % 4 * 8))
+				sum += int32(v)
+			}
+			dst[0] = -128 * sum
+		}
+		return
+	}
 	pairs := (kk + 1) / 2
 	op.offs = op.offs[:2*pairs]
 	groups := (op.outC + 3) / 4
@@ -500,13 +541,14 @@ func (q *QuantizedNetwork) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 }
 
 // runConv computes the WHOLE chunk's outC x (batch*np) accumulators, then
-// requantizes them. A convolution compiled for the direct tile
-// (compileConvTile) reads every sample's input planes where they lie. Any
-// other lowers the chunk at once: every sample's patch rows go into one
-// shared im2col buffer (batch*np rows at the padded stride) and a single
-// qgemmNT call does the rest, so the weight rows stream through the
-// batch-tiled dual-row kernels once per chunk instead of once per sample.
-// int32 wraparound addition is associative, so either grouping is
+// requantizes them. A convolution compiled for a direct tile
+// (compileConvTile) reads every sample's input planes where they lie,
+// whatever the dispatch flags say now. Any other lowers the chunk at once:
+// every sample's patch rows go into one shared im2col buffer (batch*np rows
+// at the padded stride) and a single qgemmNT call does the rest, so the
+// weight rows stream through the batch-tiled dual-row kernels once per chunk
+// instead of once per sample. int32 wraparound addition is associative, so
+// any grouping is
 // bit-identical to per-sample row-dots over unpadded patches
 // (qoracle_test.go). The accumulator block is laid out [oc][s*np+j]. A
 // pooled convolution max-pools each channel's row of it, the whole chunk in
@@ -531,7 +573,9 @@ func (q *QuantizedNetwork) runConv(op *qOp, batch int, cur, nxt, col []int8, acc
 	}
 	np := op.oh * op.ow
 	cols := batch * np
-	if !qconvDirectSIMD(op, batch, cur, acc[:op.outC*cols]) {
+	if len(op.segs) > 0 {
+		qconvDirectSIMD(op, batch, cur, acc[:op.outC*cols])
+	} else {
 		// Patch rows at the padded stride; the bytes between the patch and
 		// the stride are whatever the arena held, annihilated by the zero
 		// weight pad.

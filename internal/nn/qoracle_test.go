@@ -113,23 +113,29 @@ func familyForTest(shape []int, rng *rand.Rand) []*Network {
 }
 
 // TestQuantizedNetworkMatchesScalarOracle holds ForwardBatch to qforwardRef's
-// bits for every member of both families at batch 1, 3 and 64 on every
-// dispatch floor. Between them the twelve networks put a layer on each side
-// of every line the engine draws: short-K first layers on the tile (kk = 9,
+// bits for every member of both families at batch 1, 3 and 64, compiled and
+// run on every dispatch floor (the floor's flags pick each convolution's
+// lowering). Between them the twelve networks put a layer on each side of
+// every line the engine draws: short-K first layers on the AVX2 tile (kk = 9,
 // 25, 27 — odd, so the zero-weight spare tap runs — and the mobile arms' 1x1
 // layers at kk = 4, 16 over 15-pixel rows), six and twelve channels (a
-// partial last group), the 7-pixel rows of the second pointwise layer and
-// CIFAR-like LeNet's kk = 75 first layer on the GEMM, every long-K second
-// layer on VNNI where the host has it.
+// partial last group of either tile), the 7-pixel rows of the second
+// pointwise layer on the GEMM, and every long-K layer — the second
+// convolutions (kk = 72, 144, 150, 300) and CIFAR-like LeNet's kk = 75 first
+// layer — on the VNNI tile where the host has it and the GEMM below it.
 func TestQuantizedNetworkMatchesScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2201))
 	for _, shape := range [][]int{{1, 28, 28}, {3, 32, 32}} {
 		for _, net := range familyForTest(shape, rng) {
-			_, qn := quantizeForTest(t, net, randBatch(rng, 8, shape))
+			calib := randBatch(rng, 8, shape)
+			qw, qn := quantizeForTest(t, net, calib)
 			in := randBatch(rng, 64, shape)
 			want := qforwardRef(qn, in)
 			sampleLen := in.Len() / 64
 			eachDispatchFloor(func(floor string) {
+				if err := qn.Recompile(net, qw, calib, NewArena()); err != nil {
+					t.Fatal(err)
+				}
 				arena := NewArena()
 				for _, batch := range []int{1, 3, 64} {
 					arena.Reset()
@@ -236,6 +242,32 @@ func FuzzQConvShortK(f *testing.F) {
 		}
 		n := 1 + int(batch)%5
 		op, cur := qconvCase(c, k, hh, ww, 1+int(outC)%20, n, kSel/3%2 == 1, bytes)
+		checkQConvAgainstRef(t, op, n, cur)
+	})
+}
+
+// FuzzQConvLongK is FuzzQConvShortK over the long-K shapes the VNNI tile
+// takes where the host has it (the GEMM everywhere else): 3x3 and 5x5
+// kernels (kSel even or odd) over 64..600 taps, every channel count and so
+// every tap count mod 4, 8- to 20-pixel output rows, 1..20 output channels
+// (partial eight-channel groups), with and without a folded max-pool
+// (kSel/2 odd). -128 is in range.
+func FuzzQConvLongK(f *testing.F) {
+	f.Add(uint8(8), uint8(0), uint8(10), uint8(3), uint8(16), uint8(2), []byte{0x7f, 0x81, 0x80, 3, 0xfe})
+	f.Add(uint8(0), uint8(1), uint8(7), uint8(0), uint8(6), uint8(1), []byte{0x80})
+	f.Add(uint8(33), uint8(2), uint8(4), uint8(12), uint8(7), uint8(4), []byte{1, 0xff, 0x7f, 0x81})
+	f.Add(uint8(9), uint8(3), uint8(3), uint8(1), uint8(31), uint8(3), []byte("long-K"))
+	f.Add(uint8(58), uint8(2), uint8(11), uint8(12), uint8(19), uint8(0), []byte{0x80, 0x7f})
+	f.Fuzz(func(t *testing.T, inC, kSel, h, w, outC, batch uint8, bytes []byte) {
+		k := []int{3, 5}[kSel%2]
+		lo, hi := (64+k*k-1)/(k*k), 600/(k*k)
+		c := lo + int(inC)%(hi-lo+1)
+		hh, ww := k+int(h)%(21-k), k+7+int(w)%13
+		if len(bytes) == 0 {
+			bytes = []byte{0}
+		}
+		n := 1 + int(batch)%5
+		op, cur := qconvCase(c, k, hh, ww, 1+int(outC)%20, n, kSel/2%2 == 1, bytes)
 		checkQConvAgainstRef(t, op, n, cur)
 	})
 }

@@ -73,12 +73,12 @@ func gemmNNQuadAcc(out, a, bt []float64, m, n, k, ld int) int { return 0 }
 
 func gemmNNAccRowWide(orow, ar, bt []float64, n, ld int) int { return 0 }
 
-// The short-K INT8 convolution tile is an amd64 AVX2 specialization too:
-// nothing fits it here, Recompile prepares nothing for it, and every
-// convolution lowers through im2colQ + qgemmNT.
+// The INT8 convolution tiles are amd64 specializations too: nothing fits
+// them here, Recompile prepares no op for one, runConv never calls this, and
+// every convolution lowers through im2colQ + qgemmNT.
 func qconvDirectFits(kPad, ow int) bool { return false }
 
-func qconvDirectSIMD(op *qOp, batch int, cur []int8, acc []int32) bool { return false }
+func qconvDirectSIMD(op *qOp, batch int, cur []int8, acc []int32) {}
 
 // So are the INT8 accumulator max-pool and input quantizer kernels (arm64's
 // NEON tier is the dot kernels alone): the scalar loops of qkernels.go run.

@@ -62,6 +62,16 @@ func requantizeRowAVX512(dst []int8, acc []int32, bias, m int32, shift int, lo i
 //go:noescape
 func qconvDirect4x16AVX2(acc []int32, stride, nch int, wpk []int32, in []int8, offs, segs []int) //lint:allow simdcover register-tiled convolution with no scalar twin; its fallback on every other host is the im2colQ + qgemmNT lowering runConv keeps, and simd_int8_amd64_test.go pins the tile to qdotRowRef over im2colQ patches
 
+// qconvDirect8x16VNNI is the long-K convolution tile: eight output channels
+// by two eight-pixel row segments, the same tables as qconvDirect4x16AVX2,
+// the taps taken four at a time through VPDPBUSD against sums that start at
+// -128*sum(w), the unsigned operand being the input bytes XORed with 0x80
+// (simd_int8_amd64.s has the lane layout). Exact mod 2^32, so qdotRowRef's
+// bits.
+//
+//go:noescape
+func qconvDirect8x16VNNI(acc []int32, stride, nch int, wpk []int32, in []int8, offs, segs []int) //lint:allow simdcover register-tiled convolution with no scalar twin; its fallback on every other host is the im2colQ + qgemmNT lowering runConv keeps, and simd_int8_amd64_test.go pins the tile to qdotRowRef over im2colQ patches
+
 // maxPoolAccAVX2 is maxPoolAcc eight outputs per step (VPMAXSD across the
 // row pair, then across each horizontal pair, then VPADDD the bias;
 // simd_int8_amd64.s).
@@ -143,7 +153,7 @@ func qdot2SIMD(out0, out1 []int32, a0, a1, b []int8, n, k int) {
 		qdotRowSIMD(out1, a1, b, n, k)
 		return
 	}
-	if hasVNNI && k >= 64 {
+	if hasVNNI && k >= longK {
 		qgemm2VNNI(out0, out1, a0, a1, b, n, k)
 		return
 	}
@@ -151,25 +161,38 @@ func qdot2SIMD(out0, out1 []int32, a0, a1, b []int8, n, k int) {
 }
 
 // qconvDirectFits is the one predicate that takes a convolution off the
-// im2colQ + qgemmNT lowering: rows short enough (kPad < 64) that qdot2SIMD
-// would run them on the AVX2 dot kernel, which spends them on one horizontal
-// reduction per output over a patch matrix as costly to build as the dots
-// are to run, and output rows wide enough for an eight-pixel segment. Long-K
-// layers stay on the GEMM, where im2colQ is the price of a kernel no pixel
-// tile matches.
-func qconvDirectFits(kPad, ow int) bool { return hasAVX2 && kPad < 64 && ow >= 8 }
-
-// qconvDirectSIMD runs a convolution Recompile prepared for the tile
-// (op.segs, op.offs, op.wpk) over the whole chunk — one kernel call per
-// sample per four-channel group, each walking the sample's whole segment
-// list — into the [oc][s*np+j] accumulator block runConv requantizes, and
-// reports whether it did; on false the caller lowers through im2colQ.
-func qconvDirectSIMD(op *qOp, batch int, cur []int8, acc []int32) bool {
-	if !hasAVX2 || len(op.segs) == 0 {
-		return false
+// im2colQ + qgemmNT lowering, and kPad alone then names the tile: output rows
+// wide enough for an eight-pixel segment, and either rows short enough
+// (kPad < longK) that qdot2SIMD would run them on the AVX2 dot kernel — one
+// horizontal reduction per output over a patch matrix as costly to build as
+// the dots are to run — on the AVX2 pair tile, or longer rows on the VNNI
+// quad tile, which reads the input where it lies instead of paying im2colQ to
+// feed the VNNI GEMM. A host with AVX2 but no VNNI keeps the GEMM for those.
+func qconvDirectFits(kPad, ow int) bool {
+	if kPad < longK {
+		return hasAVX2 && ow >= 8
 	}
+	return hasVNNI && ow >= 8
+}
+
+// qconvDirectSIMD runs a convolution Recompile prepared for a tile (op.segs,
+// op.offs, op.wpk; kPad picks which) over the whole chunk — one kernel call
+// per sample per channel group, each walking the sample's whole segment list
+// — into the [oc][s*np+j] accumulator block runConv requantizes. The lowering
+// is the compile's: the flags it read are not consulted again.
+func qconvDirectSIMD(op *qOp, batch int, cur []int8, acc []int32) {
 	np := op.oh * op.ow
 	cols := batch * np
+	if op.kPad >= longK {
+		group := 8 + 2*len(op.offs) // eight starting dwords, then eight per tap quad
+		for s := 0; s < batch; s++ {
+			in := cur[s*op.inLen : (s+1)*op.inLen]
+			for oc := 0; oc < op.outC; oc += 8 {
+				qconvDirect8x16VNNI(acc[oc*cols+s*np:], cols, min(8, op.outC-oc), op.wpk[oc/8*group:], in, op.offs, op.segs)
+			}
+		}
+		return
+	}
 	group := 2 * len(op.offs) // four dwords per tap pair
 	for s := 0; s < batch; s++ {
 		in := cur[s*op.inLen : (s+1)*op.inLen]
@@ -177,5 +200,4 @@ func qconvDirectSIMD(op *qOp, batch int, cur []int8, acc []int32) bool {
 			qconvDirect4x16AVX2(acc[oc*cols+s*np:], cols, min(4, op.outC-oc), op.wpk[oc/4*group:], in, op.offs, op.segs)
 		}
 	}
-	return true
 }

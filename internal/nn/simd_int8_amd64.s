@@ -656,6 +656,178 @@ qc_done:
 	VZEROUPPER
 	RET
 
+// QV_DOT(W, CH0, CH1) accumulates one channel of the VNNI tile: W is the
+// channel's broadcast (w_c..w_c+3) dword, Y0/Y1 the flipped input quads of
+// pixels 0-3 and 4-7 of both segments.
+#define QV_DOT(W, CH0, CH1) \
+	VPDPBUSD W, Y0, CH0; \
+	VPDPBUSD W, Y1, CH1
+
+// QV_STORE(XLO, YLO, XHI, YHI) stores one channel's sixteen sums: the low
+// lanes are the first segment's pixels 0-3 and 4-7 at DI, the high lanes the
+// second segment's at R9.
+#define QV_STORE(XLO, YLO, XHI, YHI) \
+	VMOVDQU32 XLO, (DI); \
+	VMOVDQU32 XHI, 16(DI); \
+	VEXTRACTI32X4 $1, YLO, (R9); \
+	VEXTRACTI32X4 $1, YHI, 16(R9)
+
+// func qconvDirect8x16VNNI(acc []int32, stride, nch int, wpk []int32, in []int8, offs, segs []int)
+//
+// The long-K direct INT8 convolution of one sample for a group of eight
+// output channels: qconvDirect4x16AVX2's walk — two eight-pixel segments a
+// pass, the input read where it lies through offs and segs — with the taps
+// taken four at a time through VPDPBUSD. Per tap, VPBROADCASTQ loads the
+// eight bytes under it in each segment and VPBLENDD joins them, the first
+// segment in the low 128-bit lane and the second in the high one; two
+// VPUNPCKLBW and a VPUNPCKLWD/VPUNPCKHWD pair then leave, per lane, pixel i's
+// dword holding its four tap bytes (c, c+1, c+2, c+3), pixels 0-3 in Y0 and
+// 4-7 in Y1. XOR with 0x80 makes those bytes VPDPBUSD's unsigned operand
+// (x+128), and each channel's accumulator pair takes one VPDPBUSD each
+// against the broadcast (w_c..w_c+3) dword. The sums start at -128*sum(w),
+// so every step is exact mod 2^32 and the result is qdotRowRef's wraparound
+// sum (the compensation qgemm2VNNI makes at store, made at load).
+//
+// wpk is the group's eight starting dwords, then eight dwords (channels)
+// per tap quad; len(offs) is a multiple of four, a short last quad repeating
+// a valid offset under zero weights. Channel ch's low accumulator is
+// Y(16+2ch) (pixels 0-3 of both segments), its high one Y(17+2ch) (4-7), so
+// each lane stores whole to its segment. Sums land at acc[ch*stride +
+// position], of which only the first nch (1..8) channel rows are stored.
+// len(segs) is a multiple of four; every segment is eight pixels wide.
+TEXT ·qconvDirect8x16VNNI(SB), NOSPLIT, $0-136
+	MOVQ segs_base+112(FP), BX
+	MOVQ segs_len+120(FP), R13
+	LEAQ (BX)(R13*8), R13    // end of the segment list
+	MOVQ stride+24(FP), R14
+	SHLQ $2, R14             // channel row stride in bytes
+	VPBROADCASTQ qflip<>(SB), Y15
+
+qv_tile:
+	CMPQ BX, R13
+	JGE  qv_done
+	MOVQ in_base+64(FP), AX
+	MOVQ 0(BX), SI
+	ADDQ AX, SI              // first segment's input origin
+	MOVQ 16(BX), DX
+	ADDQ AX, DX              // second segment's
+	MOVQ wpk_base+40(FP), R9
+	VPBROADCASTD 0(R9), Y16
+	VPBROADCASTD 0(R9), Y17
+	VPBROADCASTD 4(R9), Y18
+	VPBROADCASTD 4(R9), Y19
+	VPBROADCASTD 8(R9), Y20
+	VPBROADCASTD 8(R9), Y21
+	VPBROADCASTD 12(R9), Y22
+	VPBROADCASTD 12(R9), Y23
+	VPBROADCASTD 16(R9), Y24
+	VPBROADCASTD 16(R9), Y25
+	VPBROADCASTD 20(R9), Y26
+	VPBROADCASTD 20(R9), Y27
+	VPBROADCASTD 24(R9), Y28
+	VPBROADCASTD 24(R9), Y29
+	VPBROADCASTD 28(R9), Y30
+	VPBROADCASTD 28(R9), Y31
+	ADDQ $32, R9
+	MOVQ offs_base+88(FP), R10
+	MOVQ offs_len+96(FP), CX
+	SHRQ $2, CX              // tap quads
+
+qv_quad:
+	MOVQ 0(R10), AX
+	MOVQ 8(R10), R11
+	MOVQ 16(R10), R12
+	MOVQ 24(R10), R8
+	VPBROADCASTQ (SI)(AX*1), Y0
+	VPBROADCASTQ (DX)(AX*1), Y4
+	VPBLENDD $0xF0, Y4, Y0, Y0  // low lane: segment 0 under tap c; high: segment 1
+	VPBROADCASTQ (SI)(R11*1), Y1
+	VPBROADCASTQ (DX)(R11*1), Y5
+	VPBLENDD $0xF0, Y5, Y1, Y1  // tap c+1
+	VPBROADCASTQ (SI)(R12*1), Y2
+	VPBROADCASTQ (DX)(R12*1), Y6
+	VPBLENDD $0xF0, Y6, Y2, Y2  // tap c+2
+	VPBROADCASTQ (SI)(R8*1), Y3
+	VPBROADCASTQ (DX)(R8*1), Y7
+	VPBLENDD $0xF0, Y7, Y3, Y3  // tap c+3
+	VPUNPCKLBW Y1, Y0, Y0       // (c, c+1) byte pairs per pixel
+	VPUNPCKLBW Y3, Y2, Y2       // (c+2, c+3)
+	VPUNPCKHWD Y2, Y0, Y1       // pixels 4-7: (c, c+1, c+2, c+3) per dword
+	VPUNPCKLWD Y2, Y0, Y0       // pixels 0-3
+	VPXOR Y15, Y0, Y0
+	VPXOR Y15, Y1, Y1
+	VPBROADCASTD 0(R9), Y8
+	QV_DOT(Y8, Y16, Y17)
+	VPBROADCASTD 4(R9), Y9
+	QV_DOT(Y9, Y18, Y19)
+	VPBROADCASTD 8(R9), Y10
+	QV_DOT(Y10, Y20, Y21)
+	VPBROADCASTD 12(R9), Y11
+	QV_DOT(Y11, Y22, Y23)
+	VPBROADCASTD 16(R9), Y12
+	QV_DOT(Y12, Y24, Y25)
+	VPBROADCASTD 20(R9), Y13
+	QV_DOT(Y13, Y26, Y27)
+	VPBROADCASTD 24(R9), Y14
+	QV_DOT(Y14, Y28, Y29)
+	VPBROADCASTD 28(R9), Y8
+	QV_DOT(Y8, Y30, Y31)
+	ADDQ $32, R9
+	ADDQ $32, R10
+	DECQ CX
+	JNZ  qv_quad
+
+	MOVQ acc_base+0(FP), DI
+	MOVQ 8(BX), CX
+	MOVQ 24(BX), R9
+	LEAQ (DI)(R9*4), R9      // second segment's output
+	LEAQ (DI)(CX*4), DI      // first segment's
+	MOVQ nch+32(FP), CX
+	QV_STORE(X16, Y16, X17, Y17)
+	DECQ CX
+	JZ   qv_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	QV_STORE(X18, Y18, X19, Y19)
+	DECQ CX
+	JZ   qv_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	QV_STORE(X20, Y20, X21, Y21)
+	DECQ CX
+	JZ   qv_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	QV_STORE(X22, Y22, X23, Y23)
+	DECQ CX
+	JZ   qv_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	QV_STORE(X24, Y24, X25, Y25)
+	DECQ CX
+	JZ   qv_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	QV_STORE(X26, Y26, X27, Y27)
+	DECQ CX
+	JZ   qv_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	QV_STORE(X28, Y28, X29, Y29)
+	DECQ CX
+	JZ   qv_next
+	ADDQ R14, DI
+	ADDQ R14, R9
+	QV_STORE(X30, Y30, X31, Y31)
+
+qv_next:
+	ADDQ $32, BX
+	JMP  qv_tile
+
+qv_done:
+	VZEROUPPER
+	RET
+
 // func maxPoolAccAVX2(dst, src []int32, imgs, h, w, ld int, bias int32)
 //
 // maxPoolAcc over one channel row of a chunk: imgs images of h x w int32

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -108,9 +109,11 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 		t.Fatal("CPUID probe inconsistency: hasAVX512 set without hasAVX2")
 	}
 
-	// A quantized network end to end: flags steer qdot2SIMD inside qgemmNT
-	// and requantizeRow inside runConv/runDense, so the forward output is the
-	// integration-level witness that dispatch cannot leak into results.
+	// A quantized network end to end, compiled at each floor: flags pick
+	// each convolution's lowering at compile time and steer qdot2SIMD inside
+	// qgemmNT and requantizeRow inside runConv/runDense, so the forward
+	// output is the integration-level witness that dispatch cannot leak into
+	// results.
 	rng := rand.New(rand.NewSource(31))
 	net := BuildCNN("dispatch-cnn", []int{1, 14, 14}, 8, 16, 64, 10, rng)
 	qw := QuantizeWeights(net)
@@ -121,9 +124,12 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	for i := range calib.Data {
 		calib.Data[i] = rng.NormFloat64()
 	}
-	qn, err := NewQuantizedNetwork(net, qw, calib)
-	if err != nil {
-		t.Fatal(err)
+	quantForward := func(in *Tensor, arena *Arena) *Tensor {
+		qn, err := NewQuantizedNetwork(net, qw, calib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qn.ForwardBatch(in, arena)
 	}
 	// Both nets take one batch of 7 square single-channel images: 14x14 for
 	// the quantized CNN, 16x16 for the float LeNet (inData is sized for the
@@ -187,7 +193,7 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 		return append(d0, d1...), rq
 	}
 
-	wantOut := forwardBatch(qn.ForwardBatch, 14)
+	wantOut := forwardBatch(quantForward, 14)
 	wantFloat := forwardBatch(floatNet().ForwardBatch, 16)
 	walkNet := floatNet()
 	wantWalk := forwardBatch(func(in *Tensor, a *Arena) *Tensor { return layerWalk(walkNet, in, a) }, 16)
@@ -212,7 +218,7 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		sameOutputs("quantized", forwardBatch(qn.ForwardBatch, 14), wantOut)
+		sameOutputs("quantized", forwardBatch(quantForward, 14), wantOut)
 		gotFloat := forwardBatch(floatNet().ForwardBatch, 16)
 		sameOutputs("float", gotFloat, wantFloat)
 		sameOutputs("fused float vs layer walk", gotFloat, wantWalk)
@@ -364,6 +370,168 @@ func TestQConvDirect4x16AVX2MatchesRef(t *testing.T) {
 						t.Fatalf("%+v: the tile stored past its last channel row (guard word %d)", c, i)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestQConvDirectVNNIMatchesRef calls the long-K convolution tile itself,
+// group by group and sample by sample as qconvDirectSIMD does, and holds its
+// accumulators to qdotRowRef over unpadded im2colQ patches. The tap counts
+// cover every residue mod 4 (72, 300, 64: none spare; 81, 125, 65: three;
+// 90, 150: two; 63, 75: one), the channel counts full eight-channel groups
+// and a last group of one, six and seven, the rows one segment, whole
+// segments and an overlapping last one, and an odd segment count (the
+// repeated final segment); the operand patterns put ±127 and -128 in every
+// lane of both sides, where the -128*sum(w) starting sum and each quad sum
+// are at their largest. A guard band after the last channel row catches a
+// store past the nch rows the call was given.
+func TestQConvDirectVNNIMatchesRef(t *testing.T) {
+	if !hasVNNI {
+		t.Skip("host without AVX-512 VNNI: long-K convolutions lower through im2colQ + qgemmNT")
+	}
+	rng := rand.New(rand.NewSource(2901))
+	patterns := map[string]func(n int) []byte{
+		"random": func(n int) []byte { b := make([]byte, n); rng.Read(b); return b },
+		"+127":   func(n int) []byte { return bytes.Repeat([]byte{0x7f}, n) },
+		"-127":   func(n int) []byte { return bytes.Repeat([]byte{0x81}, n) },
+		"-128":   func(n int) []byte { return bytes.Repeat([]byte{0x80}, n) },
+		"±127":   func(n int) []byte { return bytes.Repeat([]byte{0x7f, 0x81, 0x81}, n/3+1)[:n] },
+	}
+	const batch, guard = 2, 0x5a5a5a5a
+	for _, c := range []struct{ inC, k, h, w, outC int }{
+		{8, 3, 13, 13, 16}, {9, 3, 10, 10, 6}, {10, 3, 11, 14, 9}, {7, 3, 9, 10, 15},
+		{3, 5, 32, 32, 6}, {6, 5, 12, 12, 16}, {12, 5, 12, 12, 32}, {5, 5, 13, 14, 1},
+		{64, 1, 3, 8, 8}, {65, 1, 5, 9, 7},
+	} {
+		kk := c.inC * c.k * c.k
+		for wname, wfill := range patterns {
+			for xname, xfill := range patterns {
+				op, cur := qconvCase(c.inC, c.k, c.h, c.w, c.outC, batch, false, append(wfill(c.outC*kk), xfill(batch*c.inC*c.h*c.w)...))
+				if op.kPad < longK || len(op.segs) == 0 {
+					t.Fatalf("%+v: not compiled for the VNNI tile", c)
+				}
+				np := op.oh * op.ow
+				cols := batch * np
+				acc := make([]int32, (c.outC+7)*cols)
+				for i := range acc {
+					acc[i] = guard
+				}
+				group := 8 + 2*len(op.offs)
+				for s := 0; s < batch; s++ {
+					for oc := 0; oc < c.outC; oc += 8 {
+						qconvDirect8x16VNNI(acc[oc*cols+s*np:], cols, min(8, c.outC-oc), op.wpk[oc/8*group:], cur[s*op.inLen:(s+1)*op.inLen], op.offs, op.segs)
+					}
+				}
+				col, want := make([]int8, np*kk), make([]int32, np)
+				for s := 0; s < batch; s++ {
+					im2colQ(col, cur[s*op.inLen:(s+1)*op.inLen], c.inC, c.h, c.w, c.k, op.oh, op.ow, kk)
+					for oc := 0; oc < c.outC; oc++ {
+						qdotRowRef(want, op.wq[oc*op.kPad:oc*op.kPad+kk], col, np, kk)
+						for j, v := range want {
+							if got := acc[oc*cols+s*np+j]; got != v {
+								t.Fatalf("%+v weights %s inputs %s: sample %d channel %d pixel %d = %d, reference %d", c, wname, xname, s, oc, j, got, v)
+							}
+						}
+					}
+				}
+				for i, v := range acc[c.outC*cols:] {
+					if v != guard {
+						t.Fatalf("%+v: the tile stored past its last channel row (guard word %d)", c, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// convLowering names the lowering Recompile gave a compiled convolution.
+func convLowering(op *qOp) string {
+	switch {
+	case len(op.segs) == 0:
+		return "im2colQ+qgemmNT"
+	case op.kPad < longK:
+		return "qconvDirect4x16AVX2"
+	}
+	return "qconvDirect8x16VNNI"
+}
+
+// TestQConvLowerings logs the dispatch flags this host probed and the
+// lowering every convolution of both zoo families compiles to, natively and
+// with hasVNNI forced off (`go test -v -run TestQConvLowerings` states which
+// tiers a run executed), and holds the choice to qconvDirectFits' line: on a
+// VNNI host every second convolution of both families, and the CIFAR-like
+// LeNets' 75-tap first layer, runs the VNNI tile; with VNNI off none does,
+// and the short-K layers keep the AVX2 tile either way.
+func TestQConvLowerings(t *testing.T) {
+	t.Logf("hasAVX2=%v hasAVX512=%v hasVNNI=%v", hasAVX2, hasAVX512, hasVNNI)
+	saveVNNI := hasVNNI
+	defer func() { hasVNNI = saveVNNI }()
+	for _, floor := range []string{"native", "no-vnni"} {
+		if floor == "no-vnni" {
+			hasVNNI = false
+		}
+		rng := rand.New(rand.NewSource(2902))
+		for _, shape := range [][]int{{1, 28, 28}, {3, 32, 32}} {
+			for _, net := range familyForTest(shape, rng) {
+				_, qn := quantizeForTest(t, net, randBatch(rng, 4, shape))
+				conv := 0
+				for i := range qn.ops {
+					op := &qn.ops[i]
+					if op.kind != qConv {
+						continue
+					}
+					conv++
+					got := convLowering(op)
+					t.Logf("%s: %s %v conv%d %dx%d k=%d kPad=%d ow=%d: %s", floor, net.Name, shape, conv, op.inC, op.outC, op.k, op.kPad, op.ow, got)
+					want := "im2colQ+qgemmNT"
+					switch {
+					case op.kPad < longK && op.ow >= 8 && hasAVX2:
+						want = "qconvDirect4x16AVX2"
+					case op.kPad >= longK && op.ow >= 8 && hasVNNI:
+						want = "qconvDirect8x16VNNI"
+					}
+					if got != want {
+						t.Errorf("%s: %s %v conv%d lowers through %s, want %s", floor, net.Name, shape, conv, got, want)
+					}
+					if conv == 2 && hasVNNI && !strings.HasPrefix(net.Name, "mobile") && got != "qconvDirect8x16VNNI" {
+						t.Errorf("%s: %s %v: a second convolution off the VNNI tile", floor, net.Name, shape)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuantizedColScratchPinned pins each MNIST arm's compiled per-sample
+// col scratch natively and with hasVNNI forced off: the im2colQ patch
+// matrix counts only for a convolution that lowers through it, a pooled tile
+// needs none and the Dense layers their padded rows (lenet-s's 120- and
+// 84-wide, lenet-l's 168-wide). On a VNNI host no MNIST arm builds a patch
+// matrix; without VNNI the second convolutions do (cnn-s 121 x 80, cnn-l
+// 121 x 144, lenet-s 64 x 160, lenet-l 64 x 304).
+func TestQuantizedColScratchPinned(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("host below the AVX2 floor: every convolution lowers through im2colQ")
+	}
+	want := map[string][2]int{ // native on a VNNI host, no-vnni
+		"cnn-s": {0, 9680}, "cnn-l": {0, 17424}, "lenet-s": {128, 10240},
+		"lenet-l": {176, 19456}, "mlp-s": {0, 0}, "mlp-l": {0, 0},
+	}
+	saveVNNI := hasVNNI
+	defer func() { hasVNNI = saveVNNI }()
+	for f, floor := range []string{"native", "no-vnni"} {
+		if f == 1 {
+			hasVNNI = false
+		} else if !hasVNNI {
+			continue
+		}
+		rng := rand.New(rand.NewSource(2903))
+		shape := []int{1, 28, 28}
+		for _, net := range familyForTest(shape, rng) {
+			_, qn := quantizeForTest(t, net, randBatch(rng, 4, shape))
+			if got := qn.maxCol; got != want[net.Name][f] {
+				t.Errorf("%s: %s compiles %d col bytes a sample, want %d", floor, net.Name, got, want[net.Name][f])
 			}
 		}
 	}
