@@ -17,7 +17,7 @@
 #                  with mid-run shard rebalancing, quorum degradation, the
 #                  randomized-schedule parity property, and the coordinator
 #                  session's replay cache
-#   make fuzz-smoke - ten seconds of each of the eleven native fuzz targets:
+#   make fuzz-smoke - ten seconds of each of the twelve native fuzz targets:
 #                  the wire codec and the frame validators behind it
 #                  (internal/deploy:
 #                  FuzzReadMessage, FuzzMessageEncode), the shard checkpoint's
@@ -27,9 +27,11 @@
 #                  against its value-by-value oracle, the INT8 engine's
 #                  short-K and long-K convolution stages and its input
 #                  quantizer against their scalar references, the float
-#                  fused conv + ReLU + pool stage against the three layers
-#                  (internal/nn: FuzzReadWeights, FuzzQConvShortK,
-#                  FuzzQConvLongK, FuzzQuantizeActs, FuzzConvReLUPool) and the
+#                  fused conv + ReLU + pool stage against the three layers,
+#                  the float convolution's batched backward pass against the
+#                  per-sample one (internal/nn: FuzzReadWeights,
+#                  FuzzQConvShortK, FuzzQConvLongK, FuzzQuantizeActs,
+#                  FuzzConvReLUPool, FuzzConvBackward) and the
 #                  trace CSV readers against their accept contract and a
 #                  write/read round trip (internal/trace: FuzzReadPrices,
 #                  FuzzReadWorkload); go test -fuzz takes one target per run
@@ -84,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzQConvLongK -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzQuantizeActs -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzConvReLUPool -fuzztime=10s ./internal/nn
+	$(GO) test -run='^$$' -fuzz=FuzzConvBackward -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzReadPrices -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzReadWorkload -fuzztime=10s ./internal/trace
 

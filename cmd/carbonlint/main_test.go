@@ -107,7 +107,6 @@ var keptForTests = map[string]string{
 	"numeric.lfSource.Int63":           "rand.Source method; math/rand calls it, not the repo",
 	"trading.PrimalDual.SolveProximal": "oracle: numerical proximal step TestPrimalDualClosedFormMatchesNumericalProximal holds the closed form to",
 
-	"nn.Network.OutDim":                "instrument: class count read by the batch-equivalence and architecture tests",
 	"nn.QuantizedNetwork.OutDim":       "instrument: logit width read by the qnetwork tests",
 	"nn.QuantizedNetwork.ParamBytes":   "instrument: resident size TestRecompileMatchesFreshCompile compares",
 	"models.SurrogateZoo.MeanAccuracy": "models.Zoo method; examples/accuracy calls TrainedZoo's",

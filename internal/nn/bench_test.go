@@ -101,16 +101,25 @@ func BenchmarkDenseForwardBatch(b *testing.B) {
 	}
 }
 
-// benchTrainEpoch measures one SGD epoch over 256 samples on the family's
-// small-CNN shape; the Naive variant is the retained per-sample reference,
-// so the TrainEpoch/TrainEpochNaive ratio is the batched-training speedup.
-func benchTrainEpoch(b *testing.B, naive bool) {
-	rng := rand.New(rand.NewSource(21))
-	net := BuildCNN("bench-train", []int{1, 14, 14}, 8, 16, 32, 10, rng)
-	samples := make([]Sample, 256)
-	for i := range samples {
-		samples[i] = Sample{X: randTensor(rng, 1, 14, 14), Label: rng.Intn(10)}
+// BenchmarkTrainEpoch is one SGD epoch (TrainShuffled, batch 16) over 256
+// random 1x28x28 samples on each MNIST-family zoo arm — the training a zoo
+// build runs per arm — in ns/sample. BenchmarkTrainEpochNaive is the
+// per-sample reference loop on the first arm, so its ratio to the cnn-s row
+// is the batched-training speedup.
+func BenchmarkTrainEpoch(b *testing.B) {
+	for _, zb := range zooBuilders[:6] {
+		b.Run(zb.name, func(b *testing.B) { benchTrainEpoch(b, zb.build, false) })
 	}
+}
+
+func BenchmarkTrainEpochNaive(b *testing.B) { benchTrainEpoch(b, zooBuilders[0].build, true) }
+
+func benchTrainEpoch(b *testing.B, build func([]int, *rand.Rand) *Network, naive bool) {
+	const n = 256
+	shape := []int{1, 28, 28}
+	rng := rand.New(rand.NewSource(21))
+	net := build(shape, rng)
+	samples := randSamples(rng, n, shape, 10)
 	cfg := TrainConfig{Epochs: 1, BatchSize: 16, LR: 0.05}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -125,10 +134,8 @@ func benchTrainEpoch(b *testing.B, naive bool) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/sample")
 }
-
-func BenchmarkTrainEpoch(b *testing.B)      { benchTrainEpoch(b, false) }
-func BenchmarkTrainEpochNaive(b *testing.B) { benchTrainEpoch(b, true) }
 
 // BenchmarkQuantConvForward is BenchmarkConvForwardBatch's shapes through the
 // INT8 engine's own convolution stage (runConv on the scoreChunk-sample chunk

@@ -5,10 +5,9 @@ package nn
 // matrices sharing a contiguous K dimension (GemmNTBiasJ) for tiny problems,
 // and the same product over eight-column weight panels (GemmPanelBiasJ)
 // otherwise. Conv2D lowers to nothing: its forward kernel (convDirectSIMD)
-// reads the input planes in place through the tables convDirectTables builds
-// (the INT8 engine's short-K convolutions walk the same tables, qnetwork.go),
-// and only the backward pass still materializes patches (im2col, one sample
-// at a time), for the weight-gradient accumulation. The "NN" forms
+// and its backward kernel (convBwdSIMD) read the input planes in place
+// through the tables convDirectTables builds (the INT8 engine's direct
+// convolution tiles walk the same offsets, qnetwork.go). The "NN" forms
 // (GemmNNBiasI, GemmNNAccI) are Dense.BackwardBatch's.
 //
 // The kernels are blocked over the *output* coordinates only; the K
@@ -163,19 +162,7 @@ func GemmPanelBiasJ(out, a, w, bias, panel []float64, m, n, k int) {
 // covers whole pool windows; the count is even by construction.
 func convDirectTables(a *Arena, inC, h, w, k, seg int, pool bool) (offs, segs []int, sw int) {
 	oh, ow := h-k+1, w-k+1
-	kk := inC * k * k
-	offs = a.Ints(kk + 3)
-	c := 0
-	for ic := 0; ic < inC; ic++ {
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				offs[c] = (ic*h+ky)*w + kx
-				c++
-			}
-		}
-	}
-	offs[kk], offs[kk+1], offs[kk+2] = offs[kk-1], offs[kk-1], offs[kk-1]
-	offs = offs[:kk]
+	offs = convOffsets(a, inC, h, w, k)
 	if pool {
 		ph, cw := oh/2, ow&^1
 		sw = min(seg, cw)
@@ -210,44 +197,21 @@ func convDirectTables(a *Arena, inC, h, w, k, seg int, pool bool) (offs, segs []
 	return offs, segs, sw
 }
 
-// im2col lowers one CHW sample to the patch matrix Conv2D.BackwardBatch
-// accumulates weight gradients from: dst[p*kk+c] = the c-th element of output
-// pixel p's receptive field, where p walks the output pixels row-major (y,
-// then x) and c walks the patch in (ic, ky, kx) order — the order the
-// reference backward loop visits a pixel's weights in. dst must have
-// oh*ow*inC*kh*kh elements.
-func im2col(dst, src []float64, inC, h, w, kh, oh, ow int) {
-	if kh == 3 {
-		di := 0
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				for ic := 0; ic < inC; ic++ {
-					base := (ic*h+y)*w + x
-					r0 := src[base : base+3]
-					r1 := src[base+w : base+w+3]
-					r2 := src[base+2*w : base+2*w+3]
-					d := dst[di : di+9]
-					d[0], d[1], d[2] = r0[0], r0[1], r0[2]
-					d[3], d[4], d[5] = r1[0], r1[1], r1[2]
-					d[6], d[7], d[8] = r2[0], r2[1], r2[2]
-					di += 9
-				}
-			}
-		}
-		return
-	}
-	di := 0
-	for y := 0; y < oh; y++ {
-		for x := 0; x < ow; x++ {
-			for ic := 0; ic < inC; ic++ {
-				for ky := 0; ky < kh; ky++ {
-					srow := src[(ic*h+y+ky)*w+x : (ic*h+y+ky)*w+x+kh]
-					for kx := 0; kx < kh; kx++ {
-						dst[di] = srow[kx]
-						di++
-					}
-				}
+// convOffsets is convDirectTables' offs alone — all the backward kernel
+// (convBwdSIMD) walks, K entries at a time: offs[r*k] is where the r-th row
+// of a receptive field, (ic, ky) in order, starts.
+func convOffsets(a *Arena, inC, h, w, k int) []int {
+	kk := inC * k * k
+	offs := a.Ints(kk + 3)
+	c := 0
+	for ic := 0; ic < inC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				offs[c] = (ic*h+ky)*w + kx
+				c++
 			}
 		}
 	}
+	offs[kk], offs[kk+1], offs[kk+2] = offs[kk-1], offs[kk-1], offs[kk-1]
+	return offs[:kk]
 }

@@ -35,13 +35,17 @@ type Layer interface {
 	// into grads.
 	Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor
 	// BackwardBatch back-propagates a [B, d...] gradient w.r.t.
-	// ForwardBatch(in) and returns the [B, ...] input gradient in arena
-	// scratch. Parameter gradients accumulate into grads across the batch in
-	// strictly ascending sample order, and within a sample in Backward's
-	// exact per-accumulator term order — the same "never split or reorder an
-	// accumulation" discipline as the GEMM kernels — so the accumulated
-	// gradients equal a per-sample Forward/Backward loop bit for bit.
-	BackwardBatch(in, gradOut *Tensor, grads []*Tensor, a *Arena) *Tensor
+	// ForwardBatch(in). Parameter gradients accumulate into grads across the
+	// batch in strictly ascending sample order, and within a sample in
+	// Backward's exact per-accumulator term order — the same "never split or
+	// reorder an accumulation" discipline as the GEMM kernels — so the
+	// accumulated gradients equal a per-sample Forward/Backward loop bit for
+	// bit. With wantIn it returns the [B, ...] input gradient in arena
+	// scratch. Without, the caller reads no input gradient: a layer with
+	// parameters then computes none and returns nil (TrainShuffled asks this
+	// of the lowest such layer, below which nothing has a gradient to take),
+	// and one without parameters may ignore the flag.
+	BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool, a *Arena) *Tensor
 	// Params returns the layer's parameter slices (possibly empty).
 	Params() []*Tensor
 	// OutShape maps an input shape to the layer's output shape.
@@ -125,14 +129,21 @@ func (d *Dense) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 // walks samples strictly ascending (the per-sample accumulation order).
 // gb accumulates from the same transposed gradient, samples ascending.
 // Tiny batches keep the row loop — both paths produce identical bits.
-func (d *Dense) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, a *Arena) *Tensor {
+// Without wantIn the input-gradient GEMM (or axpy) is skipped.
+func (d *Dense) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool, a *Arena) *Tensor {
 	batch := gradOut.Shape[0]
 	gw, gb := grads[0].Data, grads[1].Data
-	gradIn := a.Tensor(batch, d.InDim)
+	var gradIn *Tensor
+	if wantIn {
+		gradIn = a.Tensor(batch, d.InDim)
+	}
 	if batch < 4 {
 		for s := 0; s < batch; s++ {
-			gi := gradIn.Data[s*d.InDim : (s+1)*d.InDim]
-			zeroFloats(gi)
+			var gi []float64
+			if wantIn {
+				gi = gradIn.Data[s*d.InDim : (s+1)*d.InDim]
+				zeroFloats(gi)
+			}
 			d.backwardRow(
 				gradOut.Data[s*d.OutDim:(s+1)*d.OutDim],
 				in.Data[s*d.InDim:(s+1)*d.InDim],
@@ -141,12 +152,14 @@ func (d *Dense) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, a *Arena) *T
 		}
 		return gradIn
 	}
-	// A zero per-row bias starts every gi accumulator at +0, the same value
-	// the zeroed-then-accumulated reference starts from, without paying a
-	// batch*InDim clear.
-	zb := a.Floats(batch)
-	zeroFloats(zb)
-	GemmNNBiasI(gradIn.Data, gradOut.Data, d.w.Data, zb, batch, d.InDim, d.OutDim)
+	if wantIn {
+		// A zero per-row bias starts every gi accumulator at +0, the same
+		// value the zeroed-then-accumulated reference starts from, without
+		// paying a batch*InDim clear.
+		zb := a.Floats(batch)
+		zeroFloats(zb)
+		GemmNNBiasI(gradIn.Data, gradOut.Data, d.w.Data, zb, batch, d.InDim, d.OutDim)
+	}
 	goutT := a.Floats(d.OutDim * batch)
 	transposeSIMD(goutT, gradOut.Data, batch, d.OutDim)
 	for o := 0; o < d.OutDim; o++ {
@@ -169,18 +182,21 @@ func (d *Dense) Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor {
 
 // backwardRow is the shared one-sample backward kernel: it accumulates gw/gb
 // from (gradOut, in) and adds the input gradient into gi (callers pass a
-// zeroed gi). Both the per-sample and batched paths funnel through it, which
-// is what makes their gradients bit-identical by construction. Both inner
-// loops are axpys: each gw element gets one add per sample and each gi
-// element gets its adds in strictly increasing o order, the reference
-// accumulation sequence, so the SIMD kernels preserve bits exactly.
+// zeroed gi, or nil for none). Both the per-sample and batched paths funnel
+// through it, which is what makes their gradients bit-identical by
+// construction. Both inner loops are axpys: each gw element gets one add per
+// sample and each gi element gets its adds in strictly increasing o order,
+// the reference accumulation sequence, so the SIMD kernels preserve bits
+// exactly.
 func (d *Dense) backwardRow(gradOut, in, gi, gw, gb []float64) {
 	n := d.InDim
 	for o := 0; o < d.OutDim; o++ {
 		g := gradOut[o]
 		gb[o] += g
 		axpySIMD(g, in, gw[o*n:(o+1)*n])
-		axpySIMD(g, d.w.Data[o*n:(o+1)*n], gi)
+		if gi != nil {
+			axpySIMD(g, d.w.Data[o*n:(o+1)*n], gi)
+		}
 	}
 }
 
@@ -290,82 +306,45 @@ func (c *Conv2D) forwardDirect(in *Tensor, a *Arena, pool bool) *Tensor {
 	return out
 }
 
-// BackwardBatch implements Layer: per sample in ascending sample order, the
-// sample is lowered to its p-major im2col rows — into one sample's worth of
-// arena scratch, reused down the batch — and backwardSample accumulates the
-// weight, bias, and input gradients from those contiguous patch rows, exactly
-// Backward's per-element add order. The pooling argmax scatter and ReLU
-// masking upstream leave most gradient entries zero, so the g == 0 skip
-// (shared with Backward) prunes the bulk of the work; a dense GEMM over the
-// same rows was measured slower for exactly that reason. The input gradient
-// keeps Backward's naive scatter because a col2im-style pre-reduction over
-// output channels would reassociate sums.
-func (c *Conv2D) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, a *Arena) *Tensor {
+// BackwardBatch implements Layer: a direct backward pass. Nothing is lowered
+// or copied — per sample in ascending order and per output channel, the
+// kernel (convBwdSIMD) finds the channel plane's nonzero gradient values and,
+// for each, reads its receptive field where it lies through
+// convDirectTables' offsets, adding gv times the field into the channel's
+// weight gradient and, with wantIn, gv times the channel's weights into the
+// sample's input gradient. That is Backward's loop nest — (oc, y, x) outer
+// with the g == 0 skip, one multiply then one add per term — so every
+// accumulator sees Backward's terms in Backward's order. The pooling argmax
+// scatter and ReLU masking upstream leave most gradient entries zero, so the
+// skip prunes the bulk of the work; a dense GEMM over patch rows was
+// measured slower for exactly that reason. The input gradient keeps
+// Backward's scatter because a col2im-style pre-reduction over output
+// channels would reassociate sums.
+func (c *Conv2D) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool, a *Arena) *Tensor {
 	batch, h, w := in.Shape[0], in.Shape[2], in.Shape[3]
-	oh, ow := h-c.K+1, w-c.K+1
-	np := oh * ow
-	col := a.Floats(np * c.InC * c.K * c.K)
-	gradIn := a.Tensor(in.Shape...)
-	zeroFloats(gradIn.Data)
+	ow := w - c.K + 1
+	np, kk := (h-c.K+1)*ow, c.InC*c.K*c.K
+	offs := convOffsets(a, c.InC, h, w, c.K)
+	var gradIn *Tensor
+	var gi []float64
+	if wantIn {
+		gradIn = a.Tensor(in.Shape...)
+		zeroFloats(gradIn.Data)
+	}
+	gw, gb := grads[0].Data, grads[1].Data
 	inStride, outStride := c.InC*h*w, c.OutC*np
 	for s := 0; s < batch; s++ {
-		im2col(col, in.Data[s*inStride:(s+1)*inStride], c.InC, h, w, c.K, oh, ow)
-		c.backwardSample(gradOut.Data[s*outStride:(s+1)*outStride], col,
-			gradIn.Data[s*inStride:(s+1)*inStride], grads[0].Data, grads[1].Data, h, w, oh, ow)
-	}
-	return gradIn
-}
-
-// backwardSample accumulates one sample's contribution to gw and gb and adds
-// its input gradient into gi (callers pass a zeroed gi). It replays
-// Backward's loop nest — (oc, y, x) outer with the g == 0 skip, so each
-// gradient row is scanned exactly once — term for term: per surviving
-// element, gw gets one axpy over the patch's im2col row (the (ic, ky, kx)
-// order Backward walks), then gi gets the weight-row scatter, with the
-// ubiquitous 3x3 case handled by the fused conv3x3BwdSIMD kernel.
-func (c *Conv2D) backwardSample(g, col, gi, gw, gb []float64, h, w, oh, ow int) {
-	kk := c.InC * c.K * c.K
-	for oc := 0; oc < c.OutC; oc++ {
-		wAll := c.w.Data[oc*kk : (oc+1)*kk]
-		gwAll := gw[oc*kk : (oc+1)*kk]
-		for y := 0; y < oh; y++ {
-			grow := g[(oc*oh+y)*ow : (oc*oh+y)*ow+ow]
-			if c.K == 3 {
-				for x, gv := range grow {
-					if gv == 0 {
-						continue
-					}
-					gb[oc] += gv
-					crow := col[(y*ow+x)*kk : (y*ow+x+1)*kk]
-					conv3x3BwdSIMD(gv, wAll, crow, gwAll, gi[y*w+x:], w, h*w, c.InC)
-				}
-				continue
-			}
-			for x, gv := range grow {
-				if gv == 0 {
-					continue
-				}
-				gb[oc] += gv
-				crow := col[(y*ow+x)*kk : (y*ow+x+1)*kk]
-				if kk >= 48 {
-					axpySIMD(gv, crow, gwAll)
-				} else {
-					for i, cv := range crow {
-						gwAll[i] += gv * cv
-					}
-				}
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						giRow := gi[(ic*h+y+ky)*w+x:]
-						wRow := wAll[(ic*c.K+ky)*c.K:]
-						for kx := 0; kx < c.K; kx++ {
-							giRow[kx] += gv * wRow[kx]
-						}
-					}
-				}
-			}
+		x := in.Data[s*inStride : (s+1)*inStride]
+		if wantIn {
+			gi = gradIn.Data[s*inStride : (s+1)*inStride]
+		}
+		g := gradOut.Data[s*outStride : (s+1)*outStride]
+		for oc := 0; oc < c.OutC; oc++ {
+			convBwdSIMD(g[oc*np:(oc+1)*np], ow, x, c.w.Data[oc*kk:(oc+1)*kk],
+				gw[oc*kk:(oc+1)*kk], gb[oc:oc+1], gi, offs, c.K)
 		}
 	}
+	return gradIn
 }
 
 // Backward implements Layer.
@@ -474,7 +453,7 @@ func (m *MaxPool2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 }
 
 // BackwardBatch implements Layer: Backward's argmax scatter per sample.
-func (m *MaxPool2D) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, a *Arena) *Tensor {
+func (m *MaxPool2D) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *Arena) *Tensor {
 	batch, ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	gradIn := a.Tensor(in.Shape...)
 	zeroFloats(gradIn.Data)
@@ -565,7 +544,7 @@ func (r *ReLU) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 
 // BackwardBatch implements Layer: gradient passes where the input was
 // positive, literal zero elsewhere (matching Backward's zeroed gradIn).
-func (r *ReLU) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, a *Arena) *Tensor {
+func (r *ReLU) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *Arena) *Tensor {
 	gradIn := a.Tensor(gradOut.Shape...)
 	reluBwdSIMD(gradIn.Data, gradOut.Data, in.Data)
 	return gradIn
@@ -617,7 +596,7 @@ func (f *Flatten) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 }
 
 // BackwardBatch implements Layer: a reshaping view back to the input shape.
-func (f *Flatten) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, a *Arena) *Tensor {
+func (f *Flatten) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *Arena) *Tensor {
 	return a.View(gradOut.Data, in.Shape...)
 }
 

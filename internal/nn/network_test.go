@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -158,6 +159,32 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := TrainShuffled(net, s, TrainConfig{Epochs: 1, BatchSize: 1, LR: 0}, rng.Shuffle); err == nil {
 		t.Error("expected error on zero LR")
+	}
+}
+
+// TestTrainShuffledErrors: samples a network cannot train on are an error
+// naming the sample, returned before any training — not a panic inside a
+// layer, which in a zoo builder's worker goroutine would take the process
+// down.
+func TestTrainShuffledErrors(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		bad   Sample
+		wants string
+	}{
+		{"label past the classes", Sample{X: NewTensor(1, 14, 14), Label: 10}, "sample 3 has label 10"},
+		{"negative label", Sample{X: NewTensor(1, 14, 14), Label: -1}, "sample 3 has label -1"},
+		{"smaller image", Sample{X: NewTensor(1, 12, 12), Label: 2}, "sample 3 has shape [1 12 12]"},
+		{"flattened image", Sample{X: NewTensor(196), Label: 2}, "sample 3 has shape [196]"},
+	} {
+		rng := rand.New(rand.NewSource(15))
+		net := BuildCNN("cnn", []int{1, 14, 14}, 4, 8, 16, 10, rng)
+		samples := randSamples(rng, 5, []int{1, 14, 14}, 10)
+		samples[3] = c.bad
+		_, err := TrainShuffled(net, samples, TrainConfig{Epochs: 1, BatchSize: 4, LR: 0.1}, rng.Shuffle)
+		if err == nil || !strings.Contains(err.Error(), c.wants) {
+			t.Errorf("%s: error %v, want one saying %q", c.name, err, c.wants)
+		}
 	}
 }
 

@@ -6,10 +6,10 @@ package nn
 // amd64 is AVX2 (x86-64-v3), probed at run time (cpu_amd64.go) so a default
 // GOAMD64=v1 build reaches it: every dispatcher below is "AVX2 when the host
 // has it and the slice is long enough, otherwise the portable Go loop"
-// (simd_portable.go) — the same function every non-amd64 build runs. Three
+// (simd_portable.go) — the same function every non-amd64 build runs. Two
 // kernels have no AVX2 form and run undispatched on SSE2, which is part of
-// the amd64 baseline: pool2x2, conv3x3Bwd, transpose2x2 (their Go bodies for
-// other architectures live in simd_generic.go).
+// the amd64 baseline: pool2x2 and transpose2x2 (their Go bodies for other
+// architectures live in simd_generic.go).
 //
 // Bit-identity with the portable loops is structural, not approximate: every
 // output element is produced by exactly the same IEEE-754 operations in the
@@ -52,7 +52,7 @@ func convDirect4x8AVX2(out []float64, np int, bias, wt, in []float64, offs, segs
 func pool2x2SSE2(dst, row0, row1 []float64)
 
 //go:noescape
-func conv3x3BwdSSE2(gv float64, wr, cr, gw, gi []float64, w, hw, inC int)
+func convBwdAVX2(g []float64, ow int, in, wt, gw, gb, gi []float64, offs []int, k int)
 
 //go:noescape
 func transpose2x2SSE2(dst, src []float64, rows, cols int)
@@ -125,15 +125,20 @@ func transposeSIMD(dst, src []float64, rows, cols int) {
 	}
 }
 
-// conv3x3BwdSIMD applies one surviving gradient element gv of a 3x3
-// convolution backward pass across all input channels: the weight gradient
-// gets gw[ic*9+j] += gv*cr[ic*9+j] (cr is the patch's im2col row) and the
-// input gradient gets gi[ic*hw + r*w + j] += gv*wr[ic*9+r*3+j] for the three
-// rows r of the receptive field. Each target element receives exactly one
-// mul-then-add, matching the scalar loops' per-accumulator sequences. gi
-// must be sliced at the scatter origin; w and hw are element strides.
-func conv3x3BwdSIMD(gv float64, wr, cr, gw, gi []float64, w, hw, inC int) {
-	conv3x3BwdSSE2(gv, wr, cr, gw, gi, w, hw, inC)
+// convBwdSIMD is one output channel's share of Conv2D's backward pass over
+// one sample (convBwdGo has the contract). The AVX2 kernel covers k in
+// {1, 3, 5}, every zoo convolution: it tests the gradient plane four values
+// at a time (a compare against zero and a movemask), visits the nonzero
+// lanes in ascending order, and walks each field row at k = 5 as one
+// four-wide and one scalar multiply-add, at k = 3 as one two-wide and one
+// scalar, at k = 1 as one scalar. Other kernel sizes and hosts below the
+// floor run the portable twin.
+func convBwdSIMD(g []float64, ow int, in, wt, gw, gb, gi []float64, offs []int, k int) {
+	if hasAVX2 && (k == 1 || k == 3 || k == 5) {
+		convBwdAVX2(g, ow, in, wt, gw, gb, gi, offs, k)
+		return
+	}
+	convBwdGo(g, ow, in, wt, gw, gb, gi, offs, k)
 }
 
 // reluBwdSIMD computes dst[i] = grad[i] if in[i] > 0, else +0.

@@ -1,6 +1,6 @@
-// AVX2 element-parallel kernels, plus the three SSE2 kernels that have no
-// wider twin (pool2x2, conv3x3Bwd, transpose2x2: SSE2 is the amd64 baseline,
-// so they run undispatched). See simd_amd64.go for the bit-identity contract:
+// AVX2 element-parallel kernels, plus the two SSE2 kernels that have no
+// wider twin (pool2x2, transpose2x2: SSE2 is the amd64 baseline, so they run
+// undispatched). See simd_amd64.go for the bit-identity contract:
 // lanes are independent output elements; per-element operation order matches
 // the portable Go loops (simd_portable.go) exactly (multiply then add — no
 // FMA). The AVX2 bodies use only VEX-encoded instructions and end with
@@ -551,97 +551,186 @@ tail:
 done:
 	RET
 
-// func conv3x3BwdSSE2(gv float64, wr, cr, gw, gi []float64, w, hw, inC int)
-// One surviving gradient element's 3x3 backward scatter, all input channels:
-// per channel ic, gw[ic*9+j] += gv*cr[ic*9+j] for j in [0,9) and
-// gi[ic*hw + r*w + j] += gv*wr[ic*9 + r*3 + j] for r,j in [0,3). Every
-// target element receives exactly one mul-then-add (no FMA), identical to
-// the scalar loops; pairing touches only distinct elements. gi is pre-sliced
-// at the scatter origin; w and hw are element strides between gi rows and
-// channels.
-TEXT ·conv3x3BwdSSE2(SB), NOSPLIT, $0-128
-	MOVSD    gv+0(FP), X0
-	UNPCKLPD X0, X0
-	MOVQ     wr_base+8(FP), SI
-	MOVQ     cr_base+32(FP), BX
-	MOVQ     gw_base+56(FP), DX
-	MOVQ     gi_base+80(FP), DI
-	MOVQ     w+104(FP), R8
-	SHLQ     $3, R8
-	MOVQ     hw+112(FP), R9
-	SHLQ     $3, R9
-	MOVQ     inC+120(FP), CX
+// Lanes 0..rem-1 of a tail's load mask: the four qwords at bwdTail+24-8*rem.
+DATA bwdTail<>+0(SB)/8, $-1
+DATA bwdTail<>+8(SB)/8, $-1
+DATA bwdTail<>+16(SB)/8, $-1
+GLOBL bwdTail<>(SB), RODATA|NOPTR, $48
 
-chan3:
-	// gw[0:9] += gv * cr[0:9], four pairs then the ninth element.
-	MOVUPD (BX), X1
-	MULPD  X0, X1
-	MOVUPD (DX), X2
-	ADDPD  X1, X2
-	MOVUPD X2, (DX)
-	MOVUPD 16(BX), X1
-	MULPD  X0, X1
-	MOVUPD 16(DX), X2
-	ADDPD  X1, X2
-	MOVUPD X2, 16(DX)
-	MOVUPD 32(BX), X1
-	MULPD  X0, X1
-	MOVUPD 32(DX), X2
-	ADDPD  X1, X2
-	MOVUPD X2, 32(DX)
-	MOVUPD 48(BX), X1
-	MULPD  X0, X1
-	MOVUPD 48(DX), X2
-	ADDPD  X1, X2
-	MOVUPD X2, 48(DX)
-	MOVSD  64(BX), X1
-	MULSD  X0, X1
-	MOVSD  64(DX), X2
-	ADDSD  X1, X2
-	MOVSD  X2, 64(DX)
+// func convBwdAVX2(g []float64, ow int, in, wt, gw, gb, gi []float64, offs []int, k int)
+// convBwdGo for k in {1, 3, 5}. The gradient plane is tested four values at
+// a time — VCMPPD NEQ_UQ against zero (true for NaN, false for either zero)
+// and VMOVMSKPD; the last one to three values load under a VMASKMOVPD mask,
+// so nothing past the plane is read — and the set bits are taken lowest
+// first, so nonzero values are visited in ascending p. For each, gv goes
+// into the bias-gradient sum (X4, stored once at the end), the field origin
+// p + y*(k-1) follows y (R13 is the end of row y, R12 its y*(k-1)), and two
+// walks over offs, k entries a step, do the rows: gw row += gv * field row,
+// then, when gi is not empty, gi field row += gv * weight row. A row is one
+// four-wide and one scalar multiply-add at k = 5, one two-wide and one
+// scalar at k = 3, one scalar at k = 1; every element gets one multiply then
+// one add, as in the Go loop.
+TEXT ·convBwdAVX2(SB), NOSPLIT, $0-184
+	MOVQ    g_base+0(FP), SI
+	MOVQ    g_len+8(FP), CX
+	MOVQ    gb_base+104(FP), AX
+	VMOVSD  (AX), X4
+	VXORPD  Y3, Y3, Y3
+	XORQ    DX, DX           // first p of the group
+	XORQ    R12, R12
+	MOVQ    ow+24(FP), R13
 
-	// gi row 0 += gv * wr[0:3]
-	MOVUPD (SI), X1
-	MULPD  X0, X1
-	MOVUPD (DI), X2
-	ADDPD  X1, X2
-	MOVUPD X2, (DI)
-	MOVSD  16(SI), X1
-	MULSD  X0, X1
-	MOVSD  16(DI), X2
-	ADDSD  X1, X2
-	MOVSD  X2, 16(DI)
+bgroup:
+	MOVQ CX, AX
+	SUBQ DX, AX              // values left
+	JLE  bdone
+	CMPQ AX, $4
+	JGE  bfull
+	LEAQ bwdTail<>+24(SB), BX
+	SHLQ $3, AX
+	SUBQ AX, BX
+	VMOVUPD    (BX), Y1
+	VMASKMOVPD (SI)(DX*8), Y1, Y1
+	JMP  btest
 
-	// gi row 1 += gv * wr[3:6]
-	MOVUPD 24(SI), X1
-	MULPD  X0, X1
-	MOVUPD (DI)(R8*1), X2
-	ADDPD  X1, X2
-	MOVUPD X2, (DI)(R8*1)
-	MOVSD  40(SI), X1
-	MULSD  X0, X1
-	MOVSD  16(DI)(R8*1), X2
-	ADDSD  X1, X2
-	MOVSD  X2, 16(DI)(R8*1)
+bfull:
+	VMOVUPD (SI)(DX*8), Y1
 
-	// gi row 2 += gv * wr[6:9]
-	MOVUPD 48(SI), X1
-	MULPD  X0, X1
-	MOVUPD (DI)(R8*2), X2
-	ADDPD  X1, X2
-	MOVUPD X2, (DI)(R8*2)
-	MOVSD  64(SI), X1
-	MULSD  X0, X1
-	MOVSD  16(DI)(R8*2), X2
-	ADDSD  X1, X2
-	MOVSD  X2, 16(DI)(R8*2)
+btest:
+	VCMPPD    $4, Y3, Y1, Y1
+	VMOVMSKPD Y1, BX
+	TESTQ     BX, BX
+	JZ        bnext
 
-	ADDQ $72, SI
-	ADDQ $72, BX
-	ADDQ $72, DX
-	ADDQ R9, DI
-	DECQ CX
-	JNZ  chan3
+bbit:
+	BSFQ BX, AX
+	ADDQ DX, AX              // p
+	VBROADCASTSD (SI)(AX*8), Y0
+	VADDSD       X0, X4, X4
+
+brow:
+	CMPQ AX, R13
+	JLT  bfield
+	ADDQ ow+24(FP), R13
+	MOVQ k+176(FP), DI
+	LEAQ -1(R12)(DI*1), R12
+	JMP  brow
+
+bfield:
+	LEAQ (AX)(R12*1), DI     // field origin
+	MOVQ offs_base+152(FP), R8
+	MOVQ offs_len+160(FP), R9
+	LEAQ (R8)(R9*8), R9      // end of offs
+	MOVQ in_base+32(FP), R11
+	LEAQ (R11)(DI*8), R11
+	MOVQ gw_base+80(FP), R10
+	MOVQ k+176(FP), AX
+	CMPQ AX, $3
+	JEQ  bw3
+	JGT  bw5
+
+bw1:
+	MOVQ   (R8), AX
+	VMULSD (R11)(AX*8), X0, X2
+	VADDSD (R10), X2, X2
+	VMOVSD X2, (R10)
+	ADDQ   $8, R8
+	ADDQ   $8, R10
+	CMPQ   R8, R9
+	JLT    bw1
+	JMP    bgi
+
+bw3:
+	MOVQ    (R8), AX
+	VMULPD  (R11)(AX*8), X0, X1
+	VADDPD  (R10), X1, X1
+	VMOVUPD X1, (R10)
+	VMULSD  16(R11)(AX*8), X0, X2
+	VADDSD  16(R10), X2, X2
+	VMOVSD  X2, 16(R10)
+	ADDQ    $24, R8
+	ADDQ    $24, R10
+	CMPQ    R8, R9
+	JLT     bw3
+	JMP     bgi
+
+bw5:
+	MOVQ    (R8), AX
+	VMULPD  (R11)(AX*8), Y0, Y1
+	VADDPD  (R10), Y1, Y1
+	VMOVUPD Y1, (R10)
+	VMULSD  32(R11)(AX*8), X0, X2
+	VADDSD  32(R10), X2, X2
+	VMOVSD  X2, 32(R10)
+	ADDQ    $40, R8
+	ADDQ    $40, R10
+	CMPQ    R8, R9
+	JLT     bw5
+
+bgi:
+	MOVQ  gi_len+136(FP), AX
+	TESTQ AX, AX
+	JZ    bclear
+	MOVQ  offs_base+152(FP), R8
+	MOVQ  gi_base+128(FP), R11
+	LEAQ  (R11)(DI*8), R11
+	MOVQ  wt_base+56(FP), R10
+	MOVQ  k+176(FP), AX
+	CMPQ  AX, $3
+	JEQ   bi3
+	JGT   bi5
+
+bi1:
+	MOVQ   (R8), AX
+	VMULSD (R10), X0, X2
+	VADDSD (R11)(AX*8), X2, X2
+	VMOVSD X2, (R11)(AX*8)
+	ADDQ   $8, R8
+	ADDQ   $8, R10
+	CMPQ   R8, R9
+	JLT    bi1
+	JMP    bclear
+
+bi3:
+	MOVQ    (R8), AX
+	VMULPD  (R10), X0, X1
+	VADDPD  (R11)(AX*8), X1, X1
+	VMOVUPD X1, (R11)(AX*8)
+	VMULSD  16(R10), X0, X2
+	VADDSD  16(R11)(AX*8), X2, X2
+	VMOVSD  X2, 16(R11)(AX*8)
+	ADDQ    $24, R8
+	ADDQ    $24, R10
+	CMPQ    R8, R9
+	JLT     bi3
+	JMP     bclear
+
+bi5:
+	MOVQ    (R8), AX
+	VMULPD  (R10), Y0, Y1
+	VADDPD  (R11)(AX*8), Y1, Y1
+	VMOVUPD Y1, (R11)(AX*8)
+	VMULSD  32(R10), X0, X2
+	VADDSD  32(R11)(AX*8), X2, X2
+	VMOVSD  X2, 32(R11)(AX*8)
+	ADDQ    $40, R8
+	ADDQ    $40, R10
+	CMPQ    R8, R9
+	JLT     bi5
+
+bclear:
+	LEAQ -1(BX), AX
+	ANDQ AX, BX              // drop the lane just done
+	JNZ  bbit
+
+bnext:
+	ADDQ $4, DX
+	JMP  bgroup
+
+bdone:
+	MOVQ   gb_base+104(FP), AX
+	VMOVSD X4, (AX)
+	VZEROUPPER
 	RET
 
 // func transpose2x2SSE2(dst, src []float64, rows, cols int)

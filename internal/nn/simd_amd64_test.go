@@ -5,6 +5,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -224,39 +225,65 @@ func TestTranspose2x2SSE2CoversEvenRegionBitForBit(t *testing.T) {
 	}
 }
 
-func TestConv3x3BwdSSE2MatchesScalarBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	const w, h, inC = 5, 4, 3
-	const hw = w * h
-	for trial := 0; trial < 20; trial++ {
-		gv := rng.NormFloat64()
-		wr := simdCases(rng, inC*9)
-		cr := simdCases(rng, inC*9)
-		gw := simdCases(rng, inC*9)
-		gi := simdCases(rng, inC*hw)
-		wantGW := append([]float64(nil), gw...)
-		wantGI := append([]float64(nil), gi...)
-		for ic := 0; ic < inC; ic++ {
-			for j := 0; j < 9; j++ {
-				wantGW[ic*9+j] += gv * cr[ic*9+j]
-			}
-			for r := 0; r < 3; r++ {
-				for j := 0; j < 3; j++ {
-					wantGI[ic*hw+r*w+j] += gv * wr[ic*9+r*3+j]
+// TestConvBwdAVX2MatchesGoTwin hands the AVX2 backward kernel and its
+// portable twin the same channel plane, sample and tables and requires the
+// same bits in gw, gb and gi, for k in {1, 3, 5}, with and without an input
+// gradient, over odd plane widths and plane sizes that leave every tail
+// length (oh*ow mod 4 = 0..3). The gradient plane is mostly zeros of both
+// signs, with NaN and infinities among the rest. Every buffer sits inside a
+// guard band: the kernel's gw, gb and gi must match the twin's element for
+// element including the guards (nothing written outside its slice), and the
+// gradient plane is followed by nonzero guards it must not read as its own.
+func TestConvBwdAVX2MatchesGoTwin(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("host lacks AVX2")
+	}
+	const guard = 5
+	band := func(rng *rand.Rand, n int) []float64 { return simdCases(rng, n+2*guard) }
+	rng := rand.New(rand.NewSource(90))
+	for _, k := range []int{1, 3, 5} {
+		for _, inC := range []int{1, 2, 5} {
+			for _, ow := range []int{1, 3, 5, 7, 9, 13} {
+				for _, oh := range []int{1, 2, 3, 4, 7} {
+					h, w := oh+k-1, ow+k-1
+					kk, np := inC*k*k, oh*ow
+					offs := convOffsets(NewArena(), inC, h, w, k)
+					g := make([]float64, np+guard)
+					for i := range g {
+						switch {
+						case i >= np:
+							g[i] = 1
+						case rng.Intn(3) == 0:
+							g[i] = simdCases(rng, 1)[0]
+						case rng.Intn(2) == 0:
+							g[i] = math.Copysign(0, -1)
+						}
+					}
+					in := band(rng, inC*h*w)[guard:][:inC*h*w]
+					wt := band(rng, kk)[guard:][:kk]
+					for _, wantIn := range []bool{false, true} {
+						gw, gb, gi := band(rng, kk), band(rng, 1), band(rng, inC*h*w)
+						wantGW, wantGB, wantGI := slices.Clone(gw), slices.Clone(gb), slices.Clone(gi)
+						sub := func(s []float64, n int) []float64 { return s[guard : guard+n] }
+						var giIn, wantGIIn []float64
+						if wantIn {
+							giIn, wantGIIn = sub(gi, inC*h*w), sub(wantGI, inC*h*w)
+						}
+						convBwdGo(g[:np], ow, in, wt, sub(wantGW, kk), sub(wantGB, 1), wantGIIn, offs, k)
+						convBwdAVX2(g[:np], ow, in, wt, sub(gw, kk), sub(gb, 1), giIn, offs, k)
+						for _, c := range []struct {
+							name      string
+							got, want []float64
+						}{{"gw", gw, wantGW}, {"gb", gb, wantGB}, {"gi", gi, wantGI}} {
+							for i := range c.want {
+								if !sameBits(c.got[i], c.want[i]) {
+									t.Fatalf("k=%d inC=%d out=%dx%d wantIn=%v: %s[%d] (guard %d) = %x, twin %x", k, inC, oh, ow, wantIn,
+										c.name, i-guard, guard, math.Float64bits(c.got[i]), math.Float64bits(c.want[i]))
+								}
+							}
+						}
+					}
 				}
-			}
-		}
-		conv3x3BwdSSE2(gv, wr, cr, gw, gi, w, hw, inC)
-		for i := range wantGW {
-			if !sameBits(gw[i], wantGW[i]) {
-				t.Fatalf("trial=%d gw[%d]: got %x want %x", trial, i,
-					math.Float64bits(gw[i]), math.Float64bits(wantGW[i]))
-			}
-		}
-		for i := range wantGI {
-			if !sameBits(gi[i], wantGI[i]) {
-				t.Fatalf("trial=%d gi[%d]: got %x want %x", trial, i,
-					math.Float64bits(gi[i]), math.Float64bits(wantGI[i]))
 			}
 		}
 	}

@@ -4,10 +4,10 @@ package nn
 
 // The float kernels off amd64: there is no vector tier, so the dispatchers
 // are the portable Go loops of simd_portable.go — the same functions amd64
-// runs below its AVX2 floor. The three kernels amd64 keeps on baseline SSE2
-// without a portable twin (transpose, conv3x3Bwd, pool2x2) have their Go
-// bodies here; simd_test.go runs on every architecture, pinning whichever
-// implementation is active against the same scalar loops.
+// runs below its AVX2 floor. The two kernels amd64 keeps on baseline SSE2
+// without a portable twin (transpose, pool2x2) have their Go bodies here;
+// simd_test.go runs on every architecture, pinning whichever implementation
+// is active against the same scalar loops.
 
 func axpySIMD(alpha float64, x, y []float64) { axpyGo(alpha, x, y) }
 
@@ -21,23 +21,6 @@ func transposeSIMD(dst, src []float64, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			dst[c*rows+r] = src[r*cols+c]
-		}
-	}
-}
-
-func conv3x3BwdSIMD(gv float64, wr, cr, gw, gi []float64, w, hw, inC int) {
-	for ic := 0; ic < inC; ic++ {
-		c9 := cr[ic*9 : ic*9+9]
-		g9 := gw[ic*9 : ic*9+9]
-		for j, cv := range c9 {
-			g9[j] += gv * cv
-		}
-		w9 := wr[ic*9 : ic*9+9]
-		for r := 0; r < 3; r++ {
-			row := gi[ic*hw+r*w : ic*hw+r*w+3]
-			row[0] += gv * w9[r*3]
-			row[1] += gv * w9[r*3+1]
-			row[2] += gv * w9[r*3+2]
 		}
 	}
 }
@@ -60,6 +43,10 @@ func pool2x2SIMD(dst, row0, row1 []float64) {
 
 func convDirectSIMD(out []float64, np int, bias, wt, in []float64, offs, segs []int, sw int, pool bool) {
 	convDirectGo(out, np, bias, wt, in, offs, segs, sw, pool)
+}
+
+func convBwdSIMD(g []float64, ow int, in, wt, gw, gb, gi []float64, offs []int, k int) {
+	convBwdGo(g, ow, in, wt, gw, gb, gi, offs, k)
 }
 
 // The 4x8 register tile and the sixteen-column row kernel are amd64 AVX2

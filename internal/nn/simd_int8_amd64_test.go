@@ -92,10 +92,10 @@ func TestRequantizeRowAVX512BitIdentical(t *testing.T) {
 
 // TestDispatchFeatureOverrideBitIdentical force-disables the CPUID feature
 // flags floor by floor (eachDispatchFloor: VNNI off, then AVX-512 off, then
-// AVX2 off, which leaves the portable Go kernels plus the three undispatched
+// AVX2 off, which leaves the portable Go kernels plus the two undispatched
 // baseline-SSE2 ones) and replays, under every configuration, the raw integer
 // dispatchers, a full quantized-network forward, a float forward and one
-// float training epoch. Everything must be bit-identical to the native-flag
+// float training epoch on each of three networks. Everything must be bit-identical to the native-flag
 // run: tier selection is a pure performance decision and can never change
 // results. With AVX2 off this is the test that executes, on every amd64 run,
 // literally the code a host below the floor — or any architecture without a
@@ -156,8 +156,11 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	// 4-row tiles per weight panel: 15 panels (120 units), 10 and an
 	// overlapping eleventh (84), two overlapping (10). One epoch of training
 	// on top crosses step, reluBwd, the NN-form and accumulating GEMMs with
-	// their 16-column, 8-column and scalar tails and — through the 5x5
-	// conv2's 150-element weight-gradient rows — axpy.
+	// their 16-column, 8-column and scalar tails and the backward
+	// convolution kernel at k = 5 — conv1 without an input gradient, conv2
+	// with one. The same epoch on a 3x3 CNN runs that kernel at k = 3, and on
+	// an MLP, whose first layer with weights is a Dense behind a Flatten, the
+	// Dense backward without an input gradient.
 	floatNet := func() *Network {
 		return BuildLeNet5("dispatch-lenet", []int{1, 16, 16}, 1, 10, rand.New(rand.NewSource(32)))
 	}
@@ -166,13 +169,18 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 		samples[i] = Sample{X: randTensor(rng, 1, 16, 16), Label: rng.Intn(10)}
 	}
 	trainedWeights := func() []byte {
-		fn := floatNet()
-		if _, err := TrainShuffled(fn, samples, TrainConfig{Epochs: 1, BatchSize: batch, LR: 0.05}, rand.New(rand.NewSource(33)).Shuffle); err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := WriteWeights(&buf, fn); err != nil {
-			t.Fatal(err)
+		for _, fn := range []*Network{
+			floatNet(),
+			BuildCNN("dispatch-cnn", []int{1, 16, 16}, 6, 8, 16, 10, rand.New(rand.NewSource(34))),
+			BuildMLP("dispatch-mlp", []int{1, 16, 16}, 24, 12, 10, rand.New(rand.NewSource(35))),
+		} {
+			if _, err := TrainShuffled(fn, samples, TrainConfig{Epochs: 1, BatchSize: batch, LR: 0.05}, rand.New(rand.NewSource(33)).Shuffle); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteWeights(&buf, fn); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return buf.Bytes()
 	}

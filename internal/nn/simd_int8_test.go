@@ -322,6 +322,27 @@ func TestIm2colQMatchesFloatLayout(t *testing.T) {
 	}
 }
 
+// im2col lowers one CHW sample to its float patch matrix, the layout im2colQ
+// reproduces in int8 (without the pad): dst[p*kk+c] = the c-th element of
+// output pixel p's receptive field, p row-major over the output (y, then x)
+// and c in (ic, ky, kx) order. dst must have oh*ow*inC*kh*kh elements.
+func im2col(dst, src []float64, inC, h, w, kh, oh, ow int) {
+	di := 0
+	for y := 0; y < oh; y++ {
+		for x := 0; x < ow; x++ {
+			for ic := 0; ic < inC; ic++ {
+				for ky := 0; ky < kh; ky++ {
+					srow := src[(ic*h+y+ky)*w+x : (ic*h+y+ky)*w+x+kh]
+					for kx := 0; kx < kh; kx++ {
+						dst[di] = srow[kx]
+						di++
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestQdot2SIMDMatchesRef pins the dual-row kernel (whatever tier is active)
 // against two reference passes: shared-b amortization regroups the
 // wraparound sums but cannot change them. Covers the asm fast path (k a

@@ -205,3 +205,40 @@ func reluPool(a, b, c, d float64) float64 {
 	}
 	return best
 }
+
+// convBwdGo is one output channel's share of Conv2D's backward pass over one
+// CHW sample, the specification the AVX2 kernel reproduces. g is the
+// channel's oh*ow gradient plane (row width ow), wt and gw the channel's
+// kk = len(offs) weights and weight gradients, gb its one bias gradient, and
+// offs the receptive field's offsets from convOffsets, read k at a time: the
+// field's rows, (ic, ky) order, each k contiguous elements. For every g[p]
+// with g[p] != 0, p ascending (zeros of either sign are skipped; NaN is not),
+// gb gets gv, each weight-gradient row gets gv times the field's input row
+// and — unless gi is nil — each of the field's input-gradient rows gets gv
+// times the weight row, one multiply then one add per element: Backward's
+// terms in Backward's order. The pixel at p = y*ow+x has its field at
+// y*w+x = p + y*(k-1) in the sample.
+func convBwdGo(g []float64, ow int, in, wt, gw, gb, gi []float64, offs []int, k int) {
+	sb := gb[0]
+	for p, gv := range g {
+		if gv == 0 {
+			continue
+		}
+		sb += gv
+		origin := p + p/ow*(k-1)
+		for r := 0; r < len(offs); r += k {
+			o := origin + offs[r]
+			src, dst := in[o:o+k], gw[r:r+k]
+			for j, v := range src {
+				dst[j] += gv * v
+			}
+			if gi != nil {
+				src, dst = wt[r:r+k], gi[o:o+k]
+				for j, v := range src {
+					dst[j] += gv * v
+				}
+			}
+		}
+	}
+	gb[0] = sb
+}

@@ -315,48 +315,6 @@ func TestTransposeSIMDMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestConv3x3BwdSIMDMatchesScalarBitForBit pins the fused 3x3 backward
-// kernel against a scalar replay of its per-accumulator mul-then-add
-// sequences over several channel counts, strides, and special-value lanes.
-func TestConv3x3BwdSIMDMatchesScalarBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	for _, inC := range []int{1, 2, 3, 8} {
-		for _, dims := range [][2]int{{5, 35}, {7, 63}, {28, 784}} {
-			w, hw := dims[0], dims[1]
-			gv := rng.NormFloat64()
-			wr := simdCases(rng, inC*9)
-			cr := simdCases(rng, inC*9)
-			gwWant := simdCases(rng, inC*9)
-			gwGot := append([]float64(nil), gwWant...)
-			giWant := simdCases(rng, inC*hw)
-			giGot := append([]float64(nil), giWant...)
-			for ic := 0; ic < inC; ic++ {
-				for j := 0; j < 9; j++ {
-					gwWant[ic*9+j] += gv * cr[ic*9+j]
-				}
-				for r := 0; r < 3; r++ {
-					for j := 0; j < 3; j++ {
-						giWant[ic*hw+r*w+j] += gv * wr[ic*9+r*3+j]
-					}
-				}
-			}
-			conv3x3BwdSIMD(gv, wr, cr, gwGot, giGot, w, hw, inC)
-			for i := range gwWant {
-				if !sameBits(gwGot[i], gwWant[i]) {
-					t.Fatalf("gw inC=%d w=%d i=%d: got %x want %x", inC, w, i,
-						math.Float64bits(gwGot[i]), math.Float64bits(gwWant[i]))
-				}
-			}
-			for i := range giWant {
-				if !sameBits(giGot[i], giWant[i]) {
-					t.Fatalf("gi inC=%d w=%d i=%d: got %x want %x", inC, w, i,
-						math.Float64bits(giGot[i]), math.Float64bits(giWant[i]))
-				}
-			}
-		}
-	}
-}
-
 // TestPool2x2SIMDMatchesScalarBitForBit pins the pooling kernel with strict
 // bit equality (no NaN allowance: the result is always one of the inputs, so
 // even NaN payloads must survive untouched), covering the scalar strict->

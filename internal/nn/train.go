@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Sample is one labeled example.
@@ -36,7 +37,9 @@ type TrainConfig struct {
 // the caller's shuffle (an *rand.Rand's Shuffle method, or a replay of
 // recorded draws: the zoo builder pre-records every model's per-epoch
 // shuffles from one shared stream so the models can then train in parallel).
-// It returns the average training loss of the final epoch.
+// It returns the average training loss of the final epoch. A sample whose
+// shape is not net.InShape() or whose label is not one of the network's
+// classes is an error, reported before any training.
 //
 // Whole minibatches flow through the batched GEMM path
 // (ForwardBatch/BackwardBatch on one arena); the result is bit-for-bit
@@ -50,7 +53,9 @@ type TrainConfig struct {
 // Reset window. Per batch it assembles the shuffled samples into one
 // [B, sampleShape...] arena tensor, runs each layer's ForwardBatch keeping
 // its input, computes per-row losses and logit gradients, hands each layer's
-// BackwardBatch its input back in reverse, and applies one SGD step.
+// BackwardBatch its input back in reverse down to the lowest layer that
+// holds parameters — which is asked for no input gradient, since nothing
+// reads one — and applies one SGD step.
 // Bit-identity to the per-sample loop is preserved by construction: the
 // shuffle is the caller's, the epoch loss accumulates row by row in shuffled
 // sample order (never via batch partial sums), and every layer's
@@ -62,52 +67,94 @@ func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
 		return 0, fmt.Errorf("nn: invalid train config %+v", cfg)
 	}
-	sampleLen := samples[0].X.Len()
-	for i := range samples {
-		if samples[i].X.Len() != sampleLen {
-			return 0, fmt.Errorf("nn: sample %d has %d features, want %d", i, samples[i].X.Len(), sampleLen)
+	shape := net.InShape()
+	classes, err := net.OutDim()
+	if err != nil {
+		return 0, err
+	}
+	for i, s := range samples {
+		if !slices.Equal(s.X.Shape, shape) {
+			return 0, fmt.Errorf("nn: sample %d has shape %v, network %q takes %v", i, s.X.Shape, net.Name, shape)
+		}
+		if s.Label < 0 || s.Label >= classes {
+			return 0, fmt.Errorf("nn: sample %d has label %d, network %q has classes [0, %d)", i, s.Label, net.Name, classes)
 		}
 	}
-	batchShape := append([]int{0}, samples[0].X.Shape...)
 
 	idx := make([]int, len(samples))
 	for i := range idx {
 		idx[i] = i
 	}
-	a := NewArena()
-	grads := NewGrads(net)
-	acts := make([]*Tensor, len(net.Layers)+1) // acts[i] is layer i's input
+	t := newTrainer(net)
 	lastAvg := 0.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		totalLoss := 0.0
 		for start := 0; start < len(idx); start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, len(idx))
-			b := end - start
-			a.Reset()
-			batchShape[0] = b
-			acts[0] = a.Tensor(batchShape...)
-			for bi, si := range idx[start:end] {
-				copy(acts[0].Data[bi*sampleLen:(bi+1)*sampleLen], samples[si].X.Data)
-			}
-			for i, l := range net.Layers {
-				acts[i+1] = l.ForwardBatch(acts[i], a)
-			}
-			logits := acts[len(net.Layers)]
-			classes := logits.Shape[1]
-			g := a.Tensor(b, classes)
-			for bi, si := range idx[start:end] {
-				totalLoss += CrossEntropyLossRow(logits.Data[bi*classes:(bi+1)*classes],
-					samples[si].Label, g.Data[bi*classes:(bi+1)*classes])
-			}
-			for i := len(net.Layers) - 1; i >= 0; i-- {
-				g = net.Layers[i].BackwardBatch(acts[i], g, grads[i], a)
-			}
-			net.Step(grads, cfg.LR, float64(b))
+			totalLoss = t.step(samples, idx[start:end], cfg.LR, totalLoss)
 		}
 		lastAvg = totalLoss / float64(len(idx))
 	}
 	return lastAvg, nil
+}
+
+// trainer is one TrainShuffled run's state: the arena every minibatch's
+// activations and scratch live in, the gradient accumulators, acts[i] (layer
+// i's input for the current minibatch), and first, the lowest layer with
+// parameters — where the backward pass stops.
+type trainer struct {
+	net        *Network
+	a          *Arena
+	grads      Grads
+	acts       []*Tensor
+	first      int
+	batchShape []int
+}
+
+func newTrainer(net *Network) *trainer {
+	t := &trainer{
+		net:        net,
+		a:          NewArena(),
+		grads:      NewGrads(net),
+		acts:       make([]*Tensor, len(net.Layers)+1),
+		batchShape: append([]int{0}, net.InShape()...),
+	}
+	for t.first < len(t.grads) && len(t.grads[t.first]) == 0 {
+		t.first++
+	}
+	return t
+}
+
+// step trains on the minibatch samples[idx[0]], samples[idx[1]], ...:
+// forward, loss, backward and one SGD update. Each row's loss is added to
+// totalLoss in idx order and the sum returned.
+func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float64 {
+	a, layers := t.a, t.net.Layers
+	b := len(idx)
+	a.Reset()
+	t.batchShape[0] = b
+	x := a.Tensor(t.batchShape...)
+	n := x.Len() / b
+	for bi, si := range idx {
+		copy(x.Data[bi*n:(bi+1)*n], samples[si].X.Data)
+	}
+	t.acts[0] = x
+	for i, l := range layers {
+		t.acts[i+1] = l.ForwardBatch(t.acts[i], a)
+	}
+	logits := t.acts[len(layers)]
+	classes := logits.Shape[1]
+	g := a.Tensor(b, classes)
+	for bi, si := range idx {
+		totalLoss += CrossEntropyLossRow(logits.Data[bi*classes:(bi+1)*classes],
+			samples[si].Label, g.Data[bi*classes:(bi+1)*classes])
+	}
+	for i := len(layers) - 1; i >= t.first; i-- {
+		g = layers[i].BackwardBatch(t.acts[i], g, t.grads[i], i > t.first, a)
+	}
+	t.net.Step(t.grads, lr, float64(b))
+	return totalLoss
 }
 
 // trainNaive is the one-sample-at-a-time SGD loop over the layers'

@@ -94,6 +94,61 @@ func TestTrainBatchedMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
+// TestTrainArenaFootprintPinned is TestConvForwardArenaFootprint's
+// training counterpart: the float arena's high-water bytes after one
+// 16-sample minibatch of 1x28x28 on each MNIST-family arm, pinned. With each
+// convolution's backward pass lowering samples to im2col rows and every layer
+// computing its input gradient, the arena held 4 579 936 / 8 906 400 /
+// 3 137 408 / 5 954 688 / 322 688 / 525 440 bytes (cnn-s, cnn-l, lenet-s,
+// lenet-l, mlp-s, mlp-l). The test also fails on any buffer the size of one
+// sample's im2col matrix (kk*np floats) of any convolution, and on a second
+// buffer the size of the input batch: the first layer with weights sees
+// that many inputs (the Flatten in front of an MLP's first Dense is a view),
+// so a second one would be its input gradient, which nothing reads.
+func TestTrainArenaFootprintPinned(t *testing.T) {
+	const batch = 16
+	in := []int{1, 28, 28}
+	pinned := map[string]int{
+		"cnn-s": 4361216, "cnn-l": 8617984, "lenet-s": 2845056,
+		"lenet-l": 5585536, "mlp-s": 222208, "mlp-l": 424960,
+	}
+	for _, zb := range zooBuilders[:6] {
+		net := zb.build(in, rand.New(rand.NewSource(48)))
+		samples := randSamples(rand.New(rand.NewSource(49)), batch, in, 10)
+		idx := make([]int, batch)
+		for i := range idx {
+			idx[i] = i
+		}
+		tr := newTrainer(net)
+		tr.step(samples, idx, 0.05, 0)
+		var im2colLens []int
+		shape := in
+		for _, l := range net.Layers {
+			if c, ok := l.(*Conv2D); ok {
+				out := c.OutShape(shape)
+				im2colLens = append(im2colLens, c.InC*c.K*c.K*out[1]*out[2])
+			}
+			shape = l.OutShape(shape)
+		}
+		total, batchSized := 0, 0
+		for _, buf := range tr.a.floats {
+			total += 8 * cap(buf)
+			if cap(buf) == batch*28*28 {
+				batchSized++
+			}
+			if slices.Contains(im2colLens, cap(buf)) {
+				t.Errorf("%s: the arena holds a %d-float buffer, the size of a sample's im2col matrix", zb.name, cap(buf))
+			}
+		}
+		if batchSized != 1 {
+			t.Errorf("%s: %d arena buffers the size of the input batch, want 1 (the batch itself)", zb.name, batchSized)
+		}
+		if total != pinned[zb.name] {
+			t.Errorf("%s: float arena holds %d bytes after one minibatch, pinned at %d", zb.name, total, pinned[zb.name])
+		}
+	}
+}
+
 // evaluateNaive is the per-sample scoring loop, retained as the reference
 // ScorePool is pinned against.
 func evaluateNaive(net *Network, samples []Sample) (losses []float64, correct []bool, meanLoss, meanAcc float64) {
@@ -216,4 +271,105 @@ func randClone(t *Tensor) *Tensor {
 	c := NewTensor(t.Shape...)
 	copy(c.Data, t.Data)
 	return c
+}
+
+// FuzzConvBackward holds Conv2D.BackwardBatch, on every dispatch floor the
+// host has, to the per-sample Backward over the same samples: the weight and
+// bias gradients accumulated across the batch onto the same nonzero starting
+// values, and — when the input gradient is asked for — each sample's input
+// gradient; when it is not, BackwardBatch must return nil. k ∈ {1, 3, 5},
+// inC 1–12, outC 1–20 and output planes 1–20 rows by 1–20 columns (every
+// tail length of the kernel's four-value groups), batch 1–3. Weights and
+// inputs cycle through the fuzzed bytes, IEEE corners included; the
+// gradient planes are what a max-pool scatter leaves, one value per 2×2
+// window at a fuzzed position and a zero of fuzzed sign everywhere else.
+// Bits must match exactly, except that any NaN matches any NaN (the payload
+// carve-out of simd_amd64.go).
+func FuzzConvBackward(f *testing.F) {
+	f.Add(uint8(1), uint8(0), uint8(7), uint8(25), uint8(25), uint8(0), true, []byte{0x10, 0x90, 0x61, 0x03})
+	f.Add(uint8(2), uint8(5), uint8(15), uint8(7), uint8(7), uint8(1), true, []byte{0xac, 0x5d, 0x70, 0x20, 0xae, 0x41})
+	f.Add(uint8(0), uint8(11), uint8(19), uint8(6), uint8(2), uint8(2), false, []byte("conv-backward"))
+	f.Add(uint8(1), uint8(7), uint8(3), uint8(10), uint8(10), uint8(2), false, []byte{0xab, 0x56, 0x54, 0x99})
+	f.Fuzz(func(t *testing.T, kSel, inC, outC, oh, ow, batch uint8, wantIn bool, raw []byte) {
+		if len(raw) == 0 {
+			raw = []byte{0x5d}
+		}
+		k := []int{1, 3, 5}[int(kSel)%3]
+		c, oc := 1+int(inC)%12, 1+int(outC)%20
+		ph, pw := 1+int(oh)%20, 1+int(ow)%20
+		h, w := ph+k-1, pw+k-1
+		n := 1 + int(batch)%3
+		next := 0
+		byteAt := func() byte {
+			b := raw[next%len(raw)] + byte(next/len(raw))
+			next++
+			return b
+		}
+		fill := func(dst []float64) {
+			for i := range dst {
+				dst[i] = convPoolValue(byteAt())
+			}
+		}
+		conv := NewConv2D(c, oc, k, rand.New(rand.NewSource(1)))
+		fill(conv.w.Data)
+		in := NewTensor(n, c, h, w)
+		fill(in.Data)
+		gradOut := NewTensor(n, oc, ph, pw)
+		for p := 0; p < n*oc; p++ {
+			plane := gradOut.Data[p*ph*pw : (p+1)*ph*pw]
+			for y := 0; y < ph; y += 2 {
+				for x := 0; x < pw; x += 2 {
+					pick := int(byteAt())
+					for d := 0; d < 4; d++ {
+						yy, xx := y+d/2, x+d%2
+						if yy >= ph || xx >= pw {
+							continue
+						}
+						switch {
+						case d == pick%4:
+							plane[yy*pw+xx] = convPoolValue(byteAt())
+						case pick&(16<<d) != 0:
+							plane[yy*pw+xx] = math.Copysign(0, -1)
+						}
+					}
+				}
+			}
+		}
+		startGrads := func() []*Tensor {
+			g := []*Tensor{NewTensor(conv.w.Shape...), NewTensor(conv.b.Shape...)}
+			next = 0
+			fill(g[0].Data)
+			fill(g[1].Data)
+			return g
+		}
+		want := startGrads()
+		inLen, outLen := c*h*w, oc*ph*pw
+		var wantGI []float64
+		for s := 0; s < n; s++ {
+			smp := &Tensor{Shape: []int{c, h, w}, Data: in.Data[s*inLen : (s+1)*inLen]}
+			gs := &Tensor{Shape: []int{oc, ph, pw}, Data: gradOut.Data[s*outLen : (s+1)*outLen]}
+			wantGI = append(wantGI, conv.Backward(smp, gs, want).Data...)
+		}
+		same := func(floor, what string, got, want []float64) {
+			t.Helper()
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("%s: k=%d inC=%d outC=%d plane=%dx%d batch=%d wantIn=%v: %s[%d] = %x, Backward gives %x",
+						floor, k, c, oc, ph, pw, n, wantIn, what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+		eachDispatchFloor(func(floor string) {
+			got := startGrads()
+			gi := conv.BackwardBatch(in, gradOut, got, wantIn, NewArena())
+			same(floor, "gw", got[0].Data, want[0].Data)
+			same(floor, "gb", got[1].Data, want[1].Data)
+			switch {
+			case !wantIn && gi != nil:
+				t.Fatalf("%s: BackwardBatch returned an input gradient nobody asked for", floor)
+			case wantIn:
+				same(floor, "gi", gi.Data, wantGI)
+			}
+		})
+	})
 }
