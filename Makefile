@@ -43,7 +43,9 @@
 #   make loc     - line counts per package: non-test .go and .s files, raw and
 #                  code (neither blank nor a // comment line); benchmark/ and
 #                  testdata/ are excluded. The one rule behind every line
-#                  count ROADMAP.md and a simplicity change quote
+#                  count ROADMAP.md and a simplicity change quote: the size
+#                  fence (TestSizeBudget in cmd/carbonlint) prints the table
+#                  and fails when either raw total is over its ceiling
 #   make sim     - run the default 10-edge scenario comparison
 
 GO ?= go
@@ -96,17 +98,7 @@ bench:
 check: fmt vet lint race test
 
 loc:
-	@find . -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' \
-		! -path './benchmark/*' ! -path '*/testdata/*' | sort | xargs awk ' \
-		FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/^\.\//, "", pkg); \
-			lang = FILENAME ~ /\.s$$/ ? "asm" : "go"; \
-			if (!(pkg in seen)) { seen[pkg] = 1; order[++n] = pkg } } \
-		{ raw[pkg, lang]++; raw["total", lang]++ } \
-		!/^[ \t]*($$|\/\/)/ { code[pkg, lang]++; code["total", lang]++ } \
-		END { order[++n] = "total"; \
-			printf "%-32s %8s %8s %8s %8s\n", "package", "go raw", "go code", "asm raw", "asm code"; \
-			for (i = 1; i <= n; i++) { p = order[i]; \
-				printf "%-32s %8d %8d %8d %8d\n", p, raw[p, "go"], code[p, "go"], raw[p, "asm"], code[p, "asm"] } }'
+	$(GO) test -count=1 -run TestSizeBudget -v ./cmd/carbonlint
 
 sim:
 	$(GO) run ./cmd/carbonsim

@@ -1,8 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +197,105 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 			continue
 		}
 		t.Errorf("%s: %s is reached by no binary: delete it with its tests, or add it to keptForTests with the reason", f.Pos, name)
+	}
+}
+
+// The size ceilings: raw lines (every line, blank and comment ones included)
+// of the tree's non-test Go and assembly, counted by lineCounts. A change that
+// raises one edits it here and gives the reason in CHANGES.md; a change that
+// lowers a count lowers its ceiling to match.
+const (
+	goLineCeiling  = 18539
+	asmLineCeiling = 1712
+)
+
+// lineCount is one package's (or the total's) raw and code lines, Go at
+// index 0 and assembly at 1; a code line is neither blank nor a // comment.
+type lineCount struct{ raw, code [2]int }
+
+var commentOrBlankRE = regexp.MustCompile(`^[ \t]*($|//)`)
+
+// lineCounts counts the non-test .go and .s files under root per directory,
+// relative to root; benchmark/ (frozen per change, run as its own binary) and
+// every testdata/ tree are skipped.
+func lineCounts(root string) (map[string]*lineCount, error) {
+	counts := map[string]*lineCount{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if rel == ".git" || rel == "benchmark" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		ext := filepath.Ext(path)
+		if ext != ".go" && ext != ".s" || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(filepath.Dir(rel))
+		if counts[pkg] == nil {
+			counts[pkg] = &lineCount{}
+		}
+		c, lang := counts[pkg], 0
+		if ext == ".s" {
+			lang = 1
+		}
+		for _, line := range bytes.SplitAfter(src, []byte("\n")) {
+			if len(line) == 0 {
+				continue // the empty remainder after a final newline
+			}
+			c.raw[lang]++
+			if !commentOrBlankRE.Match(bytes.TrimSuffix(line, []byte("\n"))) {
+				c.code[lang]++
+			}
+		}
+		return nil
+	})
+	return counts, err
+}
+
+// TestSizeBudget is the size fence: the tree's non-test Go and assembly raw
+// lines may not exceed goLineCeiling and asmLineCeiling. It logs the
+// per-package table (make loc runs it with -v), the one line count ROADMAP.md
+// and a simplicity change quote.
+func TestSizeBudget(t *testing.T) {
+	counts, err := lineCounts("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total lineCount
+	var table strings.Builder
+	row := func(name string, c lineCount) {
+		fmt.Fprintf(&table, "%-32s %8d %8d %8d %8d\n", name, c.raw[0], c.code[0], c.raw[1], c.code[1])
+	}
+	fmt.Fprintf(&table, "%-32s %8s %8s %8s %8s\n", "package", "go raw", "go code", "asm raw", "asm code")
+	pkgs := make([]string, 0, len(counts))
+	for pkg := range counts {
+		pkgs = append(pkgs, pkg)
+	}
+	slices.Sort(pkgs)
+	for _, pkg := range pkgs {
+		c := counts[pkg]
+		row(pkg, *c)
+		for lang := range c.raw {
+			total.raw[lang] += c.raw[lang]
+			total.code[lang] += c.code[lang]
+		}
+	}
+	row("total", total)
+	t.Log("\n" + table.String())
+	if total.raw[0] > goLineCeiling {
+		t.Errorf("non-test Go is %d raw lines, over the ceiling of %d: delete as much, or raise goLineCeiling with the reason in CHANGES.md", total.raw[0], goLineCeiling)
+	}
+	if total.raw[1] > asmLineCeiling {
+		t.Errorf("assembly is %d raw lines, over the ceiling of %d: delete as much, or raise asmLineCeiling with the reason in CHANGES.md", total.raw[1], asmLineCeiling)
 	}
 }
 

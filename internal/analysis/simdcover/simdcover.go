@@ -5,7 +5,7 @@
 //   - a generic fallback — a bodied function with an identical signature —
 //     must exist in the same package, either in a file built on every
 //     architecture (no build constraint, no GOOS/GOARCH file-name suffix:
-//     simd_portable.go's axpyGo covers axpyAVX2; the stronger guarantee,
+//     simd_portable.go's stepGo covers stepAVX2; the stronger guarantee,
 //     since every build then compiles the very same loop) or in a
 //     build-tag-excluded file (simd_generic.go), so other builds keep the
 //     kernel semantics — names may differ, since kernels dispatch through

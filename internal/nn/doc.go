@@ -27,7 +27,7 @@
 // scalar specification (quantizeActs, qdotRowRef over im2colQ patches,
 // requantize, then ReLU and max-pool in the float network's order) that a
 // test-only forward pass executes sample by sample, and one shipped path —
-// im2colQ into the row-dot GEMM tiers, or for convolutions on amd64 a direct
+// im2colQ into the dual-row GEMM tiers, or for convolutions on amd64 a direct
 // tile over the input planes, with a following ReLU folded into the
 // requantize clamp and a following max-pool run on the int32 accumulators
 // before it — held to that specification's bits, which int32 wraparound sums

@@ -120,42 +120,23 @@ func (d *Dense) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	return out
 }
 
-// BackwardBatch implements Layer. Batches of four or more run as two
-// NN-form GEMMs whose per-element add sequences equal
-// the per-sample backwardRow loop exactly: the input gradient
-// gi[s][i] = sum_o gout[s][o]*w[o][i] walks o strictly ascending
-// (backwardRow's axpy order, with w consumed directly as the transposed
-// operand), and the weight gradient gw[o][i] += sum_s goutT[o][s]*in[s][i]
-// walks samples strictly ascending (the per-sample accumulation order).
-// gb accumulates from the same transposed gradient, samples ascending.
-// Tiny batches keep the row loop — both paths produce identical bits.
-// Without wantIn the input-gradient GEMM (or axpy) is skipped.
+// BackwardBatch implements Layer: two NN-form GEMMs whose per-element add
+// sequences equal the per-sample Backward loop exactly, at every batch
+// size: the input gradient gi[s][i] = sum_o gout[s][o]*w[o][i] walks o
+// strictly ascending (Backward's axpy order, with w consumed directly as
+// the transposed operand), and the weight gradient gw[o][i] += sum_s
+// goutT[o][s]*in[s][i] walks samples strictly ascending (the per-sample
+// accumulation order). gb accumulates from the same transposed gradient,
+// samples ascending. Without wantIn the input-gradient GEMM is skipped.
 func (d *Dense) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool, a *Arena) *Tensor {
 	batch := gradOut.Shape[0]
 	gw, gb := grads[0].Data, grads[1].Data
 	var gradIn *Tensor
 	if wantIn {
-		gradIn = a.Tensor(batch, d.InDim)
-	}
-	if batch < 4 {
-		for s := 0; s < batch; s++ {
-			var gi []float64
-			if wantIn {
-				gi = gradIn.Data[s*d.InDim : (s+1)*d.InDim]
-				zeroFloats(gi)
-			}
-			d.backwardRow(
-				gradOut.Data[s*d.OutDim:(s+1)*d.OutDim],
-				in.Data[s*d.InDim:(s+1)*d.InDim],
-				gi, gw, gb,
-			)
-		}
-		return gradIn
-	}
-	if wantIn {
 		// A zero per-row bias starts every gi accumulator at +0, the same
 		// value the zeroed-then-accumulated reference starts from, without
 		// paying a batch*InDim clear.
+		gradIn = a.Tensor(batch, d.InDim)
 		zb := a.Floats(batch)
 		zeroFloats(zb)
 		GemmNNBiasI(gradIn.Data, gradOut.Data, d.w.Data, zb, batch, d.InDim, d.OutDim)
@@ -173,31 +154,20 @@ func (d *Dense) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool,
 	return gradIn
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the reference one-sample backward pass. Both
+// inner loops are axpys: each gw element gets one add per sample and each gi
+// element gets its adds in strictly increasing o order — the accumulation
+// sequence BackwardBatch's GEMMs replay.
 func (d *Dense) Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor {
-	gradIn := NewTensor(d.InDim)
-	d.backwardRow(gradOut.Data, in.Data, gradIn.Data, grads[0].Data, grads[1].Data)
-	return gradIn
-}
-
-// backwardRow is the shared one-sample backward kernel: it accumulates gw/gb
-// from (gradOut, in) and adds the input gradient into gi (callers pass a
-// zeroed gi, or nil for none). Both the per-sample and batched paths funnel
-// through it, which is what makes their gradients bit-identical by
-// construction. Both inner loops are axpys: each gw element gets one add per
-// sample and each gi element gets its adds in strictly increasing o order,
-// the reference accumulation sequence, so the SIMD kernels preserve bits
-// exactly.
-func (d *Dense) backwardRow(gradOut, in, gi, gw, gb []float64) {
+	gi := NewTensor(d.InDim)
+	gw, gb := grads[0].Data, grads[1].Data
 	n := d.InDim
-	for o := 0; o < d.OutDim; o++ {
-		g := gradOut[o]
+	for o, g := range gradOut.Data {
 		gb[o] += g
-		axpySIMD(g, in, gw[o*n:(o+1)*n])
-		if gi != nil {
-			axpySIMD(g, d.w.Data[o*n:(o+1)*n], gi)
-		}
+		axpyGo(g, in.Data, gw[o*n:(o+1)*n])
+		axpyGo(g, d.w.Data[o*n:(o+1)*n], gi.Data)
 	}
+	return gi
 }
 
 // Params implements Layer.

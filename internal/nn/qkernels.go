@@ -25,9 +25,10 @@ import "math"
 // with int32 wraparound accumulation. a has k values; b holds n rows of k.
 // The convolution uses a = one output channel's int8 weights and b = the
 // im2colQ patch matrix; Dense uses a = the input activations and b = the
-// weight rows. qdotRowSIMD dispatches to the AVX2 kernel on amd64 and the
-// NEON kernel on arm64, and to this loop everywhere else (amd64 hosts below
-// the AVX2 floor included); simd_int8_test.go pins all tiers to these bits.
+// weight rows. It is the spec of the dual-row kernels qdot2SIMD dispatches
+// (AVX2 and VNNI on amd64, NEON on arm64) and what runs everywhere else
+// (amd64 hosts below the AVX2 floor included); simd_int8_test.go pins all
+// tiers to these bits.
 func qdotRowRef(out []int32, a, b []int8, n, k int) {
 	for j := 0; j < n; j++ {
 		br := b[j*k : j*k+k]
@@ -191,7 +192,8 @@ func padTo16(k int) int { return (k + 15) &^ 15 }
 // qgemmNT drives the integer row-dot kernels over an m-by-k int8 matrix a
 // (rows at stride k) against n rows of b: out[i*n+j] = dot(a row i, b row
 // j). Pairs of a rows go through qdot2SIMD, which shares each b load across
-// both accumulators; the odd row falls back to qdotRowSIMD. A convolution
+// both accumulators; an odd last row goes through it as a pair with itself,
+// stored twice with the same sums. A convolution
 // that is not on the direct tile calls this with a = padded weight rows and
 // b = the chunk's im2colQ patch matrix; Dense with a = the chunk's padded
 // activation rows and b = the padded weight rows.
@@ -201,7 +203,8 @@ func qgemmNT(out []int32, a, b []int8, m, n, k int) {
 		qdot2SIMD(out[i*n:(i+1)*n], out[(i+1)*n:(i+2)*n], a[i*k:(i+1)*k], a[(i+1)*k:(i+2)*k], b, n, k)
 	}
 	if i < m {
-		qdotRowSIMD(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, n, k)
+		row, ar := out[i*n:(i+1)*n], a[i*k:(i+1)*k]
+		qdot2SIMD(row, row, ar, ar, b, n, k)
 	}
 }
 

@@ -9,7 +9,9 @@ package nn
 // (simd_portable.go) — the same function every non-amd64 build runs. Two
 // kernels have no AVX2 form and run undispatched on SSE2, which is part of
 // the amd64 baseline: pool2x2 and transpose2x2 (their Go bodies for other
-// architectures live in simd_generic.go).
+// architectures live in simd_generic.go). Every kernel here holds a budget
+// line: DESIGN.md §9's kernel table names its call site and its measured cost
+// of removal, and a kernel that holds none is deleted, not kept.
 //
 // Bit-identity with the portable loops is structural, not approximate: every
 // output element is produced by exactly the same IEEE-754 operations in the
@@ -31,16 +33,10 @@ package nn
 // data paths bit for bit.
 
 //go:noescape
-func axpyAVX2(alpha float64, x, y []float64)
-
-//go:noescape
 func reluFwdAVX2(dst, src []float64)
 
 //go:noescape
 func reluBwdAVX2(dst, grad, in []float64)
-
-//go:noescape
-func nnDot16AVX2(out, init, a, bt []float64, n int)
 
 //go:noescape
 func nnDot4x8AVX2(out []float64, on int, init, a []float64, k int, bt []float64, ld int) //lint:allow simdcover register-tiled quad kernel with no scalar twin; below the floor and on !amd64 the quad drivers hand every row to the row path, and simd_test.go pins the drivers
@@ -59,16 +55,6 @@ func transpose2x2SSE2(dst, src []float64, rows, cols int)
 
 //go:noescape
 func stepAVX2(lr, scale float64, g, p []float64)
-
-// axpySIMD computes y[i] += alpha * x[i] over len(y) elements.
-// x must be at least as long as y.
-func axpySIMD(alpha float64, x, y []float64) {
-	if hasAVX2 && len(y) >= 8 {
-		axpyAVX2(alpha, x, y)
-		return
-	}
-	axpyGo(alpha, x, y)
-}
 
 // reluFwdSIMD computes dst[i] = max(src[i], 0): src[i] if src[i] > 0,
 // else +0 (also for NaN and -0 inputs, matching the scalar branch).
@@ -149,21 +135,6 @@ func reluBwdSIMD(dst, grad, in []float64) {
 		return
 	}
 	reluBwdGo(dst, grad, in)
-}
-
-// gemmNNAccRowWide runs the sixteen-column AVX2 dot kernel over as many
-// leading column blocks of one accumulating output row as fit and returns
-// the number of columns consumed (gemmNNAccRow finishes the rest). The
-// kernel takes its init vector from orow itself, loaded before any store.
-func gemmNNAccRowWide(orow, ar, bt []float64, n, ld int) int {
-	if !hasAVX2 {
-		return 0
-	}
-	j := 0
-	for ; j+16 <= n; j += 16 {
-		nnDot16AVX2(orow[j:j+16], orow[j:j+16], ar, bt[j:], ld)
-	}
-	return j
 }
 
 // gemmNNQuadI runs the 4x8 register-tiled kernel over as many groups of

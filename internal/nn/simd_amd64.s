@@ -8,62 +8,6 @@
 
 #include "textflag.h"
 
-// func axpyAVX2(alpha float64, x, y []float64)
-// y[i] += alpha * x[i] for i < len(y), four lanes per vector.
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	VBROADCASTSD alpha+0(FP), Y0
-	MOVQ x_base+8(FP), SI
-	MOVQ y_base+32(FP), DI
-	MOVQ y_len+40(FP), CX
-
-vloop16:
-	CMPQ CX, $16
-	JL   vloop4
-	VMULPD 0(SI), Y0, Y1
-	VMULPD 32(SI), Y0, Y2
-	VMULPD 64(SI), Y0, Y3
-	VMULPD 96(SI), Y0, Y4
-	VADDPD 0(DI), Y1, Y1
-	VADDPD 32(DI), Y2, Y2
-	VADDPD 64(DI), Y3, Y3
-	VADDPD 96(DI), Y4, Y4
-	VMOVUPD Y1, 0(DI)
-	VMOVUPD Y2, 32(DI)
-	VMOVUPD Y3, 64(DI)
-	VMOVUPD Y4, 96(DI)
-	ADDQ $128, SI
-	ADDQ $128, DI
-	SUBQ $16, CX
-	JMP  vloop16
-
-vloop4:
-	CMPQ CX, $4
-	JL   vloop1
-	VMULPD 0(SI), Y0, Y1
-	VADDPD 0(DI), Y1, Y1
-	VMOVUPD Y1, 0(DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-	JMP  vloop4
-
-vloop1:
-	CMPQ CX, $0
-	JE   vdone
-	VMOVSD (SI), X1
-	VMULSD X0, X1, X1
-	VMOVSD (DI), X2
-	VADDSD X1, X2, X2
-	VMOVSD X2, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  vloop1
-
-vdone:
-	VZEROUPPER
-	RET
-
 // func reluFwdAVX2(dst, src []float64)
 // dst[i] = src[i] if src[i] > 0 else +0, for i < len(dst).
 // VMAXPD with the zero vector as the second source returns +0 for NaN and
@@ -184,50 +128,6 @@ vbnext:
 	JMP  vbloop1
 
 vbdone:
-	VZEROUPPER
-	RET
-
-// func nnDot16AVX2(out, init, a, bt []float64, n int)
-// Sixteen adjacent output columns accumulate in Y4-Y7 across the whole K
-// loop: per column exactly init + a[0]*bt[0][l] + a[1]*bt[1][l] + ... in
-// ascending c order, the reference dot sequence (nnDot8Go's, at twice the
-// width), four lanes per register. bt must have at least (len(a)-1)*n+16 elements;
-// out and init at least 16.
-TEXT ·nnDot16AVX2(SB), NOSPLIT, $0-104
-	MOVQ out_base+0(FP), DI
-	MOVQ init_base+24(FP), DX
-	MOVQ a_base+48(FP), SI
-	MOVQ a_len+56(FP), CX
-	MOVQ bt_base+72(FP), BX
-	MOVQ n+96(FP), R8
-	SHLQ $3, R8 // row stride in bytes
-	VMOVUPD 0(DX), Y4
-	VMOVUPD 32(DX), Y5
-	VMOVUPD 64(DX), Y6
-	VMOVUPD 96(DX), Y7
-
-vdloop:
-	CMPQ CX, $0
-	JE   vddone
-	VBROADCASTSD (SI), Y0
-	VMULPD 0(BX), Y0, Y1
-	VMULPD 32(BX), Y0, Y2
-	VADDPD Y1, Y4, Y4
-	VADDPD Y2, Y5, Y5
-	VMULPD 64(BX), Y0, Y1
-	VMULPD 96(BX), Y0, Y2
-	VADDPD Y1, Y6, Y6
-	VADDPD Y2, Y7, Y7
-	ADDQ $8, SI
-	ADDQ R8, BX
-	DECQ CX
-	JMP  vdloop
-
-vddone:
-	VMOVUPD Y4, 0(DI)
-	VMOVUPD Y5, 32(DI)
-	VMOVUPD Y6, 64(DI)
-	VMOVUPD Y7, 96(DI)
 	VZEROUPPER
 	RET
 

@@ -45,35 +45,6 @@ func BenchmarkDispatchFloors(b *testing.B) {
 	})
 }
 
-func TestAxpyVariantsMatchScalarBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	variants := map[string]func(float64, []float64, []float64){"go": axpyGo}
-	if hasAVX2 {
-		variants["avx2"] = axpyAVX2
-	} else {
-		t.Log("host lacks AVX2; avx2 variant untested here")
-	}
-	for name, fn := range variants {
-		for n := 0; n <= 40; n++ {
-			alpha := rng.NormFloat64()
-			x := simdCases(rng, n)
-			y := simdCases(rng, n)
-			want := append([]float64(nil), y...)
-			for i := range want {
-				want[i] += alpha * x[i]
-			}
-			got := append([]float64(nil), y...)
-			fn(alpha, x, got)
-			for i := range want {
-				if !sameBits(got[i], want[i]) {
-					t.Fatalf("%s n=%d i=%d: got %x want %x", name, n, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-			}
-		}
-	}
-}
-
 func TestReluVariantsMatchScalarBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	fwd := map[string]func([]float64, []float64){"go": reluFwdGo}
@@ -140,35 +111,6 @@ func TestStepVariantsMatchScalarBitForBit(t *testing.T) {
 				if !sameBits(got[j], want[j]) {
 					t.Fatalf("%s n=%d j=%d: got %x want %x", name, n, j,
 						math.Float64bits(got[j]), math.Float64bits(want[j]))
-				}
-			}
-		}
-	}
-}
-
-func TestNNDot16AVX2MatchesScalarBitForBit(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("host lacks AVX2")
-	}
-	rng := rand.New(rand.NewSource(83))
-	for _, k := range []int{0, 1, 2, 3, 7, 9, 25, 72} {
-		for _, n := range []int{16, 17, 24, 31} {
-			a := simdCases(rng, k)
-			var bt []float64
-			if k > 0 {
-				bt = simdCases(rng, (k-1)*n+16)
-			}
-			init := simdCases(rng, 16)
-			got := simdCases(rng, 16)
-			nnDot16AVX2(got, init, a, bt, n)
-			for l := 0; l < 16; l++ {
-				s := init[l]
-				for c := 0; c < k; c++ {
-					s += a[c] * bt[c*n+l]
-				}
-				if !sameBits(got[l], s) {
-					t.Fatalf("k=%d n=%d l=%d: got %x want %x", k, n, l,
-						math.Float64bits(got[l]), math.Float64bits(s))
 				}
 			}
 		}

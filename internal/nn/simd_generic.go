@@ -9,8 +9,6 @@ package nn
 // simd_test.go runs on every architecture, pinning whichever implementation
 // is active against the same scalar loops.
 
-func axpySIMD(alpha float64, x, y []float64) { axpyGo(alpha, x, y) }
-
 func reluFwdSIMD(dst, src []float64) { reluFwdGo(dst, src) }
 
 func reluBwdSIMD(dst, grad, in []float64) { reluBwdGo(dst, grad, in) }
@@ -49,16 +47,13 @@ func convBwdSIMD(g []float64, ow int, in, wt, gw, gb, gi []float64, offs []int, 
 	convBwdGo(g, ow, in, wt, gw, gb, gi, offs, k)
 }
 
-// The 4x8 register tile and the sixteen-column row kernel are amd64 AVX2
-// specializations; other architectures consume nothing and fall through to
-// the portable row drivers.
+// The 4x8 register tile is an amd64 AVX2 specialization; other architectures
+// consume nothing and fall through to the portable row drivers.
 func gemmNNQuadI(out, a, bt, bias []float64, m, n, k int) int { return 0 }
 
 func gemmPanelQuad(out []float64, n int, bias, a, panel []float64, m, k int) int { return 0 }
 
 func gemmNNQuadAcc(out, a, bt []float64, m, n, k, ld int) int { return 0 }
-
-func gemmNNAccRowWide(orow, ar, bt []float64, n, ld int) int { return 0 }
 
 // The INT8 convolution tiles are amd64 specializations too: nothing fits
 // them here, Recompile prepares no op for one, runConv never calls this, and

@@ -11,20 +11,15 @@ package nn
 // exact on every tier too, and the input quantizer and the requantizer replay
 // their scalar loops' expressions lane for lane. The floor is AVX2: a host
 // without it runs qdotRowRef, maxPoolAcc and quantizeActs, the portable
-// references every other architecture's fallback runs too.
-
-// qdotRowAVX2 is the single-row kernel: 32 int8 MACs per iteration via
-// VPMOVSXBW and VPMADDWD (pair sums max out at 2*127*127, far from the
-// instruction's saturation point, so products are exact).
-//
-//go:noescape
-func qdotRowAVX2(out []int32, a, b []int8, n, k int)
+// references every other architecture's fallback runs too. There is no
+// single-row dot kernel: the dual-row kernels take an odd row as a pair with
+// itself.
 
 // qgemm2AVX2 is the batch-tiled dual-row kernel: two a rows against the
 // same b rows, the columns blocked four at a time into a 2x4 int32 register
 // tile of ymm accumulators so the sign-extensions are amortized over eight
-// accumulators — 0.375 extends per madd instead of the single-row kernel's
-// 1.5. Requires k >= 16 and k % 16 == 0 (no scalar tail) — the dispatcher
+// accumulators — 0.375 extends per madd where one row at a time needs 1.5.
+// Requires k >= 16 and k % 16 == 0 (no scalar tail) — the dispatcher
 // enforces it.
 //
 //go:noescape
@@ -127,30 +122,21 @@ func requantizeRow(dst []int8, acc []int32, bias, m int32, shift int, lo int8) {
 	requantizeRowScalar(dst, acc, bias, m, shift, lo)
 }
 
-// qdotRowSIMD dispatches the integer row-dot kernel. Short K dimensions stay
-// on the reference loop: the AVX2 kernel's 16-byte minimum vector step never
-// engages below k=16 and the VZEROUPPER transition costs more than it saves.
-func qdotRowSIMD(out []int32, a, b []int8, n, k int) {
-	if hasAVX2 && k >= 16 {
-		qdotRowAVX2(out, a, b, n, k)
-		return
-	}
-	qdotRowRef(out, a, b, n, k)
-}
-
 // qdot2SIMD dispatches the batch-tiled dual-row kernel: out0[j] =
-// dot(a0, b row j) and out1[j] = dot(a1, b row j). The asm tiers only
-// handle vector-width multiples (the engine pads every weight and im2col
-// row to padTo16, so this is the hot case); any other k, and every k on a
-// host below the AVX2 floor, falls back to two single-row calls. Tier order
+// dot(a0, b row j) and out1[j] = dot(a1, b row j). The rows may be one row
+// passed twice (out0 == out1, a0 == a1): the kernels only store to their
+// output rows, never read them, so that row gets the same sums twice. The asm
+// tiers only handle vector-width multiples (the engine pads every weight and
+// im2col row to padTo16, so this is the hot case); any other k, and every k
+// on a host below the AVX2 floor, falls back to the reference loop. Tier order
 // is widest-first: VNNI when the CPU+OS support AVX-512 and k is large
 // enough for its 64-byte main loop to engage (below that the zmm
 // zeroing/reduce overhead on mostly-empty vectors loses to AVX2 — conv k=16
 // layers measured ~1.4x slower on VNNI), then AVX2.
 func qdot2SIMD(out0, out1 []int32, a0, a1, b []int8, n, k int) {
 	if !hasAVX2 || k < 16 || k%16 != 0 {
-		qdotRowSIMD(out0, a0, b, n, k)
-		qdotRowSIMD(out1, a1, b, n, k)
+		qdotRowRef(out0, a0, b, n, k)
+		qdotRowRef(out1, a1, b, n, k)
 		return
 	}
 	if hasVNNI && k >= longK {

@@ -14,93 +14,13 @@
 DATA qflip<>+0(SB)/8, $0x8080808080808080
 GLOBL qflip<>(SB), RODATA|NOPTR, $8
 
-// func qdotRowAVX2(out []int32, a, b []int8, n, k int)
-//
-// The wide tier: VPMOVSXBW sign-extends 16 int8s straight into a ymm of
-// words, VPMADDWD pairs them into 8 int32 lanes. The main loop retires 32
-// bytes per iteration (two extend+madd chains into one accumulator), a
-// single 16-byte step drains p <= k-16, and the scalar tail joins after the
-// cross-lane reduction. Dispatch guarantees k >= 16 here.
-TEXT ·qdotRowAVX2(SB), NOSPLIT, $0-88
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), BX
-	MOVQ n+72(FP), CX
-	MOVQ k+80(FP), DX
-	MOVQ DX, R11
-	SUBQ $32, R11 // R11 = k-32 (main loop bound)
-	MOVQ DX, R14
-	SUBQ $16, R14 // R14 = k-16 (single-step bound)
-	XORQ R8, R8   // j
-
-avx2_jloop:
-	CMPQ R8, CX
-	JGE  avx2_done
-	MOVQ  R8, R9
-	IMULQ DX, R9
-	ADDQ  BX, R9 // R9 = &b[j*k]
-	VPXOR Y7, Y7, Y7 // 8-lane int32 accumulator
-	XORQ  R12, R12   // scalar tail accumulator
-	XORQ  R10, R10   // p
-	CMPQ  R11, $0
-	JL    avx2_step16
-
-avx2_vloop:
-	VPMOVSXBW (SI)(R10*1), Y0
-	VPMOVSXBW (R9)(R10*1), Y1
-	VPMADDWD  Y1, Y0, Y0
-	VPADDD    Y0, Y7, Y7
-	VPMOVSXBW 16(SI)(R10*1), Y2
-	VPMOVSXBW 16(R9)(R10*1), Y3
-	VPMADDWD  Y3, Y2, Y2
-	VPADDD    Y2, Y7, Y7
-	ADDQ $32, R10
-	CMPQ R10, R11
-	JLE  avx2_vloop
-
-avx2_step16:
-	CMPQ R10, R14
-	JG   avx2_tail
-	VPMOVSXBW (SI)(R10*1), Y0
-	VPMOVSXBW (R9)(R10*1), Y1
-	VPMADDWD  Y1, Y0, Y0
-	VPADDD    Y0, Y7, Y7
-	ADDQ $16, R10
-
-avx2_tail:
-	CMPQ R10, DX
-	JGE  avx2_reduce
-	MOVBQSX (SI)(R10*1), AX
-	MOVBQSX (R9)(R10*1), R13
-	IMULQ   R13, AX
-	ADDQ    AX, R12
-	INCQ R10
-	JMP  avx2_tail
-
-avx2_reduce:
-	VEXTRACTI128 $1, Y7, X6
-	VPADDD  X6, X7, X7 // fold high 128 into low
-	VPSRLDQ $8, X7, X6
-	VPADDD  X6, X7, X7 // lanes {2,3} -> {0,1}
-	VPSRLDQ $4, X7, X6
-	VPADDD  X6, X7, X7 // lane 1 -> 0
-	MOVQ X7, AX
-	ADDL R12, AX // wraparound join of the scalar tail
-	MOVL AX, (DI)(R8*4)
-	INCQ R8
-	JMP  avx2_jloop
-
-avx2_done:
-	VZEROUPPER
-	RET
-
 // func qgemm2AVX2(out0, out1 []int32, a0, a1, b []int8, n, k int)
 //
 // Batch-tiled dual-row kernel: two a rows against the same n rows of b, the
 // columns blocked 4 at a time into a 2x4 register tile of int32 accumulators
 // (Y0..Y7). Per 16-byte k-step the two a rows are sign-extended once (Y8/Y9)
-// and each b row once (Y10), giving 6 VPMOVSXBW per 128 MACs versus 8 per 64
-// in the single-row kernel — 0.375 extends per madd instead of 1.5. int32
+// and each b row once (Y10), giving 6 VPMOVSXBW per 128 MACs where one row at
+// a time needs 8 per 64 — 0.375 extends per madd instead of 1.5. int32
 // wraparound addition is associative, so this regrouping is bit-identical to
 // eight qdotRowRef calls — no accumulation-order contract constrains the
 // blocking. The dispatcher guarantees k >= 16 and k % 16 == 0 (the engine

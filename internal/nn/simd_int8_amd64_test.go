@@ -8,55 +8,6 @@ import (
 	"testing"
 )
 
-// Cross-tier bit-identity for the INT8 row-dot kernel: qdotRowAVX2 must
-// reproduce qdotRowRef's int32 wraparound bits on every tail length — the
-// engine's only platform-varying stage, so this test IS the AVX2 == generic
-// guarantee on amd64 (below the floor qdotRowSIMD simply calls qdotRowRef).
-// The kernel is exercised on every k, including below the dispatch
-// threshold, so tier selection can never change results.
-func TestQdotRowTiersBitIdentical(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("host below the AVX2 floor: qdotRowSIMD runs qdotRowRef itself")
-	}
-	rng := rand.New(rand.NewSource(99))
-	check := func(name string, kern func(out []int32, a, b []int8, n, k int), a, b []int8, n, k int, want []int32) {
-		t.Helper()
-		got := make([]int32, n)
-		kern(got, a, b, n, k)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("%s n=%d k=%d row %d: %d != ref %d", name, n, k, j, got[j], want[j])
-			}
-		}
-	}
-	for k := 0; k <= 70; k++ {
-		for _, n := range []int{1, 3, 7} {
-			a := randInt8(rng, k)
-			b := randInt8(rng, n*k)
-			for p := 0; p < k; p++ { // ±127 extremes in row 0
-				if p%2 == 0 {
-					b[p] = 127
-				} else {
-					b[p] = -127
-				}
-			}
-			want := make([]int32, n)
-			qdotRowRef(want, a, b, n, k)
-			check("qdotRowAVX2", qdotRowAVX2, a, b, n, k, want)
-		}
-	}
-	// Random-shape sweep.
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(10)
-		k := rng.Intn(300)
-		a := randInt8(rng, k)
-		b := randInt8(rng, n*k)
-		want := make([]int32, n)
-		qdotRowRef(want, a, b, n, k)
-		check("qdotRowAVX2", qdotRowAVX2, a, b, n, k, want)
-	}
-}
-
 // TestRequantizeRowAVX512BitIdentical pins the AVX-512 requantize kernel
 // against the scalar loop on its whole domain: 8-lane-multiple rows, shifts
 // across (0, 62), both clamp bounds, and accumulators spanning the full
@@ -156,7 +107,7 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	// 4-row tiles per weight panel: 15 panels (120 units), 10 and an
 	// overlapping eleventh (84), two overlapping (10). One epoch of training
 	// on top crosses step, reluBwd, the NN-form and accumulating GEMMs with
-	// their 16-column, 8-column and scalar tails and the backward
+	// their 8-column and scalar tails and the backward
 	// convolution kernel at k = 5 — conv1 without an input gradient, conv2
 	// with one. The same epoch on a 3x3 CNN runs that kernel at k = 3, and on
 	// an MLP, whose first layer with weights is a Dense behind a Flatten, the
@@ -259,11 +210,13 @@ type qgemm2Tier struct {
 // TestQdot2TiersBitIdentical pins every batch-tiled dual-row asm kernel —
 // qgemm2AVX2 and qgemm2VNNI where available — against the
 // scalar reference on their vector-width-multiple domain (the dispatcher
-// routes everything else to the single-row kernels, covered above). Every
-// available tier runs regardless of which one dispatch would pick, so tier
-// selection can never change results. n spans below, at, and across the 4-
-// column tile boundary so both the quad loop and the column tail are hit;
-// the ±127 lanes stress the VNNI compensation with extreme row sums.
+// routes everything else to qdotRowRef). Every available tier runs
+// regardless of which one dispatch would pick, so tier selection can never
+// change results. n spans below, at, and across the 4-column tile boundary
+// so both the quad loop and the column tail are hit; the ±127 lanes stress
+// the VNNI compensation with extreme row sums. Every case also runs each
+// tier on one row passed as both rows (out0 == out1, a0 == a1), the pair
+// qgemmNT runs an odd last row as.
 func TestQdot2TiersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	check := func(name string, kern func(out0, out1 []int32, a0, a1, b []int8, n, k int), a0, a1, b []int8, n, k int, want0, want1 []int32) {
@@ -273,6 +226,18 @@ func TestQdot2TiersBitIdentical(t *testing.T) {
 		for j := 0; j < n; j++ {
 			if got0[j] != want0[j] || got1[j] != want1[j] {
 				t.Fatalf("%s n=%d k=%d row %d: (%d, %d) != ref (%d, %d)", name, n, k, j, got0[j], got1[j], want0[j], want1[j])
+			}
+		}
+		for _, c := range []struct {
+			a    []int8
+			want []int32
+		}{{a0, want0}, {a1, want1}} {
+			got := make([]int32, n)
+			kern(got, got, c.a, c.a, b, n, k)
+			for j := 0; j < n; j++ {
+				if got[j] != c.want[j] {
+					t.Fatalf("%s aliased n=%d k=%d row %d: %d != ref %d", name, n, k, j, got[j], c.want[j])
+				}
 			}
 		}
 	}

@@ -9,49 +9,10 @@
 // against `go tool objdump` (see simd_int8_arm64_test.go for the runtime
 // pin on arm64 hosts).
 //
-// Both kernels require k >= 16 and k % 16 == 0 — the dispatcher
+// The kernel requires k >= 16 and k % 16 == 0 — the dispatcher
 // (simd_int8_arm64.go) routes everything else to the scalar reference.
 
 #include "textflag.h"
-
-// func qdotRowNEON(out []int32, a, b []int8, n, k int)
-//
-// out[j] = sum_{p<k} int32(a[p]) * int32(b[j*k+p]) for j < n.
-TEXT ·qdotRowNEON(SB), NOSPLIT, $0-88
-	MOVD out_base+0(FP), R0
-	MOVD a_base+24(FP), R1
-	MOVD b_base+48(FP), R2
-	MOVD n+72(FP), R3
-	MOVD k+80(FP), R4
-	MOVD $0, R5 // j
-
-nrow_jloop:
-	CMP  R3, R5
-	BGE  nrow_done
-	MUL  R4, R5, R6
-	ADD  R2, R6, R6 // R6 = &b[j*k]
-	MOVD R1, R7     // a cursor
-	VEOR V4.B16, V4.B16, V4.B16 // 4-lane int32 accumulator
-	MOVD R4, R8     // bytes remaining
-
-nrow_kloop:
-	VLD1.P 16(R7), [V0.B16]
-	VLD1.P 16(R6), [V1.B16]
-	WORD $0x0E21C008 // SMULL  V8.8H, V0.8B, V1.8B   (low 8 products)
-	WORD $0x4E21C009 // SMULL2 V9.8H, V0.16B, V1.16B (high 8 products)
-	WORD $0x4E606904 // SADALP V4.4S, V8.8H          (pairwise widen-add)
-	WORD $0x4E606924 // SADALP V4.4S, V9.8H
-	SUBS $16, R8
-	BNE  nrow_kloop
-
-	VADDV V4.S4, V4 // wraparound sum of the 4 lanes
-	VMOV  V4.S[0], R9
-	MOVW  R9, (R0)(R5<<2)
-	ADD   $1, R5
-	B     nrow_jloop
-
-nrow_done:
-	RET
 
 // func qdot2NEON(out0, out1 []int32, a0, a1, b []int8, n, k int)
 //

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// Cross-tier bit-identity for the NEON INT8 kernels: qdotRowNEON and
-// qdot2NEON must reproduce qdotRowRef's int32 wraparound bits on their whole
-// vector-width-multiple domain (the dispatcher routes everything else to the
-// reference). This is the arm64 counterpart of TestQdotRowTiersBitIdentical
-// / TestQdot2TiersBitIdentical: it runs on arm64 hardware or under
-// emulation, and is the runtime pin for the WORD-encoded
-// SMULL/SMULL2/SADALP core.
+// Cross-tier bit-identity for the NEON INT8 kernel: qdot2NEON must reproduce
+// qdotRowRef's int32 wraparound bits on its whole vector-width-multiple
+// domain (the dispatcher routes everything else to the reference), on two
+// distinct rows and on one row passed as both (out0 == out1, a0 == a1), the
+// pair qgemmNT runs an odd last row as. This is the arm64 counterpart of
+// TestQdot2TiersBitIdentical: it runs on arm64 hardware or under emulation,
+// and is the runtime pin for the WORD-encoded SMULL/SMULL2/SADALP core.
 func TestQdotNEONTiersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for _, k := range []int{16, 32, 48, 64, 160, 400} {
@@ -35,10 +35,10 @@ func TestQdotNEONTiersBitIdentical(t *testing.T) {
 			qdotRowRef(want0, a0, b, n, k)
 			qdotRowRef(want1, a1, b, n, k)
 			got := make([]int32, n)
-			qdotRowNEON(got, a0, b, n, k)
-			for j := range want0 {
-				if got[j] != want0[j] {
-					t.Fatalf("qdotRowNEON n=%d k=%d row %d: %d != ref %d", n, k, j, got[j], want0[j])
+			qdot2NEON(got, got, a1, a1, b, n, k)
+			for j := range want1 {
+				if got[j] != want1[j] {
+					t.Fatalf("qdot2NEON aliased n=%d k=%d row %d: %d != ref %d", n, k, j, got[j], want1[j])
 				}
 			}
 			got0, got1 := make([]int32, n), make([]int32, n)
@@ -63,11 +63,17 @@ func TestQdotNEONTiersBitIdentical(t *testing.T) {
 		qdotRowRef(want1, a1, b, n, k)
 		got0, got1 := make([]int32, n), make([]int32, n)
 		qdot2NEON(got0, got1, a0, a1, b, n, k)
-		qdotRowNEON(got0, a0, b, n, k) // row kernel overwrites row 0: must agree too
 		for j := range want0 {
 			if got0[j] != want0[j] || got1[j] != want1[j] {
 				t.Fatalf("NEON fuzz n=%d k=%d row %d: (%d, %d) != ref (%d, %d)",
 					n, k, j, got0[j], got1[j], want0[j], want1[j])
+			}
+		}
+		got := make([]int32, n)
+		qdot2NEON(got, got, a0, a0, b, n, k)
+		for j := range want0 {
+			if got[j] != want0[j] {
+				t.Fatalf("NEON fuzz aliased n=%d k=%d row %d: %d != ref %d", n, k, j, got[j], want0[j])
 			}
 		}
 	}

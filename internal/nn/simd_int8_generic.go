@@ -10,12 +10,6 @@ package nn
 // this file is split out because arm64 has its own int8 dispatch
 // (simd_int8_arm64.go) but shares the portable float path.
 
-// qdotRowSIMD is the generic tier of the INT8 row-dot kernel (see
-// qkernels.go).
-func qdotRowSIMD(out []int32, a, b []int8, n, k int) {
-	qdotRowRef(out, a, b, n, k)
-}
-
 // qdot2SIMD is the generic tier of the dual-row INT8 kernel: the vector
 // versions share b loads across both rows, which cannot change the
 // wraparound sums, so two reference passes are bit-identical.

@@ -9,7 +9,8 @@ package nn
 // pre-Haswell host would (DESIGN.md §9 "Supported platforms"). simd_test.go
 // pins whichever implementation dispatch selects against the same loops.
 
-// axpyGo computes y[i] += alpha * x[i] over len(y) elements.
+// axpyGo computes y[i] += alpha * x[i] over len(y) elements: the inner loop
+// of Dense.Backward, the reference the batched GEMMs replay.
 func axpyGo(alpha float64, x, y []float64) {
 	for i := range y {
 		y[i] += alpha * x[i]
@@ -74,13 +75,12 @@ func nnDot8Go(out, init, a, bt []float64, n int) {
 
 // gemmNNAccRow accumulates one NN-form GEMM row in place:
 // orow[j] += sum_c ar[c]*bt[c*ld+j] for j < n, each element continuing its
-// own running sum with c ascending. The architecture's wide column kernel
-// (gemmNNAccRowWide: sixteen columns per pass under AVX2, none elsewhere)
-// takes the leading columns and returns how many it consumed; eight columns
-// per pass and then a scalar tail finish the row — all the same per-column
-// dot order. ld is the bt row stride (>= n for sub-views).
+// own running sum with c ascending: eight columns per pass, then a scalar
+// tail — the same per-column dot order. It runs the rows the 4x8 tile leaves
+// (m mod 4, every row of a batch under four, every row below the floor). ld
+// is the bt row stride (>= n for sub-views).
 func gemmNNAccRow(orow, ar, bt []float64, n, ld int) {
-	j := gemmNNAccRowWide(orow, ar, bt, n, ld)
+	j := 0
 	for ; j+8 <= n; j += 8 {
 		nnDot8Go(orow[j:j+8], orow[j:j+8], ar, bt[j:], ld)
 	}

@@ -33,28 +33,6 @@ func simdCases(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-func TestAxpySIMDMatchesScalarBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for n := 0; n <= 35; n++ {
-		for _, alpha := range []float64{0, math.Copysign(0, -1), 1, -2.5, rng.NormFloat64()} {
-			x := simdCases(rng, n)
-			y := simdCases(rng, n)
-			want := append([]float64(nil), y...)
-			for i := range want {
-				want[i] += alpha * x[i]
-			}
-			got := append([]float64(nil), y...)
-			axpySIMD(alpha, x, got)
-			for i := range want {
-				if !sameBits(got[i], want[i]) {
-					t.Fatalf("axpy n=%d alpha=%v i=%d: got %x want %x", n, alpha, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-			}
-		}
-	}
-}
-
 func TestReluFwdSIMDMatchesScalarBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for n := 0; n <= 35; n++ {
@@ -108,7 +86,7 @@ func TestNNDot8SIMDMatchesScalarBitForBit(t *testing.T) {
 	}
 }
 
-// TestGemmNNMatchesGemmNT pins the NN-form kernel (and its 16/8/scalar tail
+// TestGemmNNMatchesGemmNT pins the NN-form kernel (and its 8/scalar tail
 // blocking) against the NT reference across shapes with every tail length,
 // including the special-value lanes simdCases injects. The reference is the
 // shipped GemmNTBiasJ with its operands swapped: that computes the transposed
@@ -225,7 +203,7 @@ func TestConvDirectMatchesForward(t *testing.T) {
 
 // TestGemmNNStridedAndAccVariants pins the Dense backward kernels against
 // scalar replays of their per-element dot sequences, covering the 4x8 tile,
-// the 16/8 blocks, and scalar tails: the biased form (GemmNNBiasI) and the
+// the 8-column blocks, and scalar tails: the biased form (GemmNNBiasI) and the
 // in-place accumulate kernel (GemmNNAccI), the latter also reading bt at a
 // row stride wider than n.
 func TestGemmNNStridedAndAccVariants(t *testing.T) {

@@ -68,28 +68,34 @@ func serialized(t *testing.T, net *Network) []byte {
 	return buf.Bytes()
 }
 
+// TestTrainBatchedMatchesNaiveBitForBit trains each architecture on 33
+// samples three ways, so the last minibatch holds 5, 3 and 1 samples: a
+// Dense backward below the 4x8 tile's four rows runs the row drivers alone.
 func TestTrainBatchedMatchesNaiveBitForBit(t *testing.T) {
 	for _, tc := range trainFamily() {
-		sampleRng := rand.New(rand.NewSource(61))
-		samples := randSamples(sampleRng, 33, []int{1, 20, 20}, 10)
-		cfg := TrainConfig{Epochs: 2, BatchSize: 7, LR: 0.05}
+		for _, bs := range []int{7, 10, 16} {
+			sampleRng := rand.New(rand.NewSource(61))
+			samples := randSamples(sampleRng, 33, []int{1, 20, 20}, 10)
+			cfg := TrainConfig{Epochs: 2, BatchSize: bs, LR: 0.05}
+			name := fmt.Sprintf("%s batch %d", tc.name, bs)
 
-		naiveNet := tc.build(rand.New(rand.NewSource(62)))
-		batchNet := tc.build(rand.New(rand.NewSource(62)))
-		naiveAvg, err := trainNaive(naiveNet, samples, cfg, rand.New(rand.NewSource(63)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchAvg, err := TrainShuffled(batchNet, samples, cfg, rand.New(rand.NewSource(63)).Shuffle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(naiveAvg) != math.Float64bits(batchAvg) {
-			t.Fatalf("%s: final avg loss %v (batched) != %v (naive)", tc.name, batchAvg, naiveAvg)
-		}
-		paramsBitsEqual(t, tc.name, batchNet, naiveNet)
-		if !bytes.Equal(serialized(t, batchNet), serialized(t, naiveNet)) {
-			t.Fatalf("%s: serialized checkpoints differ", tc.name)
+			naiveNet := tc.build(rand.New(rand.NewSource(62)))
+			batchNet := tc.build(rand.New(rand.NewSource(62)))
+			naiveAvg, err := trainNaive(naiveNet, samples, cfg, rand.New(rand.NewSource(63)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			batchAvg, err := TrainShuffled(batchNet, samples, cfg, rand.New(rand.NewSource(63)).Shuffle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(naiveAvg) != math.Float64bits(batchAvg) {
+				t.Fatalf("%s: final avg loss %v (batched) != %v (naive)", name, batchAvg, naiveAvg)
+			}
+			paramsBitsEqual(t, name, batchNet, naiveNet)
+			if !bytes.Equal(serialized(t, batchNet), serialized(t, naiveNet)) {
+				t.Fatalf("%s: serialized checkpoints differ", name)
+			}
 		}
 	}
 }
