@@ -205,7 +205,7 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 18539
+	goLineCeiling  = 18512
 	asmLineCeiling = 1712
 )
 

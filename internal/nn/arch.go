@@ -18,11 +18,7 @@ func flattenDim(in []int, layers ...Layer) int {
 	for _, l := range layers {
 		shape = l.OutShape(shape)
 	}
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	return n
+	return shapeLen(shape)
 }
 
 // BuildCNN builds the paper's CNN: two 3x3 conv layers (c1, c2 channels),
@@ -69,13 +65,9 @@ func BuildLeNet5(name string, in []int, scale int, classes int, rng *rand.Rand) 
 
 // BuildMLP builds a multilayer perceptron with two hidden layers.
 func BuildMLP(name string, in []int, h1, h2, classes int, rng *rand.Rand) *Network {
-	flat := 1
-	for _, d := range in {
-		flat *= d
-	}
 	return NewNetwork(name, in,
 		NewFlatten(),
-		NewDense(flat, h1, rng),
+		NewDense(shapeLen(in), h1, rng),
 		NewReLU(),
 		NewDense(h1, h2, rng),
 		NewReLU(),

@@ -117,11 +117,7 @@ func (a *Arena) Tensor(shape ...int) *Tensor {
 // Flatten uses it to reshape without touching the payload. The element
 // count of shape must equal len(data).
 func (a *Arena) View(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
+	if shapeLen(shape) != len(data) {
 		//lint:allow panicpolicy mirrors NewTensor: a shape/payload mismatch is a programmer error on the inference hot path
 		panic("nn: arena view shape does not match data length")
 	}

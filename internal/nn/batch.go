@@ -12,6 +12,53 @@ import (
 // evaluating a batch produces the same bits as a per-sample loop and every
 // result file stays byte-identical (batch_equiv_test.go pins this).
 
+// stage is layers [at, end) of a network, which both engines run as one
+// unit; in and out are the per-sample shapes entering and leaving it.
+type stage struct {
+	at, end    int
+	relu, pool bool
+	in, out    []int
+}
+
+// planStages is the one place that decides which layers fuse: a Conv2D or
+// Dense takes the ReLU directly after it, a Conv2D also the MaxPool2D after
+// that, and any other layer is a stage of its own.
+func planStages(inShape []int, layers []Layer) []stage {
+	stages := make([]stage, 0, len(layers))
+	shape := inShape
+	for at := 0; at < len(layers); {
+		st := stage{at: at, end: at + 1, in: shape}
+		_, conv := layers[at].(*Conv2D)
+		_, dense := layers[at].(*Dense)
+		if conv || dense {
+			st.relu = layerIs[*ReLU](layers, st.end)
+			if st.relu {
+				st.end++
+			}
+			st.pool = conv && layerIs[*MaxPool2D](layers, st.end)
+			if st.pool {
+				st.end++
+			}
+		}
+		for _, l := range layers[at:st.end] {
+			shape = l.OutShape(shape)
+		}
+		st.out = shape
+		stages = append(stages, st)
+		at = st.end
+	}
+	return stages
+}
+
+// layerIs reports whether layers[i] exists and is a T.
+func layerIs[T Layer](layers []Layer, i int) bool {
+	if i >= len(layers) {
+		return false
+	}
+	_, ok := layers[i].(T)
+	return ok
+}
+
 // ForwardBatch runs all layers on a batch of samples laid out as
 // [B, sampleShape...] and returns the [B, classes] logits. All scratch is
 // drawn from a, which the caller owns and must Reset between batches
@@ -19,35 +66,26 @@ import (
 // the same arena). Nothing is written to the network, so any number of
 // goroutines may run one Network at once, each on its own arena.
 //
-// A Conv2D followed by a ReLU and then a MaxPool2D runs as one stage
-// (Conv2D.forwardDirect with pool): the same bits as the three layers'
+// A Conv2D → ReLU → MaxPool2D stage (planStages) runs as one
+// Conv2D.forwardDirect with pool: the same bits as the three layers'
 // ForwardBatch in turn, without the two full-resolution planes between
-// them. Every other layer runs on its own. The trainer walks the layers
-// itself, since its backward passes need each boundary's activation.
+// them. Every other stage walks its layers, as the trainer does: its
+// backward passes need each boundary's activation.
 //
 //lint:hotroot inference inner loop; all scratch comes from the arena
 func (n *Network) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	out := in
-	for i := 0; i < len(n.Layers); i++ {
-		if c, ok := n.Layers[i].(*Conv2D); ok && convReLUPoolAt(n.Layers, i) {
-			out = c.forwardDirect(out, a, true)
-			i += 2
+	for i := range n.stages {
+		st := &n.stages[i]
+		if st.relu && st.pool {
+			out = n.Layers[st.at].(*Conv2D).forwardDirect(out, a, true)
 			continue
 		}
-		out = n.Layers[i].ForwardBatch(out, a)
+		for _, l := range n.Layers[st.at:st.end] {
+			out = l.ForwardBatch(out, a)
+		}
 	}
 	return out
-}
-
-// convReLUPoolAt reports whether layers[i+1] and layers[i+2] are a ReLU and a
-// MaxPool2D.
-func convReLUPoolAt(layers []Layer, i int) bool {
-	if i+2 >= len(layers) {
-		return false
-	}
-	_, relu := layers[i+1].(*ReLU)
-	_, pool := layers[i+2].(*MaxPool2D)
-	return relu && pool
 }
 
 // ArgmaxRow returns the index of the largest element of one logits row,

@@ -43,7 +43,8 @@ func layerWalk(net *Network, in *Tensor, a *Arena) *Tensor {
 // through a Scorer over 33 and 100 samples (one lane, or as many as
 // GOMAXPROCS and the chunk count allow — CI runs it at -cpu 1,2,4). The CNN
 // and LeNet arms fuse both convolutions, MobileCNN its first two (its last
-// pointwise conv → ReLU has no pool and keeps the walk), the MLPs nothing.
+// pointwise conv → ReLU has no pool and keeps the walk), the MLPs nothing,
+// and a conv → pool with no ReLU between them nothing either.
 func TestFusedForwardMatchesLayerWalk(t *testing.T) {
 	for _, shape := range [][]int{{1, 28, 28}, {3, 32, 32}} {
 		sampleLen := shape[0] * shape[1] * shape[2]
@@ -52,20 +53,23 @@ func TestFusedForwardMatchesLayerWalk(t *testing.T) {
 		for i := range pool {
 			pool[i] = Sample{X: randTensor(rng, shape...), Label: rng.Intn(10)}
 		}
+		nets := []*Network{convPoolNet(shape, rand.New(rand.NewSource(7)))}
 		for _, zb := range zooBuilders {
-			net := zb.build(shape, rand.New(rand.NewSource(7)))
+			nets = append(nets, zb.build(shape, rand.New(rand.NewSource(7))))
+		}
+		for _, net := range nets {
 			fused := 0
-			for i, l := range net.Layers {
-				if _, ok := l.(*Conv2D); ok && convReLUPoolAt(net.Layers, i) {
+			for _, st := range net.stages {
+				if st.relu && st.pool {
 					fused++
 				}
 			}
 			want := 2
-			if zb.name[:3] == "mlp" {
+			if net.Name[:3] == "mlp" || net.Name == "conv-pool" {
 				want = 0
 			}
 			if fused != want {
-				t.Fatalf("%s: %d fused stages, want %d", zb.name, fused, want)
+				t.Fatalf("%s: %d fused stages, want %d", net.Name, fused, want)
 			}
 			for _, chunk := range []int{1, 4, 32} {
 				fa, wa := NewArena(), NewArena()
@@ -73,7 +77,7 @@ func TestFusedForwardMatchesLayerWalk(t *testing.T) {
 				for j := 0; j < chunk; j++ {
 					copy(in.Data[j*sampleLen:(j+1)*sampleLen], pool[j].X.Data)
 				}
-				bitsEqual(t, zb.name+" fused vs walk", net.ForwardBatch(in, fa).Data, layerWalk(net, in, wa).Data)
+				bitsEqual(t, net.Name+" fused vs walk", net.ForwardBatch(in, fa).Data, layerWalk(net, in, wa).Data)
 			}
 			for _, m := range []int{33, 100} {
 				idx := make([]int, m)
@@ -84,9 +88,9 @@ func TestFusedForwardMatchesLayerWalk(t *testing.T) {
 				fl, fh := fs.Score(net.ForwardBatch, pool, idx)
 				wl, wh := ws.Score(func(in *Tensor, a *Arena) *Tensor { return layerWalk(net, in, a) }, pool, idx)
 				if math.Float64bits(fl) != math.Float64bits(wl) || fh != wh {
-					t.Fatalf("%s %v M=%d: fused scorer (%v, %d hits), walk (%v, %d hits)", zb.name, shape, m, fl, fh, wl, wh)
+					t.Fatalf("%s %v M=%d: fused scorer (%v, %d hits), walk (%v, %d hits)", net.Name, shape, m, fl, fh, wl, wh)
 				}
-				bitsEqual(t, zb.name+" scorer losses", fs.Loss, ws.Loss)
+				bitsEqual(t, net.Name+" scorer losses", fs.Loss, ws.Loss)
 			}
 		}
 	}

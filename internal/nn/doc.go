@@ -23,15 +23,16 @@
 // tests pin the two bit for bit, and trainNaive/TrainShuffled are the same
 // pair one level up.
 //
-// The INT8 engine (QuantizedNetwork) has the same shape in integers: one
-// scalar specification (quantizeActs, qdotRowRef over im2colQ patches,
-// requantize, then ReLU and max-pool in the float network's order) that a
-// test-only forward pass executes sample by sample, and one shipped path —
-// im2colQ into the dual-row GEMM tiers, or for convolutions on amd64 a direct
-// tile over the input planes, with a following ReLU folded into the
-// requantize clamp and a following max-pool run on the int32 accumulators
-// before it — held to that specification's bits, which int32 wraparound sums
-// and a monotone requantization make a matter of construction.
+// Both engines run one stage list, which NewNetwork plans (planStages). The
+// INT8 engine (QuantizedNetwork) has the same shape in integers: one scalar
+// specification (quantizeActs, qdotRowRef over im2colQ patches, requantize,
+// then ReLU and max-pool in the float network's order) that a test-only
+// forward pass executes sample by sample, and one shipped path — an op per
+// Conv2D or Dense stage, im2colQ into the dual-row GEMM tiers or, for
+// convolutions on amd64, a direct tile over the input planes, the stage's
+// ReLU folded into the requantize clamp and its max-pool run on the int32
+// accumulators before it — held to that specification's bits, which int32
+// wraparound sums and a monotone requantization make a matter of construction.
 //
 // Determinism comes first: every kernel preserves the reference float
 // summation order, and all weight initialization flows from an explicit RNG

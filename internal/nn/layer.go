@@ -538,13 +538,7 @@ func (r *ReLU) Params() []*Tensor { return nil }
 func (r *ReLU) OutShape(in []int) []int { return in }
 
 // FLOPs implements Layer.
-func (r *ReLU) FLOPs(in []int) int64 {
-	n := int64(1)
-	for _, d := range in {
-		n *= int64(d)
-	}
-	return n
-}
+func (r *ReLU) FLOPs(in []int) int64 { return int64(shapeLen(in)) }
 
 // Flatten reshapes any tensor to a vector.
 type Flatten struct{}
@@ -579,13 +573,7 @@ func (f *Flatten) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
 func (f *Flatten) Params() []*Tensor { return nil }
 
 // OutShape implements Layer.
-func (f *Flatten) OutShape(in []int) []int {
-	n := 1
-	for _, d := range in {
-		n *= d
-	}
-	return []int{n}
-}
+func (f *Flatten) OutShape(in []int) []int { return []int{shapeLen(in)} }
 
 // FLOPs implements Layer.
 func (f *Flatten) FLOPs([]int) int64 { return 0 }

@@ -6,11 +6,14 @@ import (
 )
 
 // Network is a feed-forward sequence of layers with a classification head.
+// Layers is fixed after NewNetwork: the stage list both engines run is
+// planned from it once. A layer's parameters may change; the sequence may not.
 type Network struct {
 	Name   string
 	Layers []Layer
 
 	inShape []int
+	stages  []stage
 }
 
 // NewNetwork assembles a network over the given input shape. The input shape
@@ -18,7 +21,7 @@ type Network struct {
 func NewNetwork(name string, inShape []int, layers ...Layer) *Network {
 	s := make([]int, len(inShape))
 	copy(s, inShape)
-	return &Network{Name: name, Layers: layers, inShape: s}
+	return &Network{Name: name, Layers: layers, inShape: s, stages: planStages(s, layers)}
 }
 
 // InShape returns the expected input shape.

@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -220,5 +222,72 @@ func TestEvaluateEmpty(t *testing.T) {
 	_, _, loss, acc := ScorePool(net.ForwardBatch, nil)
 	if acc != 0 || loss != 0 {
 		t.Errorf("ScorePool(empty) = %v, %v", acc, loss)
+	}
+}
+
+// convPoolNet is a Conv2D → MaxPool2D network with no ReLU between them:
+// a stage no zoo arm has, which the INT8 engine folds (pool without relu)
+// and the float engine walks layer by layer.
+func convPoolNet(shape []int, rng *rand.Rand) *Network {
+	conv := NewConv2D(shape[0], 6, 3, rng)
+	front := []Layer{conv, NewMaxPool2D(), NewFlatten()}
+	return NewNetwork("conv-pool", shape, append(front, NewDense(flattenDim(shape, front...), 10, rng))...)
+}
+
+// TestPlanStages pins the stage list both engines run: every member of both
+// zoo families, the layer sequences the INT8 engine refuses, and a conv →
+// pool with no ReLU. Each stage is [at, end), its folded ReLU and pool, and
+// the shape leaving it; each stage's input is the shape the one before it
+// left.
+func TestPlanStages(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var nets []*Network
+	for _, shape := range [][]int{{1, 28, 28}, {3, 32, 32}} {
+		nets = append(append(nets, familyForTest(shape, rng)...), convPoolNet(shape, rng))
+	}
+	for _, c := range oddSequences(rng) {
+		nets = append(nets, c.net)
+	}
+	want := map[string][]string{
+		"cnn-s [1 28 28]":     {"0-3 relu pool [8 13 13]", "3-6 relu pool [16 5 5]", "6-7 [400]", "7-9 relu [32]", "9-10 [10]"},
+		"cnn-l [1 28 28]":     {"0-3 relu pool [16 13 13]", "3-6 relu pool [32 5 5]", "6-7 [800]", "7-9 relu [64]", "9-10 [10]"},
+		"lenet-s [1 28 28]":   {"0-3 relu pool [6 12 12]", "3-6 relu pool [16 4 4]", "6-7 [256]", "7-9 relu [120]", "9-11 relu [84]", "11-12 [10]"},
+		"lenet-l [1 28 28]":   {"0-3 relu pool [12 12 12]", "3-6 relu pool [32 4 4]", "6-7 [512]", "7-9 relu [240]", "9-11 relu [168]", "11-12 [10]"},
+		"mlp-s [1 28 28]":     {"0-1 [784]", "1-3 relu [64]", "3-5 relu [32]", "5-6 [10]"},
+		"mlp-l [1 28 28]":     {"0-1 [784]", "1-3 relu [256]", "3-5 relu [128]", "5-6 [10]"},
+		"conv-pool [1 28 28]": {"0-2 pool [6 13 13]", "2-3 [1014]", "3-4 [10]"},
+		"cnn-s [3 32 32]":     {"0-3 relu pool [8 15 15]", "3-6 relu pool [16 6 6]", "6-7 [576]", "7-9 relu [32]", "9-10 [10]"},
+		"cnn-l [3 32 32]":     {"0-3 relu pool [16 15 15]", "3-6 relu pool [32 6 6]", "6-7 [1152]", "7-9 relu [64]", "9-10 [10]"},
+		"lenet-s [3 32 32]":   {"0-3 relu pool [6 14 14]", "3-6 relu pool [16 5 5]", "6-7 [400]", "7-9 relu [120]", "9-11 relu [84]", "11-12 [10]"},
+		"lenet-l [3 32 32]":   {"0-3 relu pool [12 14 14]", "3-6 relu pool [32 5 5]", "6-7 [800]", "7-9 relu [240]", "9-11 relu [168]", "11-12 [10]"},
+		"mobile-s [3 32 32]":  {"0-3 relu pool [4 15 15]", "3-6 relu pool [8 7 7]", "6-8 relu [8 7 7]", "8-9 [392]", "9-10 [10]"},
+		"mobile-l [3 32 32]":  {"0-3 relu pool [16 15 15]", "3-6 relu pool [32 7 7]", "6-8 relu [32 7 7]", "8-9 [1568]", "9-10 [10]"},
+		"conv-pool [3 32 32]": {"0-2 pool [6 15 15]", "2-3 [1350]", "3-4 [10]"},
+		"unlowered [16]":      {"0-1 [16]", "1-2 [16]", "2-3 [4]"},
+		"relu-tail [16]":      {"0-1 [16]", "1-3 relu [4]"},
+		"flat-relu [1 6 6]":   {"0-1 [2 4 4]", "1-2 [32]", "2-3 [32]", "3-4 [4]"},
+		"pool-relu [1 6 6]":   {"0-2 pool [2 2 2]", "2-3 [2 2 2]", "3-4 [8]", "4-5 [4]"},
+		"pool-pool [1 10 10]": {"0-2 pool [2 4 4]", "2-3 [2 2 2]", "3-4 [8]", "4-5 [4]"},
+	}
+	for _, net := range nets {
+		in := net.InShape()
+		var got []string
+		for _, st := range net.stages {
+			if !slices.Equal(st.in, in) {
+				t.Errorf("%s: stage [%d, %d) takes %v, the stage before left %v", net.Name, st.at, st.end, st.in, in)
+			}
+			in = st.out
+			s := fmt.Sprintf("%d-%d", st.at, st.end)
+			if st.relu {
+				s += " relu"
+			}
+			if st.pool {
+				s += " pool"
+			}
+			got = append(got, fmt.Sprintf("%s %v", s, st.out))
+		}
+		if key := fmt.Sprintf("%s %v", net.Name, net.InShape()); !slices.Equal(got, want[key]) {
+			t.Errorf("%s: stages %q, want %q", key, got, want[key])
+		}
 	}
 }

@@ -13,15 +13,15 @@ import (
 // integer row-dot kernels and convolutions as a direct tile over the input
 // planes where the host has one for the layer (qconvDirectFits), else as
 // integer im2col + the same row-dot kernels, all with int32 accumulation,
-// and carries activations between layers as int8 at statically calibrated
-// per-boundary scales. ReLU and 2x2 max-pool run as stages of the conv/dense
-// op they follow: a ReLU is the requantize clamp's lower bound, a max-pool
-// runs on the convolution's int32 accumulators before the requantize, and
-// both are exact (max and clamp commute with the monotone requantization),
-// so the only rounding beyond weight/input quantization is the pinned
-// fixed-point requantization after each conv/dense. The final Dense head
-// dequantizes its int32 accumulators straight to float64 logits, so
-// downstream softmax/loss code is unchanged.
+// and carries activations between stages as int8 at statically calibrated
+// scales. It runs the float network's stage list (planStages), one op per
+// Conv2D or Dense stage: the stage's ReLU is the requantize clamp's lower
+// bound, its max-pool runs on the convolution's int32 accumulators before
+// the requantize, and both are exact (max and clamp commute with the
+// monotone requantization), so the only rounding beyond weight/input
+// quantization is the pinned fixed-point requantization after each op. The
+// final Dense head dequantizes its int32 accumulators straight to float64
+// logits, so downstream softmax/loss code is unchanged.
 //
 // It is an opt-in execution mode: the fake-quant float path remains the
 // committed-results oracle, and this engine is reached only through the
@@ -57,9 +57,9 @@ const (
 	qHead
 )
 
-// qOp is one compiled stage. Conv and Dense requantize back to int8 at the
-// next boundary's scale, through a following ReLU and (conv) 2x2 max-pool
-// folded in; the head produces float64 logits.
+// qOp is one compiled Conv2D or Dense stage. Conv and Dense requantize back
+// to int8 at the next boundary's scale, through the stage's ReLU and (conv)
+// 2x2 max-pool; the head produces float64 logits.
 type qOp struct {
 	kind qOpKind
 
@@ -76,8 +76,8 @@ type qOp struct {
 	biasQ []int32 // bias in accumulator units: round(b/(sx*sw)), |.| <= 2^30
 	m     int32   // fixed-point requant multiplier (quantMultiplier)
 	shift int
-	relu  bool // fused following ReLU: requantize clamps to [0, 127]
-	pool  bool // fused following MaxPool2D: runConv pools the accumulators
+	relu  bool // the stage's ReLU: requantize clamps to [0, 127]
+	pool  bool // the stage's MaxPool2D: runConv pools the accumulators
 
 	// zeroScale marks an all-zero weight tensor (sw == 0): the accumulator
 	// units are undefined, so the op's output is the bias alone, quantized
@@ -218,11 +218,12 @@ func calibrate(actMax []float64, net *Network, calib *Tensor, a *Arena) []float6
 // the float network runs over it once, layer by layer, to calibrate one
 // static activation scale per layer boundary (maxAbs/127, zero->one
 // fallback). Weight scales come from qw; biases are read from net's float
-// tensors in accumulator units. Supported layers are the inference set
-// (Conv2D, Dense, ReLU, MaxPool2D, Flatten); a ReLU must directly follow a
-// Conv2D or Dense, a MaxPool2D a Conv2D (a ReLU between them allowed), no
-// conv or dense row may sum more than maxDotLen products, and the final
-// layer must be Dense — every zoo architecture qualifies.
+// tensors in accumulator units. Each Conv2D or Dense stage of net
+// (planStages) compiles to one op, its ReLU and MaxPool2D folded in; a
+// Flatten stage costs nothing, and any other stage — a ReLU or MaxPool2D no
+// such stage absorbs, or another layer type — is an error. No conv or dense
+// row may sum more than maxDotLen products, and the final layer must be
+// Dense — every zoo architecture qualifies.
 func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*QuantizedNetwork, error) {
 	q := &QuantizedNetwork{}
 	if err := q.Recompile(net, qw, calib, NewArena()); err != nil {
@@ -265,109 +266,56 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 	q.outDim, q.maxCol, q.maxAcc = 0, 0, 0
 	q.inScale = actScale(actMax[0])
 	s := q.inScale // running activation scale
-	shape := inShape
-	inLen := 1
-	for _, d := range shape {
-		inLen *= d
-	}
-	q.maxAct = inLen
+	q.maxAct = shapeLen(inShape)
 	ti := 0
-	fold := -1 // the op a following ReLU or max-pool folds into; -1 when none may
-	for li, l := range net.Layers {
-		outShape := l.OutShape(shape)
-		outLen := 1
-		for _, d := range outShape {
-			outLen *= d
+	for _, st := range net.stages {
+		l := net.Layers[st.at]
+		op := qOp{relu: st.relu, pool: st.pool, inLen: shapeLen(st.in), outLen: shapeLen(st.out)}
+		var rows, rowLen, acc int // weight rows, their length, per-sample accumulators
+		switch t := l.(type) {
+		case *Flatten:
+			continue // activations are already flat CHW rows
+		case *Conv2D:
+			op.kind, op.inC, op.outC, op.k = qConv, t.InC, t.OutC, t.K
+			op.h, op.w = st.in[1], st.in[2]
+			op.oh, op.ow = op.h-op.k+1, op.w-op.k+1
+			rows, rowLen, acc = t.OutC, t.InC*t.K*t.K, t.OutC*op.oh*op.ow
+		case *Dense:
+			op.kind, op.inDim, op.outDim = qDense, t.InDim, t.OutDim
+			rows, rowLen, acc = t.OutDim, t.InDim, t.OutDim
+		default:
+			return fmt.Errorf("nn: layer %d of %q (%T) has no INT8 lowering; a ReLU must directly follow a Conv2D or Dense, a MaxPool2D a Conv2D or its ReLU", st.at, net.Name, l)
 		}
-		isHead := li == len(net.Layers)-1
-		op := qOp{inLen: inLen, outLen: outLen}
+		if ti+2 > len(qw.Tensors) {
+			return fmt.Errorf("nn: quantized weights exhausted at layer %d of %q", st.at, net.Name)
+		}
+		if rowLen > maxDotLen {
+			return errDotLen(st.at, net.Name, l, rowLen)
+		}
+		wt, bias := qw.Tensors[ti], l.Params()[1].Data
+		ti += 2
 		if i := len(q.ops); i < len(old) {
 			op.wpad, op.biasQ, op.biasAtSy = old[i].wpad[:0], old[i].biasQ[:0], old[i].biasAtSy[:0]
 		}
-		switch t := l.(type) {
-		case *Conv2D:
-			if ti+2 > len(qw.Tensors) {
-				return fmt.Errorf("nn: quantized weights exhausted at layer %d of %q", li, net.Name)
-			}
-			wt := qw.Tensors[ti]
-			bias := l.Params()[1]
-			ti += 2
-			op.kind = qConv
-			op.inC, op.outC, op.k = t.InC, t.OutC, t.K
-			op.h, op.w = shape[1], shape[2]
-			op.oh, op.ow = outShape[1], outShape[2]
-			sy := actScale(actMax[li+1])
-			kk := op.inC * op.k * op.k
-			if kk > maxDotLen {
-				return errDotLen(li, net.Name, l, kk)
-			}
-			compileRequantOp(&op, wt, bias.Data, s, sy, op.outC, kk)
-			compileConvTile(&op, wt.Data, &q.tables)
-			if a := op.outC * op.oh * op.ow; a > q.maxAcc {
-				q.maxAcc = a
+		if op.pool {
+			acc += op.outLen // the accumulator block, then the pooled sums
+		}
+		q.maxAcc = max(q.maxAcc, acc)
+		if st.end == len(net.Layers) {
+			op.kind = qHead
+			padWeightRows(&op, wt.Data, rows, rowLen)
+			op.sxw, op.biasF, q.outDim = s*wt.Scale, bias, rows
+		} else {
+			// The stage requantizes at its first layer's raw output scale; the
+			// folded ReLU and pool commute with the requantization.
+			sy := actScale(actMax[st.at+1])
+			compileRequantOp(&op, wt, bias, s, sy, rows, rowLen)
+			if op.kind == qConv {
+				compileConvTile(&op, wt.Data, &q.tables)
 			}
 			s = sy
-		case *Dense:
-			if ti+2 > len(qw.Tensors) {
-				return fmt.Errorf("nn: quantized weights exhausted at layer %d of %q", li, net.Name)
-			}
-			wt := qw.Tensors[ti]
-			bias := l.Params()[1]
-			ti += 2
-			if t.InDim > maxDotLen {
-				return errDotLen(li, net.Name, l, t.InDim)
-			}
-			op.inDim, op.outDim = t.InDim, t.OutDim
-			if op.outDim > q.maxAcc {
-				q.maxAcc = op.outDim
-			}
-			if isHead {
-				op.kind = qHead
-				padWeightRows(&op, wt.Data, t.OutDim, t.InDim)
-				op.sxw = s * wt.Scale
-				op.biasF = bias.Data
-				q.outDim = op.outDim
-			} else {
-				op.kind = qDense
-				sy := actScale(actMax[li+1])
-				compileRequantOp(&op, wt, bias.Data, s, sy, t.OutDim, t.InDim)
-				s = sy
-			}
-		case *ReLU:
-			// The op's store clamp: [0, 127] is exactly relu ∘ clamp±127.
-			if fold < 0 || q.ops[fold].relu || q.ops[fold].pool {
-				return fmt.Errorf("nn: layer %d of %q (ReLU) does not directly follow a Conv2D or Dense; the INT8 engine runs ReLU as their requantize clamp", li, net.Name)
-			}
-			prev := &q.ops[fold]
-			prev.relu = true
-			for o, b := range prev.biasAtSy { // a zero-scale op stores its bias
-				prev.biasAtSy[o] = max(b, 0)
-			}
-			shape = outShape
-			continue
-		case *MaxPool2D:
-			// runConv pools the accumulators (maxPoolAcc has the argument).
-			if fold < 0 || q.ops[fold].kind != qConv || q.ops[fold].pool {
-				return fmt.Errorf("nn: layer %d of %q (MaxPool2D) does not follow a Conv2D; the INT8 engine pools a convolution's accumulators", li, net.Name)
-			}
-			prev := &q.ops[fold]
-			prev.pool, prev.outLen = true, outLen
-			if a := prev.outC*prev.oh*prev.ow + outLen; a > q.maxAcc {
-				q.maxAcc = a // the accumulator block, then the pooled sums
-			}
-			shape, inLen = outShape, outLen
-			continue
-		case *Flatten:
-			fold = -1
-			shape = outShape // activations are already flat CHW rows
-			continue
-		default:
-			return fmt.Errorf("nn: layer %d of %q (%T) has no INT8 lowering", li, net.Name, l)
 		}
 		q.ops = append(q.ops, op)
-		fold = len(q.ops) - 1
-		shape = outShape
-		inLen = outLen
 	}
 	if ti != len(qw.Tensors) {
 		return fmt.Errorf("nn: network %q consumed %d of %d quantized tensors", net.Name, ti, len(qw.Tensors))
@@ -377,6 +325,15 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 		q.maxCol = max(q.maxCol, q.ops[i].colLen())
 	}
 	return nil
+}
+
+// lo is the requantize clamp's lower bound: 0 with a ReLU folded in
+// (relu ∘ clamp±127 ≡ clamp[0,127]), else -127.
+func (op *qOp) lo() int8 {
+	if op.relu {
+		return 0
+	}
+	return -127
 }
 
 // colLen is the per-sample col scratch the compiled op reads and writes: a
@@ -432,7 +389,7 @@ func compileRequantOp(op *qOp, wt QuantizedTensor, bias []float64, sx, sy float6
 		op.zeroScale = true
 		op.biasAtSy = resized(op.biasAtSy, len(bias))
 		for o, b := range bias {
-			op.biasAtSy[o] = clampRoundInt8(b / sy)
+			op.biasAtSy[o] = max(clampRoundInt8(b/sy), op.lo())
 		}
 		return
 	}
@@ -509,10 +466,7 @@ func (q *QuantizedNetwork) ParamBytes() int64 {
 //lint:hotroot quantized inference inner loop; all scratch comes from the arena
 func (q *QuantizedNetwork) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	batch := in.Shape[0]
-	inLen := 1
-	for _, d := range q.inShape {
-		inLen *= d
-	}
+	inLen := shapeLen(q.inShape)
 	if in.Len() != batch*inLen {
 		//lint:allow panicpolicy inference hot path: a shape mismatch is a programmer error, mirroring Network.ForwardBatch's layer guards
 		panic(fmt.Sprintf("nn: QuantizedNetwork %q expected %d values per sample, got shape %v", q.Name, inLen, in.Shape))
@@ -585,16 +539,12 @@ func (q *QuantizedNetwork) runConv(op *qOp, batch int, cur, nxt, col []int8, acc
 		}
 		qgemmNT(acc[:op.outC*cols], op.wq, col[:batch*spl], op.outC, cols, op.kPad)
 	}
-	lo := int8(-127)
-	if op.relu {
-		lo = 0
-	}
 	if op.pool {
 		pooled := acc[op.outC*cols : op.outC*cols+batch*op.outLen]
 		for oc := 0; oc < op.outC; oc++ {
 			maxPoolAccSIMD(pooled[oc*pnp:], acc[oc*cols:(oc+1)*cols], batch, op.oh, op.ow, op.outLen, op.biasQ[oc])
 		}
-		requantizeRow(nxt[:batch*op.outLen], pooled, 0, op.m, op.shift, lo)
+		requantizeRow(nxt[:batch*op.outLen], pooled, 0, op.m, op.shift, op.lo())
 		return
 	}
 	// The accumulator row for one output channel is contiguous across the
@@ -604,7 +554,7 @@ func (q *QuantizedNetwork) runConv(op *qOp, batch int, cur, nxt, col []int8, acc
 	// the bytes back to the [s][oc][j] activation layout.
 	rq := col[:cols]
 	for oc := 0; oc < op.outC; oc++ {
-		requantizeRow(rq, acc[oc*cols:(oc+1)*cols], op.biasQ[oc], op.m, op.shift, lo)
+		requantizeRow(rq, acc[oc*cols:(oc+1)*cols], op.biasQ[oc], op.m, op.shift, op.lo())
 		for s := 0; s < batch; s++ {
 			copy(nxt[s*op.outLen+oc*np:s*op.outLen+(oc+1)*np], rq[s*np:(s+1)*np])
 		}
@@ -640,14 +590,10 @@ func (q *QuantizedNetwork) runDense(op *qOp, batch int, cur, nxt, col []int8, ac
 		return
 	}
 	qgemmNT(acc[:batch*op.outDim], denseInputBatch(op, batch, cur, col), op.wq, batch, op.outDim, op.kPad)
-	lo := int8(-127)
-	if op.relu {
-		lo = 0
-	}
 	for s := 0; s < batch; s++ {
 		dst := nxt[s*op.outLen : (s+1)*op.outLen]
 		arow := acc[s*op.outDim : (s+1)*op.outDim]
-		requantizeRowPerCol(dst, arow, op.biasQ, op.m, op.shift, lo)
+		requantizeRowPerCol(dst, arow, op.biasQ, op.m, op.shift, op.lo())
 	}
 }
 

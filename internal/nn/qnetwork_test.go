@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -206,27 +208,46 @@ func TestQuantizedNetworkSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// oddCase is a network the INT8 engine refuses, what is odd about it, and
+// the index of the one layer at fault (-1 when no single layer is).
+type oddCase struct {
+	what  string
+	net   *Network
+	layer int
+}
+
+// oddSequences are the layer sequences the INT8 engine refuses.
+func oddSequences(rng *rand.Rand) []oddCase {
+	return []oddCase{
+		{"an unlowered layer", NewNetwork("unlowered", []int{16}, NewFlatten(), unloweredLayer{NewReLU()}, NewDense(16, 4, rng)), 1},
+		{"no Dense head", NewNetwork("relu-tail", []int{16}, NewFlatten(), NewDense(16, 4, rng), NewReLU()), -1},
+		{"a ReLU after Flatten", NewNetwork("flat-relu", []int{1, 6, 6}, NewConv2D(1, 2, 3, rng), NewFlatten(), NewReLU(), NewDense(32, 4, rng)), 2},
+		{"a ReLU after a pool", NewNetwork("pool-relu", []int{1, 6, 6}, NewConv2D(1, 2, 3, rng), NewMaxPool2D(), NewReLU(), NewFlatten(), NewDense(8, 4, rng)), 2},
+		{"a pool after a pool", NewNetwork("pool-pool", []int{1, 10, 10}, NewConv2D(1, 2, 3, rng), NewMaxPool2D(), NewMaxPool2D(), NewFlatten(), NewDense(8, 4, rng)), 2},
+	}
+}
+
 // TestQuantizedNetworkErrors: what the INT8 engine cannot lower is a
 // compile-time error, not a runtime surprise — a layer type it has no case
 // for, a network without a Dense head, a ReLU that follows no conv or dense
 // layer, a max-pool that follows no convolution, a row long enough for an
-// int32 accumulator to wrap — while every zoo architecture compiles.
+// int32 accumulator to wrap — while every zoo architecture compiles. Each
+// error names its network and, where one layer is at fault, that layer's
+// index, so a network refused for another reason fails the test.
 func TestQuantizedNetworkErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for _, c := range []struct {
-		what string
-		net  *Network
-	}{
-		{"an unlowered layer", NewNetwork("unlowered", []int{16}, NewFlatten(), unloweredLayer{NewReLU()}, NewDense(16, 4, rng))},
-		{"no Dense head", NewNetwork("relu-tail", []int{16}, NewFlatten(), NewDense(16, 4, rng), NewReLU())},
-		{"a ReLU after Flatten", NewNetwork("flat-relu", []int{1, 6, 6}, NewConv2D(1, 2, 3, rng), NewFlatten(), NewReLU(), NewDense(32, 4, rng))},
-		{"a ReLU after a pool", NewNetwork("pool-relu", []int{1, 6, 6}, NewConv2D(1, 2, 3, rng), NewMaxPool2D(), NewReLU(), NewFlatten(), NewDense(8, 4, rng))},
-		{"a pool after a pool", NewNetwork("pool-pool", []int{1, 10, 10}, NewConv2D(1, 2, 3, rng), NewMaxPool2D(), NewMaxPool2D(), NewFlatten(), NewDense(8, 4, rng))},
-		{"a Dense whose int32 sums can wrap", NewNetwork("wide", []int{maxDotLen + 1}, NewDense(maxDotLen+1, 2, rng))},
-	} {
+	cases := append(oddSequences(rng), oddCase{"a Dense whose int32 sums can wrap", NewNetwork("wide", []int{maxDotLen + 1}, NewDense(maxDotLen+1, 2, rng)), 0})
+	for _, c := range cases {
 		calib := randBatch(rng, 2, c.net.InShape())
-		if _, err := NewQuantizedNetwork(c.net, QuantizeWeights(c.net), calib); err == nil {
+		_, err := NewQuantizedNetwork(c.net, QuantizeWeights(c.net), calib)
+		if err == nil {
 			t.Errorf("network with %s compiled; want an error", c.what)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", c.net.Name)) {
+			t.Errorf("network with %s: error %q does not name the network", c.what, msg)
+		} else if at := fmt.Sprintf("layer %d of", c.layer); c.layer >= 0 && !strings.Contains(msg, at) {
+			t.Errorf("network with %s: error %q does not name layer %d", c.what, msg, c.layer)
 		}
 	}
 	for _, shape := range [][]int{{1, 28, 28}, {3, 32, 32}} {

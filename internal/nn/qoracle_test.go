@@ -113,10 +113,11 @@ func familyForTest(shape []int, rng *rand.Rand) []*Network {
 }
 
 // TestQuantizedNetworkMatchesScalarOracle holds ForwardBatch to qforwardRef's
-// bits for every member of both families at batch 1, 3 and 64, compiled and
-// run on every dispatch floor (the floor's flags pick each convolution's
-// lowering). Between them the twelve networks put a layer on each side of
-// every line the engine draws: short-K first layers on the AVX2 tile (kk = 9,
+// bits for every member of both families, and for a conv → pool with no ReLU
+// (a fold no zoo arm uses), at batch 1, 3 and 64, compiled and run on every
+// dispatch floor (the floor's flags pick each convolution's lowering).
+// Between them the twelve family networks put a layer on each side of every
+// line the engine draws: short-K first layers on the AVX2 tile (kk = 9,
 // 25, 27 — odd, so the zero-weight spare tap runs — and the mobile arms' 1x1
 // layers at kk = 4, 16 over 15-pixel rows), six and twelve channels (a
 // partial last group of either tile), the 7-pixel rows of the second
@@ -126,7 +127,7 @@ func familyForTest(shape []int, rng *rand.Rand) []*Network {
 func TestQuantizedNetworkMatchesScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2201))
 	for _, shape := range [][]int{{1, 28, 28}, {3, 32, 32}} {
-		for _, net := range familyForTest(shape, rng) {
+		for _, net := range append(familyForTest(shape, rng), convPoolNet(shape, rand.New(rand.NewSource(2202)))) {
 			calib := randBatch(rng, 8, shape)
 			qw, qn := quantizeForTest(t, net, calib)
 			in := randBatch(rng, 64, shape)

@@ -25,6 +25,15 @@ func NewTensor(shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: make([]float64, n)}
 }
 
+// shapeLen is the element count of a shape: the product of its dimensions.
+func shapeLen(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
+}
+
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
