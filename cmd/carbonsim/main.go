@@ -52,7 +52,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		workers      = fs.Int("workers", 1, "edge-stepping workers per shard (1 = serial; results are identical for any count)")
 		shards       = fs.Int("shards", 1, "contiguous edge shards per slot (results are identical for any count)")
 		meanWorkload = fs.Float64("mean-workload", -1, "average peak samples/slot per edge (-1 = default 200; lower it for very large fleets)")
-		zooKind      = fs.String("zoo", "surrogate", "model zoo: surrogate | mnist | cifar")
+		zooKind      = fs.String("zoo", "surrogate", "model zoo: surrogate | mnist | cifar | mnist-q8 | cifar-q8")
 		int8M        = fs.Bool("int8", false, "score -q8 zoo arms through the true-INT8 engine instead of the fake-quant float oracle")
 		jsonOut      = fs.String("json", "", "write full per-slot results (JSON lines, one object per scheme) to this file")
 		workloadCSV  = fs.String("workload-csv", "", "load the workload trace from this CSV instead of generating it")

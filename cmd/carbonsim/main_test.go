@@ -3,8 +3,13 @@ package main
 import (
 	"crypto/sha256"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -145,6 +150,46 @@ func TestRunErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s %s: error %v, want one naming %q", tc.flag, tc.value, err, tc.want)
 		}
+	}
+}
+
+// TestZooUsageNamesEveryKind holds the -zoo help to buildZoo: read from
+// main.go's syntax tree, the flag's usage lists exactly the string cases of
+// buildZoo's switch, in the same order.
+func TestZooUsageNamesEveryKind(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(e ast.Expr) string {
+		lit, _ := e.(*ast.BasicLit)
+		if lit == nil || lit.Kind != token.STRING {
+			return ""
+		}
+		s, _ := strconv.Unquote(lit.Value)
+		return s
+	}
+	var usage string
+	var kinds []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 3 && str(call.Args[0]) == "zoo" {
+			usage = str(call.Args[2])
+		}
+		if fn, ok := n.(*ast.FuncDecl); ok && fn.Name.Name == "buildZoo" {
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if cc, ok := n.(*ast.CaseClause); ok {
+					for _, e := range cc.List {
+						kinds = append(kinds, str(e))
+					}
+				}
+				return true
+			})
+		}
+		return true
+	})
+	listed := strings.Split(strings.TrimPrefix(usage, "model zoo: "), " | ")
+	if len(kinds) == 0 || !slices.Equal(listed, kinds) {
+		t.Errorf("-zoo usage %q lists %q; buildZoo accepts %q", usage, listed, kinds)
 	}
 }
 

@@ -163,13 +163,3 @@ func (u *UCB2) Skip() {
 	u.awaitingUpdate = false
 	u.remaining--
 }
-
-// Switches returns the number of arm changes (including the first pick).
-func (u *UCB2) Switches() int { return u.switches }
-
-// Selections returns per-arm slot counts (copy).
-func (u *UCB2) Selections() []int {
-	out := make([]int, len(u.selections))
-	copy(out, u.selections)
-	return out
-}

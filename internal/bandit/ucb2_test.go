@@ -65,7 +65,7 @@ func TestUCB2LogarithmicSwitches(t *testing.T) {
 	if float64(switches) > math.Sqrt(horizon) {
 		t.Errorf("switches = %d, want << sqrt(T) = %v", switches, math.Sqrt(horizon))
 	}
-	if got := u.Switches(); got != switches {
+	if got := u.switches; got != switches {
 		t.Errorf("internal switches %d != observed %d", got, switches)
 	}
 }
@@ -125,7 +125,7 @@ func TestUCB2SelectionsAccounting(t *testing.T) {
 	const horizon = 777
 	runStochastic(t, u, []float64{0.3, 0.3, 0.3}, 0.1, horizon, rng)
 	total := 0
-	for _, c := range u.Selections() {
+	for _, c := range u.selections {
 		total += c
 	}
 	if total != horizon {

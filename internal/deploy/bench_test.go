@@ -177,26 +177,22 @@ func TestNNRuntimeSlotZeroAllocs(t *testing.T) {
 }
 
 // perSampleSlot is the one-sample-at-a-time serving loop RunSlot is held to:
-// draw, forward one sample, add its squared loss. The INT8 engine has no
-// per-sample entry point, so its oracle is batches of one.
+// draw, forward a batch of one, add its squared loss (nn holds the row
+// helpers to its per-sample loss and argmax).
 func perSampleSlot(ref *NNRuntime, arm, m int) SlotReport {
 	model, one := ref.loaded[arm], nn.NewArena()
 	rep := SlotReport{Samples: m, EnergyKWh: ref.metas[arm].PhiKWh * float64(m), CompSeconds: ref.CompSecondsPerSample(arm)}
-	logits := model.net.Forward
+	forward := model.net.ForwardBatch
 	if ref.Int8 {
-		logits = func(x *nn.Tensor) *nn.Tensor {
-			one.Reset()
-			out := model.qn.ForwardBatch(&nn.Tensor{Shape: append([]int{1}, x.Shape...), Data: x.Data}, one)
-			return &nn.Tensor{Shape: out.Shape[1:], Data: out.Data}
-		}
+		forward = model.qn.ForwardBatch
 	}
 	total := 0.0
 	for j := 0; j < m; j++ {
 		s := ref.Pool[ref.rng.Intn(len(ref.Pool))]
-		out := logits(s.X)
-		l, _ := nn.SquaredLoss(out, s.Label)
-		total += l
-		if out.MaxIndex() == s.Label {
+		one.Reset()
+		out := forward(&nn.Tensor{Shape: append([]int{1}, s.X.Shape...), Data: s.X.Data}, one)
+		total += nn.SquaredLossRow(out.Data, s.Label, one.Floats(out.Len()))
+		if nn.ArgmaxRow(out.Data) == s.Label {
 			rep.Correct++
 		}
 	}

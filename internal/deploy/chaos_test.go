@@ -101,7 +101,7 @@ func TestChaosKillResumeDeterministic(t *testing.T) {
 	runOnce := func(inject bool) *Summary {
 		w := newParityWorld(seed)
 		cloud, _ := chaosCloud(t, w, edges, horizon, seed,
-			RetryConfig{Attempts: 3, ResumeWait: 30 * time.Second}, engine.Degrade)
+			RetryConfig{Attempts: 3, resumeWait: 30 * time.Second}, engine.Degrade)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -242,7 +242,7 @@ func TestChaosDeadEdgeDegrades(t *testing.T) {
 	runTCP := func() *Summary {
 		w := newParityWorld(seed)
 		cloud, _ := chaosCloud(t, w, edges, horizon, seed,
-			RetryConfig{Attempts: attempts, ResumeWait: time.Millisecond}, engine.Degrade)
+			RetryConfig{Attempts: attempts, resumeWait: time.Millisecond}, engine.Degrade)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -396,7 +396,7 @@ func TestChaosDeadEdgeFailsFastByDefault(t *testing.T) {
 	)
 	w := newParityWorld(seed)
 	cloud, _ := chaosCloud(t, w, edges, horizon, seed,
-		RetryConfig{Attempts: 1, ResumeWait: time.Millisecond}, engine.FailFast)
+		RetryConfig{Attempts: 1, resumeWait: time.Millisecond}, engine.FailFast)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +449,7 @@ func TestChaosFatalEdgeErrorSkipsRetry(t *testing.T) {
 	)
 	w := newParityWorld(seed)
 	cloud, _ := chaosCloud(t, w, edges, horizon, seed,
-		RetryConfig{Attempts: 5, ResumeWait: time.Millisecond}, engine.Degrade)
+		RetryConfig{Attempts: 5, resumeWait: time.Millisecond}, engine.Degrade)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -292,9 +292,6 @@ func TestNewCloudErrors(t *testing.T) {
 // reject: NewCloud, NewRoot and NewRegionSession share one validation.
 var badRetryConfigs = map[string]RetryConfig{
 	"negative retry budget": {Attempts: -1},
-	"negative base delay":   {Attempts: 1, BaseDelay: -time.Millisecond},
-	"negative max delay":    {Attempts: 1, MaxDelay: -time.Millisecond},
-	"negative resume wait":  {Attempts: 1, ResumeWait: -time.Millisecond},
 }
 
 func TestRunEdgeErrors(t *testing.T) {

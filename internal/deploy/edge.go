@@ -244,10 +244,6 @@ func redial(dial func() (net.Conn, error), maxResumes int, who string, run func(
 	}
 }
 
-// calibBatch is how many samples from the head of the pool calibrate an INT8
-// engine's activation scales. The scales are part of the results.
-const calibBatch = 64
-
 // NNRuntime is a full-fidelity edge runtime: it holds the edge's local
 // labeled data pool, builds each model's architecture locally the first time
 // the model arrives, installs every checkpoint the cloud ships into that
@@ -411,7 +407,7 @@ func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) er
 	}
 	m.compiled = false
 	if r.calib == nil {
-		r.calib = nn.StackSamples(r.Pool, calibBatch)
+		r.calib = nn.StackSamples(r.Pool, nn.CalibBatch)
 	}
 	if err := m.qn.Recompile(m.net, m.qw, r.calib, r.scorer.Arena()); err != nil {
 		return fmt.Errorf("deploy: compile INT8 model %d: %w", modelID, err)

@@ -110,7 +110,7 @@ func sameBits(a, b []float64) bool {
 // otherCalib is a calibration batch no install of rt has seen: its own,
 // scaled, so every activation scale a pass over it records is different.
 func otherCalib(rt *NNRuntime) *nn.Tensor {
-	c := nn.StackSamples(rt.Pool, calibBatch)
+	c := nn.StackSamples(rt.Pool, nn.CalibBatch)
 	for i := range c.Data {
 		c.Data[i] *= 3
 	}
@@ -264,7 +264,7 @@ func TestInt8FirstInstallMatchesDirectCompile(t *testing.T) {
 			if err := qw.ApplyTo(net); err != nil {
 				t.Fatal(err)
 			}
-			qn, err := nn.NewQuantizedNetwork(net, qw, nn.StackSamples(rt.Pool, calibBatch))
+			qn, err := nn.NewQuantizedNetwork(net, qw, nn.StackSamples(rt.Pool, nn.CalibBatch))
 			if err != nil {
 				t.Fatal(err)
 			}

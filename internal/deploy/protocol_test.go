@@ -249,12 +249,12 @@ func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
 		t.Error("backoff sequence not deterministic for a fixed stream")
 	}
 	for k, d := range first {
-		if d < cfg.BaseDelay/2 || d > cfg.MaxDelay {
+		if d < cfg.baseDelay/2 || d > cfg.maxDelay {
 			t.Errorf("attempt %d delay %v outside [base/2, max]", k+1, d)
 		}
 	}
 	// Late attempts saturate at the cap's jitter window [max/2, max].
-	if last := first[len(first)-1]; last < cfg.MaxDelay/2 {
+	if last := first[len(first)-1]; last < cfg.maxDelay/2 {
 		t.Errorf("saturated delay %v below half the cap", last)
 	}
 }

@@ -96,11 +96,6 @@ type RootConfig struct {
 	// meaningful under engine.Degrade). 0 defaults to 1: rebalance onto any
 	// survivor, degrade only when none remain.
 	RegionQuorum int
-	// RebalanceTarget optionally picks the adopter for an orphaned shard:
-	// it receives the shard index and the sorted ids of the live candidate
-	// links and returns the chosen id. A nil function (or an id not in the
-	// candidate list) selects the lowest live id.
-	RebalanceTarget func(shard int, live []int) int
 }
 
 // Root is the root cloud: the controller plus one regionStepper per shard,
@@ -112,6 +107,11 @@ type Root struct {
 	ranges []engine.Range
 	acc    *acceptor
 	retry  *retrier
+	// rebalanceTarget, when set, picks the adopter for an orphaned shard: it
+	// receives the shard index and the sorted ids of the live candidate
+	// links and returns the chosen id. Nil (or an id not in the candidate
+	// list) selects the lowest live id; only the region chaos suite sets it.
+	rebalanceTarget func(shard int, live []int) int
 
 	// mu guards links and tokenRNG: admission mutates membership
 	// concurrently with stepper-side elections.
@@ -314,7 +314,7 @@ func (r *Root) welcome(hello *Message, l *link) (*Message, bool) {
 }
 
 // electTarget picks the adopter for an orphaned shard: the lowest live link
-// id (or RebalanceTarget's validated choice), or nil when the live
+// id (or rebalanceTarget's validated choice), or nil when the live
 // membership is below the region quorum — the caller then degrades the
 // shard instead of rebalancing it.
 func (r *Root) electTarget(shard int) *link {
@@ -335,8 +335,8 @@ func (r *Root) electTarget(shard int) *link {
 		return nil
 	}
 	pick := live[0]
-	if r.cfg.RebalanceTarget != nil {
-		want := r.cfg.RebalanceTarget(shard, append([]int(nil), live...))
+	if r.rebalanceTarget != nil {
+		want := r.rebalanceTarget(shard, append([]int(nil), live...))
 		if _, ok := byID[want]; ok {
 			pick = want
 		}
@@ -541,7 +541,7 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 func (rs *regionStepper) adoptInto(target *link, slot int) error {
 	target.xmu.Lock()
 	defer target.xmu.Unlock()
-	conn, err := regionConn(target, rs.root.retry.cfg.ResumeWait)
+	conn, err := regionConn(target, rs.root.retry.cfg.resumeWait)
 	if err != nil {
 		return err
 	}

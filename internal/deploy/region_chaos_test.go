@@ -66,9 +66,9 @@ type regionChaosRun struct {
 func defaultChaosRetry() RetryConfig {
 	return RetryConfig{
 		Attempts:   3,
-		BaseDelay:  time.Millisecond,
-		MaxDelay:   4 * time.Millisecond,
-		ResumeWait: 30 * time.Second,
+		baseDelay:  time.Millisecond,
+		maxDelay:   4 * time.Millisecond,
+		resumeWait: 30 * time.Second,
 	}
 }
 
@@ -93,25 +93,25 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 		costs[i] = 0.4 + 0.2*float64(i)
 	}
 	root, err := NewRoot(RootConfig{
-		Edges:           spec.edges,
-		Regions:         spec.regions,
-		Horizon:         spec.horizon,
-		DownloadCosts:   costs,
-		InitialCap:      0.01,
-		EmissionRate:    500,
-		Prices:          prices,
-		EmissionScale:   1e-3,
-		Seed:            spec.seed,
-		NumModels:       len(w.metas),
-		Policy:          spec.policy,
-		Retry:           spec.rootRetry,
-		RegionQuorum:    spec.quorum,
-		RebalanceTarget: spec.target,
+		Edges:         spec.edges,
+		Regions:       spec.regions,
+		Horizon:       spec.horizon,
+		DownloadCosts: costs,
+		InitialCap:    0.01,
+		EmissionRate:  500,
+		Prices:        prices,
+		EmissionScale: 1e-3,
+		Seed:          spec.seed,
+		NumModels:     len(w.metas),
+		Policy:        spec.policy,
+		Retry:         spec.rootRetry,
+		RegionQuorum:  spec.quorum,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	root.retry.sleep = func(time.Duration) {} // backoff replays with zero wall clock
+	root.rebalanceTarget = spec.target
 
 	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -416,7 +416,7 @@ func TestRegionChaosLeaveRebalance(t *testing.T) {
 
 // TestRegionChaosLateJoinAdoption adds a standby coordinator (id above the
 // initial membership) that joins at start with an empty shard; when a
-// coordinator departs, RebalanceTarget steers the orphaned shard onto the
+// coordinator departs, rebalanceTarget steers the orphaned shard onto the
 // newcomer instead of the surviving initial region.
 func TestRegionChaosLateJoinAdoption(t *testing.T) {
 	const leaveSlot = 5

@@ -14,47 +14,40 @@ type RetryConfig struct {
 	// fails transiently, up to Attempts further tries are made before the
 	// edge's Step reports failure. 0 disables retries.
 	Attempts int
-	// BaseDelay seeds the capped exponential backoff between tries: retry k
-	// sleeps a jittered min(BaseDelay«(k-1), MaxDelay). Zero defaults to
-	// 10ms (only when Attempts > 0).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Zero defaults to 1s.
-	MaxDelay time.Duration
-	// ResumeWait bounds how long each try waits for a live connection when
-	// the edge's link is down (i.e. for the edge to redial and resume).
-	// Zero defaults to 1s.
-	ResumeWait time.Duration
+
+	// The backoff between tries and the wait for a dropped peer: retry k
+	// sleeps a jittered min(baseDelay«(k-1), maxDelay), and each try waits up
+	// to resumeWait for the link to come back. Zero selects the defaults
+	// below; only the package's chaos suites set them, to compress a run.
+	baseDelay, maxDelay, resumeWait time.Duration
 }
 
-// Default backoff parameters applied by withDefaults when Attempts > 0.
+// Backoff defaults applied by withDefaults.
 const (
-	DefaultBaseDelay  = 10 * time.Millisecond
-	DefaultMaxDelay   = time.Second
-	DefaultResumeWait = time.Second
+	defaultBaseDelay  = 10 * time.Millisecond
+	defaultMaxDelay   = time.Second
+	defaultResumeWait = time.Second
 )
 
-// validate rejects a negative budget or delay. It never reaches the wire, so
-// its plain errors stay outside the wire error taxonomy.
+// validate rejects a negative budget. It never reaches the wire, so its plain
+// errors stay outside the wire error taxonomy.
 func (r RetryConfig) validate() error {
 	if r.Attempts < 0 {
 		return fmt.Errorf("deploy: negative retry budget %d", r.Attempts)
-	}
-	if r.BaseDelay < 0 || r.MaxDelay < 0 || r.ResumeWait < 0 {
-		return fmt.Errorf("deploy: negative retry delays")
 	}
 	return nil
 }
 
 // withDefaults fills zero fields.
 func (r RetryConfig) withDefaults() RetryConfig {
-	if r.BaseDelay <= 0 {
-		r.BaseDelay = DefaultBaseDelay
+	if r.baseDelay <= 0 {
+		r.baseDelay = defaultBaseDelay
 	}
-	if r.MaxDelay <= 0 {
-		r.MaxDelay = DefaultMaxDelay
+	if r.maxDelay <= 0 {
+		r.maxDelay = defaultMaxDelay
 	}
-	if r.ResumeWait <= 0 {
-		r.ResumeWait = DefaultResumeWait
+	if r.resumeWait <= 0 {
+		r.resumeWait = defaultResumeWait
 	}
 	return r
 }
@@ -65,12 +58,12 @@ func (r RetryConfig) withDefaults() RetryConfig {
 // The sleep itself is performed through the retrier's injectable sleeper, so
 // tests compress chaos runs to zero wall time without touching the delays.
 func backoffDelay(cfg RetryConfig, attempt int, rng *rand.Rand) time.Duration {
-	d := cfg.BaseDelay
-	for k := 1; k < attempt && d < cfg.MaxDelay; k++ {
+	d := cfg.baseDelay
+	for k := 1; k < attempt && d < cfg.maxDelay; k++ {
 		d *= 2
 	}
-	if d > cfg.MaxDelay {
-		d = cfg.MaxDelay
+	if d > cfg.maxDelay {
+		d = cfg.maxDelay
 	}
 	half := d / 2
 	if half <= 0 {
@@ -100,7 +93,7 @@ func newRetrier(cfg RetryConfig) *retrier {
 // ran out on (callers word that per tier).
 func (r *retrier) run(jitter *rand.Rand, try func(wait time.Duration) error) (retries int, exhausted bool, err error) {
 	for {
-		err = try(r.cfg.ResumeWait)
+		err = try(r.cfg.resumeWait)
 		if err == nil || !Transient(err) {
 			return retries, false, err
 		}

@@ -42,8 +42,6 @@ type Zoo interface {
 	// MeanLoss returns the posterior mean inference loss E[l_n],
 	// approximated over the test pool exactly as the paper's Offline does.
 	MeanLoss(n int) float64
-	// MeanAccuracy returns the test-pool classification accuracy of model n.
-	MeanAccuracy(n int) float64
 	// PoolSize returns the number of streamable test samples.
 	PoolSize() int
 	// BatchLoss runs model n over the batch of stream sample indices and

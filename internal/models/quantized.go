@@ -16,10 +16,6 @@ const (
 	quantLatencyFactor = 0.7
 )
 
-// calibBatch is how many samples from the head of the test pool set the INT8
-// engine's activation scales.
-const calibBatch = 64
-
 // NewQuantizedTrainedZoo builds the quantization-aware zoo of the paper's
 // future-work direction: every trained model appears twice — once at full
 // precision and once int8-quantized (suffix "-q8") with a quarter of the
@@ -42,7 +38,7 @@ func NewQuantizedTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, 
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("models: INT8 scoring requires a non-empty test pool")
 		}
-		calib = nn.StackSamples(pool, calibBatch)
+		calib = nn.StackSamples(pool, nn.CalibBatch)
 	}
 	n := z.NumModels()
 	for i := 0; i < n; i++ {
@@ -51,7 +47,7 @@ func NewQuantizedTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, 
 			return nil, err
 		}
 		qw := nn.QuantizeWeights(q)
-		if err := qw.ApplyTo(q); err != nil { // bit-identical to QuantizeInPlace
+		if err := qw.ApplyTo(q); err != nil {
 			return nil, err
 		}
 		q.Name = z.infos[i].Name + "-q8"

@@ -64,8 +64,8 @@ func TestQuantizedZooAccuracyClose(t *testing.T) {
 // TestQuantizedZooArmsHoldNoNetwork pins what a q8 arm keeps: no network
 // (Network returns nil, the fp sibling's is untouched) — only its Info and
 // score caches, which replay the fake-quant oracle bit for bit: the
-// checkpoints of a zoo trained from the same seed, QuantizeInPlace'd and
-// scored on its test pool.
+// checkpoints of a zoo trained from the same seed, fake-quantized
+// (QuantizeWeights then ApplyTo) and scored on its test pool.
 func TestQuantizedZooArmsHoldNoNetwork(t *testing.T) {
 	cfg := smallZooConfig(dataset.MNISTLike)
 	z, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(4)))
@@ -89,7 +89,9 @@ func TestQuantizedZooArmsHoldNoNetwork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nn.QuantizeInPlace(net)
+		if err := nn.QuantizeWeights(net).ApplyTo(net); err != nil {
+			t.Fatal(err)
+		}
 		losses, correct, meanLoss, meanAcc := nn.ScorePool(net.ForwardBatch, pool)
 		if meanLoss != z.MeanLoss(n+i) || meanAcc != z.MeanAccuracy(n+i) {
 			t.Fatalf("%s: oracle scores (%v, %v) != cached (%v, %v)",
@@ -172,7 +174,7 @@ func TestArenaCalibrationMatchesFreshCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		calib := nn.StackSamples(dist.Pool(40, rng), calibBatch)
+		calib := nn.StackSamples(dist.Pool(40, rng), nn.CalibBatch)
 		for n, net := range buildFamily(spec, rng) {
 			qw := nn.QuantizeWeights(net)
 			if err := qw.ApplyTo(net); err != nil {

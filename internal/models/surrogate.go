@@ -125,12 +125,6 @@ func (z *SurrogateZoo) MeanLoss(n int) float64 {
 	return z.meanLoss[n]
 }
 
-// MeanAccuracy implements Zoo.
-func (z *SurrogateZoo) MeanAccuracy(n int) float64 {
-	validateIndex(n, len(z.meanAcc))
-	return z.meanAcc[n]
-}
-
 // PoolSize implements Zoo.
 func (z *SurrogateZoo) PoolSize() int { return z.poolSize }
 

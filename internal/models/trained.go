@@ -255,7 +255,7 @@ func (z *TrainedZoo) MeanLoss(n int) float64 {
 	return z.meanLoss[n]
 }
 
-// MeanAccuracy implements Zoo.
+// MeanAccuracy returns the test-pool classification accuracy of model n.
 func (z *TrainedZoo) MeanAccuracy(n int) float64 {
 	validateIndex(n, len(z.meanAcc))
 	return z.meanAcc[n]

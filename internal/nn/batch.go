@@ -6,11 +6,12 @@ import (
 )
 
 // Batched inference driver and per-row loss helpers. The contract for the
-// whole file is bit-for-bit agreement with the one-sample-at-a-time path:
-// every helper replays the exact floating-point operation sequence of its
-// per-sample counterpart (Softmax, SquaredLoss, Tensor.MaxIndex), so
-// evaluating a batch produces the same bits as a per-sample loop and every
-// result file stays byte-identical (batch_equiv_test.go pins this).
+// whole file is bit-for-bit agreement with the one-sample-at-a-time
+// reference the tests keep (oracle_test.go): every helper replays the exact
+// floating-point operation sequence of its per-sample counterpart there
+// (Softmax, SquaredLoss, Tensor.MaxIndex), so evaluating a batch produces the
+// same bits as a per-sample loop and every result file stays byte-identical
+// (batch_equiv_test.go pins this).
 
 // stage is layers [at, end) of a network, which both engines run as one
 // unit; in and out are the per-sample shapes entering and leaving it.
@@ -106,7 +107,7 @@ func ArgmaxRow(row []float64) int {
 // length; aliasing dst with row is allowed.
 func SoftmaxRowInto(dst, row []float64) {
 	if len(dst) != len(row) {
-		//lint:allow panicpolicy inference hot path: a length mismatch is a programmer error and mirrors the Forward shape guards
+		//lint:allow panicpolicy inference hot path: a length mismatch is a programmer error and mirrors the ForwardBatch shape guards
 		panic(fmt.Sprintf("nn: softmax dst length %d does not match row length %d", len(dst), len(row)))
 	}
 	maxV := math.Inf(-1)

@@ -35,7 +35,7 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 
 // layerBatchMatchesForward runs one layer's ForwardBatch over batch random
 // samples and pins every output row to the reference Forward of that sample.
-func layerBatchMatchesForward(t *testing.T, name string, l Layer, rng *rand.Rand, batch int, shape ...int) {
+func layerBatchMatchesForward(t *testing.T, name string, l refLayer, rng *rand.Rand, batch int, shape ...int) {
 	t.Helper()
 	arena := NewArena()
 	in := arena.Tensor(append([]int{batch}, shape...)...)

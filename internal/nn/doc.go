@@ -16,12 +16,12 @@
 // input (arena tensors, valid until the next Reset). An edge that only
 // downloads checkpoints and infers allocates neither.
 //
-// Every layer has one reference implementation (per-sample Forward/Backward)
-// and one shipped implementation (the batched ForwardBatch/BackwardBatch:
+// Every layer ships one implementation, the batched ForwardBatch/BackwardBatch:
 // Dense on panel-packed GEMM kernels, Conv2D on a direct kernel that reads
-// the input planes in place, the rest on SIMD row kernels); the equivalence
-// tests pin the two bit for bit, and trainNaive/TrainShuffled are the same
-// pair one level up.
+// the input planes in place, the rest on SIMD row kernels. The tests keep the
+// reference, per-sample Forward/Backward in plain loops (oracle_test.go), and
+// pin the two bit for bit; the test-only trainNaive is TrainShuffled's
+// reference one level up.
 //
 // Both engines run one stage list, which NewNetwork plans (planStages). The
 // INT8 engine (QuantizedNetwork) has the same shape in integers: one scalar

@@ -15,8 +15,8 @@ package nn
 // element accumulates its K products strictly in index order, one
 // accumulator per element, which makes the float summation sequence — and
 // therefore every result file derived from it — bit-for-bit identical to
-// the reference loops in Dense.Forward and Conv2D.Forward
-// (batch_equiv_test.go pins the batched path against them).
+// the per-sample reference loops the tests keep, Dense.Forward and
+// Conv2D.Forward (batch_equiv_test.go pins the batched path against them).
 
 // GemmNTBiasJ computes out[i*n+j] = bias[j] + sum_k a[i*k+p]*b[j*k+p] for
 // an m-by-k matrix a and an n-by-k matrix b, both row-major. It is the

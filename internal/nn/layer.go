@@ -8,43 +8,35 @@ import (
 
 // Layer is one differentiable stage of a network, and holds nothing but its
 // parameters: no method writes to the receiver, so one layer — and one
-// Network — serves any number of goroutines at once. The forward passes
-// record nothing; the backward passes are handed what they need: in, the
-// very tensor their forward pass consumed (same shape, same values), and
-// grads, the caller's accumulators aligned with Params(). Activations and
-// gradients belong to whoever trains (TrainShuffled keeps both for the span
-// of one minibatch); an inference caller owns neither.
+// Network — serves any number of goroutines at once. The forward pass
+// records nothing; the backward pass is handed what it needs: in, the very
+// tensor its forward pass consumed (same shape, same values), and grads, the
+// caller's accumulators aligned with Params(). Activations and gradients
+// belong to whoever trains (TrainShuffled keeps both for the span of one
+// minibatch); an inference caller owns neither.
 //
-// Every layer has exactly two implementations. The per-sample pair
-// (Forward/Backward) is the reference: one sample at a time, in plain
-// loops. The batched pair (ForwardBatch/BackwardBatch) is what the shipped
-// code runs: GEMM and SIMD kernels over arena scratch. The two are
-// bit-for-bit interchangeable — batched inference equals a Forward loop
-// (batch_equiv_test.go) and training a minibatch through either produces
-// identical parameter gradients (train_equiv_test.go).
+// Both passes run a whole batch through GEMM and SIMD kernels over arena
+// scratch. Each is held bit for bit to a one-sample reference in plain loops
+// that lives in the tests (oracle_test.go): batched inference equals a
+// per-sample loop, and training a minibatch through either produces identical
+// parameter gradients.
 type Layer interface {
-	// Forward runs the reference implementation on one sample.
-	Forward(in *Tensor) *Tensor
 	// ForwardBatch runs the layer on a batch laid out [B, d...], one sample
 	// per contiguous row, writing output to arena scratch. Per sample the
-	// float operations replay Forward exactly, so batched and per-sample
-	// inference agree bit for bit at every batch size.
+	// float operations replay the reference exactly, so batched and
+	// per-sample inference agree bit for bit at every batch size.
 	ForwardBatch(in *Tensor, a *Arena) *Tensor
-	// Backward back-propagates the gradient of the loss w.r.t. Forward(in)
-	// and returns the gradient w.r.t. in, adding the parameter gradients
-	// into grads.
-	Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor
 	// BackwardBatch back-propagates a [B, d...] gradient w.r.t.
 	// ForwardBatch(in). Parameter gradients accumulate into grads across the
-	// batch in strictly ascending sample order, and within a sample in
-	// Backward's exact per-accumulator term order — the same "never split or
+	// batch in strictly ascending sample order, and within a sample in the
+	// reference's exact per-accumulator term order — the same "never split or
 	// reorder an accumulation" discipline as the GEMM kernels — so the
-	// accumulated gradients equal a per-sample Forward/Backward loop bit for
-	// bit. With wantIn it returns the [B, ...] input gradient in arena
-	// scratch. Without, the caller reads no input gradient: a layer with
-	// parameters then computes none and returns nil (TrainShuffled asks this
-	// of the lowest such layer, below which nothing has a gradient to take),
-	// and one without parameters may ignore the flag.
+	// accumulated gradients equal a per-sample loop bit for bit. With wantIn
+	// it returns the [B, ...] input gradient in arena scratch. Without, the
+	// caller reads no input gradient: a layer with parameters then computes
+	// none and returns nil (TrainShuffled asks this of the lowest such layer,
+	// below which nothing has a gradient to take), and one without parameters
+	// may ignore the flag.
 	BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool, a *Arena) *Tensor
 	// Params returns the layer's parameter slices (possibly empty).
 	Params() []*Tensor
@@ -77,26 +69,6 @@ func NewDense(inDim, outDim int, rng *rand.Rand) *Dense {
 		d.w.Data[i] = rng.NormFloat64() * scale
 	}
 	return d
-}
-
-// Forward implements Layer: the reference dot-product loops, each output
-// starting from its bias and adding its products in index order — the float
-// summation sequence the equivalence tests pin ForwardBatch's kernels to.
-func (d *Dense) Forward(in *Tensor) *Tensor {
-	if in.Len() != d.InDim {
-		//lint:allow panicpolicy Layer.Forward: a shape mismatch is a programmer error and the interface has no error channel
-		panic(fmt.Sprintf("nn: Dense expected %d inputs, got %d", d.InDim, in.Len()))
-	}
-	out := NewTensor(d.OutDim)
-	for o := 0; o < d.OutDim; o++ {
-		row := d.w.Data[o*d.InDim : (o+1)*d.InDim]
-		sum := d.b.Data[o]
-		for i, x := range in.Data {
-			sum += row[i] * x
-		}
-		out.Data[o] = sum
-	}
-	return out
 }
 
 // ForwardBatch implements Layer: one GEMM over the whole batch. With four or
@@ -154,22 +126,6 @@ func (d *Dense) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool,
 	return gradIn
 }
 
-// Backward implements Layer: the reference one-sample backward pass. Both
-// inner loops are axpys: each gw element gets one add per sample and each gi
-// element gets its adds in strictly increasing o order — the accumulation
-// sequence BackwardBatch's GEMMs replay.
-func (d *Dense) Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor {
-	gi := NewTensor(d.InDim)
-	gw, gb := grads[0].Data, grads[1].Data
-	n := d.InDim
-	for o, g := range gradOut.Data {
-		gb[o] += g
-		axpyGo(g, in.Data, gw[o*n:(o+1)*n])
-		axpyGo(g, d.w.Data[o*n:(o+1)*n], gi.Data)
-	}
-	return gi
-}
-
 // Params implements Layer.
 func (d *Dense) Params() []*Tensor { return []*Tensor{d.w, d.b} }
 
@@ -204,39 +160,6 @@ func NewConv2D(inC, outC, k int, rng *rand.Rand) *Conv2D {
 		c.w.Data[i] = rng.NormFloat64() * scale
 	}
 	return c
-}
-
-// Forward implements Layer: the reference convolution loops. Each output
-// pixel starts from its channel's bias and adds its receptive field in
-// (ic, ky, kx) order — the float summation sequence the equivalence tests
-// pin ForwardBatch's direct kernel to.
-func (c *Conv2D) Forward(in *Tensor) *Tensor {
-	if len(in.Shape) != 3 || in.Shape[0] != c.InC {
-		//lint:allow panicpolicy Layer.Forward: a shape mismatch is a programmer error and the interface has no error channel
-		panic(fmt.Sprintf("nn: Conv2D expected [%d,H,W], got %v", c.InC, in.Shape))
-	}
-	h, w := in.Shape[1], in.Shape[2]
-	oh, ow := h-c.K+1, w-c.K+1
-	out := NewTensor(c.OutC, oh, ow)
-	for oc := 0; oc < c.OutC; oc++ {
-		bias := c.b.Data[oc]
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				sum := bias
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						inRow := in.Data[(ic*h+y+ky)*w+x:]
-						wRow := c.w.Data[((oc*c.InC+ic)*c.K+ky)*c.K:]
-						for kx := 0; kx < c.K; kx++ {
-							sum += wRow[kx] * inRow[kx]
-						}
-					}
-				}
-				out.Data[(oc*oh+y)*ow+x] = sum
-			}
-		}
-	}
-	return out
 }
 
 // ForwardBatch implements Layer: a direct convolution. Nothing is lowered or
@@ -317,38 +240,6 @@ func (c *Conv2D) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool
 	return gradIn
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor {
-	gw, gb := grads[0].Data, grads[1].Data
-	h, w := in.Shape[1], in.Shape[2]
-	oh, ow := gradOut.Shape[1], gradOut.Shape[2]
-	gradIn := NewTensor(c.InC, h, w)
-	for oc := 0; oc < c.OutC; oc++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				g := gradOut.Data[(oc*oh+y)*ow+x]
-				if g == 0 {
-					continue
-				}
-				gb[oc] += g
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						inRow := in.Data[(ic*h+y+ky)*w+x:]
-						giRow := gradIn.Data[(ic*h+y+ky)*w+x:]
-						wRow := c.w.Data[((oc*c.InC+ic)*c.K+ky)*c.K:]
-						gwRow := gw[((oc*c.InC+ic)*c.K+ky)*c.K:]
-						for kx := 0; kx < c.K; kx++ {
-							gwRow[kx] += g * inRow[kx]
-							giRow[kx] += g * wRow[kx]
-						}
-					}
-				}
-			}
-		}
-	}
-	return gradIn
-}
-
 // Params implements Layer.
 func (c *Conv2D) Params() []*Tensor { return []*Tensor{c.w, c.b} }
 
@@ -371,35 +262,6 @@ var _ Layer = (*MaxPool2D)(nil)
 
 // NewMaxPool2D creates a 2x2/stride-2 max-pool layer.
 func NewMaxPool2D() *MaxPool2D { return &MaxPool2D{} }
-
-// Forward implements Layer: each window is scanned in (dy, dx) order and a
-// later element wins only on strict >.
-func (m *MaxPool2D) Forward(in *Tensor) *Tensor {
-	ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh, ow := h/2, w/2
-	out := NewTensor(ch, oh, ow)
-	for c := 0; c < ch; c++ {
-		for y := 0; y < oh; y++ {
-			row0 := in.Data[(c*h+2*y)*w : (c*h+2*y)*w+w]
-			row1 := in.Data[(c*h+2*y+1)*w : (c*h+2*y+1)*w+w]
-			drow := out.Data[(c*oh+y)*ow : (c*oh+y)*ow+ow]
-			for x := range drow {
-				best := row0[2*x]
-				if v := row0[2*x+1]; v > best {
-					best = v
-				}
-				if v := row1[2*x]; v > best {
-					best = v
-				}
-				if v := row1[2*x+1]; v > best {
-					best = v
-				}
-				drow[x] = best
-			}
-		}
-	}
-	return out
-}
 
 // ForwardBatch implements Layer: the same pooling comparisons per sample.
 func (m *MaxPool2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
@@ -432,13 +294,6 @@ func (m *MaxPool2D) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *A
 		poolScatter(gradIn.Data[s*inStride:(s+1)*inStride], in.Data[s*inStride:(s+1)*inStride],
 			gradOut.Data[s*outStride:(s+1)*outStride], ch, h, w)
 	}
-	return gradIn
-}
-
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
-	gradIn := NewTensor(in.Shape...)
-	poolScatter(gradIn.Data, in.Data, gradOut.Data, in.Shape[0], in.Shape[1], in.Shape[2])
 	return gradIn
 }
 
@@ -494,17 +349,6 @@ var _ Layer = (*ReLU)(nil)
 // NewReLU creates a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(in *Tensor) *Tensor {
-	out := NewTensor(in.Shape...)
-	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
-	return out
-}
-
 // ForwardBatch implements Layer: elementwise rectification.
 func (r *ReLU) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	out := a.Tensor(in.Shape...)
@@ -517,17 +361,6 @@ func (r *ReLU) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 func (r *ReLU) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *Arena) *Tensor {
 	gradIn := a.Tensor(gradOut.Shape...)
 	reluBwdSIMD(gradIn.Data, gradOut.Data, in.Data)
-	return gradIn
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
-	gradIn := NewTensor(gradOut.Shape...)
-	for i, v := range in.Data {
-		if v > 0 {
-			gradIn.Data[i] = gradOut.Data[i]
-		}
-	}
 	return gradIn
 }
 
@@ -548,11 +381,6 @@ var _ Layer = (*Flatten)(nil)
 // NewFlatten creates a flatten layer.
 func NewFlatten() *Flatten { return &Flatten{} }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(in *Tensor) *Tensor {
-	return &Tensor{Shape: []int{in.Len()}, Data: in.Data}
-}
-
 // ForwardBatch implements Layer: a reshaping view [B, d...] -> [B, n].
 func (f *Flatten) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	batch := in.Shape[0]
@@ -562,11 +390,6 @@ func (f *Flatten) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 // BackwardBatch implements Layer: a reshaping view back to the input shape.
 func (f *Flatten) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *Arena) *Tensor {
 	return a.View(gradOut.Data, in.Shape...)
-}
-
-// Backward implements Layer.
-func (f *Flatten) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
-	return &Tensor{Shape: in.Shape, Data: gradOut.Data}
 }
 
 // Params implements Layer.

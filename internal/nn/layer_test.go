@@ -22,7 +22,7 @@ func numericalGrad(x []float64, i int, lossOf func() float64) float64 {
 
 // checkLayerGradients verifies Backward against numerical differentiation of
 // a quadratic loss 0.5*||out||^2 (so gradOut = out).
-func checkLayerGradients(t *testing.T, l Layer, in *Tensor, tol float64) {
+func checkLayerGradients(t *testing.T, l refLayer, in *Tensor, tol float64) {
 	t.Helper()
 	lossOf := func() float64 {
 		out := l.Forward(in)

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Network is a feed-forward sequence of layers with a classification head.
 // Layers is fixed after NewNetwork: the stage list both engines run is
@@ -29,15 +26,6 @@ func (n *Network) InShape() []int {
 	s := make([]int, len(n.inShape))
 	copy(s, n.inShape)
 	return s
-}
-
-// Forward runs all layers on one sample and returns the logits.
-func (n *Network) Forward(in *Tensor) *Tensor {
-	out := in
-	for _, l := range n.Layers {
-		out = l.Forward(out)
-	}
-	return out
 }
 
 // Grads holds one training run's parameter-gradient accumulators:
@@ -91,65 +79,4 @@ func (n *Network) OutDim() (int, error) {
 		return 0, fmt.Errorf("nn: network %q output shape %v is not a vector", n.Name, shape)
 	}
 	return shape[0], nil
-}
-
-// Softmax writes the softmax of logits into a new tensor, using the
-// max-subtraction trick for numerical stability.
-func Softmax(logits *Tensor) *Tensor {
-	out := NewTensor(logits.Shape...)
-	maxV := math.Inf(-1)
-	for _, v := range logits.Data {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	sum := 0.0
-	for i, v := range logits.Data {
-		e := math.Exp(v - maxV)
-		out.Data[i] = e
-		sum += e
-	}
-	for i := range out.Data {
-		out.Data[i] /= sum
-	}
-	return out
-}
-
-// CrossEntropyLoss returns the cross-entropy loss for one sample together
-// with the gradient w.r.t. the logits.
-func CrossEntropyLoss(logits *Tensor, label int) (float64, *Tensor) {
-	p := Softmax(logits)
-	const eps = 1e-12
-	loss := -math.Log(p.Data[label] + eps)
-	grad := p // softmax - onehot
-	grad.Data[label] -= 1
-	return loss, grad
-}
-
-// SquaredLoss returns the paper's squared inference loss for one sample,
-// computed between the softmax output and the one-hot label:
-// l = sum_k (p_k - y_k)^2, together with the gradient w.r.t. the logits.
-func SquaredLoss(logits *Tensor, label int) (float64, *Tensor) {
-	p := Softmax(logits)
-	loss := 0.0
-	diff := NewTensor(logits.Shape...)
-	for k, pk := range p.Data {
-		y := 0.0
-		if k == label {
-			y = 1
-		}
-		d := pk - y
-		diff.Data[k] = d
-		loss += d * d
-	}
-	// d loss / d logit_j = sum_k 2*(p_k - y_k) * p_k * (delta_kj - p_j)
-	grad := NewTensor(logits.Shape...)
-	dot := 0.0
-	for k := range p.Data {
-		dot += 2 * diff.Data[k] * p.Data[k]
-	}
-	for j := range p.Data {
-		grad.Data[j] = p.Data[j] * (2*diff.Data[j] - dot)
-	}
-	return loss, grad
 }

@@ -444,19 +444,6 @@ func compileConvTile(op *qOp, w []int8, a *Arena) {
 	}
 }
 
-// OutDim returns the number of classes.
-func (q *QuantizedNetwork) OutDim() int { return q.outDim }
-
-// ParamBytes returns the resident int8 parameter bytes (shared with the
-// QuantizedWeights the network was compiled from).
-func (q *QuantizedNetwork) ParamBytes() int64 {
-	n := int64(0)
-	for _, op := range q.ops {
-		n += int64(len(op.wq))
-	}
-	return n
-}
-
 // ForwardBatch runs the INT8 engine on a [B, inShape...] float batch and
 // returns [B, classes] float64 logits. All scratch comes from a (caller
 // Resets between batches, same contract as Network.ForwardBatch); the call

@@ -58,7 +58,7 @@ func TestQuantizedNetworkTracksFakeQuant(t *testing.T) {
 		fa := NewArena()
 		fa.Reset()
 		fout := net.ForwardBatch(in, fa)
-		outDim := qn.OutDim()
+		outDim := qn.outDim
 		maxAbs, sumErr, agree := 0.0, 0.0, 0
 		for i, v := range fout.Data {
 			if a := math.Abs(v); a > maxAbs {
@@ -130,7 +130,7 @@ func TestQuantizedNetworkBatchInvariance(t *testing.T) {
 	arena.Reset()
 	batched := append([]float64(nil), qn.ForwardBatch(in, arena).Data...)
 	sampleLen := in.Len() / 6
-	outDim := qn.OutDim()
+	outDim := qn.outDim
 	for s := 0; s < 6; s++ {
 		one := NewTensor(append([]int{1}, net.InShape()...)...)
 		copy(one.Data, in.Data[s*sampleLen:(s+1)*sampleLen])
@@ -175,7 +175,7 @@ func TestQuantizedNetworkZeroScaleTensors(t *testing.T) {
 	arena := NewArena()
 	arena.Reset()
 	out := qn.ForwardBatch(in, arena)
-	outDim := qn.OutDim()
+	outDim := qn.outDim
 	for s := 0; s < 3; s++ {
 		for o := 0; o < outDim; o++ {
 			got := out.Data[s*outDim+o]
@@ -297,6 +297,16 @@ func TestCalibrationChunkingIsExact(t *testing.T) {
 // each recompile inherits another architecture's op table and buffers) and
 // holds every result to the logits of a fresh QuantizeWeights +
 // NewQuantizedNetwork of the same network.
+// ParamBytes returns the resident int8 parameter bytes (shared with the
+// QuantizedWeights the network was compiled from).
+func (q *QuantizedNetwork) ParamBytes() int64 {
+	n := int64(0)
+	for _, op := range q.ops {
+		n += int64(len(op.wq))
+	}
+	return n
+}
+
 func TestRecompileMatchesFreshCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	arena := NewArena()
@@ -322,9 +332,9 @@ func TestRecompileMatchesFreshCompile(t *testing.T) {
 			want := fresh.ForwardBatch(in, fa)
 			arena.Reset()
 			got := qn.ForwardBatch(in, arena)
-			if qn.Name != fresh.Name || qn.OutDim() != fresh.OutDim() || qn.ParamBytes() != fresh.ParamBytes() {
+			if qn.Name != fresh.Name || qn.outDim != fresh.outDim || qn.ParamBytes() != fresh.ParamBytes() {
 				t.Fatalf("%s round %d: recompiled engine (%s, %d, %d) differs from fresh (%s, %d, %d)", net.Name, round,
-					qn.Name, qn.OutDim(), qn.ParamBytes(), fresh.Name, fresh.OutDim(), fresh.ParamBytes())
+					qn.Name, qn.outDim, qn.ParamBytes(), fresh.Name, fresh.outDim, fresh.ParamBytes())
 			}
 			for i, v := range want.Data {
 				if got.Data[i] != v {

@@ -9,7 +9,9 @@ import (
 
 func TestQuantizedRoundTrip(t *testing.T) {
 	src, dst := buildTestNet(31), buildTestNet(31)
-	QuantizeInPlace(dst)
+	if err := QuantizeWeights(dst).ApplyTo(dst); err != nil {
+		t.Fatal(err)
+	}
 	// Dequantized weights differ from the originals by at most one
 	// quantization step per tensor.
 	srcParams, dstParams := allParams(src), allParams(dst)
@@ -64,7 +66,9 @@ func TestQuantizeInPlacePreservesBehavior(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, _, accBefore := ScorePool(net.ForwardBatch, samples)
-	QuantizeInPlace(net)
+	if err := QuantizeWeights(net).ApplyTo(net); err != nil {
+		t.Fatal(err)
+	}
 	_, _, _, accAfter := ScorePool(net.ForwardBatch, samples)
 	if accAfter < accBefore-0.05 {
 		t.Errorf("quantization dropped accuracy %v -> %v", accBefore, accAfter)
@@ -77,7 +81,9 @@ func TestQuantizeInPlaceZeroNetworkSafe(t *testing.T) {
 	for _, p := range allParams(net) {
 		p.Zero()
 	}
-	QuantizeInPlace(net) // must not divide by zero
+	if err := QuantizeWeights(net).ApplyTo(net); err != nil { // must not divide by zero
+		t.Fatal(err)
+	}
 	for _, p := range allParams(net) {
 		for _, v := range p.Data {
 			if v != 0 {

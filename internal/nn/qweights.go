@@ -5,13 +5,18 @@ import (
 	"math"
 )
 
+// Int8 weight quantization: each parameter tensor is held as int8 values
+// with one symmetric per-tensor scale, quartering the checkpoint size
+// relative to the float32 wire format — smaller checkpoints mean cheaper
+// model downloads (the paper's F_{i,n} = vartheta * W_n) at a measurable
+// accuracy cost.
+
 // QuantizedTensor is one parameter tensor stored once in its int8 form:
 // values q with a single symmetric per-tensor scale, so the dequantized
-// value is q*Scale. Scale is maxAbs/127 in float64 — the exact scale
-// QuantizeInPlace uses — so applying a QuantizedTensor back onto a float
-// network replays the fake-quant oracle bit for bit. A Scale of zero marks
-// an all-zero tensor (the dequantized values are all zero, and applying it
-// leaves the target untouched, matching QuantizeInPlace's skip).
+// value is float64(q)*Scale. Scale is maxAbs/127 in float64, and q is an
+// integer, so a weight that rounds to zero dequantizes to +0 whatever its
+// sign. A Scale of zero marks an all-zero tensor (the dequantized values are
+// all zero, and applying it leaves the target untouched).
 type QuantizedTensor struct {
 	Scale float64
 	Data  []int8
@@ -105,11 +110,11 @@ func (qw *QuantizedWeights) Requantize(net *Network) (changed bool) {
 	return changed
 }
 
-// ApplyTo writes the dequantized values q*Scale into an identically shaped
-// network's parameters — bit-identical to QuantizeInPlace on the float
-// weights these were captured from (q is integral in [-127, 127], so
-// float64(int8) reproduces the float q exactly; zero-scale tensors are
-// skipped, leaving the target's values, which QuantizeInPlace also leaves).
+// ApplyTo writes the dequantized values float64(q)*Scale into an identically
+// shaped network's parameters: on the float weights these were captured from,
+// each value becomes float64(int64(math.Round(v/Scale)))*Scale — +0, never
+// -0, for a small negative weight — and zero-scale tensors are skipped,
+// leaving the target's values (TestQuantizeWeightsRoundTripsOracle).
 func (qw *QuantizedWeights) ApplyTo(net *Network) error {
 	i := 0
 	for _, l := range net.Layers {

@@ -131,12 +131,16 @@ func TestQuantizeActsSpecials(t *testing.T) {
 }
 
 func TestQuantizeWeightsRoundTripsOracle(t *testing.T) {
-	// ApplyTo must replay QuantizeInPlace bit for bit — the boundary that
-	// keeps the q8 zoo arms and the INT8 installs byte-identical to the
-	// committed fake-quant results. Includes an all-zero tensor (zero-scale
-	// skip).
+	// ApplyTo must replay an independent fake-quant reference bit for bit —
+	// the boundary that keeps the q8 zoo arms and the INT8 installs
+	// byte-identical to the committed fake-quant results. Per tensor
+	// s = maxAbs/127 and v becomes float64(int64(math.Round(v/s)))*s; a tensor
+	// with maxAbs == 0 is left alone (the bias tensors, and the zeroed layer).
+	// The integer step makes a small negative weight +0, where
+	// math.Round(v/s)*s gives -0: the planted -1e-9 pins that rule.
 	rng := rand.New(rand.NewSource(7))
 	net := BuildMLP("m", []int{16}, 12, 8, 4, rng)
+	net.Layers[1].Params()[0].Data[0] = -1e-9
 	zeroed := BuildMLP("z", []int{16}, 12, 8, 4, rng)
 	for _, p := range zeroed.Layers[1].Params() {
 		for i := range p.Data {
@@ -144,30 +148,35 @@ func TestQuantizeWeightsRoundTripsOracle(t *testing.T) {
 		}
 	}
 	for _, n := range []*Network{net, zeroed} {
-		var oracleBuf, sharedBuf [][]float64
-		oracle := clone(t, n)
-		QuantizeInPlace(oracle)
+		want := paramsOf(clone(t, n))
+		for _, p := range want {
+			maxAbs := 0.0
+			for _, v := range p.Data {
+				maxAbs = math.Max(maxAbs, math.Abs(v))
+			}
+			if maxAbs == 0 {
+				continue
+			}
+			s := maxAbs / 127
+			for j, v := range p.Data {
+				p.Data[j] = float64(int64(math.Round(v/s))) * s
+			}
+		}
 		shared := clone(t, n)
 		qw := QuantizeWeights(shared)
 		if err := qw.ApplyTo(shared); err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range oracle.Layers {
-			for _, p := range l.Params() {
-				oracleBuf = append(oracleBuf, p.Data)
-			}
-		}
-		for _, l := range shared.Layers {
-			for _, p := range l.Params() {
-				sharedBuf = append(sharedBuf, p.Data)
-			}
-		}
-		for i := range oracleBuf {
-			for j := range oracleBuf[i] {
-				if math.Float64bits(oracleBuf[i][j]) != math.Float64bits(sharedBuf[i][j]) {
-					t.Fatalf("tensor %d value %d: ApplyTo %v != QuantizeInPlace %v", i, j, sharedBuf[i][j], oracleBuf[i][j])
+		got := paramsOf(shared)
+		for i := range want {
+			for j := range want[i].Data {
+				if math.Float64bits(want[i].Data[j]) != math.Float64bits(got[i].Data[j]) {
+					t.Fatalf("%s tensor %d value %d: ApplyTo %v != reference %v", n.Name, i, j, got[i].Data[j], want[i].Data[j])
 				}
 			}
+		}
+		if v := got[0].Data[0]; n == net && (v != 0 || math.Signbit(v)) {
+			t.Fatalf("planted -1e-9 weight dequantized to %v, want +0", v)
 		}
 		size := int64(0) // one byte a value plus one float64 scale a tensor
 		for _, qt := range qw.Tensors {

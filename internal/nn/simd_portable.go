@@ -9,14 +9,6 @@ package nn
 // pre-Haswell host would (DESIGN.md §9 "Supported platforms"). simd_test.go
 // pins whichever implementation dispatch selects against the same loops.
 
-// axpyGo computes y[i] += alpha * x[i] over len(y) elements: the inner loop
-// of Dense.Backward, the reference the batched GEMMs replay.
-func axpyGo(alpha float64, x, y []float64) {
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
-}
-
 // reluFwdGo computes dst[i] = src[i] if src[i] > 0, else +0 (also for NaN
 // and -0 inputs).
 func reluFwdGo(dst, src []float64) {

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense n-dimensional array of float64 in row-major order.
 type Tensor struct {
@@ -61,15 +58,4 @@ func (t *Tensor) At3(c, y, x int) float64 {
 func (t *Tensor) Set3(c, y, x int, v float64) {
 	_, h, w := t.Shape[0], t.Shape[1], t.Shape[2]
 	t.Data[(c*h+y)*w+x] = v
-}
-
-// MaxIndex returns the index of the largest element (argmax).
-func (t *Tensor) MaxIndex() int {
-	best, bestV := 0, math.Inf(-1)
-	for i, v := range t.Data {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
 }

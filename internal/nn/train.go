@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 )
 
@@ -11,6 +10,12 @@ type Sample struct {
 	X     *Tensor
 	Label int
 }
+
+// CalibBatch is how many samples from the head of a pool calibrate an INT8
+// engine's activation scales, StackSamples(pool, CalibBatch): the zoo's q8
+// arms and an INT8 edge install both use it, and the scales it sets are part
+// of every INT8 result.
+const CalibBatch = 64
 
 // StackSamples copies the first min(b, len(pool)) samples into one
 // [n, shape...] batch tensor. Taken from the head of a pool it is the INT8
@@ -43,9 +48,9 @@ type TrainConfig struct {
 //
 // Whole minibatches flow through the batched GEMM path
 // (ForwardBatch/BackwardBatch on one arena); the result is bit-for-bit
-// identical to the per-sample reference loop (trainNaive) — same shuffle
-// draws, same gradient and loss bits (train_equiv_test.go pins the
-// serialized trained weights byte-identical).
+// identical to the per-sample reference loop the tests keep (trainNaive) —
+// same shuffle draws, same gradient and loss bits (train_equiv_test.go pins
+// the serialized trained weights byte-identical).
 //
 // The trainer owns all training state: the gradient accumulators (one Grads
 // for the run) and, per minibatch, the activation every layer consumed —
@@ -157,55 +162,12 @@ func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float
 	return totalLoss
 }
 
-// trainNaive is the one-sample-at-a-time SGD loop over the layers'
-// reference Forward/Backward: the reference implementation the equivalence
-// tests pin TrainShuffled against (serialized trained weights must match
-// byte for byte).
-func trainNaive(net *Network, samples []Sample, cfg TrainConfig, rng *rand.Rand) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("nn: no training samples")
-	}
-	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
-		return 0, fmt.Errorf("nn: invalid train config %+v", cfg)
-	}
-
-	idx := make([]int, len(samples))
-	for i := range idx {
-		idx[i] = i
-	}
-	grads := NewGrads(net)
-	acts := make([]*Tensor, len(net.Layers)+1)
-	lastAvg := 0.0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		totalLoss := 0.0
-		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(idx))
-			for _, si := range idx[start:end] {
-				acts[0] = samples[si].X
-				for i, l := range net.Layers {
-					acts[i+1] = l.Forward(acts[i])
-				}
-				loss, g := CrossEntropyLoss(acts[len(net.Layers)], samples[si].Label)
-				totalLoss += loss
-				for i := len(net.Layers) - 1; i >= 0; i-- {
-					g = net.Layers[i].Backward(acts[i], g, grads[i])
-				}
-			}
-			net.Step(grads, cfg.LR, float64(end-start))
-		}
-		lastAvg = totalLoss / float64(len(idx))
-	}
-	return lastAvg, nil
-}
-
 // ScorePool evaluates a model over pool through the chunked Scorer and returns
 // the per-sample squared loss and correctness plus their means; forward is as
-// in Score. With the float engine the results are bit-for-bit a per-sample
-// Forward/SquaredLoss/MaxIndex loop's (the row helpers replay the per-sample
-// ops and the loss accumulates in sample order), so the zoo's cached streams,
-// and every figure derived from them, depend on neither the chunking nor the
-// host's core count.
+// in Score. With the float engine the results are bit-for-bit the reference
+// per-sample loop's (the row helpers replay the per-sample ops and the loss
+// accumulates in sample order), so the zoo's cached streams, and every figure
+// derived from them, depend on neither the chunking nor the host's core count.
 func ScorePool(forward func(in *Tensor, a *Arena) *Tensor, pool []Sample) (losses []float64, correct []bool, meanLoss, meanAcc float64) {
 	if len(pool) == 0 {
 		return nil, nil, 0, 0
@@ -213,7 +175,7 @@ func ScorePool(forward func(in *Tensor, a *Arena) *Tensor, pool []Sample) (losse
 	idx := make([]int, len(pool))
 	for i, s := range pool {
 		if s.X.Len() != pool[0].X.Len() {
-			//lint:allow panicpolicy mirrors the Forward shape guards: a ragged pool is a programmer error and the scorer has no error channel
+			//lint:allow panicpolicy mirrors the ForwardBatch shape guards: a ragged pool is a programmer error and the scorer has no error channel
 			panic(fmt.Sprintf("nn: pool sample %d has %d features, want %d", i, s.X.Len(), pool[0].X.Len()))
 		}
 		idx[i] = i

@@ -6,41 +6,6 @@ import (
 	"math/rand"
 )
 
-// SimplexTol is the tolerance used when validating probability vectors.
-const SimplexTol = 1e-6
-
-// IsDistribution reports whether p is a valid probability vector: all
-// entries non-negative (within tolerance) and summing to one.
-func IsDistribution(p []float64) bool {
-	sum := 0.0
-	for _, v := range p {
-		if v < -SimplexTol || math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-		sum += v
-	}
-	return math.Abs(sum-1) <= SimplexTol*float64(len(p)+1)
-}
-
-// Normalize scales the non-negative vector p in place so it sums to one.
-// A zero vector becomes uniform.
-func Normalize(p []float64) {
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	if sum <= 0 {
-		u := 1 / float64(len(p))
-		for i := range p {
-			p[i] = u
-		}
-		return
-	}
-	for i := range p {
-		p[i] /= sum
-	}
-}
-
 // SampleWeighted draws one index proportionally to a non-negative weight
 // vector: one pass validates and totals the weights, one uniform draw picks a
 // point in [0, total), and a second pass returns the first index whose prefix

@@ -1,8 +1,26 @@
 package numeric
 
 import (
+	"errors"
 	"fmt"
 	"math"
+)
+
+// ErrNoBracket is returned when a root finder is called on an interval whose
+// endpoints do not bracket a sign change.
+var ErrNoBracket = errors.New("numeric: interval does not bracket a root")
+
+// ErrNoConverge is returned when an iterative method exhausts its iteration
+// budget without reaching the requested tolerance.
+var ErrNoConverge = errors.New("numeric: iteration did not converge")
+
+const (
+	// defaultTol is the absolute tolerance used when the caller passes a
+	// non-positive tolerance.
+	defaultTol = 1e-12
+
+	// maxRootIters bounds every scalar root-finding loop.
+	maxRootIters = 200
 )
 
 // TsallisWeights solves the online-mirror-descent step of the paper's
@@ -145,16 +163,5 @@ func tsallisRoot(d []float64, eta, lo, hi, tol float64) (float64, error) {
 		}
 		x = next
 	}
-	return x, fmt.Errorf("%w: NewtonBisect after %d iterations", ErrNoConverge, maxRootIters)
-}
-
-// TsallisObjective evaluates the OMD objective <p, C> - sum(4*sqrt(p)-2p)/eta
-// for a candidate distribution p. Exposed for verification tests that check
-// TsallisWeights really minimizes the objective.
-func TsallisObjective(p, c []float64, eta float64) float64 {
-	obj := 0.0
-	for i, pi := range p {
-		obj += pi*c[i] - (4*math.Sqrt(pi)-2*pi)/eta
-	}
-	return obj
+	return x, fmt.Errorf("%w: Tsallis root after %d iterations", ErrNoConverge, maxRootIters)
 }

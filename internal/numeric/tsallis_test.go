@@ -275,3 +275,13 @@ func TestTsallisWeightsReusedOutAllocatesNothing(t *testing.T) {
 		t.Errorf("TsallisWeights with a reused out: %v allocs per call, want 0", n)
 	}
 }
+
+// TsallisObjective evaluates the OMD objective <p, C> - sum(4*sqrt(p)-2p)/eta
+// for a candidate distribution p: what TsallisWeights minimizes.
+func TsallisObjective(p, c []float64, eta float64) float64 {
+	obj := 0.0
+	for i, pi := range p {
+		obj += pi*c[i] - (4*math.Sqrt(pi)-2*pi)/eta
+	}
+	return obj
+}

@@ -121,9 +121,6 @@ func NewLyapunovTrader(v, zMax, initialCap float64, horizon int) (*LyapunovTrade
 // Name implements Trader.
 func (l *LyapunovTrader) Name() string { return "Lyapunov" }
 
-// Queue returns the current virtual-queue length (diagnostics).
-func (l *LyapunovTrader) Queue() float64 { return l.queue }
-
 // Decide implements Trader.
 func (l *LyapunovTrader) Decide(_ int, q Quote) Decision {
 	var d Decision

@@ -97,11 +97,11 @@ func TestLyapunovQueueDynamics(t *testing.T) {
 		t.Errorf("empty queue should not buy, got %+v", d)
 	}
 	// Push emissions until the queue exceeds V*c = 8.
-	for slot := 0; tr.Queue() <= 8 && slot < 100; slot++ {
+	for slot := 0; tr.queue <= 8 && slot < 100; slot++ {
 		d := tr.Decide(slot, q)
 		tr.Observe(slot, 3, q, d)
 	}
-	if tr.Queue() <= 8 {
+	if tr.queue <= 8 {
 		t.Fatal("queue never built up")
 	}
 	d = tr.Decide(99, q)
@@ -122,7 +122,7 @@ func TestLyapunovQueueNonNegative(t *testing.T) {
 	for slot := 0; slot < 50; slot++ {
 		d := tr.Decide(slot, q)
 		tr.Observe(slot, 0, q, d) // zero emissions, generous cap
-		if tr.Queue() < 0 {
+		if tr.queue < 0 {
 			t.Fatal("queue went negative")
 		}
 	}

@@ -148,22 +148,3 @@ func (p *PrimalDual) Observe(_ int, emission float64, q Quote, d Decision) {
 
 // GapSum returns the running sum of g^t (diagnostics; [GapSum]^+ is the fit).
 func (p *PrimalDual) GapSum() float64 { return p.gapSum }
-
-// SolveProximal solves P2^t numerically by projected gradient descent on the
-// proximal objective. It exists to cross-check the closed-form Decide step
-// in tests and ablations; production code uses Decide.
-func (p *PrimalDual) SolveProximal(prev Decision, prevQ Quote, lambda float64, iters int) Decision {
-	obj := func(z, w float64) (dz, dw float64) {
-		dz = prevQ.Buy - lambda + (z-prev.Buy)/p.cfg.Gamma2
-		dw = -prevQ.Sell + lambda + (w-prev.Sell)/p.cfg.Gamma2
-		return dz, dw
-	}
-	z, w := prev.Buy, prev.Sell
-	step := p.cfg.Gamma2 / 2
-	for i := 0; i < iters; i++ {
-		dz, dw := obj(z, w)
-		z = numeric.Clamp(z-step*dz, 0, p.cfg.ZMax)
-		w = numeric.Clamp(w-step*dw, 0, p.cfg.ZMax)
-	}
-	return Decision{Buy: z, Sell: w}
-}

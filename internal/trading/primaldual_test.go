@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/carbonedge/carbonedge/internal/market"
+	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
 func newPD(t *testing.T, cap float64, horizon int) *PrimalDual {
@@ -233,4 +234,22 @@ func TestCapPerSlot(t *testing.T) {
 	if got := pd.CapPerSlot(); math.Abs(got-3.125) > 1e-12 {
 		t.Errorf("CapPerSlot = %v, want 3.125", got)
 	}
+}
+
+// SolveProximal solves P2^t numerically by projected gradient descent on the
+// proximal objective: the oracle the closed-form Decide step is held to.
+func (p *PrimalDual) SolveProximal(prev Decision, prevQ Quote, lambda float64, iters int) Decision {
+	obj := func(z, w float64) (dz, dw float64) {
+		dz = prevQ.Buy - lambda + (z-prev.Buy)/p.cfg.Gamma2
+		dw = -prevQ.Sell + lambda + (w-prev.Sell)/p.cfg.Gamma2
+		return dz, dw
+	}
+	z, w := prev.Buy, prev.Sell
+	step := p.cfg.Gamma2 / 2
+	for i := 0; i < iters; i++ {
+		dz, dw := obj(z, w)
+		z = numeric.Clamp(z-step*dz, 0, p.cfg.ZMax)
+		w = numeric.Clamp(w-step*dw, 0, p.cfg.ZMax)
+	}
+	return Decision{Buy: z, Sell: w}
 }
