@@ -73,7 +73,6 @@ race:
 
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestCloud|TestEdgeSession' ./internal/deploy/
-	$(GO) test -race -count=1 ./internal/faults/
 
 chaos-region:
 	$(GO) test -race -count=1 -run 'TestRegionChaos|TestRegional|TestShardDeltaReplay|TestRegionSession' ./internal/deploy/

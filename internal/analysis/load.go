@@ -89,16 +89,8 @@ func makeResolver(fset *token.FileSet, exports map[string]string) types.Importer
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// typeCheck parses and type-checks one package directory.
-func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
-	files := make([]*ast.File, 0, len(goFiles))
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: parsing %s: %v", name, err)
-		}
-		files = append(files, f)
-	}
+// typeCheck type-checks one package's parsed files.
+func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -160,7 +152,15 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(lp.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := typeCheck(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
+		files := make([]*ast.File, 0, len(lp.GoFiles))
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("analysis: parsing %s: %v", name, err)
+			}
+			files = append(files, f)
+		}
+		pkg, err := typeCheck(fset, imp, lp.ImportPath, lp.Dir, files)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +181,6 @@ func LoadTestdata(moduleDir, testdata string, rels ...string) ([]*Package, error
 	type parsed struct {
 		rel, dir string
 		files    []*ast.File
-		names    []string
 	}
 	imports := make(map[string]bool)
 	var all []parsed
@@ -211,7 +210,6 @@ func LoadTestdata(moduleDir, testdata string, rels ...string) ([]*Package, error
 				imports[strings.Trim(spec.Path.Value, `"`)] = true
 			}
 			p.files = append(p.files, f)
-			p.names = append(p.names, e.Name())
 		}
 		if len(p.files) == 0 {
 			return nil, fmt.Errorf("analysis: testdata package %q has no Go files", rel)
@@ -242,9 +240,7 @@ func LoadTestdata(moduleDir, testdata string, rels ...string) ([]*Package, error
 	imp := makeResolver(fset, exports)
 	pkgs := make([]*Package, 0, len(all))
 	for _, p := range all {
-		files := make([]string, len(p.names))
-		copy(files, p.names)
-		pkg, err := typeCheck(fset, imp, p.rel, p.dir, files)
+		pkg, err := typeCheck(fset, imp, p.rel, p.dir, p.files)
 		if err != nil {
 			return nil, err
 		}

@@ -11,14 +11,13 @@ import (
 
 	"github.com/carbonedge/carbonedge/internal/core"
 	"github.com/carbonedge/carbonedge/internal/engine"
-	"github.com/carbonedge/carbonedge/internal/faults"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
 // The chaos tests drive the real TCP cloud through injected connection
 // faults and assert the three fault-tolerance layers end to end:
-// deterministic injection (internal/faults), retry + session resume
+// deterministic injection (faultConn, faults_test.go), retry + session resume
 // (internal/deploy), and graceful degradation (internal/engine). Every
 // schedule is slot-indexed and every random choice comes from a SplitRNG
 // stream, so each scenario is asserted to reproduce bit-for-bit.
@@ -29,10 +28,10 @@ import (
 type chaosRuntime struct {
 	Runtime
 	mu sync.Mutex
-	fc *faults.Conn
+	fc *faultConn
 }
 
-func (r *chaosRuntime) setConn(fc *faults.Conn) {
+func (r *chaosRuntime) setConn(fc *faultConn) {
 	r.mu.Lock()
 	r.fc = fc
 	r.mu.Unlock()
@@ -140,7 +139,7 @@ func TestChaosKillResumeDeterministic(t *testing.T) {
 						crt.setConn(nil)
 						return conn, nil
 					}
-					fc, err := faults.New(conn, faults.Schedule{{Slot: cutSlot, Kind: faults.CutRead}},
+					fc, err := newFaultConn(conn, faultSchedule{{Slot: cutSlot, Kind: faultCutRead}},
 						numeric.SplitRNG(seed, "chaos-fault"), func(time.Duration) {})
 					if err != nil {
 						conn.Close()
@@ -267,7 +266,7 @@ func TestChaosDeadEdgeDegrades(t *testing.T) {
 					return
 				}
 				crt := &chaosRuntime{Runtime: rt}
-				fc, err := faults.New(conn, faults.Schedule{{Slot: cutSlot, Kind: faults.CutRead}},
+				fc, err := newFaultConn(conn, faultSchedule{{Slot: cutSlot, Kind: faultCutRead}},
 					numeric.SplitRNG(seed, "chaos-dead"), func(time.Duration) {})
 				if err != nil {
 					edgeErrs[i] = err
@@ -418,7 +417,7 @@ func TestChaosDeadEdgeFailsFastByDefault(t *testing.T) {
 				return
 			}
 			crt := &chaosRuntime{Runtime: rt}
-			fc, err := faults.New(conn, faults.Schedule{{Slot: cutSlot, Kind: faults.CutRead}},
+			fc, err := newFaultConn(conn, faultSchedule{{Slot: cutSlot, Kind: faultCutRead}},
 				numeric.SplitRNG(seed, "chaos-ff"), func(time.Duration) {})
 			if err != nil {
 				return

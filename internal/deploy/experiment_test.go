@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"github.com/carbonedge/carbonedge/internal/engine"
-	"github.com/carbonedge/carbonedge/internal/faults"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
@@ -128,7 +127,7 @@ func runElasticScale(t *testing.T, edges, regions, horizon int, seed int64, kill
 			defer wg.Done()
 			defer ln.Close()
 			var fcMu sync.Mutex
-			var fc *faults.Conn
+			var fc *faultConn
 			dials := 0
 			dial := func() (net.Conn, error) {
 				conn, err := net.Dial("tcp", rootLn.Addr().String())
@@ -137,7 +136,7 @@ func runElasticScale(t *testing.T, edges, regions, horizon int, seed int64, kill
 				}
 				dials++
 				if dials == 1 && id == killRegion {
-					f, ferr := faults.New(conn, faults.KillAt(killSlot), numeric.SplitRNG(seed, fmt.Sprintf("scale-fault-%d", id)), func(time.Duration) {})
+					f, ferr := newFaultConn(conn, faultKillAt(killSlot), numeric.SplitRNG(seed, fmt.Sprintf("scale-fault-%d", id)), func(time.Duration) {})
 					if ferr != nil {
 						conn.Close()
 						return nil, ferr

@@ -37,10 +37,12 @@ type edgeFleet struct {
 	// slotTimeout bounds each per-edge exchange (CloudConfig.SlotTimeout).
 	slotTimeout time.Duration
 
-	// mu guards ranges: the acceptor reads them concurrently with mid-run
-	// adoptions appending new ones. initial is ranges[0], fixed at birth.
+	// mu guards ranges and grown: the acceptor reads them concurrently with
+	// mid-run adoptions appending new ones. initial is ranges[0], fixed at
+	// birth; adopt closes grown and replaces it after appending a range.
 	mu      sync.RWMutex
 	ranges  []*fleetRange
+	grown   chan struct{}
 	initial *fleetRange
 }
 
@@ -55,6 +57,7 @@ func newEdgeFleet(cfg CloudConfig, offset int, source ModelSource) *edgeFleet {
 	f.acc = newAcceptor(f, MsgHello, "Hello", "edge", cfg.Horizon, cfg.Edges, cfg.HandshakeTimeout)
 	f.initial = newFleetRange(offset, cfg.Edges, cfg.Seed, false)
 	f.ranges = []*fleetRange{f.initial}
+	f.grown = make(chan struct{})
 	return f
 }
 
@@ -84,19 +87,21 @@ func (f *edgeFleet) linkFor(id int) *link {
 
 // resolve implements tier. Edge ids on the wire are global; the fleet serves
 // its ranges' ids (initial plus any adopted mid-run).
-func (f *edgeFleet) resolve(hello *Message) (*link, string) {
+func (f *edgeFleet) resolve(hello *Message) (*link, string, <-chan struct{}) {
+	f.mu.RLock()
+	grown := f.grown // read before the lookup: an adopt in between closes it
+	f.mu.RUnlock()
 	if l := f.linkFor(hello.EdgeID); l != nil {
-		return l, ""
+		return l, "", nil
 	}
 	if hello.Resume {
 		// A resuming edge the fleet does not know (yet): during a shard
 		// handoff the edge may redial the adopter before the adopt frame
-		// installs its range. Close without a verdict — the edge sees a
-		// transient drop and retries; a definitive rejection would kill
-		// its session mid-migration.
-		return nil, ""
+		// installs its range. Hold the Hello until the next adopt and look
+		// again; a rejection would kill its session mid-migration.
+		return nil, "", grown
 	}
-	return nil, fmt.Sprintf("bad edge id %d", hello.EdgeID)
+	return nil, fmt.Sprintf("bad edge id %d", hello.EdgeID), nil
 }
 
 // welcome implements tier.
@@ -138,6 +143,8 @@ func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint) ([]*tcpStepper, error) {
 	}
 	rg := newFleetRange(ck.Start, ck.Count, ck.FleetSeed, true)
 	f.ranges = append(f.ranges, rg)
+	close(f.grown) // wake the Hellos held for ids not served until now
+	f.grown = make(chan struct{})
 	f.mu.Unlock()
 
 	tcp := f.rangeSteppers(rg)

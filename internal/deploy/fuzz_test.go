@@ -283,7 +283,7 @@ func mutate(r *rand.Rand, body []byte) []byte {
 	i := r.Intn(len(out))
 	switch r.Intn(6) {
 	case 0:
-		out[i] ^= 0xff // what faults.Corrupt does
+		out[i] ^= 0xff // what faultCorrupt does
 	case 1:
 		out[i] = ` "{}[],:.-+eE0123456789tfn\`[r.Intn(27)]
 	case 2:
@@ -291,7 +291,7 @@ func mutate(r *rand.Rand, body []byte) []byte {
 	case 3:
 		out = append(out[:i], out[i+1:]...)
 	case 4:
-		out = out[:i] // what faults.Truncate leaves of the body
+		out = out[:i] // what faultTruncate leaves of the body
 	case 5:
 		out = append(out[:len(out)-1], `,"slot":3}`...)
 	}
@@ -478,8 +478,8 @@ func FuzzReadMessage(f *testing.F) {
 	for _, name := range hotFrameNames {
 		b := frameOf(f, hotFrames(6)[name])
 		f.Add(b)
-		// What the chaos suites put on the wire: faults.Truncate's strict
-		// body prefix and faults.Corrupt's flipped body byte.
+		// What the chaos suites put on the wire: faultTruncate's strict
+		// body prefix and faultCorrupt's flipped body byte.
 		f.Add(b[:headerLen+1+r.Intn(len(b)-headerLen-1)])
 		flipped := append([]byte(nil), b...)
 		flipped[headerLen+r.Intn(len(b)-headerLen)] ^= 0xff

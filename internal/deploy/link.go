@@ -252,8 +252,11 @@ func abort(links []*link, err error) error {
 // which Welcome admits it.
 type tier interface {
 	// resolve returns the link hello addresses; a nil link rejects the
-	// connection with the reason (closes it without a verdict when empty).
-	resolve(hello *Message) (l *link, reject string)
+	// connection with the reason, unless later is non-nil: the tier may
+	// serve hello's id once later is closed, and the acceptor holds the
+	// Hello until then (closing it without a verdict at the handshake
+	// deadline or when the run stops).
+	resolve(hello *Message) (l *link, reject string, later <-chan struct{})
 	// welcome builds the reply admitting hello (initial or resume) onto l;
 	// initial reports whether awaitInitial waits for this admission.
 	welcome(hello *Message, l *link) (w *Message, initial bool)
@@ -277,8 +280,10 @@ type acceptor struct {
 	// accept loop to awaitInitial.
 	initial   chan struct{}
 	acceptErr chan error
-	// done flips once the run is over: the acceptor stops admitting.
-	done atomic.Bool
+	// done flips once the run is over: the acceptor stops admitting, and
+	// stopped is closed.
+	done    atomic.Bool
+	stopped chan struct{}
 }
 
 func newAcceptor(t tier, hello MsgType, helloName, noun string, horizon, want int, handshake time.Duration) *acceptor {
@@ -287,6 +292,7 @@ func newAcceptor(t tier, hello MsgType, helloName, noun string, horizon, want in
 		horizon: horizon, handshake: handshake, want: want,
 		initial:   make(chan struct{}, want+1),
 		acceptErr: make(chan error, 1),
+		stopped:   make(chan struct{}),
 	}
 }
 
@@ -296,7 +302,10 @@ func newAcceptor(t tier, hello MsgType, helloName, noun string, horizon, want in
 func (a *acceptor) start(ln net.Listener) (stop func()) {
 	go a.acceptLoop(ln)
 	return func() {
-		a.done.Store(true)
+		if a.done.Swap(true) {
+			return
+		}
+		close(a.stopped)
 		// Unblock a blocked Accept without closing the caller's listener: a
 		// deadline in the distant past forces an immediate timeout.
 		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
@@ -367,11 +376,15 @@ func (a *acceptor) admit(raw net.Conn) {
 	if timeout == 0 {
 		timeout = DefaultHandshakeTimeout
 	}
+	var expired <-chan time.Time
 	if timeout > 0 {
 		//lint:allow nodeterm real I/O deadline on a live connection; wall time is the only clock the kernel honors
 		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 			return
 		}
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
 	}
 	m, err := conn.readMessage()
 	if err != nil {
@@ -381,7 +394,17 @@ func (a *acceptor) admit(raw net.Conn) {
 		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: "expected " + a.helloName})
 		return
 	}
-	l, reject := a.tier.resolve(m)
+	l, reject, later := a.tier.resolve(m)
+	for later != nil {
+		select {
+		case <-later:
+		case <-expired:
+			return
+		case <-a.stopped:
+			return
+		}
+		l, reject, later = a.tier.resolve(m)
+	}
 	if l != nil {
 		if m.Resume {
 			reject = l.resumeReject(a.noun, m.ResumeToken)

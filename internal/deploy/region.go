@@ -271,24 +271,24 @@ func (r *Root) fillElasticity(sum *Summary, steppers []*regionStepper) {
 
 // resolve implements tier: a resume must name a known link; any other id
 // joins, as an initial coordinator or as standby capacity.
-func (r *Root) resolve(hello *Message) (*link, string) {
+func (r *Root) resolve(hello *Message) (*link, string, <-chan struct{}) {
 	id := hello.RegionID
 	if id < 0 {
-		return nil, fmt.Sprintf("bad region id %d", id)
+		return nil, fmt.Sprintf("bad region id %d", id), nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.links[id]
 	if l == nil {
 		if hello.Resume {
-			return nil, fmt.Sprintf("unknown region id %d", id)
+			return nil, fmt.Sprintf("unknown region id %d", id), nil
 		}
 		// A standby coordinator joining mid-run: it gets an empty shard and
 		// serves only what rebalancing adopts into it.
 		l = newLink(id, r.tokenRNG, id)
 		r.links[id] = l
 	}
-	return l, ""
+	return l, "", nil
 }
 
 // welcome implements tier. Only the cfg.Regions initial coordinators get a

@@ -14,7 +14,6 @@ import (
 
 	"github.com/carbonedge/carbonedge/internal/core"
 	"github.com/carbonedge/carbonedge/internal/engine"
-	"github.com/carbonedge/carbonedge/internal/faults"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
@@ -43,9 +42,10 @@ type regionChaosSpec struct {
 	// leaveBefore makes a coordinator announce departure instead of serving
 	// its first assign at or past the given slot.
 	leaveBefore map[int]int
-	// cutUpstream wraps a coordinator's first upstream connection in a
-	// faults.Conn with the given schedule; redials are clean.
-	cutUpstream map[int]faults.Schedule
+	// upstreamFaults wraps a coordinator's first upstream connection in a
+	// faultConn with the given schedule; redials are clean. Latency events
+	// really wait.
+	upstreamFaults map[int]faultSchedule
 	// adoptTo names the listener a departed coordinator's released edges
 	// redial (the expected adopter). Absent means nobody adopts the shard —
 	// its edges are expected to fail.
@@ -149,8 +149,8 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 		go func() {
 			defer wg.Done()
 			var fcMu sync.Mutex
-			var fc *faults.Conn
-			sched := spec.cutUpstream[id]
+			var fc *faultConn
+			sched := spec.upstreamFaults[id]
 			dials := 0
 			dial := func() (net.Conn, error) {
 				conn, err := net.Dial("tcp", rootLn.Addr().String())
@@ -159,7 +159,7 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 				}
 				dials++
 				if dials == 1 && len(sched) > 0 {
-					f, ferr := faults.New(conn, sched, numeric.SplitRNG(spec.seed, fmt.Sprintf("region-chaos-fault-%d", id)), func(time.Duration) {})
+					f, ferr := newFaultConn(conn, sched, numeric.SplitRNG(spec.seed, fmt.Sprintf("region-chaos-fault-%d", id)), nil)
 					if ferr != nil {
 						conn.Close()
 						return nil, ferr
@@ -217,13 +217,13 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 					// In this suite edges have no faults of their own, so an
 					// edge only ever redials because its home coordinator
 					// released it: wait out the departure, then follow the
-					// shard to its adopter.
+					// shard to its adopter, which holds the resume until the
+					// adopt frame installs the shard.
 					<-gone[home]
 					adopter, ok := spec.adoptTo[home]
 					if !ok {
 						return nil, fmt.Errorf("edge %d: home region %d left and nobody adopted its shard", i, home)
 					}
-					time.Sleep(2 * time.Millisecond) // let the adopt frame land before this attempt
 					return net.Dial("tcp", edgeLns[adopter].Addr().String())
 				}
 				out.edgeErrs[i] = RunEdgeResumable(dial, i, &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)}, 50)
@@ -279,7 +279,7 @@ func TestRegionChaosKillResumeDeterministic(t *testing.T) {
 	}
 
 	spec := base
-	spec.cutUpstream = map[int]faults.Schedule{1: faults.KillAt(cutSlot)}
+	spec.upstreamFaults = map[int]faultSchedule{1: faultKillAt(cutSlot)}
 	chaos := runRegionChaos(t, spec)
 	requireQuiet(t, chaos)
 	if got, want := chaos.sum.RegionResumes, map[int]int{1: 1}; !reflect.DeepEqual(got, want) {
@@ -318,7 +318,7 @@ func TestRegionChaosTruncatedDelta(t *testing.T) {
 	requireQuiet(t, clean)
 
 	spec := base
-	spec.cutUpstream = map[int]faults.Schedule{1: faults.TruncateAt(tearSlot)}
+	spec.upstreamFaults = map[int]faultSchedule{1: faultTruncateAt(tearSlot)}
 	chaos := runRegionChaos(t, spec)
 	requireQuiet(t, chaos)
 	if got, want := chaos.sum.RegionResumes, map[int]int{1: 1}; !reflect.DeepEqual(got, want) {
@@ -343,7 +343,7 @@ func TestRegionChaosCutBeforeDone(t *testing.T) {
 
 	last := base.horizon - 1
 	spec := base
-	spec.cutUpstream = map[int]faults.Schedule{1: faults.KillAt(last)}
+	spec.upstreamFaults = map[int]faultSchedule{1: faultKillAt(last)}
 	spec.onSlot = func(root *Root, region, slot int) {
 		if region != 0 || slot != last {
 			return
@@ -436,6 +436,50 @@ func TestRegionChaosLateJoinAdoption(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripElasticity(chaos.sum), clean.sum) {
 		t.Errorf("late-join Summary diverged from fault-free run:\n chaos: %+v\n clean: %+v",
+			stripElasticity(chaos.sum), clean.sum)
+	}
+}
+
+// TestRegionChaosAdoptFrameHeld holds the adopt frame on the adopter's
+// upstream link for a second — far longer than a released edge takes to
+// spend its whole resume budget on a fleet that does not serve it yet. The
+// adopter must hold the edges' resuming Hellos until the adopt frame installs
+// their range rather than turn them away, and the run must still match the
+// fault-free Summary. Region 1 announces its departure only once region 0
+// has its own slot-5 assign, so the adopt frame is the first thing region 0
+// reads after its slot-5 delta, the read the schedule delays.
+func TestRegionChaosAdoptFrameHeld(t *testing.T) {
+	const leaveSlot = 5
+	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 46, policy: engine.Degrade}
+	clean := runRegionChaos(t, base)
+	requireQuiet(t, clean)
+
+	spec := base
+	spec.leaveBefore = map[int]int{1: leaveSlot}
+	spec.adoptTo = map[int]int{1: 0}
+	spec.upstreamFaults = map[int]faultSchedule{0: {{Slot: leaveSlot, Kind: faultReadLatency, Delay: time.Second}}}
+	assigned := make(chan struct{})
+	var once sync.Once
+	spec.onSlot = func(_ *Root, region, slot int) {
+		switch {
+		case slot != leaveSlot:
+		case region == 0: // again for the adopted shard's assign
+			once.Do(func() { close(assigned) })
+		default:
+			select {
+			case <-assigned:
+			case <-time.After(10 * time.Second):
+				t.Error("region 0 never received its slot-5 assign")
+			}
+		}
+	}
+	chaos := runRegionChaos(t, spec)
+	requireQuiet(t, chaos)
+	if got, want := chaos.sum.Rebalances, []int{0, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Rebalances = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(stripElasticity(chaos.sum), clean.sum) {
+		t.Errorf("held-adopt Summary diverged from fault-free run:\n chaos: %+v\n clean: %+v",
 			stripElasticity(chaos.sum), clean.sum)
 	}
 }
@@ -610,7 +654,7 @@ func TestRegionChaosPropertySchedules(t *testing.T) {
 		spec := base
 		name := fmt.Sprintf("trial%d-%s-region%d-slot%d", trial, mode, victim, slot)
 		if mode == "resume" {
-			spec.cutUpstream = map[int]faults.Schedule{victim: faults.KillAt(slot)}
+			spec.upstreamFaults = map[int]faultSchedule{victim: faultKillAt(slot)}
 		} else {
 			target := (victim + 1 + rng.Intn(regions-1)) % regions
 			spec.leaveBefore = map[int]int{victim: slot}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/carbonedge/carbonedge/internal/energy"
-	"github.com/carbonedge/carbonedge/internal/metrics"
 )
 
 // EdgeDelta is one edge's fully-resolved contribution to one slot: the
@@ -75,7 +74,7 @@ type SlotFold struct {
 	Served      []bool
 
 	// Outputs, accumulated over the delta's edges.
-	Cost     metrics.CostBreakdown
+	Cost     CostBreakdown
 	Emission float64
 	Correct  int
 	Samples  int

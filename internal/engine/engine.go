@@ -25,7 +25,6 @@ import (
 	"github.com/carbonedge/carbonedge/internal/core"
 	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/market"
-	"github.com/carbonedge/carbonedge/internal/metrics"
 	"github.com/carbonedge/carbonedge/internal/trading"
 )
 
@@ -112,10 +111,42 @@ const (
 	Degrade
 )
 
+// CostBreakdown decomposes the paper's objective P into its terms.
+type CostBreakdown struct {
+	// InferLoss is sum_t sum_i x * E[l_n] (expected inference loss, using
+	// the posterior test-pool mean exactly as the paper's Offline does).
+	InferLoss float64
+	// Compute is sum_t sum_i x * v_{i,n}.
+	Compute float64
+	// Switching is sum_t sum_i u_i * y_i^t (weighted).
+	Switching float64
+	// Trading is sum_t (z^t c^t - w^t r^t).
+	Trading float64
+}
+
+// Total returns the full objective value.
+func (c CostBreakdown) Total() float64 {
+	return c.InferLoss + c.Compute + c.Switching + c.Trading
+}
+
+// Add accumulates another breakdown in place.
+func (c *CostBreakdown) Add(o CostBreakdown) {
+	c.InferLoss += o.InferLoss
+	c.Compute += o.Compute
+	c.Switching += o.Switching
+	c.Trading += o.Trading
+}
+
+// String renders the breakdown compactly.
+func (c CostBreakdown) String() string {
+	return fmt.Sprintf("total=%.3f (loss=%.3f compute=%.3f switch=%.3f trade=%.3f)",
+		c.Total(), c.InferLoss, c.Compute, c.Switching, c.Trading)
+}
+
 // Result captures everything a run produces.
 type Result struct {
 	Name string
-	Cost metrics.CostBreakdown
+	Cost CostBreakdown
 
 	// CumTotal[t] is the cumulative total cost through slot t.
 	CumTotal []float64

@@ -516,3 +516,20 @@ func TestRunDegradeAllEdgesDown(t *testing.T) {
 		}
 	}
 }
+
+func TestCostBreakdown(t *testing.T) {
+	c := CostBreakdown{InferLoss: 1, Compute: 2, Switching: 3, Trading: -0.5}
+	if got := c.Total(); got != 5.5 {
+		t.Errorf("Total = %v", got)
+	}
+	c.Add(CostBreakdown{InferLoss: 1, Compute: 1, Switching: 1, Trading: 1})
+	if got := c.Total(); got != 9.5 {
+		t.Errorf("after Add, Total = %v", got)
+	}
+	s := c.String()
+	for _, field := range []string{"total=", "loss=", "compute=", "switch=", "trade="} {
+		if !strings.Contains(s, field) {
+			t.Errorf("String missing %q: %s", field, s)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"github.com/carbonedge/carbonedge/internal/core"
 	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/market"
-	"github.com/carbonedge/carbonedge/internal/metrics"
 	"github.com/carbonedge/carbonedge/internal/trading"
 )
 
@@ -90,7 +89,7 @@ func runSerial(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result,
 		// result is independent of step completion order. A down edge
 		// contributes the well-defined fallback: zero samples, zero energy,
 		// no switch charge (nothing was shipped), and no bandit feedback.
-		var slotCost metrics.CostBreakdown
+		var slotCost CostBreakdown
 		slotEmission := 0.0
 		slotCorrect, slotSamples := 0, 0
 		for i := range edges {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
 	"github.com/carbonedge/carbonedge/internal/market"
-	"github.com/carbonedge/carbonedge/internal/metrics"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/sim"
@@ -144,7 +143,7 @@ func AblationSubstrate(o Options) (*Figure, error) {
 				totals[i] = res.Cost.Total()
 			}
 			for i := range baselines {
-				out[i] += metrics.Reduction(totals[0], totals[i+1]) / float64(o.Runs)
+				out[i] += reduction(totals[0], totals[i+1]) / float64(o.Runs)
 			}
 		}
 		return out, nil

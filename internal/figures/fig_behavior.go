@@ -1,9 +1,6 @@
 package figures
 
-import (
-	"github.com/carbonedge/carbonedge/internal/metrics"
-	"github.com/carbonedge/carbonedge/internal/sim"
-)
+import "github.com/carbonedge/carbonedge/internal/sim"
 
 // Fig8SelectionHistogram reproduces Fig. 8: for a single randomly chosen
 // edge, the number of times each model is selected against that model's
@@ -73,9 +70,9 @@ func Fig9TradingVolume(o Options) (*Figure, error) {
 		YLabel: "normalized value",
 	}
 	x := slotAxis(o.Horizon)
-	fig.Series = append(fig.Series, Series{Label: "Workload", X: x, Y: metrics.Normalize(workload[0])[0]})
+	fig.Series = append(fig.Series, Series{Label: "Workload", X: x, Y: normalize(workload[0])[0]})
 	for i, name := range names {
-		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: metrics.Normalize(curves[i])[0]})
+		fig.Series = append(fig.Series, Series{Label: name, X: x, Y: normalize(curves[i])[0]})
 	}
 
 	// Companion series: average unit purchase price per scheme (single X

@@ -1,9 +1,6 @@
 package figures
 
-import (
-	"github.com/carbonedge/carbonedge/internal/metrics"
-	"github.com/carbonedge/carbonedge/internal/sim"
-)
+import "github.com/carbonedge/carbonedge/internal/sim"
 
 // fig3Combos is the subset of schemes the paper plots in Fig. 3 (for
 // visualization clarity it omits some of the twelve combinations).
@@ -25,7 +22,7 @@ func Fig3CumulativeCost(o Options) (*Figure, error) {
 		XLabel: "slot",
 		YLabel: "normalized cumulative cost",
 		// All curves are normalized jointly, as the paper does.
-		Series: labeled(fig3Combos, slotAxis(o.Horizon), metrics.Normalize(curves...)),
+		Series: labeled(fig3Combos, slotAxis(o.Horizon), normalize(curves...)),
 	}, nil
 }
 
@@ -58,7 +55,7 @@ func Fig4CostVsEdges(o Options) (*Figure, error) {
 		Title:  "Normalized total cost vs number of edges",
 		XLabel: "edges",
 		YLabel: "normalized total cost",
-		Series: labeled(fig4Combos, edgeCounts, metrics.Normalize(raw...)),
+		Series: labeled(fig4Combos, edgeCounts, normalize(raw...)),
 	}, nil
 }
 

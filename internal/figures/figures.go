@@ -8,12 +8,12 @@ package figures
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
-	"github.com/carbonedge/carbonedge/internal/metrics"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/sim"
@@ -261,11 +261,71 @@ func meanCurves(o Options, names []string, extract func(*sim.Result) []float64) 
 	}
 	out := make([][]float64, len(names))
 	for i, runs := range curves {
-		mean, err := metrics.MeanOf(runs...)
+		mean, err := meanOf(runs...)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = mean
+	}
+	return out, nil
+}
+
+// normalize divides every element of series by the largest absolute value
+// across all the given series, returning normalized copies (the paper's
+// "normalized cumulative total cost" style). A zero max leaves values as-is.
+func normalize(series ...[]float64) [][]float64 {
+	maxAbs := 0.0
+	for _, s := range series {
+		for _, v := range s {
+			if a := math.Abs(v); a > maxAbs {
+				maxAbs = a
+			}
+		}
+	}
+	out := make([][]float64, len(series))
+	for i, s := range series {
+		out[i] = make([]float64, len(s))
+		for j, v := range s {
+			if maxAbs > 0 {
+				out[i][j] = v / maxAbs
+			} else {
+				out[i][j] = v
+			}
+		}
+	}
+	return out
+}
+
+// reduction returns the paper's headline metric: the fractional cost
+// reduction of ours relative to a baseline ((baseline - ours) / baseline).
+// A zero baseline yields 0.
+func reduction(ours, baseline float64) float64 {
+	if baseline == 0 {
+		return 0
+	}
+	return (baseline - ours) / baseline
+}
+
+// meanOf averages aligned series element-wise; all series must share a
+// length.
+func meanOf(series ...[]float64) ([]float64, error) {
+	if len(series) == 0 {
+		return nil, fmt.Errorf("figures: no series")
+	}
+	n := len(series[0])
+	for i, s := range series {
+		if len(s) != n {
+			return nil, fmt.Errorf("figures: series %d has length %d, want %d", i, len(s), n)
+		}
+	}
+	out := make([]float64, n)
+	for _, s := range series {
+		for j, v := range s {
+			out[j] += v
+		}
+	}
+	for j := range out {
+		out[j] /= float64(len(series))
 	}
 	return out, nil
 }

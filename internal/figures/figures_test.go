@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
@@ -437,5 +438,76 @@ func TestFig14InjectedClock(t *testing.T) {
 				t.Errorf("%s[%d] = %v, want exactly %v (one fake tick per measurement)", name, i, v, want)
 			}
 		}
+	}
+}
+
+func TestNormalize(t *testing.T) {
+	out := normalize([]float64{1, 2}, []float64{-4, 2})
+	// Max abs = 4.
+	want0 := []float64{0.25, 0.5}
+	want1 := []float64{-1, 0.5}
+	for i := range want0 {
+		if out[0][i] != want0[i] {
+			t.Errorf("out[0] = %v", out[0])
+		}
+		if out[1][i] != want1[i] {
+			t.Errorf("out[1] = %v", out[1])
+		}
+	}
+	// All-zero series pass through.
+	z := normalize([]float64{0, 0})
+	if z[0][0] != 0 || z[0][1] != 0 {
+		t.Errorf("zero normalize = %v", z[0])
+	}
+}
+
+func TestNormalizeBounded(t *testing.T) {
+	prop := func(xs []float64) bool {
+		for _, x := range xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return true
+			}
+		}
+		out := normalize(xs)
+		for _, v := range out[0] {
+			if math.Abs(v) > 1+1e-12 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestReduction(t *testing.T) {
+	if got := reduction(50, 100); got != 0.5 {
+		t.Errorf("reduction = %v, want 0.5", got)
+	}
+	if got := reduction(100, 100); got != 0 {
+		t.Errorf("equal values = %v", got)
+	}
+	if got := reduction(150, 100); got != -0.5 {
+		t.Errorf("worse than baseline = %v", got)
+	}
+	if got := reduction(1, 0); got != 0 {
+		t.Errorf("zero baseline = %v", got)
+	}
+}
+
+func TestMeanOf(t *testing.T) {
+	out, err := meanOf([]float64{1, 2}, []float64{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != 2 || out[1] != 3 {
+		t.Errorf("meanOf = %v", out)
+	}
+	if _, err := meanOf(); err == nil {
+		t.Error("expected error for no series")
+	}
+	if _, err := meanOf([]float64{1}, []float64{1, 2}); err == nil {
+		t.Error("expected error for ragged series")
 	}
 }

@@ -17,16 +17,31 @@ package nn
 // recycles every buffer handed out since the previous Reset, so values must
 // not be retained across batches.
 type Arena struct {
-	floats  [][]float64
-	nfloats int
-	ints    [][]int
-	nints   int
-	i8s     [][]int8
-	ni8     int
-	i32s    [][]int32
-	ni32    int
-	tensors []*Tensor
-	nten    int
+	floats  pool[float64]
+	ints    pool[int]
+	int8s   pool[int8]
+	int32s  pool[int32]
+	headers pool[Tensor]
+}
+
+// pool is one element type's grow-only buffer list: bufs[:n] are handed out
+// since the last Reset, the rest wait to be handed out again.
+type pool[T any] struct {
+	bufs [][]T
+	n    int
+}
+
+// take returns the next buffer, of length n, growing the list or the
+// buffer only when this call order has not yet seen a request that large.
+func (p *pool[T]) take(n int) []T {
+	if p.n == len(p.bufs) {
+		p.bufs = append(p.bufs, make([]T, n)) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
+	} else if cap(p.bufs[p.n]) < n {
+		p.bufs[p.n] = make([]T, n) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
+	}
+	buf := p.bufs[p.n][:n]
+	p.n++
+	return buf
 }
 
 // NewArena creates an empty arena.
@@ -36,63 +51,26 @@ func NewArena() *Arena { return &Arena{} }
 // buffers keep their capacity, so a warmed arena serves subsequent batches
 // without allocating.
 func (a *Arena) Reset() {
-	a.nfloats, a.nints, a.nten = 0, 0, 0
-	a.ni8, a.ni32 = 0, 0
+	a.floats.n, a.ints.n, a.int8s.n, a.int32s.n, a.headers.n = 0, 0, 0, 0, 0
 }
 
 // Floats returns a float64 scratch slice of length n. Contents are
 // unspecified: callers must fully overwrite before reading.
-func (a *Arena) Floats(n int) []float64 {
-	if a.nfloats == len(a.floats) {
-		a.floats = append(a.floats, make([]float64, n)) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
-	} else if cap(a.floats[a.nfloats]) < n {
-		a.floats[a.nfloats] = make([]float64, n) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
-	}
-	buf := a.floats[a.nfloats][:n]
-	a.nfloats++
-	return buf
-}
+func (a *Arena) Floats(n int) []float64 { return a.floats.take(n) }
 
 // Ints returns an int scratch slice of length n — the direct convolution's
 // offset and segment tables. Contents are unspecified: callers must fully
 // overwrite before reading.
-func (a *Arena) Ints(n int) []int {
-	if a.nints == len(a.ints) {
-		a.ints = append(a.ints, make([]int, n)) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
-	} else if cap(a.ints[a.nints]) < n {
-		a.ints[a.nints] = make([]int, n) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
-	}
-	buf := a.ints[a.nints][:n]
-	a.nints++
-	return buf
-}
+func (a *Arena) Ints(n int) []int { return a.ints.take(n) }
 
 // Int8s returns an int8 scratch slice of length n for the quantized
 // inference path. Contents are unspecified: callers must fully overwrite
 // before reading.
-func (a *Arena) Int8s(n int) []int8 {
-	if a.ni8 == len(a.i8s) {
-		a.i8s = append(a.i8s, make([]int8, n)) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
-	} else if cap(a.i8s[a.ni8]) < n {
-		a.i8s[a.ni8] = make([]int8, n) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
-	}
-	buf := a.i8s[a.ni8][:n]
-	a.ni8++
-	return buf
-}
+func (a *Arena) Int8s(n int) []int8 { return a.int8s.take(n) }
 
 // Int32s returns an int32 scratch slice of length n — the quantized GEMM's
 // accumulator scratch. Contents are unspecified.
-func (a *Arena) Int32s(n int) []int32 {
-	if a.ni32 == len(a.i32s) {
-		a.i32s = append(a.i32s, make([]int32, n)) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
-	} else if cap(a.i32s[a.ni32]) < n {
-		a.i32s[a.ni32] = make([]int32, n) //lint:allow hotalloc grow-only arena pool; steady state reuses capacity
-	}
-	buf := a.i32s[a.ni32][:n]
-	a.ni32++
-	return buf
-}
+func (a *Arena) Int32s(n int) []int32 { return a.int32s.take(n) }
 
 // Tensor returns a tensor of the given shape backed by arena scratch.
 // Unlike NewTensor the data is NOT zeroed; every kernel in the batched path
@@ -107,7 +85,7 @@ func (a *Arena) Tensor(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	t := a.header()
+	t := &a.headers.take(1)[0]
 	t.Shape = append(t.Shape[:0], shape...) //lint:allow hotalloc shape header grows once to its max rank, then reuses capacity
 	t.Data = a.Floats(n)
 	return t
@@ -121,27 +99,8 @@ func (a *Arena) View(data []float64, shape ...int) *Tensor {
 		//lint:allow panicpolicy mirrors NewTensor: a shape/payload mismatch is a programmer error on the inference hot path
 		panic("nn: arena view shape does not match data length")
 	}
-	t := a.header()
+	t := &a.headers.take(1)[0]
 	t.Shape = append(t.Shape[:0], shape...) //lint:allow hotalloc shape header grows once to its max rank, then reuses capacity
 	t.Data = data
-	return t
-}
-
-// zeroFloats clears s (the compiler lowers the range-clear to memclr).
-// Arena buffers are handed out dirty, so every batched accumulation target
-// clears explicitly before its += loop.
-func zeroFloats(s []float64) {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// header hands out a recycled tensor header.
-func (a *Arena) header() *Tensor {
-	if a.nten == len(a.tensors) {
-		a.tensors = append(a.tensors, &Tensor{}) //lint:allow hotalloc grow-only header pool; steady state reuses capacity
-	}
-	t := a.tensors[a.nten]
-	a.nten++
 	return t
 }

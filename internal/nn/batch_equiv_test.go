@@ -206,7 +206,7 @@ func TestConvForwardArenaFootprint(t *testing.T) {
 		arena := NewArena()
 		arm.net.ForwardBatch(randTensor(rand.New(rand.NewSource(47)), batch, 1, 28, 28), arena)
 		total := 0
-		for _, buf := range arena.floats {
+		for _, buf := range arena.floats.bufs {
 			total += 8 * cap(buf)
 			for _, n := range arm.patchMats {
 				if cap(buf) == n {

@@ -7,8 +7,8 @@ package nn
 // otherwise. Conv2D lowers to nothing: its forward kernel (convDirectSIMD)
 // and its backward kernel (convBwdSIMD) read the input planes in place
 // through the tables convDirectTables builds (the INT8 engine's direct
-// convolution tiles walk the same offsets, qnetwork.go). The "NN" forms
-// (GemmNNBiasI, GemmNNAccI) are Dense.BackwardBatch's.
+// convolution tiles walk the same offsets, qnetwork.go). The "NN" form
+// (GemmNNAccI) is Dense.BackwardBatch's.
 //
 // The kernels are blocked over the *output* coordinates only; the K
 // dimension is never split. That restriction is load-bearing: every output
@@ -76,32 +76,14 @@ func GemmNTBiasJ(out, a, b, bias []float64, m, n, k int) {
 	}
 }
 
-// GemmNNBiasI computes out[i*n+j] = bias[i] + sum_c a[i*k+c]*bt[c*n+j] for
-// an m-by-k row-major matrix a and a k-by-n row-major matrix bt. It is
-// GemmNTBiasJ's dot product under a row-indexed bias with the second operand
-// pre-transposed: every output element still starts from the bias and
-// accumulates its K products strictly in index order, so results are
-// bit-identical to the dot-product form (TestGemmNNMatchesGemmNT) — but
-// adjacent output columns now read adjacent bt elements, so eight columns
-// accumulate side by side in SIMD registers without any sum being split or
-// reordered. It is Dense.BackwardBatch's input-gradient kernel (a the output
-// gradients, bt the weights as stored, a zero bias). Groups of four output
-// rows go through the 4x8 register tile (gemmNNQuadI); the remainder runs row
-// by row. bias must have length m.
-func GemmNNBiasI(out, a, bt, bias []float64, m, n, k int) {
-	i := gemmNNQuadI(out, a, bt, bias, m, n, k)
-	for ; i < m; i++ {
-		gemmNNRowI(out[i*n:i*n+n], bias[i], a[i*k:i*k+k], bt, n)
-	}
-}
-
-// GemmNNAccI accumulates an NN-form product in place:
-// out[i*n+j] += sum_c a[i*k+c]*bt[c*ld+j]. Each output element continues
-// its own running sum with c strictly ascending, so calling this once per
-// sample replays a per-sample accumulation loop bit for bit. It is
-// Dense.BackwardBatch's weight-gradient kernel: a holds the transposed output
-// gradients, bt the layer's input batch (c walks samples), read at row
-// stride ld.
+// GemmNNAccI accumulates an NN-form product in place,
+// out[i*n+j] += sum_c a[i*k+c]*bt[c*ld+j], bt read at row stride ld. It is
+// GemmNTBiasJ's dot product with the second operand pre-transposed: each
+// element continues its own running sum with c strictly ascending
+// (TestGemmNNMatchesGemmNT), while eight adjacent columns accumulate side by
+// side in SIMD registers. Dense.BackwardBatch runs it for the input gradient
+// (over a cleared output) and for the weight gradient (c walking samples).
+// Groups of four rows go through the 4x8 tile (gemmNNQuadAcc).
 func GemmNNAccI(out, a, bt []float64, m, n, k, ld int) {
 	i := gemmNNQuadAcc(out, a, bt, m, n, k, ld)
 	for ; i < m; i++ {

@@ -105,13 +105,11 @@ func (d *Dense) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool,
 	gw, gb := grads[0].Data, grads[1].Data
 	var gradIn *Tensor
 	if wantIn {
-		// A zero per-row bias starts every gi accumulator at +0, the same
-		// value the zeroed-then-accumulated reference starts from, without
-		// paying a batch*InDim clear.
+		// Every gi accumulator starts at +0, the value the zeroed-then-
+		// accumulated reference starts from.
 		gradIn = a.Tensor(batch, d.InDim)
-		zb := a.Floats(batch)
-		zeroFloats(zb)
-		GemmNNBiasI(gradIn.Data, gradOut.Data, d.w.Data, zb, batch, d.InDim, d.OutDim)
+		clear(gradIn.Data)
+		GemmNNAccI(gradIn.Data, gradOut.Data, d.w.Data, batch, d.InDim, d.OutDim, d.InDim)
 	}
 	goutT := a.Floats(d.OutDim * batch)
 	transposeSIMD(goutT, gradOut.Data, batch, d.OutDim)
@@ -222,7 +220,7 @@ func (c *Conv2D) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool
 	var gi []float64
 	if wantIn {
 		gradIn = a.Tensor(in.Shape...)
-		zeroFloats(gradIn.Data)
+		clear(gradIn.Data)
 	}
 	gw, gb := grads[0].Data, grads[1].Data
 	inStride, outStride := c.InC*h*w, c.OutC*np
@@ -288,7 +286,7 @@ func (m *MaxPool2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 func (m *MaxPool2D) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *Arena) *Tensor {
 	batch, ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	gradIn := a.Tensor(in.Shape...)
-	zeroFloats(gradIn.Data)
+	clear(gradIn.Data)
 	inStride, outStride := ch*h*w, ch*(h/2)*(w/2)
 	for s := 0; s < batch; s++ {
 		poolScatter(gradIn.Data[s*inStride:(s+1)*inStride], in.Data[s*inStride:(s+1)*inStride],

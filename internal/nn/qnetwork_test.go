@@ -316,7 +316,7 @@ func TestRecompileMatchesFreshCompile(t *testing.T) {
 			if round == 1 { // a zero-scale tensor over a recycled op
 				for _, l := range net.Layers {
 					if p := l.Params(); len(p) > 0 {
-						zeroFloats(p[0].Data)
+						clear(p[0].Data)
 						break
 					}
 				}

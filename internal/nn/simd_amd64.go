@@ -137,42 +137,6 @@ func reluBwdSIMD(dst, grad, in []float64) {
 	reluBwdGo(dst, grad, in)
 }
 
-// gemmNNQuadI runs the 4x8 register-tiled kernel over as many groups of
-// four output rows as fit, returning the number of rows consumed (callers
-// finish the remainder row by row). Tiling over rows loads each bt element
-// once per four rows instead of once per row; every output element still
-// owns one accumulator walking c in ascending order.
-func gemmNNQuadI(out, a, bt, bias []float64, m, n, k int) int {
-	if !hasAVX2 || n < 8 {
-		return 0
-	}
-	var init [32]float64
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		for r := 0; r < 4; r++ {
-			bi := bias[i+r]
-			for l := 0; l < 8; l++ {
-				init[r*8+l] = bi
-			}
-		}
-		j := 0
-		for ; j+8 <= n; j += 8 {
-			nnDot4x8AVX2(out[i*n+j:], n, init[:], a[i*k:], k, bt[j:], n)
-		}
-		for ; j < n; j++ {
-			for r := 0; r < 4; r++ {
-				s := bias[i+r]
-				ar := a[(i+r)*k : (i+r)*k+k]
-				for c, av := range ar {
-					s += av * bt[c*n+j]
-				}
-				out[(i+r)*n+j] = s
-			}
-		}
-	}
-	return i
-}
-
 // gemmPanelQuad runs the 4x8 tile down one eight-column weight panel (bt row
 // stride 8) for all m rows of a, every row of a tile starting from the same
 // eight biases, and returns the rows consumed: m, or 0 when the tile cannot
@@ -223,8 +187,9 @@ func convDirectSIMD(out []float64, np int, bias, wt, in []float64, offs, segs []
 	}
 }
 
-// gemmNNQuadAcc is gemmNNQuadI accumulating in place: each tile's init is
-// gathered from the four output rows' current values.
+// gemmNNQuadAcc runs the 4x8 register tile in place over as many groups of
+// four output rows as fit, each tile's init gathered from the rows' current
+// values, and returns the rows consumed (callers finish the rest row by row).
 func gemmNNQuadAcc(out, a, bt []float64, m, n, k, ld int) int {
 	if !hasAVX2 || n < 8 {
 		return 0

@@ -49,8 +49,6 @@ func convBwdSIMD(g []float64, ow int, in, wt, gw, gb, gi []float64, offs []int, 
 
 // The 4x8 register tile is an amd64 AVX2 specialization; other architectures
 // consume nothing and fall through to the portable row drivers.
-func gemmNNQuadI(out, a, bt, bias []float64, m, n, k int) int { return 0 }
-
 func gemmPanelQuad(out []float64, n int, bias, a, panel []float64, m, k int) int { return 0 }
 
 func gemmNNQuadAcc(out, a, bt []float64, m, n, k, ld int) int { return 0 }

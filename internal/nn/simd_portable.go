@@ -85,17 +85,6 @@ func gemmNNAccRow(orow, ar, bt []float64, n, ld int) {
 	}
 }
 
-// gemmNNRowI computes one output row of an NN-form GEMM with a per-row bias:
-// orow[j] = bi + sum_c ar[c]*bt[c*n+j] for j < n. Seeding the row with the
-// bias and accumulating in place is the same float sequence per element as
-// starting a register at bi.
-func gemmNNRowI(orow []float64, bi float64, ar, bt []float64, n int) {
-	for j := range orow[:n] {
-		orow[j] = bi
-	}
-	gemmNNAccRow(orow, ar, bt, n, n)
-}
-
 // convDirectGo is the direct convolution of one CHW sample over the tables of
 // convDirectTables, for len(bias) output channels: every output element
 // starts at its channel's bias and adds wt[r*kk+c] * in[origin+offs[c]] with

@@ -107,11 +107,14 @@ func TestGemmNNMatchesGemmNT(t *testing.T) {
 		bias := simdCases(rng, m)
 		wantT := make([]float64, n*m)
 		got := make([]float64, m*n)
+		for i := range got {
+			got[i] = bias[i/n]
+		}
 		GemmNTBiasJ(wantT, b, a, bias, n, m, k)
-		GemmNNBiasI(got, a, bt, bias, m, n, k)
+		GemmNNAccI(got, a, bt, m, n, k, n)
 		for i := range got {
 			if want := wantT[i%n*m+i/n]; !sameBits(got[i], want) {
-				t.Fatalf("BiasI m=%d n=%d k=%d elem %d: got %x want %x", m, n, k, i,
+				t.Fatalf("AccI m=%d n=%d k=%d elem %d: got %x want %x", m, n, k, i,
 					math.Float64bits(got[i]), math.Float64bits(want))
 			}
 		}
@@ -203,9 +206,10 @@ func TestConvDirectMatchesForward(t *testing.T) {
 
 // TestGemmNNStridedAndAccVariants pins the Dense backward kernels against
 // scalar replays of their per-element dot sequences, covering the 4x8 tile,
-// the 8-column blocks, and scalar tails: the biased form (GemmNNBiasI) and the
-// in-place accumulate kernel (GemmNNAccI), the latter also reading bt at a
-// row stride wider than n.
+// the 8-column blocks, and scalar tails: the in-place accumulate kernel
+// (GemmNNAccI) over a bias-seeded output, as Dense.BackwardBatch's input
+// gradient runs it over a cleared one, and over an arbitrary output, also
+// reading bt at a row stride wider than n.
 func TestGemmNNStridedAndAccVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	// replay is the scalar sequence both kernels must reproduce: each element
@@ -237,8 +241,11 @@ func TestGemmNNStridedAndAccVariants(t *testing.T) {
 		bias := simdCases(rng, m)
 		bt := simdCases(rng, k*n)
 		got := make([]float64, m*n)
-		GemmNNBiasI(got, a, bt, bias, m, n, k)
-		same("BiasI", got, replay(func(i, _ int) float64 { return bias[i] }, a, bt, m, n, k, n), m, n, k, n)
+		for i := range got {
+			got[i] = bias[i/n]
+		}
+		GemmNNAccI(got, a, bt, m, n, k, n)
+		same("seeded", got, replay(func(i, _ int) float64 { return bias[i] }, a, bt, m, n, k, n), m, n, k, n)
 		for _, ld := range []int{n, n + 5} {
 			bt := simdCases(rng, k*ld)
 			acc := simdCases(rng, m*n)

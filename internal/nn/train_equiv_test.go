@@ -115,8 +115,8 @@ func TestTrainArenaFootprintPinned(t *testing.T) {
 	const batch = 16
 	in := []int{1, 28, 28}
 	pinned := map[string]int{
-		"cnn-s": 4361216, "cnn-l": 8617984, "lenet-s": 2845056,
-		"lenet-l": 5585536, "mlp-s": 222208, "mlp-l": 424960,
+		"cnn-s": 4360960, "cnn-l": 8617728, "lenet-s": 2844672,
+		"lenet-l": 5585152, "mlp-s": 221952, "mlp-l": 424704,
 	}
 	for _, zb := range zooBuilders[:6] {
 		net := zb.build(in, rand.New(rand.NewSource(48)))
@@ -137,7 +137,7 @@ func TestTrainArenaFootprintPinned(t *testing.T) {
 			shape = l.OutShape(shape)
 		}
 		total, batchSized := 0, 0
-		for _, buf := range tr.a.floats {
+		for _, buf := range tr.a.floats.bufs {
 			total += 8 * cap(buf)
 			if cap(buf) == batch*28*28 {
 				batchSized++

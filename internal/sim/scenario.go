@@ -1,5 +1,5 @@
 // Package sim is the discrete-time simulation engine that wires every
-// substrate together — topology, workload, carbon market, model zoo — and
+// substrate together — download delays, workload, carbon market, model zoo — and
 // drives any combination of model-selection policy and carbon trader through
 // the paper's per-slot protocol (Fig. 2 plus allowance trading), recording
 // the cost breakdown, emissions, accuracy, and constraint violation needed
@@ -8,12 +8,12 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/numeric"
-	"github.com/carbonedge/carbonedge/internal/topology"
 	"github.com/carbonedge/carbonedge/internal/workload"
 )
 
@@ -107,11 +107,6 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 		cfg.Prices = market.DefaultPriceConfig()
 	}
 
-	topo, err := topology.Generate(cfg.Edges, numeric.SplitRNG(cfg.Seed, "topology"))
-	if err != nil {
-		return nil, fmt.Errorf("topology: %w", err)
-	}
-
 	wlSeries := workloadTrace
 	if wlSeries == nil {
 		wl, err := workload.NewGenerator(workload.Config{
@@ -136,6 +131,7 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 
 	prices := priceTrace
 	if prices == nil {
+		var err error
 		prices, err = market.GeneratePrices(cfg.Prices, cfg.Horizon, numeric.SplitRNG(cfg.Seed, "market"))
 		if err != nil {
 			return nil, fmt.Errorf("market: %w", err)
@@ -147,14 +143,14 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 	s := &Scenario{
 		Cfg:      cfg,
 		Zoo:      zoo,
-		Delays:   make([]float64, cfg.Edges),
+		Delays:   edgeDelays(cfg.Edges, numeric.SplitRNG(cfg.Seed, "topology")),
 		CompCost: make([][]float64, cfg.Edges),
 		Workload: wlSeries,
 		Prices:   prices,
 	}
 	speedRNG := numeric.SplitRNG(cfg.Seed, "edge-speed")
 	for i := 0; i < cfg.Edges; i++ {
-		s.Delays[i] = topo.Delay(i) * cfg.SwitchWeight
+		s.Delays[i] *= cfg.SwitchWeight
 		speed := 0.8 + 0.45*speedRNG.Float64() // heterogeneous edge hardware
 		s.CompCost[i] = make([]float64, zoo.NumModels())
 		for n := 0; n < zoo.NumModels(); n++ {
@@ -166,6 +162,46 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 		s.streamRNGs[i] = numeric.SplitRNG(cfg.Seed, fmt.Sprintf("stream-%d", i))
 	}
 	return s, nil
+}
+
+// The download-delay model. The paper places edges at Australian cellular
+// base stations and estimates network delay from geographic distance;
+// offline, edges are uniform in a box around a Northern-Territory-like cloud
+// site, and great-circle distance maps linearly to seconds of download delay
+// per unit model size — heterogeneous switching costs u_i across edges.
+const (
+	boxKm      = 400   // half-width of the deployment box around the cloud
+	delayPerKm = 0.004 // 4 ms per km
+	baseDelay  = 0.05  // 50 ms floor
+)
+
+// edgeDelays draws edges sites from rng and returns each one's download
+// delay u_i in seconds: base latency plus distance-proportional transfer
+// time.
+func edgeDelays(edges int, rng *rand.Rand) []float64 {
+	cloudLat, cloudLon := -12.46, 130.84 // Northern Territory, Australia
+	const kmPerDegLat = 111.0
+	kmPerDegLon := kmPerDegLat * math.Cos(cloudLat*math.Pi/180)
+	delays := make([]float64, edges)
+	for i := range delays {
+		dLatKm := (rng.Float64()*2 - 1) * boxKm
+		dLonKm := (rng.Float64()*2 - 1) * boxKm
+		d := greatCircleKm(cloudLat, cloudLon, cloudLat+dLatKm/kmPerDegLat, cloudLon+dLonKm/kmPerDegLon)
+		delays[i] = baseDelay + delayPerKm*d
+	}
+	return delays
+}
+
+// greatCircleKm returns the great-circle distance in km between two points
+// given in degrees (haversine formula, mean Earth radius).
+func greatCircleKm(lat1, lon1, lat2, lon2 float64) float64 {
+	const earthRadiusKm = 6371.0
+	rad := math.Pi / 180
+	dLat := (lat2 - lat1) * rad
+	dLon := (lon2 - lon1) * rad
+	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
+		math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
 // NumModels returns the zoo size N.
