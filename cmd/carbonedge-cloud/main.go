@@ -42,6 +42,7 @@ import (
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
 	"github.com/carbonedge/carbonedge/internal/deploy"
+	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/models"
@@ -67,7 +68,7 @@ func run(args []string, stdout io.Writer) error {
 		horizon  = fs.Int("horizon", 40, "number of time slots")
 		seed     = fs.Int64("seed", 1, "random seed (must match the edges' and every region's)")
 		cap      = fs.Float64("cap", 0.002, "initial allowance cap in grams")
-		rate     = fs.Float64("rate", 500, "emission rate g/kWh")
+		rate     = fs.Float64("rate", energy.DefaultEmissionRate, "emission rate g/kWh")
 		trainN   = fs.Int("train", 600, "zoo training-pool size")
 		epochs   = fs.Int("epochs", 2, "zoo training epochs")
 		retries  = fs.Int("retries", 0, "per-slot transient-failure retry budget per edge")

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,12 +22,16 @@ var (
 	braceRE      = regexp.MustCompile(`\{([^{}]*)\}`)
 	makeRE       = regexp.MustCompile(`(?:^|[\s;&|])make((?: +[a-z][a-z0-9-]*)+)`)
 	makeTargetRE = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	testNameRE   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)\w*`)
+	testDeclRE   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 )
 
 // TestDocsNameOnlyWhatExists fails on a code span (inline or fenced) of a
 // living doc, or a line of the Makefile's help header, that names a
 // cmd/<name>, an internal/<pkg>[/file], a source or data file, or a make
-// target the tree no longer has. Reword the doc, or restore what it names.
+// target the tree no longer has, or whose Test…, Benchmark… or Fuzz… name
+// (split on the | and / of a -run or -bench pattern) begins no function a
+// _test.go file declares. Reword the doc, or restore what it names.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const root = "../.."
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
@@ -40,6 +45,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	// A bare file name in a doc means "that file of the package under
 	// discussion", so it is held to existing anywhere in the tree.
 	basenames := map[string]bool{}
+	var testFuncs []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -48,6 +54,15 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			return filepath.SkipDir
 		}
 		basenames[d.Name()] = true
+		if strings.HasSuffix(path, "_test.go") {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range testDeclRE.FindAllSubmatch(src, -1) {
+				testFuncs = append(testFuncs, string(m[1]))
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -79,6 +94,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			tok = strings.Trim(tok, `.,;:()"'`)
 			if fileTokenRE.MatchString(tok) && !basenames[tok] {
 				t.Errorf("%s names the file %s, which does not exist (in %q)", doc, tok, span)
+			}
+		}
+		for _, name := range testNameRE.FindAllString(strings.NewReplacer("|", " ", "/", " ").Replace(span), -1) {
+			if !slices.ContainsFunc(testFuncs, func(f string) bool { return strings.HasPrefix(f, name) }) {
+				t.Errorf("%s names %s, which begins no test, benchmark or fuzz function (in %q)", doc, name, span)
 			}
 		}
 		for _, m := range makeRE.FindAllStringSubmatch(span, -1) {

@@ -200,7 +200,7 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 17408
+	goLineCeiling  = 17332
 	asmLineCeiling = 1712
 )
 

@@ -24,6 +24,7 @@ import (
 	"text/tabwriter"
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
+	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/numeric"
@@ -46,7 +47,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		horizon      = fs.Int("horizon", 160, "number of 15-minute slots")
 		seed         = fs.Int64("seed", 1, "random seed")
 		cap          = fs.Float64("cap", -1, "initial carbon cap in grams (-1 = default)")
-		rate         = fs.Float64("rate", -1, "carbon emission rate g/kWh (-1 = default 500)")
+		rate         = fs.Float64("rate", -1, fmt.Sprintf("carbon emission rate g/kWh (-1 = default %g)", energy.DefaultEmissionRate))
 		switchWeight = fs.Float64("switch-weight", 1, "weight on the model switching cost")
 		combo        = fs.String("combo", "", "run only this combination (e.g. Ours, UCB-LY)")
 		workers      = fs.Int("workers", 1, "edge-stepping workers per shard (1 = serial; results are identical for any count)")

@@ -19,6 +19,7 @@ import (
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
 	"github.com/carbonedge/carbonedge/internal/deploy"
+	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/nn"
@@ -73,7 +74,7 @@ func run() error {
 		Horizon:       horizon,
 		DownloadCosts: downloadCosts,
 		InitialCap:    0.002, // grams; tiny system, tiny cap
-		EmissionRate:  500,
+		EmissionRate:  energy.DefaultEmissionRate,
 		Prices:        prices,
 		EmissionScale: 2e-4,
 		Seed:          seed,

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"github.com/carbonedge/carbonedge/internal/core"
+	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/trading"
@@ -77,7 +78,7 @@ func run() error {
 			m := 50 + rng.Intn(100) // samples this slot
 			losses[i] = meanLoss[arm] + rng.NormFloat64()*0.2
 			totalCost += meanLoss[arm]
-			slotEmission += phi[arm] * float64(m) * 500 // g, at 500 g/kWh
+			slotEmission += phi[arm] * float64(m) * energy.DefaultEmissionRate // g
 		}
 		emissions[t] = slotEmission
 		totalEmission += slotEmission

@@ -72,10 +72,10 @@ func TestExchangeAllocsPinned(t *testing.T) {
 		if err := cloud.acc.awaitInitial(); err != nil {
 			t.Fatal(err)
 		}
-		tcp := cloud.rangeSteppers(cloud.initial)
+		tcp := &tcpStepper{fleet: cloud.edgeFleet, link: cloud.initial.links[0], rng: numeric.SplitRNG(7, "deploy-retry-0")}
 		slot := 0
 		step := func() {
-			if _, err := tcp[0].Step(slot, slot%4, false); err != nil {
+			if _, err := tcp.Step(slot, slot%4, false); err != nil {
 				t.Fatal(err)
 			}
 			slot++

@@ -130,7 +130,8 @@ func summaryFromResult(res *engine.Result, resumes []int) *Summary {
 
 // Cloud hosts the models and the online controller. Its TCP-facing fleet
 // machinery (admission, resume, retries, the per-slot exchange) lives in the
-// embedded edgeFleet, which the regional-aggregator tier reuses verbatim.
+// embedded edgeFleet, which the regional-aggregator tier reuses verbatim, and
+// its run lifecycle is the controller's serve, which the Root shares.
 type Cloud struct {
 	*controller
 	*edgeFleet
@@ -207,33 +208,50 @@ func newController(cfg CloudConfig, numModels int) (*controller, error) {
 // edges can redial and resume their session mid-run; it is not closed (the
 // caller owns it), but Serve unblocks its own acceptor on return when the
 // listener supports deadlines (as TCP listeners do).
+//
+// All slots go through the shared engine: the TCP exchange with each edge is
+// one EdgeStepper of a single shard, so the distributed deployment executes
+// the exact protocol the in-process simulator does. One worker per edge keeps
+// every edge's assign/report exchange in flight concurrently; the retry layer
+// and the error policy decide what a failed exchange means.
 func (c *Cloud) Serve(ln net.Listener) (*Summary, error) {
-	stop := c.acc.start(ln)
-	defer stop()
-	if err := c.acc.awaitInitial(); err != nil {
-		return nil, err
-	}
-
-	// All slots go through the shared engine: the TCP exchange with each
-	// edge is one EdgeStepper, so the distributed deployment executes the
-	// exact protocol the in-process simulator does. One worker per edge keeps
-	// every edge's assign/report exchange in flight concurrently, as before;
-	// the retry layer and the error policy decide what a failed exchange means.
-	tcp := c.rangeSteppers(c.initial)
-	steppers := make([]engine.EdgeStepper, len(tcp))
-	for i, s := range tcp {
-		steppers[i] = s
-	}
-	defer c.closeAll()
-	ecfg := c.ecfg
-	ecfg.Workers = len(tcp)
-	res, err := engine.Run(ecfg, c.ctrl, steppers)
+	res, err := c.serve(ln, c.acc, c.links, "edge", func() ([]engine.ShardStepper, error) {
+		shard, err := c.shard(c.initial, nil, c.ecfg.Policy)
+		return []engine.ShardStepper{shard}, err
+	})
 	if err != nil {
-		return nil, abort(c.links(), err)
-	}
-
-	if err := finish(c.links(), "edge"); err != nil && ecfg.Policy == engine.FailFast {
 		return nil, err
 	}
 	return summaryFromResult(res, c.resumes()), nil
+}
+
+// serve is the run lifecycle both tiers share: admit the initial units
+// through acc, step the shards build returns through engine.RunSharded, tell
+// every connected unit how the run ended (a finish error fails only a
+// FailFast run), and retire every link of links once the run is over. noun
+// names the units in finish's errors.
+func (c *controller) serve(ln net.Listener, acc *acceptor, links func() []*link, noun string,
+	build func() ([]engine.ShardStepper, error)) (*engine.Result, error) {
+	stop := acc.start(ln)
+	defer func() {
+		stop()
+		for _, l := range links() {
+			l.retire()
+		}
+	}()
+	if err := acc.awaitInitial(); err != nil {
+		return nil, err
+	}
+	shards, err := build()
+	var res *engine.Result
+	if err == nil {
+		res, err = engine.RunSharded(c.ecfg, c.ctrl, shards)
+	}
+	if err != nil {
+		return nil, abort(links(), err)
+	}
+	if err := finish(links(), noun); err != nil && c.ecfg.Policy == engine.FailFast {
+		return nil, err
+	}
+	return res, nil
 }

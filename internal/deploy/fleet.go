@@ -66,7 +66,7 @@ func newFleetRange(offset, count int, seed int64, claimed bool) *fleetRange {
 	tokenRNG := numeric.SplitRNG(seed, "deploy-resume-token")
 	links := make([]*link, count)
 	for i := range links {
-		links[i] = newLink(offset+i, tokenRNG, i)
+		links[i] = newLink("edge", "", offset+i, tokenRNG, i)
 		links[i].claimed = claimed
 	}
 	return &fleetRange{offset: offset, seed: seed, links: links}
@@ -128,11 +128,10 @@ func (f *edgeFleet) welcome(hello *Message, l *link) (*Message, bool) {
 // links are rebuilt with the original fleet's tokens (derived from
 // ck.FleetSeed) and pre-claimed, so the shard's edges are admitted through
 // the resume path only — exactly the state they are in. It returns the
-// range's steppers, with each edge's backoff jitter stream fast-forwarded to
-// the checkpointed draw position (jitter paces wall-clock retries only; it
-// never reaches Results). ck has passed ValidateAdopt, which is what bounds
-// the range allocated and the draws replayed here.
-func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint) ([]*tcpStepper, error) {
+// range's shard with the checkpointed edges down and each edge's backoff
+// jitter stream at its checkpointed position. ck has passed ValidateAdopt,
+// which is what bounds the range allocated and the draws replayed here.
+func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint, policy engine.ErrorPolicy) (*engine.Shard, error) {
 	f.mu.Lock()
 	for _, rg := range f.ranges {
 		if ck.Start < rg.offset+len(rg.links) && rg.offset < ck.Start+ck.Count {
@@ -147,27 +146,28 @@ func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint) ([]*tcpStepper, error) {
 	f.grown = make(chan struct{})
 	f.mu.Unlock()
 
-	tcp := f.rangeSteppers(rg)
-	for i, s := range tcp {
-		for k := 0; k < ck.JitterDraws[i]; k++ {
-			s.rng.Int63()
-		}
+	shard, err := f.shard(rg, ck.JitterDraws, policy)
+	if err != nil {
+		return nil, err
 	}
-	return tcp, nil
+	return shard, shard.RestoreDown(ck.Down)
 }
 
-// rangeSteppers builds one tcpStepper per link of a range (the initial one
-// for the fleet's owner), with deterministic per-edge backoff jitter streams.
-func (f *edgeFleet) rangeSteppers(rg *fleetRange) []*tcpStepper {
-	tcp := make([]*tcpStepper, len(rg.links))
+// shard builds the engine Shard serving a range: one tcpStepper per link,
+// each with its deterministic backoff jitter stream fast-forwarded past
+// jitterDraws' entry (nil: a fresh range), and one worker per edge — a
+// slot's exchanges wait on the network, not on a core. Jitter paces
+// wall-clock retries only; it never reaches Results.
+func (f *edgeFleet) shard(rg *fleetRange, jitterDraws []int, policy engine.ErrorPolicy) (*engine.Shard, error) {
+	steppers := make([]engine.EdgeStepper, len(rg.links))
 	for i, l := range rg.links {
-		tcp[i] = &tcpStepper{
-			fleet: f,
-			link:  l,
-			rng:   numeric.SplitRNG(rg.seed, fmt.Sprintf("deploy-retry-%d", i)),
+		rng := numeric.SplitRNG(rg.seed, fmt.Sprintf("deploy-retry-%d", i))
+		for k := 0; jitterDraws != nil && k < jitterDraws[i]; k++ {
+			rng.Int63()
 		}
+		steppers[i] = &tcpStepper{fleet: f, link: l, rng: rng}
 	}
-	return tcp
+	return engine.NewShard(engine.ShardConfig{Start: rg.offset, Workers: len(steppers), Policy: policy}, steppers)
 }
 
 // links snapshots every link the fleet serves, in range order.
@@ -179,14 +179,6 @@ func (f *edgeFleet) links() []*link {
 		out = append(out, rg.links...)
 	}
 	return out
-}
-
-// closeAll closes every live connection (teardown after a run: the links
-// serve nothing afterwards).
-func (f *edgeFleet) closeAll() {
-	for _, l := range f.links() {
-		l.retire()
-	}
 }
 
 // resumes snapshots the initial range's per-edge accepted-resume counts.
@@ -223,15 +215,8 @@ type tcpStepper struct {
 //lint:cold a TCP round trip per slot dominates any allocation; the alloc-free contract covers in-process steppers only
 func (s *tcpStepper) Step(slot, arm int, download bool) (engine.Observation, error) {
 	var obs engine.Observation
-	retries, exhausted, err := s.fleet.retry.run(s.rng, func(wait time.Duration) error {
-		conn := s.link.acquire(wait)
-		if conn == nil {
-			return Transientf("edge %d: no live connection within %v", s.link.id, wait)
-		}
-		var err error
-		if obs, err = s.exchange(conn, slot, arm, download); err != nil {
-			s.link.drop()
-		}
+	retries, exhausted, err := s.link.roundTrip(s.fleet.retry, s.rng, s.fleet.slotTimeout, func(conn *wireConn) (err error) {
+		obs, err = s.exchange(conn, slot, arm, download)
 		return err
 	})
 	if exhausted {
@@ -247,13 +232,6 @@ func (s *tcpStepper) Step(slot, arm int, download bool) (engine.Observation, err
 // exchange runs one assign/report round trip on conn.
 func (s *tcpStepper) exchange(conn *wireConn, slot, arm int, download bool) (engine.Observation, error) {
 	f, i := s.fleet, s.link.id
-	if slotTimeout := f.slotTimeout; slotTimeout > 0 {
-		//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
-		if err := conn.SetDeadline(time.Now().Add(slotTimeout)); err != nil {
-			return engine.Observation{}, fmt.Errorf("edge %d deadline: %w", i, err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
 	assign := &s.assign
 	*assign = Message{
 		Type:    MsgAssign,

@@ -267,7 +267,7 @@ func genMessage(r *rand.Rand) *Message {
 		case 2:
 			m.Models = []ModelMeta{{Name: genString(r), PhiKWh: genFloat(r), SizeBytes: int64(genInt(r))}}
 		case 3:
-			m.Checkpoint = &engine.ShardCheckpoint{Start: genInt(r), Count: 2, Down: []bool{true, false}, DownErrors: []string{genString(r), ""}}
+			m.Checkpoint = &engine.ShardCheckpoint{Start: genInt(r), Count: 2, Down: []bool{true, false}, JitterDraws: []int{genInt(r), 0}}
 		}
 	}
 	return m
@@ -413,9 +413,9 @@ const adoptHorizon, adoptAttempts = 8, 2
 // here and FuzzShardCheckpoint in internal/engine.
 var hostileCheckpoints = map[string]string{
 	"slice-less oversized count": `{"start":0,"count":1099511627776,"fleetSeed":7}`,
-	"overflowing start+count":    `{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[0]}`,
-	"doneSlots past the horizon": `{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[0]}`,
-	"jitterDraws of 2^62":        `{"start":0,"count":1,"doneSlots":4,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[4611686018427387904]}`,
+	"overflowing start+count":    `{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false],"jitterDraws":[0]}`,
+	"doneSlots past the horizon": `{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false],"jitterDraws":[0]}`,
+	"jitterDraws of 2^62":        `{"start":0,"count":1,"doneSlots":4,"fleetSeed":7,"down":[false],"jitterDraws":[4611686018427387904]}`,
 }
 
 // adoptFrame frames a ShardAdopt carrying the checkpoint's JSON as written.

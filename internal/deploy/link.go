@@ -18,14 +18,17 @@ import (
 // a departed coordinator's link is marked dead and its shards move elsewhere
 // (an edge link never dies: a failed edge is the engine's to mark down).
 type link struct {
-	id       int // global edge id, or region id
-	token    string
-	incoming chan *wireConn
+	id int // global edge id, or region id
+	// noun names the unit in the link's errors ("edge" or "region link");
+	// errPrefix starts its deadline and departure errors ("" on an edge
+	// link, "deploy: " on a region link).
+	noun, errPrefix string
+	token           string
+	incoming        chan *wireConn
 
-	// xmu serializes assign/delta round trips on a region link: after an
-	// adoption, several shards may share one coordinator, and each exchange
-	// must own the connection for its full write+read. An edge link has one
-	// stepper and never takes it.
+	// xmu serializes round trips on the link: after an adoption, several
+	// shards may share one coordinator, and each exchange (and each adopt
+	// frame) must own the connection for its full write+read.
 	xmu sync.Mutex
 
 	mu   sync.Mutex
@@ -54,11 +57,13 @@ func (l *link) state() linkState {
 // authentication secret — which is also what lets an adopting coordinator
 // reconstruct an orphaned range's tokens from the original fleet seed instead
 // of having them shipped.
-func newLink(id int, tokenRNG *rand.Rand, index int) *link {
+func newLink(noun, errPrefix string, id int, tokenRNG *rand.Rand, index int) *link {
 	return &link{
-		id:       id,
-		token:    fmt.Sprintf("%016x-%02d", tokenRNG.Uint64(), index),
-		incoming: make(chan *wireConn, 1),
+		id:        id,
+		noun:      noun,
+		errPrefix: errPrefix,
+		token:     fmt.Sprintf("%016x-%02d", tokenRNG.Uint64(), index),
+		incoming:  make(chan *wireConn, 1),
 	}
 }
 
@@ -124,8 +129,8 @@ func (l *link) markResumed() {
 // lasts, otherwise the next delivered resume, waiting up to wait for the
 // unit to redial. The current connection is deliberately used until an
 // exchange fails on it — switching to a fresher delivery eagerly would make
-// the retry accounting depend on how quickly the unit redialed. On a region
-// link, called with xmu held.
+// the retry accounting depend on how quickly the unit redialed. Called with
+// xmu held.
 func (l *link) acquire(wait time.Duration) *wireConn {
 	l.mu.Lock()
 	conn := l.conn
@@ -146,6 +151,51 @@ func (l *link) acquire(wait time.Duration) *wireConn {
 	case <-t.C:
 		return nil
 	}
+}
+
+// connFor returns the link's connection for one frame or round trip: a
+// departure error on a dead link (a sibling shard already saw it go; don't
+// burn budget rediscovering it), a transient one when no connection comes
+// within wait. Called with xmu held.
+func (l *link) connFor(wait time.Duration) (*wireConn, error) {
+	if l.state().dead {
+		return nil, fmt.Errorf("%s%s %d: %w", l.errPrefix, l.noun, l.id, errRegionLeft)
+	}
+	if conn := l.acquire(wait); conn != nil {
+		return conn, nil
+	}
+	return nil, Transientf("%s %d: no live connection within %v", l.noun, l.id, wait)
+}
+
+// roundTrip runs one slot's exchange with the link's unit under r's retry
+// budget, drawing backoff jitter from jitter. Each try owns the link (xmu),
+// takes its connection, bounds the exchange by timeout (0: no deadline) and
+// runs do on it; a failed try drops the connection so the next one waits for
+// a resume — except after a departure, whose connection stays open: closing
+// it (retire, once the shard has a new home) is what releases the
+// coordinator's edges, so they never redial the adopter before the adopt
+// frame installs them. It returns what retrier.run does.
+func (l *link) roundTrip(r *retrier, jitter *rand.Rand, timeout time.Duration, do func(*wireConn) error) (retries int, exhausted bool, err error) {
+	return r.run(jitter, func(wait time.Duration) error {
+		l.xmu.Lock()
+		defer l.xmu.Unlock()
+		conn, err := l.connFor(wait)
+		if err != nil {
+			return err
+		}
+		if timeout > 0 {
+			//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
+			if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+				l.drop()
+				return fmt.Errorf("%s%s %d deadline: %w", l.errPrefix, l.noun, l.id, err)
+			}
+			defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
+		}
+		if err = do(conn); err != nil && !errors.Is(err, errRegionLeft) {
+			l.drop()
+		}
+		return err
+	})
 }
 
 // install makes a delivered connection the link's current one, closing the

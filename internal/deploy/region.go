@@ -159,7 +159,7 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 	// token stream is deterministic; spares joining mid-run draw later
 	// positions in arrival order (tokens never reach Results).
 	for id := 0; id < cfg.Regions; id++ {
-		r.links[id] = newLink(id, r.tokenRNG, id)
+		r.links[id] = newLink("region link", "deploy: ", id, r.tokenRNG, id)
 	}
 	return r, nil
 }
@@ -172,28 +172,16 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 // it is not closed (the caller owns it), but Serve unblocks its own acceptor
 // on return when the listener supports deadlines (as TCP listeners do).
 func (r *Root) Serve(ln net.Listener) (*Summary, error) {
-	stop := r.acc.start(ln)
-	defer func() {
-		stop()
-		for _, l := range r.sortedLinks() {
-			l.retire()
-		}
-	}()
-	if err := r.acc.awaitInitial(); err != nil {
-		return nil, err
-	}
-
 	steppers := make([]*regionStepper, len(r.ranges))
-	shards := make([]engine.ShardStepper, len(r.ranges))
-	for k := range r.ranges {
-		steppers[k] = r.stepper(k)
-		shards[k] = steppers[k]
-	}
-	res, err := engine.RunSharded(r.ecfg, r.ctrl, shards)
+	res, err := r.serve(ln, r.acc, r.sortedLinks, "region", func() ([]engine.ShardStepper, error) {
+		shards := make([]engine.ShardStepper, len(r.ranges))
+		for k := range r.ranges {
+			steppers[k] = r.stepper(k)
+			shards[k] = steppers[k]
+		}
+		return shards, nil
+	})
 	if err != nil {
-		return nil, abort(r.sortedLinks(), err)
-	}
-	if err := finish(r.sortedLinks(), "region"); err != nil && r.cfg.Policy == engine.FailFast {
 		return nil, err
 	}
 	// Edge resumes are region-local; the root does not observe them.
@@ -209,16 +197,18 @@ func (r *Root) stepper(k int) *regionStepper {
 	r.mu.Unlock()
 	rg := r.ranges[k]
 	return &regionStepper{
-		root:      r,
-		index:     k,
-		rng:       rg,
-		link:      l,
-		fleetSeed: l.state().seed,
-		jitter:    numeric.SplitRNG(r.cfg.Seed, fmt.Sprintf("deploy-region-retry-%d", k)),
-		down:      make([]bool, rg.Count),
-		downErrs:  make([]string, rg.Count),
-		draws:     make([]int, rg.Count),
-		buf:       make([]engine.EdgeDelta, 0, rg.Count),
+		root:   r,
+		index:  k,
+		link:   l,
+		jitter: numeric.SplitRNG(r.cfg.Seed, fmt.Sprintf("deploy-region-retry-%d", k)),
+		ck: engine.ShardCheckpoint{
+			Start:       rg.Start,
+			Count:       rg.Count,
+			FleetSeed:   l.state().seed,
+			Down:        make([]bool, rg.Count),
+			JitterDraws: make([]int, rg.Count),
+		},
+		buf: make([]engine.EdgeDelta, 0, rg.Count),
 	}
 }
 
@@ -285,7 +275,7 @@ func (r *Root) resolve(hello *Message) (*link, string, <-chan struct{}) {
 		}
 		// A standby coordinator joining mid-run: it gets an empty shard and
 		// serves only what rebalancing adopts into it.
-		l = newLink(id, r.tokenRNG, id)
+		l = newLink("region link", "deploy: ", id, r.tokenRNG, id)
 		r.links[id] = l
 	}
 	return l, "", nil
@@ -350,25 +340,17 @@ func (r *Root) electTarget(shard int) *link {
 // rebalanced onto survivors, and — below quorum — the shard degraded with
 // the engine's down-slot semantics.
 type regionStepper struct {
-	root      *Root
-	index     int
-	rng       engine.Range
-	fleetSeed int64
-	jitter    *rand.Rand // deterministic backoff jitter stream
-	link      *link
+	root   *Root
+	index  int
+	jitter *rand.Rand // deterministic backoff jitter stream
+	link   *link
 
-	// dedup is the shard's fold watermark: a resumed link's replayed deltas
-	// are admitted at most once per slot.
-	dedup engine.SlotDeduper
-
-	// Root-side mirror of the shard's per-edge fault state, folded from the
-	// deltas as they are admitted. It is everything a ShardCheckpoint needs:
-	// no state is ever shipped from a dead coordinator. Only integer, bool,
-	// and string delta fields are read — the float terms pass through to the
-	// engine's fold untouched.
-	down     []bool
-	downErrs []string
-	draws    []int
+	// ck is the shard's root-side state, advanced by every slot the root
+	// folds: the fold watermark (a resumed link's replayed deltas are
+	// admitted at most once per slot), the down edges and the jitter
+	// positions. It is the very checkpoint an adopter gets — no state is ever
+	// shipped from a dead coordinator.
+	ck engine.ShardCheckpoint
 
 	// degraded carries the canonical down reason once the shard fell below
 	// quorum ("" while serving).
@@ -382,7 +364,7 @@ type regionStepper struct {
 var _ engine.ShardStepper = (*regionStepper)(nil)
 
 // Range implements engine.ShardStepper.
-func (rs *regionStepper) Range() (start, count int) { return rs.rng.Start, rs.rng.Count }
+func (rs *regionStepper) Range() (start, count int) { return rs.ck.Start, rs.ck.Count }
 
 // Step implements engine.ShardStepper. A fatal exchange error (protocol
 // violation, forwarded shard error) aborts the run regardless of policy; a
@@ -395,8 +377,8 @@ func (rs *regionStepper) Step(slot int, arms []int, downloads []bool) (engine.Sl
 	for {
 		lost, err := rs.attemptSlot(slot, arms, downloads)
 		if err == nil {
-			d := engine.SlotDelta{Start: rs.rng.Start, Edges: rs.buf}
-			rs.observe(&d)
+			d := engine.SlotDelta{Start: rs.ck.Start, Edges: rs.buf}
+			rs.ck.Fold(d)
 			return d, nil
 		}
 		if !lost {
@@ -435,8 +417,8 @@ func (rs *regionStepper) Step(slot int, arms []int, downloads []bool) (engine.Sl
 // the link itself is gone (departure, or budget exhausted) — the caller
 // rebalances or degrades; a false lost with a non-nil error is fatal.
 func (rs *regionStepper) attemptSlot(slot int, arms []int, downloads []bool) (lost bool, err error) {
-	retries, exhausted, err := rs.root.retry.run(rs.jitter, func(wait time.Duration) error {
-		return rs.exchange(slot, arms, downloads, wait)
+	retries, exhausted, err := rs.link.roundTrip(rs.root.retry, rs.jitter, rs.root.cfg.SlotTimeout, func(conn *wireConn) error {
+		return rs.exchangeOn(conn, slot, arms, downloads)
 	})
 	rs.retries += retries
 	if exhausted {
@@ -446,56 +428,14 @@ func (rs *regionStepper) attemptSlot(slot int, arms []int, downloads []bool) (lo
 	return exhausted || errors.Is(err, errRegionLeft), err
 }
 
-// exchange runs one assign/delta round trip on the shard's link, owning the
-// link for the duration (shards sharing a link after an adoption serialize
-// here). The slot's per-edge deltas are left in rs.buf.
-func (rs *regionStepper) exchange(slot int, arms []int, downloads []bool, wait time.Duration) error {
-	l := rs.link
-	l.xmu.Lock()
-	defer l.xmu.Unlock()
-	conn, err := regionConn(l, wait)
-	if err != nil {
-		return err
-	}
-	err = rs.exchangeOn(conn, slot, arms, downloads)
-	if err != nil && !errors.Is(err, errRegionLeft) {
-		// Keep a departed link's connection open: closing it (retire, once the
-		// shard has a new home) is what releases the coordinator's edges, so
-		// they never redial the adopter before the adopt frame installs them.
-		l.drop()
-	}
-	return err
-}
-
-// regionConn returns a region link's connection for one frame or round trip.
-// Called with l.xmu held.
-func regionConn(l *link, wait time.Duration) (*wireConn, error) {
-	if l.state().dead {
-		// A sibling shard already saw the departure; don't burn budget
-		// re-discovering it.
-		return nil, fmt.Errorf("deploy: region link %d: %w", l.id, errRegionLeft)
-	}
-	conn := l.acquire(wait)
-	if conn == nil {
-		return nil, Transientf("region link %d: no live connection within %v", l.id, wait)
-	}
-	return conn, nil
-}
-
-// exchangeOn runs the round trip on one connection.
+// exchangeOn runs one assign/delta round trip on the shard's link, leaving
+// the slot's per-edge deltas in rs.buf.
 func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downloads []bool) error {
-	if t := rs.root.cfg.SlotTimeout; t > 0 {
-		//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
-		if err := conn.SetDeadline(time.Now().Add(t)); err != nil {
-			return fmt.Errorf("deploy: region link %d deadline: %w", rs.link.id, err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
 	assign := &Message{
 		Type:      MsgShardAssign,
 		Slot:      slot,
-		Start:     rs.rng.Start,
-		Count:     rs.rng.Count,
+		Start:     rs.ck.Start,
+		Count:     rs.ck.Count,
 		Arms:      arms,
 		Downloads: downloads,
 	}
@@ -517,13 +457,12 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 		case MsgRegionLeave:
 			return fmt.Errorf("deploy: region link %d departed at slot %d: %w", rs.link.id, slot, errRegionLeft)
 		case MsgShardDelta:
-			if m.Slot != slot && rs.dedup.Seen(m.Slot) {
+			if m.Slot < slot {
 				continue // replayed duplicate of an already-folded slot
 			}
-			if err := ValidateDelta(m, rs.rng.Start, rs.rng.Count, slot); err != nil {
+			if err := ValidateDelta(m, rs.ck.Start, rs.ck.Count, slot); err != nil {
 				return fmt.Errorf("deploy: shard %d: %w", rs.index, err)
 			}
-			rs.dedup.Admit(slot)
 			// Copy out of the link reader's recycled target: shards sharing
 			// the link after an adoption read their deltas through the same
 			// reader, and each delta must outlive the slot's merge.
@@ -541,45 +480,15 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 func (rs *regionStepper) adoptInto(target *link, slot int) error {
 	target.xmu.Lock()
 	defer target.xmu.Unlock()
-	conn, err := regionConn(target, rs.root.retry.cfg.resumeWait)
+	conn, err := target.connFor(rs.root.retry.cfg.resumeWait)
 	if err != nil {
 		return err
 	}
-	msg := &Message{Type: MsgShardAdopt, Slot: slot, Checkpoint: rs.checkpoint()}
-	if err := WriteMessage(conn, msg); err != nil {
+	if err := WriteMessage(conn, &Message{Type: MsgShardAdopt, Slot: slot, Checkpoint: &rs.ck}); err != nil {
 		target.drop()
 		return fmt.Errorf("deploy: shard %d adopt into region link %d: %w", rs.index, target.id, err)
 	}
 	return nil
-}
-
-// checkpoint serializes the shard's root-tracked state for an adopter.
-func (rs *regionStepper) checkpoint() *engine.ShardCheckpoint {
-	return &engine.ShardCheckpoint{
-		Start:       rs.rng.Start,
-		Count:       rs.rng.Count,
-		DoneSlots:   rs.dedup.Next(),
-		FleetSeed:   rs.fleetSeed,
-		Down:        append([]bool(nil), rs.down...),
-		DownErrors:  append([]string(nil), rs.downErrs...),
-		JitterDraws: append([]int(nil), rs.draws...),
-	}
-}
-
-// observe folds an admitted delta's fault bookkeeping into the root-side
-// shard mirror. Only integer/bool/string fields are touched; the float terms
-// flow to the engine untouched.
-func (rs *regionStepper) observe(d *engine.SlotDelta) {
-	for j := range d.Edges {
-		ed := &d.Edges[j]
-		rs.draws[j] += ed.Retries
-		if ed.WentDown {
-			rs.downErrs[j] = ed.DownError
-		}
-		if !ed.Served {
-			rs.down[j] = true
-		}
-	}
 }
 
 // degradeDelta synthesizes the shard's delta once it fell below quorum:
@@ -588,18 +497,15 @@ func (rs *regionStepper) observe(d *engine.SlotDelta) {
 // with the canonical degrade reason — byte-identical to an in-process
 // Degrade run whose steppers fail with that reason at the same slot.
 func (rs *regionStepper) degradeDelta(slot int) engine.SlotDelta {
-	rs.dedup.Admit(slot)
-	d := engine.SlotDelta{Start: rs.rng.Start, Edges: rs.buf[:0]}
-	for j := 0; j < rs.rng.Count; j++ {
+	d := engine.SlotDelta{Start: rs.ck.Start, Edges: rs.buf[:0]}
+	for _, down := range rs.ck.Down {
 		ed := engine.EdgeDelta{}
-		if !rs.down[j] {
-			ed.WentDown = true
-			ed.DownError = rs.degraded
-			rs.down[j] = true
-			rs.downErrs[j] = rs.degraded
+		if !down {
+			ed.WentDown, ed.DownError = true, rs.degraded
 		}
 		d.Edges = append(d.Edges, ed)
 	}
+	rs.ck.Fold(d)
 	rs.buf = d.Edges[:0]
 	return d
 }
@@ -823,7 +729,7 @@ func (s *RegionSession) handshake(upstream *wireConn) error {
 		return err
 	}
 	if w.Count > 0 {
-		shard, err := s.buildShard(w.Start, s.fleet.rangeSteppers(s.fleet.initial))
+		shard, err := s.fleet.shard(s.fleet.initial, nil, s.policy)
 		if err != nil {
 			return err
 		}
@@ -831,16 +737,6 @@ func (s *RegionSession) handshake(upstream *wireConn) error {
 	}
 	s.token, s.welcomed = w.ResumeToken, true
 	return nil
-}
-
-// buildShard wraps a range's steppers into an engine Shard with one worker
-// per edge: a slot's exchanges wait on the network, not on a core.
-func (s *RegionSession) buildShard(start int, tcp []*tcpStepper) (*engine.Shard, error) {
-	steppers := make([]engine.EdgeStepper, len(tcp))
-	for i, st := range tcp {
-		steppers[i] = st
-	}
-	return engine.NewShard(engine.ShardConfig{Start: start, Workers: len(steppers), Policy: s.policy}, steppers)
 }
 
 // shardAt resolves an assign's range start to the session's shard.
@@ -926,15 +822,8 @@ func (s *RegionSession) handleAdopt(m *Message) error {
 		return err
 	}
 	ck := m.Checkpoint
-	tcp, err := s.fleet.adopt(ck)
+	shard, err := s.fleet.adopt(ck, s.policy)
 	if err != nil {
-		return err
-	}
-	shard, err := s.buildShard(ck.Start, tcp)
-	if err != nil {
-		return err
-	}
-	if err := shard.RestoreDown(ck.Down); err != nil {
 		return err
 	}
 	s.shards = append(s.shards, &regionShard{
@@ -951,7 +840,9 @@ func (s *RegionSession) handleAdopt(m *Message) error {
 func (s *RegionSession) release() {
 	if s.fleet != nil {
 		s.stop()
-		s.fleet.closeAll()
+		for _, l := range s.fleet.links() {
+			l.retire()
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -676,12 +677,17 @@ func TestRegionChaosPropertySchedules(t *testing.T) {
 }
 
 // TestShardDeltaReplayFoldsToCleanBytes pins the root's delta-dedup
-// discipline at the unit level: duplicate, reordered, and partially
-// overlapping replayed MsgShardDelta streams must fold to exactly the bytes
-// of the clean stream — each slot validated and admitted once, every replay
-// skipped.
+// discipline through the root's own admission: a regionStepper whose link's
+// far end answers each ShardAssign with a scripted replay stream —
+// duplicate, reordered, or partially overlapping MsgShardDelta frames — must
+// fold exactly the bytes of the clean stream, each slot validated and
+// admitted once, every replay skipped.
 func TestShardDeltaReplayFoldsToCleanBytes(t *testing.T) {
-	const start, count, slots = 3, 2, 5
+	const start, count, slots = 2, 2, 5
+	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), slots, numeric.SplitRNG(3, "replay-prices"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	mk := func(slot int) *Message {
 		d := &engine.SlotDelta{Start: start}
 		for j := 0; j < count; j++ {
@@ -692,33 +698,62 @@ func TestShardDeltaReplayFoldsToCleanBytes(t *testing.T) {
 				Correct:   slot + j,
 				Samples:   slot + j + 2,
 				InferKWh:  1e-5 * float64(slot+1),
+				Retries:   j,
 				Served:    true,
 			})
 		}
 		return &Message{Type: MsgShardDelta, Slot: slot, Delta: d}
 	}
-	// fold replays the root's admission loop over a stream of slot numbers
-	// and returns the JSON bytes of the folded sequence.
+	// fold steps shard 1 of a two-region root (edges [2,4)) through every
+	// slot while its coordinator plays stream: each assign is answered with
+	// the stream's next frames, up to and including one for the assigned
+	// slot. It returns the JSON bytes of the folded sequence.
 	fold := func(t *testing.T, stream []int) []byte {
 		t.Helper()
-		var dedup engine.SlotDeduper
-		var folded []engine.SlotDelta
-		for _, s := range stream {
-			m := mk(s)
-			slot := dedup.Next() // the slot the root is waiting on
-			if m.Slot != slot && dedup.Seen(m.Slot) {
-				continue // replayed duplicate of an already-folded slot
-			}
-			if err := ValidateDelta(m, start, count, slot); err != nil {
-				t.Fatalf("slot %d: %v", s, err)
-			}
-			if !dedup.Admit(slot) {
-				t.Fatalf("slot %d rejected by its own watermark", slot)
-			}
-			folded = append(folded, *m.Delta)
+		root, err := NewRoot(RootConfig{
+			Edges: start + count, Regions: 2, Horizon: slots, DownloadCosts: make([]float64, start+count),
+			InitialCap: 1, EmissionRate: 500, Prices: prices, Seed: 3, NumModels: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := dedup.Next(); got != slots {
-			t.Fatalf("folded %d slots, want %d", got, slots)
+		rootSide, regionSide := net.Pipe()
+		played := make(chan int, 1)
+		go func() {
+			conn, next := newWireConn(regionSide), 0
+			defer func() { played <- next }()
+			for {
+				m, err := conn.readMessage()
+				if err != nil {
+					return
+				}
+				for next < len(stream) {
+					next++
+					if WriteMessage(conn, mk(stream[next-1])) != nil || stream[next-1] == m.Slot {
+						break
+					}
+				}
+			}
+		}()
+		rs := root.stepper(1)
+		rs.link.deliver(newWireConn(rootSide))
+		var folded []engine.SlotDelta
+		for slot := 0; slot < slots; slot++ {
+			d, err := rs.Step(slot, make([]int, count), make([]bool, count))
+			if err != nil {
+				t.Fatalf("slot %d: %v", slot, err)
+			}
+			folded = append(folded, engine.SlotDelta{Start: d.Start, Edges: append([]engine.EdgeDelta(nil), d.Edges...)})
+		}
+		rs.link.retire()
+		// The last assign is answered up to the final slot's first frame;
+		// replays after it are never asked for.
+		if n, want := <-played, slices.Index(stream, slots-1)+1; n != want {
+			t.Errorf("the root read %d frames of the stream, want %d", n, want)
+		}
+		if rs.ck.DoneSlots != slots || !reflect.DeepEqual(rs.ck.JitterDraws, []int{0, slots}) {
+			t.Errorf("root checkpoint at slot %d with jitter positions %v, want %d and [0 %d]",
+				rs.ck.DoneSlots, rs.ck.JitterDraws, slots, slots)
 		}
 		b, err := json.Marshal(folded)
 		if err != nil {

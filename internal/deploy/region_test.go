@@ -311,7 +311,7 @@ func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
 		})
 	}
 
-	good := `{"start":4,"count":2,"doneSlots":4,"fleetSeed":7,"down":[false,true],"downErrors":["","gone"],"jitterDraws":[0,8]}`
+	good := `{"start":4,"count":2,"doneSlots":4,"fleetSeed":7,"down":[false,true],"jitterDraws":[0,8]}`
 	s, _, done, err := adopt(t, adoptFrame(good), false)
 	if done || !Transient(err) {
 		t.Fatalf("Run after a well-formed adopt and a cut link = done %v, %v; want a resumable failure", done, err)

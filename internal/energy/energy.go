@@ -19,8 +19,8 @@ import (
 
 // Paper-calibrated constants.
 const (
-	// DefaultEmissionRate is kg CO2 emitted per kWh (500 g/kWh).
-	DefaultEmissionRate = 0.5
+	// DefaultEmissionRate is the paper's rho: grams of CO2 emitted per kWh.
+	DefaultEmissionRate float64 = 500
 	// MinInferEnergy and MaxInferEnergy bound per-sample inference energy
 	// across models (kWh/sample).
 	MinInferEnergy = 6e-8

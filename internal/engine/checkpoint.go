@@ -29,18 +29,14 @@ type ShardCheckpoint struct {
 	// deterministically from it, so the adopting coordinator reconstructs
 	// them locally instead of having secrets shipped.
 	FleetSeed int64 `json:"fleetSeed"`
-	// Down, DownErrors and JitterDraws each hold one entry per edge: a
-	// checkpoint's Count is only as large as the per-edge state that came
-	// with it, so a receiver never sizes anything from a bare number.
+	// Down and JitterDraws each hold one entry per edge: a checkpoint's
+	// Count is only as large as the per-edge state that came with it, so a
+	// receiver never sizes anything from a bare number.
 	//
 	// Down marks edges already down. A restored shard keeps them down
 	// without re-announcing the transition — the root already folded their
-	// WentDown slot.
+	// WentDown slot (and with it the reason, into Result.DownErrors).
 	Down []bool `json:"down,omitempty"`
-	// DownErrors records why each down edge went down ("" while up). The
-	// adopter does not act on them; they make the serialized state
-	// self-describing for operators replaying a handoff.
-	DownErrors []string `json:"downErrors,omitempty"`
 	// JitterDraws counts the backoff-jitter draws each edge's retry stream
 	// has consumed (the stream position to fast-forward to). Jitter paces
 	// wall-clock retries only — it never reaches Results.
@@ -59,9 +55,6 @@ func (c *ShardCheckpoint) Validate() error {
 	if len(c.Down) != c.Count {
 		return fmt.Errorf("engine: checkpoint has %d down flags for %d edges", len(c.Down), c.Count)
 	}
-	if len(c.DownErrors) != c.Count {
-		return fmt.Errorf("engine: checkpoint has %d down errors for %d edges", len(c.DownErrors), c.Count)
-	}
 	if len(c.JitterDraws) != c.Count {
 		return fmt.Errorf("engine: checkpoint has %d jitter positions for %d edges", len(c.JitterDraws), c.Count)
 	}
@@ -73,29 +66,18 @@ func (c *ShardCheckpoint) Validate() error {
 	return nil
 }
 
-// SlotDeduper tracks one shard's fold watermark so a replayed delta stream
-// folds each slot exactly once. A resumed region link replays deltas from its
-// last unacked slot; the root admits the first delta for each slot (in
-// order) and skips duplicates, making the fold idempotent under duplicate,
-// reordered, and partially-overlapping replays: the admitted subsequence of
-// any such stream is exactly the clean stream.
-type SlotDeduper struct {
-	next int
-}
-
-// Admit reports whether the delta for slot should be folded: true exactly
-// when slot is the watermark (the next unfolded slot), advancing it. Replays
-// of already-folded slots and out-of-order future slots return false.
-func (d *SlotDeduper) Admit(slot int) bool {
-	if slot != d.next {
-		return false
+// Fold advances the checkpoint past one folded slot of its shard: the fold
+// watermark moves on, every edge the delta reports unserved stays down, and
+// each edge's jitter position moves by the retries it burned. d covers the
+// checkpoint's range; its float terms are the engine's fold's, not the
+// checkpoint's.
+func (c *ShardCheckpoint) Fold(d SlotDelta) {
+	c.DoneSlots++
+	for j := range d.Edges {
+		ed := &d.Edges[j]
+		c.JitterDraws[j] += ed.Retries
+		if !ed.Served {
+			c.Down[j] = true
+		}
 	}
-	d.next++
-	return true
 }
-
-// Seen reports whether slot was already folded (a replayed duplicate).
-func (d *SlotDeduper) Seen(slot int) bool { return slot < d.next }
-
-// Next returns the watermark: the next slot the deduper will admit.
-func (d *SlotDeduper) Next() int { return d.next }

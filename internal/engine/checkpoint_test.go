@@ -7,43 +7,33 @@ import (
 	"testing"
 )
 
-// TestSlotDeduperWatermark pins the admission discipline: exactly the
-// watermark slot is admitted (advancing it), replays and future slots are
-// rejected, and Seen tracks the folded prefix.
-func TestSlotDeduperWatermark(t *testing.T) {
-	var d SlotDeduper
-	if d.Next() != 0 {
-		t.Fatalf("fresh deduper watermark = %d, want 0", d.Next())
+// TestShardCheckpointFold pins how the root's per-shard state advances: each
+// folded slot moves the watermark by one, an unserved edge stays down for
+// good, jitter positions sum the retries burned, and the float terms —
+// even non-finite ones — leave the checkpoint alone.
+func TestShardCheckpointFold(t *testing.T) {
+	ck := ShardCheckpoint{Start: 3, Count: 2, FleetSeed: 9, Down: make([]bool, 2), JitterDraws: make([]int, 2)}
+	slots := []SlotDelta{
+		{Start: 3, Edges: []EdgeDelta{
+			{Served: true, Retries: 2, Loss: 1.5, InferLoss: 1, Compute: 0.5, Correct: 7, Samples: 9, InferKWh: 2e-6, TransferKWh: 1e-9},
+			{Served: true, Loss: math.NaN(), InferKWh: math.Inf(1)},
+		}},
+		{Start: 3, Edges: []EdgeDelta{{Served: true, Retries: 1}, {Retries: 3, WentDown: true, DownError: "lost"}}},
+		// Served again after going down: the checkpoint keeps the edge down.
+		{Start: 3, Edges: []EdgeDelta{{Served: true}, {Served: true, Retries: 1}}},
 	}
-	if d.Admit(1) {
-		t.Error("admitted future slot 1 at watermark 0")
-	}
-	if !d.Admit(0) {
-		t.Error("rejected watermark slot 0")
-	}
-	if d.Admit(0) {
-		t.Error("admitted slot 0 twice")
-	}
-	if !d.Seen(0) || d.Seen(1) {
-		t.Errorf("Seen(0)=%v Seen(1)=%v, want true false", d.Seen(0), d.Seen(1))
-	}
-	for s := 1; s <= 3; s++ {
-		if !d.Admit(s) {
-			t.Fatalf("rejected watermark slot %d", s)
+	for k, d := range slots {
+		if ck.DoneSlots != k {
+			t.Fatalf("watermark = %d before folding slot %d", ck.DoneSlots, k)
 		}
+		ck.Fold(d)
 	}
-	if d.Next() != 4 {
-		t.Errorf("watermark = %d after folding 4 slots, want 4", d.Next())
+	want := ShardCheckpoint{Start: 3, Count: 2, DoneSlots: 3, FleetSeed: 9, Down: []bool{false, true}, JitterDraws: []int{3, 4}}
+	if !reflect.DeepEqual(ck, want) {
+		t.Errorf("folded checkpoint = %+v, want %+v", ck, want)
 	}
-	// A replayed prefix after a resume: everything already folded is seen
-	// and nothing is re-admitted.
-	for s := 0; s < 4; s++ {
-		if !d.Seen(s) {
-			t.Errorf("Seen(%d) = false for a folded slot", s)
-		}
-		if d.Admit(s) {
-			t.Errorf("re-admitted folded slot %d", s)
-		}
+	if err := ck.Validate(); err != nil {
+		t.Errorf("folded checkpoint rejected: %v", err)
 	}
 }
 
@@ -56,7 +46,6 @@ func TestShardCheckpointValidate(t *testing.T) {
 		DoneSlots:   5,
 		FleetSeed:   77,
 		Down:        []bool{false, true, false},
-		DownErrors:  []string{"", "edge lost", ""},
 		JitterDraws: []int{0, 4, 1},
 	}
 	if err := valid.Validate(); err != nil {
@@ -79,11 +68,9 @@ func TestShardCheckpointValidate(t *testing.T) {
 		"empty range":          func(c *ShardCheckpoint) { c.Count = 0 },
 		"range past MaxInt":    func(c *ShardCheckpoint) { c.Start = math.MaxInt - 2 },
 		"no down flags":        func(c *ShardCheckpoint) { c.Down = nil },
-		"no down errors":       func(c *ShardCheckpoint) { c.DownErrors = nil },
 		"no jitter positions":  func(c *ShardCheckpoint) { c.JitterDraws = nil },
 		"negative watermark":   func(c *ShardCheckpoint) { c.DoneSlots = -1 },
 		"down length":          func(c *ShardCheckpoint) { c.Down = []bool{true} },
-		"down errors length":   func(c *ShardCheckpoint) { c.DownErrors = []string{"x"} },
 		"jitter length":        func(c *ShardCheckpoint) { c.JitterDraws = []int{1, 2} },
 		"negative jitter draw": func(c *ShardCheckpoint) { c.JitterDraws = []int{0, -1, 2} },
 	} {
@@ -101,11 +88,11 @@ func TestShardCheckpointValidate(t *testing.T) {
 // seeds are internal/deploy's hostileCheckpoints; Validate alone stops the
 // first two, the session bounds of deploy.ValidateAdopt the others.
 func FuzzShardCheckpoint(f *testing.F) {
-	f.Add([]byte(`{"start":2,"count":3,"doneSlots":5,"fleetSeed":77,"down":[false,true,false],"downErrors":["","edge lost",""],"jitterDraws":[0,4,1]}`))
+	f.Add([]byte(`{"start":2,"count":3,"doneSlots":5,"fleetSeed":77,"down":[false,true,false],"jitterDraws":[0,4,1]}`))
 	f.Add([]byte(`{"start":0,"count":1099511627776,"fleetSeed":7}`))
-	f.Add([]byte(`{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[0]}`))
-	f.Add([]byte(`{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[0]}`))
-	f.Add([]byte(`{"start":0,"count":1,"doneSlots":4,"fleetSeed":7,"down":[false],"downErrors":[""],"jitterDraws":[4611686018427387904]}`))
+	f.Add([]byte(`{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false],"jitterDraws":[0]}`))
+	f.Add([]byte(`{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false],"jitterDraws":[0]}`))
+	f.Add([]byte(`{"start":0,"count":1,"doneSlots":4,"fleetSeed":7,"down":[false],"jitterDraws":[4611686018427387904]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ck ShardCheckpoint
 		if json.Unmarshal(data, &ck) != nil || ck.Validate() != nil {

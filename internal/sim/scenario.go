@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/numeric"
@@ -50,7 +51,7 @@ func DefaultConfig(edges int) Config {
 		Horizon:          160,
 		Seed:             1,
 		InitialCap:       3,
-		EmissionRate:     500,
+		EmissionRate:     energy.DefaultEmissionRate,
 		SwitchWeight:     1,
 		MeanPeakWorkload: 200,
 		Prices:           market.DefaultPriceConfig(),
