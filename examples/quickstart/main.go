@@ -56,11 +56,24 @@ func run() error {
 	totalCost, totalEmission := 0.0, 0.0
 	var decisions []trading.Decision
 	emissions := make([]float64, horizon)
+	switches := 0
+	selections := make([][nModels]int, edges)
 	for t := 0; t < horizon; t++ {
-		// 1. Place one model per edge.
+		// 1. Place one model per edge; an edge whose model changed (the
+		// first slot included) downloads it.
 		arms, err := ctrl.SelectModels()
 		if err != nil {
 			return err
+		}
+		downloads, err := ctrl.Downloads()
+		if err != nil {
+			return err
+		}
+		for i, arm := range arms {
+			selections[i][arm]++
+			if downloads[i] {
+				switches++
+			}
 		}
 		// 2. Trade allowances (Algorithm 2 ignores the current quote).
 		q := trading.Quote{Buy: prices.Buy[t], Sell: prices.Sell[t]}
@@ -84,7 +97,7 @@ func run() error {
 		totalEmission += slotEmission
 
 		// 4. Feed the observations back.
-		if err := ctrl.CompleteSlot(losses, slotEmission); err != nil {
+		if err := ctrl.CompleteSlotServed(losses, nil, slotEmission); err != nil {
 			return err
 		}
 	}
@@ -97,10 +110,9 @@ func run() error {
 	fmt.Printf("total cost:          %.2f\n", totalCost)
 	fmt.Printf("total emissions:     %.3f g (cap %.1f g)\n", totalEmission, 1.5)
 	fmt.Printf("constraint violation (fit): %.4f g\n", fit)
-	fmt.Printf("model switches:      %d\n", ctrl.Switches())
+	fmt.Printf("model switches:      %d\n", switches)
 	fmt.Printf("final dual price λ:  %.2f\n", ctrl.Lambda())
-	sel := ctrl.Selections()
-	for i, row := range sel {
+	for i, row := range selections {
 		fmt.Printf("edge %d selections:   %v\n", i, row)
 	}
 	return nil

@@ -19,10 +19,12 @@ import (
 )
 
 // Policy is a per-edge sequential model-selection strategy. Each time slot
-// the simulator calls SelectArm exactly once and then Update exactly once
-// with the observed loss sample for the selected arm (the paper's
-// L_{i,n}^t + v_{i,n}).
+// the simulator calls SelectArm exactly once and then either Update exactly
+// once with the observed loss sample for the selected arm (the paper's
+// L_{i,n}^t + v_{i,n}) or, for a slot that was never served, Skip.
 type Policy interface {
+	Skipper
+
 	// Name identifies the policy in reports.
 	Name() string
 	// NumArms returns the number of models the policy chooses between.
@@ -34,7 +36,7 @@ type Policy interface {
 	Update(loss float64)
 }
 
-// Skipper is implemented by policies that can acknowledge a selected but
+// Skipper is the Policy method that acknowledges a selected but
 // never-served slot (an edge that was down produced no loss sample). Skip
 // replaces the Update of the immediately preceding SelectArm: the slot
 // contributes nothing to the policy's loss estimates, so importance-weighted
@@ -74,7 +76,7 @@ func (r *Random) SelectArm() int { return r.rng.Intn(r.n) }
 // Update implements Policy.
 func (r *Random) Update(float64) {}
 
-// Skip implements Skipper; Random keeps no loss state.
+// Skip implements Policy; Random keeps no loss state.
 func (r *Random) Skip() {}
 
 // Greedy always selects the model with the lowest score (the paper's Greedy
@@ -113,7 +115,7 @@ func (g *Greedy) SelectArm() int { return g.best }
 // Update implements Policy.
 func (g *Greedy) Update(float64) {}
 
-// Skip implements Skipper; Greedy keeps no loss state.
+// Skip implements Policy; Greedy keeps no loss state.
 func (g *Greedy) Skip() {}
 
 // Fixed always plays one arm; it implements the hindsight-best-arm
@@ -145,5 +147,5 @@ func (f *Fixed) SelectArm() int { return f.arm }
 // Update implements Policy.
 func (f *Fixed) Update(float64) {}
 
-// Skip implements Skipper; Fixed keeps no loss state.
+// Skip implements Policy; Fixed keeps no loss state.
 func (f *Fixed) Skip() {}

@@ -286,10 +286,6 @@ func TestBlockedFewerSwitchesThanUnblocked(t *testing.T) {
 	if swBlocked*3 > swPlain {
 		t.Errorf("blocked switches %d not clearly below unblocked %d", swBlocked, swPlain)
 	}
-	// Internal switch counter agrees with external observation.
-	if got := blocked.Switches(); got != swBlocked {
-		t.Errorf("internal switches %d != observed %d", got, swBlocked)
-	}
 }
 
 func TestBlockedSwitchesBoundedByBlocks(t *testing.T) {
@@ -298,9 +294,20 @@ func TestBlockedSwitchesBoundedByBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runStochastic(t, b, []float64{1, 2, 3, 4, 5}, 0.5, 3000, rng)
-	if b.Switches() > b.Blocks() {
-		t.Errorf("switches %d exceed blocks %d", b.Switches(), b.Blocks())
+	_, switches, _ := runStochastic(t, b, []float64{1, 2, 3, 4, 5}, 0.5, 3000, rng)
+	if switches > b.Blocks() {
+		t.Errorf("switches %d exceed blocks %d", switches, b.Blocks())
+	}
+	// Probabilities of the current block form a distribution.
+	sum := 0.0
+	for _, v := range b.Probabilities() {
+		if v < 0 {
+			t.Fatal("negative probability")
+		}
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("probabilities sum to %v", sum)
 	}
 }
 
@@ -329,35 +336,6 @@ func TestUnbiasedEstimator(t *testing.T) {
 		if math.Abs(got-want) > 0.15 {
 			t.Errorf("E[estimate[%d]] = %v, want %v", i, got, want)
 		}
-	}
-}
-
-func TestBlockedSelectionsAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	b, err := NewBlockedTsallisINF(4, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 1234
-	runStochastic(t, b, []float64{1, 1, 1, 1}, 0.1, horizon, rng)
-	total := 0
-	for _, c := range b.Selections() {
-		total += c
-	}
-	if total != horizon {
-		t.Errorf("selection counts sum to %d, want %d", total, horizon)
-	}
-	// Probabilities of the current block form a distribution.
-	p := b.Probabilities()
-	sum := 0.0
-	for _, v := range p {
-		if v < 0 {
-			t.Fatal("negative probability")
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %v", sum)
 	}
 }
 
@@ -394,9 +372,8 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// TestSkipContract: every policy implements Skipper; Skip replaces the
-// Update of the preceding SelectArm, and for stateful policies it obeys the
-// same alternation contract Update does.
+// TestSkipContract: Skip replaces the Update of the preceding SelectArm, and
+// for stateful policies it obeys the same alternation contract Update does.
 func TestSkipContract(t *testing.T) {
 	rng := func(s int64) *rand.Rand { return rand.New(rand.NewSource(s)) }
 	blocked, err := NewBlockedTsallisINF(3, 1, rng(1))
@@ -408,23 +385,19 @@ func TestSkipContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []Policy{blocked, ucb2} {
-		s, ok := p.(Skipper)
-		if !ok {
-			t.Fatalf("%s does not implement Skipper", p.Name())
-		}
-		mustPanic(t, p.Name()+" skip-before-select", s.Skip)
+		mustPanic(t, p.Name()+" skip-before-select", p.Skip)
 		for slot := 0; slot < 20; slot++ {
 			arm := p.SelectArm()
 			if arm < 0 || arm >= p.NumArms() {
 				t.Fatalf("%s: arm %d out of range", p.Name(), arm)
 			}
 			if slot%3 == 0 {
-				s.Skip()
+				p.Skip()
 			} else {
 				p.Update(0.4)
 			}
 		}
-		mustPanic(t, p.Name()+" double-skip", func() { _ = p.SelectArm(); s.Skip(); s.Skip() })
+		mustPanic(t, p.Name()+" double-skip", func() { _ = p.SelectArm(); p.Skip(); p.Skip() })
 	}
 
 	// Stateless baselines tolerate Skip at any time.
@@ -441,13 +414,9 @@ func TestSkipContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []Policy{random, greedy, fixed} {
-		s, ok := p.(Skipper)
-		if !ok {
-			t.Fatalf("%s does not implement Skipper", p.Name())
-		}
-		s.Skip() // no-op, never panics
+		p.Skip() // no-op, never panics
 		_ = p.SelectArm()
-		s.Skip()
+		p.Skip()
 	}
 }
 

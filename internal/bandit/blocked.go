@@ -42,8 +42,6 @@ type BlockedTsallisINF struct {
 	blockLoss  float64 // accumulated loss within the current block
 
 	awaitingUpdate bool
-	switches       int
-	selections     []int // per-arm selection counts (slots)
 }
 
 var _ Policy = (*BlockedTsallisINF)(nil)
@@ -69,7 +67,6 @@ func NewBlockedTsallisINF(numArms int, u float64, rng *rand.Rand) (*BlockedTsall
 		rng:        rng,
 		estLoss:    make([]float64, numArms),
 		probs:      make([]float64, numArms),
-		selections: make([]int, numArms),
 		currentArm: -1,
 	}, nil
 }
@@ -116,7 +113,6 @@ func (b *BlockedTsallisINF) SelectArm() int {
 		b.startBlock()
 	}
 	b.awaitingUpdate = true
-	b.selections[b.currentArm]++
 	return b.currentArm
 }
 
@@ -136,12 +132,6 @@ func (b *BlockedTsallisINF) startBlock() {
 	if err != nil {
 		//lint:allow panicpolicy solver failure on by-construction-finite inputs is a programmer error; Policy has no error channel
 		panic(fmt.Sprintf("bandit: sampler: %v", err))
-	}
-	if arm != b.currentArm && b.currentArm >= 0 {
-		b.switches++
-	} else if b.currentArm < 0 {
-		// First block always incurs the initial download.
-		b.switches++
 	}
 	b.currentArm = arm
 	b.currentP = b.probs[arm]
@@ -164,7 +154,7 @@ func (b *BlockedTsallisINF) Update(loss float64) {
 	}
 }
 
-// Skip implements Skipper: the slot counts against the current block (the
+// Skip implements Policy: the slot counts against the current block (the
 // block schedule tracks real time slots), but contributes no loss to the
 // block's estimate, so the end-of-block importance-weighted estimator sums
 // only the losses of slots actually served and stays unbiased for them.
@@ -180,20 +170,8 @@ func (b *BlockedTsallisINF) Skip() {
 	}
 }
 
-// Switches returns the number of arm changes so far, counting the initial
-// download (matching the paper's switching-cost accounting, which charges
-// the first block).
-func (b *BlockedTsallisINF) Switches() int { return b.switches }
-
 // Blocks returns how many blocks have been started.
 func (b *BlockedTsallisINF) Blocks() int { return b.k }
-
-// Selections returns per-arm slot counts (copy).
-func (b *BlockedTsallisINF) Selections() []int {
-	out := make([]int, len(b.selections))
-	copy(out, b.selections)
-	return out
-}
 
 // Probabilities returns the sampling distribution of the current block
 // (copy); useful for tests and diagnostics.

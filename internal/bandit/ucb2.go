@@ -26,8 +26,6 @@ type UCB2 struct {
 
 	currentArm int
 	remaining  int
-	switches   int
-	selections []int
 
 	awaitingUpdate bool
 }
@@ -53,7 +51,6 @@ func NewUCB2(numArms int, alpha, lossScale float64) (*UCB2, error) {
 		means:      make([]float64, numArms),
 		counts:     make([]int, numArms),
 		epochs:     make([]int, numArms),
-		selections: make([]int, numArms),
 		currentArm: -1,
 	}, nil
 }
@@ -90,7 +87,6 @@ func (u *UCB2) SelectArm() int {
 		u.startEpoch()
 	}
 	u.awaitingUpdate = true
-	u.selections[u.currentArm]++
 	return u.currentArm
 }
 
@@ -114,9 +110,6 @@ func (u *UCB2) startEpoch() {
 				bestVal, next = v, j
 			}
 		}
-	}
-	if next != u.currentArm {
-		u.switches++
 	}
 	u.currentArm = next
 	if u.counts[next] == 0 {
@@ -152,7 +145,7 @@ func (u *UCB2) Update(loss float64) {
 	u.remaining--
 }
 
-// Skip implements Skipper: the unserved slot still consumes one slot of the
+// Skip implements Policy: the unserved slot still consumes one slot of the
 // current epoch (epochs track real time) but is not counted as a play, so
 // the arm's mean reward reflects only served slots.
 func (u *UCB2) Skip() {

@@ -13,7 +13,7 @@
 //  2. calls DecideTrade to obtain the allowance purchase/sale (z^t, w^t),
 //  3. runs inference, measures per-edge average losses and the slot's total
 //     carbon emission, and
-//  4. calls CompleteSlot to feed the observations back.
+//  4. calls CompleteSlotServed to feed the observations back.
 //
 // The controller enforces this ordering and is deterministic given its seed.
 package core
@@ -56,19 +56,15 @@ const (
 
 // Controller is the paper's joint online algorithm.
 type Controller struct {
-	cfg      Config
 	policies []bandit.Policy
 	trader   trading.Trader
-	lambda   func() float64
 
-	slot       int
-	state      phase
-	current    []int
-	prev       []int
-	trade      trading.Decision
-	quote      trading.Quote
-	switches   int
-	selections [][]int
+	slot    int
+	state   phase
+	current []int
+	prev    []int
+	trade   trading.Decision
+	quote   trading.Quote
 }
 
 // validate checks the configuration fields shared by both constructors.
@@ -97,24 +93,16 @@ func (cfg *Config) validate() error {
 }
 
 // newController assembles the protocol state around validated components.
-func newController(cfg Config, policies []bandit.Policy, trader trading.Trader) *Controller {
+func newController(policies []bandit.Policy, trader trading.Trader) *Controller {
 	c := &Controller{
-		cfg:        cfg,
-		policies:   policies,
-		trader:     trader,
-		current:    make([]int, len(policies)),
-		prev:       make([]int, len(policies)),
-		selections: make([][]int, len(policies)),
-		state:      phaseSelect,
+		policies: policies,
+		trader:   trader,
+		current:  make([]int, len(policies)),
+		prev:     make([]int, len(policies)),
+		state:    phaseSelect,
 	}
 	for i := range c.prev {
 		c.prev[i] = -1
-		c.selections[i] = make([]int, cfg.NumModels)
-	}
-	if l, ok := trader.(interface{ Lambda() float64 }); ok {
-		c.lambda = l.Lambda
-	} else {
-		c.lambda = func() float64 { return 0 }
 	}
 	return c
 }
@@ -147,15 +135,15 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trader: %w", err)
 	}
-	return newController(cfg, policies, trader), nil
+	return newController(policies, trader), nil
 }
 
 // NewWithComponents creates a Controller that drives caller-supplied
 // per-edge policies and a caller-supplied trader through the same strict
 // slot protocol. This is how the simulator runs the paper's baseline
 // combinations (Ran-Ran, UCB-LY, ...) and the clairvoyant Offline scheme
-// through the one shared engine: the protocol, switch accounting, and
-// selection bookkeeping stay identical regardless of the algorithms inside.
+// through the one shared engine: the protocol stays identical regardless of
+// the algorithms inside.
 func NewWithComponents(cfg Config, policies []bandit.Policy, trader trading.Trader) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -174,7 +162,7 @@ func NewWithComponents(cfg Config, policies []bandit.Policy, trader trading.Trad
 			return nil, fmt.Errorf("core: edge %d policy has %d arms, config wants %d", i, p.NumArms(), cfg.NumModels)
 		}
 	}
-	return newController(cfg, policies, trader), nil
+	return newController(policies, trader), nil
 }
 
 // NumEdges returns the number of edges I.
@@ -190,7 +178,6 @@ func (c *Controller) SelectModels() ([]int, error) {
 	for i, p := range c.policies {
 		c.current[i] = p.SelectArm()
 		out[i] = c.current[i]
-		c.selections[i][c.current[i]]++
 	}
 	c.state = phaseTrade
 	return out, nil
@@ -221,24 +208,15 @@ func (c *Controller) DecideTrade(q trading.Quote) (trading.Decision, error) {
 	return c.trade, nil
 }
 
-// CompleteSlot feeds back the per-edge observed losses (the paper's
+// CompleteSlotServed feeds back the per-edge observed losses (the paper's
 // L_{i,n}^t + v_{i,n}) and the slot's total emission, then advances to the
-// next slot.
-func (c *Controller) CompleteSlot(losses []float64, emission float64) error {
-	return c.CompleteSlotServed(losses, nil, emission)
-}
-
-// CompleteSlotServed is CompleteSlot with a per-edge served mask for
-// degraded runs: an edge whose slot was never served (served[i] == false)
-// gives its policy no loss feedback — the policy's bandit.Skipper hook is
-// invoked instead, so importance-weighted estimators stay unbiased over the
-// slots actually served. A nil mask means every edge served. Policies that
-// do not implement bandit.Skipper receive the fallback loss via Update, so
-// callers should pass 0 for unserved edges (every policy in this repository
-// implements Skipper, making the fallback moot in practice).
+// next slot. served is the per-edge mask of degraded runs: an edge whose slot
+// was never served (served[i] == false) gives its policy no loss feedback —
+// its Skip is called instead, so importance-weighted estimators stay unbiased
+// over the slots actually served. A nil mask means every edge served.
 func (c *Controller) CompleteSlotServed(losses []float64, served []bool, emission float64) error {
 	if c.state != phaseComplete {
-		return fmt.Errorf("core: CompleteSlot called out of order (state %d)", c.state)
+		return fmt.Errorf("core: CompleteSlotServed called out of order (state %d)", c.state)
 	}
 	if len(losses) != len(c.policies) {
 		return fmt.Errorf("core: got %d losses for %d edges", len(losses), len(c.policies))
@@ -252,13 +230,8 @@ func (c *Controller) CompleteSlotServed(losses []float64, served []bool, emissio
 	for i, p := range c.policies {
 		if served == nil || served[i] {
 			p.Update(losses[i])
-		} else if s, ok := p.(bandit.Skipper); ok {
-			s.Skip()
 		} else {
-			p.Update(losses[i])
-		}
-		if c.current[i] != c.prev[i] {
-			c.switches++
+			p.Skip()
 		}
 		c.prev[i] = c.current[i]
 	}
@@ -268,21 +241,11 @@ func (c *Controller) CompleteSlotServed(losses []float64, served []bool, emissio
 	return nil
 }
 
-// Switches returns total model downloads across edges so far (counted at
-// slot completion; every edge's initial download is included).
-func (c *Controller) Switches() int { return c.switches }
-
 // Lambda returns Algorithm 2's dual multiplier (diagnostics); 0 when the
 // installed trader exposes no dual variable.
-func (c *Controller) Lambda() float64 { return c.lambda() }
-
-// Selections returns per-edge per-model slot counts. The returned slices
-// are owned by the caller.
-func (c *Controller) Selections() [][]int {
-	out := make([][]int, len(c.policies))
-	for i, row := range c.selections {
-		out[i] = make([]int, len(row))
-		copy(out[i], row)
+func (c *Controller) Lambda() float64 {
+	if l, ok := c.trader.(interface{ Lambda() float64 }); ok {
+		return l.Lambda()
 	}
-	return out
+	return 0
 }

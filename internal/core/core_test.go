@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/carbonedge/carbonedge/internal/bandit"
+	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/trading"
 )
 
@@ -61,6 +65,8 @@ func TestProtocolHappyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
+	switches := 0
+	selections := make([][6]int, 3)
 	for slot := 0; slot < 160; slot++ {
 		if c.slot != slot {
 			t.Fatalf("slot = %d, want %d", c.slot, slot)
@@ -81,12 +87,14 @@ func TestProtocolHappyPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if slot == 0 {
-			for i, d := range downloads {
-				if !d {
-					t.Errorf("edge %d must download at slot 0", i)
-				}
+		for i, d := range downloads {
+			if slot == 0 && !d {
+				t.Errorf("edge %d must download at slot 0", i)
 			}
+			if d {
+				switches++
+			}
+			selections[i][arms[i]]++
 		}
 		q := trading.Quote{Buy: 60 + rng.Float64()*50}
 		q.Sell = q.Buy * 0.9
@@ -101,18 +109,17 @@ func TestProtocolHappyPath(t *testing.T) {
 		for i, arm := range arms {
 			losses[i] = 0.2 + 0.1*float64(arm) + rng.NormFloat64()*0.05
 		}
-		if err := c.CompleteSlot(losses, 0.02); err != nil {
+		if err := c.CompleteSlotServed(losses, nil, 0.02); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.Lambda() < 0 {
 		t.Error("negative dual multiplier")
 	}
-	if c.Switches() < 3 {
-		t.Errorf("Switches = %d, want at least initial downloads", c.Switches())
+	if switches < 3 {
+		t.Errorf("switches = %d, want at least initial downloads", switches)
 	}
-	sels := c.Selections()
-	for i, row := range sels {
+	for i, row := range selections {
 		total := 0
 		for _, v := range row {
 			total += v
@@ -134,8 +141,8 @@ func TestProtocolOrderingEnforced(t *testing.T) {
 		t.Error("DecideTrade before SelectModels must fail")
 	}
 	// Complete before select.
-	if err := c.CompleteSlot([]float64{0, 0, 0}, 0); err == nil {
-		t.Error("CompleteSlot before SelectModels must fail")
+	if err := c.CompleteSlotServed([]float64{0, 0, 0}, nil, 0); err == nil {
+		t.Error("CompleteSlotServed before SelectModels must fail")
 	}
 	if _, err := c.Downloads(); err == nil {
 		t.Error("Downloads before SelectModels must fail")
@@ -148,21 +155,21 @@ func TestProtocolOrderingEnforced(t *testing.T) {
 		t.Error("double SelectModels must fail")
 	}
 	// Complete before trade.
-	if err := c.CompleteSlot([]float64{0, 0, 0}, 0); err == nil {
-		t.Error("CompleteSlot before DecideTrade must fail")
+	if err := c.CompleteSlotServed([]float64{0, 0, 0}, nil, 0); err == nil {
+		t.Error("CompleteSlotServed before DecideTrade must fail")
 	}
 	if _, err := c.DecideTrade(q); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong loss count.
-	if err := c.CompleteSlot([]float64{0}, 0); err == nil {
+	if err := c.CompleteSlotServed([]float64{0}, nil, 0); err == nil {
 		t.Error("wrong loss count must fail")
 	}
 	// Negative emission.
-	if err := c.CompleteSlot([]float64{0, 0, 0}, -1); err == nil {
+	if err := c.CompleteSlotServed([]float64{0, 0, 0}, nil, -1); err == nil {
 		t.Error("negative emission must fail")
 	}
-	if err := c.CompleteSlot([]float64{0, 0, 0}, 0.5); err != nil {
+	if err := c.CompleteSlotServed([]float64{0, 0, 0}, nil, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if c.slot != 1 {
@@ -180,6 +187,7 @@ func TestControllerConvergesToGoodModels(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	meanLoss := []float64{1.0, 0.8, 0.3, 0.9, 1.1, 0.7} // best = 2
+	sel := make([]int, len(meanLoss))
 	for slot := 0; slot < cfg.Horizon; slot++ {
 		arms, err := c.SelectModels()
 		if err != nil {
@@ -188,12 +196,12 @@ func TestControllerConvergesToGoodModels(t *testing.T) {
 		if _, err := c.DecideTrade(trading.Quote{Buy: 80, Sell: 72}); err != nil {
 			t.Fatal(err)
 		}
+		sel[arms[0]]++
 		loss := meanLoss[arms[0]] + rng.NormFloat64()*0.1
-		if err := c.CompleteSlot([]float64{loss}, 0.02); err != nil {
+		if err := c.CompleteSlotServed([]float64{loss}, nil, 0.02); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sel := c.Selections()[0]
 	frac := float64(sel[2]) / float64(cfg.Horizon)
 	if frac < 0.6 {
 		t.Errorf("best-model fraction = %v (selections %v)", frac, sel)
@@ -225,7 +233,7 @@ func TestControllerDeterministic(t *testing.T) {
 				losses[i] = float64(a)*0.1 + rng.Float64()*0.05
 				total += losses[i]
 			}
-			if err := c.CompleteSlot(losses, 0.03); err != nil {
+			if err := c.CompleteSlotServed(losses, nil, 0.03); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -279,6 +287,87 @@ func TestCompleteSlotServedMask(t *testing.T) {
 	}
 }
 
+// recordingPolicy plays a fixed arm and logs the feedback the controller
+// routes to it.
+type recordingPolicy struct {
+	arm    int
+	events []string
+}
+
+func (p *recordingPolicy) Name() string   { return "recording" }
+func (p *recordingPolicy) NumArms() int   { return 2 }
+func (p *recordingPolicy) SelectArm() int { return p.arm }
+func (p *recordingPolicy) Update(loss float64) {
+	p.events = append(p.events, fmt.Sprint("update ", loss))
+}
+func (p *recordingPolicy) Skip() { p.events = append(p.events, "skip") }
+
+// TestCompleteSlotServedRouting pins where CompleteSlotServed sends each
+// edge's feedback — Update when the edge was served or the mask is nil, Skip
+// when served[i] is false — and that Lambda reads the installed trader's dual
+// variable, or 0 for a trader without one.
+func TestCompleteSlotServedRouting(t *testing.T) {
+	cfg := validConfig()
+	cfg.NumModels = 2
+	pdCfg := trading.ScaledPrimalDualConfig(cfg.InitialCap, cfg.Horizon, cfg.EmissionScale, cfg.PriceScale, 1)
+	pd, err := trading.NewPrimalDual(pdCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppd, err := trading.NewPredictivePrimalDual(pdCfg, market.NewARPredictor(), market.DefaultSellRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold, err := trading.NewThresholdTrader(85, 1, 95, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := [][]bool{nil, {true, false, true}, {false, false, true}}
+	want := [][]string{
+		{"update 1", "update 1", "skip"},
+		{"update 2", "skip", "skip"},
+		{"update 3", "update 3", "update 3"},
+	}
+	for _, tc := range []struct {
+		trader trading.Trader
+		lambda func() float64
+	}{
+		{pd, pd.Lambda},
+		{ppd, ppd.Lambda},
+		{threshold, func() float64 { return 0 }},
+	} {
+		recs := []*recordingPolicy{{arm: 0}, {arm: 1}, {arm: 1}}
+		c, err := NewWithComponents(cfg, []bandit.Policy{recs[0], recs[1], recs[2]}, tc.trader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, served := range masks {
+			if _, err := c.SelectModels(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.DecideTrade(trading.Quote{Buy: 80, Sell: 72}); err != nil {
+				t.Fatal(err)
+			}
+			// Far above the per-slot cap, so Algorithm 2's λ rises.
+			if err := c.CompleteSlotServed([]float64{1, 2, 3}, served, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		name := tc.trader.Name()
+		for i, r := range recs {
+			if !slices.Equal(r.events, want[i]) {
+				t.Errorf("%s: edge %d got %q, want %q", name, i, r.events, want[i])
+			}
+		}
+		if got, want := c.Lambda(), tc.lambda(); got != want {
+			t.Errorf("%s: Lambda() = %v, trader's λ = %v", name, got, want)
+		}
+		if _, dual := tc.trader.(interface{ Lambda() float64 }); dual && c.Lambda() <= 0 {
+			t.Errorf("%s: λ = %v after three slots over the cap, want > 0", name, c.Lambda())
+		}
+	}
+}
+
 func TestCompleteSlotServedValidation(t *testing.T) {
 	c, err := New(validConfig())
 	if err != nil {
@@ -294,7 +383,7 @@ func TestCompleteSlotServedValidation(t *testing.T) {
 		t.Error("expected error for short served mask")
 	}
 	for _, emission := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if err := c.CompleteSlot([]float64{0.1, 0.1, 0.1}, emission); err == nil {
+		if err := c.CompleteSlotServed([]float64{0.1, 0.1, 0.1}, nil, emission); err == nil {
 			t.Errorf("expected error for emission %v", emission)
 		}
 	}

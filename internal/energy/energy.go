@@ -7,8 +7,9 @@
 // with the paper's constants: per-sample inference energy in [6,10]e-8 kWh,
 // transfer energy 1.02e-16 kWh per byte, and a carbon emission rate of
 // 500 g/kWh. Every shipped configuration, the allowance ledger and the cap
-// count grams; the meter itself only multiplies, so emissions come out in
-// whatever mass unit the rate is stated in.
+// count grams; the meter only multiplies, so emissions come out in whatever
+// mass unit the rate is stated in, and it keeps no totals: the engine's
+// Result counts them.
 package energy
 
 import (
@@ -30,12 +31,9 @@ const (
 	TransferEnergyPerByte = 1.02e-16
 )
 
-// Meter accumulates energy and emissions for one simulation run.
+// Meter converts energy to emissions at one run's rate.
 type Meter struct {
 	rate float64 // CO2 mass per kWh (g/kWh in every shipped config)
-
-	inferKWh    float64
-	transferKWh float64
 }
 
 // NewMeter creates a meter with the given emission rate: CO2 mass per kWh,
@@ -65,34 +63,6 @@ func TransferEnergy(varthetaKWhPerByte float64, sizeBytes int64) float64 {
 	return varthetaKWhPerByte * float64(sizeBytes)
 }
 
-// RecordInference adds inference energy to the meter and returns the
-// resulting emission, in the rate's mass unit (grams at rho = 500 g/kWh).
-func (m *Meter) RecordInference(kwh float64) float64 {
-	m.inferKWh += kwh
-	return kwh * m.rate
-}
-
-// RecordTransfer adds model-transfer energy to the meter and returns the
-// resulting emission, in the rate's mass unit.
-func (m *Meter) RecordTransfer(kwh float64) float64 {
-	m.transferKWh += kwh
-	return kwh * m.rate
-}
-
-// Emission converts energy to emission at the meter's rate.
+// Emission converts energy to emission at the meter's rate, in the rate's
+// mass unit (grams at rho = 500 g/kWh).
 func (m *Meter) Emission(kwh float64) float64 { return kwh * m.rate }
-
-// Rate returns the configured emission rate.
-func (m *Meter) Rate() float64 { return m.rate }
-
-// TotalKWh returns cumulative energy recorded.
-func (m *Meter) TotalKWh() float64 { return m.inferKWh + m.transferKWh }
-
-// InferenceKWh returns cumulative inference energy.
-func (m *Meter) InferenceKWh() float64 { return m.inferKWh }
-
-// TransferKWh returns cumulative transfer energy.
-func (m *Meter) TransferKWh() float64 { return m.transferKWh }
-
-// TotalEmission returns cumulative emissions, in the rate's mass unit.
-func (m *Meter) TotalEmission() float64 { return m.TotalKWh() * m.rate }

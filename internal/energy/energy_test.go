@@ -40,27 +40,15 @@ func TestTransferEnergy(t *testing.T) {
 	}
 }
 
-func TestMeterAccumulation(t *testing.T) {
+func TestMeterEmission(t *testing.T) {
 	m, err := NewMeter(DefaultEmissionRate)
 	if err != nil {
 		t.Fatalf("NewMeter: %v", err)
 	}
-	e1 := m.RecordInference(2) // 2 kWh -> 1000 g
-	e2 := m.RecordTransfer(4)  // 4 kWh -> 2000 g
+	e1 := m.Emission(2) // 2 kWh -> 1000 g
+	e2 := m.Emission(4) // 4 kWh -> 2000 g
 	if e1 != 1000 || e2 != 2000 {
 		t.Errorf("emissions = %v, %v", e1, e2)
-	}
-	if m.TotalKWh() != 6 {
-		t.Errorf("TotalKWh = %v", m.TotalKWh())
-	}
-	if m.InferenceKWh() != 2 || m.TransferKWh() != 4 {
-		t.Errorf("split = %v/%v", m.InferenceKWh(), m.TransferKWh())
-	}
-	if m.TotalEmission() != 3000 {
-		t.Errorf("TotalEmission = %v", m.TotalEmission())
-	}
-	if m.Rate() != DefaultEmissionRate {
-		t.Errorf("Rate = %v", m.Rate())
 	}
 	if m.Emission(10) != 5000 {
 		t.Errorf("Emission(10) = %v", m.Emission(10))

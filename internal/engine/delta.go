@@ -105,9 +105,9 @@ func (d *SlotDelta) Fold(f *SlotFold) {
 		if f.Downloads[g] {
 			f.Cost.Switching += f.SwitchCosts[g]
 			f.Res.Switches++
-			f.Emission += f.Meter.RecordTransfer(ed.TransferKWh)
+			f.Emission += f.Meter.Emission(ed.TransferKWh)
 		}
-		f.Emission += f.Meter.RecordInference(ed.InferKWh)
+		f.Emission += f.Meter.Emission(ed.InferKWh)
 		f.Correct += ed.Correct
 		f.Samples += ed.Samples
 	}

@@ -108,9 +108,9 @@ func runSerial(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result,
 			if downloads[i] {
 				slotCost.Switching += cfg.SwitchCosts[i]
 				res.Switches++
-				slotEmission += meter.RecordTransfer(o.TransferKWh)
+				slotEmission += meter.Emission(o.TransferKWh)
 			}
-			slotEmission += meter.RecordInference(o.InferKWh)
+			slotEmission += meter.Emission(o.InferKWh)
 			slotCorrect += o.Correct
 			slotSamples += o.Samples
 		}

@@ -6,8 +6,9 @@
 // of the buying price. This package generates a mean-reverting random walk
 // clamped to that band — Algorithm 2 makes no distributional assumption on
 // prices, so any bounded fluctuating series within the paper's range
-// exercises the same trade-offs — and keeps a ledger of every trade so the
-// simulation can report spend, revenue, and the net allowance position.
+// exercises the same trade-offs — and a ledger that validates each trade and
+// keeps the allowance position and what buying cost (the average buying
+// price); the trading cost itself is counted once, in the engine's Result.
 package market
 
 import (
@@ -94,11 +95,9 @@ func (p *Prices) MeanBuy(horizon int) float64 {
 
 // Ledger records allowance trades and the resulting position.
 type Ledger struct {
-	initialCap float64
-
-	bought, sold   float64 // allowance quantities
-	spend, revenue float64 // money
-	trades         int
+	initialCap   float64
+	bought, sold float64 // allowance quantities
+	spend        float64 // money paid buying
 }
 
 // NewLedger creates a ledger seeded with the initial allowance cap R.
@@ -109,56 +108,30 @@ func NewLedger(initialCap float64) (*Ledger, error) {
 	return &Ledger{initialCap: initialCap}, nil
 }
 
-// Buy records purchasing qty allowances at unit price. Zero-quantity calls
-// are ignored so callers can pass raw algorithm output.
+// Buy records purchasing qty allowances at unit price.
 func (l *Ledger) Buy(qty, price float64) error {
 	if !numeric.FiniteNonNeg(qty) || !numeric.FiniteNonNeg(price) {
 		return fmt.Errorf("market: invalid buy qty=%g price=%g", qty, price)
 	}
-	if qty == 0 {
-		return nil
-	}
 	l.bought += qty
 	l.spend += qty * price
-	l.trades++
 	return nil
 }
 
-// Sell records selling qty allowances at unit price.
+// Sell records selling qty allowances; the price is validated like Buy's.
 func (l *Ledger) Sell(qty, price float64) error {
 	if !numeric.FiniteNonNeg(qty) || !numeric.FiniteNonNeg(price) {
 		return fmt.Errorf("market: invalid sell qty=%g price=%g", qty, price)
 	}
-	if qty == 0 {
-		return nil
-	}
 	l.sold += qty
-	l.revenue += qty * price
-	l.trades++
 	return nil
 }
 
 // Allowances returns the current allowance position R + bought - sold.
 func (l *Ledger) Allowances() float64 { return l.initialCap + l.bought - l.sold }
 
-// NetCost returns total spend minus revenue (the trading term of the paper's
-// objective).
-func (l *Ledger) NetCost() float64 { return l.spend - l.revenue }
-
 // Bought returns total allowances purchased.
 func (l *Ledger) Bought() float64 { return l.bought }
 
-// Sold returns total allowances sold.
-func (l *Ledger) Sold() float64 { return l.sold }
-
 // Spend returns total money spent buying.
 func (l *Ledger) Spend() float64 { return l.spend }
-
-// Revenue returns total money earned selling.
-func (l *Ledger) Revenue() float64 { return l.revenue }
-
-// Trades returns the number of non-zero trades recorded.
-func (l *Ledger) Trades() int { return l.trades }
-
-// InitialCap returns the cap R the ledger was seeded with.
-func (l *Ledger) InitialCap() float64 { return l.initialCap }

@@ -105,20 +105,8 @@ func TestLedgerAccounting(t *testing.T) {
 	if got := l.Allowances(); got != 506 {
 		t.Errorf("Allowances = %v, want 506", got)
 	}
-	if got := l.NetCost(); math.Abs(got-(80-28.8)) > 1e-12 {
-		t.Errorf("NetCost = %v, want 51.2", got)
-	}
-	if l.Bought() != 10 || l.Sold() != 4 {
-		t.Errorf("Bought/Sold = %v/%v", l.Bought(), l.Sold())
-	}
-	if l.Spend() != 80 || math.Abs(l.Revenue()-28.8) > 1e-12 {
-		t.Errorf("Spend/Revenue = %v/%v", l.Spend(), l.Revenue())
-	}
-	if l.Trades() != 2 {
-		t.Errorf("Trades = %d", l.Trades())
-	}
-	if l.InitialCap() != 500 {
-		t.Errorf("InitialCap = %v", l.InitialCap())
+	if l.Bought() != 10 || l.Spend() != 80 {
+		t.Errorf("Bought/Spend = %v/%v", l.Bought(), l.Spend())
 	}
 }
 
@@ -133,8 +121,8 @@ func TestLedgerZeroAndInvalidTrades(t *testing.T) {
 	if err := l.Sell(0, 10); err != nil {
 		t.Errorf("zero sell should be a no-op, got %v", err)
 	}
-	if l.Trades() != 0 {
-		t.Errorf("zero trades should not count, got %d", l.Trades())
+	if l.Allowances() != 0 || l.Bought() != 0 || l.Spend() != 0 {
+		t.Errorf("zero trades moved the ledger: allowances=%g bought=%g spend=%g", l.Allowances(), l.Bought(), l.Spend())
 	}
 	if err := l.Buy(-1, 10); err == nil {
 		t.Error("expected error on negative buy qty")
@@ -175,9 +163,9 @@ func TestLedgerRejectsNonFinite(t *testing.T) {
 			t.Errorf("Sell(%g, %g) accepted", tc.qty, tc.price)
 		}
 	}
-	if l.Trades() != 0 || l.Allowances() != 10 || l.NetCost() != 0 {
-		t.Errorf("rejected trades moved the ledger: trades=%d allowances=%g net=%g",
-			l.Trades(), l.Allowances(), l.NetCost())
+	if l.Allowances() != 10 || l.Bought() != 0 || l.Spend() != 0 {
+		t.Errorf("rejected trades moved the ledger: allowances=%g bought=%g spend=%g",
+			l.Allowances(), l.Bought(), l.Spend())
 	}
 }
 
@@ -192,7 +180,7 @@ func TestLedgerInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		wantAllow, wantCost := 100.0, 0.0
+		wantAllow, wantBought, wantSpend := 100.0, 0.0, 0.0
 		for _, op := range ops {
 			qty := math.Abs(op.Qty)
 			price := math.Abs(op.Price)
@@ -204,16 +192,16 @@ func TestLedgerInvariantsProperty(t *testing.T) {
 					return false
 				}
 				wantAllow += qty
-				wantCost += qty * price
+				wantBought += qty
+				wantSpend += qty * price
 			} else {
 				if err := l.Sell(qty, price); err != nil {
 					return false
 				}
 				wantAllow -= qty
-				wantCost -= qty * price
 			}
 		}
-		return closeRel(l.Allowances(), wantAllow) && closeRel(l.NetCost(), wantCost)
+		return closeRel(l.Allowances(), wantAllow) && closeRel(l.Bought(), wantBought) && closeRel(l.Spend(), wantSpend)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

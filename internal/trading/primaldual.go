@@ -34,8 +34,6 @@ type PrimalDual struct {
 	zBar     Decision // previous decision Zbar^{t-1}
 	prevQ    Quote    // prices of slot t-1
 	havePrev bool
-
-	gapSum float64 // running sum of g^t for diagnostics
 }
 
 var _ Trader = (*PrimalDual)(nil)
@@ -139,12 +137,8 @@ func (p *PrimalDual) Decide(int, Quote) Decision {
 // Observe implements Trader: dual ascent on the realized constraint gap.
 func (p *PrimalDual) Observe(_ int, emission float64, q Quote, d Decision) {
 	gap := ConstraintGap(emission, p.CapPerSlot(), d)
-	p.gapSum += gap
 	p.lambda = numeric.Positive(p.lambda + p.cfg.Gamma1*gap)
 	p.zBar = d
 	p.prevQ = q
 	p.havePrev = true
 }
-
-// GapSum returns the running sum of g^t (diagnostics; [GapSum]^+ is the fit).
-func (p *PrimalDual) GapSum() float64 { return p.gapSum }
