@@ -139,3 +139,19 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		check("Makefile help header", strings.TrimLeft(line, "# "))
 	}
 }
+
+// TestDesignNamesNoPR fails on a DESIGN.md line that cites a change by its
+// number: DESIGN.md describes the system as it is, and CHANGES.md keeps the
+// history. Name the change by what it did, or move the sentence there.
+func TestDesignNamesNoPR(t *testing.T) {
+	text, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prRE := regexp.MustCompile(`PR \d+`)
+	for i, line := range strings.Split(string(text), "\n") {
+		if m := prRE.FindString(line); m != "" {
+			t.Errorf("DESIGN.md:%d cites %s: name the change by what it did (CHANGES.md has its entry)", i+1, m)
+		}
+	}
+}

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"github.com/carbonedge/carbonedge/internal/analysis"
-	"github.com/carbonedge/carbonedge/internal/analysis/deltapure"
 	"github.com/carbonedge/carbonedge/internal/analysis/errtaxonomy"
 	"github.com/carbonedge/carbonedge/internal/analysis/floateq"
 	"github.com/carbonedge/carbonedge/internal/analysis/hotalloc"
@@ -38,7 +37,6 @@ import (
 
 // All is the analyzer suite carbonlint runs, in diagnostic-name order.
 var All = []*analysis.Analyzer{
-	deltapure.Analyzer,
 	errtaxonomy.Analyzer,
 	floateq.Analyzer,
 	hotalloc.Analyzer,

@@ -17,30 +17,62 @@ import (
 	"github.com/carbonedge/carbonedge/internal/analysis"
 )
 
-// TestSuiteComplete pins the analyzer roster: DESIGN.md's "Static
-// invariants" section documents exactly these eight.
+// TestSuiteComplete pins the analyzer roster to DESIGN.md §7's audit
+// table: exactly one row per analyzer in All, each naming a seeded defect
+// and what else, if anything, catches it. An analyzer that cannot name the
+// defect it holds does not join the suite.
 func TestSuiteComplete(t *testing.T) {
-	want := map[string]bool{
-		"deltapure":   true,
-		"errtaxonomy": true,
-		"floateq":     true,
-		"hotalloc":    true,
-		"maporder":    true,
-		"nodeterm":    true,
-		"panicpolicy": true,
-		"simdcover":   true,
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, _ := strings.Cut(string(design), "\n## 7. ")
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	var header []string
+	rows := map[string][]string{}
+	for _, line := range strings.Split(sec, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if header == nil {
+			header = cells
+			continue
+		}
+		m := codeSpanRE.FindStringSubmatch(cells[0])
+		if m == nil || m[0] != cells[0] {
+			continue // the separator, or a miss that no analyzer holds
+		}
+		if rows[m[1]] != nil {
+			t.Errorf("DESIGN.md §7's table has two rows for %q", m[1])
+		}
+		rows[m[1]] = cells
+	}
+	seed, catcher := slices.Index(header, "Seeded defect"), slices.Index(header, "Other catcher")
+	if seed < 0 || catcher < 0 {
+		t.Fatalf("DESIGN.md §7's table has the columns %q, want Seeded defect and Other catcher among them", header)
 	}
 	for _, a := range All {
-		if !want[a.Name] {
-			t.Errorf("undocumented analyzer %q: update DESIGN.md and this test", a.Name)
-		}
-		delete(want, a.Name)
 		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %q missing Doc or Run", a.Name)
 		}
+		cells, ok := rows[a.Name]
+		if !ok {
+			t.Errorf("analyzer %q has no row in DESIGN.md §7's table", a.Name)
+			continue
+		}
+		delete(rows, a.Name)
+		for _, col := range []int{seed, catcher} {
+			if col >= len(cells) || cells[col] == "" {
+				t.Errorf("DESIGN.md §7: the row of %q has no %s", a.Name, header[col])
+			}
+		}
 	}
-	for name := range want {
-		t.Errorf("analyzer %q missing from the suite", name)
+	for name := range rows {
+		t.Errorf("DESIGN.md §7's table has a row for %q, which carbonlint does not run", name)
 	}
 }
 
@@ -272,7 +304,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 17217
+	goLineCeiling  = 16984
 	asmLineCeiling = 1712
 )
 

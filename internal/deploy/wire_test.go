@@ -12,6 +12,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"github.com/carbonedge/carbonedge/internal/engine"
 )
 
 // frameOf returns m's wire frame.
@@ -436,5 +438,30 @@ func TestRegionSessionResumeReplaysCachedDelta(t *testing.T) {
 		if !ed.Served || ed.Samples == 0 {
 			t.Errorf("slot-1 delta edge %d = %+v, want a served edge", j, ed)
 		}
+	}
+
+	// The delta on the wire is the shard's own, edge for edge: an in-process
+	// engine.Shard over the same parity steppers and placements yields the
+	// same terms. A region that rewrites its cache (moving one edge's term
+	// onto another, say) can keep the root's totals and parity and still
+	// fail here.
+	w := newParityWorld(seed)
+	steppers := make([]engine.EdgeStepper, edges)
+	for i := range steppers {
+		steppers[i] = &parityStepper{w: w, edge: i, rng: w.edgeRNG(i)}
+	}
+	sh, err := engine.NewShard(engine.ShardConfig{}, steppers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Step(0, arms(0), []bool{true, true, true}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sh.Step(1, arms(1), []bool{false, false, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.Delta.Edges, want.Edges) {
+		t.Errorf("slot-1 delta edges differ from an in-process shard's:\n wire     %+v\n in-proc  %+v", d.Delta.Edges, want.Edges)
 	}
 }
