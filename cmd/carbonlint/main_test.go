@@ -304,7 +304,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 16984
+	goLineCeiling  = 16983
 	asmLineCeiling = 1712
 )
 

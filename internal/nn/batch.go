@@ -70,8 +70,7 @@ func layerIs[T Layer](layers []Layer, i int) bool {
 // A Conv2D → ReLU → MaxPool2D stage (planStages) runs as one
 // Conv2D.forwardDirect with pool: the same bits as the three layers'
 // ForwardBatch in turn, without the two full-resolution planes between
-// them. Every other stage walks its layers, as the trainer does: its
-// backward passes need each boundary's activation.
+// them. Every other stage walks its layers.
 //
 //lint:hotroot inference inner loop; all scratch comes from the arena
 func (n *Network) ForwardBatch(in *Tensor, a *Arena) *Tensor {

@@ -163,3 +163,87 @@ func FuzzConvReLUPool(f *testing.F) {
 		})
 	})
 }
+
+// FuzzPoolRoute holds the pool backward to the poolScatter oracle, per sample
+// and at every dispatch floor, bit for bit (any NaN matching any NaN): poolRoute
+// and MaxPool2D.BackwardBatch on raw input, and the trainer's Conv2D → ReLU →
+// MaxPool2D backward — the pooled gradient masked by reluBwdSIMD against the
+// pooled plane, then poolRoute over the rectified plane — against poolScatter
+// over the rectified plane followed by ReLU's backward against the conv
+// output. Channels 1–4, h and w 2–13 (odd ones leave a row or column no
+// window reads), batch 1–3. Inputs and gradients cycle through the fuzzed
+// bytes: mostly eighths in [-0.5, 0.5], so windows tie and all-zero windows
+// are common, the rest IEEE corners (±0, NaN, ±Inf, extremes); an odd nan
+// also puts a NaN in every window, at a position that moves window by window.
+// The arena hands out NaN-filled buffers, so an element left unwritten fails.
+func FuzzPoolRoute(f *testing.F) {
+	f.Add(uint8(0), uint8(4), uint8(4), uint8(0), uint8(0), []byte{0x40, 0x41, 0x44, 0x40})
+	f.Add(uint8(1), uint8(5), uint8(7), uint8(1), uint8(1), []byte{0xaa, 0xab, 0x03, 0x12, 0x40})
+	f.Add(uint8(2), uint8(11), uint8(2), uint8(2), uint8(3), []byte("pool-route"))
+	f.Add(uint8(3), uint8(3), uint8(9), uint8(0), uint8(7), []byte{0xac, 0xad, 0xae, 0xaf, 0x00})
+	f.Fuzz(func(t *testing.T, ch, h, w, batch, nan uint8, raw []byte) {
+		if len(raw) == 0 {
+			raw = []byte{0x5d}
+		}
+		c, hh, ww, n := 1+int(ch)%4, 2+int(h)%12, 2+int(w)%12, 1+int(batch)%3
+		oh, ow := hh/2, ww/2
+		next := 0
+		fill := func(dst []float64) {
+			for i := range dst {
+				b := raw[next%len(raw)] + byte(next/len(raw))
+				next++
+				dst[i] = float64(int(b%9)-4) / 8
+				if b >= 0xaa {
+					dst[i] = convPoolValue(b)
+				}
+			}
+		}
+		in := NewTensor(n, c, hh, ww)
+		fill(in.Data)
+		if nan%2 == 1 {
+			for win := 0; win < n*c*oh*ow; win++ {
+				p, y, x, d := win/(oh*ow), win/ow%oh, win%ow, (win+int(nan)/2)%4
+				in.Data[(p*hh+2*y+d/2)*ww+2*x+d%2] = math.NaN()
+			}
+		}
+		gradOut := NewTensor(n, c, oh, ow)
+		fill(gradOut.Data)
+		rect := NewTensor(in.Shape...)
+		reluFwdGo(rect.Data, in.Data)
+
+		inLen, outLen := c*hh*ww, c*oh*ow
+		wantRaw, wantStage := make([]float64, n*inLen), make([]float64, n*inLen)
+		for s := 0; s < n; s++ {
+			sIn, g := in.Data[s*inLen:(s+1)*inLen], gradOut.Data[s*outLen:(s+1)*outLen]
+			poolScatter(wantRaw[s*inLen:(s+1)*inLen], sIn, g, c, hh, ww)
+			gr := make([]float64, inLen)
+			poolScatter(gr, rect.Data[s*inLen:(s+1)*inLen], g, c, hh, ww)
+			reluBwdGo(wantStage[s*inLen:(s+1)*inLen], gr, sIn)
+		}
+		same := func(floor, what string, got, want []float64) {
+			t.Helper()
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("%s: ch=%d in=%dx%d batch=%d: %s gradient %d = %x, poolScatter gives %x",
+						floor, c, hh, ww, n, what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+		a, pool := NewArena(), NewMaxPool2D()
+		eachDispatchFloor(func(floor string) {
+			for i := 0; i < 7; i++ { // every buffer starts as NaN, so a skipped store shows
+				buf := a.Floats(n * inLen)
+				for j := range buf {
+					buf[j] = math.NaN()
+				}
+			}
+			a.Reset()
+			same(floor, "poolRoute", poolRoute(in, pool.ForwardBatch(in, a), gradOut, a).Data, wantRaw)
+			same(floor, "BackwardBatch", pool.BackwardBatch(in, gradOut, nil, true, a).Data, wantRaw)
+			pooled, g := pool.ForwardBatch(rect, a), a.Tensor(gradOut.Shape...)
+			copy(g.Data, gradOut.Data)
+			reluBwdSIMD(g.Data, g.Data, pooled.Data)
+			same(floor, "stage", poolRoute(rect, pooled, g, a).Data, wantStage)
+		})
+	})
+}

@@ -205,12 +205,11 @@ func (c *Conv2D) forwardDirect(in *Tensor, a *Arena, pool bool) *Tensor {
 // weight gradient and, with wantIn, gv times the channel's weights into the
 // sample's input gradient. That is Backward's loop nest — (oc, y, x) outer
 // with the g == 0 skip, one multiply then one add per term — so every
-// accumulator sees Backward's terms in Backward's order. The pooling argmax
-// scatter and ReLU masking upstream leave most gradient entries zero, so the
-// skip prunes the bulk of the work; a dense GEMM over patch rows was
-// measured slower for exactly that reason. The input gradient keeps
-// Backward's scatter because a col2im-style pre-reduction over output
-// channels would reassociate sums.
+// accumulator sees Backward's terms in Backward's order. A pool's route
+// leaves at most one nonzero per window and ReLU's mask fewer, so the skip
+// prunes most of the work (a dense GEMM over patch rows measured slower).
+// The input gradient keeps Backward's scatter because a col2im-style
+// pre-reduction over output channels would reassociate sums.
 func (c *Conv2D) BackwardBatch(in, gradOut *Tensor, grads []*Tensor, wantIn bool, a *Arena) *Tensor {
 	batch, h, w := in.Shape[0], in.Shape[2], in.Shape[3]
 	ow := w - c.K + 1
@@ -262,68 +261,65 @@ var _ Layer = (*MaxPool2D)(nil)
 func NewMaxPool2D() *MaxPool2D { return &MaxPool2D{} }
 
 // ForwardBatch implements Layer: the same pooling comparisons per sample.
+// The [B, C] planes lie end to end, so plane p's row r starts at (p*h+r)*w.
 func (m *MaxPool2D) ForwardBatch(in *Tensor, a *Arena) *Tensor {
-	batch, ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	h, w := in.Shape[2], in.Shape[3]
 	oh, ow := h/2, w/2
-	out := a.Tensor(batch, ch, oh, ow)
-	inStride, outStride := ch*h*w, ch*oh*ow
-	for s := 0; s < batch; s++ {
-		src := in.Data[s*inStride : (s+1)*inStride]
-		dst := out.Data[s*outStride : (s+1)*outStride]
-		for c := 0; c < ch; c++ {
-			for y := 0; y < oh; y++ {
-				row0 := src[(c*h+2*y)*w : (c*h+2*y)*w+w]
-				row1 := src[(c*h+2*y+1)*w : (c*h+2*y+1)*w+w]
-				drow := dst[(c*oh+y)*ow : (c*oh+y)*ow+ow]
-				pool2x2SIMD(drow, row0, row1)
-			}
+	out := a.Tensor(in.Shape[0], in.Shape[1], oh, ow)
+	for p := 0; p < in.Shape[0]*in.Shape[1]; p++ {
+		for y := 0; y < oh; y++ {
+			r := (p*h + 2*y) * w
+			pool2x2SIMD(out.Data[(p*oh+y)*ow:(p*oh+y+1)*ow], in.Data[r:r+w], in.Data[r+w:r+2*w])
 		}
 	}
 	return out
 }
 
-// BackwardBatch implements Layer: Backward's argmax scatter per sample.
+// BackwardBatch implements Layer: the pooled maxima again, then poolRoute.
 func (m *MaxPool2D) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *Arena) *Tensor {
-	batch, ch, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	return poolRoute(in, m.ForwardBatch(in, a), gradOut, a)
+}
+
+// poolRoute writes the input gradient of a 2x2 max pool whose forward pass
+// took in to pooled. pool2x2SIMD returns one of a window's elements untouched,
+// the one the strict-> scan took, and no element before it has its bits, so
+// the window's gradient plus +0 goes to the first element with the pooled
+// value's bits; every other element, odd trailing row and column included,
+// gets +0. The masks have no branch to mispredict.
+func poolRoute(in, pooled, gradOut *Tensor, a *Arena) *Tensor {
+	h, w := in.Shape[2], in.Shape[3]
+	oh, ow := h/2, w/2
 	gradIn := a.Tensor(in.Shape...)
-	clear(gradIn.Data)
-	inStride, outStride := ch*h*w, ch*(h/2)*(w/2)
-	for s := 0; s < batch; s++ {
-		poolScatter(gradIn.Data[s*inStride:(s+1)*inStride], in.Data[s*inStride:(s+1)*inStride],
-			gradOut.Data[s*outStride:(s+1)*outStride], ch, h, w)
+	for p := 0; p < in.Shape[0]*in.Shape[1]; p++ {
+		for y := 0; y < oh; y++ {
+			r := (p*h + 2*y) * w
+			r0, r1 := in.Data[r:r+2*ow], in.Data[r+w:r+w+2*ow]
+			d0, d1 := gradIn.Data[r:r+w], gradIn.Data[r+w:r+2*w]
+			g := gradOut.Data[(p*oh+y)*ow : (p*oh+y+1)*ow]
+			for x, mv := range pooled.Data[(p*oh+y)*ow : (p*oh+y+1)*ow] {
+				gv, mb := math.Float64bits(g[x]+0), math.Float64bits(mv)
+				k0 := mask(math.Float64bits(r0[2*x]) == mb)
+				k1 := mask(math.Float64bits(r0[2*x+1]) == mb) &^ k0
+				k2 := mask(math.Float64bits(r1[2*x]) == mb) &^ (k0 | k1)
+				k3 := ^(k0 | k1 | k2)
+				d0[2*x], d0[2*x+1] = math.Float64frombits(gv&k0), math.Float64frombits(gv&k1)
+				d1[2*x], d1[2*x+1] = math.Float64frombits(gv&k2), math.Float64frombits(gv&k3)
+			}
+			clear(d0[2*ow:])
+			clear(d1[2*ow:])
+		}
+		clear(gradIn.Data[(p*h+2*oh)*w : (p+1)*h*w])
 	}
 	return gradIn
 }
 
-// poolScatter is the shared one-sample pooling backward: it re-runs Forward's
-// scan over the [ch, h, w] input — the (dy, dx) order and the strict >, so
-// ties route to the element Forward took its maximum from — and adds each
-// output gradient into its window's winner in gi (callers pass a zeroed gi).
-// Windows do not overlap, so every gi element receives at most one add.
-func poolScatter(gi, in, g []float64, ch, h, w int) {
-	oh, ow := h/2, w/2
-	for c := 0; c < ch; c++ {
-		for y := 0; y < oh; y++ {
-			base0 := (c*h + 2*y) * w
-			base1 := base0 + w
-			grow := g[(c*oh+y)*ow : (c*oh+y)*ow+ow]
-			for x, gv := range grow {
-				i00 := base0 + 2*x
-				best, bestIdx := in[i00], i00
-				if v := in[i00+1]; v > best {
-					best, bestIdx = v, i00+1
-				}
-				i10 := base1 + 2*x
-				if v := in[i10]; v > best {
-					best, bestIdx = v, i10
-				}
-				if v := in[i10+1]; v > best {
-					bestIdx = i10 + 1
-				}
-				gi[bestIdx] += gv
-			}
-		}
+// mask is all ones when b holds, else zero: a SETcc, not a branch.
+func mask(b bool) uint64 {
+	var m uint64
+	if b {
+		m = 1
 	}
+	return -m
 }
 
 // Params implements Layer.

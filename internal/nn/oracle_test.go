@@ -169,6 +169,37 @@ func (m *MaxPool2D) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
 	return gradIn
 }
 
+// poolScatter is the reference pooling backward over one [ch, h, w] sample:
+// it re-runs Forward's scan — the (dy, dx) order and the strict >, so ties
+// route to the element Forward took its maximum from — and adds each output
+// gradient into its window's winner in gi (callers pass a zeroed gi).
+// Windows do not overlap, so every gi element receives at most one add.
+func poolScatter(gi, in, g []float64, ch, h, w int) {
+	oh, ow := h/2, w/2
+	for c := 0; c < ch; c++ {
+		for y := 0; y < oh; y++ {
+			base0 := (c*h + 2*y) * w
+			base1 := base0 + w
+			grow := g[(c*oh+y)*ow : (c*oh+y)*ow+ow]
+			for x, gv := range grow {
+				i00 := base0 + 2*x
+				best, bestIdx := in[i00], i00
+				if v := in[i00+1]; v > best {
+					best, bestIdx = v, i00+1
+				}
+				i10 := base1 + 2*x
+				if v := in[i10]; v > best {
+					best, bestIdx = v, i10
+				}
+				if v := in[i10+1]; v > best {
+					bestIdx = i10 + 1
+				}
+				gi[bestIdx] += gv
+			}
+		}
+	}
+}
+
 // Forward is the reference rectification.
 func (r *ReLU) Forward(in *Tensor) *Tensor {
 	out := NewTensor(in.Shape...)

@@ -42,11 +42,7 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // Zero sets all elements to zero.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // At3 reads element (c, y, x) of a CHW tensor.
 func (t *Tensor) At3(c, y, x int) float64 {

@@ -46,25 +46,12 @@ type TrainConfig struct {
 // shape is not net.InShape() or whose label is not one of the network's
 // classes is an error, reported before any training.
 //
-// Whole minibatches flow through the batched GEMM path
-// (ForwardBatch/BackwardBatch on one arena); the result is bit-for-bit
-// identical to the per-sample reference loop the tests keep (trainNaive) —
-// same shuffle draws, same gradient and loss bits (train_equiv_test.go pins
-// the serialized trained weights byte-identical).
-//
-// The trainer owns all training state: the gradient accumulators (one Grads
-// for the run) and, per minibatch, the activation every layer consumed —
-// arena tensors, so forward, loss and backward of one minibatch share one
-// Reset window. Per batch it assembles the shuffled samples into one
-// [B, sampleShape...] arena tensor, runs each layer's ForwardBatch keeping
-// its input, computes per-row losses and logit gradients, hands each layer's
-// BackwardBatch its input back in reverse down to the lowest layer that
-// holds parameters — which is asked for no input gradient, since nothing
-// reads one — and applies one SGD step.
-// Bit-identity to the per-sample loop is preserved by construction: the
-// shuffle is the caller's, the epoch loss accumulates row by row in shuffled
-// sample order (never via batch partial sums), and every layer's
-// BackwardBatch replays the per-sample gradient add sequence.
+// Each minibatch runs forward and backward through the batched kernels on
+// one arena (trainer.step), and the trained weights are bit for bit those of
+// the per-sample reference loop the tests keep (trainNaive,
+// train_equiv_test.go): the shuffle is the caller's, the epoch loss
+// accumulates row by row in shuffled sample order, and every backward pass
+// replays the per-sample gradient add sequence.
 func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func(n int, swap func(i, j int))) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: no training samples")
@@ -104,10 +91,9 @@ func TrainShuffled(net *Network, samples []Sample, cfg TrainConfig, shuffle func
 	return lastAvg, nil
 }
 
-// trainer is one TrainShuffled run's state: the arena every minibatch's
-// activations and scratch live in, the gradient accumulators, acts[i] (layer
-// i's input for the current minibatch), and first, the lowest layer with
-// parameters — where the backward pass stops.
+// trainer is one TrainShuffled run's state: the arena, the gradient
+// accumulators, acts[i] (layer i's input in the current minibatch) and first,
+// the lowest layer with parameters, where the backward pass stops.
 type trainer struct {
 	net        *Network
 	a          *Arena
@@ -131,11 +117,17 @@ func newTrainer(net *Network) *trainer {
 	return t
 }
 
-// step trains on the minibatch samples[idx[0]], samples[idx[1]], ...:
-// forward, loss, backward and one SGD update. Each row's loss is added to
-// totalLoss in idx order and the sum returned.
+// step trains on the minibatch samples[idx[0]], samples[idx[1]], ...: the
+// stages forward keeping every layer's input in acts, each row's loss added
+// to totalLoss in idx order (the sum is returned), the stages back down to
+// the lowest layer with parameters (asked for no input gradient), one SGD
+// update. A Conv2D → ReLU → MaxPool2D stage rectifies its conv output in
+// place; its backward masks the pooled gradient by the pooled plane (a
+// window's maximum is positive exactly when its source element is) and
+// poolRoute hands it to that element: the two layers' BackwardBatch, bit for
+// bit, with ReLU's mask on a quarter of the plane.
 func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float64 {
-	a, layers := t.a, t.net.Layers
+	a, layers, stages := t.a, t.net.Layers, t.net.stages
 	b := len(idx)
 	a.Reset()
 	t.batchShape[0] = b
@@ -145,8 +137,15 @@ func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float
 		copy(x.Data[bi*n:(bi+1)*n], samples[si].X.Data)
 	}
 	t.acts[0] = x
-	for i, l := range layers {
-		t.acts[i+1] = l.ForwardBatch(t.acts[i], a)
+	for _, st := range stages {
+		for i := st.at; i < st.end; i++ {
+			if st.relu && st.pool && i == st.at+1 {
+				reluFwdSIMD(t.acts[i].Data, t.acts[i].Data)
+				t.acts[i+1] = t.acts[i]
+				continue
+			}
+			t.acts[i+1] = layers[i].ForwardBatch(t.acts[i], a)
+		}
 	}
 	logits := t.acts[len(layers)]
 	classes := logits.Shape[1]
@@ -155,8 +154,17 @@ func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float
 		totalLoss += CrossEntropyLossRow(logits.Data[bi*classes:(bi+1)*classes],
 			samples[si].Label, g.Data[bi*classes:(bi+1)*classes])
 	}
-	for i := len(layers) - 1; i >= t.first; i-- {
-		g = layers[i].BackwardBatch(t.acts[i], g, t.grads[i], i > t.first, a)
+	for s := len(stages) - 1; s >= 0 && stages[s].at >= t.first; s-- {
+		st := stages[s]
+		for i := st.end - 1; i >= st.at; i-- {
+			if st.relu && st.pool && i == st.at+2 {
+				reluBwdSIMD(g.Data, g.Data, t.acts[i+1].Data)
+				g = poolRoute(t.acts[i], t.acts[i+1], g, a)
+				i-- // the stage's ReLU is done too
+				continue
+			}
+			g = layers[i].BackwardBatch(t.acts[i], g, t.grads[i], i > t.first, a)
+		}
 	}
 	t.net.Step(t.grads, lr, float64(b))
 	return totalLoss

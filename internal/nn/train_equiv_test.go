@@ -71,33 +71,107 @@ func serialized(t *testing.T, net *Network) []byte {
 // TestTrainBatchedMatchesNaiveBitForBit trains each architecture on 33
 // samples three ways, so the last minibatch holds 5, 3 and 1 samples: a
 // Dense backward below the 4x8 tile's four rows runs the row drivers alone.
+// Normal draws almost never tie in a pool window, so a CNN and a LeNet also
+// train on gridSamples, with weights snapped to the same grid.
 func TestTrainBatchedMatchesNaiveBitForBit(t *testing.T) {
 	for _, tc := range trainFamily() {
 		for _, bs := range []int{7, 10, 16} {
-			sampleRng := rand.New(rand.NewSource(61))
-			samples := randSamples(sampleRng, 33, []int{1, 20, 20}, 10)
-			cfg := TrainConfig{Epochs: 2, BatchSize: bs, LR: 0.05}
-			name := fmt.Sprintf("%s batch %d", tc.name, bs)
+			samples := randSamples(rand.New(rand.NewSource(61)), 33, []int{1, 20, 20}, 10)
+			trainBothWays(t, fmt.Sprintf("%s batch %d", tc.name, bs), tc.build, samples, bs)
+		}
+	}
+	for _, tc := range []trainCase{trainFamily()[0], trainFamily()[2]} {
+		snapped := func(rng *rand.Rand) *Network {
+			net := tc.build(rng)
+			for _, l := range net.Layers {
+				for pi, p := range l.Params() {
+					for i, v := range p.Data {
+						p.Data[i] = math.Round(v*8) / 8
+						if pi == 1 { // a bias: every window over the zero border ties at 1/8
+							p.Data[i] = 1.0 / 8
+						}
+					}
+				}
+			}
+			return net
+		}
+		samples := gridSamples(rand.New(rand.NewSource(64)), 33)
+		if ties := positiveTies(snapped(rand.New(rand.NewSource(62))), samples); ties < 5000 {
+			t.Fatalf("%s: grid samples tie at a positive maximum in %d pool windows of the first stage, want 5000 or more", tc.name, ties)
+		}
+		trainBothWays(t, tc.name+" on the eighths grid", snapped, samples, 16)
+	}
+}
 
-			naiveNet := tc.build(rand.New(rand.NewSource(62)))
-			batchNet := tc.build(rand.New(rand.NewSource(62)))
-			naiveAvg, err := trainNaive(naiveNet, samples, cfg, rand.New(rand.NewSource(63)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchAvg, err := TrainShuffled(batchNet, samples, cfg, rand.New(rand.NewSource(63)).Shuffle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(naiveAvg) != math.Float64bits(batchAvg) {
-				t.Fatalf("%s: final avg loss %v (batched) != %v (naive)", name, batchAvg, naiveAvg)
-			}
-			paramsBitsEqual(t, name, batchNet, naiveNet)
-			if !bytes.Equal(serialized(t, batchNet), serialized(t, naiveNet)) {
-				t.Fatalf("%s: serialized checkpoints differ", name)
+// trainBothWays trains two copies of build's network on samples, one through
+// TrainShuffled and one through trainNaive, and holds the final loss, every
+// parameter and the serialized checkpoints to the same bits.
+func trainBothWays(t *testing.T, name string, build func(*rand.Rand) *Network, samples []Sample, bs int) {
+	t.Helper()
+	cfg := TrainConfig{Epochs: 2, BatchSize: bs, LR: 0.05}
+	naiveNet := build(rand.New(rand.NewSource(62)))
+	batchNet := build(rand.New(rand.NewSource(62)))
+	naiveAvg, err := trainNaive(naiveNet, samples, cfg, rand.New(rand.NewSource(63)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchAvg, err := TrainShuffled(batchNet, samples, cfg, rand.New(rand.NewSource(63)).Shuffle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(naiveAvg) != math.Float64bits(batchAvg) {
+		t.Fatalf("%s: final avg loss %v (batched) != %v (naive)", name, batchAvg, naiveAvg)
+	}
+	paramsBitsEqual(t, name, batchNet, naiveNet)
+	if !bytes.Equal(serialized(t, batchNet), serialized(t, naiveNet)) {
+		t.Fatalf("%s: serialized checkpoints differ", name)
+	}
+}
+
+// gridSamples draws 1x20x20 samples that are zero outside a centred 8x8 block
+// of eighths in [-0.5, 0.5]. Over the zero border a convolution outputs its
+// bias at every pixel, so each pool window there ties, at a positive maximum
+// wherever the bias is positive; inside, eighths times eighths-grid weights
+// sum exactly, so windows tie there too.
+func gridSamples(rng *rand.Rand, n int) []Sample {
+	samples := randSamples(rng, n, []int{1, 20, 20}, 10)
+	for _, s := range samples {
+		for i := range s.X.Data {
+			s.X.Data[i] = 0
+			if y, x := i/20, i%20; y >= 6 && y < 14 && x >= 6 && x < 14 {
+				s.X.Data[i] = float64(rng.Intn(9)-4) / 8
 			}
 		}
 	}
+	return samples
+}
+
+// positiveTies counts the pool windows of net's first stage, over samples,
+// whose maximum is positive and held by two or more elements: the windows
+// where the strict-> scan's choice of winner reaches the weights.
+func positiveTies(net *Network, samples []Sample) int {
+	a, ties := NewArena(), 0
+	for _, s := range samples {
+		in := &Tensor{Shape: append([]int{1}, s.X.Shape...), Data: s.X.Data}
+		r := net.Layers[1].ForwardBatch(net.Layers[0].ForwardBatch(in, a), a)
+		h, w := r.Shape[2], r.Shape[3]
+		oh, ow := h/2, w/2
+		for j, m := range net.Layers[2].ForwardBatch(r, a).Data {
+			p, y, x := j/(oh*ow), j/ow%oh, j%ow
+			v := r.Data[(p*h+2*y)*w+2*x:]
+			if n := btoi(v[0] == m) + btoi(v[1] == m) + btoi(v[w] == m) + btoi(v[w+1] == m); m > 0 && n > 1 {
+				ties++
+			}
+		}
+	}
+	return ties
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestTrainArenaFootprintPinned is TestConvForwardArenaFootprint's
@@ -106,17 +180,22 @@ func TestTrainBatchedMatchesNaiveBitForBit(t *testing.T) {
 // convolution's backward pass lowering samples to im2col rows and every layer
 // computing its input gradient, the arena held 4 579 936 / 8 906 400 /
 // 3 137 408 / 5 954 688 / 322 688 / 525 440 bytes (cnn-s, cnn-l, lenet-s,
-// lenet-l, mlp-s, mlp-l). The test also fails on any buffer the size of one
-// sample's im2col matrix (kk*np floats) of any convolution, and on a second
-// buffer the size of the input batch: the first layer with weights sees
-// that many inputs (the Flatten in front of an MLP's first Dense is a view),
-// so a second one would be its input gradient, which nothing reads.
+// lenet-l, mlp-s, mlp-l); with every layer of a Conv2D → ReLU → MaxPool2D
+// stage keeping its own output and gradient planes, the CNNs and LeNets held
+// 4 360 960 / 8 617 728 / 2 844 672 / 5 585 152. The trainer now keeps one
+// full-resolution plane per such stage, the conv output rectified in place,
+// and one gradient plane, written by poolRoute. The test also fails on any
+// buffer the size of one sample's im2col matrix (kk*np floats) of any
+// convolution, and on a second buffer the size of the input batch: the first
+// layer with weights sees that many inputs (the Flatten in front of an MLP's
+// first Dense is a view), so a second one would be its input gradient, which
+// nothing reads.
 func TestTrainArenaFootprintPinned(t *testing.T) {
 	const batch = 16
 	in := []int{1, 28, 28}
 	pinned := map[string]int{
-		"cnn-s": 4360960, "cnn-l": 8617728, "lenet-s": 2844672,
-		"lenet-l": 5585152, "mlp-s": 221952, "mlp-l": 424704,
+		"cnn-s": 2480896, "cnn-l": 4857600, "lenet-s": 1697792,
+		"lenet-l": 3291392, "mlp-s": 221952, "mlp-l": 424704,
 	}
 	for _, zb := range zooBuilders[:6] {
 		net := zb.build(in, rand.New(rand.NewSource(48)))
