@@ -47,7 +47,8 @@
 #                  testdata/ are excluded. The one rule behind every line
 #                  count ROADMAP.md and a simplicity change quote: the size
 #                  fence (TestSizeBudget in cmd/carbonlint) prints the table
-#                  and fails when either raw total is over its ceiling
+#                  and the byte sizes of DESIGN.md and EXPERIMENTS.md, and
+#                  fails when a raw total or a document is over its ceiling
 #   make sim     - run the default 10-edge scenario comparison
 
 GO ?= go

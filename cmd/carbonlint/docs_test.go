@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -24,16 +25,48 @@ var (
 	makeTargetRE = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	testNameRE   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)\w*`)
 	testDeclRE   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	metricRE     = regexp.MustCompile(`^[a-z][a-z0-9]*(?:\.[a-z0-9_]+)+$`)
 )
+
+// benchmarkMetrics reads BENCHMARK.json's metric names: the set it declares,
+// and the first segments of its per-layer names, which mark a dotted name
+// as one of its metrics.
+func benchmarkMetrics(t *testing.T, root string) (declared, prefixes map[string]bool) {
+	body, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bj struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(body, &bj); err != nil {
+		t.Fatal(err)
+	}
+	declared, prefixes = map[string]bool{}, map[string]bool{}
+	for _, m := range bj.EndToEnd {
+		declared[m.Name] = true
+	}
+	for _, m := range bj.PerLayer {
+		declared[m.Name] = true
+		prefix, _, _ := strings.Cut(m.Name, ".")
+		prefixes[prefix] = true
+	}
+	return declared, prefixes
+}
 
 // TestDocsNameOnlyWhatExists fails on a code span (inline or fenced) of a
 // living doc, or a line of the Makefile's help header, that names a
 // cmd/<name>, an internal/<pkg>[/file], a source or data file, or a make
-// target the tree no longer has, or whose Test…, Benchmark… or Fuzz… name
+// target the tree no longer has, whose Test…, Benchmark… or Fuzz… name
 // (split on the | and / of a -run or -bench pattern) begins no function a
-// _test.go file declares. Reword the doc, or restore what it names.
+// _test.go file declares, or that names a slot-cost benchmark metric
+// BENCHMARK.json does not declare — a lowercase dotted name whose first
+// segment is a per-layer metric's and that contains an underscore. Reword
+// the doc, or restore what it names.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const root = "../.."
+	metrics, metricPrefixes := benchmarkMetrics(t, root)
 	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +128,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			if fileTokenRE.MatchString(tok) && !basenames[tok] {
 				t.Errorf("%s names the file %s, which does not exist (in %q)", doc, tok, span)
 			}
+			prefix, _, _ := strings.Cut(tok, ".")
+			if metricRE.MatchString(tok) && metricPrefixes[prefix] && strings.Contains(tok, "_") && !metrics[tok] {
+				t.Errorf("%s names the metric %s, which BENCHMARK.json does not declare (in %q)", doc, tok, span)
+			}
 		}
 		for _, name := range testNameRE.FindAllString(strings.NewReplacer("|", " ", "/", " ").Replace(span), -1) {
 			if !slices.ContainsFunc(testFuncs, func(f string) bool { return strings.HasPrefix(f, name) }) {
@@ -140,18 +177,21 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
-// TestDesignNamesNoPR fails on a DESIGN.md line that cites a change by its
-// number: DESIGN.md describes the system as it is, and CHANGES.md keeps the
-// history. Name the change by what it did, or move the sentence there.
+// TestDesignNamesNoPR fails on a line of DESIGN.md or EXPERIMENTS.md that
+// cites a change by its number: both describe the system as it is, and
+// CHANGES.md keeps the history. Name the change by what it did, or move the
+// sentence there.
 func TestDesignNamesNoPR(t *testing.T) {
-	text, err := os.ReadFile("../../DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
 	prRE := regexp.MustCompile(`PR \d+`)
-	for i, line := range strings.Split(string(text), "\n") {
-		if m := prRE.FindString(line); m != "" {
-			t.Errorf("DESIGN.md:%d cites %s: name the change by what it did (CHANGES.md has its entry)", i+1, m)
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			if m := prRE.FindString(line); m != "" {
+				t.Errorf("%s:%d cites %s: name the change by what it did (CHANGES.md has its entry)", doc, i+1, m)
+			}
 		}
 	}
 }

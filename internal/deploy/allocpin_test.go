@@ -119,7 +119,7 @@ func TestExchangeAllocsPinned(t *testing.T) {
 				}
 				delta := engine.SlotDelta{Edges: make([]engine.EdgeDelta, edges)}
 				for j := range delta.Edges {
-					delta.Edges[j] = engine.EdgeDelta{Loss: 0.52, InferLoss: 0.5, Compute: 0.02, Correct: 3, Samples: 4, InferKWh: 1e-6, Served: true}
+					delta.Edges[j] = engine.EdgeDelta{Observation: engine.Observation{Loss: 0.52, InferLoss: 0.5, Compute: 0.02, Correct: 3, Samples: 4, InferKWh: 1e-6}, Served: true}
 				}
 				reply := Message{Type: MsgShardDelta, Delta: &delta}
 				for {

@@ -81,7 +81,7 @@ func busyTargets(t testing.TB) *decodeTargets {
 	busy := &Message{
 		Type: MsgShardDelta, EdgeID: 9, Slot: 77, Resume: true, Switch: true, Degrade: true, Seed: -5,
 		Weights: []byte("stale weights"), AvgLoss: 0.5, Arms: []int{7, 8, 9}, Downloads: []bool{true, false, true},
-		Delta: &engine.SlotDelta{Start: 4, Edges: []engine.EdgeDelta{{Loss: 1, Served: true}, {Retries: 2, WentDown: true}, {}}},
+		Delta: &engine.SlotDelta{Start: 4, Edges: []engine.EdgeDelta{{Observation: engine.Observation{Loss: 1}, Served: true}, {Observation: engine.Observation{Retries: 2}, WentDown: true}, {}}},
 	}
 	body, ok := appendMessage(nil, busy)
 	if !ok {
@@ -193,10 +193,10 @@ func genEdgeDelta(r *rand.Rand, stringy bool) engine.EdgeDelta {
 	if r.Intn(6) == 0 {
 		return engine.EdgeDelta{} // a down edge: {}
 	}
-	ed := engine.EdgeDelta{
+	ed := engine.EdgeDelta{Observation: engine.Observation{
 		Loss: genFloat(r), InferLoss: genFloat(r), Compute: genFloat(r), Correct: genInt(r), Samples: genInt(r),
-		InferKWh: genFloat(r), Served: r.Intn(4) > 0,
-	}
+		InferKWh: genFloat(r),
+	}, Served: r.Intn(4) > 0}
 	if r.Intn(3) == 0 {
 		ed.TransferKWh = genFloat(r)
 	}
@@ -328,7 +328,7 @@ func TestWireCodecMatchesJSON(t *testing.T) {
 func TestWireCodecCanonicalCorners(t *testing.T) {
 	for _, f := range edgeFloats {
 		checkEncode(t, &Message{Type: MsgReport, AvgLoss: f, EnergyKWh: 1e-7, CompSeconds: 0.05})
-		checkEncode(t, &Message{Type: MsgShardDelta, Delta: &engine.SlotDelta{Edges: []engine.EdgeDelta{{Loss: f}, {TransferKWh: f}}}})
+		checkEncode(t, &Message{Type: MsgShardDelta, Delta: &engine.SlotDelta{Edges: []engine.EdgeDelta{{Observation: engine.Observation{Loss: f}}, {Observation: engine.Observation{TransferKWh: f}}}}})
 	}
 	for _, m := range []*Message{
 		{},
@@ -342,6 +342,42 @@ func TestWireCodecCanonicalCorners(t *testing.T) {
 	} {
 		if body := checkEncode(t, m); body != nil {
 			checkDecode(t, body)
+		}
+	}
+	// One shard delta whose first edge sets every EdgeDelta member but
+	// DownError, once on the fast path and once beside an edge with a
+	// DownError, which sends the frame through encoding/json: the committed
+	// frames pin the wire names and their order.
+	var full engine.EdgeDelta
+	full.Loss, full.InferLoss, full.Compute, full.Correct, full.Samples = 0.625, 0.5, 0.125, 3, 4
+	full.InferKWh, full.TransferKWh, full.Retries = 1.5e-7, 2.5e-6, 2
+	full.Served, full.WentDown = true, true
+	down := full
+	down.DownError = "edge 5: gone"
+	const fullJSON = `{"loss":0.625,"inferLoss":0.5,"compute":0.125,"correct":3,"samples":4,"inferKwh":1.5e-7,"transferKwh":0.0000025,"retries":2,"served":true,"wentDown":true`
+	for _, c := range []struct {
+		edges []engine.EdgeDelta
+		fast  bool
+		frame string
+	}{
+		{[]engine.EdgeDelta{full, {}}, true,
+			"\x00\x00\x00\xd0" + `{"type":10,"slot":7,"delta":{"start":4,"edges":[` + fullJSON + `},{}]}}`},
+		{[]engine.EdgeDelta{full, down}, false,
+			"\x00\x00\x01\x83" + `{"type":10,"slot":7,"delta":{"start":4,"edges":[` + fullJSON + `},` + fullJSON + `,"downError":"edge 5: gone"}]}}`},
+	} {
+		m := &Message{Type: MsgShardDelta, Slot: 7, Delta: &engine.SlotDelta{Start: 4, Edges: c.edges}}
+		if _, fast := appendMessage(nil, m); fast != c.fast {
+			t.Errorf("golden delta %q: fast path %v, want %v", c.frame, fast, c.fast)
+		}
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != c.frame {
+			t.Errorf("golden delta frame:\n got %q\nwant %q", got, c.frame)
+		}
+		if got, err := ReadMessage(&buf); err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("golden delta decodes to %+v, %v; want %+v", got, err, m)
 		}
 	}
 	for _, body := range []string{
@@ -382,10 +418,10 @@ func hotFrames(shard int) map[string]*Message {
 	for j := 0; j < shard; j++ {
 		assign.Arms[j], assign.Downloads[j] = r.Intn(6), r.Intn(10) == 0
 		loss, comp := 0.1+r.Float64(), 0.01+0.05*r.Float64()
-		delta.Edges[j] = engine.EdgeDelta{
+		delta.Edges[j] = engine.EdgeDelta{Observation: engine.Observation{
 			Loss: loss + comp, InferLoss: loss, Compute: comp, Correct: r.Intn(5), Samples: 4 + r.Intn(5),
-			InferKWh: 7e-8 * float64(4+r.Intn(5)), Served: true,
-		}
+			InferKWh: 7e-8 * float64(4+r.Intn(5)),
+		}, Served: true}
 		if assign.Downloads[j] {
 			delta.Edges[j].TransferKWh = 1.2e-6 * r.Float64()
 		}

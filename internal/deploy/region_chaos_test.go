@@ -691,7 +691,7 @@ func TestShardDeltaReplayFoldsToCleanBytes(t *testing.T) {
 	mk := func(slot int) *Message {
 		d := &engine.SlotDelta{Start: start}
 		for j := 0; j < count; j++ {
-			d.Edges = append(d.Edges, engine.EdgeDelta{
+			d.Edges = append(d.Edges, engine.EdgeDelta{Observation: engine.Observation{
 				Loss:      1.25*float64(slot) + 0.5*float64(j),
 				InferLoss: float64(slot) + 0.25*float64(j),
 				Compute:   0.25,
@@ -699,8 +699,7 @@ func TestShardDeltaReplayFoldsToCleanBytes(t *testing.T) {
 				Samples:   slot + j + 2,
 				InferKWh:  1e-5 * float64(slot+1),
 				Retries:   j,
-				Served:    true,
-			})
+			}, Served: true})
 		}
 		return &Message{Type: MsgShardDelta, Slot: slot, Delta: d}
 	}

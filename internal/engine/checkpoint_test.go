@@ -15,12 +15,12 @@ func TestShardCheckpointFold(t *testing.T) {
 	ck := ShardCheckpoint{Start: 3, Count: 2, FleetSeed: 9, Down: make([]bool, 2), JitterDraws: make([]int, 2)}
 	slots := []SlotDelta{
 		{Start: 3, Edges: []EdgeDelta{
-			{Served: true, Retries: 2, Loss: 1.5, InferLoss: 1, Compute: 0.5, Correct: 7, Samples: 9, InferKWh: 2e-6, TransferKWh: 1e-9},
-			{Served: true, Loss: math.NaN(), InferKWh: math.Inf(1)},
+			{Served: true, Observation: Observation{Retries: 2, Loss: 1.5, InferLoss: 1, Compute: 0.5, Correct: 7, Samples: 9, InferKWh: 2e-6, TransferKWh: 1e-9}},
+			{Served: true, Observation: Observation{Loss: math.NaN(), InferKWh: math.Inf(1)}},
 		}},
-		{Start: 3, Edges: []EdgeDelta{{Served: true, Retries: 1}, {Retries: 3, WentDown: true, DownError: "lost"}}},
+		{Start: 3, Edges: []EdgeDelta{{Served: true, Observation: Observation{Retries: 1}}, {Observation: Observation{Retries: 3}, WentDown: true, DownError: "lost"}}},
 		// Served again after going down: the checkpoint keeps the edge down.
-		{Start: 3, Edges: []EdgeDelta{{Served: true}, {Served: true, Retries: 1}}},
+		{Start: 3, Edges: []EdgeDelta{{Served: true}, {Served: true, Observation: Observation{Retries: 1}}}},
 	}
 	for k, d := range slots {
 		if ck.DoneSlots != k {

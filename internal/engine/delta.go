@@ -20,17 +20,9 @@ import (
 // that crosses a TCP hop folds to the same bits as one that never left the
 // process.
 type EdgeDelta struct {
-	// Loss, InferLoss, Compute, Correct, Samples, InferKWh, TransferKWh, and
-	// Retries mirror Observation (zeroed while the edge is down, except
-	// Retries in the slot the edge went down).
-	Loss        float64 `json:"loss,omitempty"`
-	InferLoss   float64 `json:"inferLoss,omitempty"`
-	Compute     float64 `json:"compute,omitempty"`
-	Correct     int     `json:"correct,omitempty"`
-	Samples     int     `json:"samples,omitempty"`
-	InferKWh    float64 `json:"inferKwh,omitempty"`
-	TransferKWh float64 `json:"transferKwh,omitempty"`
-	Retries     int     `json:"retries,omitempty"`
+	// Observation is the edge's report, zeroed while the edge is down except
+	// for Retries in the slot it went down.
+	Observation
 	// Served reports whether the edge served this slot (false from the slot
 	// it went down onward).
 	Served bool `json:"served,omitempty"`

@@ -28,30 +28,31 @@ import (
 	"github.com/carbonedge/carbonedge/internal/trading"
 )
 
-// Observation is what one edge reports after serving one slot.
+// Observation is what one edge reports after serving one slot. Its JSON
+// tags are EdgeDelta's wire names: a delta embeds the observation it carries.
 type Observation struct {
 	// Loss is the bandit feedback for the edge's policy: the observed
 	// average inference loss plus the computation cost (the paper's
 	// L_{i,n}^t + v_{i,n}).
-	Loss float64
+	Loss float64 `json:"loss,omitempty"`
 	// InferLoss and Compute are the cost-accounting terms: the expected
 	// inference loss of the served model and the computation cost. The
 	// simulator uses the posterior mean loss (as the paper's accounting
 	// does); the deployment uses the observed loss, the only one it has.
-	InferLoss float64
-	Compute   float64
+	InferLoss float64 `json:"inferLoss,omitempty"`
+	Compute   float64 `json:"compute,omitempty"`
 	// Correct and Samples feed the accuracy series.
-	Correct int
-	Samples int
+	Correct int `json:"correct,omitempty"`
+	Samples int `json:"samples,omitempty"`
 	// InferKWh is the slot's inference energy; TransferKWh is the energy a
 	// model download would cost. TransferKWh is consulted only when the
 	// slot began with a download, so steppers may always fill it in.
-	InferKWh    float64
-	TransferKWh float64
+	InferKWh    float64 `json:"inferKwh,omitempty"`
+	TransferKWh float64 `json:"transferKwh,omitempty"`
 	// Retries counts transport-level retries the stepper burned to produce
 	// this observation (0 for in-process steppers). Steppers may report it
 	// alongside an error; the engine accumulates it either way.
-	Retries int
+	Retries int `json:"retries,omitempty"`
 }
 
 // EdgeStepper serves one edge's traffic for one slot. Each edge has its own

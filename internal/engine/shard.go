@@ -47,15 +47,13 @@ type ShardConfig struct {
 // and empty deltas afterwards, exactly as the serial engine's accounting
 // defines.
 type Shard struct {
-	start    int
-	edges    []EdgeStepper
-	workers  int
-	policy   ErrorPolicy
-	down     []bool
-	obs      []Observation
-	errs     []error
-	downErrs []error
-	buf      []EdgeDelta
+	start   int
+	edges   []EdgeStepper
+	workers int
+	policy  ErrorPolicy
+	down    []bool
+	errs    []error
+	buf     []EdgeDelta
 }
 
 var _ ShardStepper = (*Shard)(nil)
@@ -85,15 +83,13 @@ func NewShard(cfg ShardConfig, edges []EdgeStepper) (*Shard, error) {
 		workers = len(edges)
 	}
 	return &Shard{
-		start:    cfg.Start,
-		edges:    edges,
-		workers:  workers,
-		policy:   cfg.Policy,
-		down:     make([]bool, len(edges)),
-		obs:      make([]Observation, len(edges)),
-		errs:     make([]error, len(edges)),
-		downErrs: make([]error, len(edges)),
-		buf:      make([]EdgeDelta, 0, len(edges)),
+		start:   cfg.Start,
+		edges:   edges,
+		workers: workers,
+		policy:  cfg.Policy,
+		down:    make([]bool, len(edges)),
+		errs:    make([]error, len(edges)),
+		buf:     make([]EdgeDelta, len(edges)),
 	}, nil
 }
 
@@ -129,15 +125,15 @@ func (s *Shard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) 
 	if s.workers == 1 {
 		for j, e := range s.edges {
 			if s.down[j] {
-				s.obs[j], s.errs[j] = Observation{}, nil
+				s.buf[j].Observation, s.errs[j] = Observation{}, nil
 				continue
 			}
-			s.obs[j], s.errs[j] = safeStep(e, slot, arms[j], downloads[j])
+			s.buf[j].Observation, s.errs[j] = safeStep(e, slot, arms[j], downloads[j])
 		}
 	} else {
 		// Workers claim chunks of edge indices from a shared cursor — one
 		// atomic add per chunk, no rendezvous per edge — and skip down edges
-		// themselves. Every edge writes only its own obs/errs slot, so which
+		// themselves. Every edge writes only its own buf/errs element, so which
 		// worker serves which chunk never shows in the delta. With one worker
 		// per edge (a TCP fleet, whose steps block on round trips) the chunk
 		// is a single edge and every exchange is in flight at once.
@@ -157,10 +153,10 @@ func (s *Shard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) 
 					}
 					for j := lo; j < min(hi, n); j++ {
 						if s.down[j] {
-							s.obs[j], s.errs[j] = Observation{}, nil
+							s.buf[j].Observation, s.errs[j] = Observation{}, nil
 							continue
 						}
-						s.obs[j], s.errs[j] = safeStep(s.edges[j], slot, arms[j], downloads[j])
+						s.buf[j].Observation, s.errs[j] = safeStep(s.edges[j], slot, arms[j], downloads[j])
 					}
 				}
 			}()
@@ -175,43 +171,22 @@ func (s *Shard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) 
 	// canonical shard order at the root yields the slot's globally
 	// lowest-indexed failure, the serial FailFast outcome.
 	for j, err := range s.errs {
-		if err == nil {
-			continue
+		ed := &s.buf[j]
+		ed.WentDown, ed.DownError = false, ""
+		if err != nil {
+			if s.policy == FailFast {
+				return SlotDelta{}, fmt.Errorf("engine: edge %d slot %d: %w", s.start+j, slot, err)
+			}
+			// Degrade: keep the retries the stepper burned, zero the rest of
+			// the failed observation, and mark the edge down for the rest of
+			// the run.
+			s.down[j] = true
+			ed.Observation = Observation{Retries: ed.Retries}
+			ed.WentDown, ed.DownError = true, err.Error()
 		}
-		if s.policy == FailFast {
-			return SlotDelta{}, fmt.Errorf("engine: edge %d slot %d: %w", s.start+j, slot, err)
-		}
-		// Degrade: keep the retries the stepper burned, zero the rest of the
-		// failed observation, and mark the edge down for the rest of the run.
-		s.down[j] = true
-		s.obs[j] = Observation{Retries: s.obs[j].Retries}
-		s.errs[j] = nil
-		s.downErrs[j] = err
+		ed.Served = !s.down[j]
 	}
-
-	d := SlotDelta{Start: s.start, Edges: s.buf[:0]}
-	for j := range s.edges {
-		o := s.obs[j]
-		ed := EdgeDelta{
-			Loss:        o.Loss,
-			InferLoss:   o.InferLoss,
-			Compute:     o.Compute,
-			Correct:     o.Correct,
-			Samples:     o.Samples,
-			InferKWh:    o.InferKWh,
-			TransferKWh: o.TransferKWh,
-			Retries:     o.Retries,
-			Served:      !s.down[j],
-		}
-		if s.downErrs[j] != nil {
-			ed.WentDown = true
-			ed.DownError = s.downErrs[j].Error()
-			s.downErrs[j] = nil
-		}
-		d.Edges = append(d.Edges, ed) //lint:allow hotalloc appends into the recycled slot buffer; capacity is grown once and reused
-	}
-	s.buf = d.Edges[:0]
-	return d, nil
+	return SlotDelta{Start: s.start, Edges: s.buf}, nil
 }
 
 // stepShard runs one shard step, converting a panic into an error so a

@@ -218,8 +218,8 @@ func TestMergeRejectsNonContiguous(t *testing.T) {
 			t.Errorf("Merge accepted non-adjacent range starting at %d", bad.Start)
 		}
 	}
-	d := SlotDelta{Start: 0, Edges: []EdgeDelta{{Samples: 2}}}
-	if err := d.Merge(SlotDelta{Start: 1, Edges: []EdgeDelta{{Samples: 3}}}); err != nil {
+	d := SlotDelta{Start: 0, Edges: []EdgeDelta{{Observation: Observation{Samples: 2}}}}
+	if err := d.Merge(SlotDelta{Start: 1, Edges: []EdgeDelta{{Observation: Observation{Samples: 3}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Edges) != 2 || d.Edges[0].Samples != 2 || d.Edges[1].Samples != 3 {
@@ -253,9 +253,9 @@ func TestPartitionEdgesCoversContiguously(t *testing.T) {
 // terms, so the root's fold is bit-identical either way.
 func TestSlotDeltaJSONRoundTrip(t *testing.T) {
 	in := SlotDelta{Start: 3, Edges: []EdgeDelta{
-		{Loss: 0.1 + 0.2, InferLoss: 1e-17, Compute: 0.3333333333333333, Correct: 3, Samples: 7,
-			InferKWh: 4.9406564584124654e-324, TransferKWh: 1.7976931348623157e308, Retries: 2, Served: true},
-		{Retries: 1, WentDown: true, DownError: "injected failure"},
+		{Observation: Observation{Loss: 0.1 + 0.2, InferLoss: 1e-17, Compute: 0.3333333333333333, Correct: 3, Samples: 7,
+			InferKWh: 4.9406564584124654e-324, TransferKWh: 1.7976931348623157e308, Retries: 2}, Served: true},
+		{Observation: Observation{Retries: 1}, WentDown: true, DownError: "injected failure"},
 		{},
 	}}
 	blob, err := json.Marshal(in)

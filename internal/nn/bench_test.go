@@ -56,7 +56,7 @@ func BenchmarkConvForwardNaive(b *testing.B) { benchConv(b, true) }
 
 // benchLayerForwardBatch times one layer's ForwardBatch on a 64-sample batch
 // — a serving chunk — over a warmed arena and reports the multiply-accumulate
-// rate, the figure DESIGN.md §9 compares across layer shapes.
+// rate DESIGN.md §9 reads per zoo layer shape.
 func benchLayerForwardBatch(b *testing.B, l Layer, shape ...int) {
 	const batch = 64
 	rng := rand.New(rand.NewSource(5))
