@@ -10,13 +10,14 @@
 #   make race    - race-detector pass over the internal packages (the shared
 #                  engine's parallel edge stepping must stay data-race free)
 #   make chaos   - fault-tolerance suite under the race detector: deterministic
-#                  fault injection, kill/resume, degradation, and the edge
-#                  session's replay cache (see DESIGN.md "Failure model")
+#                  fault injection, kill/resume, degradation, and the dial-side
+#                  session both tiers share, replay cache included, as an edge
+#                  runs it (see DESIGN.md "Failure model")
 #   make chaos-region - elastic-regional-tier suite under the race detector:
 #                  region kill/resume, torn delta frames, graceful departure
 #                  with mid-run shard rebalancing, quorum degradation, the
-#                  randomized-schedule parity property, and the coordinator
-#                  session's replay cache
+#                  randomized-schedule parity property, and the shared
+#                  session as a coordinator runs it, against an edge's
 #   make fuzz-smoke - ten seconds of each of the thirteen native fuzz targets:
 #                  the wire codec and the frame validators behind it
 #                  (internal/deploy:

@@ -252,9 +252,9 @@ func runRoot(stdout io.Writer, listen string, edges, regions, horizon int, seed 
 
 // runRegion runs one regional coordinator: it trains the zoo (identical to
 // every other region's, by seed), claims its shard from the root, and admits
-// the shard's edges on its own listener. A positive resume budget makes the
-// coordinator redial the root and resume from its shard watermark when the
-// upstream link fails, exactly as carbonedge-edge -resumes does for edges.
+// the shard's edges on its own listener. When the upstream link fails, the
+// coordinator redials the root and resumes from its shard watermark, up to
+// resumes times, exactly as carbonedge-edge -resumes does for edges.
 func runRegion(stdout io.Writer, listen, connect string, regionID int, seed int64,
 	trainN, epochs, retries, resumes, leaveAt int, hsTO, slotTO time.Duration) error {
 	source, err := trainSource(stdout, seed, trainN, epochs)
@@ -278,23 +278,11 @@ func runRegion(stdout io.Writer, listen, connect string, regionID int, seed int6
 		Retry:            deploy.RetryConfig{Attempts: retries},
 		LeaveBeforeSlot:  leaveAt,
 	}
-	if resumes == 0 {
-		upstream, err := net.Dial("tcp", connect)
-		if err != nil {
-			return fmt.Errorf("connect to root: %w", err)
-		}
-		defer upstream.Close()
-		if err := deploy.RunRegion(upstream, ln, cfg); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "region %d complete\n", regionID)
-		return nil
-	}
 	dials := 0
 	dial := func() (net.Conn, error) {
 		conn, err := net.Dial("tcp", connect)
 		if err != nil {
-			return nil, fmt.Errorf("connect to root: %w", err)
+			return nil, err
 		}
 		dials++
 		if dials == 1 {

@@ -76,19 +76,6 @@ func run(args []string, stdout io.Writer) error {
 	if *resumes < 0 {
 		return fmt.Errorf("negative resume budget")
 	}
-	if *resumes == 0 {
-		conn, err := net.Dial("tcp", *connect)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		fmt.Fprintf(stdout, "edge %d connected to %s\n", *id, *connect)
-		if err := deploy.RunEdge(conn, *id, rt); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "edge %d done\n", *id)
-		return nil
-	}
 	dials := 0
 	dial := func() (net.Conn, error) {
 		conn, err := net.Dial("tcp", *connect)

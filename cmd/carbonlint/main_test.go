@@ -304,7 +304,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 16951
+	goLineCeiling  = 16895
 	asmLineCeiling = 1712
 )
 
@@ -313,8 +313,8 @@ const (
 // EXPERIMENTS.md what it measures now, and the history of how either got
 // there is CHANGES.md's.
 var docByteCeiling = map[string]int{
-	"DESIGN.md":      64846,
-	"EXPERIMENTS.md": 18138,
+	"DESIGN.md":      64797,
+	"EXPERIMENTS.md": 17924,
 }
 
 // lineCount is one package's (or the total's) raw and code lines, Go at

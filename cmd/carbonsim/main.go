@@ -54,7 +54,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		shards       = fs.Int("shards", 1, "contiguous edge shards per slot (results are identical for any count)")
 		meanWorkload = fs.Float64("mean-workload", -1, "average peak samples/slot per edge (-1 = default 200; lower it for very large fleets)")
 		zooKind      = fs.String("zoo", "surrogate", "model zoo: surrogate | mnist | cifar | mnist-q8 | cifar-q8")
-		int8M        = fs.Bool("int8", false, "score -q8 zoo arms through the true-INT8 engine instead of the fake-quant float oracle")
 		jsonOut      = fs.String("json", "", "write full per-slot results (JSON lines, one object per scheme) to this file")
 		workloadCSV  = fs.String("workload-csv", "", "load the workload trace from this CSV instead of generating it")
 		pricesCSV    = fs.String("prices-csv", "", "load the allowance price trace from this CSV instead of generating it")
@@ -87,7 +86,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		return err
 	}
 
-	zoo, err := buildZoo(*zooKind, *seed, *int8M)
+	zoo, err := buildZoo(*zooKind, *seed)
 	if err != nil {
 		return err
 	}
@@ -234,13 +233,9 @@ func exportScenarioTraces(dir string, s *sim.Scenario) error {
 }
 
 // buildZoo constructs the requested model zoo. The "-q8" variants double
-// the arm set with int8-quantized siblings (quantization-aware selection);
-// int8Mode scores those siblings through the true-INT8 engine instead of
-// the fake-quant float oracle.
-func buildZoo(kind string, seed int64, int8Mode bool) (models.Zoo, error) {
-	if int8Mode && kind != "mnist-q8" && kind != "cifar-q8" {
-		return nil, fmt.Errorf("-int8 requires a quantized zoo (mnist-q8 | cifar-q8), got %q", kind)
-	}
+// the arm set with int8-quantized siblings (quantization-aware selection),
+// scored through the INT8 engine.
+func buildZoo(kind string, seed int64) (models.Zoo, error) {
 	rng := numeric.SplitRNG(seed, "zoo")
 	switch kind {
 	case "surrogate":
@@ -254,9 +249,7 @@ func buildZoo(kind string, seed int64, int8Mode bool) (models.Zoo, error) {
 		if kind == "cifar-q8" {
 			spec = dataset.CIFARLike
 		}
-		cfg := models.DefaultTrainedZooConfig(spec)
-		cfg.Int8 = int8Mode
-		return models.NewQuantizedTrainedZoo(cfg, rng)
+		return models.NewQuantizedTrainedZoo(models.DefaultTrainedZooConfig(spec), rng)
 	default:
 		return nil, fmt.Errorf("unknown zoo %q (surrogate | mnist | cifar | mnist-q8 | cifar-q8)", kind)
 	}

@@ -194,26 +194,19 @@ func TestZooUsageNamesEveryKind(t *testing.T) {
 }
 
 // TestRunQuantizedZooPinned pins the quantized-zoo path end to end: the
-// SHA-256 of stdout for a small -zoo mnist-q8 run, scored by the fake-quant
-// oracle and by the INT8 engine. Each run trains a six-model zoo (~3 s).
+// SHA-256 of stdout for a small -zoo mnist-q8 run, its q8 arms scored by the
+// INT8 engine. The run trains a six-model zoo (~3 s).
 func TestRunQuantizedZooPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains two zoos")
+		t.Skip("trains a zoo")
 	}
-	for _, tc := range []struct {
-		extra  []string
-		digest string
-	}{
-		{nil, "3e40e1454b2aab6a4a0fb4ee0e1ee535948d62d0cbd180feb173fe33a7ad0646"},
-		{[]string{"-int8"}, "715033da265cc67c87b6b9a33c1e1ed2d6e3a20f2deaf81a17c2868ab85f3ad6"},
-	} {
-		var out strings.Builder
-		args := append([]string{"-zoo", "mnist-q8", "-edges", "3", "-horizon", "20", "-combo", "Ours"}, tc.extra...)
-		if err := run(args, &out); err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != tc.digest {
-			t.Errorf("%v: stdout digest %s, want %s:\n%s", args, got, tc.digest, out.String())
-		}
+	const digest = "715033da265cc67c87b6b9a33c1e1ed2d6e3a20f2deaf81a17c2868ab85f3ad6"
+	var out strings.Builder
+	args := []string{"-zoo", "mnist-q8", "-edges", "3", "-horizon", "20", "-combo", "Ours"}
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != digest {
+		t.Errorf("%v: stdout digest %s, want %s:\n%s", args, got, digest, out.String())
 	}
 }

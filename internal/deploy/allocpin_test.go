@@ -33,20 +33,26 @@ func (constRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
 	return SlotReport{AvgLoss: 0.5, Correct: 3, Samples: 4, EnergyKWh: 1e-6, CompSeconds: 0.02}, nil
 }
 
-// TestExchangeAllocsPinned drives one tcpStepper over a net.Pipe edge (the
-// surrogate source: no download ships) and one regionStepper over a net.Pipe
-// coordinator that answers from fixed storage, past their first slots, and
-// holds every further slot to the pinned allocation count.
-func TestExchangeAllocsPinned(t *testing.T) {
-	// sync.Pool drops WriteMessage's frame buffers at random under the race
-	// detector (one Put in four): the counts only mean something where the
-	// pool holds, which 64 single-run probes tell apart with certainty.
+// skipUnlessFramePoolHolds skips an allocation pin where sync.Pool drops
+// WriteMessage's frame buffers at random — under the race detector, one Put
+// in four: the counts only mean something where the pool holds, which 64
+// single-run probes tell apart with certainty.
+func skipUnlessFramePoolHolds(t *testing.T) {
+	t.Helper()
 	probe := &Message{Type: MsgDone}
 	for i := 0; i < 64; i++ {
 		if testing.AllocsPerRun(1, func() { _ = WriteMessage(io.Discard, probe) }) != 0 {
 			t.Skip("WriteMessage's buffer pool does not hold in this build (race detector)")
 		}
 	}
+}
+
+// TestExchangeAllocsPinned drives one tcpStepper over a net.Pipe edge (the
+// surrogate source: no download ships) and one regionStepper over a net.Pipe
+// coordinator that answers from fixed storage, past their first slots, and
+// holds every further slot to the pinned allocation count.
+func TestExchangeAllocsPinned(t *testing.T) {
+	skipUnlessFramePoolHolds(t)
 	const horizon = 4096
 	w := newParityWorld(7)
 	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(7, "pin-prices"))

@@ -69,7 +69,7 @@ func NewEdgeSession(edgeID int, rt Runtime) (*EdgeSession, error) {
 	if edgeID < 0 {
 		return nil, fmt.Errorf("deploy: negative edge id %d", edgeID)
 	}
-	return &EdgeSession{session: session{peer: "cloud", want: MsgWelcome}, edgeID: edgeID, rt: rt}, nil
+	return &EdgeSession{session: session{who: fmt.Sprintf("edge %d", edgeID), peer: "cloud", want: MsgWelcome}, edgeID: edgeID, rt: rt}, nil
 }
 
 // Run serves the session over one connection until it ends. done reports
@@ -77,82 +77,52 @@ func NewEdgeSession(edgeID int, rt Runtime) (*EdgeSession, error) {
 // a fatal local/protocol failure. done == false means the connection itself
 // failed (err is the transient cause) and the caller may redial and call Run
 // again to resume the session.
-func (s *EdgeSession) Run(raw net.Conn) (done bool, err error) {
-	// One frame reader for the connection's whole life: an Assign that
-	// arrived in the Welcome's segment is already in its buffer.
-	conn := newWireConn(raw)
-	if err := s.handshake(conn); err != nil {
-		return !Transient(err), err
-	}
-	for {
-		m, err := conn.readMessage()
-		if err != nil {
-			return !Transient(err), fmt.Errorf("deploy: read: %w", err)
-		}
-		switch m.Type {
-		case MsgDone:
-			return true, nil
-		case MsgError:
-			return true, fmt.Errorf("deploy: cloud aborted: %s", m.Reason) //lint:allow errtaxonomy abort reason is forwarded verbatim and the session is already terminal
-		case MsgAssign:
-			if rep := s.cache.cached(m.Slot); rep != nil {
-				// Duplicate assign: the cloud never saw our report for this
-				// slot. Answer from the cache — re-serving would double-draw
-				// the edge's stochastic stream and double-count the slot.
-				if err := WriteMessage(conn, rep); err != nil {
-					return !Transient(err), fmt.Errorf("deploy: report (resend): %w", err)
-				}
-				continue
-			}
-			if m.Switch {
-				if err := s.rt.LoadModel(m.ModelID, m.Weights); err != nil {
-					_ = WriteMessage(conn, &Message{Type: MsgError, Reason: err.Error()})
-					return true, fmt.Errorf("deploy: load model %d: %w", m.ModelID, err)
-				}
-			}
-			rep, err := s.rt.RunSlot(m.Slot, m.ModelID)
-			if err != nil {
-				_ = WriteMessage(conn, &Message{Type: MsgError, Reason: err.Error()})
-				return true, fmt.Errorf("deploy: run slot %d: %w", m.Slot, err)
-			}
-			// Cache before writing: if the write dies mid-frame the slot is
-			// still completed, and the resumed connection resends it.
-			s.cache.msg = Message{
-				Type:        MsgReport,
-				Slot:        m.Slot,
-				EdgeID:      s.edgeID,
-				ModelID:     m.ModelID,
-				AvgLoss:     rep.AvgLoss,
-				Correct:     rep.Correct,
-				Samples:     rep.Samples,
-				EnergyKWh:   rep.EnergyKWh,
-				CompSeconds: rep.CompSeconds,
-			}
-			s.cache.last, s.cache.done = &s.cache.msg, m.Slot+1
-			if err := WriteMessage(conn, s.cache.last); err != nil {
-				return !Transient(err), fmt.Errorf("deploy: report: %w", err)
-			}
-		default:
-			return true, protocolErrorf("unexpected message type %d", m.Type)
-		}
-	}
+func (s *EdgeSession) Run(raw net.Conn) (done bool, err error) { return s.run(raw, s) }
+
+func (s *EdgeSession) hello() (*Message, int) {
+	return &Message{Type: MsgHello, EdgeID: s.edgeID}, s.cache.done
 }
 
-// handshake performs the initial or resume Hello/Welcome exchange.
-func (s *EdgeSession) handshake(conn *wireConn) error {
-	welcome, err := s.session.handshake(conn, &Message{Type: MsgHello, EdgeID: s.edgeID}, s.cache.done)
-	if err != nil {
-		return err
-	}
-	if s.welcomed {
-		return nil // resume Welcome carries no zoo metadata
-	}
-	if err := s.rt.Welcome(welcome.Models); err != nil {
+func (s *EdgeSession) setup(w *Message) error {
+	if err := s.rt.Welcome(w.Models); err != nil {
 		return fmt.Errorf("deploy: runtime welcome: %w", err)
 	}
-	s.token, s.welcomed = welcome.ResumeToken, true
 	return nil
 }
+
+// serve answers an Assign with the slot's report.
+func (s *EdgeSession) serve(conn *wireConn, m *Message) (outcome, error) {
+	if m.Type != MsgAssign {
+		return failed, protocolErrorf("unexpected message type %d from cloud", m.Type)
+	}
+	return s.cache.answer(conn, m.Slot, func(reply *Message) error {
+		if m.Switch {
+			if err := s.rt.LoadModel(m.ModelID, m.Weights); err != nil {
+				return fmt.Errorf("deploy: load model %d: %w", m.ModelID, err)
+			}
+		}
+		rep, err := s.rt.RunSlot(m.Slot, m.ModelID)
+		if err != nil {
+			return fmt.Errorf("deploy: run slot %d: %w", m.Slot, err)
+		}
+		*reply = Message{
+			Type:        MsgReport,
+			Slot:        m.Slot,
+			EdgeID:      s.edgeID,
+			ModelID:     m.ModelID,
+			AvgLoss:     rep.AvgLoss,
+			Correct:     rep.Correct,
+			Samples:     rep.Samples,
+			EnergyKWh:   rep.EnergyKWh,
+			CompSeconds: rep.CompSeconds,
+		}
+		return nil
+	})
+}
+
+// An edge holds nothing its peer must hear about when the run ends.
+func (s *EdgeSession) finish() error { return nil }
+func (s *EdgeSession) abort(error)   {}
 
 // RunEdgeResumable runs a full edge session with automatic reconnect: when a
 // connection fails transiently, it redials and resumes, up to maxResumes
@@ -164,44 +134,151 @@ func RunEdgeResumable(dial func() (net.Conn, error), edgeID int, rt Runtime, max
 	if err != nil {
 		return err
 	}
-	return redial(dial, maxResumes, fmt.Sprintf("edge %d", edgeID), s.Run)
+	return s.redial(dial, maxResumes, s)
 }
 
-// session is the dial-side handshake state of a resumable session.
+// unit is the tier-specific half of a dial-side session — an edge, or a
+// regional coordinator: what it says in its Hello, what it sets up on the
+// run's first Welcome, what it serves, and what ending the run does to what
+// it holds. Everything else belongs to the session.
+type unit interface {
+	// hello builds the unit's Hello and returns it with the number of slots
+	// the unit has completed replies for (its resume position).
+	hello() (m *Message, done int)
+	// setup takes the run's first Welcome.
+	setup(w *Message) error
+	// serve handles one frame other than Done and Error.
+	serve(conn *wireConn, m *Message) (outcome, error)
+	// finish ends the unit on the peer's Done; abort ends it on a failure
+	// that is over the session.
+	finish() error
+	abort(err error)
+}
+
+// outcome is what serving one frame left of the session. It is explicit
+// because a unit's failure can wrap a transient cause (a shard whose edge ran
+// out of retry budget on a dropped connection), so Transient must not decide
+// whether a failed unit's session is over.
+type outcome int
+
+const (
+	served outcome = iota // answered: read the next frame
+	cut                   // the reply write failed: resumable if transient
+	failed                // the unit failed: the peer hears why, the session is over
+	ended                 // the unit ended the session cleanly (a departure)
+)
+
+// session is the dial side of a resumable session, shared by both tiers: the
+// connection's frame reader, the initial and resume handshake, the peer's
+// Done and Error, and what a failure means — a transient one can be resumed
+// on a fresh connection, anything else aborts the unit and ends the session.
 type session struct {
-	// prefix and peer word the handshake's errors ("", "cloud" for an edge;
-	// "region ", "root" for a coordinator); want is the peer's Welcome type.
-	prefix, peer string
-	want         MsgType
+	// who names the unit in redial's errors ("edge 3", "region 1"), peer the
+	// other side ("cloud", "root"); want is the peer's Welcome type.
+	who, peer string
+	want      MsgType
 
 	welcomed bool
 	token    string
 }
 
-// handshake performs the Hello/Welcome exchange on a fresh connection and
-// returns the Welcome. Once the session has been welcomed the Hello goes out
-// as a resume, with the session's token and done, the number of slots it has
-// completed replies for.
-func (s *session) handshake(conn *wireConn, hello *Message, done int) (*Message, error) {
+// run serves u over one connection until the session ends or the connection
+// fails; see EdgeSession.Run for done.
+func (s *session) run(raw net.Conn, u unit) (done bool, err error) {
+	// One frame reader for the connection's whole life: a frame that arrived
+	// in the Welcome's segment is already in its buffer.
+	conn := newWireConn(raw)
+	err = s.handshake(conn, u)
+	for err == nil {
+		var m *Message
+		if m, err = conn.readMessage(); err != nil {
+			err = fmt.Errorf("deploy: read: %w", err)
+			break
+		}
+		switch m.Type {
+		case MsgDone:
+			return true, u.finish()
+		case MsgError:
+			err = fmt.Errorf("deploy: %s aborted: %s", s.peer, m.Reason) //lint:allow errtaxonomy abort reason is forwarded verbatim and the session is already terminal
+			u.abort(err)
+			return true, err
+		}
+		var o outcome
+		o, err = u.serve(conn, m)
+		switch o {
+		case failed:
+			_ = WriteMessage(conn, &Message{Type: MsgError, Reason: err.Error()})
+			u.abort(err)
+			return true, err
+		case ended:
+			return true, nil
+		}
+	}
+	if Transient(err) {
+		return false, err
+	}
+	u.abort(err)
+	return true, err
+}
+
+// handshake performs the Hello/Welcome exchange on a fresh connection. Once
+// the session has been welcomed the Hello goes out as a resume, with the
+// session's token and the unit's resume position, and the Welcome carries
+// nothing to set up.
+func (s *session) handshake(conn *wireConn, u unit) error {
+	hello, done := u.hello()
 	if s.welcomed {
-		hello.Resume = true
-		hello.ResumeToken = s.token
-		hello.DoneSlots = done
+		hello.Resume, hello.ResumeToken, hello.DoneSlots = true, s.token, done
 	}
 	if err := WriteMessage(conn, hello); err != nil {
-		return nil, fmt.Errorf("deploy: %shello: %w", s.prefix, err)
+		return fmt.Errorf("deploy: hello: %w", err)
 	}
 	w, err := conn.readMessage()
 	if err != nil {
-		return nil, fmt.Errorf("deploy: %swelcome: %w", s.prefix, err)
+		return fmt.Errorf("deploy: welcome: %w", err)
 	}
 	if w.Type == MsgError {
-		return nil, protocolErrorf("%s rejected %shandshake: %s", s.peer, s.prefix, w.Reason)
+		return protocolErrorf("%s rejected the handshake: %s", s.peer, w.Reason)
 	}
 	if w.Type != s.want {
-		return nil, protocolErrorf("expected %swelcome, got type %d", s.prefix, w.Type)
+		return protocolErrorf("expected a welcome, got type %d", w.Type)
 	}
-	return w, nil
+	if s.welcomed {
+		return nil
+	}
+	if err := u.setup(w); err != nil {
+		return err
+	}
+	s.token, s.welcomed = w.ResumeToken, true
+	return nil
+}
+
+// redial is the reconnect loop behind RunEdgeResumable and
+// RunRegionResumable. Until a connection has been served, a dial failure is
+// the run's error: there is nothing yet to resume.
+func (s *session) redial(dial func() (net.Conn, error), maxResumes int, u unit) error {
+	if dial == nil {
+		return fmt.Errorf("deploy: nil dialer") //lint:allow errtaxonomy the caller's mistake, returned before any wire traffic
+	}
+	resumes, connected := 0, false
+	for {
+		conn, err := dial()
+		if err == nil {
+			var done bool
+			done, err = s.run(conn, u)
+			conn.Close()
+			if done {
+				return err
+			}
+			connected = true
+		} else if !connected {
+			return fmt.Errorf("deploy: %s: dial: %w", s.who, err)
+		}
+		if resumes >= maxResumes {
+			return fmt.Errorf("deploy: %s: resume budget exhausted after %d resumes: %w", s.who, resumes, err)
+		}
+		resumes++
+	}
 }
 
 // replaySlot holds a session's reply to the last slot it served, cached
@@ -213,35 +290,23 @@ type replaySlot struct {
 	msg  Message  // storage of last, rewritten once per served slot
 }
 
-// cached returns the stored reply if it answers slot (a duplicate assign).
-func (c *replaySlot) cached(slot int) *Message {
-	if c.last != nil && c.last.Slot == slot {
-		return c.last
-	}
-	return nil
-}
-
-// redial is the reconnect loop behind RunEdgeResumable and RunRegionResumable.
-func redial(dial func() (net.Conn, error), maxResumes int, who string, run func(net.Conn) (done bool, err error)) error {
-	if dial == nil {
-		return fmt.Errorf("deploy: nil dialer")
-	}
-	resumes := 0
-	for {
-		conn, err := dial()
-		if err == nil {
-			var done bool
-			done, err = run(conn)
-			conn.Close()
-			if done {
-				return err
-			}
+// answer replies to an assign for slot. A repeated slot gets the cached reply
+// again — serving it twice would double-draw the unit's serving stream and
+// double-count the slot. Otherwise produce writes the reply into the cache,
+// which is then sent: if the write dies mid-frame the slot is still
+// completed, and the resumed connection resends it. A produce error fails
+// the unit, and the session sends it to the peer as an Error frame.
+func (c *replaySlot) answer(conn *wireConn, slot int, produce func(reply *Message) error) (outcome, error) {
+	if c.last == nil || c.last.Slot != slot {
+		if err := produce(&c.msg); err != nil {
+			return failed, err
 		}
-		if resumes >= maxResumes {
-			return fmt.Errorf("deploy: %s: resume budget exhausted after %d resumes: %w", who, resumes, err)
-		}
-		resumes++
+		c.last, c.done = &c.msg, slot+1
 	}
+	if err := WriteMessage(conn, c.last); err != nil {
+		return cut, fmt.Errorf("deploy: reply to slot %d: %w", slot, err)
+	}
+	return served, nil
 }
 
 // NNRuntime is a full-fidelity edge runtime: it holds the edge's local

@@ -64,8 +64,8 @@ func Transientf(format string, args ...any) error {
 
 // Transient reports whether err is worth retrying over a fresh connection.
 // Fatal taxonomy members are never transient; explicit TransientError and
-// connection-level I/O failures (net.Error, closed/reset connections, EOF
-// and mid-frame EOF) are.
+// connection-level I/O failures (net.Error, closed/reset connections and
+// pipes, EOF and mid-frame EOF) are.
 func Transient(err error) bool {
 	if err == nil {
 		return false
@@ -82,7 +82,7 @@ func Transient(err error) bool {
 	if errors.As(err, &ee) {
 		return false
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
 		return true
 	}
 	var ne net.Error

@@ -178,6 +178,7 @@ func TestTransientTaxonomy(t *testing.T) {
 		{"mid-frame eof", io.ErrUnexpectedEOF, true},
 		{"wrapped eof", fmt.Errorf("deploy: read body: %w", io.ErrUnexpectedEOF), true},
 		{"closed conn", net.ErrClosed, true},
+		{"closed pipe", fmt.Errorf("deploy: write frame: %w", io.ErrClosedPipe), true},
 		{"net timeout", timeoutErr, true},
 		{"protocol error", protocolErrorf("bad frame"), false},
 		{"wrapped protocol error", fmt.Errorf("edge 1: %w", protocolErrorf("bad frame")), false},

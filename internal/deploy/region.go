@@ -600,24 +600,11 @@ func NewRegionSession(ln net.Listener, cfg RegionConfig) (*RegionSession, error)
 		return nil, err
 	}
 	return &RegionSession{
-		session: session{prefix: "region ", peer: "root", want: MsgRegionWelcome},
+		session: session{who: fmt.Sprintf("region %d", cfg.RegionID), peer: "root", want: MsgRegionWelcome},
 		cfg:     cfg,
 		ln:      ln,
 	}, nil
 }
-
-// assignOutcome classifies one handled ShardAssign. The explicit enum keeps
-// the dispatch honest: a shard Step error can wrap a transient cause (a
-// retry budget exhausted on a transient failure), so Transient(err) must not
-// decide whether the session is over.
-type assignOutcome int
-
-const (
-	assignOK       assignOutcome = iota
-	assignLeft                   // graceful departure announced
-	assignConnLost               // upstream write failed; resume can heal it
-	assignFatal                  // shard or protocol failure; the run is over
-)
 
 // Run serves the session over one upstream connection until it ends. done
 // reports whether the session is over: a clean Done (err == nil), a root
@@ -625,84 +612,15 @@ const (
 // false means the upstream connection itself failed (err is the transient
 // cause) and the caller may redial and call Run again to resume the session
 // — the edge fleet stays connected across the gap.
-func (s *RegionSession) Run(raw net.Conn) (done bool, err error) {
-	upstream := newWireConn(raw)
-	if err := s.handshake(upstream); err != nil {
-		if Transient(err) {
-			return false, err
-		}
-		s.release()
-		return true, err
-	}
-	for {
-		m, err := upstream.readMessage()
-		if err != nil {
-			err = fmt.Errorf("deploy: region %d upstream: %w", s.cfg.RegionID, err)
-			if Transient(err) {
-				return false, err // fleet stays up; a resumed Run continues it
-			}
-			s.abortAll(err)
-			return true, err
-		}
-		switch m.Type {
-		case MsgShardAssign:
-			outcome, aerr := s.handleAssign(upstream, m)
-			switch outcome {
-			case assignOK:
-			case assignLeft:
-				// Hold the edges until the root closes the link: by then the
-				// adopter has the shard, so the edges redial into a fleet
-				// that knows them.
-				_, _ = upstream.readMessage()
-				s.release()
-				return true, nil
-			case assignConnLost:
-				return false, aerr
-			case assignFatal:
-				s.abortAll(aerr)
-				return true, aerr
-			}
-		case MsgShardAdopt:
-			if aerr := s.handleAdopt(m); aerr != nil {
-				_ = WriteMessage(upstream, &Message{Type: MsgError, Reason: aerr.Error()})
-				s.abortAll(aerr)
-				return true, aerr
-			}
-		case MsgDone:
-			// Notify every still-connected edge that the run is over, then
-			// release the fleet.
-			ferr := finish(s.fleet.links(), "edge")
-			s.release()
-			if ferr != nil && s.policy == engine.FailFast {
-				return true, ferr
-			}
-			return true, nil
-		case MsgError:
-			aerr := fmt.Errorf("deploy: root aborted: %s", m.Reason) //lint:allow errtaxonomy abort reason is forwarded verbatim and the run is already terminal
-			s.abortAll(aerr)
-			return true, aerr
-		default:
-			aerr := protocolErrorf("unexpected message type %d from root", m.Type)
-			_ = WriteMessage(upstream, &Message{Type: MsgError, Reason: aerr.Error()})
-			s.abortAll(aerr)
-			return true, aerr
-		}
-	}
+func (s *RegionSession) Run(raw net.Conn) (done bool, err error) { return s.run(raw, s) }
+
+func (s *RegionSession) hello() (*Message, int) {
+	return &Message{Type: MsgRegionHello, RegionID: s.cfg.RegionID, Seed: s.cfg.Seed}, s.minDone()
 }
 
-// handshake performs the initial or resume RegionHello/RegionWelcome
-// exchange. The initial exchange builds the edge fleet and the initial
-// shard; a resume exchange re-binds the existing session to the new
-// connection.
-func (s *RegionSession) handshake(upstream *wireConn) error {
-	hello := &Message{Type: MsgRegionHello, RegionID: s.cfg.RegionID, Seed: s.cfg.Seed}
-	w, err := s.session.handshake(upstream, hello, s.minDone())
-	if err != nil {
-		return err
-	}
-	if s.welcomed {
-		return nil // resume Welcome carries no shard geometry
-	}
+// setup takes the initial RegionWelcome: it builds the edge fleet and the
+// initial shard.
+func (s *RegionSession) setup(w *Message) error {
 	if w.Count < 0 || w.Start < 0 || w.Horizon <= 0 {
 		return protocolErrorf("implausible shard [%d,%d) over %d slots", w.Start, w.Start+w.Count, w.Horizon)
 	}
@@ -735,7 +653,68 @@ func (s *RegionSession) handshake(upstream *wireConn) error {
 		}
 		s.shards = append(s.shards, &regionShard{start: w.Start, count: w.Count, shard: shard})
 	}
-	s.token, s.welcomed = w.ResumeToken, true
+	return nil
+}
+
+// serve routes a ShardAssign to its shard — answered from the shard's delta
+// cache, by a scheduled departure, or by stepping the shard — and installs a
+// ShardAdopt.
+func (s *RegionSession) serve(upstream *wireConn, m *Message) (outcome, error) {
+	if m.Type == MsgShardAdopt {
+		if err := s.adopt(m); err != nil {
+			return failed, err
+		}
+		return served, nil
+	}
+	if m.Type != MsgShardAssign {
+		return failed, protocolErrorf("unexpected message type %d from root", m.Type)
+	}
+	sh := s.shardAt(m.Start)
+	if sh == nil {
+		return failed, protocolErrorf("shard assign slot %d: unknown range start %d", m.Slot, m.Start)
+	}
+	if len(m.Arms) != sh.count || len(m.Downloads) != sh.count {
+		return failed, protocolErrorf("shard assign slot %d: %d arms / %d downloads for %d edges",
+			m.Slot, len(m.Arms), len(m.Downloads), sh.count)
+	}
+	if s.cfg.OnSlot != nil {
+		s.cfg.OnSlot(m.Slot)
+	}
+	// Every slot served before the departure was below it, so a departure
+	// slot is never a duplicate.
+	if s.cfg.LeaveBeforeSlot > 0 && m.Slot >= s.cfg.LeaveBeforeSlot {
+		_ = WriteMessage(upstream, &Message{Type: MsgRegionLeave, Slot: m.Slot})
+		// Hold the edges until the root closes the link: by then the adopter
+		// has the shard, so the edges redial into a fleet that knows them.
+		_, _ = upstream.readMessage()
+		s.release()
+		return ended, nil
+	}
+	return sh.answer(upstream, m.Slot, func(reply *Message) error {
+		// The shard's error goes upstream verbatim, so the root aborts with
+		// the exact error a monolithic run would report.
+		delta, err := sh.shard.Step(m.Slot, m.Arms, m.Downloads)
+		if err != nil {
+			return err
+		}
+		// Deep-copy into the cache: the shard recycles its delta buffer on
+		// the next Step, but the cache must survive until the root acks the
+		// next slot.
+		sh.delta.Start = delta.Start
+		sh.delta.Edges = append(sh.delta.Edges[:0], delta.Edges...)
+		*reply = Message{Type: MsgShardDelta, Slot: m.Slot, Delta: &sh.delta}
+		return nil
+	})
+}
+
+// finish tells every still-connected edge that the run is over, then
+// releases the fleet.
+func (s *RegionSession) finish() error {
+	err := finish(s.fleet.links(), "edge")
+	s.release()
+	if s.policy == engine.FailFast {
+		return err
+	}
 	return nil
 }
 
@@ -761,63 +740,11 @@ func (s *RegionSession) minDone() int {
 	return min
 }
 
-// handleAssign serves one ShardAssign: route it to its shard, answer a
-// duplicate from the delta cache, honor a scheduled departure, otherwise
-// step the shard and stream the delta back.
-func (s *RegionSession) handleAssign(upstream *wireConn, m *Message) (assignOutcome, error) {
-	sh := s.shardAt(m.Start)
-	if sh == nil {
-		err := protocolErrorf("shard assign slot %d: unknown range start %d", m.Slot, m.Start)
-		_ = WriteMessage(upstream, &Message{Type: MsgError, Reason: err.Error()})
-		return assignFatal, err
-	}
-	if len(m.Arms) != sh.count || len(m.Downloads) != sh.count {
-		err := protocolErrorf("shard assign slot %d: %d arms / %d downloads for %d edges",
-			m.Slot, len(m.Arms), len(m.Downloads), sh.count)
-		_ = WriteMessage(upstream, &Message{Type: MsgError, Reason: err.Error()})
-		return assignFatal, err
-	}
-	if s.cfg.OnSlot != nil {
-		s.cfg.OnSlot(m.Slot)
-	}
-	if delta := sh.cached(m.Slot); delta != nil {
-		// Duplicate assign: the root never saw our delta for this slot.
-		// Answer from the cache — re-stepping would double-draw the edges'
-		// serving streams and double-fold the slot.
-		if err := WriteMessage(upstream, delta); err != nil {
-			return assignConnLost, fmt.Errorf("deploy: region %d delta (resend): %w", s.cfg.RegionID, err)
-		}
-		return assignOK, nil
-	}
-	if s.cfg.LeaveBeforeSlot > 0 && m.Slot >= s.cfg.LeaveBeforeSlot {
-		_ = WriteMessage(upstream, &Message{Type: MsgRegionLeave, Slot: m.Slot})
-		return assignLeft, nil
-	}
-	delta, err := sh.shard.Step(m.Slot, m.Arms, m.Downloads)
-	if err != nil {
-		// Forward the shard's error verbatim so the root aborts with the
-		// exact error a monolithic run would report.
-		_ = WriteMessage(upstream, &Message{Type: MsgError, Reason: err.Error()})
-		return assignFatal, err
-	}
-	// Deep-copy into the cache: the shard recycles its delta buffer on the
-	// next Step, but the cache must survive until the root acks the next
-	// slot.
-	sh.delta.Start = delta.Start
-	sh.delta.Edges = append(sh.delta.Edges[:0], delta.Edges...)
-	sh.msg = Message{Type: MsgShardDelta, Slot: m.Slot, Delta: &sh.delta}
-	sh.last, sh.done = &sh.msg, m.Slot+1
-	if err := WriteMessage(upstream, sh.last); err != nil {
-		return assignConnLost, fmt.Errorf("deploy: region %d delta: %w", s.cfg.RegionID, err)
-	}
-	return assignOK, nil
-}
-
-// handleAdopt installs an orphaned shard from its checkpoint: rebuild the
+// adopt installs an orphaned shard from its checkpoint: rebuild the
 // range's links and tokens from the original fleet seed, restore the
 // per-edge down state, and start serving assigns for the range. The shard's
 // edges redial this coordinator's listener and resume their sessions.
-func (s *RegionSession) handleAdopt(m *Message) error {
+func (s *RegionSession) adopt(m *Message) error {
 	if err := ValidateAdopt(m, s.fleet.acc.horizon, s.cfg.Retry.Attempts); err != nil {
 		return err
 	}
@@ -846,9 +773,9 @@ func (s *RegionSession) release() {
 	}
 }
 
-// abortAll tells every still-connected edge the run failed, then releases
-// the fleet.
-func (s *RegionSession) abortAll(err error) {
+// abort tells every still-connected edge the run failed, then releases the
+// fleet.
+func (s *RegionSession) abort(err error) {
 	if s.fleet != nil {
 		_ = abort(s.fleet.links(), err)
 	}
@@ -869,7 +796,7 @@ func RunRegion(upstream net.Conn, ln net.Listener, cfg RegionConfig) error {
 	}
 	done, err := s.Run(upstream)
 	if !done {
-		s.abortAll(err)
+		s.abort(err)
 	}
 	return err
 }
@@ -889,5 +816,5 @@ func RunRegionResumable(dial func() (net.Conn, error), ln net.Listener, cfg Regi
 	// can still migrate to the adopter. A session that ended any other way
 	// has released them already.
 	defer s.release()
-	return redial(dial, maxResumes, fmt.Sprintf("region %d", cfg.RegionID), s.Run)
+	return s.redial(dial, maxResumes, s)
 }

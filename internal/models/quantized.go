@@ -24,22 +24,16 @@ const (
 // chooses among 2N arms, trading quality against carbon per model *and* per
 // precision.
 //
-// Each q8 arm is scored on the same test pool as its full-precision sibling
-// through a fake-quant clone (the float oracle) or, when cfg.Int8 is set,
-// the true-INT8 engine compiled from it; the clone is then dropped, so a q8
-// arm keeps only its Info and score caches.
+// Each q8 arm is compiled into the INT8 engine an INT8 edge runs
+// (nn.QuantizedNetwork, calibrated on the head of the test pool) and scored
+// by it on the same pool as its full-precision sibling; the engine is then
+// dropped, so a q8 arm keeps only its Info and score caches.
 func NewQuantizedTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, error) {
 	z, pool, err := trainZoo(cfg, rng)
 	if err != nil {
 		return nil, err
 	}
-	var calib *nn.Tensor
-	if cfg.Int8 {
-		if len(pool) == 0 {
-			return nil, fmt.Errorf("models: INT8 scoring requires a non-empty test pool")
-		}
-		calib = nn.StackSamples(pool, nn.CalibBatch)
-	}
+	calib := nn.StackSamples(pool, nn.CalibBatch) // trainZoo refuses an empty pool
 	n := z.NumModels()
 	for i := 0; i < n; i++ {
 		q, err := cloneNetwork(cfg.Dataset, i, z.nets[i], rng)
@@ -51,16 +45,11 @@ func NewQuantizedTrainedZoo(cfg TrainedZooConfig, rng *rand.Rand) (*TrainedZoo, 
 			return nil, err
 		}
 		q.Name = z.infos[i].Name + "-q8"
-
-		forward := q.ForwardBatch
-		if cfg.Int8 {
-			qn, err := nn.NewQuantizedNetwork(q, qw, calib)
-			if err != nil {
-				return nil, fmt.Errorf("compile INT8 %s: %w", q.Name, err)
-			}
-			forward = qn.ForwardBatch
+		qn, err := nn.NewQuantizedNetwork(q, qw, calib)
+		if err != nil {
+			return nil, fmt.Errorf("compile INT8 %s: %w", q.Name, err)
 		}
-		losses, correct, meanLoss, meanAcc := nn.ScorePool(forward, pool)
+		losses, correct, meanLoss, meanAcc := nn.ScorePool(qn.ForwardBatch, pool)
 		z.nets = append(z.nets, nil)
 		z.infos = append(z.infos, Info{
 			Name:           q.Name,

@@ -61,11 +61,27 @@ func TestQuantizedZooAccuracyClose(t *testing.T) {
 	}
 }
 
+// fakeQuant rebuilds q8 arm i's network from the fp sibling's checkpoint
+// and fake-quantizes it (QuantizeWeights then ApplyTo), as the zoo does
+// before compiling the arm.
+func fakeQuant(t *testing.T, cfg TrainedZooConfig, i int, fp *nn.Network) (*nn.Network, *nn.QuantizedWeights) {
+	t.Helper()
+	net, err := cloneNetwork(cfg.Dataset, i, fp, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qw := nn.QuantizeWeights(net)
+	if err := qw.ApplyTo(net); err != nil {
+		t.Fatal(err)
+	}
+	return net, qw
+}
+
 // TestQuantizedZooArmsHoldNoNetwork pins what a q8 arm keeps: no network
 // (Network returns nil, the fp sibling's is untouched) — only its Info and
-// score caches, which replay the fake-quant oracle bit for bit: the
-// checkpoints of a zoo trained from the same seed, fake-quantized
-// (QuantizeWeights then ApplyTo) and scored on its test pool.
+// score caches, which replay the INT8 engine bit for bit: the checkpoints of
+// a zoo trained from the same seed, fake-quantized, compiled over the head
+// of its test pool and scored on the pool.
 func TestQuantizedZooArmsHoldNoNetwork(t *testing.T) {
 	cfg := smallZooConfig(dataset.MNISTLike)
 	z, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(4)))
@@ -76,6 +92,7 @@ func TestQuantizedZooArmsHoldNoNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	calib := nn.StackSamples(pool, nn.CalibBatch)
 	n := z.NumModels() / 2
 	for i := 0; i < n; i++ {
 		name := z.Info(n + i).Name
@@ -85,59 +102,58 @@ func TestQuantizedZooArmsHoldNoNetwork(t *testing.T) {
 		if z.Network(i) == nil {
 			t.Fatalf("%s lost its network", z.Info(i).Name)
 		}
-		net, err := cloneNetwork(cfg.Dataset, i, oracle.Network(i), rand.New(rand.NewSource(5)))
+		net, qw := fakeQuant(t, cfg, i, oracle.Network(i))
+		qn, err := nn.NewQuantizedNetwork(net, qw, calib)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := nn.QuantizeWeights(net).ApplyTo(net); err != nil {
-			t.Fatal(err)
-		}
-		losses, correct, meanLoss, meanAcc := nn.ScorePool(net.ForwardBatch, pool)
+		losses, correct, meanLoss, meanAcc := nn.ScorePool(qn.ForwardBatch, pool)
 		if meanLoss != z.MeanLoss(n+i) || meanAcc != z.MeanAccuracy(n+i) {
-			t.Fatalf("%s: oracle scores (%v, %v) != cached (%v, %v)",
+			t.Fatalf("%s: INT8 replay scores (%v, %v) != cached (%v, %v)",
 				name, meanLoss, meanAcc, z.MeanLoss(n+i), z.MeanAccuracy(n+i))
 		}
 		for s, l := range losses {
 			if l != z.losses[n+i][s] || correct[s] != z.correct[n+i][s] {
-				t.Fatalf("%s sample %d: oracle (%v, %v) != cached (%v, %v)",
+				t.Fatalf("%s sample %d: INT8 replay (%v, %v) != cached (%v, %v)",
 					name, s, l, correct[s], z.losses[n+i][s], z.correct[n+i][s])
 			}
 		}
 	}
 }
 
-// TestQuantizedZooInt8Mode runs the opt-in INT8 engine end to end on both
-// families: the zoo builds, the q8 arms' caches come from integer kernels,
-// and they track the fake-quant oracle's from either side (the engine's
-// accuracy contract; exact bits are pinned in nn). Measured on these
-// 300-sample pools over all twelve q8 arms, the worst gaps are 0.0167 in
-// accuracy (lenet-s-q8, five samples) and 0.0005 in mean loss; the gate
-// allows about twice the first and four times the second. The fp arms are
-// untouched by the mode.
+// TestQuantizedZooInt8Mode holds the INT8 engine's scores to the fake-quant
+// float oracle's on both families: the q8 arms' caches come from integer
+// kernels, and they track the oracle — the fake-quantized network scored
+// directly — from either side (the engine's accuracy contract; exact bits
+// are pinned in nn). Measured on these 300-sample pools over all twelve q8
+// arms, the worst gaps are 0.0167 in accuracy (lenet-s-q8, five samples) and
+// 0.0005 in mean loss; the gate allows about twice the first and four times
+// the second. The fp arms are those of the plain trained zoo.
 func TestQuantizedZooInt8Mode(t *testing.T) {
 	const maxAccGap, maxLossGap = 0.03, 0.002
 	for _, spec := range []dataset.Spec{dataset.MNISTLike, dataset.CIFARLike} {
 		cfg := smallZooConfig(spec)
-		oracle, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(5)))
+		z, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(5)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Int8 = true
-		z, err := NewQuantizedTrainedZoo(cfg, rand.New(rand.NewSource(5)))
+		oracle, pool, err := trainZoo(cfg, rand.New(rand.NewSource(5)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := z.NumModels() / 2
 		for i := 0; i < n; i++ {
 			if z.MeanLoss(i) != oracle.MeanLoss(i) || z.MeanAccuracy(i) != oracle.MeanAccuracy(i) {
-				t.Errorf("fp arm %s moved under -int8", z.Info(i).Name)
+				t.Errorf("fp arm %s moved in the quantized zoo", z.Info(i).Name)
 			}
+			net, _ := fakeQuant(t, cfg, i, oracle.Network(i))
+			_, _, fqLoss, fqAcc := nn.ScorePool(net.ForwardBatch, pool)
 			name := z.Info(n + i).Name
-			if fq, q := oracle.MeanAccuracy(n+i), z.MeanAccuracy(n+i); math.Abs(q-fq) > maxAccGap {
-				t.Errorf("%s: INT8 accuracy %v is more than %v from fake-quant %v", name, q, maxAccGap, fq)
+			if q := z.MeanAccuracy(n + i); math.Abs(q-fqAcc) > maxAccGap {
+				t.Errorf("%s: INT8 accuracy %v is more than %v from fake-quant %v", name, q, maxAccGap, fqAcc)
 			}
-			if fq, q := oracle.MeanLoss(n+i), z.MeanLoss(n+i); math.Abs(q-fq) > maxLossGap {
-				t.Errorf("%s: INT8 mean loss %v is more than %v from fake-quant %v", name, q, maxLossGap, fq)
+			if q := z.MeanLoss(n + i); math.Abs(q-fqLoss) > maxLossGap {
+				t.Errorf("%s: INT8 mean loss %v is more than %v from fake-quant %v", name, q, maxLossGap, fqLoss)
 			}
 		}
 	}

@@ -45,11 +45,6 @@ type TrainedZooConfig struct {
 	Epochs    int
 	LR        float64
 	BatchSize int
-	// Int8 opts the quantized arms into the true-INT8 execution engine
-	// (nn.QuantizedNetwork): their score caches are produced by integer
-	// kernels instead of the fake-quant float oracle. Off by default — the
-	// committed results are the float oracle's and must not move.
-	Int8 bool
 }
 
 // DefaultTrainedZooConfig returns a configuration sized for interactive use.

@@ -23,9 +23,9 @@ import (
 // final Dense head dequantizes its int32 accumulators straight to float64
 // logits, so downstream softmax/loss code is unchanged.
 //
-// It is an opt-in execution mode: the fake-quant float path remains the
-// committed-results oracle, and this engine is reached only through the
-// -int8 flags (models.TrainedZooConfig.Int8, deploy.NNRuntime.Int8).
+// It scores every q8 arm of a quantized zoo (models.NewQuantizedTrainedZoo)
+// and serves an edge in INT8 mode (deploy.NNRuntime.Int8); the fake-quant
+// float network it is compiled from is its accuracy oracle in tests.
 type QuantizedNetwork struct {
 	Name string
 
