@@ -17,7 +17,7 @@ var livingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/s
 
 var (
 	codeSpanRE   = regexp.MustCompile("`([^`\n]+)`")
-	cmdRefRE     = regexp.MustCompile(`\bcmd/[a-z0-9-]+`)
+	programRefRE = regexp.MustCompile(`\b(?:cmd|examples)/[a-z0-9-]+`)
 	internalRE   = regexp.MustCompile(`\binternal/[a-z0-9_]+(?:/[A-Za-z0-9_{},*-]+)*(?:\.(?:go|s))?`)
 	fileTokenRE  = regexp.MustCompile(`^[A-Za-z0-9_.-]+\.(?:go|s|md|json|jsonl|txt|mod)$`)
 	braceRE      = regexp.MustCompile(`\{([^{}]*)\}`)
@@ -57,13 +57,13 @@ func benchmarkMetrics(t *testing.T, root string) (declared, prefixes map[string]
 
 // TestDocsNameOnlyWhatExists fails on a code span (inline or fenced) of a
 // living doc, or a line of the Makefile's help header, that names a
-// cmd/<name>, an internal/<pkg>[/file], a source or data file, or a make
-// target the tree no longer has, whose Test…, Benchmark… or Fuzz… name
-// (split on the | and / of a -run or -bench pattern) begins no function a
-// _test.go file declares, or that names a slot-cost benchmark metric
-// BENCHMARK.json does not declare — a lowercase dotted name whose first
-// segment is a per-layer metric's and that contains an underscore. Reword
-// the doc, or restore what it names.
+// cmd/<name>, an examples/<name>, an internal/<pkg>[/file], a source or
+// data file, or a make target the tree no longer has, whose Test…,
+// Benchmark… or Fuzz… name (split on the | and / of a -run or -bench
+// pattern) begins no function a _test.go file declares, or that names a
+// slot-cost benchmark metric BENCHMARK.json does not declare — a lowercase
+// dotted name whose first segment is a per-layer metric's and that contains
+// an underscore. Reword the doc, or restore what it names.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	const root = "../.."
 	metrics, metricPrefixes := benchmarkMetrics(t, root)
@@ -117,7 +117,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		return true
 	}
 	check := func(doc, span string) {
-		for _, ref := range append(cmdRefRE.FindAllString(span, -1), internalRE.FindAllString(span, -1)...) {
+		for _, ref := range append(programRefRE.FindAllString(span, -1), internalRE.FindAllString(span, -1)...) {
 			// A zz_ file is one a lint demo plants and deletes.
 			if !exists(ref) && !strings.HasPrefix(filepath.Base(ref), "zz_") {
 				t.Errorf("%s names %s, which does not exist (in %q)", doc, ref, span)

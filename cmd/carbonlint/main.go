@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -57,21 +58,28 @@ type jsonFinding struct {
 }
 
 func main() {
-	list := flag.Bool("l", false, "list the analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: carbonlint [flags] [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the repository's determinism and numeric invariant analyzers.\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is the command on its arguments. It returns the exit code: 1 when a
+// finding survives suppression, 2 when the packages do not load.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("carbonlint", flag.ExitOnError)
+	list := fs.Bool("l", false, "list the analyzers and exit")
+	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: carbonlint [flags] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "Runs the repository's determinism and numeric invariant analyzers.\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 here, -h exits 0
 	if *list {
 		for _, a := range All {
-			fmt.Printf("%-12s %s\n", a.Name, strings.SplitN(a.Doc, ";", 2)[0])
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, strings.SplitN(a.Doc, ";", 2)[0])
 		}
-		return
+		return 0
 	}
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -82,7 +90,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	if *asJSON {
 		out := make([]jsonFinding, 0, len(findings))
@@ -95,19 +103,20 @@ func main() {
 				Message:  f.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Printf("%s\n", f)
+			fmt.Fprintf(stdout, "%s\n", f)
 		}
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "carbonlint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
 	"io/fs"
 	"os"
@@ -106,6 +108,23 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestRunExitCodes drives the command as make lint does: -l lists every
+// analyzer, and -json over a clean package prints an empty array and exits 0.
+// CI's lint smoke plants one violation per analyzer for exit code 1.
+func TestRunExitCodes(t *testing.T) {
+	var out strings.Builder
+	if code := run([]string{"-l"}, &out); code != 0 || strings.Count(out.String(), "\n") != len(All) {
+		t.Errorf("-l: exit %d, want 0 and %d lines:\n%s", code, len(All), out.String())
+	}
+	if testing.Short() {
+		t.Skip("shells out to go list -export")
+	}
+	out.Reset()
+	if code := run([]string{"-json", "."}, &out); code != 0 || out.String() != "[]\n" {
+		t.Errorf("-json .: exit %d, stdout %q; want 0 and []", code, out.String())
 	}
 }
 
@@ -212,6 +231,52 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 	}
 }
 
+// TestEveryProgramIsTested is the regrowth fence for programs: every main
+// package under cmd/ or examples/ needs a _test.go file that calls its run,
+// so that go test runs what the binary runs. benchmark/ is exempt: it is
+// frozen per change, and its own tests drive it.
+func TestEveryProgramIsTested(t *testing.T) {
+	mains, tested := map[string]bool{}, map[string]bool{}
+	for _, top := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(filepath.Join("../..", top), func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && d.Name() == "testdata":
+				return filepath.SkipDir
+			case d.IsDir() || filepath.Ext(path) != ".go":
+				return nil
+			}
+			file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil || file.Name.Name != "main" {
+				return err
+			}
+			dir, _ := filepath.Rel("../..", filepath.Dir(path))
+			if !strings.HasSuffix(path, "_test.go") {
+				mains[dir] = true
+				return nil
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "run" {
+						tested[dir] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for dir := range mains {
+		if !tested[dir] {
+			t.Errorf("%s is a main package whose tests never call its run: pin what it prints, or delete it", filepath.ToSlash(dir))
+		}
+	}
+}
+
 // TestNoWriteOnlyFields is the regrowth fence for state no binary reads: an
 // unexported struct field declared in non-test code under internal/, cmd/ or
 // examples/ must be read by some non-test selector. A selector on the left of
@@ -304,7 +369,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 16895
+	goLineCeiling  = 16659
 	asmLineCeiling = 1712
 )
 
@@ -313,8 +378,8 @@ const (
 // EXPERIMENTS.md what it measures now, and the history of how either got
 // there is CHANGES.md's.
 var docByteCeiling = map[string]int{
-	"DESIGN.md":      64797,
-	"EXPERIMENTS.md": 17924,
+	"DESIGN.md":      64783,
+	"EXPERIMENTS.md": 18525,
 }
 
 // lineCount is one package's (or the total's) raw and code lines, Go at

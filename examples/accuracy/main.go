@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -18,15 +19,15 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "accuracy:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(stdout io.Writer) error {
 	const seed = 3
-	fmt.Println("training the MNIST-like model zoo (6 networks)...")
+	fmt.Fprintln(stdout, "training the MNIST-like model zoo (6 networks)...")
 	zooCfg := models.DefaultTrainedZooConfig(dataset.MNISTLike)
 	zooCfg.TrainN = 800
 	zooCfg.TestN = 1000
@@ -35,8 +36,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nmodel zoo:")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(stdout, "\nmodel zoo:")
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "model\tparams (KB)\tenergy (kWh/sample)\tmean loss\taccuracy")
 	for n := 0; n < zoo.NumModels(); n++ {
 		info := zoo.Info(n)
@@ -54,8 +55,8 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("\nstreaming inference (160 slots, 5 edges):")
-	tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(stdout, "\nstreaming inference (160 slots, 5 edges):")
+	tw = tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheme\taccuracy\ttotal cost\tfit (g)")
 	for _, name := range []string{"Ours", "Greedy-Ran", "TINF-Ran", "UCB-Ran"} {
 		combo, err := sim.ComboByName(name)

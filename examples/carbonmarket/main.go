@@ -8,9 +8,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"github.com/carbonedge/carbonedge/internal/market"
@@ -19,13 +21,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "carbonmarket:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(stdout io.Writer) error {
 	const (
 		horizon    = 320
 		initialCap = 4.0 // grams
@@ -59,10 +61,10 @@ func run() error {
 		mustOneShot(emissions, initialCap),
 	}
 
-	fmt.Printf("carbon market: %d slots, cap %.1f g, total emissions %.1f g\n",
+	fmt.Fprintf(stdout, "carbon market: %d slots, cap %.1f g, total emissions %.1f g\n",
 		horizon, initialCap, sum(emissions))
-	fmt.Printf("prices: %.1f-%.1f (shocks enabled)\n\n", minOf(prices.Buy), maxOf(prices.Buy))
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "prices: %.1f-%.1f (shocks enabled)\n\n", slices.Min(prices.Buy), slices.Max(prices.Buy))
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "trader\ttrading cost\tfit (g)\tbought\tsold")
 	for _, tr := range traders {
 		cost, fit, bought, sold, err := play(tr, emissions, prices, initialCap)
@@ -112,7 +114,7 @@ func mustLyapunov(cap float64, horizon int, scale, avgPrice float64) trading.Tra
 }
 
 func mustThreshold(p *market.Prices, scale float64) trading.Trader {
-	mid := (minOf(p.Buy) + maxOf(p.Buy)) / 2
+	mid := (slices.Min(p.Buy) + slices.Max(p.Buy)) / 2
 	tr, err := trading.NewThresholdTrader(mid, scale, mid*0.9, scale)
 	if err != nil {
 		panic(err)
@@ -160,24 +162,4 @@ func sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

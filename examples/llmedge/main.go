@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"text/tabwriter"
@@ -19,7 +20,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "llmedge:", err)
 		os.Exit(1)
 	}
@@ -47,7 +48,7 @@ func llmZoo() (models.Zoo, error) {
 	return models.NewSurrogateZoo(ms, 8000)
 }
 
-func run() error {
+func run(stdout io.Writer) error {
 	zoo, err := llmZoo()
 	if err != nil {
 		return err
@@ -67,14 +68,14 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("LLM-at-the-edge: 8 edges, quantized model zoo")
-	fmt.Println("model           size     kWh/req   quality-loss")
+	fmt.Fprintln(stdout, "LLM-at-the-edge: 8 edges, quantized model zoo")
+	fmt.Fprintln(stdout, "model           size     kWh/req   quality-loss")
 	for n := 0; n < zoo.NumModels(); n++ {
 		info := zoo.Info(n)
-		fmt.Printf("%-14s  %4.1f GB  %.1e   %.2f\n",
+		fmt.Fprintf(stdout, "%-14s  %4.1f GB  %.1e   %.2f\n",
 			info.Name, float64(info.SizeBytes)/1e9, info.PhiKWh, zoo.MeanLoss(n))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	type row struct {
 		name     string
@@ -101,7 +102,7 @@ func run() error {
 	rows = append(rows, row{"Offline", off.Cost.Total(), off.Switches, off.Fit})
 
 	sort.Slice(rows, func(i, j int) bool { return rows[i].total < rows[j].total })
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheme\ttotal cost\tmodel downloads\tfit (g)")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%.1f\t%d\t%.3f\n", r.name, r.total, r.switches, r.fit)
@@ -109,7 +110,7 @@ func run() error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Println("\nwith minute-scale downloads, the block schedule is what keeps")
-	fmt.Println("the learned placement viable: compare the download counts above.")
+	fmt.Fprintln(stdout, "\nwith minute-scale downloads, the block schedule is what keeps")
+	fmt.Fprintln(stdout, "the learned placement viable: compare the download counts above.")
 	return nil
 }

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/carbonedge/carbonedge/internal/core"
@@ -17,13 +18,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(stdout io.Writer) error {
 	const (
 		horizon = 160
 		edges   = 3
@@ -106,14 +107,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ran %d slots on %d edges\n", horizon, edges)
-	fmt.Printf("total cost:          %.2f\n", totalCost)
-	fmt.Printf("total emissions:     %.3f g (cap %.1f g)\n", totalEmission, 1.5)
-	fmt.Printf("constraint violation (fit): %.4f g\n", fit)
-	fmt.Printf("model switches:      %d\n", switches)
-	fmt.Printf("final dual price λ:  %.2f\n", ctrl.Lambda())
+	fmt.Fprintf(stdout, "ran %d slots on %d edges\n", horizon, edges)
+	fmt.Fprintf(stdout, "total cost:          %.2f\n", totalCost)
+	fmt.Fprintf(stdout, "total emissions:     %.3f g (cap %.1f g)\n", totalEmission, 1.5)
+	fmt.Fprintf(stdout, "constraint violation (fit): %.4f g\n", fit)
+	fmt.Fprintf(stdout, "model switches:      %d\n", switches)
+	fmt.Fprintf(stdout, "final dual price λ:  %.2f\n", ctrl.Lambda())
 	for i, row := range selections {
-		fmt.Printf("edge %d selections:   %v\n", i, row)
+		fmt.Fprintf(stdout, "edge %d selections:   %v\n", i, row)
 	}
 	return nil
 }
