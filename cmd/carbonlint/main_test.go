@@ -172,13 +172,15 @@ var frameworkKept = map[string]bool{"numeric.ApproxEqual": true, "numeric.lfSour
 // TestNoTestOnlyFuncs is the regrowth fence for "every package ships what a
 // binary runs": a function or method under internal/ must be reachable in the
 // call graph from a main, an init or a package-level initializer, or be
-// listed in keptForTests (whose callees then count as reached too).
-// internal/analysis is the linter, which only tests and carbonlint itself
-// drive.
+// listed in keptForTests (whose callees then count as reached too). A method
+// is reached through a static call, or through a call on an interface its
+// receiver type implements (see implementedCalls). internal/analysis is the
+// linter, which only tests and carbonlint itself drive.
 func TestNoTestOnlyFuncs(t *testing.T) {
 	pkgs := loadRepo(t)
 	const internal = "github.com/carbonedge/carbonedge/internal/"
 	graph, _ := analysis.BuildGraph(pkgs)
+	implementedCalls(pkgs, graph)
 	var roots []string
 	mains := map[string]bool{}
 	for _, pkg := range pkgs {
@@ -228,6 +230,97 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 			continue
 		}
 		t.Errorf("%s: %s is reached by no binary: delete it with its tests, or add it to keptForTests with the reason", f.Pos, name)
+	}
+}
+
+// implementedCalls resolves every interface call in graph by implementation:
+// a call of method m on interface I reaches the m that a type T declared in
+// pkgs runs (its own or one it promotes from an embedded type) only when *T
+// implements I. The graph matches interface calls by name and signature
+// alone, which is right for the hot set (conservative) but keeps alive any
+// method that shares a name with one a binary calls: trading.Trader's Name
+// kept every Name() string in the module reached. Each package is checked
+// from source against its imports' export data, so one type can be two
+// types.Type values: methods are compared as name and signature strings.
+func implementedCalls(pkgs []*analysis.Package, graph *analysis.Graph) {
+	sigOf := func(fn *types.Func) string { // parameter and result types, names dropped
+		sig, b := fn.Type().(*types.Signature), &strings.Builder{}
+		for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+			for i := 0; i < tuple.Len(); i++ {
+				b.WriteString(types.TypeString(tuple.At(i).Type(), func(p *types.Package) string { return p.Path() }) + ",")
+			}
+			b.WriteString(";")
+		}
+		return fmt.Sprintf("%s%t", b, sig.Variadic())
+	}
+	type method struct{ sig, key string }
+	var impls []map[string]method // per type, its method set by name
+	type site struct {
+		iface *types.Interface
+		name  string
+	}
+	sites := map[string][]site{} // caller key -> its interface calls
+	for _, pkg := range pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+			t := map[string]method{}
+			for i := 0; i < ms.Len(); i++ {
+				fn := ms.At(i).Obj().(*types.Func)
+				t[fn.Name()] = method{sigOf(fn), analysis.FuncKeyOf(fn)}
+			}
+			impls = append(impls, t)
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || pkg.Info.Defs[fd.Name] == nil {
+					continue
+				}
+				caller := analysis.FuncKeyOf(pkg.Info.Defs[fd.Name].(*types.Func))
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					fun, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+					sel, ok := pkg.Info.Selections[fun]
+					if !ok || sel.Kind() != types.MethodVal {
+						return true
+					}
+					recv := sel.Recv()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					if iface, ok := recv.Underlying().(*types.Interface); ok {
+						sites[caller] = append(sites[caller], site{iface, sel.Obj().Name()})
+					}
+					return true
+				})
+			}
+		}
+	}
+	implements := func(t map[string]method, iface *types.Interface) bool {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if m := iface.Method(i); t[m.Name()].sig != sigOf(m) {
+				return false
+			}
+		}
+		return true
+	}
+	for key, f := range graph.Funcs {
+		f.IfaceCalls = nil
+		for _, s := range sites[key] {
+			for _, t := range impls {
+				if m, ok := t[s.name]; ok && implements(t, s.iface) {
+					f.Calls = append(f.Calls, m.key)
+				}
+			}
+		}
 	}
 }
 
@@ -369,7 +462,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 16659
+	goLineCeiling  = 16610
 	asmLineCeiling = 1712
 )
 
@@ -378,8 +471,8 @@ const (
 // EXPERIMENTS.md what it measures now, and the history of how either got
 // there is CHANGES.md's.
 var docByteCeiling = map[string]int{
-	"DESIGN.md":      64783,
-	"EXPERIMENTS.md": 18525,
+	"DESIGN.md":      64775,
+	"EXPERIMENTS.md": 18507,
 }
 
 // lineCount is one package's (or the total's) raw and code lines, Go at

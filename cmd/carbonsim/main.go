@@ -25,6 +25,7 @@ import (
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
 	"github.com/carbonedge/carbonedge/internal/energy"
+	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/numeric"
@@ -111,7 +112,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
-	var results []*sim.Result
+	var results []*engine.Result
 	if *combo != "" {
 		c, err := sim.ComboByName(*combo)
 		if err != nil {

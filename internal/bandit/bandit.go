@@ -25,8 +25,6 @@ import (
 type Policy interface {
 	Skipper
 
-	// Name identifies the policy in reports.
-	Name() string
 	// NumArms returns the number of models the policy chooses between.
 	NumArms() int
 	// SelectArm returns the arm to play this slot.
@@ -64,9 +62,6 @@ func NewRandom(numArms int, rng *rand.Rand) (*Random, error) {
 	return &Random{n: numArms, rng: rng}, nil
 }
 
-// Name implements Policy.
-func (r *Random) Name() string { return "Random" }
-
 // NumArms implements Policy.
 func (r *Random) NumArms() int { return r.n }
 
@@ -103,9 +98,6 @@ func NewGreedy(scores []float64) (*Greedy, error) {
 	return &Greedy{best: best, n: len(scores)}, nil
 }
 
-// Name implements Policy.
-func (g *Greedy) Name() string { return "Greedy" }
-
 // NumArms implements Policy.
 func (g *Greedy) NumArms() int { return g.n }
 
@@ -134,9 +126,6 @@ func NewFixed(arm, numArms int) (*Fixed, error) {
 	}
 	return &Fixed{arm: arm, n: numArms}, nil
 }
-
-// Name implements Policy.
-func (f *Fixed) Name() string { return "Fixed" }
 
 // NumArms implements Policy.
 func (f *Fixed) NumArms() int { return f.n }

@@ -39,7 +39,7 @@ func TestRandomPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "Random" || p.NumArms() != 4 {
+	if p.NumArms() != 4 {
 		t.Error("metadata mismatch")
 	}
 	counts := make([]int, 4)
@@ -194,9 +194,6 @@ func TestUnblockedIsLengthOne(t *testing.T) {
 	b, err := NewTsallisINF(4, rng)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if b.Name() != "TsallisINF" {
-		t.Errorf("Name = %q", b.Name())
 	}
 	for k := 1; k <= 50; k++ {
 		if b.BlockLength(k) != 1 {
@@ -384,12 +381,16 @@ func TestSkipContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Policy{blocked, ucb2} {
-		mustPanic(t, p.Name()+" skip-before-select", p.Skip)
+	for _, tc := range []struct {
+		name string
+		p    Policy
+	}{{"BlockedTsallisINF", blocked}, {"UCB2", ucb2}} {
+		p := tc.p
+		mustPanic(t, tc.name+" skip-before-select", p.Skip)
 		for slot := 0; slot < 20; slot++ {
 			arm := p.SelectArm()
 			if arm < 0 || arm >= p.NumArms() {
-				t.Fatalf("%s: arm %d out of range", p.Name(), arm)
+				t.Fatalf("%s: arm %d out of range", tc.name, arm)
 			}
 			if slot%3 == 0 {
 				p.Skip()
@@ -397,7 +398,7 @@ func TestSkipContract(t *testing.T) {
 				p.Update(0.4)
 			}
 		}
-		mustPanic(t, p.Name()+" double-skip", func() { _ = p.SelectArm(); p.Skip(); p.Skip() })
+		mustPanic(t, tc.name+" double-skip", func() { _ = p.SelectArm(); p.Skip(); p.Skip() })
 	}
 
 	// Stateless baselines tolerate Skip at any time.

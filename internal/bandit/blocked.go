@@ -27,10 +27,9 @@ import (
 // recovers plain (anytime) Tsallis-INF, which is exactly the paper's
 // unblocked "Tsallis-INF" baseline; NewTsallisINF exposes that directly.
 type BlockedTsallisINF struct {
-	name string
-	n    int
-	u    float64
-	rng  *rand.Rand
+	n   int
+	u   float64
+	rng *rand.Rand
 
 	estLoss []float64 // \hat{C}: cumulative importance-weighted losses
 	probs   []float64 // p_{k,n} of the current block
@@ -56,12 +55,7 @@ func NewBlockedTsallisINF(numArms int, u float64, rng *rand.Rand) (*BlockedTsall
 	if u < 0 || math.IsNaN(u) || math.IsInf(u, 0) {
 		return nil, fmt.Errorf("bandit: invalid switching cost u=%g", u)
 	}
-	name := "BlockedTsallisINF"
-	if u == 0 {
-		name = "TsallisINF"
-	}
 	return &BlockedTsallisINF{
-		name:       name,
 		n:          numArms,
 		u:          u,
 		rng:        rng,
@@ -96,9 +90,6 @@ func (b *BlockedTsallisINF) LearningRate(k int) float64 {
 func (b *BlockedTsallisINF) d(k int) float64 {
 	return 1.5 * b.u * math.Sqrt(float64(k)/float64(b.n))
 }
-
-// Name implements Policy.
-func (b *BlockedTsallisINF) Name() string { return b.name }
 
 // NumArms implements Policy.
 func (b *BlockedTsallisINF) NumArms() int { return b.n }

@@ -19,13 +19,17 @@ func TestSelectUpdateCycleAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Policy{unblocked, blocked} {
+	for _, tc := range []struct {
+		name string
+		p    Policy
+	}{{"TsallisINF", unblocked}, {"BlockedTsallisINF", blocked}} {
+		p := tc.p
 		cycle := func() { p.Update(float64(p.SelectArm()) * 0.7) }
 		for i := 0; i < 50; i++ {
 			cycle()
 		}
 		if n := testing.AllocsPerRun(500, cycle); n != 0 {
-			t.Errorf("%s: %v allocs per SelectArm+Update cycle, want 0", p.Name(), n)
+			t.Errorf("%s: %v allocs per SelectArm+Update cycle, want 0", tc.name, n)
 		}
 	}
 }

@@ -55,9 +55,6 @@ func NewUCB2(numArms int, alpha, lossScale float64) (*UCB2, error) {
 	}, nil
 }
 
-// Name implements Policy.
-func (u *UCB2) Name() string { return "UCB2" }
-
 // NumArms implements Policy.
 func (u *UCB2) NumArms() int { return u.n }
 

@@ -294,7 +294,6 @@ type recordingPolicy struct {
 	events []string
 }
 
-func (p *recordingPolicy) Name() string   { return "recording" }
 func (p *recordingPolicy) NumArms() int   { return 2 }
 func (p *recordingPolicy) SelectArm() int { return p.arm }
 func (p *recordingPolicy) Update(loss float64) {

@@ -168,34 +168,50 @@ func (l *link) connFor(wait time.Duration) (*wireConn, error) {
 }
 
 // roundTrip runs one slot's exchange with the link's unit under r's retry
-// budget, drawing backoff jitter from jitter. Each try owns the link (xmu),
-// takes its connection, bounds the exchange by timeout (0: no deadline) and
-// runs do on it; a failed try drops the connection so the next one waits for
-// a resume — except after a departure, whose connection stays open: closing
-// it (retire, once the shard has a new home) is what releases the
-// coordinator's edges, so they never redial the adopter before the adopt
-// frame installs them. It returns what retrier.run does.
+// budget: it tries until a try succeeds, fails fatally, or transient
+// failures have spent the budget, backing off on jitter (the caller's
+// stream, one draw per retry) in between. It returns the retries burned and
+// the last try's error; exhausted marks it as the transient failure the
+// budget ran out on (callers word that per tier).
 func (l *link) roundTrip(r *retrier, jitter *rand.Rand, timeout time.Duration, do func(*wireConn) error) (retries int, exhausted bool, err error) {
-	return r.run(jitter, func(wait time.Duration) error {
-		l.xmu.Lock()
-		defer l.xmu.Unlock()
-		conn, err := l.connFor(wait)
-		if err != nil {
-			return err
+	for {
+		err = l.try(r.cfg.resumeWait, timeout, do)
+		if err == nil || !Transient(err) {
+			return retries, false, err
 		}
-		if timeout > 0 {
-			//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
-			if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-				l.drop()
-				return fmt.Errorf("%s%s %d deadline: %w", l.errPrefix, l.noun, l.id, err)
-			}
-			defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
+		if retries >= r.cfg.Attempts {
+			return retries, true, err
 		}
-		if err = do(conn); err != nil && !errors.Is(err, errRegionLeft) {
-			l.drop()
-		}
+		retries++
+		r.sleep(backoffDelay(r.cfg, retries, jitter))
+	}
+}
+
+// try is one attempt of roundTrip: under xmu it takes the link's connection
+// (waiting up to wait for a resume), bounds the exchange by timeout (0: none)
+// and runs do. A failed try drops the connection, so the next waits for a
+// resume, except after a departure: closing that one (retire, once the shard
+// has a new home) releases the coordinator's edges, which must not redial
+// the adopter first.
+func (l *link) try(wait, timeout time.Duration, do func(*wireConn) error) error {
+	l.xmu.Lock()
+	defer l.xmu.Unlock()
+	conn, err := l.connFor(wait)
+	if err != nil {
 		return err
-	})
+	}
+	if timeout > 0 {
+		//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
+		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+			l.drop()
+			return fmt.Errorf("%s%s %d deadline: %w", l.errPrefix, l.noun, l.id, err)
+		}
+		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
+	}
+	if err = do(conn); err != nil && !errors.Is(err, errRegionLeft) {
+		l.drop()
+	}
+	return err
 }
 
 // install makes a delivered connection the link's current one, closing the

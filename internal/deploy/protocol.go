@@ -62,9 +62,9 @@ const (
 	// Regional-aggregator tier (root cloud <-> regional coordinator). A
 	// coordinator owns one contiguous shard of the fleet: it admits its
 	// edges exactly as the monolithic cloud would, steps them per slot, and
-	// streams the shard's SlotDelta back to the root, which merges deltas in
-	// canonical shard order and folds them bit-identically to a single
-	// in-process run (see engine.RunSharded).
+	// streams the shard's SlotDelta back to the root, which folds the deltas
+	// in canonical shard order, bit-identically to a single in-process run
+	// (see engine.RunSharded).
 
 	// MsgRegionHello is a coordinator's first frame: it announces RegionID.
 	MsgRegionHello

@@ -465,7 +465,7 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 			}
 			// Copy out of the link reader's recycled target: shards sharing
 			// the link after an adoption read their deltas through the same
-			// reader, and each delta must outlive the slot's merge.
+			// reader, and each delta must outlive the slot's fold.
 			rs.buf = append(rs.buf[:0], m.Delta.Edges...)
 			return nil
 		default:
@@ -567,7 +567,9 @@ type regionShard struct {
 	start, count int
 	shard        *engine.Shard
 	// replaySlot is the shard's fold watermark and the cached ShardDelta of
-	// its last stepped slot; delta is that message's payload storage.
+	// its last stepped slot; delta is that message's payload, the shard's own
+	// delta. The next Step overwrites it only while the next slot's reply is
+	// being built, and that reply replaces the cache.
 	replaySlot
 	delta engine.SlotDelta
 }
@@ -697,11 +699,7 @@ func (s *RegionSession) serve(upstream *wireConn, m *Message) (outcome, error) {
 		if err != nil {
 			return err
 		}
-		// Deep-copy into the cache: the shard recycles its delta buffer on
-		// the next Step, but the cache must survive until the root acks the
-		// next slot.
-		sh.delta.Start = delta.Start
-		sh.delta.Edges = append(sh.delta.Edges[:0], delta.Edges...)
+		sh.delta = delta
 		*reply = Message{Type: MsgShardDelta, Slot: m.Slot, Delta: &sh.delta}
 		return nil
 	})

@@ -72,7 +72,8 @@ func backoffDelay(cfg RetryConfig, attempt int, rng *rand.Rand) time.Duration {
 	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
-// retrier is the per-slot retry loop of both tiers.
+// retrier is the retry budget and the backoff sleeper both tiers run each
+// slot's exchange under (link.roundTrip).
 type retrier struct {
 	cfg RetryConfig // defaults applied
 	// sleep performs retry backoff; injectable so chaos tests replay with
@@ -83,24 +84,4 @@ type retrier struct {
 func newRetrier(cfg RetryConfig) *retrier {
 	//lint:allow nodeterm retry backoff is real wall-clock waiting; chaos tests inject a zero-time sleep
 	return &retrier{cfg: cfg.withDefaults(), sleep: time.Sleep}
-}
-
-// run tries one slot's exchange until it succeeds, fails fatally, or has
-// spent the budget on transient failures, backing off on jitter (the
-// caller's stream, one draw per retry) in between. try gets the time it may
-// wait for the unit's link to come back. run returns the retries burned and
-// try's last error; exhausted marks it as the transient failure the budget
-// ran out on (callers word that per tier).
-func (r *retrier) run(jitter *rand.Rand, try func(wait time.Duration) error) (retries int, exhausted bool, err error) {
-	for {
-		err = try(r.cfg.resumeWait)
-		if err == nil || !Transient(err) {
-			return retries, false, err
-		}
-		if retries >= r.cfg.Attempts {
-			return retries, true, err
-		}
-		retries++
-		r.sleep(backoffDelay(r.cfg, retries, jitter))
-	}
 }

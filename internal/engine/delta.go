@@ -10,10 +10,10 @@ import (
 // observation terms the accounting fold consumes, plus the serving state the
 // fault accounting needs. It deliberately carries *terms*, not partial sums:
 // energy stays in kWh (the root's meter converts it to emissions), and no
-// float has been folded across edges yet. That is what makes SlotDelta.Merge
-// exact — merging is pure ordered concatenation, and every non-associative
-// float addition happens exactly once, at the root, in canonical edge-index
-// order, replaying the serial accumulation op for op.
+// float has been folded across edges yet. That is what makes the shard
+// decomposition invisible — every non-associative float addition happens
+// exactly once, at the root, in canonical edge-index order, replaying the
+// serial accumulation op for op.
 //
 // The JSON tags make the delta the wire unit of the regional-aggregator tier
 // (internal/deploy): encoding/json round-trips float64 exactly, so a delta
@@ -32,18 +32,19 @@ type EdgeDelta struct {
 	DownError string `json:"downError,omitempty"`
 }
 
-// SlotDelta is the mergeable per-slot reduction unit: the deltas of one
-// contiguous edge range [Start, Start+len(Edges)), in edge-index order.
+// SlotDelta is the per-slot reduction unit: the deltas of one contiguous
+// edge range [Start, Start+len(Edges)), in edge-index order.
 type SlotDelta struct {
 	Start int         `json:"start"`
 	Edges []EdgeDelta `json:"edges"`
 }
 
-// Merge appends the delta of the adjacent range on the right. Merging is
-// associative and exact — it is ordered concatenation, with no arithmetic —
-// so folding shard deltas left-to-right in canonical shard order produces
-// the identical merged delta for every contiguous decomposition. Ranges that
-// are not adjacent (a gap, an overlap, or out-of-order shards) are rejected.
+// Merge appends the delta of the adjacent range on the right: ordered
+// concatenation, with no arithmetic, so the merged delta folds to the same
+// bits as its parts folded in order. Ranges that are not adjacent (a gap, an
+// overlap, or out-of-order shards) are rejected. The engine folds shard
+// deltas where they lie and never merges; the slot-cost benchmark's traced
+// loop times this copy.
 func (d *SlotDelta) Merge(o SlotDelta) error {
 	if want := d.Start + len(d.Edges); o.Start != want {
 		return fmt.Errorf("engine: cannot merge delta starting at edge %d onto range [%d,%d)", o.Start, d.Start, want)
@@ -65,20 +66,22 @@ type SlotFold struct {
 	Losses      []float64
 	Served      []bool
 
-	// Outputs, accumulated over the delta's edges.
+	// Outputs, accumulated over the edges of every delta folded into it.
 	Cost     CostBreakdown
 	Emission float64
 	Correct  int
 	Samples  int
 }
 
-// Fold runs the slot's cross-edge accounting serially in edge-index order —
-// the one place a per-edge term may enter a float accumulation. Deltas carry
-// raw terms and Merge is pure concatenation precisely so that every
-// non-associative addition happens here, once, in canonical order: the
-// result is independent of shard decomposition and completion order. A down
-// edge contributes the well-defined fallback: zero samples, zero energy, no
-// switch charge (nothing was shipped), and no bandit feedback.
+// Fold runs the delta's share of the slot's cross-edge accounting serially
+// in edge-index order — the one place a per-edge term may enter a float
+// accumulation. Deltas carry raw terms precisely so that every
+// non-associative addition happens here, once, in canonical order: folding
+// a slot's shard deltas into one SlotFold in ascending range order is
+// independent of shard decomposition and completion order. A down edge
+// contributes the well-defined fallback: zero samples, zero energy, no
+// switch charge (nothing was shipped), and no bandit feedback; the slot it
+// went down in records its error in Res.DownErrors.
 func (d *SlotDelta) Fold(f *SlotFold) {
 	for i := range d.Edges {
 		ed := &d.Edges[i]
@@ -86,6 +89,9 @@ func (d *SlotDelta) Fold(f *SlotFold) {
 		f.Losses[g] = ed.Loss
 		f.Served[g] = ed.Served
 		f.Res.Retries[g] += ed.Retries
+		if ed.WentDown {
+			f.Res.DownErrors[g] = ed.DownError
+		}
 		if !ed.Served {
 			f.Res.Downtime[g]++
 			f.Res.DroppedSlots++

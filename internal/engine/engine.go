@@ -6,15 +6,15 @@
 // all supply their own EdgeStepper implementations and let Run drive the
 // slots; core.Controller remains the single algorithmic brain.
 //
-// Per-slot accounting is an associative, mergeable reduction: contiguous
-// edge ranges (Shards) step concurrently — each with its own worker pool —
-// and report SlotDeltas of per-edge terms, which the root merges in
-// canonical shard order and folds serially in edge-index order. Results are
-// bit-for-bit deterministic for any shard×worker decomposition because
+// Per-slot accounting is a reduction over contiguous edge ranges: Shards
+// step concurrently — each with its own worker pool — and report SlotDeltas
+// of per-edge terms, which the root folds where they lie, shard after shard
+// in canonical order, so every term is added in edge-index order. Results
+// are bit-for-bit deterministic for any shard×worker decomposition because
 // every source of randomness is confined to one edge's stepper (each edge
-// carries its own split RNG streams and scratch buffers), Merge is exact
-// ordered concatenation, and every non-associative float accumulation
-// happens once, at the root, in the canonical serial order.
+// carries its own split RNG streams and scratch buffers) and every
+// non-associative float accumulation happens once, at the root, in the
+// canonical serial order.
 // Shards=1, Workers=1 reproduces that order literally.
 package engine
 
@@ -138,12 +138,6 @@ func (c *CostBreakdown) Add(o CostBreakdown) {
 	c.Trading += o.Trading
 }
 
-// String renders the breakdown compactly.
-func (c CostBreakdown) String() string {
-	return fmt.Sprintf("total=%.3f (loss=%.3f compute=%.3f switch=%.3f trade=%.3f)",
-		c.Total(), c.InferLoss, c.Compute, c.Switching, c.Trading)
-}
-
 // Result captures everything a run produces.
 type Result struct {
 	Name string
@@ -189,24 +183,11 @@ type Result struct {
 // contiguous in-process Shards (each stepping with its own worker pool of up
 // to cfg.Workers goroutines) and hands them to RunSharded, which per slot
 // asks the controller for the placement, fans the slot out to the shards,
-// merges their deltas in canonical shard order, accounts costs and emissions
-// in edge-index order, executes the controller's trade against the ledger,
-// and feeds the observations back.
+// folds their deltas in canonical shard order (costs and emissions in
+// edge-index order), executes the controller's trade against the ledger,
+// and feeds the observations back. NewShard and RunSharded validate the
+// steppers, the controller and the edge count.
 func Run(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result, error) {
-	if ctrl == nil {
-		return nil, fmt.Errorf("engine: nil controller")
-	}
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("engine: no edges")
-	}
-	if ctrl.NumEdges() != len(edges) {
-		return nil, fmt.Errorf("engine: controller has %d edges, got %d steppers", ctrl.NumEdges(), len(edges))
-	}
-	for i, e := range edges {
-		if e == nil {
-			return nil, fmt.Errorf("engine: nil stepper for edge %d", i)
-		}
-	}
 	nshards := cfg.Shards
 	if nshards <= 0 {
 		nshards = 1
@@ -228,16 +209,19 @@ func Run(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result, error
 }
 
 // RunSharded is the engine's root loop over an explicit shard decomposition:
-// per slot it fans the controller's placement out to every shard, merges the
-// shard deltas in canonical shard order, and runs the unchanged global
-// accounting/trade/ledger/controller feedback over the merged delta.
+// per slot it fans the controller's placement out to every shard, folds each
+// shard's delta where it lies, in canonical shard order, into the slot's one
+// SlotFold, and runs the global trade/ledger/controller feedback on the
+// totals.
 //
 // The Result is bit-identical for every contiguous shard decomposition and
 // every per-shard worker count, including Degrade and FailFast runs: shards
-// report per-edge terms (never partial float sums), Merge is exact ordered
-// concatenation, and the root folds the merged delta serially in edge-index
-// order — the very accumulation order the single-shard serial loop performs.
-// Shards must cover [0, ctrl.NumEdges()) contiguously in ascending order.
+// report per-edge terms (never partial float sums), and folding the shards'
+// deltas one after another in ascending range order adds every term in
+// edge-index order — the very accumulation order the single-shard serial
+// loop performs. Shards must cover [0, ctrl.NumEdges()) contiguously in
+// ascending order, and every slot each must return a delta covering exactly
+// its range.
 //
 // A shard-level Step error (as opposed to an edge-level failure, which the
 // shard's ErrorPolicy governs internally) aborts the run regardless of
@@ -251,6 +235,7 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("engine: no shards")
 	}
+	ranges := make([]Range, len(shards))
 	numEdges := 0
 	for k, sh := range shards {
 		if sh == nil {
@@ -261,6 +246,7 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 			return nil, fmt.Errorf("engine: shard %d covers [%d,%d), want a positive range starting at edge %d",
 				k, start, start+count, numEdges)
 		}
+		ranges[k] = Range{Start: start, Count: count}
 		numEdges += count
 	}
 	if ctrl.NumEdges() != numEdges {
@@ -305,7 +291,6 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 
 	deltas := make([]SlotDelta, len(shards))
 	stepErrs := make([]error, len(shards))
-	accEdges := make([]EdgeDelta, 0, numEdges)
 	losses := make([]float64, numEdges)
 	served := make([]bool, numEdges)
 	totalCorrect, totalSamples := 0, 0
@@ -325,45 +310,23 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 		} else {
 			var wg sync.WaitGroup
 			for k, sh := range shards {
-				start, count := sh.Range()
+				r := ranges[k]
 				wg.Add(1)
 				go func(k int, sh ShardStepper, arms []int, downloads []bool) {
 					defer wg.Done()
 					deltas[k], stepErrs[k] = stepShard(sh, t, arms, downloads)
-				}(k, sh, arms[start:start+count], downloads[start:start+count])
+				}(k, sh, arms[r.Start:r.Start+r.Count], downloads[r.Start:r.Start+r.Count])
 			}
 			wg.Wait()
 		}
-		// Shard errors resolve in canonical shard order after the per-slot
-		// barrier; shards cover ascending ranges and report their own
-		// lowest-local-edge failure, so the first error here is the slot's
-		// lowest-indexed failing edge — the serial FailFast outcome.
-		for k := range shards {
-			if stepErrs[k] != nil {
-				return nil, stepErrs[k]
-			}
-		}
-
-		// Merge in canonical shard order. Merging is exact concatenation, so
-		// every contiguous decomposition yields the identical merged delta;
-		// the non-associative float folding happens below, serially, in
-		// edge-index order.
-		acc := SlotDelta{Edges: accEdges[:0]}
-		for k := range shards {
-			if err := acc.Merge(deltas[k]); err != nil {
-				return nil, fmt.Errorf("engine: shard %d: %w", k, err)
-			}
-		}
-		accEdges = acc.Edges[:0]
-
-		for i := range acc.Edges {
-			if acc.Edges[i].WentDown {
-				res.DownErrors[i] = acc.Edges[i].DownError
-			}
-		}
-
 		// Cross-edge accounting is SlotDelta.Fold — serial, in edge-index
 		// order, and the only place per-edge terms enter float accumulations.
+		// Each shard's delta is folded where the shard left it, in canonical
+		// shard order, once it is known to cover exactly the shard's range.
+		// Shard errors resolve in the same order: shards cover ascending
+		// ranges and report their own lowest-local-edge failure, so the first
+		// error here is the slot's lowest-indexed failing edge — the serial
+		// FailFast outcome.
 		fold := SlotFold{
 			Meter:       meter,
 			Arms:        arms,
@@ -373,10 +336,17 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 			Losses:      losses,
 			Served:      served,
 		}
-		acc.Fold(&fold)
-		slotCost := fold.Cost
-		slotEmission := fold.Emission
-		slotCorrect, slotSamples := fold.Correct, fold.Samples
+		for k, r := range ranges {
+			if stepErrs[k] != nil {
+				return nil, stepErrs[k]
+			}
+			sd := &deltas[k]
+			if sd.Start != r.Start || len(sd.Edges) != r.Count {
+				return nil, fmt.Errorf("engine: shard %d returned a delta for [%d,%d), want [%d,%d)",
+					k, sd.Start, sd.Start+len(sd.Edges), r.Start, r.Start+r.Count)
+			}
+			sd.Fold(&fold)
+		}
 
 		q := trading.Quote{Buy: cfg.Prices.Buy[t], Sell: cfg.Prices.Sell[t]}
 		d, err := ctrl.DecideTrade(q)
@@ -389,21 +359,21 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 		if err := ledger.Sell(d.Sell, q.Sell); err != nil {
 			return nil, err
 		}
-		if err := ctrl.CompleteSlotServed(losses, served, slotEmission); err != nil {
+		if err := ctrl.CompleteSlotServed(losses, served, fold.Emission); err != nil {
 			return nil, err
 		}
-		slotCost.Trading = d.Cost(q)
+		fold.Cost.Trading = d.Cost(q)
 
-		res.Cost.Add(slotCost)
+		res.Cost.Add(fold.Cost)
 		res.CumTotal[t] = res.Cost.Total()
-		res.Emissions[t] = slotEmission
+		res.Emissions[t] = fold.Emission
 		res.Decisions[t] = d
-		res.WorkloadTotal[t] = slotSamples
-		if slotSamples > 0 {
-			res.Accuracy[t] = float64(slotCorrect) / float64(slotSamples)
+		res.WorkloadTotal[t] = fold.Samples
+		if fold.Samples > 0 {
+			res.Accuracy[t] = float64(fold.Correct) / float64(fold.Samples)
 		}
-		totalCorrect += slotCorrect
-		totalSamples += slotSamples
+		totalCorrect += fold.Correct
+		totalSamples += fold.Samples
 	}
 	if totalSamples > 0 {
 		res.OverallAccuracy = float64(totalCorrect) / float64(totalSamples)

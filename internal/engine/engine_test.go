@@ -526,10 +526,4 @@ func TestCostBreakdown(t *testing.T) {
 	if got := c.Total(); got != 9.5 {
 		t.Errorf("after Add, Total = %v", got)
 	}
-	s := c.String()
-	for _, field := range []string{"total=", "loss=", "compute=", "switch=", "trade="} {
-		if !strings.Contains(s, field) {
-			t.Errorf("String missing %q: %s", field, s)
-		}
-	}
 }

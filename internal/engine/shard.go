@@ -8,8 +8,8 @@ import (
 
 // ShardStepper steps one contiguous edge range for one slot and returns its
 // SlotDelta. The engine's root loop (RunSharded) fans each slot out to its
-// shards, merges the deltas in canonical shard order, and folds the merged
-// delta in edge-index order — so any ShardStepper that reports faithful
+// shards and folds their deltas in canonical shard order, so every term is
+// added in edge-index order — any ShardStepper that reports faithful
 // per-edge deltas (an in-process Shard, or a regional coordinator across a
 // TCP hop) yields a bit-identical Result.
 type ShardStepper interface {
@@ -18,7 +18,8 @@ type ShardStepper interface {
 	Range() (start, count int)
 	// Step serves slot `slot` on every edge of the shard. arms and downloads
 	// are shard-local slices: index j corresponds to global edge start+j.
-	// The returned delta is valid until the next Step call.
+	// The returned delta covers exactly Range (RunSharded fails the run on
+	// any other) and is valid until the next Step call.
 	//
 	// Under FailFast an edge failure aborts the step with the shard's
 	// lowest-local-edge-index error (already wrapped with the global edge id

@@ -271,6 +271,52 @@ func TestSlotDeltaJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// misrangedShard steps an in-process Shard and then reports a delta that
+// does not cover the shard's range: cut edges short at the end, or moved to
+// start elsewhere.
+type misrangedShard struct {
+	*Shard
+	cut, shift int
+}
+
+func (m *misrangedShard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) {
+	d, err := m.Shard.Step(slot, arms, downloads)
+	d.Start += m.shift
+	d.Edges = d.Edges[:len(d.Edges)-m.cut]
+	return d, err
+}
+
+// TestRunShardedRejectsMisrangedDelta pins the root's per-delta range check:
+// a shard whose delta does not cover exactly its range fails the run, even
+// the last shard, whose short delta no later range would contradict.
+func TestRunShardedRejectsMisrangedDelta(t *testing.T) {
+	const edges, horizon = 4, 10
+	for _, tc := range []struct {
+		name       string
+		cut, shift int
+	}{{"one edge short", 1, 0}, {"shifted start", 0, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			steppers := propSteppers(edges, 1, nil, nil, nil)
+			first, err := NewShard(ShardConfig{Start: 0}, steppers[:2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			last, err := NewShard(ShardConfig{Start: 2}, steppers[2:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards := []ShardStepper{first, &misrangedShard{Shard: last, cut: tc.cut, shift: tc.shift}}
+			res, err := RunSharded(testConfig(edges, horizon), testController(t, edges, 4, horizon), shards)
+			if err == nil {
+				t.Fatalf("RunSharded accepted the last shard's misranged delta; edge 3 selections %v", res.Selections[3])
+			}
+			if !strings.Contains(err.Error(), "shard 1") {
+				t.Errorf("error %q does not name shard 1", err)
+			}
+		})
+	}
+}
+
 // TestRunShardedValidation covers the root loop's own misuse checks.
 func TestRunShardedValidation(t *testing.T) {
 	const edges, horizon = 4, 10

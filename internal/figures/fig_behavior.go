@@ -1,6 +1,6 @@
 package figures
 
-import "github.com/carbonedge/carbonedge/internal/sim"
+import "github.com/carbonedge/carbonedge/internal/engine"
 
 // Fig8SelectionHistogram reproduces Fig. 8: for a single randomly chosen
 // edge, the number of times each model is selected against that model's
@@ -46,13 +46,13 @@ func Fig8SelectionHistogram(o Options) (*Figure, error) {
 func Fig9TradingVolume(o Options) (*Figure, error) {
 	o = o.normalized()
 	names := []string{"Ours", "UCB-Ran", "UCB-TH"}
-	curves, err := meanCurves(o, names, func(r *sim.Result) []float64 {
+	curves, err := meanCurves(o, names, func(r *engine.Result) []float64 {
 		return r.NetBuySeries()
 	})
 	if err != nil {
 		return nil, err
 	}
-	workload, err := meanCurves(o, []string{"Ours"}, func(r *sim.Result) []float64 {
+	workload, err := meanCurves(o, []string{"Ours"}, func(r *engine.Result) []float64 {
 		out := make([]float64, len(r.WorkloadTotal))
 		for i, w := range r.WorkloadTotal {
 			out[i] = float64(w)

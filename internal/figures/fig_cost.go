@@ -1,6 +1,9 @@
 package figures
 
-import "github.com/carbonedge/carbonedge/internal/sim"
+import (
+	"github.com/carbonedge/carbonedge/internal/engine"
+	"github.com/carbonedge/carbonedge/internal/sim"
+)
 
 // fig3Combos is the subset of schemes the paper plots in Fig. 3 (for
 // visualization clarity it omits some of the twelve combinations).
@@ -10,7 +13,7 @@ var fig3Combos = []string{"Ours", "Ran-Ran", "Greedy-LY", "TINF-Ran", "UCB-LY", 
 // over time with 10 edges for the main schemes plus Offline.
 func Fig3CumulativeCost(o Options) (*Figure, error) {
 	o = o.normalized()
-	curves, err := meanCurves(o, fig3Combos, func(r *sim.Result) []float64 {
+	curves, err := meanCurves(o, fig3Combos, func(r *engine.Result) []float64 {
 		return r.CumTotal
 	})
 	if err != nil {

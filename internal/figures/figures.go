@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 	"github.com/carbonedge/carbonedge/internal/sim"
@@ -98,7 +99,7 @@ func runScenario(o Options, r int, mutate func(*sim.Config)) (*sim.Scenario, err
 // Combos played one after another on a scenario see consecutive windows of
 // its sample streams, so the order a figure lists them in is part of its
 // output.
-func runCombo(s *sim.Scenario, name string) (*sim.Result, error) {
+func runCombo(s *sim.Scenario, name string) (*engine.Result, error) {
 	if name == "Offline" {
 		return sim.Offline(s)
 	}
@@ -110,7 +111,7 @@ func runCombo(s *sim.Scenario, name string) (*sim.Result, error) {
 }
 
 // playRun plays one named combo on a fresh run-r surrogate scenario.
-func playRun(o Options, r int, name string, mutate func(*sim.Config)) (*sim.Result, error) {
+func playRun(o Options, r int, name string, mutate func(*sim.Config)) (*engine.Result, error) {
 	s, err := runScenario(o, r, mutate)
 	if err != nil {
 		return nil, err
@@ -244,7 +245,7 @@ func RenderAll(o Options) (string, error) {
 // meanCurves averages per-slot series across runs for several combos,
 // played in the listed order on each run's one scenario; row i of the result
 // belongs to names[i].
-func meanCurves(o Options, names []string, extract func(*sim.Result) []float64) ([][]float64, error) {
+func meanCurves(o Options, names []string, extract func(*engine.Result) []float64) ([][]float64, error) {
 	curves := make([][][]float64, len(names))
 	for r := 0; r < o.Runs; r++ {
 		s, err := runScenario(o, r, nil)

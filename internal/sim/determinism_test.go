@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
@@ -17,7 +18,7 @@ import (
 // the per-edge stream RNGs are stateful.
 func TestRunWorkersDeterministic(t *testing.T) {
 	const edges, horizon, seed = 6, 80, 11
-	runWith := func(workers int) *Result {
+	runWith := func(workers int) *engine.Result {
 		s := testScenario(t, edges, horizon, seed)
 		res, err := RunSharded(s, "Ours", PolicyOurs, TraderOurs, 1, workers)
 		if err != nil {
@@ -61,7 +62,7 @@ func TestRunWorkersDeterministic(t *testing.T) {
 // reduction; carbonsim -shards rides this path).
 func TestRunShardedDeterministic(t *testing.T) {
 	const edges, horizon, seed = 6, 80, 11
-	runWith := func(shards, workers int) *Result {
+	runWith := func(shards, workers int) *engine.Result {
 		s := testScenario(t, edges, horizon, seed)
 		res, err := RunSharded(s, "Ours", PolicyOurs, TraderOurs, shards, workers)
 		if err != nil {

@@ -50,7 +50,7 @@ func BenchmarkSlotStepParallel(b *testing.B) {
 
 // BenchmarkEngineSharded measures the sharded reduction at a fixed edge
 // scale across shard counts (one worker per shard edge range), isolating the
-// fan-out/merge overhead the regional tier inherits. The Result is
+// fan-out/fold overhead the regional tier inherits. The Result is
 // bit-identical across every row; only wall time may move.
 func BenchmarkEngineSharded(b *testing.B) {
 	const edges = 50

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/carbonedge/carbonedge/internal/bandit"
+	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/trading"
 )
 
@@ -17,7 +18,7 @@ import (
 // The slot protocol itself runs on the shared engine: fixed per-edge
 // policies and a no-op trader produce the realized emission series, then
 // the clairvoyant trade schedule is patched in.
-func Offline(s *Scenario) (*Result, error) {
+func Offline(s *Scenario) (*engine.Result, error) {
 	cfg := s.Cfg
 	policies := make([]bandit.Policy, cfg.Edges)
 	for i := range policies {
@@ -62,6 +63,6 @@ func Offline(s *Scenario) (*Result, error) {
 
 // RegretP0 returns P(run) - P(offline), the paper's regret for the original
 // problem P0 (Fig. 10).
-func RegretP0(run, offline *Result) float64 {
+func RegretP0(run, offline *engine.Result) float64 {
 	return run.Cost.Total() - offline.Cost.Total()
 }

@@ -18,13 +18,9 @@ type PolicyFactory func(s *Scenario, edge int, rng *rand.Rand) (bandit.Policy, e
 // TraderFactory builds the carbon trader for a run.
 type TraderFactory func(s *Scenario, rng *rand.Rand) (trading.Trader, error)
 
-// Result is the shared engine's per-run record (re-exported so every
-// existing caller keeps reading sim.Result).
-type Result = engine.Result
-
 // Run plays one policy/trader combination through the scenario on the
 // shared slot engine, stepping edges in the canonical serial order.
-func Run(s *Scenario, name string, pf PolicyFactory, tf TraderFactory) (*Result, error) {
+func Run(s *Scenario, name string, pf PolicyFactory, tf TraderFactory) (*engine.Result, error) {
 	return RunSharded(s, name, pf, tf, 1, 1)
 }
 
@@ -34,7 +30,7 @@ func Run(s *Scenario, name string, pf PolicyFactory, tf TraderFactory) (*Result,
 // Result — each edge owns its RNG streams and scratch buffers, and the
 // engine serializes cross-edge accounting in edge order — so both are
 // purely throughput knobs for large edge counts.
-func RunSharded(s *Scenario, name string, pf PolicyFactory, tf TraderFactory, shards, workers int) (*Result, error) {
+func RunSharded(s *Scenario, name string, pf PolicyFactory, tf TraderFactory, shards, workers int) (*engine.Result, error) {
 	policies := make([]bandit.Policy, s.Cfg.Edges)
 	for i := range policies {
 		p, err := pf(s, i, numeric.SplitRNG(s.Cfg.Seed, fmt.Sprintf("policy-%s-%d", name, i)))
@@ -52,7 +48,7 @@ func RunSharded(s *Scenario, name string, pf PolicyFactory, tf TraderFactory, sh
 
 // play wraps the policies and trader in a controller and drives the
 // scenario's horizon on the shared slot engine.
-func (s *Scenario) play(name string, policies []bandit.Policy, trader trading.Trader, shards, workers int) (*Result, error) {
+func (s *Scenario) play(name string, policies []bandit.Policy, trader trading.Trader, shards, workers int) (*engine.Result, error) {
 	cfg := s.Cfg
 	ctrl, err := core.NewWithComponents(core.Config{
 		NumModels:     s.NumModels(),
