@@ -88,7 +88,7 @@ func (b *BlockedTsallisINF) LearningRate(k int) float64 {
 
 // d computes d_k = (3u/2) sqrt(k/N).
 func (b *BlockedTsallisINF) d(k int) float64 {
-	return 1.5 * b.u * math.Sqrt(float64(k)/float64(b.n))
+	return float64(1.5 * b.u * math.Sqrt(float64(k)/float64(b.n)))
 }
 
 // NumArms implements Policy.

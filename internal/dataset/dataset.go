@@ -87,7 +87,7 @@ func NewDistribution(spec Spec, rng *rand.Rand) (*Distribution, error) {
 			next := d.templates[(c+1)%spec.Classes]
 			t := d.templates[c].Clone()
 			for i := range t.Data {
-				t.Data[i] = (1-spec.Blend)*t.Data[i] + spec.Blend*next.Data[i]
+				t.Data[i] = float64((1-spec.Blend)*t.Data[i]) + float64(spec.Blend*next.Data[i])
 			}
 			blended[c] = t
 		}
@@ -142,7 +142,7 @@ func (d *Distribution) Sample(rng *rand.Rand) nn.Sample {
 				if sy >= 0 && sy < spec.Height && sx >= 0 && sx < spec.Width {
 					v = base.At3(c, sy, sx)
 				}
-				x.Set3(c, y, xx, v+rng.NormFloat64()*spec.Noise)
+				x.Set3(c, y, xx, v+float64(rng.NormFloat64()*spec.Noise))
 			}
 		}
 	}
@@ -163,7 +163,7 @@ func makeTemplate(spec Spec, rng *rand.Rand) *nn.Tensor {
 			cx:      rng.Float64() * float64(spec.Width),
 			cy:      rng.Float64() * float64(spec.Height),
 			sigma:   2 + rng.Float64()*float64(spec.Height)/5,
-			amp:     1 + rng.Float64(),
+			amp:     1 + float64(rng.Float64()),
 			channel: rng.Intn(spec.Channels),
 		})
 	}
@@ -173,7 +173,7 @@ func makeTemplate(spec Spec, rng *rand.Rand) *nn.Tensor {
 			for x := 0; x < spec.Width; x++ {
 				dy := float64(y) - bl.cy
 				dx := float64(x) - bl.cx
-				v := bl.amp * math.Exp(-(dx*dx+dy*dy)/(2*bl.sigma*bl.sigma))
+				v := float64(bl.amp * math.Exp(-(float64(dx*dx)+float64(dy*dy))/(2*bl.sigma*bl.sigma)))
 				nv := t.At3(bl.channel, y, x) + v
 				t.Set3(bl.channel, y, x, nv)
 				if a := math.Abs(nv); a > maxAbs {

@@ -78,7 +78,7 @@ func TestExchangeAllocsPinned(t *testing.T) {
 		if err := cloud.acc.awaitInitial(); err != nil {
 			t.Fatal(err)
 		}
-		tcp := &tcpStepper{fleet: cloud.edgeFleet, link: cloud.initial.links[0], rng: numeric.SplitRNG(7, "deploy-retry-0")}
+		tcp := &tcpStepper{fleet: cloud.edgeFleet, link: cloud.initial.links[0], seed: 7}
 		slot := 0
 		step := func() {
 			if _, err := tcp.Step(slot, slot%4, false); err != nil {

@@ -45,8 +45,8 @@ type CloudConfig struct {
 	// EmissionScale hints the expected per-slot emission for Algorithm 2's
 	// step sizes (0 = 1).
 	EmissionScale float64
-	// Seed drives the controller's sampling, the resume-token issue, and the
-	// deterministic backoff jitter streams.
+	// Seed drives the controller's sampling, the resume tokens, and the
+	// deterministic backoff jitter.
 	Seed int64
 	// SlotTimeout bounds each per-edge exchange (assign + report). Zero
 	// disables deadlines. A slow or hung edge then fails its slot instead
@@ -216,7 +216,7 @@ func newController(cfg CloudConfig, numModels int) (*controller, error) {
 // and the error policy decide what a failed exchange means.
 func (c *Cloud) Serve(ln net.Listener) (*Summary, error) {
 	res, err := c.serve(ln, c.acc, c.links, "edge", func() ([]engine.ShardStepper, error) {
-		shard, err := c.shard(c.initial, nil, c.ecfg.Policy)
+		shard, err := c.shard(c.initial, c.ecfg.Policy)
 		return []engine.ShardStepper{shard}, err
 	})
 	if err != nil {

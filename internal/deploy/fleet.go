@@ -2,9 +2,7 @@ package deploy
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/engine"
@@ -12,10 +10,10 @@ import (
 )
 
 // fleetRange is one contiguous block of edge links the fleet serves: the
-// initial range, plus one per adopted shard. Tokens and
-// jitter streams are derived from the range's own seed — for an adopted
-// range that is the original owner's fleet seed, so the edges' existing
-// resume tokens keep verifying.
+// initial range, plus one per adopted shard. Tokens and backoff jitter are
+// derived from the range's own seed — for an adopted range that is the
+// original owner's fleet seed, so the edges' existing resume tokens keep
+// verifying and their retries back off as before.
 type fleetRange struct {
 	offset int
 	seed   int64
@@ -33,9 +31,9 @@ type fleetRange struct {
 type edgeFleet struct {
 	source ModelSource
 	acc    *acceptor
-	retry  *retrier
-	// slotTimeout bounds each per-edge exchange (CloudConfig.SlotTimeout).
-	slotTimeout time.Duration
+	// retry bounds each per-edge exchange (CloudConfig.Retry and
+	// SlotTimeout).
+	retry *retrier
 
 	// mu guards ranges and grown: the acceptor reads them concurrently with
 	// mid-run adoptions appending new ones. initial is ranges[0], fixed at
@@ -53,7 +51,7 @@ type edgeFleet struct {
 // the two timeouts and Retry. The caller validates the configuration (see
 // NewCloud / RunRegion).
 func newEdgeFleet(cfg CloudConfig, offset int, source ModelSource) *edgeFleet {
-	f := &edgeFleet{source: source, retry: newRetrier(cfg.Retry), slotTimeout: cfg.SlotTimeout}
+	f := &edgeFleet{source: source, retry: newRetrier(cfg.Retry, cfg.SlotTimeout, "deploy-retry")}
 	f.acc = newAcceptor(f, MsgHello, "Hello", "edge", cfg.Horizon, cfg.Edges, cfg.HandshakeTimeout)
 	f.initial = newFleetRange(offset, cfg.Edges, cfg.Seed, false)
 	f.ranges = []*fleetRange{f.initial}
@@ -63,10 +61,10 @@ func newEdgeFleet(cfg CloudConfig, offset int, source ModelSource) *edgeFleet {
 
 // newFleetRange derives a contiguous range's links from the range's seed.
 func newFleetRange(offset, count int, seed int64, claimed bool) *fleetRange {
-	tokenRNG := numeric.SplitRNG(seed, "deploy-resume-token")
+	base := numeric.SplitRNG(seed, "deploy-resume-token").Uint64()
 	links := make([]*link, count)
 	for i := range links {
-		links[i] = newLink("edge", "", offset+i, tokenRNG, i)
+		links[i] = newLink("edge", "", offset+i, base)
 		links[i].claimed = claimed
 	}
 	return &fleetRange{offset: offset, seed: seed, links: links}
@@ -128,9 +126,8 @@ func (f *edgeFleet) welcome(hello *Message, l *link) (*Message, bool) {
 // links are rebuilt with the original fleet's tokens (derived from
 // ck.FleetSeed) and pre-claimed, so the shard's edges are admitted through
 // the resume path only — exactly the state they are in. It returns the
-// range's shard with the checkpointed edges down and each edge's backoff
-// jitter stream at its checkpointed position. ck has passed ValidateAdopt,
-// which is what bounds the range allocated and the draws replayed here.
+// range's shard with the checkpointed edges down. ck has passed
+// ValidateAdopt, which is what bounds the range allocated here.
 func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint, policy engine.ErrorPolicy) (*engine.Shard, error) {
 	f.mu.Lock()
 	for _, rg := range f.ranges {
@@ -146,7 +143,7 @@ func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint, policy engine.ErrorPolicy)
 	f.grown = make(chan struct{})
 	f.mu.Unlock()
 
-	shard, err := f.shard(rg, ck.JitterDraws, policy)
+	shard, err := f.shard(rg, policy)
 	if err != nil {
 		return nil, err
 	}
@@ -154,18 +151,12 @@ func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint, policy engine.ErrorPolicy)
 }
 
 // shard builds the engine Shard serving a range: one tcpStepper per link,
-// each with its deterministic backoff jitter stream fast-forwarded past
-// jitterDraws' entry (nil: a fresh range), and one worker per edge — a
-// slot's exchanges wait on the network, not on a core. Jitter paces
-// wall-clock retries only; it never reaches Results.
-func (f *edgeFleet) shard(rg *fleetRange, jitterDraws []int, policy engine.ErrorPolicy) (*engine.Shard, error) {
+// backing off on the range seed's jitter, and one worker per edge — a
+// slot's exchanges wait on the network, not on a core.
+func (f *edgeFleet) shard(rg *fleetRange, policy engine.ErrorPolicy) (*engine.Shard, error) {
 	steppers := make([]engine.EdgeStepper, len(rg.links))
 	for i, l := range rg.links {
-		rng := numeric.SplitRNG(rg.seed, fmt.Sprintf("deploy-retry-%d", i))
-		for k := 0; jitterDraws != nil && k < jitterDraws[i]; k++ {
-			rng.Int63()
-		}
-		steppers[i] = &tcpStepper{fleet: f, link: l, rng: rng}
+		steppers[i] = &tcpStepper{fleet: f, link: l, seed: rg.seed}
 	}
 	return engine.NewShard(engine.ShardConfig{Start: rg.offset, Workers: len(steppers), Policy: policy}, steppers)
 }
@@ -197,14 +188,15 @@ func (f *edgeFleet) resumes() []int {
 // deployment has no posterior mean, only what the edge measured.
 //
 // Transient failures (resets, timeouts, mid-frame EOFs) consume the
-// per-slot retry budget: each retry backs off deterministically and waits
-// for the edge to redial and resume before re-running the exchange. Fatal
-// failures (protocol violations, invalid report numbers, edge application
-// errors) fail the slot immediately.
+// per-slot retry budget: each retry backs off on jitter derived from the
+// range seed, the edge id, the slot and the attempt, and waits for the edge
+// to redial and resume before re-running the exchange. Fatal failures
+// (protocol violations, invalid report numbers, edge application errors)
+// fail the slot immediately.
 type tcpStepper struct {
 	fleet *edgeFleet
 	link  *link
-	rng   *rand.Rand // deterministic backoff jitter stream
+	seed  int64 // the range seed backoff jitter derives from
 	// assign is the outgoing Assign, rewritten every slot: one edge-slot
 	// allocates no envelope.
 	assign Message
@@ -215,7 +207,7 @@ type tcpStepper struct {
 //lint:cold a TCP round trip per slot dominates any allocation; the alloc-free contract covers in-process steppers only
 func (s *tcpStepper) Step(slot, arm int, download bool) (engine.Observation, error) {
 	var obs engine.Observation
-	retries, exhausted, err := s.link.roundTrip(s.fleet.retry, s.rng, s.fleet.slotTimeout, func(conn *wireConn) (err error) {
+	retries, exhausted, err := s.link.roundTrip(s.fleet.retry, s.seed, s.link.id, slot, func(conn *wireConn) (err error) {
 		obs, err = s.exchange(conn, slot, arm, download)
 		return err
 	})

@@ -267,7 +267,7 @@ func genMessage(r *rand.Rand) *Message {
 		case 2:
 			m.Models = []ModelMeta{{Name: genString(r), PhiKWh: genFloat(r), SizeBytes: int64(genInt(r))}}
 		case 3:
-			m.Checkpoint = &engine.ShardCheckpoint{Start: genInt(r), Count: 2, Down: []bool{true, false}, JitterDraws: []int{genInt(r), 0}}
+			m.Checkpoint = &engine.ShardCheckpoint{Start: genInt(r), Count: 2, DoneSlots: genInt(r), Down: []bool{true, false}}
 		}
 	}
 	return m
@@ -438,21 +438,25 @@ func hotFrames(shard int) map[string]*Message {
 // hotFrameNames fixes the iteration order over hotFrames.
 var hotFrameNames = []string{"Assign", "AssignCkpt", "Report", "ShardAssign", "ShardDelta"}
 
-// The session the adopt frames below are judged against: an 8-slot run whose
-// coordinators retry twice per slot.
-const adoptHorizon, adoptAttempts = 8, 2
+// The session the adopt frames below are judged against: an 8-slot run.
+const adoptHorizon = 8
 
 // hostileCheckpoints are checkpoints that claim more than their frame
 // carried or their session can have produced; each would have the adopter
-// allocate or spin on a number alone. TestRegionSessionRejectsHostileAdopt
+// allocate on a number alone, or resume past its run's end.
+// TestRegionSessionRejectsHostileAdopt
 // puts them on a coordinator's upstream link, and they seed FuzzReadMessage
 // here and FuzzShardCheckpoint in internal/engine.
 var hostileCheckpoints = map[string]string{
 	"slice-less oversized count": `{"start":0,"count":1099511627776,"fleetSeed":7}`,
-	"overflowing start+count":    `{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false],"jitterDraws":[0]}`,
-	"doneSlots past the horizon": `{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false],"jitterDraws":[0]}`,
-	"jitterDraws of 2^62":        `{"start":0,"count":1,"doneSlots":4,"fleetSeed":7,"down":[false],"jitterDraws":[4611686018427387904]}`,
+	"overflowing start+count":    `{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false]}`,
+	"doneSlots past the horizon": `{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false]}`,
 }
+
+// wellFormedCheckpoint is what the root's regionStepper could hand over in
+// an adoptHorizon-slot session: TestRegionSessionRejectsHostileAdopt adopts
+// it, and it seeds FuzzReadMessage beside the hostile ones.
+const wellFormedCheckpoint = `{"start":4,"count":2,"doneSlots":4,"fleetSeed":7,"down":[false,true]}`
 
 // adoptFrame frames a ShardAdopt carrying the checkpoint's JSON as written.
 func adoptFrame(checkpoint string) []byte {
@@ -490,15 +494,10 @@ func checkValidators(t testing.TB, m *Message, frameLen int) {
 			}
 		}
 	case MsgShardAdopt:
-		if ValidateAdopt(m, adoptHorizon, adoptAttempts) == nil {
+		if ValidateAdopt(m, adoptHorizon) == nil {
 			ck := m.Checkpoint
 			if ck.Count > frameLen || ck.DoneSlots > adoptHorizon {
 				t.Fatalf("validated a %d-byte adopt of %d edges at slot %d", frameLen, ck.Count, ck.DoneSlots)
-			}
-			for _, n := range ck.JitterDraws {
-				if n > adoptHorizon*adoptAttempts {
-					t.Fatalf("validated an adopt that replays %d jitter draws", n)
-				}
 			}
 		}
 	}
@@ -527,6 +526,7 @@ func FuzzReadMessage(f *testing.F) {
 	for _, ck := range hostileCheckpoints {
 		f.Add(adoptFrame(ck))
 	}
+	f.Add(adoptFrame(wellFormedCheckpoint))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		want, wantErr := jsonRead(stream)
 		got, err := ReadMessage(bytes.NewReader(stream))

@@ -3,7 +3,6 @@ package deploy
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -51,18 +50,18 @@ func (l *link) state() linkState {
 	return l.linkState
 }
 
-// newLink builds an unclaimed link. Resume tokens are deterministic from the
-// seed of tokenRNG's owner: they bind a redialing connection to the session
-// it claims (mis-binding protection inside a trusted deployment), not an
-// authentication secret — which is also what lets an adopting coordinator
-// reconstruct an orphaned range's tokens from the original fleet seed instead
-// of having them shipped.
-func newLink(noun, errPrefix string, id int, tokenRNG *rand.Rand, index int) *link {
+// newLink builds an unclaimed link. Its resume token is the owner's token
+// base (one draw from the owner's seed) and the unit's id: it binds a
+// redialing connection to the session it claims (mis-binding protection
+// inside a trusted deployment), not an authentication secret — which is also
+// what lets an adopting coordinator reconstruct an orphaned range's tokens
+// from the original fleet seed instead of having them shipped.
+func newLink(noun, errPrefix string, id int, base uint64) *link {
 	return &link{
 		id:        id,
 		noun:      noun,
 		errPrefix: errPrefix,
-		token:     fmt.Sprintf("%016x-%02d", tokenRNG.Uint64(), index),
+		token:     fmt.Sprintf("%016x-%d", base, id),
 		incoming:  make(chan *wireConn, 1),
 	}
 }
@@ -167,15 +166,15 @@ func (l *link) connFor(wait time.Duration) (*wireConn, error) {
 	return nil, Transientf("%s %d: no live connection within %v", l.noun, l.id, wait)
 }
 
-// roundTrip runs one slot's exchange with the link's unit under r's retry
+// roundTrip runs unit's exchange for slot on the link under r's retry
 // budget: it tries until a try succeeds, fails fatally, or transient
-// failures have spent the budget, backing off on jitter (the caller's
-// stream, one draw per retry) in between. It returns the retries burned and
-// the last try's error; exhausted marks it as the transient failure the
-// budget ran out on (callers word that per tier).
-func (l *link) roundTrip(r *retrier, jitter *rand.Rand, timeout time.Duration, do func(*wireConn) error) (retries int, exhausted bool, err error) {
+// failures have spent the budget, backing off in between on the jitter
+// r.backoffDelay derives from (seed, unit, slot, attempt). It returns the
+// retries burned and the last try's error; exhausted marks it as the
+// transient failure the budget ran out on (callers word that per tier).
+func (l *link) roundTrip(r *retrier, seed int64, unit, slot int, do func(*wireConn) error) (retries int, exhausted bool, err error) {
 	for {
-		err = l.try(r.cfg.resumeWait, timeout, do)
+		err = l.try(r.cfg.resumeWait, r.timeout, do)
 		if err == nil || !Transient(err) {
 			return retries, false, err
 		}
@@ -183,7 +182,7 @@ func (l *link) roundTrip(r *retrier, jitter *rand.Rand, timeout time.Duration, d
 			return retries, true, err
 		}
 		retries++
-		r.sleep(backoffDelay(r.cfg, retries, jitter))
+		r.sleep(r.backoffDelay(seed, unit, slot, retries))
 	}
 }
 

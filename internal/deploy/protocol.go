@@ -348,35 +348,21 @@ func ValidateReport(m *Message) error {
 	if m.Type != MsgReport {
 		return protocolErrorf("expected Report, got type %d", m.Type)
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
+	if why := checkEdgeSlot([]edgeTerm{
 		{"avgLoss", m.AvgLoss},
 		{"energyKwh", m.EnergyKWh},
 		{"compSeconds", m.CompSeconds},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return protocolErrorf("report slot %d: %s is not finite (%v)", m.Slot, f.name, f.v)
-		}
-		if f.v < 0 {
-			return protocolErrorf("report slot %d: negative %s (%v)", m.Slot, f.name, f.v)
-		}
-	}
-	if m.Samples < 0 {
-		return protocolErrorf("report slot %d: negative sample count %d", m.Slot, m.Samples)
-	}
-	if m.Correct < 0 || m.Correct > m.Samples {
-		return protocolErrorf("report slot %d: %d correct of %d samples", m.Slot, m.Correct, m.Samples)
+	}, m.Samples, m.Correct, 0); why != "" {
+		return protocolErrorf("report slot %d: %s", m.Slot, why)
 	}
 	return nil
 }
 
 // ValidateDelta defensively checks a MsgShardDelta before its terms reach
 // the root's accounting fold: the delta must cover exactly the shard's edge
-// range for the expected slot, and every numeric term must be finite and
-// non-negative, for the same reason ValidateReport polices edge reports —
-// one poisoned term would silently corrupt the carbon ledger.
+// range for the expected slot, and every edge's terms must pass the check
+// ValidateReport applies to an edge's report — one poisoned term would
+// silently corrupt the carbon ledger.
 func ValidateDelta(m *Message, start, count, slot int) error {
 	if m.Type != MsgShardDelta {
 		return protocolErrorf("expected ShardDelta, got type %d", m.Type)
@@ -393,46 +379,56 @@ func ValidateDelta(m *Message, start, count, slot int) error {
 	}
 	for j := range m.Delta.Edges {
 		ed := &m.Delta.Edges[j]
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{
+		if why := checkEdgeSlot([]edgeTerm{
 			{"loss", ed.Loss},
 			{"inferLoss", ed.InferLoss},
 			{"compute", ed.Compute},
 			{"inferKwh", ed.InferKWh},
 			{"transferKwh", ed.TransferKWh},
-		} {
-			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-				return protocolErrorf("shard delta slot %d edge %d: %s is not finite (%v)", slot, start+j, f.name, f.v)
-			}
-			if f.v < 0 {
-				return protocolErrorf("shard delta slot %d edge %d: negative %s (%v)", slot, start+j, f.name, f.v)
-			}
-		}
-		if ed.Samples < 0 {
-			return protocolErrorf("shard delta slot %d edge %d: negative sample count %d", slot, start+j, ed.Samples)
-		}
-		if ed.Correct < 0 || ed.Correct > ed.Samples {
-			return protocolErrorf("shard delta slot %d edge %d: %d correct of %d samples", slot, start+j, ed.Correct, ed.Samples)
-		}
-		if ed.Retries < 0 {
-			return protocolErrorf("shard delta slot %d edge %d: negative retry count %d", slot, start+j, ed.Retries)
+		}, ed.Samples, ed.Correct, ed.Retries); why != "" {
+			return protocolErrorf("shard delta slot %d edge %d: %s", slot, start+j, why)
 		}
 	}
 	return nil
 }
 
+// edgeTerm is one named float term of an edge-slot.
+type edgeTerm struct {
+	name string
+	v    float64
+}
+
+// checkEdgeSlot is the one check of an edge-slot's terms, a report's or a
+// shard delta's: every float finite and non-negative, a non-negative sample
+// count with correct within it, and a non-negative retry count. It returns
+// why the terms are rejected, naming the field, or "" when they are not.
+func checkEdgeSlot(floats []edgeTerm, samples, correct, retries int) string {
+	for _, f := range floats {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Sprintf("%s is not finite (%v)", f.name, f.v)
+		}
+		if f.v < 0 {
+			return fmt.Sprintf("negative %s (%v)", f.name, f.v)
+		}
+	}
+	switch {
+	case samples < 0:
+		return fmt.Sprintf("negative sample count %d", samples)
+	case correct < 0 || correct > samples:
+		return fmt.Sprintf("%d correct of %d samples", correct, samples)
+	case retries < 0:
+		return fmt.Sprintf("negative retry count %d", retries)
+	}
+	return ""
+}
+
 // ValidateAdopt defensively checks a MsgShardAdopt before its checkpoint
 // rebuilds shard state in the adopting coordinator: a malformed checkpoint is
 // a fatal protocol error at the wire boundary, like any other bad frame.
-// Everything the adopter sizes or loops by is bounded here by what the frame
-// carried (the checkpoint's per-edge slices back its Count) or by the
-// adopter's own session: the fold watermark by the run's horizon, and each
-// edge's jitter position by what doneSlots slots of the adopter's retry
-// budget (attempts per slot; coordinators of one deployment share it) can
-// have drawn.
-func ValidateAdopt(m *Message, horizon, attempts int) error {
+// Everything the adopter sizes by is bounded here by what the frame carried
+// (the checkpoint's per-edge slice backs its Count) or by the adopter's own
+// session: the fold watermark by the run's horizon.
+func ValidateAdopt(m *Message, horizon int) error {
 	if m.Type != MsgShardAdopt {
 		return protocolErrorf("expected ShardAdopt, got type %d", m.Type)
 	}
@@ -445,12 +441,6 @@ func ValidateAdopt(m *Message, horizon, attempts int) error {
 	}
 	if ck.DoneSlots > horizon {
 		return protocolErrorf("shard adopt: fold watermark %d beyond the %d-slot horizon", ck.DoneSlots, horizon)
-	}
-	for i, n := range ck.JitterDraws {
-		if n > ck.DoneSlots*attempts {
-			return protocolErrorf("shard adopt: edge %d at jitter position %d after %d slots of %d retries",
-				ck.Start+i, n, ck.DoneSlots, attempts)
-		}
 	}
 	return nil
 }

@@ -12,8 +12,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -236,18 +234,21 @@ func TestReadMessageErrorTaxonomy(t *testing.T) {
 }
 
 func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
-	cfg := RetryConfig{Attempts: 5}.withDefaults()
-	seq := func() []time.Duration {
-		rng := numeric.SplitRNG(3, "backoff-test")
+	r := newRetrier(RetryConfig{Attempts: 5}, 0, "backoff-test")
+	cfg := r.cfg
+	seq := func(unit, slot int) []time.Duration {
 		var out []time.Duration
 		for k := 1; k <= 8; k++ {
-			out = append(out, backoffDelay(cfg, k, rng))
+			out = append(out, r.backoffDelay(3, unit, slot, k))
 		}
 		return out
 	}
-	first := seq()
-	if !reflect.DeepEqual(first, seq()) {
-		t.Error("backoff sequence not deterministic for a fixed stream")
+	first := seq(2, 5)
+	if !reflect.DeepEqual(first, seq(2, 5)) {
+		t.Error("backoff sequence not a function of (seed, unit, slot, attempt)")
+	}
+	if reflect.DeepEqual(first, seq(2, 6)) || reflect.DeepEqual(first, seq(3, 5)) {
+		t.Error("another slot or unit backs off on the same jitter")
 	}
 	for k, d := range first {
 		if d < cfg.baseDelay/2 || d > cfg.maxDelay {

@@ -24,7 +24,6 @@ package deploy
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -63,8 +62,8 @@ type RootConfig struct {
 	// EmissionScale hints the expected per-slot emission for Algorithm 2's
 	// step sizes (0 = 1).
 	EmissionScale float64
-	// Seed drives the controller's sampling, the region resume-token issue,
-	// and the per-shard backoff jitter streams.
+	// Seed drives the controller's sampling, the region resume tokens, and
+	// the per-shard backoff jitter.
 	Seed int64
 	// NumModels is the zoo size N. The root never ships checkpoints — the
 	// regions hold the zoo — so it only needs the count.
@@ -113,11 +112,13 @@ type Root struct {
 	// list) selects the lowest live id; only the region chaos suite sets it.
 	rebalanceTarget func(shard int, live []int) int
 
-	// mu guards links and tokenRNG: admission mutates membership
-	// concurrently with stepper-side elections.
-	mu       sync.Mutex
-	links    map[int]*link
-	tokenRNG *rand.Rand
+	// tokenBase is the region links' resume-token base (see newLink).
+	tokenBase uint64
+
+	// mu guards links: admission mutates membership concurrently with
+	// stepper-side elections.
+	mu    sync.Mutex
+	links map[int]*link
 }
 
 // NewRoot validates the configuration and builds the controller.
@@ -150,16 +151,13 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 		cfg:        cfg,
 		controller: ctrl,
 		ranges:     engine.PartitionEdges(cfg.Edges, cfg.Regions),
-		retry:      newRetrier(cfg.Retry),
-		tokenRNG:   numeric.SplitRNG(cfg.Seed, "deploy-region-token"),
+		retry:      newRetrier(cfg.Retry, cfg.SlotTimeout, "deploy-region-retry"),
+		tokenBase:  numeric.SplitRNG(cfg.Seed, "deploy-region-token").Uint64(),
 		links:      make(map[int]*link, cfg.Regions),
 	}
 	r.acc = newAcceptor(r, MsgRegionHello, "RegionHello", "region", cfg.Horizon, cfg.Regions, cfg.HandshakeTimeout)
-	// Initial links (and their resume tokens) are built in id order so the
-	// token stream is deterministic; spares joining mid-run draw later
-	// positions in arrival order (tokens never reach Results).
 	for id := 0; id < cfg.Regions; id++ {
-		r.links[id] = newLink("region link", "deploy: ", id, r.tokenRNG, id)
+		r.links[id] = newLink("region link", "deploy: ", id, r.tokenBase)
 	}
 	return r, nil
 }
@@ -197,16 +195,14 @@ func (r *Root) stepper(k int) *regionStepper {
 	r.mu.Unlock()
 	rg := r.ranges[k]
 	return &regionStepper{
-		root:   r,
-		index:  k,
-		link:   l,
-		jitter: numeric.SplitRNG(r.cfg.Seed, fmt.Sprintf("deploy-region-retry-%d", k)),
+		root:  r,
+		index: k,
+		link:  l,
 		ck: engine.ShardCheckpoint{
-			Start:       rg.Start,
-			Count:       rg.Count,
-			FleetSeed:   l.state().seed,
-			Down:        make([]bool, rg.Count),
-			JitterDraws: make([]int, rg.Count),
+			Start:     rg.Start,
+			Count:     rg.Count,
+			FleetSeed: l.state().seed,
+			Down:      make([]bool, rg.Count),
 		},
 		buf: make([]engine.EdgeDelta, 0, rg.Count),
 	}
@@ -275,7 +271,7 @@ func (r *Root) resolve(hello *Message) (*link, string, <-chan struct{}) {
 		}
 		// A standby coordinator joining mid-run: it gets an empty shard and
 		// serves only what rebalancing adopts into it.
-		l = newLink("region link", "deploy: ", id, r.tokenRNG, id)
+		l = newLink("region link", "deploy: ", id, r.tokenBase)
 		r.links[id] = l
 	}
 	return l, "", nil
@@ -340,16 +336,15 @@ func (r *Root) electTarget(shard int) *link {
 // rebalanced onto survivors, and — below quorum — the shard degraded with
 // the engine's down-slot semantics.
 type regionStepper struct {
-	root   *Root
-	index  int
-	jitter *rand.Rand // deterministic backoff jitter stream
-	link   *link
+	root  *Root
+	index int // the shard's index, also its backoff jitter's unit
+	link  *link
 
 	// ck is the shard's root-side state, advanced by every slot the root
 	// folds: the fold watermark (a resumed link's replayed deltas are
-	// admitted at most once per slot), the down edges and the jitter
-	// positions. It is the very checkpoint an adopter gets — no state is ever
-	// shipped from a dead coordinator.
+	// admitted at most once per slot) and the down edges. It is the very
+	// checkpoint an adopter gets — no state is ever shipped from a dead
+	// coordinator.
 	ck engine.ShardCheckpoint
 
 	// degraded carries the canonical down reason once the shard fell below
@@ -417,7 +412,7 @@ func (rs *regionStepper) Step(slot int, arms []int, downloads []bool) (engine.Sl
 // the link itself is gone (departure, or budget exhausted) — the caller
 // rebalances or degrades; a false lost with a non-nil error is fatal.
 func (rs *regionStepper) attemptSlot(slot int, arms []int, downloads []bool) (lost bool, err error) {
-	retries, exhausted, err := rs.link.roundTrip(rs.root.retry, rs.jitter, rs.root.cfg.SlotTimeout, func(conn *wireConn) error {
+	retries, exhausted, err := rs.link.roundTrip(rs.root.retry, rs.root.cfg.Seed, rs.index, slot, func(conn *wireConn) error {
 		return rs.exchangeOn(conn, slot, arms, downloads)
 	})
 	rs.retries += retries
@@ -519,9 +514,9 @@ type RegionConfig struct {
 	// Source supplies the region's model zoo. Its size must match the
 	// root's NumModels; the region ships checkpoints to its edges itself.
 	Source ModelSource
-	// Seed drives the region's edge resume-token issue and backoff jitter.
-	// It is announced to the root so a mid-run handoff can reconstruct the
-	// shard's token and jitter derivations on the adopter.
+	// Seed drives the region's edge resume tokens and backoff jitter. It is
+	// announced to the root so a mid-run handoff can reconstruct the shard's
+	// token and jitter derivations on the adopter.
 	Seed int64
 	// SlotTimeout and HandshakeTimeout bound the per-edge exchanges and the
 	// edge handshakes, exactly as CloudConfig's fields do.
@@ -649,7 +644,7 @@ func (s *RegionSession) setup(w *Message) error {
 		return err
 	}
 	if w.Count > 0 {
-		shard, err := s.fleet.shard(s.fleet.initial, nil, s.policy)
+		shard, err := s.fleet.shard(s.fleet.initial, s.policy)
 		if err != nil {
 			return err
 		}
@@ -743,7 +738,7 @@ func (s *RegionSession) minDone() int {
 // per-edge down state, and start serving assigns for the range. The shard's
 // edges redial this coordinator's listener and resume their sessions.
 func (s *RegionSession) adopt(m *Message) error {
-	if err := ValidateAdopt(m, s.fleet.acc.horizon, s.cfg.Retry.Attempts); err != nil {
+	if err := ValidateAdopt(m, s.fleet.acc.horizon); err != nil {
 		return err
 	}
 	ck := m.Checkpoint

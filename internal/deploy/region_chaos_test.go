@@ -36,6 +36,8 @@ type regionChaosSpec struct {
 	quorum                  int
 	target                  func(shard int, live []int) int
 	rootRetry, regionRetry  RetryConfig
+	// regionRetries overrides regionRetry for the listed coordinators.
+	regionRetries map[int]RetryConfig
 
 	// spares lists standby coordinator ids (>= regions) that join at start
 	// and serve only what rebalancing adopts into them.
@@ -47,6 +49,10 @@ type regionChaosSpec struct {
 	// faultConn with the given schedule; redials are clean. Latency events
 	// really wait.
 	upstreamFaults map[int]faultSchedule
+	// edgeFaults wraps an edge's first connection in a faultConn with the
+	// given schedule. The edge redials its home coordinator once per
+	// scheduled event, and those redials are clean.
+	edgeFaults map[int]faultSchedule
 	// adoptTo names the listener a departed coordinator's released edges
 	// redial (the expected adopter). Absent means nobody adopts the shard —
 	// its edges are expected to fail.
@@ -175,11 +181,15 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 				fcMu.Unlock()
 				return conn, nil
 			}
+			retry, ok := spec.regionRetries[id]
+			if !ok {
+				retry = spec.regionRetry
+			}
 			err := RunRegionResumable(dial, edgeLns[id], RegionConfig{
 				RegionID:        id,
 				Source:          &paritySource{w: w},
 				Seed:            spec.seed + int64(id),
-				Retry:           spec.regionRetry,
+				Retry:           retry,
 				LeaveBeforeSlot: spec.leaveBefore[id],
 				OnSlot: func(slot int) {
 					fcMu.Lock()
@@ -209,25 +219,37 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				rt := &chaosRuntime{Runtime: &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)}}
+				sched := spec.edgeFaults[i]
 				dials := 0
 				dial := func() (net.Conn, error) {
 					dials++
-					if dials == 1 {
-						return net.Dial("tcp", edgeLns[home].Addr().String())
+					if dials > 1+len(sched) {
+						// Past its own faults, an edge only redials because its
+						// home coordinator released it: wait out the departure,
+						// then follow the shard to its adopter, which holds the
+						// resume until the adopt frame installs the shard.
+						<-gone[home]
+						adopter, ok := spec.adoptTo[home]
+						if !ok {
+							return nil, fmt.Errorf("edge %d: home region %d left and nobody adopted its shard", i, home)
+						}
+						return net.Dial("tcp", edgeLns[adopter].Addr().String())
 					}
-					// In this suite edges have no faults of their own, so an
-					// edge only ever redials because its home coordinator
-					// released it: wait out the departure, then follow the
-					// shard to its adopter, which holds the resume until the
-					// adopt frame installs the shard.
-					<-gone[home]
-					adopter, ok := spec.adoptTo[home]
-					if !ok {
-						return nil, fmt.Errorf("edge %d: home region %d left and nobody adopted its shard", i, home)
+					conn, err := net.Dial("tcp", edgeLns[home].Addr().String())
+					if err != nil || dials > 1 || len(sched) == 0 {
+						rt.setConn(nil)
+						return conn, err
 					}
-					return net.Dial("tcp", edgeLns[adopter].Addr().String())
+					fc, err := newFaultConn(conn, sched, numeric.SplitRNG(spec.seed, fmt.Sprintf("region-chaos-edge-fault-%d", i)), func(time.Duration) {})
+					if err != nil {
+						conn.Close()
+						return nil, err
+					}
+					rt.setConn(fc)
+					return fc, nil
 				}
-				out.edgeErrs[i] = RunEdgeResumable(dial, i, &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)}, 50)
+				out.edgeErrs[i] = RunEdgeResumable(dial, i, rt, 50)
 			}()
 		}
 	}
@@ -438,6 +460,43 @@ func TestRegionChaosLateJoinAdoption(t *testing.T) {
 	if !reflect.DeepEqual(stripElasticity(chaos.sum), clean.sum) {
 		t.Errorf("late-join Summary diverged from fault-free run:\n chaos: %+v\n clean: %+v",
 			stripElasticity(chaos.sum), clean.sum)
+	}
+}
+
+// TestRegionChaosAdoptAcrossRetryBudgets hands a shard whose edges have
+// retried to a coordinator with no retry budget at all. Backoff jitter is a
+// function of (fleet seed, edge, slot, attempt), so the handoff carries no
+// retry state for the adopter to check against its own budget: the
+// adoption succeeds, and the Summary matches the fault-free run once the
+// retry and elasticity counters are set aside.
+func TestRegionChaosAdoptAcrossRetryBudgets(t *testing.T) {
+	const (
+		leaveSlot = 6
+		hurtEdge  = 3 // in region 1's shard [2,4)
+	)
+	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 47, policy: engine.Degrade}
+	clean := runRegionChaos(t, base)
+	requireQuiet(t, clean)
+
+	noRetry := defaultChaosRetry()
+	noRetry.Attempts = 0
+	spec := base
+	spec.regionRetries = map[int]RetryConfig{0: noRetry}
+	spec.edgeFaults = map[int]faultSchedule{hurtEdge: {{Slot: 2, Kind: faultCutRead}}}
+	spec.leaveBefore = map[int]int{1: leaveSlot}
+	spec.adoptTo = map[int]int{1: 0}
+	chaos := runRegionChaos(t, spec)
+	requireQuiet(t, chaos)
+	if chaos.sum.Retries[hurtEdge] == 0 {
+		t.Fatalf("edge %d burned no retries before the handoff: Retries = %v", hurtEdge, chaos.sum.Retries)
+	}
+	if got, want := chaos.sum.Rebalances, []int{0, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Rebalances = %v, want %v", got, want)
+	}
+	got := stripElasticity(chaos.sum)
+	got.Retries = clean.sum.Retries
+	if !reflect.DeepEqual(got, clean.sum) {
+		t.Errorf("cross-budget adoption diverged from fault-free run:\n chaos: %+v\n clean: %+v", got, clean.sum)
 	}
 }
 
@@ -750,9 +809,8 @@ func TestShardDeltaReplayFoldsToCleanBytes(t *testing.T) {
 		if n, want := <-played, slices.Index(stream, slots-1)+1; n != want {
 			t.Errorf("the root read %d frames of the stream, want %d", n, want)
 		}
-		if rs.ck.DoneSlots != slots || !reflect.DeepEqual(rs.ck.JitterDraws, []int{0, slots}) {
-			t.Errorf("root checkpoint at slot %d with jitter positions %v, want %d and [0 %d]",
-				rs.ck.DoneSlots, rs.ck.JitterDraws, slots, slots)
+		if rs.ck.DoneSlots != slots {
+			t.Errorf("root checkpoint at slot %d, want %d", rs.ck.DoneSlots, slots)
 		}
 		b, err := json.Marshal(folded)
 		if err != nil {

@@ -247,9 +247,8 @@ func TestRegionSessionValidation(t *testing.T) {
 // TestRegionSessionRejectsHostileAdopt puts each hostile checkpoint on a
 // standby coordinator's upstream link. Every one is a fatal *ProtocolError
 // that ends the session with an Error frame upstream, before edgeFleet.adopt
-// builds a single link (a bare count of 2^40 used to size a slice, a jitter
-// position of 2^62 used to spin the retry stream); a checkpoint the root's
-// regionStepper.checkpoint would send is adopted on the same session.
+// builds a single link (a bare count of 2^40 used to size a slice);
+// wellFormedCheckpoint is adopted on the same session.
 func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
 	// adopt welcomes a standby session, sends it one adopt frame and returns
 	// the session, Run's outcome, and what the root read back (nil once the
@@ -259,7 +258,7 @@ func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
 		ln := newChanListener(0)
 		defer ln.Close()
 		s, err = NewRegionSession(ln, RegionConfig{
-			RegionID: 1, Source: &paritySource{w: w}, Seed: 7, Retry: RetryConfig{Attempts: adoptAttempts},
+			RegionID: 1, Source: &paritySource{w: w}, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -311,8 +310,7 @@ func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
 		})
 	}
 
-	good := `{"start":4,"count":2,"doneSlots":4,"fleetSeed":7,"down":[false,true],"jitterDraws":[0,8]}`
-	s, _, done, err := adopt(t, adoptFrame(good), false)
+	s, _, done, err := adopt(t, adoptFrame(wellFormedCheckpoint), false)
 	if done || !Transient(err) {
 		t.Fatalf("Run after a well-formed adopt and a cut link = done %v, %v; want a resumable failure", done, err)
 	}

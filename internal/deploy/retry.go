@@ -2,8 +2,9 @@ package deploy
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
+
+	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
 // RetryConfig bounds the per-slot retry behavior of one edge's assign/report
@@ -52,36 +53,44 @@ func (r RetryConfig) withDefaults() RetryConfig {
 	return r
 }
 
-// backoffDelay returns the jittered backoff before 1-based retry attempt k:
-// half the capped exponential delay plus a uniformly random half, drawn from
-// the caller's SplitRNG stream so the sleep sequence replays bit-for-bit.
-// The sleep itself is performed through the retrier's injectable sleeper, so
-// tests compress chaos runs to zero wall time without touching the delays.
-func backoffDelay(cfg RetryConfig, attempt int, rng *rand.Rand) time.Duration {
-	d := cfg.baseDelay
-	for k := 1; k < attempt && d < cfg.maxDelay; k++ {
-		d *= 2
-	}
-	if d > cfg.maxDelay {
-		d = cfg.maxDelay
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(rng.Int63n(int64(half)+1))
-}
-
-// retrier is the retry budget and the backoff sleeper both tiers run each
-// slot's exchange under (link.roundTrip).
+// retrier is the retry budget, try deadline, backoff jitter and sleeper both
+// tiers run each slot's exchange under (link.roundTrip).
 type retrier struct {
 	cfg RetryConfig // defaults applied
+	// timeout bounds each try (the tier's SlotTimeout; 0: none).
+	timeout time.Duration
+	// stream names the tier's jitter derivation (see backoffDelay).
+	stream string
 	// sleep performs retry backoff; injectable so chaos tests replay with
 	// zero wall time. Defaults to time.Sleep.
 	sleep func(time.Duration)
 }
 
-func newRetrier(cfg RetryConfig) *retrier {
+func newRetrier(cfg RetryConfig, timeout time.Duration, stream string) *retrier {
 	//lint:allow nodeterm retry backoff is real wall-clock waiting; chaos tests inject a zero-time sleep
-	return &retrier{cfg: cfg.withDefaults(), sleep: time.Sleep}
+	return &retrier{cfg: cfg.withDefaults(), timeout: timeout, stream: stream, sleep: time.Sleep}
+}
+
+// backoffDelay returns the jittered backoff before 1-based retry attempt of
+// unit's slot: half the capped exponential delay plus a uniformly random
+// half drawn from SplitRNG(seed, "<stream>-<unit>-<slot>-<attempt>"). The
+// delay is a pure function of those, drawn only when a retry happens, so
+// the sleep sequence replays bit-for-bit and a coordinator that adopts the
+// unit mid-run backs off exactly as its first owner would have. The sleep
+// itself goes through the injectable sleeper, so tests compress chaos runs
+// to zero wall time without touching the delays.
+func (r *retrier) backoffDelay(seed int64, unit, slot, attempt int) time.Duration {
+	d := r.cfg.baseDelay
+	for k := 1; k < attempt && d < r.cfg.maxDelay; k++ {
+		d *= 2
+	}
+	if d > r.cfg.maxDelay {
+		d = r.cfg.maxDelay
+	}
+	half := d / 2
+	if half <= 0 {
+		return d
+	}
+	rng := numeric.SplitRNG(seed, fmt.Sprintf("%s-%d-%d-%d", r.stream, unit, slot, attempt))
+	return half + time.Duration(rng.Int63n(int64(half)+1))
 }

@@ -65,4 +65,4 @@ func TransferEnergy(varthetaKWhPerByte float64, sizeBytes int64) float64 {
 
 // Emission converts energy to emission at the meter's rate, in the rate's
 // mass unit (grams at rho = 500 g/kWh).
-func (m *Meter) Emission(kwh float64) float64 { return kwh * m.rate }
+func (m *Meter) Emission(kwh float64) float64 { return float64(kwh * m.rate) }

@@ -9,10 +9,10 @@ import (
 
 // TestShardCheckpointFold pins how the root's per-shard state advances: each
 // folded slot moves the watermark by one, an unserved edge stays down for
-// good, jitter positions sum the retries burned, and the float terms —
-// even non-finite ones — leave the checkpoint alone.
+// good, and the retries and float terms — even non-finite ones — leave the
+// checkpoint alone.
 func TestShardCheckpointFold(t *testing.T) {
-	ck := ShardCheckpoint{Start: 3, Count: 2, FleetSeed: 9, Down: make([]bool, 2), JitterDraws: make([]int, 2)}
+	ck := ShardCheckpoint{Start: 3, Count: 2, FleetSeed: 9, Down: make([]bool, 2)}
 	slots := []SlotDelta{
 		{Start: 3, Edges: []EdgeDelta{
 			{Served: true, Observation: Observation{Retries: 2, Loss: 1.5, InferLoss: 1, Compute: 0.5, Correct: 7, Samples: 9, InferKWh: 2e-6, TransferKWh: 1e-9}},
@@ -28,7 +28,7 @@ func TestShardCheckpointFold(t *testing.T) {
 		}
 		ck.Fold(d)
 	}
-	want := ShardCheckpoint{Start: 3, Count: 2, DoneSlots: 3, FleetSeed: 9, Down: []bool{false, true}, JitterDraws: []int{3, 4}}
+	want := ShardCheckpoint{Start: 3, Count: 2, DoneSlots: 3, FleetSeed: 9, Down: []bool{false, true}}
 	if !reflect.DeepEqual(ck, want) {
 		t.Errorf("folded checkpoint = %+v, want %+v", ck, want)
 	}
@@ -41,12 +41,11 @@ func TestShardCheckpointFold(t *testing.T) {
 // its JSON round trip (it is a wire unit of the regional tier).
 func TestShardCheckpointValidate(t *testing.T) {
 	valid := ShardCheckpoint{
-		Start:       2,
-		Count:       3,
-		DoneSlots:   5,
-		FleetSeed:   77,
-		Down:        []bool{false, true, false},
-		JitterDraws: []int{0, 4, 1},
+		Start:     2,
+		Count:     3,
+		DoneSlots: 5,
+		FleetSeed: 77,
+		Down:      []bool{false, true, false},
 	}
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
@@ -64,15 +63,12 @@ func TestShardCheckpointValidate(t *testing.T) {
 	}
 
 	for name, mutate := range map[string]func(*ShardCheckpoint){
-		"negative start":       func(c *ShardCheckpoint) { c.Start = -1 },
-		"empty range":          func(c *ShardCheckpoint) { c.Count = 0 },
-		"range past MaxInt":    func(c *ShardCheckpoint) { c.Start = math.MaxInt - 2 },
-		"no down flags":        func(c *ShardCheckpoint) { c.Down = nil },
-		"no jitter positions":  func(c *ShardCheckpoint) { c.JitterDraws = nil },
-		"negative watermark":   func(c *ShardCheckpoint) { c.DoneSlots = -1 },
-		"down length":          func(c *ShardCheckpoint) { c.Down = []bool{true} },
-		"jitter length":        func(c *ShardCheckpoint) { c.JitterDraws = []int{1, 2} },
-		"negative jitter draw": func(c *ShardCheckpoint) { c.JitterDraws = []int{0, -1, 2} },
+		"negative start":     func(c *ShardCheckpoint) { c.Start = -1 },
+		"empty range":        func(c *ShardCheckpoint) { c.Count = 0 },
+		"range past MaxInt":  func(c *ShardCheckpoint) { c.Start = math.MaxInt - 2 },
+		"no down flags":      func(c *ShardCheckpoint) { c.Down = nil },
+		"negative watermark": func(c *ShardCheckpoint) { c.DoneSlots = -1 },
+		"down length":        func(c *ShardCheckpoint) { c.Down = []bool{true} },
 	} {
 		ck := valid
 		mutate(&ck)
@@ -85,14 +81,15 @@ func TestShardCheckpointValidate(t *testing.T) {
 // FuzzShardCheckpoint decodes arbitrary bytes as a checkpoint: Validate never
 // panics, what it accepts covers no more edges than the bytes could carry, and
 // an accepted checkpoint re-marshals to an equal accepted checkpoint. The
-// seeds are internal/deploy's hostileCheckpoints; Validate alone stops the
-// first two, the session bounds of deploy.ValidateAdopt the others.
+// middle seeds are internal/deploy's hostileCheckpoints (Validate alone stops
+// the first two, the session bound of deploy.ValidateAdopt the third), the
+// last its wellFormedCheckpoint.
 func FuzzShardCheckpoint(f *testing.F) {
-	f.Add([]byte(`{"start":2,"count":3,"doneSlots":5,"fleetSeed":77,"down":[false,true,false],"jitterDraws":[0,4,1]}`))
+	f.Add([]byte(`{"start":2,"count":3,"doneSlots":5,"fleetSeed":77,"down":[false,true,false]}`))
 	f.Add([]byte(`{"start":0,"count":1099511627776,"fleetSeed":7}`))
-	f.Add([]byte(`{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false],"jitterDraws":[0]}`))
-	f.Add([]byte(`{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false],"jitterDraws":[0]}`))
-	f.Add([]byte(`{"start":0,"count":1,"doneSlots":4,"fleetSeed":7,"down":[false],"jitterDraws":[4611686018427387904]}`))
+	f.Add([]byte(`{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false]}`))
+	f.Add([]byte(`{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false]}`))
+	f.Add([]byte(`{"start":4,"count":2,"doneSlots":4,"fleetSeed":7,"down":[false,true]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ck ShardCheckpoint
 		if json.Unmarshal(data, &ck) != nil || ck.Validate() != nil {

@@ -59,15 +59,15 @@ func GeneratePrices(cfg PriceConfig, horizon int, rng *rand.Rand) (*Prices, erro
 	}
 	const mid = (DefaultPriceMin + DefaultPriceMax) / 2
 	p := &Prices{Buy: make([]float64, horizon), Sell: make([]float64, horizon)}
-	c := DefaultPriceMin + rng.Float64()*(DefaultPriceMax-DefaultPriceMin)
+	c := DefaultPriceMin + float64(rng.Float64()*(DefaultPriceMax-DefaultPriceMin))
 	for t := 0; t < horizon; t++ {
-		c += cfg.Reversion*(mid-c) + cfg.Volatility*rng.NormFloat64()
+		c += float64(cfg.Reversion*(mid-c)) + float64(cfg.Volatility*rng.NormFloat64())
 		if cfg.ShockProb > 0 && rng.Float64() < cfg.ShockProb {
 			sign := 1.0
 			if rng.Float64() < 0.5 {
 				sign = -1
 			}
-			c += sign * cfg.ShockSize
+			c += float64(sign * cfg.ShockSize)
 		}
 		c = math.Min(DefaultPriceMax, math.Max(DefaultPriceMin, c))
 		p.Buy[t] = c
@@ -114,7 +114,7 @@ func (l *Ledger) Buy(qty, price float64) error {
 		return fmt.Errorf("market: invalid buy qty=%g price=%g", qty, price)
 	}
 	l.bought += qty
-	l.spend += qty * price
+	l.spend += float64(qty * price)
 	return nil
 }
 

@@ -33,8 +33,8 @@ func (p *ARPredictor) Observe(price float64) {
 	p.mean += (price - p.mean) / float64(p.n)
 	x := price - p.mean
 	if p.hasPrev {
-		p.sumXX += p.prev * p.prev
-		p.sumXY += p.prev * x
+		p.sumXX += float64(p.prev * p.prev)
+		p.sumXY += float64(p.prev * x)
 	}
 	p.prev = x
 	p.hasPrev = true
@@ -59,5 +59,5 @@ func (p *ARPredictor) Predict(fallback float64) float64 {
 	if p.n < 3 {
 		return p.last
 	}
-	return p.mean + p.Phi()*(p.last-p.mean)
+	return p.mean + float64(p.Phi()*(p.last-p.mean))
 }

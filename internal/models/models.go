@@ -64,7 +64,7 @@ func scaleToBand(value, rawLo, rawHi, bandLo, bandHi float64) float64 {
 		return (bandLo + bandHi) / 2
 	}
 	frac := (value - rawLo) / (rawHi - rawLo)
-	return bandLo + frac*(bandHi-bandLo)
+	return bandLo + float64(frac*(bandHi-bandLo))
 }
 
 // validateIndex panics on out-of-range model indices; zoos are internal

@@ -95,7 +95,7 @@ func DefaultSurrogateZoo(rng *rand.Rand) (*SurrogateZoo, error) {
 	}
 	ms := make([]SurrogateModel, 0, len(protos))
 	for _, p := range protos {
-		jitter := 1 + 0.02*rng.NormFloat64()
+		jitter := 1 + float64(0.02*rng.NormFloat64())
 		ms = append(ms, SurrogateModel{
 			Name:      p.name,
 			MeanLoss:  p.loss * jitter,
@@ -103,8 +103,8 @@ func DefaultSurrogateZoo(rng *rand.Rand) (*SurrogateZoo, error) {
 			Accuracy:  p.acc,
 			SizeBytes: int64(p.sizeMB * 1e6),
 			PhiKWh: energy.MinInferEnergy +
-				p.energyAt*(energy.MaxInferEnergy-energy.MinInferEnergy),
-			BaseLatencySec: MinLatencySec + p.energyAt*(MaxLatencySec-MinLatencySec),
+				float64(p.energyAt*(energy.MaxInferEnergy-energy.MinInferEnergy)),
+			BaseLatencySec: MinLatencySec + float64(p.energyAt*(MaxLatencySec-MinLatencySec)),
 		})
 	}
 	return NewSurrogateZoo(ms, 8000)
@@ -138,7 +138,7 @@ func (z *SurrogateZoo) BatchLoss(n int, indices []int, rng *rand.Rand) (float64,
 	if m == 0 {
 		return 0, 0
 	}
-	avg := z.meanLoss[n] + z.sigma[n]/math.Sqrt(float64(m))*rng.NormFloat64()
+	avg := z.meanLoss[n] + float64(z.sigma[n]/math.Sqrt(float64(m))*rng.NormFloat64())
 	if avg < 0 {
 		avg = 0
 	}
@@ -151,9 +151,9 @@ func (z *SurrogateZoo) BatchLoss(n int, indices []int, rng *rand.Rand) (float64,
 			}
 		}
 	} else {
-		mean := float64(m) * acc
+		mean := float64(float64(m) * acc)
 		sd := math.Sqrt(float64(m) * acc * (1 - acc))
-		c := int(mean + sd*rng.NormFloat64() + 0.5)
+		c := int(mean + float64(sd*rng.NormFloat64()) + 0.5)
 		if c < 0 {
 			c = 0
 		}

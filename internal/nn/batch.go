@@ -152,7 +152,7 @@ func SquaredLossRow(row []float64, label int, scratch []float64) float64 {
 			y = 1
 		}
 		d := pk - y
-		loss += d * d
+		loss += float64(d * d)
 	}
 	return loss
 }

@@ -39,14 +39,14 @@ func GemmNTBiasJ(out, a, b, bias []float64, m, n, k int) {
 			s0, s1, s2, s3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
 			s4, s5, s6, s7 := bias[j+4], bias[j+5], bias[j+6], bias[j+7]
 			for p, av := range ar {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-				s4 += av * b4[p]
-				s5 += av * b5[p]
-				s6 += av * b6[p]
-				s7 += av * b7[p]
+				s0 += float64(av * b0[p])
+				s1 += float64(av * b1[p])
+				s2 += float64(av * b2[p])
+				s3 += float64(av * b3[p])
+				s4 += float64(av * b4[p])
+				s5 += float64(av * b5[p])
+				s6 += float64(av * b6[p])
+				s7 += float64(av * b7[p])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
@@ -58,10 +58,10 @@ func GemmNTBiasJ(out, a, b, bias []float64, m, n, k int) {
 			b3 := b[(j+3)*k : (j+3)*k+k]
 			s0, s1, s2, s3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
 			for p, av := range ar {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+				s0 += float64(av * b0[p])
+				s1 += float64(av * b1[p])
+				s2 += float64(av * b2[p])
+				s3 += float64(av * b3[p])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -69,7 +69,7 @@ func GemmNTBiasJ(out, a, b, bias []float64, m, n, k int) {
 			br := b[j*k : j*k+k]
 			s := bias[j]
 			for p, av := range ar {
-				s += av * br[p]
+				s += float64(av * br[p])
 			}
 			orow[j] = s
 		}

@@ -596,7 +596,7 @@ func (q *QuantizedNetwork) runHead(op *qOp, batch int, cur, col []int8, acc []in
 		orow := out[s*op.outDim : (s+1)*op.outDim]
 		arow := acc[s*op.outDim : (s+1)*op.outDim]
 		for o, v := range arow {
-			orow[o] = float64(v)*op.sxw + op.biasF[o]
+			orow[o] = float64(float64(v)*op.sxw) + op.biasF[o]
 		}
 	}
 }

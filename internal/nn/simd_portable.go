@@ -52,14 +52,14 @@ func nnDot8Go(out, init, a, bt []float64, n int) {
 	s4, s5, s6, s7 := init[4], init[5], init[6], init[7]
 	for c, av := range a {
 		row := bt[c*n : c*n+8]
-		s0 += av * row[0]
-		s1 += av * row[1]
-		s2 += av * row[2]
-		s3 += av * row[3]
-		s4 += av * row[4]
-		s5 += av * row[5]
-		s6 += av * row[6]
-		s7 += av * row[7]
+		s0 += float64(av * row[0])
+		s1 += float64(av * row[1])
+		s2 += float64(av * row[2])
+		s3 += float64(av * row[3])
+		s4 += float64(av * row[4])
+		s5 += float64(av * row[5])
+		s6 += float64(av * row[6])
+		s7 += float64(av * row[7])
 	}
 	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
 	out[4], out[5], out[6], out[7] = s4, s5, s6, s7
@@ -79,7 +79,7 @@ func gemmNNAccRow(orow, ar, bt []float64, n, ld int) {
 	for ; j < n; j++ {
 		s := orow[j]
 		for c, av := range ar {
-			s += av * bt[c*ld+j]
+			s += float64(av * bt[c*ld+j])
 		}
 		orow[j] = s
 	}
@@ -132,14 +132,14 @@ func convDirectGo(out []float64, np int, bias, wt, in []float64, offs, segs []in
 			for c, wv := range wr {
 				off := offs[c]
 				p, q := src0[off:off+4], src1[off:off+4]
-				s0 += wv * p[0]
-				s1 += wv * p[1]
-				s2 += wv * p[2]
-				s3 += wv * p[3]
-				s4 += wv * q[0]
-				s5 += wv * q[1]
-				s6 += wv * q[2]
-				s7 += wv * q[3]
+				s0 += float64(wv * p[0])
+				s1 += float64(wv * p[1])
+				s2 += float64(wv * p[2])
+				s3 += float64(wv * p[3])
+				s4 += float64(wv * q[0])
+				s5 += float64(wv * q[1])
+				s6 += float64(wv * q[2])
+				s7 += float64(wv * q[3])
 			}
 			if pool {
 				d := orow[segs[t+1] : segs[t+1]+2]
@@ -159,7 +159,7 @@ func convDirectGo(out []float64, np int, bias, wt, in []float64, offs, segs []in
 func convDot(b float64, wr []float64, offs []int, src []float64) float64 {
 	s := b
 	for c, wv := range wr {
-		s += wv * src[offs[c]]
+		s += float64(wv * src[offs[c]])
 	}
 	return s
 }
@@ -211,12 +211,12 @@ func convBwdGo(g []float64, ow int, in, wt, gw, gb, gi []float64, offs []int, k 
 			o := origin + offs[r]
 			src, dst := in[o:o+k], gw[r:r+k]
 			for j, v := range src {
-				dst[j] += gv * v
+				dst[j] += float64(gv * v)
 			}
 			if gi != nil {
 				src, dst = wt[r:r+k], gi[o:o+k]
 				for j, v := range src {
-					dst[j] += gv * v
+					dst[j] += float64(gv * v)
 				}
 			}
 		}

@@ -47,7 +47,7 @@ func PolicyUCB2(s *Scenario, edge int, _ *rand.Rand) (bandit.Policy, error) {
 			scale = v
 		}
 	}
-	return bandit.NewUCB2(s.NumModels(), 0.5, scale*1.5+1e-9)
+	return bandit.NewUCB2(s.NumModels(), 0.5, float64(scale*1.5)+1e-9)
 }
 
 // emissionScale is the per-slot emission magnitude the traders are sized by:

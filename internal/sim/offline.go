@@ -45,7 +45,7 @@ func Offline(s *Scenario) (*engine.Result, error) {
 	for t, d := range decisions {
 		cumTrade += d.Cost(trading.Quote{Buy: s.Prices.Buy[t], Sell: s.Prices.Sell[t]})
 		res.CumTotal[t] += cumTrade
-		spend += d.Buy * s.Prices.Buy[t]
+		spend += float64(d.Buy * s.Prices.Buy[t])
 		bought += d.Buy
 	}
 	res.Cost.Trading = cumTrade

@@ -152,7 +152,7 @@ func NewScenarioWithTraces(cfg Config, zoo models.Zoo, workloadTrace [][]int, pr
 	speedRNG := numeric.SplitRNG(cfg.Seed, "edge-speed")
 	for i := 0; i < cfg.Edges; i++ {
 		s.Delays[i] *= cfg.SwitchWeight
-		speed := 0.8 + 0.45*speedRNG.Float64() // heterogeneous edge hardware
+		speed := 0.8 + float64(0.45*speedRNG.Float64()) // heterogeneous edge hardware
 		s.CompCost[i] = make([]float64, zoo.NumModels())
 		for n := 0; n < zoo.NumModels(); n++ {
 			s.CompCost[i][n] = zoo.Info(n).BaseLatencySec * speed
@@ -185,10 +185,10 @@ func edgeDelays(edges int, rng *rand.Rand) []float64 {
 	kmPerDegLon := kmPerDegLat * math.Cos(cloudLat*math.Pi/180)
 	delays := make([]float64, edges)
 	for i := range delays {
-		dLatKm := (rng.Float64()*2 - 1) * boxKm
-		dLonKm := (rng.Float64()*2 - 1) * boxKm
+		dLatKm := (float64(rng.Float64())*2 - 1) * boxKm
+		dLonKm := (float64(rng.Float64())*2 - 1) * boxKm
 		d := greatCircleKm(cloudLat, cloudLon, cloudLat+dLatKm/kmPerDegLat, cloudLon+dLonKm/kmPerDegLon)
-		delays[i] = baseDelay + delayPerKm*d
+		delays[i] = baseDelay + float64(delayPerKm*d)
 	}
 	return delays
 }
@@ -200,8 +200,8 @@ func greatCircleKm(lat1, lon1, lat2, lon2 float64) float64 {
 	rad := math.Pi / 180
 	dLat := (lat2 - lat1) * rad
 	dLon := (lon2 - lon1) * rad
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	h := float64(math.Sin(dLat/2)*math.Sin(dLat/2)) +
+		float64(math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2))
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 

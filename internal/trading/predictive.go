@@ -60,9 +60,9 @@ func (p *PredictivePrimalDual) Decide(int, Quote) Decision {
 	}
 	// Forecast this slot's prices from the history observed so far.
 	cHat := p.buyPred.Predict(inner.prevQ.Buy)
-	rHat := cHat * p.sellRatio
-	z := inner.zBar.Buy - inner.cfg.Gamma2*(cHat-inner.lambda)
-	w := inner.zBar.Sell - inner.cfg.Gamma2*(inner.lambda-rHat)
+	rHat := float64(cHat * p.sellRatio)
+	z := inner.zBar.Buy - float64(inner.cfg.Gamma2*(cHat-inner.lambda))
+	w := inner.zBar.Sell - float64(inner.cfg.Gamma2*(inner.lambda-rHat))
 	return Decision{
 		Buy:  numeric.Clamp(z, 0, inner.cfg.ZMax),
 		Sell: numeric.Clamp(w, 0, inner.cfg.ZMax),

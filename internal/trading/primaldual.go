@@ -126,8 +126,8 @@ func (p *PrimalDual) Decide(int, Quote) Decision {
 		// Z^0: no history yet; start from the initial decision (0, 0).
 		return Decision{}
 	}
-	z := p.zBar.Buy - p.cfg.Gamma2*(p.prevQ.Buy-p.lambda)
-	w := p.zBar.Sell - p.cfg.Gamma2*(p.lambda-p.prevQ.Sell)
+	z := p.zBar.Buy - float64(p.cfg.Gamma2*(p.prevQ.Buy-p.lambda))
+	w := p.zBar.Sell - float64(p.cfg.Gamma2*(p.lambda-p.prevQ.Sell))
 	return Decision{
 		Buy:  numeric.Clamp(z, 0, p.cfg.ZMax),
 		Sell: numeric.Clamp(w, 0, p.cfg.ZMax),
@@ -137,7 +137,7 @@ func (p *PrimalDual) Decide(int, Quote) Decision {
 // Observe implements Trader: dual ascent on the realized constraint gap.
 func (p *PrimalDual) Observe(_ int, emission float64, q Quote, d Decision) {
 	gap := ConstraintGap(emission, p.CapPerSlot(), d)
-	p.lambda = numeric.Positive(p.lambda + p.cfg.Gamma1*gap)
+	p.lambda = numeric.Positive(p.lambda + float64(p.cfg.Gamma1*gap))
 	p.zBar = d
 	p.prevQ = q
 	p.havePrev = true

@@ -32,7 +32,7 @@ type Decision struct {
 }
 
 // Cost returns the slot's trading cost f^t(Z) = z*c - w*r.
-func (d Decision) Cost(q Quote) float64 { return d.Buy*q.Buy - d.Sell*q.Sell }
+func (d Decision) Cost(q Quote) float64 { return float64(d.Buy*q.Buy) - float64(d.Sell*q.Sell) }
 
 // Trader is a sequential carbon-trading strategy. Each slot the simulator
 // calls Decide once (the current quote is provided because some baselines

@@ -87,7 +87,7 @@ func NewGenerator(cfg Config, rng *rand.Rand) (*Generator, error) {
 	logSpread := math.Log(cfg.Spread)
 	for i := range g.scales {
 		// Log-uniform in [mean/sqrt(S), mean*sqrt(S)].
-		u := rng.Float64() - 0.5
+		u := float64(rng.Float64()) - 0.5
 		g.scales[i] = cfg.MeanPeak * math.Exp(u*logSpread)
 	}
 	return g, nil
@@ -102,7 +102,7 @@ func (g *Generator) Intensity(slot int) float64 {
 		d := float64(day - center)
 		return math.Exp(-d * d / (2 * p.PeakWidth * p.PeakWidth))
 	}
-	v := p.Base + (1-p.Base)*math.Max(peak(p.AMPeak), peak(p.PMPeak))
+	v := p.Base + float64((1-p.Base)*math.Max(peak(p.AMPeak), peak(p.PMPeak)))
 	if v > 1 {
 		v = 1
 	}
@@ -113,7 +113,7 @@ func (g *Generator) Intensity(slot int) float64 {
 // Poisson draw around scale_i * intensity(t) * dayFactor.
 func (g *Generator) Draw(slot int) []int {
 	intensity := g.Intensity(slot)
-	dayFactor := 1 + g.profile.DayJitter*math.Sin(2*math.Pi*float64(slot)/(SlotsPerDay*7)+g.rng.NormFloat64()*0.05)
+	dayFactor := 1 + float64(g.profile.DayJitter*math.Sin(2*math.Pi*float64(slot)/(SlotsPerDay*7)+float64(g.rng.NormFloat64()*0.05)))
 	out := make([]int, len(g.scales))
 	for i, s := range g.scales {
 		mean := s * intensity * dayFactor
@@ -141,7 +141,7 @@ func poisson(rng *rand.Rand, mean float64) int {
 		return 0
 	}
 	if mean > 50 {
-		v := mean + math.Sqrt(mean)*rng.NormFloat64()
+		v := mean + float64(math.Sqrt(mean)*rng.NormFloat64())
 		if v < 0 {
 			return 0
 		}
