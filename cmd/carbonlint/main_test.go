@@ -462,7 +462,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 16580
+	goLineCeiling  = 16505
 	asmLineCeiling = 1712
 )
 
@@ -471,7 +471,7 @@ const (
 // EXPERIMENTS.md what it measures now, and the history of how either got
 // there is CHANGES.md's.
 var docByteCeiling = map[string]int{
-	"DESIGN.md":      64771,
+	"DESIGN.md":      64764,
 	"EXPERIMENTS.md": 18507,
 }
 

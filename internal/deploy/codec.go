@@ -14,22 +14,24 @@ import (
 // for it (struct field order, omitempty, ES6-style floats, std base64 for
 // Weights) — written without reflection and without per-frame garbage.
 //
-// The shape rule. The fast path covers the members the four per-slot
-// messages (Assign, Report, ShardAssign, ShardDelta) and the bare control
-// frames are made of: integers, booleans, floats, Weights, Arms, Downloads
-// and a Delta whose edges carry no DownError. A message with a string or a
-// nested struct beyond that — Reason, ResumeToken, Models, Checkpoint, a
-// non-empty DownError, a Delta with nil Edges, a non-finite float — is not
-// encoded here, and a body that is anything but the canonical form of a
-// covered message is not decoded here: both fall through to encoding/json in
-// protocol.go, which stays the authority for every such frame and for every
-// error. The decoder therefore accepts only input encoding/json decodes to
-// the same Message; fuzz_test.go holds it to that.
+// The shape rule. The fast path covers what a slot's frames and an edge's
+// first Hello carry: type, edgeId, slot, modelId, switch, Weights, the report
+// terms, start, Arms, Downloads and a Delta whose edges carry no DownError.
+// A message with any other member set — a string or a nested struct (Reason,
+// ResumeToken, Models, Checkpoint, a non-empty DownError, a Delta with nil
+// Edges), a non-finite float, or a member only handshake and rebalancing
+// frames use (numModels, resume, doneSlots, regionId, horizon, degrade,
+// seed) — is not encoded here, and a body that is anything but the canonical
+// form of a covered message is not decoded here: both fall through to
+// encoding/json in protocol.go, which stays the authority for every such
+// frame and for every error. The decoder therefore accepts only input
+// encoding/json decodes to the same Message; fuzz_test.go holds it to that.
 
 // appendMessage appends m's canonical JSON to dst. ok is false — with dst
 // returned at its original length — when m is outside the fast path's shape.
 func appendMessage(dst []byte, m *Message) (out []byte, ok bool) {
 	if len(m.Models) > 0 || m.ResumeToken != "" || m.Reason != "" || m.Checkpoint != nil ||
+		m.NumModels != 0 || m.Resume || m.DoneSlots != 0 || m.RegionID != 0 || m.Horizon != 0 || m.Degrade || m.Seed != 0 ||
 		!finite(m.AvgLoss) || !finite(m.EnergyKWh) || !finite(m.CompSeconds) ||
 		(m.Delta != nil && m.Delta.Edges == nil) {
 		return dst, false
@@ -37,9 +39,6 @@ func appendMessage(dst []byte, m *Message) (out []byte, ok bool) {
 	b := append(dst, `{"type":`...)
 	b = strconv.AppendInt(b, int64(m.Type), 10)
 	b = appendInt(b, `,"edgeId":`, m.EdgeID)
-	b = appendInt(b, `,"numModels":`, m.NumModels)
-	b = appendTrue(b, `,"resume":true`, m.Resume)
-	b = appendInt(b, `,"doneSlots":`, m.DoneSlots)
 	b = appendInt(b, `,"slot":`, m.Slot)
 	b = appendInt(b, `,"modelId":`, m.ModelID)
 	b = appendTrue(b, `,"switch":true`, m.Switch)
@@ -53,11 +52,7 @@ func appendMessage(dst []byte, m *Message) (out []byte, ok bool) {
 	b = appendInt(b, `,"samples":`, m.Samples)
 	b = appendFloat(b, `,"energyKwh":`, m.EnergyKWh)
 	b = appendFloat(b, `,"compSeconds":`, m.CompSeconds)
-	b = appendInt(b, `,"regionId":`, m.RegionID)
 	b = appendInt(b, `,"start":`, m.Start)
-	b = appendInt(b, `,"count":`, m.Count)
-	b = appendInt(b, `,"horizon":`, m.Horizon)
-	b = appendTrue(b, `,"degrade":true`, m.Degrade)
 	if len(m.Arms) > 0 {
 		b = append(b, `,"arms":[`...)
 		for j, a := range m.Arms {
@@ -91,10 +86,6 @@ func appendMessage(dst []byte, m *Message) (out []byte, ok bool) {
 			}
 		}
 		b = append(b, `]}`...)
-	}
-	if m.Seed != 0 {
-		b = append(b, `,"seed":`...)
-		b = strconv.AppendInt(b, m.Seed, 10)
 	}
 	return append(b, '}'), true
 }
@@ -193,15 +184,6 @@ func (t *decodeTargets) decodeFast(body []byte) bool {
 	if s.member(`"edgeId":`) {
 		m.EdgeID = s.int()
 	}
-	if s.member(`"numModels":`) {
-		m.NumModels = s.int()
-	}
-	if s.member(`"resume":`) {
-		m.Resume = s.bool()
-	}
-	if s.member(`"doneSlots":`) {
-		m.DoneSlots = s.int()
-	}
 	if s.member(`"slot":`) {
 		m.Slot = s.int()
 	}
@@ -230,20 +212,8 @@ func (t *decodeTargets) decodeFast(body []byte) bool {
 	if s.member(`"compSeconds":`) {
 		m.CompSeconds = s.float()
 	}
-	if s.member(`"regionId":`) {
-		m.RegionID = s.int()
-	}
 	if s.member(`"start":`) {
 		m.Start = s.int()
-	}
-	if s.member(`"count":`) {
-		m.Count = s.int()
-	}
-	if s.member(`"horizon":`) {
-		m.Horizon = s.int()
-	}
-	if s.member(`"degrade":`) {
-		m.Degrade = s.bool()
 	}
 	if s.member(`"arms":`) {
 		t.arms = t.arms[:0]
@@ -277,9 +247,6 @@ func (t *decodeTargets) decodeFast(body []byte) bool {
 		s.lit(`]}`)
 		t.delta.Edges = t.edges
 		m.Delta = &t.delta
-	}
-	if s.member(`"seed":`) {
-		m.Seed = s.int64()
 	}
 	s.lit(`}`)
 	return !s.bad && s.i == len(body)
@@ -399,18 +366,10 @@ func (s *scanner) bool() bool {
 	return false
 }
 
-// int consumes a JSON integer that fits an int.
+// int consumes a JSON integer that fits an int: -?(0|[1-9][0-9]*) of at most
+// 18 digits (so it cannot overflow an int64), not continued by a fraction or
+// an exponent.
 func (s *scanner) int() int {
-	v := s.int64()
-	if int64(int(v)) != v {
-		s.bad = true
-	}
-	return int(v)
-}
-
-// int64 consumes a JSON integer: -?(0|[1-9][0-9]*) of at most 18 digits (so
-// it cannot overflow), not continued by a fraction or an exponent.
-func (s *scanner) int64() int64 {
 	if s.bad {
 		return 0
 	}
@@ -424,17 +383,17 @@ func (s *scanner) int64() int64 {
 	for ; i < len(s.b) && s.b[i] >= '0' && s.b[i] <= '9'; i++ {
 		v = v*10 + int64(s.b[i]-'0')
 	}
+	if neg {
+		v = -v
+	}
 	digits := i - start
-	if digits == 0 || digits > 18 || (digits > 1 && s.b[start] == '0') ||
+	if digits == 0 || digits > 18 || (digits > 1 && s.b[start] == '0') || int64(int(v)) != v ||
 		(i < len(s.b) && (s.b[i] == '.' || s.b[i] == 'e' || s.b[i] == 'E')) {
 		s.bad = true
 		return 0
 	}
 	s.i = i
-	if neg {
-		return -v
-	}
-	return v
+	return int(v)
 }
 
 // float consumes a JSON number and parses it as encoding/json does, with

@@ -108,8 +108,6 @@ func (s *EdgeSession) serve(conn *wireConn, m *Message) (outcome, error) {
 		*reply = Message{
 			Type:        MsgReport,
 			Slot:        m.Slot,
-			EdgeID:      s.edgeID,
-			ModelID:     m.ModelID,
 			AvgLoss:     rep.AvgLoss,
 			Correct:     rep.Correct,
 			Samples:     rep.Samples,
@@ -163,7 +161,7 @@ type outcome int
 
 const (
 	served outcome = iota // answered: read the next frame
-	cut                   // the reply write failed: resumable if transient
+	cut                   // the connection failed: resumable if transient
 	failed                // the unit failed: the peer hears why, the session is over
 	ended                 // the unit ended the session cleanly (a departure)
 )
@@ -188,7 +186,7 @@ func (s *session) run(raw net.Conn, u unit) (done bool, err error) {
 	// One frame reader for the connection's whole life: a frame that arrived
 	// in the Welcome's segment is already in its buffer.
 	conn := newWireConn(raw)
-	err = s.handshake(conn, u)
+	o, err := s.handshake(conn, u)
 	for err == nil {
 		var m *Message
 		if m, err = conn.readMessage(); err != nil {
@@ -203,16 +201,14 @@ func (s *session) run(raw net.Conn, u unit) (done bool, err error) {
 			u.abort(err)
 			return true, err
 		}
-		var o outcome
-		o, err = u.serve(conn, m)
-		switch o {
-		case failed:
-			_ = WriteMessage(conn, &Message{Type: MsgError, Reason: err.Error()})
-			u.abort(err)
-			return true, err
-		case ended:
+		if o, err = u.serve(conn, m); o == ended {
 			return true, nil
 		}
+	}
+	if o == failed {
+		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: err.Error()})
+		u.abort(err)
+		return true, err
 	}
 	if Transient(err) {
 		return false, err
@@ -224,33 +220,34 @@ func (s *session) run(raw net.Conn, u unit) (done bool, err error) {
 // handshake performs the Hello/Welcome exchange on a fresh connection. Once
 // the session has been welcomed the Hello goes out as a resume, with the
 // session's token and the unit's resume position, and the Welcome carries
-// nothing to set up.
-func (s *session) handshake(conn *wireConn, u unit) error {
+// nothing to set up. A unit that cannot set up on the first Welcome has
+// failed, as one that cannot serve a frame has: the peer hears why.
+func (s *session) handshake(conn *wireConn, u unit) (outcome, error) {
 	hello, done := u.hello()
 	if s.welcomed {
 		hello.Resume, hello.ResumeToken, hello.DoneSlots = true, s.token, done
 	}
 	if err := WriteMessage(conn, hello); err != nil {
-		return fmt.Errorf("deploy: hello: %w", err)
+		return cut, fmt.Errorf("deploy: hello: %w", err)
 	}
 	w, err := conn.readMessage()
 	if err != nil {
-		return fmt.Errorf("deploy: welcome: %w", err)
+		return cut, fmt.Errorf("deploy: welcome: %w", err)
 	}
 	if w.Type == MsgError {
-		return protocolErrorf("%s rejected the handshake: %s", s.peer, w.Reason)
+		return cut, protocolErrorf("%s rejected the handshake: %s", s.peer, w.Reason)
 	}
 	if w.Type != s.want {
-		return protocolErrorf("expected a welcome, got type %d", w.Type)
+		return cut, protocolErrorf("expected a welcome, got type %d", w.Type)
 	}
 	if s.welcomed {
-		return nil
+		return served, nil
 	}
 	if err := u.setup(w); err != nil {
-		return err
+		return failed, err
 	}
 	s.token, s.welcomed = w.ResumeToken, true
-	return nil
+	return served, nil
 }
 
 // redial is the reconnect loop behind RunEdgeResumable and

@@ -107,32 +107,25 @@ func (f *edgeFleet) welcome(hello *Message, l *link) (*Message, bool) {
 	if hello.Resume {
 		// The resume Welcome intentionally omits the zoo metadata: the edge
 		// already holds it (and its loaded checkpoints) from the session.
-		return &Message{Type: MsgWelcome, EdgeID: l.id, Resume: true}, false
+		return &Message{Type: MsgWelcome}, false
 	}
 	metas := make([]ModelMeta, f.source.NumModels())
 	for n := range metas {
 		metas[n] = f.source.Meta(n)
 	}
-	return &Message{
-		Type:        MsgWelcome,
-		EdgeID:      l.id,
-		NumModels:   len(metas),
-		Models:      metas,
-		ResumeToken: l.token,
-	}, true
+	return &Message{Type: MsgWelcome, Models: metas, ResumeToken: l.token}, true
 }
 
 // adopt installs an orphaned shard's range mid-run from its checkpoint: the
 // links are rebuilt with the original fleet's tokens (derived from
 // ck.FleetSeed) and pre-claimed, so the shard's edges are admitted through
-// the resume path only — exactly the state they are in. It returns the
-// range's shard with the checkpointed edges down. ck has passed
-// ValidateAdopt, which is what bounds the range allocated here.
-func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint, policy engine.ErrorPolicy) (*engine.Shard, error) {
+// the resume path only — exactly the state they are in. ck has passed
+// ValidateShard, which is what bounds the range allocated here.
+func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint) (*fleetRange, error) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	for _, rg := range f.ranges {
 		if ck.Start < rg.offset+len(rg.links) && rg.offset < ck.Start+ck.Count {
-			f.mu.Unlock()
 			return nil, protocolErrorf("adopted range [%d,%d) overlaps fleet range [%d,%d)",
 				ck.Start, ck.Start+ck.Count, rg.offset, rg.offset+len(rg.links))
 		}
@@ -141,13 +134,7 @@ func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint, policy engine.ErrorPolicy)
 	f.ranges = append(f.ranges, rg)
 	close(f.grown) // wake the Hellos held for ids not served until now
 	f.grown = make(chan struct{})
-	f.mu.Unlock()
-
-	shard, err := f.shard(rg, policy)
-	if err != nil {
-		return nil, err
-	}
-	return shard, shard.RestoreDown(ck.Down)
+	return rg, nil
 }
 
 // shard builds the engine Shard serving a range: one tcpStepper per link,

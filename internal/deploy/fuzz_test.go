@@ -79,7 +79,7 @@ func sameOutcome(t testing.TB, what string, got *Message, gotErr error, want *Me
 func busyTargets(t testing.TB) *decodeTargets {
 	t.Helper()
 	busy := &Message{
-		Type: MsgShardDelta, EdgeID: 9, Slot: 77, Resume: true, Switch: true, Degrade: true, Seed: -5,
+		Type: MsgShardDelta, EdgeID: 9, Slot: 77, Switch: true,
 		Weights: []byte("stale weights"), AvgLoss: 0.5, Arms: []int{7, 8, 9}, Downloads: []bool{true, false, true},
 		Delta: &engine.SlotDelta{Start: 4, Edges: []engine.EdgeDelta{{Observation: engine.Observation{Loss: 1}, Served: true}, {Observation: engine.Observation{Retries: 2}, WentDown: true}, {}}},
 	}
@@ -223,10 +223,10 @@ func genMessage(r *rand.Rand) *Message {
 			r.Read(m.Weights)
 		}
 	case 1: // Report
-		m.Type, m.Slot, m.EdgeID, m.ModelID = MsgReport, genInt(r), genInt(r), genInt(r)
+		m.Type, m.Slot = MsgReport, genInt(r)
 		m.AvgLoss, m.Correct, m.Samples, m.EnergyKWh, m.CompSeconds = genFloat(r), genInt(r), genInt(r), genFloat(r), genFloat(r)
 	case 2: // ShardAssign
-		m.Type, m.Slot, m.Start, m.Count = MsgShardAssign, genInt(r), genInt(r), genInt(r)
+		m.Type, m.Slot, m.Start = MsgShardAssign, genInt(r), genInt(r)
 		n := r.Intn(6)
 		m.Arms, m.Downloads = make([]int, n), make([]bool, n)
 		for j := range m.Arms {
@@ -244,16 +244,15 @@ func genMessage(r *rand.Rand) *Message {
 				m.Delta.Edges[j] = genEdgeDelta(r, stringy)
 			}
 		}
-	case 4: // handshake and control frames
-		m.EdgeID, m.RegionID, m.NumModels, m.Horizon = genInt(r), genInt(r), genInt(r), genInt(r)
-		m.Resume, m.Degrade, m.DoneSlots, m.Seed = r.Intn(2) == 0, r.Intn(2) == 0, genInt(r), int64(genInt(r))
-	default: // everything
+	case 4: // an edge's first Hello
+		m.Type, m.EdgeID = MsgHello, genInt(r)
+	default: // everything, the members only handshake and rebalancing frames use among it
 		m.Type = MsgType(genInt(r))
 		m.EdgeID, m.NumModels, m.DoneSlots, m.Slot, m.ModelID = genInt(r), genInt(r), genInt(r), genInt(r), genInt(r)
 		m.Resume, m.Switch, m.Degrade = r.Intn(2) == 0, r.Intn(2) == 0, r.Intn(2) == 0
 		m.Weights = []byte{0xff, 0xfe, 0x00}[:r.Intn(4)]
 		m.AvgLoss, m.EnergyKWh, m.CompSeconds = genFloat(r), genFloat(r), genFloat(r)
-		m.Correct, m.Samples, m.RegionID, m.Start, m.Count, m.Horizon = genInt(r), genInt(r), genInt(r), genInt(r), genInt(r), genInt(r)
+		m.Correct, m.Samples, m.RegionID, m.Start, m.Horizon = genInt(r), genInt(r), genInt(r), genInt(r), genInt(r)
 		m.Arms, m.Downloads = []int{genInt(r)}, []bool{true, false}
 		m.Delta = &engine.SlotDelta{Start: genInt(r), Edges: []engine.EdgeDelta{genEdgeDelta(r, stringy), genEdgeDelta(r, stringy)}}
 		m.Seed = int64(genInt(r))
@@ -413,7 +412,7 @@ func hotFrames(shard int) map[string]*Message {
 	r := numeric.SplitRNG(5, "hot-frames")
 	weights := make([]byte, 4*shard)
 	r.Read(weights)
-	assign := &Message{Type: MsgShardAssign, Slot: 41, Start: shard, Count: shard, Arms: make([]int, shard), Downloads: make([]bool, shard)}
+	assign := &Message{Type: MsgShardAssign, Slot: 41, Start: shard, Arms: make([]int, shard), Downloads: make([]bool, shard)}
 	delta := &engine.SlotDelta{Start: shard, Edges: make([]engine.EdgeDelta, shard)}
 	for j := 0; j < shard; j++ {
 		assign.Arms[j], assign.Downloads[j] = r.Intn(6), r.Intn(10) == 0
@@ -429,7 +428,7 @@ func hotFrames(shard int) map[string]*Message {
 	return map[string]*Message{
 		"Assign":      {Type: MsgAssign, Slot: 41, ModelID: 3},
 		"AssignCkpt":  {Type: MsgAssign, Slot: 41, ModelID: 3, Switch: true, Weights: weights},
-		"Report":      {Type: MsgReport, Slot: 41, EdgeID: 1207, ModelID: 3, AvgLoss: 0.4371028, Correct: 5, Samples: 7, EnergyKWh: 4.9e-7, CompSeconds: 0.0312},
+		"Report":      {Type: MsgReport, Slot: 41, AvgLoss: 0.4371028, Correct: 5, Samples: 7, EnergyKWh: 4.9e-7, CompSeconds: 0.0312},
 		"ShardAssign": assign,
 		"ShardDelta":  {Type: MsgShardDelta, Slot: 41, Delta: delta},
 	}
@@ -442,11 +441,12 @@ var hotFrameNames = []string{"Assign", "AssignCkpt", "Report", "ShardAssign", "S
 const adoptHorizon = 8
 
 // hostileCheckpoints are checkpoints that claim more than their frame
-// carried or their session can have produced; each would have the adopter
-// allocate on a number alone, or resume past its run's end.
-// TestRegionSessionRejectsHostileAdopt
-// puts them on a coordinator's upstream link, and they seed FuzzReadMessage
-// here and FuzzShardCheckpoint in internal/engine.
+// carried or their session can have produced; each would have the
+// coordinator allocate on a number alone, or resume past its run's end.
+// TestRegionSessionRejectsHostileAdopt and
+// TestRegionSessionRejectsHostileWelcome put them on a coordinator's upstream
+// link, and they seed FuzzReadMessage here (in both frames) and
+// FuzzShardCheckpoint in internal/engine.
 var hostileCheckpoints = map[string]string{
 	"slice-less oversized count": `{"start":0,"count":1099511627776,"fleetSeed":7}`,
 	"overflowing start+count":    `{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false]}`,
@@ -460,14 +460,26 @@ const wellFormedCheckpoint = `{"start":4,"count":2,"doneSlots":4,"fleetSeed":7,"
 
 // adoptFrame frames a ShardAdopt carrying the checkpoint's JSON as written.
 func adoptFrame(checkpoint string) []byte {
-	body := fmt.Sprintf(`{"type":%d,"checkpoint":%s}`, MsgShardAdopt, checkpoint)
+	return rawFrame(fmt.Sprintf(`{"type":%d,"checkpoint":%s}`, MsgShardAdopt, checkpoint))
+}
+
+// welcomeFrame frames an initial RegionWelcome of an adoptHorizon-slot run
+// over a zoo of numModels, carrying the checkpoint's JSON as written.
+func welcomeFrame(numModels int, checkpoint string) []byte {
+	return rawFrame(fmt.Sprintf(`{"type":%d,"numModels":%d,"resumeToken":"tok","horizon":%d,"checkpoint":%s}`,
+		MsgRegionWelcome, numModels, adoptHorizon, checkpoint))
+}
+
+func rawFrame(body string) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
 // checkValidators runs a decoded message through its type's validator. None
 // may panic on anything the decoder lets through; a Report or ShardDelta that
-// passes holds only finite non-negative terms, and a ShardAdopt that passes
-// is no larger than the bytes that carried it and the session's bounds.
+// passes holds only finite non-negative terms, and the shard of a ShardAdopt
+// or RegionWelcome that passes is no larger than the bytes that carried it
+// and the session's bounds (an adopt's session is adoptHorizon slots long, a
+// welcome's is the horizon it announces).
 func checkValidators(t testing.TB, m *Message, frameLen int) {
 	t.Helper()
 	ok := func(what string, vs ...float64) {
@@ -493,11 +505,14 @@ func checkValidators(t testing.TB, m *Message, frameLen int) {
 					float64(ed.Samples), float64(ed.Correct), float64(ed.Retries))
 			}
 		}
-	case MsgShardAdopt:
-		if ValidateAdopt(m, adoptHorizon) == nil {
-			ck := m.Checkpoint
-			if ck.Count > frameLen || ck.DoneSlots > adoptHorizon {
-				t.Fatalf("validated a %d-byte adopt of %d edges at slot %d", frameLen, ck.Count, ck.DoneSlots)
+	case MsgShardAdopt, MsgRegionWelcome:
+		horizon := adoptHorizon
+		if m.Type == MsgRegionWelcome {
+			horizon = m.Horizon
+		}
+		if ck := m.Checkpoint; ValidateShard(m, horizon) == nil && ck != nil {
+			if ck.Count > frameLen || ck.DoneSlots > horizon {
+				t.Fatalf("validated a %d-byte frame of type %d handing over %d edges at slot %d", frameLen, m.Type, ck.Count, ck.DoneSlots)
 			}
 		}
 	}
@@ -525,8 +540,10 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0, 0})
 	for _, ck := range hostileCheckpoints {
 		f.Add(adoptFrame(ck))
+		f.Add(welcomeFrame(6, ck))
 	}
 	f.Add(adoptFrame(wellFormedCheckpoint))
+	f.Add(welcomeFrame(6, wellFormedCheckpoint))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		want, wantErr := jsonRead(stream)
 		got, err := ReadMessage(bytes.NewReader(stream))

@@ -16,11 +16,12 @@
 // a wireConn, whose frameReader takes a small frame in one Read into a
 // grow-only buffer and decodes it into reused targets.
 //
-// Two codecs produce and accept those same bytes. The per-slot messages
-// (Assign, Report, ShardAssign, ShardDelta) and the bare control frames go
-// through the reflection-free codec in codec.go; everything outside the shape
-// that codec covers (the rule is stated once, at the top of codec.go) goes
-// through encoding/json, which remains the authority for what a frame means
+// Two codecs produce and accept those same bytes. What a slot sends — the
+// per-slot messages (Assign, Report, ShardAssign, ShardDelta) and the bare
+// control frames — and an edge's first Hello go through the reflection-free
+// codec in codec.go; everything outside the shape that codec covers (the rule
+// is stated once, at the top of codec.go), every handshake and rebalancing
+// frame among it, goes through encoding/json, which remains the authority for what a frame means
 // and for every decode error. The body stays JSON on purpose: the slot-cost
 // benchmark's frame tee keys on the {"type":N prefix, and byte-identical
 // frames are what make its byte and digest metrics exact before/after checks
@@ -68,8 +69,9 @@ const (
 
 	// MsgRegionHello is a coordinator's first frame: it announces RegionID.
 	MsgRegionHello
-	// MsgRegionWelcome is the root's reply: the shard's edge range, the
-	// horizon, the zoo size, and the error policy the shard must apply.
+	// MsgRegionWelcome is the root's reply: the horizon, the zoo size, the
+	// error policy the shard must apply, and the shard itself as a
+	// checkpoint.
 	MsgRegionWelcome
 	// MsgShardAssign starts a slot on a region: the shard-local model
 	// placement and download schedule.
@@ -90,34 +92,36 @@ const (
 // maxFrame bounds a single frame (weights of a large checkpoint dominate).
 const maxFrame = 1 << 30
 
-// Message is the single wire envelope; unused fields stay zero.
+// Message is the single wire envelope; unused fields stay zero. Each message
+// type carries only the members its reader reads (listed per type below).
 type Message struct {
 	Type MsgType `json:"type"`
 
-	// Hello / Welcome.
+	// Hello (EdgeID) and Welcome (Models). A RegionWelcome also carries
+	// NumModels, so the coordinator can check its own zoo against the root's.
 	EdgeID    int         `json:"edgeId,omitempty"`
 	NumModels int         `json:"numModels,omitempty"`
 	Models    []ModelMeta `json:"models,omitempty"`
 
 	// Session resume (Hello / Welcome). A first Hello carries neither field;
 	// the Welcome answers with the session's ResumeToken. A reconnecting
-	// edge sends Hello with Resume set, the token it was issued, and
-	// DoneSlots = number of slots it has completed reports for — so the
-	// cloud can re-assign the in-flight slot without re-shipping zoo
-	// metadata (the resume Welcome omits Models) and without double-counting
-	// a slot whose report was lost in flight (the edge answers a duplicate
-	// assign from its report cache instead of re-serving it).
+	// unit sends Hello with Resume set, the token it was issued, and
+	// DoneSlots = number of slots it has completed replies for — so the peer
+	// can re-assign the in-flight slot without re-shipping the session's
+	// setup (a resume Welcome is its bare type) and without double-counting
+	// a slot whose reply was lost in flight (the unit answers a duplicate
+	// assign from its reply cache instead of re-serving it).
 	Resume      bool   `json:"resume,omitempty"`
 	ResumeToken string `json:"resumeToken,omitempty"`
 	DoneSlots   int    `json:"doneSlots,omitempty"`
 
-	// Assign.
+	// Assign (Slot, ModelID, Switch, Weights).
 	Slot    int    `json:"slot,omitempty"`
 	ModelID int    `json:"modelId,omitempty"`
 	Switch  bool   `json:"switch,omitempty"`
 	Weights []byte `json:"weights,omitempty"`
 
-	// Report.
+	// Report (Slot and these terms).
 	AvgLoss     float64 `json:"avgLoss,omitempty"`
 	Correct     int     `json:"correct,omitempty"`
 	Samples     int     `json:"samples,omitempty"`
@@ -127,30 +131,27 @@ type Message struct {
 	// Error.
 	Reason string `json:"reason,omitempty"`
 
-	// Regional tier. RegionHello carries RegionID; RegionWelcome answers
-	// with the shard's global edge range [Start, Start+Count), the run
-	// Horizon, NumModels (shared field above), and Degrade (whether the
-	// shard absorbs edge failures instead of failing fast). ShardAssign
-	// carries the shard-local Arms/Downloads for Slot; ShardDelta answers
-	// with the shard's per-slot reduction. encoding/json round-trips float64
-	// exactly, so a delta that crossed this hop folds to the same bits as
-	// one that never left the root's process.
-	RegionID  int               `json:"regionId,omitempty"`
-	Start     int               `json:"start,omitempty"`
-	Count     int               `json:"count,omitempty"`
-	Horizon   int               `json:"horizon,omitempty"`
-	Degrade   bool              `json:"degrade,omitempty"`
-	Arms      []int             `json:"arms,omitempty"`
-	Downloads []bool            `json:"downloads,omitempty"`
-	Delta     *engine.SlotDelta `json:"delta,omitempty"`
-
-	// Region elasticity. A RegionHello announces Seed (the coordinator's
-	// fleet seed, so the root can later checkpoint the shard's token and
-	// jitter derivations for an adopter); a resuming RegionHello reuses the
-	// shared Resume/ResumeToken/DoneSlots fields above, exactly as edges do.
-	// ShardAssign carries Start/Count so a coordinator owning several ranges
-	// after an adoption can route the slot; ShardAdopt carries the orphaned
-	// shard's Checkpoint.
+	// Regional tier. RegionHello carries RegionID and Seed (the
+	// coordinator's fleet seed, which an adopter's checkpoint derives the
+	// shard's edge tokens and jitter from); a resuming RegionHello reuses
+	// the shared Resume/ResumeToken/DoneSlots fields above, exactly as edges
+	// do. RegionWelcome answers with the run Horizon, NumModels, Degrade
+	// (whether the shard absorbs edge failures instead of failing fast) and,
+	// for an initial coordinator, its shard as the Checkpoint an adopter
+	// would get (no Checkpoint: a standby). ShardAssign carries Slot, the
+	// shard's range Start (a coordinator owning several ranges after an
+	// adoption routes by it) and the shard-local Arms/Downloads; ShardDelta
+	// answers with Slot and the shard's per-slot reduction. encoding/json
+	// round-trips float64 exactly, so a delta that crossed this hop folds to
+	// the same bits as one that never left the root's process. RegionLeave
+	// is its bare type; ShardAdopt carries the orphaned shard's Checkpoint.
+	RegionID   int                     `json:"regionId,omitempty"`
+	Start      int                     `json:"start,omitempty"`
+	Horizon    int                     `json:"horizon,omitempty"`
+	Degrade    bool                    `json:"degrade,omitempty"`
+	Arms       []int                   `json:"arms,omitempty"`
+	Downloads  []bool                  `json:"downloads,omitempty"`
+	Delta      *engine.SlotDelta       `json:"delta,omitempty"`
 	Seed       int64                   `json:"seed,omitempty"`
 	Checkpoint *engine.ShardCheckpoint `json:"checkpoint,omitempty"`
 }
@@ -422,25 +423,34 @@ func checkEdgeSlot(floats []edgeTerm, samples, correct, retries int) string {
 	return ""
 }
 
-// ValidateAdopt defensively checks a MsgShardAdopt before its checkpoint
-// rebuilds shard state in the adopting coordinator: a malformed checkpoint is
-// a fatal protocol error at the wire boundary, like any other bad frame.
-// Everything the adopter sizes by is bounded here by what the frame carried
-// (the checkpoint's per-edge slice backs its Count) or by the adopter's own
-// session: the fold watermark by the run's horizon.
-func ValidateAdopt(m *Message, horizon int) error {
-	if m.Type != MsgShardAdopt {
-		return protocolErrorf("expected ShardAdopt, got type %d", m.Type)
+// ValidateShard defensively checks the shard a RegionWelcome or a ShardAdopt
+// hands a coordinator before its checkpoint builds any shard state: a
+// malformed checkpoint is a fatal protocol error at the wire boundary, like
+// any other bad frame. Everything the coordinator sizes by is bounded here by
+// what the frame carried (the checkpoint's per-edge slice backs its Count) or
+// by the session: the fold watermark by the run's horizon. A welcome without
+// a checkpoint is a standby's, which starts with no shard.
+func ValidateShard(m *Message, horizon int) error {
+	what := "shard adopt"
+	switch m.Type {
+	case MsgShardAdopt:
+	case MsgRegionWelcome:
+		if m.Checkpoint == nil {
+			return nil
+		}
+		what = "region welcome"
+	default:
+		return protocolErrorf("expected RegionWelcome or ShardAdopt, got type %d", m.Type)
 	}
 	ck := m.Checkpoint
 	if ck == nil {
-		return protocolErrorf("shard adopt: missing checkpoint")
+		return protocolErrorf("%s: missing checkpoint", what)
 	}
 	if err := ck.Validate(); err != nil {
-		return protocolErrorf("shard adopt: %v", err)
+		return protocolErrorf("%s: %v", what, err)
 	}
 	if ck.DoneSlots > horizon {
-		return protocolErrorf("shard adopt: fold watermark %d beyond the %d-slot horizon", ck.DoneSlots, horizon)
+		return protocolErrorf("%s: fold watermark %d beyond the %d-slot horizon", what, ck.DoneSlots, horizon)
 	}
 	return nil
 }

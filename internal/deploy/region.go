@@ -193,19 +193,21 @@ func (r *Root) stepper(k int) *regionStepper {
 	r.mu.Lock()
 	l := r.links[k]
 	r.mu.Unlock()
-	rg := r.ranges[k]
 	return &regionStepper{
 		root:  r,
 		index: k,
 		link:  l,
-		ck: engine.ShardCheckpoint{
-			Start:     rg.Start,
-			Count:     rg.Count,
-			FleetSeed: l.state().seed,
-			Down:      make([]bool, rg.Count),
-		},
-		buf: make([]engine.EdgeDelta, 0, rg.Count),
+		ck:    r.firstCheckpoint(k, l.state().seed),
+		buf:   make([]engine.EdgeDelta, 0, r.ranges[k].Count),
 	}
+}
+
+// firstCheckpoint is shard k before its first slot, on a fleet seeded with
+// seed: what its first coordinator is welcomed with, and where the root's
+// own record of the shard starts.
+func (r *Root) firstCheckpoint(k int, seed int64) engine.ShardCheckpoint {
+	rg := r.ranges[k]
+	return engine.ShardCheckpoint{Start: rg.Start, Count: rg.Count, FleetSeed: seed, Down: make([]bool, rg.Count)}
 }
 
 // sortedLinks snapshots the membership in ascending id order, so every
@@ -278,14 +280,14 @@ func (r *Root) resolve(hello *Message) (*link, string, <-chan struct{}) {
 }
 
 // welcome implements tier. Only the cfg.Regions initial coordinators get a
-// shard, and only they are awaited before the run starts.
+// shard, as the checkpoint an adopter of it would get, and only they are
+// awaited before the run starts.
 func (r *Root) welcome(hello *Message, l *link) (*Message, bool) {
 	if hello.Resume {
-		return &Message{Type: MsgRegionWelcome, RegionID: l.id, Resume: true}, false
+		return &Message{Type: MsgRegionWelcome}, false
 	}
 	welcome := &Message{
 		Type:        MsgRegionWelcome,
-		RegionID:    l.id,
 		Horizon:     r.cfg.Horizon,
 		NumModels:   r.cfg.NumModels,
 		Degrade:     r.cfg.Policy == engine.Degrade,
@@ -293,8 +295,8 @@ func (r *Root) welcome(hello *Message, l *link) (*Message, bool) {
 	}
 	initial := l.id < len(r.ranges)
 	if initial {
-		rg := r.ranges[l.id]
-		welcome.Start, welcome.Count = rg.Start, rg.Count
+		ck := r.firstCheckpoint(l.id, hello.Seed)
+		welcome.Checkpoint = &ck
 	}
 	return welcome, initial
 }
@@ -395,7 +397,7 @@ func (rs *regionStepper) Step(slot int, arms []int, downloads []bool) (engine.Sl
 				rs.link.retire()
 				return rs.degradeDelta(slot), nil
 			}
-			if aerr := rs.adoptInto(target, slot); aerr != nil {
+			if aerr := rs.adoptInto(target); aerr != nil {
 				target.retire()
 				continue
 			}
@@ -430,7 +432,6 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 		Type:      MsgShardAssign,
 		Slot:      slot,
 		Start:     rs.ck.Start,
-		Count:     rs.ck.Count,
 		Arms:      arms,
 		Downloads: downloads,
 	}
@@ -472,14 +473,14 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 // adoptInto hands the shard to target: one ShardAdopt frame carrying the
 // checkpoint. No ack is read — the connection's ordering guarantees the
 // adopt frame is processed before the shard's next assign on the same link.
-func (rs *regionStepper) adoptInto(target *link, slot int) error {
+func (rs *regionStepper) adoptInto(target *link) error {
 	target.xmu.Lock()
 	defer target.xmu.Unlock()
 	conn, err := target.connFor(rs.root.retry.cfg.resumeWait)
 	if err != nil {
 		return err
 	}
-	if err := WriteMessage(conn, &Message{Type: MsgShardAdopt, Slot: slot, Checkpoint: &rs.ck}); err != nil {
+	if err := WriteMessage(conn, &Message{Type: MsgShardAdopt, Checkpoint: &rs.ck}); err != nil {
 		target.drop()
 		return fmt.Errorf("deploy: shard %d adopt into region link %d: %w", rs.index, target.id, err)
 	}
@@ -515,8 +516,8 @@ type RegionConfig struct {
 	// root's NumModels; the region ships checkpoints to its edges itself.
 	Source ModelSource
 	// Seed drives the region's edge resume tokens and backoff jitter. It is
-	// announced to the root so a mid-run handoff can reconstruct the shard's
-	// token and jitter derivations on the adopter.
+	// announced to the root, whose shard checkpoints carry it back: to this
+	// coordinator in its welcome, and to an adopter after a handoff.
 	Seed int64
 	// SlotTimeout and HandshakeTimeout bound the per-edge exchanges and the
 	// edge handshakes, exactly as CloudConfig's fields do.
@@ -612,45 +613,53 @@ func NewRegionSession(ln net.Listener, cfg RegionConfig) (*RegionSession, error)
 func (s *RegionSession) Run(raw net.Conn) (done bool, err error) { return s.run(raw, s) }
 
 func (s *RegionSession) hello() (*Message, int) {
-	return &Message{Type: MsgRegionHello, RegionID: s.cfg.RegionID, Seed: s.cfg.Seed}, s.minDone()
+	m := &Message{Type: MsgRegionHello, RegionID: s.cfg.RegionID}
+	if !s.welcomed {
+		m.Seed = s.cfg.Seed // the claim's: a resume claims nothing
+	}
+	return m, s.minDone()
 }
 
-// setup takes the initial RegionWelcome: it builds the edge fleet and the
-// initial shard.
+// setup takes the initial RegionWelcome: it builds the edge fleet and, for
+// an initial coordinator, serves the welcome's shard exactly as an adopted
+// one is served.
 func (s *RegionSession) setup(w *Message) error {
-	if w.Count < 0 || w.Start < 0 || w.Horizon <= 0 {
-		return protocolErrorf("implausible shard [%d,%d) over %d slots", w.Start, w.Start+w.Count, w.Horizon)
+	if w.Horizon <= 0 {
+		return protocolErrorf("implausible %d-slot horizon", w.Horizon)
 	}
 	if w.NumModels != s.cfg.Source.NumModels() {
 		return protocolErrorf("root announces %d models, region zoo has %d", w.NumModels, s.cfg.Source.NumModels())
+	}
+	if err := ValidateShard(w, w.Horizon); err != nil {
+		return err
 	}
 	s.policy = engine.FailFast
 	if w.Degrade {
 		s.policy = engine.Degrade
 	}
 
-	// Count == 0 is a standby welcome: the fleet starts empty and gains its
-	// ranges only through mid-run shard adoption.
-	s.fleet = newEdgeFleet(CloudConfig{
-		Edges:            w.Count,
+	// A standby welcome carries no shard: the fleet starts empty and gains
+	// its ranges only through mid-run shard adoption.
+	ck := w.Checkpoint
+	cfg := CloudConfig{
 		Horizon:          w.Horizon,
-		Seed:             s.cfg.Seed,
 		SlotTimeout:      s.cfg.SlotTimeout,
 		HandshakeTimeout: s.cfg.HandshakeTimeout,
 		Retry:            s.cfg.Retry,
-	}, w.Start, s.cfg.Source)
+	}
+	start := 0
+	if ck != nil {
+		cfg.Edges, cfg.Seed, start = ck.Count, ck.FleetSeed, ck.Start
+	}
+	s.fleet = newEdgeFleet(cfg, start, s.cfg.Source)
 	s.stop = s.fleet.acc.start(s.ln)
 	if err := s.fleet.acc.awaitInitial(); err != nil {
 		return err
 	}
-	if w.Count > 0 {
-		shard, err := s.fleet.shard(s.fleet.initial, s.policy)
-		if err != nil {
-			return err
-		}
-		s.shards = append(s.shards, &regionShard{start: w.Start, count: w.Count, shard: shard})
+	if ck == nil {
+		return nil
 	}
-	return nil
+	return s.serveShard(ck, s.fleet.initial)
 }
 
 // serve routes a ShardAssign to its shard — answered from the shard's delta
@@ -680,7 +689,7 @@ func (s *RegionSession) serve(upstream *wireConn, m *Message) (outcome, error) {
 	// Every slot served before the departure was below it, so a departure
 	// slot is never a duplicate.
 	if s.cfg.LeaveBeforeSlot > 0 && m.Slot >= s.cfg.LeaveBeforeSlot {
-		_ = WriteMessage(upstream, &Message{Type: MsgRegionLeave, Slot: m.Slot})
+		_ = WriteMessage(upstream, &Message{Type: MsgRegionLeave})
 		// Hold the edges until the root closes the link: by then the adopter
 		// has the shard, so the edges redial into a fleet that knows them.
 		_, _ = upstream.readMessage()
@@ -738,11 +747,24 @@ func (s *RegionSession) minDone() int {
 // per-edge down state, and start serving assigns for the range. The shard's
 // edges redial this coordinator's listener and resume their sessions.
 func (s *RegionSession) adopt(m *Message) error {
-	if err := ValidateAdopt(m, s.fleet.acc.horizon); err != nil {
+	if err := ValidateShard(m, s.fleet.acc.horizon); err != nil {
 		return err
 	}
-	ck := m.Checkpoint
-	shard, err := s.fleet.adopt(ck, s.policy)
+	rg, err := s.fleet.adopt(m.Checkpoint)
+	if err != nil {
+		return err
+	}
+	return s.serveShard(m.Checkpoint, rg)
+}
+
+// serveShard starts serving the checkpointed shard on the fleet range that
+// holds its links: its edges that are down stay down, and its fold watermark
+// is where its replay cache starts.
+func (s *RegionSession) serveShard(ck *engine.ShardCheckpoint, rg *fleetRange) error {
+	shard, err := s.fleet.shard(rg, s.policy)
+	if err == nil {
+		err = shard.RestoreDown(ck.Down)
+	}
 	if err != nil {
 		return err
 	}

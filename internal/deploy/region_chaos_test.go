@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,6 +61,23 @@ type regionChaosSpec struct {
 	// onSlot, when non-nil, runs in every coordinator's OnSlot hook, before
 	// the slot is served: a schedule's way to order events across regions.
 	onSlot func(root *Root, region, slot int)
+	// tap, when non-nil, wraps every connection a coordinator or an edge
+	// dials, over any fault injector: it sees whole frames written.
+	tap func(net.Conn) net.Conn
+}
+
+// tapped wraps what dial returns in spec.tap, when one is set.
+func (spec regionChaosSpec) tapped(dial func() (net.Conn, error)) func() (net.Conn, error) {
+	if spec.tap == nil {
+		return dial
+	}
+	return func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return spec.tap(conn), nil
+	}
 }
 
 // regionChaosRun is everything one harness run observed.
@@ -185,7 +203,7 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 			if !ok {
 				retry = spec.regionRetry
 			}
-			err := RunRegionResumable(dial, edgeLns[id], RegionConfig{
+			err := RunRegionResumable(spec.tapped(dial), edgeLns[id], RegionConfig{
 				RegionID:        id,
 				Source:          &paritySource{w: w},
 				Seed:            spec.seed + int64(id),
@@ -249,7 +267,7 @@ func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
 					rt.setConn(fc)
 					return fc, nil
 				}
-				out.edgeErrs[i] = RunEdgeResumable(dial, i, rt, 50)
+				out.edgeErrs[i] = RunEdgeResumable(spec.tapped(dial), i, rt, 50)
 			}()
 		}
 	}
@@ -460,6 +478,147 @@ func TestRegionChaosLateJoinAdoption(t *testing.T) {
 	if !reflect.DeepEqual(stripElasticity(chaos.sum), clean.sum) {
 		t.Errorf("late-join Summary diverged from fault-free run:\n chaos: %+v\n clean: %+v",
 			stripElasticity(chaos.sum), clean.sum)
+	}
+}
+
+// frameTap records one dialed connection: each frame the dialer wrote (one
+// Write carries one whole frame) and the byte stream it read.
+type frameTap struct {
+	net.Conn
+	mu          sync.Mutex
+	wrote, read bytes.Buffer
+}
+
+func (c *frameTap) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.wrote.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *frameTap) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.read.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+// frameMembers splits a recorded stream into frames and returns each one's
+// type and JSON member names (in no order), up to a frame the connection's
+// cut tore.
+func frameMembers(t *testing.T, stream []byte) (types []MsgType, members [][]string) {
+	t.Helper()
+	for len(stream) >= headerLen {
+		n := int(binary.BigEndian.Uint32(stream))
+		if len(stream)-headerLen < n {
+			break
+		}
+		body := stream[headerLen : headerLen+n]
+		stream = stream[headerLen+n:]
+		var m struct{ Type MsgType }
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("frame %s: %v", body, err)
+		}
+		if err := json.Unmarshal(body, &keys); err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, 0, len(keys))
+		for k := range keys {
+			names = append(names, k)
+		}
+		types, members = append(types, m.Type), append(members, names)
+	}
+	return types, members
+}
+
+// TestRegionChaosFramesCarryWhatTheirReaderReads pins the members of every
+// frame the shipped senders build to those its reader reads. The run takes
+// every frame kind through the wire: both tiers' first and resume
+// handshakes (an edge and a coordinator lose their links), a standby's
+// welcome, a graceful departure and the adoption of the departed shard.
+func TestRegionChaosFramesCarryWhatTheirReaderReads(t *testing.T) {
+	reads := map[string][]string{
+		"Hello":                {"edgeId", "type"},
+		"Hello resume":         {"doneSlots", "edgeId", "resume", "resumeToken", "type"},
+		"Welcome":              {"models", "resumeToken", "type"},
+		"Welcome resume":       {"type"},
+		"Assign":               {"modelId", "slot", "switch", "type", "weights"},
+		"Report":               {"avgLoss", "compSeconds", "correct", "energyKwh", "samples", "slot", "type"},
+		"Done":                 {"type"},
+		"RegionHello":          {"regionId", "seed", "type"},
+		"RegionHello resume":   {"doneSlots", "regionId", "resume", "resumeToken", "type"},
+		"RegionWelcome":        {"checkpoint", "degrade", "horizon", "numModels", "resumeToken", "type"},
+		"RegionWelcome resume": {"type"},
+		"ShardAssign":          {"arms", "downloads", "slot", "start", "type"},
+		"ShardDelta":           {"delta", "slot", "type"},
+		"RegionLeave":          {"type"},
+		"ShardAdopt":           {"checkpoint", "type"},
+	}
+	names := map[MsgType]string{
+		MsgHello: "Hello", MsgWelcome: "Welcome", MsgAssign: "Assign", MsgReport: "Report", MsgDone: "Done",
+		MsgRegionHello: "RegionHello", MsgRegionWelcome: "RegionWelcome", MsgShardAssign: "ShardAssign",
+		MsgShardDelta: "ShardDelta", MsgRegionLeave: "RegionLeave", MsgShardAdopt: "ShardAdopt",
+	}
+
+	var mu sync.Mutex
+	var taps []*frameTap
+	spec := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 48, policy: engine.Degrade}
+	spec.spares = []int{2}
+	spec.leaveBefore = map[int]int{1: 6}
+	spec.adoptTo = map[int]int{1: 2}
+	spec.target = func(int, []int) int { return 2 }
+	spec.upstreamFaults = map[int]faultSchedule{0: faultKillAt(3)}
+	spec.edgeFaults = map[int]faultSchedule{0: faultKillAt(2)}
+	spec.tap = func(conn net.Conn) net.Conn {
+		ft := &frameTap{Conn: conn}
+		mu.Lock()
+		taps = append(taps, ft)
+		mu.Unlock()
+		return ft
+	}
+	requireQuiet(t, runRegionChaos(t, spec))
+
+	seen := make(map[string]bool)
+	extra := make(map[string][]string) // kind -> members its reader never reads
+	check := func(kind string, members []string) {
+		seen[kind] = true
+		for _, m := range members {
+			if !slices.Contains(reads[kind], m) && !slices.Contains(extra[kind], m) {
+				extra[kind] = append(extra[kind], m)
+			}
+		}
+	}
+	for _, ft := range taps {
+		wrote, wroteMembers := frameMembers(t, ft.wrote.Bytes())
+		read, readMembers := frameMembers(t, ft.read.Bytes())
+		// The dialer's first frame is its Hello; a resuming one is answered
+		// by a resume Welcome.
+		resume := len(wrote) > 0 && slices.Contains(wroteMembers[0], "resume")
+		for k, typ := range wrote {
+			kind := names[typ]
+			if k == 0 && resume {
+				kind += " resume"
+			}
+			check(kind, wroteMembers[k])
+		}
+		for k, typ := range read {
+			kind := names[typ]
+			if k == 0 && resume {
+				kind += " resume"
+			}
+			check(kind, readMembers[k])
+		}
+	}
+	for kind, want := range reads {
+		if !seen[kind] {
+			t.Errorf("the run carried no %s frame", kind)
+		}
+		if len(extra[kind]) > 0 {
+			slices.Sort(extra[kind])
+			t.Errorf("%s carries %v, which its reader never reads (it reads %v)", kind, extra[kind], want)
+		}
 	}
 }
 

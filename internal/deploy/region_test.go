@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -244,73 +245,86 @@ func TestRegionSessionValidation(t *testing.T) {
 	}
 }
 
+// scriptUpstream runs a fresh coordinator session (region 1, seed 7) over
+// one upstream pipe whose root side answers the Hello with script's frames
+// (given the zoo size) and then cuts the link. It returns the session, the
+// frame the root read back (nil unless wantReply: a frame taken silently
+// sends nothing), and how Run ended.
+func scriptUpstream(t *testing.T, script func(numModels int) []byte, wantReply bool) (s *RegionSession, reply *Message, done bool, err error) {
+	t.Helper()
+	w := newParityWorld(7)
+	ln := newChanListener(0)
+	defer ln.Close()
+	s, err = NewRegionSession(ln, RegionConfig{
+		RegionID: 1, Source: &paritySource{w: w}, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootSide, regionSide := net.Pipe()
+	type outcome struct {
+		done bool
+		err  error
+	}
+	res := make(chan outcome, 1)
+	go func() {
+		done, err := s.Run(regionSide)
+		regionSide.Close()
+		res <- outcome{done, err}
+	}()
+	if m, err := ReadMessage(rootSide); err != nil || m.Type != MsgRegionHello {
+		t.Fatalf("hello: %+v, %v", m, err)
+	}
+	if _, err := rootSide.Write(script(len(w.metas))); err != nil {
+		t.Fatal(err)
+	}
+	if wantReply {
+		rootSide.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // net.Pipe honors deadlines
+		if reply, err = ReadMessage(rootSide); err != nil {
+			t.Fatalf("reading the coordinator's verdict: %v", err)
+		}
+	}
+	rootSide.Close()
+	o := <-res
+	return s, reply, o.done, o.err
+}
+
+// requireRefused asserts that a session ended on a fatal *ProtocolError
+// that it sent upstream as an Error frame.
+func requireRefused(t *testing.T, reply *Message, done bool, err error) {
+	t.Helper()
+	var pe *ProtocolError
+	if !done || !errors.As(err, &pe) || Transient(err) {
+		t.Fatalf("Run = done %v, %v; want the session ended by a fatal *ProtocolError", done, err)
+	}
+	if reply.Type != MsgError || reply.Reason != err.Error() {
+		t.Errorf("root read %+v, want an Error frame carrying %q", reply, err)
+	}
+}
+
 // TestRegionSessionRejectsHostileAdopt puts each hostile checkpoint on a
 // standby coordinator's upstream link. Every one is a fatal *ProtocolError
 // that ends the session with an Error frame upstream, before edgeFleet.adopt
 // builds a single link (a bare count of 2^40 used to size a slice);
 // wellFormedCheckpoint is adopted on the same session.
 func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
-	// adopt welcomes a standby session, sends it one adopt frame and returns
-	// the session, Run's outcome, and what the root read back (nil once the
-	// frame was taken silently and the link cut).
-	adopt := func(t *testing.T, frame []byte, wantReply bool) (s *RegionSession, reply *Message, done bool, err error) {
-		w := newParityWorld(7)
-		ln := newChanListener(0)
-		defer ln.Close()
-		s, err = NewRegionSession(ln, RegionConfig{
-			RegionID: 1, Source: &paritySource{w: w}, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
+	adopt := func(checkpoint string) func(int) []byte {
+		return func(numModels int) []byte {
+			welcome := &Message{Type: MsgRegionWelcome, Horizon: adoptHorizon, NumModels: numModels, ResumeToken: "tok"}
+			return concat(frameOf(t, welcome), adoptFrame(checkpoint))
 		}
-		rootSide, regionSide := net.Pipe()
-		type outcome struct {
-			done bool
-			err  error
-		}
-		res := make(chan outcome, 1)
-		go func() {
-			done, err := s.Run(regionSide)
-			regionSide.Close()
-			res <- outcome{done, err}
-		}()
-		if m, err := ReadMessage(rootSide); err != nil || m.Type != MsgRegionHello {
-			t.Fatalf("hello: %+v, %v", m, err)
-		}
-		welcome := &Message{Type: MsgRegionWelcome, Horizon: adoptHorizon, NumModels: len(w.metas), ResumeToken: "tok"}
-		if err := WriteMessage(rootSide, welcome); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rootSide.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		if wantReply {
-			if reply, err = ReadMessage(rootSide); err != nil {
-				t.Fatalf("reading the coordinator's verdict: %v", err)
-			}
-		}
-		rootSide.Close()
-		o := <-res
-		return s, reply, o.done, o.err
 	}
-
 	for name, ck := range hostileCheckpoints {
 		t.Run(name, func(t *testing.T) {
-			s, reply, done, err := adopt(t, adoptFrame(ck), true)
-			var pe *ProtocolError
-			if !done || !errors.As(err, &pe) || Transient(err) {
-				t.Fatalf("Run = done %v, %v; want the session ended by a fatal *ProtocolError", done, err)
-			}
-			if reply.Type != MsgError || reply.Reason != err.Error() {
-				t.Errorf("root read %+v, want an Error frame carrying %q", reply, err)
-			}
+			s, reply, done, err := scriptUpstream(t, adopt(ck), true)
+			requireRefused(t, reply, done, err)
 			if n := len(s.fleet.links()); n != 0 || len(s.shards) != 0 {
 				t.Errorf("rejected adopt left %d links and %d shards behind", n, len(s.shards))
 			}
 		})
 	}
 
-	s, _, done, err := adopt(t, adoptFrame(wellFormedCheckpoint), false)
+	s, _, done, err := scriptUpstream(t, adopt(wellFormedCheckpoint), false)
 	if done || !Transient(err) {
 		t.Fatalf("Run after a well-formed adopt and a cut link = done %v, %v; want a resumable failure", done, err)
 	}
@@ -320,8 +334,26 @@ func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
 	s.release()
 }
 
+// TestRegionSessionRejectsHostileWelcome puts each hostile checkpoint in the
+// RegionWelcome that hands an initial coordinator its shard. The welcome's
+// shard is checked as an adopted one is: every one is a fatal
+// *ProtocolError that ends the session with an Error frame upstream, before
+// the coordinator builds its fleet (a bare count used to size one).
+func TestRegionSessionRejectsHostileWelcome(t *testing.T) {
+	for name, ck := range hostileCheckpoints {
+		t.Run(name, func(t *testing.T) {
+			s, reply, done, err := scriptUpstream(t, func(numModels int) []byte { return welcomeFrame(numModels, ck) }, true)
+			requireRefused(t, reply, done, err)
+			if s.fleet != nil || len(s.shards) != 0 {
+				t.Errorf("rejected welcome built a fleet with %d shards", len(s.shards))
+			}
+		})
+	}
+}
+
 // TestRunRegionRejectsZooMismatch pins the welcome validation: a region
-// whose zoo size disagrees with the root's announcement must refuse to run.
+// whose zoo size disagrees with the root's announcement must refuse to run,
+// and tell the root why.
 func TestRunRegionRejectsZooMismatch(t *testing.T) {
 	w := newParityWorld(5)
 	rootSide, regionSide := net.Pipe()
@@ -334,9 +366,13 @@ func TestRunRegionRejectsZooMismatch(t *testing.T) {
 		t.Fatalf("hello: %v %v", m, err)
 	}
 	if err := WriteMessage(rootSide, &Message{
-		Type: MsgRegionWelcome, Start: 0, Count: 2, Horizon: 5, NumModels: len(w.metas) + 1,
+		Type: MsgRegionWelcome, Horizon: 5, NumModels: len(w.metas) + 1,
+		Checkpoint: &engine.ShardCheckpoint{Count: 2, FleetSeed: 5, Down: make([]bool, 2)},
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if m, err := ReadMessage(rootSide); err != nil || m.Type != MsgError || !strings.Contains(m.Reason, "models") {
+		t.Errorf("root read %+v, %v; want an Error frame naming the zoo mismatch", m, err)
 	}
 	select {
 	case err := <-done:

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/carbonedge/carbonedge/internal/engine"
 )
 
 // The dial-side session is one loop for both tiers: an edge and a regional
@@ -58,9 +60,9 @@ func sessionTiers() []sessionTier {
 		frame: func(ev peerEvent) *Message {
 			switch ev {
 			case evWelcome:
-				return &Message{Type: MsgWelcome, NumModels: 1, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok"}
+				return &Message{Type: MsgWelcome, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok"}
 			case evResumeWelcome:
-				return &Message{Type: MsgWelcome, Resume: true}
+				return &Message{Type: MsgWelcome}
 			case evAssign0, evAssign1:
 				return &Message{Type: MsgAssign, Slot: int(ev - evAssign0)}
 			}
@@ -78,12 +80,13 @@ func sessionTiers() []sessionTier {
 		frame: func(ev peerEvent) *Message {
 			switch ev {
 			case evWelcome:
-				return &Message{Type: MsgRegionWelcome, Count: 1, Horizon: 4, NumModels: len(w.metas), ResumeToken: "tok"}
+				return &Message{Type: MsgRegionWelcome, Horizon: 4, NumModels: len(w.metas), ResumeToken: "tok",
+					Checkpoint: &engine.ShardCheckpoint{Count: 1, FleetSeed: 17, Down: []bool{false}}}
 			case evResumeWelcome:
-				return &Message{Type: MsgRegionWelcome, Resume: true}
+				return &Message{Type: MsgRegionWelcome}
 			case evAssign0, evAssign1:
 				k := int(ev - evAssign0)
-				return &Message{Type: MsgShardAssign, Slot: k, Count: 1, Arms: []int{k}, Downloads: []bool{false}}
+				return &Message{Type: MsgShardAssign, Slot: k, Arms: []int{k}, Downloads: []bool{false}}
 			}
 			return nil
 		},
@@ -230,7 +233,7 @@ func TestEdgeSessionSlotAllocsPinned(t *testing.T) {
 	if m, err := cloud.readMessage(); err != nil || m.Type != MsgHello {
 		t.Fatalf("hello: %+v, %v", m, err)
 	}
-	if err := WriteMessage(cloud, &Message{Type: MsgWelcome, NumModels: 1, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok"}); err != nil {
+	if err := WriteMessage(cloud, &Message{Type: MsgWelcome, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok"}); err != nil {
 		t.Fatal(err)
 	}
 	assign := &Message{Type: MsgAssign, Slot: -1}

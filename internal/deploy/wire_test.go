@@ -166,13 +166,14 @@ func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
 func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
-// slotLog is a Runtime that records the slots it served.
-type slotLog struct{ served []int }
+// slotLog is a Runtime that records the slots it served and the model it
+// served each on.
+type slotLog struct{ served, models []int }
 
 func (r *slotLog) Welcome([]ModelMeta) error   { return nil }
 func (r *slotLog) LoadModel(int, []byte) error { return nil }
 func (r *slotLog) RunSlot(slot, modelID int) (SlotReport, error) {
-	r.served = append(r.served, slot)
+	r.served, r.models = append(r.served, slot), append(r.models, modelID)
 	return SlotReport{AvgLoss: 0.25 + float64(slot), Correct: 1, Samples: 2 + slot, EnergyKWh: 1e-7, CompSeconds: 0.01}, nil
 }
 
@@ -183,7 +184,7 @@ func concat(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 // the Assign when the handshake hands over to the session loop — which must
 // find it there.
 func TestEdgeSessionKeepsFramesReadAhead(t *testing.T) {
-	welcome := frameOf(t, &Message{Type: MsgWelcome, EdgeID: 1, NumModels: 1, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok"})
+	welcome := frameOf(t, &Message{Type: MsgWelcome, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok"})
 	conn := &scriptConn{segments: [][]byte{
 		concat(welcome, frameOf(t, &Message{Type: MsgAssign, Slot: 0, ModelID: 0})),
 		frameOf(t, &Message{Type: MsgDone}),
@@ -206,7 +207,7 @@ func TestEdgeSessionKeepsFramesReadAhead(t *testing.T) {
 // reads the abort out of its buffer and ends with the cloud's reason.
 func TestEdgeSessionSeesAbortBehindAssign(t *testing.T) {
 	conn := &scriptConn{segments: [][]byte{
-		frameOf(t, &Message{Type: MsgWelcome, EdgeID: 0, NumModels: 1, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok"}),
+		frameOf(t, &Message{Type: MsgWelcome, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok"}),
 		concat(frameOf(t, &Message{Type: MsgAssign, Slot: 0}), frameOf(t, &Message{Type: MsgError, Reason: "edge 3 failed"})),
 	}}
 	rt := &slotLog{}
@@ -225,7 +226,7 @@ func TestEdgeSessionSeesAbortBehindAssign(t *testing.T) {
 // scored on an uninitialised network.
 func TestEdgeSessionSwitchWithoutWeights(t *testing.T) {
 	conn := &scriptConn{segments: [][]byte{
-		frameOf(t, &Message{Type: MsgWelcome, EdgeID: 0, NumModels: 2, Models: []ModelMeta{{Name: "a"}, {Name: "b"}}, ResumeToken: "tok"}),
+		frameOf(t, &Message{Type: MsgWelcome, Models: []ModelMeta{{Name: "a"}, {Name: "b"}}, ResumeToken: "tok"}),
 		frameOf(t, &Message{Type: MsgAssign, Slot: 0, ModelID: 1, Switch: true}),
 	}}
 	err := RunEdge(conn, 0, benchRuntime(t, false)) // holds model 0 only
@@ -252,7 +253,7 @@ func TestEdgeSessionResumeReplaysCachedReport(t *testing.T) {
 	first := &scriptConn{
 		failWriteAt: 3, // Hello, Report 0, then Report 1 is torn
 		segments: [][]byte{
-			frameOf(t, &Message{Type: MsgWelcome, EdgeID: 4, NumModels: 1, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok-4"}),
+			frameOf(t, &Message{Type: MsgWelcome, Models: []ModelMeta{{Name: "m"}}, ResumeToken: "tok-4"}),
 			frameOf(t, &Message{Type: MsgAssign, Slot: 0, ModelID: 2}),
 			frameOf(t, &Message{Type: MsgAssign, Slot: 1, ModelID: 3}),
 		},
@@ -262,7 +263,7 @@ func TestEdgeSessionResumeReplaysCachedReport(t *testing.T) {
 		t.Fatalf("Run over the cut connection: done=%v err=%v, want a transient failure", done, err)
 	}
 	second := &scriptConn{segments: [][]byte{
-		frameOf(t, &Message{Type: MsgWelcome, EdgeID: 4, Resume: true}),
+		frameOf(t, &Message{Type: MsgWelcome}),
 		// The duplicate carries different fields on purpose: only the slot
 		// number may matter.
 		frameOf(t, &Message{Type: MsgAssign, Slot: 1, ModelID: 9, Switch: true, Weights: []byte("recycled target filler")}),
@@ -272,8 +273,8 @@ func TestEdgeSessionResumeReplaysCachedReport(t *testing.T) {
 	if done, err := s.Run(second); !done || err != nil {
 		t.Fatalf("resumed Run: done=%v err=%v", done, err)
 	}
-	if !reflect.DeepEqual(rt.served, []int{0, 1, 2}) {
-		t.Fatalf("served slots %v, want each of 0, 1, 2 exactly once", rt.served)
+	if !reflect.DeepEqual(rt.served, []int{0, 1, 2}) || !reflect.DeepEqual(rt.models, []int{2, 3, 1}) {
+		t.Fatalf("served slots %v on models %v, want each of 0, 1, 2 exactly once, on models 2, 3, 1", rt.served, rt.models)
 	}
 	sent := second.sent(t)
 	if len(sent) != 3 {
@@ -282,12 +283,12 @@ func TestEdgeSessionResumeReplaysCachedReport(t *testing.T) {
 	if h := sent[0]; !h.Resume || h.ResumeToken != "tok-4" || h.DoneSlots != 2 {
 		t.Errorf("resume Hello = %+v, want token tok-4 at 2 done slots", h)
 	}
-	want := &Message{Type: MsgReport, Slot: 1, EdgeID: 4, ModelID: 3, AvgLoss: 1.25, Correct: 1, Samples: 3, EnergyKWh: 1e-7, CompSeconds: 0.01}
+	want := &Message{Type: MsgReport, Slot: 1, AvgLoss: 1.25, Correct: 1, Samples: 3, EnergyKWh: 1e-7, CompSeconds: 0.01}
 	if !reflect.DeepEqual(sent[1], want) {
 		t.Errorf("replayed report = %+v\nwant the cached slot-1 report %+v", sent[1], want)
 	}
-	if sent[2].Slot != 2 || sent[2].ModelID != 1 {
-		t.Errorf("report after the replay = %+v, want slot 2 on model 1", sent[2])
+	if sent[2].Slot != 2 {
+		t.Errorf("report after the replay = %+v, want slot 2", sent[2])
 	}
 }
 
@@ -329,7 +330,7 @@ func TestRegionSessionResumeReplaysCachedDelta(t *testing.T) {
 
 	arms := func(k int) []int { return []int{k % 4, (k + 1) % 4, (k + 2) % 4} }
 	assign := func(slot int, a []int, dl bool) *Message {
-		return &Message{Type: MsgShardAssign, Slot: slot, Start: 0, Count: edges, Arms: a, Downloads: []bool{dl, dl, dl}}
+		return &Message{Type: MsgShardAssign, Slot: slot, Start: 0, Arms: a, Downloads: []bool{dl, dl, dl}}
 	}
 	// serve runs s.Run over one upstream pipe while root plays the root's
 	// side of it; it returns Run's outcome.
@@ -372,7 +373,8 @@ func TestRegionSessionResumeReplaysCachedDelta(t *testing.T) {
 		}
 		return h
 	}
-	welcome := &Message{Type: MsgRegionWelcome, Count: edges, Horizon: 3, NumModels: 4, ResumeToken: "region-tok"}
+	welcome := &Message{Type: MsgRegionWelcome, Horizon: 3, NumModels: 4, ResumeToken: "region-tok",
+		Checkpoint: &engine.ShardCheckpoint{Count: edges, FleetSeed: seed, Down: make([]bool, edges)}}
 
 	clean := play(t, func(s *RegionSession) (slot1 []byte) {
 		done, err := serve(t, s, func(up net.Conn) {
@@ -406,7 +408,7 @@ func TestRegionSessionResumeReplaysCachedDelta(t *testing.T) {
 			t.Fatalf("Run over the cut upstream: done=%v err=%v, want a resumable failure", done, err)
 		}
 		done, err = serve(t, s, func(up net.Conn) {
-			h := hello(t, up, &Message{Type: MsgRegionWelcome, Resume: true})
+			h := hello(t, up, &Message{Type: MsgRegionWelcome})
 			if !h.Resume || h.ResumeToken != "region-tok" || h.DoneSlots != 2 {
 				t.Errorf("resume hello = %+v, want token region-tok at 2 done slots", h)
 			}

@@ -6,8 +6,8 @@ import (
 )
 
 // ShardCheckpoint is the serializable root-visible state of one shard: what
-// a surviving (or newly joined) regional coordinator needs to adopt the
-// shard's contiguous edge range mid-run. It deliberately contains no bandit
+// a regional coordinator needs to serve the shard's contiguous edge range,
+// from its first slot or, adopting it, mid-run. It deliberately contains no bandit
 // or accounting floats — the controller state lives at the root and the
 // per-edge serving RNG streams live on the edges themselves (they travel
 // with the edge sessions when the edges redial the adopter) — so handing a
@@ -15,7 +15,7 @@ import (
 // edge-index order over the same per-edge terms.
 //
 // The JSON tags make the checkpoint a wire unit of the regional tier
-// (internal/deploy ships it inside a MsgShardAdopt frame).
+// (internal/deploy ships it in RegionWelcome and ShardAdopt frames).
 type ShardCheckpoint struct {
 	// Start and Count are the shard's contiguous global edge range
 	// [Start, Start+Count).

@@ -82,7 +82,7 @@ func TestShardCheckpointValidate(t *testing.T) {
 // panics, what it accepts covers no more edges than the bytes could carry, and
 // an accepted checkpoint re-marshals to an equal accepted checkpoint. The
 // middle seeds are internal/deploy's hostileCheckpoints (Validate alone stops
-// the first two, the session bound of deploy.ValidateAdopt the third), the
+// the first two, the session bound of deploy.ValidateShard the third), the
 // last its wellFormedCheckpoint.
 func FuzzShardCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"start":2,"count":3,"doneSlots":5,"fleetSeed":77,"down":[false,true,false]}`))

@@ -103,9 +103,6 @@ func (s *Shard) Range() (start, count int) { return s.start, len(s.edges) }
 // re-announcing WentDown — the root already folded their transition slot, so
 // re-emitting it would double-fire down callbacks and corrupt DownErrors.
 func (s *Shard) RestoreDown(down []bool) error {
-	if down == nil {
-		return nil
-	}
 	if len(down) != len(s.edges) {
 		return fmt.Errorf("engine: shard [%d,%d): restoring %d down flags for %d edges",
 			s.start, s.start+len(s.edges), len(down), len(s.edges))

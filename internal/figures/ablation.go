@@ -64,7 +64,6 @@ func AblationBlocking(o Options) (*Figure, error) {
 		ID:     "AblBlocking",
 		Title:  "Switching cost: blocked vs unblocked Tsallis-INF",
 		XLabel: "switch weight",
-		YLabel: "cumulative switching cost",
 		Series: labeled(labels, weights, ys),
 	}, nil
 }
@@ -96,7 +95,6 @@ func AblationStepSizes(o Options) (*Figure, error) {
 		ID:     "AblStepSizes",
 		Title:  "Algorithm 2 sensitivity to step-size scaling",
 		XLabel: "gamma multiplier",
-		YLabel: "value",
 		Series: []Series{
 			{Label: "TradingCost", X: multipliers, Y: costs},
 			{Label: "Fit", X: multipliers, Y: fits},
@@ -117,7 +115,6 @@ func AblationSubstrate(o Options) (*Figure, error) {
 		ID:     "AblSubstrate",
 		Title:  "Ours vs baselines: surrogate vs trained-NN loss substrate",
 		XLabel: "baseline index",
-		YLabel: "cost reduction of Ours",
 	}
 	x := make([]float64, len(baselines))
 	for i := range x {
@@ -208,7 +205,6 @@ func AblationPricePrediction(o Options) (*Figure, error) {
 		ID:     "AblPrediction",
 		Title:  "Vanilla vs AR(1)-predictive primal-dual trading",
 		XLabel: "price volatility",
-		YLabel: "trading cost",
 		Series: labeled(labels, volatilities, ys),
 	}, nil
 }

@@ -44,7 +44,6 @@ func figAccuracy(o Options, id, title string, zooCfg models.TrainedZooConfig) (*
 		ID:     id,
 		Title:  title,
 		XLabel: "slot",
-		YLabel: "accuracy",
 		Series: labeled(accuracyCombos, slotAxis(o.Horizon), acc),
 	}, nil
 }

@@ -18,7 +18,6 @@ func Fig8SelectionHistogram(o Options) (*Figure, error) {
 		ID:     "Fig8",
 		Title:  "Selections per model vs expected loss (one edge)",
 		XLabel: "expected loss",
-		YLabel: "selections",
 	}
 	// X axis: per-model expected loss, in model-index order.
 	x := make([]float64, s.NumModels())
@@ -67,7 +66,6 @@ func Fig9TradingVolume(o Options) (*Figure, error) {
 		ID:     "Fig9",
 		Title:  "Normalized net allowance purchase vs workload",
 		XLabel: "slot",
-		YLabel: "normalized value",
 	}
 	x := slotAxis(o.Horizon)
 	fig.Series = append(fig.Series, Series{Label: "Workload", X: x, Y: normalize(workload[0])[0]})

@@ -23,7 +23,6 @@ func Fig3CumulativeCost(o Options) (*Figure, error) {
 		ID:     "Fig3",
 		Title:  "Normalized cumulative total cost over time (10 edges)",
 		XLabel: "slot",
-		YLabel: "normalized cumulative cost",
 		// All curves are normalized jointly, as the paper does.
 		Series: labeled(fig3Combos, slotAxis(o.Horizon), normalize(curves...)),
 	}, nil
@@ -57,7 +56,6 @@ func Fig4CostVsEdges(o Options) (*Figure, error) {
 		ID:     "Fig4",
 		Title:  "Normalized total cost vs number of edges",
 		XLabel: "edges",
-		YLabel: "normalized total cost",
 		Series: labeled(fig4Combos, edgeCounts, normalize(raw...)),
 	}, nil
 }
@@ -81,7 +79,6 @@ func Fig5SwitchWeight(o Options) (*Figure, error) {
 		ID:     "Fig5",
 		Title:  "Total cost vs switching-cost weight",
 		XLabel: "weight",
-		YLabel: "total cost",
 		Series: labeled(fig5Combos, weights, ys),
 	}, nil
 }
@@ -108,7 +105,6 @@ func Fig6EmissionRate(o Options) (*Figure, error) {
 		ID:     "Fig6",
 		Title:  "Total cost vs carbon emission rate (x500 g/kWh)",
 		XLabel: "rate multiplier",
-		YLabel: "total cost",
 		Series: labeled(capRateCombos, multipliers, ys),
 	}, nil
 }
@@ -131,7 +127,6 @@ func Fig7CarbonCap(o Options) (*Figure, error) {
 		ID:     "Fig7",
 		Title:  "Total cost vs initial carbon cap",
 		XLabel: "cap (g)",
-		YLabel: "total cost",
 		Series: labeled(capRateCombos, caps, ys),
 	}, nil
 }

@@ -62,7 +62,6 @@ func Fig14AlgRuntime(o Options) (*Figure, error) {
 		ID:     "Fig14",
 		Title:  "Algorithm running time per slot vs number of edges",
 		XLabel: "edges",
-		YLabel: "seconds/slot",
 		Series: []Series{
 			{Label: "Algorithm1", X: edgeCounts, Y: alg1},
 			{Label: "Algorithm2", X: edgeCounts, Y: alg2},

@@ -47,7 +47,6 @@ func Fig10Regret(o Options) (*Figure, error) {
 		ID:     "Fig10",
 		Title:  "Regret for P0 vs time horizon",
 		XLabel: "horizon T",
-		YLabel: "regret",
 		Series: labeled(combos, horizonSweep, ys),
 	}, nil
 }
@@ -75,7 +74,6 @@ func Fig11Fit(o Options) (*Figure, error) {
 		ID:     "Fig11",
 		Title:  "Fit (long-term constraint violation) vs time horizon",
 		XLabel: "horizon T",
-		YLabel: "fit",
 		Series: labeled(combos, horizonSweep, ys),
 	}, nil
 }

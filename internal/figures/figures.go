@@ -32,7 +32,6 @@ type Figure struct {
 	ID     string
 	Title  string
 	XLabel string
-	YLabel string
 	Series []Series
 }
 

@@ -353,7 +353,7 @@ func TestFig14Runtime(t *testing.T) {
 
 func TestRenderOutput(t *testing.T) {
 	fig := &Figure{
-		ID: "FigX", Title: "test", XLabel: "x", YLabel: "y",
+		ID: "FigX", Title: "test", XLabel: "x",
 		Series: []Series{
 			{Label: "a", X: []float64{1, 2}, Y: []float64{3, 4}},
 			{Label: "b", X: []float64{1, 2}, Y: []float64{5}},

@@ -29,7 +29,7 @@ func BuildCNN(name string, in []int, c1, c2, hidden, classes int, rng *rand.Rand
 	pool1 := NewMaxPool2D()
 	conv2 := NewConv2D(c1, c2, 3, rng)
 	pool2 := NewMaxPool2D()
-	front := []Layer{conv1, NewReLU(), pool1, conv2, NewReLU(), pool2, NewFlatten()}
+	front := []Layer{conv1, NewReLU(), pool1, conv2, NewReLU(), pool2}
 	flat := flattenDim(in, front...)
 	layers := append(front,
 		NewDense(flat, hidden, rng),
@@ -51,7 +51,7 @@ func BuildLeNet5(name string, in []int, scale int, classes int, rng *rand.Rand) 
 	pool1 := NewMaxPool2D()
 	conv2 := NewConv2D(6*scale, 16*scale, 5, rng)
 	pool2 := NewMaxPool2D()
-	front := []Layer{conv1, NewReLU(), pool1, conv2, NewReLU(), pool2, NewFlatten()}
+	front := []Layer{conv1, NewReLU(), pool1, conv2, NewReLU(), pool2}
 	flat := flattenDim(in, front...)
 	layers := append(front,
 		NewDense(flat, 120*scale, rng),
@@ -66,7 +66,6 @@ func BuildLeNet5(name string, in []int, scale int, classes int, rng *rand.Rand) 
 // BuildMLP builds a multilayer perceptron with two hidden layers.
 func BuildMLP(name string, in []int, h1, h2, classes int, rng *rand.Rand) *Network {
 	return NewNetwork(name, in,
-		NewFlatten(),
 		NewDense(shapeLen(in), h1, rng),
 		NewReLU(),
 		NewDense(h1, h2, rng),
@@ -84,7 +83,7 @@ func BuildMobileCNN(name string, in []int, stem, point, classes int, rng *rand.R
 	pw1 := NewConv2D(stem, point, 1, rng)
 	pool2 := NewMaxPool2D()
 	pw2 := NewConv2D(point, point, 1, rng)
-	front := []Layer{conv1, NewReLU(), pool1, pw1, NewReLU(), pool2, pw2, NewReLU(), NewFlatten()}
+	front := []Layer{conv1, NewReLU(), pool1, pw1, NewReLU(), pool2, pw2, NewReLU()}
 	flat := flattenDim(in, front...)
 	layers := append(front,
 		NewDense(flat, classes, rng),

@@ -91,16 +91,16 @@ func (a *Arena) Tensor(shape ...int) *Tensor {
 	return t
 }
 
-// View returns a tensor header over existing data (no copy) — the batched
-// Flatten uses it to reshape without touching the payload. The element
-// count of shape must equal len(data).
+// View returns a tensor header over existing data (no copy) — INT8
+// calibration uses it to take its batch a chunk at a time. The element count
+// of shape must equal len(data).
 func (a *Arena) View(data []float64, shape ...int) *Tensor {
 	if shapeLen(shape) != len(data) {
 		//lint:allow panicpolicy mirrors NewTensor: a shape/payload mismatch is a programmer error on the inference hot path
 		panic("nn: arena view shape does not match data length")
 	}
 	t := &a.headers.take(1)[0]
-	t.Shape = append(t.Shape[:0], shape...) //lint:allow hotalloc shape header grows once to its max rank, then reuses capacity
+	t.Shape = append(t.Shape[:0], shape...)
 	t.Data = data
 	return t
 }

@@ -366,31 +366,3 @@ func (r *ReLU) OutShape(in []int) []int { return in }
 
 // FLOPs implements Layer.
 func (r *ReLU) FLOPs(in []int) int64 { return int64(shapeLen(in)) }
-
-// Flatten reshapes any tensor to a vector.
-type Flatten struct{}
-
-var _ Layer = (*Flatten)(nil)
-
-// NewFlatten creates a flatten layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-// ForwardBatch implements Layer: a reshaping view [B, d...] -> [B, n].
-func (f *Flatten) ForwardBatch(in *Tensor, a *Arena) *Tensor {
-	batch := in.Shape[0]
-	return a.View(in.Data, batch, in.Len()/batch)
-}
-
-// BackwardBatch implements Layer: a reshaping view back to the input shape.
-func (f *Flatten) BackwardBatch(in, gradOut *Tensor, _ []*Tensor, _ bool, a *Arena) *Tensor {
-	return a.View(gradOut.Data, in.Shape...)
-}
-
-// Params implements Layer.
-func (f *Flatten) Params() []*Tensor { return nil }
-
-// OutShape implements Layer.
-func (f *Flatten) OutShape(in []int) []int { return []int{shapeLen(in)} }
-
-// FLOPs implements Layer.
-func (f *Flatten) FLOPs([]int) int64 { return 0 }

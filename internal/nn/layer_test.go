@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -169,19 +168,6 @@ func TestReLUForwardBackward(t *testing.T) {
 	gin := r.Backward(in, g, nil)
 	if gin.Data[0] != 0 || gin.Data[1] != 0 || gin.Data[2] != 5 {
 		t.Errorf("relu backward = %v", gin.Data)
-	}
-}
-
-func TestFlattenRoundTrip(t *testing.T) {
-	f := NewFlatten()
-	in := randomTensor(rand.New(rand.NewSource(6)), 2, 3, 4)
-	out := f.Forward(in)
-	if len(out.Shape) != 1 || out.Shape[0] != 24 {
-		t.Errorf("flatten shape = %v", out.Shape)
-	}
-	back := f.Backward(in, out, nil)
-	if !slices.Equal(back.Shape, in.Shape) {
-		t.Errorf("backward shape = %v, want %v", back.Shape, in.Shape)
 	}
 }
 

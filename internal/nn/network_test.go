@@ -230,7 +230,7 @@ func TestEvaluateEmpty(t *testing.T) {
 // and the float engine walks layer by layer.
 func convPoolNet(shape []int, rng *rand.Rand) *Network {
 	conv := NewConv2D(shape[0], 6, 3, rng)
-	front := []Layer{conv, NewMaxPool2D(), NewFlatten()}
+	front := []Layer{conv, NewMaxPool2D()}
 	return NewNetwork("conv-pool", shape, append(front, NewDense(flattenDim(shape, front...), 10, rng))...)
 }
 
@@ -249,25 +249,25 @@ func TestPlanStages(t *testing.T) {
 		nets = append(nets, c.net)
 	}
 	want := map[string][]string{
-		"cnn-s [1 28 28]":     {"0-3 relu pool [8 13 13]", "3-6 relu pool [16 5 5]", "6-7 [400]", "7-9 relu [32]", "9-10 [10]"},
-		"cnn-l [1 28 28]":     {"0-3 relu pool [16 13 13]", "3-6 relu pool [32 5 5]", "6-7 [800]", "7-9 relu [64]", "9-10 [10]"},
-		"lenet-s [1 28 28]":   {"0-3 relu pool [6 12 12]", "3-6 relu pool [16 4 4]", "6-7 [256]", "7-9 relu [120]", "9-11 relu [84]", "11-12 [10]"},
-		"lenet-l [1 28 28]":   {"0-3 relu pool [12 12 12]", "3-6 relu pool [32 4 4]", "6-7 [512]", "7-9 relu [240]", "9-11 relu [168]", "11-12 [10]"},
-		"mlp-s [1 28 28]":     {"0-1 [784]", "1-3 relu [64]", "3-5 relu [32]", "5-6 [10]"},
-		"mlp-l [1 28 28]":     {"0-1 [784]", "1-3 relu [256]", "3-5 relu [128]", "5-6 [10]"},
-		"conv-pool [1 28 28]": {"0-2 pool [6 13 13]", "2-3 [1014]", "3-4 [10]"},
-		"cnn-s [3 32 32]":     {"0-3 relu pool [8 15 15]", "3-6 relu pool [16 6 6]", "6-7 [576]", "7-9 relu [32]", "9-10 [10]"},
-		"cnn-l [3 32 32]":     {"0-3 relu pool [16 15 15]", "3-6 relu pool [32 6 6]", "6-7 [1152]", "7-9 relu [64]", "9-10 [10]"},
-		"lenet-s [3 32 32]":   {"0-3 relu pool [6 14 14]", "3-6 relu pool [16 5 5]", "6-7 [400]", "7-9 relu [120]", "9-11 relu [84]", "11-12 [10]"},
-		"lenet-l [3 32 32]":   {"0-3 relu pool [12 14 14]", "3-6 relu pool [32 5 5]", "6-7 [800]", "7-9 relu [240]", "9-11 relu [168]", "11-12 [10]"},
-		"mobile-s [3 32 32]":  {"0-3 relu pool [4 15 15]", "3-6 relu pool [8 7 7]", "6-8 relu [8 7 7]", "8-9 [392]", "9-10 [10]"},
-		"mobile-l [3 32 32]":  {"0-3 relu pool [16 15 15]", "3-6 relu pool [32 7 7]", "6-8 relu [32 7 7]", "8-9 [1568]", "9-10 [10]"},
-		"conv-pool [3 32 32]": {"0-2 pool [6 15 15]", "2-3 [1350]", "3-4 [10]"},
-		"unlowered [16]":      {"0-1 [16]", "1-2 [16]", "2-3 [4]"},
-		"relu-tail [16]":      {"0-1 [16]", "1-3 relu [4]"},
-		"flat-relu [1 6 6]":   {"0-1 [2 4 4]", "1-2 [32]", "2-3 [32]", "3-4 [4]"},
-		"pool-relu [1 6 6]":   {"0-2 pool [2 2 2]", "2-3 [2 2 2]", "3-4 [8]", "4-5 [4]"},
-		"pool-pool [1 10 10]": {"0-2 pool [2 4 4]", "2-3 [2 2 2]", "3-4 [8]", "4-5 [4]"},
+		"cnn-s [1 28 28]":     {"0-3 relu pool [8 13 13]", "3-6 relu pool [16 5 5]", "6-8 relu [32]", "8-9 [10]"},
+		"cnn-l [1 28 28]":     {"0-3 relu pool [16 13 13]", "3-6 relu pool [32 5 5]", "6-8 relu [64]", "8-9 [10]"},
+		"lenet-s [1 28 28]":   {"0-3 relu pool [6 12 12]", "3-6 relu pool [16 4 4]", "6-8 relu [120]", "8-10 relu [84]", "10-11 [10]"},
+		"lenet-l [1 28 28]":   {"0-3 relu pool [12 12 12]", "3-6 relu pool [32 4 4]", "6-8 relu [240]", "8-10 relu [168]", "10-11 [10]"},
+		"mlp-s [1 28 28]":     {"0-2 relu [64]", "2-4 relu [32]", "4-5 [10]"},
+		"mlp-l [1 28 28]":     {"0-2 relu [256]", "2-4 relu [128]", "4-5 [10]"},
+		"conv-pool [1 28 28]": {"0-2 pool [6 13 13]", "2-3 [10]"},
+		"cnn-s [3 32 32]":     {"0-3 relu pool [8 15 15]", "3-6 relu pool [16 6 6]", "6-8 relu [32]", "8-9 [10]"},
+		"cnn-l [3 32 32]":     {"0-3 relu pool [16 15 15]", "3-6 relu pool [32 6 6]", "6-8 relu [64]", "8-9 [10]"},
+		"lenet-s [3 32 32]":   {"0-3 relu pool [6 14 14]", "3-6 relu pool [16 5 5]", "6-8 relu [120]", "8-10 relu [84]", "10-11 [10]"},
+		"lenet-l [3 32 32]":   {"0-3 relu pool [12 14 14]", "3-6 relu pool [32 5 5]", "6-8 relu [240]", "8-10 relu [168]", "10-11 [10]"},
+		"mobile-s [3 32 32]":  {"0-3 relu pool [4 15 15]", "3-6 relu pool [8 7 7]", "6-8 relu [8 7 7]", "8-9 [10]"},
+		"mobile-l [3 32 32]":  {"0-3 relu pool [16 15 15]", "3-6 relu pool [32 7 7]", "6-8 relu [32 7 7]", "8-9 [10]"},
+		"conv-pool [3 32 32]": {"0-2 pool [6 15 15]", "2-3 [10]"},
+		"unlowered [16]":      {"0-1 [16]", "1-2 [4]"},
+		"relu-tail [16]":      {"0-2 relu [4]"},
+		"relu-relu [1 6 6]":   {"0-2 relu [2 4 4]", "2-3 [2 4 4]", "3-4 [4]"},
+		"pool-relu [1 6 6]":   {"0-2 pool [2 2 2]", "2-3 [2 2 2]", "3-4 [4]"},
+		"pool-pool [1 10 10]": {"0-2 pool [2 4 4]", "2-3 [2 2 2]", "3-4 [4]"},
 	}
 	for _, net := range nets {
 		in := net.InShape()

@@ -105,7 +105,9 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 func (c *Conv2D) Backward(in, gradOut *Tensor, grads []*Tensor) *Tensor {
 	gw, gb := grads[0].Data, grads[1].Data
 	h, w := in.Shape[1], in.Shape[2]
-	oh, ow := gradOut.Shape[1], gradOut.Shape[2]
+	// The output plane comes from the input and K: gradOut may be flat, a
+	// Dense's input gradient.
+	oh, ow := h-c.K+1, w-c.K+1
 	gradIn := NewTensor(c.InC, h, w)
 	for oc := 0; oc < c.OutC; oc++ {
 		for y := 0; y < oh; y++ {
@@ -220,16 +222,6 @@ func (r *ReLU) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
 		}
 	}
 	return gradIn
-}
-
-// Forward is a reshaping view.
-func (f *Flatten) Forward(in *Tensor) *Tensor {
-	return &Tensor{Shape: []int{in.Len()}, Data: in.Data}
-}
-
-// Backward is a reshaping view back to the input shape.
-func (f *Flatten) Backward(in, gradOut *Tensor, _ []*Tensor) *Tensor {
-	return &Tensor{Shape: in.Shape, Data: gradOut.Data}
 }
 
 // Forward runs all layers on one sample and returns the logits.

@@ -219,9 +219,9 @@ func calibrate(actMax []float64, net *Network, calib *Tensor, a *Arena) []float6
 // static activation scale per layer boundary (maxAbs/127, zero->one
 // fallback). Weight scales come from qw; biases are read from net's float
 // tensors in accumulator units. Each Conv2D or Dense stage of net
-// (planStages) compiles to one op, its ReLU and MaxPool2D folded in; a
-// Flatten stage costs nothing, and any other stage — a ReLU or MaxPool2D no
-// such stage absorbs, or another layer type — is an error. No conv or dense
+// (planStages) compiles to one op, its ReLU and MaxPool2D folded in; any
+// other stage — a ReLU or MaxPool2D no such stage absorbs, or another layer
+// type — is an error. No conv or dense
 // row may sum more than maxDotLen products, and the final layer must be
 // Dense — every zoo architecture qualifies.
 func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*QuantizedNetwork, error) {
@@ -273,8 +273,6 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 		op := qOp{relu: st.relu, pool: st.pool, inLen: shapeLen(st.in), outLen: shapeLen(st.out)}
 		var rows, rowLen, acc int // weight rows, their length, per-sample accumulators
 		switch t := l.(type) {
-		case *Flatten:
-			continue // activations are already flat CHW rows
 		case *Conv2D:
 			op.kind, op.inC, op.outC, op.k = qConv, t.InC, t.OutC, t.K
 			op.h, op.w = st.in[1], st.in[2]

@@ -110,8 +110,8 @@ func TestDispatchFeatureOverrideBitIdentical(t *testing.T) {
 	// their 8-column and scalar tails and the backward
 	// convolution kernel at k = 5 — conv1 without an input gradient, conv2
 	// with one. The same epoch on a 3x3 CNN runs that kernel at k = 3, and on
-	// an MLP, whose first layer with weights is a Dense behind a Flatten, the
-	// Dense backward without an input gradient.
+	// an MLP, whose first layer is a Dense, the Dense backward without an
+	// input gradient.
 	floatNet := func() *Network {
 		return BuildLeNet5("dispatch-lenet", []int{1, 16, 16}, 1, 10, rand.New(rand.NewSource(32)))
 	}

@@ -140,9 +140,9 @@ func TestQuantizeWeightsRoundTripsOracle(t *testing.T) {
 	// math.Round(v/s)*s gives -0: the planted -1e-9 pins that rule.
 	rng := rand.New(rand.NewSource(7))
 	net := BuildMLP("m", []int{16}, 12, 8, 4, rng)
-	net.Layers[1].Params()[0].Data[0] = -1e-9
+	net.Layers[0].Params()[0].Data[0] = -1e-9
 	zeroed := BuildMLP("z", []int{16}, 12, 8, 4, rng)
-	for _, p := range zeroed.Layers[1].Params() {
+	for _, p := range zeroed.Layers[0].Params() {
 		for i := range p.Data {
 			p.Data[i] = 0
 		}

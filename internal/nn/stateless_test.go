@@ -17,7 +17,7 @@ import (
 // back into a layer unnoticed.
 func TestLayersHoldOnlyParameters(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
-	for _, l := range []Layer{NewDense(3, 2, rng), NewConv2D(1, 2, 3, rng), NewMaxPool2D(), NewReLU(), NewFlatten()} {
+	for _, l := range []Layer{NewDense(3, 2, rng), NewConv2D(1, 2, 3, rng), NewMaxPool2D(), NewReLU()} {
 		v := reflect.ValueOf(l).Elem()
 		params := l.Params()
 		for i := 0; i < v.NumField(); i++ {

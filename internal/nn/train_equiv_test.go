@@ -187,8 +187,8 @@ func btoi(b bool) int {
 // and one gradient plane, written by poolRoute. The test also fails on any
 // buffer the size of one sample's im2col matrix (kk*np floats) of any
 // convolution, and on a second buffer the size of the input batch: the first
-// layer with weights sees that many inputs (the Flatten in front of an MLP's
-// first Dense is a view), so a second one would be its input gradient, which
+// layer with weights sees that many inputs (an MLP's first Dense reads the
+// batch where it lies), so a second one would be its input gradient, which
 // nothing reads.
 func TestTrainArenaFootprintPinned(t *testing.T) {
 	const batch = 16
