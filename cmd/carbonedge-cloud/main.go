@@ -24,8 +24,8 @@
 //
 // The regional tier is elastic: give the root -degrade plus a per-link
 // retry budget (-region-retries) and regions a -resumes budget, and a
-// coordinator whose upstream link fails redials the root, resumes from its
-// shard watermark, and the run completes with the same summary bytes. A
+// coordinator whose upstream link fails redials the root, resumes its
+// session, and the run completes with the same summary bytes. A
 // coordinator started with -leave-before N departs gracefully before slot
 // N and the root rebalances its shard onto a surviving region (or degrades
 // it when fewer than -quorum regions remain). See README.md "Killing a
@@ -253,8 +253,8 @@ func runRoot(stdout io.Writer, listen string, edges, regions, horizon int, seed 
 // runRegion runs one regional coordinator: it trains the zoo (identical to
 // every other region's, by seed), claims its shard from the root, and admits
 // the shard's edges on its own listener. When the upstream link fails, the
-// coordinator redials the root and resumes from its shard watermark, up to
-// resumes times, exactly as carbonedge-edge -resumes does for edges.
+// coordinator redials the root and resumes its session, up to resumes
+// times, exactly as carbonedge-edge -resumes does for edges.
 func runRegion(stdout io.Writer, listen, connect string, regionID int, seed int64,
 	trainN, epochs, retries, resumes, leaveAt int, hsTO, slotTO time.Duration) error {
 	source, err := trainSource(stdout, seed, trainN, epochs)

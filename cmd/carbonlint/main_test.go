@@ -462,7 +462,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 16505
+	goLineCeiling  = 16433
 	asmLineCeiling = 1712
 )
 
@@ -471,8 +471,8 @@ const (
 // EXPERIMENTS.md what it measures now, and the history of how either got
 // there is CHANGES.md's.
 var docByteCeiling = map[string]int{
-	"DESIGN.md":      64764,
-	"EXPERIMENTS.md": 18507,
+	"DESIGN.md":      64615,
+	"EXPERIMENTS.md": 18503,
 }
 
 // lineCount is one package's (or the total's) raw and code lines, Go at

@@ -53,12 +53,15 @@ func run(stdout io.Writer) error {
 	}
 
 	scale := mean(emissions)
-	traders := []trading.Trader{
-		mustPrimalDual(initialCap, horizon, scale, mean(prices.Buy)),
-		mustLyapunov(initialCap, horizon, scale, mean(prices.Buy)),
-		mustThreshold(prices, scale),
-		mustRandom(scale, rng),
-		mustOneShot(emissions, initialCap),
+	traders := []struct {
+		name string
+		tr   trading.Trader
+	}{
+		{"PrimalDual", mustPrimalDual(initialCap, horizon, scale, mean(prices.Buy))},
+		{"Lyapunov", mustLyapunov(initialCap, horizon, scale, mean(prices.Buy))},
+		{"Threshold", mustThreshold(prices, scale)},
+		{"Random", mustRandom(scale, rng)},
+		{"OneShot", mustOneShot(emissions, initialCap)},
 	}
 
 	fmt.Fprintf(stdout, "carbon market: %d slots, cap %.1f g, total emissions %.1f g\n",
@@ -66,12 +69,12 @@ func run(stdout io.Writer) error {
 	fmt.Fprintf(stdout, "prices: %.1f-%.1f (shocks enabled)\n\n", slices.Min(prices.Buy), slices.Max(prices.Buy))
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "trader\ttrading cost\tfit (g)\tbought\tsold")
-	for _, tr := range traders {
-		cost, fit, bought, sold, err := play(tr, emissions, prices, initialCap)
+	for _, row := range traders {
+		cost, fit, bought, sold, err := play(row.tr, emissions, prices, initialCap)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\t%.2f\t%.2f\n", tr.Name(), cost, fit, bought, sold)
+		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\t%.2f\t%.2f\n", row.name, cost, fit, bought, sold)
 	}
 	return tw.Flush()
 }

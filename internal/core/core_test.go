@@ -328,12 +328,13 @@ func TestCompleteSlotServedRouting(t *testing.T) {
 		{"update 3", "update 3", "update 3"},
 	}
 	for _, tc := range []struct {
+		name   string
 		trader trading.Trader
 		lambda func() float64
 	}{
-		{pd, pd.Lambda},
-		{ppd, ppd.Lambda},
-		{threshold, func() float64 { return 0 }},
+		{"PrimalDual", pd, pd.Lambda},
+		{"PredictivePrimalDual", ppd, ppd.Lambda},
+		{"Threshold", threshold, func() float64 { return 0 }},
 	} {
 		recs := []*recordingPolicy{{arm: 0}, {arm: 1}, {arm: 1}}
 		c, err := NewWithComponents(cfg, []bandit.Policy{recs[0], recs[1], recs[2]}, tc.trader)
@@ -352,7 +353,7 @@ func TestCompleteSlotServedRouting(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		name := tc.trader.Name()
+		name := tc.name
 		for i, r := range recs {
 			if !slices.Equal(r.events, want[i]) {
 				t.Errorf("%s: edge %d got %q, want %q", name, i, r.events, want[i])

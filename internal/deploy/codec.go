@@ -20,18 +20,18 @@ import (
 // A message with any other member set — a string or a nested struct (Reason,
 // ResumeToken, Models, Checkpoint, a non-empty DownError, a Delta with nil
 // Edges), a non-finite float, or a member only handshake and rebalancing
-// frames use (numModels, resume, doneSlots, regionId, horizon, degrade,
-// seed) — is not encoded here, and a body that is anything but the canonical
-// form of a covered message is not decoded here: both fall through to
-// encoding/json in protocol.go, which stays the authority for every such
-// frame and for every error. The decoder therefore accepts only input
+// frames use (numModels, resume, regionId, degrade, seed) — is not encoded
+// here, and a body that is anything but the canonical form of a covered
+// message is not decoded here: both fall through to encoding/json in
+// protocol.go, which stays the authority for every such frame and for every
+// error. The decoder therefore accepts only input
 // encoding/json decodes to the same Message; fuzz_test.go holds it to that.
 
 // appendMessage appends m's canonical JSON to dst. ok is false — with dst
 // returned at its original length — when m is outside the fast path's shape.
 func appendMessage(dst []byte, m *Message) (out []byte, ok bool) {
 	if len(m.Models) > 0 || m.ResumeToken != "" || m.Reason != "" || m.Checkpoint != nil ||
-		m.NumModels != 0 || m.Resume || m.DoneSlots != 0 || m.RegionID != 0 || m.Horizon != 0 || m.Degrade || m.Seed != 0 ||
+		m.NumModels != 0 || m.Resume || m.RegionID != 0 || m.Degrade || m.Seed != 0 ||
 		!finite(m.AvgLoss) || !finite(m.EnergyKWh) || !finite(m.CompSeconds) ||
 		(m.Delta != nil && m.Delta.Edges == nil) {
 		return dst, false

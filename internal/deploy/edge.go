@@ -79,9 +79,7 @@ func NewEdgeSession(edgeID int, rt Runtime) (*EdgeSession, error) {
 // again to resume the session.
 func (s *EdgeSession) Run(raw net.Conn) (done bool, err error) { return s.run(raw, s) }
 
-func (s *EdgeSession) hello() (*Message, int) {
-	return &Message{Type: MsgHello, EdgeID: s.edgeID}, s.cache.done
-}
+func (s *EdgeSession) hello() *Message { return &Message{Type: MsgHello, EdgeID: s.edgeID} }
 
 func (s *EdgeSession) setup(w *Message) error {
 	if err := s.rt.Welcome(w.Models); err != nil {
@@ -140,9 +138,8 @@ func RunEdgeResumable(dial func() (net.Conn, error), edgeID int, rt Runtime, max
 // run's first Welcome, what it serves, and what ending the run does to what
 // it holds. Everything else belongs to the session.
 type unit interface {
-	// hello builds the unit's Hello and returns it with the number of slots
-	// the unit has completed replies for (its resume position).
-	hello() (m *Message, done int)
+	// hello builds the unit's Hello.
+	hello() *Message
 	// setup takes the run's first Welcome.
 	setup(w *Message) error
 	// serve handles one frame other than Done and Error.
@@ -219,13 +216,13 @@ func (s *session) run(raw net.Conn, u unit) (done bool, err error) {
 
 // handshake performs the Hello/Welcome exchange on a fresh connection. Once
 // the session has been welcomed the Hello goes out as a resume, with the
-// session's token and the unit's resume position, and the Welcome carries
-// nothing to set up. A unit that cannot set up on the first Welcome has
-// failed, as one that cannot serve a frame has: the peer hears why.
+// session's token, and the Welcome carries nothing to set up. A unit that
+// cannot set up on the first Welcome has failed, as one that cannot serve a
+// frame has: the peer hears why.
 func (s *session) handshake(conn *wireConn, u unit) (outcome, error) {
-	hello, done := u.hello()
+	hello := u.hello()
 	if s.welcomed {
-		hello.Resume, hello.ResumeToken, hello.DoneSlots = true, s.token, done
+		hello.Resume, hello.ResumeToken = true, s.token
 	}
 	if err := WriteMessage(conn, hello); err != nil {
 		return cut, fmt.Errorf("deploy: hello: %w", err)
@@ -282,8 +279,7 @@ func (s *session) redial(dial func() (net.Conn, error), maxResumes int, u unit) 
 // before it is sent: a peer that never saw it assigns the slot again over the
 // resumed connection, and the answer must come from here.
 type replaySlot struct {
-	done int      // slots completed (replies produced, possibly unacked)
-	last *Message // cached reply of slot done-1; nil or &msg
+	last *Message // cached reply of the last slot served; nil or &msg
 	msg  Message  // storage of last, rewritten once per served slot
 }
 
@@ -298,7 +294,7 @@ func (c *replaySlot) answer(conn *wireConn, slot int, produce func(reply *Messag
 		if err := produce(&c.msg); err != nil {
 			return failed, err
 		}
-		c.last, c.done = &c.msg, slot+1
+		c.last = &c.msg
 	}
 	if err := WriteMessage(conn, c.last); err != nil {
 		return cut, fmt.Errorf("deploy: reply to slot %d: %w", slot, err)

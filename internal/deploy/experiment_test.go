@@ -12,8 +12,8 @@ package deploy
 // (root links) while the fleet's edge links are in-memory net.Pipe pairs —
 // the host's fd ceiling (20k here) makes 100k real sockets impossible in
 // one process, and the deploy layer only ever sees net.Conn either way.
-// Mid-run, one coordinator's upstream link is cut; it redials, resumes from
-// its shard watermark, and the final summary must equal the fault-free
+// Mid-run, one coordinator's upstream link is cut; it redials, resumes its
+// session, and the final summary must equal the fault-free
 // run's bytes once the elasticity counters are stripped.
 
 import (

@@ -47,12 +47,12 @@ type edgeFleet struct {
 // newEdgeFleet builds a fleet that initially admits cfg.Edges edges, global
 // ids [offset, offset+cfg.Edges), with deterministic resume tokens; zero
 // edges make a standby fleet that gains its ranges only through mid-run shard
-// adoption. Of cfg it reads Horizon, Seed (resume tokens, backoff jitter),
-// the two timeouts and Retry. The caller validates the configuration (see
-// NewCloud / RunRegion).
+// adoption. Of cfg it reads Seed (resume tokens, backoff jitter), the two
+// timeouts and Retry. The caller validates the configuration (see NewCloud /
+// RunRegion).
 func newEdgeFleet(cfg CloudConfig, offset int, source ModelSource) *edgeFleet {
 	f := &edgeFleet{source: source, retry: newRetrier(cfg.Retry, cfg.SlotTimeout, "deploy-retry")}
-	f.acc = newAcceptor(f, MsgHello, "Hello", "edge", cfg.Horizon, cfg.Edges, cfg.HandshakeTimeout)
+	f.acc = newAcceptor(f, MsgHello, "Hello", "edge", cfg.Edges, cfg.HandshakeTimeout)
 	f.initial = newFleetRange(offset, cfg.Edges, cfg.Seed, false)
 	f.ranges = []*fleetRange{f.initial}
 	f.grown = make(chan struct{})
@@ -125,12 +125,12 @@ func (f *edgeFleet) adopt(ck *engine.ShardCheckpoint) (*fleetRange, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, rg := range f.ranges {
-		if ck.Start < rg.offset+len(rg.links) && rg.offset < ck.Start+ck.Count {
+		if ck.Start < rg.offset+len(rg.links) && rg.offset < ck.Start+len(ck.Down) {
 			return nil, protocolErrorf("adopted range [%d,%d) overlaps fleet range [%d,%d)",
-				ck.Start, ck.Start+ck.Count, rg.offset, rg.offset+len(rg.links))
+				ck.Start, ck.Start+len(ck.Down), rg.offset, rg.offset+len(rg.links))
 		}
 	}
-	rg := newFleetRange(ck.Start, ck.Count, ck.FleetSeed, true)
+	rg := newFleetRange(ck.Start, len(ck.Down), ck.FleetSeed, true)
 	f.ranges = append(f.ranges, rg)
 	close(f.grown) // wake the Hellos held for ids not served until now
 	f.grown = make(chan struct{})

@@ -248,11 +248,11 @@ func genMessage(r *rand.Rand) *Message {
 		m.Type, m.EdgeID = MsgHello, genInt(r)
 	default: // everything, the members only handshake and rebalancing frames use among it
 		m.Type = MsgType(genInt(r))
-		m.EdgeID, m.NumModels, m.DoneSlots, m.Slot, m.ModelID = genInt(r), genInt(r), genInt(r), genInt(r), genInt(r)
+		m.EdgeID, m.NumModels, m.Slot, m.ModelID = genInt(r), genInt(r), genInt(r), genInt(r)
 		m.Resume, m.Switch, m.Degrade = r.Intn(2) == 0, r.Intn(2) == 0, r.Intn(2) == 0
 		m.Weights = []byte{0xff, 0xfe, 0x00}[:r.Intn(4)]
 		m.AvgLoss, m.EnergyKWh, m.CompSeconds = genFloat(r), genFloat(r), genFloat(r)
-		m.Correct, m.Samples, m.RegionID, m.Start, m.Horizon = genInt(r), genInt(r), genInt(r), genInt(r), genInt(r)
+		m.Correct, m.Samples, m.RegionID, m.Start = genInt(r), genInt(r), genInt(r), genInt(r)
 		m.Arms, m.Downloads = []int{genInt(r)}, []bool{true, false}
 		m.Delta = &engine.SlotDelta{Start: genInt(r), Edges: []engine.EdgeDelta{genEdgeDelta(r, stringy), genEdgeDelta(r, stringy)}}
 		m.Seed = int64(genInt(r))
@@ -266,7 +266,7 @@ func genMessage(r *rand.Rand) *Message {
 		case 2:
 			m.Models = []ModelMeta{{Name: genString(r), PhiKWh: genFloat(r), SizeBytes: int64(genInt(r))}}
 		case 3:
-			m.Checkpoint = &engine.ShardCheckpoint{Start: genInt(r), Count: 2, DoneSlots: genInt(r), Down: []bool{true, false}}
+			m.Checkpoint = &engine.ShardCheckpoint{Start: genInt(r), FleetSeed: int64(genInt(r)), Down: []bool{true, false}}
 		}
 	}
 	return m
@@ -398,7 +398,7 @@ func TestWireCodecCanonicalCorners(t *testing.T) {
 		`{"type":10,"delta":{"start":0,"edges":[{},{"served":true}]}}`, `{"type":10,"delta":{"start":0,"edges":[{,"served":true}]}}`,
 		`{"type":10,"delta":{"start":0,"edges":[{"served":true,"loss":1}]}}`, `{"type":10,"delta":{"start":0,"edges":[{"downError":"x"}]}}`,
 		`{"type":10,"delta":{"start":0,"edges":[{}],"extra":1}}`, `{"type":10,"delta":{"start":0,"edges":[{}]},"seed":-9}`,
-		`{"type":6,"reason":"boom"}`, `{"type":1,"edgeId":3,"resume":true,"resumeToken":"t","doneSlots":4}`,
+		`{"type":6,"reason":"boom"}`, `{"type":1,"edgeId":3,"resume":true,"resumeToken":"t"}`,
 	} {
 		checkDecode(t, []byte(body))
 	}
@@ -437,37 +437,34 @@ func hotFrames(shard int) map[string]*Message {
 // hotFrameNames fixes the iteration order over hotFrames.
 var hotFrameNames = []string{"Assign", "AssignCkpt", "Report", "ShardAssign", "ShardDelta"}
 
-// The session the adopt frames below are judged against: an 8-slot run.
-const adoptHorizon = 8
-
-// hostileCheckpoints are checkpoints that claim more than their frame
-// carried or their session can have produced; each would have the
-// coordinator allocate on a number alone, or resume past its run's end.
+// hostileCheckpoints are checkpoints that name no edge range a coordinator
+// could serve: no down flags (so no edges), a range that runs past the last
+// int, or one that starts below edge 0.
 // TestRegionSessionRejectsHostileAdopt and
 // TestRegionSessionRejectsHostileWelcome put them on a coordinator's upstream
 // link, and they seed FuzzReadMessage here (in both frames) and
 // FuzzShardCheckpoint in internal/engine.
 var hostileCheckpoints = map[string]string{
-	"slice-less oversized count": `{"start":0,"count":1099511627776,"fleetSeed":7}`,
-	"overflowing start+count":    `{"start":9223372036854775807,"count":1,"fleetSeed":7,"down":[false]}`,
-	"doneSlots past the horizon": `{"start":0,"count":1,"doneSlots":9,"fleetSeed":7,"down":[false]}`,
+	"no down flags":           `{"start":0,"fleetSeed":7}`,
+	"overflowing start+count": `{"start":9223372036854775807,"fleetSeed":7,"down":[false]}`,
+	"negative start":          `{"start":-1,"fleetSeed":7,"down":[false]}`,
 }
 
-// wellFormedCheckpoint is what the root's regionStepper could hand over in
-// an adoptHorizon-slot session: TestRegionSessionRejectsHostileAdopt adopts
-// it, and it seeds FuzzReadMessage beside the hostile ones.
-const wellFormedCheckpoint = `{"start":4,"count":2,"doneSlots":4,"fleetSeed":7,"down":[false,true]}`
+// wellFormedCheckpoint is what the root's regionStepper could hand over:
+// TestRegionSessionRejectsHostileAdopt adopts it, and it seeds
+// FuzzReadMessage beside the hostile ones.
+const wellFormedCheckpoint = `{"start":4,"fleetSeed":7,"down":[false,true]}`
 
 // adoptFrame frames a ShardAdopt carrying the checkpoint's JSON as written.
 func adoptFrame(checkpoint string) []byte {
 	return rawFrame(fmt.Sprintf(`{"type":%d,"checkpoint":%s}`, MsgShardAdopt, checkpoint))
 }
 
-// welcomeFrame frames an initial RegionWelcome of an adoptHorizon-slot run
-// over a zoo of numModels, carrying the checkpoint's JSON as written.
+// welcomeFrame frames an initial RegionWelcome over a zoo of numModels,
+// carrying the checkpoint's JSON as written.
 func welcomeFrame(numModels int, checkpoint string) []byte {
-	return rawFrame(fmt.Sprintf(`{"type":%d,"numModels":%d,"resumeToken":"tok","horizon":%d,"checkpoint":%s}`,
-		MsgRegionWelcome, numModels, adoptHorizon, checkpoint))
+	return rawFrame(fmt.Sprintf(`{"type":%d,"numModels":%d,"resumeToken":"tok","checkpoint":%s}`,
+		MsgRegionWelcome, numModels, checkpoint))
 }
 
 func rawFrame(body string) []byte {
@@ -476,11 +473,10 @@ func rawFrame(body string) []byte {
 
 // checkValidators runs a decoded message through its type's validator. None
 // may panic on anything the decoder lets through; a Report or ShardDelta that
-// passes holds only finite non-negative terms, and the shard of a ShardAdopt
-// or RegionWelcome that passes is no larger than the bytes that carried it
-// and the session's bounds (an adopt's session is adoptHorizon slots long, a
-// welcome's is the horizon it announces).
-func checkValidators(t testing.TB, m *Message, frameLen int) {
+// passes holds only finite non-negative terms, and the checkpoint of a
+// ShardAdopt or RegionWelcome that passes covers a non-empty edge range
+// [Start, Start+len(Down)) that does not overflow.
+func checkValidators(t testing.TB, m *Message) {
 	t.Helper()
 	ok := func(what string, vs ...float64) {
 		for _, v := range vs {
@@ -506,13 +502,9 @@ func checkValidators(t testing.TB, m *Message, frameLen int) {
 			}
 		}
 	case MsgShardAdopt, MsgRegionWelcome:
-		horizon := adoptHorizon
-		if m.Type == MsgRegionWelcome {
-			horizon = m.Horizon
-		}
-		if ck := m.Checkpoint; ValidateShard(m, horizon) == nil && ck != nil {
-			if ck.Count > frameLen || ck.DoneSlots > horizon {
-				t.Fatalf("validated a %d-byte frame of type %d handing over %d edges at slot %d", frameLen, m.Type, ck.Count, ck.DoneSlots)
+		if ck := m.Checkpoint; ValidateShard(m) == nil && ck != nil {
+			if n := len(ck.Down); n == 0 || ck.Start < 0 || ck.Start+n < ck.Start {
+				t.Fatalf("validated a frame of type %d handing over %d edges from %d", m.Type, n, ck.Start)
 			}
 		}
 	}
@@ -549,7 +541,7 @@ func FuzzReadMessage(f *testing.F) {
 		got, err := ReadMessage(bytes.NewReader(stream))
 		sameOutcome(t, "ReadMessage", got, err, want, wantErr)
 		if err == nil {
-			checkValidators(t, got, len(stream))
+			checkValidators(t, got)
 		}
 		// The connection reader takes the same stream in read-ahead mode.
 		got, err = (&frameReader{r: bytes.NewReader(stream)}).next()

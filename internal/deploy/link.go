@@ -336,10 +336,10 @@ type acceptor struct {
 	// peer-visible reject reasons.
 	hello           MsgType
 	helloName, noun string
-	// horizon bounds the resume-position plausibility check; handshake is
-	// the owner's HandshakeTimeout; want initial admissions are awaited.
-	horizon, want int
-	handshake     time.Duration
+	// handshake is the owner's HandshakeTimeout; want initial admissions
+	// are awaited.
+	want      int
+	handshake time.Duration
 
 	// initial and acceptErr carry initial-admission progress from the
 	// accept loop to awaitInitial.
@@ -351,10 +351,10 @@ type acceptor struct {
 	stopped chan struct{}
 }
 
-func newAcceptor(t tier, hello MsgType, helloName, noun string, horizon, want int, handshake time.Duration) *acceptor {
+func newAcceptor(t tier, hello MsgType, helloName, noun string, want int, handshake time.Duration) *acceptor {
 	return &acceptor{
 		tier: t, hello: hello, helloName: helloName, noun: noun,
-		horizon: horizon, handshake: handshake, want: want,
+		handshake: handshake, want: want,
 		initial:   make(chan struct{}, want+1),
 		acceptErr: make(chan error, 1),
 		stopped:   make(chan struct{}),
@@ -473,9 +473,6 @@ func (a *acceptor) admit(raw net.Conn) {
 	if l != nil {
 		if m.Resume {
 			reject = l.resumeReject(a.noun, m.ResumeToken)
-			if reject == "" && (m.DoneSlots < 0 || m.DoneSlots > a.horizon) {
-				reject = fmt.Sprintf("implausible resume position %d", m.DoneSlots)
-			}
 		} else if !l.claim(m.Seed) {
 			reject = fmt.Sprintf("duplicate %s id %d", a.noun, l.id)
 		}

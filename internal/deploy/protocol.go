@@ -69,9 +69,8 @@ const (
 
 	// MsgRegionHello is a coordinator's first frame: it announces RegionID.
 	MsgRegionHello
-	// MsgRegionWelcome is the root's reply: the horizon, the zoo size, the
-	// error policy the shard must apply, and the shard itself as a
-	// checkpoint.
+	// MsgRegionWelcome is the root's reply: the zoo size, the error policy
+	// the shard must apply, and the shard itself as a checkpoint.
 	MsgRegionWelcome
 	// MsgShardAssign starts a slot on a region: the shard-local model
 	// placement and download schedule.
@@ -105,15 +104,14 @@ type Message struct {
 
 	// Session resume (Hello / Welcome). A first Hello carries neither field;
 	// the Welcome answers with the session's ResumeToken. A reconnecting
-	// unit sends Hello with Resume set, the token it was issued, and
-	// DoneSlots = number of slots it has completed replies for — so the peer
-	// can re-assign the in-flight slot without re-shipping the session's
-	// setup (a resume Welcome is its bare type) and without double-counting
-	// a slot whose reply was lost in flight (the unit answers a duplicate
-	// assign from its reply cache instead of re-serving it).
+	// unit sends Hello with Resume set and the token it was issued, so the
+	// peer can re-assign the in-flight slot without re-shipping the
+	// session's setup (a resume Welcome is its bare type) and without
+	// double-counting a slot whose reply was lost in flight (the unit
+	// answers a duplicate assign from its reply cache instead of re-serving
+	// it).
 	Resume      bool   `json:"resume,omitempty"`
 	ResumeToken string `json:"resumeToken,omitempty"`
-	DoneSlots   int    `json:"doneSlots,omitempty"`
 
 	// Assign (Slot, ModelID, Switch, Weights).
 	Slot    int    `json:"slot,omitempty"`
@@ -134,11 +132,11 @@ type Message struct {
 	// Regional tier. RegionHello carries RegionID and Seed (the
 	// coordinator's fleet seed, which an adopter's checkpoint derives the
 	// shard's edge tokens and jitter from); a resuming RegionHello reuses
-	// the shared Resume/ResumeToken/DoneSlots fields above, exactly as edges
-	// do. RegionWelcome answers with the run Horizon, NumModels, Degrade
-	// (whether the shard absorbs edge failures instead of failing fast) and,
-	// for an initial coordinator, its shard as the Checkpoint an adopter
-	// would get (no Checkpoint: a standby). ShardAssign carries Slot, the
+	// the shared Resume/ResumeToken fields above, exactly as edges do.
+	// RegionWelcome answers with NumModels, Degrade (whether the shard
+	// absorbs edge failures instead of failing fast) and, for an initial
+	// coordinator, its shard as the Checkpoint an adopter would get (no
+	// Checkpoint: a standby). ShardAssign carries Slot, the
 	// shard's range Start (a coordinator owning several ranges after an
 	// adoption routes by it) and the shard-local Arms/Downloads; ShardDelta
 	// answers with Slot and the shard's per-slot reduction. encoding/json
@@ -147,7 +145,6 @@ type Message struct {
 	// is its bare type; ShardAdopt carries the orphaned shard's Checkpoint.
 	RegionID   int                     `json:"regionId,omitempty"`
 	Start      int                     `json:"start,omitempty"`
-	Horizon    int                     `json:"horizon,omitempty"`
 	Degrade    bool                    `json:"degrade,omitempty"`
 	Arms       []int                   `json:"arms,omitempty"`
 	Downloads  []bool                  `json:"downloads,omitempty"`
@@ -426,11 +423,10 @@ func checkEdgeSlot(floats []edgeTerm, samples, correct, retries int) string {
 // ValidateShard defensively checks the shard a RegionWelcome or a ShardAdopt
 // hands a coordinator before its checkpoint builds any shard state: a
 // malformed checkpoint is a fatal protocol error at the wire boundary, like
-// any other bad frame. Everything the coordinator sizes by is bounded here by
-// what the frame carried (the checkpoint's per-edge slice backs its Count) or
-// by the session: the fold watermark by the run's horizon. A welcome without
-// a checkpoint is a standby's, which starts with no shard.
-func ValidateShard(m *Message, horizon int) error {
+// any other bad frame. The shard's size is the checkpoint's down slice, so
+// what the coordinator sizes by is bounded by the bytes the frame carried. A
+// welcome without a checkpoint is a standby's, which starts with no shard.
+func ValidateShard(m *Message) error {
 	what := "shard adopt"
 	switch m.Type {
 	case MsgShardAdopt:
@@ -448,9 +444,6 @@ func ValidateShard(m *Message, horizon int) error {
 	}
 	if err := ck.Validate(); err != nil {
 		return protocolErrorf("%s: %v", what, err)
-	}
-	if ck.DoneSlots > horizon {
-		return protocolErrorf("%s: fold watermark %d beyond the %d-slot horizon", what, ck.DoneSlots, horizon)
 	}
 	return nil
 }

@@ -8,17 +8,17 @@
 // the monolithic/regional parity test pins this.
 //
 // The tier is elastic: the root's listener stays open for the whole run, so
-// a dropped coordinator can redial and resume its session from the root's
-// per-shard fold watermark (on the link, acceptor, retry loop and session
-// core the edge tier runs on — link.go, retry.go, edge.go — with replayed
-// ShardDeltas deduped idempotently), a departing coordinator's
-// shard is handed to a surviving or newly joined one via a serialized
-// ShardCheckpoint (the shard decomposition itself never changes, so the fold
-// still replays canonical edge-index order), and below a configurable region
-// quorum the root degrades the orphaned shard instead of aborting. Every
-// recovery path preserves the bit-identical-results contract: serving-
-// preserving schedules reproduce the fault-free summary exactly, and
-// degraded runs reproduce the equivalent in-process Degrade run exactly.
+// a dropped coordinator can redial and resume its session (on the link,
+// acceptor, retry loop and session core the edge tier runs on: link.go,
+// retry.go, edge.go) and answer the assign the root re-sends from its delta
+// cache, a departing coordinator's shard is handed to a surviving or newly
+// joined one via a serialized ShardCheckpoint (the shard decomposition itself
+// never changes, so the fold still replays canonical edge-index order), and
+// below a configurable region quorum the root degrades the orphaned shard
+// instead of aborting. Every recovery path preserves the
+// bit-identical-results contract: serving-preserving schedules reproduce the
+// fault-free summary exactly, and degraded runs reproduce the equivalent
+// in-process Degrade run exactly.
 package deploy
 
 import (
@@ -155,7 +155,7 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 		tokenBase:  numeric.SplitRNG(cfg.Seed, "deploy-region-token").Uint64(),
 		links:      make(map[int]*link, cfg.Regions),
 	}
-	r.acc = newAcceptor(r, MsgRegionHello, "RegionHello", "region", cfg.Horizon, cfg.Regions, cfg.HandshakeTimeout)
+	r.acc = newAcceptor(r, MsgRegionHello, "RegionHello", "region", cfg.Regions, cfg.HandshakeTimeout)
 	for id := 0; id < cfg.Regions; id++ {
 		r.links[id] = newLink("region link", "deploy: ", id, r.tokenBase)
 	}
@@ -207,7 +207,7 @@ func (r *Root) stepper(k int) *regionStepper {
 // own record of the shard starts.
 func (r *Root) firstCheckpoint(k int, seed int64) engine.ShardCheckpoint {
 	rg := r.ranges[k]
-	return engine.ShardCheckpoint{Start: rg.Start, Count: rg.Count, FleetSeed: seed, Down: make([]bool, rg.Count)}
+	return engine.ShardCheckpoint{Start: rg.Start, FleetSeed: seed, Down: make([]bool, rg.Count)}
 }
 
 // sortedLinks snapshots the membership in ascending id order, so every
@@ -288,7 +288,6 @@ func (r *Root) welcome(hello *Message, l *link) (*Message, bool) {
 	}
 	welcome := &Message{
 		Type:        MsgRegionWelcome,
-		Horizon:     r.cfg.Horizon,
 		NumModels:   r.cfg.NumModels,
 		Degrade:     r.cfg.Policy == engine.Degrade,
 		ResumeToken: l.token,
@@ -343,10 +342,8 @@ type regionStepper struct {
 	link  *link
 
 	// ck is the shard's root-side state, advanced by every slot the root
-	// folds: the fold watermark (a resumed link's replayed deltas are
-	// admitted at most once per slot) and the down edges. It is the very
-	// checkpoint an adopter gets — no state is ever shipped from a dead
-	// coordinator.
+	// folds: the down edges. It is the very checkpoint an adopter gets — no
+	// state is ever shipped from a dead coordinator.
 	ck engine.ShardCheckpoint
 
 	// degraded carries the canonical down reason once the shard fell below
@@ -361,7 +358,7 @@ type regionStepper struct {
 var _ engine.ShardStepper = (*regionStepper)(nil)
 
 // Range implements engine.ShardStepper.
-func (rs *regionStepper) Range() (start, count int) { return rs.ck.Start, rs.ck.Count }
+func (rs *regionStepper) Range() (start, count int) { return rs.ck.Start, len(rs.ck.Down) }
 
 // Step implements engine.ShardStepper. A fatal exchange error (protocol
 // violation, forwarded shard error) aborts the run regardless of policy; a
@@ -456,7 +453,7 @@ func (rs *regionStepper) exchangeOn(conn *wireConn, slot int, arms []int, downlo
 			if m.Slot < slot {
 				continue // replayed duplicate of an already-folded slot
 			}
-			if err := ValidateDelta(m, rs.ck.Start, rs.ck.Count, slot); err != nil {
+			if err := ValidateDelta(m, rs.ck.Start, len(rs.ck.Down), slot); err != nil {
 				return fmt.Errorf("deploy: shard %d: %w", rs.index, err)
 			}
 			// Copy out of the link reader's recycled target: shards sharing
@@ -560,12 +557,11 @@ func validateRegionConfig(cfg RegionConfig) error {
 // regionShard is one contiguous edge range a coordinator serves: the initial
 // shard from its RegionWelcome, plus one per adopted checkpoint.
 type regionShard struct {
-	start, count int
-	shard        *engine.Shard
-	// replaySlot is the shard's fold watermark and the cached ShardDelta of
-	// its last stepped slot; delta is that message's payload, the shard's own
-	// delta. The next Step overwrites it only while the next slot's reply is
-	// being built, and that reply replaces the cache.
+	shard *engine.Shard
+	// replaySlot is the cached ShardDelta of the shard's last stepped slot;
+	// delta is that message's payload, the shard's own delta. The next Step
+	// overwrites it only while the next slot's reply is being built, and that
+	// reply replaces the cache.
 	replaySlot
 	delta engine.SlotDelta
 }
@@ -612,25 +608,22 @@ func NewRegionSession(ln net.Listener, cfg RegionConfig) (*RegionSession, error)
 // — the edge fleet stays connected across the gap.
 func (s *RegionSession) Run(raw net.Conn) (done bool, err error) { return s.run(raw, s) }
 
-func (s *RegionSession) hello() (*Message, int) {
+func (s *RegionSession) hello() *Message {
 	m := &Message{Type: MsgRegionHello, RegionID: s.cfg.RegionID}
 	if !s.welcomed {
 		m.Seed = s.cfg.Seed // the claim's: a resume claims nothing
 	}
-	return m, s.minDone()
+	return m
 }
 
 // setup takes the initial RegionWelcome: it builds the edge fleet and, for
 // an initial coordinator, serves the welcome's shard exactly as an adopted
 // one is served.
 func (s *RegionSession) setup(w *Message) error {
-	if w.Horizon <= 0 {
-		return protocolErrorf("implausible %d-slot horizon", w.Horizon)
-	}
 	if w.NumModels != s.cfg.Source.NumModels() {
 		return protocolErrorf("root announces %d models, region zoo has %d", w.NumModels, s.cfg.Source.NumModels())
 	}
-	if err := ValidateShard(w, w.Horizon); err != nil {
+	if err := ValidateShard(w); err != nil {
 		return err
 	}
 	s.policy = engine.FailFast
@@ -642,14 +635,13 @@ func (s *RegionSession) setup(w *Message) error {
 	// its ranges only through mid-run shard adoption.
 	ck := w.Checkpoint
 	cfg := CloudConfig{
-		Horizon:          w.Horizon,
 		SlotTimeout:      s.cfg.SlotTimeout,
 		HandshakeTimeout: s.cfg.HandshakeTimeout,
 		Retry:            s.cfg.Retry,
 	}
 	start := 0
 	if ck != nil {
-		cfg.Edges, cfg.Seed, start = ck.Count, ck.FleetSeed, ck.Start
+		cfg.Edges, cfg.Seed, start = len(ck.Down), ck.FleetSeed, ck.Start
 	}
 	s.fleet = newEdgeFleet(cfg, start, s.cfg.Source)
 	s.stop = s.fleet.acc.start(s.ln)
@@ -679,9 +671,9 @@ func (s *RegionSession) serve(upstream *wireConn, m *Message) (outcome, error) {
 	if sh == nil {
 		return failed, protocolErrorf("shard assign slot %d: unknown range start %d", m.Slot, m.Start)
 	}
-	if len(m.Arms) != sh.count || len(m.Downloads) != sh.count {
+	if _, count := sh.shard.Range(); len(m.Arms) != count || len(m.Downloads) != count {
 		return failed, protocolErrorf("shard assign slot %d: %d arms / %d downloads for %d edges",
-			m.Slot, len(m.Arms), len(m.Downloads), sh.count)
+			m.Slot, len(m.Arms), len(m.Downloads), count)
 	}
 	if s.cfg.OnSlot != nil {
 		s.cfg.OnSlot(m.Slot)
@@ -723,23 +715,11 @@ func (s *RegionSession) finish() error {
 // shardAt resolves an assign's range start to the session's shard.
 func (s *RegionSession) shardAt(start int) *regionShard {
 	for _, sh := range s.shards {
-		if sh.start == start {
+		if first, _ := sh.shard.Range(); first == start {
 			return sh
 		}
 	}
 	return nil
-}
-
-// minDone is the session's resume watermark: the smallest per-shard fold
-// position (0 with no shards).
-func (s *RegionSession) minDone() int {
-	min := 0
-	for k, sh := range s.shards {
-		if k == 0 || sh.done < min {
-			min = sh.done
-		}
-	}
-	return min
 }
 
 // adopt installs an orphaned shard from its checkpoint: rebuild the
@@ -747,7 +727,7 @@ func (s *RegionSession) minDone() int {
 // per-edge down state, and start serving assigns for the range. The shard's
 // edges redial this coordinator's listener and resume their sessions.
 func (s *RegionSession) adopt(m *Message) error {
-	if err := ValidateShard(m, s.fleet.acc.horizon); err != nil {
+	if err := ValidateShard(m); err != nil {
 		return err
 	}
 	rg, err := s.fleet.adopt(m.Checkpoint)
@@ -758,8 +738,8 @@ func (s *RegionSession) adopt(m *Message) error {
 }
 
 // serveShard starts serving the checkpointed shard on the fleet range that
-// holds its links: its edges that are down stay down, and its fold watermark
-// is where its replay cache starts.
+// holds its links: its edges that are down stay down, and its replay cache
+// starts empty.
 func (s *RegionSession) serveShard(ck *engine.ShardCheckpoint, rg *fleetRange) error {
 	shard, err := s.fleet.shard(rg, s.policy)
 	if err == nil {
@@ -768,12 +748,7 @@ func (s *RegionSession) serveShard(ck *engine.ShardCheckpoint, rg *fleetRange) e
 	if err != nil {
 		return err
 	}
-	s.shards = append(s.shards, &regionShard{
-		start:      ck.Start,
-		count:      ck.Count,
-		shard:      shard,
-		replaySlot: replaySlot{done: ck.DoneSlots},
-	})
+	s.shards = append(s.shards, &regionShard{shard: shard})
 	return nil
 }
 

@@ -307,8 +307,8 @@ func stripElasticity(s *Summary) *Summary {
 }
 
 // TestRegionChaosKillResumeDeterministic cuts one coordinator's upstream
-// link between slots: the coordinator redials, resumes from the root's fold
-// watermark, and the run completes with the fault-free Summary bit for bit.
+// link between slots: the coordinator redials, resumes, answers the re-sent
+// assign, and the run completes with the fault-free Summary bit for bit.
 // The recovery itself must also replay deterministically.
 func TestRegionChaosKillResumeDeterministic(t *testing.T) {
 	const cutSlot = 5
@@ -504,11 +504,18 @@ func (c *frameTap) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// frameKeys is one recorded frame's type and JSON member names (in no
+// order), with those of the checkpoint it carries, if any.
+type frameKeys struct {
+	typ                 MsgType
+	members, checkpoint []string
+}
+
 // frameMembers splits a recorded stream into frames and returns each one's
-// type and JSON member names (in no order), up to a frame the connection's
-// cut tore.
-func frameMembers(t *testing.T, stream []byte) (types []MsgType, members [][]string) {
+// keys, up to a frame the connection's cut tore.
+func frameMembers(t *testing.T, stream []byte) []frameKeys {
 	t.Helper()
+	var out []frameKeys
 	for len(stream) >= headerLen {
 		n := int(binary.BigEndian.Uint32(stream))
 		if len(stream)-headerLen < n {
@@ -516,7 +523,10 @@ func frameMembers(t *testing.T, stream []byte) (types []MsgType, members [][]str
 		}
 		body := stream[headerLen : headerLen+n]
 		stream = stream[headerLen+n:]
-		var m struct{ Type MsgType }
+		var m struct {
+			Type       MsgType
+			Checkpoint map[string]json.RawMessage
+		}
 		var keys map[string]json.RawMessage
 		if err := json.Unmarshal(body, &m); err != nil {
 			t.Fatalf("frame %s: %v", body, err)
@@ -524,37 +534,45 @@ func frameMembers(t *testing.T, stream []byte) (types []MsgType, members [][]str
 		if err := json.Unmarshal(body, &keys); err != nil {
 			t.Fatal(err)
 		}
-		names := make([]string, 0, len(keys))
-		for k := range keys {
-			names = append(names, k)
-		}
-		types, members = append(types, m.Type), append(members, names)
+		out = append(out, frameKeys{typ: m.Type, members: keyNames(keys), checkpoint: keyNames(m.Checkpoint)})
 	}
-	return types, members
+	return out
+}
+
+// keyNames returns an object's member names, nil for no object.
+func keyNames(obj map[string]json.RawMessage) []string {
+	var names []string
+	for k := range obj {
+		names = append(names, k)
+	}
+	return names
 }
 
 // TestRegionChaosFramesCarryWhatTheirReaderReads pins the members of every
 // frame the shipped senders build to those its reader reads. The run takes
 // every frame kind through the wire: both tiers' first and resume
 // handshakes (an edge and a coordinator lose their links), a standby's
-// welcome, a graceful departure and the adoption of the departed shard.
+// welcome, a graceful departure and the adoption of the departed shard. The
+// members of every checkpoint a frame carries are held to the table's
+// "checkpoint" row.
 func TestRegionChaosFramesCarryWhatTheirReaderReads(t *testing.T) {
 	reads := map[string][]string{
 		"Hello":                {"edgeId", "type"},
-		"Hello resume":         {"doneSlots", "edgeId", "resume", "resumeToken", "type"},
+		"Hello resume":         {"edgeId", "resume", "resumeToken", "type"},
 		"Welcome":              {"models", "resumeToken", "type"},
 		"Welcome resume":       {"type"},
 		"Assign":               {"modelId", "slot", "switch", "type", "weights"},
 		"Report":               {"avgLoss", "compSeconds", "correct", "energyKwh", "samples", "slot", "type"},
 		"Done":                 {"type"},
 		"RegionHello":          {"regionId", "seed", "type"},
-		"RegionHello resume":   {"doneSlots", "regionId", "resume", "resumeToken", "type"},
-		"RegionWelcome":        {"checkpoint", "degrade", "horizon", "numModels", "resumeToken", "type"},
+		"RegionHello resume":   {"regionId", "resume", "resumeToken", "type"},
+		"RegionWelcome":        {"checkpoint", "degrade", "numModels", "resumeToken", "type"},
 		"RegionWelcome resume": {"type"},
 		"ShardAssign":          {"arms", "downloads", "slot", "start", "type"},
 		"ShardDelta":           {"delta", "slot", "type"},
 		"RegionLeave":          {"type"},
 		"ShardAdopt":           {"checkpoint", "type"},
+		"checkpoint":           {"down", "fleetSeed", "start"},
 	}
 	names := map[MsgType]string{
 		MsgHello: "Hello", MsgWelcome: "Welcome", MsgAssign: "Assign", MsgReport: "Report", MsgDone: "Done",
@@ -591,24 +609,21 @@ func TestRegionChaosFramesCarryWhatTheirReaderReads(t *testing.T) {
 		}
 	}
 	for _, ft := range taps {
-		wrote, wroteMembers := frameMembers(t, ft.wrote.Bytes())
-		read, readMembers := frameMembers(t, ft.read.Bytes())
+		wrote, read := frameMembers(t, ft.wrote.Bytes()), frameMembers(t, ft.read.Bytes())
 		// The dialer's first frame is its Hello; a resuming one is answered
 		// by a resume Welcome.
-		resume := len(wrote) > 0 && slices.Contains(wroteMembers[0], "resume")
-		for k, typ := range wrote {
-			kind := names[typ]
-			if k == 0 && resume {
-				kind += " resume"
+		resume := len(wrote) > 0 && slices.Contains(wrote[0].members, "resume")
+		for _, frames := range [][]frameKeys{wrote, read} {
+			for k, f := range frames {
+				kind := names[f.typ]
+				if k == 0 && resume {
+					kind += " resume"
+				}
+				check(kind, f.members)
+				if f.checkpoint != nil {
+					check("checkpoint", f.checkpoint)
+				}
 			}
-			check(kind, wroteMembers[k])
-		}
-		for k, typ := range read {
-			kind := names[typ]
-			if k == 0 && resume {
-				kind += " resume"
-			}
-			check(kind, readMembers[k])
 		}
 	}
 	for kind, want := range reads {
@@ -967,9 +982,6 @@ func TestShardDeltaReplayFoldsToCleanBytes(t *testing.T) {
 		// replays after it are never asked for.
 		if n, want := <-played, slices.Index(stream, slots-1)+1; n != want {
 			t.Errorf("the root read %d frames of the stream, want %d", n, want)
-		}
-		if rs.ck.DoneSlots != slots {
-			t.Errorf("root checkpoint at slot %d, want %d", rs.ck.DoneSlots, slots)
 		}
 		b, err := json.Marshal(folded)
 		if err != nil {

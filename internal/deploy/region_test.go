@@ -305,12 +305,11 @@ func requireRefused(t *testing.T, reply *Message, done bool, err error) {
 // TestRegionSessionRejectsHostileAdopt puts each hostile checkpoint on a
 // standby coordinator's upstream link. Every one is a fatal *ProtocolError
 // that ends the session with an Error frame upstream, before edgeFleet.adopt
-// builds a single link (a bare count of 2^40 used to size a slice);
-// wellFormedCheckpoint is adopted on the same session.
+// builds a single link; wellFormedCheckpoint is adopted on the same session.
 func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
 	adopt := func(checkpoint string) func(int) []byte {
 		return func(numModels int) []byte {
-			welcome := &Message{Type: MsgRegionWelcome, Horizon: adoptHorizon, NumModels: numModels, ResumeToken: "tok"}
+			welcome := &Message{Type: MsgRegionWelcome, NumModels: numModels, ResumeToken: "tok"}
 			return concat(frameOf(t, welcome), adoptFrame(checkpoint))
 		}
 	}
@@ -328,8 +327,13 @@ func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
 	if done || !Transient(err) {
 		t.Fatalf("Run after a well-formed adopt and a cut link = done %v, %v; want a resumable failure", done, err)
 	}
-	if n := len(s.fleet.links()); n != 2 || len(s.shards) != 1 || s.shards[0].done != 4 {
-		t.Errorf("well-formed adopt installed %d links, shards %+v; want 2 links and one shard at slot 4", n, s.shards)
+	start, count := 0, 0
+	if len(s.shards) == 1 {
+		start, count = s.shards[0].shard.Range()
+	}
+	if n := len(s.fleet.links()); n != 2 || len(s.shards) != 1 || start != 4 || count != 2 {
+		t.Errorf("well-formed adopt installed %d links and %d shards, the first covering [%d,%d); want 2 links and one shard covering [4,6)",
+			n, len(s.shards), start, start+count)
 	}
 	s.release()
 }
@@ -338,7 +342,7 @@ func TestRegionSessionRejectsHostileAdopt(t *testing.T) {
 // RegionWelcome that hands an initial coordinator its shard. The welcome's
 // shard is checked as an adopted one is: every one is a fatal
 // *ProtocolError that ends the session with an Error frame upstream, before
-// the coordinator builds its fleet (a bare count used to size one).
+// the coordinator builds its fleet.
 func TestRegionSessionRejectsHostileWelcome(t *testing.T) {
 	for name, ck := range hostileCheckpoints {
 		t.Run(name, func(t *testing.T) {
@@ -366,8 +370,8 @@ func TestRunRegionRejectsZooMismatch(t *testing.T) {
 		t.Fatalf("hello: %v %v", m, err)
 	}
 	if err := WriteMessage(rootSide, &Message{
-		Type: MsgRegionWelcome, Horizon: 5, NumModels: len(w.metas) + 1,
-		Checkpoint: &engine.ShardCheckpoint{Count: 2, FleetSeed: 5, Down: make([]bool, 2)},
+		Type: MsgRegionWelcome, NumModels: len(w.metas) + 1,
+		Checkpoint: &engine.ShardCheckpoint{FleetSeed: 5, Down: make([]bool, 2)},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -80,8 +80,8 @@ func sessionTiers() []sessionTier {
 		frame: func(ev peerEvent) *Message {
 			switch ev {
 			case evWelcome:
-				return &Message{Type: MsgRegionWelcome, Horizon: 4, NumModels: len(w.metas), ResumeToken: "tok",
-					Checkpoint: &engine.ShardCheckpoint{Count: 1, FleetSeed: 17, Down: []bool{false}}}
+				return &Message{Type: MsgRegionWelcome, NumModels: len(w.metas), ResumeToken: "tok",
+					Checkpoint: &engine.ShardCheckpoint{FleetSeed: 17, Down: []bool{false}}}
 			case evResumeWelcome:
 				return &Message{Type: MsgRegionWelcome}
 			case evAssign0, evAssign1:
@@ -142,7 +142,7 @@ func (tier sessionTier) play(t *testing.T, conns []peerConn) []ending {
 		for _, m := range conn.sent(t) {
 			switch m.Type {
 			case MsgHello, MsgRegionHello:
-				e.frames = append(e.frames, fmt.Sprintf("hello resume=%v done=%d", m.Resume, m.DoneSlots))
+				e.frames = append(e.frames, fmt.Sprintf("hello resume=%v token=%q", m.Resume, m.ResumeToken))
 			case MsgReport, MsgShardDelta:
 				e.frames = append(e.frames, fmt.Sprintf("reply %d", m.Slot))
 			default:
@@ -159,7 +159,7 @@ func (tier sessionTier) play(t *testing.T, conns []peerConn) []ending {
 // connection the same way — over or resumable — and send the peer the same
 // frames.
 func TestRegionSessionEndsLikeEdgeSession(t *testing.T) {
-	hello := "hello resume=false done=0"
+	hello := `hello resume=false token=""`
 	errFrame := fmt.Sprintf("type %d", MsgError)
 	cases := []struct {
 		name  string
@@ -182,7 +182,7 @@ func TestRegionSessionEndsLikeEdgeSession(t *testing.T) {
 			{events: []peerEvent{evResumeWelcome, evAssign1, evDone}},
 		}, []ending{
 			{false, true, []string{hello, "reply 0"}},
-			{true, false, []string{"hello resume=true done=2", "reply 1"}},
+			{true, false, []string{`hello resume=true token="tok"`, "reply 1"}},
 		}},
 	}
 	for _, tc := range cases {

@@ -280,8 +280,8 @@ func TestEdgeSessionResumeReplaysCachedReport(t *testing.T) {
 	if len(sent) != 3 {
 		t.Fatalf("resumed connection carried %d frames, want Hello + 2 reports", len(sent))
 	}
-	if h := sent[0]; !h.Resume || h.ResumeToken != "tok-4" || h.DoneSlots != 2 {
-		t.Errorf("resume Hello = %+v, want token tok-4 at 2 done slots", h)
+	if h := sent[0]; !h.Resume || h.ResumeToken != "tok-4" {
+		t.Errorf("resume Hello = %+v, want token tok-4", h)
 	}
 	want := &Message{Type: MsgReport, Slot: 1, AvgLoss: 1.25, Correct: 1, Samples: 3, EnergyKWh: 1e-7, CompSeconds: 0.01}
 	if !reflect.DeepEqual(sent[1], want) {
@@ -373,8 +373,8 @@ func TestRegionSessionResumeReplaysCachedDelta(t *testing.T) {
 		}
 		return h
 	}
-	welcome := &Message{Type: MsgRegionWelcome, Horizon: 3, NumModels: 4, ResumeToken: "region-tok",
-		Checkpoint: &engine.ShardCheckpoint{Count: edges, FleetSeed: seed, Down: make([]bool, edges)}}
+	welcome := &Message{Type: MsgRegionWelcome, NumModels: 4, ResumeToken: "region-tok",
+		Checkpoint: &engine.ShardCheckpoint{FleetSeed: seed, Down: make([]bool, edges)}}
 
 	clean := play(t, func(s *RegionSession) (slot1 []byte) {
 		done, err := serve(t, s, func(up net.Conn) {
@@ -409,8 +409,8 @@ func TestRegionSessionResumeReplaysCachedDelta(t *testing.T) {
 		}
 		done, err = serve(t, s, func(up net.Conn) {
 			h := hello(t, up, &Message{Type: MsgRegionWelcome})
-			if !h.Resume || h.ResumeToken != "region-tok" || h.DoneSlots != 2 {
-				t.Errorf("resume hello = %+v, want token region-tok at 2 done slots", h)
+			if !h.Resume || h.ResumeToken != "region-tok" {
+				t.Errorf("resume hello = %+v, want token region-tok", h)
 			}
 			// A different placement than the one the slot was stepped with:
 			// a replay from the cache ignores it, a re-step would not.

@@ -27,9 +27,6 @@ func NewRandomTrader(maxQty float64, rng *rand.Rand) (*RandomTrader, error) {
 	return &RandomTrader{maxQty: maxQty, rng: rng}, nil
 }
 
-// Name implements Trader.
-func (r *RandomTrader) Name() string { return "Random" }
-
 // Decide implements Trader.
 func (r *RandomTrader) Decide(int, Quote) Decision {
 	return Decision{
@@ -64,9 +61,6 @@ func NewThresholdTrader(buyBelow, buyQty, sellAbove, sellQty float64) (*Threshol
 		sellQty:   sellQty,
 	}, nil
 }
-
-// Name implements Trader.
-func (t *ThresholdTrader) Name() string { return "Threshold" }
 
 // Decide implements Trader.
 func (t *ThresholdTrader) Decide(_ int, q Quote) Decision {
@@ -118,9 +112,6 @@ func NewLyapunovTrader(v, zMax, initialCap float64, horizon int) (*LyapunovTrade
 	return &LyapunovTrader{v: v, zMax: zMax, capPerSlot: initialCap / float64(horizon)}, nil
 }
 
-// Name implements Trader.
-func (l *LyapunovTrader) Name() string { return "Lyapunov" }
-
 // Decide implements Trader.
 func (l *LyapunovTrader) Decide(_ int, q Quote) Decision {
 	var d Decision
@@ -166,9 +157,6 @@ func NewOneShotTrader(emissions []float64, initialCap float64) (*OneShotTrader, 
 	}, nil
 }
 
-// Name implements Trader.
-func (o *OneShotTrader) Name() string { return "OneShot" }
-
 // Decide implements Trader.
 func (o *OneShotTrader) Decide(t int, q Quote) Decision {
 	if t < 0 || t >= len(o.emissions) {
@@ -189,9 +177,6 @@ var _ Trader = NullTrader{}
 
 // NewNullTrader creates the no-op trader.
 func NewNullTrader() NullTrader { return NullTrader{} }
-
-// Name implements Trader.
-func (NullTrader) Name() string { return "Null" }
 
 // Decide implements Trader.
 func (NullTrader) Decide(int, Quote) Decision { return Decision{} }

@@ -12,9 +12,6 @@ func TestRandomTrader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Name() != "Random" {
-		t.Errorf("Name = %q", tr.Name())
-	}
 	for i := 0; i < 1000; i++ {
 		d := tr.Decide(i, Quote{Buy: 8, Sell: 7.2})
 		if d.Buy < 0 || d.Buy > 5 || d.Sell < 0 || d.Sell > 5 {
@@ -177,32 +174,5 @@ func TestOneShotTrader(t *testing.T) {
 	}
 	if _, err := NewOneShotTrader(nil, 1); err == nil {
 		t.Error("expected error for empty series")
-	}
-}
-
-func TestTraderInterfacesCompile(t *testing.T) {
-	// Interface compliance is asserted at compile time via var _ Trader
-	// declarations; this test just exercises Name on each.
-	rng := rand.New(rand.NewSource(2))
-	rt, err := NewRandomTrader(1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt, err := NewThresholdTrader(1, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, err := NewLyapunovTrader(1, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ot, err := NewOneShotTrader([]float64{1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []Trader{rt, tt, lt, ot} {
-		if tr.Name() == "" {
-			t.Error("empty trader name")
-		}
 	}
 }

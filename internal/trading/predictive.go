@@ -45,9 +45,6 @@ func NewPredictivePrimalDual(cfg PrimalDualConfig, pred PricePredictor, sellRati
 	return &PredictivePrimalDual{inner: inner, buyPred: pred, sellRatio: sellRatio}, nil
 }
 
-// Name implements Trader.
-func (p *PredictivePrimalDual) Name() string { return "PredictivePrimalDual" }
-
 // Lambda exposes the dual multiplier (diagnostics).
 func (p *PredictivePrimalDual) Lambda() float64 { return p.inner.lambda }
 

@@ -108,9 +108,6 @@ func NewPrimalDual(cfg PrimalDualConfig) (*PrimalDual, error) {
 	return &PrimalDual{cfg: cfg}, nil
 }
 
-// Name implements Trader.
-func (p *PrimalDual) Name() string { return "PrimalDual" }
-
 // CapPerSlot returns R/T.
 func (p *PrimalDual) CapPerSlot() float64 {
 	return p.cfg.InitialCap / float64(p.cfg.Horizon)

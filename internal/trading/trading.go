@@ -39,8 +39,6 @@ func (d Decision) Cost(q Quote) float64 { return float64(d.Buy*q.Buy) - float64(
 // use it; Algorithm 2 deliberately ignores it) and then Observe once with
 // the slot's realized emission.
 type Trader interface {
-	// Name identifies the trader in reports.
-	Name() string
 	// Decide returns (z^t, w^t) for slot t (0-indexed).
 	Decide(t int, q Quote) Decision
 	// Observe reveals the slot's realized emission (kg CO2 to offset this
