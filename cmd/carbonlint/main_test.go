@@ -462,7 +462,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 16433
+	goLineCeiling  = 16359
 	asmLineCeiling = 1712
 )
 
@@ -471,7 +471,7 @@ const (
 // EXPERIMENTS.md what it measures now, and the history of how either got
 // there is CHANGES.md's.
 var docByteCeiling = map[string]int{
-	"DESIGN.md":      64615,
+	"DESIGN.md":      64605,
 	"EXPERIMENTS.md": 18503,
 }
 

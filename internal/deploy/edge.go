@@ -345,16 +345,14 @@ type NNRuntime struct {
 
 // residentModel is one model id's storage on the edge, built on the model's
 // first install and overwritten in place by every later one. qw and qn are
-// set by installs made in Int8 mode; compiled says qn is what a completed
-// Recompile made of (net, qw) over the runtime's calibration batch. forward is
-// the serving engine's batched pass, bound here because a method value taken
-// per slot would allocate.
+// set by installs made in Int8 mode, qn compiled from (net, qw) over the
+// runtime's calibration batch. forward is the serving engine's batched pass,
+// bound here because a method value taken per slot would allocate.
 type residentModel struct {
-	net      *nn.Network
-	qw       *nn.QuantizedWeights
-	qn       *nn.QuantizedNetwork
-	compiled bool
-	forward  func(in *nn.Tensor, a *nn.Arena) *nn.Tensor
+	net     *nn.Network
+	qw      *nn.QuantizedWeights
+	qn      *nn.QuantizedNetwork
+	forward func(in *nn.Tensor, a *nn.Arena) *nn.Tensor
 }
 
 var _ Runtime = (*NNRuntime)(nil)
@@ -397,12 +395,13 @@ func (r *NNRuntime) Welcome(models []ModelMeta) error {
 // held it. An empty checkpoint is valid only for a model the runtime already
 // holds a copy of. Every non-empty checkpoint is read and validated in full
 // and, in Int8 mode, quantized over the resident int8 buffers; the engine is
-// calibrated and compiled again only when that moved a quantized weight or a
-// scale, since a checkpoint that leaves them all where they were — the same
-// model arriving again, which is most switches — compiles to the engine
-// already resident. A checkpoint that fails part-way has already overwritten
-// some of the resident storage, so the model is evicted and cannot be served
-// until a good checkpoint reinstalls it, from scratch.
+// calibrated and compiled when the install creates it and again only when the
+// quantization moved a weight or a scale, since a checkpoint that leaves them
+// all where they were — the same model arriving again, which is most
+// switches — compiles to the engine already resident. A checkpoint that fails
+// part-way has already overwritten some of the resident storage, so the model
+// is evicted and cannot be served until a good checkpoint reinstalls it, from
+// scratch, engine and all.
 func (r *NNRuntime) LoadModel(modelID int, checkpoint []byte) error {
 	if modelID < 0 || modelID >= len(r.metas) {
 		return fmt.Errorf("deploy: model id %d out of range", modelID)
@@ -450,7 +449,8 @@ func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) er
 	// INT8 engine, exactly the zoo's quantization path: fake-quant the
 	// float net (the accuracy oracle), then bind the integer kernels to
 	// the same int8 buffers.
-	if m.qw == nil {
+	created := m.qw == nil
+	if created {
 		m.qw, m.qn = &nn.QuantizedWeights{}, &nn.QuantizedNetwork{}
 		m.forward = m.qn.ForwardBatch
 	}
@@ -460,17 +460,15 @@ func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) er
 	if err := m.qw.ApplyTo(m.net); err != nil {
 		return fmt.Errorf("deploy: quantize model %d: %w", modelID, err)
 	}
-	if m.compiled && !changed {
+	if !created && !changed {
 		return nil // calibration and compilation are functions of (qw, calib)
 	}
-	m.compiled = false
 	if r.calib == nil {
 		r.calib = nn.StackSamples(r.Pool, nn.CalibBatch)
 	}
 	if err := m.qn.Recompile(m.net, m.qw, r.calib, r.scorer.Arena()); err != nil {
 		return fmt.Errorf("deploy: compile INT8 model %d: %w", modelID, err)
 	}
-	m.compiled = true
 	return nil
 }
 

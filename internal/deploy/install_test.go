@@ -148,7 +148,7 @@ func TestInt8InstallContract(t *testing.T) {
 		}
 		// The control: the same re-install with the engine marked stale does
 		// recompile, on the batch the runtime holds now.
-		rt.loaded[arm].compiled = false
+		rt.loaded[arm].qw = nil
 		if err := rt.LoadModel(arm, base); err != nil {
 			t.Fatal(err)
 		}

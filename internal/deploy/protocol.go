@@ -153,11 +153,14 @@ type Message struct {
 	Checkpoint *engine.ShardCheckpoint `json:"checkpoint,omitempty"`
 }
 
-// ModelMeta is the per-model metadata the cloud announces to edges.
+// ModelMeta is the per-model metadata a ModelSource holds. Only PhiKWh
+// crosses the wire in a Welcome: an edge's runtime reads nothing else, and
+// the cloud prices a transfer from its own source's SizeBytes. No shipped
+// code reads Name.
 type ModelMeta struct {
-	Name      string  `json:"name"`
+	Name      string  `json:"-"`
 	PhiKWh    float64 `json:"phiKwh"`
-	SizeBytes int64   `json:"sizeBytes"`
+	SizeBytes int64   `json:"-"`
 }
 
 // headerLen is the size of a frame's big-endian length prefix.

@@ -509,6 +509,7 @@ func (c *frameTap) Read(p []byte) (int, error) {
 type frameKeys struct {
 	typ                 MsgType
 	members, checkpoint []string
+	models              [][]string
 }
 
 // frameMembers splits a recorded stream into frames and returns each one's
@@ -526,6 +527,7 @@ func frameMembers(t *testing.T, stream []byte) []frameKeys {
 		var m struct {
 			Type       MsgType
 			Checkpoint map[string]json.RawMessage
+			Models     []map[string]json.RawMessage
 		}
 		var keys map[string]json.RawMessage
 		if err := json.Unmarshal(body, &m); err != nil {
@@ -534,7 +536,11 @@ func frameMembers(t *testing.T, stream []byte) []frameKeys {
 		if err := json.Unmarshal(body, &keys); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, frameKeys{typ: m.Type, members: keyNames(keys), checkpoint: keyNames(m.Checkpoint)})
+		fk := frameKeys{typ: m.Type, members: keyNames(keys), checkpoint: keyNames(m.Checkpoint)}
+		for _, meta := range m.Models {
+			fk.models = append(fk.models, keyNames(meta))
+		}
+		out = append(out, fk)
 	}
 	return out
 }
@@ -554,7 +560,8 @@ func keyNames(obj map[string]json.RawMessage) []string {
 // handshakes (an edge and a coordinator lose their links), a standby's
 // welcome, a graceful departure and the adoption of the departed shard. The
 // members of every checkpoint a frame carries are held to the table's
-// "checkpoint" row.
+// "checkpoint" row, and those of every model a Welcome announces to its
+// "model" row.
 func TestRegionChaosFramesCarryWhatTheirReaderReads(t *testing.T) {
 	reads := map[string][]string{
 		"Hello":                {"edgeId", "type"},
@@ -573,6 +580,7 @@ func TestRegionChaosFramesCarryWhatTheirReaderReads(t *testing.T) {
 		"RegionLeave":          {"type"},
 		"ShardAdopt":           {"checkpoint", "type"},
 		"checkpoint":           {"down", "fleetSeed", "start"},
+		"model":                {"phiKwh"},
 	}
 	names := map[MsgType]string{
 		MsgHello: "Hello", MsgWelcome: "Welcome", MsgAssign: "Assign", MsgReport: "Report", MsgDone: "Done",
@@ -622,6 +630,9 @@ func TestRegionChaosFramesCarryWhatTheirReaderReads(t *testing.T) {
 				check(kind, f.members)
 				if f.checkpoint != nil {
 					check("checkpoint", f.checkpoint)
+				}
+				for _, meta := range f.models {
+					check("model", meta)
 				}
 			}
 		}

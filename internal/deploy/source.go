@@ -36,11 +36,7 @@ func (z *ZooSource) NumModels() int { return z.zoo.NumModels() }
 // Meta implements ModelSource.
 func (z *ZooSource) Meta(n int) ModelMeta {
 	info := z.zoo.Info(n)
-	return ModelMeta{
-		Name:      info.Name,
-		PhiKWh:    info.PhiKWh,
-		SizeBytes: info.SizeBytes,
-	}
+	return ModelMeta{PhiKWh: info.PhiKWh, SizeBytes: info.SizeBytes}
 }
 
 // Checkpoint implements ModelSource.

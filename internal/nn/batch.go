@@ -70,7 +70,8 @@ func layerIs[T Layer](layers []Layer, i int) bool {
 // A Conv2D → ReLU → MaxPool2D stage (planStages) runs as one
 // Conv2D.forwardDirect with pool: the same bits as the three layers'
 // ForwardBatch in turn, without the two full-resolution planes between
-// them. Every other stage walks its layers.
+// them. Every other stage walks its layers, its ReLU rectifying the first
+// layer's output in place: ReLU.ForwardBatch's bits, without a second plane.
 //
 //lint:hotroot inference inner loop; all scratch comes from the arena
 func (n *Network) ForwardBatch(in *Tensor, a *Arena) *Tensor {
@@ -81,8 +82,12 @@ func (n *Network) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 			out = n.Layers[st.at].(*Conv2D).forwardDirect(out, a, true)
 			continue
 		}
-		for _, l := range n.Layers[st.at:st.end] {
-			out = l.ForwardBatch(out, a)
+		for j := st.at; j < st.end; j++ {
+			if st.relu && j == st.at+1 {
+				reluFwdSIMD(out.Data, out.Data)
+				continue
+			}
+			out = n.Layers[j].ForwardBatch(out, a)
 		}
 	}
 	return out

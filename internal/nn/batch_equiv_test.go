@@ -56,8 +56,8 @@ func TestDenseGEMMMatchesNaiveBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, dims := range [][2]int{{1, 1}, {3, 4}, {7, 5}, {64, 10}, {129, 33}} {
 		d := NewDense(dims[0], dims[1], rng)
-		// Batch 1 takes the pack-free NT kernel, batch 5 the weight panels
-		// (widths of eight and up).
+		// Widths under eight take the NT kernel, eight and up the weight
+		// panels, at both batch sizes.
 		for _, batch := range []int{1, 5} {
 			layerBatchMatchesForward(t, "dense", d, rng, batch, dims[0])
 		}

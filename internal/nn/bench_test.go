@@ -11,26 +11,6 @@ import (
 // reference loops (Forward), so the ConvForward/ConvForwardNaive ratio is the
 // kernel speedup on this host.
 
-func BenchmarkGEMM(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const m, n, k = 64, 64, 256
-	a := make([]float64, m*k)
-	bm := make([]float64, n*k)
-	bias := make([]float64, n)
-	out := make([]float64, m*n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-	}
-	for i := range bm {
-		bm[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GemmNTBiasJ(out, a, bm, bias, m, n, k)
-	}
-}
-
 func benchConv(b *testing.B, naive bool) {
 	rng := rand.New(rand.NewSource(2))
 	conv := NewConv2D(6, 16, 5, rng)

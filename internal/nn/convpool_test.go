@@ -43,8 +43,9 @@ func layerWalk(net *Network, in *Tensor, a *Arena) *Tensor {
 // through a Scorer over 33 and 100 samples (one lane, or as many as
 // GOMAXPROCS and the chunk count allow — CI runs it at -cpu 1,2,4). The CNN
 // and LeNet arms fuse both convolutions, MobileCNN its first two (its last
-// pointwise conv → ReLU has no pool and keeps the walk), the MLPs nothing,
-// and a conv → pool with no ReLU between them nothing either.
+// pointwise conv → ReLU has no pool, so it runs the conv and rectifies its
+// output in place, as every Dense → ReLU stage does), the MLPs nothing, and a
+// conv → pool with no ReLU between them nothing either.
 func TestFusedForwardMatchesLayerWalk(t *testing.T) {
 	for _, shape := range [][]int{{1, 28, 28}, {3, 32, 32}} {
 		sampleLen := shape[0] * shape[1] * shape[2]

@@ -2,9 +2,9 @@ package nn
 
 // Deterministic matrix kernels and the index tables of the direct
 // convolution. Dense lowers to a GEMM: the "NT" product of two row-major
-// matrices sharing a contiguous K dimension (GemmNTBiasJ) for tiny problems,
-// and the same product over eight-column weight panels (GemmPanelBiasJ)
-// otherwise. Conv2D lowers to nothing: its forward kernel (convDirectSIMD)
+// matrices sharing a contiguous K dimension, over eight-column weight panels
+// (GemmPanelBiasJ), or one dot per output (GemmNTBiasJ) for a layer under
+// eight outputs. Conv2D lowers to nothing: its forward kernel (convDirectSIMD)
 // and its backward kernel (convBwdSIMD) read the input planes in place
 // through the tables convDirectTables builds (the INT8 engine's direct
 // convolution tiles walk the same offsets, qnetwork.go). The "NN" form
@@ -19,59 +19,20 @@ package nn
 // Conv2D.Forward (batch_equiv_test.go pins the batched path against them).
 
 // GemmNTBiasJ computes out[i*n+j] = bias[j] + sum_k a[i*k+p]*b[j*k+p] for
-// an m-by-k matrix a and an n-by-k matrix b, both row-major. It is the
-// batched Dense kernel: a holds one sample per row, b one output unit's
-// weights per row. bias must have length n.
+// an m-by-k matrix a and an n-by-k matrix b, both row-major: one dot per
+// output, p ascending. It is the Dense kernel for layers under eight outputs
+// (too narrow for a panel) and the reference the panel kernel and the NN form
+// are tested against. bias must have length n.
 func GemmNTBiasJ(out, a, b, bias []float64, m, n, k int) {
 	for i := 0; i < m; i++ {
 		ar := a[i*k : i*k+k]
-		orow := out[i*n : i*n+n]
-		j := 0
-		for ; j+8 <= n; j += 8 {
-			b0 := b[(j+0)*k : (j+0)*k+k]
-			b1 := b[(j+1)*k : (j+1)*k+k]
-			b2 := b[(j+2)*k : (j+2)*k+k]
-			b3 := b[(j+3)*k : (j+3)*k+k]
-			b4 := b[(j+4)*k : (j+4)*k+k]
-			b5 := b[(j+5)*k : (j+5)*k+k]
-			b6 := b[(j+6)*k : (j+6)*k+k]
-			b7 := b[(j+7)*k : (j+7)*k+k]
-			s0, s1, s2, s3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-			s4, s5, s6, s7 := bias[j+4], bias[j+5], bias[j+6], bias[j+7]
-			for p, av := range ar {
-				s0 += float64(av * b0[p])
-				s1 += float64(av * b1[p])
-				s2 += float64(av * b2[p])
-				s3 += float64(av * b3[p])
-				s4 += float64(av * b4[p])
-				s5 += float64(av * b5[p])
-				s6 += float64(av * b6[p])
-				s7 += float64(av * b7[p])
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-			orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
-		}
-		for ; j+4 <= n; j += 4 {
-			b0 := b[(j+0)*k : (j+0)*k+k]
-			b1 := b[(j+1)*k : (j+1)*k+k]
-			b2 := b[(j+2)*k : (j+2)*k+k]
-			b3 := b[(j+3)*k : (j+3)*k+k]
-			s0, s1, s2, s3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-			for p, av := range ar {
-				s0 += float64(av * b0[p])
-				s1 += float64(av * b1[p])
-				s2 += float64(av * b2[p])
-				s3 += float64(av * b3[p])
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
+		for j := 0; j < n; j++ {
 			br := b[j*k : j*k+k]
 			s := bias[j]
 			for p, av := range ar {
 				s += float64(av * br[p])
 			}
-			orow[j] = s
+			out[i*n+j] = s
 		}
 	}
 }

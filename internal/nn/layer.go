@@ -71,12 +71,12 @@ func NewDense(inDim, outDim int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// ForwardBatch implements Layer: one GEMM over the whole batch. With four or
-// more samples and at least one eight-unit panel of outputs it runs as
-// GemmPanelBiasJ, which repacks the weights eight output units at a time into
-// one panel of arena scratch (per call: nothing is cached, so nothing needs
-// invalidating when training moves the weights); smaller problems keep the
-// pack-free GemmNTBiasJ. Both are the same dot sequence per output.
+// ForwardBatch implements Layer: one GEMM over the whole batch, at any batch
+// size as GemmPanelBiasJ, which repacks the weights eight output units at a
+// time into one panel of arena scratch (per call: nothing is cached, so
+// nothing needs invalidating when training moves the weights). A layer under
+// eight outputs has no panel and runs GemmNTBiasJ, the same dot sequence per
+// output.
 func (d *Dense) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 	batch := in.Shape[0]
 	if in.Len() != batch*d.InDim {
@@ -84,7 +84,7 @@ func (d *Dense) ForwardBatch(in *Tensor, a *Arena) *Tensor {
 		panic(fmt.Sprintf("nn: Dense expected %d inputs per sample, got shape %v", d.InDim, in.Shape))
 	}
 	out := a.Tensor(batch, d.OutDim)
-	if batch < 4 || d.OutDim < 8 {
+	if d.OutDim < 8 {
 		GemmNTBiasJ(out.Data, in.Data, d.w.Data, d.b.Data, batch, d.OutDim, d.InDim)
 		return out
 	}

@@ -114,26 +114,6 @@ func requantizeRowScalar(dst []int8, acc []int32, bias, m int32, shift int, lo i
 	}
 }
 
-// requantizeRowPerCol is requantizeRow with a per-column bias vector — the
-// dense-layer form, where acc is one sample's output row and bias[o] is the
-// o-th unit's bias in accumulator units.
-func requantizeRowPerCol(dst []int8, acc []int32, bias []int32, m int32, shift int, lo int8) {
-	dst = dst[:len(acc)]
-	bias = bias[:len(acc)]
-	if shift <= 0 {
-		for j, v := range acc {
-			dst[j] = max(requantize(v+bias[j], m, shift), lo)
-		}
-		return
-	}
-	rnd := int64(1) << (shift - 1)
-	l, mm := int64(lo), int64(m)
-	for j, v := range acc {
-		r := (int64(v+bias[j])*mm + rnd) >> shift
-		dst[j] = int8(min(max(r, l), 127))
-	}
-}
-
 // quantizeActs quantizes a float activation slice symmetrically at the given
 // scale: q = round(v/scale) clamped to [-127, 127], round-half-away-from-zero
 // (math.Round, the weight rule). NaN quantizes to 0 and ±Inf saturate to

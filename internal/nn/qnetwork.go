@@ -44,9 +44,6 @@ type QuantizedNetwork struct {
 	maxAct int // widest activation boundary
 	maxCol int // widest col scratch an op uses (qOp.colLen)
 	maxAcc int // widest accumulator block, plus a pooled conv's pooled sums
-
-	actMax []float64 // calibration scratch, kept so a Recompile reuses it
-	tables Arena     // the tile convolutions' operands; Reset by each Recompile
 }
 
 type qOpKind uint8
@@ -71,7 +68,6 @@ type qOp struct {
 	// whatever garbage sits in the matching patch/activation pad, and
 	// adding zeros to an int32 wraparound sum is exact.
 	wq    []int8
-	wpad  []int8 // the op's own padded copy, when wq is one; kept for reuse
 	kPad  int
 	biasQ []int32 // bias in accumulator units: round(b/(sx*sw)), |.| <= 2^30
 	m     int32   // fixed-point requant multiplier (quantMultiplier)
@@ -90,7 +86,7 @@ type qOp struct {
 	biasF []float64
 
 	// Convolutions the host runs on a direct tile (qconvDirectFits) also
-	// carry the tile's operands, all in the engine's tables arena:
+	// carry the tile's operands, all from one arena of the compile's own:
 	// convDirectTables' offsets (resliced to the tile's tap step) and
 	// eight-pixel segments, and the weights repacked for the tile, zero past
 	// the field and the last channel. Short-K (kPad < longK): int16 tap
@@ -177,23 +173,13 @@ func clampRoundInt8(v float64) int8 {
 // maximum over chunk maxima is the whole batch's maximum.
 const calibChunk = 8
 
-// resized returns s at length n, reusing its storage when the capacity
-// suffices. Contents are unspecified.
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// calibrate runs the float network over calib, layer by layer, and records
-// each boundary's maxAbs into actMax (resized to len(Layers)+1): actMax[i] is
-// the input to layer i; actMax[len(Layers)] the logits (unused: the head
-// dequantizes, it does not requantize). All scratch comes from a, which is
-// Reset before every chunk.
-func calibrate(actMax []float64, net *Network, calib *Tensor, a *Arena) []float64 {
-	actMax = resized(actMax, len(net.Layers)+1)
-	clear(actMax)
+// calibrate runs the float network over calib, layer by layer, and returns
+// each boundary's maxAbs, len(Layers)+1 of them: actMax[i] is the input to
+// layer i; actMax[len(Layers)] the logits (unused: the head dequantizes, it
+// does not requantize). All scratch comes from a, which is Reset before
+// every chunk.
+func calibrate(net *Network, calib *Tensor, a *Arena) []float64 {
+	actMax := make([]float64, len(net.Layers)+1)
 	n := calib.Shape[0]
 	sampleLen := calib.Len() / n
 	var shapeBuf [8]int
@@ -232,11 +218,11 @@ func NewQuantizedNetwork(net *Network, qw *QuantizedWeights, calib *Tensor) (*Qu
 	return q, nil
 }
 
-// Recompile is NewQuantizedNetwork into an engine that already exists: q
-// becomes the compiled form of (net, qw, calib), exactly the engine a fresh
-// compile returns, reusing its op table and per-op buffers where they fit.
-// The calibration pass takes all its scratch from a, the caller's arena,
-// which it Resets. After an error q is partly overwritten and must not serve.
+// Recompile is NewQuantizedNetwork into an engine that already exists: q is
+// rebuilt in place as the compiled form of (net, qw, calib), keeping nothing
+// of what it was. The calibration pass takes all its scratch from a, the
+// caller's arena, which it Resets. After an error q is partly built and must
+// not serve.
 func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *Tensor, a *Arena) error {
 	inShape := net.InShape()
 	if len(calib.Shape) != len(inShape)+1 || calib.Shape[0] < 1 {
@@ -254,19 +240,10 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 		return fmt.Errorf("nn: network %q does not end in a Dense head; the INT8 engine needs float logits", net.Name)
 	}
 
-	q.actMax = calibrate(q.actMax, net, calib, a)
-	actMax := q.actMax
-
-	// The previous compile's ops donate their buffers to the op that lands at
-	// the same index; old shares q.ops' storage, and entry i is read before
-	// the append that overwrites it.
-	old := q.ops
-	q.tables.Reset()
-	q.Name, q.inShape, q.ops = net.Name, inShape, q.ops[:0]
-	q.outDim, q.maxCol, q.maxAcc = 0, 0, 0
-	q.inScale = actScale(actMax[0])
-	s := q.inScale // running activation scale
-	q.maxAct = shapeLen(inShape)
+	actMax := calibrate(net, calib, a)
+	*q = QuantizedNetwork{Name: net.Name, inShape: inShape, inScale: actScale(actMax[0]), maxAct: shapeLen(inShape)}
+	tables := NewArena() // the tile convolutions' operands
+	s := q.inScale       // running activation scale
 	ti := 0
 	for _, st := range net.stages {
 		l := net.Layers[st.at]
@@ -292,9 +269,6 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 		}
 		wt, bias := qw.Tensors[ti], l.Params()[1].Data
 		ti += 2
-		if i := len(q.ops); i < len(old) {
-			op.wpad, op.biasQ, op.biasAtSy = old[i].wpad[:0], old[i].biasQ[:0], old[i].biasAtSy[:0]
-		}
 		if op.pool {
 			acc += op.outLen // the accumulator block, then the pooled sums
 		}
@@ -309,7 +283,7 @@ func (q *QuantizedNetwork) Recompile(net *Network, qw *QuantizedWeights, calib *
 			sy := actScale(actMax[st.at+1])
 			compileRequantOp(&op, wt, bias, s, sy, rows, rowLen)
 			if op.kind == qConv {
-				compileConvTile(&op, wt.Data, &q.tables)
+				compileConvTile(&op, wt.Data, tables)
 			}
 			s = sy
 		}
@@ -361,7 +335,7 @@ func errDotLen(li int, name string, l Layer, k int) error {
 // padWeightRows sets op.wq to rows of rowLen int8s at stride op.kPad =
 // padTo16(rowLen), zero-filling the pad. When rowLen is already a
 // vector-width multiple the QuantizedWeights storage is aliased as is — no
-// copy; otherwise the copy lands in op.wpad.
+// copy; otherwise op.wq is a padded copy.
 func padWeightRows(op *qOp, data []int8, rows, rowLen int) {
 	lp := padTo16(rowLen)
 	op.kPad = lp
@@ -369,12 +343,10 @@ func padWeightRows(op *qOp, data []int8, rows, rowLen int) {
 		op.wq = data
 		return
 	}
-	op.wpad = resized(op.wpad, rows*lp)
+	op.wq = make([]int8, rows*lp)
 	for r := 0; r < rows; r++ {
-		row := op.wpad[r*lp : (r+1)*lp]
-		clear(row[copy(row, data[r*rowLen:(r+1)*rowLen]):])
+		copy(op.wq[r*lp:], data[r*rowLen:(r+1)*rowLen])
 	}
-	op.wq = op.wpad
 }
 
 // compileRequantOp fills the requantizing conv/dense fields: the padded int8
@@ -385,7 +357,7 @@ func compileRequantOp(op *qOp, wt QuantizedTensor, bias []float64, sx, sy float6
 	padWeightRows(op, wt.Data, rows, rowLen)
 	if wt.Scale == 0 {
 		op.zeroScale = true
-		op.biasAtSy = resized(op.biasAtSy, len(bias))
+		op.biasAtSy = make([]int8, len(bias))
 		for o, b := range bias {
 			op.biasAtSy[o] = max(clampRoundInt8(b/sy), op.lo())
 		}
@@ -393,7 +365,7 @@ func compileRequantOp(op *qOp, wt QuantizedTensor, bias []float64, sx, sy float6
 	}
 	sxw := sx * wt.Scale
 	op.m, op.shift = quantMultiplier(sxw / sy)
-	op.biasQ = resized(op.biasQ, len(bias))
+	op.biasQ = make([]int32, len(bias))
 	for o, b := range bias {
 		op.biasQ[o] = clampBiasQ(b / sxw)
 	}
@@ -565,8 +537,10 @@ func denseInputBatch(op *qOp, batch int, cur, col []int8) []int8 {
 // a (m = batch) and the weight rows as b (n = outDim): sample pairs stream
 // through the batch-tiled dual-row kernels, so the weight matrix is
 // sign-extended once per sample pair and per column quad instead of once per
-// sample. The accumulator block lands per-sample contiguous (acc[s*outDim+o])
-// so the requantize pass reads and writes sequentially.
+// sample. The accumulator block lands per-sample contiguous (acc[s*outDim+o]),
+// the [s][o] activation layout, so once each unit's bias is added to its
+// sums one bias-free requantizeRow maps the whole chunk, as a pooled
+// convolution's is.
 func (q *QuantizedNetwork) runDense(op *qOp, batch int, cur, nxt, col []int8, acc []int32) {
 	if op.zeroScale {
 		for s := 0; s < batch; s++ {
@@ -574,12 +548,15 @@ func (q *QuantizedNetwork) runDense(op *qOp, batch int, cur, nxt, col []int8, ac
 		}
 		return
 	}
-	qgemmNT(acc[:batch*op.outDim], denseInputBatch(op, batch, cur, col), op.wq, batch, op.outDim, op.kPad)
+	sums := acc[:batch*op.outDim]
+	qgemmNT(sums, denseInputBatch(op, batch, cur, col), op.wq, batch, op.outDim, op.kPad)
 	for s := 0; s < batch; s++ {
-		dst := nxt[s*op.outLen : (s+1)*op.outLen]
-		arow := acc[s*op.outDim : (s+1)*op.outDim]
-		requantizeRowPerCol(dst, arow, op.biasQ, op.m, op.shift, op.lo())
+		row := sums[s*op.outDim : (s+1)*op.outDim]
+		for o, b := range op.biasQ {
+			row[o] += b
+		}
 	}
+	requantizeRow(nxt[:len(sums)], sums, 0, op.m, op.shift, op.lo())
 }
 
 // runHead dequantizes the final Dense's int32 accumulators straight to

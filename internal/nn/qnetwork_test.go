@@ -270,7 +270,6 @@ type unloweredLayer struct{ *ReLU }
 func TestCalibrationChunkingIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	arena := NewArena()
-	var actMax []float64
 	for _, net := range buildQuantArchs(rng) {
 		calib := randBatch(rng, 2*calibChunk+3, net.InShape())
 		want := []float64{maxAbsOf(calib.Data)}
@@ -280,7 +279,7 @@ func TestCalibrationChunkingIsExact(t *testing.T) {
 			cur = l.ForwardBatch(cur, whole)
 			want = append(want, maxAbsOf(cur.Data))
 		}
-		actMax = calibrate(actMax, net, calib, arena)
+		actMax := calibrate(net, calib, arena)
 		if len(actMax) != len(want) {
 			t.Fatalf("%s: %d boundaries, want %d", net.Name, len(actMax), len(want))
 		}

@@ -150,3 +150,12 @@ func (qw *QuantizedWeights) WireSize() int64 {
 	}
 	return size
 }
+
+// resized returns s at length n, reusing its storage when the capacity
+// suffices. Contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

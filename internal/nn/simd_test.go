@@ -148,7 +148,7 @@ func TestDensePanelsMatchGemmNT(t *testing.T) {
 						}
 					}
 					check("Dense.ForwardBatch", d.ForwardBatch(in, arena).Data)
-					if n >= 8 { // the layer keeps batches under four off the panels; the kernel takes them row by row
+					if n >= 8 { // the kernel needs one whole panel
 						got := simdCases(rng, m*n)
 						GemmPanelBiasJ(got, in.Data, d.w.Data, d.b.Data, make([]float64, 8*k), m, n, k)
 						check("GemmPanelBiasJ", got)

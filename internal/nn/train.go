@@ -121,11 +121,13 @@ func newTrainer(net *Network) *trainer {
 // stages forward keeping every layer's input in acts, each row's loss added
 // to totalLoss in idx order (the sum is returned), the stages back down to
 // the lowest layer with parameters (asked for no input gradient), one SGD
-// update. A Conv2D → ReLU → MaxPool2D stage rectifies its conv output in
-// place; its backward masks the pooled gradient by the pooled plane (a
-// window's maximum is positive exactly when its source element is) and
-// poolRoute hands it to that element: the two layers' BackwardBatch, bit for
-// bit, with ReLU's mask on a quarter of the plane.
+// update. Every stage's ReLU rectifies its first layer's output in place, so
+// ReLU.BackwardBatch masks by the rectified plane, which is positive exactly
+// where its input was. A Conv2D → ReLU → MaxPool2D stage's backward masks
+// the pooled gradient by the pooled plane (a window's maximum is positive
+// exactly when its source element is) and poolRoute hands it to that
+// element: the two layers' BackwardBatch, bit for bit, with ReLU's mask on a
+// quarter of the plane.
 func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float64 {
 	a, layers, stages := t.a, t.net.Layers, t.net.stages
 	b := len(idx)
@@ -139,7 +141,7 @@ func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float
 	t.acts[0] = x
 	for _, st := range stages {
 		for i := st.at; i < st.end; i++ {
-			if st.relu && st.pool && i == st.at+1 {
+			if st.relu && i == st.at+1 {
 				reluFwdSIMD(t.acts[i].Data, t.acts[i].Data)
 				t.acts[i+1] = t.acts[i]
 				continue

@@ -182,9 +182,12 @@ func btoi(b bool) int {
 // 3 137 408 / 5 954 688 / 322 688 / 525 440 bytes (cnn-s, cnn-l, lenet-s,
 // lenet-l, mlp-s, mlp-l); with every layer of a Conv2D → ReLU → MaxPool2D
 // stage keeping its own output and gradient planes, the CNNs and LeNets held
-// 4 360 960 / 8 617 728 / 2 844 672 / 5 585 152. The trainer now keeps one
-// full-resolution plane per such stage, the conv output rectified in place,
-// and one gradient plane, written by poolRoute. The test also fails on any
+// 4 360 960 / 8 617 728 / 2 844 672 / 5 585 152; with a Dense → ReLU stage
+// still writing its ReLU's output to a second buffer, every arm held
+// 2 480 896 / 4 857 600 / 1 697 792 / 3 291 392 / 221 952 / 424 704. Every
+// stage's ReLU now rectifies in place, so a conv stage keeps one
+// full-resolution plane and one gradient plane, written by poolRoute, and a
+// Dense → ReLU stage one output plane. The test also fails on any
 // buffer the size of one sample's im2col matrix (kk*np floats) of any
 // convolution, and on a second buffer the size of the input batch: the first
 // layer with weights sees that many inputs (an MLP's first Dense reads the
@@ -194,8 +197,8 @@ func TestTrainArenaFootprintPinned(t *testing.T) {
 	const batch = 16
 	in := []int{1, 28, 28}
 	pinned := map[string]int{
-		"cnn-s": 2480896, "cnn-l": 4857600, "lenet-s": 1697792,
-		"lenet-l": 3291392, "mlp-s": 221952, "mlp-l": 424704,
+		"cnn-s": 2476800, "cnn-l": 4849408, "lenet-s": 1671680,
+		"lenet-l": 3239168, "mlp-s": 209664, "mlp-l": 375552,
 	}
 	for _, zb := range zooBuilders[:6] {
 		net := zb.build(in, rand.New(rand.NewSource(48)))
@@ -230,6 +233,33 @@ func TestTrainArenaFootprintPinned(t *testing.T) {
 		}
 		if total != pinned[zb.name] {
 			t.Errorf("%s: float arena holds %d bytes after one minibatch, pinned at %d", zb.name, total, pinned[zb.name])
+		}
+	}
+}
+
+// TestForwardArenaFootprintPinned is TestTrainArenaFootprintPinned's
+// inference twin: the float arena's high-water bytes after one 32-sample
+// Network.ForwardBatch (a serving chunk) of 1x28x28 on each MNIST-family arm,
+// pinned. With every Dense → ReLU stage writing its ReLU's output to a second
+// buffer the arena held 495 104 / 987 648 / 423 168 / 843 776 / 108 032 /
+// 273 920 bytes (cnn-s, cnn-l, lenet-s, lenet-l, mlp-s, mlp-l); every stage's
+// ReLU now rectifies its first layer's output in place.
+func TestForwardArenaFootprintPinned(t *testing.T) {
+	in := []int{1, 28, 28}
+	pinned := map[string]int{
+		"cnn-s": 486912, "cnn-l": 971264, "lenet-s": 370944,
+		"lenet-l": 739328, "mlp-s": 83456, "mlp-l": 175616,
+	}
+	for _, zb := range zooBuilders[:6] {
+		net := zb.build(in, rand.New(rand.NewSource(48)))
+		arena := NewArena()
+		net.ForwardBatch(randTensor(rand.New(rand.NewSource(49)), 32, 1, 28, 28), arena)
+		total := 0
+		for _, buf := range arena.floats.bufs {
+			total += 8 * cap(buf)
+		}
+		if total != pinned[zb.name] {
+			t.Errorf("%s: float arena holds %d bytes after one chunk, pinned at %d", zb.name, total, pinned[zb.name])
 		}
 	}
 }

@@ -1,14 +1,12 @@
 package trading
 
-import (
-	"fmt"
-
-	"github.com/carbonedge/carbonedge/internal/numeric"
-)
+import "fmt"
 
 // PricePredictor is the forecasting dependency of the predictive trader,
 // satisfied by market.ARPredictor. It is declared here (consumer side) so
-// the trading package does not depend on market.
+// the trading package does not depend on market. Predict must not change the
+// predictor: Decide asks for a forecast even in the first slot, which has no
+// history to use it on.
 type PricePredictor interface {
 	Observe(price float64)
 	Predict(fallback float64) float64
@@ -49,21 +47,11 @@ func NewPredictivePrimalDual(cfg PrimalDualConfig, pred PricePredictor, sellRati
 func (p *PredictivePrimalDual) Lambda() float64 { return p.inner.lambda }
 
 // Decide implements Trader. Like the vanilla algorithm it uses only
-// history; the current quote argument is ignored.
+// history; the current quote argument is ignored. It takes Algorithm 2's
+// step at this slot's prices as forecast from the history observed so far.
 func (p *PredictivePrimalDual) Decide(int, Quote) Decision {
-	inner := p.inner
-	if !inner.havePrev {
-		return Decision{}
-	}
-	// Forecast this slot's prices from the history observed so far.
-	cHat := p.buyPred.Predict(inner.prevQ.Buy)
-	rHat := float64(cHat * p.sellRatio)
-	z := inner.zBar.Buy - float64(inner.cfg.Gamma2*(cHat-inner.lambda))
-	w := inner.zBar.Sell - float64(inner.cfg.Gamma2*(inner.lambda-rHat))
-	return Decision{
-		Buy:  numeric.Clamp(z, 0, inner.cfg.ZMax),
-		Sell: numeric.Clamp(w, 0, inner.cfg.ZMax),
-	}
+	cHat := p.buyPred.Predict(p.inner.prevQ.Buy)
+	return p.inner.step(cHat, float64(cHat*p.sellRatio))
 }
 
 // Observe implements Trader.

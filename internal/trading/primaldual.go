@@ -119,12 +119,19 @@ func (p *PrimalDual) Lambda() float64 { return p.lambda }
 // Decide implements Trader. The quote argument is intentionally unused:
 // Algorithm 2 decides from information strictly before t.
 func (p *PrimalDual) Decide(int, Quote) Decision {
+	return p.step(p.prevQ.Buy, p.prevQ.Sell)
+}
+
+// step is Algorithm 2's rectified primal step at buy price c and sell price
+// r: the last observed quote's for the vanilla trader, a forecast's for the
+// predictive one.
+func (p *PrimalDual) step(c, r float64) Decision {
 	if !p.havePrev {
 		// Z^0: no history yet; start from the initial decision (0, 0).
 		return Decision{}
 	}
-	z := p.zBar.Buy - float64(p.cfg.Gamma2*(p.prevQ.Buy-p.lambda))
-	w := p.zBar.Sell - float64(p.cfg.Gamma2*(p.lambda-p.prevQ.Sell))
+	z := p.zBar.Buy - float64(p.cfg.Gamma2*(c-p.lambda))
+	w := p.zBar.Sell - float64(p.cfg.Gamma2*(p.lambda-r))
 	return Decision{
 		Buy:  numeric.Clamp(z, 0, p.cfg.ZMax),
 		Sell: numeric.Clamp(w, 0, p.cfg.ZMax),
