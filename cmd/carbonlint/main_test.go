@@ -462,7 +462,7 @@ func TestNoWriteOnlyFields(t *testing.T) {
 // raises one edits it here and gives the reason in CHANGES.md; a change that
 // lowers a count lowers its ceiling to match.
 const (
-	goLineCeiling  = 16359
+	goLineCeiling  = 16344
 	asmLineCeiling = 1712
 )
 
@@ -471,8 +471,8 @@ const (
 // EXPERIMENTS.md what it measures now, and the history of how either got
 // there is CHANGES.md's.
 var docByteCeiling = map[string]int{
-	"DESIGN.md":      64605,
-	"EXPERIMENTS.md": 18503,
+	"DESIGN.md":      64598,
+	"EXPERIMENTS.md": 18496,
 }
 
 // lineCount is one package's (or the total's) raw and code lines, Go at

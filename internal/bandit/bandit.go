@@ -9,13 +9,16 @@
 //
 // The package also carries the paper's comparison baselines: unblocked
 // Tsallis-INF, UCB2 (which bounds switches via its own epoch schedule),
-// Random, and energy-Greedy, all behind one Policy interface so the
-// simulator can mix and match combinations exactly as the evaluation does.
+// Random, and energy-Greedy (a Fixed policy on the lowest-energy model), all
+// behind one Policy interface so the simulator can mix and match combinations
+// exactly as the evaluation does.
 package bandit
 
 import (
 	"fmt"
 	"math/rand"
+
+	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
 // Policy is a per-edge sequential model-selection strategy. Each time slot
@@ -74,41 +77,16 @@ func (r *Random) Update(float64) {}
 // Skip implements Policy; Random keeps no loss state.
 func (r *Random) Skip() {}
 
-// Greedy always selects the model with the lowest score (the paper's Greedy
-// picks the model with the lowest energy consumption). It never explores.
-type Greedy struct {
-	best int
-	n    int
-}
-
-var _ Policy = (*Greedy)(nil)
-
 // NewGreedy creates the Greedy baseline over a static score vector
-// (typically per-sample energy phi_n).
-func NewGreedy(scores []float64) (*Greedy, error) {
+// (typically per-sample energy phi_n): the paper's Greedy always plays the
+// model with the lowest score and never explores, so it is Fixed on the
+// first lowest score.
+func NewGreedy(scores []float64) (*Fixed, error) {
 	if len(scores) == 0 {
 		return nil, fmt.Errorf("bandit: empty score vector")
 	}
-	best := 0
-	for i, s := range scores {
-		if s < scores[best] {
-			best = i
-		}
-	}
-	return &Greedy{best: best, n: len(scores)}, nil
+	return NewFixed(numeric.ArgMin(scores), len(scores))
 }
-
-// NumArms implements Policy.
-func (g *Greedy) NumArms() int { return g.n }
-
-// SelectArm implements Policy.
-func (g *Greedy) SelectArm() int { return g.best }
-
-// Update implements Policy.
-func (g *Greedy) Update(float64) {}
-
-// Skip implements Policy; Greedy keeps no loss state.
-func (g *Greedy) Skip() {}
 
 // Fixed always plays one arm; it implements the hindsight-best-arm
 // comparator used for regret accounting and the Offline scheme.

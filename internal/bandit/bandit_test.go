@@ -59,13 +59,16 @@ func TestRandomPolicy(t *testing.T) {
 }
 
 func TestGreedyPolicy(t *testing.T) {
-	p, err := NewGreedy([]float64{3, 1, 2})
+	p, err := NewGreedy([]float64{3, 1, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p.NumArms() != 4 {
+		t.Fatalf("Greedy has %d arms, want 4", p.NumArms())
+	}
 	for i := 0; i < 10; i++ {
 		if got := p.SelectArm(); got != 1 {
-			t.Fatalf("Greedy selected %d, want 1", got)
+			t.Fatalf("Greedy selected %d, want 1 (the first lowest score)", got)
 		}
 		p.Update(100) // feedback must not change the choice
 	}

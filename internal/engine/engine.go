@@ -15,7 +15,12 @@
 // carries its own split RNG streams and scratch buffers) and every
 // non-associative float accumulation happens once, at the root, in the
 // canonical serial order.
-// Shards=1, Workers=1 reproduces that order literally.
+//
+// Both fan-outs are one loop for every count: the caller does the first
+// share of the work itself and starts the rest beside it. The root steps
+// shard 0 and starts the other shards; a Shard's caller is its worker 0 and
+// its other workers start from a method value bound once, so stepping a
+// shard allocates nothing at any worker count.
 package engine
 
 import (
@@ -82,14 +87,15 @@ type Config struct {
 	// SwitchCosts holds the per-edge download cost u_i charged whenever the
 	// controller schedules a switch; length must equal the edge count.
 	SwitchCosts []float64
-	// Workers bounds how many edges step concurrently within each shard.
-	// 0 or 1 runs the canonical serial order; the result is identical for
-	// every value.
+	// Workers bounds how many edges step concurrently within each shard,
+	// the shard's caller counted (see ShardConfig.Workers); the result is
+	// identical for every value.
 	Workers int
 	// Shards splits the edges into this many contiguous shards, each stepping
 	// with its own worker pool of up to Workers goroutines. 0 or 1 runs a
-	// single shard. The Result is bit-identical for every shard count (see
-	// RunSharded), so Shards is purely a throughput knob for large fleets.
+	// single shard, on the root's goroutine. The Result is bit-identical for
+	// every shard count (see RunSharded), so Shards is purely a throughput
+	// knob for large fleets.
 	Shards int
 	// Policy selects how the run reacts to a failing edge stepper. The zero
 	// value (FailFast) aborts on the first error, preserving historical
@@ -218,8 +224,8 @@ func Run(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result, error
 // every per-shard worker count, including Degrade and FailFast runs: shards
 // report per-edge terms (never partial float sums), and folding the shards'
 // deltas one after another in ascending range order adds every term in
-// edge-index order — the very accumulation order the single-shard serial
-// loop performs. Shards must cover [0, ctrl.NumEdges()) contiguously in
+// edge-index order — the very accumulation order a one-shard, one-worker run
+// performs. Shards must cover [0, ctrl.NumEdges()) contiguously in
 // ascending order, and every slot each must return a delta covering exactly
 // its range.
 //
@@ -294,6 +300,7 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 	losses := make([]float64, numEdges)
 	served := make([]bool, numEdges)
 	totalCorrect, totalSamples := 0, 0
+	var wg sync.WaitGroup
 
 	for t := 0; t < cfg.Horizon; t++ {
 		arms, err := ctrl.SelectModels()
@@ -305,20 +312,17 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 			return nil, err
 		}
 
-		if len(shards) == 1 {
-			deltas[0], stepErrs[0] = stepShard(shards[0], t, arms, downloads)
-		} else {
-			var wg sync.WaitGroup
-			for k, sh := range shards {
-				r := ranges[k]
-				wg.Add(1)
-				go func(k int, sh ShardStepper, arms []int, downloads []bool) {
-					defer wg.Done()
-					deltas[k], stepErrs[k] = stepShard(sh, t, arms, downloads)
-				}(k, sh, arms[r.Start:r.Start+r.Count], downloads[r.Start:r.Start+r.Count])
-			}
-			wg.Wait()
+		// The root steps shard 0 itself and the other shards beside it.
+		for k := 1; k < len(shards); k++ {
+			r := ranges[k]
+			wg.Add(1)
+			go func(slot int, arms []int, downloads []bool) {
+				defer wg.Done()
+				deltas[k], stepErrs[k] = stepShard(shards[k], slot, arms, downloads)
+			}(t, arms[r.Start:r.Start+r.Count], downloads[r.Start:r.Start+r.Count])
 		}
+		deltas[0], stepErrs[0] = stepShard(shards[0], t, arms[:ranges[0].Count], downloads[:ranges[0].Count])
+		wg.Wait()
 		// Cross-edge accounting is SlotDelta.Fold — serial, in edge-index
 		// order, and the only place per-edge terms enter float accumulations.
 		// Each shard's delta is folded where the shard left it, in canonical

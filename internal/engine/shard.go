@@ -34,8 +34,9 @@ type ShardStepper interface {
 type ShardConfig struct {
 	// Start is the global index of the shard's first edge.
 	Start int
-	// Workers bounds how many of the shard's edges step concurrently.
-	// 0 or 1 steps serially; the delta is identical for every value.
+	// Workers bounds how many of the shard's edges step concurrently, the
+	// caller's goroutine counted: 0 or 1 steps every edge on the caller's
+	// goroutine. The delta is identical for every value.
 	Workers int
 	// Policy selects the failure reaction (see ShardStepper.Step).
 	Policy ErrorPolicy
@@ -51,10 +52,19 @@ type Shard struct {
 	start   int
 	edges   []EdgeStepper
 	workers int
+	chunk   int // edges claimed per cursor add
 	policy  ErrorPolicy
 	down    []bool
 	errs    []error
 	buf     []EdgeDelta
+	run     func() // work, bound once: `go s.run()` starts a worker without allocating
+
+	// The step in flight, read-only to the workers.
+	slot      int
+	arms      []int
+	downloads []bool
+	cursor    atomic.Int64 // end of the last chunk claimed
+	wg        sync.WaitGroup
 }
 
 var _ ShardStepper = (*Shard)(nil)
@@ -76,22 +86,19 @@ func NewShard(cfg ShardConfig, edges []EdgeStepper) (*Shard, error) {
 	if cfg.Policy != FailFast && cfg.Policy != Degrade {
 		return nil, fmt.Errorf("engine: unknown error policy %d", cfg.Policy)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(edges) {
-		workers = len(edges)
-	}
-	return &Shard{
+	workers := min(max(cfg.Workers, 1), len(edges))
+	s := &Shard{
 		start:   cfg.Start,
 		edges:   edges,
 		workers: workers,
+		chunk:   (len(edges) + 4*workers - 1) / (4 * workers),
 		policy:  cfg.Policy,
 		down:    make([]bool, len(edges)),
 		errs:    make([]error, len(edges)),
 		buf:     make([]EdgeDelta, len(edges)),
-	}, nil
+	}
+	s.run = s.work
+	return s, nil
 }
 
 // Range implements ShardStepper.
@@ -120,47 +127,17 @@ func (s *Shard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) 
 			s.start, s.start+len(s.edges), len(arms), len(downloads), len(s.edges))
 	}
 
-	if s.workers == 1 {
-		for j, e := range s.edges {
-			if s.down[j] {
-				s.buf[j].Observation, s.errs[j] = Observation{}, nil
-				continue
-			}
-			s.buf[j].Observation, s.errs[j] = safeStep(e, slot, arms[j], downloads[j])
-		}
-	} else {
-		// Workers claim chunks of edge indices from a shared cursor — one
-		// atomic add per chunk, no rendezvous per edge — and skip down edges
-		// themselves. Every edge writes only its own buf/errs element, so which
-		// worker serves which chunk never shows in the delta. With one worker
-		// per edge (a TCP fleet, whose steps block on round trips) the chunk
-		// is a single edge and every exchange is in flight at once.
-		n := len(s.edges)
-		chunk := (n + 4*s.workers - 1) / (4 * s.workers)
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(s.workers)
-		for w := 0; w < s.workers; w++ {
-			go func() { //lint:allow hotalloc one closure per worker per step, amortized over the worker's chunks of edges; the workers==1 path the 100k-edge budget is set on spawns none
-				defer wg.Done()
-				for {
-					hi := int(cursor.Add(int64(chunk)))
-					lo := hi - chunk
-					if lo >= n {
-						return
-					}
-					for j := lo; j < min(hi, n); j++ {
-						if s.down[j] {
-							s.buf[j].Observation, s.errs[j] = Observation{}, nil
-							continue
-						}
-						s.buf[j].Observation, s.errs[j] = safeStep(s.edges[j], slot, arms[j], downloads[j])
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	// The caller is worker 0; the others start beside it. Every edge writes
+	// only its own buf/errs element, so which worker serves which chunk never
+	// shows in the delta.
+	s.slot, s.arms, s.downloads = slot, arms, downloads
+	s.cursor.Store(0)
+	s.wg.Add(s.workers)
+	for w := 1; w < s.workers; w++ {
+		go s.run()
 	}
+	s.work()
+	s.wg.Wait()
 
 	// Failures resolve serially in local edge order, so the outcome (the
 	// aborting error under FailFast, the down-marking under Degrade) is
@@ -185,6 +162,32 @@ func (s *Shard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) 
 		ed.Served = !s.down[j]
 	}
 	return SlotDelta{Start: s.start, Edges: s.buf}, nil
+}
+
+// work claims chunks of edge indices from the shard's cursor until none is
+// left — one atomic add per chunk, no rendezvous per edge — and skips down
+// edges itself. A chunk is a quarter of a worker's share, so a worker held up
+// by a slow edge leaves the rest to the others; with one worker per edge (a
+// TCP fleet, whose steps block on round trips) it is a single edge and every
+// exchange is in flight at once.
+func (s *Shard) work() {
+	defer s.wg.Done()
+	edges, down, buf, errs := s.edges, s.down, s.buf, s.errs
+	slot, arms, downloads, chunk := s.slot, s.arms, s.downloads, s.chunk
+	for {
+		hi := int(s.cursor.Add(int64(chunk)))
+		lo := hi - chunk
+		if lo >= len(edges) {
+			return
+		}
+		for j := lo; j < min(hi, len(edges)); j++ {
+			if down[j] {
+				buf[j].Observation, errs[j] = Observation{}, nil
+				continue
+			}
+			buf[j].Observation, errs[j] = safeStep(edges[j], slot, arms[j], downloads[j])
+		}
+	}
 }
 
 // stepShard runs one shard step, converting a panic into an error so a

@@ -8,8 +8,9 @@ import (
 )
 
 // stepWorkerCounts are the fan-out shapes Shard.Step must agree across: the
-// serial loop, two workers, a count that does not divide the fleet, and one
-// worker per edge (single-edge chunks, the TCP fleet's shape).
+// caller alone (every chunk in edge order, the serial reference), two
+// workers, a count that does not divide the fleet, and one worker per edge
+// (single-edge chunks, the TCP fleet's shape).
 func stepWorkerCounts(edges int) []int { return []int{1, 2, 7, edges} }
 
 // stepSlots steps a fresh shard through the given slots and returns a deep
@@ -37,7 +38,7 @@ func stepSlots(t *testing.T, workers int, policy ErrorPolicy, edges []EdgeSteppe
 
 // TestShardStepIdenticalAcrossWorkerCounts pins the channel-free fan-out:
 // whichever worker claims whichever chunk, the deltas are those of the
-// serial loop — under FailFast (the lowest failing edge's error wins, a
+// caller stepping alone — under FailFast (the lowest failing edge's error wins, a
 // panic included), and under Degrade (a failed or panicking edge goes down
 // keeping the retries it burned, and is skipped from then on).
 func TestShardStepIdenticalAcrossWorkerCounts(t *testing.T) {
@@ -149,6 +150,34 @@ type freeStepper struct{ n int }
 func (f *freeStepper) Step(slot, arm int, download bool) (Observation, error) {
 	f.n++
 	return Observation{Samples: arm}, nil
+}
+
+// TestShardStepAllocatesNothing pins the fan-out's steady state at zero
+// allocations for every worker count: the caller is worker 0 and the others
+// start from the method value NewShard bound, so a step spawns no closure.
+func TestShardStepAllocatesNothing(t *testing.T) {
+	const edges = 1000
+	for _, w := range []int{1, 2, edges} {
+		steppers := make([]EdgeStepper, edges)
+		for j := range steppers {
+			steppers[j] = &freeStepper{}
+		}
+		sh, err := NewShard(ShardConfig{Workers: w}, steppers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms, downloads := make([]int, edges), make([]bool, edges)
+		slot := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := sh.Step(slot, arms, downloads); err != nil {
+				t.Fatal(err)
+			}
+			slot++
+		})
+		if allocs != 0 {
+			t.Errorf("workers=%d: %v allocations per step, want 0", w, allocs)
+		}
+	}
 }
 
 // BenchmarkShardStepWorkers times one slot of a 10 000-edge shard whose

@@ -291,11 +291,6 @@ func TestCalibrationChunkingIsExact(t *testing.T) {
 	}
 }
 
-// TestRecompileMatchesFreshCompile drives one resident engine, one resident
-// QuantizedWeights and one arena through every architecture twice over (so
-// each recompile inherits another architecture's op table and buffers) and
-// holds every result to the logits of a fresh QuantizeWeights +
-// NewQuantizedNetwork of the same network.
 // ParamBytes returns the resident int8 parameter bytes (shared with the
 // QuantizedWeights the network was compiled from).
 func (q *QuantizedNetwork) ParamBytes() int64 {
@@ -306,6 +301,11 @@ func (q *QuantizedNetwork) ParamBytes() int64 {
 	return n
 }
 
+// TestRecompileMatchesFreshCompile drives one resident engine, one resident
+// QuantizedWeights and one arena through every architecture twice over (so
+// each recompile inherits another architecture's op table and buffers) and
+// holds every result to the logits of a fresh QuantizeWeights +
+// NewQuantizedNetwork of the same network.
 func TestRecompileMatchesFreshCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	arena := NewArena()

@@ -121,13 +121,13 @@ func newTrainer(net *Network) *trainer {
 // stages forward keeping every layer's input in acts, each row's loss added
 // to totalLoss in idx order (the sum is returned), the stages back down to
 // the lowest layer with parameters (asked for no input gradient), one SGD
-// update. Every stage's ReLU rectifies its first layer's output in place, so
-// ReLU.BackwardBatch masks by the rectified plane, which is positive exactly
-// where its input was. A Conv2D → ReLU → MaxPool2D stage's backward masks
-// the pooled gradient by the pooled plane (a window's maximum is positive
-// exactly when its source element is) and poolRoute hands it to that
-// element: the two layers' BackwardBatch, bit for bit, with ReLU's mask on a
-// quarter of the plane.
+// update. Every stage's ReLU rectifies its first layer's output in place, and
+// its backward masks the incoming gradient in place by the stage's output
+// plane: the rectified plane, which is positive exactly where its input was,
+// or, after a MaxPool2D, the pooled plane (a window's maximum is positive
+// exactly when its source element is), whose masked gradient poolRoute then
+// hands to that element. Either way it is ReLU.BackwardBatch bit for bit,
+// with no new plane and, under a pool, the mask on a quarter of the plane.
 func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float64 {
 	a, layers, stages := t.a, t.net.Layers, t.net.stages
 	b := len(idx)
@@ -159,10 +159,12 @@ func (t *trainer) step(samples []Sample, idx []int, lr, totalLoss float64) float
 	for s := len(stages) - 1; s >= 0 && stages[s].at >= t.first; s-- {
 		st := stages[s]
 		for i := st.end - 1; i >= st.at; i-- {
-			if st.relu && st.pool && i == st.at+2 {
+			if st.relu && i == st.end-1 {
 				reluBwdSIMD(g.Data, g.Data, t.acts[i+1].Data)
-				g = poolRoute(t.acts[i], t.acts[i+1], g, a)
-				i-- // the stage's ReLU is done too
+				if st.pool {
+					g = poolRoute(t.acts[i], t.acts[i+1], g, a)
+					i-- // the stage's ReLU is done too
+				}
 				continue
 			}
 			g = layers[i].BackwardBatch(t.acts[i], g, t.grads[i], i > t.first, a)

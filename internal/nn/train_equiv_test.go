@@ -184,8 +184,10 @@ func btoi(b bool) int {
 // stage keeping its own output and gradient planes, the CNNs and LeNets held
 // 4 360 960 / 8 617 728 / 2 844 672 / 5 585 152; with a Dense → ReLU stage
 // still writing its ReLU's output to a second buffer, every arm held
-// 2 480 896 / 4 857 600 / 1 697 792 / 3 291 392 / 221 952 / 424 704. Every
-// stage's ReLU now rectifies in place, so a conv stage keeps one
+// 2 480 896 / 4 857 600 / 1 697 792 / 3 291 392 / 221 952 / 424 704; with
+// a ReLU outside a pooled stage taking a fresh gradient plane, every arm held
+// 2 476 800 / 4 849 408 / 1 671 680 / 3 239 168 / 209 664 / 375 552. Every
+// stage's ReLU now rectifies and masks in place, so a conv stage keeps one
 // full-resolution plane and one gradient plane, written by poolRoute, and a
 // Dense → ReLU stage one output plane. The test also fails on any
 // buffer the size of one sample's im2col matrix (kk*np floats) of any
@@ -197,8 +199,8 @@ func TestTrainArenaFootprintPinned(t *testing.T) {
 	const batch = 16
 	in := []int{1, 28, 28}
 	pinned := map[string]int{
-		"cnn-s": 2476800, "cnn-l": 4849408, "lenet-s": 1671680,
-		"lenet-l": 3239168, "mlp-s": 209664, "mlp-l": 375552,
+		"cnn-s": 2472704, "cnn-l": 4841216, "lenet-s": 1645568,
+		"lenet-l": 3186944, "mlp-s": 197376, "mlp-l": 326400,
 	}
 	for _, zb := range zooBuilders[:6] {
 		net := zb.build(in, rand.New(rand.NewSource(48)))

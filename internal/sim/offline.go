@@ -28,7 +28,7 @@ func Offline(s *Scenario) (*engine.Result, error) {
 		}
 		policies[i] = p
 	}
-	res, err := s.play("Offline", policies, trading.NewNullTrader(), 1, 1)
+	res, err := s.play("Offline", policies, trading.NullTrader{}, 1, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -25,11 +25,12 @@ func Run(s *Scenario, name string, pf PolicyFactory, tf TraderFactory) (*engine.
 }
 
 // RunSharded is Run with the edges split into `shards` contiguous engine
-// shards, each stepping with its own pool of up to workers goroutines (see
-// engine.Config.Shards and Workers). Neither count changes a bit of the
-// Result — each edge owns its RNG streams and scratch buffers, and the
-// engine serializes cross-edge accounting in edge order — so both are
-// purely throughput knobs for large edge counts.
+// shards, each stepping with its own pool of up to workers goroutines, the
+// stepping goroutine counted, so 1 and 1 step every edge on the caller's
+// goroutine (see engine.Config.Shards and Workers). Neither count changes a
+// bit of the Result — each edge owns its RNG streams and scratch buffers,
+// and the engine serializes cross-edge accounting in edge order — so both
+// are purely throughput knobs for large edge counts.
 func RunSharded(s *Scenario, name string, pf PolicyFactory, tf TraderFactory, shards, workers int) (*engine.Result, error) {
 	policies := make([]bandit.Policy, s.Cfg.Edges)
 	for i := range policies {

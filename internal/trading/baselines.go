@@ -175,9 +175,6 @@ type NullTrader struct{}
 
 var _ Trader = NullTrader{}
 
-// NewNullTrader creates the no-op trader.
-func NewNullTrader() NullTrader { return NullTrader{} }
-
 // Decide implements Trader.
 func (NullTrader) Decide(int, Quote) Decision { return Decision{} }
 
