@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -18,13 +18,17 @@ import (
 //
 //   - Static calls (pkg.F(), x.Method() on a concrete receiver, T.Method(x))
 //     produce one edge to the named function.
-//   - Interface method calls produce edges to every analyzed method with the
-//     same name and the same external signature (class-hierarchy analysis
-//     keyed on name+signature: precise enough to separate
-//     engine.EdgeStepper.Step from trading's unrelated Step methods).
+//   - Interface method calls (on the interface, on a struct embedding it, or
+//     on a type parameter it constrains) produce an edge to the method that
+//     each type declared in the loaded packages, local types included, runs
+//     for it when the type's pointer method set implements the interface.
+//     Methods compare as name and signature strings: a package checked from
+//     source and the same package read from export data are distinct
+//     types.Type values.
 //   - Dynamic calls through function values (fields, parameters, variables,
-//     method values) produce edges to every function whose value is taken
-//     anywhere in the program with a matching signature; function literals
+//     slice and map elements, method values) produce edges to every function
+//     whose value is taken anywhere in the program, package-level
+//     initializers included, with a matching signature; function literals
 //     passed around as values count as their enclosing declaration.
 //
 // Functions are keyed canonically as "pkgpath.Name" or
@@ -62,26 +66,18 @@ type GraphFunc struct {
 	// the declaration.
 	Hotroot bool
 	Cold    bool
-	// MethodSig is the name+signature index entry ("Name\x00(params)(results)")
-	// when the function is a method — the CHA key interface calls resolve
-	// against. Empty for plain functions.
-	MethodSig string
 	// Calls lists static callee keys (including external ones, which simply
 	// have no node and act as leaves).
 	Calls []string
-	// IfaceCalls lists interface method call sites as name+signature entries.
-	IfaceCalls []string
+	// Dispatch lists the keys of the methods this function's interface calls
+	// run, resolved by implementation. errtaxonomy's same-package walk reads
+	// Calls alone, so these stay apart.
+	Dispatch []string
 	// DynCalls lists the signatures of calls through function values.
 	DynCalls []string
-	// TakesAddr lists (key, signature) pairs of functions whose value this
-	// function's body takes — the candidate targets of dynamic calls.
-	TakesAddr []AddrRef
-}
-
-// AddrRef records one address-taken function value.
-type AddrRef struct {
-	Key string
-	Sig string
+	// TakesAddr lists the keys of the functions whose value this function's
+	// body takes — the candidate targets of dynamic calls.
+	TakesAddr []string
 }
 
 // Graph is the whole-program call graph.
@@ -89,50 +85,49 @@ type Graph struct {
 	// Funcs indexes every analyzed function by canonical key.
 	Funcs map[string]*GraphFunc
 
-	methodIndex map[string][]string // MethodSig -> keys
-	addrIndex   map[string][]string // signature -> address-taken keys
-	hot         map[string]string   // Reachable from the //lint:hotroot roots
+	impls     []methodSet         // of every declared non-interface type
+	addrIndex map[string][]string // signature -> address-taken keys
+	hot       map[string]string   // Reachable from the //lint:hotroot roots
 }
+
+// A methodSet is one type's pointer method set by method name.
+type methodSet map[string]implMethod
+
+// implMethod is one method of a methodSet: its signature (sigString) and the
+// key of the function that runs it, promoted from an embedded type or not.
+type implMethod struct{ sig, key string }
 
 // BuildGraph walks every package into one program graph, computes its hot
 // set, and returns the walk's directive-hygiene findings.
 func BuildGraph(pkgs []*Package) (*Graph, []Finding) {
 	g := &Graph{
-		Funcs:       make(map[string]*GraphFunc),
-		methodIndex: make(map[string][]string),
-		addrIndex:   make(map[string][]string),
+		Funcs:     make(map[string]*GraphFunc),
+		addrIndex: make(map[string][]string),
+	}
+	// Interface calls resolve against the types of every package, so their
+	// method sets are known before any body is walked.
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.Info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+				g.impls = append(g.impls, methodSetOf(types.NewPointer(tn.Type())))
+			}
+		}
 	}
 	var findings []Finding
 	for _, pkg := range pkgs {
 		findings = append(findings, g.addPackage(pkg)...)
 	}
-	// Indexes are built over the deduplicated node set, in sorted order so
-	// traversal (and therefore reported paths) is deterministic.
-	keys := make([]string, 0, len(g.Funcs))
-	for k := range g.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var roots []string
-	seenAddr := make(map[AddrRef]bool)
-	for _, k := range keys {
-		f := g.Funcs[k]
+	for k, f := range g.Funcs {
 		if f.Hotroot {
 			roots = append(roots, k)
 		}
-		if f.MethodSig != "" {
-			g.methodIndex[f.MethodSig] = append(g.methodIndex[f.MethodSig], f.Key)
-		}
-		for _, ref := range f.TakesAddr {
-			if seenAddr[ref] {
-				continue
-			}
-			seenAddr[ref] = true
-			g.addrIndex[ref.Sig] = append(g.addrIndex[ref.Sig], ref.Key)
-		}
 	}
-	for _, targets := range g.addrIndex {
-		sort.Strings(targets)
+	// Sorted, so traversal (and therefore reported paths) is deterministic.
+	slices.Sort(roots)
+	for sig, targets := range g.addrIndex {
+		slices.Sort(targets)
+		g.addrIndex[sig] = slices.Compact(targets)
 	}
 	g.hot = g.Reachable(roots)
 	return g, findings
@@ -157,10 +152,7 @@ func (g *Graph) Reachable(roots []string) map[string]string {
 		cur := queue[0]
 		queue = queue[1:]
 		f := g.Funcs[cur]
-		callees := append([]string(nil), f.Calls...)
-		for _, ms := range f.IfaceCalls {
-			callees = append(callees, g.methodIndex[ms]...)
-		}
+		callees := append(append([]string(nil), f.Calls...), f.Dispatch...)
 		for _, sig := range f.DynCalls {
 			callees = append(callees, g.addrIndex[sig]...)
 		}
@@ -265,13 +257,33 @@ func sigString(sig *types.Signature) string {
 	return b.String()
 }
 
-// methodSigOf builds the CHA index entry for a method object.
-func methodSigOf(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return ""
+// methodSetOf indexes the method set of t by name.
+func methodSetOf(t types.Type) methodSet {
+	mset := types.NewMethodSet(t)
+	ms := make(methodSet, mset.Len())
+	for i := 0; i < mset.Len(); i++ {
+		fn := mset.At(i).Obj().(*types.Func)
+		ms[fn.Name()] = implMethod{sig: sigString(fn.Type().(*types.Signature)), key: FuncKeyOf(fn)}
 	}
-	return fn.Name() + "\x00" + sigString(sig)
+	return ms
+}
+
+// implementations returns the sorted keys of the methods a call of method
+// name on iface can run: that method of every type whose method set has each
+// of iface's methods with the same signature.
+func (g *Graph) implementations(iface *types.Interface, name string) []string {
+	want, keys := methodSetOf(iface), []string(nil)
+next:
+	for _, ms := range g.impls {
+		for wname, w := range want {
+			if ms[wname].sig != w.sig {
+				continue next
+			}
+		}
+		keys = append(keys, ms[name].key)
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // addPackage walks one package's functions into the graph and returns its
@@ -285,6 +297,9 @@ func (g *Graph) addPackage(pkg *Package) []Finding {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
+				// A function value a package-level initializer takes may
+				// be called from anywhere.
+				g.collectCalls(pkg, decl, &GraphFunc{})
 				continue
 			}
 			obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
@@ -296,9 +311,6 @@ func (g *Graph) addPackage(pkg *Package) []Finding {
 				PkgPath: pkg.PkgPath,
 				Display: displayNameOf(obj),
 				Pos:     pkg.Fset.Position(fd.Pos()),
-			}
-			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				gf.MethodSig = methodSigOf(obj)
 			}
 			if fd.Doc != nil {
 				for _, c := range fd.Doc.List {
@@ -321,7 +333,7 @@ func (g *Graph) addPackage(pkg *Package) []Finding {
 				}
 			}
 			if fd.Body != nil {
-				collectCalls(pkg, fd.Body, gf)
+				g.collectCalls(pkg, fd.Body, gf)
 			}
 			g.Funcs[gf.Key] = gf
 		}
@@ -363,11 +375,12 @@ func directiveText(c *ast.Comment) (text, kind string) {
 	return "", ""
 }
 
-// collectCalls records the call edges and address-taken function values in
-// one function body (nested function literals included — their calls belong
-// to the enclosing declaration). The walk is pre-order, so a CallExpr is
-// classified before its Fun expression is visited; the later visit of the
-// same node then knows the reference was a call, not a value use.
+// collectCalls records the call edges and address-taken function values
+// (indexed by signature too) in one function body or package-level
+// declaration, nested function literals included — their calls belong to the
+// enclosing declaration. The walk is pre-order, so a CallExpr is classified
+// before its Fun expression is visited; the later visit of the same node then
+// knows the reference was a call, not a value use.
 //
 // Function literals are deliberately NOT modeled as dynamic-call targets:
 // treating "some func() value is invoked" as reaching every closure in the
@@ -376,7 +389,7 @@ func directiveText(c *ast.Comment) (text, kind string) {
 // call. Instead a literal's statements are attributed to its encloser at
 // the creation site, and dynamic func-value calls resolve only to named
 // address-taken functions.
-func collectCalls(pkg *Package, body *ast.BlockStmt, gf *GraphFunc) {
+func (g *Graph) collectCalls(pkg *Package, node ast.Node, gf *GraphFunc) {
 	info := pkg.Info
 	inCall := make(map[ast.Expr]bool)
 	selSel := make(map[*ast.Ident]bool)
@@ -391,7 +404,9 @@ func collectCalls(pkg *Package, body *ast.BlockStmt, gf *GraphFunc) {
 	}
 	takeAddr := func(fn *types.Func, valueType types.Type) {
 		if sig, ok := valueType.Underlying().(*types.Signature); ok {
-			gf.TakesAddr = append(gf.TakesAddr, AddrRef{Key: FuncKeyOf(fn), Sig: sigString(sig)})
+			key, s := FuncKeyOf(fn), sigString(sig)
+			gf.TakesAddr = append(gf.TakesAddr, key)
+			g.addrIndex[s] = append(g.addrIndex[s], key)
 		}
 	}
 
@@ -401,8 +416,10 @@ func collectCalls(pkg *Package, body *ast.BlockStmt, gf *GraphFunc) {
 		}
 		fun := ast.Unparen(call.Fun)
 		switch e := fun.(type) {
-		case *ast.IndexExpr: // generic instantiation f[T](...)
-			fun = ast.Unparen(e.X)
+		case *ast.IndexExpr: // generic instantiation f[T](...), not s[i]() or m[k]()
+			if _, ok := info.TypeOf(e.X).(*types.Signature); ok {
+				fun = ast.Unparen(e.X)
+			}
 		case *ast.IndexListExpr:
 			fun = ast.Unparen(e.X)
 		}
@@ -422,18 +439,11 @@ func collectCalls(pkg *Package, body *ast.BlockStmt, gf *GraphFunc) {
 			inCall[fun] = true
 			if sel, ok := info.Selections[fun]; ok {
 				switch sel.Kind() {
-				case types.MethodVal:
-					callee, _ := sel.Obj().(*types.Func)
-					switch {
-					case callee == nil:
-					case isAbstract(sel.Recv()):
-						gf.IfaceCalls = append(gf.IfaceCalls, methodSigOf(callee))
-					default:
-						gf.Calls = append(gf.Calls, FuncKeyOf(callee))
-					}
-				case types.MethodExpr:
-					if callee, ok := sel.Obj().(*types.Func); ok {
-						gf.Calls = append(gf.Calls, FuncKeyOf(callee))
+				case types.MethodVal, types.MethodExpr: // a method's Obj is a *types.Func
+					if iface := dispatchIface(sel); iface != nil {
+						gf.Dispatch = append(gf.Dispatch, g.implementations(iface, sel.Obj().Name())...)
+					} else {
+						gf.Calls = append(gf.Calls, FuncKeyOf(sel.Obj().(*types.Func)))
 					}
 				case types.FieldVal:
 					addDyn(sel.Type())
@@ -453,7 +463,7 @@ func collectCalls(pkg *Package, body *ast.BlockStmt, gf *GraphFunc) {
 		}
 	}
 
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			classifyCall(n)
@@ -464,7 +474,7 @@ func collectCalls(pkg *Package, body *ast.BlockStmt, gf *GraphFunc) {
 			}
 			if sel, ok := info.Selections[n]; ok {
 				if sel.Kind() == types.MethodVal || sel.Kind() == types.MethodExpr {
-					if fn, ok := sel.Obj().(*types.Func); ok && !isAbstract(sel.Recv()) {
+					if fn, ok := sel.Obj().(*types.Func); ok && dispatchIface(sel) == nil {
 						takeAddr(fn, sel.Type())
 					}
 				}
@@ -483,15 +493,17 @@ func collectCalls(pkg *Package, body *ast.BlockStmt, gf *GraphFunc) {
 	})
 }
 
-// isAbstract reports whether a method receiver type is an interface or a
-// type parameter — i.e. the call dispatches dynamically and must be
-// resolved by name+signature against every analyzed method.
-func isAbstract(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
+// dispatchIface returns the interface a method selection dispatches through,
+// nil for a concrete method: the selector's type, or the interface field a
+// struct embeds the method through; not the interface declaring the method.
+func dispatchIface(sel *types.Selection) *types.Interface {
+	t, path := sel.Recv(), sel.Index()
+	for _, i := range path[:len(path)-1] {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		t = t.Underlying().(*types.Struct).Field(i).Type()
 	}
-	if _, ok := t.(*types.TypeParam); ok {
-		return true
-	}
-	return types.IsInterface(t)
+	iface, _ := t.Underlying().(*types.Interface)
+	return iface
 }

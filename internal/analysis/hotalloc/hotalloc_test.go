@@ -10,3 +10,7 @@ import (
 func TestHotalloc(t *testing.T) {
 	analyzertest.Run(t, hotalloc.Analyzer, "a")
 }
+
+func TestHotallocDispatch(t *testing.T) {
+	analyzertest.Run(t, hotalloc.Analyzer, "dispatch")
+}

@@ -181,14 +181,14 @@ func TestNNRuntimeSlotZeroAllocs(t *testing.T) {
 // helpers to its per-sample loss and argmax).
 func perSampleSlot(ref *NNRuntime, arm, m int) SlotReport {
 	model, one := ref.loaded[arm], nn.NewArena()
-	rep := SlotReport{Samples: m, EnergyKWh: ref.metas[arm].PhiKWh * float64(m), CompSeconds: ref.CompSecondsPerSample(arm)}
+	rep := SlotReport{Samples: m, EnergyKWh: ref.metas[arm].PhiKWh * float64(m), CompSeconds: ref.compSecondsPerSample(arm)}
 	forward := model.net.ForwardBatch
 	if ref.Int8 {
 		forward = model.qn.ForwardBatch
 	}
 	total := 0.0
 	for j := 0; j < m; j++ {
-		s := ref.Pool[ref.rng.Intn(len(ref.Pool))]
+		s := ref.pool[ref.rng.Intn(len(ref.pool))]
 		one.Reset()
 		out := forward(&nn.Tensor{Shape: append([]int{1}, s.X.Shape...), Data: s.X.Data}, one)
 		total += nn.SquaredLossRow(out.Data, s.Label, one.Floats(out.Len()))
@@ -215,7 +215,7 @@ func TestNNRuntimeSlotMatchesPerSampleLoop(t *testing.T) {
 			ckpt := benchCheckpoint(t, arm, "bench-ckpt")
 			fresh := func() *NNRuntime {
 				rt := benchRuntimeSized(t, int8Mode, 300, 0)
-				rt.SamplesPerSlot = func(slot int) int { return sizes[slot] }
+				rt.samplesPerSlot = func(slot int) int { return sizes[slot] }
 				if err := rt.LoadModel(arm, ckpt); err != nil {
 					t.Fatal(err)
 				}

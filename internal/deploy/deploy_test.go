@@ -338,7 +338,7 @@ func TestNNRuntimeErrors(t *testing.T) {
 	// So would an architecture that takes another input shape than the pool
 	// holds, but inside a convolution in the middle of a run: the install
 	// refuses it, and the model stays unservable.
-	rt.BuildNet = func(int) (*nn.Network, error) {
+	rt.buildNet = func(int) (*nn.Network, error) {
 		return models.NewFamilyNetwork(dataset.CIFARLike, 2, numeric.SplitRNG(9, "bench-arch"))
 	}
 	if err := rt.LoadModel(0, []byte{1}); err == nil || !strings.Contains(err.Error(), "[3 32 32]") {

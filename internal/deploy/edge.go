@@ -309,23 +309,23 @@ func (c *replaySlot) answer(conn *wireConn, slot int, produce func(reply *Messag
 // cloud never sees the data; the edge never sees the training pipeline —
 // exactly the paper's split.
 type NNRuntime struct {
-	// BuildNet constructs the (untrained) architecture for a model id;
-	// weights arrive from the cloud.
-	BuildNet func(modelID int) (*nn.Network, error)
-	// Pool is the edge's local stream pool.
-	Pool []nn.Sample
-	// SamplesPerSlot draws M_i^t.
-	SamplesPerSlot func(slot int) int
-	// CompSecondsPerSample simulates the measured computation latency of
-	// one inference (posterior, observed while serving).
-	CompSecondsPerSample func(modelID int) float64
-
 	// Int8 runs every installed checkpoint through the true-INT8 engine
 	// (nn.QuantizedNetwork): LoadModel quantizes the shipped float weights
 	// on arrival and RunSlot serves integer kernels. This is an edge
 	// execution mode — the wire format and the cloud are unchanged. Set it
 	// before the first LoadModel; it is not a per-model switch.
 	Int8 bool
+
+	// buildNet constructs the (untrained) architecture for a model id;
+	// weights arrive from the cloud.
+	buildNet func(modelID int) (*nn.Network, error)
+	// pool is the edge's local stream pool.
+	pool []nn.Sample
+	// samplesPerSlot draws M_i^t.
+	samplesPerSlot func(slot int) int
+	// compSecondsPerSample simulates the measured computation latency of
+	// one inference (posterior, observed while serving).
+	compSecondsPerSample func(modelID int) float64
 
 	rng    *rand.Rand
 	metas  []ModelMeta
@@ -372,10 +372,10 @@ func NewNNRuntime(build func(int) (*nn.Network, error), pool []nn.Sample,
 		}
 	}
 	return &NNRuntime{
-		BuildNet:             build,
-		Pool:                 pool,
-		SamplesPerSlot:       samplesPerSlot,
-		CompSecondsPerSample: compSeconds,
+		buildNet:             build,
+		pool:                 pool,
+		samplesPerSlot:       samplesPerSlot,
+		compSecondsPerSample: compSeconds,
 		rng:                  rng,
 		loaded:               make(map[int]*residentModel),
 	}, nil
@@ -411,17 +411,17 @@ func (r *NNRuntime) LoadModel(modelID int, checkpoint []byte) error {
 		if m != nil && (!r.Int8 || m.qn != nil) {
 			return nil // cached copy, nothing shipped
 		}
-		// Installing BuildNet's fresh initialisation would serve random
+		// Installing buildNet's fresh initialisation would serve random
 		// weights and report their loss as the model's.
 		return fmt.Errorf("deploy: model %d switched in without weights and no cached copy", modelID)
 	}
 	if m == nil {
-		net, err := r.BuildNet(modelID)
+		net, err := r.buildNet(modelID)
 		if err != nil {
 			return err
 		}
-		if !slices.Equal(net.InShape(), r.Pool[0].X.Shape) {
-			return fmt.Errorf("deploy: model %d takes %v inputs, the pool holds %v samples", modelID, net.InShape(), r.Pool[0].X.Shape)
+		if !slices.Equal(net.InShape(), r.pool[0].X.Shape) {
+			return fmt.Errorf("deploy: model %d takes %v inputs, the pool holds %v samples", modelID, net.InShape(), r.pool[0].X.Shape)
 		}
 		m = &residentModel{net: net, forward: net.ForwardBatch}
 	}
@@ -464,7 +464,7 @@ func (r *NNRuntime) install(m *residentModel, modelID int, checkpoint []byte) er
 		return nil // calibration and compilation are functions of (qw, calib)
 	}
 	if r.calib == nil {
-		r.calib = nn.StackSamples(r.Pool, nn.CalibBatch)
+		r.calib = nn.StackSamples(r.pool, nn.CalibBatch)
 	}
 	if err := m.qn.Recompile(m.net, m.qw, r.calib, r.scorer.Arena()); err != nil {
 		return fmt.Errorf("deploy: compile INT8 model %d: %w", modelID, err)
@@ -483,7 +483,7 @@ func (r *NNRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
 	if r.Int8 && loaded.qn == nil {
 		return SlotReport{}, fmt.Errorf("deploy: model %d loaded before Int8 mode was enabled", modelID)
 	}
-	m := r.SamplesPerSlot(slot)
+	m := r.samplesPerSlot(slot)
 	if m < 0 {
 		return SlotReport{}, fmt.Errorf("deploy: negative sample count %d", m)
 	}
@@ -495,10 +495,10 @@ func (r *NNRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
 	}
 	idx := r.idx[:m]
 	for j := range idx {
-		idx[j] = r.rng.Intn(len(r.Pool))
+		idx[j] = r.rng.Intn(len(r.pool))
 	}
-	totalLoss, correct := r.scorer.Score(loaded.forward, r.Pool, idx)
-	rep := SlotReport{Samples: m, Correct: correct, EnergyKWh: r.metas[modelID].PhiKWh * float64(m), CompSeconds: r.CompSecondsPerSample(modelID)}
+	totalLoss, correct := r.scorer.Score(loaded.forward, r.pool, idx)
+	rep := SlotReport{Samples: m, Correct: correct, EnergyKWh: r.metas[modelID].PhiKWh * float64(m), CompSeconds: r.compSecondsPerSample(modelID)}
 	if m > 0 {
 		rep.AvgLoss = totalLoss / float64(m)
 	}

@@ -77,7 +77,7 @@ func engineLogits(t *testing.T, rt *NNRuntime, arm int) []float64 {
 	if m == nil || m.qn == nil {
 		t.Fatalf("model %d has no resident INT8 engine", arm)
 	}
-	out := m.qn.ForwardBatch(nn.StackSamples(rt.Pool, 16), nn.NewArena())
+	out := m.qn.ForwardBatch(nn.StackSamples(rt.pool, 16), nn.NewArena())
 	return append([]float64(nil), out.Data...)
 }
 
@@ -110,7 +110,7 @@ func sameBits(a, b []float64) bool {
 // otherCalib is a calibration batch no install of rt has seen: its own,
 // scaled, so every activation scale a pass over it records is different.
 func otherCalib(rt *NNRuntime) *nn.Tensor {
-	c := nn.StackSamples(rt.Pool, nn.CalibBatch)
+	c := nn.StackSamples(rt.pool, nn.CalibBatch)
 	for i := range c.Data {
 		c.Data[i] *= 3
 	}
@@ -253,7 +253,7 @@ func TestInt8FirstInstallMatchesDirectCompile(t *testing.T) {
 			if err := rt.LoadModel(arm, ckpt); err != nil {
 				t.Fatal(err)
 			}
-			net, err := rt.BuildNet(arm)
+			net, err := rt.buildNet(arm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,11 +264,11 @@ func TestInt8FirstInstallMatchesDirectCompile(t *testing.T) {
 			if err := qw.ApplyTo(net); err != nil {
 				t.Fatal(err)
 			}
-			qn, err := nn.NewQuantizedNetwork(net, qw, nn.StackSamples(rt.Pool, nn.CalibBatch))
+			qn, err := nn.NewQuantizedNetwork(net, qw, nn.StackSamples(rt.pool, nn.CalibBatch))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := qn.ForwardBatch(nn.StackSamples(rt.Pool, 16), nn.NewArena()).Data
+			want := qn.ForwardBatch(nn.StackSamples(rt.pool, 16), nn.NewArena()).Data
 			if got := engineLogits(t, rt, arm); !sameBits(got, want) {
 				t.Errorf("%s arm %d: a first install's engine differs from a direct compile", spec.Name, arm)
 			}

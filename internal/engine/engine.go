@@ -214,6 +214,18 @@ func Run(cfg Config, ctrl *core.Controller, edges []EdgeStepper) (*Result, error
 	return RunSharded(cfg, ctrl, shards)
 }
 
+// shardStep is one shard of RunSharded: its range, its step, and the slot in
+// flight — the step's inputs, then the shard's delta and error.
+type shardStep struct {
+	r         Range
+	run       func()
+	slot      int
+	arms      []int
+	downloads []bool
+	delta     SlotDelta
+	err       error
+}
+
 // RunSharded is the engine's root loop over an explicit shard decomposition:
 // per slot it fans the controller's placement out to every shard, folds each
 // shard's delta where it lies, in canonical shard order, into the slot's one
@@ -241,7 +253,8 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("engine: no shards")
 	}
-	ranges := make([]Range, len(shards))
+	var wg sync.WaitGroup
+	steps := make([]shardStep, len(shards))
 	numEdges := 0
 	for k, sh := range shards {
 		if sh == nil {
@@ -252,7 +265,21 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 			return nil, fmt.Errorf("engine: shard %d covers [%d,%d), want a positive range starting at edge %d",
 				k, start, start+count, numEdges)
 		}
-		ranges[k] = Range{Start: start, Count: count}
+		st := &steps[k]
+		st.r = Range{Start: start, Count: count}
+		// Bound once, so `go st.run()` starts a shard without allocating. A
+		// panic becomes the step's error, so a misbehaving ShardStepper
+		// cannot wedge the slot's barrier (in-process Shards already recover
+		// stepper panics via safeStep).
+		st.run = func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					st.err = fmt.Errorf("engine: shard panic: %v", r)
+				}
+			}()
+			st.delta, st.err = sh.Step(st.slot, st.arms, st.downloads)
+		}
 		numEdges += count
 	}
 	if ctrl.NumEdges() != numEdges {
@@ -295,12 +322,9 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 		res.Selections[i] = make([]int, cfg.NumModels)
 	}
 
-	deltas := make([]SlotDelta, len(shards))
-	stepErrs := make([]error, len(shards))
 	losses := make([]float64, numEdges)
 	served := make([]bool, numEdges)
 	totalCorrect, totalSamples := 0, 0
-	var wg sync.WaitGroup
 
 	for t := 0; t < cfg.Horizon; t++ {
 		arms, err := ctrl.SelectModels()
@@ -313,15 +337,16 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 		}
 
 		// The root steps shard 0 itself and the other shards beside it.
-		for k := 1; k < len(shards); k++ {
-			r := ranges[k]
-			wg.Add(1)
-			go func(slot int, arms []int, downloads []bool) {
-				defer wg.Done()
-				deltas[k], stepErrs[k] = stepShard(shards[k], slot, arms, downloads)
-			}(t, arms[r.Start:r.Start+r.Count], downloads[r.Start:r.Start+r.Count])
+		wg.Add(len(steps))
+		for k := range steps {
+			st := &steps[k]
+			lo, hi := st.r.Start, st.r.Start+st.r.Count
+			st.slot, st.arms, st.downloads = t, arms[lo:hi], downloads[lo:hi]
+			if k > 0 {
+				go st.run()
+			}
 		}
-		deltas[0], stepErrs[0] = stepShard(shards[0], t, arms[:ranges[0].Count], downloads[:ranges[0].Count])
+		steps[0].run()
 		wg.Wait()
 		// Cross-edge accounting is SlotDelta.Fold — serial, in edge-index
 		// order, and the only place per-edge terms enter float accumulations.
@@ -340,11 +365,12 @@ func RunSharded(cfg Config, ctrl *core.Controller, shards []ShardStepper) (*Resu
 			Losses:      losses,
 			Served:      served,
 		}
-		for k, r := range ranges {
-			if stepErrs[k] != nil {
-				return nil, stepErrs[k]
+		for k := range steps {
+			st := &steps[k]
+			if st.err != nil {
+				return nil, st.err
 			}
-			sd := &deltas[k]
+			r, sd := st.r, &st.delta
 			if sd.Start != r.Start || len(sd.Edges) != r.Count {
 				return nil, fmt.Errorf("engine: shard %d returned a delta for [%d,%d), want [%d,%d)",
 					k, sd.Start, sd.Start+len(sd.Edges), r.Start, r.Start+r.Count)

@@ -189,15 +189,3 @@ func (s *Shard) work() {
 		}
 	}
 }
-
-// stepShard runs one shard step, converting a panic into an error so a
-// misbehaving ShardStepper implementation cannot wedge the root's per-slot
-// barrier (in-process Shards already recover stepper panics via safeStep).
-func stepShard(sh ShardStepper, slot int, arms []int, downloads []bool) (d SlotDelta, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: shard panic: %v", r)
-		}
-	}()
-	return sh.Step(slot, arms, downloads)
-}

@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -205,6 +207,42 @@ func TestRunShardCountsDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunShardedSlotAllocsMatchOneShard pins the root's fan-out: a K-shard
+// slot allocates what a one-shard slot does, so starting shards 1…K−1
+// allocates nothing, at whatever GOMAXPROCS -cpu gives (it counts mallocs
+// itself: testing.AllocsPerRun pins GOMAXPROCS to 1). A run's growth over 200
+// more slots cancels its setup, the fewest of three runs drops a stray
+// runtime allocation, and the tenth of an allocation per slot allowed is the
+// race detector's per-run noise.
+func TestRunShardedSlotAllocsMatchOneShard(t *testing.T) {
+	const edges, short, long = 8, 20, 220
+	perSlot := func(shards int) float64 {
+		allocs := func(horizon int) float64 {
+			fewest := ^uint64(0)
+			for range 3 {
+				cfg := testConfig(edges, horizon)
+				cfg.Shards = shards
+				ctrl, steppers := testController(t, edges, 4, horizon), propSteppers(edges, 5, nil, nil, nil)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := Run(cfg, ctrl, steppers); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				fewest = min(fewest, after.Mallocs-before.Mallocs)
+			}
+			return float64(fewest)
+		}
+		return (allocs(long) - allocs(short)) / (long - short)
+	}
+	one := perSlot(1)
+	for _, k := range []int{2, 4} {
+		if got := perSlot(k); math.Abs(got-one) >= 0.1 {
+			t.Errorf("%d shards: %.2f allocations per slot at GOMAXPROCS %d, want %.2f as with one shard", k, got, runtime.GOMAXPROCS(0), one)
+		}
+	}
+}
+
 func TestMergeRejectsNonContiguous(t *testing.T) {
 	base := SlotDelta{Start: 0, Edges: make([]EdgeDelta, 3)}
 	for _, bad := range []SlotDelta{
@@ -273,13 +311,16 @@ func TestSlotDeltaJSONRoundTrip(t *testing.T) {
 
 // misrangedShard steps an in-process Shard and then reports a delta that
 // does not cover the shard's range: cut edges short at the end, or moved to
-// start elsewhere.
+// start elsewhere. At slot panicAt it panics instead.
 type misrangedShard struct {
 	*Shard
-	cut, shift int
+	cut, shift, panicAt int
 }
 
 func (m *misrangedShard) Step(slot int, arms []int, downloads []bool) (SlotDelta, error) {
+	if slot == m.panicAt {
+		panic("injected")
+	}
 	d, err := m.Shard.Step(slot, arms, downloads)
 	d.Start += m.shift
 	d.Edges = d.Edges[:len(d.Edges)-m.cut]
@@ -288,13 +329,21 @@ func (m *misrangedShard) Step(slot int, arms []int, downloads []bool) (SlotDelta
 
 // TestRunShardedRejectsMisrangedDelta pins the root's per-delta range check:
 // a shard whose delta does not cover exactly its range fails the run, even
-// the last shard, whose short delta no later range would contradict.
+// the last shard, whose short delta no later range would contradict. So does
+// a shard whose Step panics, on the root's goroutine (shard 0) or beside it.
 func TestRunShardedRejectsMisrangedDelta(t *testing.T) {
 	const edges, horizon = 4, 10
 	for _, tc := range []struct {
-		name       string
-		cut, shift int
-	}{{"one edge short", 1, 0}, {"shifted start", 0, 1}} {
+		name                string
+		cut, shift, panicAt int
+		bad                 int
+		want                string
+	}{
+		{"one edge short", 1, 0, -1, 1, "shard 1"},
+		{"shifted start", 0, 1, -1, 1, "shard 1"},
+		{"shard 0 panics", 0, 0, 3, 0, "shard panic: injected"},
+		{"shard 1 panics", 0, 0, 3, 1, "shard panic: injected"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			steppers := propSteppers(edges, 1, nil, nil, nil)
 			first, err := NewShard(ShardConfig{Start: 0}, steppers[:2])
@@ -305,13 +354,14 @@ func TestRunShardedRejectsMisrangedDelta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shards := []ShardStepper{first, &misrangedShard{Shard: last, cut: tc.cut, shift: tc.shift}}
+			shards := []ShardStepper{first, last}
+			shards[tc.bad] = &misrangedShard{Shard: shards[tc.bad].(*Shard), cut: tc.cut, shift: tc.shift, panicAt: tc.panicAt}
 			res, err := RunSharded(testConfig(edges, horizon), testController(t, edges, 4, horizon), shards)
 			if err == nil {
-				t.Fatalf("RunSharded accepted the last shard's misranged delta; edge 3 selections %v", res.Selections[3])
+				t.Fatalf("RunSharded accepted shard %d's misbehaviour; edge 3 selections %v", tc.bad, res.Selections[3])
 			}
-			if !strings.Contains(err.Error(), "shard 1") {
-				t.Errorf("error %q does not name shard 1", err)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
 	}
