@@ -384,8 +384,8 @@ const (
 // EXPERIMENTS.md what it measures now, and the history of how either got
 // there is CHANGES.md's.
 var docByteCeiling = map[string]int{
-	"DESIGN.md":      64585,
-	"EXPERIMENTS.md": 18496,
+	"DESIGN.md":      64582,
+	"EXPERIMENTS.md": 18483,
 }
 
 // lineCount is one package's (or the total's) raw and code lines, Go at

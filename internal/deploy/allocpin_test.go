@@ -68,10 +68,9 @@ func TestExchangeAllocsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln := newChanListener(1)
-		defer ln.Close()
 		cloudSide, edgeSide := net.Pipe()
-		ln.conns <- cloudSide
+		ln := newChanListener(cloudSide)
+		defer ln.Close()
 		edgeDone := make(chan error, 1)
 		go func() { edgeDone <- RunEdge(edgeSide, 0, constRuntime{}) }()
 		defer cloud.acc.start(ln)()
@@ -109,10 +108,9 @@ func TestExchangeAllocsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln := newChanListener(1)
-		defer ln.Close()
 		rootSide, regionSide := net.Pipe()
-		ln.conns <- rootSide
+		ln := newChanListener(rootSide)
+		defer ln.Close()
 		peerDone := make(chan error, 1)
 		go func() {
 			peerDone <- func() error {

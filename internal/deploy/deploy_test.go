@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,11 +19,10 @@ import (
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
-// buildDistributedWorld constructs a trained zoo, a cloud, and edge
-// runtimes that share only the dataset specification — the cloud never
-// sees edge data, edges never see the training pool. Each adjust edits the
-// cloud's configuration before it is built.
-func buildDistributedWorld(t *testing.T, edges, horizon int, adjust ...func(*CloudConfig)) (*Cloud, []*NNRuntime) {
+// trainedZoo trains a small zoo and builds edges runtimes that share only
+// the dataset specification with it — the cloud never sees edge data, edges
+// never see the training pool.
+func trainedZoo(t *testing.T, edges int) (ModelSource, []*NNRuntime) {
 	t.Helper()
 	spec := dataset.MNISTLike
 	// The cloud and all edges share the distribution D but sample it
@@ -45,32 +44,6 @@ func buildDistributedWorld(t *testing.T, edges, horizon int, adjust ...func(*Clo
 	if err != nil {
 		t.Fatal(err)
 	}
-	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(1, "deploy-prices"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	downloadCosts := make([]float64, edges)
-	for i := range downloadCosts {
-		downloadCosts[i] = 0.5 + 0.2*float64(i)
-	}
-	cfg := CloudConfig{
-		Edges:         edges,
-		Horizon:       horizon,
-		DownloadCosts: downloadCosts,
-		InitialCap:    0.001,
-		EmissionRate:  500,
-		Prices:        prices,
-		EmissionScale: 1e-4,
-		Seed:          1,
-	}
-	for _, f := range adjust {
-		f(&cfg)
-	}
-	cloud, err := NewCloud(cfg, source)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	runtimes := make([]*NNRuntime, edges)
 	for i := range runtimes {
 		edgeRNG := numeric.SplitRNG(1, fmt.Sprintf("deploy-edge-%d", i))
@@ -92,7 +65,7 @@ func buildDistributedWorld(t *testing.T, edges, horizon int, adjust ...func(*Clo
 		}
 		runtimes[i] = rt
 	}
-	return cloud, runtimes
+	return source, runtimes
 }
 
 func TestDistributedEndToEndOverTCP(t *testing.T) {
@@ -100,40 +73,11 @@ func TestDistributedEndToEndOverTCP(t *testing.T) {
 		edges   = 3
 		horizon = 12
 	)
-	cloud, runtimes := buildDistributedWorld(t, edges, horizon)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	var wg sync.WaitGroup
-	edgeErrs := make([]error, edges)
-	for i := 0; i < edges; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				edgeErrs[i] = err
-				return
-			}
-			defer conn.Close()
-			edgeErrs[i] = RunEdge(conn, i, runtimes[i])
-		}(i)
-	}
-
-	summary, err := cloud.Serve(ln)
-	if err != nil {
-		t.Fatalf("cloud.Serve: %v", err)
-	}
-	wg.Wait()
-	for i, err := range edgeErrs {
-		if err != nil {
-			t.Fatalf("edge %d: %v", i, err)
-		}
-	}
+	source, runtimes := trainedZoo(t, edges)
+	run := runFleet(t, fleetSpec{edges: edges, horizon: horizon, seed: 1, source: source,
+		runtime: func(i int, _ Runtime) Runtime { return runtimes[i] }})
+	requireQuiet(t, run)
+	summary := run.sum
 
 	if len(summary.Emissions) != horizon {
 		t.Fatalf("emissions length %d", len(summary.Emissions))
@@ -157,9 +101,14 @@ func TestDistributedEndToEndOverTCP(t *testing.T) {
 func TestDistributedCheckpointFidelity(t *testing.T) {
 	// A single edge over an in-memory pipe: the model it reconstructs from
 	// the shipped checkpoint must classify exactly like the cloud's copy.
-	cloud, runtimes := buildDistributedWorld(t, 1, 3)
+	source, runtimes := trainedZoo(t, 1)
+	cloud, err := NewCloud(fleetSpec{edges: 1, horizon: 3, seed: 1}.config(t), source)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cloudSide, edgeSide := net.Pipe()
-	ln := &pipeListener{conns: []net.Conn{cloudSide}}
+	ln := newChanListener(cloudSide)
+	defer ln.Close()
 	done := make(chan error, 1)
 	go func() {
 		done <- RunEdge(edgeSide, 0, runtimes[0])
@@ -176,50 +125,28 @@ func TestDistributedCheckpointFidelity(t *testing.T) {
 	}
 }
 
-// pipeListener adapts pre-made conns to net.Listener.
-type pipeListener struct {
-	conns []net.Conn
-	idx   int
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	if l.idx >= len(l.conns) {
-		return nil, fmt.Errorf("no more conns")
-	}
-	c := l.conns[l.idx]
-	l.idx++
-	return c, nil
-}
-
-func (l *pipeListener) Close() error   { return nil }
-func (l *pipeListener) Addr() net.Addr { return &net.IPAddr{} }
-
 func TestCloudSlotTimeoutAbortsOnHungEdge(t *testing.T) {
 	// A cloud with a short slot timeout and an "edge" that completes the
 	// handshake but never answers an Assign must fail fast instead of
 	// hanging forever.
-	cloud, _ := buildDistributedWorld(t, 1, 5, func(c *CloudConfig) { c.SlotTimeout = 200 * time.Millisecond })
+	cloud, _ := parityCloud(t, fleetSpec{edges: 1, horizon: 5, seed: 1},
+		func(c *CloudConfig) { c.SlotTimeout = 200 * time.Millisecond })
+	ln := listen(t)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
+	silent := make(chan struct{})
 	go func() {
+		defer close(silent)
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		// Handshake, then go silent.
+		// Handshake, then go silent: read whatever the cloud sends until it
+		// drops the connection.
 		if err := WriteMessage(conn, &Message{Type: MsgHello, EdgeID: 0}); err != nil {
 			return
 		}
-		if _, err := ReadMessage(conn); err != nil {
-			return
-		}
-		select {} // never respond
+		io.Copy(io.Discard, conn) //nolint:errcheck // ends when the cloud closes the connection
 	}()
 
 	done := make(chan error, 1)
@@ -227,13 +154,19 @@ func TestCloudSlotTimeoutAbortsOnHungEdge(t *testing.T) {
 		_, err := cloud.Serve(ln)
 		done <- err
 	}()
+	guard := time.After(5 * time.Second)
 	select {
 	case err := <-done:
 		if err == nil {
 			t.Fatal("expected timeout error")
 		}
-	case <-time.After(5 * time.Second):
+	case <-guard:
 		t.Fatal("cloud hung despite slot timeout")
+	}
+	select {
+	case <-silent:
+	case <-guard:
+		t.Fatal("the cloud kept the hung edge's connection open")
 	}
 }
 

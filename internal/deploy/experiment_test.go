@@ -1,11 +1,10 @@
 package deploy
 
 // The elastic-regional-tier scale experiment behind the EXPERIMENTS.md
-// "Elastic regional tier at 100k edges" entry. It is not part of the tier-1
-// suite: set CARBONEDGE_EXPERIMENT=1 to run it (and optionally
-// CARBONEDGE_EXPERIMENT_EDGES to change the fleet size):
+// "Elastic regional tier at 100k edges" entry. Every go test runs it at 64
+// edges; CARBONEDGE_EXPERIMENT_EDGES sets the fleet size of the recorded run:
 //
-//	CARBONEDGE_EXPERIMENT=1 go test -run TestExperimentElasticRegionScale \
+//	CARBONEDGE_EXPERIMENT_EDGES=100000 go test -run TestExperimentElasticRegionScale \
 //	    -v -timeout 60m ./internal/deploy/
 //
 // The run drives the real root + regional coordinators over loopback TCP
@@ -32,34 +31,6 @@ import (
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
-
-// chanListener serves pre-created in-memory connections: Accept drains the
-// queue, then blocks until Close.
-type chanListener struct {
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
-}
-
-func newChanListener(capacity int) *chanListener {
-	return &chanListener{conns: make(chan net.Conn, capacity), done: make(chan struct{})}
-}
-
-func (l *chanListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *chanListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func (l *chanListener) Addr() net.Addr { return &net.IPAddr{} }
 
 // runElasticScale drives one root+regions run over the parity world and
 // returns the summary and its wall time. killRegion < 0 runs fault-free;
@@ -96,24 +67,18 @@ func runElasticScale(t *testing.T, edges, regions, horizon int, seed int64, kill
 	}
 	root.retry.sleep = func(time.Duration) {}
 
-	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rootLn.Close()
+	rootLn := listen(t)
 
 	start := time.Now()
 	var wg sync.WaitGroup
 	ranges := engine.PartitionEdges(edges, regions)
 	regionErrs := make([]error, regions)
 	edgeErrs := make([]error, edges)
-	for r := range ranges {
-		rg := ranges[r]
-		ln := newChanListener(rg.Count)
+	for r, rg := range ranges {
+		links := make([]net.Conn, rg.Count)
 		for i := rg.Start; i < rg.Start+rg.Count; i++ {
 			regionSide, edgeSide := net.Pipe()
-			ln.conns <- regionSide
-			i := i
+			links[i-rg.Start] = regionSide
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -121,7 +86,7 @@ func runElasticScale(t *testing.T, edges, regions, horizon int, seed int64, kill
 				edgeErrs[i] = RunEdge(edgeSide, i, &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)})
 			}()
 		}
-		id := r
+		ln, id := newChanListener(links...), r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -212,10 +177,7 @@ func peakRSSMiB(t *testing.T) float64 {
 }
 
 func TestExperimentElasticRegionScale(t *testing.T) {
-	if os.Getenv("CARBONEDGE_EXPERIMENT") == "" {
-		t.Skip("set CARBONEDGE_EXPERIMENT=1 to run the elastic-tier scale experiment")
-	}
-	edges := 100000
+	edges := 64
 	if v := os.Getenv("CARBONEDGE_EXPERIMENT_EDGES"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {

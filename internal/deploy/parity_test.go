@@ -2,27 +2,22 @@ package deploy
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"net"
 	"reflect"
-	"sync"
 	"testing"
 
-	"github.com/carbonedge/carbonedge/internal/core"
 	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/engine"
-	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
 // The sim/deploy parity test: one world, two drivers. The same slot
-// protocol runs once through the in-process engine with local steppers and
-// once through the loopback-TCP cloud with remote runtimes. Both sides
-// derive every observation from identical per-edge split RNG streams, so if
-// the TCP transport is observation-transparent and both paths share the one
-// engine, the controller must make identical decisions: same selections,
-// same trades, same totals.
+// protocol runs once through the in-process engine with local steppers
+// (reference) and once through the loopback-TCP cloud with remote runtimes
+// (runFleet). Both sides derive every observation from identical per-edge
+// split RNG streams, so if the TCP transport is observation-transparent and
+// both paths share the one engine, the controller must make identical
+// decisions: same selections, same trades, same totals.
 
 type parityWorld struct {
 	seed     int64
@@ -110,126 +105,11 @@ func (s *parityStepper) Step(slot, arm int, _ bool) (engine.Observation, error) 
 }
 
 func TestSimDeployParity(t *testing.T) {
-	const (
-		edges   = 3
-		horizon = 25
-		seed    = int64(21)
-	)
-	w := newParityWorld(seed)
-	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(seed, "parity-prices"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	downloadCosts := make([]float64, edges)
-	for i := range downloadCosts {
-		downloadCosts[i] = 0.4 + 0.2*float64(i)
-	}
-	cloudCfg := CloudConfig{
-		Edges:         edges,
-		Horizon:       horizon,
-		DownloadCosts: downloadCosts,
-		InitialCap:    0.01,
-		EmissionRate:  500,
-		Prices:        prices,
-		EmissionScale: 1e-3,
-		Seed:          seed,
-	}
-
-	// In-process path: the same controller configuration NewCloud builds.
-	avgPrice := 0.0
-	for t2 := 0; t2 < horizon; t2++ {
-		avgPrice += prices.Buy[t2]
-	}
-	avgPrice /= float64(horizon)
-	ctrl, err := core.New(core.Config{
-		NumModels:     len(w.metas),
-		DownloadCosts: downloadCosts,
-		Horizon:       horizon,
-		InitialCap:    cloudCfg.InitialCap,
-		EmissionScale: cloudCfg.EmissionScale,
-		PriceScale:    avgPrice,
-		Seed:          seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steppers := make([]engine.EdgeStepper, edges)
-	for i := range steppers {
-		steppers[i] = &parityStepper{w: w, edge: i, rng: w.edgeRNG(i)}
-	}
-	res, err := engine.Run(engine.Config{
-		Name:         "parity-local",
-		Horizon:      horizon,
-		NumModels:    len(w.metas),
-		InitialCap:   cloudCfg.InitialCap,
-		EmissionRate: cloudCfg.EmissionRate,
-		Prices:       prices,
-		SwitchCosts:  downloadCosts,
-		Workers:      edges,
-	}, ctrl, steppers)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Loopback-TCP path through the real cloud server and wire protocol.
-	cloud, err := NewCloud(cloudCfg, &paritySource{w: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var wg sync.WaitGroup
-	edgeErrs := make([]error, edges)
-	for i := 0; i < edges; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				edgeErrs[i] = err
-				return
-			}
-			defer conn.Close()
-			edgeErrs[i] = RunEdge(conn, i, &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)})
-		}(i)
-	}
-	sum, err := cloud.Serve(ln)
-	if err != nil {
-		t.Fatalf("cloud.Serve: %v", err)
-	}
-	wg.Wait()
-	for i, err := range edgeErrs {
-		if err != nil {
-			t.Fatalf("edge %d: %v", i, err)
-		}
-	}
-
+	spec := fleetSpec{edges: 3, horizon: 25, seed: 21}
+	run := runFleet(t, spec)
+	requireQuiet(t, run)
 	// Same brain, same observations => identical run.
-	if !reflect.DeepEqual(res.Selections, sum.Selections) {
-		t.Errorf("selections diverge:\n engine: %v\n deploy: %v", res.Selections, sum.Selections)
-	}
-	if got, want := sum.ObservedLoss, res.Cost.InferLoss+res.Cost.Compute; math.Abs(got-want) > 1e-9 {
-		t.Errorf("observed loss: deploy %v vs engine %v", got, want)
-	}
-	if math.Abs(sum.TradingCost-res.Cost.Trading) > 1e-9 {
-		t.Errorf("trading cost: deploy %v vs engine %v", sum.TradingCost, res.Cost.Trading)
-	}
-	if !reflect.DeepEqual(res.Decisions, sum.Decisions) {
-		t.Error("trade decisions diverge")
-	}
-	if !reflect.DeepEqual(res.Emissions, sum.Emissions) {
-		t.Error("emission series diverge")
-	}
-	if sum.Fit != res.Fit {
-		t.Errorf("fit: deploy %v vs engine %v", sum.Fit, res.Fit)
-	}
-	if sum.Switches != res.Switches {
-		t.Errorf("switches: deploy %d vs engine %d", sum.Switches, res.Switches)
-	}
-	if sum.Accuracy != res.OverallAccuracy {
-		t.Errorf("accuracy: deploy %v vs engine %v", sum.Accuracy, res.OverallAccuracy)
+	if want := reference(t, spec, nil); !reflect.DeepEqual(run.sum, want) {
+		t.Errorf("deploy Summary diverged from the in-process run:\n deploy: %+v\n engine: %+v", run.sum, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/carbonedge/carbonedge/internal/core"
 	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
@@ -29,281 +27,10 @@ import (
 // slot served must reproduce the fault-free Summary exactly, and a degraded
 // run must reproduce the equivalent in-process engine.Degrade run exactly.
 
-// regionChaosSpec parameterizes one regional run under a fault schedule.
-type regionChaosSpec struct {
-	edges, regions, horizon int
-	seed                    int64
-	policy                  engine.ErrorPolicy
-	quorum                  int
-	target                  func(shard int, live []int) int
-	rootRetry, regionRetry  RetryConfig
-	// regionRetries overrides regionRetry for the listed coordinators.
-	regionRetries map[int]RetryConfig
-
-	// spares lists standby coordinator ids (>= regions) that join at start
-	// and serve only what rebalancing adopts into them.
-	spares []int
-	// leaveBefore makes a coordinator announce departure instead of serving
-	// its first assign at or past the given slot.
-	leaveBefore map[int]int
-	// upstreamFaults wraps a coordinator's first upstream connection in a
-	// faultConn with the given schedule; redials are clean. Latency events
-	// really wait.
-	upstreamFaults map[int]faultSchedule
-	// edgeFaults wraps an edge's first connection in a faultConn with the
-	// given schedule. The edge redials its home coordinator once per
-	// scheduled event, and those redials are clean.
-	edgeFaults map[int]faultSchedule
-	// adoptTo names the listener a departed coordinator's released edges
-	// redial (the expected adopter). Absent means nobody adopts the shard —
-	// its edges are expected to fail.
-	adoptTo map[int]int
-	// onSlot, when non-nil, runs in every coordinator's OnSlot hook, before
-	// the slot is served: a schedule's way to order events across regions.
-	onSlot func(root *Root, region, slot int)
-	// tap, when non-nil, wraps every connection a coordinator or an edge
-	// dials, over any fault injector: it sees whole frames written.
-	tap func(net.Conn) net.Conn
-}
-
-// tapped wraps what dial returns in spec.tap, when one is set.
-func (spec regionChaosSpec) tapped(dial func() (net.Conn, error)) func() (net.Conn, error) {
-	if spec.tap == nil {
-		return dial
-	}
-	return func() (net.Conn, error) {
-		conn, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		return spec.tap(conn), nil
-	}
-}
-
-// regionChaosRun is everything one harness run observed.
-type regionChaosRun struct {
-	sum        *Summary
-	rootErr    error
-	regionErrs map[int]error
-	edgeErrs   []error
-}
-
-func defaultChaosRetry() RetryConfig {
-	return RetryConfig{
-		Attempts:   3,
-		baseDelay:  time.Millisecond,
-		maxDelay:   4 * time.Millisecond,
-		resumeWait: 30 * time.Second,
-	}
-}
-
-// runRegionChaos drives one full regional deployment under the spec's fault
-// schedule and returns everything it observed. Error assertions are the
-// caller's: which errors are expected depends on the schedule.
-func runRegionChaos(t *testing.T, spec regionChaosSpec) *regionChaosRun {
-	t.Helper()
-	if spec.rootRetry == (RetryConfig{}) {
-		spec.rootRetry = defaultChaosRetry()
-	}
-	if spec.regionRetry == (RetryConfig{}) {
-		spec.regionRetry = defaultChaosRetry()
-	}
-	w := newParityWorld(spec.seed)
-	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), spec.horizon, numeric.SplitRNG(spec.seed, "region-chaos-prices"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := make([]float64, spec.edges)
-	for i := range costs {
-		costs[i] = 0.4 + 0.2*float64(i)
-	}
-	root, err := NewRoot(RootConfig{
-		Edges:         spec.edges,
-		Regions:       spec.regions,
-		Horizon:       spec.horizon,
-		DownloadCosts: costs,
-		InitialCap:    0.01,
-		EmissionRate:  500,
-		Prices:        prices,
-		EmissionScale: 1e-3,
-		Seed:          spec.seed,
-		NumModels:     len(w.metas),
-		Policy:        spec.policy,
-		Retry:         spec.rootRetry,
-		RegionQuorum:  spec.quorum,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.retry.sleep = func(time.Duration) {} // backoff replays with zero wall clock
-	root.rebalanceTarget = spec.target
-
-	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rootLn.Close()
-
-	ids := make([]int, 0, spec.regions+len(spec.spares))
-	for r := 0; r < spec.regions; r++ {
-		ids = append(ids, r)
-	}
-	ids = append(ids, spec.spares...)
-
-	edgeLns := make(map[int]net.Listener, len(ids))
-	gone := make(map[int]chan struct{}, len(ids))
-	for _, id := range ids {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close() //nolint:errcheck // departed coordinators already closed theirs
-		edgeLns[id] = ln
-		gone[id] = make(chan struct{})
-	}
-
-	out := &regionChaosRun{
-		regionErrs: make(map[int]error, len(ids)),
-		edgeErrs:   make([]error, spec.edges),
-	}
-	var regionMu sync.Mutex
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var fcMu sync.Mutex
-			var fc *faultConn
-			sched := spec.upstreamFaults[id]
-			dials := 0
-			dial := func() (net.Conn, error) {
-				conn, err := net.Dial("tcp", rootLn.Addr().String())
-				if err != nil {
-					return nil, err
-				}
-				dials++
-				if dials == 1 && len(sched) > 0 {
-					f, ferr := newFaultConn(conn, sched, numeric.SplitRNG(spec.seed, fmt.Sprintf("region-chaos-fault-%d", id)), nil)
-					if ferr != nil {
-						conn.Close()
-						return nil, ferr
-					}
-					fcMu.Lock()
-					fc = f
-					fcMu.Unlock()
-					return f, nil
-				}
-				fcMu.Lock()
-				fc = nil // redials are clean
-				fcMu.Unlock()
-				return conn, nil
-			}
-			retry, ok := spec.regionRetries[id]
-			if !ok {
-				retry = spec.regionRetry
-			}
-			err := RunRegionResumable(spec.tapped(dial), edgeLns[id], RegionConfig{
-				RegionID:        id,
-				Source:          &paritySource{w: w},
-				Seed:            spec.seed + int64(id),
-				Retry:           retry,
-				LeaveBeforeSlot: spec.leaveBefore[id],
-				OnSlot: func(slot int) {
-					fcMu.Lock()
-					if fc != nil {
-						fc.SetSlot(slot)
-					}
-					fcMu.Unlock()
-					if spec.onSlot != nil {
-						spec.onSlot(root, id, slot)
-					}
-				},
-			}, 5)
-			// Stop accepting edges before announcing the coordinator gone: a
-			// released edge that redials a closed listener fails fast instead
-			// of sitting unanswered in the accept backlog.
-			edgeLns[id].Close()
-			close(gone[id])
-			regionMu.Lock()
-			out.regionErrs[id] = err
-			regionMu.Unlock()
-		}()
-	}
-
-	for r, rg := range engine.PartitionEdges(spec.edges, spec.regions) {
-		for i := rg.Start; i < rg.Start+rg.Count; i++ {
-			i, home := i, r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rt := &chaosRuntime{Runtime: &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)}}
-				sched := spec.edgeFaults[i]
-				dials := 0
-				dial := func() (net.Conn, error) {
-					dials++
-					if dials > 1+len(sched) {
-						// Past its own faults, an edge only redials because its
-						// home coordinator released it: wait out the departure,
-						// then follow the shard to its adopter, which holds the
-						// resume until the adopt frame installs the shard.
-						<-gone[home]
-						adopter, ok := spec.adoptTo[home]
-						if !ok {
-							return nil, fmt.Errorf("edge %d: home region %d left and nobody adopted its shard", i, home)
-						}
-						return net.Dial("tcp", edgeLns[adopter].Addr().String())
-					}
-					conn, err := net.Dial("tcp", edgeLns[home].Addr().String())
-					if err != nil || dials > 1 || len(sched) == 0 {
-						rt.setConn(nil)
-						return conn, err
-					}
-					fc, err := newFaultConn(conn, sched, numeric.SplitRNG(spec.seed, fmt.Sprintf("region-chaos-edge-fault-%d", i)), func(time.Duration) {})
-					if err != nil {
-						conn.Close()
-						return nil, err
-					}
-					rt.setConn(fc)
-					return fc, nil
-				}
-				out.edgeErrs[i] = RunEdgeResumable(spec.tapped(dial), i, rt, 50)
-			}()
-		}
-	}
-
-	out.sum, out.rootErr = root.Serve(rootLn)
-	wg.Wait()
-	return out
-}
-
-// requireQuiet asserts the run completed with no root, region, or edge
-// errors.
-func requireQuiet(t *testing.T, run *regionChaosRun) {
-	t.Helper()
-	if run.rootErr != nil {
-		t.Fatalf("root.Serve: %v", run.rootErr)
-	}
-	for id, err := range run.regionErrs {
-		if err != nil {
-			t.Fatalf("region %d: %v", id, err)
-		}
-	}
-	for i, err := range run.edgeErrs {
-		if err != nil {
-			t.Fatalf("edge %d: %v", i, err)
-		}
-	}
-}
-
-// stripElasticity clears the region-tier fault accounting so a recovered
-// run's Summary can be compared deep-equal against a fault-free one.
-func stripElasticity(s *Summary) *Summary {
-	cp := *s
-	cp.RegionResumes = nil
-	cp.RegionRetries = nil
-	cp.Rebalances = nil
-	return &cp
+// regionChaos is the suite's world: four edges under two coordinators for
+// twelve slots under Degrade, every edge and coordinator with room to resume.
+func regionChaos(seed int64) fleetSpec {
+	return fleetSpec{edges: 4, regions: 2, horizon: 12, seed: seed, policy: engine.Degrade, resumes: 50}
 }
 
 // TestRegionChaosKillResumeDeterministic cuts one coordinator's upstream
@@ -312,8 +39,8 @@ func stripElasticity(s *Summary) *Summary {
 // The recovery itself must also replay deterministically.
 func TestRegionChaosKillResumeDeterministic(t *testing.T) {
 	const cutSlot = 5
-	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 41, policy: engine.Degrade}
-	clean := runRegionChaos(t, base)
+	base := regionChaos(41)
+	clean := runFleet(t, base)
 	requireQuiet(t, clean)
 	if clean.sum.RegionResumes != nil || clean.sum.RegionRetries != nil || clean.sum.Rebalances != nil {
 		t.Fatalf("fault-free run reports elasticity accounting: %+v", clean.sum)
@@ -321,7 +48,7 @@ func TestRegionChaosKillResumeDeterministic(t *testing.T) {
 
 	spec := base
 	spec.upstreamFaults = map[int]faultSchedule{1: faultKillAt(cutSlot)}
-	chaos := runRegionChaos(t, spec)
+	chaos := runFleet(t, spec)
 	requireQuiet(t, chaos)
 	if got, want := chaos.sum.RegionResumes, map[int]int{1: 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("RegionResumes = %v, want %v", got, want)
@@ -340,7 +67,7 @@ func TestRegionChaosKillResumeDeterministic(t *testing.T) {
 			stripElasticity(chaos.sum), clean.sum)
 	}
 
-	again := runRegionChaos(t, spec)
+	again := runFleet(t, spec)
 	requireQuiet(t, again)
 	if !reflect.DeepEqual(chaos.sum, again.sum) {
 		t.Errorf("chaos recovery is not deterministic:\n first:  %+v\n second: %+v", chaos.sum, again.sum)
@@ -354,13 +81,13 @@ func TestRegionChaosKillResumeDeterministic(t *testing.T) {
 // double-folded.
 func TestRegionChaosTruncatedDelta(t *testing.T) {
 	const tearSlot = 4
-	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 42, policy: engine.Degrade}
-	clean := runRegionChaos(t, base)
+	base := regionChaos(42)
+	clean := runFleet(t, base)
 	requireQuiet(t, clean)
 
 	spec := base
 	spec.upstreamFaults = map[int]faultSchedule{1: faultTruncateAt(tearSlot)}
-	chaos := runRegionChaos(t, spec)
+	chaos := runFleet(t, spec)
 	requireQuiet(t, chaos)
 	if got, want := chaos.sum.RegionResumes, map[int]int{1: 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("RegionResumes = %v, want %v", got, want)
@@ -378,8 +105,8 @@ func TestRegionChaosTruncatedDelta(t *testing.T) {
 // edges finish cleanly. The other coordinator holds its last delta back until
 // the resume has been admitted, which makes the order certain.
 func TestRegionChaosCutBeforeDone(t *testing.T) {
-	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 45, policy: engine.Degrade}
-	clean := runRegionChaos(t, base)
+	base := regionChaos(45)
+	clean := runFleet(t, base)
 	requireQuiet(t, clean)
 
 	last := base.horizon - 1
@@ -399,7 +126,7 @@ func TestRegionChaosCutBeforeDone(t *testing.T) {
 			}
 		}
 	}
-	chaos := runRegionChaos(t, spec)
+	chaos := runFleet(t, spec)
 	requireQuiet(t, chaos)
 	if got, want := chaos.sum.RegionResumes, map[int]int{1: 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("RegionResumes = %v, want %v", got, want)
@@ -425,14 +152,14 @@ func TestRegionChaosCutBeforeDone(t *testing.T) {
 // fault-free run bit for bit.
 func TestRegionChaosLeaveRebalance(t *testing.T) {
 	const leaveSlot = 6
-	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 43, policy: engine.Degrade}
-	clean := runRegionChaos(t, base)
+	base := regionChaos(43)
+	clean := runFleet(t, base)
 	requireQuiet(t, clean)
 
 	spec := base
 	spec.leaveBefore = map[int]int{1: leaveSlot}
 	spec.adoptTo = map[int]int{1: 0}
-	chaos := runRegionChaos(t, spec)
+	chaos := runFleet(t, spec)
 	requireQuiet(t, chaos)
 	if got, want := chaos.sum.Rebalances, []int{0, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Rebalances = %v, want %v", got, want)
@@ -448,7 +175,7 @@ func TestRegionChaosLeaveRebalance(t *testing.T) {
 			stripElasticity(chaos.sum), clean.sum)
 	}
 
-	again := runRegionChaos(t, spec)
+	again := runFleet(t, spec)
 	requireQuiet(t, again)
 	if !reflect.DeepEqual(chaos.sum, again.sum) {
 		t.Errorf("rebalance is not deterministic:\n first:  %+v\n second: %+v", chaos.sum, again.sum)
@@ -461,8 +188,8 @@ func TestRegionChaosLeaveRebalance(t *testing.T) {
 // newcomer instead of the surviving initial region.
 func TestRegionChaosLateJoinAdoption(t *testing.T) {
 	const leaveSlot = 5
-	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 44, policy: engine.Degrade}
-	clean := runRegionChaos(t, base)
+	base := regionChaos(44)
+	clean := runFleet(t, base)
 	requireQuiet(t, clean)
 
 	spec := base
@@ -470,7 +197,7 @@ func TestRegionChaosLateJoinAdoption(t *testing.T) {
 	spec.leaveBefore = map[int]int{1: leaveSlot}
 	spec.adoptTo = map[int]int{1: 2}
 	spec.target = func(shard int, live []int) int { return 2 }
-	chaos := runRegionChaos(t, spec)
+	chaos := runFleet(t, spec)
 	requireQuiet(t, chaos)
 	if got, want := chaos.sum.Rebalances, []int{0, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Rebalances = %v, want %v", got, want)
@@ -590,7 +317,7 @@ func TestRegionChaosFramesCarryWhatTheirReaderReads(t *testing.T) {
 
 	var mu sync.Mutex
 	var taps []*frameTap
-	spec := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 48, policy: engine.Degrade}
+	spec := regionChaos(48)
 	spec.spares = []int{2}
 	spec.leaveBefore = map[int]int{1: 6}
 	spec.adoptTo = map[int]int{1: 2}
@@ -604,7 +331,7 @@ func TestRegionChaosFramesCarryWhatTheirReaderReads(t *testing.T) {
 		mu.Unlock()
 		return ft
 	}
-	requireQuiet(t, runRegionChaos(t, spec))
+	requireQuiet(t, runFleet(t, spec))
 
 	seen := make(map[string]bool)
 	extra := make(map[string][]string) // kind -> members its reader never reads
@@ -659,8 +386,8 @@ func TestRegionChaosAdoptAcrossRetryBudgets(t *testing.T) {
 		leaveSlot = 6
 		hurtEdge  = 3 // in region 1's shard [2,4)
 	)
-	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 47, policy: engine.Degrade}
-	clean := runRegionChaos(t, base)
+	base := regionChaos(47)
+	clean := runFleet(t, base)
 	requireQuiet(t, clean)
 
 	noRetry := defaultChaosRetry()
@@ -670,7 +397,7 @@ func TestRegionChaosAdoptAcrossRetryBudgets(t *testing.T) {
 	spec.edgeFaults = map[int]faultSchedule{hurtEdge: {{Slot: 2, Kind: faultCutRead}}}
 	spec.leaveBefore = map[int]int{1: leaveSlot}
 	spec.adoptTo = map[int]int{1: 0}
-	chaos := runRegionChaos(t, spec)
+	chaos := runFleet(t, spec)
 	requireQuiet(t, chaos)
 	if chaos.sum.Retries[hurtEdge] == 0 {
 		t.Fatalf("edge %d burned no retries before the handoff: Retries = %v", hurtEdge, chaos.sum.Retries)
@@ -695,8 +422,8 @@ func TestRegionChaosAdoptAcrossRetryBudgets(t *testing.T) {
 // reads after its slot-5 delta, the read the schedule delays.
 func TestRegionChaosAdoptFrameHeld(t *testing.T) {
 	const leaveSlot = 5
-	base := regionChaosSpec{edges: 4, regions: 2, horizon: 12, seed: 46, policy: engine.Degrade}
-	clean := runRegionChaos(t, base)
+	base := regionChaos(46)
+	clean := runFleet(t, base)
 	requireQuiet(t, clean)
 
 	spec := base
@@ -718,7 +445,7 @@ func TestRegionChaosAdoptFrameHeld(t *testing.T) {
 			}
 		}
 	}
-	chaos := runRegionChaos(t, spec)
+	chaos := runFleet(t, spec)
 	requireQuiet(t, chaos)
 	if got, want := chaos.sum.Rebalances, []int{0, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Rebalances = %v, want %v", got, want)
@@ -729,57 +456,32 @@ func TestRegionChaosAdoptFrameHeld(t *testing.T) {
 	}
 }
 
-// lostShardStepper fails like an edge whose region link vanished: it serves
-// normally until failSlot and then returns the canonical degrade reason.
-type lostShardStepper struct {
-	inner    engine.EdgeStepper
-	failSlot int
-	reason   string
-}
-
-func (s *lostShardStepper) Step(slot, arm int, download bool) (engine.Observation, error) {
-	if slot >= s.failSlot {
-		return engine.Observation{}, errors.New(s.reason)
-	}
-	return s.inner.Step(slot, arm, download)
-}
-
 // TestRegionChaosQuorumDegrade drops the live membership below RegionQuorum:
 // instead of rebalancing the departed coordinator's shard, the root degrades
 // it with the engine's down-slot semantics. The accounting is pinned against
 // an in-process sharded run whose steppers fail with the same canonical
 // reason at the same slot — byte-identical Summaries.
 func TestRegionChaosQuorumDegrade(t *testing.T) {
-	const (
-		edges     = 4
-		regions   = 2
-		horizon   = 12
-		seed      = int64(47)
-		leaveSlot = 6
-	)
-	spec := regionChaosSpec{
-		edges: edges, regions: regions, horizon: horizon, seed: seed,
-		policy:      engine.Degrade,
-		quorum:      2, // one survivor is below quorum: degrade, don't rebalance
-		leaveBefore: map[int]int{1: leaveSlot},
-		// no adoptTo: the departed shard's edges are orphaned for good
+	const leaveSlot = 6
+	spec := regionChaos(47)
+	spec.quorum = 2 // one survivor is below quorum: degrade, don't rebalance
+	spec.leaveBefore = map[int]int{1: leaveSlot}
+	// no adoptTo: the departed shard's edges are orphaned for good
+	chaos := runFleet(t, spec)
+	if chaos.serveErr != nil {
+		t.Fatalf("root.Serve: %v", chaos.serveErr)
 	}
-	chaos := runRegionChaos(t, spec)
-	if chaos.rootErr != nil {
-		t.Fatalf("root.Serve: %v", chaos.rootErr)
-	}
-	for id := 0; id < regions; id++ {
+	for id := 0; id < spec.regions; id++ {
 		if err := chaos.regionErrs[id]; err != nil {
 			t.Fatalf("region %d: %v", id, err)
 		}
 	}
-	ranges := engine.PartitionEdges(edges, regions)
-	for i := 0; i < edges; i++ {
-		err := chaos.edgeErrs[i]
-		if i < ranges[1].Start && err != nil {
+	orphans := engine.PartitionEdges(spec.edges, spec.regions)[1].Start
+	for i, err := range chaos.edgeErrs {
+		if i < orphans && err != nil {
 			t.Fatalf("surviving edge %d: %v", i, err)
 		}
-		if i >= ranges[1].Start && err == nil {
+		if i >= orphans && err == nil {
 			t.Fatalf("orphaned edge %d finished cleanly, expected a dropped session", i)
 		}
 	}
@@ -787,69 +489,23 @@ func TestRegionChaosQuorumDegrade(t *testing.T) {
 		t.Errorf("degraded run reports resumes/rebalances: %+v", chaos.sum)
 	}
 	reason := fmt.Sprintf("deploy: region link 1 lost at slot %d", leaveSlot)
-	for i := ranges[1].Start; i < edges; i++ {
+	for i := orphans; i < spec.edges; i++ {
 		if got := chaos.sum.DownErrors[i]; got != reason {
 			t.Errorf("edge %d down error = %q, want %q", i, got, reason)
 		}
-		if got, want := chaos.sum.Downtime[i], horizon-leaveSlot; got != want {
+		if got, want := chaos.sum.Downtime[i], spec.horizon-leaveSlot; got != want {
 			t.Errorf("edge %d downtime = %d, want %d", i, got, want)
 		}
 	}
 
 	// The in-process pin: same world, same controller, shard 1's steppers
 	// fail with the canonical reason at the degrade slot.
-	w := newParityWorld(seed)
-	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(seed, "region-chaos-prices"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := make([]float64, edges)
-	for i := range costs {
-		costs[i] = 0.4 + 0.2*float64(i)
-	}
-	ctrl, err := core.New(core.Config{
-		NumModels:     len(w.metas),
-		DownloadCosts: costs,
-		Horizon:       horizon,
-		InitialCap:    0.01,
-		EmissionScale: 1e-3,
-		PriceScale:    prices.MeanBuy(horizon),
-		Seed:          seed,
+	want := reference(t, spec, func(i int, es engine.EdgeStepper) engine.EdgeStepper {
+		if i < orphans {
+			return es
+		}
+		return &downStepper{EdgeStepper: es, failAt: leaveSlot, reason: reason}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]engine.ShardStepper, regions)
-	for k, rg := range ranges {
-		steppers := make([]engine.EdgeStepper, rg.Count)
-		for j := 0; j < rg.Count; j++ {
-			i := rg.Start + j
-			var es engine.EdgeStepper = &parityStepper{w: w, edge: i, rng: w.edgeRNG(i)}
-			if k == 1 {
-				es = &lostShardStepper{inner: es, failSlot: leaveSlot, reason: reason}
-			}
-			steppers[j] = es
-		}
-		sh, err := engine.NewShard(engine.ShardConfig{Start: rg.Start, Workers: rg.Count, Policy: engine.Degrade}, steppers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[k] = sh
-	}
-	res, err := engine.RunSharded(engine.Config{
-		Name:         "deploy",
-		Horizon:      horizon,
-		NumModels:    len(w.metas),
-		InitialCap:   0.01,
-		EmissionRate: 500,
-		Prices:       prices,
-		SwitchCosts:  costs,
-		Policy:       engine.Degrade,
-	}, ctrl, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := summaryFromResult(res, make([]int, edges))
 	if !reflect.DeepEqual(chaos.sum, want) {
 		t.Errorf("degraded Summary diverged from the in-process Degrade run:\n tcp:    %+v\n engine: %+v",
 			chaos.sum, want)
@@ -861,18 +517,16 @@ func TestRegionChaosQuorumDegrade(t *testing.T) {
 // rebalancing.
 func TestRegionChaosFailFastAbortsOnDeparture(t *testing.T) {
 	const leaveSlot = 5
-	spec := regionChaosSpec{
-		edges: 4, regions: 2, horizon: 12, seed: 49,
-		policy:      engine.FailFast,
-		leaveBefore: map[int]int{1: leaveSlot},
-	}
-	chaos := runRegionChaos(t, spec)
-	if chaos.rootErr == nil {
+	spec := regionChaos(49)
+	spec.policy = engine.FailFast
+	spec.leaveBefore = map[int]int{1: leaveSlot}
+	chaos := runFleet(t, spec)
+	if chaos.serveErr == nil {
 		t.Fatal("expected the departure to abort the FailFast run")
 	}
 	want := fmt.Sprintf("region link 1 departed at slot %d", leaveSlot)
-	if !strings.Contains(chaos.rootErr.Error(), want) {
-		t.Errorf("root error %q does not name the departure %q", chaos.rootErr, want)
+	if !strings.Contains(chaos.serveErr.Error(), want) {
+		t.Errorf("root error %q does not name the departure %q", chaos.serveErr, want)
 	}
 }
 
@@ -895,7 +549,7 @@ func TestRegionChaosPropertySchedules(t *testing.T) {
 		}
 		victim := rng.Intn(regions)
 		slot := 2 + rng.Intn(horizon-4)
-		base := regionChaosSpec{edges: edges, regions: regions, horizon: horizon, seed: seed, policy: engine.Degrade}
+		base := fleetSpec{edges: edges, regions: regions, horizon: horizon, seed: seed, policy: engine.Degrade, resumes: 50}
 		spec := base
 		name := fmt.Sprintf("trial%d-%s-region%d-slot%d", trial, mode, victim, slot)
 		if mode == "resume" {
@@ -908,9 +562,9 @@ func TestRegionChaosPropertySchedules(t *testing.T) {
 			name += fmt.Sprintf("-adopt%d", target)
 		}
 		t.Run(name, func(t *testing.T) {
-			clean := runRegionChaos(t, base)
+			clean := runFleet(t, base)
 			requireQuiet(t, clean)
-			chaos := runRegionChaos(t, spec)
+			chaos := runFleet(t, spec)
 			requireQuiet(t, chaos)
 			if !reflect.DeepEqual(stripElasticity(chaos.sum), clean.sum) {
 				t.Errorf("summary diverged from the fault-free run:\n chaos: %+v\n clean: %+v",

@@ -6,7 +6,6 @@ import (
 	"net"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,166 +14,22 @@ import (
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
-// runMonolithic serves the parity world through the single-process Cloud.
-func runMonolithic(t *testing.T, w *parityWorld, cfg CloudConfig) *Summary {
-	t.Helper()
-	cloud, err := NewCloud(cfg, &paritySource{w: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var wg sync.WaitGroup
-	edgeErrs := make([]error, cfg.Edges)
-	for i := 0; i < cfg.Edges; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				edgeErrs[i] = err
-				return
-			}
-			defer conn.Close()
-			edgeErrs[i] = RunEdge(conn, i, &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)})
-		}(i)
-	}
-	sum, err := cloud.Serve(ln)
-	if err != nil {
-		t.Fatalf("cloud.Serve: %v", err)
-	}
-	wg.Wait()
-	for i, err := range edgeErrs {
-		if err != nil {
-			t.Fatalf("edge %d: %v", i, err)
-		}
-	}
-	return sum
-}
-
-// runRegional serves the same world through a root plus `regions` regional
-// coordinators, each admitting its shard's edges on its own listener.
-func runRegional(t *testing.T, w *parityWorld, cfg CloudConfig, regions int) *Summary {
-	t.Helper()
-	root, err := NewRoot(RootConfig{
-		Edges:         cfg.Edges,
-		Regions:       regions,
-		Horizon:       cfg.Horizon,
-		DownloadCosts: cfg.DownloadCosts,
-		InitialCap:    cfg.InitialCap,
-		EmissionRate:  cfg.EmissionRate,
-		Prices:        cfg.Prices,
-		EmissionScale: cfg.EmissionScale,
-		Seed:          cfg.Seed,
-		NumModels:     len(w.metas),
-		Policy:        cfg.Policy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rootLn.Close()
-
-	ranges := engine.PartitionEdges(cfg.Edges, regions)
-	var wg sync.WaitGroup
-	regionErrs := make([]error, regions)
-	edgeErrs := make([]error, cfg.Edges)
-	for r, rg := range ranges {
-		edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer edgeLn.Close()
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			upstream, err := net.Dial("tcp", rootLn.Addr().String())
-			if err != nil {
-				regionErrs[r] = err
-				return
-			}
-			defer upstream.Close()
-			regionErrs[r] = RunRegion(upstream, edgeLn, RegionConfig{
-				RegionID: r,
-				Source:   &paritySource{w: w},
-				Seed:     cfg.Seed + int64(r),
-			})
-		}(r)
-		for i := rg.Start; i < rg.Start+rg.Count; i++ {
-			wg.Add(1)
-			go func(i int, addr string) {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					edgeErrs[i] = err
-					return
-				}
-				defer conn.Close()
-				edgeErrs[i] = RunEdge(conn, i, &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)})
-			}(i, edgeLn.Addr().String())
-		}
-	}
-	sum, err := root.Serve(rootLn)
-	if err != nil {
-		t.Fatalf("root.Serve: %v", err)
-	}
-	wg.Wait()
-	for r, err := range regionErrs {
-		if err != nil {
-			t.Fatalf("region %d: %v", r, err)
-		}
-	}
-	for i, err := range edgeErrs {
-		if err != nil {
-			t.Fatalf("edge %d: %v", i, err)
-		}
-	}
-	return sum
-}
-
 // TestRegionalCloudParity is the regional tier's bit-identity pin: a root
 // with two (and three) regional coordinators over loopback TCP must produce
 // exactly the monolithic cloud's Summary — selections, trades, emissions,
 // fit, accuracy, everything — because the shard deltas carry per-edge terms
 // that the root folds in the canonical serial order.
 func TestRegionalCloudParity(t *testing.T) {
-	const (
-		edges   = 5
-		horizon = 20
-		seed    = int64(33)
-	)
-	w := newParityWorld(seed)
-	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(seed, "parity-prices"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	downloadCosts := make([]float64, edges)
-	for i := range downloadCosts {
-		downloadCosts[i] = 0.4 + 0.2*float64(i)
-	}
-	cfg := CloudConfig{
-		Edges:         edges,
-		Horizon:       horizon,
-		DownloadCosts: downloadCosts,
-		InitialCap:    0.01,
-		EmissionRate:  500,
-		Prices:        prices,
-		EmissionScale: 1e-3,
-		Seed:          seed,
-	}
-
-	mono := runMonolithic(t, w, cfg)
+	spec := fleetSpec{edges: 5, horizon: 20, seed: 33}
+	mono := runFleet(t, spec)
+	requireQuiet(t, mono)
 	for _, regions := range []int{2, 3} {
-		regional := runRegional(t, w, cfg, regions)
-		if !reflect.DeepEqual(mono, regional) {
+		spec.regions = regions
+		regional := runFleet(t, spec)
+		requireQuiet(t, regional)
+		if !reflect.DeepEqual(mono.sum, regional.sum) {
 			t.Errorf("regions=%d: regional Summary diverged from monolithic:\n mono: %+v\n regn: %+v",
-				regions, mono, regional)
+				regions, mono.sum, regional.sum)
 		}
 	}
 }
@@ -253,7 +108,7 @@ func TestRegionSessionValidation(t *testing.T) {
 func scriptUpstream(t *testing.T, script func(numModels int) []byte, wantReply bool) (s *RegionSession, reply *Message, done bool, err error) {
 	t.Helper()
 	w := newParityWorld(7)
-	ln := newChanListener(0)
+	ln := newChanListener()
 	defer ln.Close()
 	s, err = NewRegionSession(ln, RegionConfig{
 		RegionID: 1, Source: &paritySource{w: w}, Seed: 7,
@@ -392,73 +247,19 @@ func TestRunRegionRejectsZooMismatch(t *testing.T) {
 // that fails mid-run under FailFast aborts the regional run with the exact
 // error string the engine reports, forwarded verbatim through the region.
 func TestRegionalFailFastMatchesMonolithicError(t *testing.T) {
-	const edges, horizon, seed = 4, 12, int64(9)
-	w := newParityWorld(seed)
-	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(seed, "parity-prices"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := make([]float64, edges)
-	for i := range costs {
-		costs[i] = 0.5
-	}
-	root, err := NewRoot(RootConfig{
-		Edges: edges, Regions: 2, Horizon: horizon,
-		DownloadCosts: costs, InitialCap: 0.01, EmissionRate: 500,
-		Prices: prices, Seed: seed, NumModels: len(w.metas),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rootLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rootLn.Close()
-
 	const failEdge, failSlot = 2, 4
-	ranges := engine.PartitionEdges(edges, 2)
-	var wg sync.WaitGroup
-	for r, rg := range ranges {
-		edgeLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer edgeLn.Close()
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			upstream, err := net.Dial("tcp", rootLn.Addr().String())
-			if err != nil {
-				return
+	run := runFleet(t, fleetSpec{edges: 4, regions: 2, horizon: 12, seed: 9,
+		runtime: func(i int, rt Runtime) Runtime {
+			if i == failEdge {
+				rt = &failingRuntime{Runtime: rt, failSlot: failSlot}
 			}
-			defer upstream.Close()
-			_ = RunRegion(upstream, edgeLn, RegionConfig{RegionID: r, Source: &paritySource{w: w}, Seed: seed})
-		}(r)
-		for i := rg.Start; i < rg.Start+rg.Count; i++ {
-			wg.Add(1)
-			go func(i int, addr string) {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return
-				}
-				defer conn.Close()
-				var rt Runtime = &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)}
-				if i == failEdge {
-					rt = &failingRuntime{Runtime: rt, failSlot: failSlot}
-				}
-				_ = RunEdge(conn, i, rt)
-			}(i, edgeLn.Addr().String())
-		}
-	}
-	_, err = root.Serve(rootLn)
-	wg.Wait()
-	if err == nil {
+			return rt
+		}})
+	if run.serveErr == nil {
 		t.Fatal("expected the failing edge to abort the run")
 	}
 	want := fmt.Sprintf("engine: edge %d slot %d:", failEdge, failSlot)
-	if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
+	if got := run.serveErr.Error(); !strings.HasPrefix(got, want) {
 		t.Errorf("error %q does not carry the engine's FailFast prefix %q", got, want)
 	}
 }

@@ -91,9 +91,8 @@ func sessionTiers() []sessionTier {
 			return nil
 		},
 		start: func(t *testing.T) (func(net.Conn) (bool, error), func()) {
-			ln := newChanListener(1)
 			regionSide, edgeSide := net.Pipe()
-			ln.conns <- regionSide
+			ln := newChanListener(regionSide)
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {

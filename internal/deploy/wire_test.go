@@ -304,21 +304,22 @@ func TestRegionSessionResumeReplaysCachedDelta(t *testing.T) {
 	// play the root; it returns the slot-1 delta frame the script captured.
 	play := func(t *testing.T, script func(s *RegionSession) (slot1 []byte)) []byte {
 		w := newParityWorld(seed)
-		ln := newChanListener(edges)
-		defer ln.Close()
 		var wg sync.WaitGroup
-		for i := 0; i < edges; i++ {
+		links := make([]net.Conn, edges)
+		for i := range links {
 			regionSide, edgeSide := net.Pipe()
-			ln.conns <- regionSide
+			links[i] = regionSide
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
 				defer edgeSide.Close()
 				if err := RunEdge(edgeSide, i, &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)}); err != nil {
 					t.Errorf("edge %d: %v", i, err)
 				}
-			}(i)
+			}()
 		}
+		ln := newChanListener(links...)
+		defer ln.Close()
 		s, err := NewRegionSession(ln, RegionConfig{RegionID: 0, Source: &paritySource{w: w}, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
